@@ -10,171 +10,50 @@ Usage::
     python -m repro sweep         # Section VII best-effort sweep
     python -m repro ablations     # design-choice ablations
     python -m repro all           # everything above
-    python -m repro campaign ...  # scenario-campaign engine (below)
-    python -m repro serve ...     # online admission service (below)
-    python -m repro replay ...    # dynamic composability replay (below)
-    python -m repro design ...    # design-space explorer (below)
-    python -m repro faults ...    # fault injection + survivability (below)
-    python -m repro monitor ...   # conformance watchdog + heatmaps (below)
-    python -m repro bench-check   # perf-regression sentinel (below)
-
-Running campaigns
------------------
-
-The ``campaign`` subcommand drives the :mod:`repro.campaign` engine: a
-declarative grid of scenarios (topology × traffic mix × backend/clocking
-scheme × seed grid, including service-churn scenarios) fanned out over
-worker processes, aggregated into one deterministic JSON report::
-
-    python -m repro campaign --demo               # built-in demo grid
-    python -m repro campaign --demo --workers 4   # wider pool
-    python -m repro campaign --demo --output report.json
+    python -m repro campaign --demo --workers 4   # scenario grid, pooled
     python -m repro campaign --demo --list        # show the grid, don't run
-    python -m repro campaign --preset churn_campaign   # any preset
-    python -m repro campaign --preset design_campaign --workers 4
-    python -m repro campaign --demo --workdir wd       # checkpointed
-    python -m repro campaign --demo --resume wd        # after a kill
-    python -m repro campaign --preset synthetic_campaign --workdir wd --stream
-
-Serial and parallel executions produce byte-identical reports; ``--demo``
-verifies that on every invocation by running both and comparing.
-``--preset`` runs any registered preset grid (churn, replay, design,
-faults, synthetic, micro, demo); a bad name lists what is available.  Use
-``repro.campaign.scenario_grid`` from Python to build custom grids.
-With ``--workdir`` completed runs checkpoint into per-shard journals;
-``--resume`` skips them after a kill and still produces the
-byte-identical report.  ``--stream`` keeps memory flat on huge grids.
-
-Dimensioning a network
-----------------------
-
-The ``design`` subcommand runs the :mod:`repro.design` explorer: take a
-workload, search topology family × extent × NIs-per-router × slot-table
-size × word format × mapping, and emit the Pareto front over silicon
-area, operating frequency and worst-case guarantee slack::
-
-    python -m repro design --demo                 # Section VII demo
-    python -m repro design --demo --workers 4     # wider pool
-    python -m repro design --demo --output report.json
-
-The demo dimensions the Section VII workload (demo scale) over an
-18-candidate space capped at the paper's 500 MHz clock and must
-rediscover the paper's hand-picked point: the minimum-area feasible
-candidate is the 2x2 concentrated mesh at or below 500 MHz.  The whole
-exploration runs twice and the canonical JSON reports must be
-byte-identical.
-
-Running the admission service
------------------------------
-
-The ``serve`` subcommand drives the :mod:`repro.service` control plane
-over a seeded churn trace on the Section VII mesh::
-
-    python -m repro serve --demo                  # 2000-event trace
-    python -m repro serve --demo --events 200     # shorter trace (CI)
-    python -m repro serve --demo --output report.json
-
-The demo replays the identical trace twice and verifies the canonical
-JSON reports are byte-identical; every accepted session's record carries
-its analytical latency/throughput bound quote, and the composability
-invariant is re-checked after every transition.
-
-Replaying a churn timeline
---------------------------
-
-The ``replay`` subcommand closes the control-plane → simulation loop: it
-records a churn trace as a :class:`~repro.core.timeline.
-ReconfigurationTimeline` and *executes* it at cycle level::
-
-    python -m repro replay --demo                 # record, replay, verify
-    python -m repro replay --demo --events 120 --slots 1200   # CI smoke
-    python -m repro replay --demo --output report.json
-
-On the flit-level TDM backend every surviving session's trace must be
-bit-identical to its solo reference across all reconfiguration epochs
-(the paper's composability-under-change claim, checked cycle by cycle);
-on the best-effort baseline the same timeline demonstrably diverges.
-The flow runs twice and the two canonical JSON reports must match byte
-for byte.
-
-Injecting faults
-----------------
-
-The ``faults`` subcommand degrades a live network and measures what
-survives: a seeded fault schedule (link and router failures with
-repairs) is merged into a churn trace, fault-hit sessions are
-force-released and re-admitted over surviving routes, and the degraded
-run is folded against the fault-free baseline of the identical churn::
-
-    python -m repro faults --demo                 # churn + faults
-    python -m repro faults --demo --events 120 --slots 1200  # CI smoke
+    python -m repro campaign --preset design_campaign --output report.json
+    python -m repro campaign --demo --workdir wd  # checkpointed; --resume wd
+    python -m repro serve --demo --events 200     # online admission service
+    python -m repro serve --policy wfq --demo     # multi-tenant fairness
+    python -m repro replay --demo --events 120 --slots 1200
+    python -m repro design --demo --workers 4     # Pareto dimensioning
     python -m repro faults --demo --output report.json
-
-The survivability report carries admission retention, guarantee
-retention and session survival; the churn+fault timeline replays on the
-flit-level backend and every fault-survivor's trace must be
-bit-identical to its solo reference.  The flow runs twice and the two
-canonical JSON reports must match byte for byte.
-
-Monitoring guarantees
----------------------
-
-The ``monitor`` subcommand runs the :mod:`repro.telemetry.monitor`
-analysis tier over the Section VII use case: every channel's observed
-worst-case service latency and delivered throughput are classified
-against the quoted analytical bounds (``within_bounds`` / ``tight`` /
-``violated``), and the fabric's per-link / per-NI slot occupancy is
-folded into hotspot heatmaps::
-
-    python -m repro monitor --demo                # watchdog + heatmaps
     python -m repro monitor --demo --slots 1500 --top 5
-    python -m repro monitor --demo --output conformance.json
+    python -m repro bench-check --tolerance 0.15  # perf-regression sentinel
 
-On the GS backend zero channels may classify ``violated``; the
-conformance report is byte-deterministic and the demo verifies that by
-running the flow twice.  ``serve``, ``replay``, ``faults`` and
-``campaign`` accept ``--monitor`` (and ``--monitor-output PATH``,
-``--monitor-slack F``) to arm the same watchdog on their own flows; the
-canonical demo reports stay byte-identical with the monitor on or off.
+``docs/cli.md`` documents every subcommand — flags, example output,
+exit codes — and ``--help`` on any of them lists its flags.
 
-The ``bench-check`` subcommand is the perf-regression sentinel: it
-reads the committed ``benchmarks/records/BENCH_*.json`` trajectories,
-fits a robust baseline (median of prior entries) per benchmark, and
-exits non-zero when the newest entry's throughput regressed more than
-the tolerance::
+``serve``, ``replay``, ``design``, ``faults`` and ``monitor`` are
+*checked demos*: without ``--demo`` they refuse (custom runs are driven
+from Python); with it the flow runs twice and the command exits non-zero
+unless the two canonical JSON reports are byte-identical and the flow's
+own verdicts hold (``_checked_demo`` is the one skeleton behind all of
+them).  ``campaign --demo`` checks serial against parallel the same way.
 
-    python -m repro bench-check                   # default 15% tolerance
-    python -m repro bench-check --tolerance 0.15 --records benchmarks/records
-
-Observability
--------------
-
-Every demo subcommand accepts ``--telemetry PATH`` (deterministic
-metric/span JSONL from :mod:`repro.telemetry`) and ``--trace PATH``
-(Chrome trace-event JSON, loadable in Perfetto / ``chrome://tracing``),
-and prints a wall-clock per-phase timing table; the canonical reports
-stay byte-identical with and without instrumentation::
-
-    python -m repro serve --demo --telemetry out.jsonl --trace out.trace.json
-    python -m repro --profile campaign --demo    # cProfile the whole run
-
-``--profile`` (before the subcommand) wraps the invocation in
-:func:`repro.telemetry.run_profiled` and prints the cProfile hot spots
-to stderr.
+``--monitor`` (``serve``, ``replay``, ``faults``, ``campaign``) arms the
+conformance watchdog; every demo accepts ``--telemetry PATH`` and
+``--trace PATH`` and prints a wall-clock phase table.  The canonical
+reports stay byte-identical with any of it on or off.  ``--profile``
+before the subcommand wraps the invocation in
+:func:`repro.telemetry.run_profiled`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from repro.experiments.report import format_table
 
 
-def _demo_telemetry(name: str):
-    """One real telemetry hub per CLI invocation (cold path)."""
-    from repro.telemetry.hub import Telemetry
-    return Telemetry(name=name)
+def _print_tables(*tables: tuple[list, str]) -> None:
+    """Print ``(rows, title)`` tables, a blank line between them."""
+    print("\n\n".join(format_table(rows, title=title)
+                      for rows, title in tables))
 
 
 def _finish_telemetry(tel, args: argparse.Namespace) -> None:
@@ -183,9 +62,7 @@ def _finish_telemetry(tel, args: argparse.Namespace) -> None:
     if phases:
         print()
         print(format_table(
-            [{"phase": p["phase"], "wall_s": p["wall_s"]}
-             for p in phases],
-            title="phase timing [wall-clock; excluded from the "
+            phases, title="phase timing [wall-clock; excluded from the "
                   "canonical report]"))
     if getattr(args, "telemetry", None):
         tel.write_jsonl(args.telemetry)
@@ -260,19 +137,11 @@ def _costs() -> None:
                                                    mesochronous_rows,
                                                    related_work_rows,
                                                    throughput_rows)
-    print(format_table(fifo_rows(), title="Bi-synchronous FIFO cost"))
-    print()
-    print(format_table(mesochronous_rows(),
-                       title="Mesochronous arity-5 router"))
-    print()
-    print(format_table(related_work_rows(),
-                       title="Related-work comparison"))
-    print()
-    print(format_table(headline_ratio_rows(),
-                       title="aelite vs AEthereal GS+BE"))
-    print()
-    print(format_table(throughput_rows(),
-                       title="Raw throughput per area"))
+    _print_tables((fifo_rows(), "Bi-synchronous FIFO cost"),
+                  (mesochronous_rows(), "Mesochronous arity-5 router"),
+                  (related_work_rows(), "Related-work comparison"),
+                  (headline_ratio_rows(), "aelite vs AEthereal GS+BE"),
+                  (throughput_rows(), "Raw throughput per area"))
 
 
 def _usecase() -> None:
@@ -280,11 +149,9 @@ def _usecase() -> None:
                                             section7_setup,
                                             usecase_gs_rows)
     _, config = section7_setup()
-    print(format_table(usecase_gs_rows(config),
-                       title="Section VII — aelite GS @ 500 MHz"))
-    print()
-    print(format_table(composability_rows(config),
-                       title="Section VII — application isolation"))
+    _print_tables(
+        (usecase_gs_rows(config), "Section VII — aelite GS @ 500 MHz"),
+        (composability_rows(config), "Section VII — application isolation"))
 
 
 def _sweep() -> None:
@@ -311,40 +178,29 @@ def _ablations() -> None:
                                              ordering_rows,
                                              pipeline_stage_rows,
                                              table_size_rows)
-    print(format_table(table_size_rows(),
-                       title="Ablation — slot-table size"))
-    print()
-    print(format_table(fifo_depth_rows(),
-                       title="Ablation — link-stage FIFO depth"))
-    print()
-    print(format_table(ordering_rows(),
-                       title="Ablation — allocation order"))
-    print()
-    print(format_table(pipeline_stage_rows(),
-                       title="Ablation — link pipeline stages"))
-    print()
-    print(format_table(backend_rows(),
-                       title="Ablation — simulation backend / clocking"))
+    _print_tables(
+        (table_size_rows(), "Ablation — slot-table size"),
+        (fifo_depth_rows(), "Ablation — link-stage FIFO depth"),
+        (ordering_rows(), "Ablation — allocation order"),
+        (pipeline_stage_rows(), "Ablation — link pipeline stages"),
+        (backend_rows(), "Ablation — simulation backend / clocking"))
 
 
 def _campaign(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignRunner, demo_campaign, preset_by_name
+    from repro.campaign import CampaignRunner, preset_by_name
     from repro.core.exceptions import ConfigurationError
     if args.demo and args.preset:
         print("campaign: --demo and --preset are mutually exclusive",
               file=sys.stderr)
         return 2
-    if args.demo:
-        spec = demo_campaign()
-    elif args.preset:
-        try:
-            spec = preset_by_name(args.preset)
-        except ConfigurationError as exc:
-            print(f"campaign: {exc}", file=sys.stderr)
-            return 2
-    else:
+    if not (args.demo or args.preset):
         print("campaign: pick --demo or --preset <name>; build custom "
               "grids with repro.campaign in Python", file=sys.stderr)
+        return 2
+    try:
+        spec = preset_by_name("demo" if args.demo else args.preset)
+    except ConfigurationError as exc:
+        print(f"campaign: {exc}", file=sys.stderr)
         return 2
     workdir = args.resume or args.workdir
     if args.stream and workdir is None:
@@ -354,22 +210,14 @@ def _campaign(args: argparse.Namespace) -> int:
         return 2
     runs = spec.expand()
     if args.list:
+        from repro.campaign.kinds import grid_row
         print(format_table(
-            [{"run": r.run_id,
-              "backend": (r.scenario.backend
-                          if r.scenario.mode in ("simulate", "replay")
-                          else r.scenario.mode),
-              "mode": r.scenario.mode,
-              "topology": r.scenario.topology.label,
-              "traffic": (r.scenario.traffic.pattern
-                          if r.scenario.mode == "simulate"
-                          else (r.scenario.churn.label
-                                if r.scenario.churn else "-")),
-              "n_slots": r.scenario.n_slots} for r in runs],
+            [grid_row(run) for run in runs],
             title=f"campaign {spec.name!r} — {len(runs)} runs"))
         return 0
+    from repro.telemetry.hub import Telemetry
     workers = max(1, args.workers)
-    tel = _demo_telemetry("campaign")
+    tel = Telemetry(name="campaign")
     try:
         with tel.phase("campaign"):
             result = CampaignRunner(
@@ -411,18 +259,68 @@ def _campaign(args: argparse.Namespace) -> int:
     return 0 if agree and conformance_ok else 1
 
 
-def _design(args: argparse.Namespace) -> int:
-    from repro.design import run_design_demo
+@dataclass
+class _Checked:
+    """What a checked demo's flow hands :func:`_checked_demo`.
+
+    ``ok`` folds the flow's own verdict lines (already printed),
+    ``identical`` is the run-twice verdict and ``canonical`` the report
+    ``--output`` writes.  ``epilogue`` prints what follows the
+    byte-identity line; ``stdout_report`` is shown when no ``--output``
+    is given.  ``identical_line`` / ``written_line`` are the wording of
+    the two lines the skeleton prints about the report.
+    """
+
+    ok: bool
+    identical: bool
+    canonical: str
+    conformance: object = None
+    epilogue: Callable[[], None] | None = None
+    stdout_report: str | None = None
+    identical_line: str = "repeated-run reports byte-identical"
+    written_line: str = "canonical JSON report written to"
+
+
+def _checked_demo(args: argparse.Namespace) -> int:
+    """The skeleton every checked demo shares.
+
+    Refuse without ``--demo``; run the flow on a fresh telemetry hub
+    (the flow prints its tables and verdict lines); then the
+    byte-identity line, the conformance verdict when the monitor is
+    armed, ``--output``, the phase table and the exit code.
+    """
+    flow, what, advice = _DEMOS[args.experiment]
     if not args.demo:
-        print("design: only the built-in --demo exploration is runnable "
-              "from the CLI; build custom problems with repro.design in "
-              "Python (DesignExplorer, DesignSpace, workload_from_churn)",
-              file=sys.stderr)
+        print(f"{args.experiment}: only the built-in --demo {what} is "
+              f"runnable from the CLI; {advice}", file=sys.stderr)
         return 2
-    workers = max(1, args.workers)
-    tel = _demo_telemetry("design")
+    from repro.telemetry.hub import Telemetry
+    tel = Telemetry(name=args.experiment)
+    monitor = _monitor_spec(args)
+    checked = flow(args, tel, monitor)
+    print(f"{checked.identical_line}: "
+          f"{'yes' if checked.identical else 'NO — DETERMINISM BUG'}")
+    if checked.epilogue is not None:
+        checked.epilogue()
+    conformance_ok = True
+    if monitor is not None:
+        conformance_ok = _print_conformance(checked.conformance, args)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(checked.canonical)
+            handle.write("\n")
+        print(f"{checked.written_line} {args.output}")
+    elif checked.stdout_report is not None:
+        print("\n" + checked.stdout_report)
+    _finish_telemetry(tel, args)
+    return 0 if (checked.ok and checked.identical
+                 and conformance_ok) else 1
+
+
+def _design_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
+    from repro.design import run_design_demo
     report, identical, matches = run_design_demo(
-        workers=workers, seed=args.seed,
+        workers=max(1, args.workers), seed=args.seed,
         spare_capacity=args.spare_capacity, telemetry=tel)
     n_crashed = report.count("configuration_failed")
     title = (f"design demo — {report.n_candidates} candidates "
@@ -447,44 +345,28 @@ def _design(args: argparse.Namespace) -> int:
         print(f"minimum-area point matches the paper's dimensioning "
               f"(2x2 mesh at <= 500 MHz): "
               f"{'yes' if matches else 'NO — SEARCH REGRESSION'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    if n_crashed:
-        print(f"{n_crashed} candidate evaluation(s) crashed "
-              "(configuration_failed) — see the JSON report")
-    _print_campaign_meta(report.meta)
-    if args.output:
-        report.write(args.output)
-        print(f"canonical JSON report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and matches is not False
-                 and not n_crashed) else 1
+
+    def epilogue() -> None:
+        if n_crashed:
+            print(f"{n_crashed} candidate evaluation(s) crashed "
+                  "(configuration_failed) — see the JSON report")
+        _print_campaign_meta(report.meta)
+
+    return _Checked(ok=matches is not False and not n_crashed,
+                    identical=identical, canonical=report.to_json(),
+                    epilogue=epilogue)
 
 
-def _faults(args: argparse.Namespace) -> int:
+def _faults_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
     from repro.faults.demo import run_faults_demo
-    if not args.demo:
-        print("faults: only the built-in --demo flow is runnable from "
-              "the CLI; drive custom schedules with repro.faults in "
-              "Python (FaultSpec, FaultSchedule, "
-              "Allocation.rebuild_excluding)", file=sys.stderr)
-        return 2
-    tel = _demo_telemetry("faults")
-    monitor = _monitor_spec(args)
     record, report_json, identical = run_faults_demo(
         n_events=args.events, n_slots=args.slots,
         n_faults=args.faults, seed=args.seed, telemetry=tel,
         monitor=monitor)
     schedule = record["fault_schedule"]
-    rows = [{
-        "t_ms": e["t_ms"],
-        "action": e["action"],
-        "kind": e["kind"],
-        "target": e["target"],
-    } for e in schedule]
     print(format_table(
-        rows, title=f"faults demo — {len(schedule)} fabric events over "
-                    f"{record['n_events']} session events"))
+        schedule, title=f"faults demo — {len(schedule)} fabric events "
+                        f"over {record['n_events']} session events"))
     surv = record["survivability"]
     comp = record["composability"]
     rebuild = record["rebuild_first_failure"]
@@ -503,33 +385,20 @@ def _faults(args: argparse.Namespace) -> int:
           f"{'yes' if rebuild['untouched_intact'] else 'NO'})")
     composable = bool(comp["composable"])
     invariant_ok = bool(record["faulty"]["invariant"]["ok"])
-    rebuild_ok = bool(rebuild["untouched_intact"])
     print(f"fault survivors bit-identical across "
           f"{comp['n_epochs']} epochs: "
           f"{'yes' if composable else 'NO — ISOLATION BUG'}")
     print(f"composability invariant held through all faults: "
           f"{'yes' if invariant_ok else 'NO — ISOLATION BUG'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    conformance_ok = True
-    if monitor is not None:
-        conformance_ok = _print_conformance(
-            record.get("_conformance"), args)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report_json)
-            handle.write("\n")
-        print(f"canonical JSON report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and composable and invariant_ok
-                 and rebuild_ok and conformance_ok) else 1
+    return _Checked(
+        ok=composable and invariant_ok and bool(rebuild["untouched_intact"]),
+        identical=identical, canonical=report_json,
+        conformance=record.get("_conformance"))
 
 
-def _serve_fairness(args: argparse.Namespace) -> int:
+def _fairness_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
     """The ``serve --policy wfq --demo`` flow: the fairness verdict."""
     from repro.service import run_fairness_demo
-    tel = _demo_telemetry("fairness")
-    monitor = _monitor_spec(args)
     record, report_json, identical = run_fairness_demo(
         n_events=args.events, seed=args.seed, telemetry=tel,
         monitor=monitor)
@@ -544,12 +413,6 @@ def _serve_fairness(args: argparse.Namespace) -> int:
         "shed": stats["shed"],
         "capacity_rejects": stats["rejected_capacity"],
     } for name, stats in sorted(per_tenant.items())]
-    print(format_table(
-        rows,
-        title=f"fairness demo — {record['n_events']} events on "
-              f"{record['topology']} (wfq accept "
-              f"{wfq_totals['accept_rate']:.1%}, fcfs "
-              f"{fcfs_totals['accept_rate']:.1%})"))
     retention_rows = [{
         "tenant": name,
         "behaved": "yes" if row["well_behaved"] else "ABUSIVE",
@@ -559,9 +422,12 @@ def _serve_fairness(args: argparse.Namespace) -> int:
         "wfq_retention": row["wfq_retention"],
         "fcfs_retention": row["fcfs_retention"],
     } for name, row in sorted(record["retention"].items())]
-    print()
-    print(format_table(retention_rows,
-                       title="admission retention vs solo baseline"))
+    _print_tables(
+        (rows, f"fairness demo — {record['n_events']} events on "
+               f"{record['topology']} (wfq accept "
+               f"{wfq_totals['accept_rate']:.1%}, fcfs "
+               f"{fcfs_totals['accept_rate']:.1%})"),
+        (retention_rows, "admission retention vs solo baseline"))
     checks = record["checks"]
     wfq_ok = bool(checks["wfq_retention_ok"])
     fcfs_fails = bool(checks["fcfs_fails"])
@@ -572,39 +438,15 @@ def _serve_fairness(args: argparse.Namespace) -> int:
           f"(min {checks['min_well_behaved_retention']:.1%})")
     print(f"FCFS baseline fails the same bound (the policy earns its "
           f"keep): {'yes' if fcfs_fails else 'NO — adversary too weak'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    conformance_ok = True
-    if monitor is not None:
-        conformance = record.get("_conformance")
-        conformance_ok = _print_conformance(conformance, args)
-        if conformance is not None:
-            tenant_rows = conformance.tenant_rows()
-            if tenant_rows:
-                print(format_table(
-                    tenant_rows,
-                    title="per-tenant guarantee retention"))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report_json)
-            handle.write("\n")
-        print(f"canonical JSON report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and wfq_ok and fcfs_fails
-                 and conformance_ok) else 1
+    return _Checked(ok=wfq_ok and fcfs_fails, identical=identical,
+                    canonical=report_json,
+                    conformance=record.get("_conformance"))
 
 
-def _serve(args: argparse.Namespace) -> int:
+def _serve_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
     from repro.service import run_demo
-    if not args.demo:
-        print("serve: only the built-in --demo trace is runnable from "
-              "the CLI; drive custom workloads with repro.service in "
-              "Python", file=sys.stderr)
-        return 2
     if args.policy == "wfq":
-        return _serve_fairness(args)
-    tel = _demo_telemetry("serve")
-    monitor = _monitor_spec(args)
+        return _fairness_flow(args, tel, monitor)
     report, identical = run_demo(n_events=args.events, seed=args.seed,
                                  telemetry=tel, monitor=monitor)
     print(format_table(
@@ -616,36 +458,24 @@ def _serve(args: argparse.Namespace) -> int:
     print(f"\ncomposability invariant held across "
           f"{report.invariant['transitions_checked']} transitions: "
           f"{'yes' if invariant_ok else 'NO — ISOLATION BUG'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    timing = report.timing
-    print(f"throughput: {timing['events_per_s']:,.0f} events/s "
-          f"(admission mean {timing.get('admit_mean_us', 0.0):.1f} us, "
-          f"p99 {timing.get('admit_p99_us', 0.0):.1f} us) "
-          "[wall-clock; excluded from the canonical report]")
-    conformance_ok = True
-    if monitor is not None:
-        conformance_ok = _print_conformance(
-            getattr(report, "conformance", None), args)
-    if args.output:
-        report.write(args.output)
-        print(f"canonical JSON report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and invariant_ok and conformance_ok) else 1
+
+    def epilogue() -> None:
+        timing = report.timing
+        print(f"throughput: {timing['events_per_s']:,.0f} events/s "
+              f"(admission mean {timing.get('admit_mean_us', 0.0):.1f} "
+              f"us, p99 {timing.get('admit_p99_us', 0.0):.1f} us) "
+              "[wall-clock; excluded from the canonical report]")
+
+    return _Checked(ok=invariant_ok, identical=identical,
+                    canonical=report.to_json(),
+                    conformance=getattr(report, "conformance", None),
+                    epilogue=epilogue)
 
 
-def _replay(args: argparse.Namespace) -> int:
+def _replay_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
     import json
 
     from repro.simulation.replay import run_replay_demo
-    if not args.demo:
-        print("replay: only the built-in --demo trace is runnable from "
-              "the CLI; drive custom timelines with "
-              "repro.simulation.verify_timeline in Python",
-              file=sys.stderr)
-        return 2
-    tel = _demo_telemetry("replay")
-    monitor = _monitor_spec(args)
     record, report_json, identical = run_replay_demo(
         n_events=args.events, n_slots=args.slots, seed=args.seed,
         telemetry=tel, monitor=monitor)
@@ -671,72 +501,68 @@ def _replay(args: argparse.Namespace) -> int:
           f"{'yes' if flit_ok else 'NO — ISOLATION BUG'}")
     print(f"best-effort baseline diverges under the same churn: "
           f"{'yes' if be_diverged else 'NO — expected divergence missing'}")
-    print(f"repeated-run reports byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    conformance_ok = True
-    if monitor is not None:
-        conformance_ok = _print_conformance(
-            record.get("_conformance"), args)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report_json)
-            handle.write("\n")
-        print(f"canonical JSON report written to {args.output}")
-    else:
-        print("\n" + json.dumps(
+    return _Checked(
+        ok=flit_ok and be_diverged, identical=identical,
+        canonical=report_json, conformance=record.get("_conformance"),
+        stdout_report=json.dumps(
             {"verdicts": verdicts,
              "n_transitions": len(timeline["events"])},
             indent=2, sort_keys=True))
-    _finish_telemetry(tel, args)
-    return 0 if (flit_ok and be_diverged and identical
-                 and conformance_ok) else 1
 
 
-def _monitor(args: argparse.Namespace) -> int:
+def _monitor_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
     from repro.experiments.section7 import section7_setup
-    from repro.telemetry.monitor import (FabricRollup, MonitorSpec,
+    from repro.telemetry.checked import run_twice
+    from repro.telemetry.monitor import (ConformanceReport, FabricRollup,
+                                         MonitorSpec,
                                          conformance_from_result)
     from repro.usecase.runner import run_gs
-    if not args.demo:
-        print("monitor: only the built-in --demo flow is runnable from "
-              "the CLI; build custom watchdogs with "
-              "repro.telemetry.monitor in Python (MonitorSpec, "
-              "conformance_from_result, timeline_conformance, "
-              "FabricRollup)", file=sys.stderr)
-        return 2
-    tel = _demo_telemetry("monitor")
     spec = MonitorSpec(slack_fraction=args.slack)
     with tel.phase("configure"):
         _, config = section7_setup()
-    with tel.phase("simulate"):
+
+    def watch(run_telemetry, run_monitor) -> ConformanceReport:
         outcome = run_gs(config, n_slots=args.slots)
-    with tel.phase("conformance"):
-        conformance = conformance_from_result(config, outcome.result,
-                                              spec=spec)
-        rerun = conformance_from_result(
-            config, run_gs(config, n_slots=args.slots).result, spec=spec)
-        identical = conformance.to_json() == rerun.to_json()
+        return conformance_from_result(config, outcome.result, spec=spec)
+
+    conformance, canonical, identical = run_twice(
+        watch, ConformanceReport.to_json, telemetry=tel,
+        phases=("simulate", "conformance"))
     rollup = FabricRollup.from_allocation(config.allocation)
     rollup.emit_counter_tracks(tel)
-    print(conformance.summary())
-    print()
-    print(format_table(conformance.summary_rows(args.top),
-                       title="least-headroom channels"))
-    print()
-    print(format_table(rollup.link_rows(args.top),
-                       title="hottest links (slot occupancy)"))
-    print()
-    print(format_table(rollup.ni_rows(args.top),
-                       title="busiest source NIs (slot occupancy)"))
+    print(conformance.summary() + "\n")
+    _print_tables(
+        (conformance.summary_rows(args.top), "least-headroom channels"),
+        (rollup.link_rows(args.top), "hottest links (slot occupancy)"),
+        (rollup.ni_rows(args.top), "busiest source NIs (slot occupancy)"))
     print(f"\nzero violated channels on the GS backend: "
           f"{'yes' if conformance.n_violated == 0 else 'NO — BOUNDS BUG'}")
-    print(f"repeated-run conformance byte-identical: "
-          f"{'yes' if identical else 'NO — DETERMINISM BUG'}")
-    if args.output:
-        conformance.write(args.output)
-        print(f"conformance report written to {args.output}")
-    _finish_telemetry(tel, args)
-    return 0 if (identical and conformance.n_violated == 0) else 1
+    return _Checked(
+        ok=conformance.n_violated == 0, identical=identical,
+        canonical=canonical,
+        identical_line="repeated-run conformance byte-identical",
+        written_line="conformance report written to")
+
+
+#: The checked demos: subcommand -> (flow, what ``--demo`` runs, where
+#: custom runs are driven from instead).
+_DEMOS = {
+    "serve": (_serve_flow, "trace",
+              "drive custom workloads with repro.service in Python"),
+    "replay": (_replay_flow, "trace",
+               "drive custom timelines with "
+               "repro.simulation.verify_timeline in Python"),
+    "design": (_design_flow, "exploration",
+               "build custom problems with repro.design in Python "
+               "(DesignExplorer, DesignSpace, workload_from_churn)"),
+    "faults": (_faults_flow, "flow",
+               "drive custom schedules with repro.faults in Python "
+               "(FaultSpec, FaultSchedule, Allocation.rebuild_excluding)"),
+    "monitor": (_monitor_flow, "flow",
+                "build custom watchdogs with repro.telemetry.monitor in "
+                "Python (MonitorSpec, conformance_from_result, "
+                "timeline_conformance, FabricRollup)"),
+}
 
 
 def _bench_check(args: argparse.Namespace) -> int:
@@ -802,6 +628,36 @@ def _add_monitor_flags(subparser: argparse.ArgumentParser) -> None:
                                 "(default 0.2)")
 
 
+def _add_demo_parser(sub, name: str, *, help: str, demo: str,
+                     events: int | None = None, slots: int | None = None,
+                     seed: bool = True, monitor: bool = True
+                     ) -> argparse.ArgumentParser:
+    """A checked demo's subparser: the flags every demo shares.
+
+    ``events`` / ``slots`` are the defaults of ``--events`` /
+    ``--slots``; a demo without the axis leaves them ``None``.
+    """
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--demo", action="store_true", help=demo)
+    if events is not None:
+        parser.add_argument("--events", type=int, default=events,
+                            help="number of session events to process "
+                                 f"(default {events})")
+    if slots is not None:
+        parser.add_argument("--slots", type=int, default=slots,
+                            help="simulation horizon in TDM slots "
+                                 f"(default {slots})")
+    if seed:
+        parser.add_argument("--seed", type=int, default=2009,
+                            help="workload seed (default 2009)")
+    parser.add_argument("--output", default=None,
+                        help="write the canonical JSON report here")
+    _add_observability_flags(parser)
+    if monitor:
+        _add_monitor_flags(parser)
+    return parser
+
+
 def _monitor_spec(args: argparse.Namespace):
     """The armed :class:`MonitorSpec`, or ``None`` when monitoring is off."""
     if not (getattr(args, "monitor", False)
@@ -824,6 +680,10 @@ def _print_conformance(conformance, args: argparse.Namespace) -> bool:
     if output:
         conformance.write(output)
         print(f"conformance report written to {output}")
+    tenant_rows = conformance.tenant_rows()
+    if tenant_rows:
+        print(format_table(tenant_rows,
+                           title="per-tenant guarantee retention"))
     return conformance.ok
 
 
@@ -849,12 +709,9 @@ def main(argv: list[str] | None = None) -> int:
                                "(2 topologies x 2 traffic mixes x 2 "
                                "backends x 2 seeds)")
     campaign.add_argument("--preset", default=None, metavar="NAME",
-                          help="run a registered preset grid "
-                               "(demo_campaign, micro_campaign, "
-                               "churn_campaign, replay_campaign, "
-                               "design_campaign, fault_campaign, "
-                               "synthetic_campaign; short names work "
-                               "too)")
+                          help="run a registered preset grid, e.g. "
+                               "churn_campaign or just churn (an "
+                               "unknown name lists them all)")
     campaign.add_argument("--workers", type=int, default=2,
                           help="worker processes (default 2; 1 runs "
                                "in-process for profiling/debugging)")
@@ -885,18 +742,11 @@ def main(argv: list[str] | None = None) -> int:
                           help="print the expanded run grid and exit")
     _add_observability_flags(campaign)
     _add_monitor_flags(campaign)
-    serve = sub.add_parser(
-        "serve", help="run the online admission service over a churn "
-                      "trace")
-    serve.add_argument("--demo", action="store_true",
-                       help="run the built-in seeded churn trace on the "
-                            "Section VII mesh (twice; verifies the "
-                            "reports are byte-identical)")
-    serve.add_argument("--events", type=int, default=2000,
-                       help="number of session events to process "
-                            "(default 2000)")
-    serve.add_argument("--seed", type=int, default=2009,
-                       help="workload seed (default 2009)")
+    serve = _add_demo_parser(
+        sub, "serve", events=2000,
+        help="run the online admission service over a churn trace",
+        demo="run the built-in seeded churn trace on the Section VII "
+             "mesh (twice; verifies the reports are byte-identical)")
     serve.add_argument("--policy", choices=("fcfs", "wfq"),
                        default="fcfs",
                        help="admission policy: fcfs (default, the "
@@ -904,92 +754,49 @@ def main(argv: list[str] | None = None) -> int:
                             "multi-tenant weighted-fair demo: abusive "
                             "tenant vs FCFS vs per-tenant solo "
                             "baselines)")
-    serve.add_argument("--output", default=None,
-                       help="write the canonical JSON report here")
-    _add_observability_flags(serve)
-    _add_monitor_flags(serve)
-    replay = sub.add_parser(
-        "replay", help="record a churn trace and replay it as a "
-                       "reconfiguration timeline at cycle level")
-    replay.add_argument("--demo", action="store_true",
-                        help="run the built-in seeded churn trace, "
-                             "replay it on the flit-level and "
-                             "best-effort backends, and verify dynamic "
-                             "composability (twice; reports must be "
-                             "byte-identical)")
-    replay.add_argument("--events", type=int, default=240,
-                        help="number of session events to record "
-                             "(default 240)")
-    replay.add_argument("--slots", type=int, default=3000,
-                        help="simulation horizon in TDM slots the "
-                             "timeline is fitted into (default 3000)")
-    replay.add_argument("--seed", type=int, default=2009,
-                        help="workload seed (default 2009)")
-    replay.add_argument("--output", default=None,
-                        help="write the canonical JSON report here")
-    _add_observability_flags(replay)
-    _add_monitor_flags(replay)
-    design = sub.add_parser(
-        "design", help="dimension a network from a workload: explore "
-                       "the design space and emit the Pareto front")
-    design.add_argument("--demo", action="store_true",
-                        help="dimension the demo-scale Section VII "
-                             "workload over the built-in 18-candidate "
-                             "space (twice; reports must be "
-                             "byte-identical and the minimum-area point "
-                             "must be the paper's 2x2 mesh at <= 500 "
-                             "MHz)")
+    _add_demo_parser(
+        sub, "replay", events=240, slots=3000,
+        help="record a churn trace and replay it as a reconfiguration "
+             "timeline at cycle level",
+        demo="run the built-in seeded churn trace, replay it on the "
+             "flit-level and best-effort backends, and verify dynamic "
+             "composability (twice; reports must be byte-identical)")
+    design = _add_demo_parser(
+        sub, "design", monitor=False,
+        help="dimension a network from a workload: explore the design "
+             "space and emit the Pareto front",
+        demo="dimension the demo-scale Section VII workload over the "
+             "built-in 18-candidate space (twice; reports must be "
+             "byte-identical and the minimum-area point must be the "
+             "paper's 2x2 mesh at <= 500 MHz)")
     design.add_argument("--workers", type=int, default=2,
                         help="worker processes for candidate "
                              "evaluation (default 2)")
-    design.add_argument("--seed", type=int, default=2009,
-                        help="workload seed (default 2009)")
     design.add_argument("--spare-capacity", type=float, default=0.0,
                         dest="spare_capacity", metavar="FRACTION",
                         help="fault-tolerance headroom: inflate every "
                              "channel requirement by this fraction so "
                              "the dimensioned network keeps slack for "
                              "degraded-mode re-allocation (default 0)")
-    design.add_argument("--output", default=None,
-                        help="write the canonical JSON report here")
-    _add_observability_flags(design)
-    faults = sub.add_parser(
-        "faults", help="inject link/router failures into a churn trace "
-                       "and measure what survives")
-    faults.add_argument("--demo", action="store_true",
-                        help="run the built-in churn+faults flow on a "
-                             "3x3 mesh against its fault-free baseline "
-                             "(twice; reports must be byte-identical "
-                             "and fault survivors bit-identical)")
-    faults.add_argument("--events", type=int, default=240,
-                        help="number of session events (default 240)")
-    faults.add_argument("--slots", type=int, default=3000,
-                        help="simulation horizon in TDM slots for the "
-                             "timeline replay (default 3000)")
+    faults = _add_demo_parser(
+        sub, "faults", events=240, slots=3000,
+        help="inject link/router failures into a churn trace and "
+             "measure what survives",
+        demo="run the built-in churn+faults flow on a 3x3 mesh against "
+             "its fault-free baseline (twice; reports must be "
+             "byte-identical and fault survivors bit-identical)")
     faults.add_argument("--faults", type=int, default=6,
                         help="number of fabric failures to inject "
                              "(default 6)")
-    faults.add_argument("--seed", type=int, default=2009,
-                        help="workload/schedule seed (default 2009)")
-    faults.add_argument("--output", default=None,
-                        help="write the canonical JSON report here")
-    _add_observability_flags(faults)
-    _add_monitor_flags(faults)
-    monitor = sub.add_parser(
-        "monitor", help="guarantee-conformance watchdog + fabric "
-                        "introspection over the Section VII use case")
-    monitor.add_argument("--demo", action="store_true",
-                         help="run the Section VII GS use case, classify "
-                              "every channel's observed worst-case "
-                              "latency and delivered throughput against "
-                              "its analytical bounds (twice; the "
-                              "conformance reports must be "
-                              "byte-identical and zero channels "
-                              "violated), and print the fabric "
-                              "utilisation heatmaps")
-    monitor.add_argument("--slots", type=int, default=3000,
-                         help="simulation horizon in TDM slots "
-                              "(default 3000)")
+    monitor = _add_demo_parser(
+        sub, "monitor", slots=3000, seed=False, monitor=False,
+        help="guarantee-conformance watchdog + fabric introspection "
+             "over the Section VII use case",
+        demo="run the Section VII GS use case, classify every channel's "
+             "observed worst-case latency and delivered throughput "
+             "against its analytical bounds (twice; the conformance "
+             "reports must be byte-identical and zero channels "
+             "violated), and print the fabric utilisation heatmaps")
     monitor.add_argument("--slack", type=float, default=0.2,
                          metavar="FRACTION",
                          help="headroom fraction under which a channel "
@@ -997,10 +804,6 @@ def main(argv: list[str] | None = None) -> int:
     monitor.add_argument("--top", type=int, default=8,
                          help="rows per heatmap/headroom table "
                               "(default 8)")
-    monitor.add_argument("--output", default=None,
-                         help="write the canonical conformance report "
-                              "JSON here")
-    _add_observability_flags(monitor)
     bench = sub.add_parser(
         "bench-check", help="perf-regression sentinel over the recorded "
                             "benchmark trajectories")
@@ -1022,30 +825,22 @@ def main(argv: list[str] | None = None) -> int:
     return _dispatch(args)
 
 
+def _artefacts(args: argparse.Namespace) -> int:
+    """Regenerate one paper artefact, or all of them under banners."""
+    if args.experiment in _COMMANDS:
+        _COMMANDS[args.experiment]()
+        return 0
+    for name, regenerate in _COMMANDS.items():
+        print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
+        regenerate()
+    return 0
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     """Route a parsed invocation to its handler."""
-    if args.experiment == "campaign":
-        return _campaign(args)
-    if args.experiment == "serve":
-        return _serve(args)
-    if args.experiment == "replay":
-        return _replay(args)
-    if args.experiment == "design":
-        return _design(args)
-    if args.experiment == "faults":
-        return _faults(args)
-    if args.experiment == "monitor":
-        return _monitor(args)
-    if args.experiment == "bench-check":
-        return _bench_check(args)
-    if args.experiment == "all":
-        for name in ("fig5", "fig6a", "fig6b", "costs", "usecase",
-                     "sweep", "ablations"):
-            print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-            _COMMANDS[name]()
-    else:
-        _COMMANDS[args.experiment]()
-    return 0
+    handlers = {"campaign": _campaign, "bench-check": _bench_check,
+                **dict.fromkeys(_DEMOS, _checked_demo)}
+    return handlers.get(args.experiment, _artefacts)(args)
 
 
 if __name__ == "__main__":

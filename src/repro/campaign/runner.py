@@ -42,18 +42,17 @@ import multiprocessing.connection
 import os
 import time
 import traceback
+from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.campaign.fabric import (CampaignWorkdir, Shard,
                                    default_shard_size, iter_report_chunks,
                                    shard_campaign)
-from repro.campaign.spec import (CampaignSpec, RunSpec, SyntheticSpec,
-                                 derive_seed)
-from repro.core.configuration import configure
-from repro.core.exceptions import (AllocationError, ConfigurationError,
-                                   TopologyError)
-from repro.simulation.backend import SimRequest, create_backend
+from repro.campaign.kinds import crashed_record, run_kind, summary_row
+from repro.campaign.spec import CampaignSpec, RunSpec
+from repro.core.exceptions import ConfigurationError
 from repro.telemetry.hub import coalesce
 
 __all__ = ["CampaignRunner", "CampaignResult", "execute_run"]
@@ -80,66 +79,12 @@ _TOP_WALLS = 128
 def execute_run(run: RunSpec) -> dict[str, object]:
     """Execute one run and return its JSON-ready record.
 
-    Top-level (picklable) so a worker process can execute it.  The whole
-    design flow happens inside: build topology, generate the seeded
-    workload, allocate, attach traffic, simulate through the backend
-    protocol — or, for ``mode="serve"`` scenarios, run the online
-    control plane over a seeded churn stream.  An infeasible allocation
-    is a *result* (status ``allocation_failed``), not a crash —
-    campaigns sweep into infeasible corners on purpose.
+    Top-level (picklable) so a worker process can execute it.  What
+    the run does is its scenario kind's business
+    (:func:`repro.campaign.kinds.run_kind`); an infeasible allocation
+    is a *result* (status ``allocation_failed``), not a crash.
     """
-    scenario = run.scenario
-    if scenario.mode == "serve":
-        return _execute_serve_run(run)
-    if scenario.mode == "replay":
-        return _execute_replay_run(run)
-    if scenario.mode == "faults":
-        return _execute_faults_run(run)
-    if scenario.mode == "fairness":
-        return _execute_fairness_run(run)
-    if scenario.mode == "synthetic":
-        return _execute_synthetic_run(run)
-    if scenario.mode == "design":
-        from repro.design.explorer import execute_design_run
-        return execute_design_run(run)
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "backend": scenario.backend,
-        "clocking": scenario.clocking,
-        "topology": scenario.topology.label,
-        "traffic": scenario.traffic.pattern,
-        "n_slots": scenario.n_slots,
-    }
-    try:
-        topology = scenario.topology.build()
-        use_case, mapping = scenario.workload.build(
-            topology, derive_seed(run.run_seed, "workload", run.seed))
-        config = configure(
-            topology, use_case, table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6, mapping=mapping,
-            require_met=False)
-        options: dict[str, object] = {}
-        if scenario.backend == "cycle":
-            options["clocking"] = scenario.clocking
-        backend = create_backend(scenario.backend, config, **options)
-        traffic = scenario.traffic.build(
-            config, derive_seed(run.run_seed, "traffic", run.seed))
-        result = backend.run(SimRequest(
-            n_slots=scenario.n_slots, traffic=traffic,
-            seed=run.run_seed % (2 ** 31)))
-    except AllocationError as exc:
-        record["status"] = "allocation_failed"
-        record["error"] = str(exc)
-        return record
-    except ConfigurationError as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    record["result"] = result.to_record()
-    return record
+    return run_kind(run)
 
 
 def _safe_execute_run(run: RunSpec) -> dict[str, object]:
@@ -151,26 +96,14 @@ def _safe_execute_run(run: RunSpec) -> dict[str, object]:
     traceback (stable across serial and parallel execution — the stack
     below this frame is identical either way), and the campaign's
     remaining runs proceed untouched.  Expected domain failures
-    (``allocation_failed`` etc.) are classified inside
-    :func:`execute_run` as before.
+    (``allocation_failed`` etc.) are classified by the kind table.
     """
     try:
         return execute_run(run)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # noqa: BLE001 — the envelope IS the handler
-        digest = hashlib.sha256(
-            traceback.format_exc().encode()).hexdigest()[:16]
-        return {
-            "run_id": run.run_id,
-            "scenario": run.scenario.name,
-            "seed": run.seed,
-            "mode": run.scenario.mode,
-            "topology": run.scenario.topology.label,
-            "status": "crashed",
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback_digest": digest,
-        }
+        return crashed_record(run, exc, traceback.format_exc())
 
 
 def _timed_execute_run(run: RunSpec) -> dict[str, object]:
@@ -187,291 +120,6 @@ def _timed_execute_run(run: RunSpec) -> dict[str, object]:
             "pid": os.getpid()}
 
 
-def _execute_synthetic_run(run: RunSpec) -> dict[str, object]:
-    """Execute one ``mode="synthetic"`` run: a seeded hash chain.
-
-    Deterministic, allocation-free and microseconds-cheap — the run
-    body for fabric-scale grids.  Seeds listed in the spec's
-    ``fail_seeds`` raise, exercising the crashed-envelope path through
-    real worker processes.
-    """
-    scenario = run.scenario
-    spec = scenario.synthetic or SyntheticSpec()
-    if run.seed in spec.fail_seeds:
-        raise RuntimeError(
-            f"synthetic failure injected for seed {run.seed}")
-    digest = run.run_seed
-    for _ in range(spec.work):
-        digest = int.from_bytes(
-            hashlib.sha256(digest.to_bytes(8, "big")).digest()[:8],
-            "big") >> 1
-    return {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "synthetic",
-        "topology": scenario.topology.label,
-        "work": spec.work,
-        "status": "ok",
-        "result": {"digest": digest},
-    }
-
-
-def _execute_serve_run(run: RunSpec) -> dict[str, object]:
-    """Execute one ``mode="serve"`` run: churn over the control plane."""
-    from repro.service.churn import ChurnSpec, ChurnWorkload
-    from repro.service.controller import SessionService
-
-    scenario = run.scenario
-    churn = scenario.churn or ChurnSpec()
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "serve",
-        "topology": scenario.topology.label,
-        "churn": churn.label,
-        "table_size": scenario.table_size,
-    }
-    if scenario.policy != "fcfs":
-        record["policy"] = scenario.policy
-    try:
-        topology = scenario.topology.build()
-        workload = ChurnWorkload(
-            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
-        service = SessionService(
-            topology, table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6,
-            name=scenario.name, seed=run.seed, record_events=False,
-            policy=scenario.policy,
-            tenants=churn.tenants if scenario.policy == "wfq" else ())
-        report = service.run(workload.events())
-    except (AllocationError, ConfigurationError) as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    record["result"] = report.to_record()
-    return record
-
-
-def _execute_fairness_run(run: RunSpec) -> dict[str, object]:
-    """Execute one ``mode="fairness"`` run: wfq vs FCFS vs solo.
-
-    The identical tenant-tagged churn stream runs under the
-    weighted-fair policy, under the FCFS baseline, and once per tenant
-    in isolation; the record carries both contended reports plus the
-    per-tenant retention table and verdict flags (see
-    :func:`~repro.service.fairness_demo.fairness_comparison`).
-    """
-    from repro.service.churn import ChurnWorkload
-    from repro.service.fairness_demo import (demo_fairness_spec,
-                                             fairness_churn_spec,
-                                             fairness_comparison)
-
-    scenario = run.scenario
-    churn = scenario.churn or fairness_churn_spec(1000)
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "fairness",
-        "policy": "wfq",
-        "topology": scenario.topology.label,
-        "churn": churn.label,
-        "table_size": scenario.table_size,
-    }
-    try:
-        topology = scenario.topology.build()
-        workload = ChurnWorkload(
-            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
-        events = workload.events(limit=3 * churn.n_sessions // 2)
-        comparison = fairness_comparison(
-            topology, events, churn.tenants,
-            table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6,
-            fairness=demo_fairness_spec(), name=scenario.name,
-            seed=run.seed)
-    except (AllocationError, ConfigurationError) as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    record["result"] = {k: v for k, v in comparison.items()
-                        if not k.startswith("_")}
-    return record
-
-
-def _execute_replay_run(run: RunSpec) -> dict[str, object]:
-    """Execute one ``mode="replay"`` run: record churn, replay, verify.
-
-    The event stream is truncated at three quarters of its length so
-    sessions whose close falls in the dropped tail are still open at
-    the cut — those become the replay's survivors.
-    """
-    from repro.service.churn import ChurnSpec, ChurnWorkload
-    from repro.service.controller import SessionService
-    from repro.simulation.composability import (replay_traffic,
-                                                verify_timeline)
-
-    scenario = run.scenario
-    churn = scenario.churn or ChurnSpec()
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "replay",
-        "backend": scenario.backend,
-        "topology": scenario.topology.label,
-        "churn": churn.label,
-        "n_slots": scenario.n_slots,
-        "table_size": scenario.table_size,
-    }
-    try:
-        topology = scenario.topology.build()
-        workload = ChurnWorkload(
-            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
-        events = workload.events(limit=3 * churn.n_sessions // 2)
-        service = SessionService(
-            topology, table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6,
-            name=scenario.name, seed=run.seed, record_events=False,
-            record_timeline=True)
-        service.run(events)
-        timeline = service.timeline(horizon_slots=scenario.n_slots)
-        report = verify_timeline(
-            timeline, replay_traffic(timeline),
-            backend_factory=lambda config: create_backend(
-                scenario.backend, config),
-            scenario=scenario.name)
-    except (AllocationError, ConfigurationError) as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    result = report.to_record()
-    result["n_channels"] = len(timeline.channel_names)
-    record["result"] = result
-    return record
-
-
-def _execute_faults_run(run: RunSpec) -> dict[str, object]:
-    """Execute one ``mode="faults"`` run: churn + faults vs baseline.
-
-    The identical churn stream runs twice — once healthy, once merged
-    with the seeded fault schedule — and the churn+fault timeline is
-    replayed on the scenario backend so the record carries both the
-    survivability fold and the fault-survivor composability verdict.
-    """
-    from repro.faults.demo import run_churn_with_faults, survivability_record
-    from repro.faults.model import FaultSchedule, FaultSpec
-    from repro.service.churn import ChurnSpec, ChurnWorkload
-
-    scenario = run.scenario
-    churn = scenario.churn or ChurnSpec()
-    fault_spec = scenario.faults or FaultSpec()
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "faults",
-        "backend": scenario.backend,
-        "topology": scenario.topology.label,
-        "churn": churn.label,
-        "faults": fault_spec.label,
-        "n_slots": scenario.n_slots,
-        "table_size": scenario.table_size,
-    }
-    try:
-        topology = scenario.topology.build()
-        workload = ChurnWorkload(
-            churn, topology, derive_seed(run.run_seed, "churn", run.seed))
-        events = workload.events(limit=3 * churn.n_sessions // 2)
-        schedule = FaultSchedule(
-            fault_spec, topology,
-            derive_seed(run.run_seed, "faults", run.seed))
-        outcome = run_churn_with_faults(
-            topology, events, schedule,
-            table_size=scenario.table_size,
-            frequency_hz=scenario.frequency_mhz * 1e6,
-            horizon_slots=scenario.n_slots, name=scenario.name,
-            seed=run.seed,
-            backend_factory=lambda config: create_backend(
-                scenario.backend, config),
-            scenario=scenario.name)
-    except (AllocationError, ConfigurationError) as exc:
-        record["status"] = "configuration_failed"
-        record["error"] = str(exc)
-        return record
-    record["status"] = "ok"
-    record["result"] = {
-        "survivability": survivability_record(
-            outcome.baseline.totals, outcome.faulty.totals,
-            outcome.faulty.faults),
-        "faults": outcome.faulty.faults,
-        "totals": outcome.faulty.totals,
-        "invariant": outcome.faulty.invariant,
-        "composability": outcome.verdict.to_record(),
-        "n_channels": len(outcome.timeline.channel_names),
-    }
-    return record
-
-
-def _summary_row(record: dict[str, object]) -> dict[str, object]:
-    """One per-run table row for :func:`~repro.experiments.report.
-    format_table`; shared by streaming and keep-records aggregation."""
-    row: dict[str, object] = {
-        "run": record["run_id"],
-        "backend": record.get("backend", record.get("mode", "serve")),
-        "topology": record.get("topology", "-"),
-        "traffic": record.get("traffic", record.get("churn", "-")),
-        "status": record["status"],
-    }
-    result = record.get("result")
-    if isinstance(result, dict):
-        if "survivability" in result:  # faults-mode record
-            surv = result["survivability"]
-            row["traffic"] = record.get("faults", "-")
-            row["messages"] = result["totals"]["n_events"]
-            row["survival"] = surv["session_survival"]
-            row["retention"] = surv["guarantee_retention"]
-            row["status"] = (
-                f"{record['status']}/"
-                f"{'composable' if result['composability']['composable'] else 'diverged'}")
-        elif "area" in result:  # design-mode record
-            row["messages"] = result["n_channels"]
-            row["area_mm2"] = round(
-                result["area"]["total_um2"] / 1e6, 4)
-            row["mhz"] = result["operating_frequency_mhz"]
-        elif "retention" in result and "checks" in result:
-            # fairness-mode record
-            checks = result["checks"]
-            row["messages"] = result["wfq"]["totals"]["n_events"]
-            row["retention"] = checks["min_well_behaved_retention"]
-            row["status"] = (
-                f"{record['status']}/"
-                f"{'fair' if checks['wfq_retention_ok'] else 'unfair'}")
-        elif "totals" in result:  # serve-mode record
-            totals = result["totals"]
-            row["messages"] = totals["n_events"]
-            row["accept"] = totals["accept_rate"]
-        elif "composable" in result:  # replay-mode record
-            row["messages"] = result["n_channels"]
-            row["status"] = (
-                f"{record['status']}/"
-                f"{'composable' if result['composable'] else 'diverged'}")
-        elif "digest" in result:  # synthetic-mode record
-            row["digest"] = result["digest"] % 10 ** 6
-        else:
-            row["messages"] = result["messages_delivered"]
-            latency = result.get("latency_ns")
-            if latency:
-                row["p50_ns"] = latency["p50"]
-                row["p99_ns"] = latency["p99"]
-                row["max_ns"] = latency["max"]
-    return row
-
-
 #: Statuses that are search verdicts, not failures.
 _NON_FAILURE_STATUSES = ("ok", "pruned", "infeasible")
 
@@ -481,7 +129,7 @@ class CampaignResult:
     """The aggregated outcome of one campaign execution.
 
     In the default keep-records mode ``records`` holds every run's
-    record, exactly as before.  Under streaming aggregation
+    record.  Under streaming aggregation
     (``CampaignRunner(..., keep_records=False)``) ``records`` stays
     empty and the canonical report streams from the workdir's shard
     journals instead — same bytes, O(shard) memory.
@@ -519,12 +167,14 @@ class CampaignResult:
         Identical in streaming and keep-records modes: both fold the
         same status counters from the same envelopes.
         """
+        return sum(count for status, count in self._counts().items()
+                   if status not in _NON_FAILURE_STATUSES)
+
+    def _counts(self) -> dict[str, int]:
+        """Runs per status (folded from ``records`` when not streamed)."""
         if self.status_counts is not None:
-            return sum(count for status, count in
-                       self.status_counts.items()
-                       if status not in _NON_FAILURE_STATUSES)
-        return sum(1 for r in self.records
-                   if r["status"] not in _NON_FAILURE_STATUSES)
+            return self.status_counts
+        return Counter(str(r["status"]) for r in self.records)
 
     def iter_records(self) -> Iterator[dict[str, object]]:
         """Records in canonical (run-id-sorted) order.
@@ -580,7 +230,7 @@ class CampaignResult:
     def summary_rows(self) -> list[dict[str, object]]:
         """Per-run table rows for :func:`~repro.experiments.report.
         format_table`."""
-        return [_summary_row(record) for record in self.iter_records()]
+        return [summary_row(record) for record in self.iter_records()]
 
     def summary(self, *, top_k: int = 3) -> str:
         """One-line digest: totals, per-status counts, stragglers.
@@ -591,13 +241,7 @@ class CampaignResult:
         ``top_k`` slowest flagged stragglers ride along with their
         wall-to-median ratio.
         """
-        if self.status_counts is not None:
-            counts = dict(self.status_counts)
-        else:
-            counts = {}
-            for record in self.records:
-                status = str(record["status"])
-                counts[status] = counts.get(status, 0) + 1
+        counts = self._counts()
         line = (f"campaign[{self.campaign}]: {self.n_runs} runs, "
                 f"{self.n_failed} failed")
         if counts:
@@ -707,9 +351,7 @@ class _Aggregate:
 
     def _fold_shard(self, run_id: str, t_s: float) -> None:
         """Advance (and possibly close out) the run's shard."""
-        index = self._shard_of.get(run_id)
-        if index is None:
-            return
+        index = self._shard_of[run_id]
         times = self._shard_t[index]
         if times[0] is None:
             times[0] = t_s
@@ -766,11 +408,6 @@ class _WorkerHandle:
         self.outstanding: dict[int, dict[str, float]] = {}
         self.dead = False
 
-    @property
-    def n_outstanding(self) -> int:
-        """Dispatched-but-unfinished runs currently owned."""
-        return sum(len(batch) for batch in self.outstanding.values())
-
 
 #: Completed envelopes a worker accumulates before flushing one result
 #: message to the parent — the return-path analogue of batched
@@ -786,11 +423,9 @@ def _worker_main(conn, scenarios, base_seed: int) -> None:
 
     ``scenarios`` — the shared immutable scenario library — arrives
     once at spawn (inherited by fork, pickled once under spawn), so a
-    batch item is just ``(run_id, scenario_name, seed)`` and the
-    per-run pickling cost of shipping whole ``RunSpec`` s is gone.
-    Results flow back in chunks of at most ``_RESULT_FLUSH`` runs, so
-    neither direction pays one pipe round-trip per microsecond-scale
-    run.
+    batch item is just ``(run_id, scenario_name, seed)``.  Results flow
+    back in chunks of at most ``_RESULT_FLUSH`` runs, so neither
+    direction pays one pipe round-trip per microsecond-scale run.
     """
     try:
         while True:
@@ -820,10 +455,8 @@ def _worker_main(conn, scenarios, base_seed: int) -> None:
             except (BrokenPipeError, OSError):
                 return
     finally:
-        try:
+        with suppress(OSError):
             conn.close()
-        except OSError:
-            pass
 
 
 class CampaignRunner:
@@ -834,8 +467,6 @@ class CampaignRunner:
     dispatch loop.  All paths — serial, parallel, killed-then-resumed —
     produce byte-identical canonical reports; scheduling only changes
     wall-clock time.
-
-    Parameters beyond the original ``spec``/``workers``/``telemetry``:
 
     * ``workdir`` — checkpoint directory; completed runs journal into
       per-shard JSONL files and an atomic manifest pins the grid.
@@ -900,17 +531,15 @@ class CampaignRunner:
         tel = self.telemetry
         t0 = time.perf_counter()
         runs = sorted(self.spec.expand(), key=lambda r: r.run_id)
-        by_id = {run.run_id: run for run in runs}
 
-        workdir: CampaignWorkdir | None = None
-        if self.workdir is not None:
-            workdir = CampaignWorkdir(self.workdir)
-        shard_size = self.shard_size or default_shard_size(len(runs))
-        if workdir is not None and resume and workdir.has_manifest():
-            shard_size = workdir.resume(self.spec)
+        workdir = (None if self.workdir is None
+                   else CampaignWorkdir(self.workdir))
+        resuming = (workdir is not None and resume
+                    and workdir.has_manifest())
+        shard_size = (workdir.resume(self.spec) if resuming else
+                      self.shard_size or default_shard_size(len(runs)))
         shards = shard_campaign(self.spec, shard_size=shard_size)
-        if workdir is not None and not (resume and
-                                        workdir.has_manifest()):
+        if workdir is not None and not resuming:
             workdir.initialise(self.spec, shards, shard_size)
         expand_s = time.perf_counter() - t0
 
@@ -1002,19 +631,20 @@ class CampaignRunner:
         remainder in-process, so a campaign always completes.
         """
         scenarios = {s.name: s for s in self.spec.scenarios}
-        base_seed = self.spec.base_seed
-        queue: list[tuple[str, str, int]] = [
-            (run.run_id, run.scenario.name, run.seed) for run in pending]
+        run_of = {run.run_id: run for run in pending}
+        # The wire form of a run: workers rebuild it from their
+        # interned scenario library.
+        item_of = {run.run_id: (run.run_id, run.scenario.name, run.seed)
+                   for run in pending}
+        queue = list(item_of.values())
         queue.reverse()  # pop() from the end == sorted dispatch order
-        # Cheap run-id lookups for re-queue and steal dispatch.
-        scenario_of = {run.run_id: run.scenario.name for run in pending}
-        seed_of = {run.run_id: run.seed for run in pending}
         handles: list[_WorkerHandle] = []
         for _ in range(workers):
             parent_conn, child_conn = multiprocessing.Pipe()
             proc = multiprocessing.Process(
                 target=_worker_main,
-                args=(child_conn, scenarios, base_seed), daemon=True)
+                args=(child_conn, scenarios, self.spec.base_seed),
+                daemon=True)
             proc.start()
             child_conn.close()
             handles.append(_WorkerHandle(proc, parent_conn))
@@ -1052,15 +682,12 @@ class CampaignRunner:
                 return
             handle.dead = True
             n_deaths += 1
-            try:
+            with suppress(OSError):
                 handle.conn.close()
-            except OSError:
-                pass
             for batch in handle.outstanding.values():
                 for run_id in batch:
                     if run_id not in completed:
-                        queue.append((run_id, scenario_of[run_id],
-                                      seed_of[run_id]))
+                        queue.append(item_of[run_id])
             handle.outstanding.clear()
             self._live_pids = [h.proc.pid for h in handles
                                if not h.dead and h.proc.pid is not None]
@@ -1099,9 +726,7 @@ class CampaignRunner:
                 return
             tail = victim_runs[len(victim_runs) // 2:]
             thief = idle[0]
-            items = [(run_id, scenario_of[run_id], seed_of[run_id])
-                     for run_id in tail]
-            if send_batch(thief, items):
+            if send_batch(thief, [item_of[run_id] for run_id in tail]):
                 dispatched_extra.update(tail)
                 n_steals += 1
 
@@ -1139,12 +764,7 @@ class CampaignRunner:
                     leftovers = sorted({run_id for run_id, _, _ in queue}
                                        - completed)
                     for run_id in leftovers:
-                        run = RunSpec(
-                            run_id=run_id,
-                            scenario=scenarios[scenario_of[run_id]],
-                            seed=seed_of[run_id],
-                            base_seed=base_seed)
-                        aggregate.add(_timed_execute_run(run))
+                        aggregate.add(_timed_execute_run(run_of[run_id]))
                         completed.add(run_id)
                     break
                 ready = multiprocessing.connection.wait(
@@ -1162,19 +782,15 @@ class CampaignRunner:
         finally:
             for handle in handles:
                 if not handle.dead:
-                    try:
+                    with suppress(OSError):  # incl. BrokenPipeError
                         handle.conn.send(("stop",))
-                    except (BrokenPipeError, OSError):
-                        pass
             for handle in handles:
                 handle.proc.join(timeout=5.0)
                 if handle.proc.is_alive():
                     handle.proc.terminate()
                     handle.proc.join(timeout=5.0)
-                try:
+                with suppress(OSError):
                     handle.conn.close()
-                except OSError:
-                    pass
             self._live_pids = []
         return {"steals": n_steals, "duplicates": n_duplicates,
                 "worker_deaths": n_deaths,

@@ -17,6 +17,7 @@ makes serial and parallel execution byte-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -54,6 +55,17 @@ def derive_seed(base_seed: int, *labels: object) -> int:
     digest = hashlib.sha256(
         ":".join([str(base_seed), *map(str, labels)]).encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def _require_finite_positive(name: str, value: float) -> None:
+    """Reject a numeric axis that is zero, negative, NaN or infinite.
+
+    ``value <= 0`` alone lets ``nan`` and ``inf`` through, and those
+    surface runs later as a crashed worker or a multi-GiB allocation.
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +177,11 @@ class TrafficSpec:
         if self.pattern not in ("cbr", "burst", "bernoulli", "saturating"):
             raise ConfigurationError(
                 f"unknown traffic pattern {self.pattern!r}")
-        if self.rate_factor <= 0:
-            raise ConfigurationError("rate_factor must be positive")
+        _require_finite_positive("rate_factor", self.rate_factor)
+        if self.burst_messages < 1:
+            raise ConfigurationError("burst_messages must be >= 1")
+        if not 0.0 <= self.probability <= 1.0:
+            raise ConfigurationError("probability must be in [0, 1]")
 
     def build(self, config: NocConfiguration, seed: int
               ) -> dict[str, TrafficPattern]:
@@ -223,48 +238,15 @@ class SyntheticSpec:
 class ScenarioSpec:
     """One cell of the campaign grid (before seed expansion).
 
-    Three scenario modes share the grid machinery:
+    ``mode`` names the scenario's *kind*; the kinds — what each runs,
+    which of the optional payload fields (``churn``, ``design``,
+    ``faults``, ``synthetic``) and which backends it accepts, and
+    which axes it ignores — are the entries of
+    :data:`repro.campaign.kinds.KINDS`.  A payload field left ``None``
+    takes its kind's default; one set on a kind that does not accept
+    it is rejected.
 
-    * ``mode="simulate"`` (default) — allocate a workload and drive a
-      simulation backend, as before;
-    * ``mode="serve"`` — run the online control plane
-      (:class:`~repro.service.controller.SessionService`) over a seeded
-      churn workload; ``churn`` parameterises the session stream and the
-      ``workload``/``traffic``/``backend`` axes are ignored;
-    * ``mode="replay"`` — run the control plane with timeline recording,
-      fit the recorded churn into ``n_slots`` simulation slots, execute
-      it on ``backend`` (flit or be — the cycle model cannot
-      reconfigure mid-run), and report the dynamic composability
-      verdict (survivor traces, churn run vs solo reference);
-    * ``mode="design"`` — evaluate one design candidate for the
-      :mod:`repro.design` explorer: prune analytically, optimise the
-      mapping, bisect for the minimum feasible frequency and price the
-      network with the synthesis models.  ``design`` carries the
-      workload and evaluation recipe; ``topology``/``table_size`` name
-      the candidate and the ``traffic``/``backend``/``n_slots`` axes
-      are ignored;
-    * ``mode="faults"`` — run the control plane over churn merged with
-      a seeded fault schedule (``faults``, a :class:`~repro.faults.
-      model.FaultSpec`; defaults apply when ``None``), compare against
-      the fault-free baseline run of the identical churn, and replay
-      the churn+fault timeline on ``backend`` for the fault-survivor
-      composability verdict.  Reports are survivability records
-      (admission retention, guarantee retention, session survival);
-    * ``mode="fairness"`` — run the multi-tenant fairness comparison
-      (:func:`~repro.service.fairness_demo.fairness_comparison`) over a
-      tenant-tagged churn stream: the ``policy="wfq"`` control plane
-      versus the FCFS baseline versus per-tenant solo references, with
-      per-tenant retention verdicts.  ``churn`` must carry a tenant
-      mix (defaults to the abusive-tenant adversary profile when
-      ``None``);
-    * ``mode="synthetic"`` — execute a seed-deterministic hash chain
-      (``synthetic``, a :class:`SyntheticSpec`; defaults apply when
-      ``None``).  Costs microseconds per run, which makes it the grid
-      filler for fabric-scale benchmarks, crash/resume drills and CI
-      smoke checks; every other axis except ``topology`` (used only
-      for its label) is ignored.
-
-    ``policy`` selects the admission policy of the control-plane modes:
+    ``policy`` selects the admission policy of the control-plane kinds:
     ``"fcfs"`` (the default, byte-identical to the pre-fairness
     reports) or ``"wfq"`` for ``mode="serve"`` runs over a tenant-
     tagged churn spec; ``mode="fairness"`` always compares both.
@@ -279,72 +261,26 @@ class ScenarioSpec:
     n_slots: int = 800
     table_size: int = 16
     frequency_mhz: float = 500.0
-    mode: str = "simulate"  # simulate|serve|replay|design|faults|
-    #                         fairness|synthetic
-    policy: str = "fcfs"    # serve / fairness modes: fcfs|wfq
-    churn: ChurnSpec | None = None  # serve/replay/faults/fairness modes
-    design: object | None = None    # design mode only (a DesignSpec)
-    faults: FaultSpec | None = None  # faults mode only
-    synthetic: SyntheticSpec | None = None  # synthetic mode only
+    mode: str = "simulate"  # a key of repro.campaign.kinds.KINDS
+    policy: str = "fcfs"    # fcfs|wfq
+    churn: ChurnSpec | None = None
+    design: object | None = None    # a repro.design.space.DesignSpec
+    faults: FaultSpec | None = None
+    synthetic: SyntheticSpec | None = None
 
     def __post_init__(self) -> None:
+        # Local imports: kinds imports this module, and the backend
+        # registry pulls in the simulators.
+        from repro.campaign.kinds import validate_scenario
         from repro.simulation.backend import available_backends
-        if self.mode not in ("simulate", "serve", "replay", "design",
-                             "faults", "fairness", "synthetic"):
-            raise ConfigurationError(
-                f"unknown scenario mode {self.mode!r}; expected "
-                "'simulate', 'serve', 'replay', 'design', 'faults', "
-                "'fairness' or 'synthetic'")
         if self.policy not in ("fcfs", "wfq"):
             raise ConfigurationError(
                 f"unknown admission policy {self.policy!r}; expected "
                 "'fcfs' or 'wfq'")
-        if self.policy != "fcfs" and self.mode not in (
-                "serve", "fairness"):
-            raise ConfigurationError(
-                "policy='wfq' only applies to serve/fairness scenarios")
-        if self.synthetic is not None and self.mode != "synthetic":
-            raise ConfigurationError(
-                "synthetic spec only applies to mode='synthetic' "
-                "scenarios")
-        if self.churn is not None and self.mode not in (
-                "serve", "replay", "faults", "fairness"):
-            raise ConfigurationError(
-                "churn spec only applies to serve/replay/faults/"
-                "fairness scenarios; design scenarios take their "
-                "workload from the DesignSpec (see "
-                "repro.design.workload_from_churn)")
-        if (self.mode == "fairness" and self.churn is not None
-                and not self.churn.tenants):
-            raise ConfigurationError(
-                "mode='fairness' scenarios need a tenant-tagged churn "
-                "spec (ChurnSpec(tenants=...)) or churn=None for the "
-                "default adversary profile")
-        if (self.policy == "wfq" and self.mode == "serve"
-                and (self.churn is None or not self.churn.tenants)):
-            raise ConfigurationError(
-                "policy='wfq' serve scenarios need a tenant-tagged "
-                "churn spec (ChurnSpec(tenants=...))")
-        if self.mode == "design":
-            from repro.design.space import DesignSpec
-            if not isinstance(self.design, DesignSpec):
-                raise ConfigurationError(
-                    "mode='design' scenarios need a DesignSpec in "
-                    "'design'")
-        elif self.design is not None:
-            raise ConfigurationError(
-                "design spec only applies to design scenarios")
-        if self.faults is not None and self.mode != "faults":
-            raise ConfigurationError(
-                "fault spec only applies to mode='faults' scenarios")
         if self.backend not in available_backends():
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; expected one of "
                 f"{available_backends()}")
-        if self.mode in ("replay", "faults") and self.backend == "cycle":
-            raise ConfigurationError(
-                f"mode={self.mode!r} needs a backend that can "
-                "reconfigure mid-run; use 'flit' or 'be'")
         if self.backend == "cycle" and self.clocking not in (
                 "synchronous", "mesochronous", "asynchronous"):
             raise ConfigurationError(
@@ -353,8 +289,8 @@ class ScenarioSpec:
             raise ConfigurationError("n_slots must be positive")
         if self.table_size < 2:
             raise ConfigurationError("table_size must be >= 2")
-        if self.frequency_mhz <= 0:
-            raise ConfigurationError("frequency_mhz must be positive")
+        _require_finite_positive("frequency_mhz", self.frequency_mhz)
+        validate_scenario(self)
 
 
 @dataclass(frozen=True)

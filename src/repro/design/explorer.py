@@ -235,7 +235,7 @@ def evaluate_candidate(topology_spec: TopologySpec, design: DesignSpec,
 
 
 def execute_design_run(run: RunSpec) -> dict[str, object]:
-    """Campaign-worker entry point for one ``mode="design"`` run.
+    """The ``design`` scenario kind's run body: one candidate's fields.
 
     No :class:`ProbeCache` is wired in here on purpose: within one run
     every bisection midpoint is a fresh frequency and every portfolio
@@ -251,18 +251,9 @@ def execute_design_run(run: RunSpec) -> dict[str, object]:
     ``evaluate_candidate(..., cache=...)``.
     """
     scenario = run.scenario
-    design = scenario.design
-    assert isinstance(design, DesignSpec)
-    record: dict[str, object] = {
-        "run_id": run.run_id,
-        "scenario": scenario.name,
-        "seed": run.seed,
-        "mode": "design",
-    }
-    record.update(evaluate_candidate(
-        scenario.topology, design, scenario.table_size,
-        seed=derive_seed(run.run_seed, "design", run.seed)))
-    return record
+    return evaluate_candidate(
+        scenario.topology, scenario.design, scenario.table_size,
+        seed=derive_seed(run.run_seed, "design", run.seed))
 
 
 def pareto_front(records: list[dict[str, object]]
@@ -469,23 +460,22 @@ def run_design_demo(*, workers: int = 2, seed: int = 2009,
     import dataclasses
 
     from repro.design.space import demo_space, section7_demo_use_case
+    from repro.telemetry.checked import run_twice
     from repro.telemetry.hub import coalesce
 
-    tel = coalesce(telemetry)
-    with tel.phase("space"):
+    with coalesce(telemetry).phase("space"):
         use_case = section7_demo_use_case(seed)
         space = dataclasses.replace(demo_space(),
                                     spare_capacity=spare_capacity)
 
-    def once(run_telemetry=None) -> DesignReport:
+    def once(run_telemetry, run_monitor) -> DesignReport:
         return DesignExplorer(use_case=use_case, space=space,
                               workers=workers, name="design-demo",
                               telemetry=run_telemetry).explore()
 
-    with tel.phase("explore"):
-        report = once(telemetry)
-    with tel.phase("verify"):
-        identical = once().to_json() == report.to_json()
+    report, _, identical = run_twice(
+        once, DesignReport.to_json, telemetry=telemetry,
+        phases=("explore", "verify"))
     if spare_capacity > 0:
         return report, identical, None
     chosen = report.min_area_point()

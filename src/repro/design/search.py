@@ -1,11 +1,9 @@
 """Search primitives: feasibility probes, probe caching, 1-D scans.
 
-Absorbed from ``repro.core.exploration`` (which remains as a deprecated
-re-export shim): these are the building blocks the design-space explorer
-composes — a cached feasibility probe, a bisection for the minimum
-feasible frequency, and a slot-table-size scan whose rows now carry the
-synthesis-model area and frequency columns so a scan is directly
-plottable as a trade-off curve.
+The building blocks the design-space explorer composes — a cached
+feasibility probe, a bisection for the minimum feasible frequency, and
+a slot-table-size scan whose rows carry the synthesis-model area and
+frequency columns so a scan is directly plottable as a trade-off curve.
 
 The probe cache exists because a design search hammers ``configure()``
 with near-duplicate questions: restarted bisections re-probe the same

@@ -25,11 +25,12 @@ serve, replay and design demos.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.faults.model import FaultSchedule, FaultSpec
 from repro.simulation.composability import replay_traffic, verify_timeline
+from repro.telemetry.checked import run_twice
+from repro.telemetry.hub import coalesce
 from repro.topology.builders import mesh
 
 __all__ = ["demo_fault_spec", "survivability_record", "FaultRunOutcome",
@@ -115,7 +116,6 @@ def run_churn_with_faults(topology, events, schedule, *,
     and on the replay verification (``outcome.verdict.conformance``).
     """
     from repro.service.controller import SessionService, merge_events
-    from repro.telemetry.hub import coalesce
 
     if monitor is True:
         from repro.telemetry.monitor import MonitorSpec
@@ -162,19 +162,17 @@ def run_faults_demo(*, n_events: int = 240, n_slots: int = 3000,
     ``telemetry`` instruments the *first* run only, so byte-identity
     doubles as the telemetry-leak check.  ``monitor`` arms the
     conformance watchdog on the first run; its fault-survivor
-    :class:`~repro.telemetry.monitor.ConformanceReport` is stashed
-    under the record's ``"_conformance"`` key *after* the canonical
-    JSON is rendered, so the demo report stays byte-identical with the
-    monitor on or off.
+    :class:`~repro.telemetry.monitor.ConformanceReport` rides under the
+    record's ``"_conformance"`` key, which the canonical JSON leaves
+    out, so the demo report stays byte-identical with the monitor on
+    or off.
     """
     # Local imports: campaign.spec imports service.churn which would
     # cycle through the package __init__s at module scope.
     from repro.campaign.spec import derive_seed
     from repro.service.churn import ChurnSpec, ChurnWorkload
-    from repro.telemetry.hub import coalesce
 
-    tel = coalesce(telemetry)
-    with tel.phase("workload"):
+    with coalesce(telemetry).phase("workload"):
         topology = mesh(3, 3, nis_per_router=2)
         churn = ChurnSpec(n_sessions=max(1, (n_events + 1) // 2 + 8))
         workload = ChurnWorkload(churn, topology,
@@ -184,16 +182,12 @@ def run_faults_demo(*, n_events: int = 240, n_slots: int = 3000,
             demo_fault_spec(n_faults), topology,
             derive_seed(seed, "faults-demo", "schedule"))
 
-    conformance: list = []
-
-    def one_run(run_telemetry=None, run_monitor=None) -> dict[str, object]:
+    def one_run(run_telemetry, run_monitor) -> dict[str, object]:
         outcome = run_churn_with_faults(
             topology, events, schedule, table_size=DEMO_TABLE_SIZE,
             frequency_hz=DEMO_FREQUENCY_HZ, horizon_slots=n_slots,
             name="faults-demo", seed=seed, scenario="faults-demo",
             telemetry=run_telemetry, monitor=run_monitor)
-        if outcome.verdict.conformance is not None:
-            conformance.append(outcome.verdict.conformance)
         baseline_report = outcome.baseline
         faulty_report = outcome.faulty
         timeline = outcome.timeline
@@ -206,7 +200,7 @@ def run_faults_demo(*, n_events: int = 240, n_slots: int = 3000,
             failed_routers=([first_fail.target]
                             if first_fail.kind == "router" else ()),
             telemetry=run_telemetry)
-        return {
+        record = {
             "demo": "faults",
             "seed": seed,
             "n_events": len(events),
@@ -224,13 +218,9 @@ def run_faults_demo(*, n_events: int = 240, n_slots: int = 3000,
             "composability": verdict.to_record(),
             "rebuild_first_failure": rebuild.to_record(),
         }
+        if verdict.conformance is not None:
+            record["_conformance"] = verdict.conformance
+        return record
 
-    first = one_run(telemetry, monitor)
-    with tel.phase("re-run"):
-        first_json = json.dumps(first, indent=2, sort_keys=True)
-        second_json = json.dumps(one_run(), indent=2, sort_keys=True)
-    if conformance:
-        # Added after both dumps on purpose: the conformance artifact
-        # rides along for the CLI without entering the canonical record.
-        first["_conformance"] = conformance[0]
-    return first, first_json, first_json == second_json
+    return run_twice(one_run, telemetry=telemetry, monitor=monitor,
+                     phases=(None, "re-run"))

@@ -13,6 +13,8 @@ from __future__ import annotations
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService
 from repro.service.metrics import ServiceReport
+from repro.telemetry.checked import run_twice
+from repro.telemetry.hub import coalesce
 from repro.topology.builders import concentrated_mesh
 
 __all__ = ["demo_churn_spec", "run_demo"]
@@ -45,10 +47,8 @@ def run_demo(*, n_events: int = 2000, seed: int = 2009,
     # Local import: campaign.spec imports service.churn, so importing it
     # at module scope would cycle through the package __init__s.
     from repro.campaign.spec import derive_seed
-    from repro.telemetry.hub import coalesce
 
-    tel = coalesce(telemetry)
-    with tel.phase("workload"):
+    with coalesce(telemetry).phase("workload"):
         topology = concentrated_mesh(4, 3, nis_per_router=4)
         spec = demo_churn_spec(n_events)
         workload = ChurnWorkload(spec, topology,
@@ -67,8 +67,7 @@ def run_demo(*, n_events: int = 2000, seed: int = 2009,
                 scenario="serve-demo")
         return report
 
-    with tel.phase("serve"):
-        first = one_run(telemetry, monitor)
-    with tel.phase("verify"):
-        second = one_run()
-    return first, first.to_json() == second.to_json()
+    report, _, identical = run_twice(
+        one_run, ServiceReport.to_json, telemetry=telemetry,
+        monitor=monitor, phases=("serve", "verify"))
+    return report, identical

@@ -20,12 +20,12 @@ twice to prove the emitted report is byte-identical.
 
 from __future__ import annotations
 
-import json
-
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService
 from repro.service.fairness import (FairnessSpec, TenantSpec,
                                     abusive_tenant_mix, tenant_events)
+from repro.telemetry.checked import run_twice
+from repro.telemetry.hub import coalesce
 from repro.topology.builders import concentrated_mesh
 
 __all__ = ["fairness_churn_spec", "fairness_comparison",
@@ -95,7 +95,7 @@ def fairness_comparison(topology, events,
     costs each tenant.  ``telemetry``/``monitor`` instrument the wfq
     run only; a monitored run additionally attaches the per-tenant
     quote-conformance verdict under the non-canonical ``_conformance``
-    key (stripped before byte-identity comparisons).
+    key (:func:`~repro.telemetry.checked.canonical_json` strips it).
     """
     def one_run(policy: str, run_events, run_name: str,
                 run_telemetry=None, run_monitor=None):
@@ -168,14 +168,6 @@ def fairness_comparison(topology, events,
     return record
 
 
-def canonical_fairness_json(record: dict[str, object]) -> str:
-    """The byte-deterministic serialisation (non-canonical keys
-    stripped)."""
-    canonical = {k: v for k, v in record.items()
-                 if not k.startswith("_")}
-    return json.dumps(canonical, indent=2, sort_keys=True)
-
-
 def run_fairness_demo(*, n_events: int = 2000, seed: int = 2009,
                       multiplier: float = 10.0, telemetry=None,
                       monitor=None
@@ -189,10 +181,8 @@ def run_fairness_demo(*, n_events: int = 2000, seed: int = 2009,
     never leaks into the report).
     """
     from repro.campaign.spec import derive_seed
-    from repro.telemetry.hub import coalesce
 
-    tel = coalesce(telemetry)
-    with tel.phase("workload"):
+    with coalesce(telemetry).phase("workload"):
         topology = concentrated_mesh(4, 3, nis_per_router=4)
         spec = fairness_churn_spec(n_events, multiplier=multiplier)
         workload = ChurnWorkload(spec, topology,
@@ -212,10 +202,5 @@ def run_fairness_demo(*, n_events: int = 2000, seed: int = 2009,
         record["topology"] = topology.name
         return record
 
-    with tel.phase("compare"):
-        first = one_pass(telemetry, monitor)
-    with tel.phase("verify"):
-        second = one_pass()
-    first_json = canonical_fairness_json(first)
-    return first, first_json, first_json == canonical_fairness_json(
-        second)
+    return run_twice(one_pass, telemetry=telemetry, monitor=monitor,
+                     phases=("compare", "verify"))

@@ -305,11 +305,7 @@ class SimulationBackend(ABC):
 class FlitLevelBackend(SimulationBackend):
     """Fast flit-level TDM simulation (the paper's aelite network).
 
-    ``recompile`` selects the schedule-recompilation strategy for
-    timeline requests: ``"incremental"`` (default) rebuilds only the
-    injection-slot rows a transition touches, ``"full"`` recompiles the
-    whole schedule at every epoch boundary (the reference the tier-2
-    benchmark compares against).  ``compiled`` forwards to
+    ``compiled`` forwards to
     :class:`~repro.simulation.flitsim.FlitLevelSimulator`: ``None``
     (default) auto-selects the compiled vectorised executor when numpy
     is available, ``True``/``False`` force a path;
@@ -322,18 +318,12 @@ class FlitLevelBackend(SimulationBackend):
                  flow_control: bool = False,
                  rx_buffer_words: int | None = None,
                  check_contention: bool = False,
-                 recompile: str = "incremental",
                  compiled: bool | None = None,
                  telemetry=None):
         super().__init__(config, telemetry=telemetry)
-        if recompile not in ("incremental", "full"):
-            raise ConfigurationError(
-                f"unknown recompile strategy {recompile!r}; expected "
-                "'incremental' or 'full'")
         self.flow_control = flow_control
         self.rx_buffer_words = rx_buffer_words
         self.check_contention = check_contention
-        self.recompile = recompile
         self.compiled = compiled
 
     def run(self, request: SimRequest) -> SimResult:
@@ -352,8 +342,7 @@ class FlitLevelBackend(SimulationBackend):
             self._check_timeline(request)
             result = sim.run_timeline(
                 request.timeline, request.n_slots,
-                traffic=dict(request.traffic),
-                incremental=self.recompile == "incremental")
+                traffic=dict(request.traffic))
         else:
             for channel, pattern in sorted(request.traffic.items()):
                 sim.set_traffic(channel, pattern)
@@ -366,7 +355,6 @@ class FlitLevelBackend(SimulationBackend):
                   result.stalled_slots_by_channel,
                   "flits_by_channel": result.flits_by_channel,
                   "n_epochs": result.n_epochs,
-                  "recompile": self.recompile,
                   "executor": ("compiled" if result.compiled
                                else "per-flit"),
                   "executor_stats": dict(result.executor_stats)},

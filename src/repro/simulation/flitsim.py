@@ -218,21 +218,14 @@ class FlitLevelSimulator:
         """Simulate ``n_slots`` flit cycles and return all measurements."""
         if n_slots <= 0:
             raise ConfigurationError(f"n_slots must be positive, got {n_slots}")
-        if self._use_compiled(True):
+        if self._use_compiled():
             from repro.simulation import compiled as compiled_exec
             return compiled_exec.execute_static(self, n_slots)
         states = self._build_channel_states(n_slots)
-        return self._execute(n_slots, states, (), {}, True)
+        return self._execute(n_slots, states, (), {})
 
-    def _use_compiled(self, incremental: bool) -> bool:
-        """Whether this run goes through the compiled executor.
-
-        ``incremental=False`` always takes the per-flit path: the full
-        per-epoch rebuild is the reference the benchmarks measure both
-        faster paths against.
-        """
-        if not incremental:
-            return False
+    def _use_compiled(self) -> bool:
+        """Whether this run goes through the compiled executor."""
         if self.compiled is not None:
             return self.compiled
         if self.flow_control:
@@ -242,19 +235,16 @@ class FlitLevelSimulator:
 
     def run_timeline(self, timeline: "ReconfigurationTimeline",
                      n_slots: int | None = None, *,
-                     traffic: dict[str, TrafficPattern] | None = None,
-                     incremental: bool = True) -> FlitSimResult:
+                     traffic: dict[str, TrafficPattern] | None = None
+                     ) -> FlitSimResult:
         """Execute a reconfiguration timeline epoch by epoch.
 
         The channel set comes from the timeline's events, not from the
         configuration's allocation; each channel's traffic pattern is
-        interpreted relative to its start slot.  ``incremental=True``
-        (the default) dispatches to the compiled executor when
-        available, else rebuilds only the injection-slot schedule
-        entries of channels a transition touches; ``incremental=False``
-        recompiles the whole schedule at every boundary — behaviourally
-        identical, and kept as the reference the tier-2 benchmark
-        measures both faster paths against.
+        interpreted relative to its start slot.  Dispatches to the
+        compiled executor when available; the per-flit path rebuilds
+        only the injection-slot schedule entries of channels a
+        transition touches.
         """
         if timeline.table_size != self.table_size:
             raise ConfigurationError(
@@ -278,7 +268,7 @@ class FlitLevelSimulator:
         if unknown:
             raise ConfigurationError(
                 f"traffic names channels outside the timeline: {unknown}")
-        if self._use_compiled(incremental):
+        if self._use_compiled():
             from repro.simulation import compiled as compiled_exec
             return compiled_exec.execute_timeline(self, timeline, n_slots,
                                                   patterns)
@@ -287,12 +277,11 @@ class FlitLevelSimulator:
             ca.spec.name: self._make_runtime(
                 ca.spec.name, ca, patterns.get(ca.spec.name), 0, n_slots)
             for ca in sorted(initial, key=lambda ca: ca.spec.name)}
-        return self._execute(n_slots, states, changes, patterns,
-                             incremental)
+        return self._execute(n_slots, states, changes, patterns)
 
     def _execute(self, n_slots: int, states: dict[str, _ChannelRuntime],
-                 changes: tuple, patterns: dict[str, TrafficPattern],
-                 incremental: bool) -> FlitSimResult:
+                 changes: tuple, patterns: dict[str, TrafficPattern]
+                 ) -> FlitSimResult:
         """Run the slot loop over one or more constant-channel epochs."""
         fmt = self.fmt
         flit_size = fmt.flit_size
@@ -395,9 +384,9 @@ class FlitLevelSimulator:
             if boundary >= n_slots:
                 break
             span_start = boundary
-            schedule = self._apply_transition(
+            self._apply_transition(
                 states, schedule, stops, starts, boundary, n_slots,
-                patterns, incremental, register)
+                patterns, register)
         stats.prune_empty()
         stalled: dict[str, int] = {}
         flits: dict[str, int] = {}
@@ -470,14 +459,13 @@ class FlitLevelSimulator:
                           starts: tuple[ChannelAllocation, ...],
                           slot: int, n_slots: int,
                           patterns: dict[str, TrafficPattern],
-                          incremental: bool,
-                          register) -> list[list[_ChannelRuntime]]:
+                          register) -> None:
         """Apply one epoch boundary's stops and starts to the schedule.
 
-        Incremental mode touches only the schedule rows of the changed
-        channels, inserting new runtimes in source-NI order so the row
-        ordering — and therefore every survivor's trace — is identical
-        to a full recompilation.
+        Touches only the schedule rows of the changed channels,
+        inserting new runtimes in source-NI order so the row ordering —
+        and therefore every survivor's trace — is identical to a full
+        recompilation.
         """
         for name in stops:
             state = states.pop(name, None)
@@ -485,9 +473,8 @@ class FlitLevelSimulator:
                 raise SimulationError(
                     f"timeline stops unknown channel {name!r} at slot "
                     f"{slot}")
-            if incremental:
-                for table_slot in state.alloc.slots:
-                    schedule[table_slot].remove(state)
+            for table_slot in state.alloc.slots:
+                schedule[table_slot].remove(state)
         for alloc in starts:
             name = alloc.spec.name
             if name in states:
@@ -498,18 +485,14 @@ class FlitLevelSimulator:
                                        slot, n_slots)
             register(state)
             states[name] = state
-            if incremental:
-                source = alloc.path.source
-                for table_slot in alloc.slots:
-                    row = schedule[table_slot]
-                    index = 0
-                    while index < len(row) and \
-                            row[index].alloc.path.source < source:
-                        index += 1
-                    row.insert(index, state)
-        if not incremental:
-            schedule = self._compile_schedule(states)
-        return schedule
+            source = alloc.path.source
+            for table_slot in alloc.slots:
+                row = schedule[table_slot]
+                index = 0
+                while index < len(row) and \
+                        row[index].alloc.path.source < source:
+                    index += 1
+                row.insert(index, state)
 
     def _compile_schedule(self, channels: dict[str, _ChannelRuntime]
                           ) -> list[list[_ChannelRuntime]]:

@@ -25,10 +25,10 @@ the Section VII mesh relative to its size, so best-effort sharing
 
 from __future__ import annotations
 
-import json
-
 from repro.simulation.backend import BestEffortBackend
 from repro.simulation.composability import replay_traffic, verify_timeline
+from repro.telemetry.checked import run_twice
+from repro.telemetry.hub import coalesce
 from repro.topology.builders import mesh
 
 __all__ = ["run_replay_demo"]
@@ -50,9 +50,9 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
     so byte-identity doubles as the telemetry-leak check.  ``monitor``
     arms the conformance watchdog on the first run's flit-level
     verification; the resulting
-    :class:`~repro.telemetry.monitor.ConformanceReport` is stashed
-    under the record's ``"_conformance"`` key after the canonical JSON
-    is rendered, preserving byte-identity monitor-on vs monitor-off.
+    :class:`~repro.telemetry.monitor.ConformanceReport` rides under the
+    record's ``"_conformance"`` key, which the canonical JSON leaves
+    out, preserving byte-identity monitor-on vs monitor-off.
     """
     # Local imports: campaign.spec imports service.churn which would
     # cycle through the package __init__s at module scope.
@@ -60,10 +60,8 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
     from repro.service.churn import ChurnSpec, ChurnWorkload
     from repro.service.controller import SessionService
     from repro.simulation.backend import FlitLevelBackend
-    from repro.telemetry.hub import coalesce
 
-    tel = coalesce(telemetry)
-    with tel.phase("workload"):
+    with coalesce(telemetry).phase("workload"):
         topology = mesh(3, 3, nis_per_router=2)
         # Every session contributes at most two events; generate a small
         # surplus so truncation decides the stream length and some
@@ -73,9 +71,7 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
                                  derive_seed(seed, "replay-demo"))
         events = workload.events(limit=n_events)
 
-    conformance: list = []
-
-    def one_run(run_telemetry=None, run_monitor=None) -> dict[str, object]:
+    def one_run(run_telemetry, run_monitor) -> dict[str, object]:
         run_tel = coalesce(run_telemetry)
         service = SessionService(
             topology, table_size=DEMO_TABLE_SIZE,
@@ -90,13 +86,11 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
             monitor=run_monitor,
             backend_factory=lambda config: FlitLevelBackend(
                 config, telemetry=run_telemetry))
-        if flit.conformance is not None:
-            conformance.append(flit.conformance)
         with run_tel.phase("best-effort"):
             be = verify_timeline(timeline, traffic,
                                  backend_factory=BestEffortBackend,
                                  scenario="replay-demo")
-        return {
+        record = {
             "demo": "replay",
             "seed": seed,
             "n_events": len(events),
@@ -105,14 +99,9 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
             "verdicts": {"flit": flit.to_record(),
                          "be": be.to_record()},
         }
+        if flit.conformance is not None:
+            record["_conformance"] = flit.conformance
+        return record
 
-    with tel.phase("replay"):
-        first = one_run(telemetry, monitor)
-    with tel.phase("verify"):
-        first_json = json.dumps(first, indent=2, sort_keys=True)
-        second_json = json.dumps(one_run(), indent=2, sort_keys=True)
-    if conformance:
-        # Added after both dumps on purpose: the conformance artifact
-        # rides along for the CLI without entering the canonical record.
-        first["_conformance"] = conformance[0]
-    return first, first_json, first_json == second_json
+    return run_twice(one_run, telemetry=telemetry, monitor=monitor,
+                     phases=("replay", "verify"))

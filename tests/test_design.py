@@ -475,13 +475,7 @@ class TestTableSizeScanColumns:
         areas = [r.network_area_um2 for r in feasible]
         assert areas == sorted(areas)
 
-    def test_deprecated_shim_still_works(self):
-        import importlib
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = importlib.import_module("repro.core.exploration")
-        assert shim.min_feasible_frequency is min_feasible_frequency
+    def test_core_reexports_table_size_result(self):
         from repro.core import TableSizeResult as core_result
         from repro.design.search import TableSizeResult
         assert core_result is TableSizeResult

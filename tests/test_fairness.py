@@ -20,9 +20,8 @@ from repro.service import (ChurnSpec, ChurnWorkload, FairnessSpec,
                            PolicyEvent, SessionService, TenantSpec,
                            abusive_tenant_mix, merge_events, shed_rank,
                            tenant_events)
-from repro.service.fairness_demo import (RETENTION_FLOOR,
-                                         canonical_fairness_json,
-                                         run_fairness_demo)
+from repro.service.fairness_demo import RETENTION_FLOOR, run_fairness_demo
+from repro.telemetry.checked import canonical_json
 from repro.topology.builders import concentrated_mesh, mesh
 
 TENANTED = ChurnSpec(n_sessions=120, arrival_rate_per_s=15000.0,
@@ -156,7 +155,7 @@ class TestAdversarialRegression:
         assert identical
         parsed = json.loads(report_json)
         assert "_conformance" not in parsed and "_reports" not in parsed
-        assert report_json == canonical_fairness_json(record)
+        assert report_json == canonical_json(record)
 
     def test_solo_filter_partitions_stream(self, small_mesh):
         events = ChurnWorkload(TENANTED, small_mesh, 3).events(limit=60)

@@ -1,0 +1,222 @@
+"""The scenario-kind table and the checked-demo skeleton, tested as tables.
+
+One parametrised test per contract instead of one per mode: every entry
+of :data:`repro.campaign.kinds.KINDS` validates, rejects foreign payload
+fields, executes deterministically and renders; every preset lists; and
+every checked demo of the CLI exits 0 with its byte-identity verdict and
+writes exactly the library function's canonical JSON.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+from typing import Callable
+
+import pytest
+
+from repro.__main__ import main
+from repro.campaign import (PRESETS, CampaignResult, RunSpec, ScenarioSpec,
+                            TopologySpec, TrafficSpec, execute_run)
+from repro.campaign.kinds import KINDS, PAYLOAD_FIELDS, grid_row
+from repro.campaign.spec import SyntheticSpec
+from repro.core.application import Application, UseCase
+from repro.core.connection import MB, ChannelSpec
+from repro.core.exceptions import ConfigurationError
+from repro.design import DesignSpec
+from repro.faults import FaultSpec
+from repro.service import ChurnSpec, abusive_tenant_mix
+
+#: One small value per payload field (tenant-tagged churn, so it fits
+#: every kind that accepts churn).
+PAYLOADS = {
+    "churn": ChurnSpec(n_sessions=24, arrival_rate_per_s=15000.0,
+                       tenants=abusive_tenant_mix(
+                           2, floor_opens_per_window=2)),
+    "design": DesignSpec(use_case=UseCase("ring", (Application("app", (
+        ChannelSpec("c0", "ip0", "ip1", 40 * MB, application="app"),
+        ChannelSpec("c1", "ip1", "ip0", 25 * MB, application="app"))),))),
+    "faults": FaultSpec(n_faults=2),
+    "synthetic": SyntheticSpec(work=4),
+}
+
+TOPOLOGY = TopologySpec(kind="mesh", cols=3, rows=3, nis_per_router=2)
+
+
+def _scenario(kind, **overrides) -> ScenarioSpec:
+    """The kind's scenario with every payload field it accepts left at
+    its default (required ones filled from ``PAYLOADS``)."""
+    required = {name: PAYLOADS[name]
+                for name, default in kind.payload.items() if default is None}
+    return ScenarioSpec(name=f"k-{kind.name}", mode=kind.name,
+                        topology=TOPOLOGY, n_slots=300, table_size=32,
+                        **{**required, **overrides})
+
+
+@pytest.mark.parametrize("kind", KINDS.values(), ids=lambda k: k.name)
+class TestEveryKind:
+    def test_default_scenario_validates(self, kind):
+        scenario = _scenario(kind)
+        assert scenario.mode == kind.name
+        assert set(kind.payload) <= set(PAYLOAD_FIELDS)
+        assert kind.summary and kind.header
+
+    def test_foreign_payload_field_is_rejected(self, kind):
+        foreign = [name for name in PAYLOAD_FIELDS
+                   if name not in kind.payload]
+        assert foreign, "no kind accepts every payload field"
+        for name in foreign:
+            with pytest.raises(ConfigurationError, match=name):
+                _scenario(kind, **{name: PAYLOADS[name]})
+
+    def test_run_is_deterministic_and_renders(self, kind):
+        accepted = {name: PAYLOADS[name] for name in kind.payload}
+        scenario = _scenario(kind, **accepted)
+        run = RunSpec(run_id=f"{scenario.name}/seed1", scenario=scenario,
+                      seed=1, base_seed=2009)
+        record = execute_run(run)
+        assert record["status"] in ("ok", "pruned", "infeasible")
+        assert record == execute_run(run)
+        assert list(record)[:3] == ["run_id", "scenario", "seed"]
+        assert set(kind.header) <= set(record)
+        # the record names its kind (simulate predates the key)
+        assert record.get("mode", "simulate") == kind.name
+        json.dumps(record)
+        (row,) = CampaignResult(campaign="k", base_seed=2009,
+                                records=[record]).summary_rows()
+        assert row["run"] == run.run_id
+        assert row["status"].startswith(record["status"])
+        assert len(row) > 5, "the kind's row adds its own columns"
+        assert grid_row(run)["mode"] == kind.name
+
+
+@pytest.mark.parametrize(
+    "kind", [k for k in KINDS.values()
+             if k.backends and "cycle" not in k.backends],
+    ids=lambda k: k.name)
+def test_backend_that_cannot_reconfigure_is_rejected(kind):
+    with pytest.raises(ConfigurationError, match="backend"):
+        _scenario(kind, backend="cycle")
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_lists(preset, capsys):
+    assert main(["campaign", "--list", "--preset", preset]) == 0
+    out = capsys.readouterr().out
+    runs = PRESETS[preset]().expand()
+    assert f"{len(runs)} runs" in out
+    assert all(run.run_id in out for run in runs[:3])
+
+
+def test_unknown_mode_names_the_kinds():
+    with pytest.raises(ConfigurationError, match="simulate.*synthetic"):
+        ScenarioSpec(name="x", mode="psychic")
+
+
+class TestNonFiniteAxes:
+    """Numeric axes fail at construction, not inside a worker."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       0.0, -1.0])
+    def test_frequency_must_be_finite_positive(self, value):
+        with pytest.raises(ConfigurationError, match="frequency_mhz"):
+            ScenarioSpec(name="x", frequency_mhz=value)
+
+    @pytest.mark.parametrize("fields", [
+        {"rate_factor": math.nan},
+        {"rate_factor": math.inf},
+        {"pattern": "bernoulli", "probability": 2.0},
+        {"pattern": "bernoulli", "probability": math.nan},
+        {"pattern": "burst", "burst_messages": 0},
+    ], ids=lambda f: ",".join(f"{k}={v}" for k, v in f.items()))
+    def test_traffic_axes_are_bounded(self, fields):
+        with pytest.raises(ConfigurationError):
+            TrafficSpec(**fields)
+
+    def test_boundary_values_still_pass(self):
+        TrafficSpec(pattern="bernoulli", probability=0.0)
+        TrafficSpec(pattern="bernoulli", probability=1.0)
+        TrafficSpec(pattern="burst", burst_messages=1)
+        ScenarioSpec(name="x", frequency_mhz=1e-3)
+
+
+# -- the checked demos -----------------------------------------------------
+
+
+def _serve_json():
+    from repro.service import run_demo
+    return run_demo(n_events=120)[0].to_json()
+
+
+def _fairness_json():
+    from repro.service import run_fairness_demo
+    return run_fairness_demo(n_events=300)[1]
+
+
+def _replay_json():
+    from repro.simulation.replay import run_replay_demo
+    return run_replay_demo(n_events=80, n_slots=800)[1]
+
+
+def _faults_json():
+    from repro.faults.demo import run_faults_demo
+    return run_faults_demo(n_events=80, n_slots=800)[1]
+
+
+def _design_json():
+    from repro.design import run_design_demo
+    return run_design_demo(workers=1)[0].to_json()
+
+
+def _monitor_json():
+    from repro.experiments.section7 import section7_setup
+    from repro.telemetry.monitor import MonitorSpec, conformance_from_result
+    from repro.usecase.runner import run_gs
+    _, config = section7_setup()
+    return conformance_from_result(
+        config, run_gs(config, n_slots=600).result,
+        spec=MonitorSpec()).to_json()
+
+
+@dataclasses.dataclass(frozen=True)
+class Demo:
+    argv: tuple[str, ...]
+    library_json: Callable[[], str]
+    verdict: str = "repeated-run reports byte-identical: yes"
+
+
+DEMOS = {
+    "serve": Demo(("serve", "--events", "120"), _serve_json),
+    "serve-wfq": Demo(("serve", "--policy", "wfq", "--events", "300"),
+                      _fairness_json),
+    "replay": Demo(("replay", "--events", "80", "--slots", "800"),
+                   _replay_json),
+    "faults": Demo(("faults", "--events", "80", "--slots", "800"),
+                   _faults_json),
+    "design": Demo(("design", "--workers", "1"), _design_json),
+    "monitor": Demo(("monitor", "--slots", "600"), _monitor_json,
+                    "repeated-run conformance byte-identical: yes"),
+}
+
+
+@pytest.mark.parametrize("demo", DEMOS.values(), ids=list(DEMOS))
+class TestEveryCheckedDemo:
+    def test_demo_exits_clean_and_writes_the_library_report(
+            self, demo, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert main([*demo.argv, "--demo", "--output", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert demo.verdict in out
+        assert "NO —" not in out
+        assert f"written to {path}" in out
+        assert "phase timing" in out
+        text = path.read_text(encoding="utf-8")
+        json.loads(text)
+        assert text == demo.library_json() + "\n"
+
+    def test_refuses_without_demo_flag(self, demo, capsys):
+        assert main(list(demo.argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{demo.argv[0]}: only the built-in --demo" in captured.err

@@ -8,8 +8,7 @@ import pytest
 
 from repro.core.exceptions import AllocationError, ConfigurationError
 # Canonical home since the exploration helpers moved into the design
-# subsystem (repro.core.exploration remains as a deprecated shim,
-# covered by tests/test_design.py).
+# subsystem.
 from repro.design.search import min_feasible_frequency, table_size_scan
 from repro.core.serialization import (configuration_from_dict,
                                       configuration_to_dict,

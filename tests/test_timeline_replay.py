@@ -246,19 +246,23 @@ class TestEpochExecution:
         for name in timeline.channel_names:
             assert static.trace.trace(name) == dynamic.trace.trace(name)
 
-    def test_incremental_equals_full_rebuild(self, mesh_config):
+    def test_default_executor_equals_per_flit_oracle(self, mesh_config):
+        """The auto-selected executor (compiled when numpy is there)
+        against the per-flit loop, which rebuilds only touched rows."""
         timeline = _mesh_timeline(mesh_config)
         traffic = replay_traffic(timeline)
         results = {
-            mode: FlitLevelSimulator(mesh_config).run_timeline(
-                timeline, traffic=traffic, incremental=mode == "inc")
-            for mode in ("inc", "full")}
-        assert results["inc"].n_epochs == results["full"].n_epochs == 3
+            compiled: FlitLevelSimulator(
+                mesh_config, compiled=compiled).run_timeline(
+                    timeline, traffic=traffic)
+            for compiled in (None, False)}
+        assert not results[False].compiled
+        assert results[None].n_epochs == results[False].n_epochs == 3
         for name in timeline.channel_names:
-            assert results["inc"].trace.trace(name) == \
-                results["full"].trace.trace(name)
-        assert results["inc"].flits_by_channel == \
-            results["full"].flits_by_channel
+            assert results[None].trace.trace(name) == \
+                results[False].trace.trace(name)
+        assert results[None].flits_by_channel == \
+            results[False].flits_by_channel
 
     def test_churning_channel_only_lives_inside_its_epochs(
             self, mesh_config):
@@ -357,8 +361,6 @@ class TestEpochExecution:
         with pytest.raises(ConfigurationError):
             CycleAccurateBackend(mesh_config).run(
                 SimRequest(n_slots=100, timeline=timeline))
-        with pytest.raises(ConfigurationError):
-            FlitLevelBackend(mesh_config, recompile="psychic")
 
     def test_backend_meta_reports_epochs(self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
@@ -366,7 +368,6 @@ class TestEpochExecution:
             n_slots=timeline.horizon_slots,
             traffic=replay_traffic(timeline), timeline=timeline))
         assert result.meta["n_epochs"] == 3
-        assert result.meta["recompile"] == "incremental"
 
 
 class TestDynamicComposability:
