@@ -47,8 +47,17 @@ from repro.topology.routing import (k_shortest_paths, merge_load_aware,
                                     weighted_shortest_path)
 
 __all__ = ["ChannelAllocation", "Allocation", "AllocatorOptions",
-           "SlotAllocator", "ChannelVerdict", "RebuildReport",
-           "excluded_link_keys"]
+           "SlotAllocator", "RouteCandidate", "ChannelVerdict",
+           "RebuildReport", "excluded_link_keys"]
+
+#: Most (endpoints, requirement) entries :meth:`SlotAllocator.
+#: route_quotes` keeps.  The key holds the raw float requirement and the
+#: cache outlives every service sharing the allocator, so jittered
+#: requirements would grow it without limit; the oldest-inserted entry
+#: goes first.  Comfortably above the Section VII working set
+#: (48 x 47 NI pairs x 4 QoS classes = 9 024 keys), which therefore
+#: never evicts.
+QUOTE_CACHE_CAP = 16384
 
 
 def excluded_link_keys(topology: Topology,
@@ -256,6 +265,22 @@ class ChannelAllocation:
         object.__setattr__(self, "_link_slots_cache", (table_size, out))
         return out
 
+    def fingerprint(self) -> int:
+        """In-process hash of what composability protects: the channel's
+        name, its slot tuple and the links it traverses.
+
+        Memoised per instance like :meth:`link_slots`.  Two records with
+        the same name, slots and route share a fingerprint, so an
+        equal-but-replaced record reads as undisturbed.  String hashes
+        vary with ``PYTHONHASHSEED``: the value is only comparable
+        inside one process and is never serialised.
+        """
+        fp = self.__dict__.get("_fingerprint")
+        if fp is None:
+            fp = hash((self.spec.name, self.slots, self.path.link_keys()))
+            object.__setattr__(self, "_fingerprint", fp)
+        return fp
+
 
 @dataclass
 class Allocation:
@@ -272,11 +297,20 @@ class Allocation:
     fmt: WordFormat
     channels: dict[str, ChannelAllocation] = field(default_factory=dict)
     link_tables: dict[tuple[str, str], SlotTable] = field(default_factory=dict)
+    #: XOR of every held channel's :meth:`ChannelAllocation.fingerprint`
+    #: — order-independent, folded by :meth:`commit` and :meth:`release`
+    #: (the only two writers of ``channels``), so a checker that folds
+    #: the one session it expects to change can tell in O(1) whether
+    #: any *other* session was added, dropped or replaced.
+    channels_digest: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.link_tables:
             self.link_tables = {key: SlotTable(self.table_size)
                                 for key in self.topology.iter_link_keys()}
+        self.channels_digest = 0
+        for ca in self.channels.values():
+            self.channels_digest ^= ca.fingerprint()
 
     # -- queries ------------------------------------------------------------
 
@@ -342,6 +376,7 @@ class Allocation:
                 self.link_tables[key].release(slot)
             raise
         self.channels[ca.spec.name] = ca
+        self.channels_digest ^= ca.fingerprint()
 
     def release(self, channel_name: str) -> ChannelAllocation:
         """Remove one channel, freeing its slots on every link."""
@@ -351,6 +386,7 @@ class Allocation:
             for slot in slots:
                 table.release(slot)
         del self.channels[channel_name]
+        self.channels_digest ^= ca.fingerprint()
         return ca
 
     def release_application(self, application: str) -> tuple[str, ...]:
@@ -578,6 +614,24 @@ class Allocation:
                 f"util={self.mean_link_utilisation():.1%})")
 
 
+@dataclass(frozen=True, slots=True)
+class RouteCandidate:
+    """One admissible route of a requirement, with its slot arithmetic.
+
+    Nothing here depends on occupancy or on a particular
+    :class:`Allocation`: links are named by key, so one record serves
+    every allocation compatible with the allocator that quoted it.
+    """
+
+    path: Path
+    n_slots: int
+    max_gap: int | None
+    #: ``(link key, slot shift mod table size)`` per traversed link.
+    hops: tuple[tuple[tuple[str, str], int], ...]
+    #: Traversed link keys, for the degraded-mode exclusion check.
+    link_keys: frozenset[tuple[str, str]]
+
+
 @dataclass(frozen=True)
 class AllocatorOptions:
     """Tunables of the greedy allocator (all deterministic).
@@ -630,11 +684,12 @@ class SlotAllocator:
         # of re-running k-shortest-paths every time.  Quotes additionally
         # fix the requirement, making slot counts and gap constraints
         # cacheable per (src, dst, throughput, latency) — one entry per
-        # endpoint pair and QoS class in the admission service.
+        # endpoint pair and QoS class in the admission service, at most
+        # QUOTE_CACHE_CAP of them.
         self._kpath_cache: dict[tuple[str, str], tuple[Path, ...]] = {}
         self._quote_cache: dict[
             tuple[str, str, float, float | None],
-            tuple[tuple[Path, int, int | None], ...]] = {}
+            tuple[RouteCandidate, ...]] = {}
         #: Directed link keys currently unusable (failed fabric).  The
         #: route caches stay fault-agnostic; the exclusion is applied
         #: when candidates are consulted, so repairs need no
@@ -661,6 +716,8 @@ class SlotAllocator:
                                           outcome="hit")
         self._tel_quote_miss = tel.counter("allocator.quote_cache",
                                            outcome="miss")
+        self._tel_quote_evict = tel.counter("allocator.quote_cache",
+                                            outcome="evict")
         self._tel_kshortest = tel.counter(
             "allocator.kshortest_expansions")
 
@@ -691,15 +748,20 @@ class SlotAllocator:
         This is the reconfiguration primitive: running applications keep
         their reservations; only new channels acquire slots.
         """
-        self._check_compatible(allocation)
+        self.check_compatible(allocation)
         mapping.validate(self.topology)
         for spec in self._ordered(channels, mapping):
             allocation.commit(self._allocate_one(allocation, spec, mapping))
         allocation.validate()
 
-    # -- internals --------------------------------------------------------------
+    def check_compatible(self, allocation: Allocation) -> None:
+        """Raise :class:`ConfigurationError` unless ``allocation`` was
+        built for this allocator's topology object and table size.
 
-    def _check_compatible(self, allocation: Allocation) -> None:
+        Quotes rotate masks modulo the allocator's table size and name
+        links of its topology, so they are only meaningful against such
+        an allocation.
+        """
         if allocation.table_size != self.table_size:
             raise ConfigurationError(
                 f"allocation table size {allocation.table_size} != "
@@ -707,6 +769,8 @@ class SlotAllocator:
         if allocation.topology is not self.topology:
             raise ConfigurationError(
                 "allocation was built for a different topology object")
+
+    # -- internals --------------------------------------------------------------
 
     def _ordered(self, channels: Sequence[ChannelSpec],
                  mapping: Mapping) -> list[ChannelSpec]:
@@ -759,33 +823,58 @@ class SlotAllocator:
             self._tel_kpath_hit.inc()
         return cached
 
+    def cached_route_quotes(self, src_ni: str, dst_ni: str,
+                            spec: ChannelSpec
+                            ) -> tuple[RouteCandidate, ...] | None:
+        """What :meth:`route_quotes` would return, if already held.
+
+        The admission hot path asks this first, so a warm admit costs
+        one dictionary probe and the caller learns whether the allocator
+        already held the key; ``None`` means "call :meth:`route_quotes`".
+        """
+        cached = self._quote_cache.get(
+            (src_ni, dst_ni, spec.throughput_bytes_per_s,
+             spec.max_latency_ns))
+        if cached is not None:
+            self._tel_quote_hit.inc()
+        return cached
+
     def route_quotes(self, src_ni: str, dst_ni: str, spec: ChannelSpec
-                     ) -> tuple[tuple[Path, int, int | None], ...]:
-        """Cached ``(path, n_slots, max_gap)`` per candidate route.
+                     ) -> tuple[RouteCandidate, ...]:
+        """Cached :class:`RouteCandidate` per candidate route.
 
         The slot count and latency-gap constraint of a requirement on a
         path do not depend on current occupancy, so for admission churn
-        they are computed once per (endpoints, requirement) and replayed.
-        Candidates whose traversal alone breaks the latency requirement
-        are dropped; the result may be empty.
+        they are computed once per (endpoints, requirement) and replayed
+        — by every service sharing this allocator.  Candidates whose
+        traversal alone breaks the latency requirement are dropped; the
+        result may be empty.  At most :data:`QUOTE_CACHE_CAP` entries
+        are kept, oldest-inserted evicted first.
         """
-        key = (src_ni, dst_ni, spec.throughput_bytes_per_s,
-               spec.max_latency_ns)
-        cached = self._quote_cache.get(key)
-        if cached is None:
-            quotes = []
-            for path in self.shortest_candidates(src_ni, dst_ni):
-                try:
-                    n, gap = slots_for_channel(spec, path, self.table_size,
-                                               self.frequency_hz, self.fmt)
-                except AllocationError:
-                    continue
-                quotes.append((path, n, gap))
-            cached = tuple(quotes)
-            self._quote_cache[key] = cached
-            self._tel_quote_miss.inc()
-        else:
-            self._tel_quote_hit.inc()
+        cached = self.cached_route_quotes(src_ni, dst_ni, spec)
+        if cached is not None:
+            return cached
+        size = self.table_size
+        quotes = []
+        for path in self.shortest_candidates(src_ni, dst_ni):
+            try:
+                n, gap = slots_for_channel(spec, path, size,
+                                           self.frequency_hz, self.fmt)
+            except AllocationError:
+                continue
+            keys = path.link_keys()
+            quotes.append(RouteCandidate(
+                path=path, n_slots=n, max_gap=gap,
+                hops=tuple((link_key, shift % size) for link_key, shift
+                           in zip(keys, path.link_shifts)),
+                link_keys=frozenset(keys)))
+        cache = self._quote_cache
+        if len(cache) >= QUOTE_CACHE_CAP:
+            del cache[next(iter(cache))]
+            self._tel_quote_evict.inc()
+        cached = cache[(src_ni, dst_ni, spec.throughput_bytes_per_s,
+                        spec.max_latency_ns)] = tuple(quotes)
+        self._tel_quote_miss.inc()
         return cached
 
     def _candidates(self, spec: ChannelSpec, mapping: Mapping,

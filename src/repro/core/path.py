@@ -118,9 +118,15 @@ class Path:
 
     # -- misc ---------------------------------------------------------------
 
-    def link_keys(self) -> tuple[tuple[str, str], ...]:
-        """Dictionary keys of all traversed links, in order."""
+    @cached_property
+    def _link_keys(self) -> tuple[tuple[str, str], ...]:
         return tuple(l.key for l in self.links)
+
+    def link_keys(self) -> tuple[tuple[str, str], ...]:
+        """Dictionary keys of all traversed links, in order (memoised:
+        every fault check, rebuild, fingerprint and route candidate
+        asks)."""
+        return self._link_keys
 
     def __len__(self) -> int:
         return len(self.links)

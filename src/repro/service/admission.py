@@ -5,17 +5,26 @@ offline :class:`~repro.core.allocation.SlotAllocator` solves, restricted
 to one channel at a time against a live allocation.  What changes is the
 cost model: the offline allocator runs once per use case, the admission
 controller runs per session event, so everything that does not depend on
-the *current* occupancy is precomputed and cached:
+the *current* occupancy is precomputed and cached — by the allocator,
+once for every service that shares it, never per controller:
 
 * candidate routes come from the allocator's memoised k-shortest cache
   (:meth:`~repro.core.allocation.SlotAllocator.shortest_candidates`);
 * per (source NI, destination NI, requirement) triple, the slot count
   and latency-gap constraint of every candidate path are computed once
-  (:class:`_Candidate`), together with direct references to the link
-  occupancy tables the path traverses;
-* the per-admission work that remains is one AND per link over integer
-  free-slot bitmasks, a popcount, and the single-anchor spreading
-  heuristic (:func:`~repro.core.slot_table.choose_slots_fast`).
+  (:class:`~repro.core.allocation.RouteCandidate`, held in
+  :meth:`~repro.core.allocation.SlotAllocator.route_quotes`' cache),
+  together with the keys and slot shifts of the links the path
+  traverses.  The records name links, not tables, so a fresh controller
+  over a warm allocator starts warm;
+* the per-admission work that remains is one table lookup and one AND
+  per link over integer free-slot bitmasks, a popcount, and the
+  single-anchor spreading heuristic
+  (:func:`~repro.core.slot_table.choose_slots_fast`).
+
+The controller checks once, at construction, that its allocation fits
+the allocator (same topology object, same table size); that is what
+makes every key in a candidate record resolvable in the hot loop.
 
 Commits go through :meth:`Allocation.commit`, so the authoritative
 bookkeeping — and its rollback-on-conflict guarantee — is shared with
@@ -30,15 +39,12 @@ cost to the healthy hot path (one emptiness check).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.allocation import (Allocation, ChannelAllocation,
                                    SlotAllocator)
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError
-from repro.core.path import Path
-from repro.core.slot_table import (SlotTable, choose_slots_fast,
-                                   mask_to_slots, rotate_mask)
+from repro.core.slot_table import (choose_slots_fast, mask_to_slots,
+                                   rotate_mask)
 from repro.telemetry.hub import coalesce
 
 __all__ = ["AdmissionController"]
@@ -48,40 +54,36 @@ __all__ = ["AdmissionController"]
 _WIDTH_BUCKETS = (0, 1, 2, 4, 8, 16, 24, 32)
 
 
-@dataclass(frozen=True)
-class _Candidate:
-    """One admissible route with its precomputed slot arithmetic."""
-
-    path: Path
-    n_slots: int
-    max_gap: int | None
-    # (occupancy table, slot shift) per traversed link, resolved once so
-    # the hot loop does no dict lookups.
-    tables: tuple[tuple[SlotTable, int], ...]
-    # Traversed link keys, for the degraded-mode exclusion check.
-    link_keys: frozenset[tuple[str, str]]
-
-
 class AdmissionController:
-    """Incremental contention-free admission over one live allocation."""
+    """Incremental contention-free admission over one live allocation.
+
+    A supplied ``allocation`` must be compatible with ``allocator``
+    (:meth:`~repro.core.allocation.SlotAllocator.check_compatible`);
+    a mismatch raises :class:`~repro.core.exceptions.ConfigurationError`
+    here instead of admitting wrong slots later.
+    """
 
     def __init__(self, allocator: SlotAllocator,
                  allocation: Allocation | None = None, *,
                  telemetry=None):
         self.allocator = allocator
-        self.allocation = allocation or Allocation(
-            allocator.topology, allocator.table_size,
-            allocator.frequency_hz, allocator.fmt)
+        if allocation is None:
+            allocation = Allocation(
+                allocator.topology, allocator.table_size,
+                allocator.frequency_hz, allocator.fmt)
+        else:
+            allocator.check_compatible(allocation)
+        self.allocation = allocation
         self._size = allocator.table_size
         self._full = (1 << self._size) - 1
-        self._candidates: dict[tuple[str, str, float, float | None],
-                               tuple[_Candidate, ...]] = {}
         #: Directed link keys currently unusable (failed fabric); empty
         #: on the healthy-network hot path, which therefore pays nothing.
         self.excluded_links: frozenset[tuple[str, str]] = frozenset()
         self.admits = 0
         self.rejects = 0
         self.releases = 0
+        #: Admissions whose candidate records the allocator already held
+        #: / had to build (it may have been warmed by another service).
         self.path_hits = 0
         self.path_misses = 0
         # Instruments are resolved once here (the cold path), which
@@ -116,8 +118,8 @@ class AdmissionController:
         """Degrade (or restore) the fabric the admission path may use.
 
         Candidates whose route crosses an excluded link are skipped at
-        admit time; the candidate cache itself is fault-agnostic, so
-        repairs need no cache invalidation.
+        admit time; the allocator's candidate cache is fault-agnostic,
+        so repairs need no cache invalidation.
         """
         self.excluded_links = frozenset(excluded)
 
@@ -138,15 +140,22 @@ class AdmissionController:
                 channel=spec.name, reason="session already admitted")
         size = self._size
         excluded = self.excluded_links
-        candidates = self._lookup(spec, src_ni, dst_ni)
+        allocator = self.allocator
+        candidates = allocator.cached_route_quotes(src_ni, dst_ni, spec)
+        if candidates is None:
+            candidates = allocator.route_quotes(src_ni, dst_ni, spec)
+            self.path_misses += 1
+        else:
+            self.path_hits += 1
+        tables = self.allocation.link_tables
         n_usable = 0
         for cand in candidates:
             if excluded and not excluded.isdisjoint(cand.link_keys):
                 continue
             n_usable += 1
             mask = self._full
-            for table, shift in cand.tables:
-                mask &= rotate_mask(table.free_mask, shift, size)
+            for key, shift in cand.hops:
+                mask &= rotate_mask(tables[key].free_mask, shift, size)
                 if not mask:
                     break
             width = mask.bit_count()
@@ -208,34 +217,3 @@ class AdmissionController:
         for width in self._pending_widths:
             observe(width)
         self._pending_widths.clear()
-
-    # -- cold path ------------------------------------------------------------
-
-    def _lookup(self, spec: ChannelSpec, src_ni: str,
-                dst_ni: str) -> tuple[_Candidate, ...]:
-        key = (src_ni, dst_ni, spec.throughput_bytes_per_s,
-               spec.max_latency_ns)
-        cached = self._candidates.get(key)
-        if cached is None:
-            cached = self._build_candidates(spec, src_ni, dst_ni)
-            self._candidates[key] = cached
-            self.path_misses += 1
-        else:
-            self.path_hits += 1
-        return cached
-
-    def _build_candidates(self, spec: ChannelSpec, src_ni: str,
-                          dst_ni: str) -> tuple[_Candidate, ...]:
-        # Slot arithmetic comes from the allocator's cross-instance quote
-        # cache; this controller only binds the routes to its own
-        # allocation's occupancy tables.
-        out = []
-        for path, n, gap in self.allocator.route_quotes(src_ni, dst_ni,
-                                                        spec):
-            tables = tuple(
-                (self.allocation.link_tables[link.key], shift % self._size)
-                for link, shift in zip(path.links, path.link_shifts))
-            out.append(_Candidate(path=path, n_slots=n, max_gap=gap,
-                                  tables=tables,
-                                  link_keys=frozenset(path.link_keys())))
-        return tuple(out)

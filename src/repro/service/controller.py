@@ -16,7 +16,8 @@ consistent throughout —
 * after **every** transition the composability invariant is re-checked:
   no other running session's reservations may have moved (the paper's
   undisrupted-reconfiguration property, continuously verified under
-  churn instead of once);
+  churn instead of once, at O(1) per transition — see
+  :mod:`repro.service.invariants`);
 * with ``record_timeline=True`` every accepted open and released close
   is also emitted onto a :class:`~repro.core.timeline.
   ReconfigurationTimeline` — the replayable artifact the flit-level
@@ -203,6 +204,14 @@ class SessionService:
         self.allocation: Allocation = self.admission.allocation
         self.checker = CompositionInvariantChecker(
             self.allocation, validate_every=validate_every)
+        # Which path each invariant check took: the checker keeps plain
+        # integer tallies, folded as deltas by the flush hook.
+        self._tel_invariants = (
+            tel.counter("invariants.checks", path="digest"),
+            tel.counter("invariants.checks", path="rescan"),
+            tel.counter("invariants.records_compared"),
+            tel.counter("invariants.full_validations"))
+        self._flushed_invariants = (0, 0, 0, 0)
         self.metrics = ServiceMetrics(window=window,
                                       record_events=record_events)
         # The guarantee-conformance watchdog: when armed, every accepted
@@ -289,6 +298,15 @@ class SessionService:
         for admit_us in self._pending_admit_us:
             observe(admit_us)
         self._pending_admit_us.clear()
+        checker = self.checker
+        totals = (checker.transitions_checked - checker.rescans,
+                  checker.rescans, checker.records_compared,
+                  checker.full_validations)
+        for counter, total, flushed in zip(
+                self._tel_invariants, totals, self._flushed_invariants):
+            if total != flushed:
+                counter.inc(total - flushed)
+        self._flushed_invariants = totals
 
     # -- event handling -------------------------------------------------------
 

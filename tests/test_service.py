@@ -219,6 +219,66 @@ class TestAdmissionController:
             return out
         assert one_pass() == one_pass()
 
+    def test_incompatible_allocation_rejected_at_construction(
+            self, small_mesh):
+        """A mismatched pair used to admit slots rotated at the wrong
+        modulus, or fail with a KeyError deep in the hot loop."""
+        allocator = SlotAllocator(small_mesh, table_size=16,
+                                  frequency_hz=500e6)
+        other_size = SlotAllocator(small_mesh, table_size=8,
+                                   frequency_hz=500e6)
+        other_topology = SlotAllocator(mesh(2, 2, nis_per_router=2),
+                                       table_size=16, frequency_hz=500e6)
+        for other in (other_size, other_topology):
+            foreign = AdmissionController(other).allocation
+            with pytest.raises(ConfigurationError):
+                AdmissionController(allocator, foreign)
+        own = AdmissionController(allocator).allocation
+        assert AdmissionController(allocator, own).allocation is own
+
+    def test_quote_cache_is_bounded_and_eviction_is_invisible(
+            self, small_mesh, monkeypatch):
+        """3x the cap in distinct requirements: the cache stays at the
+        cap and every admission decision is what an uncapped run makes."""
+        from repro.core import allocation as allocation_module
+        from repro.telemetry import Telemetry
+        cap = 32
+        classes = [QosClass(f"c{i}", throughput_mb_s=1.0 + i * 0.25)
+                   for i in range(3 * cap)]
+
+        def one_pass():
+            tel = Telemetry()
+            allocator = SlotAllocator(small_mesh, table_size=16,
+                                      frequency_hz=500e6, telemetry=tel)
+            ctrl = AdmissionController(allocator)
+            out = []
+            # Twice over, so the second round re-quotes evicted keys.
+            for i, qos in enumerate(classes * 2):
+                spec = qos.channel_spec(f"s{i}", "ni0_0_0", "ni1_1_0")
+                try:
+                    ca = ctrl.admit(spec, "ni0_0_0", "ni1_1_0")
+                    out.append((ca.slots, ca.path.link_keys()))
+                    ctrl.release(spec.name)
+                except AllocationError as exc:
+                    out.append(exc.reason)
+            return out, allocator, tel
+
+        uncapped, allocator, tel = one_pass()
+        assert len(allocator._quote_cache) == 3 * cap
+        assert tel.value("allocator.quote_cache", outcome="evict") == 0
+        monkeypatch.setattr(allocation_module, "QUOTE_CACHE_CAP", cap)
+        capped, allocator, tel = one_pass()
+        assert len(allocator._quote_cache) == cap
+        assert tel.value("allocator.quote_cache", outcome="miss") \
+            == 6 * cap
+        assert tel.value("allocator.quote_cache", outcome="evict") \
+            == 5 * cap
+        assert capped == uncapped
+
+    def test_section7_working_set_fits_the_quote_cache(self):
+        from repro.core.allocation import QUOTE_CACHE_CAP
+        assert QUOTE_CACHE_CAP > 48 * 47 * len(DEFAULT_CLASSES)
+
 
 class TestSessionService:
     def _run(self, topo, *, n_sessions=120, seed=3, **kwargs):

@@ -262,6 +262,17 @@ class TestReportByteIdentity:
         # ... and the instrumented run actually recorded something.
         assert tel.value("admission.decisions", outcome="accept") > 0
         assert tel.value("executor.dispatch") is None  # no sim here
+        # The invariant checker says which path each check took; the
+        # tallies ride outside the report's ``invariant`` section.
+        invariant = report_on.invariant
+        assert (tel.value("invariants.checks", path="digest")
+                + tel.value("invariants.checks", path="rescan")
+                == invariant["transitions_checked"])
+        assert tel.value("invariants.checks", path="rescan") == 0
+        assert tel.value("invariants.full_validations") \
+            == invariant["full_validations"]
+        assert tel.value("invariants.records_compared") \
+            == report_on.totals["active_at_end"]
 
     def test_serve_demo_telemetry_stream_is_deterministic(self):
         from repro.service.demo import run_demo
