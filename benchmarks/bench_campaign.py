@@ -1,13 +1,13 @@
 """Tier-2 benchmarks for the scenario-campaign engine.
 
-``--campaign-smoke`` runs the 4-scenario micro-campaign (flit,
-cycle-synchronous, cycle-mesochronous, best-effort on one small mesh)
-across 2 worker processes, checks the result set is clean and
-deterministic, and records the campaign wall-clock in the
-``--benchmark-json`` trajectory.
+Opt in with ``--tier2``.  ``test_micro_campaign_smoke`` runs the
+4-scenario micro-campaign (flit, cycle-synchronous, cycle-mesochronous,
+best-effort on one small mesh) across 2 worker processes, checks the
+result set is clean and deterministic, and records the campaign
+wall-clock in the ``--benchmark-json`` trajectory.
 
-``--campaign-bench`` measures the sharded fabric against the seed
-runner's dispatch strategy — one ``multiprocessing.Pool`` with
+``test_campaign_fabric_speedup`` measures the sharded fabric against
+the seed runner's dispatch strategy — one ``multiprocessing.Pool`` with
 ``imap_unordered(..., chunksize=1)`` shipping a fully pickled
 :class:`~repro.campaign.spec.RunSpec` per task — on a ~10k-run
 synthetic grid at 8 workers.  The grid's runs cost microseconds each,
@@ -35,20 +35,7 @@ from repro.campaign import (CampaignResult, CampaignRunner, micro_campaign,
 from repro.campaign.runner import _timed_execute_run
 
 
-@pytest.fixture
-def campaign_smoke_enabled(request):
-    if not request.config.getoption("--campaign-smoke"):
-        pytest.skip("pass --campaign-smoke to run the campaign smoke check")
-
-
-@pytest.fixture
-def campaign_bench_enabled(request):
-    if not request.config.getoption("--campaign-bench"):
-        pytest.skip("pass --campaign-bench to run the campaign fabric "
-                    "benchmark")
-
-
-def test_micro_campaign_smoke(benchmark, campaign_smoke_enabled):
+def test_micro_campaign_smoke(benchmark, tier2):
     spec = micro_campaign()
 
     def run_campaign():
@@ -88,8 +75,7 @@ def _seed_dispatch(spec, workers: int) -> CampaignResult:
                           records=records)
 
 
-def test_campaign_fabric_speedup(campaign_bench_enabled, bench_record,
-                                 tmp_path):
+def test_campaign_fabric_speedup(tier2, bench_record, tmp_path):
     """Sharded batching dispatch ≥ 2x over seed chunksize=1 dispatch."""
     n = int(os.environ.get("CAMPAIGN_BENCH_RUNS", "10000"))
     n_scenarios = max(1, min(100, n // 100))

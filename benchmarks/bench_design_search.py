@@ -1,6 +1,6 @@
 """Tier-2 benchmark: analytical pruning vs exhaustive design screening.
 
-Opt in with ``--design-search``.  Dimensions a churn-derived workload
+Opt in with ``--tier2``.  Dimensions a churn-derived workload
 (180 expected-concurrent sessions, Little's law over a hot arrival
 profile) across a 24-candidate screening grid — 12 topologies x 2
 slot-table sizes — twice through the same
@@ -52,12 +52,6 @@ GRID_TOPOLOGIES = (
 TABLE_SIZES = (8, 16)
 
 
-@pytest.fixture
-def design_search_enabled(request):
-    if not request.config.getoption("--design-search"):
-        pytest.skip("pass --design-search to run the design benchmark")
-
-
 def _space(prune: bool) -> DesignSpace:
     return DesignSpace(topologies=GRID_TOPOLOGIES,
                        table_sizes=TABLE_SIZES,
@@ -72,7 +66,7 @@ def _ok_points(report) -> dict[str, float]:
             for r in report.records if r["status"] == "ok"}
 
 
-def test_pruned_screening_speedup(benchmark, design_search_enabled):
+def test_pruned_screening_speedup(benchmark, tier2):
     use_case = workload_from_churn(
         ChurnSpec(n_sessions=200, arrival_rate_per_s=9000.0),
         seed=2009, n_ips=32)

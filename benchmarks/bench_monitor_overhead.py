@@ -1,10 +1,9 @@
 """Tier-2 benchmark: the cost of the armed conformance watchdog.
 
-Opt in with ``--monitor-overhead``.  Runs the admission-churn workload
-of ``bench_service_churn.py`` (seeded churn on the Section VII mesh,
-warm allocator caches, ``record_events=False``) twice per round — once
-with ``monitor=None``, once with ``monitor=MonitorSpec()`` —
-alternating the order every round, and gates ``min(on) / min(off) - 1``
+Opt in with ``--tier2``.  Runs the shared on/off harness
+(``overhead.py``: admission churn on the Section VII mesh, alternating
+rounds over fresh interpreters, per-mode minima) with ``monitor=None``
+against ``monitor=MonitorSpec()``, and gates ``min(on) / min(off) - 1``
 below ``MAX_OVERHEAD``.
 
 The gate pins the watchdog's architecture: quoting analytical bounds
@@ -15,11 +14,7 @@ loop, so the armed hot path only *retains* each accepted (immutable)
 deferred-aggregation shape the telemetry capture already uses.  The
 timed section covers the armed churn run; the deferred fold is timed
 separately and lands in the record's ``extra`` (it is a per-report
-cost, not a per-event one).  The measurement discipline — collector
-parked around timed runs, per-mode minima across alternating rounds,
-rounds spread over fresh interpreter processes — is inherited from
-``bench_telemetry_overhead.py``; see its docstring for why each detail
-is load-bearing on noisy shared hosts.
+cost, not a per-event one).
 
 Every round also re-asserts the watchdog's own contracts: the
 monitored run's service report is byte-identical to the unmonitored
@@ -32,153 +27,47 @@ With ``--bench-record`` the measurement lands in
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
+from overhead import measure_overhead
 
-import pytest
-
-TABLE_SIZE = 32
-FREQUENCY_HZ = 500e6
-#: Paired (off, on) rounds measured inside each worker process.
-ROUNDS_PER_PROCESS = 5
-#: Fresh interpreter processes (independent code layouts) per mode.
-PROCESSES = 3
-#: Monitored-mode wall-clock ceiling, relative to unmonitored mode.
-MAX_OVERHEAD = 0.05
-
-#: The measurement body, run in a fresh interpreter per sample so that
-#: per-process code-layout bias is resampled.  Prints one JSON object.
-_WORKER = f"""
-import gc, hashlib, json, time
-
-from repro.core.allocation import SlotAllocator
-from repro.service import ChurnSpec, ChurnWorkload, SessionService
+_MODE = """
 from repro.telemetry.monitor import MonitorSpec
-from repro.topology.builders import concentrated_mesh
 
-topology = concentrated_mesh(4, 3, nis_per_router=4)
-workload = ChurnWorkload(
-    ChurnSpec(n_sessions=2500, arrival_rate_per_s=5000.0),
-    topology, seed=42)
-events = workload.events()
-allocator = SlotAllocator(topology, table_size={TABLE_SIZE},
-                          frequency_hz={FREQUENCY_HZ})
+arm = MonitorSpec
 
 
-def churn_run(monitor):
-    service = SessionService(topology, allocator=allocator,
-                             record_events=False, monitor=monitor)
-    # Collection pauses land arbitrarily in one mode or the other and
-    # are bigger than the effect being measured; park the collector
-    # for the timed section.
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        report = service.run(events)
-        wall = time.perf_counter() - start
-        conformance, fold_wall = None, 0.0
-        if monitor is not None:
-            start = time.perf_counter()
-            conformance = service.conformance_report(scenario="bench")
-            fold_wall = time.perf_counter() - start
-    finally:
-        gc.enable()
-    return report, conformance, wall, fold_wall
+def build(monitor):
+    return SessionService(topology, allocator=allocator,
+                          record_events=False, monitor=monitor)
 
 
-# Warm passes — one per mode, so the allocator's path and bound caches
-# *and* the monitored-path code are hot before anything is timed.
-warm_report, _, _, _ = churn_run(None)
-assert warm_report.invariant["ok"]
-assert warm_report.totals["accept_rate"] > 0.9
-baseline_json = warm_report.to_json()
-churn_run(MonitorSpec())
-
-off_walls, on_walls, fold_walls = [], [], []
-conformance_json = None
-for round_index in range({ROUNDS_PER_PROCESS}):
-    # Alternate the mode order so slow drift (thermal, host load)
-    # cancels instead of loading one mode.
-    if round_index % 2:
-        report_on, conformance, wall_on, fold = churn_run(MonitorSpec())
-        report_off, _, wall_off, _ = churn_run(None)
-    else:
-        report_off, _, wall_off, _ = churn_run(None)
-        report_on, conformance, wall_on, fold = churn_run(MonitorSpec())
-    off_walls.append(wall_off)
-    on_walls.append(wall_on)
-    fold_walls.append(fold)
-    # The watchdog's contracts: monitoring never leaks into the
-    # canonical report, and its own verdict is deterministic.
-    assert report_on.to_json() == baseline_json
-    assert report_off.to_json() == baseline_json
+def observe(service, monitor):
+    start = time.perf_counter()
+    conformance = service.conformance_report(scenario="bench")
+    fold_wall = time.perf_counter() - start
     assert conformance.n_violated == 0, conformance.summary()
-    if conformance_json is None:
-        conformance_json = conformance.to_json()
-    assert conformance.to_json() == conformance_json
+    return conformance.to_json(), fold_wall
 
-print(json.dumps({{
-    "off_walls": off_walls,
-    "on_walls": on_walls,
-    "fold_walls": fold_walls,
-    "n_events": len(events),
-    "n_monitored": len(json.loads(conformance_json)["channels"]),
-    "report_sha": hashlib.sha256(
-        baseline_json.encode("utf-8")).hexdigest(),
-    "conformance_sha": hashlib.sha256(
-        conformance_json.encode("utf-8")).hexdigest(),
-}}))
+
+def conclude(observed):
+    # The watchdog's verdict is deterministic across rounds.
+    text, = {text for text, _ in observed}
+    return {
+        "fold_walls": [fold_wall for _, fold_wall in observed],
+        "n_monitored": len(json.loads(text)["channels"]),
+        "conformance_sha": hashlib.sha256(
+            text.encode("utf-8")).hexdigest(),
+    }
 """
 
 
-@pytest.fixture
-def monitor_overhead_enabled(request):
-    if not request.config.getoption("--monitor-overhead"):
-        pytest.skip("pass --monitor-overhead to run the overhead gate")
-
-
-def test_monitor_overhead_below_gate(monitor_overhead_enabled,
-                                     bench_record):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    samples = []
-    # Serial on purpose: parallel workers would contend for the CPU
-    # and time each other's noise.
-    for _ in range(PROCESSES):
-        proc = subprocess.run([sys.executable, "-c", _WORKER],
-                              capture_output=True, text=True, env=env,
-                              timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        samples.append(json.loads(proc.stdout))
-
-    # Cross-process determinism: every interpreter produced the same
-    # canonical service report AND the same conformance report.
-    assert len({s["report_sha"] for s in samples}) == 1
+def test_monitor_overhead_below_gate(tier2, bench_record):
+    measured = measure_overhead(_MODE)
+    samples = measured.samples
+    # Every interpreter produced the same conformance report.
     assert len({s["conformance_sha"] for s in samples}) == 1
     assert len({s["n_monitored"] for s in samples}) == 1
-
-    off_walls = [w for s in samples for w in s["off_walls"]]
-    on_walls = [w for s in samples for w in s["on_walls"]]
-    fold_walls = [w for s in samples for w in s["fold_walls"]]
-    off_s = min(off_walls)
-    on_s = min(on_walls)
-    overhead = on_s / off_s - 1.0
-    n_events = samples[0]["n_events"]
-    bench_record("monitor_overhead", wall_s=on_s,
-                 ops_per_s=n_events / on_s,
-                 overhead=round(overhead, 4),
-                 baseline_wall_s=round(off_s, 6),
-                 fold_wall_s=round(min(fold_walls), 6),
-                 n_monitored=samples[0]["n_monitored"],
-                 n_events=n_events, processes=PROCESSES,
-                 rounds_per_process=ROUNDS_PER_PROCESS)
-    assert overhead < MAX_OVERHEAD, (
-        f"armed conformance monitoring costs {overhead:.1%} on the "
-        f"admission hot path (gate: {MAX_OVERHEAD:.0%}; off "
-        f"{off_s:.4f}s vs on {on_s:.4f}s over "
-        f"{PROCESSES}x{ROUNDS_PER_PROCESS} interleaved rounds)")
+    bench_record("monitor_overhead", **measured.record_fields(),
+                 fold_wall_s=round(min(
+                     w for s in samples for w in s["fold_walls"]), 6),
+                 n_monitored=samples[0]["n_monitored"])
+    measured.assert_below_gate("armed conformance monitoring")

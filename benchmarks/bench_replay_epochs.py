@@ -1,6 +1,6 @@
 """Tier-2 benchmark: compiled executor vs the per-flit oracle on epochs.
 
-Opt in with ``--replay-epochs``.  Builds a synthetic reconfiguration
+Opt in with ``--tier2``.  Builds a synthetic reconfiguration
 timeline over the Section VII use case (all 200 connections live, then
 a long stop/restart churn sequence — two transitions every ten slots)
 and executes it both ways through
@@ -37,12 +37,6 @@ TRANSITION_SPACING = 5
 TARGET_SPEEDUP_COMPILED = 10.0
 
 
-@pytest.fixture
-def replay_epochs_enabled(request):
-    if not request.config.getoption("--replay-epochs"):
-        pytest.skip("pass --replay-epochs to run the epoch benchmark")
-
-
 def _section7_timeline(config) -> ReconfigurationTimeline:
     """All channels start at slot 0; then a round-robin stop/restart."""
     allocations = sorted(config.allocation.channels.items())
@@ -61,8 +55,8 @@ def _section7_timeline(config) -> ReconfigurationTimeline:
         fmt=config.fmt)
 
 
-def test_compiled_replay_speedup(benchmark, replay_epochs_enabled,
-                                 section7, bench_record):
+def test_compiled_replay_speedup(benchmark, tier2, section7,
+                                 bench_record):
     _, config = section7
     timeline = _section7_timeline(config)
     # Traffic on a handful of channels keeps the traces meaningful

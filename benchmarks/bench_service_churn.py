@@ -1,6 +1,6 @@
 """Tier-2 benchmark: session-churn throughput of the admission service.
 
-Opt in with ``--service-churn``.  Runs a 10 000-event seeded churn trace
+Opt in with ``--tier2``.  Runs a 10 000-event seeded churn trace
 (Poisson arrivals, heavy-tailed holds, the default QoS mix) on the
 Section VII mesh (4x3 concentrated mesh, 4 NIs per router, 32-slot
 tables at 500 MHz) and measures steady-state control-plane throughput.
@@ -28,13 +28,7 @@ FREQUENCY_HZ = 500e6
 TARGET_EVENTS_PER_S = 10_000
 
 
-@pytest.fixture
-def service_churn_enabled(request):
-    if not request.config.getoption("--service-churn"):
-        pytest.skip("pass --service-churn to run the churn benchmark")
-
-
-def test_service_churn_throughput(benchmark, service_churn_enabled):
+def test_service_churn_throughput(benchmark, tier2):
     topology = concentrated_mesh(4, 3, nis_per_router=4)
     workload = ChurnWorkload(
         ChurnSpec(n_sessions=5000, arrival_rate_per_s=5000.0),

@@ -1,6 +1,6 @@
 """Tier-2 benchmark: overhead of the weighted-fair admission tier.
 
-Opt in with ``--service-fairness``.  Runs the same seeded tenanted
+Opt in with ``--tier2``.  Runs the same seeded tenanted
 churn trace (abusive mix: one 10x flooding tenant among three
 well-behaved ones) on the Section VII mesh twice — once under plain
 FCFS admission and once under ``policy="wfq"`` with the full fairness
@@ -35,15 +35,7 @@ TARGET_EVENTS_PER_S = 10_000
 MAX_OVERHEAD = 0.15
 
 
-@pytest.fixture
-def service_fairness_enabled(request):
-    if not request.config.getoption("--service-fairness"):
-        pytest.skip("pass --service-fairness to run the fairness "
-                    "overhead benchmark")
-
-
-def test_service_fairness_overhead(benchmark, service_fairness_enabled,
-                                   bench_record):
+def test_service_fairness_overhead(benchmark, tier2, bench_record):
     topology = concentrated_mesh(4, 3, nis_per_router=4)
     tenants = abusive_tenant_mix(3, floor_opens_per_window=2)
     workload = ChurnWorkload(

@@ -1,29 +1,15 @@
 """Tier-2 benchmark: the cost of *enabled* telemetry on the hot path.
 
-Opt in with ``--telemetry-overhead``.  Runs the admission-churn
-workload of ``bench_service_churn.py`` (seeded churn on the Section VII
-mesh, warm allocator caches) twice per round — once with the shared
-``NULL_TELEMETRY`` default, once with a live :class:`repro.Telemetry`
-hub — alternating the order every round, and gates
-``min(on) / min(off) - 1`` below ``MAX_OVERHEAD``.
+Opt in with ``--tier2``.  Runs the shared on/off harness
+(``overhead.py``: admission churn on the Section VII mesh, alternating
+rounds over fresh interpreters, per-mode minima) with the shared
+``NULL_TELEMETRY`` default against a live :class:`repro.Telemetry` hub,
+and gates ``min(on) / min(off) - 1`` below ``MAX_OVERHEAD``.
 
 The point of the gate is architectural: the hot path pays plain
 integer tallies and list appends (folded into the registry lazily,
 when the hub is read), so enabling full metrics + span capture must
-stay in the noise band of the admission loop.  Three measurement
-details make a 5% gate hold on noisy shared hosts:
-
-* the collector is disabled around each timed run (``gc.disable``) —
-  collection pauses otherwise dominate sub-second timings;
-* the estimator is the ratio of per-mode *minima* over many
-  alternating rounds: the minimum converges to the quiet-host time
-  for both modes, while medians of sub-second runs carry
-  multi-percent scheduler/steal noise.  A genuine hot-path regression
-  inflates every round, minima included; and
-* rounds are spread over ``PROCESSES`` fresh interpreter processes:
-  code-layout luck (ASLR) can bias one mode by several percent for a
-  whole process lifetime, so each mode's minimum is taken across
-  independently laid-out interpreters.
+stay in the noise band of the admission loop.
 
 Every round also re-asserts the observability contract itself — the
 telemetry-on report is byte-identical to the telemetry-off report,
@@ -35,146 +21,39 @@ With ``--bench-record`` the measurement lands in
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
+from overhead import measure_overhead
 
-import pytest
-
-TABLE_SIZE = 32
-FREQUENCY_HZ = 500e6
-#: Paired (off, on) rounds measured inside each worker process.
-ROUNDS_PER_PROCESS = 5
-#: Fresh interpreter processes (independent code layouts) per mode.
-PROCESSES = 3
-#: Enabled-mode wall-clock ceiling, relative to disabled mode.
-MAX_OVERHEAD = 0.05
-
-#: The measurement body, run in a fresh interpreter per sample so that
-#: per-process code-layout bias is resampled.  Prints one JSON object.
-_WORKER = f"""
-import gc, hashlib, json, time
-
-from repro.core.allocation import SlotAllocator
-from repro.service import ChurnSpec, ChurnWorkload, SessionService
+_MODE = """
 from repro.telemetry import Telemetry
-from repro.topology.builders import concentrated_mesh
-
-topology = concentrated_mesh(4, 3, nis_per_router=4)
-workload = ChurnWorkload(
-    ChurnSpec(n_sessions=2500, arrival_rate_per_s=5000.0),
-    topology, seed=42)
-events = workload.events()
-allocator = SlotAllocator(topology, table_size={TABLE_SIZE},
-                          frequency_hz={FREQUENCY_HZ})
 
 
-def churn_run(telemetry):
+def arm():
+    return Telemetry("overhead-bench")
+
+
+def build(hub):
     # The allocator is shared across runs for warm caches; rebind its
     # instruments explicitly so an enabled run never leaks its hub
     # into the next disabled one.
-    allocator.set_telemetry(telemetry)
-    service = SessionService(topology, allocator=allocator,
-                             record_events=False, telemetry=telemetry)
-    # Collection pauses land arbitrarily in one mode or the other and
-    # are bigger than the effect being measured; park the collector
-    # for the timed section.
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        report = service.run(events)
-        wall = time.perf_counter() - start
-    finally:
-        gc.enable()
-    return report, wall
+    allocator.set_telemetry(hub)
+    return SessionService(topology, allocator=allocator,
+                          record_events=False, telemetry=hub)
 
 
-# Warm passes — one per mode, so the allocator's path/quote caches
-# *and* the interpreter's enabled-path code (span/flush machinery) are
-# both hot before anything is timed.
-warm_report, _ = churn_run(None)
-assert warm_report.invariant["ok"]
-assert warm_report.totals["accept_rate"] > 0.9
-baseline_json = warm_report.to_json()
-churn_run(Telemetry("overhead-warmup"))
+def observe(service, hub):
+    return hub.value("admission.decisions", outcome="accept")
 
-off_walls, on_walls = [], []
-hub = None
-for round_index in range({ROUNDS_PER_PROCESS}):
-    # Alternate the mode order so slow drift (thermal, host load)
-    # cancels instead of loading one mode.
-    hub = Telemetry("overhead-bench")
-    if round_index % 2:
-        report_on, wall_on = churn_run(hub)
-        report_off, wall_off = churn_run(None)
-    else:
-        report_off, wall_off = churn_run(None)
-        report_on, wall_on = churn_run(hub)
-    off_walls.append(wall_off)
-    on_walls.append(wall_on)
-    # The headline contract: instrumentation never leaks into the
-    # canonical report.
-    assert report_on.to_json() == baseline_json
-    assert report_off.to_json() == baseline_json
 
-# ... and the instrumented runs actually measured the hot path.
-accepts = hub.value("admission.decisions", outcome="accept")
-assert accepts and accepts > 0
-
-print(json.dumps({{
-    "off_walls": off_walls,
-    "on_walls": on_walls,
-    "n_events": len(events),
-    "accepts": accepts,
-    "report_sha": hashlib.sha256(
-        baseline_json.encode("utf-8")).hexdigest(),
-}}))
+def conclude(accepts):
+    # ... and the instrumented runs actually measured the hot path.
+    assert accepts[-1] and accepts[-1] > 0
+    return {"accepts": accepts[-1]}
 """
 
 
-@pytest.fixture
-def telemetry_overhead_enabled(request):
-    if not request.config.getoption("--telemetry-overhead"):
-        pytest.skip("pass --telemetry-overhead to run the overhead gate")
-
-
-def test_telemetry_overhead_below_gate(telemetry_overhead_enabled,
-                                       bench_record):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    samples = []
-    # Serial on purpose: parallel workers would contend for the CPU
-    # and time each other's noise.
-    for _ in range(PROCESSES):
-        proc = subprocess.run([sys.executable, "-c", _WORKER],
-                              capture_output=True, text=True, env=env,
-                              timeout=600)
-        assert proc.returncode == 0, proc.stderr
-        samples.append(json.loads(proc.stdout))
-
-    # Cross-process determinism: every interpreter produced the same
-    # canonical report and counted the same accepts.
-    assert len({s["report_sha"] for s in samples}) == 1
-    assert len({s["accepts"] for s in samples}) == 1
-
-    off_walls = [w for s in samples for w in s["off_walls"]]
-    on_walls = [w for s in samples for w in s["on_walls"]]
-    off_s = min(off_walls)
-    on_s = min(on_walls)
-    overhead = on_s / off_s - 1.0
-    n_events = samples[0]["n_events"]
-    bench_record("telemetry_overhead", wall_s=on_s,
-                 ops_per_s=n_events / on_s,
-                 overhead=round(overhead, 4),
-                 baseline_wall_s=round(off_s, 6),
-                 n_events=n_events, processes=PROCESSES,
-                 rounds_per_process=ROUNDS_PER_PROCESS)
-    assert overhead < MAX_OVERHEAD, (
-        f"enabled telemetry costs {overhead:.1%} on the admission hot "
-        f"path (gate: {MAX_OVERHEAD:.0%}; off {off_s:.4f}s vs on "
-        f"{on_s:.4f}s over {PROCESSES}x{ROUNDS_PER_PROCESS} "
-        f"interleaved rounds)")
+def test_telemetry_overhead_below_gate(tier2, bench_record):
+    measured = measure_overhead(_MODE)
+    # Every interpreter counted the same accepts.
+    assert len({s["accepts"] for s in measured.samples}) == 1
+    bench_record("telemetry_overhead", **measured.record_fields())
+    measured.assert_below_gate("enabled telemetry")

@@ -4,11 +4,11 @@ The Section VII use case (generation + allocation) is expensive enough
 to share across benchmarks; it is deterministic, so sharing does not
 couple measurements.
 
-``--campaign-smoke`` opts into the tier-2 campaign smoke check in
-``bench_campaign.py``: a 4-scenario micro-campaign across 2 worker
-processes whose wall-clock lands in the benchmark JSON output
-(``--benchmark-json``), giving campaign-engine overhead its own
-trajectory.
+``--tier2`` opts into the tier-2 gates — the tests that take the
+:func:`tier2` fixture: campaign smoke and fabric speedup, service churn
+and fairness throughput, epoch replay, design screening, and the
+telemetry / monitor overhead gates.  Without it they skip; select one
+gate by naming its file or test id.
 
 ``--bench-record`` turns benchmark measurements into *tracked*
 perf-trajectory artifacts: every benchmark that uses the
@@ -35,52 +35,24 @@ RECORDS_DIR = Path(__file__).resolve().parent / "records"
 
 def pytest_addoption(parser: pytest.Parser) -> None:
     parser.addoption(
-        "--campaign-smoke", action="store_true", default=False,
-        help="run the 4-scenario micro-campaign smoke benchmark "
-             "(tier-2; exercises every backend plus the parallel pool)")
+        "--tier2", action="store_true", default=False,
+        help="run the tier-2 gates (every test that takes the tier2 "
+             "fixture; each asserts its own threshold — see the "
+             "bench_*.py docstrings)")
     parser.addoption(
         "--bench-record", action="store_true", default=False,
         help="append every recorded measurement to "
              "benchmarks/records/BENCH_<name>.json (benchmark name, "
              "wall time, ops/s, speedup, git rev, timestamp) so the "
              "perf trajectory is tracked across PRs")
-    parser.addoption(
-        "--service-churn", action="store_true", default=False,
-        help="run the session-churn service benchmark on the Section "
-             "VII mesh (tier-2; asserts >= 10k session events/sec on "
-             "the warm admission path)")
-    parser.addoption(
-        "--service-fairness", action="store_true", default=False,
-        help="run the weighted-fair admission overhead benchmark on "
-             "the Section VII mesh (tier-2; asserts the wfq policy "
-             "tier clears >= 10k session events/sec and costs < 15% "
-             "wall clock versus the FCFS baseline)")
-    parser.addoption(
-        "--replay-epochs", action="store_true", default=False,
-        help="run the epoch-replay benchmark on the Section VII use "
-             "case (tier-2; asserts incremental schedule "
-             "recompilation beats full per-epoch rebuild by >= 2x)")
-    parser.addoption(
-        "--design-search", action="store_true", default=False,
-        help="run the design-space screening benchmark (tier-2; "
-             "asserts analytical lower-bound pruning beats exhaustive "
-             "candidate evaluation by >= 2x on the same grid)")
-    parser.addoption(
-        "--telemetry-overhead", action="store_true", default=False,
-        help="run the telemetry-overhead gate on the admission churn "
-             "workload (tier-2; asserts enabled-mode overhead < 5% "
-             "and telemetry-on/off report byte-identity)")
-    parser.addoption(
-        "--monitor-overhead", action="store_true", default=False,
-        help="run the conformance-monitor overhead gate on the "
-             "admission churn workload (tier-2; asserts armed-monitor "
-             "overhead < 5% and monitor-on/off report byte-identity)")
-    parser.addoption(
-        "--campaign-bench", action="store_true", default=False,
-        help="run the campaign-fabric benchmark on a ~10k-run "
-             "synthetic grid (tier-2; asserts the sharded batching "
-             "runner beats the seed chunksize=1 pool dispatch by "
-             ">= 2x with streaming aggregation keeping memory flat)")
+
+
+@pytest.fixture
+def tier2(request: pytest.FixtureRequest) -> None:
+    """Skip the requesting gate unless ``--tier2`` was passed."""
+    if not request.config.getoption("--tier2"):
+        pytest.skip("pass --tier2 to run the tier-2 gates")
+
 
 def _git_rev() -> str:
     """Current revision (``describe --always --dirty``), or "unknown"."""

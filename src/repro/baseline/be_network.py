@@ -40,7 +40,7 @@ from repro.core.words import WordFormat
 from repro.simulation import compiled as _compiled
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
                                        StatsCollector, latency_digest)
-from repro.simulation.traffic import MessageEvent, TrafficPattern
+from repro.simulation.traffic import TrafficPattern
 from repro.topology.graph import NodeKind, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import
@@ -192,14 +192,18 @@ class BeNetworkSimulator:
     # -- main loop --------------------------------------------------------------
 
     def run(self, n_ticks: int) -> BeSimResult:
-        """Simulate ``n_ticks`` flit cycles."""
+        """Simulate ``n_ticks`` flit cycles.
+
+        The static run is the one-interval case: every allocated
+        channel offers its pattern over ``[0, n_ticks)``.
+        """
         if n_ticks <= 0:
             raise ConfigurationError(
                 f"n_ticks must be positive, got {n_ticks}")
-        sources = {name: ca.path.source for name, ca in
-                   sorted(self.config.allocation.channels.items())}
-        return self._run_loop(n_ticks, self._build_arrivals(n_ticks),
-                              sources)
+        return self._run_intervals(
+            {name: ((0, n_ticks, ca),) for name, ca in
+             sorted(self.config.allocation.channels.items())},
+            self._patterns, n_ticks)
 
     def run_timeline(self, timeline: "ReconfigurationTimeline",
                      n_ticks: int | None = None, *,
@@ -217,24 +221,19 @@ class BeNetworkSimulator:
         exposes, and exactly what the TDM network is engineered to
         exclude.
         """
-        if timeline.topology is not self._topo:
-            raise ConfigurationError(
-                "timeline was recorded on a different topology object")
-        if timeline.fmt != self.fmt:
-            raise ConfigurationError(
-                "timeline word format differs from the configuration's")
-        if n_ticks is None:
-            n_ticks = timeline.horizon_slots
-        if not 0 < n_ticks <= timeline.horizon_slots:
-            raise ConfigurationError(
-                f"n_ticks must be in (0, {timeline.horizon_slots}], "
-                f"got {n_ticks}")
         patterns = dict(traffic or {})
-        unknown = sorted(set(patterns) - set(timeline.channel_names))
-        if unknown:
-            raise ConfigurationError(
-                f"traffic names channels outside the timeline: {unknown}")
+        n_ticks = timeline.check_replay(
+            n_ticks, patterns, topology=self._topo, fmt=self.fmt,
+            units="ticks")
+        return self._run_intervals(timeline.channel_intervals(), patterns,
+                                   n_ticks)
+
+    def _run_intervals(self, channel_intervals, patterns, n_ticks: int
+                       ) -> BeSimResult:
+        """Offer each channel's pattern over its ``(start, stop,
+        allocation)`` intervals and run the tick loop."""
         fmt = self.fmt
+        flit_size = fmt.flit_size
         # With numpy present, each pattern's arrival stream is compiled
         # once at the full horizon into the shared flat representation
         # (:func:`repro.simulation.compiled.pattern_slice`) and each
@@ -243,10 +242,10 @@ class BeNetworkSimulator:
         # interval.
         use_tables = _compiled.numpy_available()
         table_cache: dict = {}
-        full_horizon_cycles = n_ticks * fmt.flit_size
+        full_horizon_cycles = n_ticks * flit_size
         arrivals: dict[str, deque[tuple[int, BePacket]]] = {}
         sources: dict[str, str] = {}
-        for name, intervals in timeline.channel_intervals().items():
+        for name, intervals in channel_intervals.items():
             sources[name] = intervals[0][2].path.source
             queue: deque[tuple[int, BePacket]] = deque()
             pattern = patterns.get(name)
@@ -260,38 +259,31 @@ class BeNetworkSimulator:
                 span = end - start
                 if pattern is None or span <= 0:
                     continue
-                base_cycle = start * fmt.flit_size
                 if use_tables:
                     table, count = _compiled.pattern_slice(
                         table_cache, pattern, full_horizon_cycles,
-                        span * fmt.flit_size, fmt)
-                    ticks = start + table.ready[:count]
+                        span * flit_size, fmt)
+                    rows = zip((start + table.ready[:count]).tolist(),
+                               table.cycles[:count].tolist(),
+                               table.words[:count].tolist(),
+                               table.mids[:count].tolist())
+                else:
+                    rows = ((start + -(-e.cycle // flit_size), e.cycle,
+                             e.words, e.message_id)
+                            for e in pattern.events(span * flit_size))
+                base_cycle = start * flit_size
+                out_ports = ca.path.out_ports
+                for tick, cycle, words, mid in rows:
                     # An arrival mid-way through the last active slot
                     # only becomes injectable at the stop boundary
                     # itself — by then the session is gone (the
                     # flit-level simulator drops the same arrival with
                     # the schedule row).
-                    keep = ticks < end
-                    for tick, cyc, words, mid in zip(
-                            ticks[keep].tolist(),
-                            table.cycles[:count][keep].tolist(),
-                            table.words[:count][keep].tolist(),
-                            table.mids[:count][keep].tolist()):
-                        shifted = MessageEvent(base_cycle + cyc, words,
-                                               mid)
+                    if tick < end:
                         queue.extend(
                             (tick, p) for p in self._packetise(
-                                name, ca.path.out_ports, shifted))
-                    continue
-                for event in pattern.events(span * fmt.flit_size):
-                    tick = start + -(-event.cycle // fmt.flit_size)
-                    if tick >= end:
-                        continue
-                    shifted = MessageEvent(base_cycle + event.cycle,
-                                           event.words, event.message_id)
-                    queue.extend(
-                        (tick, p) for p in self._packetise(
-                            name, ca.path.out_ports, shifted))
+                                name, out_ports, base_cycle + cycle,
+                                words, mid))
             arrivals[name] = queue
         return self._run_loop(n_ticks, arrivals, sources)
 
@@ -346,29 +338,13 @@ class BeNetworkSimulator:
                 arbiters=[RoundRobinArbiter(n_in) for _ in range(n_out)])
         return routers
 
-    def _build_arrivals(self, n_ticks: int
-                        ) -> dict[str, deque[tuple[int, BePacket]]]:
-        fmt = self.fmt
-        horizon_cycles = n_ticks * fmt.flit_size
-        arrivals: dict[str, deque[tuple[int, BePacket]]] = {}
-        for name, ca in sorted(self.config.allocation.channels.items()):
-            pattern = self._patterns.get(name)
-            queue: deque[tuple[int, BePacket]] = deque()
-            if pattern is not None:
-                for event in pattern.events(horizon_cycles):
-                    tick = -(-event.cycle // fmt.flit_size)
-                    queue.extend(
-                        (tick, p) for p in self._packetise(
-                            name, ca.path.out_ports, event))
-            arrivals[name] = queue
-        return arrivals
-
     def _packetise(self, channel: str, out_ports: tuple[int, ...],
-                   event) -> list[BePacket]:
+                   created_cycle: int, words: int, message_id: int
+                   ) -> list[BePacket]:
         """Split one message into wormhole packets."""
         fmt = self.fmt
-        total_flits = max(1, -(-event.words // fmt.payload_words_per_flit))
-        message_bytes = event.words * fmt.bytes_per_word
+        total_flits = max(1, -(-words // fmt.payload_words_per_flit))
+        message_bytes = words * fmt.bytes_per_word
         packets: list[BePacket] = []
         remaining = total_flits
         while remaining > 0:
@@ -379,8 +355,8 @@ class BeNetworkSimulator:
             # reports the whole message's payload, matching the
             # flit-level simulator's accounting.
             packets.append(BePacket(
-                channel=channel, message_id=event.message_id,
-                created_cycle=event.cycle, out_ports=out_ports,
+                channel=channel, message_id=message_id,
+                created_cycle=created_cycle, out_ports=out_ports,
                 n_flits=flits,
                 payload_bytes=message_bytes if final else 0,
                 is_final=final))

@@ -418,7 +418,7 @@ class _WorkerHandle:
 _RESULT_FLUSH = 32
 
 
-def _worker_main(conn, scenarios, base_seed: int) -> None:
+def _worker_main(conn, parent_ends, scenarios, base_seed: int) -> None:
     """Worker loop: pull batches, push batched result envelopes.
 
     ``scenarios`` — the shared immutable scenario library — arrives
@@ -426,7 +426,14 @@ def _worker_main(conn, scenarios, base_seed: int) -> None:
     batch item is just ``(run_id, scenario_name, seed)``.  Results flow
     back in chunks of at most ``_RESULT_FLUSH`` runs, so neither
     direction pays one pipe round-trip per microsecond-scale run.
+
+    ``parent_ends`` are the parent-side pipe ends this process inherited
+    (its own and every earlier worker's).  They are closed first: while
+    any worker holds one open, a SIGKILLed parent never reads as EOF
+    and every worker blocks in ``recv`` forever.
     """
+    for end in parent_ends:
+        end.close()
     try:
         while True:
             try:
@@ -482,14 +489,10 @@ class CampaignRunner:
     def __init__(self, spec: CampaignSpec, *, workers: int = 1,
                  telemetry=None, workdir: str | os.PathLike | None = None,
                  resume: bool = False, keep_records: bool = True,
-                 shard_size: int | None = None,
-                 max_batch: int = _MAX_BATCH):
+                 shard_size: int | None = None):
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")
-        if max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {max_batch}")
         if not keep_records and workdir is None:
             raise ConfigurationError(
                 "streaming aggregation (keep_records=False) needs a "
@@ -504,7 +507,6 @@ class CampaignRunner:
         self.resume = resume
         self.keep_records = keep_records
         self.shard_size = shard_size
-        self.max_batch = max_batch
         self._live_pids: list[int] = []
 
     def worker_pids(self) -> list[int]:
@@ -643,7 +645,8 @@ class CampaignRunner:
             parent_conn, child_conn = multiprocessing.Pipe()
             proc = multiprocessing.Process(
                 target=_worker_main,
-                args=(child_conn, scenarios, self.spec.base_seed),
+                args=(child_conn, [h.conn for h in handles] + [parent_conn],
+                      scenarios, self.spec.base_seed),
                 daemon=True)
             proc.start()
             child_conn.close()
@@ -658,7 +661,7 @@ class CampaignRunner:
 
         def batch_size() -> int:
             live = max(1, sum(1 for h in handles if not h.dead))
-            return max(1, min(self.max_batch,
+            return max(1, min(_MAX_BATCH,
                               len(queue) // (live * 4) or 1))
 
         def send_batch(handle: _WorkerHandle,

@@ -59,6 +59,10 @@ __all__ = ["ChannelAllocation", "Allocation", "AllocatorOptions",
 #: never evicts.
 QUOTE_CACHE_CAP = 16384
 
+#: k-shortest candidate routes considered per channel, by the offline
+#: allocator, the admission quotes and degraded-mode re-allocation.
+PATH_CANDIDATES = 4
+
 
 def excluded_link_keys(topology: Topology,
                        failed_links=(), failed_routers=()
@@ -113,6 +117,43 @@ def _path_free_mask(link_tables: dict[tuple[str, str], "SlotTable"],
         if not mask:
             break
     return mask
+
+
+def _first_fit(link_tables: dict[tuple[str, str], "SlotTable"],
+               spec: ChannelSpec, paths, table_size: int,
+               frequency_hz: float, fmt: WordFormat
+               ) -> tuple["ChannelAllocation | None", list[str]]:
+    """Fit ``spec`` onto the first candidate path that can carry it.
+
+    The placement loop of the offline allocator and of degraded-mode
+    re-allocation: per path, the slot count and gap constraint, the
+    free-slot intersection, then the spreading heuristic.  Returns the
+    (uncommitted) allocation, or ``None``, plus one reason per rejected
+    path — the text of ``AllocationError.reason`` and of a ``dropped``
+    verdict.
+    """
+    failures: list[str] = []
+    for path in paths:
+        try:
+            n, gap = slots_for_channel(spec, path, table_size,
+                                       frequency_hz, fmt)
+        except AllocationError as exc:
+            failures.append(f"{path!r}: {exc.reason}")
+            continue
+        free = set(mask_to_slots(
+            _path_free_mask(link_tables, path, table_size)))
+        if len(free) < n:
+            failures.append(
+                f"{path!r}: {len(free)} free slots < {n} needed")
+            continue
+        slots = spread_slots(free, n, table_size, max_gap=gap)
+        if slots is None:
+            failures.append(
+                f"{path!r}: free slots cannot satisfy gap <= {gap}")
+            continue
+        return ChannelAllocation(spec=spec, path=path, slots=slots), \
+            failures
+    return None, failures
 
 
 @dataclass(frozen=True)
@@ -434,7 +475,6 @@ class Allocation:
     # -- degraded-mode re-allocation ------------------------------------------
 
     def rebuild_excluding(self, failed_links=(), failed_routers=(), *,
-                          options: "AllocatorOptions | None" = None,
                           on_infeasible: str = "drop",
                           telemetry=None) -> RebuildReport:
         """Guarantee-preserving re-allocation around failed resources.
@@ -462,7 +502,6 @@ class Allocation:
             raise ConfigurationError(
                 f"on_infeasible must be 'drop' or 'raise', "
                 f"got {on_infeasible!r}")
-        options = options or AllocatorOptions()
         excluded = excluded_link_keys(self.topology, failed_links,
                                       failed_routers)
         rebuilt = Allocation(self.topology, self.table_size,
@@ -494,7 +533,7 @@ class Allocation:
             ca.spec.name))
         for ca in affected:
             verdicts[ca.spec.name] = self._reroute_one(
-                rebuilt, ca, excluded, options, on_infeasible)
+                rebuilt, ca, excluded, on_infeasible)
         rebuilt.validate()
         # Composability re-check for untouched channels: every (link,
         # slot) reservation they held before the fault must be recorded
@@ -537,49 +576,31 @@ class Allocation:
 
     def _reroute_one(self, rebuilt: "Allocation", ca: ChannelAllocation,
                      excluded: frozenset[tuple[str, str]],
-                     options: "AllocatorOptions",
                      on_infeasible: str) -> ChannelVerdict:
         """Re-allocate one fault-affected channel over surviving paths."""
         from repro.core.exceptions import TopologyError
 
         spec = ca.spec
         old_latency = self._latency_bound(ca)
-        failures: list[str] = []
         try:
             candidates = [
                 p for p in k_shortest_paths(
                     self.topology, ca.path.source, ca.path.dest,
-                    options.path_candidates, exclude_links=excluded)
+                    PATH_CANDIDATES, exclude_links=excluded)
                 if len(p.out_ports) <= self.fmt.max_hops]
         except TopologyError as exc:
-            candidates = []
-            failures.append(str(exc))
-        for path in candidates:
-            try:
-                n, gap = slots_for_channel(spec, path, self.table_size,
-                                           self.frequency_hz, self.fmt)
-            except AllocationError as exc:
-                failures.append(f"{path!r}: {exc.reason}")
-                continue
-            size = self.table_size
-            mask = _path_free_mask(rebuilt.link_tables, path, size)
-            free = set(mask_to_slots(mask))
-            if len(free) < n:
-                failures.append(
-                    f"{path!r}: {len(free)} free slots < {n} needed")
-                continue
-            slots = spread_slots(free, n, size, max_gap=gap)
-            if slots is None:
-                failures.append(
-                    f"{path!r}: free slots cannot satisfy gap <= {gap}")
-                continue
-            new_ca = ChannelAllocation(spec=spec, path=path, slots=slots)
+            new_ca, failures = None, [str(exc)]
+        else:
+            new_ca, failures = _first_fit(
+                rebuilt.link_tables, spec, candidates, self.table_size,
+                self.frequency_hz, self.fmt)
+        if new_ca is not None:
             try:
                 rebuilt.commit(new_ca)
             except AllocationError as exc:
                 raise AllocationError(
                     f"re-allocation commit failed for channel "
-                    f"{spec.name!r} on {path!r}: {exc}",
+                    f"{spec.name!r} on {new_ca.path!r}: {exc}",
                     channel=spec.name, reason=exc.reason) from exc
             new_latency = self._latency_bound(new_ca)
             same = (new_ca.n_slots >= ca.n_slots
@@ -638,23 +659,15 @@ class AllocatorOptions:
 
     Attributes
     ----------
-    path_candidates:
-        Number of k-shortest paths considered per channel.
-    load_aware_path:
-        Also try a congestion-weighted shortest path first.
     order:
         Channel processing order: ``"tightness"`` (hardest first — most
         slots, then tightest latency), ``"throughput"`` (highest bandwidth
         first), or ``"input"`` (caller-supplied order, for ablations).
     """
 
-    path_candidates: int = 4
-    load_aware_path: bool = True
     order: str = "tightness"
 
     def __post_init__(self) -> None:
-        if self.path_candidates < 1:
-            raise ConfigurationError("path_candidates must be >= 1")
         if self.order not in ("tightness", "throughput", "input"):
             raise ConfigurationError(f"unknown order {self.order!r}")
 
@@ -813,7 +826,7 @@ class SlotAllocator:
         cached = self._kpath_cache.get(key)
         if cached is None:
             paths = k_shortest_paths(self.topology, src_ni, dst_ni,
-                                     self.options.path_candidates)
+                                     PATH_CANDIDATES)
             cached = tuple(p for p in paths
                            if len(p.out_ports) <= self.fmt.max_hops)
             self._kpath_cache[key] = cached
@@ -890,7 +903,7 @@ class SlotAllocator:
         usable = [p for p in cached
                   if not excluded or excluded.isdisjoint(p.link_keys())]
         exclusion_filtered = len(usable) < len(cached)
-        if self.options.load_aware_path and allocation is not None:
+        if allocation is not None:
             tables = allocation.link_tables
 
             def weight(key: tuple[str, str]) -> float:
@@ -928,32 +941,14 @@ class SlotAllocator:
         return _path_free_mask(allocation.link_tables, path,
                                self.table_size)
 
-    def _free_injection_slots(self, allocation: Allocation,
-                              path: Path) -> set[int]:
-        """Injection slots free on every link of ``path`` after shifting."""
-        return set(mask_to_slots(self.free_injection_mask(allocation, path)))
-
     def _allocate_one(self, allocation: Allocation, spec: ChannelSpec,
                       mapping: Mapping) -> ChannelAllocation:
-        failures: list[str] = []
-        for path in self._candidates(spec, mapping, allocation):
-            try:
-                n, gap = slots_for_channel(spec, path, self.table_size,
-                                           self.frequency_hz, self.fmt)
-            except AllocationError as exc:
-                failures.append(f"{path!r}: {exc.reason}")
-                continue
-            free = self._free_injection_slots(allocation, path)
-            if len(free) < n:
-                failures.append(
-                    f"{path!r}: {len(free)} free slots < {n} needed")
-                continue
-            slots = spread_slots(free, n, self.table_size, max_gap=gap)
-            if slots is None:
-                failures.append(
-                    f"{path!r}: free slots cannot satisfy gap <= {gap}")
-                continue
-            return ChannelAllocation(spec=spec, path=path, slots=slots)
+        ca, failures = _first_fit(
+            allocation.link_tables, spec,
+            self._candidates(spec, mapping, allocation), self.table_size,
+            self.frequency_hz, self.fmt)
+        if ca is not None:
+            return ca
         detail = "; ".join(failures) if failures else "no candidate paths"
         raise AllocationError(
             f"cannot allocate channel {spec.name!r} "

@@ -192,9 +192,7 @@ class ReconfigurationManager:
         # Rebuild first: with on_infeasible="raise" a failure must leave
         # the manager exactly as it was — no half-applied exclusions.
         report = self.allocation.rebuild_excluding(
-            all_links, all_routers,
-            options=self.allocator.options,
-            on_infeasible=on_infeasible)
+            all_links, all_routers, on_infeasible=on_infeasible)
         self.failed_links = all_links
         self.failed_routers = all_routers
         self.allocator.set_excluded_links(excluded_link_keys(

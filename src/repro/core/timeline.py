@@ -285,6 +285,68 @@ class ReconfigurationTimeline:
             changes = changes[:lo]
         return initial_t, changes
 
+    def check_replay(self, n_slots: int | None = None, traffic=(), *,
+                     topology: Topology | None = None,
+                     table_size: int | None = None,
+                     frequency_hz: float | None = None,
+                     fmt: WordFormat | None = None,
+                     holder: str = "simulator",
+                     units: str = "slots") -> int:
+        """Vet one replay request; returns the horizon to simulate.
+
+        The keyword fields describe the side about to execute this
+        timeline (``holder`` names it in the table-size message).  Only
+        the fields given are compared, because the replaying sides
+        legitimately differ: TDM schedules cannot be retimed or resized,
+        while the best-effort baseline has no slot tables and replays
+        at any frequency.  ``n_slots`` defaults to the timeline's own
+        horizon; ``traffic`` names the channels that are offered load.
+        Raises :class:`ConfigurationError` on the first mismatch.
+
+        >>> from repro.topology.builders import mesh
+        >>> topo = mesh(2, 2, nis_per_router=1)
+        >>> timeline = ReconfigurationTimeline(
+        ...     topo, [], horizon_slots=100, table_size=8,
+        ...     frequency_hz=500e6)
+        >>> timeline.check_replay(topology=topo, table_size=8)
+        100
+        >>> timeline.check_replay(40, frequency_hz=500e6)
+        40
+        >>> timeline.check_replay(101, units="ticks")
+        Traceback (most recent call last):
+            ...
+        repro.core.exceptions.ConfigurationError: n_ticks must be in (0, 100], got 101
+        >>> timeline.check_replay(table_size=16, holder="configuration")
+        Traceback (most recent call last):
+            ...
+        repro.core.exceptions.ConfigurationError: timeline table size 8 != configuration table size 16
+        """
+        if topology is not None and self.topology is not topology:
+            raise ConfigurationError(
+                "timeline was recorded on a different topology object")
+        if table_size is not None and self.table_size != table_size:
+            raise ConfigurationError(
+                f"timeline table size {self.table_size} != "
+                f"{holder} table size {table_size}")
+        if frequency_hz is not None and self.frequency_hz != frequency_hz:
+            raise ConfigurationError(
+                "timeline frequency differs from the configuration's; "
+                "TDM schedules cannot be retimed")
+        if fmt is not None and self.fmt != fmt:
+            raise ConfigurationError(
+                "timeline word format differs from the configuration's")
+        if n_slots is None:
+            n_slots = self.horizon_slots
+        if not 0 < n_slots <= self.horizon_slots:
+            raise ConfigurationError(
+                f"n_{units} must be in (0, {self.horizon_slots}], "
+                f"got {n_slots}")
+        unknown = sorted(set(traffic) - set(self.channel_names))
+        if unknown:
+            raise ConfigurationError(
+                f"traffic names channels outside the timeline: {unknown}")
+        return n_slots
+
     def restricted_to(self, channel_names) -> "ReconfigurationTimeline":
         """The timeline containing only the named channels' transitions.
 
@@ -342,27 +404,22 @@ class TimelineRecorder:
     """Collects timestamped transitions and builds a timeline.
 
     The control plane records transitions in *seconds* of service time;
-    :meth:`build` maps them onto TDM slots.  With ``fit=True`` (the
-    default) the trace is linearly compressed so the last transition
-    lands at ``fill`` of the requested horizon — service time (session
-    lifetimes of milliseconds) and slot time (nanoseconds) differ by six
-    orders of magnitude, so replaying at the physical slot rate would
-    need billions of slots.  Order and relative spacing of transitions
-    are preserved either way, which is all the composability argument
-    needs: the active-set sequence is identical to the live run's.
+    :meth:`build` maps them onto TDM slots by linearly compressing the
+    trace so the last transition lands at ``fill`` of the requested
+    horizon — service time (session lifetimes of milliseconds) and slot
+    time (nanoseconds) differ by six orders of magnitude, so replaying
+    at the physical slot rate would need billions of slots.  Order and
+    relative spacing of transitions are preserved, which is all the
+    composability argument needs: the active-set sequence is identical
+    to the live run's.
     """
 
     def __init__(self, topology: Topology, *, table_size: int,
-                 frequency_hz: float, fmt: WordFormat | None = None,
-                 slots_per_second: float | None = None):
+                 frequency_hz: float, fmt: WordFormat | None = None):
         self.topology = topology
         self.table_size = table_size
         self.frequency_hz = frequency_hz
         self.fmt = fmt or WordFormat()
-        if slots_per_second is not None and slots_per_second <= 0:
-            raise ConfigurationError("slots_per_second must be positive")
-        self.slots_per_second = slots_per_second or (
-            frequency_hz / self.fmt.flit_size)
         self._transitions: list[tuple[float, str, str,
                                       tuple[ChannelAllocation, ...]]] = []
 
@@ -389,39 +446,28 @@ class TimelineRecorder:
         """Record one application/session stop."""
         self._record(time_s, "stop", application, ())
 
-    def build(self, *, horizon_slots: int, fit: bool = True,
+    def build(self, *, horizon_slots: int,
               fill: float = 0.75) -> ReconfigurationTimeline:
         """Convert the recorded transitions into a validated timeline.
 
-        Transitions mapping to a slot at or beyond the horizon are
-        dropped (the mapping is monotone, so a dropped start always
-        drops its stop too); a start whose stop is dropped becomes a
-        survivor.  A session whose start and stop compress onto the
-        *same* slot is zero-length at this resolution — it influences no
-        epoch, so both its events are dropped (keeping it would order
-        the stop before its own start under the stops-first boundary
-        normalisation).
+        A session whose start and stop compress onto the *same* slot is
+        zero-length at this resolution — it influences no epoch, so both
+        its events are dropped (keeping it would order the stop before
+        its own start under the stops-first boundary normalisation).
         """
         if not 0 < fill <= 1:
             raise ConfigurationError("fill must be in (0, 1]")
-        rate = self.slots_per_second
-        fitted = False
-        if fit and self._transitions:
-            last_s = self._transitions[-1][0]
-            if last_s > 0:
-                rate = horizon_slots * fill / last_s
-                fitted = True
+        # Times are recorded in order, so the last one is the largest;
+        # a trace that never leaves t=0 maps to slot 0 at any rate.
+        last_s = self._transitions[-1][0] if self._transitions else 0.0
+        rate = horizon_slots * fill / last_s if last_s > 0 else 0.0
         events: list[TimelineEvent | None] = []
         open_start: dict[str, int] = {}  # application -> index in events
         for time_s, action, application, channels in self._transitions:
-            slot = int(time_s * rate)
-            if fitted:
-                # A fitted trace lies inside the horizon by construction;
-                # clamp away float wobble at fill=1.0 so the final
-                # transition is never silently dropped.
-                slot = min(slot, horizon_slots - 1)
-            if slot >= horizon_slots:
-                continue
+            # The fitted trace lies inside the horizon by construction;
+            # clamp away float wobble at fill=1.0 so the final
+            # transition is never pushed past it.
+            slot = min(int(time_s * rate), horizon_slots - 1)
             if action == "start":
                 open_start[application] = len(events)
             else:

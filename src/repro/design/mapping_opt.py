@@ -329,7 +329,6 @@ class _PlacementState:
 
 def optimize_mapping(topology: Topology, use_case: UseCase, *, seed: int,
                      spec: OptimizerSpec | None = None,
-                     warm_start: Mapping | None = None,
                      warm_starts: list[Mapping] | None = None,
                      link_budget_bytes_per_s: float | None = None,
                      table_size: int | None = None,
@@ -368,9 +367,6 @@ def optimize_mapping(topology: Topology, use_case: UseCase, *, seed: int,
         for candidate in warm_starts:
             candidate.validate(topology)
             starts.append(dict(candidate.ip_to_ni))
-    elif warm_start is not None:
-        warm_start.validate(topology)
-        starts.append(dict(warm_start.ip_to_ni))
     else:
         starts.append(dict(
             traffic_balanced(ips, channels, topology).ip_to_ni))

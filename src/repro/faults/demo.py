@@ -36,11 +36,6 @@ from repro.topology.builders import mesh
 __all__ = ["demo_fault_spec", "survivability_record", "FaultRunOutcome",
            "run_churn_with_faults", "run_faults_demo"]
 
-#: The replay demo's operating point: a 3x3 mesh with two NIs per
-#: router has enough path diversity for rerouting to actually happen.
-DEMO_TABLE_SIZE = 32
-DEMO_FREQUENCY_HZ = 500e6
-
 
 def demo_fault_spec(n_faults: int) -> FaultSpec:
     """The demo adversary: ``n_faults`` failures paced to land inside
@@ -170,12 +165,15 @@ def run_faults_demo(*, n_events: int = 240, n_slots: int = 3000,
     # Local imports: campaign.spec imports service.churn which would
     # cycle through the package __init__s at module scope.
     from repro.campaign.spec import derive_seed
-    from repro.service.churn import ChurnSpec, ChurnWorkload
+    from repro.service.churn import ChurnWorkload
+    from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
+                                    demo_churn_spec)
 
     with coalesce(telemetry).phase("workload"):
+        # The replay demo's topology: a 3x3 mesh with two NIs per router
+        # has enough path diversity for rerouting to actually happen.
         topology = mesh(3, 3, nis_per_router=2)
-        churn = ChurnSpec(n_sessions=max(1, (n_events + 1) // 2 + 8))
-        workload = ChurnWorkload(churn, topology,
+        workload = ChurnWorkload(demo_churn_spec(n_events), topology,
                                  derive_seed(seed, "faults-demo"))
         events = workload.events(limit=n_events)
         schedule = FaultSchedule(

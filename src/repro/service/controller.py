@@ -115,7 +115,6 @@ class SessionService:
                  window: int = 100, record_events: bool = True,
                  validate_every: int = 512,
                  record_timeline: bool = False,
-                 timeline_slot_rate: float | None = None,
                  telemetry=None,
                  monitor: MonitorSpec | bool | None = None,
                  policy: str = "fcfs",
@@ -242,21 +241,20 @@ class SessionService:
             self.recorder = TimelineRecorder(
                 topology, table_size=self.allocator.table_size,
                 frequency_hz=self.allocator.frequency_hz,
-                fmt=self.allocator.fmt,
-                slots_per_second=timeline_slot_rate)
+                fmt=self.allocator.fmt)
 
-    def timeline(self, *, horizon_slots: int, fit: bool = True):
+    def timeline(self, *, horizon_slots: int):
         """The recorded churn as a replayable reconfiguration timeline.
 
-        Requires ``record_timeline=True``; ``fit`` compresses the trace
-        into the requested horizon (see :meth:`~repro.core.timeline.
+        Requires ``record_timeline=True``; the trace is compressed into
+        the requested horizon (see :meth:`~repro.core.timeline.
         TimelineRecorder.build`).
         """
         if self.recorder is None:
             raise ConfigurationError(
                 "timeline recording is off; construct the service with "
                 "record_timeline=True")
-        return self.recorder.build(horizon_slots=horizon_slots, fit=fit)
+        return self.recorder.build(horizon_slots=horizon_slots)
 
     # -- telemetry helpers ----------------------------------------------------
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService
+from repro.service.demo import DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE
 from repro.service.fairness import (FairnessSpec, TenantSpec,
                                     abusive_tenant_mix, tenant_events)
 from repro.telemetry.checked import run_twice
@@ -30,10 +31,6 @@ from repro.topology.builders import concentrated_mesh
 
 __all__ = ["fairness_churn_spec", "fairness_comparison",
            "run_fairness_demo", "RETENTION_FLOOR"]
-
-#: Section VII operating point (shared with the serve demo).
-DEMO_TABLE_SIZE = 32
-DEMO_FREQUENCY_HZ = 500e6
 
 #: Minimum contended/solo admission-rate ratio a well-behaved tenant
 #: must retain under the weighted-fair policy.

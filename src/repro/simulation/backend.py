@@ -262,33 +262,36 @@ class SimulationBackend(ABC):
     def run(self, request: SimRequest) -> SimResult:
         """Execute one request and return the uniform result."""
 
-    def _check_traffic(self, request: SimRequest) -> None:
+    def _execute(self, sim, request: SimRequest):
+        """Run ``request`` on a simulator of the ``set_traffic`` /
+        ``run`` / ``run_timeline`` shape; returns its native result.
+
+        A timeline request is vetted by
+        :meth:`~repro.core.timeline.ReconfigurationTimeline.check_replay`
+        against this backend's configuration (the simulator adds the
+        checks only it can make — TDM schedules cannot be retimed); a
+        static one against the configuration's channel set.
+        """
+        traffic = dict(request.traffic)
         if request.timeline is not None:
-            known = set(request.timeline.channel_names)
-            universe = "timeline"
-        else:
-            known = set(self.config.allocation.channels)
-            universe = "configuration"
-        unknown = sorted(set(request.traffic) - known)
+            request.timeline.check_replay(
+                request.n_slots, traffic, topology=self.config.topology,
+                table_size=self.config.table_size, fmt=self.config.fmt,
+                holder="configuration")
+            return sim.run_timeline(request.timeline, request.n_slots,
+                                    traffic=traffic)
+        self._check_traffic(request)
+        for channel, pattern in sorted(traffic.items()):
+            sim.set_traffic(channel, pattern)
+        return sim.run(request.n_slots)
+
+    def _check_traffic(self, request: SimRequest) -> None:
+        unknown = sorted(set(request.traffic) -
+                         set(self.config.allocation.channels))
         if unknown:
             raise ConfigurationError(
-                f"traffic names channels outside the {universe}: "
+                f"traffic names channels outside the configuration: "
                 f"{unknown}")
-
-    def _check_timeline(self, request: SimRequest) -> None:
-        timeline = request.timeline
-        if timeline is None:
-            return
-        if timeline.topology is not self.config.topology:
-            raise ConfigurationError(
-                "timeline was recorded on a different topology object")
-        if timeline.table_size != self.config.table_size:
-            raise ConfigurationError(
-                f"timeline table size {timeline.table_size} != "
-                f"configuration table size {self.config.table_size}")
-        if timeline.fmt != self.config.fmt:
-            raise ConfigurationError(
-                "timeline word format differs from the configuration's")
 
     def _reject_frequency_override(self, request: SimRequest) -> None:
         if request.frequency_hz is not None and \
@@ -328,25 +331,12 @@ class FlitLevelBackend(SimulationBackend):
 
     def run(self, request: SimRequest) -> SimResult:
         from repro.simulation.flitsim import FlitLevelSimulator
-        self._check_traffic(request)
         self._reject_frequency_override(request)
-        sim = FlitLevelSimulator(
+        result = self._execute(FlitLevelSimulator(
             self.config, flow_control=self.flow_control,
             rx_buffer_words=self.rx_buffer_words,
             check_contention=self.check_contention,
-            compiled=self.compiled, telemetry=self.telemetry)
-        if request.timeline is not None:
-            # Shared compatibility checks here; the frequency rule
-            # (TDM schedules cannot be retimed) is enforced by the
-            # simulator itself, which direct callers also hit.
-            self._check_timeline(request)
-            result = sim.run_timeline(
-                request.timeline, request.n_slots,
-                traffic=dict(request.traffic))
-        else:
-            for channel, pattern in sorted(request.traffic.items()):
-                sim.set_traffic(channel, pattern)
-            result = sim.run(request.n_slots)
+            compiled=self.compiled, telemetry=self.telemetry), request)
         return SimResult(
             backend=self.name, stats=result.stats, trace=result.trace,
             simulated_slots=result.simulated_slots,
@@ -423,21 +413,12 @@ class BestEffortBackend(SimulationBackend):
 
     def run(self, request: SimRequest) -> SimResult:
         from repro.baseline.be_network import BeNetworkSimulator
-        self._check_traffic(request)
         frequency = (request.frequency_hz or self.frequency_hz or
                      self.config.frequency_hz)
-        sim = BeNetworkSimulator(
+        result = self._execute(BeNetworkSimulator(
             self.config, frequency_hz=frequency,
             buffer_flits=self.buffer_flits,
-            max_packet_flits=self.max_packet_flits)
-        if request.timeline is not None:
-            self._check_timeline(request)
-            result = sim.run_timeline(request.timeline, request.n_slots,
-                                      traffic=dict(request.traffic))
-        else:
-            for channel, pattern in sorted(request.traffic.items()):
-                sim.set_traffic(channel, pattern)
-            result = sim.run(request.n_slots)
+            max_packet_flits=self.max_packet_flits), request)
         self.telemetry.counter("executor.dispatch",
                                path="wormhole").inc()
         return SimResult(

@@ -77,13 +77,12 @@ from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.allocation import ChannelAllocation
-    from repro.core.timeline import ReconfigurationTimeline
     from repro.core.words import WordFormat
     from repro.simulation.flitsim import FlitLevelSimulator, FlitSimResult
 
 __all__ = ["numpy_available", "PatternTable", "compile_pattern",
            "pattern_slice", "CompiledStats", "CompiledTraceRecorder",
-           "execute_static", "execute_timeline"]
+           "execute"]
 
 #: Patterns whose ``events(h)`` is a prefix of ``events(H)`` for h <= H,
 #: so one full-horizon table serves every incarnation by slicing.
@@ -566,61 +565,16 @@ def _finish_executor_stats(tel, exec_stats: dict, n_slots: int,
     record_epoch_spans(tel, n_slots, changes)
 
 
-def execute_static(sim: "FlitLevelSimulator",
-                   n_slots: int) -> "FlitSimResult":
-    """Run a static configuration through the compiled executor."""
-    from repro.simulation.flitsim import FlitSimResult
+def execute(sim: "FlitLevelSimulator",
+            initial: tuple["ChannelAllocation", ...], changes: tuple,
+            n_slots: int, patterns: Mapping[str, TrafficPattern]
+            ) -> "FlitSimResult":
+    """Execute a change plan through the compiled executor.
 
-    fmt = sim.fmt
-    flit_size = fmt.flit_size
-    table_size = sim.table_size
-    period_ps = round(1e12 / sim.frequency_hz)
-    channels = sorted(sim.config.allocation.channels.items())
-    if sim.check_contention:
-        occupied: dict = {}
-        for name, alloc in channels:
-            _occupy(occupied, name, alloc, table_size, 0)
-    stats = CompiledStats()
-    trace = CompiledTraceRecorder()
-    flits = {name: 0 for name, _ in channels}
-    horizon_cycles = n_slots * flit_size
-    cache: dict = {}
-    tel = sim.telemetry
-    batch_hist = tel.histogram("executor.interval_batch_messages",
-                               bounds=_BATCH_BUCKETS)
-    exec_stats: dict = {"epochs": 1}
-    for name, alloc in channels:
-        pattern = sim._patterns.get(name)
-        if pattern is None:
-            continue
-        table, count = pattern_slice(cache, pattern, horizon_cycles,
-                                     horizon_cycles, fmt, exec_stats)
-        run = _run_interval(name, table, count, 0, n_slots, alloc,
-                            table_size, flit_size, period_ps,
-                            fmt.bytes_per_word)
-        if run is None:
-            continue
-        exec_stats["interval_runs"] = \
-            exec_stats.get("interval_runs", 0) + 1
-        batch_hist.observe(run.count)
-        stats._add_run(run)
-        if run.n_deliveries:
-            trace._add_run(run)
-        flits[name] += run.n_flits
-    _finish_executor_stats(tel, exec_stats, n_slots, ())
-    return FlitSimResult(
-        stats=stats, trace=trace, simulated_slots=n_slots,
-        frequency_hz=sim.frequency_hz, fmt=fmt,
-        stalled_slots_by_channel={name: 0 for name in flits},
-        flits_by_channel=flits, n_epochs=1, compiled=True,
-        executor_stats=exec_stats)
-
-
-def execute_timeline(sim: "FlitLevelSimulator",
-                     timeline: "ReconfigurationTimeline", n_slots: int,
-                     patterns: Mapping[str, TrafficPattern]
-                     ) -> "FlitSimResult":
-    """Execute a reconfiguration timeline through the compiled executor.
+    ``initial`` holds the channels active from slot 0 and ``changes``
+    the later boundaries, as :meth:`~repro.core.timeline.
+    ReconfigurationTimeline.change_plan` returns them; a static run is
+    the plan with every allocated channel initial and no changes.
 
     Contention-freedom makes channels independent, so each incarnation
     (one ``(start, stop)`` span from the change plan) is solved as one
@@ -638,7 +592,6 @@ def execute_timeline(sim: "FlitLevelSimulator",
     bytes_per_word = fmt.bytes_per_word
     check = sim.check_contention
     occupied: dict = {}
-    initial, changes = timeline.change_plan(until=n_slots)
     stats = CompiledStats()
     trace = CompiledTraceRecorder()
     flits: dict[str, int] = {}

@@ -215,14 +215,16 @@ class FlitLevelSimulator:
     # -- main loop -------------------------------------------------------------
 
     def run(self, n_slots: int) -> FlitSimResult:
-        """Simulate ``n_slots`` flit cycles and return all measurements."""
+        """Simulate ``n_slots`` flit cycles and return all measurements.
+
+        The static run is the one-epoch change plan: every allocated
+        channel active from slot 0, no boundaries.
+        """
         if n_slots <= 0:
             raise ConfigurationError(f"n_slots must be positive, got {n_slots}")
-        if self._use_compiled():
-            from repro.simulation import compiled as compiled_exec
-            return compiled_exec.execute_static(self, n_slots)
-        states = self._build_channel_states(n_slots)
-        return self._execute(n_slots, states, (), {})
+        return self._run_plan(
+            tuple(self.config.allocation.channels.values()), (), n_slots,
+            self._patterns)
 
     def _use_compiled(self) -> bool:
         """Whether this run goes through the compiled executor."""
@@ -246,33 +248,21 @@ class FlitLevelSimulator:
         only the injection-slot schedule entries of channels a
         transition touches.
         """
-        if timeline.table_size != self.table_size:
-            raise ConfigurationError(
-                f"timeline table size {timeline.table_size} != "
-                f"simulator table size {self.table_size}")
-        if timeline.frequency_hz != self.frequency_hz:
-            raise ConfigurationError(
-                "timeline frequency differs from the configuration's; "
-                "TDM schedules cannot be retimed")
-        if timeline.fmt != self.fmt:
-            raise ConfigurationError(
-                "timeline word format differs from the configuration's")
-        if n_slots is None:
-            n_slots = timeline.horizon_slots
-        if not 0 < n_slots <= timeline.horizon_slots:
-            raise ConfigurationError(
-                f"n_slots must be in (0, {timeline.horizon_slots}], "
-                f"got {n_slots}")
         patterns = dict(traffic or {})
-        unknown = sorted(set(patterns) - set(timeline.channel_names))
-        if unknown:
-            raise ConfigurationError(
-                f"traffic names channels outside the timeline: {unknown}")
+        n_slots = timeline.check_replay(
+            n_slots, patterns, table_size=self.table_size,
+            frequency_hz=self.frequency_hz, fmt=self.fmt)
+        initial, changes = timeline.change_plan(until=n_slots)
+        return self._run_plan(initial, changes, n_slots, patterns)
+
+    def _run_plan(self, initial: tuple[ChannelAllocation, ...],
+                  changes: tuple, n_slots: int,
+                  patterns: dict[str, TrafficPattern]) -> FlitSimResult:
+        """Execute a change plan on whichever executor this run uses."""
         if self._use_compiled():
             from repro.simulation import compiled as compiled_exec
-            return compiled_exec.execute_timeline(self, timeline, n_slots,
-                                                  patterns)
-        initial, changes = timeline.change_plan(until=n_slots)
+            return compiled_exec.execute(self, initial, changes, n_slots,
+                                         patterns)
         states = {
             ca.spec.name: self._make_runtime(
                 ca.spec.name, ca, patterns.get(ca.spec.name), 0, n_slots)
@@ -410,14 +400,6 @@ class FlitLevelSimulator:
             executor_stats={"epochs": n_epochs})
 
     # -- helpers ---------------------------------------------------------------
-
-    def _build_channel_states(self, n_slots: int
-                              ) -> dict[str, _ChannelRuntime]:
-        return {
-            name: self._make_runtime(name, alloc,
-                                     self._patterns.get(name), 0, n_slots)
-            for name, alloc in
-            sorted(self.config.allocation.channels.items())}
 
     def _make_runtime(self, name: str, alloc: ChannelAllocation,
                       pattern: TrafficPattern | None, start_slot: int,

@@ -33,10 +33,6 @@ from repro.topology.builders import mesh
 
 __all__ = ["run_replay_demo"]
 
-#: The serve demo's operating point, on a denser (relative) mesh.
-DEMO_TABLE_SIZE = 32
-DEMO_FREQUENCY_HZ = 500e6
-
 
 def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
                     seed: int = 2009, telemetry=None, monitor=None
@@ -57,17 +53,18 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
     # Local imports: campaign.spec imports service.churn which would
     # cycle through the package __init__s at module scope.
     from repro.campaign.spec import derive_seed
-    from repro.service.churn import ChurnSpec, ChurnWorkload
+    from repro.service.churn import ChurnWorkload
     from repro.service.controller import SessionService
+    from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
+                                    demo_churn_spec)
     from repro.simulation.backend import FlitLevelBackend
 
     with coalesce(telemetry).phase("workload"):
         topology = mesh(3, 3, nis_per_router=2)
-        # Every session contributes at most two events; generate a small
-        # surplus so truncation decides the stream length and some
-        # sessions are still open at the cut — the replay's survivors.
-        spec = ChurnSpec(n_sessions=max(1, (n_events + 1) // 2 + 8))
-        workload = ChurnWorkload(spec, topology,
+        # The serve demo's workload and operating point, on a denser
+        # (relative) mesh; the sessions still open when truncation cuts
+        # the stream are the replay's survivors.
+        workload = ChurnWorkload(demo_churn_spec(n_events), topology,
                                  derive_seed(seed, "replay-demo"))
         events = workload.events(limit=n_events)
 

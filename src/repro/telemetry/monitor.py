@@ -55,6 +55,11 @@ __all__ = [
 #: Verdict severity order; combining verdicts takes the worst.
 VERDICTS = ("within_bounds", "tight", "violated")
 
+#: Relative tolerance of every violation comparison (floating-point
+#: guard, same spirit as
+#: :meth:`~repro.core.analysis.ChannelBounds.meets_latency`).
+EPS = 1e-9
+
 
 @dataclass(frozen=True)
 class MonitorSpec:
@@ -63,9 +68,8 @@ class MonitorSpec:
     ``slack_fraction`` is the *remaining-headroom* threshold below
     which an observation is flagged ``tight``: with the default 0.2, a
     channel whose observed worst case consumes 80 % or more of its
-    quoted bound is tight.  ``eps`` is the relative tolerance for the
-    violation comparison itself (floating-point guard, same spirit as
-    :meth:`~repro.core.analysis.ChannelBounds.meets_latency`).
+    quoted bound is tight.  The violation comparison itself carries the
+    relative tolerance :data:`EPS`.
 
     >>> spec = MonitorSpec()
     >>> spec.classify(40.0, 100.0)
@@ -77,7 +81,6 @@ class MonitorSpec:
     """
 
     slack_fraction: float = 0.2
-    eps: float = 1e-9
     top_k: int = 8
 
     def __post_init__(self):
@@ -97,7 +100,7 @@ class MonitorSpec:
         """
         if bound <= 0:
             return "within_bounds"
-        if observed > bound * (1 + self.eps):
+        if observed > bound * (1 + EPS):
             return "violated"
         if observed >= bound * (1 - self.slack_fraction):
             return "tight"
@@ -479,7 +482,7 @@ def quote_conformance(quotes, *, spec: MonitorSpec | None = None,
         else:
             latency_verdict = spec.classify(bound_ns, required_ns)
         throughput_verdict = "within_bounds"
-        if quoted_bps < required_bps * (1 - spec.eps):
+        if quoted_bps < required_bps * (1 - EPS):
             throughput_verdict = "violated"
         entries.append(ChannelConformance(
             channel=session_id, kind="quote",

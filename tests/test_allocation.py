@@ -95,6 +95,37 @@ class TestBasicAllocation:
             _allocator(topo).allocate(channels, mapping)
         assert exc.value.channel is not None
 
+    @pytest.mark.parametrize("spec, hog_slots, detail", [
+        (ChannelSpec("v", "a", "b", 1 * MB, max_latency_ns=5.0), (),
+         "latency below path traversal time"),
+        (ChannelSpec("v", "a", "b", 400 * MB), range(12),
+         "4 free slots < 5 needed"),
+        (ChannelSpec("v", "a", "b", 1 * MB, max_latency_ns=48.0),
+         range(10), "free slots cannot satisfy gap <= 6"),
+    ])
+    def test_infeasible_reason_text(self, spec, hog_slots, detail):
+        """The three per-candidate failure kinds, pinned literally:
+        ``reason`` reaches campaign records' ``error`` field."""
+        from repro.core.allocation import ChannelAllocation
+        topo = single_router(2)
+        mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
+        allocator = _allocator(topo)
+        alloc = allocator.allocate([], mapping)
+        path, = allocator.shortest_candidates("ni0_0_0", "ni0_0_1")
+        if hog_slots:
+            alloc.commit(ChannelAllocation(
+                ChannelSpec("hog", "a", "b", 1 * MB), path,
+                tuple(hog_slots)))
+        with pytest.raises(AllocationError) as exc:
+            allocator.extend(alloc, [spec], mapping)
+        reason = f"Path(ni0_0_0 -> r0_0 -> ni0_0_1): {detail}"
+        assert exc.value.reason == reason
+        assert str(exc.value) == (
+            f"cannot allocate channel 'v' "
+            f"({spec.throughput_bytes_per_s / 1e6:.3g} MB/s, latency "
+            f"{spec.max_latency_ns} ns): {reason}")
+        assert exc.value.channel == "v"
+
     def test_duplicate_channel_names_rejected(self):
         topo = single_router(2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})

@@ -200,6 +200,29 @@ class TestCheckpointResume:
             CampaignRunner(_grid(), resume=True)
 
 
+def _proc_stat(pid: int) -> list[str] | None:
+    """Fields of ``/proc/<pid>/stat`` after the command name."""
+    try:
+        text = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return text.rsplit(")", 1)[1].split()
+
+
+def _children_of(pid: int) -> list[int]:
+    """Pids whose parent is ``pid`` (Linux ``/proc`` scan)."""
+    return sorted(
+        int(entry.name) for entry in Path("/proc").iterdir()
+        if entry.name.isdigit()
+        and (_proc_stat(int(entry.name)) or ["", "-1"])[1] == str(pid))
+
+
+def _is_running(pid: int) -> bool:
+    """False once ``pid`` has exited (gone, or a zombie nobody reaped)."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
 class TestCrashResilience:
     def test_sigkilled_worker_requeues_and_report_matches(self):
         spec = _grid(n_scenarios=10, seeds=tuple(range(1, 11)),
@@ -282,10 +305,19 @@ class TestCrashResilience:
                     break
                 time.sleep(0.01)
             mid_flight = proc.poll() is None and journaled >= 3
+            workers = _children_of(proc.pid)
         finally:
             proc.kill()
             proc.wait(timeout=30.0)
         assert mid_flight, "campaign finished before the SIGKILL landed"
+        # Orphaned workers must see EOF on their pipe and exit: none may
+        # hold a copy of any parent-side pipe end.
+        assert len(workers) == 2
+        deadline = time.time() + 5.0
+        while time.time() < deadline and any(map(_is_running, workers)):
+            time.sleep(0.02)
+        assert not [pid for pid in workers if _is_running(pid)], \
+            "campaign workers outlived their SIGKILLed parent"
         spec = synthetic_campaign(n_scenarios=20,
                                   seeds=tuple(range(1, 21)), work=3000)
         serial = CampaignRunner(spec, workers=1).run().to_json()

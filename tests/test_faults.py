@@ -11,6 +11,7 @@ from repro.campaign.spec import (CampaignSpec, RunSpec, ScenarioSpec,
                                  TopologySpec, WorkloadSpec, derive_seed)
 from repro.core.allocation import excluded_link_keys
 from repro.core.configuration import configure
+from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.faults.model import FaultEvent, FaultSchedule, FaultSpec
 from repro.service.churn import ChurnSpec, ChurnWorkload
@@ -193,6 +194,44 @@ class TestRebuildExcluding:
         assert excinfo.value.channel is not None
         assert excinfo.value.reason
         assert excinfo.value.channel in allocation.channels
+
+    @pytest.mark.parametrize("spec, hog_slots, detail", [
+        (ChannelSpec("v", "a", "b", 1 * MB, max_latency_ns=30.0), (),
+         "latency below path traversal time"),
+        (ChannelSpec("v", "a", "b", 400 * MB), range(12),
+         "4 free slots < 5 needed"),
+        (ChannelSpec("v", "a", "b", 1 * MB, max_latency_ns=60.0),
+         range(10), "free slots cannot satisfy gap <= 5"),
+    ])
+    def test_unreroutable_reason_text(self, spec, hog_slots, detail):
+        """The three per-candidate failure kinds on the one surviving
+        detour, pinned literally for both ``on_infeasible`` modes."""
+        from repro.core.allocation import Allocation, ChannelAllocation
+        from repro.core.words import WordFormat
+        from repro.topology.routing import k_shortest_paths
+        topo = mesh(2, 2, nis_per_router=1)
+        direct, = k_shortest_paths(topo, "ni0_0_0", "ni1_0_0", 1)
+        hog_path, = k_shortest_paths(topo, "ni0_1_0", "ni1_1_0", 1)
+        allocation = Allocation(topo, 16, 500e6, WordFormat())
+        allocation.commit(ChannelAllocation(spec, direct, (0,)))
+        if hog_slots:
+            allocation.commit(ChannelAllocation(
+                ChannelSpec("hog", "h0", "h1", 1 * MB), hog_path,
+                tuple(hog_slots)))
+        dead = [("r0_0", "r1_0")]
+        reason = ("Path(ni0_0_0 -> r0_0 -> r0_1 -> r1_1 -> r1_0 -> "
+                  f"ni1_0_0): {detail}")
+        with pytest.raises(AllocationError) as excinfo:
+            allocation.rebuild_excluding(failed_links=dead,
+                                         on_infeasible="raise")
+        assert excinfo.value.reason == reason
+        assert str(excinfo.value) == (
+            "cannot re-allocate channel 'v' around 1 failed link(s): "
+            + reason)
+        assert excinfo.value.channel == "v"
+        verdict = allocation.rebuild_excluding(
+            failed_links=dead).verdicts["v"]
+        assert (verdict.verdict, verdict.reason) == ("dropped", reason)
 
     def test_bad_arguments(self):
         _, allocation = build_allocation(n_channels=4)

@@ -40,7 +40,7 @@ from repro.simulation.composability import (replay_traffic,
                                             run_with_channels,
                                             verify_timeline)
 from repro.simulation.flitsim import FlitLevelSimulator
-from repro.simulation.traffic import Saturating
+from repro.simulation.traffic import ConstantBitRate, Saturating
 from repro.topology.builders import mesh
 from repro.topology.mapping import Mapping
 
@@ -347,6 +347,44 @@ class TestEpochExecution:
                     for r in result.stats.channel("c2").injections}
         assert injected == {0}
 
+    def test_be_single_epoch_equals_static_run(self, mesh_config,
+                                               monkeypatch):
+        """The best-effort twin of ``test_single_epoch_equals_static_run``:
+        every channel started at slot 0 and never stopped gives the
+        static run's record log, record for record — and so does the
+        numpy-less ``events()`` expansion of the same arrivals."""
+        from repro.baseline import be_network
+        from repro.baseline.be_network import BeNetworkSimulator
+        alloc = mesh_config.allocation
+        timeline = ReconfigurationTimeline(
+            mesh_config.topology,
+            [TimelineEvent(0, "start", "appX",
+                           (alloc.channel("c0"), alloc.channel("c1"))),
+             TimelineEvent(0, "start", "appY", (alloc.channel("c2"),))],
+            horizon_slots=400, table_size=mesh_config.table_size,
+            frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
+        traffic = replay_traffic(timeline)
+        # 10-word messages split into two packets each; c0's last
+        # arrival (cycle 1198) matures exactly at the horizon tick.
+        traffic["c0"] = ConstantBitRate(10, 31.0, offset_cycles=20)
+        static_sim = BeNetworkSimulator(mesh_config)
+        for name, pattern in traffic.items():
+            static_sim.set_traffic(name, pattern)
+        static = static_sim.run(400)
+        dynamic = BeNetworkSimulator(mesh_config).run_timeline(
+            timeline, traffic=traffic)
+        monkeypatch.setattr(be_network._compiled, "numpy_available",
+                            lambda: False)
+        expanded = static_sim.run(400)
+        for other in (dynamic, expanded):
+            assert static.stats.channels == other.stats.channels == \
+                timeline.channel_names
+            for name in timeline.channel_names:
+                assert static.stats.channel(name).injections == \
+                    other.stats.channel(name).injections
+                assert static.stats.channel(name).deliveries == \
+                    other.stats.channel(name).deliveries
+
     def test_timeline_request_validation(self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
         with pytest.raises(ConfigurationError):
@@ -368,6 +406,124 @@ class TestEpochExecution:
             n_slots=timeline.horizon_slots,
             traffic=replay_traffic(timeline), timeline=timeline))
         assert result.meta["n_epochs"] == 3
+
+
+def _replay_faults(config):
+    """The six malformed replay requests, one fault each.
+
+    Each entry maps to ``(config, timeline, n_slots, traffic)``; the
+    well-formed base is ``_mesh_timeline`` replayed on ``config``.
+    """
+    good = _mesh_timeline(config)
+    traffic = replay_traffic(good)
+    from dataclasses import replace
+    from repro.core.words import WordFormat
+    foreign = mesh(2, 2, nis_per_router=1, pipeline_stages=1)
+
+    def rebuilt(**changed):
+        return ReconfigurationTimeline(**{
+            "topology": good.topology, "events": good.events,
+            "horizon_slots": good.horizon_slots,
+            "table_size": good.table_size,
+            "frequency_hz": good.frequency_hz, "fmt": good.fmt,
+            **changed})
+
+    return {
+        "topology": (replace(config, topology=foreign), good, 100,
+                     traffic),
+        "table_size": (config, rebuilt(table_size=16), 100, traffic),
+        "frequency": (config, rebuilt(frequency_hz=250e6), 100, traffic),
+        "fmt": (config, rebuilt(fmt=WordFormat(flit_size=4)), 100,
+                traffic),
+        "n_slots": (config, good, good.horizon_slots + 1, traffic),
+        "traffic": (config, good, 100, {**traffic,
+                                         "ghost": traffic["c0"]}),
+    }
+
+
+_TOPOLOGY = "timeline was recorded on a different topology object"
+_FMT = "timeline word format differs from the configuration's"
+_FREQUENCY = ("timeline frequency differs from the configuration's; "
+              "TDM schedules cannot be retimed")
+_TRAFFIC = "traffic names channels outside the timeline: ['ghost']"
+_REQUEST_N = "n_slots 1001 exceeds the timeline horizon of 1000 slots"
+
+#: route -> fault -> expected ConfigurationError text (None = accepted).
+#: The accept/reject set differs per route on purpose: the direct flit
+#: simulator never looks at topology identity, and the best-effort
+#: baseline replays at any frequency and has no slot tables to size.
+_GUARD_TABLE = {
+    "flit-backend": {
+        "topology": _TOPOLOGY,
+        "table_size": "timeline table size 16 != configuration table "
+                      "size 8",
+        "frequency": _FREQUENCY, "fmt": _FMT, "n_slots": _REQUEST_N,
+        "traffic": _TRAFFIC},
+    "be-backend": {
+        "topology": _TOPOLOGY,
+        "table_size": "timeline table size 16 != configuration table "
+                      "size 8",
+        "frequency": None, "fmt": _FMT, "n_slots": _REQUEST_N,
+        "traffic": _TRAFFIC},
+    "flit-sim": {
+        "topology": None,
+        "table_size": "timeline table size 16 != simulator table size 8",
+        "frequency": _FREQUENCY, "fmt": _FMT,
+        "n_slots": "n_slots must be in (0, 1000], got 1001",
+        "traffic": _TRAFFIC},
+    "be-sim": {
+        "topology": _TOPOLOGY, "table_size": None, "frequency": None,
+        "fmt": _FMT,
+        "n_slots": "n_ticks must be in (0, 1000], got 1001",
+        "traffic": _TRAFFIC},
+}
+
+
+class TestReplayGuardParity:
+    """One fault per request through every replay entry point: which
+    routes reject it, and with exactly which message."""
+
+    @pytest.mark.parametrize("route", sorted(_GUARD_TABLE))
+    @pytest.mark.parametrize("fault", sorted(_GUARD_TABLE["flit-sim"]))
+    def test_malformed_replay_request(self, mesh_config, route, fault):
+        from repro.baseline.be_network import BeNetworkSimulator
+        config, timeline, n_slots, traffic = \
+            _replay_faults(mesh_config)[fault]
+
+        def run():
+            if route == "flit-backend":
+                FlitLevelBackend(config).run(SimRequest(
+                    n_slots=n_slots, traffic=traffic, timeline=timeline))
+            elif route == "be-backend":
+                BestEffortBackend(config).run(SimRequest(
+                    n_slots=n_slots, traffic=traffic, timeline=timeline))
+            elif route == "flit-sim":
+                FlitLevelSimulator(config).run_timeline(
+                    timeline, n_slots, traffic=traffic)
+            else:
+                BeNetworkSimulator(config).run_timeline(
+                    timeline, n_slots, traffic=traffic)
+
+        expected = _GUARD_TABLE[route][fault]
+        if expected is None:
+            run()
+            return
+        with pytest.raises(ConfigurationError) as excinfo:
+            run()
+        assert str(excinfo.value) == expected
+
+    def test_well_formed_request_accepted_everywhere(self, mesh_config):
+        from repro.baseline.be_network import BeNetworkSimulator
+        timeline = _mesh_timeline(mesh_config)
+        traffic = replay_traffic(timeline)
+        request = SimRequest(n_slots=100, traffic=traffic,
+                             timeline=timeline)
+        assert FlitLevelBackend(mesh_config).run(request).stats.channels
+        assert BestEffortBackend(mesh_config).run(request).stats.channels
+        FlitLevelSimulator(mesh_config).run_timeline(
+            timeline, 100, traffic=traffic)
+        BeNetworkSimulator(mesh_config).run_timeline(
+            timeline, 100, traffic=traffic)
 
 
 class TestDynamicComposability:
