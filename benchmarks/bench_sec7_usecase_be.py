@@ -17,8 +17,7 @@ from repro.experiments.report import format_table
 from repro.experiments.section7 import be_crossing_mhz, be_sweep_rows
 from repro.simulation.backend import BestEffortBackend
 from repro.simulation.composability import run_with_channels
-from repro.usecase.runner import (burst_traffic, run_be, run_gs,
-                                  service_latencies_ns)
+from repro.usecase.runner import burst_traffic, run_be, run_gs
 
 SWEEP_MHZ = [500, 700, 900, 1000, 1100]
 
@@ -47,8 +46,8 @@ def test_section7_be_average_lower_max_higher(benchmark, section7):
         rounds=1, iterations=1)
     lower_avg = higher_max = compared = 0
     for name in sorted(config.allocation.channels):
-        g = service_latencies_ns(gs.result.stats, name)
-        b = service_latencies_ns(be.result.stats, name)
+        g = gs.result.stats.service_latencies_ns(name)
+        b = be.result.stats.service_latencies_ns(name)
         if not g or not b:
             continue
         compared += 1

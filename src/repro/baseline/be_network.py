@@ -122,6 +122,7 @@ class _BeRouter:
 class _SourceQueue:
     channel: str
     packets: deque[BePacket] = field(default_factory=deque)
+    injected: int = 0  # packets sent; the queue outlives restarts
 
 
 @dataclass
@@ -461,9 +462,10 @@ class BeNetworkSimulator:
         if packet.flits_sent == 0:
             stats.record_injection(InjectionRecord(
                 channel=packet.channel, message_id=packet.message_id,
-                sequence=0, slot_index=tick,
+                sequence=queue.injected, slot_index=tick,
                 cycle=tick * self.fmt.flit_size,
                 time_ps=tick * self.fmt.flit_size * period_ps))
+            queue.injected += 1
         packet.flits_sent += 1
         if packet.flits_sent == packet.n_flits:
             queue.packets.popleft()

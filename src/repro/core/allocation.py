@@ -30,6 +30,7 @@ behind.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -288,6 +289,12 @@ class ChannelAllocation:
     def worst_wait_slots(self, table_size: int) -> int:
         """Worst-case whole-slot injection wait (max cyclic gap)."""
         return worst_case_wait_slots(self.slots, table_size)
+
+    def reserved_before(self, slot: int, table_size: int) -> int:
+        """How many of this channel's injection slots occur before the
+        absolute ``slot``, counting from slot 0 of the run."""
+        rotations, phase = divmod(slot, table_size)
+        return rotations * len(self.slots) + bisect_left(self.slots, phase)
 
     def link_slots(self, table_size: int) -> dict[tuple[str, str], frozenset[int]]:
         """Slots this channel occupies on each traversed link.

@@ -28,6 +28,7 @@ event order and relative spacing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.core.allocation import Allocation, ChannelAllocation
@@ -108,19 +109,26 @@ class ReconfigurationTimeline:
         self.events: tuple[TimelineEvent, ...] = tuple(sorted(
             events, key=lambda e: (e.slot, e.action != "stop",
                                    e.application)))
-        # Derived views are cached: a timeline is immutable once built,
-        # and the simulators re-query these on every replay run.
-        self._channel_names: tuple[str, ...] | None = None
-        self._change_plan: tuple | None = None
         self._validate()
+        self._plan = self._compile_plan()
 
     # -- validation ------------------------------------------------------------
 
     def _validate(self) -> None:
-        active_apps: dict[str, tuple[ChannelAllocation, ...]] = {}
+        """Check every epoch and pair each start with its stop.
+
+        The one walk over the events that knows how a stop finds its
+        start.  Its product is the lifetime table — per channel, the
+        ``(start_slot, stop_slot, allocation)`` spans it was active,
+        a span never stopped running to the horizon — plus the same
+        pairing per application (``_sessions``, in start order); every
+        other view of the timeline is a read of those.
+        """
+        active_apps: dict[str, list] = {}
         active_names: set[str] = set()
         occupied: dict[tuple[tuple[str, str], int], str] = {}
         link_keys = set(self.topology.iter_link_keys())
+        sessions: list[list] = []  # [start, stop, application, channels]
         for event in self.events:
             if event.slot >= self.horizon_slots:
                 raise ConfigurationError(
@@ -155,65 +163,86 @@ class ReconfigurationTimeline:
                                     reason="slot contention")
                             occupied[(key, slot)] = name
                     active_names.add(name)
-                active_apps[event.application] = event.channels
+                session = [event.slot, self.horizon_slots,
+                           event.application, event.channels]
+                active_apps[event.application] = session
+                sessions.append(session)
             else:
-                channels = active_apps.pop(event.application, None)
-                if channels is None:
+                session = active_apps.pop(event.application, None)
+                if session is None:
                     raise ConfigurationError(
                         f"stop of {event.application!r} at slot "
                         f"{event.slot} without a matching start")
-                for ca in channels:
+                session[1] = event.slot
+                for ca in session[3]:  # the channels its start committed
                     active_names.discard(ca.spec.name)
                     for key, slots in ca.link_slots(
                             self.table_size).items():
                         for slot in slots:
                             del occupied[(key, slot)]
+        self._sessions = tuple(map(tuple, sessions))
+        spans: dict[str, list[tuple[int, int, ChannelAllocation]]] = {}
+        for start, stop, _, channels in self._sessions:
+            for ca in channels:
+                spans.setdefault(ca.spec.name, []).append(
+                    (start, stop, ca))
+        # Sessions are in start order and a name is never active twice,
+        # so each channel's spans are already sorted and disjoint.
+        self._lifetimes = {name: tuple(spans[name])
+                           for name in sorted(spans)}
+
+    def _compile_plan(self) -> tuple:
+        """The simulators' change plan, read off the paired sessions."""
+        initial: list[ChannelAllocation] = []
+        by_slot: dict[int, tuple[list[str], list[ChannelAllocation]]] = {}
+        for start, _, _, channels in self._sessions:
+            if start == 0:
+                initial.extend(channels)
+            else:
+                by_slot.setdefault(start, ([], []))[1].extend(channels)
+        # Stops apply in event order: by slot, then application name.
+        for _, stop, _, channels in sorted(
+                (s for s in self._sessions if s[1] < self.horizon_slots),
+                key=lambda s: (s[1], s[2])):
+            by_slot.setdefault(stop, ([], []))[0].extend(
+                ca.spec.name for ca in channels)
+        return tuple(initial), tuple(
+            (slot, tuple(stops), tuple(starts))
+            for slot, (stops, starts) in sorted(by_slot.items()))
 
     # -- queries ---------------------------------------------------------------
 
     @property
     def channel_names(self) -> tuple[str, ...]:
         """All channel names ever started, sorted."""
-        if self._channel_names is None:
-            names: set[str] = set()
-            for event in self.events:
-                names.update(ca.spec.name for ca in event.channels)
-            self._channel_names = tuple(sorted(names))
-        return self._channel_names
+        return tuple(self._lifetimes)
 
     def channel_allocations(self) -> dict[str, ChannelAllocation]:
         """First-start allocation of every channel, keyed by name."""
-        out: dict[str, ChannelAllocation] = {}
-        for event in self.events:
-            for ca in event.channels:
-                out.setdefault(ca.spec.name, ca)
-        return out
+        return {name: spans[0][2]
+                for name, spans in self._lifetimes.items()}
 
     def channel_intervals(self) -> dict[
             str, tuple[tuple[int, int, ChannelAllocation], ...]]:
-        """Active ``(start_slot, end_slot, allocation)`` spans per channel.
+        """The lifetime table: ``(start_slot, stop_slot, allocation)``
+        spans per channel, sorted by name then start.
 
         A channel never stopped runs to the horizon; a restarted channel
-        contributes one span per start.
+        contributes one span per start.  The table is built once at
+        construction and shared, so treat it as read-only.
         """
-        spans: dict[str, list[tuple[int, int, ChannelAllocation]]] = {}
-        open_spans: dict[str, dict[str, tuple[int, ChannelAllocation]]] = {}
-        for event in self.events:
-            if event.action == "start":
-                held = open_spans.setdefault(event.application, {})
-                for ca in event.channels:
-                    held[ca.spec.name] = (event.slot, ca)
-            else:
-                for name, (start, ca) in sorted(
-                        open_spans.pop(event.application, {}).items()):
-                    spans.setdefault(name, []).append(
-                        (start, event.slot, ca))
-        for held in open_spans.values():
-            for name, (start, ca) in sorted(held.items()):
-                spans.setdefault(name, []).append(
-                    (start, self.horizon_slots, ca))
-        return {name: tuple(sorted(entry))
-                for name, entry in sorted(spans.items())}
+        return self._lifetimes
+
+    def clipped_intervals(self, until: int) -> dict[
+            str, tuple[tuple[int, int, ChannelAllocation], ...]]:
+        """The lifetime table as seen by a run of ``until`` slots.
+
+        Both ends of every span are clipped to the simulated window, so
+        a span the run never entered has zero length.
+        """
+        return {name: tuple((min(start, until), min(stop, until), ca)
+                            for start, stop, ca in spans)
+                for name, spans in self._lifetimes.items()}
 
     def survivors(self, *, until: int | None = None) -> tuple[str, ...]:
         """Channels still running at slot ``until`` (default: horizon).
@@ -225,10 +254,9 @@ class ReconfigurationTimeline:
         """
         if until is None:
             until = self.horizon_slots
-        return tuple(sorted(
-            name for name, intervals in self.channel_intervals().items()
-            if any(start < until <= stop
-                   for start, stop, _ in intervals)))
+        return tuple(
+            name for name, spans in self._lifetimes.items()
+            if any(start < until <= stop for start, stop, _ in spans))
 
     def epoch_boundaries(self) -> tuple[int, ...]:
         """Slots at which the active channel set changes, including 0."""
@@ -252,38 +280,11 @@ class ReconfigurationTimeline:
         start/stop pairing is resolved over the *full* event list first,
         so truncation never unbalances an application).
         """
-        if self._change_plan is None:
-            app_channels: dict[str, tuple[ChannelAllocation, ...]] = {}
-            initial: list[ChannelAllocation] = []
-            by_slot: dict[int, tuple[list[str],
-                                     list[ChannelAllocation]]] = {}
-            for event in self.events:
-                if event.action == "start":
-                    app_channels[event.application] = event.channels
-                    if event.slot == 0:
-                        initial.extend(event.channels)
-                    else:
-                        by_slot.setdefault(event.slot, ([], []))[1].extend(
-                            event.channels)
-                else:
-                    stopped = app_channels.pop(event.application)
-                    by_slot.setdefault(event.slot, ([], []))[0].extend(
-                        ca.spec.name for ca in stopped)
-            changes = tuple(
-                (slot, tuple(stops), tuple(starts))
-                for slot, (stops, starts) in sorted(by_slot.items()))
-            self._change_plan = (tuple(initial), changes)
-        initial_t, changes = self._change_plan
+        initial, changes = self._plan
         if until is not None:
-            lo, hi = 0, len(changes)
-            while lo < hi:  # first boundary at or beyond the prefix end
-                mid = (lo + hi) // 2
-                if changes[mid][0] < until:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            changes = changes[:lo]
-        return initial_t, changes
+            changes = changes[:bisect_left(changes, until,
+                                           key=lambda change: change[0])]
+        return initial, changes
 
     def check_replay(self, n_slots: int | None = None, traffic=(), *,
                      topology: Topology | None = None,
@@ -355,20 +356,14 @@ class ReconfigurationTimeline:
         every other application's churn disappears.
         """
         wanted = set(channel_names)
-        retained_apps: set[str] = set()
         events: list[TimelineEvent] = []
-        for event in self.events:
-            if event.action == "start":
-                kept = tuple(ca for ca in event.channels
-                             if ca.spec.name in wanted)
-                if kept:
-                    retained_apps.add(event.application)
-                    events.append(TimelineEvent(
-                        event.slot, "start", event.application, kept))
-            elif event.application in retained_apps:
-                retained_apps.discard(event.application)
-                events.append(TimelineEvent(
-                    event.slot, "stop", event.application))
+        for start, stop, application, channels in self._sessions:
+            kept = tuple(ca for ca in channels if ca.spec.name in wanted)
+            if not kept:
+                continue
+            events.append(TimelineEvent(start, "start", application, kept))
+            if stop < self.horizon_slots:
+                events.append(TimelineEvent(stop, "stop", application))
         return ReconfigurationTimeline(
             self.topology, events, horizon_slots=self.horizon_slots,
             table_size=self.table_size, frequency_hz=self.frequency_hz,

@@ -28,8 +28,8 @@ from repro.synthesis.technology import (TECH_90LP, TECH_130,
 from repro.synthesis.timing_model import router_area_at_frequency_um2
 from repro.usecase.generator import Section7Instance, generate_section7
 from repro.usecase.runner import (be_frequency_sweep, burst_traffic,
-                                  configure_section7, run_be, run_gs,
-                                  service_latencies_ns)
+                                  configure_section7, fold_requirements,
+                                  run_be, run_gs)
 
 __all__ = ["section7_setup", "usecase_gs_rows", "be_sweep_rows",
            "cost_rows", "composability_rows", "DEFAULT_SWEEP_MHZ"]
@@ -50,26 +50,12 @@ def usecase_gs_rows(config: NocConfiguration, *, n_slots: int = 3000
     """Per-application guaranteed-service verification rows."""
     outcome = run_gs(config, n_slots=n_slots)
     rows: list[dict[str, object]] = []
-    stats = outcome.result.stats
-    bounds = config.bounds()
-    by_app: dict[str, list[str]] = {}
-    for name, ca in config.allocation.channels.items():
-        by_app.setdefault(ca.spec.application, []).append(name)
+    by_app: dict[str, list] = {}
+    for ca in config.allocation.channels.values():
+        by_app.setdefault(ca.spec.application, []).append(ca)
     for app, channels in sorted(by_app.items()):
-        worst_margin = float("inf")
-        n_ok = 0
-        max_latency = 0.0
-        for name in channels:
-            latencies = service_latencies_ns(stats, name)
-            if not latencies:
-                continue
-            worst = max(latencies)
-            max_latency = max(max_latency, worst)
-            required = config.allocation.channel(name).spec.max_latency_ns
-            if required is None or worst <= required:
-                n_ok += 1
-            if required is not None:
-                worst_margin = min(worst_margin, required - worst)
+        n_ok, max_latency, worst_margin = fold_requirements(
+            channels, outcome.worst_latency_ns)
         rows.append({
             "application": app,
             "connections": len(channels),

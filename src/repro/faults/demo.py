@@ -112,11 +112,6 @@ def run_churn_with_faults(topology, events, schedule, *,
     """
     from repro.service.controller import SessionService, merge_events
 
-    if monitor is True:
-        from repro.telemetry.monitor import MonitorSpec
-        monitor = MonitorSpec()
-    elif monitor is False:
-        monitor = None
     tel = coalesce(telemetry)
 
     def service(record_timeline: bool, run_telemetry=None,

@@ -351,10 +351,8 @@ def _run_interval(channel: str, table: PatternTable, count: int,
     np = _np
     s = np.asarray(alloc.slots, dtype=np.int64)
     m = s.size
-    base = (start // table_size) * m + \
-        int(np.searchsorted(s, start % table_size))
-    total = (end // table_size) * m + \
-        int(np.searchsorted(s, end % table_size)) - base
+    base = alloc.reserved_before(start, table_size)
+    total = alloc.reserved_before(end, table_size) - base
     if total <= 0:
         return None
     ready = table.ready_running[:count] + start
@@ -462,15 +460,16 @@ class CompiledStats(StatsCollector):
                            for d in self._by_channel[name].deliveries)
         return out
 
-    def service_latencies_ns(self, channel: str) -> list[float] | None:
-        """Array fast path for :func:`repro.usecase.runner.
-        service_latencies_ns`; ``None`` defers to the record walk."""
+    def service_latencies_ns(self, channel: str) -> list[float]:
+        """Service latencies from the arrays, one incarnation per run;
+        the record walk answers where a run cannot vectorise."""
         runs = self._runs.get(channel)
-        if runs is None:
-            return None if channel in self._by_channel else []
-        if len(runs) != 1:
-            return None
-        return runs[0].service_latencies_ns()
+        if runs is not None:
+            solved = [run.service_latencies_ns() for run in runs]
+            if None not in solved:
+                return [latency for population in solved
+                        for latency in population]
+        return super().service_latencies_ns(channel)
 
 
 class CompiledTraceRecorder(TraceRecorder):
@@ -478,7 +477,7 @@ class CompiledTraceRecorder(TraceRecorder):
 
     Traces materialise per channel on first access and are byte-equal
     to the reference recorder's tuples, so
-    :meth:`~repro.simulation.monitors.TraceRecorder.equal_on` and the
+    :meth:`~repro.simulation.monitors.TraceRecorder.agreement` and the
     dynamic composability check work unchanged.
     """
 

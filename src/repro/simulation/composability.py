@@ -129,14 +129,10 @@ def compare_subsets(config: NocConfiguration,
     for name, active in sorted(scenarios.items()):
         restricted = run_with_channels(config, traffic, active, n_slots,
                                        backend_factory=backend_factory)
-        identical: list[str] = []
-        diverged: list[str] = []
-        for ch in sorted(active & all_channels):
-            matched = reference.trace(ch) == restricted.trace(ch)
-            (identical if matched else diverged).append(ch)
+        identical, diverged = reference.agreement(
+            restricted, sorted(active & all_channels))
         reports.append(ComposabilityReport(
-            scenario=name, identical=tuple(identical),
-            diverged=tuple(diverged)))
+            scenario=name, identical=identical, diverged=diverged))
     return reports
 
 
@@ -246,15 +242,10 @@ def verify_timeline(timeline: ReconfigurationTimeline,
         traffic={ch: pattern for ch, pattern in traffic.items()
                  if ch in survivor_set},
         timeline=timeline.restricted_to(survivors))).composability_trace()
-    identical: list[str] = []
-    diverged: list[str] = []
-    for ch in survivors:
-        matched = churn.trace(ch) == solo.trace(ch)
-        (identical if matched else diverged).append(ch)
+    identical, diverged = churn.agreement(solo, survivors)
     # Count only epochs the run actually entered (boundaries beyond a
     # truncated window were never simulated).
-    n_epochs = sum(1 for boundary in timeline.epoch_boundaries()
-                   if boundary < n_slots)
+    n_epochs = len(timeline.change_plan(until=n_slots)[1]) + 1
     conformance = None
     if monitor is not None and monitor is not False:
         from repro.telemetry.monitor import MonitorSpec, timeline_conformance
@@ -266,5 +257,5 @@ def verify_timeline(timeline: ReconfigurationTimeline,
     return DynamicComposabilityReport(
         scenario=scenario, backend=backend.name,
         n_epochs=n_epochs, survivors=survivors,
-        identical=tuple(identical), diverged=tuple(diverged),
+        identical=identical, diverged=diverged,
         conformance=conformance)

@@ -24,8 +24,8 @@ from typing import Iterable
 from repro.core.exceptions import SimulationError
 
 __all__ = ["InjectionRecord", "DeliveryRecord", "ChannelStats",
-           "StatsCollector", "TraceRecorder", "LatencySummary",
-           "latency_digest"]
+           "ServiceObservation", "StatsCollector", "TraceRecorder",
+           "LatencySummary", "latency_digest"]
 
 
 def latency_digest(label: str, stats: "StatsCollector",
@@ -53,6 +53,10 @@ class InjectionRecord:
 
     A plain mutable record: the simulators emit one per flit on the hot
     path, so construction cost matters more than immutability.
+    ``sequence`` counts the channel's injections since it (re)started:
+    a timeline that restarts a channel restarts the count, and 0 is
+    what marks the first injection of an incarnation
+    (:meth:`ChannelStats.incarnations`).
     """
 
     channel: str
@@ -153,6 +157,47 @@ class ChannelStats:
         """Latency order statistics over all delivered messages."""
         return LatencySummary.of(r.latency_ns for r in self.deliveries)
 
+    def incarnations(self) -> list["ChannelStats"]:
+        """The records split per (re)start of the channel, in order.
+
+        A timeline may stop a channel and start it again under the same
+        name, on another route, with message ids counting from their
+        first value again.  An injection with ``sequence`` 0 opens an
+        incarnation; a delivery belongs to the incarnation that injected
+        it, which is the last one to start before the message was
+        created.  A channel that never injected has none.
+
+        >>> stats = ChannelStats("c", injections=[
+        ...     InjectionRecord("c", 0, 0, 2, 6, 6000),
+        ...     InjectionRecord("c", 0, 0, 9, 27, 27000)], deliveries=[
+        ...     DeliveryRecord("c", 0, 3, 3000, 12, 12000, 8),
+        ...     DeliveryRecord("c", 0, 24, 24000, 33, 33000, 8)])
+        >>> [(len(i.injections), i.delivered_bytes)
+        ...  for i in stats.incarnations()]
+        [(1, 8), (1, 8)]
+        """
+        injections, deliveries = self.injections, self.deliveries
+        if not injections:
+            return []
+        if injections[-1].sequence == len(injections) - 1:
+            return [self]  # the count never restarted
+        starts = [index for index, record in enumerate(injections)
+                  if record.sequence == 0 and index]
+        if not starts:
+            return [self]
+        out: list[ChannelStats] = []
+        delivered = 0
+        for lo, hi in zip([0] + starts, starts + [len(injections)]):
+            last_injection_ps = injections[hi - 1].time_ps
+            first = delivered
+            while delivered < len(deliveries) and deliveries[
+                    delivered].created_time_ps <= last_injection_ps:
+                delivered += 1
+            out.append(ChannelStats(self.channel,
+                                    deliveries[first:delivered],
+                                    injections[lo:hi]))
+        return out
+
     def throughput_bytes_per_s(self, measured_from_ps: int,
                                measured_to_ps: int) -> float:
         """Delivered payload rate over an observation window.
@@ -166,6 +211,31 @@ class ChannelStats:
             r.payload_bytes for r in self.deliveries
             if measured_from_ps <= r.delivered_time_ps < measured_to_ps)
         return window_bytes * 1e12 / (measured_to_ps - measured_from_ps)
+
+
+class ServiceObservation:
+    """Count, worst and mean of a population of service latencies.
+
+    The one fold every watcher reads — the use-case runs, the
+    experiment tables and the conformance monitor each hold ``worst_ns``
+    against their own requirement or bound with their own tolerance.
+    ``worst_ns`` and ``mean_ns`` are ``None`` when nothing was measured.
+
+    >>> seen = ServiceObservation([30.0, 50.0, 40.0])
+    >>> seen.count, seen.worst_ns, seen.mean_ns
+    (3, 50.0, 40.0)
+    >>> ServiceObservation([]).worst_ns is None
+    True
+    """
+
+    __slots__ = ("latencies_ns", "count", "worst_ns", "mean_ns")
+
+    def __init__(self, latencies_ns: list[float]):
+        self.latencies_ns = latencies_ns
+        self.count = len(latencies_ns)
+        self.worst_ns = max(latencies_ns) if latencies_ns else None
+        self.mean_ns = (sum(latencies_ns) / self.count
+                        if latencies_ns else None)
 
 
 class StatsCollector:
@@ -245,6 +315,62 @@ class StatsCollector:
         """Every delivery latency, in :meth:`all_deliveries` order."""
         return [d.latency_ns for d in self.all_deliveries()]
 
+    def service_latencies_ns(self, channel: str) -> list[float]:
+        """Per-message network service latencies of one channel.
+
+        The service latency of a message excludes queueing behind the
+        channel's *own* earlier messages: it runs from
+        ``max(creation, injection of the previous message)`` to delivery.
+        This is the paper's "flit latency": the time the network takes
+        once a flit is at the head of its NI queue.  The analytical
+        bound covers exactly this quantity, for any arrival process;
+        end-to-end latency additionally contains self-queueing, which is
+        the IP's contract violation, not the network's.
+
+        Message ids and the previous-injection chain restart with the
+        channel, so the walk runs once per incarnation
+        (:meth:`ChannelStats.incarnations`) and the populations are
+        concatenated in order.  This record walk is the reference;
+        collectors backed by schedule arrays override it.
+        """
+        latencies: list[float] = []
+        for incarnation in self.channel(channel).incarnations():
+            injections = {r.message_id: r.time_ps
+                          for r in incarnation.injections}
+            previous_injection: int | None = None
+            for record in sorted(incarnation.deliveries,
+                                 key=lambda d: d.message_id):
+                ready = record.created_time_ps
+                if previous_injection is not None and \
+                        previous_injection > ready:
+                    ready = previous_injection
+                latencies.append(
+                    (record.delivered_time_ps - ready) / 1000.0)
+                previous_injection = injections.get(record.message_id,
+                                                    previous_injection)
+        return latencies
+
+    def service_observation(self, channel: str) -> ServiceObservation:
+        """The fold of :meth:`service_latencies_ns` over one channel."""
+        return ServiceObservation(self.service_latencies_ns(channel))
+
+    def incarnation_observations(self, channel: str) -> list[
+            tuple[int, int, ServiceObservation]]:
+        """``(first injection slot, delivered bytes, observation)`` of
+        each incarnation of one channel, for judging a restarted
+        channel span by span."""
+        latencies = self.service_latencies_ns(channel)
+        out = []
+        taken = 0
+        for incarnation in self.channel(channel).incarnations():
+            count = len(incarnation.deliveries)
+            out.append((incarnation.injections[0].slot_index,
+                        incarnation.delivered_bytes,
+                        ServiceObservation(
+                            latencies[taken:taken + count])))
+            taken += count
+        return out
+
 
 class TraceRecorder:
     """Exact per-flit timing traces for composability comparison.
@@ -282,22 +408,13 @@ class TraceRecorder:
         """Channels with at least one event, sorted."""
         return tuple(sorted(self._events))
 
-    def restricted_to(self, channels: Iterable[str]
-                      ) -> dict[str, tuple[tuple[int, int, int], ...]]:
-        """Traces of a subset of channels, keyed by channel."""
-        return {ch: self.trace(ch) for ch in channels}
-
-    @staticmethod
-    def equal_on(a: "TraceRecorder", b: "TraceRecorder",
-                 channels: Iterable[str]) -> bool:
-        """True when both recorders agree exactly on ``channels``."""
-        channels = list(channels)
-        return a.restricted_to(channels) == b.restricted_to(channels)
-
-    def first_divergence(self, other: "TraceRecorder", channels:
-                         Iterable[str]) -> str | None:
-        """Name of the first channel whose traces differ, or ``None``."""
-        for ch in sorted(channels):
-            if self.trace(ch) != other.trace(ch):
-                return ch
-        return None
+    def agreement(self, other: "TraceRecorder", channels: Iterable[str]
+                  ) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """``(identical, diverged)``: the ``channels`` on which both
+        recorders hold exactly the same trace, and the rest."""
+        identical: list[str] = []
+        diverged: list[str] = []
+        for channel in channels:
+            matched = self.trace(channel) == other.trace(channel)
+            (identical if matched else diverged).append(channel)
+        return tuple(identical), tuple(diverged)

@@ -42,8 +42,10 @@ regression sentinel, which reads *recorded* trajectories from disk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+
+from repro.simulation.monitors import ServiceObservation
 
 __all__ = [
     "MonitorSpec", "ChannelConformance", "ConformanceReport",
@@ -336,47 +338,73 @@ class ConformanceReport:
         } for tenant, row in self.tenant_retention.items()]
 
 
-def _trace_conformance(name: str, bounds, stats, simulated_ns: float,
-                       spec: MonitorSpec, *,
-                       active_fraction: float = 1.0
-                       ) -> ChannelConformance:
-    """Fold one channel's measured latencies against one bound quote.
+def _judge_spans(name: str, spans, stats, spec: MonitorSpec, *,
+                 table_size: int, frequency_hz: float, fmt,
+                 horizon: int, simulated_ns: float) -> ChannelConformance:
+    """Hold one channel's measurements against its quotes, span by span.
+
+    ``spans`` are the channel's ``(start, end, allocation)`` lifetimes
+    inside the simulated window.  Each is judged on its own — a channel
+    a fault relocated runs on another route with another bound — and
+    the entry of the span with the least latency headroom is reported,
+    carrying the worst verdict of all of them.
 
     The latency metric is the *service* latency (queueing behind the
     channel's own earlier messages excluded — exactly the quantity the
-    analytical bound covers, see :func:`repro.usecase.runner.
-    service_latencies_ns`).  Delivered throughput is additionally
-    checked against the quoted TDM capacity scaled by the channel's
-    ``active_fraction`` of the simulated window: delivering *more* than
-    the reserved slots allow is physically impossible on a
-    contention-free TDM fabric, so an overdelivery is a monitor-level
-    violation in its own right.
+    analytical bound covers, see :meth:`~repro.simulation.monitors.
+    StatsCollector.service_latencies_ns`).  Delivered bytes are
+    additionally held against the payload capacity of the reserved
+    injection slots that fall inside the span, an exact integer count:
+    delivering *more* than those slots carry is physically impossible
+    on a contention-free TDM fabric, so an overdelivery is a
+    monitor-level violation in its own right.
     """
-    from repro.usecase.runner import service_latencies_ns
+    from repro.core.analysis import channel_bounds
 
-    latencies = service_latencies_ns(stats, name)
-    channel_stats = stats.channel(name)
-    delivered_mb_s = None
-    verdict = "within_bounds"
-    worst = mean = None
-    if latencies:
-        worst = max(latencies)
-        mean = sum(latencies) / len(latencies)
-        verdict = spec.classify(worst, bounds.latency_ns)
-    if simulated_ns > 0 and active_fraction > 0:
-        delivered_mb_s = (channel_stats.delivered_bytes /
-                          (simulated_ns * active_fraction) * 1e9 / 1e6)
-        quoted_mb_s = bounds.throughput_bytes_per_s / 1e6
-        if delivered_mb_s > quoted_mb_s * (1 + 1e-6):
-            verdict = _worst(verdict, "violated")
-    return ChannelConformance(
-        channel=name, kind="trace", verdict=verdict,
-        latency_bound_ns=bounds.latency_ns,
-        worst_latency_ns=worst, mean_latency_ns=mean,
-        n_messages=len(latencies) if latencies else 0,
-        quoted_mb_s=bounds.throughput_bytes_per_s / 1e6,
-        required_mb_s=bounds.required_throughput_bytes_per_s / 1e6,
-        delivered_mb_s=delivered_mb_s)
+    incarnations = stats.incarnation_observations(name)
+    entries = []
+    for start, end, ca in spans:
+        bounds = channel_bounds(ca, table_size, frequency_hz, fmt)
+        delivered_bytes, seen = next(
+            ((delivered, seen) for first_slot, delivered, seen
+             in incarnations if start <= first_slot < end),
+            (0, ServiceObservation([])))
+        verdict = "within_bounds"
+        if seen.count:
+            verdict = spec.classify(seen.worst_ns, bounds.latency_ns)
+        delivered_mb_s = None
+        if simulated_ns > 0 and end > start:
+            delivered_mb_s = (delivered_bytes / (
+                simulated_ns * ((end - start) / horizon)) * 1e9 / 1e6)
+            reserved = (ca.reserved_before(end, table_size) -
+                        ca.reserved_before(start, table_size))
+            if delivered_bytes > reserved * fmt.payload_bytes_per_flit:
+                verdict = "violated"
+        entries.append(ChannelConformance(
+            channel=name, kind="trace", verdict=verdict,
+            latency_bound_ns=bounds.latency_ns,
+            worst_latency_ns=seen.worst_ns, mean_latency_ns=seen.mean_ns,
+            n_messages=seen.count,
+            quoted_mb_s=bounds.throughput_bytes_per_s / 1e6,
+            required_mb_s=bounds.required_throughput_bytes_per_s / 1e6,
+            delivered_mb_s=delivered_mb_s))
+    tightest = min(entries, key=lambda entry: (
+        entry.latency_headroom is None, entry.latency_headroom))
+    return replace(tightest,
+                   verdict=_worst(*(entry.verdict for entry in entries)))
+
+
+def _span_conformance(source: str, scenario: str, spans, stats,
+                      spec: MonitorSpec | None, **window
+                      ) -> ConformanceReport:
+    """One report over ``{channel: spans}``; see :func:`_judge_spans`."""
+    spec = spec or MonitorSpec()
+    return ConformanceReport(
+        source=source, scenario=scenario,
+        channels=tuple(_judge_spans(name, spans[name], stats, spec,
+                                    **window)
+                       for name in sorted(spans)),
+        slack_fraction=spec.slack_fraction)
 
 
 def conformance_from_result(config, result, *,
@@ -389,17 +417,19 @@ def conformance_from_result(config, result, *,
     NocConfiguration` whose analytical bounds were quoted; ``result``
     the :class:`~repro.simulation.backend.SimResult` of simulating it.
     Every allocated channel appears in the report — silent channels
-    (no traffic offered) conform trivially with ``n_messages`` 0.
+    (no traffic offered) conform trivially with ``n_messages`` 0.  A
+    static configuration is the timeline in which every channel lives
+    for the whole run.
     """
-    spec = spec or MonitorSpec()
-    bounds = config.bounds()
-    entries = [
-        _trace_conformance(name, bounds[name], result.stats,
-                           result.simulated_ns, spec)
-        for name in sorted(config.allocation.channels)]
-    return ConformanceReport(source="simulation", scenario=scenario,
-                             channels=tuple(entries),
-                             slack_fraction=spec.slack_fraction)
+    allocation = config.allocation
+    slots = result.simulated_slots
+    return _span_conformance(
+        "simulation", scenario,
+        {name: ((0, slots, ca),)
+         for name, ca in allocation.channels.items()},
+        result.stats, spec, table_size=allocation.table_size,
+        frequency_hz=allocation.frequency_hz, fmt=allocation.fmt,
+        horizon=slots, simulated_ns=result.simulated_ns)
 
 
 def timeline_conformance(timeline, result, *,
@@ -410,40 +440,25 @@ def timeline_conformance(timeline, result, *,
                          ) -> ConformanceReport:
     """Watchdog a churn-timeline replay against per-channel bounds.
 
-    Bounds come from each channel's recorded allocation
-    (:func:`~repro.core.analysis.channel_bounds` at the timeline's
-    operating point); delivered throughput is normalised by each
-    channel's *active* fraction of the simulated window, folded from
-    :meth:`~repro.core.timeline.ReconfigurationTimeline.
-    channel_intervals`.  ``channels`` restricts the check (the dynamic
-    composability flow passes the survivors — the channels whose
-    guarantees are live across every epoch); the default monitors every
-    timeline channel.
+    Every lifetime of a channel is judged against the bound of the
+    allocation it ran on (:func:`~repro.core.analysis.channel_bounds`
+    at the timeline's operating point), over the part of it inside the
+    simulated window (:meth:`~repro.core.timeline.
+    ReconfigurationTimeline.clipped_intervals`).  ``channels`` restricts
+    the check (the dynamic composability flow passes the survivors —
+    the channels whose guarantees are live across every epoch); the
+    default monitors every timeline channel.
     """
-    from repro.core.analysis import channel_bounds
-
-    spec = spec or MonitorSpec()
     horizon = n_slots if n_slots is not None else timeline.horizon_slots
-    allocations = timeline.channel_allocations()
-    intervals = timeline.channel_intervals()
-    monitored = (sorted(channels) if channels is not None
-                 else sorted(allocations))
+    spans = timeline.clipped_intervals(horizon)
+    if channels is not None:
+        spans = {name: spans[name] for name in channels}
     slot_ns = timeline.fmt.flit_size / timeline.frequency_hz * 1e9
-    entries = []
-    for name in monitored:
-        ca = allocations[name]
-        bounds = channel_bounds(ca, timeline.table_size,
-                                timeline.frequency_hz, timeline.fmt)
-        active_slots = sum(
-            max(0, min(end, horizon) - min(start, horizon))
-            for start, end, _ in intervals.get(name, ()))
-        fraction = active_slots / horizon if horizon > 0 else 0.0
-        entries.append(_trace_conformance(
-            name, bounds, result.stats, horizon * slot_ns, spec,
-            active_fraction=fraction))
-    return ConformanceReport(source="timeline", scenario=scenario,
-                             channels=tuple(entries),
-                             slack_fraction=spec.slack_fraction)
+    return _span_conformance(
+        "timeline", scenario, spans, result.stats, spec,
+        table_size=timeline.table_size,
+        frequency_hz=timeline.frequency_hz, fmt=timeline.fmt,
+        horizon=horizon, simulated_ns=horizon * slot_ns)
 
 
 def quote_conformance(quotes, *, spec: MonitorSpec | None = None,
@@ -589,81 +604,75 @@ class FabricRollup:
     series: tuple[tuple[int, float], ...] = ()
 
     @classmethod
-    def from_allocation(cls, allocation) -> "FabricRollup":
-        """Fold one live :class:`~repro.core.allocation.Allocation`.
-
-        Occupancy is derived from each channel's
+    def _weighted(cls, table_size: int, n_channels: int, weighted,
+                  series=()) -> "FabricRollup":
+        """Fold ``(allocation, weight)`` pairs: each channel's
         :meth:`~repro.core.allocation.ChannelAllocation.link_slots`
-        union, so the rollup sees exactly what the link tables enforce.
-        """
-        table_size = allocation.table_size
-        per_link: dict[tuple[str, str], set[int]] = {}
-        per_ni: dict[str, int] = {}
-        channels = allocation.channels
-        for name in sorted(channels):
-            ca = channels[name]
-            for link, slots in ca.link_slots(table_size).items():
-                per_link.setdefault(link, set()).update(slots)
-            per_ni[ca.path.source] = (per_ni.get(ca.path.source, 0) +
-                                      ca.n_slots)
-        return cls(
-            table_size=table_size,
-            n_channels=len(channels),
-            link_slots=tuple(sorted(
-                (f"{src}->{dst}", len(slots))
-                for (src, dst), slots in per_link.items())),
-            ni_slots=tuple(sorted(per_ni.items())))
-
-    @classmethod
-    def from_timeline(cls, timeline, *, n_slots: int | None = None
-                      ) -> "FabricRollup":
-        """Fold a churn timeline into time-weighted occupancy.
-
-        Each channel contributes its slots weighted by the fraction of
-        the simulated window it was active; ``series`` samples the mean
-        link utilisation of the instantaneously-active channel set at
-        slot 0 and at every reconfiguration epoch boundary inside the
-        window.
-        """
-        horizon = n_slots if n_slots is not None else \
-            timeline.horizon_slots
-        table_size = timeline.table_size
-        intervals = timeline.channel_intervals()
+        and injection slots count ``weight`` times."""
         per_link: dict[tuple[str, str], float] = {}
         per_ni: dict[str, float] = {}
-        for name in sorted(intervals):
-            for start, end, ca in intervals[name]:
-                active = max(0, min(end, horizon) - min(start, horizon))
-                if not active or horizon <= 0:
-                    continue
-                weight = active / horizon
-                for link, slots in ca.link_slots(table_size).items():
-                    per_link[link] = (per_link.get(link, 0.0) +
-                                      len(slots) * weight)
-                per_ni[ca.path.source] = (
-                    per_ni.get(ca.path.source, 0.0) +
-                    ca.n_slots * weight)
-        boundaries = [0] + [b for b in timeline.epoch_boundaries()
-                            if 0 < b < horizon]
-        series = []
-        for boundary in boundaries:
-            slots_live = sum(
-                ca.n_slots * len(ca.path.links)
-                for name, spans in intervals.items()
-                for start, end, ca in spans
-                if start <= boundary < end)
-            n_links = max(1, len(timeline.topology.links))
-            series.append((boundary, round(
-                slots_live / (n_links * table_size), 6)))
+        for ca, weight in weighted:
+            for link, slots in ca.link_slots(table_size).items():
+                per_link[link] = per_link.get(link, 0) + len(slots) * weight
+            per_ni[ca.path.source] = (per_ni.get(ca.path.source, 0) +
+                                      ca.n_slots * weight)
         return cls(
-            table_size=table_size,
-            n_channels=len(intervals),
+            table_size=table_size, n_channels=n_channels,
             link_slots=tuple(sorted(
                 (f"{src}->{dst}", round(slots, 4))
                 for (src, dst), slots in per_link.items())),
             ni_slots=tuple(sorted(
                 (ni, round(slots, 4)) for ni, slots in per_ni.items())),
             series=tuple(series))
+
+    @classmethod
+    def from_allocation(cls, allocation) -> "FabricRollup":
+        """Fold one live :class:`~repro.core.allocation.Allocation`.
+
+        Every channel weighs 1 — the one-epoch timeline — so an entry
+        is the whole number of slots the link tables hold reserved.
+        """
+        channels = allocation.channels
+        return cls._weighted(
+            allocation.table_size, len(channels),
+            ((channels[name], 1) for name in sorted(channels)))
+
+    @classmethod
+    def from_timeline(cls, timeline, *, n_slots: int | None = None
+                      ) -> "FabricRollup":
+        """Fold a churn timeline into time-weighted occupancy.
+
+        Each channel lifetime contributes its slots weighted by the
+        fraction of the simulated window it was active; ``series`` is
+        the running sum of the reservations those lifetimes add at
+        their start and drop at their stop — the mean link utilisation
+        of the instantaneously-active channel set at slot 0 and at
+        every reconfiguration epoch boundary inside the window.
+        """
+        horizon = n_slots if n_slots is not None else \
+            timeline.horizon_slots
+        intervals = timeline.clipped_intervals(horizon)
+        weighted = []
+        steps = {0: 0}  # slot -> change in live link-slot reservations
+        for spans in intervals.values():
+            for start, end, ca in spans:
+                if end <= start:
+                    continue
+                weighted.append((ca, (end - start) / horizon))
+                live = ca.n_slots * len(ca.path.links)
+                steps[start] = steps.get(start, 0) + live
+                steps[end] = steps.get(end, 0) - live
+        capacity = (max(1, len(timeline.topology.links)) *
+                    timeline.table_size)
+        series = []
+        slots_live = 0
+        for boundary in sorted(steps):
+            if boundary and boundary >= horizon:
+                break  # slot 0 is always sampled; the rest inside the run
+            slots_live += steps[boundary]
+            series.append((boundary, round(slots_live / capacity, 6)))
+        return cls._weighted(timeline.table_size, len(intervals),
+                             weighted, series)
 
     def hotspots(self, k: int = MonitorSpec.top_k
                  ) -> tuple[tuple[str, float], ...]:

@@ -22,7 +22,7 @@ be substituted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.configuration import NocConfiguration, configure
 from repro.core.exceptions import AllocationError, SimulationError
@@ -34,7 +34,7 @@ from repro.simulation.traffic import (ConstantBitRate, PeriodicBurst,
 from repro.usecase.generator import Section7Instance, generate_section7
 
 __all__ = ["configure_section7", "cbr_traffic", "burst_traffic",
-           "service_latencies_ns", "run_gs", "GsOutcome", "run_be",
+           "fold_requirements", "run_gs", "GsOutcome", "run_be",
            "BeOutcome", "be_frequency_sweep", "SweepRow"]
 
 #: Slot-table size used for the Section VII allocation.  32 slots give
@@ -171,43 +171,30 @@ def burst_traffic(config: NocConfiguration, *,
     return patterns
 
 
-def service_latencies_ns(stats, channel: str) -> list[float]:
-    """Per-message network service latencies of one channel.
+def fold_requirements(channels, worst_latency_ns: dict[str, float]
+                      ) -> tuple[int, float, float]:
+    """Hold measured worst cases against the latency requirements.
 
-    The service latency of a message excludes queueing behind the
-    channel's *own* earlier messages: it runs from
-    ``max(creation, injection of the previous message)`` to delivery.
-    This is the paper's "flit latency": the time the network takes once
-    a flit is at the head of its NI queue.  The analytical bound covers
-    exactly this quantity, for any arrival process; end-to-end latency
-    additionally contains self-queueing, which is the IP's contract
-    violation, not the network's.
-
-    Stats collectors that can answer from compiled schedule arrays
-    (:class:`~repro.simulation.compiled.CompiledStats`) expose a
-    ``service_latencies_ns`` method; it returns ``None`` for channels
-    it cannot vectorise, in which case the record walk below runs.
+    ``channels`` are :class:`~repro.core.allocation.ChannelAllocation`
+    records; those absent from ``worst_latency_ns`` were not measured
+    and are skipped.  Returns ``(n_latency_ok, max_latency_ns,
+    worst_margin_ns)`` — a channel without a requirement is always ok
+    and has no margin.
     """
-    fast = getattr(stats, "service_latencies_ns", None)
-    if fast is not None:
-        latencies = fast(channel)
-        if latencies is not None:
-            return latencies
-    channel_stats = stats.channel(channel)
-    injections = {r.message_id: r.time_ps
-                  for r in channel_stats.injections}
-    deliveries = sorted(channel_stats.deliveries,
-                        key=lambda d: d.message_id)
-    latencies: list[float] = []
-    previous_injection: int | None = None
-    for record in deliveries:
-        ready = record.created_time_ps
-        if previous_injection is not None and previous_injection > ready:
-            ready = previous_injection
-        latencies.append((record.delivered_time_ps - ready) / 1000.0)
-        previous_injection = injections.get(record.message_id,
-                                            previous_injection)
-    return latencies
+    n_ok = 0
+    max_latency = 0.0
+    worst_margin = float("inf")
+    for ca in channels:
+        worst = worst_latency_ns.get(ca.spec.name)
+        if worst is None:
+            continue
+        max_latency = max(max_latency, worst)
+        required = ca.spec.max_latency_ns
+        if required is None or worst <= required:
+            n_ok += 1
+        if required is not None:
+            worst_margin = min(worst_margin, required - worst)
+    return n_ok, max_latency, worst_margin
 
 
 @dataclass(frozen=True)
@@ -220,6 +207,8 @@ class GsOutcome:
     n_latency_ok: int
     n_within_bound: int
     worst_margin_ns: float
+    #: Worst observed service latency of every measured connection.
+    worst_latency_ns: dict[str, float] = field(default_factory=dict)
 
     @property
     def all_requirements_met(self) -> bool:
@@ -237,8 +226,9 @@ def run_gs(config: NocConfiguration, *, n_slots: int = 4000,
            backend: SimulationBackend | None = None) -> GsOutcome:
     """Simulate aelite under the use-case traffic and check guarantees.
 
-    Checks measured *service* latencies (see :func:`service_latencies_ns`)
-    against both the per-connection requirement and the analytical bound.
+    Checks measured *service* latencies (see :meth:`~repro.simulation.
+    monitors.StatsCollector.service_latencies_ns`) against both the
+    per-connection requirement and the analytical bound.
     ``backend`` substitutes any GS-capable backend for the default
     flit-level one (e.g. the cycle-accurate model for a slow ground-truth
     pass).
@@ -247,29 +237,23 @@ def run_gs(config: NocConfiguration, *, n_slots: int = 4000,
     backend = backend or FlitLevelBackend(config)
     result = backend.run(SimRequest(n_slots=n_slots, traffic=traffic))
     bounds = config.bounds()
-    n_measured = n_ok = n_bound = 0
-    worst_margin = float("inf")
-    for name, ca in config.allocation.channels.items():
-        latencies = service_latencies_ns(result.stats, name)
-        if not latencies:
+    channels = config.allocation.channels
+    n_bound = 0
+    worst_by_channel: dict[str, float] = {}
+    for name in channels:
+        worst = result.stats.service_observation(name).worst_ns
+        if worst is None:
             continue
-        n_measured += 1
-        worst = max(latencies)
-        required = ca.spec.max_latency_ns
-        if required is not None:
-            margin = required - worst
-            worst_margin = min(worst_margin, margin)
-            if margin >= 0:
-                n_ok += 1
-        else:
-            n_ok += 1
+        worst_by_channel[name] = worst
         if worst <= bounds[name].latency_ns + 1e-9:
             n_bound += 1
-    return GsOutcome(result=result,
-                     n_connections=len(config.allocation.channels),
-                     n_measured=n_measured, n_latency_ok=n_ok,
+    n_ok, _, worst_margin = fold_requirements(channels.values(),
+                                              worst_by_channel)
+    return GsOutcome(result=result, n_connections=len(channels),
+                     n_measured=len(worst_by_channel), n_latency_ok=n_ok,
                      n_within_bound=n_bound,
-                     worst_margin_ns=worst_margin)
+                     worst_margin_ns=worst_margin,
+                     worst_latency_ns=worst_by_channel)
 
 
 @dataclass(frozen=True)
@@ -304,24 +288,19 @@ def run_be(config: NocConfiguration, *, frequency_hz: float,
     backend = BestEffortBackend(config, buffer_flits=buffer_flits)
     result = backend.run(SimRequest(n_slots=n_ticks, traffic=traffic,
                                     frequency_hz=frequency_hz))
-    n_measured = n_ok = 0
+    channels = config.allocation.channels
     latencies: list[float] = []
-    worst = 0.0
-    for name, ca in config.allocation.channels.items():
-        channel_latencies = service_latencies_ns(result.stats, name)
-        if not channel_latencies:
-            continue
-        n_measured += 1
-        channel_worst = max(channel_latencies)
-        latencies.extend(channel_latencies)
-        worst = max(worst, channel_worst)
-        required = ca.spec.max_latency_ns
-        if required is None or channel_worst <= required:
-            n_ok += 1
+    worst_by_channel: dict[str, float] = {}
+    for name in channels:
+        observed = result.stats.service_observation(name)
+        if observed.count:
+            latencies.extend(observed.latencies_ns)
+            worst_by_channel[name] = observed.worst_ns
+    n_ok, worst, _ = fold_requirements(channels.values(), worst_by_channel)
     mean = sum(latencies) / len(latencies) if latencies else 0.0
     return BeOutcome(frequency_hz=frequency_hz, result=result,
-                     n_connections=len(config.allocation.channels),
-                     n_measured=n_measured, n_latency_ok=n_ok,
+                     n_connections=len(channels),
+                     n_measured=len(worst_by_channel), n_latency_ok=n_ok,
                      mean_latency_ns=mean, max_latency_ns=worst)
 
 

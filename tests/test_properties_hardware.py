@@ -157,9 +157,8 @@ def test_flitsim_bounds_hold_for_random_traffic(seed):
             sim.set_traffic(spec.name, PeriodicBurst(
                 1, 2, rng.randint(20, 60), offset_cycles=i))
     result = sim.run(800)
-    from repro.usecase.runner import service_latencies_ns
     for spec in channels:
-        for latency in service_latencies_ns(result.stats, spec.name):
+        for latency in result.stats.service_latencies_ns(spec.name):
             assert latency <= bounds[spec.name].latency_ns + 1e-9
 
 

@@ -9,7 +9,7 @@ from repro.usecase.generator import (Section7Parameters,
                                      generate_section7)
 from repro.usecase.runner import (be_frequency_sweep, burst_traffic,
                                   cbr_traffic, configure_section7, run_be,
-                                  run_gs, service_latencies_ns)
+                                  run_gs)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ class TestRunners:
         outcome = run_gs(config, n_slots=1200)
         stats = outcome.result.stats
         for name in list(config.allocation.channels)[:10]:
-            service = service_latencies_ns(stats, name)
+            service = stats.service_latencies_ns(name)
             raw = [d.latency_ns for d in stats.channel(name).deliveries]
             assert len(service) == len(raw)
             for s, r in zip(service, raw):

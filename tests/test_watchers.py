@@ -1,0 +1,446 @@
+"""The watch tier reads one lifetime table and one latency definition.
+
+Three kinds of check live here:
+
+* every :class:`~repro.core.timeline.ReconfigurationTimeline` view and
+  the timeline rollup equal the separate event walks they replaced
+  (kept below as test-local references);
+* the use-case runs and the static watchdog still produce the bytes
+  they produced before service latency moved onto the stats collectors
+  (digests taken from the commit before the move);
+* the two wrong verdicts the end-to-end benchmark recorded — a
+  fault-relocated survivor judged against its first route, and a
+  finite-window over-delivery false alarm — stay fixed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.campaign.spec import WorkloadSpec, derive_seed
+from repro.core.allocation import ChannelAllocation
+from repro.core.analysis import channel_bounds
+from repro.core.configuration import configure
+from repro.core.timeline import (TimelineEvent, TimelineRecorder,
+                                 replay_configuration)
+from repro.experiments.section7 import section7_setup, usecase_gs_rows
+from repro.faults.demo import demo_fault_spec, run_churn_with_faults
+from repro.faults.model import FaultSchedule
+from repro.service.churn import ChurnWorkload
+from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
+                                demo_churn_spec)
+from repro.simulation.backend import FlitLevelBackend, SimRequest
+from repro.simulation.compiled import numpy_available
+from repro.simulation.composability import replay_traffic
+from repro.simulation.flitsim import FlitLevelSimulator
+from repro.simulation.monitors import DeliveryRecord, StatsCollector
+from repro.simulation.traffic import PeriodicBurst
+from repro.telemetry.monitor import (FabricRollup, MonitorSpec,
+                                     conformance_from_result,
+                                     timeline_conformance)
+from repro.topology.builders import mesh
+from repro.usecase.runner import burst_traffic, run_be, run_gs
+
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="compiled executor requires numpy")
+
+
+# -- the event walks the lifetime table replaced ---------------------------
+
+
+def ref_channel_names(timeline):
+    names = set()
+    for event in timeline.events:
+        names.update(ca.spec.name for ca in event.channels)
+    return tuple(sorted(names))
+
+
+def ref_channel_allocations(timeline):
+    out = {}
+    for event in timeline.events:
+        for ca in event.channels:
+            out.setdefault(ca.spec.name, ca)
+    return out
+
+
+def ref_channel_intervals(timeline):
+    spans, open_spans = {}, {}
+    for event in timeline.events:
+        if event.action == "start":
+            held = open_spans.setdefault(event.application, {})
+            for ca in event.channels:
+                held[ca.spec.name] = (event.slot, ca)
+        else:
+            for name, (start, ca) in sorted(
+                    open_spans.pop(event.application, {}).items()):
+                spans.setdefault(name, []).append((start, event.slot, ca))
+    for held in open_spans.values():
+        for name, (start, ca) in sorted(held.items()):
+            spans.setdefault(name, []).append(
+                (start, timeline.horizon_slots, ca))
+    return {name: tuple(sorted(entry, key=lambda span: span[:2]))
+            for name, entry in sorted(spans.items())}
+
+
+def ref_survivors(timeline, until):
+    if until is None:
+        until = timeline.horizon_slots
+    return tuple(sorted(
+        name for name, spans in ref_channel_intervals(timeline).items()
+        if any(start < until <= stop for start, stop, _ in spans)))
+
+
+def ref_change_plan(timeline, until):
+    app_channels, initial, by_slot = {}, [], {}
+    for event in timeline.events:
+        if event.action == "start":
+            app_channels[event.application] = event.channels
+            if event.slot == 0:
+                initial.extend(event.channels)
+            else:
+                by_slot.setdefault(event.slot, ([], []))[1].extend(
+                    event.channels)
+        else:
+            stopped = app_channels.pop(event.application)
+            by_slot.setdefault(event.slot, ([], []))[0].extend(
+                ca.spec.name for ca in stopped)
+    changes = tuple((slot, tuple(stops), tuple(starts))
+                    for slot, (stops, starts) in sorted(by_slot.items())
+                    if until is None or slot < until)
+    return tuple(initial), changes
+
+
+def ref_restricted_events(timeline, wanted):
+    retained, events = set(), []
+    for event in timeline.events:
+        if event.action == "start":
+            kept = tuple(ca for ca in event.channels
+                         if ca.spec.name in wanted)
+            if kept:
+                retained.add(event.application)
+                events.append(TimelineEvent(
+                    event.slot, "start", event.application, kept))
+        elif event.application in retained:
+            retained.discard(event.application)
+            events.append(TimelineEvent(event.slot, "stop",
+                                        event.application))
+    return tuple(sorted(events, key=lambda e: (
+        e.slot, e.action != "stop", e.application)))
+
+
+def ref_rollup(timeline, horizon):
+    """``FabricRollup.from_timeline`` as it rescanned every boundary."""
+    table_size = timeline.table_size
+    intervals = ref_channel_intervals(timeline)
+    per_link, per_ni = {}, {}
+    for name in sorted(intervals):
+        for start, end, ca in intervals[name]:
+            active = max(0, min(end, horizon) - min(start, horizon))
+            if not active:
+                continue
+            weight = active / horizon
+            for link, slots in ca.link_slots(table_size).items():
+                per_link[link] = per_link.get(link, 0.0) + \
+                    len(slots) * weight
+            per_ni[ca.path.source] = per_ni.get(ca.path.source, 0.0) + \
+                ca.n_slots * weight
+    series = []
+    for boundary in [0] + [b for b in timeline.epoch_boundaries()
+                           if 0 < b < horizon]:
+        slots_live = sum(ca.n_slots * len(ca.path.links)
+                         for spans in intervals.values()
+                         for start, end, ca in spans
+                         if start <= boundary < end)
+        series.append((boundary, round(
+            slots_live / (max(1, len(timeline.topology.links)) *
+                          table_size), 6)))
+    return FabricRollup(
+        table_size=table_size, n_channels=len(intervals),
+        link_slots=tuple(sorted((f"{src}->{dst}", round(slots, 4))
+                                for (src, dst), slots in per_link.items())),
+        ni_slots=tuple(sorted((ni, round(slots, 4))
+                              for ni, slots in per_ni.items())),
+        series=tuple(series))
+
+
+# -- fixtures --------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def app_pool():
+    """Six two-channel applications allocated together, so any subset
+    of them is a contention-free epoch."""
+    topology = mesh(3, 3, nis_per_router=2)
+    use_case, mapping = WorkloadSpec(
+        n_channels=12, n_ips=18, n_applications=6).build(topology, 4)
+    config = configure(topology, use_case, table_size=16,
+                       frequency_hz=500e6, mapping=mapping,
+                       require_met=False)
+    apps: dict[str, list[ChannelAllocation]] = {}
+    for ca in config.allocation.channels.values():
+        apps.setdefault(ca.spec.application, []).append(ca)
+    return topology, [(app, tuple(chans))
+                      for app, chans in sorted(apps.items())]
+
+
+def toggled_timeline(app_pool, toggles, horizon_slots):
+    """Start each named application if it is stopped, stop it if not."""
+    topology, apps = app_pool
+    recorder = TimelineRecorder(topology, table_size=16,
+                                frequency_hz=500e6)
+    running: set[int] = set()
+    time_s = 0.0
+    for gap, index in toggles:
+        time_s += gap
+        app, channels = apps[index % len(apps)]
+        if index in running:
+            running.discard(index)
+            recorder.record_stop(time_s, app)
+        else:
+            running.add(index)
+            recorder.record_start(time_s, app, channels)
+    return recorder.build(horizon_slots=horizon_slots)
+
+
+@pytest.fixture(scope="module")
+def fault_outcome():
+    """The faults demo's churn+fault run: two of its survivors are
+    relocated onto another route by a link failure."""
+    topology = mesh(3, 3, nis_per_router=2)
+    events = ChurnWorkload(
+        demo_churn_spec(120), topology,
+        derive_seed(2009, "faults-demo")).events(limit=120)
+    schedule = FaultSchedule(
+        demo_fault_spec(6), topology,
+        derive_seed(2009, "faults-demo", "schedule"))
+    return run_churn_with_faults(
+        topology, events, schedule, table_size=DEMO_TABLE_SIZE,
+        frequency_hz=DEMO_FREQUENCY_HZ, horizon_slots=1200,
+        seed=2009, monitor=MonitorSpec())
+
+
+@pytest.fixture(scope="module")
+def section7_config():
+    return section7_setup()[1]
+
+
+# -- one lifetime table ----------------------------------------------------
+
+
+class TestLifetimeTable:
+
+    @settings(max_examples=60, deadline=None)
+    @given(toggles=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                  st.integers(0, 5)), max_size=40),
+        horizon=st.integers(1, 400), until_frac=st.floats(0.01, 1.0),
+        wanted=st.sets(st.integers(0, 11)))
+    def test_every_view_equals_its_event_walk(self, app_pool, toggles,
+                                              horizon, until_frac,
+                                              wanted):
+        timeline = toggled_timeline(app_pool, toggles, horizon)
+        until = max(1, int(horizon * until_frac))
+        assert timeline.channel_names == ref_channel_names(timeline)
+        assert timeline.channel_allocations() == \
+            ref_channel_allocations(timeline)
+        assert timeline.channel_intervals() == \
+            ref_channel_intervals(timeline)
+        assert list(timeline.channel_intervals()) == \
+            list(ref_channel_intervals(timeline))
+        for cut in (None, until):
+            assert timeline.survivors(until=cut) == \
+                ref_survivors(timeline, cut)
+            assert timeline.change_plan(until=cut) == \
+                ref_change_plan(timeline, cut)
+        assert timeline.epoch_boundaries() == tuple(sorted(
+            {0} | {event.slot for event in timeline.events}))
+        names = {f"c{index}" for index in wanted}
+        assert timeline.restricted_to(names).events == \
+            ref_restricted_events(timeline, names)
+        assert FabricRollup.from_timeline(
+            timeline, n_slots=until).to_json() == \
+            ref_rollup(timeline, until).to_json()
+
+    def test_table_is_built_once(self, app_pool):
+        timeline = toggled_timeline(
+            app_pool, [(1.0, i % 6) for i in range(20)], 300)
+        assert timeline.channel_intervals() is timeline.channel_intervals()
+        clipped = timeline.clipped_intervals(100)
+        assert list(clipped) == list(timeline.channel_intervals())
+        assert all(0 <= start <= end <= 100
+                   for spans in clipped.values()
+                   for start, end, _ in spans)
+
+    def test_rollup_long_timeline_bytes_and_linear_series(
+            self, app_pool, monkeypatch):
+        rng = random.Random(11)
+        toggles = [(rng.choice([0.5, 1.0, 2.0]), rng.randrange(6))
+                   for _ in range(700)]
+        timeline = toggled_timeline(app_pool, toggles, 40_000)
+        assert timeline.n_epochs >= 500
+        expected = ref_rollup(timeline, timeline.horizon_slots).to_json()
+        reads = []
+        monkeypatch.setattr(
+            ChannelAllocation, "n_slots",
+            property(lambda ca: reads.append(1) or len(ca.slots)))
+        rollup = FabricRollup.from_timeline(timeline)
+        n_reads = len(reads)
+        monkeypatch.undo()
+        assert rollup.to_json() == expected
+        assert len(rollup.series) == timeline.n_epochs
+        # Two reads per lifetime (its NI weight, its series step) —
+        # never one per lifetime per boundary.
+        n_lifetimes = sum(map(len, timeline.channel_intervals().values()))
+        assert n_reads <= 2 * n_lifetimes
+
+
+# -- one latency definition ------------------------------------------------
+
+
+def digest(value) -> str:
+    return hashlib.sha256(
+        json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
+
+
+class TestCanonicalUseCaseBytes:
+    """Digests of the same calls at the commit before the refactor."""
+
+    def test_use_case_outputs_unchanged(self, section7_config):
+        config = section7_config
+        gs = run_gs(config, n_slots=1200)
+        be = run_be(config, frequency_hz=500e6, n_ticks=400)
+        assert digest(usecase_gs_rows(config, n_slots=1200)) == \
+            "b9ecbbe801fe5d4f"
+        assert digest([gs.n_connections, gs.n_measured, gs.n_latency_ok,
+                       gs.n_within_bound, repr(gs.worst_margin_ns)]) == \
+            "b3ec6c00b6db3027"
+        assert digest([be.n_connections, be.n_measured, be.n_latency_ok,
+                       repr(be.mean_latency_ns),
+                       repr(be.max_latency_ns)]) == "ee4fd8511972979f"
+        assert digest(conformance_from_result(
+            config, gs.result).to_json()) == "8e20ebda1ccc71d0"
+        # run_gs hands its per-connection worst cases on; the rows
+        # are folded from them, not from a second walk.
+        assert set(gs.worst_latency_ns) <= set(config.allocation.channels)
+        assert len(gs.worst_latency_ns) == gs.n_measured
+
+
+@requires_numpy
+class TestRelocatedSurvivor:
+
+    def relocated(self, outcome):
+        lifetimes = outcome.timeline.channel_intervals()
+        return [name for name in outcome.verdict.survivors
+                if len(lifetimes[name]) > 1]
+
+    def test_each_lifetime_is_judged_against_its_own_bound(
+            self, fault_outcome):
+        relocated = self.relocated(fault_outcome)
+        assert relocated
+        report = fault_outcome.verdict.conformance
+        assert report.n_violated == 0
+        assert all(entry.mean_latency_ns >= 0
+                   and entry.worst_latency_ns >= 0
+                   for entry in report.channels)
+        timeline = fault_outcome.timeline
+        entries = {entry.channel: entry for entry in report.channels}
+        for name in relocated:
+            bounds = [channel_bounds(ca, timeline.table_size,
+                                     timeline.frequency_hz,
+                                     timeline.fmt).latency_ns
+                      for _, _, ca in timeline.channel_intervals()[name]]
+            assert entries[name].latency_bound_ns in bounds
+
+    def test_latencies_restart_with_the_channel(self, fault_outcome):
+        timeline = fault_outcome.timeline
+        config = replay_configuration(timeline)
+        traffic = replay_traffic(timeline)
+        compiled = FlitLevelSimulator(config).run_timeline(
+            timeline, traffic=traffic)
+        scalar = FlitLevelSimulator(config, compiled=False).run_timeline(
+            timeline, traffic=traffic)
+        for name in self.relocated(fault_outcome):
+            fast = compiled.stats.service_latencies_ns(name)
+            assert fast and min(fast) >= 0
+            assert fast == scalar.stats.service_latencies_ns(name)
+            assert fast == StatsCollector.service_latencies_ns(
+                compiled.stats, name)
+            per_lifetime = compiled.stats.incarnation_observations(name)
+            assert len(per_lifetime) == \
+                len(timeline.channel_intervals()[name])
+            assert sum(seen.count for _, _, seen in per_lifetime) == \
+                len(fast)
+        # The whole-timeline watchdog agrees on either executor.
+        assert timeline_conformance(timeline, compiled).to_json() == \
+            timeline_conformance(timeline, scalar).to_json()
+
+
+class TestOverDelivery:
+
+    def run(self, config, traffic):
+        return FlitLevelBackend(config).run(
+            SimRequest(n_slots=5000, traffic=traffic))
+
+    def test_required_rates_never_read_as_over_delivery(
+            self, section7_config):
+        config = section7_config
+        bursts = burst_traffic(config)
+        bounds = config.bounds()
+        # Channels are independent on a TDM fabric, so the connections
+        # whose requirement nearly fills their slots can be swept
+        # through every burst phase on their own.
+        nearly_full = [
+            name for name, b in bounds.items()
+            if b.required_throughput_bytes_per_s >
+            0.97 * b.throughput_bytes_per_s]
+        assert "app2_c48" in nearly_full
+        for phase in range(97):
+            traffic = {
+                name: PeriodicBurst(
+                    bursts[name].burst_messages,
+                    bursts[name].message_words,
+                    bursts[name].period_cycles, offset_cycles=phase)
+                for name in nearly_full}
+            report = conformance_from_result(
+                config, self.run(config, traffic))
+            assert report.n_violated == 0, phase
+
+    def test_sec7_static_phases_at_full_rate(self, section7_config):
+        config = section7_config
+        rng = random.Random(2009)
+        rng.uniform(0.94, 0.98)  # the draw sec7_static spends first
+        traffic = {
+            name: PeriodicBurst(burst.burst_messages, burst.message_words,
+                                burst.period_cycles,
+                                offset_cycles=rng.randrange(97))
+            for name, burst in sorted(burst_traffic(config).items())}
+        report = conformance_from_result(config,
+                                         self.run(config, traffic))
+        assert len(report.channels) == 200
+        assert report.n_violated == 0
+
+    def test_real_over_delivery_is_still_a_violation(self, mesh_config):
+        config = mesh_config
+        result = FlitLevelBackend(config).run(SimRequest(
+            n_slots=400, traffic=burst_traffic(config)))
+        assert conformance_from_result(config, result).n_violated == 0
+        ca = config.allocation.channels["c0"]
+        capacity = ca.reserved_before(400, config.table_size) * \
+            config.fmt.payload_bytes_per_flit
+        deliveries = result.stats.channel("c0").deliveries
+        extra = capacity - sum(d.payload_bytes for d in deliveries) + 1
+        last = deliveries[-1]
+        deliveries.append(DeliveryRecord(
+            "c0", last.message_id + 1, last.created_cycle,
+            last.created_time_ps, last.delivered_cycle,
+            last.delivered_time_ps, extra))
+        verdicts = {entry.channel: entry.verdict for entry in
+                    conformance_from_result(config, result).channels}
+        assert verdicts["c0"] == "violated"
+        assert verdicts["c1"] != "violated"
