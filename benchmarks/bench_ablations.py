@@ -13,8 +13,8 @@ from repro.experiments.ablations import (fifo_depth_rows, ordering_rows,
 from repro.experiments.report import format_table
 
 
-def test_ablation_table_size(benchmark):
-    rows = benchmark(table_size_rows)
+def test_ablation_table_size():
+    rows = table_size_rows()
     print()
     print(format_table(rows, title="Ablation — slot-table size"))
     by_size = {row["table_size"]: row for row in rows}
@@ -27,8 +27,8 @@ def test_ablation_table_size(benchmark):
     assert bounds == sorted(bounds)
 
 
-def test_ablation_fifo_depth(benchmark):
-    rows = benchmark(fifo_depth_rows)
+def test_ablation_fifo_depth():
+    rows = fifo_depth_rows()
     print()
     print(format_table(rows, title="Ablation — link-stage FIFO depth"))
     by_depth = {row["fifo_words"]: row for row in rows}
@@ -39,8 +39,8 @@ def test_ablation_fifo_depth(benchmark):
     assert by_depth[8]["area_um2"] > by_depth[4]["area_um2"]
 
 
-def test_ablation_allocation_order(benchmark):
-    rows = benchmark(ordering_rows)
+def test_ablation_allocation_order():
+    rows = ordering_rows()
     print()
     print(format_table(rows, title="Ablation — allocation order"))
     by_order = {row["order"]: row for row in rows}
@@ -49,8 +49,8 @@ def test_ablation_allocation_order(benchmark):
     assert by_order["tightness"]["all_met"]
 
 
-def test_ablation_pipeline_stages(benchmark):
-    rows = benchmark(pipeline_stage_rows)
+def test_ablation_pipeline_stages():
+    rows = pipeline_stage_rows()
     print()
     print(format_table(rows, title="Ablation — link pipeline stages"))
     slots = [row["traversal_slots"] for row in rows]

@@ -1,4 +1,4 @@
-"""Tier-2 benchmark: analytical pruning vs exhaustive design screening.
+"""Tier-2 gate: analytical pruning vs exhaustive design screening.
 
 Opt in with ``--tier2``.  Dimensions a churn-derived workload
 (180 expected-concurrent sessions, Little's law over a hot arrival
@@ -16,9 +16,8 @@ slot-table sizes — twice through the same
   at its frequency ceiling.
 
 Both paths must agree on which candidates are feasible (pruning is a
-sound screen, not a heuristic), and the benchmark asserts the pruned
-search is at least ``TARGET_SPEEDUP`` times faster over the whole grid,
-recording the ratio in ``extra_info`` for the trajectory.
+sound screen, not a heuristic), and the pruned search must be at least
+``TARGET_SPEEDUP`` times faster over the whole grid.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ def _ok_points(report) -> dict[str, float]:
             for r in report.records if r["status"] == "ok"}
 
 
-def test_pruned_screening_speedup(benchmark, tier2):
+def test_pruned_screening_speedup(tier2):
     use_case = workload_from_churn(
         ChurnSpec(n_sessions=200, arrival_rate_per_s=9000.0),
         seed=2009, n_ips=32)
@@ -94,15 +93,6 @@ def test_pruned_screening_speedup(benchmark, tier2):
     pruned_s = min(explore(True)[1] for _ in range(3))
     full_s = min(explore(False)[1] for _ in range(3))
     speedup = full_s / pruned_s
-
-    report, _ = benchmark.pedantic(lambda: explore(True), rounds=3,
-                                   iterations=1)
-    benchmark.extra_info["candidates"] = report.n_candidates
-    benchmark.extra_info["pruned"] = report.count("pruned")
-    benchmark.extra_info["feasible"] = report.count("ok")
-    benchmark.extra_info["exhaustive_s"] = round(full_s, 6)
-    benchmark.extra_info["pruned_s"] = round(pruned_s, 6)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
     assert speedup >= TARGET_SPEEDUP, (
         f"analytical pruning only {speedup:.2f}x faster than exhaustive "
         f"screening (target >= {TARGET_SPEEDUP}x)")

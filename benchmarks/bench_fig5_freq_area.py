@@ -1,7 +1,7 @@
 """Figure 5: cell area versus target frequency, arity-5 32-bit router.
 
 Paper series: ~14 k um^2 flat up to ~650 MHz (< 0.015 mm^2), knee after
-750 MHz, saturation around 875 MHz at ~18 k um^2.  The benchmark prints
+750 MHz, saturation around 875 MHz at ~18 k um^2.  The test prints
 the regenerated series and asserts its shape.
 """
 
@@ -11,8 +11,8 @@ from repro.experiments.figures import figure5_rows
 from repro.experiments.report import format_table
 
 
-def test_figure5_frequency_area_tradeoff(benchmark):
-    rows = benchmark(figure5_rows)
+def test_figure5_frequency_area_tradeoff():
+    rows = figure5_rows()
     print()
     print(format_table(rows, title="Figure 5 — area vs target frequency "
                                    "(arity-5, 32-bit, 90 nm)"))

@@ -13,8 +13,8 @@ from repro.experiments.figures import figure6a_rows
 from repro.experiments.report import format_table
 
 
-def test_figure6a_arity_scaling(benchmark):
-    rows = benchmark(figure6a_rows)
+def test_figure6a_arity_scaling():
+    rows = figure6a_rows()
     print()
     print(format_table(rows, title="Figure 6(a) — area & fmax vs arity "
                                    "(32-bit, max effort)"))

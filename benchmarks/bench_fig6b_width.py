@@ -12,8 +12,8 @@ from repro.experiments.figures import figure6b_rows
 from repro.experiments.report import format_table
 
 
-def test_figure6b_width_scaling(benchmark):
-    rows = benchmark(figure6b_rows)
+def test_figure6b_width_scaling():
+    rows = figure6b_rows()
     print()
     print(format_table(rows, title="Figure 6(b) — area & fmax vs data "
                                    "width (arity-6, max effort)"))

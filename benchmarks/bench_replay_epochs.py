@@ -1,21 +1,24 @@
-"""Tier-2 benchmark: compiled executor vs the per-flit oracle on epochs.
+"""Tier-2 gate: compiled executor vs the per-flit oracle, two change plans.
 
-Opt in with ``--tier2``.  Builds a synthetic reconfiguration
-timeline over the Section VII use case (all 200 connections live, then
-a long stop/restart churn sequence — two transitions every ten slots)
-and executes it both ways through
-:meth:`~repro.simulation.flitsim.FlitLevelSimulator.run_timeline`:
+Opt in with ``--tier2``.  The production flit path is the vectorised
+epoch executor (:mod:`repro.simulation.compiled`, used whenever numpy
+is importable); ``compiled=False`` is the per-flit loop it is checked
+against.  Both run the Section VII use case (200 connections) through
+:class:`~repro.simulation.backend.FlitLevelBackend` on the two shapes a
+change plan takes:
 
-* compiled — the vectorised epoch executor
-  (:mod:`repro.simulation.compiled`; the production path when numpy
-  is importable);
-* ``compiled=False`` — the per-flit loop, rebuilding only the schedule
-  rows a transition touches (the oracle).
+* ``churn`` — every connection live at slot 0, then a round-robin
+  stop/restart sequence, two transitions every ten slots: 601 short
+  epochs, so per-epoch recompilation dominates;
+* ``static`` — the one-epoch plan of a plain run: all 200 connections
+  under the use case's burst traffic for ``STATIC_SLOTS`` slots, so the
+  per-slot loop dominates.
 
-Both paths must produce bit-identical traces and flit counts.  The
-benchmark asserts the compiled executor beats the per-flit path by
-``TARGET_SPEEDUP_COMPILED`` and (with ``--bench-record``) appends the
-measurement to ``benchmarks/records/BENCH_replay_epochs.json``.
+On each plan the two executors must agree bit for bit — executor name,
+epoch count, per-channel flit counts and traces, the worst latency
+margin — and the compiled one must be at least ``TARGET_SPEEDUP``
+times faster.  The test measures, asserts and records nothing; times
+are reported by ``benchmarks/e2e`` (``pipeline``, ``sec7_static``).
 """
 
 from __future__ import annotations
@@ -25,19 +28,22 @@ import time
 import pytest
 
 from repro.core.timeline import ReconfigurationTimeline, TimelineEvent
+from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.compiled import numpy_available
 from repro.simulation.composability import replay_traffic
-from repro.simulation.flitsim import FlitLevelSimulator
+from repro.usecase.runner import burst_traffic, fold_requirements
 
 #: Stop/restart pairs in the churn sequence (two epochs each).
 N_TOGGLES = 300
 #: Slots between consecutive transitions.
 TRANSITION_SPACING = 5
-#: Compiled executor over the per-flit path.
-TARGET_SPEEDUP_COMPILED = 10.0
+#: Horizon of the one-epoch plan.
+STATIC_SLOTS = 2500
+#: Compiled executor over the per-flit oracle, on either plan.
+TARGET_SPEEDUP = 10.0
 
 
-def _section7_timeline(config) -> ReconfigurationTimeline:
+def _churn_plan(config) -> SimRequest:
     """All channels start at slot 0; then a round-robin stop/restart."""
     allocations = sorted(config.allocation.channels.items())
     events = [TimelineEvent(0, "start", name, (ca,))
@@ -49,64 +55,70 @@ def _section7_timeline(config) -> ReconfigurationTimeline:
         slot += TRANSITION_SPACING
         events.append(TimelineEvent(slot, "start", name, (ca,)))
         slot += TRANSITION_SPACING
-    return ReconfigurationTimeline(
+    timeline = ReconfigurationTimeline(
         config.topology, events, horizon_slots=slot + TRANSITION_SPACING,
         table_size=config.table_size, frequency_hz=config.frequency_hz,
         fmt=config.fmt)
-
-
-def test_compiled_replay_speedup(benchmark, tier2, section7,
-                                 bench_record):
-    _, config = section7
-    timeline = _section7_timeline(config)
     # Traffic on a handful of channels keeps the traces meaningful
-    # without letting injection work drown the recompilation signal the
-    # benchmark isolates.
+    # without letting injection work drown the recompilation cost this
+    # plan isolates.
     names = sorted(config.allocation.channels)[:8]
     traffic = {name: pattern
                for name, pattern in replay_traffic(timeline).items()
                if name in names}
-    scalar = FlitLevelSimulator(config, compiled=False)
-    production = FlitLevelSimulator(config)
+    return SimRequest(n_slots=timeline.horizon_slots, traffic=traffic,
+                      timeline=timeline)
 
-    def run(sim):
+
+def _static_plan(config) -> SimRequest:
+    return SimRequest(n_slots=STATIC_SLOTS, traffic=burst_traffic(config))
+
+
+PLANS = {"churn": (_churn_plan, 2 * N_TOGGLES + 1),
+         "static": (_static_plan, 1)}
+
+
+def _worst_margin_ns(config, result) -> float:
+    worst = {}
+    for name in config.allocation.channels:
+        observed = result.stats.service_observation(name).worst_ns
+        if observed is not None:
+            worst[name] = observed
+    return fold_requirements(config.allocation.channels.values(), worst)[2]
+
+
+@pytest.mark.parametrize("plan", sorted(PLANS))
+def test_compiled_speedup(tier2, section7, plan):
+    _, config = section7
+    build, n_epochs = PLANS[plan]
+    request = build(config)
+
+    def run(compiled):
+        backend = FlitLevelBackend(config, compiled=compiled)
         start = time.perf_counter()
-        result = sim.run_timeline(timeline, traffic=traffic)
+        result = backend.run(request)
         return result, time.perf_counter() - start
 
-    # Warm pass per path (also the correctness gate: bit-identical
-    # traces and flit counts).
-    warm_scalar, _ = run(scalar)
-    warm_prod, _ = run(production)
-    n_epochs = 2 * N_TOGGLES + 1
-    assert warm_scalar.n_epochs == warm_prod.n_epochs == n_epochs
-    assert warm_prod.flits_by_channel == warm_scalar.flits_by_channel
-    for name in names:
-        assert warm_prod.trace.trace(name) == warm_scalar.trace.trace(name)
-    assert warm_prod.compiled == numpy_available()
+    # Warm pass per executor doubles as the equivalence gate: the
+    # compiled path must reproduce the oracle's run bit for bit.
+    fast, _ = run(None)
+    oracle, _ = run(False)
+    assert fast.meta["executor"] == (
+        "compiled" if numpy_available() else "per-flit")
+    assert oracle.meta["executor"] == "per-flit"
+    assert fast.meta["n_epochs"] == oracle.meta["n_epochs"] == n_epochs
+    assert fast.meta["flits_by_channel"] == oracle.meta["flits_by_channel"]
+    assert sum(fast.meta["flits_by_channel"].values()) > 0
+    assert fast.trace.channels() == oracle.trace.channels()
+    for name in oracle.trace.channels():
+        assert fast.trace.trace(name) == oracle.trace.trace(name), name
+    assert _worst_margin_ns(config, fast) == _worst_margin_ns(config, oracle)
 
-    per_flit_s = min(run(scalar)[1] for _ in range(3))
-    production_s = min(run(production)[1] for _ in range(3))
-    compiled_speedup = per_flit_s / production_s
-
-    result, _ = benchmark.pedantic(lambda: run(production), rounds=3,
-                                   iterations=1)
-    assert result.n_epochs == n_epochs
-    benchmark.extra_info["epochs"] = result.n_epochs
-    benchmark.extra_info["per_flit_s"] = round(per_flit_s, 6)
-    benchmark.extra_info["compiled_s"] = round(production_s, 6)
-    benchmark.extra_info["compiled_speedup"] = round(compiled_speedup, 2)
+    compiled_s = min(run(None)[1] for _ in range(3))
+    oracle_s = min(run(False)[1] for _ in range(3))
+    speedup = oracle_s / compiled_s
     if numpy_available():
-        assert compiled_speedup >= TARGET_SPEEDUP_COMPILED, (
-            f"compiled executor only {compiled_speedup:.2f}x faster "
-            f"than the per-flit path "
-            f"(target >= {TARGET_SPEEDUP_COMPILED}x)")
-    bench_record(
-        "replay_epochs",
-        wall_s=production_s,
-        ops_per_s=timeline.horizon_slots / production_s,
-        speedup=compiled_speedup,
-        executor="compiled" if warm_prod.compiled else "per-flit",
-        n_epochs=n_epochs,
-        horizon_slots=timeline.horizon_slots,
-        incremental_s=per_flit_s)
+        assert speedup >= TARGET_SPEEDUP, (
+            f"compiled executor only {speedup:.2f}x faster than the "
+            f"per-flit oracle on the {plan} plan "
+            f"(target >= {TARGET_SPEEDUP}x)")

@@ -23,8 +23,8 @@ from repro.experiments.report import format_table
 from repro.experiments.section7 import cost_rows
 
 
-def test_fifo_and_link_stage_costs(benchmark):
-    rows = benchmark(fifo_rows)
+def test_fifo_and_link_stage_costs():
+    rows = fifo_rows()
     print()
     print(format_table(rows, title="Bi-synchronous FIFO cost (4 words)"))
     print()
@@ -37,8 +37,8 @@ def test_fifo_and_link_stage_costs(benchmark):
     assert 0.028 <= meso_total <= 0.037  # paper: ~0.032 mm^2
 
 
-def test_related_work_and_headline_ratios(benchmark):
-    rows = benchmark(related_work_rows)
+def test_related_work_and_headline_ratios():
+    rows = related_work_rows()
     print()
     print(format_table(rows, title="Related-work comparison (arity-5, "
                                    "90 nm)"))
@@ -59,8 +59,8 @@ def test_related_work_and_headline_ratios(benchmark):
     assert aelite_meso < by_design["Beigne et al. [7] asynchronous"]
 
 
-def test_throughput_per_area(benchmark):
-    rows = benchmark(throughput_rows)
+def test_throughput_per_area():
+    rows = throughput_rows()
     print()
     print(format_table(rows, title="Raw throughput per area"))
     arity6_64 = next(r for r in rows if r["router"] == "arity-6, 64-bit")
@@ -69,10 +69,9 @@ def test_throughput_per_area(benchmark):
     assert arity6_64["area_mm2"] <= 0.040
 
 
-def test_usecase_network_cost_ratio(benchmark, section7):
+def test_usecase_network_cost_ratio(section7):
     _, config = section7
-    rows = benchmark.pedantic(lambda: cost_rows(config), rounds=1,
-                              iterations=1)
+    rows = cost_rows(config)
     print()
     print(format_table(rows, title="Section VII — router-network cost"))
     ratio = rows[-1]["network_mm2"]

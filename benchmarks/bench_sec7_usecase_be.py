@@ -22,12 +22,9 @@ from repro.usecase.runner import burst_traffic, run_be, run_gs
 SWEEP_MHZ = [500, 700, 900, 1000, 1100]
 
 
-def test_section7_be_frequency_sweep(benchmark, section7):
+def test_section7_be_frequency_sweep(section7):
     _, config = section7
-    rows = benchmark.pedantic(
-        lambda: be_sweep_rows(config, frequencies_mhz=SWEEP_MHZ,
-                              n_ticks=2500),
-        rounds=1, iterations=1)
+    rows = be_sweep_rows(config, frequencies_mhz=SWEEP_MHZ, n_ticks=2500)
     print()
     print(format_table(rows, title="Section VII — best-effort frequency "
                                    "sweep (same paths, no TDM)"))
@@ -38,12 +35,10 @@ def test_section7_be_frequency_sweep(benchmark, section7):
     assert crossing is not None and crossing > 900
 
 
-def test_section7_be_average_lower_max_higher(benchmark, section7):
+def test_section7_be_average_lower_max_higher(section7):
     _, config = section7
     gs = run_gs(config, n_slots=2000)
-    be = benchmark.pedantic(
-        lambda: run_be(config, frequency_hz=500e6, n_ticks=2000),
-        rounds=1, iterations=1)
+    be = run_be(config, frequency_hz=500e6, n_ticks=2000)
     lower_avg = higher_max = compared = 0
     for name in sorted(config.allocation.channels):
         g = gs.result.stats.service_latencies_ns(name)
@@ -66,13 +61,13 @@ def test_section7_be_average_lower_max_higher(benchmark, section7):
     assert higher_max > 0
 
 
-def test_section7_be_composability_lost(benchmark, section7):
+def test_section7_be_composability_lost(section7):
     """Stopping other applications changes a BE connection's timing.
 
     The comparison targets an application that shares links with its
     neighbours (the clustered floorplan keeps sharing rare but the
     allocator's detours create it); aelite keeps traces bit-identical
-    on exactly the same scenario (see the GS composability benchmark),
+    on exactly the same scenario (see ``bench_sec7_usecase_gs.py``),
     best effort does not.
     """
     _, config = section7
@@ -103,8 +98,7 @@ def test_section7_be_composability_lost(benchmark, section7):
                                  backend_factory=be_factory)
 
     all_channels = set(traffic)
-    full = benchmark.pedantic(lambda: run(all_channels), rounds=1,
-                              iterations=1)
+    full = run(all_channels)
     alone = run(set(target_channels))
     diverged = 0
     for name in target_channels:

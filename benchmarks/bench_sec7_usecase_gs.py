@@ -8,34 +8,18 @@ Paper claims regenerated here:
   requirement and the analytical bound (predictability);
 * removing applications leaves the survivors' flit traces bit-identical
   (composability).
-
-``test_section7_gs_compiled_speedup`` additionally measures the
-compiled vectorised executor against the per-flit reference on the
-same 200-connection run: identical verdicts, traces and flit counts,
-at least ``TARGET_SPEEDUP_COMPILED`` times faster, and (with
-``--bench-record``) one more entry in the recorded perf trajectory
-``benchmarks/records/BENCH_sec7_usecase_gs.json``.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.experiments.report import format_table
 from repro.experiments.section7 import composability_rows, usecase_gs_rows
-from repro.simulation.backend import FlitLevelBackend
-from repro.simulation.compiled import numpy_available
 from repro.usecase.runner import run_gs
 
-#: Compiled executor over the per-flit reference on the full use case.
-TARGET_SPEEDUP_COMPILED = 10.0
-N_SLOTS = 2500
 
-
-def test_section7_gs_meets_all_requirements(benchmark, section7):
+def test_section7_gs_meets_all_requirements(section7):
     _, config = section7
-    outcome = benchmark.pedantic(
-        lambda: run_gs(config, n_slots=2500), rounds=1, iterations=1)
+    outcome = run_gs(config, n_slots=2500)
     print()
     print(format_table(usecase_gs_rows(config, n_slots=2500),
                        title="Section VII — aelite GS @ 500 MHz"))
@@ -44,55 +28,9 @@ def test_section7_gs_meets_all_requirements(benchmark, section7):
     assert outcome.n_measured == 200
 
 
-def test_section7_gs_compiled_speedup(section7, bench_record):
+def test_section7_composability_bit_identical(section7):
     _, config = section7
-
-    def run(compiled):
-        backend = FlitLevelBackend(config, compiled=compiled)
-        start = time.perf_counter()
-        outcome = run_gs(config, n_slots=N_SLOTS, backend=backend)
-        return outcome, time.perf_counter() - start
-
-    # Warm pass per executor doubles as the equivalence gate: the
-    # compiled path must reproduce the reference run bit for bit.
-    fast, _ = run(None)
-    reference, _ = run(False)
-    assert fast.result.meta["executor"] == (
-        "compiled" if numpy_available() else "per-flit")
-    assert reference.result.meta["executor"] == "per-flit"
-    assert fast.all_requirements_met and fast.all_within_bounds
-    assert fast.n_measured == reference.n_measured == 200
-    assert fast.worst_margin_ns == reference.worst_margin_ns
-    ref_trace = reference.result.composability_trace()
-    fast_trace = fast.result.composability_trace()
-    assert fast_trace.channels() == ref_trace.channels()
-    for name in ref_trace.channels():
-        assert fast_trace.trace(name) == ref_trace.trace(name), name
-
-    compiled_s = min(run(None)[1] for _ in range(3))
-    reference_s = min(run(False)[1] for _ in range(2))
-    speedup = reference_s / compiled_s
-    if numpy_available():
-        assert speedup >= TARGET_SPEEDUP_COMPILED, (
-            f"compiled executor only {speedup:.2f}x faster than the "
-            f"per-flit reference on the Section VII use case "
-            f"(target >= {TARGET_SPEEDUP_COMPILED}x)")
-    bench_record(
-        "sec7_usecase_gs",
-        wall_s=compiled_s,
-        ops_per_s=N_SLOTS / compiled_s,
-        speedup=speedup,
-        executor=fast.result.meta["executor"],
-        n_channels=200,
-        n_slots=N_SLOTS,
-        per_flit_s=reference_s)
-
-
-def test_section7_composability_bit_identical(benchmark, section7):
-    _, config = section7
-    rows = benchmark.pedantic(
-        lambda: composability_rows(config, n_slots=1200),
-        rounds=1, iterations=1)
+    rows = composability_rows(config, n_slots=1200)
     print()
     print(format_table(rows, title="Section VII — application isolation"))
     assert all(row["composable"] for row in rows)

@@ -1,4 +1,4 @@
-"""Tier-2 benchmark: overhead of the weighted-fair admission tier.
+"""Tier-2 gate: overhead of the weighted-fair admission tier.
 
 Opt in with ``--tier2``.  Runs the same seeded tenanted
 churn trace (abusive mix: one 10x flooding tenant among three
@@ -12,9 +12,9 @@ shedding, guaranteed floors) — and gates two figures:
 * relative overhead: the fairness tier must cost < 15% wall clock
   versus the FCFS baseline over the identical event stream.
 
-With ``--bench-record`` both figures land in
-``benchmarks/records/BENCH_service_fairness.json`` so the trajectory
-is tracked across PRs (see ``docs/performance.md``).
+FCFS on the same mesh is the faster path, so the throughput floor here
+bounds it too; its time is reported by ``benchmarks/e2e``
+(``churn_warm``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ TARGET_EVENTS_PER_S = 10_000
 MAX_OVERHEAD = 0.15
 
 
-def test_service_fairness_overhead(benchmark, tier2, bench_record):
+def test_service_fairness_overhead(tier2):
     topology = concentrated_mesh(4, 3, nis_per_router=4)
     tenants = abusive_tenant_mix(3, floor_opens_per_window=2)
     workload = ChurnWorkload(
@@ -71,8 +71,7 @@ def test_service_fairness_overhead(benchmark, tier2, bench_record):
     assert warm_wfq.tenants and warm_wfq.fairness
 
     fcfs_report, fcfs_wall = timed("fcfs")
-    wfq_report, wfq_wall = benchmark.pedantic(
-        lambda: timed("wfq"), rounds=1, iterations=1)
+    wfq_report, wfq_wall = timed("wfq")
     events_per_s = len(events) / wfq_wall
     overhead = wfq_wall / fcfs_wall - 1.0
 
@@ -80,14 +79,6 @@ def test_service_fairness_overhead(benchmark, tier2, bench_record):
     # identical stream, so their canonical reports must be byte-equal.
     assert fcfs_report.to_json() == warm_fcfs.to_json()
     assert wfq_report.to_json() == warm_wfq.to_json()
-
-    benchmark.extra_info["n_events"] = len(events)
-    benchmark.extra_info["wfq_events_per_s"] = round(events_per_s)
-    benchmark.extra_info["overhead_vs_fcfs"] = round(overhead, 4)
-    bench_record("service_fairness", wall_s=wfq_wall,
-                 ops_per_s=events_per_s,
-                 fcfs_wall_s=fcfs_wall, overhead_vs_fcfs=overhead,
-                 n_events=len(events))
 
     assert events_per_s >= TARGET_EVENTS_PER_S, (
         f"wfq admission path too slow: {events_per_s:,.0f} events/s "

@@ -1,11 +1,11 @@
 """The on/off overhead harness behind the telemetry and monitor gates.
 
-Runs the admission-churn workload of ``bench_service_churn.py`` (seeded
-churn on the Section VII mesh, warm allocator caches,
-``record_events=False``) twice per round — once plain, once with the
-feature under test armed — alternating the order every round, and
-estimates the feature's cost as ``min(on) / min(off) - 1``.  Three
-measurement details make a 5% gate hold on noisy shared hosts:
+Runs an admission-churn workload (seeded churn on the Section VII
+mesh, warm allocator caches, ``record_events=False``) twice per round —
+once plain, once with the feature under test armed — alternating the
+order every round, and estimates the feature's cost as
+``min(on) / min(off) - 1``.  Three measurement details make a 5% gate
+hold on noisy shared hosts:
 
 * the collector is disabled around each timed run (``gc.disable``) —
   collection pauses otherwise dominate sub-second timings;
@@ -121,7 +121,6 @@ for round_index in range({ROUNDS_PER_PROCESS}):
 print(json.dumps({{
     "off_walls": off_walls,
     "on_walls": on_walls,
-    "n_events": len(events),
     "report_sha": hashlib.sha256(
         baseline_json.encode("utf-8")).hexdigest(),
     **conclude(observed),
@@ -139,15 +138,6 @@ class Overhead(NamedTuple):
     @property
     def overhead(self) -> float:
         return self.on_s / self.off_s - 1.0
-
-    def record_fields(self) -> dict:
-        """The ``bench_record`` keywords every overhead gate shares."""
-        n_events = self.samples[0]["n_events"]
-        return dict(wall_s=self.on_s, ops_per_s=n_events / self.on_s,
-                    overhead=round(self.overhead, 4),
-                    baseline_wall_s=round(self.off_s, 6),
-                    n_events=n_events, processes=PROCESSES,
-                    rounds_per_process=ROUNDS_PER_PROCESS)
 
     def assert_below_gate(self, subject: str) -> None:
         assert self.overhead < MAX_OVERHEAD, (

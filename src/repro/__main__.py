@@ -20,7 +20,6 @@ Usage::
     python -m repro design --demo --workers 4     # Pareto dimensioning
     python -m repro faults --demo --output report.json
     python -m repro monitor --demo --slots 1500 --top 5
-    python -m repro bench-check --tolerance 0.15  # perf-regression sentinel
 
 ``docs/cli.md`` documents every subcommand — flags, example output,
 exit codes — and ``--help`` on any of them lists its flags.
@@ -43,6 +42,7 @@ before the subcommand wraps the invocation in
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -188,7 +188,6 @@ def _ablations() -> None:
 
 def _campaign(args: argparse.Namespace) -> int:
     from repro.campaign import CampaignRunner, preset_by_name
-    from repro.core.exceptions import ConfigurationError
     if args.demo and args.preset:
         print("campaign: --demo and --preset are mutually exclusive",
               file=sys.stderr)
@@ -197,11 +196,7 @@ def _campaign(args: argparse.Namespace) -> int:
         print("campaign: pick --demo or --preset <name>; build custom "
               "grids with repro.campaign in Python", file=sys.stderr)
         return 2
-    try:
-        spec = preset_by_name("demo" if args.demo else args.preset)
-    except ConfigurationError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+    spec = preset_by_name("demo" if args.demo else args.preset)
     workdir = args.resume or args.workdir
     if args.stream and workdir is None:
         print("campaign: --stream needs --workdir (the shard journals "
@@ -216,31 +211,26 @@ def _campaign(args: argparse.Namespace) -> int:
             title=f"campaign {spec.name!r} — {len(runs)} runs"))
         return 0
     from repro.telemetry.hub import Telemetry
-    workers = max(1, args.workers)
     tel = Telemetry(name="campaign")
-    try:
-        with tel.phase("campaign"):
-            result = CampaignRunner(
-                spec, workers=workers, telemetry=tel, workdir=workdir,
-                resume=args.resume is not None,
-                keep_records=not args.stream,
-                shard_size=args.shard_size).run()
-    except ConfigurationError as exc:
-        print(f"campaign: {exc}", file=sys.stderr)
-        return 2
+    with tel.phase("campaign"):
+        result = CampaignRunner(
+            spec, workers=args.workers, telemetry=tel, workdir=workdir,
+            resume=args.resume is not None,
+            keep_records=not args.stream,
+            shard_size=args.shard_size).run()
     print(format_table(result.summary_rows(),
                        title=f"campaign {spec.name!r} — {result.n_runs} "
-                             f"runs on {workers} workers "
+                             f"runs on {args.workers} workers "
                              f"({result.n_failed} failed)"))
     print("\n" + result.summary())
     agree = True
-    if workers > 1 and args.demo and workdir is None:
+    if args.workers > 1 and args.demo and workdir is None:
         with tel.phase("serial-verify"):
             serial = CampaignRunner(spec, workers=1).run()
         agree = serial.to_json() == result.to_json()
         print(f"\nserial/parallel reports byte-identical: "
               f"{'yes' if agree else 'NO — DETERMINISM BUG'}")
-    elif workers == 1:
+    elif args.workers == 1:
         print("\nworkers=1: in-process run, serial/parallel "
               "determinism check skipped")
     _print_campaign_meta(result.meta)
@@ -320,7 +310,7 @@ def _checked_demo(args: argparse.Namespace) -> int:
 def _design_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
     from repro.design import run_design_demo
     report, identical, matches = run_design_demo(
-        workers=max(1, args.workers), seed=args.seed,
+        workers=args.workers, seed=args.seed,
         spare_capacity=args.spare_capacity, telemetry=tel)
     n_crashed = report.count("configuration_failed")
     title = (f"design demo — {report.n_candidates} candidates "
@@ -565,28 +555,6 @@ _DEMOS = {
 }
 
 
-def _bench_check(args: argparse.Namespace) -> int:
-    from repro.telemetry.monitor import bench_check
-    try:
-        report = bench_check(args.records, tolerance=args.tolerance)
-    except (OSError, ValueError) as exc:
-        print(f"bench-check: {exc}", file=sys.stderr)
-        return 2
-    rows = report.summary_rows()
-    if rows:
-        print(format_table(
-            rows, title=f"bench-check — {len(rows)} recorded "
-                        f"trajectories in {args.records}"))
-        print()
-    print(report.summary())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-            handle.write("\n")
-        print(f"sentinel report written to {args.output}")
-    return 0 if report.ok else 1
-
-
 _COMMANDS = {
     "fig5": _fig5,
     "fig6a": _fig6a,
@@ -596,6 +564,24 @@ _COMMANDS = {
     "sweep": _sweep,
     "ablations": _ablations,
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` of a count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse ``type=`` of a fraction: a float that is not nan/inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
 
 
 def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
@@ -621,7 +607,8 @@ def _add_monitor_flags(subparser: argparse.ArgumentParser) -> None:
                            dest="monitor_output", metavar="PATH",
                            help="write the canonical conformance report "
                                 "JSON here (implies --monitor)")
-    subparser.add_argument("--monitor-slack", type=float, default=0.2,
+    subparser.add_argument("--monitor-slack", type=_finite_float,
+                           default=0.2,
                            dest="monitor_slack", metavar="FRACTION",
                            help="headroom fraction under which a "
                                 "channel classifies as 'tight' "
@@ -640,11 +627,12 @@ def _add_demo_parser(sub, name: str, *, help: str, demo: str,
     parser = sub.add_parser(name, help=help)
     parser.add_argument("--demo", action="store_true", help=demo)
     if events is not None:
-        parser.add_argument("--events", type=int, default=events,
+        parser.add_argument("--events", type=_positive_int,
+                            default=events,
                             help="number of session events to process "
                                  f"(default {events})")
     if slots is not None:
-        parser.add_argument("--slots", type=int, default=slots,
+        parser.add_argument("--slots", type=_positive_int, default=slots,
                             help="simulation horizon in TDM slots "
                                  f"(default {slots})")
     if seed:
@@ -712,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="run a registered preset grid, e.g. "
                                "churn_campaign or just churn (an "
                                "unknown name lists them all)")
-    campaign.add_argument("--workers", type=int, default=2,
+    campaign.add_argument("--workers", type=_positive_int, default=2,
                           help="worker processes (default 2; 1 runs "
                                "in-process for profiling/debugging)")
     campaign.add_argument("--workdir", default=None, metavar="DIR",
@@ -769,10 +757,11 @@ def main(argv: list[str] | None = None) -> int:
              "built-in 18-candidate space (twice; reports must be "
              "byte-identical and the minimum-area point must be the "
              "paper's 2x2 mesh at <= 500 MHz)")
-    design.add_argument("--workers", type=int, default=2,
+    design.add_argument("--workers", type=_positive_int, default=2,
                         help="worker processes for candidate "
                              "evaluation (default 2)")
-    design.add_argument("--spare-capacity", type=float, default=0.0,
+    design.add_argument("--spare-capacity", type=_finite_float,
+                        default=0.0,
                         dest="spare_capacity", metavar="FRACTION",
                         help="fault-tolerance headroom: inflate every "
                              "channel requirement by this fraction so "
@@ -785,7 +774,7 @@ def main(argv: list[str] | None = None) -> int:
         demo="run the built-in churn+faults flow on a 3x3 mesh against "
              "its fault-free baseline (twice; reports must be "
              "byte-identical and fault survivors bit-identical)")
-    faults.add_argument("--faults", type=int, default=6,
+    faults.add_argument("--faults", type=_positive_int, default=6,
                         help="number of fabric failures to inject "
                              "(default 6)")
     monitor = _add_demo_parser(
@@ -797,27 +786,13 @@ def main(argv: list[str] | None = None) -> int:
              "against its analytical bounds (twice; the conformance "
              "reports must be byte-identical and zero channels "
              "violated), and print the fabric utilisation heatmaps")
-    monitor.add_argument("--slack", type=float, default=0.2,
+    monitor.add_argument("--slack", type=_finite_float, default=0.2,
                          metavar="FRACTION",
                          help="headroom fraction under which a channel "
                               "classifies as 'tight' (default 0.2)")
-    monitor.add_argument("--top", type=int, default=8,
+    monitor.add_argument("--top", type=_positive_int, default=8,
                          help="rows per heatmap/headroom table "
                               "(default 8)")
-    bench = sub.add_parser(
-        "bench-check", help="perf-regression sentinel over the recorded "
-                            "benchmark trajectories")
-    bench.add_argument("--records", default="benchmarks/records",
-                       metavar="DIR",
-                       help="directory holding BENCH_*.json trajectory "
-                            "records (default benchmarks/records)")
-    bench.add_argument("--tolerance", type=float, default=0.15,
-                       metavar="FRACTION",
-                       help="fail when current throughput drops more "
-                            "than this fraction below the median of "
-                            "prior entries (default 0.15)")
-    bench.add_argument("--output", default=None,
-                       help="write the sentinel verdict JSON here")
     args = parser.parse_args(argv)
     if args.profile:
         from repro.telemetry.profiling import run_profiled
@@ -837,10 +812,19 @@ def _artefacts(args: argparse.Namespace) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Route a parsed invocation to its handler."""
-    handlers = {"campaign": _campaign, "bench-check": _bench_check,
+    """Route a parsed invocation to its handler.
+
+    A :class:`~repro.core.exceptions.ConfigurationError` — an input the
+    library refuses — is a usage error here: one line on stderr, exit 2.
+    """
+    from repro.core.exceptions import ConfigurationError
+    handlers = {"campaign": _campaign,
                 **dict.fromkeys(_DEMOS, _checked_demo)}
-    return handlers.get(args.experiment, _artefacts)(args)
+    try:
+        return handlers.get(args.experiment, _artefacts)(args)
+    except ConfigurationError as exc:
+        print(f"repro {args.experiment}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

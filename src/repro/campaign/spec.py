@@ -17,7 +17,6 @@ makes serial and parallel execution byte-identical.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -25,7 +24,8 @@ from typing import Callable
 from repro.core.application import Application, UseCase
 from repro.core.configuration import NocConfiguration, configure
 from repro.core.connection import MB, ChannelSpec
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import (ConfigurationError,
+                                   require_finite_positive)
 from repro.faults.model import FaultSpec
 from repro.service.churn import ChurnSpec
 from repro.simulation.traffic import (BernoulliMessages, Saturating,
@@ -55,17 +55,6 @@ def derive_seed(base_seed: int, *labels: object) -> int:
     digest = hashlib.sha256(
         ":".join([str(base_seed), *map(str, labels)]).encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1
-
-
-def _require_finite_positive(name: str, value: float) -> None:
-    """Reject a numeric axis that is zero, negative, NaN or infinite.
-
-    ``value <= 0`` alone lets ``nan`` and ``inf`` through, and those
-    surface runs later as a crashed worker or a multi-GiB allocation.
-    """
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(
-            f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -177,7 +166,7 @@ class TrafficSpec:
         if self.pattern not in ("cbr", "burst", "bernoulli", "saturating"):
             raise ConfigurationError(
                 f"unknown traffic pattern {self.pattern!r}")
-        _require_finite_positive("rate_factor", self.rate_factor)
+        require_finite_positive("rate_factor", self.rate_factor)
         if self.burst_messages < 1:
             raise ConfigurationError("burst_messages must be >= 1")
         if not 0.0 <= self.probability <= 1.0:
@@ -289,7 +278,7 @@ class ScenarioSpec:
             raise ConfigurationError("n_slots must be positive")
         if self.table_size < 2:
             raise ConfigurationError("table_size must be >= 2")
-        _require_finite_positive("frequency_mhz", self.frequency_mhz)
+        require_finite_positive("frequency_mhz", self.frequency_mhz)
         validate_scenario(self)
 
 

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.connection import ChannelSpec
-from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.exceptions import (AllocationError, ConfigurationError,
+                                   require_finite_positive)
 from repro.core.path import Path
 from repro.core.requirements import latency_bound_ns, slots_for_channel
 from repro.core.slot_table import (SlotTable, mask_to_slots, rotate_mask,
@@ -689,9 +690,7 @@ class SlotAllocator:
         if table_size <= 0:
             raise ConfigurationError(
                 f"slot table size must be positive, got {table_size}")
-        if frequency_hz <= 0:
-            raise ConfigurationError(
-                f"frequency must be positive, got {frequency_hz}")
+        require_finite_positive("frequency_hz", frequency_hz)
         topology.validate()
         self.topology = topology
         self.table_size = table_size

@@ -8,6 +8,8 @@ failures diagnosable without re-running with a debugger.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by :mod:`repro`."""
@@ -21,6 +23,25 @@ class ConfigurationError(ReproError):
     sizes that do not match between NIs, header formats too small for the
     requested path length, and similar.
     """
+
+
+def require_finite_positive(name: str, value: float) -> None:
+    """Reject a numeric input that is zero, negative, NaN or infinite.
+
+    ``value <= 0`` alone lets ``nan`` and ``inf`` through, and those
+    surface later as a NaN timestamp, a crashed worker or a multi-GiB
+    allocation.  Every public numeric boundary calls this instead.
+
+    >>> require_finite_positive("rate", 2.5)
+    >>> try:
+    ...     require_finite_positive("rate", float("nan"))
+    ... except ConfigurationError as exc:
+    ...     print(exc)
+    rate must be a finite positive number, got nan
+    """
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(
+            f"{name} must be a finite positive number, got {value!r}")
 
 
 class TopologyError(ConfigurationError):

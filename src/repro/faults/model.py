@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 
 from repro.core.allocation import excluded_link_keys
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import (ConfigurationError,
+                                   require_finite_positive)
 from repro.topology.graph import NodeKind, Topology
 
 __all__ = ["FaultSpec", "FaultEvent", "FaultSchedule"]
@@ -68,10 +69,8 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.n_faults < 1:
             raise ConfigurationError("fault schedule needs >= 1 fault")
-        if self.fault_rate_per_s <= 0:
-            raise ConfigurationError("fault rate must be positive")
-        if self.mean_repair_s <= 0:
-            raise ConfigurationError("mean repair time must be positive")
+        require_finite_positive("fault_rate_per_s", self.fault_rate_per_s)
+        require_finite_positive("mean_repair_s", self.mean_repair_s)
         if not 0 <= self.router_fraction <= 1:
             raise ConfigurationError(
                 "router_fraction must be in [0, 1]")

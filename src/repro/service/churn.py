@@ -24,7 +24,8 @@ import random
 from dataclasses import dataclass
 
 from repro.core.connection import ChannelSpec
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import (ConfigurationError,
+                                   require_finite_positive)
 from repro.service.fairness import TenantSpec
 from repro.service.qos import DEFAULT_CLASSES, QosClass
 from repro.topology.graph import Topology
@@ -77,8 +78,8 @@ class ChurnSpec:
     def __post_init__(self) -> None:
         if self.n_sessions < 1:
             raise ConfigurationError("churn needs >= 1 session")
-        if self.arrival_rate_per_s <= 0:
-            raise ConfigurationError("arrival rate must be positive")
+        require_finite_positive("arrival_rate_per_s",
+                                self.arrival_rate_per_s)
         if self.mean_duration_s <= 0 or self.max_duration_s <= 0:
             raise ConfigurationError("durations must be positive")
         if self.pareto_shape <= 1.0:

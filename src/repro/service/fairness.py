@@ -41,7 +41,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import (ConfigurationError,
+                                   require_finite_positive)
 from repro.service.qos import QosClass
 
 __all__ = ["TenantSpec", "FairnessSpec", "PolicyEvent",
@@ -88,12 +89,9 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant name must be non-empty")
-        if self.weight <= 0:
-            raise ConfigurationError(
-                f"tenant {self.name!r} needs positive weight")
-        if self.rate_multiplier <= 0:
-            raise ConfigurationError(
-                f"tenant {self.name!r} needs positive rate multiplier")
+        require_finite_positive(f"tenant {self.name!r} weight", self.weight)
+        require_finite_positive(f"tenant {self.name!r} rate_multiplier",
+                                self.rate_multiplier)
         if not self.apps:
             raise ConfigurationError(
                 f"tenant {self.name!r} needs at least one app")

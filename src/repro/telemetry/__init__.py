@@ -18,8 +18,7 @@ admission (:mod:`repro.service.admission`), allocation
 * :mod:`repro.telemetry.monitor` — the analysis tier: the
   guarantee-conformance watchdog (observed latency/throughput vs the
   quoted analytical bounds, classified ``within_bounds`` / ``tight`` /
-  ``violated``), fabric utilisation rollups, and the ``bench-check``
-  perf-regression sentinel over ``benchmarks/records/BENCH_*.json``;
+  ``violated``) and fabric utilisation rollups;
 * :mod:`repro.telemetry.profiling` — the CLI ``--profile`` wrapper.
 
 Disabled is the default: every instrumented constructor takes
@@ -34,11 +33,9 @@ from repro.telemetry.hub import (NULL_TELEMETRY, NullTelemetry, Telemetry,
                                  coalesce)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
                                      MetricRegistry)
-from repro.telemetry.monitor import (BenchCheckReport, BenchVerdict,
-                                     ChannelConformance,
+from repro.telemetry.monitor import (ChannelConformance,
                                      ConformanceReport, FabricRollup,
-                                     MonitorSpec, bench_check,
-                                     campaign_conformance,
+                                     MonitorSpec, campaign_conformance,
                                      conformance_from_result,
                                      quote_conformance,
                                      timeline_conformance)
@@ -53,5 +50,4 @@ __all__ = [
     "MonitorSpec", "ChannelConformance", "ConformanceReport",
     "conformance_from_result", "timeline_conformance",
     "quote_conformance", "campaign_conformance", "FabricRollup",
-    "BenchVerdict", "BenchCheckReport", "bench_check",
 ]

@@ -8,8 +8,7 @@ matter what anyone else does.  PR 7's telemetry records raw metrics but
 draws no conclusions; this module is the analysis tier that closes the
 loop — it consumes the existing artifacts (``SimResult`` stats,
 ``ReconfigurationTimeline`` schedules, service quote streams, campaign
-records, ``BENCH_*.json`` perf trajectories) and emits *classified
-verdicts*:
+records) and emits *classified verdicts*:
 
 * **guarantee conformance** — per channel/session, compare observed
   worst-case and mean service latency and delivered throughput against
@@ -24,26 +23,19 @@ verdicts*:
 * **fabric introspection** — :class:`FabricRollup` folds slot schedules
   into per-link utilisation and per-NI slot-occupancy tables with
   hotspot top-K views, plus Chrome-trace counter tracks on the existing
-  Perfetto export;
-* a **perf-regression sentinel** — :func:`bench_check` fits a robust
-  baseline (median of prior entries) over each recorded
-  ``benchmarks/records/BENCH_*.json`` trajectory and fails on
-  configurable ops/s regression, so the recorded perf history is a
-  gate, not just an artifact (``python -m repro bench-check``).
+  Perfetto export.
 
 Everything here inherits the repo's determinism contract: reports are
 pure functions of simulated quantities, canonically serialised (sorted
 keys, fixed rounding), byte-identical across repeated runs and across
 serial/parallel campaign executions.  Wall-clock never enters a
-conformance verdict — the only wall-derived consumer is the
-regression sentinel, which reads *recorded* trajectories from disk.
+conformance verdict.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from repro.simulation.monitors import ServiceObservation
 
@@ -51,7 +43,6 @@ __all__ = [
     "MonitorSpec", "ChannelConformance", "ConformanceReport",
     "conformance_from_result", "timeline_conformance",
     "quote_conformance", "campaign_conformance", "FabricRollup",
-    "BenchVerdict", "BenchCheckReport", "bench_check",
 ]
 
 #: Verdict severity order; combining verdicts takes the worst.
@@ -731,168 +722,3 @@ class FabricRollup:
             telemetry.counter_track(
                 f"fabric.link_slots {name}", ((0, slots),),
                 track=track, unit="slot")
-
-
-# -- perf-regression sentinel ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class BenchVerdict:
-    """One benchmark trajectory's regression verdict.
-
-    ``status`` is ``ok`` (current throughput within tolerance of the
-    baseline), ``regressed`` (below it) or ``insufficient`` (fewer than
-    two usable entries — nothing to compare against yet).
-    """
-
-    benchmark: str
-    status: str
-    n_entries: int
-    baseline_ops_per_s: float | None = None
-    current_ops_per_s: float | None = None
-    ratio: float | None = None
-
-    def to_record(self) -> dict[str, object]:
-        """Canonical JSON-ready form."""
-        record: dict[str, object] = {
-            "benchmark": self.benchmark,
-            "status": self.status,
-            "n_entries": self.n_entries,
-        }
-        if self.baseline_ops_per_s is not None:
-            record["baseline_ops_per_s"] = round(
-                self.baseline_ops_per_s, 1)
-        if self.current_ops_per_s is not None:
-            record["current_ops_per_s"] = round(
-                self.current_ops_per_s, 1)
-        if self.ratio is not None:
-            record["ratio"] = round(self.ratio, 4)
-        return record
-
-
-@dataclass(frozen=True)
-class BenchCheckReport:
-    """The sentinel's verdict over every recorded trajectory."""
-
-    tolerance: float
-    verdicts: tuple[BenchVerdict, ...] = ()
-
-    @property
-    def regressions(self) -> tuple[BenchVerdict, ...]:
-        """The trajectories that regressed beyond the tolerance."""
-        return tuple(v for v in self.verdicts if v.status == "regressed")
-
-    @property
-    def ok(self) -> bool:
-        """True when nothing regressed (insufficient data passes)."""
-        return not self.regressions
-
-    def to_record(self) -> dict[str, object]:
-        """Canonical JSON-ready form."""
-        return {
-            "tolerance": round(self.tolerance, 4),
-            "ok": self.ok,
-            "n_benchmarks": len(self.verdicts),
-            "n_regressed": len(self.regressions),
-            "verdicts": [v.to_record() for v in self.verdicts],
-        }
-
-    def to_json(self) -> str:
-        """Canonical serialisation: sorted keys, two-space indent."""
-        return json.dumps(self.to_record(), indent=2, sort_keys=True)
-
-    def summary_rows(self) -> list[dict[str, object]]:
-        """Per-benchmark table rows for ``format_table``."""
-        return [{
-            "benchmark": v.benchmark,
-            "entries": v.n_entries,
-            "baseline_ops_s": ("-" if v.baseline_ops_per_s is None
-                               else round(v.baseline_ops_per_s, 1)),
-            "current_ops_s": ("-" if v.current_ops_per_s is None
-                              else round(v.current_ops_per_s, 1)),
-            "ratio": "-" if v.ratio is None else round(v.ratio, 3),
-            "status": v.status,
-        } for v in self.verdicts]
-
-    def summary(self) -> str:
-        """One-line operator view of the sentinel outcome."""
-        if self.ok:
-            return (f"bench-check: {len(self.verdicts)} trajectories "
-                    f"within {self.tolerance:.0%} of baseline")
-        names = ", ".join(v.benchmark for v in self.regressions)
-        return (f"bench-check: {len(self.regressions)} of "
-                f"{len(self.verdicts)} trajectories regressed beyond "
-                f"{self.tolerance:.0%}: {names}")
-
-
-def _entry_rate(entry: dict) -> float | None:
-    """One record entry's throughput (ops/s; fall back to 1/wall)."""
-    ops = entry.get("ops_per_s")
-    if ops is not None:
-        return float(ops)
-    wall = entry.get("wall_s")
-    if wall:
-        return 1.0 / float(wall)
-    return None
-
-
-def _median(values: list[float]) -> float:
-    """Median without :mod:`statistics` (tiny lists, exact halves)."""
-    data = sorted(values)
-    mid = len(data) // 2
-    if len(data) % 2:
-        return data[mid]
-    return (data[mid - 1] + data[mid]) / 2.0
-
-
-def bench_check(records_dir, *, tolerance: float = 0.15
-                ) -> BenchCheckReport:
-    """Gate the recorded perf trajectories against robust baselines.
-
-    Reads every ``BENCH_*.json`` under ``records_dir`` (each a
-    time-ordered list of entries appended by the ``bench_record``
-    fixture), takes the *newest* entry as the current measurement and
-    the **median of all prior entries** as the baseline — the median is
-    robust to a single outlier run poisoning the gate — and flags
-    ``regressed`` when current ops/s falls more than ``tolerance``
-    below baseline.  Trajectories with fewer than two usable entries
-    are ``insufficient`` (reported, never failed: a fresh benchmark
-    must be recordable before it can be gated).
-
-    >>> import json, tempfile, pathlib
-    >>> d = pathlib.Path(tempfile.mkdtemp())
-    >>> _ = (d / "BENCH_demo.json").write_text(json.dumps(
-    ...     [{"ops_per_s": 100.0}, {"ops_per_s": 104.0},
-    ...      {"ops_per_s": 50.0}]))
-    >>> report = bench_check(d, tolerance=0.15)
-    >>> report.verdicts[0].status
-    'regressed'
-    >>> report.ok
-    False
-    """
-    if not 0.0 < tolerance < 1.0:
-        raise ValueError(
-            f"tolerance must be in (0, 1), got {tolerance}")
-    records_dir = Path(records_dir)
-    verdicts = []
-    for path in sorted(records_dir.glob("BENCH_*.json")):
-        name = path.stem[len("BENCH_"):]
-        entries = json.loads(path.read_text(encoding="utf-8"))
-        rates = [rate for rate in map(_entry_rate, entries)
-                 if rate is not None]
-        if len(rates) < 2:
-            verdicts.append(BenchVerdict(
-                benchmark=name, status="insufficient",
-                n_entries=len(entries),
-                current_ops_per_s=rates[-1] if rates else None))
-            continue
-        baseline = _median(rates[:-1])
-        current = rates[-1]
-        ratio = current / baseline if baseline > 0 else 1.0
-        status = "regressed" if ratio < (1 - tolerance) else "ok"
-        verdicts.append(BenchVerdict(
-            benchmark=name, status=status, n_entries=len(entries),
-            baseline_ops_per_s=baseline, current_ops_per_s=current,
-            ratio=ratio))
-    return BenchCheckReport(tolerance=tolerance,
-                            verdicts=tuple(verdicts))

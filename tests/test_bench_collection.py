@@ -1,0 +1,32 @@
+"""The tier-2 gates under ``benchmarks/`` must at least import and collect.
+
+Plain ``pytest`` never collects ``bench_*.py``, and every ratio gate
+skips without ``--tier2`` — so a renamed import in one of them used to
+surface only for the next person who opted in.  Collecting them here
+(imports and fixtures resolved, nothing run) makes that a tier-1
+failure.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted((ROOT / "benchmarks").glob("bench_*.py"))
+
+
+def test_every_bench_file_collects():
+    assert BENCH_FILES
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q",
+         "-p", "no:cacheprovider", *map(str, BENCH_FILES)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    for path in BENCH_FILES:
+        assert f"{path.name}::test_" in proc.stdout, path.name

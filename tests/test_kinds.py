@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import partial
 from typing import Callable
 
 import pytest
@@ -21,12 +22,13 @@ from repro.campaign import (PRESETS, CampaignResult, RunSpec, ScenarioSpec,
                             TopologySpec, TrafficSpec, execute_run)
 from repro.campaign.kinds import KINDS, PAYLOAD_FIELDS, grid_row
 from repro.campaign.spec import SyntheticSpec
+from repro.core.allocation import SlotAllocator
 from repro.core.application import Application, UseCase
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError
 from repro.design import DesignSpec
 from repro.faults import FaultSpec
-from repro.service import ChurnSpec, abusive_tenant_mix
+from repro.service import ChurnSpec, TenantSpec, abusive_tenant_mix
 
 #: One small value per payload field (tenant-tagged churn, so it fits
 #: every kind that accepts churn).
@@ -140,6 +142,25 @@ class TestNonFiniteAxes:
         TrafficSpec(pattern="burst", burst_messages=1)
         ScenarioSpec(name="x", frequency_mhz=1e-3)
 
+    @pytest.mark.parametrize("make, field, bad, good", [
+        (ChurnSpec, "arrival_rate_per_s", math.nan, 5000.0),
+        (ChurnSpec, "arrival_rate_per_s", math.inf, 1e-3),
+        (partial(SlotAllocator, TOPOLOGY.build(), table_size=8),
+         "frequency_hz", math.inf, 500e6),
+        (partial(TenantSpec, "t"), "weight", math.nan, 2.0),
+        (partial(TenantSpec, "t"), "weight", math.inf, 0.5),
+        (partial(TenantSpec, "t"), "rate_multiplier", math.nan, 10.0),
+        (FaultSpec, "fault_rate_per_s", math.nan, 300.0),
+        (FaultSpec, "mean_repair_s", math.inf, 0.01),
+    ], ids=lambda v: getattr(getattr(v, "func", v), "__name__", str(v)))
+    def test_public_constructors_refuse_non_finite(self, make, field,
+                                                   bad, good):
+        """A NaN arrival rate used to build and stamp every event
+        ``time_s=nan``, silently breaking ``merge_events``' order."""
+        make(**{field: good})
+        with pytest.raises(ConfigurationError, match=field):
+            make(**{field: bad})
+
 
 # -- the checked demos -----------------------------------------------------
 
@@ -220,3 +241,40 @@ class TestEveryCheckedDemo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{demo.argv[0]}: only the built-in --demo" in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("replay", "--demo", "--slots", "0"), "--slots"),
+    (("monitor", "--demo", "--slots", "0"), "--slots"),
+    (("faults", "--demo", "--faults", "0"), "--faults"),
+    (("serve", "--demo", "--events", "-5"), "--events"),
+    (("serve", "--demo", "--events", "0"), "--events"),
+    (("design", "--demo", "--spare-capacity", "nan"), "--spare-capacity"),
+], ids=" ".join)
+def test_bad_cli_number_is_a_usage_error(argv, flag, capsys):
+    """These used to die with a traceback, run a demo over nothing
+    (``serve --events 0``: "byte-identical: yes", exit 0) or blame the
+    search (``--spare-capacity nan``: "SEARCH REGRESSION")."""
+    with pytest.raises(SystemExit) as refused:
+        main(list(argv))
+    assert refused.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert f"error: argument {flag}: must be" in \
+        captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("campaign", "--preset", "nope"),
+     "repro campaign: unknown campaign preset 'nope'"),
+    (("design", "--demo", "--spare-capacity", "-1"),
+     "repro design: spare_capacity must be >= 0"),
+], ids=" ".join)
+def test_refused_configuration_is_one_stderr_line(argv, message, capsys):
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith(message)
+

@@ -1,17 +1,14 @@
-"""The telemetry analysis tier: conformance watchdog, rollups, sentinel.
+"""The telemetry analysis tier: conformance watchdog and rollups.
 
-Pins the monitor's three contracts:
+Pins the monitor's two contracts:
 
 * classification — the ``within_bounds`` / ``tight`` / ``violated``
   verdict algebra, including the epsilon band that keeps an *attained*
   bound (observed == analytical worst case, the TDM ideal) out of
   ``violated``;
-* byte-determinism — conformance reports, fabric rollups and sentinel
-  verdicts serialise identically across repeated runs, and arming the
-  monitor never changes a flow's canonical report;
-* the regression sentinel — ``bench_check`` passes intact
-  trajectories, fails a synthetically regressed one, and treats
-  single-entry files as insufficient rather than wrong.
+* byte-determinism — conformance reports and fabric rollups serialise
+  identically across repeated runs, and arming the monitor never
+  changes a flow's canonical report.
 """
 
 from __future__ import annotations
@@ -22,9 +19,8 @@ import pytest
 
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.traffic import ConstantBitRate
-from repro.telemetry.monitor import (BenchCheckReport, ConformanceReport,
-                                     FabricRollup, MonitorSpec,
-                                     bench_check, campaign_conformance,
+from repro.telemetry.monitor import (ConformanceReport, FabricRollup,
+                                     MonitorSpec, campaign_conformance,
                                      conformance_from_result,
                                      quote_conformance)
 
@@ -219,58 +215,3 @@ class TestFabricRollup:
         assert counters
         assert all(e["cat"] == "fabric" for e in counters)
 
-
-class TestBenchCheck:
-
-    def _write(self, tmp_path, name, rates):
-        entries = [{"benchmark": name, "wall_s": 1.0, "ops_per_s": rate,
-                    "speedup": None, "git_rev": "test",
-                    "timestamp": "2026-01-01T00:00:00Z"}
-                   for rate in rates]
-        (tmp_path / f"BENCH_{name}.json").write_text(
-            json.dumps(entries) + "\n")
-
-    def test_intact_trajectory_passes(self, tmp_path):
-        self._write(tmp_path, "steady", [100.0, 104.0, 98.0])
-        report = bench_check(tmp_path, tolerance=0.15)
-        assert report.ok
-        assert report.verdicts[0].status == "ok"
-
-    def test_synthetic_regression_fails(self, tmp_path):
-        self._write(tmp_path, "regressed", [100.0, 104.0, 50.0])
-        report = bench_check(tmp_path, tolerance=0.15)
-        assert not report.ok
-        verdict = report.verdicts[0]
-        assert verdict.status == "regressed"
-        assert verdict.ratio < 0.85
-        assert "regressed" in report.summary()
-
-    def test_single_entry_is_insufficient_not_failed(self, tmp_path):
-        self._write(tmp_path, "fresh", [100.0])
-        report = bench_check(tmp_path, tolerance=0.15)
-        assert report.ok
-        assert report.verdicts[0].status == "insufficient"
-
-    def test_committed_records_pass_the_ci_gate(self):
-        # The exact invocation CI runs must stay green on the committed
-        # trajectories (single-entry files count as insufficient).
-        report = bench_check("benchmarks/records", tolerance=0.15)
-        assert report.ok, report.summary()
-        assert len(report.verdicts) >= 4
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        from repro.__main__ import main
-        self._write(tmp_path, "regressed", [100.0, 104.0, 50.0])
-        assert main(["bench-check", "--records", str(tmp_path)]) == 1
-        self._write(tmp_path, "regressed", [100.0, 104.0, 99.0])
-        assert main(["bench-check", "--records", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "bench-check" in out
-
-    def test_report_roundtrip(self, tmp_path):
-        self._write(tmp_path, "steady", [100.0, 104.0, 98.0])
-        report = bench_check(tmp_path, tolerance=0.15)
-        record = json.loads(report.to_json())
-        assert record["ok"] is True
-        assert record["n_benchmarks"] == 1
-        assert isinstance(report, BenchCheckReport)
