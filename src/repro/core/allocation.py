@@ -104,58 +104,94 @@ def excluded_link_keys(topology: Topology,
     return frozenset(excluded)
 
 
-def _path_free_mask(link_tables: dict[tuple[str, str], "SlotTable"],
-                    path: Path, size: int) -> int:
-    """Bitmask of injection slots free on every link of ``path``.
+@dataclass(frozen=True, slots=True)
+class RouteCandidate:
+    """One admissible route of a requirement, with its slot arithmetic.
 
-    Each link's free mask is rotated back by the link's slot shift and
-    intersected — the whole contention check is one AND per link.
-    Shared by the allocator hot path and degraded-mode re-allocation so
-    the shift semantics cannot diverge.
+    Nothing here depends on occupancy or on a particular
+    :class:`Allocation`: links are named by key, so one record serves
+    every allocation compatible with the allocator that quoted it.
     """
-    mask = (1 << size) - 1
-    for link, shift in zip(path.links, path.link_shifts):
-        mask &= rotate_mask(link_tables[link.key].free_mask, shift, size)
-        if not mask:
-            break
-    return mask
+
+    path: Path
+    n_slots: int
+    max_gap: int | None
+    #: ``(link key, slot shift mod table size)`` per traversed link.
+    hops: tuple[tuple[tuple[str, str], int], ...]
+    #: Traversed link keys, for the degraded-mode exclusion check.
+    link_keys: frozenset[tuple[str, str]]
+
+
+def _quoted(point: "Allocation | SlotAllocator", spec: ChannelSpec, paths,
+            failures: list[str] | None = None):
+    """Lazily turn ``paths`` into the :class:`RouteCandidate` of ``spec``
+    on each — the one place a (path, requirement) pair becomes slot
+    arithmetic, at the operating point (``table_size``,
+    ``frequency_hz``, ``fmt``) that ``point`` carries.
+
+    A path whose traversal alone breaks the latency requirement yields
+    nothing; handed a ``failures`` list, its reason is appended the
+    moment the consumer reaches it, so :func:`_first_fit`'s own reasons
+    interleave in candidate order.
+    """
+    size = point.table_size
+    for path in paths:
+        try:
+            n, gap = slots_for_channel(spec, path, size,
+                                       point.frequency_hz, point.fmt)
+        except AllocationError as exc:
+            if failures is not None:
+                failures.append(f"{path!r}: {exc.reason}")
+            continue
+        keys = path.link_keys()
+        yield RouteCandidate(
+            path=path, n_slots=n, max_gap=gap,
+            hops=tuple((key, shift % size)
+                       for key, shift in zip(keys, path.link_shifts)),
+            link_keys=frozenset(keys))
 
 
 def _first_fit(link_tables: dict[tuple[str, str], "SlotTable"],
-               spec: ChannelSpec, paths, table_size: int,
-               frequency_hz: float, fmt: WordFormat
-               ) -> tuple["ChannelAllocation | None", list[str]]:
-    """Fit ``spec`` onto the first candidate path that can carry it.
+               spec: ChannelSpec, candidates, choose, size: int,
+               failures: list[str] | None = None
+               ) -> tuple["ChannelAllocation | None", int]:
+    """Fit ``spec`` onto the first candidate route that can carry it.
 
-    The placement loop of the offline allocator and of degraded-mode
-    re-allocation: per path, the slot count and gap constraint, the
-    free-slot intersection, then the spreading heuristic.  Returns the
-    (uncommitted) allocation, or ``None``, plus one reason per rejected
-    path — the text of ``AllocationError.reason`` and of a ``dropped``
-    verdict.
+    The only placement loop: per :class:`RouteCandidate`, every
+    traversed link's free mask is rotated back by the link's slot shift
+    and intersected (the whole contention check is one AND per link),
+    the popcount is held against the slot count, and ``choose`` —
+    :func:`~repro.core.slot_table.spread_slots` offline,
+    :func:`~repro.core.slot_table.choose_slots_fast` online — picks
+    slots under the gap constraint.  Returns the (uncommitted)
+    allocation, or ``None``, plus the width of the winning intersection.
+    Handed a ``failures`` list, it appends one reason per rejected
+    candidate — the text of ``AllocationError.reason`` and of a
+    ``dropped`` verdict.
     """
-    failures: list[str] = []
-    for path in paths:
-        try:
-            n, gap = slots_for_channel(spec, path, table_size,
-                                       frequency_hz, fmt)
-        except AllocationError as exc:
-            failures.append(f"{path!r}: {exc.reason}")
+    full = (1 << size) - 1
+    for cand in candidates:
+        mask = full
+        for key, shift in cand.hops:
+            mask &= rotate_mask(link_tables[key].free_mask, shift, size)
+            if not mask:
+                break
+        width = mask.bit_count()
+        if width < cand.n_slots:
+            if failures is not None:
+                failures.append(f"{cand.path!r}: {width} free slots < "
+                                f"{cand.n_slots} needed")
             continue
-        free = set(mask_to_slots(
-            _path_free_mask(link_tables, path, table_size)))
-        if len(free) < n:
-            failures.append(
-                f"{path!r}: {len(free)} free slots < {n} needed")
-            continue
-        slots = spread_slots(free, n, table_size, max_gap=gap)
+        slots = choose(mask_to_slots(mask), cand.n_slots, size,
+                       max_gap=cand.max_gap)
         if slots is None:
-            failures.append(
-                f"{path!r}: free slots cannot satisfy gap <= {gap}")
+            if failures is not None:
+                failures.append(f"{cand.path!r}: free slots cannot "
+                                f"satisfy gap <= {cand.max_gap}")
             continue
-        return ChannelAllocation(spec=spec, path=path, slots=slots), \
-            failures
-    return None, failures
+        return ChannelAllocation(spec=spec, path=cand.path,
+                                 slots=slots), width
+    return None, 0
 
 
 @dataclass(frozen=True)
@@ -291,6 +327,22 @@ class ChannelAllocation:
         """Worst-case whole-slot injection wait (max cyclic gap)."""
         return worst_case_wait_slots(self.slots, table_size)
 
+    def no_worse_than(self, before: "ChannelAllocation",
+                      table_size: int) -> bool:
+        """True when this reservation's bounds are no worse than
+        ``before``'s: no fewer slots, and no more worst-case wait plus
+        traversal slots.
+
+        Integer-exact: at a fixed operating point the guaranteed
+        throughput is monotone in the slot count and the latency bound
+        in that slot sum, so no tolerance is involved.
+        """
+        return (self.n_slots >= before.n_slots
+                and self.worst_wait_slots(table_size)
+                + self.path.traversal_slots
+                <= before.worst_wait_slots(table_size)
+                + before.path.traversal_slots)
+
     def reserved_before(self, slot: int, table_size: int) -> int:
         """How many of this channel's injection slots occur before the
         absolute ``slot``, counting from slot 0 of the run."""
@@ -352,6 +404,17 @@ class Allocation:
     #: the one session it expects to change can tell in O(1) whether
     #: any *other* session was added, dropped or replaced.
     channels_digest: int = field(init=False, repr=False, compare=False)
+    #: Currently failed fabric and the directed link keys it disables.
+    #: Written only by :meth:`set_failed`; every placement on this
+    #: allocation — offline extension, online admission, relocation —
+    #: reads ``excluded_links`` here, so an allocator shared between
+    #: allocations carries no fault state.  Empty on a healthy network,
+    #: which pays one emptiness check.
+    failed_links: frozenset[tuple[str, str]] = field(
+        default=frozenset(), init=False)
+    failed_routers: frozenset[str] = field(default=frozenset(), init=False)
+    excluded_links: frozenset[tuple[str, str]] = field(
+        default=frozenset(), init=False)
 
     def __post_init__(self) -> None:
         if not self.link_tables:
@@ -447,6 +510,38 @@ class Allocation:
             self.release(name)
         return names
 
+    # -- failed fabric ---------------------------------------------------------
+
+    def fabric_after(self, action: str, links=(), routers=()
+                     ) -> tuple[frozenset[tuple[str, str]], frozenset[str]]:
+        """The failed ``(links, routers)`` once the named fabric has
+        failed (``action="fail"``) or been repaired (``"repair"``).
+
+        Writes nothing: hand the result to :meth:`set_failed`, or to
+        :meth:`rebuild_excluding` to try the failure out first.
+        """
+        merge = (frozenset.union if action == "fail"
+                 else frozenset.difference)
+        return (merge(self.failed_links, ((k[0], k[1]) for k in links)),
+                merge(self.failed_routers, routers))
+
+    def set_failed(self, failed_links=(), failed_routers=()
+                   ) -> frozenset[tuple[str, str]]:
+        """Declare exactly this fabric failed; returns the link keys
+        that disables (:func:`excluded_link_keys`, which refuses unknown
+        hardware before anything is written).
+
+        Channels already placed stay where they are — relocating them is
+        the caller's move (:meth:`rebuild_excluding` offline, the
+        session service online).
+        """
+        links = frozenset((k[0], k[1]) for k in failed_links)
+        routers = frozenset(failed_routers)
+        self.excluded_links = excluded_link_keys(self.topology, links,
+                                                 routers)
+        self.failed_links, self.failed_routers = links, routers
+        return self.excluded_links
+
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
@@ -510,10 +605,9 @@ class Allocation:
             raise ConfigurationError(
                 f"on_infeasible must be 'drop' or 'raise', "
                 f"got {on_infeasible!r}")
-        excluded = excluded_link_keys(self.topology, failed_links,
-                                      failed_routers)
         rebuilt = Allocation(self.topology, self.table_size,
                              self.frequency_hz, self.fmt)
+        excluded = rebuilt.set_failed(failed_links, failed_routers)
         verdicts: dict[str, ChannelVerdict] = {}
         affected: list[ChannelAllocation] = []
         for name, ca in sorted(self.channels.items()):
@@ -541,7 +635,7 @@ class Allocation:
             ca.spec.name))
         for ca in affected:
             verdicts[ca.spec.name] = self._reroute_one(
-                rebuilt, ca, excluded, on_infeasible)
+                rebuilt, ca, on_infeasible)
         rebuilt.validate()
         # Composability re-check for untouched channels: every (link,
         # slot) reservation they held before the fault must be recorded
@@ -564,7 +658,7 @@ class Allocation:
         report = RebuildReport(
             allocation=rebuilt, verdicts=verdicts,
             excluded_links=excluded,
-            failed_routers=tuple(sorted(set(failed_routers))),
+            failed_routers=tuple(sorted(rebuilt.failed_routers)),
             untouched_intact=untouched_intact)
         if telemetry is not None and telemetry.enabled:
             telemetry.counter("faults.rebuilds").inc()
@@ -583,25 +677,28 @@ class Allocation:
                                 ca.path, self.frequency_hz, self.fmt)
 
     def _reroute_one(self, rebuilt: "Allocation", ca: ChannelAllocation,
-                     excluded: frozenset[tuple[str, str]],
                      on_infeasible: str) -> ChannelVerdict:
         """Re-allocate one fault-affected channel over surviving paths."""
         from repro.core.exceptions import TopologyError
 
         spec = ca.spec
+        excluded = rebuilt.excluded_links
         old_latency = self._latency_bound(ca)
+        new_ca = None
+        failures: list[str] = []
         try:
-            candidates = [
+            paths = [
                 p for p in k_shortest_paths(
                     self.topology, ca.path.source, ca.path.dest,
                     PATH_CANDIDATES, exclude_links=excluded)
                 if len(p.out_ports) <= self.fmt.max_hops]
         except TopologyError as exc:
-            new_ca, failures = None, [str(exc)]
+            failures.append(str(exc))
         else:
-            new_ca, failures = _first_fit(
-                rebuilt.link_tables, spec, candidates, self.table_size,
-                self.frequency_hz, self.fmt)
+            new_ca, _ = _first_fit(
+                rebuilt.link_tables, spec,
+                _quoted(self, spec, paths, failures), spread_slots,
+                self.table_size, failures)
         if new_ca is not None:
             try:
                 rebuilt.commit(new_ca)
@@ -610,14 +707,13 @@ class Allocation:
                     f"re-allocation commit failed for channel "
                     f"{spec.name!r} on {new_ca.path!r}: {exc}",
                     channel=spec.name, reason=exc.reason) from exc
-            new_latency = self._latency_bound(new_ca)
-            same = (new_ca.n_slots >= ca.n_slots
-                    and new_latency <= old_latency * (1 + 1e-9))
             return ChannelVerdict(
                 channel=spec.name,
-                verdict=("rerouted_same_bounds" if same
+                verdict=("rerouted_same_bounds"
+                         if new_ca.no_worse_than(ca, self.table_size)
                          else "rerouted_degraded"),
-                old_latency_ns=old_latency, new_latency_ns=new_latency,
+                old_latency_ns=old_latency,
+                new_latency_ns=self._latency_bound(new_ca),
                 old_n_slots=ca.n_slots, new_n_slots=new_ca.n_slots)
         detail = "; ".join(failures) if failures else "no surviving route"
         if on_infeasible == "raise":
@@ -641,24 +737,6 @@ class Allocation:
         return (f"Allocation({len(self.channels)} channels, "
                 f"table={self.table_size}, "
                 f"util={self.mean_link_utilisation():.1%})")
-
-
-@dataclass(frozen=True, slots=True)
-class RouteCandidate:
-    """One admissible route of a requirement, with its slot arithmetic.
-
-    Nothing here depends on occupancy or on a particular
-    :class:`Allocation`: links are named by key, so one record serves
-    every allocation compatible with the allocator that quoted it.
-    """
-
-    path: Path
-    n_slots: int
-    max_gap: int | None
-    #: ``(link key, slot shift mod table size)`` per traversed link.
-    hops: tuple[tuple[tuple[str, str], int], ...]
-    #: Traversed link keys, for the degraded-mode exclusion check.
-    link_keys: frozenset[tuple[str, str]]
 
 
 @dataclass(frozen=True)
@@ -709,12 +787,9 @@ class SlotAllocator:
         self._quote_cache: dict[
             tuple[str, str, float, float | None],
             tuple[RouteCandidate, ...]] = {}
-        #: Directed link keys currently unusable (failed fabric).  The
-        #: route caches stay fault-agnostic; the exclusion is applied
-        #: when candidates are consulted, so repairs need no
-        #: invalidation.  Empty on the healthy path, which pays one
-        #: emptiness check.
-        self.excluded_links: frozenset[tuple[str, str]] = frozenset()
+        # Both caches are fault-agnostic: failed fabric lives on each
+        # Allocation and is applied when candidates are consulted, so
+        # repairs need no invalidation and sharing leaks no faults.
         self.set_telemetry(telemetry)
 
     def set_telemetry(self, telemetry) -> None:
@@ -740,16 +815,6 @@ class SlotAllocator:
         self._tel_kshortest = tel.counter(
             "allocator.kshortest_expansions")
 
-    def set_excluded_links(
-            self, excluded: frozenset[tuple[str, str]]) -> None:
-        """Degrade (or restore) the fabric new allocations may use.
-
-        Candidate routes crossing an excluded link are dropped at
-        allocation time, so channels added after a fault cannot be
-        quoted guarantees over dead hardware.
-        """
-        self.excluded_links = frozenset(excluded)
-
     # -- public API -----------------------------------------------------------
 
     def allocate(self, channels: Sequence[ChannelSpec],
@@ -765,11 +830,13 @@ class SlotAllocator:
         """Add channels to an existing allocation without disturbing it.
 
         This is the reconfiguration primitive: running applications keep
-        their reservations; only new channels acquire slots.
+        their reservations; only new channels acquire slots, and none on
+        a route crossing the allocation's failed fabric.
         """
         self.check_compatible(allocation)
         mapping.validate(self.topology)
-        for spec in self._ordered(channels, mapping):
+        for spec in self._ordered(channels, mapping,
+                                  allocation.excluded_links):
             allocation.commit(self._allocate_one(allocation, spec, mapping))
         allocation.validate()
 
@@ -791,8 +858,9 @@ class SlotAllocator:
 
     # -- internals --------------------------------------------------------------
 
-    def _ordered(self, channels: Sequence[ChannelSpec],
-                 mapping: Mapping) -> list[ChannelSpec]:
+    def _ordered(self, channels: Sequence[ChannelSpec], mapping: Mapping,
+                 excluded: frozenset[tuple[str, str]]
+                 ) -> list[ChannelSpec]:
         seen: set[str] = set()
         for spec in channels:
             if spec.name in seen:
@@ -808,15 +876,15 @@ class SlotAllocator:
         def tightness(spec: ChannelSpec) -> tuple[float, float, str]:
             # Hardest first: estimate slots on a shortest path, then the
             # latency requirement (tighter = smaller), then name.
-            path = self._candidates(spec, mapping, None)[0]
-            try:
-                n, gap = slots_for_channel(spec, path, self.table_size,
-                                           self.frequency_hz, self.fmt)
-            except AllocationError:
+            cand = next(_quoted(
+                self, spec, self._candidates(spec, mapping, excluded)[:1]),
+                None)
+            if cand is None:
                 # Let _allocate_one produce the detailed error.
                 return (-float("inf"), 0.0, spec.name)
-            gap_rank = float(gap) if gap is not None else float("inf")
-            return (-float(n), gap_rank, spec.name)
+            gap_rank = (float(cand.max_gap) if cand.max_gap is not None
+                        else float("inf"))
+            return (-float(cand.n_slots), gap_rank, spec.name)
 
         return sorted(channels, key=tightness)
 
@@ -873,44 +941,35 @@ class SlotAllocator:
         cached = self.cached_route_quotes(src_ni, dst_ni, spec)
         if cached is not None:
             return cached
-        size = self.table_size
-        quotes = []
-        for path in self.shortest_candidates(src_ni, dst_ni):
-            try:
-                n, gap = slots_for_channel(spec, path, size,
-                                           self.frequency_hz, self.fmt)
-            except AllocationError:
-                continue
-            keys = path.link_keys()
-            quotes.append(RouteCandidate(
-                path=path, n_slots=n, max_gap=gap,
-                hops=tuple((link_key, shift % size) for link_key, shift
-                           in zip(keys, path.link_shifts)),
-                link_keys=frozenset(keys)))
+        quotes = tuple(_quoted(
+            self, spec, self.shortest_candidates(src_ni, dst_ni)))
         cache = self._quote_cache
         if len(cache) >= QUOTE_CACHE_CAP:
             del cache[next(iter(cache))]
             self._tel_quote_evict.inc()
         cached = cache[(src_ni, dst_ni, spec.throughput_bytes_per_s,
-                        spec.max_latency_ns)] = tuple(quotes)
+                        spec.max_latency_ns)] = quotes
         self._tel_quote_miss.inc()
         return cached
 
     def _candidates(self, spec: ChannelSpec, mapping: Mapping,
-                    allocation: Allocation | None) -> list[Path]:
+                    excluded: frozenset[tuple[str, str]],
+                    tables: dict[tuple[str, str], SlotTable] | None = None
+                    ) -> list[Path]:
+        """Candidate routes of ``spec`` that avoid ``excluded``: the
+        cached k-shortest set, led — given occupancy ``tables`` — by the
+        least-loaded route."""
         src_ni = mapping.ni_of(spec.src_ip)
         dst_ni = mapping.ni_of(spec.dst_ip)
         if src_ni == dst_ni:
             raise ConfigurationError(
                 f"channel {spec.name!r}: both endpoints map to NI "
                 f"{src_ni!r}; NI-local communication does not use the NoC")
-        excluded = self.excluded_links
         cached = self.shortest_candidates(src_ni, dst_ni)
         usable = [p for p in cached
                   if not excluded or excluded.isdisjoint(p.link_keys())]
         exclusion_filtered = len(usable) < len(cached)
-        if allocation is not None:
-            tables = allocation.link_tables
+        if tables is not None:
 
             def weight(key: tuple[str, str]) -> float:
                 if key in excluded:
@@ -937,22 +996,15 @@ class SlotAllocator:
                 channel=spec.name, reason="path too long for header")
         return usable
 
-    def free_injection_mask(self, allocation: Allocation,
-                            path: Path) -> int:
-        """Bitmask of injection slots free on every link of ``path``.
-
-        Delegates to the shared rotate-and-AND intersection
-        (:func:`_path_free_mask`), one AND per link.
-        """
-        return _path_free_mask(allocation.link_tables, path,
-                               self.table_size)
-
     def _allocate_one(self, allocation: Allocation, spec: ChannelSpec,
                       mapping: Mapping) -> ChannelAllocation:
-        ca, failures = _first_fit(
+        failures: list[str] = []
+        paths = self._candidates(spec, mapping, allocation.excluded_links,
+                                 allocation.link_tables)
+        ca, _ = _first_fit(
             allocation.link_tables, spec,
-            self._candidates(spec, mapping, allocation), self.table_size,
-            self.frequency_hz, self.fmt)
+            _quoted(self, spec, paths, failures), spread_slots,
+            self.table_size, failures)
         if ca is not None:
             return ca
         detail = "; ".join(failures) if failures else "no candidate paths"

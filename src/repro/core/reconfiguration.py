@@ -28,8 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.allocation import (Allocation, SlotAllocator,
-                                   excluded_link_keys)
+from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.application import Application
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.topology.mapping import Mapping
@@ -83,11 +82,6 @@ class ReconfigurationManager:
         #: Optional timeline sink; successful transitions are recorded
         #: at the ``at_s`` timestamp the caller supplies.
         self.recorder = recorder
-        #: Currently failed fabric; :meth:`apply_fault` accumulates it
-        #: and :meth:`repair_fault` restores it, and the allocator is
-        #: kept in sync so later starts never route over dead hardware.
-        self.failed_links: frozenset[tuple[str, str]] = frozenset()
-        self.failed_routers: frozenset[str] = frozenset()
 
     # -- queries --------------------------------------------------------------
 
@@ -181,22 +175,17 @@ class ReconfigurationManager:
         degraded-mode allocations, and logged in :attr:`history` as an
         ``action="fault"`` transition.
 
-        The failure persists: it accumulates into :attr:`failed_links` /
-        :attr:`failed_routers` and the allocator's exclusion set, so
+        The failure persists: it accumulates into the failed fabric of
+        the live allocation (the rebuilt allocation carries it), so
         applications started afterwards are routed around the dead
         fabric too.  :meth:`repair_fault` restores resources.
         """
-        all_links = self.failed_links | frozenset(
-            (k[0], k[1]) for k in failed_links)
-        all_routers = self.failed_routers | frozenset(failed_routers)
-        # Rebuild first: with on_infeasible="raise" a failure must leave
-        # the manager exactly as it was — no half-applied exclusions.
+        # With on_infeasible="raise" a failed rebuild leaves the manager
+        # exactly as it was: nothing is written until it returns.
         report = self.allocation.rebuild_excluding(
-            all_links, all_routers, on_infeasible=on_infeasible)
-        self.failed_links = all_links
-        self.failed_routers = all_routers
-        self.allocator.set_excluded_links(excluded_link_keys(
-            self.allocator.topology, all_links, all_routers))
+            *self.allocation.fabric_after("fail", failed_links,
+                                          failed_routers),
+            on_infeasible=on_infeasible)
         rebuilt = report.allocation
         old_channels = self.allocation.channels
         running_before = self.running_applications
@@ -232,10 +221,5 @@ class ReconfigurationManager:
         set shrinks, so later starts may use the repaired resources
         again.
         """
-        self.failed_links = self.failed_links - frozenset(
-            (k[0], k[1]) for k in failed_links)
-        self.failed_routers = self.failed_routers - frozenset(
-            failed_routers)
-        self.allocator.set_excluded_links(excluded_link_keys(
-            self.allocator.topology, self.failed_links,
-            self.failed_routers))
+        self.allocation.set_failed(*self.allocation.fabric_after(
+            "repair", failed_links, failed_routers))

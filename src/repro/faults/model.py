@@ -103,8 +103,10 @@ class FaultEvent:
     target: tuple[str, str] | str
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ConfigurationError("fault event time must be >= 0")
+        if not 0 <= self.time_s < float("inf"):
+            raise ConfigurationError(
+                f"fault event time_s must be finite and >= 0, got "
+                f"{self.time_s!r}")
         if self.action not in _ACTIONS:
             raise ConfigurationError(
                 f"unknown fault action {self.action!r}")

@@ -17,10 +17,11 @@ once for every service that shares it, never per controller:
   together with the keys and slot shifts of the links the path
   traverses.  The records name links, not tables, so a fresh controller
   over a warm allocator starts warm;
-* the per-admission work that remains is one table lookup and one AND
-  per link over integer free-slot bitmasks, a popcount, and the
-  single-anchor spreading heuristic
-  (:func:`~repro.core.slot_table.choose_slots_fast`).
+* the per-admission work that remains is the placement loop every
+  allocation shares (:func:`~repro.core.allocation._first_fit`: one
+  table lookup and one AND per link over integer free-slot bitmasks,
+  a popcount) with the single-anchor spreading heuristic
+  (:func:`~repro.core.slot_table.choose_slots_fast`) as its chooser.
 
 The controller checks once, at construction, that its allocation fits
 the allocator (same topology object, same table size); that is what
@@ -31,20 +32,20 @@ bookkeeping — and its rollback-on-conflict guarantee — is shared with
 the offline flow and with :class:`~repro.core.reconfiguration.
 ReconfigurationManager`.
 
-Under fault injection the controller additionally honours an excluded
-link set (:meth:`AdmissionController.set_excluded_links`): candidates
-whose route crosses failed fabric are skipped at admit time, at zero
-cost to the healthy hot path (one emptiness check).
+Under fault injection the controller honours its allocation's failed
+fabric (:attr:`~repro.core.allocation.Allocation.excluded_links`):
+candidates whose route crosses it are skipped at admit time, at zero
+cost to the healthy hot path (one emptiness check).  The allocator's
+candidate cache is fault-agnostic, so repairs need no invalidation.
 """
 
 from __future__ import annotations
 
 from repro.core.allocation import (Allocation, ChannelAllocation,
-                                   SlotAllocator)
+                                   SlotAllocator, _first_fit)
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError
-from repro.core.slot_table import (choose_slots_fast, mask_to_slots,
-                                   rotate_mask)
+from repro.core.slot_table import choose_slots_fast
 from repro.telemetry.hub import coalesce
 
 __all__ = ["AdmissionController"]
@@ -74,11 +75,6 @@ class AdmissionController:
         else:
             allocator.check_compatible(allocation)
         self.allocation = allocation
-        self._size = allocator.table_size
-        self._full = (1 << self._size) - 1
-        #: Directed link keys currently unusable (failed fabric); empty
-        #: on the healthy-network hot path, which therefore pays nothing.
-        self.excluded_links: frozenset[tuple[str, str]] = frozenset()
         self.admits = 0
         self.rejects = 0
         self.releases = 0
@@ -113,33 +109,23 @@ class AdmissionController:
                          "path_hits": 0, "path_misses": 0}
         tel.register_flush(self.flush_telemetry)
 
-    def set_excluded_links(
-            self, excluded: frozenset[tuple[str, str]]) -> None:
-        """Degrade (or restore) the fabric the admission path may use.
-
-        Candidates whose route crosses an excluded link are skipped at
-        admit time; the allocator's candidate cache is fault-agnostic,
-        so repairs need no cache invalidation.
-        """
-        self.excluded_links = frozenset(excluded)
-
     # -- hot path -------------------------------------------------------------
 
     def admit(self, spec: ChannelSpec, src_ni: str,
               dst_ni: str) -> ChannelAllocation:
         """Admit one session channel; raises :class:`AllocationError`.
 
-        Tries the cached candidate routes in deterministic (shortest
-        first) order; the first route whose free-slot intersection can
-        satisfy both the slot count and the gap constraint wins and is
-        committed atomically.  A failed admission commits nothing.
+        Tries the cached candidate routes that avoid failed fabric in
+        deterministic (shortest first) order; the first route whose
+        free-slot intersection can satisfy both the slot count and the
+        gap constraint wins and is committed atomically.  A failed
+        admission commits nothing.
         """
-        if spec.name in self.allocation.channels:
+        allocation = self.allocation
+        if spec.name in allocation.channels:
             raise AllocationError(
                 f"session {spec.name!r} is already admitted",
                 channel=spec.name, reason="session already admitted")
-        size = self._size
-        excluded = self.excluded_links
         allocator = self.allocator
         candidates = allocator.cached_route_quotes(src_ni, dst_ni, spec)
         if candidates is None:
@@ -147,26 +133,14 @@ class AdmissionController:
             self.path_misses += 1
         else:
             self.path_hits += 1
-        tables = self.allocation.link_tables
-        n_usable = 0
-        for cand in candidates:
-            if excluded and not excluded.isdisjoint(cand.link_keys):
-                continue
-            n_usable += 1
-            mask = self._full
-            for key, shift in cand.hops:
-                mask &= rotate_mask(tables[key].free_mask, shift, size)
-                if not mask:
-                    break
-            width = mask.bit_count()
-            if width < cand.n_slots:
-                continue
-            slots = choose_slots_fast(mask_to_slots(mask), cand.n_slots,
-                                      size, max_gap=cand.max_gap)
-            if slots is None:
-                continue
-            ca = ChannelAllocation(spec=spec, path=cand.path, slots=slots)
-            self.allocation.commit(ca)
+        excluded = allocation.excluded_links
+        usable = candidates if not excluded else [
+            cand for cand in candidates
+            if excluded.isdisjoint(cand.link_keys)]
+        ca, width = _first_fit(allocation.link_tables, spec, usable,
+                               choose_slots_fast, allocator.table_size)
+        if ca is not None:
+            allocation.commit(ca)
             self.admits += 1
             if self._tel_collect:
                 self._pending_widths.append(width)
@@ -177,7 +151,7 @@ class AdmissionController:
         # routes that exist but cross failed fabric.
         if not candidates:
             reason = "no route can meet the requirements"
-        elif not n_usable:
+        elif not usable:
             reason = "every candidate route crosses failed fabric"
         else:
             reason = "no candidate route has capacity"

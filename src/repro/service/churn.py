@@ -80,11 +80,12 @@ class ChurnSpec:
             raise ConfigurationError("churn needs >= 1 session")
         require_finite_positive("arrival_rate_per_s",
                                 self.arrival_rate_per_s)
-        if self.mean_duration_s <= 0 or self.max_duration_s <= 0:
-            raise ConfigurationError("durations must be positive")
-        if self.pareto_shape <= 1.0:
+        require_finite_positive("mean_duration_s", self.mean_duration_s)
+        require_finite_positive("max_duration_s", self.max_duration_s)
+        if not 1.0 < self.pareto_shape < float("inf"):
             raise ConfigurationError(
-                "pareto_shape must exceed 1 (finite mean)")
+                "pareto_shape must be finite and exceed 1 (finite mean), "
+                f"got {self.pareto_shape!r}")
         if not self.classes:
             raise ConfigurationError("churn needs at least one QoS class")
         names = [c.name for c in self.classes]

@@ -34,7 +34,7 @@ import time
 from collections.abc import Iterable
 
 from repro.core.allocation import (Allocation, AllocatorOptions,
-                                   SlotAllocator, excluded_link_keys)
+                                   ChannelAllocation, SlotAllocator)
 from repro.core.analysis import channel_bounds
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.words import WordFormat
@@ -191,11 +191,12 @@ class SessionService:
         #: hub is enabled, so the disabled hot path never touches it.
         self._session_open: dict[str, tuple[float, str]] = {}
         # Observations are deferred: the hot path appends raw values to
-        # these lists (an append is several times cheaper than an
-        # instrument call or a Span construction) and the flush hook
-        # registered below folds them into the registry whenever the
-        # hub is read or exported.
-        self._pending_admit_us: list[float] = []
+        # a list (an append is several times cheaper than an instrument
+        # call or a Span construction) and the flush hook registered
+        # below folds them into the registry whenever the hub is read or
+        # exported.  Admit wall times are already kept by the metrics;
+        # the hook reads on from where it last stopped.
+        self._flushed_admits = 0
         self._pending_spans: list[tuple[str, float, float, str, str]] = []
         if tel.enabled:
             tel.register_flush(self._flush_telemetry)
@@ -232,9 +233,6 @@ class SessionService:
         self.active: dict[str, object] = {}
         self.peak_active = 0
         self._last_time_s = 0.0
-        #: Currently failed fabric (fault-injection consumers only).
-        self.failed_links: frozenset[tuple[str, str]] = frozenset()
-        self.failed_routers: frozenset[str] = frozenset()
         self.recorder = None
         if record_timeline:
             from repro.core.timeline import TimelineRecorder
@@ -259,21 +257,23 @@ class SessionService:
     # -- telemetry helpers ----------------------------------------------------
 
     def _tel_session_end(self, session_id: str, time_s: float,
-                         outcome: str) -> None:
-        """Close one session's trace span at a simulated instant.
+                         outcome: str) -> str:
+        """Close one session's trace span at a simulated instant;
+        returns the QoS class the span carried.
 
         Only called behind ``self._tel_enabled``; unmatched ids (the
         session opened before tracing, or was already closed) are
-        ignored.
+        ignored and read as class ``""``.
         """
         entry = self._session_open.pop(session_id, None)
         if entry is None:
-            return
+            return ""
         opened_s, qos_name = entry
         # One tuple append on the hot path; the hold-time histogram and
         # the Span object itself materialise at flush time.
         self._pending_spans.append(
             (session_id, opened_s, time_s, qos_name, outcome))
+        return qos_name
 
     def _flush_telemetry(self) -> None:
         """Fold deferred hot-path observations into the registry.
@@ -293,9 +293,10 @@ class SessionService:
                 {"qos": qos_name, "outcome": outcome}))
         self._pending_spans.clear()
         observe = self._tel_admit_wall.observe
-        for admit_us in self._pending_admit_us:
-            observe(admit_us)
-        self._pending_admit_us.clear()
+        walls = self.metrics.admit_wall_s
+        for wall_s in walls[self._flushed_admits:]:
+            observe(wall_s * 1e6)
+        self._flushed_admits = len(walls)
         checker = self.checker
         totals = (checker.transitions_checked - checker.rescans,
                   checker.rescans, checker.records_compared,
@@ -345,19 +346,10 @@ class SessionService:
         repair only restores the fabric — degraded sessions are not
         migrated back (no disruption without cause).
         """
-        if event.action == "fail":
-            if event.kind == "link":
-                self.failed_links = self.failed_links | {event.target}
-            else:
-                self.failed_routers = self.failed_routers | {event.target}
-        else:
-            if event.kind == "link":
-                self.failed_links = self.failed_links - {event.target}
-            else:
-                self.failed_routers = self.failed_routers - {event.target}
-        excluded = excluded_link_keys(self.topology, self.failed_links,
-                                      self.failed_routers)
-        self.admission.set_excluded_links(excluded)
+        links, routers = (((event.target,), ()) if event.kind == "link"
+                          else ((), (event.target,)))
+        excluded = self.allocation.set_failed(
+            *self.allocation.fabric_after(event.action, links, routers))
         evicted = reallocated = same_bounds = degraded = 0
         outcomes: list[dict[str, object]] = []
         start = time.perf_counter()
@@ -401,22 +393,43 @@ class SessionService:
             reallocated=reallocated, same_bounds=same_bounds,
             degraded=degraded, realloc_wall_s=wall)
 
-    def _relocate(self, session_id: str, time_s: float
-                  ) -> dict[str, object]:
-        """Force-release one fault-hit session and try to re-admit it."""
-        old_ca = self.active[session_id]
-        old_bounds = channel_bounds(old_ca, self.allocator.table_size,
-                                    self.allocator.frequency_hz,
-                                    self.allocator.fmt)
+    def _start(self, time_s: float, session_id: str,
+               ca: ChannelAllocation, qos_name: str, quoted_as: str
+               ) -> None:
+        """An admitted channel goes live: the one place every watcher —
+        active map, trace span, composability checker, timeline
+        recorder, conformance quotes — hears of it."""
+        self.active[session_id] = ca
+        self.peak_active = max(self.peak_active, len(self.active))
         if self._tel_enabled:
-            entry = self._session_open.get(session_id)
-            qos_name = entry[1] if entry is not None else ""
-            self._tel_session_end(session_id, time_s, "evicted")
+            self._session_open[session_id] = (time_s, qos_name)
+        self.checker.check_transition(session_id)
+        if self.recorder is not None:
+            self.recorder.record_start(time_s, session_id, (ca,))
+        if self.monitor is not None:
+            self._quotes.append((session_id, quoted_as, ca,
+                                 self._session_tenant.get(session_id,
+                                                          "")))
+
+    def _stop(self, time_s: float, session_id: str, outcome: str) -> str:
+        """A live channel is released and every watcher of
+        :meth:`_start` told; returns its traced QoS class (``""`` when
+        tracing is off)."""
+        qos_name = ""
+        if self._tel_enabled:
+            qos_name = self._tel_session_end(session_id, time_s, outcome)
         self.admission.release(session_id)
         del self.active[session_id]
         self.checker.check_transition(session_id)
         if self.recorder is not None:
             self.recorder.record_stop(time_s, session_id)
+        return qos_name
+
+    def _relocate(self, session_id: str, time_s: float
+                  ) -> dict[str, object]:
+        """Force-release one fault-hit session and try to re-admit it."""
+        old_ca = self.active[session_id]
+        qos_name = self._stop(time_s, session_id, "evicted")
         outcome: dict[str, object] = {"session": session_id}
         try:
             new_ca = self.admission.admit(old_ca.spec, old_ca.path.source,
@@ -425,25 +438,13 @@ class SessionService:
             outcome["decision"] = "dropped"
             outcome["reason"] = exc.reason
             return outcome
-        self.active[session_id] = new_ca
-        if self._tel_enabled:
-            self._session_open[session_id] = (time_s, qos_name)
-        self.checker.check_transition(session_id)
-        if self.recorder is not None:
-            self.recorder.record_start(time_s, session_id, (new_ca,))
-        new_bounds = channel_bounds(new_ca, self.allocator.table_size,
-                                    self.allocator.frequency_hz,
-                                    self.allocator.fmt)
-        if self.monitor is not None:
-            self._quotes.append((session_id, "relocated", new_ca,
-                                 self._session_tenant.get(session_id,
-                                                          "")))
-        same = (new_bounds.throughput_bytes_per_s >=
-                old_bounds.throughput_bytes_per_s * (1 - 1e-9)
-                and new_bounds.latency_ns <=
-                old_bounds.latency_ns * (1 + 1e-9))
+        self._start(time_s, session_id, new_ca, qos_name, "relocated")
+        allocator = self.allocator
+        same = new_ca.no_worse_than(old_ca, allocator.table_size)
         outcome["decision"] = "same_bounds" if same else "degraded"
-        outcome["latency_bound_ns"] = round(new_bounds.latency_ns, 3)
+        outcome["latency_bound_ns"] = round(channel_bounds(
+            new_ca, allocator.table_size, allocator.frequency_hz,
+            allocator.fmt).latency_ns, 3)
         return outcome
 
     def _open(self, event: SessionEvent) -> None:
@@ -481,8 +482,6 @@ class SessionService:
                     record["shed"] = verdict[0]
                     record["reason"] = verdict[1]
                 self.checker.check_transition(session.session_id)
-                if self._tel_enabled:
-                    self._pending_admit_us.append(wall * 1e6)
                 self.metrics.record_open(
                     record, qos_name=session.qos.name, accepted=False,
                     wall_s=wall, tenant=session.tenant,
@@ -498,15 +497,18 @@ class SessionService:
             if record is not None:
                 record["decision"] = "reject"
                 record["reason"] = exc.reason
+            # A capacity reject leaves the network untouched — still a
+            # checked (no-op) transition.
+            self.checker.check_transition(session.session_id)
             accepted = False
         else:
             wall = time.perf_counter() - start
             if fairness is not None and session.tenant:
                 fairness.on_admitted(event.time_s, session)
-            if self.monitor is not None:
-                self._quotes.append((session.session_id,
-                                     session.qos.name, ca,
-                                     session.tenant))
+            if session.tenant:
+                self._session_tenant[session.session_id] = session.tenant
+            self._start(event.time_s, session.session_id, ca,
+                        session.qos.name, session.qos.name)
             if record is not None:
                 bounds = channel_bounds(ca, self.allocator.table_size,
                                         self.allocator.frequency_hz,
@@ -522,20 +524,7 @@ class SessionService:
                 # Quote-bound capture piggybacks on the record-mode
                 # bound computation; record_events=False runs skip both.
                 self._tel_quote.observe(bounds.latency_ns)
-            if self._tel_enabled:
-                self._session_open[session.session_id] = (
-                    event.time_s, session.qos.name)
-            self.active[session.session_id] = ca
-            if session.tenant:
-                self._session_tenant[session.session_id] = session.tenant
-            self.peak_active = max(self.peak_active, len(self.active))
             accepted = True
-            if self.recorder is not None:
-                self.recorder.record_start(event.time_s,
-                                           session.session_id, (ca,))
-        self.checker.check_transition(session.session_id)
-        if self._tel_enabled:
-            self._pending_admit_us.append(wall * 1e6)
         self.metrics.record_open(record, qos_name=session.qos.name,
                                  accepted=accepted, wall_s=wall,
                                  tenant=session.tenant)
@@ -544,15 +533,7 @@ class SessionService:
         session = event.session
         released = session.session_id in self.active
         if released:
-            if self._tel_enabled:
-                self._tel_session_end(session.session_id, event.time_s,
-                                      "closed")
-            self.admission.release(session.session_id)
-            del self.active[session.session_id]
-            self.checker.check_transition(session.session_id)
-            if self.recorder is not None:
-                self.recorder.record_stop(event.time_s,
-                                          session.session_id)
+            self._stop(event.time_s, session.session_id, "closed")
         record: dict[str, object] | None = None
         if self.metrics.record_events:
             record = {

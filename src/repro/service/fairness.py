@@ -160,12 +160,11 @@ class FairnessSpec:
     shed_thresholds: tuple[float, ...] = (0.25, 0.5, 0.75)
 
     def __post_init__(self) -> None:
-        if self.quantum < 1.0:
+        if not 1.0 <= self.quantum < float("inf"):
             raise ConfigurationError(
-                "quantum must be >= 1 (the least-served tenant must be "
-                "admittable)")
-        if self.window_s <= 0:
-            raise ConfigurationError("window_s must be positive")
+                "quantum must be finite and >= 1 (the least-served "
+                f"tenant must be admittable), got {self.quantum!r}")
+        require_finite_positive("window_s", self.window_s)
         if not 0.0 <= self.pressure_threshold <= 1.0:
             raise ConfigurationError(
                 "pressure_threshold must lie in [0, 1]")

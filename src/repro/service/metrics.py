@@ -56,7 +56,9 @@ class ServiceMetrics:
         self._window_opens = 0
         self._window_accepts = 0
         self._window_start_s = 0.0
-        self._admit_wall_s: list[float] = []
+        #: Wall time of every admission decision, in arrival order (the
+        #: telemetry flush reads it from a cursor; never serialised).
+        self.admit_wall_s: list[float] = []
         self._realloc_wall_s: list[float] = []
 
     # -- recording ------------------------------------------------------------
@@ -102,7 +104,7 @@ class ServiceMetrics:
                 tstats["rejected"] += 1
                 if shed is not None:
                     tstats["shed"] += 1
-        self._admit_wall_s.append(wall_s)
+        self.admit_wall_s.append(wall_s)
         if self.record_events and record is not None:
             self.events.append(record)
 
@@ -193,7 +195,7 @@ class ServiceMetrics:
 
     def timing(self, wall_s: float) -> dict[str, float]:
         """Machine-dependent figures (kept out of the canonical report)."""
-        admits = sorted(self._admit_wall_s)
+        admits = sorted(self.admit_wall_s)
         out = {
             "wall_s": wall_s,
             "events_per_s": self.n_events / wall_s if wall_s > 0 else 0.0,

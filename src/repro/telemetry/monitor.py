@@ -37,6 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
+from repro.core.exceptions import ConfigurationError
 from repro.simulation.monitors import ServiceObservation
 
 __all__ = [
@@ -78,11 +79,12 @@ class MonitorSpec:
 
     def __post_init__(self):
         if not 0.0 <= self.slack_fraction < 1.0:
-            raise ValueError(
+            raise ConfigurationError(
                 f"slack_fraction must be in [0, 1), got "
                 f"{self.slack_fraction}")
         if self.top_k < 1:
-            raise ValueError(f"top_k must be >= 1, got {self.top_k}")
+            raise ConfigurationError(
+                f"top_k must be >= 1, got {self.top_k}")
 
     def classify(self, observed: float, bound: float) -> str:
         """Classify one observation against its quoted bound.
@@ -538,7 +540,7 @@ _RUN_OK_STATUSES = ("ok", "pruned", "infeasible")
 
 def _run_conformance(record: dict) -> ChannelConformance:
     """Classify one campaign record into a run-level verdict."""
-    run_id = str(record.get("run", record.get("scenario", "?")))
+    run_id = str(record.get("run_id", record.get("scenario", "?")))
     status = record.get("status", "ok")
     if status not in _RUN_OK_STATUSES:
         return ChannelConformance(channel=run_id, kind="run",

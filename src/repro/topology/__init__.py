@@ -31,7 +31,6 @@ _EXPORTS: dict[str, str] = {
     "xy_path": "repro.topology.routing",
     "k_shortest_paths": "repro.topology.routing",
     "weighted_shortest_path": "repro.topology.routing",
-    "candidate_paths": "repro.topology.routing",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -24,7 +24,6 @@ __all__ = [
     "k_shortest_paths",
     "weighted_shortest_path",
     "merge_load_aware",
-    "candidate_paths",
 ]
 
 
@@ -155,31 +154,11 @@ def merge_load_aware(paths: list[Path], weighted: Path) -> list[Path]:
 
     The load-aware path is prepended if it is not already among the
     candidates; otherwise the matching candidate is (stably) moved to the
-    front — either way the least-congested route is tried first.  Shared
-    by :func:`candidate_paths` and the allocator's cached candidate flow
-    so the merge rule cannot diverge.
+    front — either way the least-congested route is tried first.
     """
     keys = {p.link_keys() for p in paths}
     if weighted.link_keys() not in keys:
         paths.insert(0, weighted)
     else:
         paths.sort(key=lambda p: p.link_keys() != weighted.link_keys())
-    return paths
-
-
-def candidate_paths(topo: Topology, src_ni: str, dst_ni: str, *,
-                    k: int = 4,
-                    link_weight: Callable[[tuple[str, str]], float] | None = None
-                    ) -> list[Path]:
-    """Candidate routes: k-shortest plus one load-aware.
-
-    Standalone variant of the allocator's cached candidate flow
-    (:meth:`~repro.core.allocation.SlotAllocator.shortest_candidates`
-    plus :func:`merge_load_aware`); note the allocator additionally
-    filters routes by the header hop budget.
-    """
-    paths = k_shortest_paths(topo, src_ni, dst_ni, k)
-    if link_weight is not None:
-        weighted = weighted_shortest_path(topo, src_ni, dst_ni, link_weight)
-        merge_load_aware(paths, weighted)
     return paths

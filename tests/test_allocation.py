@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.allocation import (Allocation, AllocatorOptions,
-                                   SlotAllocator)
-from repro.core.analysis import analyse
+                                   ChannelAllocation, SlotAllocator,
+                                   _first_fit, _quoted)
+from repro.core.analysis import analyse, channel_bounds
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
-from repro.core.slot_table import shifted
+from repro.core.requirements import latency_bound_ns, slots_for_channel
+from repro.core.slot_table import choose_slots_fast, shifted, spread_slots
 from repro.core.words import WordFormat
+from repro.service.admission import AdmissionController
 from repro.topology.builders import mesh, single_router
 from repro.topology.mapping import Mapping, round_robin
+from repro.topology.routing import k_shortest_paths
 
 
 def _allocator(topo, table_size=16, frequency_hz=500e6, **kw):
@@ -283,3 +287,160 @@ class TestAllocationProperties:
         for table in alloc.link_tables.values():
             assert table.owners() <= expected
         assert total >= 0
+
+
+# -- one placement path --------------------------------------------------------
+
+def _reference_fit(allocation, spec, paths, choose):
+    """The placement loop before ``admit`` and ``extend`` shared one,
+    kept as their oracle: free injection slots are read off the link
+    tables one slot at a time, never through a rotated mask.  Returns
+    ``((path, slots) | None, per-path reasons)``."""
+    size = allocation.table_size
+    failures = []
+    for path in paths:
+        try:
+            n, gap = slots_for_channel(spec, path, size,
+                                       allocation.frequency_hz,
+                                       allocation.fmt)
+        except AllocationError as exc:
+            failures.append(f"{path!r}: {exc.reason}")
+            continue
+        free = {slot for slot in range(size)
+                if all(allocation.link_tables[link.key].is_free(
+                    shifted(slot, shift, size))
+                    for link, shift in zip(path.links, path.link_shifts))}
+        if len(free) < n:
+            failures.append(f"{path!r}: {len(free)} free slots < {n} needed")
+            continue
+        slots = choose(free, n, size, max_gap=gap)
+        if slots is None:
+            failures.append(
+                f"{path!r}: free slots cannot satisfy gap <= {gap}")
+            continue
+        return (path, slots), failures
+    return None, failures
+
+
+class TestOnePlacementPath:
+    """``admit``, ``extend`` and ``rebuild_excluding`` all place through
+    ``_first_fit``; only the candidates and the chooser differ."""
+
+    SIZE = 8
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(4, 28),
+           fail=st.booleans())
+    def test_admit_and_extend_commit_what_first_fit_places(
+            self, seed, n, fail):
+        rng = random.Random(seed)
+        topo = mesh(3, 2, nis_per_router=1)
+        nis = list(topo.nis)
+        mapping = Mapping({ni: ni for ni in nis})
+        allocator = _allocator(topo, table_size=self.SIZE)
+        ctrl = AdmissionController(allocator)
+        online, offline = ctrl.allocation, Allocation(
+            topo, self.SIZE, 500e6, WordFormat())
+        if fail:
+            dead = rng.choice(sorted(
+                key for key in topo.iter_link_keys()
+                if key[0].startswith("r") and key[1].startswith("r")))
+            for allocation in (online, offline):
+                allocation.set_failed(failed_links=[dead])
+        for index in range(n):
+            src, dst = rng.sample(nis, 2)
+            spec = ChannelSpec(
+                f"s{index}", src, dst, rng.choice((20, 150, 300, 500)) * MB,
+                max_latency_ns=rng.choice((None, 20.0, 40.0, 80.0, 200.0)))
+            self._check_admit(ctrl, spec, src, dst)
+            self._check_extend(allocator, offline, spec, mapping)
+        online.validate()
+        offline.validate()
+
+    def _check_admit(self, ctrl, spec, src, dst):
+        allocator, allocation = ctrl.allocator, ctrl.allocation
+        quotes = allocator.route_quotes(src, dst, spec)
+        usable = [cand for cand in quotes
+                  if allocation.excluded_links.isdisjoint(cand.link_keys)]
+        placed, _ = _first_fit(allocation.link_tables, spec, usable,
+                               choose_slots_fast, self.SIZE)
+        reference, _ = _reference_fit(
+            allocation, spec,
+            [p for p in allocator.shortest_candidates(src, dst)
+             if allocation.excluded_links.isdisjoint(p.link_keys())],
+            choose_slots_fast)
+        try:
+            ca = ctrl.admit(spec, src, dst)
+        except AllocationError as exc:
+            assert placed is None and reference is None
+            assert exc.reason == (
+                "no route can meet the requirements" if not quotes
+                else "every candidate route crosses failed fabric"
+                if not usable else "no candidate route has capacity")
+        else:
+            assert ca == placed
+            assert (ca.path, ca.slots) == reference
+            assert allocation.channels[spec.name] is ca
+
+    def _check_extend(self, allocator, allocation, spec, mapping):
+        try:
+            paths = allocator._candidates(
+                spec, mapping, allocation.excluded_links,
+                allocation.link_tables)
+        except AllocationError as exc:
+            with pytest.raises(AllocationError) as refused:
+                allocator.extend(allocation, [spec], mapping)
+            assert refused.value.reason == exc.reason
+            return
+        reasons: list[str] = []
+        placed, _ = _first_fit(
+            allocation.link_tables, spec,
+            _quoted(allocator, spec, paths, reasons), spread_slots,
+            self.SIZE, reasons)
+        reference, reference_reasons = _reference_fit(
+            allocation, spec, paths, spread_slots)
+        assert reasons == reference_reasons
+        try:
+            allocator.extend(allocation, [spec], mapping)
+        except AllocationError as exc:
+            assert placed is None and reference is None
+            assert exc.reason == "; ".join(reference_reasons)
+        else:
+            ca = allocation.channels[spec.name]
+            assert ca == placed
+            assert (ca.path, ca.slots) == reference
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           frequency_hz=st.sampled_from((123.456e6, 333e6, 500e6, 1e9)),
+           size=st.sampled_from((8, 16, 32)))
+    def test_no_worse_than_agrees_with_both_float_formulas(
+            self, data, frequency_hz, size):
+        """The integer predicate against the two tolerance formulas it
+        replaced: ``rebuild_excluding``'s (slot count, latency bound)
+        and the session service's (throughput, latency bound)."""
+        fmt = WordFormat()
+        topo = mesh(3, 3, nis_per_router=1, pipeline_stages=1)
+        paths = k_shortest_paths(topo, "ni0_0_0", "ni2_2_0", 4) + \
+            k_shortest_paths(topo, "ni0_0_0", "ni1_0_0", 4)
+        slot_sets = st.sets(st.integers(0, size - 1), min_size=1)
+        spec = ChannelSpec("c", "a", "b", 1 * MB)
+        old, new = (
+            ChannelAllocation(spec, data.draw(st.sampled_from(paths)),
+                              tuple(sorted(data.draw(slot_sets))))
+            for _ in range(2))
+
+        def latency(ca):
+            return latency_bound_ns(ca.worst_wait_slots(size), ca.path,
+                                    frequency_hz, fmt)
+
+        rebuild_formula = (new.n_slots >= old.n_slots
+                           and latency(new) <= latency(old) * (1 + 1e-9))
+        old_b, new_b = (channel_bounds(ca, size, frequency_hz, fmt)
+                        for ca in (old, new))
+        relocate_formula = (
+            new_b.throughput_bytes_per_s
+            >= old_b.throughput_bytes_per_s * (1 - 1e-9)
+            and new_b.latency_ns <= old_b.latency_ns * (1 + 1e-9))
+        assert new.no_worse_than(old, size) \
+            == rebuild_formula == relocate_formula

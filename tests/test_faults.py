@@ -315,8 +315,8 @@ class TestServiceFaults:
         degraded = feasible_set()
         service.process_fault(FaultEvent(1.1, "repair", "link", link))
         after = feasible_set()
-        assert service.failed_links == frozenset()
-        assert service.admission.excluded_links == frozenset()
+        assert service.allocation.failed_links == frozenset()
+        assert service.allocation.excluded_links == frozenset()
         assert before == after
         # While failed, routes over the dead link are refused.
         assert degraded.count(True) <= before.count(True)
@@ -465,7 +465,7 @@ class TestReconfigurationFaults:
         timeline = recorder.build(horizon_slots=2000)
         assert timeline.n_epochs >= 2
         # The failure persists: later starts must avoid the dead link.
-        assert ("r1_1", "r1_0") in allocator.excluded_links
+        assert ("r1_1", "r1_0") in manager.allocation.excluded_links
         from repro.core.application import Application
         from repro.core.connection import MB, ChannelSpec
         ips = sorted(use_case.ips)[:2]
@@ -476,5 +476,75 @@ class TestReconfigurationFaults:
             assert ("r1_1", "r1_0") not in ca.path.link_keys()
         # Repair restores the allocator's pre-fault route freedom.
         manager.repair_fault(failed_links=[("r1_1", "r1_0")])
-        assert manager.failed_links == frozenset()
-        assert allocator.excluded_links == frozenset()
+        assert manager.allocation.failed_links == frozenset()
+        assert manager.allocation.excluded_links == frozenset()
+
+
+class TestSharedAllocatorIsolation:
+    """Failed fabric is state of one live allocation: an allocator
+    shared for its warm caches carries none of it to a neighbour."""
+
+    def _managers(self, n):
+        from repro.core.allocation import SlotAllocator
+        from repro.core.reconfiguration import ReconfigurationManager
+        topology = mesh(3, 3, nis_per_router=2)
+        use_case, mapping = WorkloadSpec(
+            n_channels=12, n_ips=12).build(topology, 3)
+        allocator = SlotAllocator(topology, table_size=16,
+                                  frequency_hz=500e6)
+        managers = [ReconfigurationManager(allocator, mapping)
+                    for _ in range(n)]
+        for manager in managers:
+            for app in use_case.applications:
+                manager.start_application(app)
+        return allocator, mapping, managers
+
+    def test_manager_fault_stays_off_the_other_manager(self):
+        from repro.core.application import Application
+        allocator, mapping, (faulty, healthy, control) = self._managers(3)
+        held = dict(vars(allocator))
+        faulty.apply_fault(failed_routers=["r1_1"])
+        # The allocator's caches fill in place; a fault rebinds nothing.
+        assert vars(allocator) == held
+        assert healthy.allocation.excluded_links == frozenset()
+        # An application the dead router strands: the faulty manager
+        # must refuse it, its neighbour must place it exactly as a
+        # manager that never saw a fault does.
+        src = next(ip for ip in mapping.ips
+                   if mapping.ni_of(ip).startswith("ni1_1"))
+        dst = next(ip for ip in mapping.ips
+                   if not mapping.ni_of(ip).startswith("ni1_1"))
+        late = Application("late", (ChannelSpec(
+            "late0", src, dst, 5 * MB, application="late"),))
+        with pytest.raises(AllocationError, match="failed fabric"):
+            faulty.start_application(late)
+        healthy.start_application(late)
+        control.start_application(late)
+        assert (allocation_fingerprint(healthy.allocation)
+                == allocation_fingerprint(control.allocation))
+        # Repair on one side changes nothing on the other either.
+        faulty.repair_fault(failed_routers=["r1_1"])
+        assert faulty.allocation.excluded_links == frozenset()
+        faulty.start_application(late)
+
+    def test_service_fault_stays_off_the_other_service(self):
+        from repro.core.allocation import SlotAllocator
+        topology = mesh(3, 3, nis_per_router=2)
+        allocator = SlotAllocator(topology, table_size=32,
+                                  frequency_hz=500e6)
+        events = ChurnWorkload(ChurnSpec(n_sessions=60), topology,
+                               5).events()
+        faults = FaultSchedule(FaultSpec(n_faults=3, repair=False),
+                               topology, 9).events()
+        alone = SessionService(topology, allocator=allocator,
+                               seed=1).run(events).to_json()
+        faulty = SessionService(topology, allocator=allocator, seed=1)
+        healthy = SessionService(topology, allocator=allocator, seed=1)
+        for event in merge_events(events, faults):
+            faulty.process(event)
+            if not isinstance(event, FaultEvent):
+                healthy.process(event)
+        assert faulty.allocation.excluded_links
+        assert healthy.allocation.excluded_links == frozenset()
+        assert healthy.report().to_json() == alone
+        assert faulty.report().to_json() != alone

@@ -27,8 +27,9 @@ from repro.core.application import Application, UseCase
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError
 from repro.design import DesignSpec
-from repro.faults import FaultSpec
-from repro.service import ChurnSpec, TenantSpec, abusive_tenant_mix
+from repro.faults import FaultEvent, FaultSpec
+from repro.service import (ChurnSpec, FairnessSpec, TenantSpec,
+                           abusive_tenant_mix)
 
 #: One small value per payload field (tenant-tagged churn, so it fits
 #: every kind that accepts churn).
@@ -152,6 +153,14 @@ class TestNonFiniteAxes:
         (partial(TenantSpec, "t"), "rate_multiplier", math.nan, 10.0),
         (FaultSpec, "fault_rate_per_s", math.nan, 300.0),
         (FaultSpec, "mean_repair_s", math.inf, 0.01),
+        (ChurnSpec, "mean_duration_s", math.nan, 2e-3),
+        (ChurnSpec, "max_duration_s", math.inf, 0.5),
+        (ChurnSpec, "pareto_shape", math.nan, 2.5),
+        (FairnessSpec, "window_s", math.nan, 1e-3),
+        (FairnessSpec, "quantum", math.nan, 2.0),
+        (FairnessSpec, "quantum", math.inf, 1.0),
+        (partial(FaultEvent, action="fail", kind="router", target="r0_0"),
+         "time_s", math.nan, 0.0),
     ], ids=lambda v: getattr(getattr(v, "func", v), "__name__", str(v)))
     def test_public_constructors_refuse_non_finite(self, make, field,
                                                    bad, good):
@@ -270,6 +279,10 @@ def test_bad_cli_number_is_a_usage_error(argv, flag, capsys):
      "repro campaign: unknown campaign preset 'nope'"),
     (("design", "--demo", "--spare-capacity", "-1"),
      "repro design: spare_capacity must be >= 0"),
+    (("monitor", "--demo", "--slack", "-1"),
+     "repro monitor: slack_fraction must be in [0, 1), got -1.0"),
+    (("serve", "--demo", "--monitor", "--monitor-slack", "1.5"),
+     "repro serve: slack_fraction must be in [0, 1), got 1.5"),
 ], ids=" ".join)
 def test_refused_configuration_is_one_stderr_line(argv, message, capsys):
     assert main(list(argv)) == 2

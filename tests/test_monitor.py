@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro.core.exceptions import ConfigurationError
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.traffic import ConstantBitRate
 from repro.telemetry.monitor import (ConformanceReport, FabricRollup,
@@ -57,9 +58,9 @@ class TestClassification:
         assert spec.classify(bound * (1 + 1e-15), bound) == "tight"
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             MonitorSpec(slack_fraction=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             MonitorSpec(top_k=0)
 
     def test_worst_channels_orders_by_headroom(self):
@@ -177,10 +178,10 @@ class TestCampaignConformance:
 
     def test_statuses_fold_to_verdicts(self):
         records = [
-            {"run": "r0", "status": "ok", "result": {}},
-            {"run": "r1", "status": "crashed",
+            {"run_id": "r0", "status": "ok", "result": {}},
+            {"run_id": "r1", "status": "crashed",
              "error": "boom", "result": {}},
-            {"run": "r2", "status": "ok",
+            {"run_id": "r2", "status": "ok",
              "result": {"composability": {"composable": False}}},
         ]
         report = campaign_conformance(records)
@@ -189,6 +190,22 @@ class TestCampaignConformance:
         assert verdicts["r1"] == "violated"
         assert verdicts["r2"] == "violated"
         assert report.n_violated == 2
+
+    def test_two_seeds_of_a_scenario_get_a_row_each(self):
+        """Rows are keyed by run, not by scenario: both seeds of a
+        scenario used to fold under the scenario's name."""
+        from repro.campaign import (CampaignRunner, CampaignSpec,
+                                    ScenarioSpec, TopologySpec,
+                                    WorkloadSpec)
+        spec = CampaignSpec(name="two-seed", seeds=(1, 2), scenarios=(
+            ScenarioSpec(name="flit", n_slots=200, table_size=16,
+                         topology=TopologySpec(kind="mesh", cols=2, rows=2),
+                         workload=WorkloadSpec(n_channels=4, n_ips=8)),))
+        result = CampaignRunner(spec, workers=1).run()
+        report = campaign_conformance(result)
+        names = [c.channel for c in report.channels]
+        assert names == [run.run_id for run in spec.expand()]
+        assert len(set(names)) == 2
 
 
 class TestFabricRollup:

@@ -14,7 +14,7 @@ from repro.topology.builders import (concentrated_mesh, custom, line, mesh,
 from repro.topology.graph import Link, NodeKind, Topology
 from repro.topology.mapping import (Mapping, communication_clustered,
                                     round_robin, traffic_balanced)
-from repro.topology.routing import (candidate_paths, k_shortest_paths,
+from repro.topology.routing import (k_shortest_paths, merge_load_aware,
                                     weighted_shortest_path, xy_path,
                                     xy_route)
 
@@ -197,17 +197,30 @@ class TestRouting:
         assert path.n_routers == 3
 
     def test_candidate_paths_include_load_aware_first(self):
+        """The allocator's candidate flow, by hand: k-shortest plus one
+        load-aware route, which leads whether or not it was already
+        among them."""
         topo = mesh(3, 3, nis_per_router=1)
+        shortest = k_shortest_paths(topo, "ni0_0_0", "ni2_2_0", k=2)
         calls = []
 
-        def weight(key):
+        def loaded(key):
             calls.append(key)
-            return 0.0
+            return 10.0 if key in shortest[0].link_keys() else 0.0
 
-        paths = candidate_paths(topo, "ni0_0_0", "ni2_2_0", k=2,
-                                link_weight=weight)
-        assert len(paths) >= 2
+        weighted = weighted_shortest_path(topo, "ni0_0_0", "ni2_2_0",
+                                          loaded)
         assert calls  # weight function was consulted
+        assert weighted.link_keys() != shortest[0].link_keys()
+        merged = merge_load_aware(list(shortest), weighted)
+        assert merged[0].link_keys() == weighted.link_keys()
+        assert {p.link_keys() for p in shortest} <= {
+            p.link_keys() for p in merged}
+        assert len(merged) == len({p.link_keys() for p in merged})
+        # Already a candidate: moved to the front, nothing duplicated.
+        again = merge_load_aware(list(shortest), shortest[1])
+        assert [p.link_keys() for p in again] == [
+            shortest[1].link_keys(), shortest[0].link_keys()]
 
     def test_path_slot_shifts_with_stages(self):
         topo = mesh(2, 1, nis_per_router=1, pipeline_stages=1)
