@@ -43,8 +43,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Callable
 
 from repro.experiments.report import format_table
@@ -64,10 +66,10 @@ def _finish_telemetry(tel, args: argparse.Namespace) -> None:
         print(format_table(
             phases, title="phase timing [wall-clock; excluded from the "
                   "canonical report]"))
-    if getattr(args, "telemetry", None):
+    if args.telemetry:
         tel.write_jsonl(args.telemetry)
         print(f"telemetry JSONL written to {args.telemetry}")
-    if getattr(args, "trace", None):
+    if args.trace:
         tel.write_chrome_trace(args.trace)
         print(f"Chrome trace (load in Perfetto or chrome://tracing) "
               f"written to {args.trace}")
@@ -75,115 +77,96 @@ def _finish_telemetry(tel, args: argparse.Namespace) -> None:
 
 def _print_campaign_meta(meta: dict) -> None:
     """The runner's wall-clock execution report (never serialised)."""
-    stages = meta.get("stages")
-    if stages:
-        print()
-        print(format_table(
-            [{"stage": stage, "wall_s": wall}
-             for stage, wall in stages.items()],
-            title="campaign stages [wall-clock; excluded from the "
-                  "canonical report]"))
-    workers = meta.get("worker_table") or {}
+    print()
+    print(format_table(
+        [{"stage": stage, "wall_s": wall}
+         for stage, wall in meta["stages"].items()],
+        title="campaign stages [wall-clock; excluded from the "
+              "canonical report]"))
+    workers = meta["worker_table"]
     if len(workers) > 1:
         print(format_table(
             [{"pid": pid, "runs": entry["runs"],
               "wall_s": entry["wall_s"]}
              for pid, entry in workers.items()],
             title="per-worker runs"))
-    stragglers = meta.get("stragglers") or []
+    stragglers = meta["stragglers"]
     if stragglers:
         worst = max(stragglers, key=lambda s: s["wall_s"])
         print(f"stragglers: {len(stragglers)} run(s) took >= 3x the "
-              f"median ({meta.get('median_run_wall_s', 0.0):.3f}s); "
+              f"median ({meta['median_run_wall_s']:.3f}s); "
               f"worst: {worst['run_id']} at {worst['wall_s']:.3f}s")
-    shards = meta.get("shards") or {}
-    if shards:
-        print(f"shards: {shards.get('completed', 0)}/"
-              f"{shards.get('n_shards', 0)} completed")
-    resume = meta.get("resume") or {}
-    if resume.get("enabled"):
-        print(f"resume: {resume.get('n_resumed', 0)} run(s) restored "
+    shards = meta["shards"]
+    print(f"shards: {shards['completed']}/{shards['n_shards']} completed")
+    if meta["resume"]["enabled"]:
+        print(f"resume: {meta['resume']['n_resumed']} run(s) restored "
               "from the workdir journals")
-    dispatch = meta.get("dispatch") or {}
+    dispatch = meta["dispatch"]  # empty for an in-process run
     if dispatch:
-        print(f"dispatch: {dispatch.get('batches', 0)} batches, "
-              f"{dispatch.get('steals', 0)} steals, "
-              f"{dispatch.get('duplicates', 0)} duplicate runs, "
-              f"{dispatch.get('worker_deaths', 0)} worker deaths")
+        print(f"dispatch: {dispatch['batches']} batches, "
+              f"{dispatch['steals']} steals, "
+              f"{dispatch['duplicates']} duplicate runs, "
+              f"{dispatch['worker_deaths']} worker deaths")
 
 
-def _fig5() -> None:
-    from repro.experiments.figures import figure5_rows
-    print(format_table(figure5_rows(),
-                       title="Figure 5 — area vs target frequency "
-                             "(arity-5, 32-bit, 90 nm)"))
-
-
-def _fig6a() -> None:
-    from repro.experiments.figures import figure6a_rows
-    print(format_table(figure6a_rows(),
-                       title="Figure 6(a) — area & fmax vs arity"))
-
-
-def _fig6b() -> None:
-    from repro.experiments.figures import figure6b_rows
-    print(format_table(figure6b_rows(),
-                       title="Figure 6(b) — area & fmax vs data width"))
-
-
-def _costs() -> None:
-    from repro.experiments.area_comparison import (fifo_rows,
-                                                   headline_ratio_rows,
-                                                   mesochronous_rows,
-                                                   related_work_rows,
-                                                   throughput_rows)
-    _print_tables((fifo_rows(), "Bi-synchronous FIFO cost"),
-                  (mesochronous_rows(), "Mesochronous arity-5 router"),
-                  (related_work_rows(), "Related-work comparison"),
-                  (headline_ratio_rows(), "aelite vs AEthereal GS+BE"),
-                  (throughput_rows(), "Raw throughput per area"))
-
-
-def _usecase() -> None:
-    from repro.experiments.section7 import (composability_rows,
-                                            section7_setup,
-                                            usecase_gs_rows)
-    _, config = section7_setup()
-    _print_tables(
-        (usecase_gs_rows(config), "Section VII — aelite GS @ 500 MHz"),
-        (composability_rows(config), "Section VII — application isolation"))
-
-
-def _sweep() -> None:
-    from repro.experiments.section7 import (be_crossing_mhz, be_sweep_rows,
-                                            cost_rows, section7_setup)
-    _, config = section7_setup()
-    rows = be_sweep_rows(config)
+def _sweep(section7, config) -> None:
+    rows = section7.be_sweep_rows(config)
     print(format_table(rows, title="Section VII — best-effort sweep"))
-    crossing = be_crossing_mhz(rows)
+    crossing = section7.be_crossing_mhz(rows)
     if crossing is None:
         print("\nbest effort never met all requirements in the sweep")
     else:
         print(f"\nbest effort needs {crossing:.0f} MHz "
               "(aelite: 500 MHz)")
     print()
-    print(format_table(cost_rows(config, be_required_mhz=crossing or
-                                 1000.0),
-                       title="Router-network silicon cost"))
+    print(format_table(
+        section7.cost_rows(config, be_required_mhz=crossing or 1000.0),
+        title="Router-network silicon cost"))
 
 
-def _ablations() -> None:
-    from repro.experiments.ablations import (backend_rows,
-                                             fifo_depth_rows,
-                                             ordering_rows,
-                                             pipeline_stage_rows,
-                                             table_size_rows)
-    _print_tables(
-        (table_size_rows(), "Ablation — slot-table size"),
-        (fifo_depth_rows(), "Ablation — link-stage FIFO depth"),
-        (ordering_rows(), "Ablation — allocation order"),
-        (pipeline_stage_rows(), "Ablation — link pipeline stages"),
-        (backend_rows(), "Ablation — simulation backend / clocking"))
+#: The paper artefacts: subcommand -> (module under repro.experiments,
+#: ((rows function, table title), ...)).  The Section VII row functions
+#: take the configured use case, the others nothing; ``sweep`` prints
+#: itself because what it prints depends on where best effort crosses.
+_ARTEFACTS = {
+    "fig5": ("figures", (
+        ("figure5_rows", "Figure 5 — area vs target frequency "
+                         "(arity-5, 32-bit, 90 nm)"),)),
+    "fig6a": ("figures", (
+        ("figure6a_rows", "Figure 6(a) — area & fmax vs arity"),)),
+    "fig6b": ("figures", (
+        ("figure6b_rows", "Figure 6(b) — area & fmax vs data width"),)),
+    "costs": ("area_comparison", (
+        ("fifo_rows", "Bi-synchronous FIFO cost"),
+        ("mesochronous_rows", "Mesochronous arity-5 router"),
+        ("related_work_rows", "Related-work comparison"),
+        ("headline_ratio_rows", "aelite vs AEthereal GS+BE"),
+        ("throughput_rows", "Raw throughput per area"))),
+    "usecase": ("section7", (
+        ("usecase_gs_rows", "Section VII — aelite GS @ 500 MHz"),
+        ("composability_rows", "Section VII — application isolation"))),
+    "sweep": ("section7", _sweep),
+    "ablations": ("ablations", (
+        ("table_size_rows", "Ablation — slot-table size"),
+        ("fifo_depth_rows", "Ablation — link-stage FIFO depth"),
+        ("ordering_rows", "Ablation — allocation order"),
+        ("pipeline_stage_rows", "Ablation — link pipeline stages"),
+        ("backend_rows", "Ablation — simulation backend / clocking"))),
+}
+
+
+def _print_artefact(name: str) -> None:
+    """Regenerate one paper artefact: its tables, in order."""
+    module_name, tables = _ARTEFACTS[name]
+    module = import_module(f"repro.experiments.{module_name}")
+    args = ()
+    if module_name == "section7":
+        args = (module.section7_setup()[1],)
+    if callable(tables):
+        tables(module, *args)
+    else:
+        _print_tables(*((getattr(module, rows)(*args), title)
+                        for rows, title in tables))
 
 
 def _campaign(args: argparse.Namespace) -> int:
@@ -228,8 +211,9 @@ def _campaign(args: argparse.Namespace) -> int:
         with tel.phase("serial-verify"):
             serial = CampaignRunner(spec, workers=1).run()
         agree = serial.to_json() == result.to_json()
-        print(f"\nserial/parallel reports byte-identical: "
-              f"{'yes' if agree else 'NO — DETERMINISM BUG'}")
+        print("\n" + _verdict_line("serial/parallel reports "
+                                   "byte-identical", agree,
+                                   "DETERMINISM BUG"))
     elif args.workers == 1:
         print("\nworkers=1: in-process run, serial/parallel "
               "determinism check skipped")
@@ -237,7 +221,7 @@ def _campaign(args: argparse.Namespace) -> int:
     monitor = _monitor_spec(args)
     conformance_ok = True
     if monitor is not None:
-        from repro.telemetry.monitor import campaign_conformance
+        from repro.campaign import campaign_conformance
         conformance_ok = _print_conformance(
             campaign_conformance(result, spec=monitor), args)
     if args.output:
@@ -249,21 +233,33 @@ def _campaign(args: argparse.Namespace) -> int:
     return 0 if agree and conformance_ok else 1
 
 
+def _verdict_line(claim: str, held: bool, failure: str,
+                  note: str = "") -> str:
+    """One line of a pass condition: a claim, whether it held, what a
+    ``NO`` is called, and a note trailing the verdict word."""
+    return f"{claim}: {'yes' if held else 'NO — ' + failure}{note}"
+
+
 @dataclass
 class _Checked:
     """What a checked demo's flow hands :func:`_checked_demo`.
 
-    ``ok`` folds the flow's own verdict lines (already printed),
+    ``verdicts`` is the flow's pass condition, as ``(claim, held,
+    failure word[, note])`` tuples — the skeleton prints one
+    :func:`_verdict_line` per entry and the demo passes only if every
+    one held —
     ``identical`` is the run-twice verdict and ``canonical`` the report
-    ``--output`` writes.  ``epilogue`` prints what follows the
+    ``--output`` writes.  ``healthy`` carries a condition that has no
+    verdict line of its own.  ``epilogue`` prints what follows the
     byte-identity line; ``stdout_report`` is shown when no ``--output``
     is given.  ``identical_line`` / ``written_line`` are the wording of
     the two lines the skeleton prints about the report.
     """
 
-    ok: bool
+    verdicts: list[tuple]
     identical: bool
     canonical: str
+    healthy: bool = True
     conformance: object = None
     epilogue: Callable[[], None] | None = None
     stdout_report: str | None = None
@@ -275,7 +271,7 @@ def _checked_demo(args: argparse.Namespace) -> int:
     """The skeleton every checked demo shares.
 
     Refuse without ``--demo``; run the flow on a fresh telemetry hub
-    (the flow prints its tables and verdict lines); then the
+    (the flow prints its tables); then its verdict lines, the
     byte-identity line, the conformance verdict when the monitor is
     armed, ``--output``, the phase table and the exit code.
     """
@@ -288,8 +284,10 @@ def _checked_demo(args: argparse.Namespace) -> int:
     tel = Telemetry(name=args.experiment)
     monitor = _monitor_spec(args)
     checked = flow(args, tel, monitor)
-    print(f"{checked.identical_line}: "
-          f"{'yes' if checked.identical else 'NO — DETERMINISM BUG'}")
+    checked.verdicts.append(
+        (checked.identical_line, checked.identical, "DETERMINISM BUG"))
+    for verdict in checked.verdicts:
+        print(_verdict_line(*verdict))
     if checked.epilogue is not None:
         checked.epilogue()
     conformance_ok = True
@@ -303,8 +301,8 @@ def _checked_demo(args: argparse.Namespace) -> int:
     elif checked.stdout_report is not None:
         print("\n" + checked.stdout_report)
     _finish_telemetry(tel, args)
-    return 0 if (checked.ok and checked.identical
-                 and conformance_ok) else 1
+    return 0 if (all(held for _, held, *_ in checked.verdicts)
+                 and checked.healthy and conformance_ok) else 1
 
 
 def _design_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
@@ -327,14 +325,15 @@ def _design_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
               f"{result['operating_frequency_mhz']:.0f} MHz, "
               f"{result['area']['total_um2'] / 1e6:.3f} mm^2 "
               f"(paper hand-picks the 2x2 mesh at 500 MHz)")
+    verdicts = []
     if matches is None:
         print("minimum-area point vs the paper's dimensioning: check "
               "skipped (workload provisioned with "
               f"--spare-capacity {args.spare_capacity:g})")
     else:
-        print(f"minimum-area point matches the paper's dimensioning "
-              f"(2x2 mesh at <= 500 MHz): "
-              f"{'yes' if matches else 'NO — SEARCH REGRESSION'}")
+        verdicts.append((
+            "minimum-area point matches the paper's dimensioning "
+            "(2x2 mesh at <= 500 MHz)", matches, "SEARCH REGRESSION"))
 
     def epilogue() -> None:
         if n_crashed:
@@ -342,8 +341,8 @@ def _design_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
                   "(configuration_failed) — see the JSON report")
         _print_campaign_meta(report.meta)
 
-    return _Checked(ok=matches is not False and not n_crashed,
-                    identical=identical, canonical=report.to_json(),
+    return _Checked(verdicts, identical=identical,
+                    canonical=report.to_json(), healthy=not n_crashed,
                     epilogue=epilogue)
 
 
@@ -373,16 +372,13 @@ def _faults_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
           f"{rebuild['n_dropped']} dropped of {rebuild['n_affected']} "
           f"affected channels (untouched intact: "
           f"{'yes' if rebuild['untouched_intact'] else 'NO'})")
-    composable = bool(comp["composable"])
-    invariant_ok = bool(record["faulty"]["invariant"]["ok"])
-    print(f"fault survivors bit-identical across "
-          f"{comp['n_epochs']} epochs: "
-          f"{'yes' if composable else 'NO — ISOLATION BUG'}")
-    print(f"composability invariant held through all faults: "
-          f"{'yes' if invariant_ok else 'NO — ISOLATION BUG'}")
     return _Checked(
-        ok=composable and invariant_ok and bool(rebuild["untouched_intact"]),
+        [(f"fault survivors bit-identical across {comp['n_epochs']} "
+          "epochs", bool(comp["composable"]), "ISOLATION BUG"),
+         ("composability invariant held through all faults",
+          bool(record["faulty"]["invariant"]["ok"]), "ISOLATION BUG")],
         identical=identical, canonical=report_json,
+        healthy=bool(rebuild["untouched_intact"]),
         conformance=record.get("_conformance"))
 
 
@@ -419,18 +415,17 @@ def _fairness_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
                f"{fcfs_totals['accept_rate']:.1%})"),
         (retention_rows, "admission retention vs solo baseline"))
     checks = record["checks"]
-    wfq_ok = bool(checks["wfq_retention_ok"])
-    fcfs_fails = bool(checks["fcfs_fails"])
-    floor = checks["retention_floor"]
-    print(f"\nwell-behaved tenants retain >= {floor:.0%} of their solo "
-          f"admission rate under wfq: "
-          f"{'yes' if wfq_ok else 'NO — FAIRNESS BUG'} "
-          f"(min {checks['min_well_behaved_retention']:.1%})")
-    print(f"FCFS baseline fails the same bound (the policy earns its "
-          f"keep): {'yes' if fcfs_fails else 'NO — adversary too weak'}")
-    return _Checked(ok=wfq_ok and fcfs_fails, identical=identical,
-                    canonical=report_json,
-                    conformance=record.get("_conformance"))
+    print()
+    return _Checked(
+        [(f"well-behaved tenants retain >= "
+          f"{checks['retention_floor']:.0%} of their solo admission "
+          "rate under wfq", bool(checks["wfq_retention_ok"]),
+          "FAIRNESS BUG",
+          f" (min {checks['min_well_behaved_retention']:.1%})"),
+         ("FCFS baseline fails the same bound (the policy earns its "
+          "keep)", bool(checks["fcfs_fails"]), "adversary too weak")],
+        identical=identical, canonical=report_json,
+        conformance=record.get("_conformance"))
 
 
 def _serve_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
@@ -444,10 +439,7 @@ def _serve_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
         title=f"serve demo — {report.totals['n_events']} events on "
               f"{report.topology} (accept rate "
               f"{report.totals['accept_rate']:.1%})"))
-    invariant_ok = bool(report.invariant["ok"])
-    print(f"\ncomposability invariant held across "
-          f"{report.invariant['transitions_checked']} transitions: "
-          f"{'yes' if invariant_ok else 'NO — ISOLATION BUG'}")
+    print()
 
     def epilogue() -> None:
         timing = report.timing
@@ -456,10 +448,13 @@ def _serve_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
               f"us, p99 {timing.get('admit_p99_us', 0.0):.1f} us) "
               "[wall-clock; excluded from the canonical report]")
 
-    return _Checked(ok=invariant_ok, identical=identical,
-                    canonical=report.to_json(),
-                    conformance=getattr(report, "conformance", None),
-                    epilogue=epilogue)
+    return _Checked(
+        [(f"composability invariant held across "
+          f"{report.invariant['transitions_checked']} transitions",
+          bool(report.invariant["ok"]), "ISOLATION BUG")],
+        identical=identical, canonical=report.to_json(),
+        conformance=getattr(report, "conformance", None),
+        epilogue=epilogue)
 
 
 def _replay_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
@@ -484,15 +479,15 @@ def _replay_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
         title=f"replay demo — {len(timeline['events'])} transitions, "
               f"{timeline['n_epochs']} epochs over "
               f"{timeline['horizon_slots']} slots"))
-    flit_ok = bool(verdicts["flit"]["composable"]) and \
-        verdicts["flit"]["n_survivors"] > 0
-    be_diverged = bool(verdicts["be"]["diverged"])
-    print(f"\nflit (TDM): survivors bit-identical across every epoch: "
-          f"{'yes' if flit_ok else 'NO — ISOLATION BUG'}")
-    print(f"best-effort baseline diverges under the same churn: "
-          f"{'yes' if be_diverged else 'NO — expected divergence missing'}")
+    print()
     return _Checked(
-        ok=flit_ok and be_diverged, identical=identical,
+        [("flit (TDM): survivors bit-identical across every epoch",
+          bool(verdicts["flit"]["composable"])
+          and verdicts["flit"]["n_survivors"] > 0, "ISOLATION BUG"),
+         ("best-effort baseline diverges under the same churn",
+          bool(verdicts["be"]["diverged"]),
+          "expected divergence missing")],
+        identical=identical,
         canonical=report_json, conformance=record.get("_conformance"),
         stdout_report=json.dumps(
             {"verdicts": verdicts,
@@ -525,11 +520,11 @@ def _monitor_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
         (conformance.summary_rows(args.top), "least-headroom channels"),
         (rollup.link_rows(args.top), "hottest links (slot occupancy)"),
         (rollup.ni_rows(args.top), "busiest source NIs (slot occupancy)"))
-    print(f"\nzero violated channels on the GS backend: "
-          f"{'yes' if conformance.n_violated == 0 else 'NO — BOUNDS BUG'}")
+    print()
     return _Checked(
-        ok=conformance.n_violated == 0, identical=identical,
-        canonical=canonical,
+        [("zero violated channels on the GS backend",
+          conformance.n_violated == 0, "BOUNDS BUG")],
+        identical=identical, canonical=canonical,
         identical_line="repeated-run conformance byte-identical",
         written_line="conformance report written to")
 
@@ -555,17 +550,6 @@ _DEMOS = {
 }
 
 
-_COMMANDS = {
-    "fig5": _fig5,
-    "fig6a": _fig6a,
-    "fig6b": _fig6b,
-    "costs": _costs,
-    "usecase": _usecase,
-    "sweep": _sweep,
-    "ablations": _ablations,
-}
-
-
 def _positive_int(text: str) -> int:
     """argparse ``type=`` of a count: an integer >= 1."""
     value = int(text)
@@ -584,12 +568,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _output_path(text: str) -> str:
+    """argparse ``type=`` of a file to write: its directory must exist,
+    so a bad path is refused before the run, not after it."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"must be a path in an existing directory, got {text!r}")
+    return text
+
+
 def _add_observability_flags(subparser: argparse.ArgumentParser) -> None:
     """``--telemetry`` / ``--trace`` outputs, shared by every demo."""
-    subparser.add_argument("--telemetry", default=None, metavar="PATH",
+    subparser.add_argument("--telemetry", type=_output_path, default=None,
+                           metavar="PATH",
                            help="write the deterministic metric/span "
                                 "JSONL stream here")
-    subparser.add_argument("--trace", default=None, metavar="PATH",
+    subparser.add_argument("--trace", type=_output_path, default=None,
+                           metavar="PATH",
                            help="write a Chrome trace-event JSON here "
                                 "(load in Perfetto or chrome://tracing)")
 
@@ -603,8 +599,9 @@ def _add_monitor_flags(subparser: argparse.ArgumentParser) -> None:
                                 "(within_bounds / tight / violated); "
                                 "the canonical report stays "
                                 "byte-identical")
-    subparser.add_argument("--monitor-output", default=None,
-                           dest="monitor_output", metavar="PATH",
+    subparser.add_argument("--monitor-output", type=_output_path,
+                           default=None, dest="monitor_output",
+                           metavar="PATH",
                            help="write the canonical conformance report "
                                 "JSON here (implies --monitor)")
     subparser.add_argument("--monitor-slack", type=_finite_float,
@@ -638,7 +635,7 @@ def _add_demo_parser(sub, name: str, *, help: str, demo: str,
     if seed:
         parser.add_argument("--seed", type=int, default=2009,
                             help="workload seed (default 2009)")
-    parser.add_argument("--output", default=None,
+    parser.add_argument("--output", type=_output_path, default=None,
                         help="write the canonical JSON report here")
     _add_observability_flags(parser)
     if monitor:
@@ -664,10 +661,9 @@ def _print_conformance(conformance, args: argparse.Namespace) -> bool:
     rows = conformance.summary_rows()
     if rows:
         print(format_table(rows, title="least-headroom channels"))
-    output = getattr(args, "monitor_output", None)
-    if output:
-        conformance.write(output)
-        print(f"conformance report written to {output}")
+    if args.monitor_output:
+        conformance.write(args.monitor_output)
+        print(f"conformance report written to {args.monitor_output}")
     tenant_rows = conformance.tenant_rows()
     if tenant_rows:
         print(format_table(tenant_rows,
@@ -687,7 +683,7 @@ def main(argv: list[str] | None = None) -> int:
                              "the subcommand)")
     sub = parser.add_subparsers(dest="experiment", required=True,
                                 metavar="command")
-    for name in sorted(_COMMANDS) + ["all"]:
+    for name in sorted(_ARTEFACTS) + ["all"]:
         sub.add_parser(name, help=f"regenerate the {name} artefact(s)"
                        if name != "all" else "everything above")
     campaign = sub.add_parser(
@@ -718,12 +714,12 @@ def main(argv: list[str] | None = None) -> int:
                                "full record list in memory (requires "
                                "--workdir; the report streams from the "
                                "shard journals)")
-    campaign.add_argument("--shard-size", type=int, default=None,
+    campaign.add_argument("--shard-size", type=_positive_int, default=None,
                           metavar="N",
                           help="runs per checkpoint shard (default: "
                                "derived from grid size, independent of "
                                "worker count)")
-    campaign.add_argument("--output", default=None,
+    campaign.add_argument("--output", type=_output_path, default=None,
                           help="write the aggregated JSON report here "
                                "instead of stdout")
     campaign.add_argument("--list", action="store_true",
@@ -802,12 +798,12 @@ def main(argv: list[str] | None = None) -> int:
 
 def _artefacts(args: argparse.Namespace) -> int:
     """Regenerate one paper artefact, or all of them under banners."""
-    if args.experiment in _COMMANDS:
-        _COMMANDS[args.experiment]()
+    if args.experiment in _ARTEFACTS:
+        _print_artefact(args.experiment)
         return 0
-    for name, regenerate in _COMMANDS.items():
+    for name in _ARTEFACTS:
         print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-        regenerate()
+        _print_artefact(name)
     return 0
 
 

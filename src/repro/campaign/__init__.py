@@ -15,6 +15,7 @@ byte-identical report.
 from repro.campaign.fabric import (CampaignWorkdir, Shard,
                                    default_shard_size, shard_campaign,
                                    spec_fingerprint)
+from repro.campaign.kinds import campaign_conformance
 from repro.campaign.presets import (PRESETS, churn_campaign, demo_campaign,
                                     design_campaign, fault_campaign,
                                     micro_campaign, preset_by_name,
@@ -30,6 +31,7 @@ __all__ = [
     "ScenarioSpec", "RunSpec", "CampaignSpec", "scenario_grid",
     "derive_seed",
     "CampaignRunner", "CampaignResult", "execute_run",
+    "campaign_conformance",
     "Shard", "shard_campaign", "default_shard_size", "spec_fingerprint",
     "CampaignWorkdir",
     "demo_campaign", "micro_campaign", "churn_campaign",

@@ -228,8 +228,14 @@ class CampaignWorkdir:
         The manifest's shard size is authoritative on resume — it keeps
         shard ids (and journal names) stable even if the runner's
         default sizing changed between versions or the caller passed a
-        different override.
+        different override.  A directory without a manifest is refused:
+        running the whole campaign afresh would make a mistyped path
+        look like a successful resume.
         """
+        if not self.manifest_path.exists():
+            raise ConfigurationError(
+                f"nothing to resume in {self.root}: it holds no campaign "
+                "manifest")
         with open(self.manifest_path, "r", encoding="utf-8") as handle:
             manifest = json.load(handle)
         if manifest.get("format") != _MANIFEST_FORMAT:
@@ -253,10 +259,6 @@ class CampaignWorkdir:
                 f"workdir {self.root} shard layout does not match the "
                 "spec; the grid changed since the manifest was written")
         return shard_size
-
-    def has_manifest(self) -> bool:
-        """Whether this workdir already holds a campaign manifest."""
-        return self.manifest_path.exists()
 
     # -- journals ------------------------------------------------------
 

@@ -13,7 +13,9 @@ row.  The shared machinery around the table is written once:
   use) and maps ``AllocationError`` / ``ConfigurationError`` to a
   status;
 * :func:`summary_row` / :func:`grid_row` — the per-run table rows of
-  the campaign report and of ``python -m repro campaign --list``.
+  the campaign report and of ``python -m repro campaign --list``;
+* :func:`campaign_conformance` — the run-level conformance verdicts of
+  ``campaign --monitor``, folded from the records' result sections.
 
 Adding a scenario kind is one table entry; nothing else in the package
 compares mode strings (CI greps for it).  Run bodies keep their heavy
@@ -36,9 +38,16 @@ from repro.faults.model import FaultSpec
 from repro.service.churn import ChurnSpec
 from repro.simulation.backend import (SimRequest, available_backends,
                                       create_backend)
+from repro.telemetry.monitor import (ChannelConformance, ConformanceReport,
+                                     MonitorSpec)
 
 __all__ = ["KINDS", "Kind", "RunContext", "validate_scenario", "run_kind",
-           "crashed_record", "summary_row", "grid_row"]
+           "crashed_record", "summary_row", "grid_row",
+           "campaign_conformance", "NON_FAILURE_STATUSES"]
+
+#: Run statuses that are search verdicts, not failures: a dimensioning
+#: sweep that rejects most of its grid worked exactly as designed.
+NON_FAILURE_STATUSES = ("ok", "pruned", "infeasible")
 
 #: The optional per-kind payload fields of a ``ScenarioSpec``.
 PAYLOAD_FIELDS = ("churn", "design", "faults", "synthetic")
@@ -270,6 +279,62 @@ def grid_row(run: RunSpec) -> dict[str, object]:
         "traffic": header.get("traffic", header.get("churn", "-")),
         "n_slots": scenario.n_slots,
     }
+
+
+def campaign_conformance(records, *, spec: MonitorSpec | None = None,
+                         scenario: str = "campaign"
+                         ) -> ConformanceReport:
+    """Fold campaign run records into per-run conformance verdicts.
+
+    Accepts an iterable of campaign record dicts (or a
+    :class:`~repro.campaign.runner.CampaignResult`, whose
+    ``iter_records()`` is used).  A run is ``violated`` when it failed
+    outright, diverged in a composability check, or broke the
+    composition invariant; ``tight`` when it survived but degraded
+    (guarantee retention below 1, or rerouted sessions re-admitted with
+    worse bounds); ``within_bounds`` otherwise.  Records are already
+    canonically ordered and wall-clock-free, so the rollup inherits the
+    campaign's serial == parallel byte-determinism.
+    """
+    spec = spec or MonitorSpec()
+    iter_records = getattr(records, "iter_records", None)
+    if iter_records is not None:
+        records = iter_records()
+    return ConformanceReport(
+        source="campaign", scenario=scenario,
+        channels=tuple(_run_conformance(record) for record in records),
+        slack_fraction=spec.slack_fraction)
+
+
+def _run_conformance(record: dict) -> ChannelConformance:
+    """Classify one campaign record into a run-level verdict."""
+    run_id = str(record.get("run_id", record.get("scenario", "?")))
+    status = record.get("status", "ok")
+    if status not in NON_FAILURE_STATUSES:
+        return ChannelConformance(channel=run_id, kind="run",
+                                  verdict="violated",
+                                  detail=f"status={status}")
+    result = record.get("result") or {}
+    details = []
+    verdict = "within_bounds"
+    composability = result.get("composability")
+    if composability is not None and not composability.get("composable",
+                                                           True):
+        verdict = "violated"
+        details.append("composability diverged")
+    invariant = result.get("invariant")
+    if invariant is not None and not invariant.get("ok", True):
+        verdict = "violated"
+        details.append("invariant broken")
+    survivability = result.get("survivability")
+    if survivability is not None and verdict != "violated":
+        retention = float(survivability.get("guarantee_retention", 1.0))
+        if retention < 1.0:
+            verdict = "tight"
+            details.append(f"guarantee_retention={retention:g}")
+    return ChannelConformance(
+        channel=run_id, kind="run", verdict=verdict,
+        detail="; ".join(details) if details else None)
 
 
 def _flag_status(row: dict, ok: object, yes: str, no: str) -> None:

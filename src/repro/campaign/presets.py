@@ -180,8 +180,7 @@ def design_campaign(*, target_admission_rate: float = 0.95,
     bisection and the synthesis cost models.  The aggregated records
     are exactly what :func:`repro.design.pareto_front` consumes.
     """
-    from repro.design.space import (DesignSpace, DesignSpec,
-                                    workload_from_churn)
+    from repro.design.space import DesignSpace, workload_from_churn
 
     use_case = workload_from_churn(
         ChurnSpec(n_sessions=200, arrival_rate_per_s=800.0),
@@ -196,20 +195,8 @@ def design_campaign(*, target_admission_rate: float = 0.95,
         ),
         table_sizes=(16, 32),
         mappings=("optimized",))
-    scenarios = tuple(
-        ScenarioSpec(
-            name=candidate.label, mode="design",
-            topology=candidate.topology,
-            table_size=candidate.table_size,
-            design=DesignSpec(
-                use_case=use_case, data_width=candidate.data_width,
-                mapping=candidate.mapping,
-                min_frequency_mhz=space.min_frequency_mhz,
-                max_frequency_mhz=space.max_frequency_mhz,
-                tolerance_mhz=space.tolerance_mhz, prune=space.prune))
-        for candidate in space.candidates())
-    return CampaignSpec(name="design", scenarios=scenarios, seeds=(1,),
-                        base_seed=seed)
+    return CampaignSpec(name="design", scenarios=space.scenarios(use_case),
+                        seeds=(1,), base_seed=seed)
 
 
 def fault_campaign(*, n_sessions: int = 80, n_slots: int = 1600,

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -50,7 +49,8 @@ from typing import Iterator
 from repro.campaign.fabric import (CampaignWorkdir, Shard,
                                    default_shard_size, iter_report_chunks,
                                    shard_campaign)
-from repro.campaign.kinds import crashed_record, run_kind, summary_row
+from repro.campaign.kinds import (NON_FAILURE_STATUSES, crashed_record,
+                                  run_kind, summary_row)
 from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.core.exceptions import ConfigurationError
 from repro.telemetry.hub import coalesce
@@ -120,10 +120,6 @@ def _timed_execute_run(run: RunSpec) -> dict[str, object]:
             "pid": os.getpid()}
 
 
-#: Statuses that are search verdicts, not failures.
-_NON_FAILURE_STATUSES = ("ok", "pruned", "infeasible")
-
-
 @dataclass
 class CampaignResult:
     """The aggregated outcome of one campaign execution.
@@ -168,7 +164,7 @@ class CampaignResult:
         same status counters from the same envelopes.
         """
         return sum(count for status, count in self._counts().items()
-                   if status not in _NON_FAILURE_STATUSES)
+                   if status not in NON_FAILURE_STATUSES)
 
     def _counts(self) -> dict[str, int]:
         """Runs per status (folded from ``records`` when not streamed)."""
@@ -193,20 +189,13 @@ class CampaignResult:
                                   self.n_runs, self.n_failed,
                                   self.iter_records())
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON report: sorted keys, ordered records.
 
         Byte-identical across serial, parallel and killed-then-resumed
         executions of the same spec — record contents carry no
-        wall-clock or process state.  (``indent`` other than 2 falls
-        back to a non-streaming dump; the canonical form is 2.)
+        wall-clock or process state.
         """
-        if indent != 2:
-            return json.dumps(
-                {"campaign": self.campaign, "base_seed": self.base_seed,
-                 "n_runs": self.n_runs, "n_failed": self.n_failed,
-                 "records": list(self.iter_records())},
-                indent=indent, sort_keys=True)
         return "".join(self.report_chunks())
 
     def digest(self) -> str:
@@ -478,7 +467,8 @@ class CampaignRunner:
     * ``workdir`` — checkpoint directory; completed runs journal into
       per-shard JSONL files and an atomic manifest pins the grid.
     * ``resume`` — continue a killed campaign from ``workdir``: journaled
-      runs are folded back into the aggregate and skipped.
+      runs are folded back into the aggregate and skipped; a ``workdir``
+      that holds no manifest is refused (``ConfigurationError``).
     * ``keep_records`` — ``False`` enables streaming aggregation: the
       result holds no record list and the canonical report streams from
       the journals (requires a ``workdir``).
@@ -536,12 +526,14 @@ class CampaignRunner:
 
         workdir = (None if self.workdir is None
                    else CampaignWorkdir(self.workdir))
-        resuming = (workdir is not None and resume
-                    and workdir.has_manifest())
-        shard_size = (workdir.resume(self.spec) if resuming else
-                      self.shard_size or default_shard_size(len(runs)))
+        if resume:
+            shard_size = workdir.resume(self.spec)
+        elif self.shard_size is None:
+            shard_size = default_shard_size(len(runs))
+        else:
+            shard_size = self.shard_size
         shards = shard_campaign(self.spec, shard_size=shard_size)
-        if workdir is not None and not resuming:
+        if workdir is not None and not resume:
             workdir.initialise(self.spec, shards, shard_size)
         expand_s = time.perf_counter() - t0
 
@@ -551,7 +543,7 @@ class CampaignRunner:
                                telemetry=tel, t0=t0)
         completed: set[str] = set()
         resume_start = time.perf_counter()
-        if workdir is not None and resume:
+        if resume:
             for shard in shards:
                 journaled = workdir.load_shard(shard)
                 for run_id in sorted(journaled):

@@ -91,22 +91,17 @@ _EXPORTS: dict[str, str] = {
     "analyse_dataflow": "repro.core.dataflow",
     "busy_period_latency_ns": "repro.core.dataflow",
     "backlog_bound_bytes": "repro.core.dataflow",
-    # serialisation and design-space exploration
+    # serialisation
     "configuration_to_dict": "repro.core.serialization",
     "configuration_from_dict": "repro.core.serialization",
     "save_configuration": "repro.core.serialization",
     "load_configuration": "repro.core.serialization",
-    # moved to repro.design.search; kept here for compatibility
-    "min_feasible_frequency": "repro.design.search",
-    "table_size_scan": "repro.design.search",
-    "TableSizeResult": "repro.design.search",
     # errors
     "ReproError": "repro.core.exceptions",
     "ConfigurationError": "repro.core.exceptions",
     "TopologyError": "repro.core.exceptions",
     "HeaderFormatError": "repro.core.exceptions",
     "AllocationError": "repro.core.exceptions",
-    "CapacityError": "repro.core.exceptions",
     "SimulationError": "repro.core.exceptions",
     "DeadlockError": "repro.core.exceptions",
     "FlowControlError": "repro.core.exceptions",

@@ -56,11 +56,6 @@ class NocConfiguration:
         return tuple(sorted(name for name, b in self.bounds().items()
                             if not b.meets_all))
 
-    @property
-    def cycle_time_ns(self) -> float:
-        """Clock period in nanoseconds."""
-        return 1e9 / self.frequency_hz
-
     def __repr__(self) -> str:
         return (f"NocConfiguration({self.topology.name!r}, "
                 f"{len(self.allocation.channels)} channels @ "

@@ -72,10 +72,6 @@ class AllocationError(ReproError):
         self.reason = reason or message
 
 
-class CapacityError(AllocationError):
-    """Aggregate demand exceeds what the topology can ever carry."""
-
-
 class SimulationError(ReproError):
     """An invariant was violated while simulating the network.
 

@@ -65,11 +65,6 @@ class Path:
         return len(self.routers)
 
     @cached_property
-    def n_pipeline_stages(self) -> int:
-        """Total mesochronous link pipeline stages along the path."""
-        return sum(l.pipeline_stages for l in self.links)
-
-    @cached_property
     def out_ports(self) -> tuple[int, ...]:
         """Router output ports in traversal order — the header source route."""
         return tuple(l.src_port for l in self.links[1:])

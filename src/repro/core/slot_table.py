@@ -25,7 +25,6 @@ This module provides:
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 
 from repro.core.exceptions import AllocationError, ConfigurationError
 
@@ -263,11 +262,6 @@ def _largest_gap(ordered: list[int], size: int) -> tuple[int, int]:
         if length > best_len:
             best_start, best_len = ordered[i], length
     return best_start, best_len
-
-
-@dataclass
-class _Reservation:
-    owner: str
 
 
 class SlotTable:

@@ -8,21 +8,19 @@ such operating points.  Give it a workload — a
 :class:`~repro.design.explorer.DesignExplorer` returns the
 byte-deterministic Pareto front over silicon area, operating frequency
 and worst-case guarantee slack, using analytical lower-bound pruning,
-seeded mapping optimisation, probe-cached feasibility bisection and the
-campaign runner's process pool.
+seeded mapping optimisation, floor-tightened feasibility bisection and
+the campaign runner's process pool.
 """
 
 from repro.design.explorer import (DesignExplorer, DesignReport,
                                    evaluate_candidate, execute_design_run,
                                    pareto_front, run_design_demo)
-from repro.design.mapping_opt import (MappingSearchResult, OptimizerSpec,
-                                      mapping_cost, optimize_mapping)
+from repro.design.mapping_opt import MappingSearchResult, optimize_mapping
 from repro.design.prune import (PruneReport, frequency_lower_bound_hz,
                                 min_traversal_slots, prune_candidate)
-from repro.design.search import (ProbeCache, TableSizeResult,
+from repro.design.search import (TableSizeResult,
                                  min_feasible_configuration,
-                                 min_feasible_frequency, probe_fingerprint,
-                                 table_size_scan)
+                                 min_feasible_frequency, table_size_scan)
 from repro.design.space import (Candidate, DesignSpace, DesignSpec,
                                 demo_space, provisioned_use_case,
                                 section7_demo_use_case,
@@ -33,10 +31,9 @@ __all__ = [
     "provisioned_use_case", "section7_demo_use_case", "demo_space",
     "PruneReport", "prune_candidate", "frequency_lower_bound_hz",
     "min_traversal_slots",
-    "OptimizerSpec", "MappingSearchResult", "mapping_cost",
-    "optimize_mapping",
-    "ProbeCache", "probe_fingerprint", "min_feasible_frequency",
-    "min_feasible_configuration", "TableSizeResult", "table_size_scan",
+    "MappingSearchResult", "optimize_mapping",
+    "min_feasible_frequency", "min_feasible_configuration",
+    "TableSizeResult", "table_size_scan",
     "DesignExplorer", "DesignReport", "pareto_front",
     "evaluate_candidate", "execute_design_run", "run_design_demo",
 ]

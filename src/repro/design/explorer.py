@@ -5,10 +5,11 @@ Closes the loop from workload to network: enumerate a
 candidates with the analytical bounds of :mod:`repro.design.prune`
 *before* any allocation runs, improve each survivor's mapping with the
 seeded annealer of :mod:`repro.design.mapping_opt`, bisect for its
-minimum feasible operating frequency (probe-cached, floor-tightened by
-the same bounds), and price it with the synthesis models — then return
-the byte-deterministic Pareto front over silicon area, operating
-frequency and worst-case guarantee slack.
+minimum feasible operating frequency (floor-tightened by the same
+bounds; the winning probe's allocation is the one priced), and price it
+with the synthesis models — then return the byte-deterministic Pareto
+front over silicon area, operating frequency and worst-case guarantee
+slack.
 
 Candidate evaluation is one campaign run (``mode="design"``), so the
 fan-out, process pooling, record ordering and byte-determinism of
@@ -22,18 +23,18 @@ import json
 from dataclasses import dataclass, field
 
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import (CampaignSpec, RunSpec, ScenarioSpec,
-                                 TopologySpec, derive_seed)
+from repro.campaign.spec import (CampaignSpec, RunSpec, TopologySpec,
+                                 derive_seed)
 from repro.core.exceptions import (AllocationError, ConfigurationError,
                                    TopologyError)
 from repro.core.requirements import link_payload_bytes_per_s
 from repro.core.words import WordFormat
 from repro.design.mapping_opt import optimize_mapping
 from repro.design.prune import frequency_lower_bound_hz, prune_candidate
-from repro.design.search import ProbeCache, min_feasible_configuration
-from repro.design.space import (Candidate, DesignSpace, DesignSpec,
-                                provisioned_use_case)
-from repro.synthesis.network import network_area, network_fmax_hz
+from repro.design.search import (configuration_area,
+                                 min_feasible_configuration)
+from repro.design.space import DesignSpace, DesignSpec, provisioned_use_case
+from repro.synthesis.network import network_fmax_hz
 from repro.topology.graph import Topology
 from repro.topology.mapping import (Mapping, communication_clustered,
                                     hop_weighted_demand, round_robin,
@@ -43,9 +44,19 @@ __all__ = ["evaluate_candidate", "execute_design_run", "pareto_front",
            "DesignReport", "DesignExplorer", "run_design_demo"]
 
 
-def _mapping_portfolio(strategy: str, topology: Topology,
-                       design: DesignSpec, use_case, seed: int,
-                       link_budget: float, table_size: int,
+#: The one-shot mapping heuristics by strategy name.
+_HEURISTICS = {
+    "traffic_balanced": lambda use_case, topology: traffic_balanced(
+        use_case.ips, use_case.channels, topology),
+    "communication_clustered": lambda use_case, topology:
+        communication_clustered(use_case.ips, use_case.channels, topology),
+    "round_robin": lambda use_case, topology: round_robin(
+        use_case.ips, topology),
+}
+
+
+def _mapping_portfolio(strategy: str, topology: Topology, use_case,
+                       seed: int, link_budget: float, table_size: int,
                        ceiling_hz: float, fmt: WordFormat
                        ) -> list[tuple[str, Mapping, float]]:
     """Mappings to try for one candidate, best bet first.
@@ -59,33 +70,18 @@ def _mapping_portfolio(strategy: str, topology: Topology,
     ``use_case`` is the (possibly spare-capacity-provisioned) workload
     the candidate is evaluated against.
     """
-    if strategy == "round_robin":
-        return [("round_robin", round_robin(use_case.ips, topology), 0.0)]
-    if strategy == "traffic_balanced":
-        return [("traffic_balanced",
-                 traffic_balanced(use_case.ips, use_case.channels,
-                                  topology), 0.0)]
-    if strategy == "communication_clustered":
-        return [("communication_clustered",
-                 communication_clustered(use_case.ips, use_case.channels,
-                                         topology), 0.0)]
+    if strategy != "optimized":
+        return [(strategy, _HEURISTICS[strategy](use_case, topology), 0.0)]
     # Build each heuristic once: they seed the annealer *and* ride
     # along as fallback portfolio entries.
     heuristics: list[tuple[str, Mapping]] = []
-    for label, build in (
-            ("traffic_balanced",
-             lambda: traffic_balanced(use_case.ips, use_case.channels,
-                                      topology)),
-            ("communication_clustered",
-             lambda: communication_clustered(use_case.ips,
-                                             use_case.channels,
-                                             topology))):
+    for label in ("traffic_balanced", "communication_clustered"):
         try:
-            heuristics.append((label, build()))
+            heuristics.append(
+                (label, _HEURISTICS[label](use_case, topology)))
         except (ConfigurationError, TopologyError):
             continue
     result = optimize_mapping(topology, use_case, seed=seed,
-                              spec=design.optimizer,
                               warm_starts=[m for _, m in heuristics]
                               or None,
                               link_budget_bytes_per_s=link_budget,
@@ -99,9 +95,7 @@ def _mapping_portfolio(strategy: str, topology: Topology,
 
 
 def evaluate_candidate(topology_spec: TopologySpec, design: DesignSpec,
-                       table_size: int, *, seed: int,
-                       cache: ProbeCache | None = None
-                       ) -> dict[str, object]:
+                       table_size: int, *, seed: int) -> dict[str, object]:
     """Evaluate one candidate into its JSON-ready result record.
 
     The record's ``status`` distinguishes how far the candidate got:
@@ -133,7 +127,7 @@ def evaluate_candidate(topology_spec: TopologySpec, design: DesignSpec,
                 f"the search floor {search_floor_hz / 1e6:.0f} MHz")
             return record
         portfolio = _mapping_portfolio(
-            design.mapping, topology, design, use_case, seed,
+            design.mapping, topology, use_case, seed,
             link_payload_bytes_per_s(ceiling_hz, fmt), table_size,
             ceiling_hz, fmt)
     except (ConfigurationError, TopologyError) as exc:
@@ -167,7 +161,7 @@ def evaluate_candidate(topology_spec: TopologySpec, design: DesignSpec,
             config = min_feasible_configuration(
                 topology, use_case, mapping, table_size=table_size,
                 fmt=fmt, low_hz=low_hz, high_hz=ceiling_hz,
-                tolerance_hz=design.tolerance_mhz * 1e6, cache=cache)
+                tolerance_hz=design.tolerance_mhz * 1e6)
         except (AllocationError, ConfigurationError, TopologyError) as exc:
             last_error = str(exc)
             continue
@@ -203,19 +197,12 @@ def evaluate_candidate(topology_spec: TopologySpec, design: DesignSpec,
                                 else min(latency_slack_ns,
                                          b.latency_slack_ns))
             slack = min(slack, b.latency_slack_ns / b.required_latency_ns)
-    channels_per_ni = {
-        ni: (len(config.allocation.channels_from_ni(ni)),
-             len(config.allocation.channels_to_ni(ni)))
-        for ni in topology.nis}
-    area = network_area(topology, table_size=table_size,
-                        frequency_hz=frequency_hz, fmt=fmt,
-                        channels_per_ni=channels_per_ni)
     record["status"] = "ok"
     record["result"] = {
         "operating_frequency_mhz": round(frequency_hz / 1e6, 3),
         "fmax_mhz": round(fmax_hz / 1e6, 1),
         "frequency_floor_mhz": round(low_hz / 1e6, 3),
-        "area": area.to_record(),
+        "area": configuration_area(config).to_record(),
         "n_channels": len(bounds),
         "n_routers": len(topology.routers),
         "n_nis": len(topology.nis),
@@ -237,18 +224,10 @@ def evaluate_candidate(topology_spec: TopologySpec, design: DesignSpec,
 def execute_design_run(run: RunSpec) -> dict[str, object]:
     """The ``design`` scenario kind's run body: one candidate's fields.
 
-    No :class:`ProbeCache` is wired in here on purpose: within one run
-    every bisection midpoint is a fresh frequency and every portfolio
-    mapping a fresh fingerprint, so there is nothing to hit — the one
-    repeated probe the flow used to make (re-allocating at the
-    frequency the bisection just proved feasible) is gone because
-    :func:`~repro.design.search.min_feasible_configuration` returns
-    the winning probe's allocation directly.  Sharing a cache *across*
-    runs would also let the greedy allocator's rare non-monotone
-    corners leak one run's answers into another and break the
-    byte-identical-repeat guarantee; callers iterating interactively
-    on the same configuration can opt in via
-    ``evaluate_candidate(..., cache=...)``.
+    Every feasibility probe is a fresh ``configure()`` — nothing is
+    shared between runs, which is what keeps a repeated run
+    byte-identical — and the allocation priced is the winning probe's
+    own (:func:`~repro.design.search.min_feasible_configuration`).
     """
     scenario = run.scenario
     return evaluate_candidate(
@@ -321,7 +300,7 @@ class DesignReport:
         front = self.front
         return front[0] if front else None
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON: sorted keys, records ordered by run id."""
         return json.dumps(
             {"problem": self.problem, "base_seed": self.base_seed,
@@ -330,7 +309,7 @@ class DesignReport:
              "n_infeasible": self.count("infeasible"),
              "front": [r["run_id"] for r in self.front],
              "records": self.records},
-            indent=indent, sort_keys=True)
+            indent=2, sort_keys=True)
 
     def write(self, path: str) -> None:
         """Write the canonical JSON report to a file."""
@@ -365,80 +344,27 @@ class DesignReport:
 class DesignExplorer:
     """Fan a design space out over the campaign runner's process pool."""
 
-    def __init__(self, design: DesignSpec | None = None, *,
-                 use_case=None, space: DesignSpace, workers: int = 1,
-                 name: str = "design", seed: int = 1,
-                 base_seed: int = 2009, telemetry=None,
-                 workdir=None, resume: bool = False,
-                 shard_size: int | None = None):
-        if design is None:
-            if use_case is None:
-                raise ConfigurationError(
-                    "DesignExplorer needs a DesignSpec or a use case")
-            design = DesignSpec(
-                use_case=use_case,
-                min_frequency_mhz=space.min_frequency_mhz,
-                max_frequency_mhz=space.max_frequency_mhz,
-                tolerance_mhz=space.tolerance_mhz,
-                prune=space.prune,
-                spare_capacity=space.spare_capacity)
-        self.design = design
+    def __init__(self, use_case, space: DesignSpace, *, workers: int = 1,
+                 name: str = "design", telemetry=None):
+        self.use_case = use_case
         self.space = space
         self.workers = workers
         self.name = name
-        self.seed = seed
-        self.base_seed = base_seed
         self.telemetry = telemetry
-        self.workdir = workdir
-        self.resume = resume
-        self.shard_size = shard_size
 
     def campaign_spec(self) -> CampaignSpec:
-        """One ``mode="design"`` scenario per candidate of the space.
-
-        The space is authoritative for everything it declares — the
-        frequency interval, the tolerance and the prune flag besides
-        the candidate axes — so a 500 MHz-capped space never evaluates
-        above 500 MHz whatever the passed-in DesignSpec's defaults say;
-        the DesignSpec contributes the workload and the optimizer
-        settings.
-        """
-        scenarios = []
-        for candidate in self.space.candidates():
-            scenarios.append(ScenarioSpec(
-                name=candidate.label,
-                mode="design",
-                topology=candidate.topology,
-                table_size=candidate.table_size,
-                design=DesignSpec(
-                    use_case=self.design.use_case,
-                    data_width=candidate.data_width,
-                    mapping=candidate.mapping,
-                    optimizer=self.design.optimizer,
-                    min_frequency_mhz=self.space.min_frequency_mhz,
-                    max_frequency_mhz=self.space.max_frequency_mhz,
-                    tolerance_mhz=self.space.tolerance_mhz,
-                    prune=self.space.prune,
-                    spare_capacity=self.space.spare_capacity)))
-        return CampaignSpec(name=self.name, scenarios=tuple(scenarios),
-                            seeds=(self.seed,), base_seed=self.base_seed)
+        """The space's scenarios for the workload, as one campaign."""
+        return CampaignSpec(name=self.name,
+                            scenarios=self.space.scenarios(self.use_case),
+                            seeds=(1,))
 
     def explore(self) -> DesignReport:
-        """Evaluate every candidate and aggregate the Pareto report.
-
-        The sweep inherits the campaign fabric wholesale: with a
-        ``workdir`` each evaluated candidate checkpoints into the shard
-        journals, and ``resume=True`` picks a killed exploration back
-        up without re-evaluating finished candidates.
-        """
-        result = CampaignRunner(self.campaign_spec(),
-                                workers=self.workers,
-                                telemetry=self.telemetry,
-                                workdir=self.workdir,
-                                resume=self.resume,
-                                shard_size=self.shard_size).run()
-        return DesignReport(problem=self.design.use_case.name,
-                            base_seed=self.base_seed,
+        """Evaluate every candidate and aggregate the Pareto report."""
+        spec = self.campaign_spec()
+        result = CampaignRunner(spec, workers=self.workers,
+                                telemetry=self.telemetry).run()
+        return DesignReport(problem=self.use_case.name,
+                            base_seed=spec.base_seed,
                             records=result.records, meta=result.meta)
 
 
@@ -469,8 +395,8 @@ def run_design_demo(*, workers: int = 2, seed: int = 2009,
                                     spare_capacity=spare_capacity)
 
     def once(run_telemetry, run_monitor) -> DesignReport:
-        return DesignExplorer(use_case=use_case, space=space,
-                              workers=workers, name="design-demo",
+        return DesignExplorer(use_case, space, workers=workers,
+                              name="design-demo",
                               telemetry=run_telemetry).explore()
 
     report, _, identical = run_twice(

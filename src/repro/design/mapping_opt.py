@@ -37,59 +37,28 @@ from repro.core.exceptions import ConfigurationError
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
 from repro.topology.mapping import (Mapping, communication_clustered,
-                                    hop_weighted_demand, router_distances,
-                                    traffic_balanced)
+                                    router_distances, traffic_balanced)
 
-__all__ = ["OptimizerSpec", "MappingSearchResult", "mapping_cost",
-           "optimize_mapping"]
+__all__ = ["MappingSearchResult", "optimize_mapping"]
 
-
-@dataclass(frozen=True)
-class OptimizerSpec:
-    """Tunables of the annealing run (a plain picklable value).
-
-    ``iterations`` is a floor: runs scale to ``iterations_per_ip`` moves
-    per mapped IP so large instances get proportionate search effort,
-    and the cooling schedule is renormalised so the total temperature
-    decay is the same whatever the move count.  ``iterations=0``
-    disables the annealing entirely and returns the (repaired) warm
-    start — useful to measure the optimizer's own contribution.
-
-    Moves: *relocate* one IP to a random NI, *swap* two IPs, or *pull*
-    one endpoint of a random channel onto the NIs at (or next to) its
-    partner's router — the targeted move that builds communication
-    clusters far faster than blind relocation.
-    """
-
-    iterations: int = 600
-    iterations_per_ip: int = 40
-    initial_temperature: float = 0.2
-    cooling: float = 0.995
-    relocate_bias: float = 0.3
-    pull_bias: float = 0.4
-
-    def __post_init__(self) -> None:
-        if self.iterations < 0 or self.iterations_per_ip < 0:
-            raise ConfigurationError("iterations must be >= 0")
-        if not 0 < self.cooling < 1:
-            raise ConfigurationError("cooling must be in (0, 1)")
-        if not 0 <= self.relocate_bias <= 1 or not 0 <= self.pull_bias <= 1 \
-                or self.relocate_bias + self.pull_bias > 1:
-            raise ConfigurationError(
-                "relocate_bias + pull_bias must fit in [0, 1]")
-        if self.initial_temperature < 0:
-            raise ConfigurationError("initial_temperature must be >= 0")
-
-    def effective_iterations(self, n_ips: int) -> int:
-        """Move budget for an instance of ``n_ips`` mapped IPs."""
-        if self.iterations == 0:
-            return 0
-        return max(self.iterations, self.iterations_per_ip * n_ips)
-
-    @property
-    def label(self) -> str:
-        """Compact identifier for reports."""
-        return f"sa{self.iterations}t{self.initial_temperature:g}"
+#: The annealing schedule.  ``ITERATIONS`` is a floor: runs scale to
+#: ``ITERATIONS_PER_IP`` moves per mapped IP so large instances get
+#: proportionate search effort, and the cooling is renormalised so the
+#: total temperature decay is the same whatever the move count.
+ITERATIONS = 600
+ITERATIONS_PER_IP = 40
+INITIAL_TEMPERATURE = 0.2
+COOLING = 0.995
+#: Move mix: *pull* one endpoint of a random channel onto the NIs at (or
+#: next to) its partner's router — the targeted move that builds
+#: communication clusters far faster than blind relocation — with
+#: probability ``PULL_BIAS``, *relocate* one IP to a random NI with
+#: ``RELOCATE_BIAS``, else *swap* two IPs.
+PULL_BIAS = 0.4
+RELOCATE_BIAS = 0.3
+#: Repair passes over unplaceable channels, in case a relocation
+#: re-collides another channel of the moved IP.
+REPAIR_PASSES = 3
 
 
 @dataclass(frozen=True)
@@ -109,17 +78,6 @@ class MappingSearchResult:
         if self.start_cost <= 0:
             return 0.0
         return 1.0 - self.final_cost / self.start_cost
-
-
-def mapping_cost(topology: Topology, mapping: Mapping,
-                 channels: tuple[ChannelSpec, ...], *,
-                 distances: dict[str, dict[str, int]] | None = None
-                 ) -> tuple[int, float]:
-    """``(co-located channel count, hop-weighted demand)`` of a mapping."""
-    colocated = sum(1 for ch in channels
-                    if mapping.ni_of(ch.src_ip) == mapping.ni_of(ch.dst_ip))
-    return colocated, hop_weighted_demand(topology, mapping, channels,
-                                          distances=distances)
 
 
 class _PlacementState:
@@ -287,7 +245,7 @@ class _PlacementState:
                    if self.assignment[ch.src_ip] ==
                    self.assignment[ch.dst_ip])
 
-    def repair_violations(self, *, max_passes: int = 3) -> None:
+    def repair_violations(self) -> None:
         """Deterministically relocate endpoints of unplaceable channels.
 
         Greedy first-improvement over the offenders (co-located or
@@ -300,7 +258,7 @@ class _PlacementState:
         """
         if len(self.nis) < 2:
             return
-        for _ in range(max_passes):
+        for _ in range(REPAIR_PASSES):
             offenders = sorted(
                 (ch for ch in self.channels
                  if self._channel_cost(ch) >= self.penalty),
@@ -328,7 +286,6 @@ class _PlacementState:
 
 
 def optimize_mapping(topology: Topology, use_case: UseCase, *, seed: int,
-                     spec: OptimizerSpec | None = None,
                      warm_starts: list[Mapping] | None = None,
                      link_budget_bytes_per_s: float | None = None,
                      table_size: int | None = None,
@@ -350,10 +307,9 @@ def optimize_mapping(topology: Topology, use_case: UseCase, *, seed: int,
     bound any feasible allocation must respect anyway.
 
     Deterministic: all randomness flows from ``random.Random(seed)``;
-    the same topology, use case, seed and spec always return the same
+    the same topology, use case and seed always return the same
     mapping, which is what keeps design reports byte-stable.
     """
-    spec = spec or OptimizerSpec()
     channels = use_case.channels
     ips = list(use_case.ips)
     nis = list(topology.nis)
@@ -393,14 +349,14 @@ def optimize_mapping(topology: Topology, use_case: UseCase, *, seed: int,
     # Temperature lives on the scale of one *move*, not of the whole
     # objective: a move touches a handful of channels, so the mean
     # per-channel cost is the right yardstick for uphill acceptance.
-    temperature = spec.initial_temperature * \
+    temperature = INITIAL_TEMPERATURE * \
         max(current / max(1, len(channels)), 1.0)
     accepted = 0
-    iterations = (spec.effective_iterations(len(ips))
+    iterations = (max(ITERATIONS, ITERATIONS_PER_IP * len(ips))
                   if len(ips) > 1 and len(nis) > 1 else 0)
     # Same total temperature decay whatever the move budget.
-    cooling = spec.cooling ** (spec.iterations / iterations) \
-        if iterations else spec.cooling
+    cooling = COOLING ** (ITERATIONS / iterations) if iterations \
+        else COOLING
     channel_list = list(channels)
     near_nis: dict[str, list[str]] = {}
     for ni in nis:
@@ -412,7 +368,7 @@ def optimize_mapping(topology: Topology, use_case: UseCase, *, seed: int,
     def propose() -> tuple[list[tuple[str, str]], set[str]] | None:
         """Pick a move; returns ``(moves, touched_nis)`` or ``None``."""
         roll = rng.random()
-        if channel_list and roll < spec.pull_bias:
+        if channel_list and roll < PULL_BIAS:
             ch = rng.choice(channel_list)
             if ch.src_ip == ch.dst_ip:
                 return None
@@ -425,7 +381,7 @@ def optimize_mapping(topology: Topology, use_case: UseCase, *, seed: int,
                 return None
             return [(mover, target)], {old, target}
         ip_a = rng.choice(ips)
-        if roll < spec.pull_bias + spec.relocate_bias:
+        if roll < PULL_BIAS + RELOCATE_BIAS:
             target = rng.choice(nis)
             old = state.assignment[ip_a]
             if target == old:

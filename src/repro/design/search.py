@@ -1,171 +1,52 @@
-"""Search primitives: feasibility probes, probe caching, 1-D scans.
+"""Search primitives: feasibility probes and 1-D scans.
 
-The building blocks the design-space explorer composes — a cached
-feasibility probe, a bisection for the minimum feasible frequency, and
-a slot-table-size scan whose rows carry the synthesis-model area and
-frequency columns so a scan is directly plottable as a trade-off curve.
-
-The probe cache exists because a design search hammers ``configure()``
-with near-duplicate questions: restarted bisections re-probe the same
-frequencies, grid scans revisit (topology, table size) cells, and
-feasibility is *monotone* in frequency — so one infeasible probe at
-``f`` answers every probe below ``f`` for free, and one feasible probe
-answers everything above.
+The building blocks the design-space explorer composes — a feasibility
+probe, a bisection for the minimum feasible frequency that hands back
+the winning probe's allocation, and a slot-table-size scan whose rows
+carry the synthesis-model area and frequency columns so a scan is
+directly plottable as a trade-off curve.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
-from repro.core.analysis import analyse, summarise
 from repro.core.application import UseCase
-from repro.core.configuration import configure
+from repro.core.configuration import NocConfiguration, configure
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.words import WordFormat
-from repro.synthesis.network import network_area_um2, network_fmax_hz
+from repro.synthesis.network import (NetworkArea, network_area,
+                                     network_fmax_hz)
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping
 
-__all__ = ["ProbeCache", "probe_fingerprint", "min_feasible_frequency",
-           "min_feasible_configuration", "TableSizeResult",
-           "table_size_scan"]
-
-
-def probe_fingerprint(topology: Topology, use_case: UseCase,
-                      mapping: Mapping, fmt: WordFormat) -> str:
-    """Stable digest of everything a feasibility probe depends on
-    except the slot-table size and the frequency (the cache key axes).
-
-    SHA-256 over the canonical structural descriptions, so fingerprints
-    agree across processes regardless of ``PYTHONHASHSEED``.
-    """
-    digest = hashlib.sha256()
-    digest.update(repr(sorted(topology.to_dict()["links"],
-                              key=lambda l: (l["src"], l["dst"]))).encode())
-    digest.update(repr(sorted(mapping.to_dict().items())).encode())
-    digest.update(repr([(ch.name, ch.src_ip, ch.dst_ip,
-                         ch.throughput_bytes_per_s, ch.max_latency_ns)
-                        for ch in use_case.channels]).encode())
-    digest.update(repr(fmt).encode())
-    return digest.hexdigest()[:24]
-
-
-class ProbeCache:
-    """Memo of ``configure()`` feasibility probes within one search.
-
-    Per ``(fingerprint, table_size)`` the cache keeps the monotone
-    bounds — the highest frequency known infeasible and the lowest
-    known feasible — which answer every probe at or outside the open
-    interval between them *exactly*, whatever the search tolerance
-    (feasibility is monotone in frequency, so no quantisation is
-    involved in the decision).  The failure recorded at the infeasible
-    bound is kept so cached-infeasible answers still carry a concrete
-    allocator error.  Re-running an identical bisection is fully
-    answered from the bounds: every midpoint repeats a previously
-    probed frequency, which by then sits on or outside them.
-
-    Caveat: soundness rests on the monotonicity assumption.  The
-    greedy allocator can (rarely) fail at a frequency above one it
-    succeeded at, so a cached answer may differ from what a fresh
-    ``configure()`` would say in such corners.  Share a cache only
-    across searches that tolerate bound-consistent answers — not
-    across runs whose reports must be byte-identical to uncached ones
-    (which is why the campaign workers do not share one).
-    """
-
-    def __init__(self, *, telemetry=None):
-        from repro.telemetry.hub import coalesce
-        self._failures: dict[tuple[str, int], AllocationError] = {}
-        self._bounds: dict[tuple[str, int], tuple[float, float]] = {}
-        self.hits = 0
-        self.misses = 0
-        tel = coalesce(telemetry)
-        self._tel_hit = tel.counter("design.probe_cache", outcome="hit")
-        self._tel_miss = tel.counter("design.probe_cache",
-                                     outcome="miss")
-
-    def lookup(self, fingerprint: str, table_size: int,
-               frequency_hz: float) -> tuple[bool, AllocationError | None]:
-        """``(known, failure)``; ``failure`` is ``None`` for feasible."""
-        key = (fingerprint, table_size)
-        lo_infeasible, hi_feasible = self._bounds.get(
-            key, (0.0, float("inf")))
-        if frequency_hz <= lo_infeasible:
-            self.hits += 1
-            self._tel_hit.inc()
-            return True, self._failures.get(key, AllocationError(
-                f"known infeasible at or below "
-                f"{lo_infeasible / 1e6:.1f} MHz (monotone bound)",
-                reason="cached infeasible"))
-        if frequency_hz >= hi_feasible:
-            self.hits += 1
-            self._tel_hit.inc()
-            return True, None
-        self.misses += 1
-        self._tel_miss.inc()
-        return False, None
-
-    def record(self, fingerprint: str, table_size: int,
-               frequency_hz: float,
-               failure: AllocationError | None) -> None:
-        """Store one probe outcome and tighten the monotone bounds."""
-        key = (fingerprint, table_size)
-        lo, hi = self._bounds.get(key, (0.0, float("inf")))
-        if failure is None:
-            hi = min(hi, frequency_hz)
-        else:
-            if frequency_hz >= lo:
-                self._failures[key] = failure
-            lo = max(lo, frequency_hz)
-        self._bounds[key] = (lo, hi)
+__all__ = ["min_feasible_frequency", "min_feasible_configuration",
+           "configuration_area", "TableSizeResult", "table_size_scan"]
 
 
 def _probe(topology: Topology, use_case: UseCase, mapping: Mapping,
-           table_size: int, frequency_hz: float, fmt: WordFormat, *,
-           cache: ProbeCache | None = None,
-           fingerprint: str | None = None
-           ) -> tuple[AllocationError | None, object | None]:
-    """``(failure, config)``: failure ``None`` when the use case
-    allocates with all requirements met (then ``config`` is the
-    :class:`~repro.core.configuration.NocConfiguration`, unless the
-    answer came from the cache)."""
-    if cache is not None:
-        fingerprint = fingerprint or probe_fingerprint(topology, use_case,
-                                                       mapping, fmt)
-        known, failure = cache.lookup(fingerprint, table_size,
-                                      frequency_hz)
-        if known:
-            return failure, None
-    config = None
+           table_size: int, frequency_hz: float, fmt: WordFormat
+           ) -> tuple[AllocationError | None, NocConfiguration | None]:
+    """``(failure, config)``: exactly one is ``None`` — the allocated
+    configuration when every requirement is met, else the allocator's
+    error."""
     try:
-        config = configure(topology, use_case, table_size=table_size,
-                           frequency_hz=frequency_hz, fmt=fmt,
-                           mapping=mapping, require_met=True)
-        failure = None
+        return None, configure(topology, use_case, table_size=table_size,
+                               frequency_hz=frequency_hz, fmt=fmt,
+                               mapping=mapping, require_met=True)
     except AllocationError as exc:
-        failure = exc
-    if cache is not None and fingerprint is not None:
-        cache.record(fingerprint, table_size, frequency_hz, failure)
-    return failure, config
+        return exc, None
 
 
 def _search(topology: Topology, use_case: UseCase, mapping: Mapping,
             table_size: int, fmt: WordFormat, low_hz: float,
-            high_hz: float, tolerance_hz: float,
-            cache: ProbeCache | None):
-    """Bisection core: ``(frequency, config-or-None)`` of the minimum.
-
-    ``config`` is ``None`` only when the winning probe was answered
-    from the cache (no allocation was computed for it).
-    """
+            high_hz: float, tolerance_hz: float
+            ) -> tuple[float, NocConfiguration]:
+    """Bisection core: ``(frequency, configuration)`` of the minimum."""
     if low_hz <= 0 or high_hz <= low_hz or tolerance_hz <= 0:
         raise ConfigurationError("invalid search interval")
-    fingerprint = (probe_fingerprint(topology, use_case, mapping, fmt)
-                   if cache is not None else None)
     failure, config = _probe(topology, use_case, mapping, table_size,
-                             high_hz, fmt, cache=cache,
-                             fingerprint=fingerprint)
+                             high_hz, fmt)
     if failure is not None:
         raise AllocationError(
             f"use case infeasible even at {high_hz / 1e6:.0f} MHz; "
@@ -175,8 +56,7 @@ def _search(topology: Topology, use_case: UseCase, mapping: Mapping,
             reason=failure.reason) from failure
     best = (high_hz, config)
     failure, config = _probe(topology, use_case, mapping, table_size,
-                             low_hz, fmt, cache=cache,
-                             fingerprint=fingerprint)
+                             low_hz, fmt)
     if failure is None:
         best = (low_hz, config)
     else:
@@ -184,8 +64,7 @@ def _search(topology: Topology, use_case: UseCase, mapping: Mapping,
         while hi - lo > tolerance_hz:
             mid = (lo + hi) / 2
             failure, config = _probe(topology, use_case, mapping,
-                                     table_size, mid, fmt, cache=cache,
-                                     fingerprint=fingerprint)
+                                     table_size, mid, fmt)
             if failure is None:
                 hi = mid
                 best = (mid, config)
@@ -199,22 +78,15 @@ def min_feasible_configuration(topology: Topology, use_case: UseCase,
                                fmt: WordFormat | None = None,
                                low_hz: float = 100e6,
                                high_hz: float = 2e9,
-                               tolerance_hz: float = 10e6,
-                               cache: ProbeCache | None = None):
+                               tolerance_hz: float = 10e6
+                               ) -> NocConfiguration:
     """Like :func:`min_feasible_frequency`, but returns the allocated
     :class:`~repro.core.configuration.NocConfiguration` at the found
-    frequency — the final successful probe's allocation is reused
-    instead of thrown away and recomputed (allocation is the expensive
-    step of a design search)."""
-    fmt = fmt or WordFormat()
-    frequency_hz, config = _search(topology, use_case, mapping,
-                                   table_size, fmt, low_hz, high_hz,
-                                   tolerance_hz, cache)
-    if config is None:  # the winning answer came from the cache
-        config = configure(topology, use_case, table_size=table_size,
-                           frequency_hz=frequency_hz, fmt=fmt,
-                           mapping=mapping, require_met=True)
-    return config
+    frequency — the winning probe's allocation itself, not a
+    recomputation (allocation is the expensive step of a design
+    search)."""
+    return _search(topology, use_case, mapping, table_size,
+                   fmt or WordFormat(), low_hz, high_hz, tolerance_hz)[1]
 
 
 def min_feasible_frequency(topology: Topology, use_case: UseCase,
@@ -222,8 +94,7 @@ def min_feasible_frequency(topology: Topology, use_case: UseCase,
                            fmt: WordFormat | None = None,
                            low_hz: float = 100e6,
                            high_hz: float = 2e9,
-                           tolerance_hz: float = 10e6,
-                           cache: ProbeCache | None = None) -> float:
+                           tolerance_hz: float = 10e6) -> float:
     """Lowest frequency at which every requirement is guaranteed.
 
     Binary search over the operating frequency; raises
@@ -233,12 +104,24 @@ def min_feasible_frequency(topology: Topology, use_case: UseCase,
     channel is diagnosable instead of just "infeasible".
     Feasibility is monotone in frequency for a fixed workload (higher
     frequency shortens slots and raises per-slot bandwidth), which the
-    search relies on — and which the optional :class:`ProbeCache`
-    exploits to answer repeated probes without re-allocating.
+    search relies on.
     """
     return _search(topology, use_case, mapping, table_size,
-                   fmt or WordFormat(), low_hz, high_hz, tolerance_hz,
-                   cache)[0]
+                   fmt or WordFormat(), low_hz, high_hz, tolerance_hz)[0]
+
+
+def configuration_area(config: NocConfiguration) -> NetworkArea:
+    """Cell area of an allocated configuration at its operating point:
+    every NI priced with the channel queues the allocation programs
+    into it."""
+    allocation = config.allocation
+    return network_area(
+        config.topology, table_size=config.table_size,
+        frequency_hz=config.frequency_hz, fmt=config.fmt,
+        channels_per_ni={
+            ni: (len(allocation.channels_from_ni(ni)),
+                 len(allocation.channels_to_ni(ni)))
+            for ni in config.topology.nis})
 
 
 @dataclass(frozen=True)
@@ -284,27 +167,19 @@ def table_size_scan(topology: Topology, use_case: UseCase,
     fmax_mhz = round(network_fmax_hz(topology, fmt) / 1e6, 1)
     results: list[TableSizeResult] = []
     for size in sizes:
-        try:
-            config = configure(topology, use_case, table_size=size,
-                               frequency_hz=frequency_hz, fmt=fmt,
-                               mapping=mapping, require_met=True)
-        except AllocationError:
+        failure, config = _probe(topology, use_case, mapping, size,
+                                 frequency_hz, fmt)
+        if failure is not None:
             results.append(TableSizeResult(size, False, None, None, None))
             continue
-        bounds = analyse(config.allocation)
-        summary = summarise(bounds)
-        channels_per_ni = {
-            ni: (len(config.allocation.channels_from_ni(ni)),
-                 len(config.allocation.channels_to_ni(ni)))
-            for ni in topology.nis}
+        summary = config.summary()
         results.append(TableSizeResult(
             table_size=size, feasible=True,
             mean_latency_bound_ns=summary.mean_latency_ns,
             max_latency_bound_ns=summary.max_latency_ns,
             mean_link_utilisation=config.allocation
             .mean_link_utilisation(),
-            network_area_um2=round(network_area_um2(
-                topology, table_size=size, frequency_hz=frequency_hz,
-                fmt=fmt, channels_per_ni=channels_per_ni), 1),
+            network_area_um2=round(configuration_area(config).total_um2,
+                                   1),
             fmax_mhz=fmax_mhz))
     return results

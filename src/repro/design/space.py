@@ -11,21 +11,21 @@ NIs-per-router x slot-table size x word format x mapping strategy.
 :class:`DesignSpec` is the per-candidate evaluation recipe that rides
 inside a campaign :class:`~repro.campaign.spec.ScenarioSpec` (mode
 ``"design"``), so candidate evaluation fans out over the existing
-multiprocessing campaign runner unchanged; everything here is a frozen,
-picklable value.
+multiprocessing campaign runner unchanged; :meth:`DesignSpace.scenarios`
+is the one place a problem becomes those scenarios.  Everything here is
+a frozen, picklable value.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.campaign.spec import TopologySpec
+from repro.campaign.spec import ScenarioSpec, TopologySpec
 from repro.core.application import Application, UseCase
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError
-from repro.design.mapping_opt import OptimizerSpec
 from repro.service.churn import ChurnSpec
 
 __all__ = ["DesignSpec", "Candidate", "DesignSpace", "workload_from_churn",
@@ -42,13 +42,14 @@ class DesignSpec:
 
     The topology, slot-table size and seed come from the surrounding
     scenario; this carries the workload and everything else the worker
-    needs to rebuild the evaluation from scratch.
+    needs to rebuild the evaluation from scratch.  Built by
+    :meth:`DesignSpace.scenarios`, which copies the search interval off
+    the space.
     """
 
     use_case: UseCase
     data_width: int = 32
     mapping: str = "optimized"
-    optimizer: OptimizerSpec = field(default_factory=OptimizerSpec)
     min_frequency_mhz: float = 100.0
     max_frequency_mhz: float = 1000.0
     tolerance_mhz: float = 10.0
@@ -140,6 +141,26 @@ class DesignSpace:
         if len(set(labels)) != len(labels):
             raise ConfigurationError("duplicate candidates in design space")
         return tuple(sorted(out, key=lambda c: c.label))
+
+    def scenarios(self, use_case: UseCase) -> tuple[ScenarioSpec, ...]:
+        """One ``mode="design"`` scenario per candidate, for ``use_case``.
+
+        The only candidate -> scenario expansion: every design campaign
+        (the explorer's, the ``design_campaign`` preset) is this tuple.
+        """
+        return tuple(
+            ScenarioSpec(
+                name=candidate.label, mode="design",
+                topology=candidate.topology,
+                table_size=candidate.table_size,
+                design=DesignSpec(
+                    use_case=use_case, data_width=candidate.data_width,
+                    mapping=candidate.mapping,
+                    min_frequency_mhz=self.min_frequency_mhz,
+                    max_frequency_mhz=self.max_frequency_mhz,
+                    tolerance_mhz=self.tolerance_mhz, prune=self.prune,
+                    spare_capacity=self.spare_capacity))
+            for candidate in self.candidates())
 
 
 def workload_from_churn(churn: ChurnSpec, *,

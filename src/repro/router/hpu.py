@@ -41,11 +41,6 @@ class HeaderParsingUnit:
         """True while a packet is in flight through this input."""
         return self._current_port is not None
 
-    @property
-    def current_port(self) -> int | None:
-        """Output port of the in-flight packet, if any."""
-        return self._current_port
-
     def process(self, phit: Phit) -> tuple[int | None, Phit]:
         """Route one word; see class docstring."""
         if not phit.valid:

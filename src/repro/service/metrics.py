@@ -262,9 +262,9 @@ class ServiceReport:
             record["events"] = self.events
         return record
 
-    def to_json(self, *, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """Canonical JSON: sorted keys, no wall-clock state."""
-        return json.dumps(self.to_record(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_record(), indent=2, sort_keys=True)
 
     def write(self, path: str) -> None:
         """Write the canonical JSON report to a file."""

@@ -97,10 +97,6 @@ class Engine:
 
     # -- execution --------------------------------------------------------------
 
-    def run_for(self, duration_ps: int) -> None:
-        """Advance the simulation by ``duration_ps`` picoseconds."""
-        self.run_until(self.now_ps + duration_ps)
-
     def run_until(self, t_end_ps: int) -> None:
         """Run all edges strictly before ``t_end_ps``."""
         if t_end_ps < self.now_ps:

@@ -11,7 +11,7 @@ from repro.synthesis.comparison import (AeliteVsAethereal, ComparisonRow,
                                         throughput_per_area)
 from repro.synthesis.gates import GateCounts, fifo_area_um2
 from repro.synthesis.network import (NetworkArea, network_area,
-                                     network_area_um2, network_fmax_hz)
+                                     network_fmax_hz)
 from repro.synthesis.technology import (TECH_65, TECH_90LP, TECH_130,
                                         Technology, scale_area_um2,
                                         scale_frequency_hz)
@@ -30,7 +30,7 @@ __all__ = [
     "critical_path_ps", "max_frequency_hz", "effort_factor",
     "router_area_at_frequency_um2", "SynthesisPoint", "frequency_sweep",
     "MAX_EFFORT_FACTOR",
-    "NetworkArea", "network_area", "network_area_um2", "network_fmax_hz",
+    "NetworkArea", "network_area", "network_fmax_hz",
     "ComparisonRow", "related_work_table", "AeliteVsAethereal",
     "aelite_vs_aethereal", "throughput_per_area",
 ]

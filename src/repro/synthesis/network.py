@@ -25,8 +25,7 @@ from repro.synthesis.timing_model import (max_frequency_hz,
                                           router_area_at_frequency_um2)
 from repro.topology.graph import Topology
 
-__all__ = ["NetworkArea", "network_area", "network_area_um2",
-           "network_fmax_hz"]
+__all__ = ["NetworkArea", "network_area", "network_fmax_hz"]
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,6 @@ class NetworkArea:
     def total_um2(self) -> float:
         """Whole-network cell area."""
         return self.routers_um2 + self.link_stages_um2 + self.nis_um2
-
-    @property
-    def total_mm2(self) -> float:
-        """Whole-network cell area in mm^2."""
-        return self.total_um2 / 1e6
 
     def to_record(self) -> dict[str, float]:
         """JSON-ready breakdown (rounded to whole um^2 for stability)."""
@@ -94,14 +88,3 @@ def network_area(topology: Topology, *, table_size: int,
                            tech=tech, queue_words=queue_words)
     return NetworkArea(routers_um2=routers, link_stages_um2=stages,
                        nis_um2=nis)
-
-
-def network_area_um2(topology: Topology, *, table_size: int,
-                     frequency_hz: float, fmt: WordFormat | None = None,
-                     tech: Technology = TECH_90LP,
-                     channels_per_ni: dict[str, tuple[int, int]] | None
-                     = None) -> float:
-    """Total cell area of :func:`network_area` (convenience)."""
-    return network_area(topology, table_size=table_size,
-                        frequency_hz=frequency_hz, fmt=fmt, tech=tech,
-                        channels_per_ni=channels_per_ni).total_um2

@@ -35,8 +35,7 @@ from repro.telemetry.metrics import (Counter, Gauge, Histogram,
                                      MetricRegistry)
 from repro.telemetry.monitor import (ChannelConformance,
                                      ConformanceReport, FabricRollup,
-                                     MonitorSpec, campaign_conformance,
-                                     conformance_from_result,
+                                     MonitorSpec, conformance_from_result,
                                      quote_conformance,
                                      timeline_conformance)
 from repro.telemetry.profiling import run_profiled
@@ -49,5 +48,5 @@ __all__ = [
     "to_jsonl", "prometheus_text", "chrome_trace", "run_profiled",
     "MonitorSpec", "ChannelConformance", "ConformanceReport",
     "conformance_from_result", "timeline_conformance",
-    "quote_conformance", "campaign_conformance", "FabricRollup",
+    "quote_conformance", "FabricRollup",
 ]

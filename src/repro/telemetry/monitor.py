@@ -7,8 +7,8 @@ composability means observed behaviour must stay inside those quotes no
 matter what anyone else does.  PR 7's telemetry records raw metrics but
 draws no conclusions; this module is the analysis tier that closes the
 loop — it consumes the existing artifacts (``SimResult`` stats,
-``ReconfigurationTimeline`` schedules, service quote streams, campaign
-records) and emits *classified verdicts*:
+``ReconfigurationTimeline`` schedules, service quote streams) and emits
+*classified verdicts*:
 
 * **guarantee conformance** — per channel/session, compare observed
   worst-case and mean service latency and delivered throughput against
@@ -17,9 +17,10 @@ records) and emits *classified verdicts*:
   one canonical, byte-deterministic :class:`ConformanceReport`.
   Builders exist for every artifact the repo produces: a static GS run
   (:func:`conformance_from_result`), a churn timeline replay
-  (:func:`timeline_conformance`), a live service's quote stream
-  (:func:`quote_conformance`) and a campaign's aggregated records
-  (:func:`campaign_conformance`);
+  (:func:`timeline_conformance`) and a live service's quote stream
+  (:func:`quote_conformance`); a campaign's aggregated records are
+  judged beside the table that knows their shapes
+  (:func:`repro.campaign.kinds.campaign_conformance`);
 * **fabric introspection** — :class:`FabricRollup` folds slot schedules
   into per-link utilisation and per-NI slot-occupancy tables with
   hotspot top-K views, plus Chrome-trace counter tracks on the existing
@@ -43,7 +44,7 @@ from repro.simulation.monitors import ServiceObservation
 __all__ = [
     "MonitorSpec", "ChannelConformance", "ConformanceReport",
     "conformance_from_result", "timeline_conformance",
-    "quote_conformance", "campaign_conformance", "FabricRollup",
+    "quote_conformance", "FabricRollup",
 ]
 
 #: Verdict severity order; combining verdicts takes the worst.
@@ -504,69 +505,6 @@ def quote_conformance(quotes, *, spec: MonitorSpec | None = None,
     return ConformanceReport(source=source, scenario=scenario,
                              channels=tuple(entries),
                              slack_fraction=spec.slack_fraction)
-
-
-def campaign_conformance(records, *, spec: MonitorSpec | None = None,
-                         scenario: str = "campaign"
-                         ) -> ConformanceReport:
-    """Fold campaign run records into per-run conformance verdicts.
-
-    Accepts an iterable of campaign record dicts (or a
-    :class:`~repro.campaign.runner.CampaignResult`, whose
-    ``iter_records()`` is used).  A run is ``violated`` when it failed
-    outright, diverged in a composability check, or broke the
-    composition invariant; ``tight`` when it survived but degraded
-    (guarantee retention below 1, or rerouted sessions re-admitted with
-    worse bounds); ``within_bounds`` otherwise.  Records are already
-    canonically ordered and wall-clock-free, so the rollup inherits the
-    campaign's serial == parallel byte-determinism.
-    """
-    spec = spec or MonitorSpec()
-    iter_records = getattr(records, "iter_records", None)
-    if iter_records is not None:
-        records = iter_records()
-    entries = []
-    for record in records:
-        entries.append(_run_conformance(record))
-    return ConformanceReport(source="campaign", scenario=scenario,
-                             channels=tuple(entries),
-                             slack_fraction=spec.slack_fraction)
-
-
-#: Campaign statuses that are search verdicts, not failures (mirrors
-#: ``repro.campaign.runner._NON_FAILURE_STATUSES``).
-_RUN_OK_STATUSES = ("ok", "pruned", "infeasible")
-
-
-def _run_conformance(record: dict) -> ChannelConformance:
-    """Classify one campaign record into a run-level verdict."""
-    run_id = str(record.get("run_id", record.get("scenario", "?")))
-    status = record.get("status", "ok")
-    if status not in _RUN_OK_STATUSES:
-        return ChannelConformance(channel=run_id, kind="run",
-                                  verdict="violated",
-                                  detail=f"status={status}")
-    result = record.get("result") or {}
-    details = []
-    verdict = "within_bounds"
-    composability = result.get("composability")
-    if composability is not None and not composability.get("composable",
-                                                           True):
-        verdict = "violated"
-        details.append("composability diverged")
-    invariant = result.get("invariant")
-    if invariant is not None and not invariant.get("ok", True):
-        verdict = "violated"
-        details.append("invariant broken")
-    survivability = result.get("survivability")
-    if survivability is not None and verdict != "violated":
-        retention = float(survivability.get("guarantee_retention", 1.0))
-        if retention < 1.0:
-            verdict = "tight"
-            details.append(f"guarantee_retention={retention:g}")
-    return ChannelConformance(
-        channel=run_id, kind="run", verdict=verdict,
-        detail="; ".join(details) if details else None)
 
 
 # -- fabric introspection -------------------------------------------------

@@ -20,7 +20,6 @@ _EXPORTS: dict[str, str] = {
     "single_router": "repro.topology.builders",
     "custom": "repro.topology.builders",
     "router_coords": "repro.topology.builders",
-    "ni_names_of": "repro.topology.builders",
     "Mapping": "repro.topology.mapping",
     "round_robin": "repro.topology.mapping",
     "traffic_balanced": "repro.topology.mapping",

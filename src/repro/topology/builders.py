@@ -24,7 +24,7 @@ from repro.core.exceptions import TopologyError
 from repro.topology.graph import Topology
 
 __all__ = ["mesh", "concentrated_mesh", "line", "ring", "torus",
-           "single_router", "custom", "router_coords", "ni_names_of"]
+           "single_router", "custom", "router_coords"]
 
 
 def _router_name(x: int, y: int) -> str:
@@ -41,11 +41,6 @@ def router_coords(topo: Topology, router: str) -> tuple[int, int]:
     if "x" not in attrs or "y" not in attrs:
         raise TopologyError(f"router {router!r} carries no mesh coordinates")
     return int(attrs["x"]), int(attrs["y"])  # type: ignore[arg-type]
-
-
-def ni_names_of(topo: Topology, router: str) -> tuple[str, ...]:
-    """NIs attached to a router (alias of ``Topology.nis_of_router``)."""
-    return topo.nis_of_router(router)
 
 
 def mesh(cols: int, rows: int, *, nis_per_router: int = 1,

@@ -271,10 +271,6 @@ class Topology:
         for link in self.links:
             yield link.key
 
-    def max_pipeline_stages(self) -> int:
-        """Largest pipeline-stage count over all links."""
-        return max((l.pipeline_stages for l in self.links), default=0)
-
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> None:

@@ -129,10 +129,13 @@ def hop_weighted_demand(topo: Topology, mapping: Mapping,
     return total
 
 
+#: First-improvement sweeps :func:`_swap_refined` makes at most.
+_SWAP_PASSES = 4
+
+
 def _swap_refined(assignment: dict[str, str], topo: Topology,
                   channels: Sequence[ChannelSpec],
-                  dist: dict[str, dict[str, int]], *,
-                  max_passes: int = 4) -> dict[str, str]:
+                  dist: dict[str, dict[str, int]]) -> dict[str, str]:
     """First-improvement swap pass minimising hop-weighted demand.
 
     Swapping two IPs' NIs preserves the per-NI IP counts of the start
@@ -165,7 +168,7 @@ def _swap_refined(assignment: dict[str, str], topo: Topology,
         return total
 
     mapped = sorted(assignment)
-    for _ in range(max_passes):
+    for _ in range(_SWAP_PASSES):
         improved = False
         for i, ip_a in enumerate(mapped):
             for ip_b in mapped[i + 1:]:

@@ -42,6 +42,13 @@ from repro.topology.routing import xy_path
 
 __all__ = ["Section7Parameters", "Section7Instance", "generate_section7"]
 
+#: Padding on a drawn latency requirement's feasibility floor, so the
+#: allocator has room to satisfy several tight channels on shared links.
+LATENCY_FEASIBILITY_MARGIN = 1.35
+#: Share of an NI link's slot table the negotiated requirements may ask
+#: for before the tightest channel on it is relaxed.
+LINK_PRESSURE_BUDGET = 0.78
+
 
 @dataclass(frozen=True)
 class Section7Parameters:
@@ -59,9 +66,7 @@ class Section7Parameters:
     min_latency_ns: float = 35.0
     max_latency_ns: float = 500.0
     frequency_hz: float = 500e6
-    latency_feasibility_margin: float = 1.35
     table_size: int = 32
-    link_pressure_budget: float = 0.78
 
     def __post_init__(self) -> None:
         if self.n_applications < 1 or self.connections_per_application < 1:
@@ -272,13 +277,12 @@ def _draw_latency(src: str, dst: str, topo: Topology, mapping: Mapping,
     """Uniform draw from the feasible part of the paper's latency range.
 
     The floor is the XY path's traversal time plus one slot of injection
-    wait, padded by ``latency_feasibility_margin`` so the allocator has
-    room to satisfy several tight channels on shared links.
+    wait, padded by :data:`LATENCY_FEASIBILITY_MARGIN`.
     """
     path = xy_path(topo, mapping.ni_of(src), mapping.ni_of(dst))
     floor_cycles = (path.traversal_slots + 1) * fmt.flit_size
     floor_ns = floor_cycles / params.frequency_hz * 1e9 * \
-        params.latency_feasibility_margin
+        LATENCY_FEASIBILITY_MARGIN
     low = max(params.min_latency_ns, floor_ns)
     if low > params.max_latency_ns:
         low = params.max_latency_ns
@@ -294,7 +298,7 @@ def _relax_for_feasibility(channels_by_app: dict[str, list[ChannelSpec]],
     The paper's tool flow negotiates requirements with the allocator;
     here the negotiation is explicit: estimate each channel's slot demand
     on its XY route, and while any **NI link's** aggregate demand exceeds
-    ``link_pressure_budget`` of the slot table, relax the latency
+    :data:`LINK_PRESSURE_BUDGET` of the slot table, relax the latency
     requirement of that link's tightest channel by 30 % (never beyond
     the 500 ns maximum; throughput requirements are never touched).
     Only NI injection/ejection links are policed: they have no path
@@ -307,7 +311,7 @@ def _relax_for_feasibility(channels_by_app: dict[str, list[ChannelSpec]],
     all_channels: list[ChannelSpec] = []
     for channels in channels_by_app.values():
         all_channels.extend(channels)
-    budget = params.link_pressure_budget * params.table_size
+    budget = LINK_PRESSURE_BUDGET * params.table_size
     ni_set = set(topo.nis)
 
     def demand(spec: ChannelSpec) -> tuple[int, "object"]:

@@ -199,6 +199,20 @@ class TestCheckpointResume:
         with pytest.raises(ConfigurationError, match="workdir"):
             CampaignRunner(_grid(), resume=True)
 
+    def test_resume_without_a_manifest_refuses(self, tmp_path):
+        """A mistyped ``--resume`` path used to create the directory,
+        run the whole campaign and report "0 run(s) restored"."""
+        typo = tmp_path / "tpyo"
+        with pytest.raises(ConfigurationError, match="nothing to resume"):
+            CampaignRunner(_grid(), workdir=typo, resume=True).run()
+        with pytest.raises(ConfigurationError, match="nothing to resume"):
+            CampaignRunner(_grid(), workdir=typo).run(resume=True)
+        assert not typo.exists()
+
+    def test_shard_size_zero_is_not_the_default(self):
+        with pytest.raises(ConfigurationError, match="shard_size"):
+            CampaignRunner(_grid(), shard_size=0).run()
+
 
 def _proc_stat(pid: int) -> list[str] | None:
     """Fields of ``/proc/<pid>/stat`` after the command name."""

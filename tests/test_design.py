@@ -1,9 +1,9 @@
 """Tests for the ``repro.design`` design-space explorer subsystem.
 
 Covers the analytical pruning bounds (soundness: a pruned candidate is
-really infeasible), the probe cache (bisections stop re-running
-identical probes), the mapping optimizer (deterministic, never worse
-than its warm start, repairs co-location), the campaign integration
+really infeasible), the mapping optimizer (deterministic, never worse
+than its warm start, repairs co-location), the one candidate ->
+scenario expansion (``DesignSpace.scenarios``), the campaign integration
 (``mode="design"`` runs are byte-deterministic across process pools),
 the Pareto front arithmetic, and the demo's acceptance claim — the
 minimum-area feasible point for the Section VII demo workload is the
@@ -12,6 +12,7 @@ paper's 2x2 mesh at or below 500 MHz.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -25,8 +26,8 @@ from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.words import WordFormat
 from repro.design import (Candidate, DesignExplorer, DesignSpace,
-                          DesignSpec, OptimizerSpec, ProbeCache,
-                          evaluate_candidate, frequency_lower_bound_hz,
+                          DesignSpec, evaluate_candidate,
+                          frequency_lower_bound_hz,
                           min_feasible_frequency, optimize_mapping,
                           pareto_front, prune_candidate,
                           section7_demo_use_case, table_size_scan,
@@ -178,89 +179,6 @@ class TestPruneSoundness:
         assert found >= floor * (1 - 1e-9)
 
 
-class TestProbeCache:
-    def _counting(self, monkeypatch):
-        import repro.design.search as search
-        calls = {"n": 0}
-        real = configure
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(search, "configure", counting)
-        return calls
-
-    def test_repeat_search_is_free(self, monkeypatch):
-        calls = self._counting(monkeypatch)
-        topo = mesh(2, 2, nis_per_router=1)
-        use_case = _small_use_case()
-        mapping = round_robin(list(use_case.ips), topo)
-        cache = ProbeCache()
-        first = min_feasible_frequency(topo, use_case, mapping,
-                                       table_size=16, cache=cache)
-        cold = calls["n"]
-        assert cold > 0
-        again = min_feasible_frequency(topo, use_case, mapping,
-                                       table_size=16, cache=cache)
-        assert again == first
-        assert calls["n"] == cold  # every probe answered from cache
-
-    def test_monotone_bounds_answer_new_frequencies(self, monkeypatch):
-        calls = self._counting(monkeypatch)
-        topo = mesh(2, 2, nis_per_router=1)
-        use_case = _small_use_case()
-        mapping = round_robin(list(use_case.ips), topo)
-        cache = ProbeCache()
-        found = min_feasible_frequency(topo, use_case, mapping,
-                                       table_size=16, cache=cache)
-        before = calls["n"]
-        # A fresh bisection over a *wider* interval: the feasible top
-        # and everything below the known-infeasible floor come from the
-        # monotone bounds, so the narrower result needs fewer probes
-        # than a cold search.
-        cache_hits_before = cache.hits
-        min_feasible_frequency(topo, use_case, mapping, table_size=16,
-                               low_hz=50e6, high_hz=3e9, cache=cache)
-        assert cache.hits > cache_hits_before
-        assert calls["n"] > before  # some new buckets were probed...
-        assert found > 0
-
-    def test_failures_are_cached(self, monkeypatch):
-        calls = self._counting(monkeypatch)
-        topo = mesh(2, 2, nis_per_router=1)
-        use_case = _small_use_case(scale=100.0)  # hopeless workload
-        mapping = round_robin(list(use_case.ips), topo)
-        cache = ProbeCache()
-        with pytest.raises(AllocationError):
-            min_feasible_frequency(topo, use_case, mapping,
-                                   table_size=8, high_hz=400e6,
-                                   cache=cache)
-        cold = calls["n"]
-        with pytest.raises(AllocationError):
-            min_feasible_frequency(topo, use_case, mapping,
-                                   table_size=8, high_hz=400e6,
-                                   cache=cache)
-        assert calls["n"] == cold
-
-    def test_tight_tolerance_stays_exact(self):
-        """Monotone-bound answers hold at any tolerance: the cached
-        search must agree with an uncached one to the tolerance."""
-        topo = mesh(2, 2, nis_per_router=1)
-        use_case = _small_use_case()
-        mapping = round_robin(list(use_case.ips), topo)
-        cached = min_feasible_frequency(topo, use_case, mapping,
-                                        table_size=16,
-                                        tolerance_hz=0.5e6,
-                                        cache=ProbeCache())
-        plain = min_feasible_frequency(topo, use_case, mapping,
-                                       table_size=16,
-                                       tolerance_hz=0.5e6)
-        assert cached == plain
-        configure(topo, use_case, table_size=16, frequency_hz=cached,
-                  mapping=mapping)  # the found point really allocates
-
-
 class TestMappingOptimizer:
     def test_deterministic_and_no_worse_than_warm_start(self):
         topo = mesh(3, 2, nis_per_router=2)
@@ -273,20 +191,6 @@ class TestMappingOptimizer:
         first.mapping.validate(topo)
         other = optimize_mapping(topo, use_case, seed=12)
         assert other.final_cost <= other.start_cost + 1e-6
-
-    def test_zero_iterations_returns_warm_start(self):
-        topo = mesh(2, 2, nis_per_router=2)
-        use_case = _small_use_case()
-        result = optimize_mapping(topo, use_case, seed=5,
-                                  spec=OptimizerSpec(iterations=0))
-        assert result.moves_accepted == 0
-        assert result.final_cost <= result.start_cost + 1e-6
-
-    def test_optimizer_spec_validation(self):
-        with pytest.raises(ConfigurationError):
-            OptimizerSpec(iterations=-1)
-        with pytest.raises(ConfigurationError):
-            OptimizerSpec(cooling=1.5)
 
 
 class TestEvaluateCandidate:
@@ -386,6 +290,18 @@ class TestCampaignIntegration:
             preset_by_name("nope")
         assert "design_campaign" in str(excinfo.value)
 
+    def test_design_campaign_scenarios_are_the_parents(self):
+        """The preset expands to the scenarios it did before
+        ``DesignSpace.scenarios`` replaced its hand-kept loop: the
+        digest is of ``repr`` of every scenario at the commit before,
+        less the ``optimizer=OptimizerSpec(...)`` field deleted with it.
+        """
+        from repro.campaign import design_campaign
+        text = "\n".join(repr(s) for s in design_campaign().scenarios)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7230104938a96fb8171a770cd852c700"
+            "b396d3529453870c81bf3ab3fa7ff01d")
+
 
 class TestParetoFront:
     @staticmethod
@@ -424,18 +340,42 @@ class TestExplorerAndDemo:
                         TopologySpec(kind="ring", cols=4,
                                      nis_per_router=2)),
             table_sizes=(16,), max_frequency_mhz=800.0)
-        explorer = DesignExplorer(use_case=_small_use_case(), space=space,
-                                  workers=1)
+        explorer = DesignExplorer(_small_use_case(), space, workers=1)
         first = explorer.explore()
         second = explorer.explore()
         assert first.to_json() == second.to_json()
         assert first.n_candidates == 2
         assert first.front
 
+    def test_space_scenarios_is_the_one_expansion(self):
+        """What the explorer runs is the space's own expansion, and the
+        space's search interval is what every candidate is held to."""
+        space = DesignSpace(
+            topologies=(TopologySpec(kind="mesh", cols=2, rows=2),
+                        TopologySpec(kind="ring", cols=4)),
+            table_sizes=(8, 16), mappings=("optimized", "round_robin"),
+            max_frequency_mhz=500.0, tolerance_mhz=25.0, prune=False,
+            spare_capacity=0.25)
+        use_case = _small_use_case()
+        scenarios = space.scenarios(use_case)
+        spec = DesignExplorer(use_case, space, name="x").campaign_spec()
+        assert spec.scenarios == scenarios
+        assert spec.name == "x"
+        assert [s.name for s in scenarios] == \
+            [c.label for c in space.candidates()]
+        for scenario, candidate in zip(scenarios, space.candidates()):
+            assert scenario.mode == "design"
+            assert (scenario.topology, scenario.table_size) == \
+                (candidate.topology, candidate.table_size)
+            assert scenario.design == DesignSpec(
+                use_case=use_case, data_width=candidate.data_width,
+                mapping=candidate.mapping, max_frequency_mhz=500.0,
+                tolerance_mhz=25.0, prune=False, spare_capacity=0.25)
+
     def test_demo_rediscovers_the_papers_point(self):
         from repro.design import demo_space
-        report = DesignExplorer(use_case=section7_demo_use_case(),
-                                space=demo_space(), workers=2).explore()
+        report = DesignExplorer(section7_demo_use_case(), demo_space(),
+                                workers=2).explore()
         chosen = report.min_area_point()
         assert chosen is not None
         assert str(chosen["topology"]).startswith("mesh2x2")
@@ -444,11 +384,6 @@ class TestExplorerAndDemo:
         assert report.n_candidates == 18
         # The report is canonical JSON end to end.
         json.loads(report.to_json())
-
-    def test_explorer_requires_a_workload(self):
-        with pytest.raises(ConfigurationError):
-            DesignExplorer(space=DesignSpace(
-                topologies=(TopologySpec(),)))
 
 
 class TestTableSizeScanColumns:
@@ -474,8 +409,3 @@ class TestTableSizeScanColumns:
         # NI slot tables grow with the table size: area rises.
         areas = [r.network_area_um2 for r in feasible]
         assert areas == sorted(areas)
-
-    def test_core_reexports_table_size_result(self):
-        from repro.core import TableSizeResult as core_result
-        from repro.design.search import TableSizeResult
-        assert core_result is TableSizeResult

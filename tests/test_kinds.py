@@ -17,6 +17,7 @@ from typing import Callable
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import main
 from repro.campaign import (PRESETS, CampaignResult, RunSpec, ScenarioSpec,
                             TopologySpec, TrafficSpec, execute_run)
@@ -233,10 +234,27 @@ DEMOS = {
 @pytest.mark.parametrize("demo", DEMOS.values(), ids=list(DEMOS))
 class TestEveryCheckedDemo:
     def test_demo_exits_clean_and_writes_the_library_report(
-            self, demo, tmp_path, capsys):
+            self, demo, tmp_path, capsys, monkeypatch):
         path = tmp_path / "report.json"
+        flow, *refusal = cli._DEMOS[demo.argv[0]]
+        handed = []
+
+        def recording(*args):
+            handed.append(flow(*args))
+            return handed[-1]
+
+        monkeypatch.setitem(cli._DEMOS, demo.argv[0],
+                            (recording, *refusal))
         assert main([*demo.argv, "--demo", "--output", str(path)]) == 0
         out = capsys.readouterr().out
+        # The pass condition is data: every verdict the flow handed the
+        # skeleton held (the byte-identity verdict is appended to them),
+        # and each was printed as its line.
+        checked, = handed
+        assert len(checked.verdicts) >= 2 and checked.healthy
+        for verdict in checked.verdicts:
+            assert verdict[1] is True
+            assert cli._verdict_line(*verdict) in out
         assert demo.verdict in out
         assert "NO —" not in out
         assert f"written to {path}" in out
@@ -259,11 +277,25 @@ class TestEveryCheckedDemo:
     (("serve", "--demo", "--events", "-5"), "--events"),
     (("serve", "--demo", "--events", "0"), "--events"),
     (("design", "--demo", "--spare-capacity", "nan"), "--spare-capacity"),
+    (("campaign", "--preset", "synthetic", "--shard-size", "0"),
+     "--shard-size"),
+    (("serve", "--demo", "--output", "/nonexistent/dir/x.json"),
+     "--output"),
+    (("campaign", "--demo", "--output", "/nonexistent/dir/x.json"),
+     "--output"),
+    (("faults", "--demo", "--monitor-output", "/nonexistent/dir/x.json"),
+     "--monitor-output"),
+    (("replay", "--demo", "--telemetry", "/nonexistent/dir/x.jsonl"),
+     "--telemetry"),
+    (("design", "--demo", "--trace", "/nonexistent/dir/x.json"),
+     "--trace"),
 ], ids=" ".join)
 def test_bad_cli_number_is_a_usage_error(argv, flag, capsys):
     """These used to die with a traceback, run a demo over nothing
-    (``serve --events 0``: "byte-identical: yes", exit 0) or blame the
-    search (``--spare-capacity nan``: "SEARCH REGRESSION")."""
+    (``serve --events 0``: "byte-identical: yes", exit 0), blame the
+    search (``--spare-capacity nan``: "SEARCH REGRESSION"), read
+    ``--shard-size 0`` as "default", or run the whole flow and then fail
+    to open a report path whose directory does not exist."""
     with pytest.raises(SystemExit) as refused:
         main(list(argv))
     assert refused.value.code == 2
@@ -283,6 +315,8 @@ def test_bad_cli_number_is_a_usage_error(argv, flag, capsys):
      "repro monitor: slack_fraction must be in [0, 1), got -1.0"),
     (("serve", "--demo", "--monitor", "--monitor-slack", "1.5"),
      "repro serve: slack_fraction must be in [0, 1), got 1.5"),
+    (("campaign", "--preset", "synthetic", "--resume", "/nonexistent/wd"),
+     "repro campaign: nothing to resume in /nonexistent/wd"),
 ], ids=" ".join)
 def test_refused_configuration_is_one_stderr_line(argv, message, capsys):
     assert main(list(argv)) == 2

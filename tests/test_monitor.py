@@ -17,12 +17,12 @@ import json
 
 import pytest
 
+from repro.campaign import campaign_conformance
 from repro.core.exceptions import ConfigurationError
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.traffic import ConstantBitRate
 from repro.telemetry.monitor import (ConformanceReport, FabricRollup,
-                                     MonitorSpec, campaign_conformance,
-                                     conformance_from_result,
+                                     MonitorSpec, conformance_from_result,
                                      quote_conformance)
 
 
