@@ -37,7 +37,7 @@ from typing import Sequence
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import (AllocationError, ConfigurationError,
                                    require_finite_positive)
-from repro.core.path import Path
+from repro.core.path import Path, make_path
 from repro.core.requirements import latency_bound_ns, slots_for_channel
 from repro.core.slot_table import (SlotTable, mask_to_slots, rotate_mask,
                                    shifted, spread_slots,
@@ -45,8 +45,8 @@ from repro.core.slot_table import (SlotTable, mask_to_slots, rotate_mask,
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping
-from repro.topology.routing import (k_shortest_paths, merge_load_aware,
-                                    weighted_shortest_path)
+from repro.topology.routing import (k_shortest_paths, k_shortest_routes,
+                                    merge_load_aware, weighted_shortest_path)
 
 __all__ = ["ChannelAllocation", "Allocation", "AllocatorOptions",
            "SlotAllocator", "RouteCandidate", "ChannelVerdict",
@@ -116,7 +116,7 @@ class RouteCandidate:
     path: Path
     n_slots: int
     max_gap: int | None
-    #: ``(link key, slot shift mod table size)`` per traversed link.
+    #: ``(link key, slot shift)`` per traversed link (``Path.hops``).
     hops: tuple[tuple[tuple[str, str], int], ...]
     #: Traversed link keys, for the degraded-mode exclusion check.
     link_keys: frozenset[tuple[str, str]]
@@ -143,12 +143,8 @@ def _quoted(point: "Allocation | SlotAllocator", spec: ChannelSpec, paths,
             if failures is not None:
                 failures.append(f"{path!r}: {exc.reason}")
             continue
-        keys = path.link_keys()
-        yield RouteCandidate(
-            path=path, n_slots=n, max_gap=gap,
-            hops=tuple((key, shift % size)
-                       for key, shift in zip(keys, path.link_shifts)),
-            link_keys=frozenset(keys))
+        yield RouteCandidate(path=path, n_slots=n, max_gap=gap,
+                             hops=path.hops, link_keys=path.link_key_set)
 
 
 def _first_fit(link_tables: dict[tuple[str, str], "SlotTable"],
@@ -771,6 +767,7 @@ class SlotAllocator:
         require_finite_positive("frequency_hz", frequency_hz)
         topology.validate()
         self.topology = topology
+        self._topology_revision = topology.revision
         self.table_size = table_size
         self.frequency_hz = frequency_hz
         self.fmt = fmt or WordFormat()
@@ -778,11 +775,13 @@ class SlotAllocator:
         # Route candidates are a function of (src, dst) alone for a fixed
         # topology and header format, so repeated admissions — the online
         # service's admit/release churn in particular — reuse them instead
-        # of re-running k-shortest-paths every time.  Quotes additionally
+        # of re-running k-shortest-paths every time: one search per router
+        # pair, attached to its NIs once per NI pair.  Quotes additionally
         # fix the requirement, making slot counts and gap constraints
         # cacheable per (src, dst, throughput, latency) — one entry per
         # endpoint pair and QoS class in the admission service, at most
         # QUOTE_CACHE_CAP of them.
+        self._kroute_cache: dict[tuple[str, str], list[list[str]]] = {}
         self._kpath_cache: dict[tuple[str, str], tuple[Path, ...]] = {}
         self._quote_cache: dict[
             tuple[str, str, float, float | None],
@@ -842,10 +841,12 @@ class SlotAllocator:
 
     def check_compatible(self, allocation: Allocation) -> None:
         """Raise :class:`ConfigurationError` unless ``allocation`` was
-        built for this allocator's topology object and table size.
+        built for this allocator's topology object and table size, and
+        that topology is still as the allocator found it.
 
         Quotes rotate masks modulo the allocator's table size and name
-        links of its topology, so they are only meaningful against such
+        links of its topology, with the slot shifts those links had when
+        the route was searched, so they are only meaningful against such
         an allocation.
         """
         if allocation.table_size != self.table_size:
@@ -855,6 +856,11 @@ class SlotAllocator:
         if allocation.topology is not self.topology:
             raise ConfigurationError(
                 "allocation was built for a different topology object")
+        if self.topology.revision != self._topology_revision:
+            raise ConfigurationError(
+                f"topology {self.topology.name!r} was modified after this "
+                "allocator was built; its cached routes describe the old "
+                "fabric — build a new SlotAllocator")
 
     # -- internals --------------------------------------------------------------
 
@@ -899,13 +905,20 @@ class SlotAllocator:
         key = (src_ni, dst_ni)
         cached = self._kpath_cache.get(key)
         if cached is None:
-            paths = k_shortest_paths(self.topology, src_ni, dst_ni,
-                                     PATH_CANDIDATES)
+            topo = self.topology
+            routers = (topo.attached_router(src_ni),
+                       topo.attached_router(dst_ni))
+            routes = self._kroute_cache.get(routers)
+            if routes is None:
+                routes = self._kroute_cache[routers] = k_shortest_routes(
+                    topo, *routers, PATH_CANDIDATES)
+                self._tel_kshortest.inc()
+            paths = (make_path(topo, src_ni, route, dst_ni)
+                     for route in routes)
             cached = tuple(p for p in paths
                            if len(p.out_ports) <= self.fmt.max_hops)
             self._kpath_cache[key] = cached
             self._tel_kpath_miss.inc()
-            self._tel_kshortest.inc()
         else:
             self._tel_kpath_hit.inc()
         return cached

@@ -123,6 +123,17 @@ class Path:
         asks)."""
         return self._link_keys
 
+    @cached_property
+    def link_key_set(self) -> frozenset[tuple[str, str]]:
+        """The traversed link keys as a set, for exclusion checks."""
+        return frozenset(self._link_keys)
+
+    @cached_property
+    def hops(self) -> tuple[tuple[tuple[str, str], int], ...]:
+        """``(link key, slot shift)`` per traversed link: what a placement
+        rotates and intersects, whatever the requirement."""
+        return tuple(zip(self._link_keys, self.link_shifts))
+
     def __len__(self) -> int:
         return len(self.links)
 

@@ -58,7 +58,8 @@ _WIDTH_BUCKETS = (0, 1, 2, 4, 8, 16, 24, 32)
 class AdmissionController:
     """Incremental contention-free admission over one live allocation.
 
-    A supplied ``allocation`` must be compatible with ``allocator``
+    The allocation — supplied or fresh — must be compatible with
+    ``allocator``, and the allocator's topology as it was built on
     (:meth:`~repro.core.allocation.SlotAllocator.check_compatible`);
     a mismatch raises :class:`~repro.core.exceptions.ConfigurationError`
     here instead of admitting wrong slots later.
@@ -72,8 +73,7 @@ class AdmissionController:
             allocation = Allocation(
                 allocator.topology, allocator.table_size,
                 allocator.frequency_hz, allocator.fmt)
-        else:
-            allocator.check_compatible(allocation)
+        allocator.check_compatible(allocation)
         self.allocation = allocation
         self.admits = 0
         self.rejects = 0

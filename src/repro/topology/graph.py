@@ -81,6 +81,8 @@ class Topology:
         self._graph = nx.DiGraph()
         self._next_out_port: dict[str, int] = {}
         self._next_in_port: dict[str, int] = {}
+        self._revision = 0
+        self._router_graph: nx.DiGraph | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -101,6 +103,7 @@ class Topology:
         self._graph.add_node(name, kind=kind, **attrs)
         self._next_out_port[name] = 0
         self._next_in_port[name] = 0
+        self._modified()
 
     def connect(self, src: str, dst: str, *, pipeline_stages: int = 0) -> Link:
         """Add a directed link, auto-assigning the next free port numbers."""
@@ -120,6 +123,7 @@ class Topology:
                     dst_port=self._take_in_port(dst),
                     pipeline_stages=pipeline_stages)
         self._graph.add_edge(src, dst, link=link)
+        self._modified()
         return link
 
     def connect_bidir(self, a: str, b: str, *,
@@ -136,7 +140,12 @@ class Topology:
         new = Link(src=old.src, dst=old.dst, src_port=old.src_port,
                    dst_port=old.dst_port, pipeline_stages=stages)
         self._graph.edges[src, dst]["link"] = new
+        self._modified()
         return new
+
+    def _modified(self) -> None:
+        self._revision += 1
+        self._router_graph = None
 
     def _take_out_port(self, node: str) -> int:
         if self.kind(node) is NodeKind.NI:
@@ -166,6 +175,13 @@ class Topology:
     def graph(self) -> nx.DiGraph:
         """The underlying directed graph (read-only by convention)."""
         return self._graph
+
+    @property
+    def revision(self) -> int:
+        """Count of structural writes so far.  What was derived from the
+        topology at one revision (the memoised router graph, an
+        allocator's cached routes) is stale at the next."""
+        return self._revision
 
     def kind(self, name: str) -> NodeKind:
         """Node kind of ``name``."""
@@ -247,12 +263,18 @@ class Topology:
         networkx's induced-subgraph copy iterates a node *set*, whose order
         depends on ``PYTHONHASHSEED``, and that order leaks into shortest-
         path tie-breaking — allocations must not vary across processes.
+
+        Built once per :attr:`revision` and shared, so it is handed out
+        frozen; search a reduced fabric through ``nx.restricted_view``.
         """
-        rg = nx.DiGraph()
-        rg.add_nodes_from(self.routers)
-        for link in self.links:
-            if rg.has_node(link.src) and rg.has_node(link.dst):
-                rg.add_edge(link.src, link.dst, link=link)
+        rg = self._router_graph
+        if rg is None:
+            rg = nx.DiGraph()
+            rg.add_nodes_from(self.routers)
+            for link in self.links:
+                if rg.has_node(link.src) and rg.has_node(link.dst):
+                    rg.add_edge(link.src, link.dst, link=link)
+            self._router_graph = nx.freeze(rg)
         return rg
 
     def out_port(self, src: str, dst: str) -> int:
@@ -353,6 +375,7 @@ class Topology:
                 raise TopologyError(
                     f"input port {link.dst_port} of {link.dst!r} already used")
         self._graph.add_edge(link.src, link.dst, link=link)
+        self._modified()
         self._next_out_port[link.src] = max(self._next_out_port[link.src],
                                             link.src_port + 1)
         self._next_in_port[link.dst] = max(self._next_in_port[link.dst],

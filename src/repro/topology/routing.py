@@ -21,6 +21,7 @@ from repro.topology.graph import Topology
 __all__ = [
     "xy_route",
     "xy_path",
+    "k_shortest_routes",
     "k_shortest_paths",
     "weighted_shortest_path",
     "merge_load_aware",
@@ -62,18 +63,60 @@ def xy_path(topo: Topology, src_ni: str, dst_ni: str) -> Path:
     return make_path(topo, src_ni, routers, dst_ni)
 
 
+def k_shortest_routes(topo: Topology, src_router: str, dst_router: str,
+                      k: int, *,
+                      exclude_links: frozenset[tuple[str, str]] | set |
+                      None = None) -> list[list[str]]:
+    """Up to ``k`` loop-free shortest router sequences between two routers.
+
+    Routes are ordered by hop count with ties broken by the router name
+    sequence.  networkx's enumeration order among equal-cost paths depends
+    on ``PYTHONHASHSEED``, so the tie group straddling the ``k``-th route is
+    collected in full (up to a generous cap) and sorted before truncation —
+    this is what makes allocations, and everything derived from them
+    (reports, admission decisions), reproducible across processes.
+
+    The result depends on the two routers alone, not on which of their NIs
+    asks; ``exclude_links`` names directed link keys that must not be
+    traversed, hidden behind a view so the shared router graph is never
+    edited.  Disconnected endpoints raise :class:`TopologyError`.
+
+    >>> from repro.topology.builders import mesh
+    >>> k_shortest_routes(mesh(2, 2, nis_per_router=1), "r0_0", "r1_1", 2)
+    [['r0_0', 'r0_1', 'r1_1'], ['r0_0', 'r1_0', 'r1_1']]
+    """
+    if k < 1:
+        raise TopologyError(f"k must be >= 1, got {k}")
+    if src_router == dst_router:
+        return [[src_router]]
+    rg = topo.router_graph()
+    if exclude_links:
+        rg = nx.restricted_view(rg, (), exclude_links)
+    routes: list[list[str]] = []
+    cap = max(32, 4 * k)
+    try:
+        generator: Iterator[list[str]] = nx.shortest_simple_paths(
+            rg, src_router, dst_router)
+        for routers in generator:
+            if len(routes) >= k and len(routers) > len(routes[k - 1]):
+                break  # past the tie group of the k-th path
+            routes.append(routers)
+            if len(routes) >= cap:
+                break
+    except nx.NetworkXNoPath:
+        raise TopologyError(
+            f"no router path from {src_router!r} to {dst_router!r}")
+    routes.sort(key=lambda r: (len(r), r))
+    return routes[:k]
+
+
 def k_shortest_paths(topo: Topology, src_ni: str, dst_ni: str,
                      k: int = 4, *,
                      exclude_links: frozenset[tuple[str, str]] | set |
                      None = None) -> list[Path]:
-    """Up to ``k`` loop-free shortest router paths between two NIs.
-
-    Paths are ordered by hop count with ties broken by the router name
-    sequence.  networkx's enumeration order among equal-cost paths depends
-    on ``PYTHONHASHSEED``, so the tie group straddling the ``k``-th path is
-    collected in full (up to a generous cap) and sorted before truncation —
-    this is what makes allocations, and everything derived from them
-    (reports, admission decisions), reproducible across processes.
+    """Up to ``k`` loop-free shortest router paths between two NIs:
+    :func:`k_shortest_routes` between the routers the NIs hang off, each
+    route attached to the two NIs (same order).
 
     ``exclude_links`` names directed link keys that must not be traversed
     (the fault-injection layer passes the failed set); a search whose NI
@@ -90,38 +133,17 @@ def k_shortest_paths(topo: Topology, src_ni: str, dst_ni: str,
     ...     exclude_links=frozenset({("r0_0", "r0_1")}))]
     [('r0_0', 'r1_0', 'r1_1')]
     """
-    if k < 1:
-        raise TopologyError(f"k must be >= 1, got {k}")
     src_router = topo.attached_router(src_ni)
     dst_router = topo.attached_router(dst_ni)
-    rg = topo.router_graph()
-    if exclude_links:
-        if (src_ni, src_router) in exclude_links or \
-                (dst_router, dst_ni) in exclude_links:
-            raise TopologyError(
-                f"NI attachment link of {src_ni!r} or {dst_ni!r} is "
-                "excluded; no surviving route exists")
-        rg.remove_edges_from(
-            [key for key in exclude_links if rg.has_edge(*key)])
-    if src_router == dst_router:
-        return [make_path(topo, src_ni, [src_router], dst_ni)]
-    routes: list[list[str]] = []
-    cap = max(32, 4 * k)
-    try:
-        generator: Iterator[list[str]] = nx.shortest_simple_paths(
-            rg, src_router, dst_router)
-        for routers in generator:
-            if len(routes) >= k and len(routers) > len(routes[k - 1]):
-                break  # past the tie group of the k-th path
-            routes.append(routers)
-            if len(routes) >= cap:
-                break
-    except nx.NetworkXNoPath:
+    if exclude_links and ((src_ni, src_router) in exclude_links
+                          or (dst_router, dst_ni) in exclude_links):
         raise TopologyError(
-            f"no router path from {src_router!r} to {dst_router!r}")
-    routes.sort(key=lambda r: (len(r), r))
+            f"NI attachment link of {src_ni!r} or {dst_ni!r} is "
+            "excluded; no surviving route exists")
     return [make_path(topo, src_ni, routers, dst_ni)
-            for routers in routes[:k]]
+            for routers in k_shortest_routes(
+                topo, src_router, dst_router, k,
+                exclude_links=exclude_links)]
 
 
 def weighted_shortest_path(topo: Topology, src_ni: str, dst_ni: str,

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocation import (Allocation, AllocatorOptions,
-                                   ChannelAllocation, SlotAllocator,
+from repro.core.allocation import (PATH_CANDIDATES, Allocation,
+                                   AllocatorOptions, ChannelAllocation,
+                                   RouteCandidate, SlotAllocator,
                                    _first_fit, _quoted)
 from repro.core.analysis import analyse, channel_bounds
 from repro.core.connection import MB, ChannelSpec
@@ -16,8 +18,12 @@ from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.requirements import latency_bound_ns, slots_for_channel
 from repro.core.slot_table import choose_slots_fast, shifted, spread_slots
 from repro.core.words import WordFormat
+from repro.service import ChurnSpec, ChurnWorkload, SessionService
 from repro.service.admission import AdmissionController
-from repro.topology.builders import mesh, single_router
+from repro.service.qos import DEFAULT_CLASSES, QosClass
+from repro.telemetry import Telemetry
+from repro.topology.builders import (concentrated_mesh, line, mesh, ring,
+                                     single_router, torus)
 from repro.topology.mapping import Mapping, round_robin
 from repro.topology.routing import k_shortest_paths
 
@@ -444,3 +450,167 @@ class TestOnePlacementPath:
             and new_b.latency_ns <= old_b.latency_ns * (1 + 1e-9))
         assert new.no_worse_than(old, size) \
             == rebuild_formula == relocate_formula
+
+
+# -- route geometry is computed once -------------------------------------------
+
+def _reference_router_graph(topo):
+    """``Topology.router_graph()`` before it was memoised: rebuilt from a
+    sort of every link on each call, private to the caller."""
+    rg = nx.DiGraph()
+    rg.add_nodes_from(topo.routers)
+    for link in topo.links:
+        if rg.has_node(link.src) and rg.has_node(link.dst):
+            rg.add_edge(link.src, link.dst, link=link)
+    return rg
+
+
+BUILDERS = st.one_of(
+    st.builds(lambda c, r, n, s: mesh(c, r, nis_per_router=n,
+                                      pipeline_stages=s),
+              st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+              st.integers(0, 2)),
+    st.builds(lambda n, s: concentrated_mesh(2, 2, nis_per_router=n,
+                                             pipeline_stages=s),
+              st.integers(2, 3), st.integers(0, 2)),
+    st.builds(lambda n, s: ring(n, pipeline_stages=s),
+              st.integers(3, 8), st.integers(0, 2)),
+    st.builds(lambda s: torus(3, 3, pipeline_stages=s), st.integers(0, 2)),
+    # Up to nine routers in a row: the far pairs exceed the header's
+    # seven hops and are filtered out.
+    st.builds(lambda n, k, s: line(n, nis_per_router=k, pipeline_stages=s),
+              st.integers(2, 9), st.integers(1, 2), st.integers(0, 2)),
+)
+
+
+class TestRouteGeometryOnce:
+    """One k-shortest search per router pair and one hop tuple per path
+    serve every NI pair and every requirement — with the answers the
+    per-call rebuild and the per-quote arithmetic gave."""
+
+    SIZE = 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(topo=BUILDERS, seed=st.integers(0, 10_000))
+    def test_candidates_and_quotes_equal_the_per_call_derivation(
+            self, topo, seed):
+        rng = random.Random(seed)
+        nis = list(topo.nis)
+        # Stages on NI links too: they shift every later hop of a path
+        # but never reach the router graph.
+        for ni in rng.sample(nis, len(nis) // 2):
+            router = topo.attached_router(ni)
+            topo.set_pipeline_stages(ni, router, rng.randint(1, 3))
+            topo.set_pipeline_stages(router, ni, rng.randint(0, 2))
+        allocator = _allocator(topo, table_size=self.SIZE)
+        fmt = allocator.fmt
+        pairs = [(a, b) for a in nis for b in nis if a != b]
+        cached = {pair: allocator.shortest_candidates(*pair)
+                  for pair in pairs}
+        # From here on every search rebuilds its graph the old way.
+        topo.router_graph = lambda: _reference_router_graph(topo)
+        allocation = Allocation(topo, self.SIZE, 500e6, fmt)
+        for index, (src, dst) in enumerate(pairs):
+            reference = [
+                p for p in k_shortest_paths(topo, src, dst, PATH_CANDIDATES)
+                if len(p.out_ports) <= fmt.max_hops]
+            paths = cached[src, dst]
+            assert [(p.source, p.dest, p.routers, p.links, p.link_shifts)
+                    for p in paths] == [
+                (src, dst, p.routers, p.links, p.link_shifts)
+                for p in reference]
+            assert allocator.shortest_candidates(src, dst) is paths
+            spec = ChannelSpec(
+                f"c{index}", src, dst, rng.uniform(5, 400) * MB,
+                max_latency_ns=rng.choice((None, rng.uniform(15, 400))))
+            expected = []
+            for path in reference:
+                try:
+                    n, gap = slots_for_channel(spec, path, self.SIZE,
+                                               500e6, fmt)
+                except AllocationError:
+                    continue
+                expected.append(RouteCandidate(
+                    path=path, n_slots=n, max_gap=gap,
+                    hops=tuple(zip(path.link_keys(), path.link_shifts)),
+                    link_keys=frozenset(path.link_keys())))
+            quotes = allocator.route_quotes(src, dst, spec)
+            assert list(quotes) == expected  # dataclass ==: every field
+            # Unreduced shifts (pipelined paths outrun the 8-slot table)
+            # place exactly what a slot-by-slot walk places.
+            placed, _ = _first_fit(allocation.link_tables, spec, quotes,
+                                   choose_slots_fast, self.SIZE)
+            walked, _ = _reference_fit(allocation, spec, reference,
+                                       choose_slots_fast)
+            if placed is None:
+                assert walked is None
+            else:
+                assert (placed.path, placed.slots) == walked
+                allocation.commit(placed)
+        allocation.validate()
+
+    def test_jittered_churn_searches_once_per_router_pair(self):
+        """Count guard: searches are bounded by router pairs while the
+        quote cache still misses by the thousand, and a second service
+        over the same allocator searches nothing."""
+        topo = concentrated_mesh(4, 3, nis_per_router=4)
+        rng = random.Random(19)
+        classes = tuple(
+            QosClass(f"{base.name}{index}",
+                     throughput_mb_s=(base.throughput_mb_s
+                                      * rng.uniform(0.7, 1.3)),
+                     max_latency_ns=(None if base.max_latency_ns is None
+                                     else base.max_latency_ns
+                                     * rng.uniform(1.0, 1.3)),
+                     weight=base.weight)
+            for index in range(64) for base in DEFAULT_CLASSES)
+        events = ChurnWorkload(
+            ChurnSpec(n_sessions=1000, arrival_rate_per_s=18000.0,
+                      classes=classes), topo, 19).events()
+        assert len(events) == 2000
+        tel = Telemetry()
+        allocator = SlotAllocator(topo, table_size=32, frequency_hz=500e6,
+                                  telemetry=tel)
+
+        def serve():
+            service = SessionService(topo, table_size=None,
+                                     frequency_hz=None, allocator=allocator,
+                                     record_events=False)
+            assert service.run(events).invariant["ok"]
+            return service.admission
+
+        def searches():
+            return tel.value("allocator.kshortest_expansions")
+
+        first = serve()
+        assert first.path_misses > 900
+        assembled = tel.value("allocator.kpath_cache", outcome="miss")
+        assert 0 < searches() <= len(topo.routers) ** 2 < assembled
+        before = searches()
+        second = serve()
+        assert second.path_misses == 0
+        assert searches() == before
+        assert tel.value("allocator.kpath_cache",
+                         outcome="miss") == assembled
+
+    def test_edited_topology_is_refused_not_quoted_stale(self):
+        """An allocator's routes describe the fabric it was built on: a
+        later edit is refused at ``extend`` and at controller
+        construction instead of being scheduled with the old shifts."""
+        topo = mesh(2, 1, nis_per_router=1)
+        mapping = Mapping({"a": "ni0_0_0", "b": "ni1_0_0"})
+        spec = ChannelSpec("c", "a", "b", 50 * MB)
+        allocator = _allocator(topo)
+        held, = allocator.shortest_candidates("ni0_0_0", "ni1_0_0")
+        assert held.link_shifts == (0, 1, 2)
+        allocator.allocate([spec], mapping).validate()
+        topo.set_pipeline_stages("r0_0", "r1_0", 2)
+        for use in (lambda: allocator.allocate([spec], mapping),
+                    lambda: AdmissionController(allocator)):
+            with pytest.raises(ConfigurationError,
+                               match="modified after this allocator"):
+                use()
+        rebuilt = _allocator(topo)
+        placed = rebuilt.allocate([spec], mapping).channel("c")
+        assert placed.path.link_shifts == (0, 1, 4)
+        AdmissionController(rebuilt)

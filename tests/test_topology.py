@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.core.connection import MB, ChannelSpec
@@ -14,7 +15,8 @@ from repro.topology.builders import (concentrated_mesh, custom, line, mesh,
 from repro.topology.graph import Link, NodeKind, Topology
 from repro.topology.mapping import (Mapping, communication_clustered,
                                     round_robin, traffic_balanced)
-from repro.topology.routing import (k_shortest_paths, merge_load_aware,
+from repro.topology.routing import (k_shortest_paths, k_shortest_routes,
+                                    merge_load_aware,
                                     weighted_shortest_path, xy_path,
                                     xy_route)
 
@@ -105,6 +107,105 @@ class TestTopologyGraph:
         updated = topo.set_pipeline_stages("r0_0", "r1_0", 3)
         assert updated.pipeline_stages == 3
         assert topo.link("r0_0", "r1_0").pipeline_stages == 3
+
+
+class TestRouterGraphMemo:
+    """`router_graph()` is built once per revision, shared and frozen:
+    it can neither go stale nor be edited."""
+
+    SRC, DST = "ni0_0_0", "ni1_1_0"
+
+    def test_built_once_until_a_write(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        assert topo.router_graph() is topo.router_graph()
+
+    def test_new_router_and_links_are_seen_after_a_read(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        before = topo.router_graph()
+        assert len(k_shortest_paths(topo, self.SRC, self.DST, 4)) == 2
+        topo.add_router("hub")
+        topo.connect_bidir("r0_0", "hub")
+        topo.connect_bidir("hub", "r1_1")
+        after = topo.router_graph()
+        assert after is not before
+        assert "hub" in after and after.has_edge("hub", "r1_1")
+        assert "hub" not in before
+        routes = [p.routers for p in
+                  k_shortest_paths(topo, self.SRC, self.DST, 4)]
+        assert ("r0_0", "hub", "r1_1") in routes and len(routes) == 3
+
+    def test_set_pipeline_stages_is_seen_after_a_read(self):
+        topo = mesh(2, 1, nis_per_router=1)
+        assert topo.router_graph().edges["r0_0", "r1_0"][
+            "link"].pipeline_stages == 0
+        first, = k_shortest_paths(topo, "ni0_0_0", "ni1_0_0", 4)
+        assert first.link_shifts == (0, 1, 2)
+        topo.set_pipeline_stages("r0_0", "r1_0", 2)
+        assert topo.router_graph().edges["r0_0", "r1_0"][
+            "link"].pipeline_stages == 2
+        second, = k_shortest_paths(topo, "ni0_0_0", "ni1_0_0", 4)
+        assert second.link_shifts == (0, 1, 4)
+
+    def test_returned_graph_is_frozen(self):
+        rg = mesh(2, 2, nis_per_router=1).router_graph()
+        assert nx.is_frozen(rg)
+        for edit in (lambda: rg.remove_edge("r0_0", "r0_1"),
+                     lambda: rg.remove_edges_from([("r0_0", "r0_1")]),
+                     lambda: rg.add_edge("r0_0", "r1_1"),
+                     lambda: rg.add_node("x"),
+                     lambda: rg.remove_node("r0_0")):
+            with pytest.raises(nx.NetworkXError):
+                edit()
+
+    def test_excluded_search_writes_nothing(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        full = [p.routers for p in
+                k_shortest_paths(topo, self.SRC, self.DST, 4)]
+        cut = frozenset({("r0_0", "r0_1")})
+        assert [p.routers for p in k_shortest_paths(
+            topo, self.SRC, self.DST, 4, exclude_links=cut)] == [
+                ("r0_0", "r1_0", "r1_1")]
+        assert topo.router_graph().has_edge("r0_0", "r0_1")
+        assert [p.routers for p in
+                k_shortest_paths(topo, self.SRC, self.DST, 4)] == full
+        assert k_shortest_routes(topo, "r0_0", "r1_1", 4) == [
+            list(r) for r in full]
+
+    def test_revision_moves_on_the_writers_only(self):
+        topo = Topology()
+
+        def bump(write) -> int:
+            before = topo.revision
+            write()
+            return topo.revision - before
+
+        assert topo.revision == 0
+        assert bump(lambda: topo.add_router("a")) == 1
+        assert bump(lambda: topo.add_router("b")) == 1
+        assert bump(lambda: topo.add_ni("n")) == 1
+        assert bump(lambda: topo.connect("a", "b")) == 1
+        assert bump(lambda: topo.connect("b", "a", pipeline_stages=1)) == 1
+        assert bump(lambda: topo.connect_bidir("n", "a")) == 2
+        assert bump(lambda: topo.set_pipeline_stages("a", "b", 3)) == 1
+
+        def reads_and_refused_writes():
+            topo.validate()
+            topo.router_graph()
+            topo.links, topo.routers, topo.nis, topo.to_dict()
+            k_shortest_paths(topo, "n", "n", 2,
+                             exclude_links=frozenset({("a", "b")}))
+            weighted_shortest_path(topo, "n", "n", lambda key: 1.0)
+            for refused in (lambda: topo.add_router("a"),
+                            lambda: topo.connect("a", "b"),
+                            lambda: topo.connect("a", "nowhere"),
+                            lambda: topo.set_pipeline_stages("a", "b", -1),
+                            lambda: topo.set_pipeline_stages("a", "n2", 1)):
+                with pytest.raises(TopologyError):
+                    refused()
+
+        assert bump(reads_and_refused_writes) == 0
+        with pytest.raises(AttributeError):
+            topo.revision = 0
 
 
 class TestBuilders:
