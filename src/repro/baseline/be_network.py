@@ -96,9 +96,6 @@ class _InputBuffer:
                 "control violated")
         self.flits.append(item)
 
-    def head(self) -> _BufferedFlit | None:
-        return self.flits[0] if self.flits else None
-
     def pop(self) -> _BufferedFlit:
         return self.flits.popleft()
 
@@ -112,6 +109,9 @@ class _BeRouter:
     inputs: list[_InputBuffer]
     arbiters: list[RoundRobinArbiter]
     locks: list[int | None] = field(default_factory=list)
+    #: Where each output port leads: the downstream router's input
+    #: buffer, or ``None`` for an NI (the flit is delivered).
+    downstream: list[_InputBuffer | None] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.locks:
@@ -129,6 +129,7 @@ class _SourceQueue:
 class _NiState:
     queues: list[_SourceQueue]
     arbiter: RoundRobinArbiter
+    buffer: _InputBuffer  # the router input this NI injects into
     active_queue: int | None = None  # packet in progress (no interleaving)
 
 
@@ -244,11 +245,11 @@ class BeNetworkSimulator:
         use_tables = _compiled.numpy_available()
         table_cache: dict = {}
         full_horizon_cycles = n_ticks * flit_size
-        arrivals: dict[str, deque[tuple[int, BePacket]]] = {}
+        arrivals: dict[str, list[tuple[int, BePacket]]] = {}
         sources: dict[str, str] = {}
         for name, intervals in channel_intervals.items():
             sources[name] = intervals[0][2].path.source
-            queue: deque[tuple[int, BePacket]] = deque()
+            queue: list[tuple[int, BePacket]] = []
             pattern = patterns.get(name)
             for start, stop, ca in intervals:
                 if ca.path.source != sources[name]:
@@ -289,47 +290,56 @@ class BeNetworkSimulator:
         return self._run_loop(n_ticks, arrivals, sources)
 
     def _run_loop(self, n_ticks: int,
-                  arrivals: dict[str, deque[tuple[int, BePacket]]],
+                  arrivals: dict[str, list[tuple[int, BePacket]]],
                   sources: dict[str, str]) -> BeSimResult:
-        """The tick loop over prebuilt arrival queues.
+        """The tick loop over prebuilt ``(tick, packet)`` arrival lists.
 
         ``sources`` maps each channel to its injecting NI, in the
         deterministic (name-sorted) order queues are arbitrated in.
         """
         period_ps = round(1e12 / self.frequency_hz)
         stats = StatsCollector()
-        routers = self._build_routers()
+        routers, ni_inputs = self._build_routers()
         nis: dict[str, _NiState] = {}
-        channel_queue: dict[str, _SourceQueue] = {}
+        # Arrivals are bucketed by the tick that releases them, so a tick
+        # visits only what is due in it.  A channel's arrivals are
+        # released in list order: one never overtakes its predecessor.
+        due: list[list[tuple[deque[BePacket], BePacket]]] = [
+            [] for _ in range(n_ticks)]
         for name, source in sorted(sources.items()):
-            state = nis.setdefault(source,
-                                   _NiState([], RoundRobinArbiter(1)))
+            state = nis.setdefault(source, _NiState(
+                [], RoundRobinArbiter(1), ni_inputs[source]))
             queue = _SourceQueue(channel=name)
             state.queues.append(queue)
-            channel_queue[name] = queue
+            release = 0
+            for tick, packet in arrivals[name]:
+                release = max(release, tick)
+                due[release].append((queue.packets, packet))
         for state in nis.values():
             state.arbiter = RoundRobinArbiter(len(state.queues))
+        router_order = [routers[name] for name in self._router_order]
+        ni_order = [nis[ni] for ni in sorted(nis)]
 
         for tick in range(n_ticks):
-            for channel, events in arrivals.items():
-                while events and events[0][0] <= tick:
-                    channel_queue[channel].packets.append(
-                        events.popleft()[1])
-            for router_name in self._router_order:
-                self._route_tick(routers, router_name, tick, period_ps,
-                                 stats)
-            for ni in sorted(nis):
-                self._inject_tick(routers, ni, nis[ni], tick, period_ps,
-                                  stats)
+            for packets, packet in due[tick]:
+                packets.append(packet)
+            for router in router_order:
+                self._route_tick(router, tick, period_ps, stats)
+            for state in ni_order:
+                self._inject_tick(state, tick, period_ps, stats)
         return BeSimResult(stats=stats, simulated_ticks=n_ticks,
                            frequency_hz=self.frequency_hz, fmt=self.fmt)
 
     # -- construction -------------------------------------------------------------
 
-    def _build_routers(self) -> dict[str, _BeRouter]:
+    def _build_routers(self) -> tuple[dict[str, _BeRouter],
+                                      dict[str, _InputBuffer]]:
+        """The routers with their port tables, and each NI's input
+        buffer: the topology is asked once per port, not per flit."""
+        topo = self._topo
+        graph = topo.graph
         routers: dict[str, _BeRouter] = {}
         for name in self._router_order:
-            graph = self._topo.graph
             n_in = graph.in_degree(name)
             n_out = graph.out_degree(name)
             routers[name] = _BeRouter(
@@ -337,7 +347,19 @@ class BeNetworkSimulator:
                 inputs=[_InputBuffer(f"{name}.in{i}", self.buffer_flits)
                         for i in range(n_in)],
                 arbiters=[RoundRobinArbiter(n_in) for _ in range(n_out)])
-        return routers
+        for name, router in routers.items():
+            for out_port in range(len(router.arbiters)):
+                neighbour = topo.neighbor_on_port(name, out_port)
+                router.downstream.append(
+                    None if topo.kind(neighbour) is NodeKind.NI else
+                    routers[neighbour].inputs[
+                        topo.link(name, neighbour).dst_port])
+        ni_inputs: dict[str, _InputBuffer] = {}
+        for ni in topo.nis:
+            router_name = topo.attached_router(ni)
+            ni_inputs[ni] = routers[router_name].inputs[
+                topo.link(ni, router_name).dst_port]
+        return routers, ni_inputs
 
     def _packetise(self, channel: str, out_ports: tuple[int, ...],
                    created_cycle: int, words: int, message_id: int
@@ -365,57 +387,66 @@ class BeNetworkSimulator:
 
     # -- per-tick behaviour ----------------------------------------------------------
 
-    def _route_tick(self, routers: dict[str, _BeRouter], router_name: str,
-                    tick: int, period_ps: int,
+    def _route_tick(self, router: _BeRouter, tick: int, period_ps: int,
                     stats: StatsCollector) -> None:
-        router = routers[router_name]
+        # One pass over the inputs records which output each eligible
+        # head flit asks for.  It holds for the whole router-tick: within
+        # it an input changes only by being consumed, and the flit behind
+        # a consumed one is not in this record, so no input feeds two
+        # outputs in a tick.
+        inputs = router.inputs
+        asked: dict[int, list[bool]] = {}
+        idle = True
+        for index, buf in enumerate(inputs):
+            if not buf.flits:
+                continue
+            idle = False
+            head = buf.flits[0]
+            if head.flit_index == 0 and head.arrived_tick < tick:
+                out_port = head.packet.out_ports[head.packet.hop]
+                if out_port not in asked:
+                    asked[out_port] = [False] * len(inputs)
+                asked[out_port][index] = True
+        if idle:
+            return
         consumed_inputs: set[int] = set()
-        for out_port in range(len(router.arbiters)):
-            locked = router.locks[out_port]
+        for out_port, locked in enumerate(router.locks):
             if locked is not None:
                 if locked in consumed_inputs:
                     continue
-                if self._try_advance(routers, router, router_name,
-                                     out_port, locked, tick, period_ps,
-                                     stats, expect_body=True):
+                if self._try_advance(router, out_port, locked, tick,
+                                     period_ps, stats, expect_body=True):
                     consumed_inputs.add(locked)
                 continue
-            requests = []
-            for index, buf in enumerate(router.inputs):
-                head = buf.head()
-                requests.append(
-                    index not in consumed_inputs and
-                    head is not None and head.flit_index == 0 and
-                    head.arrived_tick < tick and
-                    head.packet.out_ports[head.packet.hop] == out_port)
+            requests = asked.get(out_port)
+            if requests is None:
+                continue  # an idle grant leaves the pointer where it is
             winner = router.arbiters[out_port].grant(requests)
             if winner is None:
                 continue
-            if self._try_advance(routers, router, router_name, out_port,
-                                 winner, tick, period_ps, stats,
-                                 expect_body=False):
+            if self._try_advance(router, out_port, winner, tick, period_ps,
+                                 stats, expect_body=False):
                 consumed_inputs.add(winner)
 
-    def _try_advance(self, routers, router, router_name, out_port,
-                     input_index, tick, period_ps, stats, *,
-                     expect_body: bool) -> bool:
+    def _try_advance(self, router: _BeRouter, out_port: int,
+                     input_index: int, tick: int, period_ps: int,
+                     stats: StatsCollector, *, expect_body: bool) -> bool:
         """Forward the head flit of one input through ``out_port``."""
         buf = router.inputs[input_index]
-        head = buf.head()
-        if head is None or head.arrived_tick >= tick:
+        if not buf.flits:
+            return False
+        head = buf.flits[0]
+        if head.arrived_tick >= tick:
             return False
         if expect_body and head.flit_index == 0:
             # The previous packet's tail has passed; release a stale lock.
             router.locks[out_port] = None
             return False
-        neighbour = self._topo.neighbor_on_port(router_name, out_port)
-        if self._topo.kind(neighbour) is NodeKind.NI:
+        dst_buf = router.downstream[out_port]
+        if dst_buf is None:
             item = buf.pop()
             self._deliver_if_tail(item, tick, period_ps, stats)
         else:
-            dst_router = routers[neighbour]
-            dst_port = self._topo.link(router_name, neighbour).dst_port
-            dst_buf = dst_router.inputs[dst_port]
             if not dst_buf.has_space():
                 return False
             item = buf.pop()
@@ -443,11 +474,9 @@ class BeNetworkSimulator:
             delivered_time_ps=delivered_cycle * period_ps,
             payload_bytes=packet.payload_bytes))
 
-    def _inject_tick(self, routers, ni: str, state: _NiState, tick: int,
-                     period_ps: int, stats: StatsCollector) -> None:
-        router_name = self._topo.attached_router(ni)
-        dst_port = self._topo.link(ni, router_name).dst_port
-        buf = routers[router_name].inputs[dst_port]
+    def _inject_tick(self, state: _NiState, tick: int, period_ps: int,
+                     stats: StatsCollector) -> None:
+        buf = state.buffer
         if not buf.has_space():
             return
         if state.active_queue is None:

@@ -107,12 +107,13 @@ def choose_slots_fast(free: Iterable[int], n: int, size: int,
     returned reservation honours the same constraints, so the quoted
     bounds remain guarantees.
     """
-    free_sorted = sorted(set(free))
+    free_sorted = _sorted_free(free, size)
     if n <= 0:
         raise AllocationError(f"cannot reserve {n} slots")
     if len(free_sorted) < n:
         return None
-    chosen = _assign_near_ideal(free_sorted, n, size, free_sorted[0])
+    chosen = _assign_near_ideal(free_sorted, ideal_positions(n, size), size,
+                                free_sorted[0])
     if chosen is None:
         return None
     if max_gap is not None and max_consecutive_gap(chosen, size) > max_gap:
@@ -182,7 +183,7 @@ def spread_slots(free: Iterable[int], n: int, size: int,
     Returns the chosen slots sorted ascending, or ``None`` when no
     assignment with ``n`` (or, under ``max_gap``, more) slots exists.
     """
-    free_sorted = sorted(set(free))
+    free_sorted = _sorted_free(free, size)
     if n <= 0:
         raise AllocationError(f"cannot reserve {n} slots")
     if len(free_sorted) < n:
@@ -190,12 +191,13 @@ def spread_slots(free: Iterable[int], n: int, size: int,
 
     best: tuple[int, ...] | None = None
     best_gap = size + 1
+    offsets = ideal_positions(n, size)
     # Anchoring at every free slot is O(|free|^2 * n) in the worst case but
     # tables are small (typically 8..64 slots); measured cost is negligible
     # next to simulation.
     anchors = free_sorted if len(free_sorted) <= 64 else free_sorted[::2]
     for anchor in anchors:
-        chosen = _assign_near_ideal(free_sorted, n, size, anchor)
+        chosen = _assign_near_ideal(free_sorted, offsets, size, anchor)
         if chosen is None:
             continue
         gap = max_consecutive_gap(chosen, size)
@@ -213,12 +215,28 @@ def spread_slots(free: Iterable[int], n: int, size: int,
     return best
 
 
-def _assign_near_ideal(free_sorted: list[int], n: int, size: int,
+def _sorted_free(free: Iterable[int], size: int) -> list[int]:
+    """The distinct free slots, ascending; all must lie in the table.
+
+    The choosers search ``range(size)`` only, so a slot outside it would
+    otherwise read as missing capacity.
+    """
+    free_sorted = sorted(set(free))
+    if free_sorted:
+        for slot in (free_sorted[0], free_sorted[-1]):
+            if not 0 <= slot < size:
+                raise ConfigurationError(
+                    f"free slot {slot} outside table of size {size}")
+    return free_sorted
+
+
+def _assign_near_ideal(free_sorted: list[int], offsets: list[int], size: int,
                        anchor: int) -> tuple[int, ...] | None:
-    """Greedy nearest-free assignment of an equidistant template at ``anchor``."""
+    """Greedy nearest-free assignment of an equidistant template (its
+    ``offsets`` from :func:`ideal_positions`) at ``anchor``."""
     remaining = set(free_sorted)
     chosen: list[int] = []
-    for offset in ideal_positions(n, size):
+    for offset in offsets:
         target = (anchor + offset) % size
         pick = _nearest(remaining, target, size)
         if pick is None:
@@ -229,11 +247,22 @@ def _assign_near_ideal(free_sorted: list[int], n: int, size: int,
 
 
 def _nearest(candidates: set[int], target: int, size: int) -> int | None:
-    """Free slot with smallest cyclic distance to ``target`` (ties: earlier)."""
-    if not candidates:
-        return None
-    return min(candidates,
-               key=lambda s: (min((s - target) % size, (target - s) % size), s))
+    """Free slot with smallest cyclic distance to ``target`` (ties: earlier).
+
+    Walks outward from the target, so the cost follows the distance to
+    the pick, not the number of candidates; ``candidates`` must lie in
+    ``range(size)``.
+    """
+    for distance in range(size // 2 + 1):
+        first = (target - distance) % size
+        second = (target + distance) % size
+        if second < first:
+            first, second = second, first
+        if first in candidates:
+            return first
+        if second in candidates:
+            return second
+    return None
 
 
 def _fill_gaps(chosen: tuple[int, ...], free_sorted: list[int], size: int,

@@ -129,18 +129,18 @@ class SimResult:
 
     def channel_latencies_ns(self, channel: str) -> list[float]:
         """Raw end-to-end message latencies of one channel."""
-        return [d.latency_ns for d in self.stats.channel(channel).deliveries]
+        return self.stats.channel_aggregate(channel)[3]
 
     def latency_summary(self, channel: str | None = None
                         ) -> LatencySummary | None:
         """Latency order statistics; over all channels when none named."""
         if channel is not None:
-            deliveries = self.stats.channel(channel).deliveries
+            latencies = self.channel_latencies_ns(channel)
         else:
-            deliveries = self.stats.all_deliveries()
-        if not deliveries:
+            latencies = self.stats.all_latencies_ns()
+        if not latencies:
             return None
-        return LatencySummary.of(d.latency_ns for d in deliveries)
+        return LatencySummary.of(latencies)
 
     def logical_schedule(self, channel: str
                          ) -> tuple[tuple[int, int, int], ...]:
@@ -211,14 +211,15 @@ class SimResult:
         """
         channels: dict[str, dict[str, object]] = {}
         for name in self.stats.channels:
-            channel_stats = self.stats.channel(name)
+            messages, flits, delivered_bytes, latencies = \
+                self.stats.channel_aggregate(name)
             entry: dict[str, object] = {
-                "messages": len(channel_stats.deliveries),
-                "flits": len(channel_stats.injections),
-                "delivered_bytes": channel_stats.delivered_bytes,
+                "messages": messages,
+                "flits": flits,
+                "delivered_bytes": delivered_bytes,
             }
-            if channel_stats.deliveries:
-                s = channel_stats.latency_summary()
+            if messages:
+                s = LatencySummary.of(latencies)
                 entry["latency_ns"] = {
                     "min": round(s.minimum, 3), "mean": round(s.mean, 3),
                     "p50": round(s.p50, 3), "p99": round(s.p99, 3),
@@ -229,7 +230,7 @@ class SimResult:
             "backend": self.backend,
             "simulated_slots": self.simulated_slots,
             "frequency_mhz": round(self.frequency_hz / 1e6, 3),
-            "messages_delivered": len(self.stats.all_deliveries()),
+            "messages_delivered": self.stats.delivery_count(),
             "latency_ns": None if overall is None else {
                 "min": round(overall.minimum, 3),
                 "mean": round(overall.mean, 3),

@@ -70,7 +70,8 @@ except ImportError:  # pragma: no cover - CI images bundle numpy
 
 from repro.core.exceptions import SimulationError
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
-                                       StatsCollector, TraceRecorder)
+                                       ServiceObservation, StatsCollector,
+                                       TraceRecorder)
 from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
                                       PeriodicBurst, Replay, Saturating,
                                       TrafficPattern)
@@ -316,6 +317,16 @@ class _IntervalRun:
                 delivered_time_ps=delivered_cycle * period_ps,
                 payload_bytes=message_words * bytes_per_word))
 
+    def first_injection_slot(self) -> int:
+        """Absolute slot of the run's first flit.  ``k`` ascends strictly
+        and a run exists only if it injected, so message 0 went first."""
+        return int(self._slots_of(self.base + self.k[0]))
+
+    def delivered_bytes(self) -> int:
+        """Payload bytes of the completed messages."""
+        words = self.table.words[:self.count][self.completed]
+        return int(words.sum()) * self.bytes_per_word
+
     def service_latencies_ns(self) -> list[float] | None:
         """Vectorised service latencies, or ``None`` when the reference
         record walk is needed (non-monotone message ids)."""
@@ -394,7 +405,9 @@ class CompiledStats(StatsCollector):
     the touched channel's arrays into the usual record objects, equal
     field-for-field to the per-flit reference's.  Aggregate queries
     (:meth:`delivery_count`, :meth:`all_latencies_ns`,
-    :meth:`service_latencies_ns`) stay on the arrays.
+    :meth:`channel_aggregate`, :meth:`service_latencies_ns`,
+    :meth:`incarnation_observations`) stay on the arrays;
+    :attr:`materialised` names the channels that left them.
     """
 
     def __init__(self):
@@ -413,6 +426,17 @@ class CompiledStats(StatsCollector):
         sink = super().sink(name)
         for run in runs:
             run.append_records(sink)
+
+    @property
+    def materialised(self) -> tuple[str, ...]:
+        """Channels whose arrays were expanded into records, sorted."""
+        return tuple(sorted(self._materialised))
+
+    def _array_runs(self, name: str) -> list[_IntervalRun] | None:
+        """The channel's runs while they are all there is to it: once it
+        has a record sink (expanded, or appended to by hand) the records
+        are the truth and the reference walk answers."""
+        return None if name in self._by_channel else self._runs.get(name)
 
     def channel(self, name: str):
         """Stats of one channel, materialising its records first."""
@@ -459,6 +483,28 @@ class CompiledStats(StatsCollector):
                 out.extend(d.latency_ns
                            for d in self._by_channel[name].deliveries)
         return out
+
+    def channel_aggregate(self, channel: str):
+        """One channel's totals and latencies, from the arrays."""
+        runs = self._array_runs(channel)
+        if runs is None:
+            return super().channel_aggregate(channel)
+        return (sum(run.n_deliveries for run in runs),
+                sum(run.n_flits for run in runs),
+                sum(run.delivered_bytes() for run in runs),
+                [latency for run in runs for latency in run.latencies_ns()])
+
+    def incarnation_observations(self, channel: str):
+        """One entry per run — a run is one incarnation by construction;
+        the record walk answers where a run cannot vectorise."""
+        runs = self._array_runs(channel)
+        if runs is not None:
+            solved = [run.service_latencies_ns() for run in runs]
+            if None not in solved:
+                return [(run.first_injection_slot(), run.delivered_bytes(),
+                         ServiceObservation(latencies))
+                        for run, latencies in zip(runs, solved)]
+        return super().incarnation_observations(channel)
 
     def service_latencies_ns(self, channel: str) -> list[float]:
         """Service latencies from the arrays, one incarnation per run;

@@ -315,6 +315,17 @@ class StatsCollector:
         """Every delivery latency, in :meth:`all_deliveries` order."""
         return [d.latency_ns for d in self.all_deliveries()]
 
+    def channel_aggregate(self, channel: str
+                          ) -> tuple[int, int, int, list[float]]:
+        """``(messages, flits, delivered bytes, end-to-end latencies in
+        delivery order)`` of one channel — what a canonical record and a
+        latency summary need of it.  This record walk is the reference;
+        collectors backed by schedule arrays override it."""
+        stats = self.channel(channel)
+        return (len(stats.deliveries), len(stats.injections),
+                stats.delivered_bytes,
+                [d.latency_ns for d in stats.deliveries])
+
     def service_latencies_ns(self, channel: str) -> list[float]:
         """Per-message network service latencies of one channel.
 
@@ -358,7 +369,8 @@ class StatsCollector:
             tuple[int, int, ServiceObservation]]:
         """``(first injection slot, delivered bytes, observation)`` of
         each incarnation of one channel, for judging a restarted
-        channel span by span."""
+        channel span by span.  The record walk is the reference, as for
+        :meth:`service_latencies_ns`."""
         latencies = self.service_latencies_ns(channel)
         out = []
         taken = 0

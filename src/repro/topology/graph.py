@@ -214,9 +214,10 @@ class Topology:
 
     def link(self, src: str, dst: str) -> Link:
         """The link ``src -> dst``; raises :class:`TopologyError` if absent."""
-        if not self._graph.has_edge(src, dst):
+        data = self._graph.get_edge_data(src, dst)
+        if data is None:
             raise TopologyError(f"no link {src!r} -> {dst!r}")
-        return self._graph.edges[src, dst]["link"]
+        return data["link"]
 
     def has_link(self, src: str, dst: str) -> bool:
         """True when a directed link ``src -> dst`` exists."""

@@ -35,7 +35,7 @@ from repro.core.application import Application, UseCase
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError
 from repro.core.words import WordFormat
-from repro.topology.builders import concentrated_mesh
+from repro.topology.builders import concentrated_mesh, router_coords
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping
 from repro.topology.routing import xy_path
@@ -113,12 +113,16 @@ def generate_section7(params: Section7Parameters | None = None,
     ip_names = [f"ip{i:02d}" for i in range(params.n_ips)]
     app_ips = _partition_ips(ip_names, params.n_applications)
     mapping = _cluster_mapping(topo, app_ips, params)
+    # Endpoint picking compares router positions thousands of times; an
+    # IP never moves, so each one's position is resolved here, once.
+    ip_coords = {ip: router_coords(topo, topo.attached_router(
+        mapping.ni_of(ip))) for ip in ip_names}
     channels_by_app: dict[str, list[ChannelSpec]] = {}
     ni_load: dict[str, float] = {}
     for app_index, ips in enumerate(app_ips):
         name = f"app{app_index}"
         channels_by_app[name] = _generate_app_channels(
-            name, ips, topo, mapping, params, fmt, rng, ni_load)
+            name, ips, topo, mapping, params, fmt, rng, ni_load, ip_coords)
     _relax_for_feasibility(channels_by_app, topo, mapping, params, fmt)
     applications = tuple(
         Application(name, tuple(channels))
@@ -163,12 +167,15 @@ def _cluster_mapping(topo: Topology, app_ips: list[list[str]],
 def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
                            mapping: Mapping, params: Section7Parameters,
                            fmt: WordFormat, rng: random.Random,
-                           ni_load: dict[str, float]) -> list[ChannelSpec]:
+                           ni_load: dict[str, float],
+                           ip_coords: dict[str, tuple[int, int]]
+                           ) -> list[ChannelSpec]:
     """Draw one application's connections within its IP set.
 
     ``ni_load`` tallies the estimated throughput slots on each NI's
     injection ("ni>" prefix) and ejection ("ni<" prefix) link across all
-    applications, steering endpoint choice away from saturated NIs.
+    applications, steering endpoint choice away from saturated NIs;
+    ``ip_coords`` holds the mesh position of the router hosting each IP.
     """
     from repro.core.requirements import slots_for_throughput
 
@@ -179,7 +186,7 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
         slots = slots_for_throughput(
             throughput_mb * MB, params.table_size, params.frequency_hz,
             fmt)
-        src, dst = _pick_endpoints(ips, topo, mapping, rng,
+        src, dst = _pick_endpoints(ips, ip_coords, mapping, rng,
                                    throughput_mb, params, ni_load, slots)
         ni_load[f"ni>{mapping.ni_of(src)}"] = \
             ni_load.get(f"ni>{mapping.ni_of(src)}", 0.0) + slots
@@ -195,18 +202,8 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
     return channels
 
 
-def _router_distance(topo: Topology, mapping: Mapping, src: str,
-                     dst: str) -> int:
-    """Manhattan distance between the routers hosting two IPs."""
-    from repro.topology.builders import router_coords
-    ra = topo.attached_router(mapping.ni_of(src))
-    rb = topo.attached_router(mapping.ni_of(dst))
-    (xa, ya), (xb, yb) = router_coords(topo, ra), router_coords(topo, rb)
-    return abs(xa - xb) + abs(ya - yb)
-
-
-def _pick_endpoints(ips: list[str], topo: Topology, mapping: Mapping,
-                    rng: random.Random, throughput_mb: float,
+def _pick_endpoints(ips: list[str], ip_coords: dict[str, tuple[int, int]],
+                    mapping: Mapping, rng: random.Random, throughput_mb: float,
                     params: Section7Parameters, ni_load: dict[str, float],
                     slots: int) -> tuple[str, str]:
     """Pick endpoints with bandwidth-aware locality and load steering.
@@ -250,7 +247,8 @@ def _pick_endpoints(ips: list[str], topo: Topology, mapping: Mapping,
             src, dst = rng.sample(ips, 2)
             if mapping.ni_of(src) == mapping.ni_of(dst):
                 continue
-            if _router_distance(topo, mapping, src, dst) > ring:
+            (xa, ya), (xb, yb) = ip_coords[src], ip_coords[dst]
+            if abs(xa - xb) + abs(ya - yb) > ring:
                 continue
             cost = admissible_cost(src, dst)
             if cost <= budget:
@@ -314,22 +312,25 @@ def _relax_for_feasibility(channels_by_app: dict[str, list[ChannelSpec]],
     budget = LINK_PRESSURE_BUDGET * params.table_size
     ni_set = set(topo.nis)
 
-    def demand(spec: ChannelSpec) -> tuple[int, "object"]:
-        path = xy_path(topo, mapping.ni_of(spec.src_ip),
-                       mapping.ni_of(spec.dst_ip))
-        slots, _ = slots_for_channel(spec, path, params.table_size,
-                                     params.frequency_hz, fmt)
-        return slots, path
+    # A round moves one channel's latency and no channel's route: the XY
+    # paths are built once and only the victim's demand is recomputed.
+    paths = [xy_path(topo, mapping.ni_of(spec.src_ip),
+                     mapping.ni_of(spec.dst_ip)) for spec in all_channels]
 
+    def demand(index: int) -> int:
+        return slots_for_channel(all_channels[index], paths[index],
+                                 params.table_size, params.frequency_hz,
+                                 fmt)[0]
+
+    demands = [demand(index) for index in range(len(all_channels))]
     for _ in range(20 * len(all_channels)):
         pressure: dict[tuple[str, str], float] = {}
         holders: dict[tuple[str, str], list[int]] = {}
-        demands = [demand(spec) for spec in all_channels]
-        for index, (slots, path) in enumerate(demands):
+        for index, path in enumerate(paths):
             for key in path.link_keys():
                 if key[0] not in ni_set and key[1] not in ni_set:
                     continue
-                pressure[key] = pressure.get(key, 0.0) + slots
+                pressure[key] = pressure.get(key, 0.0) + demands[index]
                 holders.setdefault(key, []).append(index)
         overloaded = [key for key, load in pressure.items()
                       if load > budget]
@@ -367,6 +368,7 @@ def _relax_for_feasibility(channels_by_app: dict[str, list[ChannelSpec]],
             max_latency_ns=relaxed, application=spec.application,
             burst_bytes=spec.burst_bytes)
         all_channels[victim] = new_spec
+        demands[victim] = demand(victim)
         app_list = channels_by_app[spec.application]
         app_list[[c.name for c in app_list].index(spec.name)] = new_spec
     raise ConfigurationError(

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
+
 import pytest
 
 from repro.baseline.arbitration import (FixedPriorityArbiter,
                                         RoundRobinArbiter)
-from repro.baseline.be_network import BeNetworkSimulator
+from repro.baseline.be_network import (BeNetworkSimulator, BeSimResult,
+                                       _NiState, _SourceQueue)
+from repro.campaign.spec import WorkloadSpec
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError
-from repro.simulation.traffic import (ConstantBitRate, PeriodicBurst,
-                                      Saturating)
-from repro.topology.builders import mesh, single_router
+from repro.core.timeline import ReconfigurationTimeline, TimelineEvent
+from repro.simulation.monitors import StatsCollector
+from repro.simulation.traffic import (ConstantBitRate, MessageEvent,
+                                      PeriodicBurst, Saturating,
+                                      TrafficPattern)
+from repro.topology.builders import (concentrated_mesh, mesh, ring,
+                                     single_router)
 from repro.topology.mapping import Mapping, round_robin
 
 
@@ -190,3 +199,158 @@ class TestBeNetwork:
             deliveries = result.stats.channel(name).deliveries
             assert deliveries
             assert all(d.payload_bytes == 32 for d in deliveries)
+
+
+# -- the scanning loop the port tables and arrival buckets replaced ---------
+
+
+class ScanningSimulator(BeNetworkSimulator):
+    """The tick loop as it stood before: every tick polls every
+    channel's arrival queue, and every output port rebuilds its request
+    vector from every input.  It drives the same router state through
+    the same ``_try_advance`` / ``_inject_tick``."""
+
+    def _run_loop(self, n_ticks, arrivals, sources):
+        period_ps = round(1e12 / self.frequency_hz)
+        stats = StatsCollector()
+        routers, ni_inputs = self._build_routers()
+        nis, channel_queue = {}, {}
+        for name, source in sorted(sources.items()):
+            state = nis.setdefault(source, _NiState(
+                [], RoundRobinArbiter(1), ni_inputs[source]))
+            channel_queue[name] = _SourceQueue(channel=name)
+            state.queues.append(channel_queue[name])
+        for state in nis.values():
+            state.arbiter = RoundRobinArbiter(len(state.queues))
+        pending = {name: deque(events) for name, events in arrivals.items()}
+        for tick in range(n_ticks):
+            for channel, events in pending.items():
+                while events and events[0][0] <= tick:
+                    channel_queue[channel].packets.append(
+                        events.popleft()[1])
+            for router_name in self._router_order:
+                self._route_tick(routers[router_name], tick, period_ps,
+                                 stats)
+            for ni in sorted(nis):
+                self._inject_tick(nis[ni], tick, period_ps, stats)
+        return BeSimResult(stats=stats, simulated_ticks=n_ticks,
+                           frequency_hz=self.frequency_hz, fmt=self.fmt)
+
+    def _route_tick(self, router, tick, period_ps, stats):
+        consumed_inputs = set()
+        for out_port in range(len(router.arbiters)):
+            locked = router.locks[out_port]
+            if locked is not None:
+                if locked in consumed_inputs:
+                    continue
+                if self._try_advance(router, out_port, locked, tick,
+                                     period_ps, stats, expect_body=True):
+                    consumed_inputs.add(locked)
+                continue
+            requests = []
+            for index, buf in enumerate(router.inputs):
+                head = buf.flits[0] if buf.flits else None
+                requests.append(
+                    index not in consumed_inputs and
+                    head is not None and head.flit_index == 0 and
+                    head.arrived_tick < tick and
+                    head.packet.out_ports[head.packet.hop] == out_port)
+            winner = router.arbiters[out_port].grant(requests)
+            if winner is None:
+                continue
+            if self._try_advance(router, out_port, winner, tick, period_ps,
+                                 stats, expect_body=False):
+                consumed_inputs.add(winner)
+
+
+class _BackAndForth(TrafficPattern):
+    """Arrival cycles that are not sorted: a queue releases in event
+    order, so a late first event holds back the early one behind it."""
+
+    def events(self, horizon_cycles):
+        cycles = [c for pair in zip(range(60, horizon_cycles, 90),
+                                    range(0, horizon_cycles, 90))
+                  for c in pair]
+        return [MessageEvent(cycle, 5, mid)
+                for mid, cycle in enumerate(cycles)]
+
+
+BE_TOPOLOGIES = {
+    "mesh": lambda: mesh(3, 2, nis_per_router=2),
+    "cmesh": lambda: concentrated_mesh(2, 2, nis_per_router=4),
+    "ring": lambda: ring(5, nis_per_router=2),
+}
+
+
+def _random_case(topo_name, seed):
+    """A seeded configuration, simulator options and a traffic mix of
+    saturating and bursty sources with messages of 1-4 packets."""
+    rng = random.Random(seed)
+    topology = BE_TOPOLOGIES[topo_name]()
+    use_case, mapping = WorkloadSpec(
+        n_channels=14, n_ips=min(len(topology.nis), 12),
+        n_applications=3).build(topology, seed)
+    config = configure(topology, use_case, table_size=16,
+                       frequency_hz=500e6, mapping=mapping,
+                       require_met=False)
+    options = {"buffer_flits": rng.randint(1, 4),
+               "max_packet_flits": rng.randint(1, 4)}
+    traffic = {}
+    for name in sorted(config.allocation.channels):
+        words = rng.randint(1, 24)
+        if rng.random() < 0.4:
+            traffic[name] = Saturating(words, config.fmt.flit_size)
+        else:
+            traffic[name] = PeriodicBurst(
+                rng.randint(1, 4), words, rng.randint(20, 120),
+                offset_cycles=rng.randrange(40))
+    traffic[min(traffic)] = _BackAndForth()
+    return config, options, traffic
+
+
+def _assert_same_records(got, ref):
+    assert got.stats.channels == ref.stats.channels
+    assert got.stats.channels
+    for name in ref.stats.channels:
+        assert got.stats.channel(name).injections == \
+            ref.stats.channel(name).injections, name
+        assert got.stats.channel(name).deliveries == \
+            ref.stats.channel(name).deliveries, name
+
+
+class TestLoopEqualsTheScanningLoop:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("topo_name", sorted(BE_TOPOLOGIES))
+    def test_static_runs(self, topo_name, seed):
+        config, options, traffic = _random_case(topo_name, seed)
+        results = []
+        for simulator in (BeNetworkSimulator, ScanningSimulator):
+            sim = simulator(config, **options)
+            for name, pattern in traffic.items():
+                sim.set_traffic(name, pattern)
+            results.append(sim.run(300))
+        _assert_same_records(*results)
+        assert any(len(results[0].stats.channel(name).deliveries) > 5
+                   for name in results[0].stats.channels)
+
+    def test_timeline_with_restarts(self):
+        config, options, traffic = _random_case("mesh", 11)
+        apps = {}
+        for ca in config.allocation.channels.values():
+            apps.setdefault(ca.spec.application, []).append(ca)
+        (a, a_channels), (b, b_channels), (c, c_channels) = \
+            sorted((app, tuple(chans)) for app, chans in apps.items())
+        timeline = ReconfigurationTimeline(
+            config.topology,
+            [TimelineEvent(0, "start", a, a_channels),
+             TimelineEvent(30, "start", b, b_channels),
+             TimelineEvent(120, "stop", a),
+             TimelineEvent(140, "start", c, c_channels),
+             TimelineEvent(200, "start", a, a_channels),
+             TimelineEvent(260, "stop", b)],
+            horizon_slots=400, table_size=config.table_size,
+            frequency_hz=config.frequency_hz, fmt=config.fmt)
+        _assert_same_records(*(
+            simulator(config, **options).run_timeline(
+                timeline, traffic=traffic)
+            for simulator in (BeNetworkSimulator, ScanningSimulator)))

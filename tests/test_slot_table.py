@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.exceptions import AllocationError, ConfigurationError
-from repro.core.slot_table import (SlotTable, ideal_positions,
+from repro.core.slot_table import (SlotTable, _largest_gap, _nearest,
+                                   choose_slots_fast, ideal_positions,
                                    max_consecutive_gap, shifted,
                                    shifted_slots, spread_slots,
                                    worst_case_wait_slots)
@@ -116,6 +117,105 @@ class TestSpreadSlots:
             # Verify infeasibility: even using *all* free slots the gap
             # constraint fails (spread_slots may add slots beyond n).
             assert max_consecutive_gap(free, size) > max_gap
+
+
+# -- the nearest-by-min choosers the outward walk replaced -------------------
+#
+# Test-local copies of the choosers as they stood before ``_nearest``
+# walked outward from its target: a ``min`` over every candidate, and the
+# template offsets recomputed per anchor.
+
+
+def ref_nearest(candidates, target, size):
+    if not candidates:
+        return None
+    return min(candidates, key=lambda s: (
+        min((s - target) % size, (target - s) % size), s))
+
+
+def ref_assign(free_sorted, n, size, anchor):
+    remaining = set(free_sorted)
+    chosen = []
+    for offset in ideal_positions(n, size):
+        pick = ref_nearest(remaining, (anchor + offset) % size, size)
+        if pick is None:
+            return None
+        remaining.discard(pick)
+        chosen.append(pick)
+    return tuple(sorted(chosen))
+
+
+def ref_fill_gaps(chosen, free_sorted, size, max_gap):
+    slots = set(chosen)
+    available = [s for s in free_sorted if s not in slots]
+    while max_consecutive_gap(slots, size) > max_gap:
+        if not available:
+            return None
+        start, length = _largest_gap(sorted(slots), size)
+        pick = ref_nearest(set(available), (start + length // 2) % size,
+                           size)
+        available.remove(pick)
+        slots.add(pick)
+    return tuple(sorted(slots))
+
+
+def ref_spread_slots(free, n, size, max_gap=None):
+    free_sorted = sorted(set(free))
+    if len(free_sorted) < n:
+        return None
+    best, best_gap = None, size + 1
+    anchors = free_sorted if len(free_sorted) <= 64 else free_sorted[::2]
+    for anchor in anchors:
+        chosen = ref_assign(free_sorted, n, size, anchor)
+        gap = max_consecutive_gap(chosen, size)
+        if gap < best_gap:
+            best, best_gap = chosen, gap
+            if max_gap is None and gap <= (size + n - 1) // n:
+                break
+    if max_gap is not None and best_gap > max_gap:
+        best = ref_fill_gaps(best, free_sorted, size, max_gap)
+    return best
+
+
+def ref_choose_slots_fast(free, n, size, max_gap=None):
+    free_sorted = sorted(set(free))
+    if len(free_sorted) < n:
+        return None
+    chosen = ref_assign(free_sorted, n, size, free_sorted[0])
+    if max_gap is not None and max_consecutive_gap(chosen, size) > max_gap:
+        chosen = ref_fill_gaps(chosen, free_sorted, size, max_gap)
+    return chosen
+
+
+class TestOutwardWalk:
+    @given(st.data())
+    def test_nearest_equals_min_by_cyclic_distance(self, data):
+        size = data.draw(st.integers(1, 64))
+        candidates = data.draw(st.sets(st.integers(0, size - 1)))
+        target = data.draw(st.integers(0, size - 1))
+        assert _nearest(candidates, target, size) == \
+            ref_nearest(candidates, target, size)
+
+    @given(st.data())
+    def test_choosers_equal_the_nearest_by_min_choosers(self, data):
+        size = data.draw(st.integers(1, 64))
+        free = data.draw(st.sets(st.integers(0, size - 1), min_size=1))
+        n = data.draw(st.integers(1, len(free)))
+        max_gap = data.draw(st.none() | st.integers(1, size))
+        assert spread_slots(free, n, size, max_gap=max_gap) == \
+            ref_spread_slots(free, n, size, max_gap)
+        assert choose_slots_fast(free, n, size, max_gap=max_gap) == \
+            ref_choose_slots_fast(free, n, size, max_gap)
+
+    @pytest.mark.parametrize("chooser", [spread_slots, choose_slots_fast])
+    @pytest.mark.parametrize("free", [[-1, 40], [0, 32], [-1, 3]])
+    def test_free_slot_outside_the_table_is_refused(self, chooser, free):
+        """``choose_slots_fast([-1, 40], 2, 32)`` used to return
+        ``(-1, 40)``, a reservation outside the table."""
+        with pytest.raises(ConfigurationError,
+                           match=r"free slot -?\d+ outside table of "
+                                 r"size 32"):
+            chooser(free, 2, 32)
 
 
 class TestSlotTable:

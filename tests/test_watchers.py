@@ -10,7 +10,10 @@ Three kinds of check live here:
   (digests taken from the commit before the move);
 * the two wrong verdicts the end-to-end benchmark recorded — a
   fault-relocated survivor judged against its first route, and a
-  finite-window over-delivery false alarm — stay fixed.
+  finite-window over-delivery false alarm — stay fixed;
+* what the watchdog and the canonical record read of a compiled run
+  comes off the schedule arrays, equals the record walks bit for bit,
+  and expands no channel into records.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from repro.simulation.compiled import numpy_available
 from repro.simulation.composability import replay_traffic
 from repro.simulation.flitsim import FlitLevelSimulator
 from repro.simulation.monitors import DeliveryRecord, StatsCollector
-from repro.simulation.traffic import PeriodicBurst
+from repro.simulation.traffic import MessageEvent, PeriodicBurst, Replay
 from repro.telemetry.monitor import (FabricRollup, MonitorSpec,
                                      conformance_from_result,
                                      timeline_conformance)
@@ -444,3 +447,105 @@ class TestOverDelivery:
                     conformance_from_result(config, result).channels}
         assert verdicts["c0"] == "violated"
         assert verdicts["c1"] != "violated"
+
+
+# -- aggregate reads stay on the arrays ------------------------------------
+
+
+def observations(stats, name, read=None):
+    """``incarnation_observations`` flattened to comparable values;
+    ``repr`` keeps the float comparison bit-exact."""
+    read = read or type(stats).incarnation_observations
+    return repr([(slot, delivered, seen.latencies_ns, seen.count,
+                  seen.worst_ns, seen.mean_ns)
+                 for slot, delivered, seen in read(stats, name)])
+
+
+def assert_reads_equal_the_record_walks(compiled, scalar, names):
+    """The array answers first (the walks below expand the channel),
+    then the per-flit executor's records and the base-class walks over
+    the compiled run's own materialised records."""
+    assert names
+    for name in names:
+        seen = observations(compiled.stats, name)
+        totals = repr(compiled.stats.channel_aggregate(name))
+        assert seen == observations(scalar.stats, name), name
+        assert totals == repr(scalar.stats.channel_aggregate(name)), name
+        assert seen == observations(
+            compiled.stats, name, StatsCollector.incarnation_observations)
+        assert totals == repr(StatsCollector.channel_aggregate(
+            compiled.stats, name)), name
+
+
+@requires_numpy
+class TestAggregateReads:
+
+    def test_static_section7_run(self, section7_config):
+        config = section7_config
+        request = SimRequest(n_slots=1200, traffic=burst_traffic(config))
+        compiled = FlitLevelBackend(config).run(request)
+        scalar = FlitLevelBackend(config, compiled=False).run(request)
+        assert compiled.meta["executor"] == "compiled"
+        assert scalar.meta["executor"] == "per-flit"
+        assert json.dumps(compiled.to_record(), sort_keys=True) == \
+            json.dumps(scalar.to_record(), sort_keys=True)
+        assert compiled.stats.materialised == ()
+        assert_reads_equal_the_record_walks(
+            compiled, scalar, sorted(config.allocation.channels))
+
+    def test_relocated_timeline(self, fault_outcome):
+        timeline = fault_outcome.timeline
+        config = replay_configuration(timeline)
+        traffic = replay_traffic(timeline)
+        compiled = FlitLevelSimulator(config).run_timeline(
+            timeline, traffic=traffic)
+        scalar = FlitLevelSimulator(config, compiled=False).run_timeline(
+            timeline, traffic=traffic)
+        relocated = TestRelocatedSurvivor().relocated(fault_outcome)
+        assert all(len(compiled.stats.incarnation_observations(name)) > 1
+                   for name in relocated)
+        assert compiled.stats.materialised == ()
+        assert_reads_equal_the_record_walks(compiled, scalar, relocated)
+
+    def test_unordered_message_ids_fall_back_to_the_walk(self, mesh_config):
+        config = mesh_config
+        traffic = {"c0": Replay([MessageEvent(3 * i, 2, mid) for i, mid
+                                 in enumerate([4, 1, 7, 0, 9, 2])]),
+                   "c1": PeriodicBurst(2, 2, 60)}
+        request = SimRequest(n_slots=300, traffic=traffic)
+        compiled = FlitLevelBackend(config).run(request)
+        scalar = FlitLevelBackend(config, compiled=False).run(request)
+        compiled.stats.incarnation_observations("c1")
+        assert compiled.stats.materialised == ()
+        # The walk sorts by message id; the arrays cannot, and say so.
+        compiled.stats.incarnation_observations("c0")
+        assert compiled.stats.materialised == ("c0",)
+        assert_reads_equal_the_record_walks(compiled, scalar,
+                                            ["c0", "c1"])
+
+
+@requires_numpy
+class TestNothingMaterialised:
+    """A consumer that quietly expands 200 000 records fails here, not
+    in a benchmark."""
+
+    def test_static_pass(self, section7_config):
+        config = section7_config
+        gs = run_gs(config, n_slots=1200)
+        conformance_from_result(config, gs.result)
+        gs.result.to_record()
+        gs.result.summary()
+        stats = gs.result.stats
+        assert stats.materialised == ()
+        name = stats.channels[0]
+        assert stats.channel(name).deliveries
+        assert stats.materialised == (name,)
+
+    def test_churn_replay_watchdog(self, fault_outcome):
+        timeline = fault_outcome.timeline
+        compiled = FlitLevelSimulator(
+            replay_configuration(timeline)).run_timeline(
+                timeline, traffic=replay_traffic(timeline))
+        report = timeline_conformance(timeline, compiled)
+        assert len(report.channels) > 50
+        assert compiled.stats.materialised == ()
