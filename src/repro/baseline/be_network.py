@@ -337,11 +337,10 @@ class BeNetworkSimulator:
         """The routers with their port tables, and each NI's input
         buffer: the topology is asked once per port, not per flit."""
         topo = self._topo
-        graph = topo.graph
         routers: dict[str, _BeRouter] = {}
         for name in self._router_order:
-            n_in = graph.in_degree(name)
-            n_out = graph.out_degree(name)
+            n_in = len(topo.predecessors(name))
+            n_out = len(topo.successors(name))
             routers[name] = _BeRouter(
                 name=name,
                 inputs=[_InputBuffer(f"{name}.in{i}", self.buffer_flits)

@@ -773,20 +773,25 @@ class SlotAllocator:
         self.fmt = fmt or WordFormat()
         self.options = options or AllocatorOptions()
         # Route candidates are a function of (src, dst) alone for a fixed
-        # topology and header format, so repeated admissions — the online
-        # service's admit/release churn in particular — reuse them instead
-        # of re-running k-shortest-paths every time: one search per router
-        # pair, attached to its NIs once per NI pair.  Quotes additionally
-        # fix the requirement, making slot counts and gap constraints
-        # cacheable per (src, dst, throughput, latency) — one entry per
-        # endpoint pair and QoS class in the admission service, at most
+        # topology and header format — one search per router pair,
+        # attached to its NIs once per NI pair — so they are kept with the
+        # topology's geometry of this revision and every allocator built
+        # over it, at any operating point, finds them there.  Quotes
+        # additionally fix the requirement at this allocator's table size
+        # and frequency, making slot counts and gap constraints cacheable
+        # per (src, dst, throughput, latency) — one entry per endpoint
+        # pair and QoS class in the admission service, at most
         # QUOTE_CACHE_CAP of them.
-        self._kroute_cache: dict[tuple[str, str], list[list[str]]] = {}
-        self._kpath_cache: dict[tuple[str, str], tuple[Path, ...]] = {}
+        geometry = topology.geometry()
+        self._kroute_cache: dict[tuple[str, str], list[list[str]]] = \
+            geometry.routes.setdefault(PATH_CANDIDATES, {})
+        self._kpath_cache: dict[tuple[str, str], tuple[Path, ...]] = \
+            geometry.paths.setdefault(
+                (PATH_CANDIDATES, self.fmt.max_hops), {})
         self._quote_cache: dict[
             tuple[str, str, float, float | None],
             tuple[RouteCandidate, ...]] = {}
-        # Both caches are fault-agnostic: failed fabric lives on each
+        # All three are fault-agnostic: failed fabric lives on each
         # Allocation and is applied when candidates are consulted, so
         # repairs need no invalidation and sharing leaks no faults.
         self.set_telemetry(telemetry)
@@ -899,8 +904,8 @@ class SlotAllocator:
         """Cached k-shortest candidate routes (header-encodable only).
 
         Load-agnostic, so the result depends on the topology alone and is
-        memoised for the lifetime of the allocator.  May be empty when no
-        route fits in the header's hop budget.
+        memoised with it, for as long as its structure stands.  May be
+        empty when no route fits in the header's hop budget.
         """
         key = (src_ni, dst_ni)
         cached = self._kpath_cache.get(key)

@@ -136,10 +136,9 @@ class DetailedNetwork:
                         f"{self.fmt.queue_bits}-bit queue field allows")
                 self._queue_ids[ca.spec.name] = qid
         for router in topo.routers:
-            graph = topo.graph
             self.routers[router] = SynchronousRouter(
-                router, n_inputs=graph.in_degree(router),
-                n_outputs=graph.out_degree(router), fmt=self.fmt)
+                router, n_inputs=len(topo.predecessors(router)),
+                n_outputs=len(topo.successors(router)), fmt=self.fmt)
         for ni in topo.nis:
             self.nis[ni] = self._build_ni(ni)
 

@@ -37,9 +37,7 @@ def _ni_name(x: int, y: int, k: int) -> str:
 
 def router_coords(topo: Topology, router: str) -> tuple[int, int]:
     """Mesh coordinates ``(x, y)`` stored by the builders."""
-    # Read in place (node_attrs copies); an unknown node falls through to
-    # node_attrs for its TopologyError.
-    attrs = topo.graph.nodes.get(router) or topo.node_attrs(router)
+    attrs = topo.node_attrs(router)
     if "x" not in attrs or "y" not in attrs:
         raise TopologyError(f"router {router!r} carries no mesh coordinates")
     return int(attrs["x"]), int(attrs["y"])  # type: ignore[arg-type]

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Mapping
-
-import networkx as nx
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from repro.core.exceptions import TopologyError
 
-__all__ = ["NodeKind", "Link", "Topology"]
+__all__ = ["NodeKind", "Link", "Topology", "RouteGeometry", "hop_distances"]
 
 
 class NodeKind(enum.Enum):
@@ -73,16 +72,78 @@ class Link:
                 f"{self.dst}[p{self.dst_port}]{stages})")
 
 
+def hop_distances(adjacency: Mapping[str, Iterable[str]],
+                  source: str) -> dict[str, int]:
+    """Breadth-first hop counts from ``source`` to every node it reaches
+    over ``adjacency`` (node -> neighbours), in discovery order."""
+    dist = {source: 0}
+    level = [source]
+    while level:
+        reached = []
+        for node in level:
+            for neighbour in adjacency[node]:
+                if neighbour not in dist:
+                    dist[neighbour] = dist[node] + 1
+                    reached.append(neighbour)
+        level = reached
+    return dist
+
+
+class RouteGeometry:
+    """What route searches derive from a topology's structure.
+
+    Owned by the :class:`Topology` for one :attr:`~Topology.revision`
+    and dropped whole by the next structural write, so everything built
+    over one topology object at one revision shares it and nothing in it
+    can describe an older fabric.
+
+    Attributes
+    ----------
+    succ, pred:
+        Router -> its downstream / upstream routers in name order (NIs
+        left out).  Read-only.
+    neighbours:
+        The two merged: the adjacency with link direction ignored.
+        Read-only.
+    routes:
+        ``k -> (src router, dst router) ->`` the first ``k`` routes of
+        :func:`~repro.topology.routing.k_shortest_routes` on the whole
+        fabric, filled by whoever searches first.
+    paths:
+        ``(k, header hop budget) -> (src NI, dst NI) ->`` those routes as
+        header-encodable :class:`~repro.core.path.Path` tuples.
+    """
+
+    __slots__ = ("succ", "pred", "neighbours", "routes", "paths")
+
+    def __init__(self, topo: "Topology"):
+        routers = topo.routers
+        is_router = frozenset(routers).__contains__
+        self.succ = MappingProxyType(
+            {r: tuple(filter(is_router, topo.successors(r)))
+             for r in routers})
+        self.pred = MappingProxyType(
+            {r: tuple(filter(is_router, topo.predecessors(r)))
+             for r in routers})
+        self.neighbours = MappingProxyType(
+            {r: tuple(sorted({*self.succ[r], *self.pred[r]}))
+             for r in routers})
+        self.routes: dict[int, dict] = {}
+        self.paths: dict[tuple[int, int], dict] = {}
+
+
 class Topology:
     """Mutable NoC structure with validation and convenience queries."""
 
     def __init__(self, name: str = "noc"):
         self.name = name
-        self._graph = nx.DiGraph()
+        self._nodes: dict[str, dict[str, object]] = {}
+        self._succ: dict[str, dict[str, Link]] = {}
+        self._pred: dict[str, dict[str, Link]] = {}
         self._next_out_port: dict[str, int] = {}
         self._next_in_port: dict[str, int] = {}
         self._revision = 0
-        self._router_graph: nx.DiGraph | None = None
+        self._geometry: RouteGeometry | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -98,9 +159,11 @@ class Topology:
                   attrs: Mapping[str, object]) -> None:
         if not name:
             raise TopologyError("node name must be non-empty")
-        if name in self._graph:
+        if name in self._nodes:
             raise TopologyError(f"duplicate node name {name!r}")
-        self._graph.add_node(name, kind=kind, **attrs)
+        self._nodes[name] = dict(kind=kind, **attrs)
+        self._succ[name] = {}
+        self._pred[name] = {}
         self._next_out_port[name] = 0
         self._next_in_port[name] = 0
         self._modified()
@@ -111,7 +174,7 @@ class Topology:
         self._require_node(dst)
         if src == dst:
             raise TopologyError(f"self-loop on {src!r} is not allowed")
-        if self._graph.has_edge(src, dst):
+        if dst in self._succ[src]:
             raise TopologyError(f"link {src!r} -> {dst!r} already exists")
         if pipeline_stages < 0:
             raise TopologyError("pipeline_stages must be >= 0")
@@ -122,8 +185,7 @@ class Topology:
                     src_port=self._take_out_port(src),
                     dst_port=self._take_in_port(dst),
                     pipeline_stages=pipeline_stages)
-        self._graph.add_edge(src, dst, link=link)
-        self._modified()
+        self._store(link)
         return link
 
     def connect_bidir(self, a: str, b: str, *,
@@ -139,13 +201,17 @@ class Topology:
             raise TopologyError("pipeline_stages must be >= 0")
         new = Link(src=old.src, dst=old.dst, src_port=old.src_port,
                    dst_port=old.dst_port, pipeline_stages=stages)
-        self._graph.edges[src, dst]["link"] = new
-        self._modified()
+        self._store(new)
         return new
+
+    def _store(self, link: Link) -> None:
+        self._succ[link.src][link.dst] = link
+        self._pred[link.dst][link.src] = link
+        self._modified()
 
     def _modified(self) -> None:
         self._revision += 1
-        self._router_graph = None
+        self._geometry = None
 
     def _take_out_port(self, node: str) -> int:
         if self.kind(node) is NodeKind.NI:
@@ -172,79 +238,94 @@ class Topology:
     # -- queries ------------------------------------------------------------
 
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying directed graph (read-only by convention)."""
-        return self._graph
-
-    @property
     def revision(self) -> int:
         """Count of structural writes so far.  What was derived from the
-        topology at one revision (the memoised router graph, an
-        allocator's cached routes) is stale at the next."""
+        topology at one revision (its :meth:`geometry`, an allocator's
+        view of it) is stale at the next."""
         return self._revision
+
+    def geometry(self) -> RouteGeometry:
+        """The :class:`RouteGeometry` of this revision: built on the
+        first read after a structural write, the same object until the
+        next one."""
+        geometry = self._geometry
+        if geometry is None:
+            geometry = self._geometry = RouteGeometry(self)
+        return geometry
+
+    def __getstate__(self) -> dict[str, object]:
+        # Derived, and holds read-only views that do not pickle: a copy
+        # rebuilds it on its first search.
+        return {**self.__dict__, "_geometry": None}
 
     def kind(self, name: str) -> NodeKind:
         """Node kind of ``name``."""
         self._require_node(name)
-        return self._graph.nodes[name]["kind"]
+        return self._nodes[name]["kind"]  # type: ignore[return-value]
 
     def node_attrs(self, name: str) -> Mapping[str, object]:
-        """All attributes stored on a node (includes ``kind``)."""
+        """All attributes stored on a node (includes ``kind``), as a
+        read-only view."""
         self._require_node(name)
-        return dict(self._graph.nodes[name])
+        return MappingProxyType(self._nodes[name])
+
+    def _of_kind(self, kind: NodeKind) -> tuple[str, ...]:
+        return tuple(sorted(n for n, attrs in self._nodes.items()
+                            if attrs["kind"] is kind))
 
     @property
     def routers(self) -> tuple[str, ...]:
         """All router names, sorted for determinism."""
-        return tuple(sorted(n for n, d in self._graph.nodes(data=True)
-                            if d["kind"] is NodeKind.ROUTER))
+        return self._of_kind(NodeKind.ROUTER)
 
     @property
     def nis(self) -> tuple[str, ...]:
         """All NI names, sorted for determinism."""
-        return tuple(sorted(n for n, d in self._graph.nodes(data=True)
-                            if d["kind"] is NodeKind.NI))
+        return self._of_kind(NodeKind.NI)
 
     @property
     def links(self) -> tuple[Link, ...]:
         """All directed links, sorted by ``(src, dst)``."""
-        return tuple(sorted((d["link"] for _, _, d in
-                             self._graph.edges(data=True)),
+        return tuple(sorted((link for out in self._succ.values()
+                             for link in out.values()),
                             key=lambda l: l.key))
 
     def link(self, src: str, dst: str) -> Link:
         """The link ``src -> dst``; raises :class:`TopologyError` if absent."""
-        data = self._graph.get_edge_data(src, dst)
-        if data is None:
-            raise TopologyError(f"no link {src!r} -> {dst!r}")
-        return data["link"]
+        try:
+            return self._succ[src][dst]
+        except KeyError:
+            raise TopologyError(f"no link {src!r} -> {dst!r}") from None
 
     def has_link(self, src: str, dst: str) -> bool:
         """True when a directed link ``src -> dst`` exists."""
-        return self._graph.has_edge(src, dst)
+        return dst in self._succ.get(src, ())
 
     def successors(self, name: str) -> tuple[str, ...]:
         """Downstream neighbours, sorted."""
         self._require_node(name)
-        return tuple(sorted(self._graph.successors(name)))
+        return tuple(sorted(self._succ[name]))
 
     def predecessors(self, name: str) -> tuple[str, ...]:
         """Upstream neighbours, sorted."""
         self._require_node(name)
-        return tuple(sorted(self._graph.predecessors(name)))
+        return tuple(sorted(self._pred[name]))
+
+    def require_router(self, name: str) -> None:
+        """Raise :class:`TopologyError` unless ``name`` is a router."""
+        if self.kind(name) is not NodeKind.ROUTER:
+            raise TopologyError(f"{name!r} is not a router")
 
     def arity(self, router: str) -> int:
         """Port count of a router: ``max(#inputs, #outputs)``."""
-        if self.kind(router) is not NodeKind.ROUTER:
-            raise TopologyError(f"{router!r} is not a router")
-        return max(self._graph.in_degree(router),
-                   self._graph.out_degree(router))
+        self.require_router(router)
+        return max(len(self._pred[router]), len(self._succ[router]))
 
     def attached_router(self, ni: str) -> str:
         """The router an NI is cabled to (validated to be unique)."""
         if self.kind(ni) is not NodeKind.NI:
             raise TopologyError(f"{ni!r} is not an NI")
-        succ = list(self._graph.successors(ni))
+        succ = list(self._succ[ni])
         if len(succ) != 1:
             raise TopologyError(
                 f"NI {ni!r} must have exactly one outgoing link, has {len(succ)}")
@@ -252,31 +333,9 @@ class Topology:
 
     def nis_of_router(self, router: str) -> tuple[str, ...]:
         """All NIs attached to ``router``, sorted."""
-        if self.kind(router) is not NodeKind.ROUTER:
-            raise TopologyError(f"{router!r} is not a router")
-        return tuple(sorted(n for n in self._graph.predecessors(router)
+        self.require_router(router)
+        return tuple(sorted(n for n in self._pred[router]
                             if self.kind(n) is NodeKind.NI))
-
-    def router_graph(self) -> nx.DiGraph:
-        """Subgraph induced by the routers (for path search).
-
-        Built node-by-node in sorted order rather than via ``subgraph()``:
-        networkx's induced-subgraph copy iterates a node *set*, whose order
-        depends on ``PYTHONHASHSEED``, and that order leaks into shortest-
-        path tie-breaking — allocations must not vary across processes.
-
-        Built once per :attr:`revision` and shared, so it is handed out
-        frozen; search a reduced fabric through ``nx.restricted_view``.
-        """
-        rg = self._router_graph
-        if rg is None:
-            rg = nx.DiGraph()
-            rg.add_nodes_from(self.routers)
-            for link in self.links:
-                if rg.has_node(link.src) and rg.has_node(link.dst):
-                    rg.add_edge(link.src, link.dst, link=link)
-            self._router_graph = nx.freeze(rg)
-        return rg
 
     def out_port(self, src: str, dst: str) -> int:
         """Output-port index used by ``src`` to reach ``dst``."""
@@ -284,9 +343,10 @@ class Topology:
 
     def neighbor_on_port(self, router: str, out_port: int) -> str:
         """Inverse of :meth:`out_port`: which node hangs off a given port."""
-        for succ in self._graph.successors(router):
-            if self.link(router, succ).src_port == out_port:
-                return succ
+        self._require_node(router)
+        for link in self._succ[router].values():
+            if link.src_port == out_port:
+                return link.dst
         raise TopologyError(f"router {router!r} has no output port {out_port}")
 
     def iter_link_keys(self) -> Iterator[tuple[str, str]]:
@@ -306,8 +366,8 @@ class Topology:
         * every router has at least one input and one output.
         """
         for ni in self.nis:
-            out = list(self._graph.successors(ni))
-            inc = list(self._graph.predecessors(ni))
+            out = list(self._succ[ni])
+            inc = list(self._pred[ni])
             if len(out) != 1 or len(inc) != 1:
                 raise TopologyError(
                     f"NI {ni!r} needs exactly one link each way, has "
@@ -316,12 +376,11 @@ class Topology:
                     self.kind(inc[0]) is not NodeKind.ROUTER:
                 raise TopologyError(f"NI {ni!r} must attach to a router")
         routers = self.routers
-        if len(routers) >= 2:
-            rg = self._graph.subgraph(routers)
-            if not nx.is_weakly_connected(rg):
-                raise TopologyError("router network is not connected")
+        if len(routers) >= 2 and len(hop_distances(
+                self.geometry().neighbours, routers[0])) < len(routers):
+            raise TopologyError("router network is not connected")
         for r in routers:
-            if self._graph.in_degree(r) == 0 or self._graph.out_degree(r) == 0:
+            if not self._pred[r] or not self._succ[r]:
                 raise TopologyError(f"router {r!r} has a dangling side")
 
     # -- (de)serialisation ---------------------------------------------------
@@ -365,18 +424,17 @@ class Topology:
         """Insert a link with pre-assigned port numbers (deserialisation)."""
         self._require_node(link.src)
         self._require_node(link.dst)
-        if self._graph.has_edge(link.src, link.dst):
+        if link.dst in self._succ[link.src]:
             raise TopologyError(f"link {link.src!r} -> {link.dst!r} already exists")
-        for succ in self._graph.successors(link.src):
-            if self.link(link.src, succ).src_port == link.src_port:
-                raise TopologyError(
-                    f"output port {link.src_port} of {link.src!r} already used")
-        for pred in self._graph.predecessors(link.dst):
-            if self.link(pred, link.dst).dst_port == link.dst_port:
-                raise TopologyError(
-                    f"input port {link.dst_port} of {link.dst!r} already used")
-        self._graph.add_edge(link.src, link.dst, link=link)
-        self._modified()
+        if any(other.src_port == link.src_port
+               for other in self._succ[link.src].values()):
+            raise TopologyError(
+                f"output port {link.src_port} of {link.src!r} already used")
+        if any(other.dst_port == link.dst_port
+               for other in self._pred[link.dst].values()):
+            raise TopologyError(
+                f"input port {link.dst_port} of {link.dst!r} already used")
+        self._store(link)
         self._next_out_port[link.src] = max(self._next_out_port[link.src],
                                             link.src_port + 1)
         self._next_in_port[link.dst] = max(self._next_in_port[link.dst],
@@ -385,7 +443,7 @@ class Topology:
     # -- internals ----------------------------------------------------------
 
     def _require_node(self, name: str) -> None:
-        if name not in self._graph:
+        if name not in self._nodes:
             raise TopologyError(f"unknown node {name!r}")
 
     def __repr__(self) -> str:

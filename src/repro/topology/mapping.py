@@ -27,11 +27,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import networkx as nx
-
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import ConfigurationError, TopologyError
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, hop_distances
 
 __all__ = ["Mapping", "round_robin", "traffic_balanced",
            "communication_clustered", "hop_weighted_demand",
@@ -92,15 +90,17 @@ def round_robin(ips: Sequence[str], topo: Topology) -> Mapping:
     return Mapping(assignment)
 
 
-def router_distances(topo: Topology) -> dict[str, dict[str, int]]:
-    """All-pairs router-hop distances of the router subgraph.
+def router_distances(topo: Topology, *, directed: bool = True
+                     ) -> dict[str, dict[str, int]]:
+    """All-pairs router-hop distances of the router subgraph, following
+    link direction or (``directed=False``) ignoring it.
 
     Works on any builder family (torus wrap-around links included, since
     the distances come from the actual link graph, not coordinates).
     """
-    rg = topo.router_graph()
-    return {router: nx.single_source_shortest_path_length(rg, router)
-            for router in topo.routers}
+    geometry = topo.geometry()
+    adjacency = geometry.succ if directed else geometry.neighbours
+    return {router: hop_distances(adjacency, router) for router in adjacency}
 
 
 def hop_weighted_demand(topo: Topology, mapping: Mapping,
@@ -255,8 +255,7 @@ def communication_clustered(ips: Sequence[str],
     capacity = max_ips_per_ni or -(-len(all_ips) // len(nis))  # ceil division
     count: dict[str, int] = {ni: 0 for ni in nis}
     assignment: dict[str, str] = {}
-    rg = topo.router_graph().to_undirected()
-    dist = dict(nx.all_pairs_shortest_path_length(rg))
+    dist = router_distances(topo, directed=False)
 
     def place(ip: str, near_router: str | None,
               avoid_ni: str | None = None) -> None:

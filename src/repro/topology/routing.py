@@ -9,14 +9,13 @@ later channels around crowded regions.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping
-
-import networkx as nx
+from heapq import heappop, heappush
+from typing import Callable
 
 from repro.core.exceptions import TopologyError
 from repro.core.path import Path, make_path
 from repro.topology.builders import router_coords
-from repro.topology.graph import Topology
+from repro.topology.graph import Topology, hop_distances
 
 __all__ = [
     "xy_route",
@@ -67,19 +66,20 @@ def k_shortest_routes(topo: Topology, src_router: str, dst_router: str,
                       k: int, *,
                       exclude_links: frozenset[tuple[str, str]] | set |
                       None = None) -> list[list[str]]:
-    """Up to ``k`` loop-free shortest router sequences between two routers.
+    """The first ``k`` loop-free router sequences between two routers,
+    ordered by hop count with ties broken by the router name sequence.
 
-    Routes are ordered by hop count with ties broken by the router name
-    sequence.  networkx's enumeration order among equal-cost paths depends
-    on ``PYTHONHASHSEED``, so the tie group straddling the ``k``-th route is
-    collected in full (up to a generous cap) and sorted before truncation —
-    this is what makes allocations, and everything derived from them
-    (reports, admission decisions), reproducible across processes.
+    The enumeration is exact — one breadth-first pass from the
+    destination for hop distances, then for each route length, shortest
+    first, a depth-first walk in name order that never steps where the
+    destination is out of reach in the hops left — and that order is what
+    makes allocations, and everything derived from them (reports,
+    admission decisions), reproducible across processes.
 
     The result depends on the two routers alone, not on which of their NIs
     asks; ``exclude_links`` names directed link keys that must not be
-    traversed, hidden behind a view so the shared router graph is never
-    edited.  Disconnected endpoints raise :class:`TopologyError`.
+    traversed (the topology's shared geometry is read, never written).
+    Disconnected endpoints raise :class:`TopologyError`.
 
     >>> from repro.topology.builders import mesh
     >>> k_shortest_routes(mesh(2, 2, nis_per_router=1), "r0_0", "r1_1", 2)
@@ -87,27 +87,51 @@ def k_shortest_routes(topo: Topology, src_router: str, dst_router: str,
     """
     if k < 1:
         raise TopologyError(f"k must be >= 1, got {k}")
+    topo.require_router(src_router)
+    topo.require_router(dst_router)
     if src_router == dst_router:
         return [[src_router]]
-    rg = topo.router_graph()
+    geometry = topo.geometry()
+    succ, pred = geometry.succ, geometry.pred
     if exclude_links:
-        rg = nx.restricted_view(rg, (), exclude_links)
-    routes: list[list[str]] = []
-    cap = max(32, 4 * k)
-    try:
-        generator: Iterator[list[str]] = nx.shortest_simple_paths(
-            rg, src_router, dst_router)
-        for routers in generator:
-            if len(routes) >= k and len(routers) > len(routes[k - 1]):
-                break  # past the tie group of the k-th path
-            routes.append(routers)
-            if len(routes) >= cap:
-                break
-    except nx.NetworkXNoPath:
+        succ = {u: [v for v in vs if (u, v) not in exclude_links]
+                for u, vs in succ.items()}
+        pred = {v: [u for u in us if (u, v) not in exclude_links]
+                for v, us in pred.items()}
+    to_dst = hop_distances(pred, dst_router)
+    if src_router not in to_dst:
         raise TopologyError(
             f"no router path from {src_router!r} to {dst_router!r}")
-    routes.sort(key=lambda r: (len(r), r))
-    return routes[:k]
+    routes: list[list[str]] = []
+    route = [src_router]
+
+    def walk(hops_left: int) -> bool:
+        """Collect, in name order, the routes that extend ``route`` to
+        the destination in exactly ``hops_left`` hops; True once ``k``
+        are held."""
+        for nxt in succ[route[-1]]:
+            # One hop is spent stepping there: the destination must be
+            # within the rest (an unreachable router never is).
+            if to_dst.get(nxt, hops_left) >= hops_left or nxt in route:
+                continue
+            if nxt == dst_router:
+                if hops_left == 1:
+                    routes.append([*route, nxt])
+                    if len(routes) == k:
+                        return True
+                continue
+            route.append(nxt)
+            full = walk(hops_left - 1)
+            route.pop()
+            if full:
+                return True
+        return False
+
+    # A loop-free route visits each router once: at most len(succ) - 1 hops.
+    for hops in range(to_dst[src_router], len(succ)):
+        if walk(hops):
+            break
+    return routes
 
 
 def k_shortest_paths(topo: Topology, src_ni: str, dst_ni: str,
@@ -158,17 +182,53 @@ def weighted_shortest_path(topo: Topology, src_ni: str, dst_ni: str,
     dst_router = topo.attached_router(dst_ni)
     if src_router == dst_router:
         return make_path(topo, src_ni, [src_router], dst_ni)
-    rg = topo.router_graph()
-
-    def weight(u: str, v: str, _d: Mapping[str, object]) -> float:
-        return 1.0 + link_weight((u, v))
-
-    try:
-        routers = nx.shortest_path(rg, src_router, dst_router, weight=weight)
-    except nx.NetworkXNoPath:
-        raise TopologyError(
-            f"no router path from {src_router!r} to {dst_router!r}")
-    return make_path(topo, src_ni, routers, dst_ni)
+    geometry = topo.geometry()
+    # Bidirectional Dijkstra.  Which of several equal-cost routes wins is
+    # decided by the visiting order — directions alternate, equal
+    # distances leave the heap in the order they entered it, neighbours
+    # are relaxed in name order — and early in an allocation most links
+    # weigh exactly 1.0, so that order picks the candidate the allocator
+    # tries first: it is part of every allocation's identity.
+    neighbours = (geometry.succ, geometry.pred)
+    settled: tuple[dict[str, float], ...] = ({}, {})
+    seen = ({src_router: 0}, {dst_router: 0})
+    parent = ({src_router: None}, {dst_router: None})
+    fringe = ([(0, 0, src_router)], [(0, 1, dst_router)])
+    pushed = 2
+    best = meeting = None
+    side = 1
+    while fringe[0] and fringe[1]:
+        side = 1 - side
+        dist, _, node = heappop(fringe[side])
+        if node in settled[side]:
+            continue
+        settled[side][node] = dist
+        if node in settled[1 - side]:
+            routers = [meeting]
+            while (step := parent[0][routers[-1]]) is not None:
+                routers.append(step)
+            routers.reverse()
+            while (step := parent[1][routers[-1]]) is not None:
+                routers.append(step)
+            return make_path(topo, src_ni, routers, dst_ni)
+        for near in neighbours[side][node]:
+            length = dist + (1.0 + link_weight(
+                (node, near) if side == 0 else (near, node)))
+            if near in settled[side]:
+                if length < settled[side][near]:
+                    raise ValueError(
+                        "contradictory paths found: negative link weight?")
+            elif near not in seen[side] or length < seen[side][near]:
+                seen[side][near] = length
+                heappush(fringe[side], (length, pushed, near))
+                pushed += 1
+                parent[side][near] = node
+                if near in seen[1 - side]:
+                    through = length + seen[1 - side][near]
+                    if best is None or best > through:
+                        best, meeting = through, near
+    raise TopologyError(
+        f"no router path from {src_router!r} to {dst_router!r}")
 
 
 def merge_load_aware(paths: list[Path], weighted: Path) -> list[Path]:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nx_oracle import library_k_shortest_paths
 from repro.core.allocation import (PATH_CANDIDATES, Allocation,
                                    AllocatorOptions, ChannelAllocation,
                                    RouteCandidate, SlotAllocator,
@@ -24,8 +24,9 @@ from repro.service.qos import DEFAULT_CLASSES, QosClass
 from repro.telemetry import Telemetry
 from repro.topology.builders import (concentrated_mesh, line, mesh, ring,
                                      single_router, torus)
+from repro.topology.graph import Link, Topology
 from repro.topology.mapping import Mapping, round_robin
-from repro.topology.routing import k_shortest_paths
+from repro.topology.routing import k_shortest_paths, k_shortest_routes
 
 
 def _allocator(topo, table_size=16, frequency_hz=500e6, **kw):
@@ -454,17 +455,6 @@ class TestOnePlacementPath:
 
 # -- route geometry is computed once -------------------------------------------
 
-def _reference_router_graph(topo):
-    """``Topology.router_graph()`` before it was memoised: rebuilt from a
-    sort of every link on each call, private to the caller."""
-    rg = nx.DiGraph()
-    rg.add_nodes_from(topo.routers)
-    for link in topo.links:
-        if rg.has_node(link.src) and rg.has_node(link.dst):
-            rg.add_edge(link.src, link.dst, link=link)
-    return rg
-
-
 BUILDERS = st.one_of(
     st.builds(lambda c, r, n, s: mesh(c, r, nis_per_router=n,
                                       pipeline_stages=s),
@@ -485,8 +475,9 @@ BUILDERS = st.one_of(
 
 class TestRouteGeometryOnce:
     """One k-shortest search per router pair and one hop tuple per path
-    serve every NI pair and every requirement — with the answers the
-    per-call rebuild and the per-quote arithmetic gave."""
+    serve every NI pair, every requirement and every allocator over the
+    topology — with the answers the per-call library search and the
+    per-quote arithmetic gave."""
 
     SIZE = 8
 
@@ -507,12 +498,13 @@ class TestRouteGeometryOnce:
         pairs = [(a, b) for a in nis for b in nis if a != b]
         cached = {pair: allocator.shortest_candidates(*pair)
                   for pair in pairs}
-        # From here on every search rebuilds its graph the old way.
-        topo.router_graph = lambda: _reference_router_graph(topo)
         allocation = Allocation(topo, self.SIZE, 500e6, fmt)
         for index, (src, dst) in enumerate(pairs):
+            # Searched per call, through networkx, on a graph rebuilt
+            # from a sort of every link.
             reference = [
-                p for p in k_shortest_paths(topo, src, dst, PATH_CANDIDATES)
+                p for p in library_k_shortest_paths(topo, src, dst,
+                                                    PATH_CANDIDATES)
                 if len(p.out_ports) <= fmt.max_hops]
             paths = cached[src, dst]
             assert [(p.source, p.dest, p.routers, p.links, p.link_shifts)
@@ -592,6 +584,107 @@ class TestRouteGeometryOnce:
         assert searches() == before
         assert tel.value("allocator.kpath_cache",
                          outcome="miss") == assembled
+
+    def test_second_allocator_over_one_topology_searches_nothing(
+            self, monkeypatch):
+        """Geometry lives with the topology's revision: any allocator
+        built over it later — another frequency, another table size —
+        finds the routes and paths the first one left, and still quotes
+        at its own operating point."""
+        searched = []
+
+        def counting(topo, *args, **kwargs):
+            searched.append(args)
+            return k_shortest_routes(topo, *args, **kwargs)
+
+        monkeypatch.setattr("repro.core.allocation.k_shortest_routes",
+                            counting)
+        topo = concentrated_mesh(2, 2, nis_per_router=2)
+        pairs = [(a, b) for a in topo.nis for b in topo.nis if a != b]
+        tel = Telemetry()
+        first = _allocator(topo, telemetry=tel)
+        held = {pair: first.shortest_candidates(*pair) for pair in pairs}
+        assert 0 < len(searched) <= len(topo.routers) ** 2
+        expansions = tel.value("allocator.kshortest_expansions")
+        assert expansions == len(searched)
+        del searched[:]
+        spec = ChannelSpec("c", "a", "b", 120 * MB, max_latency_ns=300.0)
+        second = _allocator(topo, table_size=32, frequency_hz=250e6,
+                            telemetry=tel)
+        for pair in pairs:
+            assert second.shortest_candidates(*pair) is held[pair]
+            assert second.shortest_candidates(*pair) == \
+                tuple(k_shortest_paths(topo, *pair, PATH_CANDIDATES))
+            ours, theirs = (a.route_quotes(*pair, spec)
+                            for a in (second, first))
+            assert [q.path for q in ours] == [q.path for q in theirs]
+            assert [q.n_slots for q in ours] != [q.n_slots for q in theirs]
+        assert searched == []
+        assert tel.value("allocator.kshortest_expansions") == expansions
+        assert tel.value("allocator.kpath_cache",
+                         outcome="miss") == len(pairs)
+
+    def test_hop_budgets_keep_their_own_candidates(self):
+        """Paths are filtered by the header's hop budget, so two formats
+        over one topology must not read each other's."""
+        topo = line(9, nis_per_router=1)
+        narrow = _allocator(topo)
+        wide = _allocator(topo, fmt=WordFormat(data_width=64))
+        assert (narrow.fmt.max_hops, wide.fmt.max_hops) == (7, 18)
+        far = ("ni0_0_0", "ni8_0_0")
+        near = ("ni0_0_0", "ni6_0_0")
+        assert narrow.shortest_candidates(*far) == ()
+        reached, = wide.shortest_candidates(*far)
+        assert len(reached.out_ports) == 9
+        assert narrow.shortest_candidates(*far) == ()
+        assert wide.shortest_candidates(*near) == \
+            narrow.shortest_candidates(*near) != ()
+        assert _allocator(topo).shortest_candidates(*far) == ()
+        assert _allocator(topo, fmt=WordFormat(data_width=64)
+                          ).shortest_candidates(*far) == (reached,)
+
+    def test_every_structural_write_starts_a_new_store(self):
+        """After each writer — `_connect_explicit` is `from_dict`'s — a
+        new allocator sees what one over a rebuilt copy of the topology
+        sees, and the allocator from before the write is refused."""
+        topo = mesh(2, 2, nis_per_router=1)
+        mapping = Mapping({"a": "ni0_0_0", "b": "ni1_1_0"})
+        spec = ChannelSpec("c", "a", "b", 50 * MB)
+        pairs = [(a, b) for a in topo.nis for b in topo.nis if a != b]
+
+        def candidates(over):
+            allocator = _allocator(over)
+            return allocator, {
+                pair: [(p.routers, p.links, p.link_shifts)
+                       for p in allocator.shortest_candidates(*pair)]
+                for pair in pairs}
+
+        def hub():
+            topo.add_router("hub")
+            topo.connect_bidir("r0_0", "hub")
+            topo.connect_bidir("hub", "r1_1")
+
+        diagonal = Link("r0_1", "r1_0", src_port=3, dst_port=3,
+                        pipeline_stages=1)
+        seen = []
+        previous, _ = candidates(topo)
+        for write in (hub,
+                      lambda: topo.connect("r1_0", "r0_1"),
+                      lambda: topo.set_pipeline_stages("r0_0", "hub", 2),
+                      lambda: topo._connect_explicit(diagonal)):
+            geometry = topo.geometry()
+            write()
+            assert topo.geometry() is not geometry
+            with pytest.raises(ConfigurationError,
+                               match="modified after this allocator"):
+                previous.allocate([spec], mapping)
+            previous, found = candidates(topo)
+            assert found == candidates(
+                Topology.from_dict(topo.to_dict()))[1]
+            assert found not in seen
+            seen.append(found)
+            previous.allocate([spec], mapping).validate()
+        assert topo.link("r0_1", "r1_0") == diagonal
 
     def test_edited_topology_is_refused_not_quoted_stale(self):
         """An allocator's routes describe the fabric it was built on: a

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-import networkx as nx
+import copy
+import pickle
+
 import pytest
 
+from repro.core.allocation import SlotAllocator
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import TopologyError
 from repro.core.path import make_path
@@ -110,62 +113,73 @@ class TestTopologyGraph:
 
 
 class TestRouterGraphMemo:
-    """`router_graph()` is built once per revision, shared and frozen:
+    """`geometry()` is built once per revision, shared and read-only:
     it can neither go stale nor be edited."""
 
     SRC, DST = "ni0_0_0", "ni1_1_0"
 
     def test_built_once_until_a_write(self):
         topo = mesh(2, 2, nis_per_router=1)
-        assert topo.router_graph() is topo.router_graph()
+        assert topo.geometry() is topo.geometry()
 
     def test_new_router_and_links_are_seen_after_a_read(self):
         topo = mesh(2, 2, nis_per_router=1)
-        before = topo.router_graph()
+        before = topo.geometry()
         assert len(k_shortest_paths(topo, self.SRC, self.DST, 4)) == 2
         topo.add_router("hub")
         topo.connect_bidir("r0_0", "hub")
         topo.connect_bidir("hub", "r1_1")
-        after = topo.router_graph()
+        after = topo.geometry()
         assert after is not before
-        assert "hub" in after and after.has_edge("hub", "r1_1")
-        assert "hub" not in before
+        assert after.succ["hub"] == ("r0_0", "r1_1") == after.pred["hub"]
+        assert "hub" in after.succ["r0_0"] and "hub" in after.neighbours["r1_1"]
+        assert "hub" not in before.succ and "hub" not in before.succ["r0_0"]
         routes = [p.routers for p in
                   k_shortest_paths(topo, self.SRC, self.DST, 4)]
         assert ("r0_0", "hub", "r1_1") in routes and len(routes) == 3
 
     def test_set_pipeline_stages_is_seen_after_a_read(self):
         topo = mesh(2, 1, nis_per_router=1)
-        assert topo.router_graph().edges["r0_0", "r1_0"][
-            "link"].pipeline_stages == 0
+        before = topo.geometry()
         first, = k_shortest_paths(topo, "ni0_0_0", "ni1_0_0", 4)
         assert first.link_shifts == (0, 1, 2)
         topo.set_pipeline_stages("r0_0", "r1_0", 2)
-        assert topo.router_graph().edges["r0_0", "r1_0"][
-            "link"].pipeline_stages == 2
+        assert topo.geometry() is not before
+        assert topo.link("r0_0", "r1_0").pipeline_stages == 2
         second, = k_shortest_paths(topo, "ni0_0_0", "ni1_0_0", 4)
         assert second.link_shifts == (0, 1, 4)
 
     def test_returned_graph_is_frozen(self):
-        rg = mesh(2, 2, nis_per_router=1).router_graph()
-        assert nx.is_frozen(rg)
-        for edit in (lambda: rg.remove_edge("r0_0", "r0_1"),
-                     lambda: rg.remove_edges_from([("r0_0", "r0_1")]),
-                     lambda: rg.add_edge("r0_0", "r1_1"),
-                     lambda: rg.add_node("x"),
-                     lambda: rg.remove_node("r0_0")):
-            with pytest.raises(nx.NetworkXError):
-                edit()
+        geometry = mesh(2, 2, nis_per_router=1).geometry()
+        for adjacency in (geometry.succ, geometry.pred, geometry.neighbours):
+            assert adjacency["r0_0"] == ("r0_1", "r1_0")
+            for edit in (lambda: adjacency.pop("r0_0"),
+                         lambda: adjacency.update(x=()),
+                         lambda: adjacency.__setitem__("r0_0", ("r1_1",)),
+                         lambda: adjacency.__delitem__("r0_0"),
+                         lambda: adjacency["r0_0"].remove("r0_1"),
+                         lambda: adjacency["r0_0"].__setitem__(0, "r1_1")):
+                with pytest.raises((TypeError, AttributeError)):
+                    edit()
+            assert adjacency["r0_0"] == ("r0_1", "r1_0")
 
     def test_excluded_search_writes_nothing(self):
         topo = mesh(2, 2, nis_per_router=1)
         full = [p.routers for p in
                 k_shortest_paths(topo, self.SRC, self.DST, 4)]
+        held = SlotAllocator(topo, table_size=8, frequency_hz=500e6
+                             ).shortest_candidates(self.SRC, self.DST)
+        geometry = topo.geometry()
+        assert [p.routers for p in held] == full
+        stored = repr((geometry.routes, geometry.paths))
+        assert "r0_1" in stored
         cut = frozenset({("r0_0", "r0_1")})
         assert [p.routers for p in k_shortest_paths(
             topo, self.SRC, self.DST, 4, exclude_links=cut)] == [
                 ("r0_0", "r1_0", "r1_1")]
-        assert topo.router_graph().has_edge("r0_0", "r0_1")
+        assert topo.geometry() is geometry
+        assert "r0_1" in geometry.succ["r0_0"]
+        assert repr((geometry.routes, geometry.paths)) == stored
         assert [p.routers for p in
                 k_shortest_paths(topo, self.SRC, self.DST, 4)] == full
         assert k_shortest_routes(topo, "r0_0", "r1_1", 4) == [
@@ -190,7 +204,7 @@ class TestRouterGraphMemo:
 
         def reads_and_refused_writes():
             topo.validate()
-            topo.router_graph()
+            topo.geometry()
             topo.links, topo.routers, topo.nis, topo.to_dict()
             k_shortest_paths(topo, "n", "n", 2,
                              exclude_links=frozenset({("a", "b")}))
@@ -206,6 +220,68 @@ class TestRouterGraphMemo:
         assert bump(reads_and_refused_writes) == 0
         with pytest.raises(AttributeError):
             topo.revision = 0
+
+    def test_a_copy_starts_cold_and_whole(self):
+        """The geometry is derived: a pickled or deep-copied topology
+        carries the structure and rebuilds the rest."""
+        topo = mesh(2, 2, nis_per_router=1, pipeline_stages=1)
+        topo.geometry()
+        for clone in (pickle.loads(pickle.dumps(topo)),
+                      copy.deepcopy(topo)):
+            assert clone.to_dict() == topo.to_dict()
+            assert clone.revision == topo.revision
+            assert clone.geometry() is not topo.geometry()
+            assert clone.geometry().succ == topo.geometry().succ
+
+
+class TestUnknownEndpoints:
+    """Every public entry refuses a name the topology does not hold with
+    its own error, whatever container sits underneath."""
+
+    def test_unknown_node_is_a_topology_error(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        for ask in (
+                lambda: k_shortest_routes(topo, "nope", "r0_0", 2),
+                lambda: k_shortest_routes(topo, "r0_0", "nope", 2),
+                lambda: k_shortest_routes(topo, "nope", "nope", 2),
+                lambda: k_shortest_paths(topo, "nope", "ni0_0_0", 2),
+                lambda: weighted_shortest_path(topo, "ni0_0_0", "nope",
+                                               lambda key: 0.0),
+                lambda: xy_route(topo, "r0_0", "nope"),
+                lambda: xy_path(topo, "nope", "ni0_0_0"),
+                lambda: router_coords(topo, "nope"),
+                lambda: topo.neighbor_on_port("nope", 0),
+                lambda: topo.successors("nope"),
+                lambda: topo.predecessors("nope"),
+                lambda: topo.arity("nope"),
+                lambda: topo.nis_of_router("nope"),
+                lambda: topo.attached_router("nope"),
+                lambda: topo.kind("nope"),
+                lambda: topo.node_attrs("nope"),
+                lambda: topo.connect("r0_0", "nope"),
+                lambda: topo.connect("nope", "r0_0")):
+            with pytest.raises(TopologyError, match="unknown node 'nope'"):
+                ask()
+        for ask in (lambda: topo.link("nope", "r0_0"),
+                    lambda: topo.out_port("r0_0", "nope"),
+                    lambda: topo.set_pipeline_stages("nope", "r0_0", 1)):
+            with pytest.raises(TopologyError, match="no link"):
+                ask()
+        assert not topo.has_link("nope", "r0_0")
+        assert not topo.has_link("r0_0", "nope")
+
+    def test_an_ni_is_not_a_route_endpoint(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        for ask in (lambda: k_shortest_routes(topo, "ni0_0_0", "r1_1", 2),
+                    lambda: k_shortest_routes(topo, "r0_0", "ni1_1_0", 2),
+                    lambda: k_shortest_routes(topo, "ni0_0_0", "ni0_0_0", 2),
+                    lambda: topo.arity("ni0_0_0"),
+                    lambda: topo.nis_of_router("ni0_0_0")):
+            with pytest.raises(TopologyError,
+                               match="'ni\\d_\\d_0' is not a router"):
+                ask()
+        with pytest.raises(TopologyError, match="no output port 3"):
+            topo.neighbor_on_port("r0_0", 3)
 
 
 class TestBuilders:
