@@ -237,14 +237,14 @@ class BeNetworkSimulator:
         fmt = self.fmt
         flit_size = fmt.flit_size
         # With numpy present, each pattern's arrival stream is compiled
-        # once at the full horizon into the shared flat representation
+        # once, as far as its longest interval reads, into the shared
+        # flat representation
         # (:func:`repro.simulation.compiled.pattern_slice`) and each
         # incarnation takes a prefix slice — the same tables the flit
         # executor runs on, instead of re-expanding ``events()`` per
         # interval.
         use_tables = _compiled.numpy_available()
         table_cache: dict = {}
-        full_horizon_cycles = n_ticks * flit_size
         arrivals: dict[str, list[tuple[int, BePacket]]] = {}
         sources: dict[str, str] = {}
         for name, intervals in channel_intervals.items():
@@ -261,10 +261,11 @@ class BeNetworkSimulator:
                 span = end - start
                 if pattern is None or span <= 0:
                     continue
+                lifetime_cycles = span * flit_size
                 if use_tables:
                     table, count = _compiled.pattern_slice(
-                        table_cache, pattern, full_horizon_cycles,
-                        span * flit_size, fmt)
+                        table_cache, pattern, lifetime_cycles,
+                        lifetime_cycles, fmt)
                     rows = zip((start + table.ready[:count]).tolist(),
                                table.cycles[:count].tolist(),
                                table.words[:count].tolist(),
@@ -272,7 +273,7 @@ class BeNetworkSimulator:
                 else:
                     rows = ((start + -(-e.cycle // flit_size), e.cycle,
                              e.words, e.message_id)
-                            for e in pattern.events(span * flit_size))
+                            for e in pattern.events(lifetime_cycles))
                 base_cycle = start * flit_size
                 out_ports = ca.path.out_ports
                 for tick, cycle, words, mid in rows:

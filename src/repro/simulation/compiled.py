@@ -11,9 +11,11 @@ The compiled representation has three layers:
 * :class:`PatternTable` — one traffic pattern's arrival stream as flat
   ``int64`` arrays (cycle, words, message id, ready slot, flits per
   message, running flit count).  Tables are compiled once per pattern
-  object at the full run horizon and *prefix-sliced* per channel
-  incarnation, so a timeline that restarts a channel hundreds of times
-  pays for its arrival arithmetic once.
+  object, as far as its longest incarnation can read, and
+  *prefix-sliced* per channel incarnation, so a timeline that restarts a
+  channel hundreds of times pays for its arrival arithmetic once and a
+  session that lives for a hundredth of the run allocates a hundredth
+  of its arrivals.
 * the **interval recurrence** (:func:`_run_interval`) — a channel's
   behaviour over one active span ``[start, end)``.  Contention-freedom
   makes each channel independent, so a whole incarnation (spanning any
@@ -86,7 +88,7 @@ __all__ = ["numpy_available", "PatternTable", "compile_pattern",
            "execute"]
 
 #: Patterns whose ``events(h)`` is a prefix of ``events(H)`` for h <= H,
-#: so one full-horizon table serves every incarnation by slicing.
+#: so the table of the longest incarnation serves every other by slicing.
 _PREFIX_STABLE = (ConstantBitRate, PeriodicBurst, BernoulliMessages,
                   Replay, Saturating)
 
@@ -109,8 +111,9 @@ class PatternTable:
     the reference) and ``flits_before`` its exclusive running sum.
     """
 
-    __slots__ = ("cycles", "words", "mids", "ready", "ready_running",
-                 "flits", "flits_before", "horizon_cycles")
+    COLUMNS = ("cycles", "words", "mids", "ready", "ready_running",
+               "flits", "flits_before")
+    __slots__ = COLUMNS + ("horizon_cycles",)
 
     def __init__(self, cycles, words, mids, horizon_cycles: int,
                  flit_size: int, payload_per_flit: int):
@@ -131,6 +134,11 @@ class PatternTable:
         """Number of events with ``cycle < horizon_cycles``."""
         return int(_np.searchsorted(self.cycles, horizon_cycles,
                                     side="left"))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the seven columns."""
+        return sum(getattr(self, name).nbytes for name in self.COLUMNS)
 
 
 def compile_pattern(pattern: TrafficPattern, horizon_cycles: int,
@@ -190,39 +198,45 @@ def compile_pattern(pattern: TrafficPattern, horizon_cycles: int,
 
 
 def pattern_slice(cache: dict, pattern: TrafficPattern,
-                  full_horizon_cycles: int, wanted_horizon_cycles: int,
+                  lifetime_cycles: int, events_horizon_cycles: int,
                   fmt: "WordFormat",
                   stats: dict | None = None) -> tuple[PatternTable, int]:
-    """A pattern's table plus its event count before a wanted horizon.
+    """A pattern's table plus its event count within one incarnation.
 
-    Prefix-stable patterns are compiled once at the full run horizon and
-    cached by object identity (the cache entry pins the pattern object
-    so ids cannot be recycled); other patterns are compiled exactly at
-    the wanted horizon, mirroring the reference's per-incarnation
-    ``events()`` call.
+    An incarnation ``lifetime_cycles`` long can inject nothing that
+    arrives at or after that cycle: such an event is ready no earlier
+    than the incarnation's end, so every reserved slot it could use lies
+    past the last one the incarnation owns.  Prefix-stable patterns are
+    therefore compiled only that far, cached by object identity (the
+    cache entry pins the pattern object so ids cannot be recycled) and
+    recompiled only when a later incarnation of the same object is
+    longer; other patterns are compiled at ``events_horizon_cycles``,
+    the horizon the caller's scalar reference hands ``events()``, and
+    only the count read from them stops at the lifetime.
 
     ``stats``, when given, tallies ``pattern_compiles`` (full
-    :func:`compile_pattern` runs) vs. ``pattern_slices`` (cache hits
+    :func:`compile_pattern` runs, with the ``table_events`` and
+    ``table_bytes`` they allocated) vs. ``pattern_slices`` (cache hits
     answered by a binary-search prefix slice).
     """
-    if isinstance(pattern, _PREFIX_STABLE):
-        key = id(pattern)
-        entry = cache.get(key)
-        if entry is None or entry[1].horizon_cycles < full_horizon_cycles:
-            entry = (pattern,
-                     compile_pattern(pattern, full_horizon_cycles, fmt))
-            cache[key] = entry
-            if stats is not None:
-                stats["pattern_compiles"] = \
-                    stats.get("pattern_compiles", 0) + 1
-        elif stats is not None:
-            stats["pattern_slices"] = stats.get("pattern_slices", 0) + 1
+    stable = isinstance(pattern, _PREFIX_STABLE)
+    entry = cache.get(id(pattern)) if stable else None
+    if entry is not None and entry[1].horizon_cycles >= lifetime_cycles:
         table = entry[1]
-        return table, table.count_until(wanted_horizon_cycles)
-    if stats is not None:
-        stats["pattern_compiles"] = stats.get("pattern_compiles", 0) + 1
-    table = compile_pattern(pattern, wanted_horizon_cycles, fmt)
-    return table, table.cycles.size
+        if stats is not None:
+            stats["pattern_slices"] = stats.get("pattern_slices", 0) + 1
+    else:
+        table = compile_pattern(
+            pattern, lifetime_cycles if stable else events_horizon_cycles,
+            fmt)
+        if stable:
+            cache[id(pattern)] = (pattern, table)
+        if stats is not None:
+            for key, amount in (("pattern_compiles", 1),
+                                ("table_events", table.cycles.size),
+                                ("table_bytes", table.nbytes)):
+                stats[key] = stats.get(key, 0) + amount
+    return table, table.count_until(lifetime_cycles)
 
 
 class _IntervalRun:
@@ -258,13 +272,17 @@ class _IntervalRun:
             self._last_slots = self._slots_of(self.base + last)
         return self._last_slots
 
+    def trace_columns(self):
+        """The trace as ``(message ids, injection slots, delivery
+        cycles)`` arrays, one entry per completed message."""
+        last = self.last_slots()
+        return (self.table.mids[:self.count][self.completed], last,
+                (last + self.traversal_slots) * self.flit_size)
+
     def trace_events(self) -> list[tuple[int, int, int]]:
         """``(message_id, injection_slot, delivery_cycle)`` tuples."""
-        last = self.last_slots()
-        delivered = (last + self.traversal_slots) * self.flit_size
-        mids = self.table.mids[:self.count][self.completed]
-        return list(zip(mids.tolist(), last.tolist(),
-                        delivered.tolist()))
+        return list(zip(*(column.tolist()
+                          for column in self.trace_columns())))
 
     def latencies_ns(self) -> list[float]:
         """Delivery latencies, identical floats to the record path."""
@@ -522,9 +540,9 @@ class CompiledTraceRecorder(TraceRecorder):
     """Composability trace backed by interval arrays.
 
     Traces materialise per channel on first access and are byte-equal
-    to the reference recorder's tuples, so
-    :meth:`~repro.simulation.monitors.TraceRecorder.agreement` and the
-    dynamic composability check work unchanged.
+    to the reference recorder's tuples.  :meth:`agreement` between two
+    compiled recorders never asks for them: it compares the same three
+    fields of every event, in order, on the arrays.
     """
 
     def __init__(self):
@@ -559,6 +577,35 @@ class CompiledTraceRecorder(TraceRecorder):
         names = set(self._runs)
         names.update(n for n, events in self._events.items() if events)
         return tuple(sorted(names))
+
+    def _columns(self, name: str):
+        """One channel's trace as three arrays while its runs are all
+        there is to it; ``None`` once it has an event list (expanded,
+        or appended to by hand) and the tuples are the truth."""
+        if name in self._events:
+            return None
+        columns = [run.trace_columns() for run in self._runs.get(name, ())]
+        if len(columns) == 1:
+            return columns[0]
+        if not columns:
+            return (_np.empty(0, _np.int64),) * 3
+        return tuple(_np.concatenate(parts) for parts in zip(*columns))
+
+    def agreement(self, other: TraceRecorder, channels):
+        """``(identical, diverged)`` as the base class defines them;
+        against another compiled recorder, decided on the arrays."""
+        if not isinstance(other, CompiledTraceRecorder):
+            return super().agreement(other, channels)
+        identical: list[str] = []
+        diverged: list[str] = []
+        for channel in channels:
+            mine, theirs = self._columns(channel), other._columns(channel)
+            if mine is None or theirs is None:
+                matched = self.trace(channel) == other.trace(channel)
+            else:
+                matched = all(map(_np.array_equal, mine, theirs))
+            (identical if matched else diverged).append(channel)
+        return tuple(identical), tuple(diverged)
 
 
 # -- epoch-level contention check ------------------------------------------------
@@ -604,6 +651,8 @@ def _finish_executor_stats(tel, exec_stats: dict, n_slots: int,
         exec_stats.get("pattern_compiles", 0))
     tel.counter("executor.pattern_table", outcome="slice").inc(
         exec_stats.get("pattern_slices", 0))
+    tel.counter("executor.pattern_table_bytes").inc(
+        exec_stats.get("table_bytes", 0))
     tel.counter("executor.interval_runs").inc(
         exec_stats.get("interval_runs", 0))
     from repro.simulation.flitsim import record_epoch_spans
@@ -642,7 +691,6 @@ def execute(sim: "FlitLevelSimulator",
     flits: dict[str, int] = {}
     cache: dict = {}
     active: dict[str, tuple[int, "ChannelAllocation"]] = {}
-    full_horizon_cycles = n_slots * flit_size
     tel = sim.telemetry
     batch_hist = tel.histogram("executor.interval_batch_messages",
                                bounds=_BATCH_BUCKETS)
@@ -666,7 +714,7 @@ def execute(sim: "FlitLevelSimulator",
         if pattern is None:
             return
         table, count = pattern_slice(
-            cache, pattern, full_horizon_cycles,
+            cache, pattern, (end - start) * flit_size,
             (n_slots - start) * flit_size, fmt, exec_stats)
         run = _run_interval(name, table, count, start, end, alloc,
                             table_size, flit_size, period_ps,

@@ -18,7 +18,8 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import (ConfigurationError,
+                                   require_finite_positive)
 from repro.core.words import WordFormat
 from repro.ni.packetizer import TxMessage
 
@@ -37,7 +38,12 @@ class MessageEvent:
 
 
 class TrafficPattern(ABC):
-    """Deterministic message-arrival schedule for one channel."""
+    """Deterministic message-arrival schedule for one channel.
+
+    Cycles count from the channel's start, so no built-in pattern
+    accepts an arrival before cycle 0: the executors would charge the
+    wait since before the channel existed to the NoC's latency.
+    """
 
     @abstractmethod
     def events(self, horizon_cycles: int) -> list[MessageEvent]:
@@ -58,10 +64,10 @@ class ConstantBitRate(TrafficPattern):
 
     def __init__(self, message_words: int, interval_cycles: float, *,
                  offset_cycles: int = 0):
-        if message_words < 1:
-            raise ConfigurationError("message_words must be >= 1")
-        if interval_cycles <= 0:
-            raise ConfigurationError("interval_cycles must be positive")
+        if message_words < 1 or message_words % 1:
+            raise ConfigurationError(
+                "message_words must be a whole number >= 1")
+        require_finite_positive("interval_cycles", interval_cycles)
         if offset_cycles < 0:
             raise ConfigurationError("offset_cycles must be >= 0")
         self.message_words = message_words
@@ -77,8 +83,8 @@ class ConstantBitRate(TrafficPattern):
         The default message size is one flit's worth of payload, matching
         the allocator's conservative accounting.
         """
-        if throughput_bytes_per_s <= 0:
-            raise ConfigurationError("throughput must be positive")
+        require_finite_positive("throughput_bytes_per_s",
+                                throughput_bytes_per_s)
         words = message_words or fmt.payload_words_per_flit
         bytes_per_message = words * fmt.bytes_per_word
         interval = frequency_hz * bytes_per_message / throughput_bytes_per_s
@@ -105,6 +111,8 @@ class PeriodicBurst(TrafficPattern):
         if burst_messages < 1 or message_words < 1 or period_cycles < 1:
             raise ConfigurationError(
                 "burst_messages, message_words and period_cycles must be >= 1")
+        if offset_cycles < 0:
+            raise ConfigurationError("offset_cycles must be >= 0")
         self.burst_messages = burst_messages
         self.message_words = message_words
         self.period_cycles = period_cycles
@@ -160,6 +168,9 @@ class Replay(TrafficPattern):
         if ordered != list(events):
             raise ConfigurationError(
                 "replay events must be sorted by (cycle, message_id)")
+        if ordered and ordered[0].cycle < 0:
+            raise ConfigurationError(
+                "replay events must not arrive before cycle 0")
         self._events = list(events)
 
     def events(self, horizon_cycles: int) -> list[MessageEvent]:

@@ -30,3 +30,18 @@ def test_every_bench_file_collects():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     for path in BENCH_FILES:
         assert f"{path.name}::test_" in proc.stdout, path.name
+
+
+def test_mem_phases_probe_runs_on_the_pipeline():
+    """``tools/mem_phases.py`` is how a footprint claim is re-measured:
+    it must keep running against the benchmark's own workload code."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mem_phases.py"),
+         "pipeline", "--smoke"],
+        capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = {line.split()[0]: line.split() for line in
+            proc.stdout.splitlines()[1:]}
+    assert "pass" in rows and "simulation.backend.flit_run" in rows
+    before, arrow, after, peak = rows["pass"][1:]
+    assert arrow == "->" and float(peak) >= float(after) >= float(before)

@@ -8,6 +8,7 @@ Because the logical flit schedule is the paper's composability currency,
 "equivalent" here means byte-identical, not statistically close.
 """
 
+import copy
 import random
 
 import pytest
@@ -17,17 +18,20 @@ from hypothesis import strategies as st
 from repro.campaign.spec import WorkloadSpec
 from repro.core.configuration import configure
 from repro.core.exceptions import ConfigurationError
-from repro.core.timeline import replay_configuration
+from repro.core.allocation import ChannelAllocation
+from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
+                                 replay_configuration)
 from repro.faults.model import FaultSchedule, FaultSpec
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService, merge_events
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.compiled import numpy_available
-from repro.simulation.composability import replay_traffic
+from repro.simulation.composability import replay_traffic, verify_timeline
 from repro.simulation.flitsim import FlitLevelSimulator
-from repro.simulation.monitors import StatsCollector
+from repro.simulation.monitors import (ChannelStats, StatsCollector,
+                                       TraceRecorder)
 from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
-                                      MessageEvent, PeriodicBurst,
+                                      MessageEvent, PeriodicBurst, Replay,
                                       Saturating, TrafficPattern)
 from repro.topology.builders import concentrated_mesh, mesh, ring, torus
 
@@ -252,3 +256,317 @@ class TestConfigurationGuards:
         for name, pattern in _traffic(config, 1).items():
             sim.set_traffic(name, pattern)
         assert not sim.run(300).compiled
+
+
+# -- tables end with their incarnation (PR 22) ----------------------------------
+
+_FLIT_SIZE = 3  # WordFormat default; the strategies below need it early
+
+
+def _replay_events(pairs):
+    return Replay([MessageEvent(cycle, words, mid) for cycle, mid, words
+                   in sorted(pairs, key=lambda p: p[:2])])
+
+
+_BUILT_INS = st.one_of(
+    st.builds(ConstantBitRate, st.integers(1, 9),
+              st.floats(0.5, 200, allow_nan=False),
+              offset_cycles=st.integers(0, 50)),
+    st.builds(PeriodicBurst, st.integers(1, 4), st.integers(1, 9),
+              st.integers(1, 300), offset_cycles=st.integers(0, 50)),
+    st.builds(BernoulliMessages, st.floats(0, 1), st.integers(1, 9),
+              st.just(_FLIT_SIZE), seed=st.integers(0, 99)),
+    st.builds(_replay_events, st.lists(
+        st.tuples(st.integers(0, 800), st.integers(0, 40),
+                  st.integers(0, 9)),
+        max_size=30, unique_by=lambda p: p[:2])),
+    st.builds(Saturating, st.integers(1, 9), st.just(_FLIT_SIZE)))
+
+
+class _OneChannel:
+    """One real route, any slot set: a hand-built incarnation of one
+    channel for the executors and for ``_run_interval`` directly."""
+
+    TABLE_SIZE = 16
+
+    def __init__(self):
+        self.topology = mesh(2, 2, nis_per_router=2)
+        config = _config(self.topology, 1, n_channels=1)
+        (self.name, self.granted), = config.allocation.channels.items()
+        self.fmt = config.fmt
+        assert self.fmt.flit_size == _FLIT_SIZE
+        self.frequency_hz = config.frequency_hz
+
+    def allocation(self, slots):
+        return ChannelAllocation(self.granted.spec, self.granted.path,
+                                 tuple(sorted(slots)))
+
+    def timeline(self, n_slots, spans):
+        """``spans``: ``(start, end, slots)`` incarnations, in order."""
+        events = []
+        for start, end, slots in spans:
+            events.append(TimelineEvent(start, "start", "app",
+                                        (self.allocation(slots),)))
+            if end < n_slots:
+                events.append(TimelineEvent(end, "stop", "app"))
+        return ReconfigurationTimeline(
+            self.topology, events, horizon_slots=n_slots,
+            table_size=self.TABLE_SIZE, frequency_hz=self.frequency_hz,
+            fmt=self.fmt)
+
+    def run(self, timeline, pattern, **kwargs):
+        sim = FlitLevelSimulator(replay_configuration(timeline), **kwargs)
+        return sim.run_timeline(timeline, traffic={self.name: pattern})
+
+    def interval(self, table, count, start, end, slots):
+        from repro.simulation.compiled import _run_interval
+        return _run_interval(
+            self.name, table, count, start, end, self.allocation(slots),
+            self.TABLE_SIZE, self.fmt.flit_size,
+            round(1e12 / self.frequency_hz), self.fmt.bytes_per_word)
+
+
+def _records(run, name):
+    sink = ChannelStats(name)
+    if run is not None:
+        run.append_records(sink)
+    return sink.injections, sink.deliveries
+
+
+_INCARNATIONS = st.integers(1, 240).flatmap(
+    lambda n: st.integers(0, n - 1).flatmap(
+        lambda start: st.tuples(st.just(n), st.just(start),
+                                st.integers(start + 1, n))))
+_SLOT_SETS = st.sets(st.integers(0, _OneChannel.TABLE_SIZE - 1), min_size=1)
+
+
+@requires_numpy
+class TestTablesEndWithTheirIncarnation:
+    """A table compiled only as far as its incarnation reads gives the
+    run the full-horizon table gives, and both give the per-flit run."""
+
+    @pytest.fixture(scope="class")
+    def one(self):
+        return _OneChannel()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pattern=_BUILT_INS, incarnation=_INCARNATIONS, slots=_SLOT_SETS)
+    def test_bounded_equals_full_horizon_equals_per_flit(
+            self, one, pattern, incarnation, slots):
+        from repro.simulation.compiled import compile_pattern, pattern_slice
+        n_slots, start, end = incarnation
+        flit_size = one.fmt.flit_size
+        stats = {}
+        table, count = pattern_slice(
+            {}, pattern, (end - start) * flit_size,
+            (n_slots - start) * flit_size, one.fmt, stats)
+        assert table.horizon_cycles == (end - start) * flit_size
+        assert table.cycles.size == count == stats["table_events"]
+        assert stats["table_bytes"] == 7 * 8 * count
+        bounded = one.interval(table, count, start, end, slots)
+        # What the parent read: the whole run's table, every event that
+        # arrives before the run ends.
+        whole = compile_pattern(pattern, n_slots * flit_size, one.fmt)
+        full = one.interval(
+            whole, whole.count_until((n_slots - start) * flit_size),
+            start, end, slots)
+        assert (bounded is None) == (full is None)
+        if bounded is not None:
+            assert full.count >= count
+            for column in ("k", "actual", "completed"):
+                assert (getattr(bounded, column)
+                        == getattr(full, column)[:count]).all(), column
+            assert not full.actual[count:].any()
+            assert not full.completed[count:].any()
+            assert bounded.n_flits == full.n_flits
+            assert bounded.n_deliveries == full.n_deliveries
+            assert bounded.trace_events() == full.trace_events()
+        assert _records(bounded, one.name) == _records(full, one.name)
+        # The per-flit oracle on a timeline built from the same draws.
+        timeline = one.timeline(n_slots, [(start, end, slots)])
+        scalar = one.run(timeline, pattern, compiled=False)
+        channel = scalar.stats.channel(one.name)
+        assert _records(bounded, one.name) == (channel.injections,
+                                               channel.deliveries)
+        assert tuple(bounded.trace_events() if bounded else ()) == \
+            scalar.trace.trace(one.name)
+        _assert_equivalent(one.run(timeline, pattern), scalar)
+
+    @pytest.mark.parametrize("pattern", [
+        ConstantBitRate(2, 7.5), PeriodicBurst(2, 3, 40),
+        BernoulliMessages(0.5, 2, _FLIT_SIZE, seed=3),
+        _replay_events([(0, 0, 4), (9, 1, 4)]),
+        Saturating(2, _FLIT_SIZE), _Jittered(3, 20, 1)],
+        ids=lambda p: type(p).__name__)
+    def test_zero_length_incarnation_reads_nothing(self, one, pattern):
+        from repro.simulation.compiled import pattern_slice
+        table, count = pattern_slice({}, pattern, 0, 300, one.fmt)
+        assert count == 0
+        assert one.interval(table, count, 50, 50, {1, 5}) is None
+
+    @pytest.mark.parametrize("spans, compiles, slices", [
+        ([(10, 40, {2, 9}), (100, 400, {4})], 2, 0),   # grows once
+        ([(10, 310, {2, 9}), (350, 380, {4})], 1, 1),  # long one first
+    ], ids=["short-then-long", "long-then-short"])
+    def test_reused_pattern_object_grows_its_table_once(
+            self, one, spans, compiles, slices):
+        pattern = ConstantBitRate(4, 11.5)
+        timeline = one.timeline(500, spans)
+        compiled = one.run(timeline, pattern)
+        stats = compiled.executor_stats
+        assert (stats["pattern_compiles"],
+                stats.get("pattern_slices", 0)) == (compiles, slices)
+        first, second = compiled.stats._runs[one.name]
+        longest = max(end - start for start, end, _ in spans)
+        flit_size = one.fmt.flit_size
+        assert first.table.horizon_cycles == \
+            (spans[0][1] - spans[0][0]) * flit_size
+        assert second.table.horizon_cycles == longest * flit_size
+        assert (first.table is second.table) == (compiles == 1)
+        assert stats["table_events"] == sum(
+            table.cycles.size for table in {id(t): t for t in (
+                first.table, second.table)}.values())
+        # The earlier run still reads the table it was solved on.
+        _assert_equivalent(compiled,
+                           one.run(timeline, pattern, compiled=False))
+
+    def test_unknown_pattern_is_compiled_at_the_reference_horizon(self, one):
+        pattern = _Jittered(message_words=5, mean_gap=12, seed=4)
+        n_slots, start, end = 400, 60, 130
+        timeline = one.timeline(n_slots, [(start, end, {0, 7})])
+        compiled = one.run(timeline, pattern)
+        run, = compiled.stats._runs[one.name]
+        horizon = (n_slots - start) * one.fmt.flit_size
+        assert run.table.horizon_cycles == horizon
+        assert run.table.cycles.size == len(pattern.events(horizon))
+        assert run.count == run.table.count_until(
+            (end - start) * one.fmt.flit_size) < run.table.cycles.size
+        _assert_equivalent(compiled,
+                           one.run(timeline, pattern, compiled=False))
+
+    def test_verify_timeline_allocates_for_what_flew(self):
+        timeline = TestTimelineEquivalence()._timeline()
+        results = []
+
+        def backend_factory(config):
+            backend = FlitLevelBackend(config)
+            run = backend.run
+            backend.run = lambda request: (
+                results.append(run(request)) or results[-1])
+            return backend
+
+        verdict = verify_timeline(timeline, replay_traffic(timeline),
+                                  backend_factory=backend_factory)
+        assert verdict.is_composable and verdict.survivors
+        flit_size = timeline.fmt.flit_size
+        longest = {name: max(stop - start for start, stop, _ in spans)
+                   for name, spans in timeline.channel_intervals().items()}
+        assert min(longest.values()) < timeline.horizon_slots // 2
+        for result in results:
+            assert result.meta["executor"] == "compiled"
+            for name, runs in result.stats._runs.items():
+                for run in runs:
+                    past = run.table.cycles.size - run.table.count_until(
+                        longest[name] * flit_size)
+                    assert past <= 1, (name, past)
+            # The survivors were compared on the arrays.
+            assert result.trace._materialised == set()
+            assert not result.trace._events
+            assert result.stats.materialised == ()
+
+
+def _mutations(draw, recorder):
+    """``recorder`` with one drawn edit, still in array form."""
+    names = sorted(recorder._runs)
+    name = names[draw(st.integers(0, len(names) - 1))]
+    runs = recorder._runs[name]
+    index = draw(st.integers(0, len(runs) - 1))
+    run = copy.copy(runs[index])
+    events = run.n_deliveries
+    which = draw(st.integers(0, events - 1))
+    kind = draw(st.sampled_from(
+        ["mid", "slot", "traversal", "drop", "split"]))
+    replacement = [run]
+    if kind == "mid":
+        run.table = copy.copy(run.table)
+        run.table.mids = run.table.mids.copy()
+        position = run.completed.nonzero()[0][which]
+        run.table.mids[position] += 1000
+    elif kind == "slot":
+        run._last_slots = run.last_slots().copy()
+        run._last_slots[which] += 1
+    elif kind == "traversal":
+        run.traversal_slots += 1
+    else:
+        positions = run.completed.nonzero()[0]
+        head = run.completed.copy()
+        head[positions[which]:] = False
+        tail = run.completed & ~head
+        if kind == "drop":
+            tail[positions[which]] = False
+        other = copy.copy(run)
+        run.completed, other.completed = head, tail
+        run._last_slots = other._last_slots = None
+        replacement = [part for part in (run, other)
+                       if part.completed.any()]
+    from repro.simulation.compiled import CompiledTraceRecorder
+    edited = CompiledTraceRecorder()
+    for channel, channel_runs in recorder._runs.items():
+        if channel == name:
+            channel_runs = (channel_runs[:index] + replacement
+                            + channel_runs[index + 1:])
+        for channel_run in channel_runs:
+            edited._add_run(channel_run)
+    return edited, name, kind
+
+
+def _in_array_form(recorder):
+    """A copy sharing the runs but holding no event list of its own, so
+    a test may materialise it and leave the fixture on its arrays."""
+    fresh = copy.copy(recorder)
+    fresh._events, fresh._materialised = type(recorder._events)(list), set()
+    return fresh
+
+
+@requires_numpy
+class TestAgreementOnArrays:
+    """The array compare passes exactly what the tuple compare passes."""
+
+    @pytest.fixture(scope="class")
+    def recorder(self):
+        config = _config(mesh(3, 3, nis_per_router=2), 5)
+        return _run(config, _traffic(config, 5), 600).trace
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_tuple_walk_on_edited_recorders(self, recorder,
+                                                       data):
+        edited, name, kind = _mutations(data.draw, recorder)
+        channels = sorted(recorder._runs) + ["never-ran"]
+        on_arrays = recorder.agreement(edited, channels)
+        assert not edited._materialised and not edited._events
+        assert not recorder._materialised
+        pristine = _in_array_form(recorder)
+        assert on_arrays == TraceRecorder.agreement(pristine, edited,
+                                                    channels)
+        diverged = () if kind == "split" else (name,)
+        assert on_arrays[1] == diverged
+        # Once either side holds tuples, the tuples decide.
+        assert pristine.agreement(edited, channels) == on_arrays
+
+    def test_hand_appended_events_are_seen(self, recorder):
+        ours, theirs = _in_array_form(recorder), _in_array_form(recorder)
+        name = sorted(recorder._runs)[0]
+        assert ours.agreement(theirs, [name]) == ((name,), ())
+        theirs.channel_sink(name).append((10 ** 6, 1, 2))
+        assert ours.agreement(theirs, [name]) == ((), (name,))
+        assert theirs.agreement(ours, [name]) == ((), (name,))
+
+    def test_per_flit_recorder_takes_the_tuple_walk(self):
+        config = _config(mesh(2, 2, nis_per_router=2), 3, n_channels=6)
+        traffic = _traffic(config, 3)
+        compiled = _run(config, traffic, 400).trace
+        scalar = _run(config, traffic, 400, compiled=False).trace
+        names = sorted(scalar.channels())
+        assert compiled.agreement(scalar, names) == (tuple(names), ())
+        assert scalar.agreement(compiled, names) == (tuple(names), ())

@@ -69,6 +69,33 @@ class TestTrafficPatterns:
         with pytest.raises(ConfigurationError):
             Replay([MessageEvent(10, 1, 0), MessageEvent(5, 1, 1)])
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda fmt: ConstantBitRate(1, float("nan")),
+         "interval_cycles must be a finite positive number, got nan"),
+        (lambda fmt: ConstantBitRate(1, float("inf")),
+         "interval_cycles must be a finite positive number, got inf"),
+        (lambda fmt: ConstantBitRate.from_rate(float("nan"), 500e6, fmt),
+         "throughput_bytes_per_s must be a finite positive number"),
+        (lambda fmt: ConstantBitRate.from_rate(100 * MB, float("nan"), fmt),
+         "interval_cycles must be a finite positive number, got nan"),
+        (lambda fmt: ConstantBitRate(1.5, 4.0),
+         "message_words must be a whole number >= 1"),
+        (lambda fmt: ConstantBitRate(float("nan"), 4.0),
+         "message_words must be a whole number >= 1"),
+        (lambda fmt: PeriodicBurst(2, 2, 30, offset_cycles=-25),
+         "offset_cycles must be >= 0"),
+        (lambda fmt: Replay([MessageEvent(-7, 1, 0), MessageEvent(3, 1, 1)]),
+         "replay events must not arrive before cycle 0"),
+    ], ids=["cbr-nan", "cbr-inf", "rate-nan", "frequency-nan",
+            "cbr-fractional-words", "cbr-nan-words", "burst-negative-offset",
+            "replay-negative-cycle"])
+    def test_constructor_refuses_where_it_is_called(self, fmt, build,
+                                                    message):
+        # Each of these used to be accepted and fail (or silently charge
+        # a pre-start wait to the NoC) inside events() / the executors.
+        with pytest.raises(ConfigurationError, match=message):
+            build(fmt)
+
     def test_saturating_every_slot(self, fmt):
         events = Saturating(2, fmt.flit_size).events(30)
         assert [e.cycle for e in events] == [0, 3, 6, 9, 12, 15, 18, 21,

@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Traced memory per phase of one warm benchmark pass: where a footprint is.
+
+    python3 tools/mem_phases.py WORKLOAD [--seed N] [--smoke]
+
+Cold pass, ``gc.freeze``, then one warm pass under ``tracemalloc`` (numpy's
+buffers included): live MB before -> after and the peak inside each phase
+span and its direct children.  ``benchmarks/e2e`` is only imported.
+"""
+import argparse
+import gc
+import sys
+import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "benchmarks" / "e2e"), str(ROOT / "src")]
+import harness  # noqa: E402
+import workloads  # noqa: E402
+
+
+class MemTracer(harness.Tracer):
+    """Spans that also read ``tracemalloc`` on the way in and out."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = []   # [depth, name, live before, live after, peak]
+        self.peaks = []  # running peak of every open span
+
+    def mark(self) -> int:
+        """Live bytes; the peak since the last mark reaches all open spans."""
+        live, peak = tracemalloc.get_traced_memory()
+        self.peaks[:] = [max(p, peak) for p in self.peaks]
+        tracemalloc.reset_peak()
+        return live
+
+    @contextmanager
+    def span(self, name: str):
+        row = [len(self.peaks), name, self.mark(), 0, 0]
+        self.rows.append(row)
+        self.peaks.append(row[2])
+        try:
+            with super().span(name):
+                yield
+        finally:
+            row[3], row[4] = self.mark(), self.peaks.pop()
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=2009)
+    parser.add_argument("--smoke", action="store_true")
+    args = parser.parse_args()
+    workload = workloads.WORKLOADS[args.workload](args.seed, args.smoke)
+    workload.generate(harness.Tracer())
+    harness.run_pass(workload, harness.Checks())
+    gc.collect()
+    gc.freeze()
+    tracer = MemTracer()
+    tracemalloc.start()
+    with tracer.span("pass"):
+        workload.one_pass(tracer, harness.Checks())
+    print(f"{'span':<52}{'live MB before -> after':>24}{'peak':>8}")
+    for depth, name, before, after, peak in tracer.rows:
+        if depth <= 2:
+            print(f"{'  ' * depth + name:<52}{before / 1e6:>12.1f} ->"
+                  f"{after / 1e6:>9.1f}{peak / 1e6:>8.1f}")
