@@ -1,11 +1,11 @@
 """Tier-2 gate: compiled executor vs the per-flit oracle, two change plans.
 
 Opt in with ``--tier2``.  The production flit path is the vectorised
-epoch executor (:mod:`repro.simulation.compiled`, used whenever numpy
-is importable); ``compiled=False`` is the per-flit loop it is checked
-against.  Both run the Section VII use case (200 connections) through
-:class:`~repro.simulation.backend.FlitLevelBackend` on the two shapes a
-change plan takes:
+epoch executor (:mod:`repro.simulation.compiled`, used unless credit
+flow control is on); ``compiled=False`` is the per-flit loop it is
+checked against.  Both run the Section VII use case (200 connections)
+through :class:`~repro.simulation.backend.FlitLevelBackend` on the two
+shapes a change plan takes:
 
 * ``churn`` — every connection live at slot 0, then a round-robin
   stop/restart sequence, two transitions every ten slots: 601 short
@@ -29,7 +29,6 @@ import pytest
 
 from repro.core.timeline import ReconfigurationTimeline, TimelineEvent
 from repro.simulation.backend import FlitLevelBackend, SimRequest
-from repro.simulation.compiled import numpy_available
 from repro.simulation.composability import replay_traffic
 from repro.usecase.runner import burst_traffic, fold_requirements
 
@@ -103,8 +102,7 @@ def test_compiled_speedup(tier2, section7, plan):
     # compiled path must reproduce the oracle's run bit for bit.
     fast, _ = run(None)
     oracle, _ = run(False)
-    assert fast.meta["executor"] == (
-        "compiled" if numpy_available() else "per-flit")
+    assert fast.meta["executor"] == "compiled"
     assert oracle.meta["executor"] == "per-flit"
     assert fast.meta["n_epochs"] == oracle.meta["n_epochs"] == n_epochs
     assert fast.meta["flits_by_channel"] == oracle.meta["flits_by_channel"]
@@ -117,8 +115,7 @@ def test_compiled_speedup(tier2, section7, plan):
     compiled_s = min(run(None)[1] for _ in range(3))
     oracle_s = min(run(False)[1] for _ in range(3))
     speedup = oracle_s / compiled_s
-    if numpy_available():
-        assert speedup >= TARGET_SPEEDUP, (
-            f"compiled executor only {speedup:.2f}x faster than the "
-            f"per-flit oracle on the {plan} plan "
-            f"(target >= {TARGET_SPEEDUP}x)")
+    assert speedup >= TARGET_SPEEDUP, (
+        f"compiled executor only {speedup:.2f}x faster than the "
+        f"per-flit oracle on the {plan} plan "
+        f"(target >= {TARGET_SPEEDUP}x)")

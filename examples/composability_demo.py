@@ -13,10 +13,9 @@ Run with:  python examples/composability_demo.py
 
 from __future__ import annotations
 
-from repro.baseline import BeNetworkSimulator
 from repro.core import MB, Application, ChannelSpec, UseCase, configure
-from repro.simulation import (BernoulliMessages, Saturating,
-                              run_with_channels)
+from repro.simulation import (BernoulliMessages, BestEffortBackend,
+                              Saturating, SimRequest, run_with_channels)
 from repro.topology import Mapping, mesh
 
 
@@ -67,11 +66,10 @@ def main() -> None:
     print("\n=== best-effort baseline: same scenario ===")
 
     def run_be(active, patterns):
-        sim = BeNetworkSimulator(config, buffer_flits=2)
-        for name, pattern in patterns.items():
-            if name in active:
-                sim.set_traffic(name, pattern)
-        result = sim.run(1500)
+        result = BestEffortBackend(config, buffer_flits=2).run(
+            SimRequest(n_slots=1500, traffic={
+                name: pattern for name, pattern in patterns.items()
+                if name in active}))
         return {name: tuple((d.message_id, d.delivered_cycle)
                             for d in result.stats.channel(name).deliveries)
                 for name in sorted(decoder_channels)}

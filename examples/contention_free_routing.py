@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.core import (MB, Application, ChannelSpec, UseCase, configure,
                         shifted)
-from repro.simulation import FlitLevelSimulator, Saturating
+from repro.simulation import FlitLevelBackend, Saturating, SimRequest
 from repro.topology import Mapping, custom
 
 
@@ -46,11 +46,11 @@ def main() -> None:
         print()
 
     # Simulate both connections saturated and draw the link occupancy.
-    sim = FlitLevelSimulator(config, check_contention=True)
-    for spec in channels:
-        sim.set_traffic(spec.name, Saturating(
-            config.fmt.payload_words_per_flit, config.fmt.flit_size))
-    result = sim.run(12)
+    backend = FlitLevelBackend(config, check_contention=True)
+    result = backend.run(SimRequest(n_slots=12, traffic={
+        spec.name: Saturating(config.fmt.payload_words_per_flit,
+                              config.fmt.flit_size)
+        for spec in channels}))
 
     print("slot-by-slot link occupancy over three table rotations")
     print("(no two flits ever share a link in a slot):\n")

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from repro.core import (MB, Application, ChannelSpec, UseCase, analyse,
                         configure)
-from repro.simulation import ConstantBitRate, FlitLevelSimulator
+from repro.simulation import (ConstantBitRate, FlitLevelBackend,
+                              SimRequest)
 from repro.topology import mesh
 
 
@@ -50,11 +51,11 @@ def main() -> None:
               f"(slots {bounds.n_slots})")
 
     # 4. Simulate with each channel offering its contracted rate.
-    sim = FlitLevelSimulator(config, check_contention=True)
-    for spec in channels:
-        sim.set_traffic(spec.name, ConstantBitRate.from_rate(
-            spec.throughput_bytes_per_s, config.frequency_hz, config.fmt))
-    result = sim.run(4000)
+    backend = FlitLevelBackend(config, check_contention=True)
+    result = backend.run(SimRequest(n_slots=4000, traffic={
+        spec.name: ConstantBitRate.from_rate(
+            spec.throughput_bytes_per_s, config.frequency_hz, config.fmt)
+        for spec in channels}))
 
     print("\nmeasured (flit-level simulation, 4000 slots):")
     for spec in channels:

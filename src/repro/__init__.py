@@ -14,11 +14,11 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.router` / :mod:`repro.link` / :mod:`repro.ni` /
   :mod:`repro.wrapper` — cycle-accurate hardware models;
 * :mod:`repro.clocking` — synchronous/mesochronous/plesiochronous clocks;
-* :mod:`repro.simulation` — event kernel, both GS simulators, and the
-  unified :class:`~repro.simulation.backend.SimulationBackend` protocol
-  (``SimRequest``/``SimResult``) every simulator is driven through;
-* :mod:`repro.baseline` — the Æthereal GS+BE comparison network (also a
-  backend);
+* :mod:`repro.simulation` — event kernel, both GS models, and the
+  :class:`~repro.simulation.backend.SimulationBackend` protocol
+  (``SimRequest``/``SimResult``), the one way any of them is run;
+* :mod:`repro.baseline` — the Æthereal GS+BE comparison network (the
+  engine behind the ``"be"`` backend);
 * :mod:`repro.synthesis` — calibrated area/frequency models;
 * :mod:`repro.usecase` — the Section VII 200-connection use case;
 * :mod:`repro.experiments` — one module per paper figure/table;
@@ -67,7 +67,7 @@ _EXPORTS: dict[str, str] = {
     "Topology": "repro.topology.graph",
     "mesh": "repro.topology.builders",
     "concentrated_mesh": "repro.topology.builders",
-    "FlitLevelSimulator": "repro.simulation.flitsim",
+    "FlitLevelBackend": "repro.simulation.backend",
     "DetailedNetwork": "repro.simulation.cyclesim",
     "SimRequest": "repro.simulation.backend",
     "SimResult": "repro.simulation.backend",

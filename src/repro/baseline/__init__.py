@@ -1,9 +1,10 @@
-"""Best-effort Æthereal-style baseline used by the Section VII comparison."""
+"""Best-effort Æthereal-style baseline used by the Section VII comparison.
+
+The wormhole engine (:mod:`repro.baseline.be_network`) is run through
+:class:`~repro.simulation.backend.BestEffortBackend`.
+"""
 
 from repro.baseline.arbitration import (FixedPriorityArbiter,
                                         RoundRobinArbiter)
-from repro.baseline.be_network import (BeNetworkSimulator, BePacket,
-                                       BeSimResult)
 
-__all__ = ["RoundRobinArbiter", "FixedPriorityArbiter",
-           "BeNetworkSimulator", "BePacket", "BeSimResult"]
+__all__ = ["RoundRobinArbiter", "FixedPriorityArbiter"]

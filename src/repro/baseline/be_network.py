@@ -31,22 +31,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.baseline.arbitration import RoundRobinArbiter
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import ConfigurationError, SimulationError
-from repro.core.words import WordFormat
-from repro.simulation import compiled as _compiled
+from repro.simulation.compiled import pattern_slice
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
-                                       StatsCollector, latency_digest)
-from repro.simulation.traffic import TrafficPattern
+                                       StatsCollector)
 from repro.topology.graph import NodeKind, Topology
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.core.timeline import ReconfigurationTimeline
-
-__all__ = ["BePacket", "BeNetworkSimulator", "BeSimResult"]
+__all__ = ["BePacket", "BeNetworkSimulator"]
 
 
 @dataclass
@@ -133,30 +127,6 @@ class _NiState:
     active_queue: int | None = None  # packet in progress (no interleaving)
 
 
-@dataclass
-class BeSimResult:
-    """Measurements from a best-effort run."""
-
-    stats: StatsCollector
-    simulated_ticks: int
-    frequency_hz: float
-    fmt: WordFormat
-
-    @property
-    def simulated_ns(self) -> float:
-        """Simulated wall-clock time."""
-        return (self.simulated_ticks * self.fmt.flit_size /
-                self.frequency_hz * 1e9)
-
-    def summary(self) -> str:
-        """One-line latency digest for logs and the REPL."""
-        return latency_digest("be", self.stats, self.simulated_ticks,
-                              "ticks", self.frequency_hz)
-
-    def __repr__(self) -> str:
-        return f"BeSimResult({self.summary()})"
-
-
 class BeNetworkSimulator:
     """Flit-granularity wormhole simulator over an allocated configuration.
 
@@ -180,38 +150,15 @@ class BeNetworkSimulator:
         self.frequency_hz = frequency_hz or config.frequency_hz
         self.buffer_flits = buffer_flits
         self.max_packet_flits = max_packet_flits
-        self._patterns: dict[str, TrafficPattern] = {}
         self._topo: Topology = config.topology
         self._router_order: list[str] = list(self._topo.routers)
 
-    def set_traffic(self, channel: str, pattern: TrafficPattern) -> None:
-        """Attach a traffic pattern to one channel."""
-        if channel not in self.config.allocation.channels:
-            raise ConfigurationError(
-                f"channel {channel!r} is not part of the configuration")
-        self._patterns[channel] = pattern
-
     # -- main loop --------------------------------------------------------------
 
-    def run(self, n_ticks: int) -> BeSimResult:
-        """Simulate ``n_ticks`` flit cycles.
-
-        The static run is the one-interval case: every allocated
-        channel offers its pattern over ``[0, n_ticks)``.
-        """
-        if n_ticks <= 0:
-            raise ConfigurationError(
-                f"n_ticks must be positive, got {n_ticks}")
-        return self._run_intervals(
-            {name: ((0, n_ticks, ca),) for name, ca in
-             sorted(self.config.allocation.channels.items())},
-            self._patterns, n_ticks)
-
-    def run_timeline(self, timeline: "ReconfigurationTimeline",
-                     n_ticks: int | None = None, *,
-                     traffic: dict[str, TrafficPattern] | None = None
-                     ) -> BeSimResult:
-        """Run a reconfiguration timeline on the best-effort network.
+    def run(self, channel_intervals, patterns, n_ticks: int
+            ) -> StatsCollector:
+        """Offer each channel's pattern over its ``(start, stop,
+        allocation)`` intervals and run ``n_ticks`` flit cycles.
 
         Without TDM there is no schedule to recompile: a transition only
         changes *who offers traffic*.  Each channel's pattern (relative
@@ -221,29 +168,19 @@ class BeNetworkSimulator:
         buffers and output ports globally, a survivor's timing depends
         on that churn — the divergence the dynamic composability check
         exposes, and exactly what the TDM network is engineered to
-        exclude.
+        exclude.  A static run is the table with one ``(0, n_ticks,
+        allocation)`` interval per allocated channel;
+        :class:`~repro.simulation.backend.BestEffortBackend` builds
+        either table from a vetted request.
         """
-        patterns = dict(traffic or {})
-        n_ticks = timeline.check_replay(
-            n_ticks, patterns, topology=self._topo, fmt=self.fmt,
-            units="ticks")
-        return self._run_intervals(timeline.channel_intervals(), patterns,
-                                   n_ticks)
-
-    def _run_intervals(self, channel_intervals, patterns, n_ticks: int
-                       ) -> BeSimResult:
-        """Offer each channel's pattern over its ``(start, stop,
-        allocation)`` intervals and run the tick loop."""
         fmt = self.fmt
         flit_size = fmt.flit_size
-        # With numpy present, each pattern's arrival stream is compiled
-        # once, as far as its longest interval reads, into the shared
-        # flat representation
+        # Each pattern's arrival stream is compiled once, as far as its
+        # longest interval reads, into the shared flat representation
         # (:func:`repro.simulation.compiled.pattern_slice`) and each
         # incarnation takes a prefix slice — the same tables the flit
         # executor runs on, instead of re-expanding ``events()`` per
         # interval.
-        use_tables = _compiled.numpy_available()
         table_cache: dict = {}
         arrivals: dict[str, list[tuple[int, BePacket]]] = {}
         sources: dict[str, str] = {}
@@ -262,18 +199,13 @@ class BeNetworkSimulator:
                 if pattern is None or span <= 0:
                     continue
                 lifetime_cycles = span * flit_size
-                if use_tables:
-                    table, count = _compiled.pattern_slice(
-                        table_cache, pattern, lifetime_cycles,
-                        lifetime_cycles, fmt)
-                    rows = zip((start + table.ready[:count]).tolist(),
-                               table.cycles[:count].tolist(),
-                               table.words[:count].tolist(),
-                               table.mids[:count].tolist())
-                else:
-                    rows = ((start + -(-e.cycle // flit_size), e.cycle,
-                             e.words, e.message_id)
-                            for e in pattern.events(lifetime_cycles))
+                table, count = pattern_slice(
+                    table_cache, pattern, lifetime_cycles,
+                    lifetime_cycles, fmt)
+                rows = zip((start + table.ready[:count]).tolist(),
+                           table.cycles[:count].tolist(),
+                           table.words[:count].tolist(),
+                           table.mids[:count].tolist())
                 base_cycle = start * flit_size
                 out_ports = ca.path.out_ports
                 for tick, cycle, words, mid in rows:
@@ -292,7 +224,7 @@ class BeNetworkSimulator:
 
     def _run_loop(self, n_ticks: int,
                   arrivals: dict[str, list[tuple[int, BePacket]]],
-                  sources: dict[str, str]) -> BeSimResult:
+                  sources: dict[str, str]) -> StatsCollector:
         """The tick loop over prebuilt ``(tick, packet)`` arrival lists.
 
         ``sources`` maps each channel to its injecting NI, in the
@@ -328,8 +260,7 @@ class BeNetworkSimulator:
                 self._route_tick(router, tick, period_ps, stats)
             for state in ni_order:
                 self._inject_tick(state, tick, period_ps, stats)
-        return BeSimResult(stats=stats, simulated_ticks=n_ticks,
-                           frequency_hz=self.frequency_hz, fmt=self.fmt)
+        return stats
 
     # -- construction -------------------------------------------------------------
 

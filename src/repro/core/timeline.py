@@ -9,8 +9,10 @@ network is ever simulated across a transition.  A
 artifact of a churn run — every transition, timestamped in TDM slots and
 carrying the exact :class:`~repro.core.allocation.ChannelAllocation`
 records the transition committed — which the flit-level and best-effort
-simulators can then *execute* epoch by epoch
-(:meth:`~repro.simulation.flitsim.FlitLevelSimulator.run_timeline`).
+backends can then *execute* epoch by epoch: hand it to
+:class:`~repro.simulation.backend.SimRequest` as ``timeline=``, and the
+backend vets the request once (:meth:`~ReconfigurationTimeline.
+check_replay`) before it reads the change plan.
 
 Construction validates the timeline the same way the allocator validates
 a static configuration: within every epoch (a maximal span with a

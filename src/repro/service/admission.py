@@ -77,6 +77,11 @@ class AdmissionController:
         self.allocation = allocation
         self.admits = 0
         self.rejects = 0
+        #: Why: the three causes ``admit`` tells apart; they sum to
+        #: ``rejects``.
+        self.rejects_no_route = 0
+        self.rejects_failed_fabric = 0
+        self.rejects_no_capacity = 0
         self.releases = 0
         #: Admissions whose candidate records the allocator already held
         #: / had to build (it may have been warmed by another service).
@@ -93,20 +98,21 @@ class AdmissionController:
         tel = coalesce(telemetry)
         self.telemetry = tel
         self._tel_collect = tel.enabled
-        self._tel_accept = tel.counter("admission.decisions",
-                                       outcome="accept")
-        self._tel_reject = tel.counter("admission.decisions",
-                                       outcome="reject")
-        self._tel_release = tel.counter("admission.releases")
-        self._tel_path_hit = tel.counter("admission.path_cache",
-                                         outcome="hit")
-        self._tel_path_miss = tel.counter("admission.path_cache",
-                                          outcome="miss")
+        #: (tally attribute, the counter its deltas fold into)
+        self._folds = (
+            ("admits", tel.counter("admission.decisions", outcome="accept")),
+            ("rejects", tel.counter("admission.decisions", outcome="reject")),
+            *((f"rejects_{reason}",
+               tel.counter("admission.rejects", reason=reason))
+              for reason in ("no_route", "failed_fabric", "no_capacity")),
+            ("releases", tel.counter("admission.releases")),
+            ("path_hits", tel.counter("admission.path_cache", outcome="hit")),
+            ("path_misses",
+             tel.counter("admission.path_cache", outcome="miss")))
         self._tel_width = tel.histogram("admission.free_slot_width",
                                         bounds=_WIDTH_BUCKETS)
         self._pending_widths: list[int] = []
-        self._flushed = {"admits": 0, "rejects": 0, "releases": 0,
-                         "path_hits": 0, "path_misses": 0}
+        self._flushed = dict.fromkeys((attr for attr, _ in self._folds), 0)
         tel.register_flush(self.flush_telemetry)
 
     # -- hot path -------------------------------------------------------------
@@ -151,10 +157,13 @@ class AdmissionController:
         # routes that exist but cross failed fabric.
         if not candidates:
             reason = "no route can meet the requirements"
+            self.rejects_no_route += 1
         elif not usable:
             reason = "every candidate route crosses failed fabric"
+            self.rejects_failed_fabric += 1
         else:
             reason = "no candidate route has capacity"
+            self.rejects_no_capacity += 1
         raise AllocationError(
             f"cannot admit session {spec.name!r} "
             f"({src_ni} -> {dst_ni}, "
@@ -178,11 +187,7 @@ class AdmissionController:
         if not self._tel_collect:
             return
         flushed = self._flushed
-        for attr, counter in (("admits", self._tel_accept),
-                              ("rejects", self._tel_reject),
-                              ("releases", self._tel_release),
-                              ("path_hits", self._tel_path_hit),
-                              ("path_misses", self._tel_path_miss)):
+        for attr, counter in self._folds:
             delta = getattr(self, attr) - flushed[attr]
             if delta:
                 counter.inc(delta)

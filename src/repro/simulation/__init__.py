@@ -1,4 +1,4 @@
-"""Simulation: event kernel, flit-level and word-level simulators."""
+"""Simulation: event kernel, backend protocol, flit- and word-level models."""
 
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ _EXPORTS: dict[str, str] = {
     "Phit": "repro.simulation.signals",
     "WordWire": "repro.simulation.signals",
     "IDLE": "repro.simulation.signals",
-    "FlitLevelSimulator": "repro.simulation.flitsim",
-    "FlitSimResult": "repro.simulation.flitsim",
     "DetailedNetwork": "repro.simulation.cyclesim",
     "DetailedSimResult": "repro.simulation.cyclesim",
     "MessageEvent": "repro.simulation.traffic",

@@ -1,11 +1,16 @@
-"""The unified simulation backend protocol.
+"""The simulation backend protocol: the one way to run a simulation.
 
-The repository grew three simulators with three bespoke entry points:
-the fast flit-level TDM simulator (:mod:`repro.simulation.flitsim`), the
-cycle-accurate multi-clock model (:mod:`repro.simulation.cyclesim`) and
-the best-effort wormhole baseline (:mod:`repro.baseline.be_network`).
-Every experiment invented its own glue to drive them.  This module is
-the single seam they all plug into:
+aelite is flit-synchronous — whatever the clocking underneath, the
+network is one logical machine whose unit of time is the flit cycle — so
+one request (a horizon in slots, traffic per channel, optionally a
+reconfiguration timeline) drives all three models: the flit-level TDM
+executors (:mod:`repro.simulation.compiled` and its per-flit reference
+:mod:`repro.simulation.flitsim`), the cycle-accurate multi-clock model
+(:mod:`repro.simulation.cyclesim`) and the best-effort wormhole engine
+(:mod:`repro.baseline.be_network`).  None of them has an entry point of
+its own; this module is the only one under ``src/repro`` that imports
+them, and it does so inside ``run``, so importing the package loads
+neither numpy nor an engine:
 
 * :class:`SimRequest` — *what* to simulate: a horizon in flit cycles, a
   traffic assignment, a seed for backends with randomised state
@@ -19,7 +24,11 @@ the single seam they all plug into:
   and a JSON-serializable record for campaign aggregation;
 * :class:`SimulationBackend` — the protocol itself: construct with a
   validated :class:`~repro.core.configuration.NocConfiguration` plus
-  backend-specific options, then ``run(request)`` any number of times.
+  backend-specific options (validated there), then ``run(request)`` any
+  number of times.  Each request is vetted exactly once, before an
+  engine is imported: a timeline request by
+  :meth:`~repro.core.timeline.ReconfigurationTimeline.check_replay`, a
+  static one against the configuration's channel set.
 
 Backends are registered by name (``"flit"``, ``"cycle"``, ``"be"``) so
 declarative campaign specs can name them without importing simulator
@@ -30,7 +39,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import ConfigurationError
@@ -112,7 +121,6 @@ class SimResult:
     fmt: WordFormat
     trace: TraceRecorder | None = None
     meta: dict[str, object] = field(default_factory=dict)
-    raw: object = None
 
     @property
     def period_ps(self) -> int:
@@ -126,6 +134,16 @@ class SimResult:
                 self.frequency_hz * 1e9)
 
     # -- derived views ---------------------------------------------------------
+
+    def channel_throughput_bytes_per_s(self, channel: str, *,
+                                       warmup_fraction: float = 0.1
+                                       ) -> float:
+        """Delivered payload rate of one channel after warm-up."""
+        total_ps = int(self.simulated_slots * self.fmt.flit_size *
+                       1e12 / self.frequency_hz)
+        start = int(total_ps * warmup_fraction)
+        return self.stats.channel(channel).throughput_bytes_per_s(
+            start, total_ps)
 
     def channel_latencies_ns(self, channel: str) -> list[float]:
         """Raw end-to-end message latencies of one channel."""
@@ -246,7 +264,7 @@ class SimulationBackend(ABC):
 
     A backend binds one validated configuration plus backend-specific
     options at construction; :meth:`run` is then a pure function of the
-    request (every call builds fresh simulator state), so one backend
+    request (every call builds fresh engine state), so one backend
     instance can serve many requests — the property the campaign engine
     relies on.
     """
@@ -263,28 +281,26 @@ class SimulationBackend(ABC):
     def run(self, request: SimRequest) -> SimResult:
         """Execute one request and return the uniform result."""
 
-    def _execute(self, sim, request: SimRequest):
-        """Run ``request`` on a simulator of the ``set_traffic`` /
-        ``run`` / ``run_timeline`` shape; returns its native result.
+    def _vet(self, request: SimRequest, **replay_fields
+             ) -> dict[str, TrafficPattern]:
+        """The one vetting of a request; returns its traffic as a dict.
 
-        A timeline request is vetted by
+        A timeline request is checked by
         :meth:`~repro.core.timeline.ReconfigurationTimeline.check_replay`
-        against this backend's configuration (the simulator adds the
-        checks only it can make — TDM schedules cannot be retimed); a
+        against this backend's configuration plus the ``replay_fields``
+        that bind this backend only (TDM schedules cannot be retimed,
+        so ``frequency_hz``; the baseline counts ``units="ticks"``); a
         static one against the configuration's channel set.
         """
         traffic = dict(request.traffic)
-        if request.timeline is not None:
+        if request.timeline is None:
+            self._check_traffic(request)
+        else:
             request.timeline.check_replay(
                 request.n_slots, traffic, topology=self.config.topology,
                 table_size=self.config.table_size, fmt=self.config.fmt,
-                holder="configuration")
-            return sim.run_timeline(request.timeline, request.n_slots,
-                                    traffic=traffic)
-        self._check_traffic(request)
-        for channel, pattern in sorted(traffic.items()):
-            sim.set_traffic(channel, pattern)
-        return sim.run(request.n_slots)
+                holder="configuration", **replay_fields)
+        return traffic
 
     def _check_traffic(self, request: SimRequest) -> None:
         unknown = sorted(set(request.traffic) -
@@ -306,14 +322,24 @@ class SimulationBackend(ABC):
                 f"{len(self.config.allocation.channels)} channels)")
 
 
+class FlitOptions(NamedTuple):
+    """What a flit executor models beyond the schedule itself."""
+
+    flow_control: bool = False
+    rx_buffer_words: int | None = None
+    check_contention: bool = False
+
+
 class FlitLevelBackend(SimulationBackend):
     """Fast flit-level TDM simulation (the paper's aelite network).
 
-    ``compiled`` forwards to
-    :class:`~repro.simulation.flitsim.FlitLevelSimulator`: ``None``
-    (default) auto-selects the compiled vectorised executor when numpy
-    is available, ``True``/``False`` force a path;
-    ``meta["executor"]`` reports which one actually ran.
+    Two executors share one signature: the compiled vectorised one
+    (:func:`repro.simulation.compiled.execute`) and the per-flit
+    reference loop (:func:`repro.simulation.flitsim.execute`), the only
+    one that models credit back-pressure.  ``compiled`` names one
+    (``False`` is the oracle's spelling); left ``None`` the choice is
+    read off the input — compiled unless ``flow_control`` is on.
+    ``meta["executor"]`` reports which one ran.
     """
 
     name = "flit"
@@ -325,31 +351,36 @@ class FlitLevelBackend(SimulationBackend):
                  compiled: bool | None = None,
                  telemetry=None):
         super().__init__(config, telemetry=telemetry)
-        self.flow_control = flow_control
-        self.rx_buffer_words = rx_buffer_words
-        self.check_contention = check_contention
-        self.compiled = compiled
+        if compiled and flow_control:
+            raise ConfigurationError(
+                "compiled=True cannot model credit flow control; "
+                "use the per-flit path (compiled=False)")
+        self.options = FlitOptions(flow_control, rx_buffer_words,
+                                   check_contention)
+        self.compiled = not flow_control if compiled is None else compiled
 
     def run(self, request: SimRequest) -> SimResult:
-        from repro.simulation.flitsim import FlitLevelSimulator
         self._reject_frequency_override(request)
-        result = self._execute(FlitLevelSimulator(
-            self.config, flow_control=self.flow_control,
-            rx_buffer_words=self.rx_buffer_words,
-            check_contention=self.check_contention,
-            compiled=self.compiled, telemetry=self.telemetry), request)
+        config = self.config
+        patterns = self._vet(request, frequency_hz=config.frequency_hz)
+        if request.timeline is None:
+            # A static run is the one-epoch plan: every allocated
+            # channel active from slot 0, no boundaries.
+            initial, changes = tuple(config.allocation.channels.values()), ()
+        else:
+            initial, changes = request.timeline.change_plan(
+                until=request.n_slots)
+        if self.compiled:
+            from repro.simulation.compiled import execute
+        else:
+            from repro.simulation.flitsim import execute
+        stats, trace, meta = execute(
+            config, initial, changes, request.n_slots, patterns,
+            self.options, self.telemetry)
         return SimResult(
-            backend=self.name, stats=result.stats, trace=result.trace,
-            simulated_slots=result.simulated_slots,
-            frequency_hz=result.frequency_hz, fmt=result.fmt,
-            meta={"stalled_slots_by_channel":
-                  result.stalled_slots_by_channel,
-                  "flits_by_channel": result.flits_by_channel,
-                  "n_epochs": result.n_epochs,
-                  "executor": ("compiled" if result.compiled
-                               else "per-flit"),
-                  "executor_stats": dict(result.executor_stats)},
-            raw=result)
+            backend=self.name, stats=stats, trace=trace,
+            simulated_slots=request.n_slots,
+            frequency_hz=config.frequency_hz, fmt=config.fmt, meta=meta)
 
 
 class CycleAccurateBackend(SimulationBackend):
@@ -368,13 +399,13 @@ class CycleAccurateBackend(SimulationBackend):
         self.rx_capacity_words = rx_capacity_words
 
     def run(self, request: SimRequest) -> SimResult:
-        from repro.simulation.cyclesim import DetailedNetwork
         if request.timeline is not None:
             raise ConfigurationError(
                 "backend 'cycle' cannot execute reconfiguration "
                 "timelines; replay on 'flit' (TDM) or 'be'")
         self._check_traffic(request)
         self._reject_frequency_override(request)
+        from repro.simulation.cyclesim import DetailedNetwork
         network = DetailedNetwork(
             self.config, clocking=self.clocking,
             mesochronous_seed=request.seed,
@@ -393,8 +424,7 @@ class CycleAccurateBackend(SimulationBackend):
                   "executor": "cycle-accurate",
                   "fifo_max_occupancy": result.fifo_max_occupancy,
                   "wrapper_firings": result.wrapper_firings,
-                  "ni_counters": result.ni_counters},
-            raw=result)
+                  "ni_counters": result.ni_counters})
 
 
 class BestEffortBackend(SimulationBackend):
@@ -413,23 +443,31 @@ class BestEffortBackend(SimulationBackend):
         self.max_packet_flits = max_packet_flits
 
     def run(self, request: SimRequest) -> SimResult:
+        patterns = self._vet(request, units="ticks")
+        if request.timeline is None:
+            # A static run is the one-interval table: every allocated
+            # channel offers its pattern over the whole horizon.
+            intervals = {
+                name: ((0, request.n_slots, ca),) for name, ca in
+                sorted(self.config.allocation.channels.items())}
+        else:
+            intervals = request.timeline.channel_intervals()
         from repro.baseline.be_network import BeNetworkSimulator
-        frequency = (request.frequency_hz or self.frequency_hz or
-                     self.config.frequency_hz)
-        result = self._execute(BeNetworkSimulator(
-            self.config, frequency_hz=frequency,
+        engine = BeNetworkSimulator(
+            self.config,
+            frequency_hz=request.frequency_hz or self.frequency_hz,
             buffer_flits=self.buffer_flits,
-            max_packet_flits=self.max_packet_flits), request)
+            max_packet_flits=self.max_packet_flits)
+        stats = engine.run(intervals, patterns, request.n_slots)
         self.telemetry.counter("executor.dispatch",
                                path="wormhole").inc()
         return SimResult(
-            backend=self.name, stats=result.stats,
-            simulated_slots=result.simulated_ticks,
-            frequency_hz=result.frequency_hz, fmt=result.fmt,
+            backend=self.name, stats=stats,
+            simulated_slots=request.n_slots,
+            frequency_hz=engine.frequency_hz, fmt=self.config.fmt,
             meta={"buffer_flits": self.buffer_flits,
                   "max_packet_flits": self.max_packet_flits,
-                  "executor": "wormhole"},
-            raw=result)
+                  "executor": "wormhole"})
 
 
 _REGISTRY: dict[str, Callable[..., SimulationBackend]] = {

@@ -56,19 +56,18 @@ arrival expansion, and the cycle-accurate model consumes the flat
 :meth:`~repro.core.slot_table.SlotTable.owner_row` view of the same
 slot tables — one schedule representation across all three backends.
 
-numpy is optional: :func:`numpy_available` gates every entry point and
-the flit simulator falls back to the per-flit reference path when it is
-missing.
+This module is an *executor*, not an entry point: :func:`execute` has
+the signature of :func:`repro.simulation.flitsim.execute` and is reached
+through :class:`~repro.simulation.backend.FlitLevelBackend`, which
+imports it (and with it numpy) on the first simulated run, never with
+``import repro``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - CI images bundle numpy
-    _np = None
+import numpy as _np
 
 from repro.core.exceptions import SimulationError
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
@@ -80,22 +79,16 @@ from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.allocation import ChannelAllocation
+    from repro.core.configuration import NocConfiguration
     from repro.core.words import WordFormat
-    from repro.simulation.flitsim import FlitLevelSimulator, FlitSimResult
 
-__all__ = ["numpy_available", "PatternTable", "compile_pattern",
-           "pattern_slice", "CompiledStats", "CompiledTraceRecorder",
-           "execute"]
+__all__ = ["PatternTable", "compile_pattern", "pattern_slice",
+           "CompiledStats", "CompiledTraceRecorder", "execute"]
 
 #: Patterns whose ``events(h)`` is a prefix of ``events(H)`` for h <= H,
 #: so the table of the longest incarnation serves every other by slicing.
 _PREFIX_STABLE = (ConstantBitRate, PeriodicBurst, BernoulliMessages,
                   Replay, Saturating)
-
-
-def numpy_available() -> bool:
-    """True when numpy imported, i.e. the compiled executor can run."""
-    return _np is not None
 
 
 class PatternTable:
@@ -659,16 +652,15 @@ def _finish_executor_stats(tel, exec_stats: dict, n_slots: int,
     record_epoch_spans(tel, n_slots, changes)
 
 
-def execute(sim: "FlitLevelSimulator",
+def execute(config: "NocConfiguration",
             initial: tuple["ChannelAllocation", ...], changes: tuple,
-            n_slots: int, patterns: Mapping[str, TrafficPattern]
-            ) -> "FlitSimResult":
+            n_slots: int, patterns: Mapping[str, TrafficPattern], options,
+            telemetry) -> tuple[CompiledStats, CompiledTraceRecorder, dict]:
     """Execute a change plan through the compiled executor.
 
-    ``initial`` holds the channels active from slot 0 and ``changes``
-    the later boundaries, as :meth:`~repro.core.timeline.
-    ReconfigurationTimeline.change_plan` returns them; a static run is
-    the plan with every allocated channel initial and no changes.
+    Same arguments and return as :func:`repro.simulation.flitsim.
+    execute`; of ``options`` only ``check_contention`` is read (credit
+    flow control is the per-flit loop's alone).
 
     Contention-freedom makes channels independent, so each incarnation
     (one ``(start, stop)`` span from the change plan) is solved as one
@@ -677,23 +669,20 @@ def execute(sim: "FlitLevelSimulator",
     per-flit path's incremental recompilation, where a surviving
     channel's schedule rows cross boundaries untouched.
     """
-    from repro.simulation.flitsim import FlitSimResult
-
-    fmt = sim.fmt
+    fmt = config.fmt
     flit_size = fmt.flit_size
-    table_size = sim.table_size
-    period_ps = round(1e12 / sim.frequency_hz)
+    table_size = config.table_size
+    period_ps = round(1e12 / config.frequency_hz)
     bytes_per_word = fmt.bytes_per_word
-    check = sim.check_contention
+    check = options.check_contention
     occupied: dict = {}
     stats = CompiledStats()
     trace = CompiledTraceRecorder()
     flits: dict[str, int] = {}
     cache: dict = {}
     active: dict[str, tuple[int, "ChannelAllocation"]] = {}
-    tel = sim.telemetry
-    batch_hist = tel.histogram("executor.interval_batch_messages",
-                               bounds=_BATCH_BUCKETS)
+    batch_hist = telemetry.histogram("executor.interval_batch_messages",
+                                     bounds=_BATCH_BUCKETS)
     exec_stats: dict = {"epochs": len(changes) + 1}
 
     def open_channel(alloc: "ChannelAllocation", slot: int) -> None:
@@ -742,10 +731,8 @@ def execute(sim: "FlitLevelSimulator",
             open_channel(alloc, slot)
     for name in list(active):
         close_channel(name, n_slots)
-    _finish_executor_stats(tel, exec_stats, n_slots, changes)
-    return FlitSimResult(
-        stats=stats, trace=trace, simulated_slots=n_slots,
-        frequency_hz=sim.frequency_hz, fmt=fmt,
-        stalled_slots_by_channel={name: 0 for name in flits},
-        flits_by_channel=flits, n_epochs=len(changes) + 1,
-        compiled=True, executor_stats=exec_stats)
+    _finish_executor_stats(telemetry, exec_stats, n_slots, changes)
+    return stats, trace, {
+        "stalled_slots_by_channel": {name: 0 for name in flits},
+        "flits_by_channel": flits, "n_epochs": len(changes) + 1,
+        "executor": "compiled", "executor_stats": exec_stats}

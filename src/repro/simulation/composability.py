@@ -75,8 +75,7 @@ class ComposabilityReport:
 
 def run_with_channels(config: NocConfiguration,
                       traffic: dict[str, TrafficPattern],
-                      active_channels: set[str], n_slots: int,
-                      *, flow_control: bool = False,
+                      active_channels: set[str], n_slots: int, *,
                       backend_factory: BackendFactory | None = None
                       ) -> TraceRecorder:
     """Run one backend with only some channels offered traffic.
@@ -84,19 +83,11 @@ def run_with_channels(config: NocConfiguration,
     Channels outside ``active_channels`` keep their slot reservations (the
     allocation is untouched — stopping an application does not reconfigure
     the network) but offer no traffic, exactly like a stopped application.
-    ``backend_factory`` selects the simulator; the default is the fast
-    flit-level backend.  ``flow_control`` only applies to that default,
-    so combining it with a factory is a conflict, not a preference.
+    ``backend_factory`` selects and configures the simulator (say
+    ``lambda c: FlitLevelBackend(c, flow_control=True)``); the default is
+    the fast flit-level backend.
     """
-    if backend_factory is None:
-        backend = FlitLevelBackend(config, flow_control=flow_control)
-    else:
-        if flow_control:
-            raise ValueError(
-                "flow_control only applies to the default flit-level "
-                "backend; configure flow control inside backend_factory "
-                "instead")
-        backend = backend_factory(config)
+    backend = (backend_factory or FlitLevelBackend)(config)
     request = SimRequest(
         n_slots=n_slots,
         traffic={channel: pattern for channel, pattern in traffic.items()
@@ -217,11 +208,8 @@ def verify_timeline(timeline: ReconfigurationTimeline,
     checked against the analytical bounds and attached as
     ``report.conformance``.  The canonical record is unaffected.
     """
-    config = replay_configuration(timeline)
-    if backend_factory is None:
-        backend = FlitLevelBackend(config)
-    else:
-        backend = backend_factory(config)
+    backend = (backend_factory or FlitLevelBackend)(
+        replay_configuration(timeline))
     if n_slots is None:
         n_slots = timeline.horizon_slots
     if survivors is None:

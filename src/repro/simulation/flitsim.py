@@ -31,48 +31,40 @@ precomputed ready-slots, so a simulated slot touches exactly the
 channels that own it instead of re-scanning every NI's table.
 
 Execution is *epoch-based*: a run is a sequence of spans with a constant
-channel set, separated by reconfiguration boundaries.  A static
-:meth:`~FlitLevelSimulator.run` is the one-epoch special case;
-:meth:`~FlitLevelSimulator.run_timeline` executes a
-:class:`~repro.core.timeline.ReconfigurationTimeline` of live start/stop
-transitions.  At each boundary only the channels the transition touches
-have their injection-slot schedule entries rebuilt (*incremental
-recompilation*); every surviving channel's runtime — pending messages,
-arrival cursor, credit state, trace sinks — crosses the boundary
-untouched, which is exactly the paper's undisrupted-reconfiguration
-property at cycle level.
+channel set, separated by reconfiguration boundaries, described by the
+change plan :meth:`~repro.core.timeline.ReconfigurationTimeline.
+change_plan` returns; a static run is the one-epoch plan.  At each
+boundary only the channels the transition touches have their
+injection-slot schedule entries rebuilt (*incremental recompilation*);
+every surviving channel's runtime — pending messages, arrival cursor,
+credit state, trace sinks — crosses the boundary untouched, which is
+exactly the paper's undisrupted-reconfiguration property at cycle level.
 
-When numpy is importable (and flow control is off), both entry points
-dispatch to the *compiled* executor (:mod:`repro.simulation.compiled`),
-which solves each channel incarnation's whole schedule as a handful of
-array operations and materialises records lazily.  Its output is
-record-for-record equal to this module's per-flit loop, which stays as
-the reference implementation (and the only path that models credit
-back-pressure); the ``compiled`` constructor knob forces either path
-explicitly.
+This module is an *executor*, not an entry point: :func:`execute` takes
+a change plan that :class:`~repro.simulation.backend.FlitLevelBackend`
+has already vetted and returns the ingredients of a
+:class:`~repro.simulation.backend.SimResult`.  Its twin with the same
+signature, :func:`repro.simulation.compiled.execute`, solves each
+channel incarnation's whole schedule as a handful of array operations;
+the backend runs that one unless credit flow control is on.  The
+per-flit loop here stays as the reference the compiled executor must
+equal record for record (``FlitLevelBackend(config, compiled=False)``)
+and as the only path that models credit back-pressure.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.configuration import NocConfiguration
-from repro.core.exceptions import ConfigurationError, SimulationError
-from repro.core.words import WordFormat
+from repro.core.exceptions import SimulationError
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
-                                       StatsCollector, TraceRecorder,
-                                       latency_digest)
+                                       StatsCollector, TraceRecorder)
 from repro.simulation.traffic import TrafficPattern
-from repro.telemetry.hub import coalesce
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.core.timeline import ReconfigurationTimeline
-
-__all__ = ["FlitLevelSimulator", "FlitSimResult"]
+__all__ = ["execute"]
 
 
 def record_epoch_spans(tel, n_slots: int, changes: tuple) -> None:
@@ -132,378 +124,261 @@ class _ChannelRuntime:
         self.trace_events: list[tuple[int, int, int]] | None = None
 
 
-@dataclass
-class FlitSimResult:
-    """Everything a flit-level run produced."""
+def execute(config: NocConfiguration,
+            initial: tuple[ChannelAllocation, ...], changes: tuple,
+            n_slots: int, patterns: dict[str, TrafficPattern], options,
+            telemetry) -> tuple[StatsCollector, TraceRecorder, dict]:
+    """Run the slot loop over one or more constant-channel epochs.
 
-    stats: StatsCollector
-    trace: TraceRecorder
-    simulated_slots: int
-    frequency_hz: float
-    fmt: WordFormat
-    stalled_slots_by_channel: dict[str, int]
-    flits_by_channel: dict[str, int]
-    n_epochs: int = 1
-    compiled: bool = False
-    #: Executor-internal work counters (pattern-table compiles vs.
-    #: binary-search slices, interval-run batches, …); surfaced through
-    #: ``SimResult.meta["executor_stats"]`` by the flit backend.
-    executor_stats: dict = field(default_factory=dict)
+    ``config`` is the operating point (word format, table size,
+    frequency); ``initial`` holds the channels active from slot 0 and
+    ``changes`` the later boundaries, as :meth:`~repro.core.timeline.
+    ReconfigurationTimeline.change_plan` returns them (a static run is
+    the plan with every allocated channel initial and no changes);
+    ``options`` carries ``flow_control``, ``rx_buffer_words`` and
+    ``check_contention``.  Returns the record log, the trace and the
+    ``meta`` of the :class:`~repro.simulation.backend.SimResult`.
+    """
+    states = {
+        ca.spec.name: _make_runtime(
+            config, options, ca.spec.name, ca, patterns.get(ca.spec.name),
+            0, n_slots)
+        for ca in sorted(initial, key=lambda ca: ca.spec.name)}
+    fmt = config.fmt
+    flit_size = fmt.flit_size
+    payload_per_flit = fmt.payload_words_per_flit
+    bytes_per_word = fmt.bytes_per_word
+    period_ps = round(1e12 / config.frequency_hz)
+    table_size = config.table_size
+    check_contention = options.check_contention
+    stats = StatsCollector()
+    trace = TraceRecorder()
+    all_states: list[_ChannelRuntime] = []
 
-    @property
-    def simulated_ns(self) -> float:
-        """Simulated wall-clock time."""
-        return (self.simulated_slots * self.fmt.flit_size /
-                self.frequency_hz * 1e9)
+    def register(state: _ChannelRuntime) -> None:
+        channel_stats = stats.sink(state.name)
+        state.injections = channel_stats.injections
+        state.deliveries = channel_stats.deliveries
+        all_states.append(state)
 
-    def channel_throughput_bytes_per_s(self, channel: str, *,
-                                       warmup_fraction: float = 0.1
-                                       ) -> float:
-        """Delivered payload rate of one channel after warm-up."""
-        total_ps = int(self.simulated_slots * self.fmt.flit_size *
-                       1e12 / self.frequency_hz)
-        start = int(total_ps * warmup_fraction)
-        return self.stats.channel(channel).throughput_bytes_per_s(
-            start, total_ps)
+    for state in states.values():
+        register(state)
+    schedule = _compile_schedule(config, states)
 
-    def summary(self) -> str:
-        """One-line latency digest for logs and the REPL."""
-        return latency_digest("flit", self.stats, self.simulated_slots,
-                              "slots", self.frequency_hz)
+    # (slot, seq, runtime, words): credits return to the exact
+    # runtime that spent them, so a channel restarted under a
+    # timeline never absorbs its previous incarnation's returns;
+    # the sequence number keeps heap ordering off the runtimes.
+    credit_returns: list[tuple[int, int, _ChannelRuntime, int]] = []
+    credit_seq = 0
+    occupancy: dict[tuple[tuple[str, str], int], str] = {}
+    injection_record = InjectionRecord
+    delivery_record = DeliveryRecord
 
-    def __repr__(self) -> str:
-        return f"FlitSimResult({self.summary()})"
-
-
-class FlitLevelSimulator:
-    """Slot-by-slot simulator over a validated configuration."""
-
-    def __init__(self, config: NocConfiguration, *,
-                 flow_control: bool = False,
-                 rx_buffer_words: int | None = None,
-                 check_contention: bool = False,
-                 compiled: bool | None = None,
-                 telemetry=None):
-        self.config = config
-        self.telemetry = coalesce(telemetry)
-        self.fmt = config.fmt
-        self.table_size = config.table_size
-        self.frequency_hz = config.frequency_hz
-        self.flow_control = flow_control
-        self.rx_buffer_words = rx_buffer_words
-        self.check_contention = check_contention
-        if compiled:
-            from repro.simulation.compiled import numpy_available
-            if not numpy_available():
-                raise ConfigurationError(
-                    "compiled=True requires numpy, which is not "
-                    "importable")
-            if flow_control:
-                raise ConfigurationError(
-                    "compiled=True cannot model credit flow control; "
-                    "use the per-flit path (compiled=False)")
-        self.compiled = compiled
-        self._patterns: dict[str, TrafficPattern] = {}
-
-    def set_traffic(self, channel: str, pattern: TrafficPattern) -> None:
-        """Attach a traffic pattern to one channel."""
-        if channel not in self.config.allocation.channels:
-            raise ConfigurationError(
-                f"channel {channel!r} is not part of the configuration")
-        self._patterns[channel] = pattern
-
-    # -- main loop -------------------------------------------------------------
-
-    def run(self, n_slots: int) -> FlitSimResult:
-        """Simulate ``n_slots`` flit cycles and return all measurements.
-
-        The static run is the one-epoch change plan: every allocated
-        channel active from slot 0, no boundaries.
-        """
-        if n_slots <= 0:
-            raise ConfigurationError(f"n_slots must be positive, got {n_slots}")
-        return self._run_plan(
-            tuple(self.config.allocation.channels.values()), (), n_slots,
-            self._patterns)
-
-    def _use_compiled(self) -> bool:
-        """Whether this run goes through the compiled executor."""
-        if self.compiled is not None:
-            return self.compiled
-        if self.flow_control:
-            return False
-        from repro.simulation.compiled import numpy_available
-        return numpy_available()
-
-    def run_timeline(self, timeline: "ReconfigurationTimeline",
-                     n_slots: int | None = None, *,
-                     traffic: dict[str, TrafficPattern] | None = None
-                     ) -> FlitSimResult:
-        """Execute a reconfiguration timeline epoch by epoch.
-
-        The channel set comes from the timeline's events, not from the
-        configuration's allocation; each channel's traffic pattern is
-        interpreted relative to its start slot.  Dispatches to the
-        compiled executor when available; the per-flit path rebuilds
-        only the injection-slot schedule entries of channels a
-        transition touches.
-        """
-        patterns = dict(traffic or {})
-        n_slots = timeline.check_replay(
-            n_slots, patterns, table_size=self.table_size,
-            frequency_hz=self.frequency_hz, fmt=self.fmt)
-        initial, changes = timeline.change_plan(until=n_slots)
-        return self._run_plan(initial, changes, n_slots, patterns)
-
-    def _run_plan(self, initial: tuple[ChannelAllocation, ...],
-                  changes: tuple, n_slots: int,
-                  patterns: dict[str, TrafficPattern]) -> FlitSimResult:
-        """Execute a change plan on whichever executor this run uses."""
-        if self._use_compiled():
-            from repro.simulation import compiled as compiled_exec
-            return compiled_exec.execute(self, initial, changes, n_slots,
-                                         patterns)
-        states = {
-            ca.spec.name: self._make_runtime(
-                ca.spec.name, ca, patterns.get(ca.spec.name), 0, n_slots)
-            for ca in sorted(initial, key=lambda ca: ca.spec.name)}
-        return self._execute(n_slots, states, changes, patterns)
-
-    def _execute(self, n_slots: int, states: dict[str, _ChannelRuntime],
-                 changes: tuple, patterns: dict[str, TrafficPattern]
-                 ) -> FlitSimResult:
-        """Run the slot loop over one or more constant-channel epochs."""
-        fmt = self.fmt
-        flit_size = fmt.flit_size
-        payload_per_flit = fmt.payload_words_per_flit
-        bytes_per_word = fmt.bytes_per_word
-        period_ps = round(1e12 / self.frequency_hz)
-        table_size = self.table_size
-        check_contention = self.check_contention
-        stats = StatsCollector()
-        trace = TraceRecorder()
-        all_states: list[_ChannelRuntime] = []
-
-        def register(state: _ChannelRuntime) -> None:
-            channel_stats = stats.sink(state.name)
-            state.injections = channel_stats.injections
-            state.deliveries = channel_stats.deliveries
-            all_states.append(state)
-
-        for state in states.values():
-            register(state)
-        schedule = self._compile_schedule(states)
-
-        # (slot, seq, runtime, words): credits return to the exact
-        # runtime that spent them, so a channel restarted under a
-        # timeline never absorbs its previous incarnation's returns;
-        # the sequence number keeps heap ordering off the runtimes.
-        credit_returns: list[tuple[int, int, _ChannelRuntime, int]] = []
-        credit_seq = 0
-        occupancy: dict[tuple[tuple[str, str], int], str] = {}
-        injection_record = InjectionRecord
-        delivery_record = DeliveryRecord
-
-        span_start = 0
-        for boundary, stops, starts in (*changes, (n_slots, (), ())):
-            for abs_slot in range(span_start, min(boundary, n_slots)):
-                # Release credits that completed their loop.
-                while credit_returns and credit_returns[0][0] <= abs_slot:
-                    _, _, state, words = heappop(credit_returns)
-                    if state.credits_words is not None:
-                        state.credits_words += words
-                for state in schedule[abs_slot % table_size]:
-                    # Move arrivals whose ready slot has passed into the
-                    # queue.
-                    pos = state.ev_pos
-                    if pos < state.ev_len and state.ev_ready[pos] <= abs_slot:
-                        pending_append = state.pending.append
-                        ev_ready = state.ev_ready
-                        while pos < state.ev_len and ev_ready[pos] <= abs_slot:
-                            pending_append([state.ev_id[pos],
-                                            state.ev_words[pos],
-                                            state.ev_words[pos],
-                                            state.ev_cycle[pos]])
-                            pos += 1
-                        state.ev_pos = pos
-                    pending = state.pending
-                    if not pending:
-                        continue
-                    message = pending[0]
-                    words_left = message[1]
-                    payload_words = (words_left
-                                     if words_left < payload_per_flit
-                                     else payload_per_flit)
-                    credits = state.credits_words
-                    if credits is not None and credits < payload_words:
-                        state.stalled_slots += 1
-                        continue
-                    if check_contention:
-                        self._check_links(state, abs_slot, occupancy)
-                    message[1] = words_left - payload_words
-                    if credits is not None:
-                        state.credits_words = credits - payload_words
-                        heappush(credit_returns,
-                                 (abs_slot + state.credit_loop_slots,
-                                  credit_seq, state, payload_words))
-                        credit_seq += 1
-                    state.flits_sent += 1
-                    cycle = abs_slot * flit_size
-                    state.injections.append(injection_record(
+    span_start = 0
+    for boundary, stops, starts in (*changes, (n_slots, (), ())):
+        for abs_slot in range(span_start, min(boundary, n_slots)):
+            # Release credits that completed their loop.
+            while credit_returns and credit_returns[0][0] <= abs_slot:
+                _, _, state, words = heappop(credit_returns)
+                if state.credits_words is not None:
+                    state.credits_words += words
+            for state in schedule[abs_slot % table_size]:
+                # Move arrivals whose ready slot has passed into the
+                # queue.
+                pos = state.ev_pos
+                if pos < state.ev_len and state.ev_ready[pos] <= abs_slot:
+                    pending_append = state.pending.append
+                    ev_ready = state.ev_ready
+                    while pos < state.ev_len and ev_ready[pos] <= abs_slot:
+                        pending_append([state.ev_id[pos],
+                                        state.ev_words[pos],
+                                        state.ev_words[pos],
+                                        state.ev_cycle[pos]])
+                        pos += 1
+                    state.ev_pos = pos
+                pending = state.pending
+                if not pending:
+                    continue
+                message = pending[0]
+                words_left = message[1]
+                payload_words = (words_left
+                                 if words_left < payload_per_flit
+                                 else payload_per_flit)
+                credits = state.credits_words
+                if credits is not None and credits < payload_words:
+                    state.stalled_slots += 1
+                    continue
+                if check_contention:
+                    _check_links(state, abs_slot, occupancy)
+                message[1] = words_left - payload_words
+                if credits is not None:
+                    state.credits_words = credits - payload_words
+                    heappush(credit_returns,
+                             (abs_slot + state.credit_loop_slots,
+                              credit_seq, state, payload_words))
+                    credit_seq += 1
+                state.flits_sent += 1
+                cycle = abs_slot * flit_size
+                state.injections.append(injection_record(
+                    channel=state.name, message_id=message[0],
+                    sequence=state.flits_sent - 1, slot_index=abs_slot,
+                    cycle=cycle, time_ps=cycle * period_ps))
+                if message[1] <= 0:
+                    pending.popleft()
+                    delivered_cycle = (abs_slot +
+                                       state.traversal_slots) * \
+                        flit_size
+                    state.deliveries.append(delivery_record(
                         channel=state.name, message_id=message[0],
-                        sequence=state.flits_sent - 1, slot_index=abs_slot,
-                        cycle=cycle, time_ps=cycle * period_ps))
-                    if message[1] <= 0:
-                        pending.popleft()
-                        delivered_cycle = (abs_slot +
-                                           state.traversal_slots) * \
-                            flit_size
-                        state.deliveries.append(delivery_record(
-                            channel=state.name, message_id=message[0],
-                            created_cycle=message[3],
-                            created_time_ps=message[3] * period_ps,
-                            delivered_cycle=delivered_cycle,
-                            delivered_time_ps=delivered_cycle * period_ps,
-                            payload_bytes=message[2] * bytes_per_word))
-                        trace_events = state.trace_events
-                        if trace_events is None:
-                            trace_events = trace.channel_sink(state.name)
-                            state.trace_events = trace_events
-                        trace_events.append((message[0], abs_slot,
-                                             delivered_cycle))
-            if boundary >= n_slots:
-                break
-            span_start = boundary
-            self._apply_transition(
-                states, schedule, stops, starts, boundary, n_slots,
-                patterns, register)
-        stats.prune_empty()
-        stalled: dict[str, int] = {}
-        flits: dict[str, int] = {}
-        for state in all_states:
-            stalled[state.name] = stalled.get(state.name, 0) + \
-                state.stalled_slots
-            flits[state.name] = flits.get(state.name, 0) + \
-                state.flits_sent
-        n_epochs = len(changes) + 1
-        tel = self.telemetry
-        if tel.enabled:
-            tel.counter("executor.dispatch", path="per-flit").inc()
-            tel.counter("executor.epochs").inc(n_epochs)
-            record_epoch_spans(tel, n_slots, changes)
-        return FlitSimResult(
-            stats=stats, trace=trace, simulated_slots=n_slots,
-            frequency_hz=self.frequency_hz, fmt=fmt,
-            stalled_slots_by_channel=stalled,
-            flits_by_channel=flits,
-            n_epochs=n_epochs,
-            executor_stats={"epochs": n_epochs})
+                        created_cycle=message[3],
+                        created_time_ps=message[3] * period_ps,
+                        delivered_cycle=delivered_cycle,
+                        delivered_time_ps=delivered_cycle * period_ps,
+                        payload_bytes=message[2] * bytes_per_word))
+                    trace_events = state.trace_events
+                    if trace_events is None:
+                        trace_events = trace.channel_sink(state.name)
+                        state.trace_events = trace_events
+                    trace_events.append((message[0], abs_slot,
+                                         delivered_cycle))
+        if boundary >= n_slots:
+            break
+        span_start = boundary
+        _apply_transition(
+            config, options, states, schedule, stops, starts, boundary,
+            n_slots, patterns, register)
+    stats.prune_empty()
+    stalled: dict[str, int] = {}
+    flits: dict[str, int] = {}
+    for state in all_states:
+        stalled[state.name] = stalled.get(state.name, 0) + \
+            state.stalled_slots
+        flits[state.name] = flits.get(state.name, 0) + \
+            state.flits_sent
+    n_epochs = len(changes) + 1
+    if telemetry.enabled:
+        telemetry.counter("executor.dispatch", path="per-flit").inc()
+        telemetry.counter("executor.epochs").inc(n_epochs)
+        record_epoch_spans(telemetry, n_slots, changes)
+    return stats, trace, {
+        "stalled_slots_by_channel": stalled, "flits_by_channel": flits,
+        "n_epochs": n_epochs, "executor": "per-flit",
+        "executor_stats": {"epochs": n_epochs}}
 
-    # -- helpers ---------------------------------------------------------------
 
-    def _make_runtime(self, name: str, alloc: ChannelAllocation,
-                      pattern: TrafficPattern | None, start_slot: int,
-                      n_slots: int) -> _ChannelRuntime:
-        """Fresh per-channel state for a channel starting at a slot.
+# -- helpers -------------------------------------------------------------------
 
-        Traffic patterns are relative to the channel's start: an event
-        at pattern cycle ``c`` becomes ready ``c`` cycles after the
-        channel (re)starts.
-        """
-        fmt = self.fmt
-        flit_size = fmt.flit_size
-        state = _ChannelRuntime(name, alloc)
-        if pattern is not None:
-            base_cycle = start_slot * flit_size
-            events = pattern.events((n_slots - start_slot) * flit_size)
-            # ceil(cycle / flit_size): first slot whose boundary has
-            # passed the arrival cycle.
-            state.ev_ready = [start_slot + -(-e.cycle // flit_size)
-                              for e in events]
-            state.ev_cycle = [base_cycle + e.cycle for e in events]
-            state.ev_words = [e.words for e in events]
-            state.ev_id = [e.message_id for e in events]
-            state.ev_len = len(events)
-        if self.flow_control:
-            state.credits_words = self.rx_buffer_words or \
-                (alloc.n_slots * fmt.payload_words_per_flit * 4)
-            state.credit_loop_slots = (alloc.path.traversal_slots * 2 +
-                                       self.table_size)
-        if self.check_contention:
-            state.contention_keys = tuple(
-                (link.key, shift) for link, shift in
-                zip(alloc.path.links, alloc.path.link_shifts))
-        return state
 
-    def _apply_transition(self, states: dict[str, _ChannelRuntime],
-                          schedule: list[list[_ChannelRuntime]],
-                          stops: tuple[str, ...],
-                          starts: tuple[ChannelAllocation, ...],
-                          slot: int, n_slots: int,
-                          patterns: dict[str, TrafficPattern],
-                          register) -> None:
-        """Apply one epoch boundary's stops and starts to the schedule.
+def _make_runtime(config: NocConfiguration, options, name: str,
+                  alloc: ChannelAllocation,
+                  pattern: TrafficPattern | None, start_slot: int,
+                  n_slots: int) -> _ChannelRuntime:
+    """Fresh per-channel state for a channel starting at a slot.
 
-        Touches only the schedule rows of the changed channels,
-        inserting new runtimes in source-NI order so the row ordering —
-        and therefore every survivor's trace — is identical to a full
-        recompilation.
-        """
-        for name in stops:
-            state = states.pop(name, None)
-            if state is None:
-                raise SimulationError(
-                    f"timeline stops unknown channel {name!r} at slot "
-                    f"{slot}")
-            for table_slot in state.alloc.slots:
-                schedule[table_slot].remove(state)
-        for alloc in starts:
-            name = alloc.spec.name
-            if name in states:
-                raise SimulationError(
-                    f"timeline starts channel {name!r} twice at slot "
-                    f"{slot}")
-            state = self._make_runtime(name, alloc, patterns.get(name),
-                                       slot, n_slots)
-            register(state)
-            states[name] = state
-            source = alloc.path.source
-            for table_slot in alloc.slots:
-                row = schedule[table_slot]
-                index = 0
-                while index < len(row) and \
-                        row[index].alloc.path.source < source:
-                    index += 1
-                row.insert(index, state)
+    Traffic patterns are relative to the channel's start: an event
+    at pattern cycle ``c`` becomes ready ``c`` cycles after the
+    channel (re)starts.
+    """
+    fmt = config.fmt
+    flit_size = fmt.flit_size
+    state = _ChannelRuntime(name, alloc)
+    if pattern is not None:
+        base_cycle = start_slot * flit_size
+        events = pattern.events((n_slots - start_slot) * flit_size)
+        # ceil(cycle / flit_size): first slot whose boundary has
+        # passed the arrival cycle.
+        state.ev_ready = [start_slot + -(-e.cycle // flit_size)
+                          for e in events]
+        state.ev_cycle = [base_cycle + e.cycle for e in events]
+        state.ev_words = [e.words for e in events]
+        state.ev_id = [e.message_id for e in events]
+        state.ev_len = len(events)
+    if options.flow_control:
+        state.credits_words = options.rx_buffer_words or \
+            (alloc.n_slots * fmt.payload_words_per_flit * 4)
+        state.credit_loop_slots = (alloc.path.traversal_slots * 2 +
+                                   config.table_size)
+    if options.check_contention:
+        state.contention_keys = tuple(
+            (link.key, shift) for link, shift in
+            zip(alloc.path.links, alloc.path.link_shifts))
+    return state
 
-    def _compile_schedule(self, channels: dict[str, _ChannelRuntime]
-                          ) -> list[list[_ChannelRuntime]]:
-        """Flatten the slot tables into a per-table-slot state list.
 
-        Within a slot, states are ordered by source NI name — the same
-        deterministic order the per-NI scan used — so traces are
-        bit-identical to the pre-flattened implementation.
-        """
-        by_ni_slot: dict[tuple[str, int], _ChannelRuntime] = {}
-        for state in channels.values():
-            for slot in state.alloc.slots:
-                by_ni_slot[(state.alloc.path.source, slot)] = state
-        ni_names = sorted({s.alloc.path.source for s in channels.values()})
-        schedule: list[list[_ChannelRuntime]] = []
-        for slot in range(self.table_size):
-            row = [by_ni_slot[(ni, slot)] for ni in ni_names
-                   if (ni, slot) in by_ni_slot]
-            schedule.append(row)
-        return schedule
+def _apply_transition(config: NocConfiguration, options,
+                      states: dict[str, _ChannelRuntime],
+                      schedule: list[list[_ChannelRuntime]],
+                      stops: tuple[str, ...],
+                      starts: tuple[ChannelAllocation, ...],
+                      slot: int, n_slots: int,
+                      patterns: dict[str, TrafficPattern],
+                      register) -> None:
+    """Apply one epoch boundary's stops and starts to the schedule.
 
-    def _check_links(self, state: _ChannelRuntime, abs_slot: int,
-                     occupancy: dict) -> None:
-        name = state.name
-        for link_key, shift in state.contention_keys:
-            key = (link_key, abs_slot + shift)
-            holder = occupancy.get(key)
-            if holder is not None and holder != name:
-                raise SimulationError(
-                    f"link {link_key} carries two flits in absolute slot "
-                    f"{abs_slot + shift}: {holder!r} and {name!r}")
-            occupancy[key] = name
+    Touches only the schedule rows of the changed channels,
+    inserting new runtimes in source-NI order so the row ordering —
+    and therefore every survivor's trace — is identical to a full
+    recompilation.
+    """
+    for name in stops:
+        state = states.pop(name, None)
+        if state is None:
+            raise SimulationError(
+                f"timeline stops unknown channel {name!r} at slot "
+                f"{slot}")
+        for table_slot in state.alloc.slots:
+            schedule[table_slot].remove(state)
+    for alloc in starts:
+        name = alloc.spec.name
+        if name in states:
+            raise SimulationError(
+                f"timeline starts channel {name!r} twice at slot "
+                f"{slot}")
+        state = _make_runtime(config, options, name, alloc,
+                              patterns.get(name), slot, n_slots)
+        register(state)
+        states[name] = state
+        source = alloc.path.source
+        for table_slot in alloc.slots:
+            row = schedule[table_slot]
+            index = 0
+            while index < len(row) and \
+                    row[index].alloc.path.source < source:
+                index += 1
+            row.insert(index, state)
+
+
+def _compile_schedule(config: NocConfiguration,
+                      channels: dict[str, _ChannelRuntime]
+                      ) -> list[list[_ChannelRuntime]]:
+    """Flatten the slot tables into a per-table-slot state list.
+
+    Within a slot, states are ordered by source NI name — the same
+    deterministic order the per-NI scan used — so traces are
+    bit-identical to the pre-flattened implementation.
+    """
+    by_ni_slot: dict[tuple[str, int], _ChannelRuntime] = {}
+    for state in channels.values():
+        for slot in state.alloc.slots:
+            by_ni_slot[(state.alloc.path.source, slot)] = state
+    ni_names = sorted({s.alloc.path.source for s in channels.values()})
+    schedule: list[list[_ChannelRuntime]] = []
+    for slot in range(config.table_size):
+        row = [by_ni_slot[(ni, slot)] for ni in ni_names
+               if (ni, slot) in by_ni_slot]
+        schedule.append(row)
+    return schedule
+
+
+def _check_links(state: _ChannelRuntime, abs_slot: int,
+                 occupancy: dict) -> None:
+    name = state.name
+    for link_key, shift in state.contention_keys:
+        key = (link_key, abs_slot + shift)
+        holder = occupancy.get(key)
+        if holder is not None and holder != name:
+            raise SimulationError(
+                f"link {link_key} carries two flits in absolute slot "
+                f"{abs_slot + shift}: {holder!r} and {name!r}")
+        occupancy[key] = name

@@ -29,6 +29,9 @@ from repro.core.exceptions import TopologyError
 
 __all__ = ["NodeKind", "Link", "Topology", "RouteGeometry", "hop_distances"]
 
+#: Node-attribute value types :meth:`Topology.to_dict` keeps.
+_JSON_SCALARS = (bool, int, float, str, type(None))
+
 
 class NodeKind(enum.Enum):
     """The two node types of an aelite network."""
@@ -386,11 +389,20 @@ class Topology:
     # -- (de)serialisation ---------------------------------------------------
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable structural description."""
+        """JSON-serialisable structural description.
+
+        ``attrs`` carries each node's JSON-safe attributes (the mesh
+        coordinates the builders attach), so XY routing and the design
+        pruner work on the restored topology too.
+        """
         return {
             "name": self.name,
             "routers": list(self.routers),
             "nis": list(self.nis),
+            "attrs": {
+                name: kept for name, attrs in sorted(self._nodes.items())
+                if (kept := {key: value for key, value in attrs.items()
+                             if isinstance(value, _JSON_SCALARS)})},
             "links": [
                 {"src": l.src, "dst": l.dst, "src_port": l.src_port,
                  "dst_port": l.dst_port, "pipeline_stages": l.pipeline_stages}
@@ -406,13 +418,15 @@ class Topology:
         list must be in the original connection order; :meth:`to_dict`
         preserves sorted order which keeps the mapping deterministic either
         way because readers must use the stored port numbers, which are
-        re-checked here.
+        re-checked here.  Dicts written before ``attrs`` existed load as
+        topologies without node attributes.
         """
         topo = Topology(str(data.get("name", "noc")))
+        attrs = data.get("attrs", {})
         for r in data["routers"]:  # type: ignore[union-attr]
-            topo.add_router(str(r))
+            topo.add_router(str(r), **attrs.get(r, {}))
         for n in data["nis"]:  # type: ignore[union-attr]
-            topo.add_ni(str(n))
+            topo.add_ni(str(n), **attrs.get(n, {}))
         for ld in data["links"]:  # type: ignore[union-attr]
             topo._connect_explicit(
                 Link(src=str(ld["src"]), dst=str(ld["dst"]),

@@ -9,14 +9,16 @@ import pytest
 
 from repro.baseline.arbitration import (FixedPriorityArbiter,
                                         RoundRobinArbiter)
-from repro.baseline.be_network import (BeNetworkSimulator, BeSimResult,
-                                       _NiState, _SourceQueue)
+from repro.baseline.be_network import (BeNetworkSimulator, _NiState,
+                                       _SourceQueue)
 from repro.campaign.spec import WorkloadSpec
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError
 from repro.core.timeline import ReconfigurationTimeline, TimelineEvent
+from repro.simulation.backend import (BestEffortBackend, FlitLevelBackend,
+                                      SimRequest)
 from repro.simulation.monitors import StatsCollector
 from repro.simulation.traffic import (ConstantBitRate, MessageEvent,
                                       PeriodicBurst, Saturating,
@@ -80,15 +82,16 @@ def _two_router_config():
                      mapping=mapping)
 
 
+def _be(config, traffic, n_ticks, **options):
+    return BestEffortBackend(config, **options).run(
+        SimRequest(n_slots=n_ticks, traffic=traffic))
+
+
 class TestBeNetwork:
     def test_delivers_everything_offered(self):
         config = _two_router_config()
-        sim = BeNetworkSimulator(config)
-        sim.set_traffic("x0", ConstantBitRate.from_rate(
-            60 * MB, 500e6, config.fmt))
-        sim.set_traffic("x1", ConstantBitRate.from_rate(
-            60 * MB, 500e6, config.fmt))
-        result = sim.run(2000)
+        result = _be(config, {name: ConstantBitRate.from_rate(
+            60 * MB, 500e6, config.fmt) for name in ("x0", "x1")}, 2000)
         for name in ("x0", "x1"):
             deliveries = result.stats.channel(name).deliveries
             # ~2000 ticks * 6ns = 12 us at 60 MB/s and 8 B messages.
@@ -96,9 +99,7 @@ class TestBeNetwork:
 
     def test_in_order_delivery(self):
         config = _two_router_config()
-        sim = BeNetworkSimulator(config)
-        sim.set_traffic("x0", Saturating(2, 3))
-        result = sim.run(500)
+        result = _be(config, {"x0": Saturating(2, 3)}, 500)
         ids = [d.message_id
                for d in result.stats.channel("x0").deliveries]
         assert ids == sorted(ids)
@@ -106,10 +107,9 @@ class TestBeNetwork:
 
     def test_multi_flit_packets_complete(self):
         config = _two_router_config()
-        sim = BeNetworkSimulator(config, max_packet_flits=4)
         # 16-word messages: two 4-flit packets each.
-        sim.set_traffic("x0", PeriodicBurst(1, 16, 40))
-        result = sim.run(800)
+        result = _be(config, {"x0": PeriodicBurst(1, 16, 40)}, 800,
+                     max_packet_flits=4)
         deliveries = result.stats.channel("x0").deliveries
         assert deliveries
         assert all(d.payload_bytes == 64 for d in deliveries)
@@ -117,13 +117,9 @@ class TestBeNetwork:
     def test_contention_inflates_latency(self):
         """Two saturated channels sharing a link interfere."""
         config = _two_router_config()
-        solo = BeNetworkSimulator(config)
-        solo.set_traffic("x0", Saturating(2, 3))
-        solo_result = solo.run(800)
-        both = BeNetworkSimulator(config)
-        both.set_traffic("x0", Saturating(2, 3))
-        both.set_traffic("x1", Saturating(2, 3))
-        both_result = both.run(800)
+        solo_result = _be(config, {"x0": Saturating(2, 3)}, 800)
+        both_result = _be(config, {"x0": Saturating(2, 3),
+                                   "x1": Saturating(2, 3)}, 800)
         solo_count = len(solo_result.stats.channel("x0").deliveries)
         both_count = len(both_result.stats.channel("x0").deliveries)
         # The shared link halves each channel's share.
@@ -133,15 +129,11 @@ class TestBeNetwork:
     def test_no_tdm_lower_idle_latency(self):
         """An uncontended BE flit beats the TDM slot wait on average."""
         config = _two_router_config()
-        from repro.simulation.flitsim import FlitLevelSimulator
-        pattern = ConstantBitRate.from_rate(20 * MB, 500e6, config.fmt,
-                                            offset_cycles=1)
-        be = BeNetworkSimulator(config)
-        be.set_traffic("x0", pattern)
-        be_result = be.run(1500)
-        gs = FlitLevelSimulator(config)
-        gs.set_traffic("x0", pattern)
-        gs_result = gs.run(1500)
+        request = SimRequest(n_slots=1500, traffic={
+            "x0": ConstantBitRate.from_rate(20 * MB, 500e6, config.fmt,
+                                            offset_cycles=1)})
+        be_result = BestEffortBackend(config).run(request)
+        gs_result = FlitLevelBackend(config).run(request)
         be_mean = be_result.stats.channel("x0").latency_summary().mean
         gs_mean = gs_result.stats.channel("x0").latency_summary().mean
         assert be_mean < gs_mean
@@ -150,19 +142,17 @@ class TestBeNetwork:
         config = _two_router_config()
         results = {}
         for frequency in (500e6, 1000e6):
-            sim = BeNetworkSimulator(config, frequency_hz=frequency)
-            sim.set_traffic("x0", ConstantBitRate.from_rate(
-                60 * MB, frequency, config.fmt))
-            result = sim.run(1000)
+            result = _be(config, {"x0": ConstantBitRate.from_rate(
+                60 * MB, frequency, config.fmt)}, 1000,
+                frequency_hz=frequency)
             results[frequency] = \
                 result.stats.channel("x0").latency_summary().mean
         assert results[1000e6] < results[500e6]
 
     def test_unknown_channel_rejected(self):
         config = _two_router_config()
-        sim = BeNetworkSimulator(config)
-        with pytest.raises(ConfigurationError):
-            sim.set_traffic("nope", Saturating(2, 3))
+        with pytest.raises(ConfigurationError, match="nope"):
+            _be(config, {"nope": Saturating(2, 3)}, 100)
 
     def test_invalid_parameters_rejected(self):
         config = _two_router_config()
@@ -171,7 +161,7 @@ class TestBeNetwork:
         with pytest.raises(ConfigurationError):
             BeNetworkSimulator(config, max_packet_flits=0)
         with pytest.raises(ConfigurationError):
-            BeNetworkSimulator(config).run(0)
+            SimRequest(n_slots=0)
 
     def test_wormhole_no_packet_interleaving(self):
         """Flits of two packets never interleave on one link.
@@ -190,10 +180,10 @@ class TestBeNetwork:
                            "d": "ni0_0_2"})
         config = configure(topo, use_case, table_size=8,
                            frequency_hz=500e6, mapping=mapping)
-        sim = BeNetworkSimulator(config, max_packet_flits=4)
-        sim.set_traffic("p0", PeriodicBurst(1, 8, 20))
-        sim.set_traffic("p1", PeriodicBurst(1, 8, 20, offset_cycles=3))
-        result = sim.run(600)
+        result = _be(config, {
+            "p0": PeriodicBurst(1, 8, 20),
+            "p1": PeriodicBurst(1, 8, 20, offset_cycles=3)}, 600,
+            max_packet_flits=4)
         # Both channels' multi-flit messages all complete intact.
         for name in ("p0", "p1"):
             deliveries = result.stats.channel(name).deliveries
@@ -233,8 +223,7 @@ class ScanningSimulator(BeNetworkSimulator):
                                  stats)
             for ni in sorted(nis):
                 self._inject_tick(nis[ni], tick, period_ps, stats)
-        return BeSimResult(stats=stats, simulated_ticks=n_ticks,
-                           frequency_hz=self.frequency_hz, fmt=self.fmt)
+        return stats
 
     def _route_tick(self, router, tick, period_ps, stats):
         consumed_inputs = set()
@@ -309,13 +298,14 @@ def _random_case(topo_name, seed):
 
 
 def _assert_same_records(got, ref):
-    assert got.stats.channels == ref.stats.channels
-    assert got.stats.channels
-    for name in ref.stats.channels:
-        assert got.stats.channel(name).injections == \
-            ref.stats.channel(name).injections, name
-        assert got.stats.channel(name).deliveries == \
-            ref.stats.channel(name).deliveries, name
+    """Two ``StatsCollector``s, record for record."""
+    assert got.channels == ref.channels
+    assert got.channels
+    for name in ref.channels:
+        assert got.channel(name).injections == \
+            ref.channel(name).injections, name
+        assert got.channel(name).deliveries == \
+            ref.channel(name).deliveries, name
 
 
 class TestLoopEqualsTheScanningLoop:
@@ -323,15 +313,16 @@ class TestLoopEqualsTheScanningLoop:
     @pytest.mark.parametrize("topo_name", sorted(BE_TOPOLOGIES))
     def test_static_runs(self, topo_name, seed):
         config, options, traffic = _random_case(topo_name, seed)
-        results = []
-        for simulator in (BeNetworkSimulator, ScanningSimulator):
-            sim = simulator(config, **options)
-            for name, pattern in traffic.items():
-                sim.set_traffic(name, pattern)
-            results.append(sim.run(300))
+        intervals = {name: ((0, 300, ca),) for name, ca in
+                     sorted(config.allocation.channels.items())}
+        results = [simulator(config, **options).run(intervals, traffic, 300)
+                   for simulator in (BeNetworkSimulator, ScanningSimulator)]
         _assert_same_records(*results)
-        assert any(len(results[0].stats.channel(name).deliveries) > 5
-                   for name in results[0].stats.channels)
+        assert any(len(results[0].channel(name).deliveries) > 5
+                   for name in results[0].channels)
+        # ... and the backend's static table is this one.
+        _assert_same_records(
+            _be(config, traffic, 300, **options).stats, results[0])
 
     def test_timeline_with_restarts(self):
         config, options, traffic = _random_case("mesh", 11)
@@ -351,6 +342,6 @@ class TestLoopEqualsTheScanningLoop:
             horizon_slots=400, table_size=config.table_size,
             frequency_hz=config.frequency_hz, fmt=config.fmt)
         _assert_same_records(*(
-            simulator(config, **options).run_timeline(
-                timeline, traffic=traffic)
+            simulator(config, **options).run(
+                timeline.channel_intervals(), traffic, 400)
             for simulator in (BeNetworkSimulator, ScanningSimulator)))

@@ -25,18 +25,13 @@ from repro.faults.model import FaultSchedule, FaultSpec
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService, merge_events
 from repro.simulation.backend import FlitLevelBackend, SimRequest
-from repro.simulation.compiled import numpy_available
 from repro.simulation.composability import replay_traffic, verify_timeline
-from repro.simulation.flitsim import FlitLevelSimulator
 from repro.simulation.monitors import (ChannelStats, StatsCollector,
-                                       TraceRecorder)
+                                       TraceRecorder, latency_digest)
 from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
                                       MessageEvent, PeriodicBurst, Replay,
                                       Saturating, TrafficPattern)
 from repro.topology.builders import concentrated_mesh, mesh, ring, torus
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="compiled executor requires numpy")
 
 TOPOLOGIES = {
     "mesh": lambda: mesh(3, 3, nis_per_router=2),
@@ -105,18 +100,31 @@ def _traffic(config, seed):
 
 
 def _run(config, traffic, n_slots, **kwargs):
-    sim = FlitLevelSimulator(config, **kwargs)
-    for name, pattern in traffic.items():
-        sim.set_traffic(name, pattern)
-    return sim.run(n_slots)
+    return FlitLevelBackend(config, **kwargs).run(
+        SimRequest(n_slots=n_slots, traffic=traffic))
+
+
+def _replay(timeline, traffic, **kwargs):
+    return FlitLevelBackend(replay_configuration(timeline), **kwargs).run(
+        SimRequest(n_slots=timeline.horizon_slots, traffic=traffic,
+                   timeline=timeline))
+
+
+def _is_compiled(result):
+    return result.meta["executor"] == "compiled"
+
+
+def _digest(result):
+    """The latency digest without the executor's name in its label."""
+    return latency_digest("flit", result.stats, result.simulated_slots,
+                          "slots", result.frequency_hz)
 
 
 def _assert_equivalent(got, ref):
     """Field-identical per-flit records, traces, and totals."""
     assert got.simulated_slots == ref.simulated_slots
-    assert got.n_epochs == ref.n_epochs
-    assert got.flits_by_channel == ref.flits_by_channel
-    assert got.stalled_slots_by_channel == ref.stalled_slots_by_channel
+    for key in ("n_epochs", "flits_by_channel", "stalled_slots_by_channel"):
+        assert got.meta[key] == ref.meta[key], key
     assert got.stats.channels == ref.stats.channels
     for name in ref.stats.channels:
         actual = got.stats.channel(name)
@@ -126,10 +134,9 @@ def _assert_equivalent(got, ref):
     assert got.trace.channels() == ref.trace.channels()
     for name in ref.trace.channels():
         assert got.trace.trace(name) == ref.trace.trace(name), name
-    assert got.summary() == ref.summary()
+    assert _digest(got) == _digest(ref)
 
 
-@requires_numpy
 class TestStaticEquivalence:
     @pytest.mark.parametrize("seed", [1, 7])
     @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
@@ -138,7 +145,7 @@ class TestStaticEquivalence:
         traffic = _traffic(config, seed)
         compiled = _run(config, traffic, 600)
         scalar = _run(config, traffic, 600, compiled=False)
-        assert compiled.compiled and not scalar.compiled
+        assert _is_compiled(compiled) and not _is_compiled(scalar)
         _assert_equivalent(compiled, scalar)
 
     def test_hoisted_contention_check_accepts_valid_config(self):
@@ -148,7 +155,7 @@ class TestStaticEquivalence:
         traffic = _traffic(config, 3)
         checked = _run(config, traffic, 400, check_contention=True)
         plain = _run(config, traffic, 400)
-        assert checked.compiled
+        assert _is_compiled(checked)
         _assert_equivalent(checked, plain)
 
     def test_backend_meta_names_the_executor(self):
@@ -163,7 +170,6 @@ class TestStaticEquivalence:
                     slow.logical_schedule(name)), name
 
 
-@requires_numpy
 class TestTimelineEquivalence:
     def _timeline(self):
         """A churn + fault timeline (PR 5 recipe) with real evictions."""
@@ -182,18 +188,14 @@ class TestTimelineEquivalence:
 
     def test_fault_timeline_identity(self):
         timeline = self._timeline()
-        config = replay_configuration(timeline)
         traffic = replay_traffic(timeline)
-        compiled = FlitLevelSimulator(config).run_timeline(
-            timeline, traffic=traffic)
-        scalar = FlitLevelSimulator(config, compiled=False).run_timeline(
-            timeline, traffic=traffic)
-        assert compiled.compiled and not scalar.compiled
-        assert compiled.n_epochs > 5
+        compiled = _replay(timeline, traffic)
+        scalar = _replay(timeline, traffic, compiled=False)
+        assert _is_compiled(compiled) and not _is_compiled(scalar)
+        assert compiled.meta["n_epochs"] > 5
         _assert_equivalent(compiled, scalar)
 
 
-@requires_numpy
 class TestPropertyEquivalence:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10),
@@ -215,18 +217,17 @@ class TestPropertyEquivalence:
                     config.frequency_hz, fmt)
         compiled = _run(config, traffic, 500)
         scalar = _run(config, traffic, 500, compiled=False)
-        assert compiled.compiled
+        assert _is_compiled(compiled)
         _assert_equivalent(compiled, scalar)
 
 
-@requires_numpy
 class TestServiceLatencies:
     def test_fast_path_matches_record_walk(self):
         config = _config(mesh(3, 3, nis_per_router=2), 5)
         traffic = _traffic(config, 5)
         compiled = _run(config, traffic, 800)
         scalar = _run(config, traffic, 800, compiled=False)
-        assert compiled.compiled
+        assert _is_compiled(compiled)
         answered = 0
         for name in sorted(scalar.stats.channels):
             runs = compiled.stats._runs[name]
@@ -243,19 +244,15 @@ class TestServiceLatencies:
 
 
 class TestConfigurationGuards:
-    @requires_numpy
-    def test_compiled_rejects_flow_control(self):
+    def test_compiled_rejects_flow_control_at_construction(self):
         config = _config(mesh(2, 2, nis_per_router=2), 1, n_channels=4)
-        with pytest.raises(ConfigurationError):
-            FlitLevelSimulator(config, compiled=True, flow_control=True)
+        with pytest.raises(ConfigurationError, match="flow control"):
+            FlitLevelBackend(config, compiled=True, flow_control=True)
 
-    @requires_numpy
     def test_flow_control_falls_back_to_per_flit(self):
         config = _config(mesh(2, 2, nis_per_router=2), 1, n_channels=4)
-        sim = FlitLevelSimulator(config, flow_control=True)
-        for name, pattern in _traffic(config, 1).items():
-            sim.set_traffic(name, pattern)
-        assert not sim.run(300).compiled
+        result = _run(config, _traffic(config, 1), 300, flow_control=True)
+        assert not _is_compiled(result)
 
 
 # -- tables end with their incarnation (PR 22) ----------------------------------
@@ -315,8 +312,7 @@ class _OneChannel:
             fmt=self.fmt)
 
     def run(self, timeline, pattern, **kwargs):
-        sim = FlitLevelSimulator(replay_configuration(timeline), **kwargs)
-        return sim.run_timeline(timeline, traffic={self.name: pattern})
+        return _replay(timeline, {self.name: pattern}, **kwargs)
 
     def interval(self, table, count, start, end, slots):
         from repro.simulation.compiled import _run_interval
@@ -340,7 +336,6 @@ _INCARNATIONS = st.integers(1, 240).flatmap(
 _SLOT_SETS = st.sets(st.integers(0, _OneChannel.TABLE_SIZE - 1), min_size=1)
 
 
-@requires_numpy
 class TestTablesEndWithTheirIncarnation:
     """A table compiled only as far as its incarnation reads gives the
     run the full-horizon table gives, and both give the per-flit run."""
@@ -413,7 +408,7 @@ class TestTablesEndWithTheirIncarnation:
         pattern = ConstantBitRate(4, 11.5)
         timeline = one.timeline(500, spans)
         compiled = one.run(timeline, pattern)
-        stats = compiled.executor_stats
+        stats = compiled.meta["executor_stats"]
         assert (stats["pattern_compiles"],
                 stats.get("pattern_slices", 0)) == (compiles, slices)
         first, second = compiled.stats._runs[one.name]
@@ -528,7 +523,6 @@ def _in_array_form(recorder):
     return fresh
 
 
-@requires_numpy
 class TestAgreementOnArrays:
     """The array compare passes exactly what the tuple compare passes."""
 

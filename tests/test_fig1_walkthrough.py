@@ -17,7 +17,7 @@ from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.path import make_path
 from repro.core.slot_table import shifted
-from repro.simulation.flitsim import FlitLevelSimulator
+from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.traffic import Saturating
 from repro.topology.builders import custom
 from repro.topology.mapping import Mapping
@@ -82,10 +82,9 @@ class TestFigure1:
             topology=topo, use_case=use_case, mapping=mapping,
             allocation=allocation, table_size=4, frequency_hz=500e6,
             fmt=allocation.fmt)
-        sim = FlitLevelSimulator(config, check_contention=True)
-        sim.set_traffic("cA", Saturating(2, 3))
-        sim.set_traffic("cB", Saturating(2, 3))
-        result = sim.run(40)
+        result = FlitLevelBackend(config, check_contention=True).run(
+            SimRequest(n_slots=40, traffic={"cA": Saturating(2, 3),
+                                            "cB": Saturating(2, 3)}))
         # cA gets half the slots, cB a quarter.
         assert len(result.stats.channel("cA").deliveries) == 20
         assert len(result.stats.channel("cB").deliveries) == 10

@@ -13,8 +13,8 @@ from repro.core.analysis import analyse
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
+from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.cyclesim import DetailedNetwork
-from repro.simulation.flitsim import FlitLevelSimulator
 from repro.simulation.traffic import ConstantBitRate
 from repro.topology.builders import concentrated_mesh, mesh, ring, torus
 from repro.topology.mapping import Mapping, round_robin
@@ -48,10 +48,8 @@ class TestMultiStageLinks:
         config = configure(topo, use_case, table_size=8,
                            frequency_hz=500e6, mapping=mapping)
         traffic = _traffic(config)
-        flit = FlitLevelSimulator(config)
-        for name, pattern in traffic.items():
-            flit.set_traffic(name, pattern)
-        fres = flit.run(300)
+        fres = FlitLevelBackend(config).run(
+            SimRequest(n_slots=300, traffic=traffic))
         detailed = DetailedNetwork(config, clocking="mesochronous",
                                    traffic=traffic, horizon_slots=300,
                                    mesochronous_seed=5)
@@ -93,10 +91,8 @@ class TestAlternativeTopologies:
         config = configure(topo, use_case, table_size=16,
                            frequency_hz=500e6, mapping=mapping)
         config.allocation.validate()
-        sim = FlitLevelSimulator(config, check_contention=True)
-        for name, pattern in _traffic(config).items():
-            sim.set_traffic(name, pattern)
-        result = sim.run(600)
+        result = FlitLevelBackend(config, check_contention=True).run(
+            SimRequest(n_slots=600, traffic=_traffic(config)))
         for name in config.allocation.channels:
             assert result.stats.channel(name).deliveries
 

@@ -27,8 +27,8 @@ from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError
 from repro.core.words import WordFormat, encode_header
 from repro.router.synchronous import SynchronousRouter
+from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.engine import Engine
-from repro.simulation.flitsim import FlitLevelSimulator
 from repro.simulation.signals import IDLE, Phit
 from repro.simulation.traffic import BernoulliMessages, PeriodicBurst
 from repro.topology.builders import mesh
@@ -148,15 +148,16 @@ def test_flitsim_bounds_hold_for_random_traffic(seed):
     except AllocationError:
         return
     bounds = analyse(config.allocation)
-    sim = FlitLevelSimulator(config, check_contention=True)
+    traffic = {}
     for i, spec in enumerate(channels):
         if rng.random() < 0.5:
-            sim.set_traffic(spec.name, BernoulliMessages(
-                0.15, 2, 3, seed=seed + i))
+            traffic[spec.name] = BernoulliMessages(
+                0.15, 2, 3, seed=seed + i)
         else:
-            sim.set_traffic(spec.name, PeriodicBurst(
-                1, 2, rng.randint(20, 60), offset_cycles=i))
-    result = sim.run(800)
+            traffic[spec.name] = PeriodicBurst(
+                1, 2, rng.randint(20, 60), offset_cycles=i)
+    result = FlitLevelBackend(config, check_contention=True).run(
+        SimRequest(n_slots=800, traffic=traffic))
     for spec in channels:
         for latency in result.stats.service_latencies_ns(spec.name):
             assert latency <= bounds[spec.name].latency_ns + 1e-9

@@ -249,16 +249,16 @@ class TestDataflow:
 
     def test_simulation_respects_busy_period_bound(self, mesh_config):
         """Measured burst latencies never exceed the latency-rate bound."""
-        from repro.simulation.flitsim import FlitLevelSimulator
+        from repro.simulation.backend import FlitLevelBackend, SimRequest
         from repro.simulation.traffic import PeriodicBurst
         fmt = mesh_config.fmt
         servers = analyse_dataflow(mesh_config.allocation)
         burst_messages = 4
-        sim = FlitLevelSimulator(mesh_config)
-        for name in mesh_config.allocation.channels:
-            sim.set_traffic(name, PeriodicBurst(
-                burst_messages, fmt.payload_words_per_flit, 400))
-        result = sim.run(3000)
+        result = FlitLevelBackend(mesh_config).run(SimRequest(
+            n_slots=3000, traffic={
+                name: PeriodicBurst(burst_messages,
+                                    fmt.payload_words_per_flit, 400)
+                for name in mesh_config.allocation.channels}))
         for name, server in servers.items():
             deliveries = result.stats.channel(name).deliveries
             assert deliveries

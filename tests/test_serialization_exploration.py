@@ -48,19 +48,18 @@ class TestSerialization:
         assert original == restored
 
     def test_simulation_identical_after_roundtrip(self, mesh_config):
-        from repro.simulation.flitsim import FlitLevelSimulator
+        from repro.simulation.backend import FlitLevelBackend, SimRequest
         from repro.simulation.traffic import Saturating
         clone = configuration_from_dict(
             configuration_to_dict(mesh_config))
         traces = []
         for config in (mesh_config, clone):
-            sim = FlitLevelSimulator(config)
-            for name in config.allocation.channels:
-                sim.set_traffic(name, Saturating(2, 3))
-            traces.append({
-                name: sim_result.trace.trace(name)
-                for sim_result in [sim.run(300)]
-                for name in config.allocation.channels})
+            result = FlitLevelBackend(config).run(SimRequest(
+                n_slots=300, traffic={
+                    name: Saturating(2, 3)
+                    for name in config.allocation.channels}))
+            traces.append({name: result.trace.trace(name)
+                           for name in config.allocation.channels})
         assert traces[0] == traces[1]
 
     def test_file_roundtrip(self, mesh_config, tmp_path):

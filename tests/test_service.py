@@ -206,6 +206,46 @@ class TestAdmissionController:
                        "ni0_0_0", "ni1_1_0")
         assert excinfo.value.reason == "no route can meet the requirements"
 
+    def test_reject_reasons_are_tallied_and_folded(self, small_mesh):
+        """Each of the three causes ``admit`` tells apart is counted
+        under its own label, and the labels sum to the reject total."""
+        from repro.telemetry.hub import Telemetry
+        tel = Telemetry()
+        ctrl = AdmissionController(SlotAllocator(
+            small_mesh, table_size=16, frequency_hz=500e6), telemetry=tel)
+        ends = ("ni0_0_0", "ni1_1_0")
+
+        def refused(qos, name):
+            with pytest.raises(AllocationError) as excinfo:
+                ctrl.admit(qos.channel_spec(name, *ends), *ends)
+            return excinfo.value.reason
+
+        assert "no route" in refused(
+            QosClass("now", throughput_mb_s=1.0, max_latency_ns=0.5), "a")
+        heavy = QosClass("half", throughput_mb_s=300.0)
+        while True:  # fill the injection link
+            try:
+                ctrl.admit(heavy.channel_spec(f"f{ctrl.admits}", *ends),
+                           *ends)
+            except AllocationError:
+                break
+        assert ctrl.admits and ctrl.rejects_no_capacity == 1
+        assert "capacity" in refused(heavy, "c")
+        ctrl.allocation.set_failed(failed_routers=["r0_0"])
+        assert "failed fabric" in refused(DEFAULT_CLASSES[0], "d")
+        assert (ctrl.rejects_no_route, ctrl.rejects_no_capacity,
+                ctrl.rejects_failed_fabric) == (1, 2, 1)
+        assert ctrl.rejects == 4
+        by_reason = {reason: tel.value("admission.rejects", reason=reason)
+                     for reason in ("no_route", "no_capacity",
+                                    "failed_fabric")}
+        assert by_reason == {"no_route": 1, "no_capacity": 2,
+                             "failed_fabric": 1}
+        assert sum(by_reason.values()) == \
+            tel.value("admission.decisions", outcome="reject") == 4
+        # Delta-based: reading again adds nothing.
+        assert tel.value("admission.rejects", reason="no_capacity") == 2
+
     def test_deterministic_slot_choice(self, small_mesh):
         def one_pass():
             ctrl = self._controller(small_mesh)

@@ -30,7 +30,6 @@ from repro.simulation.backend import (BestEffortBackend,
                                       available_backends, create_backend)
 from repro.simulation.composability import compare_subsets
 from repro.simulation.cyclesim import DetailedNetwork
-from repro.simulation.flitsim import FlitLevelSimulator
 from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
                                       PeriodicBurst, Replay, Saturating,
                                       MessageEvent)
@@ -102,25 +101,26 @@ class TestTrafficPatterns:
                                              24, 27]
 
 
+def _flit(config, traffic, n_slots, **options):
+    return FlitLevelBackend(config, **options).run(
+        SimRequest(n_slots=n_slots, traffic=traffic))
+
+
 class TestFlitSimulator:
     def test_latency_never_exceeds_bound(self, mesh_config):
         bounds = analyse(mesh_config.allocation)
-        sim = FlitLevelSimulator(mesh_config, check_contention=True)
-        for name, pattern in _cbr_traffic(mesh_config, offset=1).items():
-            sim.set_traffic(name, pattern)
-        result = sim.run(2000)
+        result = _flit(mesh_config, _cbr_traffic(mesh_config, offset=1),
+                       2000, check_contention=True)
         for name, bound in bounds.items():
             summary = result.stats.channel(name).latency_summary()
             assert summary.maximum <= bound.latency_ns + 1e-9
 
     def test_saturated_throughput_equals_guarantee(self, mesh_config):
         bounds = analyse(mesh_config.allocation)
-        sim = FlitLevelSimulator(mesh_config)
-        for name in mesh_config.allocation.channels:
-            sim.set_traffic(name, Saturating(
-                mesh_config.fmt.payload_words_per_flit,
-                mesh_config.fmt.flit_size))
-        result = sim.run(4000)
+        result = _flit(mesh_config, {
+            name: Saturating(mesh_config.fmt.payload_words_per_flit,
+                             mesh_config.fmt.flit_size)
+            for name in mesh_config.allocation.channels}, 4000)
         for name, bound in bounds.items():
             measured = result.channel_throughput_bytes_per_s(
                 name, warmup_fraction=0.25)
@@ -129,19 +129,13 @@ class TestFlitSimulator:
 
     def test_oversubscription_slows_only_itself(self, mesh_config):
         """2x offered load on c0 backlogs c0 but leaves c1/c2 untouched."""
-        sim_ref = FlitLevelSimulator(mesh_config)
-        sim_over = FlitLevelSimulator(mesh_config)
-        for name, pattern in _cbr_traffic(mesh_config).items():
-            sim_ref.set_traffic(name, pattern)
         over = _cbr_traffic(mesh_config)
         over["c0"] = ConstantBitRate.from_rate(
             mesh_config.allocation.channel(
                 "c0").spec.throughput_bytes_per_s * 3,
             mesh_config.frequency_hz, mesh_config.fmt)
-        for name, pattern in over.items():
-            sim_over.set_traffic(name, pattern)
-        r_ref = sim_ref.run(2000)
-        r_over = sim_over.run(2000)
+        r_ref = _flit(mesh_config, _cbr_traffic(mesh_config), 2000)
+        r_over = _flit(mesh_config, over, 2000)
         for unaffected in ("c1", "c2"):
             assert r_ref.trace.trace(unaffected) == \
                 r_over.trace.trace(unaffected)
@@ -151,33 +145,23 @@ class TestFlitSimulator:
         assert over_max > ref_max
 
     def test_flow_control_backpressure(self, tiny_config):
-        sim = FlitLevelSimulator(tiny_config, flow_control=True,
-                                 rx_buffer_words=2)
-        sim.set_traffic("a2b", Saturating(
+        result = _flit(tiny_config, {"a2b": Saturating(
             tiny_config.fmt.payload_words_per_flit,
-            tiny_config.fmt.flit_size))
-        result = sim.run(500)
-        assert result.stalled_slots_by_channel["a2b"] > 0
-
-    def test_unknown_channel_rejected(self, tiny_config):
-        sim = FlitLevelSimulator(tiny_config)
-        with pytest.raises(ConfigurationError):
-            sim.set_traffic("nope", Saturating(2, 3))
+            tiny_config.fmt.flit_size)}, 500, flow_control=True,
+            rx_buffer_words=2)
+        assert result.meta["executor"] == "per-flit"
+        assert result.meta["stalled_slots_by_channel"]["a2b"] > 0
 
     def test_contention_check_clean_on_valid_allocation(self, mesh_config):
-        sim = FlitLevelSimulator(mesh_config, check_contention=True)
-        for name in mesh_config.allocation.channels:
-            sim.set_traffic(name, Saturating(2, 3))
-        sim.run(1000)  # must not raise
+        _flit(mesh_config, {name: Saturating(2, 3) for name in
+                            mesh_config.allocation.channels}, 1000,
+              check_contention=True)  # must not raise
 
 
 class TestSimulatorAgreement:
     def test_sync_detailed_matches_flitsim_exactly(self, mesh_config):
         traffic = _cbr_traffic(mesh_config, offset=2)
-        flit = FlitLevelSimulator(mesh_config)
-        for name, pattern in traffic.items():
-            flit.set_traffic(name, pattern)
-        fres = flit.run(400)
+        fres = _flit(mesh_config, traffic, 400)
         detailed = DetailedNetwork(mesh_config, clocking="synchronous",
                                    traffic=traffic, horizon_slots=400)
         dres = detailed.run()
@@ -192,10 +176,7 @@ class TestSimulatorAgreement:
 
     def test_mesochronous_within_one_cycle_of_flitsim(self, mesh_config):
         traffic = _cbr_traffic(mesh_config, offset=2)
-        flit = FlitLevelSimulator(mesh_config)
-        for name, pattern in traffic.items():
-            flit.set_traffic(name, pattern)
-        fres = flit.run(300)
+        fres = _flit(mesh_config, traffic, 300)
         detailed = DetailedNetwork(mesh_config, clocking="mesochronous",
                                    traffic=traffic, horizon_slots=300,
                                    mesochronous_seed=11)
@@ -352,6 +333,125 @@ class TestSimulationBackendProtocol:
             # from the NI's record log, so compare id sequences.
             assert [e[0] for e in native.trace(name)[:n]] == \
                 [e[0] for e in rebuilt.trace(name)[:n]]
+
+
+class TestOneEntryOneVetting:
+    """Every malformed request is refused by the backend, with a
+    ``ConfigurationError``, before an engine is imported or run."""
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """Spies on the four engines; the list names whichever ran."""
+        import repro.baseline.be_network as be_network
+        import repro.simulation.compiled as compiled
+        import repro.simulation.cyclesim as cyclesim
+        import repro.simulation.flitsim as flitsim
+        ran = []
+        for module, name in ((flitsim, "execute"), (compiled, "execute"),
+                             (be_network.BeNetworkSimulator, "run"),
+                             (cyclesim.DetailedNetwork, "__init__")):
+            original = getattr(module, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                ran.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        return ran
+
+    @staticmethod
+    def _timeline(config, **changed):
+        from repro.core.timeline import (ReconfigurationTimeline,
+                                         TimelineEvent)
+        return ReconfigurationTimeline(**{
+            "topology": config.topology,
+            "events": [TimelineEvent(
+                0, "start", "app",
+                tuple(config.allocation.channels.values()))],
+            "horizon_slots": 200, "table_size": config.table_size,
+            "frequency_hz": config.frequency_hz, "fmt": config.fmt,
+            **changed})
+
+    def _malformed(self, config):
+        """fault -> (request arguments, backends it must stop at)."""
+        from repro.core.words import WordFormat
+        traffic = _cbr_traffic(config)
+        tdm, replaying, every = ("flit", "cycle"), ("flit", "be"), \
+            ("flit", "be", "cycle")
+        other = mesh(2, 2, nis_per_router=1, pipeline_stages=1)
+        return {
+            "unknown traffic": (dict(n_slots=100, traffic={
+                **traffic, "ghost": traffic["c0"]}), every),
+            "unknown timeline traffic": (dict(
+                n_slots=100, traffic={"ghost": traffic["c0"]},
+                timeline=self._timeline(config)), every),
+            "frequency override": (dict(
+                n_slots=100, traffic=traffic, frequency_hz=1e9), tdm),
+            "table size": (dict(n_slots=100, traffic=traffic,
+                                timeline=self._timeline(
+                                    config, table_size=16)), every),
+            "frequency": (dict(n_slots=100, traffic=traffic,
+                               timeline=self._timeline(
+                                   config, frequency_hz=250e6)), tdm),
+            "format": (dict(n_slots=100, traffic=traffic,
+                            timeline=self._timeline(
+                                config, fmt=WordFormat(flit_size=4))),
+                       every),
+            "topology object": (dict(
+                n_slots=100, traffic=traffic, timeline=self._timeline(
+                    config, topology=other, events=[])), every),
+        }
+
+    @pytest.mark.parametrize("kind", ["flit", "be", "cycle"])
+    def test_refused_before_any_engine(self, mesh_config, engines, kind):
+        backend = create_backend(kind, mesh_config)
+        refused = 0
+        for fault, (arguments, stops_at) in \
+                self._malformed(mesh_config).items():
+            if kind in stops_at:
+                with pytest.raises(ConfigurationError):
+                    backend.run(SimRequest(**arguments))
+                refused += 1
+        assert refused >= 5 and engines == []
+        # A horizon past the timeline's never becomes a request at all.
+        with pytest.raises(ConfigurationError, match="exceeds the timeline"):
+            SimRequest(n_slots=201, timeline=self._timeline(mesh_config))
+        # ... and a well-formed one reaches exactly this backend's engine.
+        backend.run(SimRequest(n_slots=50,
+                               traffic=_cbr_traffic(mesh_config)))
+        assert engines == [{"flit": "execute", "be": "run",
+                            "cycle": "__init__"}[kind]]
+
+    def test_each_request_is_vetted_exactly_once(self, mesh_config,
+                                                 monkeypatch):
+        from repro.core.timeline import ReconfigurationTimeline
+        calls = []
+        for owner, name in ((ReconfigurationTimeline, "check_replay"),
+                            (FlitLevelBackend, "_check_traffic"),
+                            (BestEffortBackend, "_check_traffic")):
+            original = getattr(owner, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        timeline = self._timeline(mesh_config)
+        traffic = _cbr_traffic(mesh_config)
+        for backend in (FlitLevelBackend(mesh_config),
+                        FlitLevelBackend(mesh_config, compiled=False),
+                        BestEffortBackend(mesh_config)):
+            del calls[:]
+            backend.run(SimRequest(n_slots=60, traffic=traffic))
+            assert calls == ["_check_traffic"]
+            del calls[:]
+            backend.run(SimRequest(n_slots=60, traffic=traffic,
+                                   timeline=timeline))
+            assert calls == ["check_replay"]
+
+    def test_compiled_with_flow_control_refused_at_construction(
+            self, mesh_config):
+        with pytest.raises(ConfigurationError, match="flow control"):
+            FlitLevelBackend(mesh_config, compiled=True, flow_control=True)
+        FlitLevelBackend(mesh_config, compiled=False, flow_control=True)
 
 
 class TestComposability:

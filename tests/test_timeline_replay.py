@@ -37,9 +37,7 @@ from repro.simulation.backend import (BestEffortBackend,
                                       CycleAccurateBackend,
                                       FlitLevelBackend, SimRequest)
 from repro.simulation.composability import (replay_traffic,
-                                            run_with_channels,
                                             verify_timeline)
-from repro.simulation.flitsim import FlitLevelSimulator
 from repro.simulation.traffic import ConstantBitRate, Saturating
 from repro.topology.builders import mesh
 from repro.topology.mapping import Mapping
@@ -58,6 +56,13 @@ def _mesh_timeline(mesh_config, horizon=1000):
         mesh_config.topology, events, horizon_slots=horizon,
         table_size=mesh_config.table_size,
         frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
+
+
+def _replay(config, timeline, traffic, backend=FlitLevelBackend, **options):
+    """The whole timeline through one backend."""
+    return backend(config, **options).run(SimRequest(
+        n_slots=timeline.horizon_slots, traffic=traffic,
+        timeline=timeline))
 
 
 class TestTimelineArtifact:
@@ -236,55 +241,52 @@ class TestEpochExecution:
             horizon_slots=800, table_size=mesh_config.table_size,
             frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
         traffic = replay_traffic(timeline)
-        static_sim = FlitLevelSimulator(mesh_config)
-        for name, pattern in traffic.items():
-            static_sim.set_traffic(name, pattern)
-        static = static_sim.run(800)
-        dynamic = FlitLevelSimulator(mesh_config).run_timeline(
-            timeline, traffic=traffic)
-        assert dynamic.n_epochs == 1
+        static = FlitLevelBackend(mesh_config).run(
+            SimRequest(n_slots=800, traffic=traffic))
+        dynamic = _replay(mesh_config, timeline, traffic)
+        assert dynamic.meta["n_epochs"] == 1
         for name in timeline.channel_names:
             assert static.trace.trace(name) == dynamic.trace.trace(name)
 
     def test_default_executor_equals_per_flit_oracle(self, mesh_config):
-        """The auto-selected executor (compiled when numpy is there)
+        """The executor the backend picks (compiled: no flow control)
         against the per-flit loop, which rebuilds only touched rows."""
         timeline = _mesh_timeline(mesh_config)
         traffic = replay_traffic(timeline)
         results = {
-            compiled: FlitLevelSimulator(
-                mesh_config, compiled=compiled).run_timeline(
-                    timeline, traffic=traffic)
+            compiled: _replay(mesh_config, timeline, traffic,
+                              compiled=compiled)
             for compiled in (None, False)}
-        assert not results[False].compiled
-        assert results[None].n_epochs == results[False].n_epochs == 3
+        assert results[None].meta["executor"] == "compiled"
+        assert results[False].meta["executor"] == "per-flit"
+        assert results[None].meta["n_epochs"] == \
+            results[False].meta["n_epochs"] == 3
         for name in timeline.channel_names:
             assert results[None].trace.trace(name) == \
                 results[False].trace.trace(name)
-        assert results[None].flits_by_channel == \
-            results[False].flits_by_channel
+        assert results[None].meta["flits_by_channel"] == \
+            results[False].meta["flits_by_channel"]
 
     def test_churning_channel_only_lives_inside_its_epochs(
             self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
-        result = FlitLevelSimulator(mesh_config).run_timeline(
-            timeline, traffic=replay_traffic(timeline))
+        result = _replay(mesh_config, timeline, replay_traffic(timeline))
         slots = [slot for _, slot, _ in result.trace.trace("c2")]
         assert slots, "churn channel should have delivered messages"
         assert min(slots) >= 300
         assert max(slots) < 600
 
     def test_contention_check_holds_across_epochs(self, mesh_config):
-        sim = FlitLevelSimulator(mesh_config, check_contention=True)
         timeline = _mesh_timeline(mesh_config)
-        sim.run_timeline(timeline, traffic=replay_traffic(timeline))
+        for compiled in (None, False):
+            _replay(mesh_config, timeline, replay_traffic(timeline),
+                    check_contention=True, compiled=compiled)
 
     def test_flow_control_supported_across_epochs(self, mesh_config):
-        sim = FlitLevelSimulator(mesh_config, flow_control=True)
         timeline = _mesh_timeline(mesh_config)
-        result = sim.run_timeline(timeline,
-                                  traffic=replay_traffic(timeline))
-        assert result.flits_by_channel["c0"] > 0
+        result = _replay(mesh_config, timeline, replay_traffic(timeline),
+                         flow_control=True)
+        assert result.meta["flits_by_channel"]["c0"] > 0
 
     def test_restart_does_not_inherit_stale_credits(self, mesh_config):
         """Credit returns in flight when a channel stops must not top up
@@ -313,13 +315,11 @@ class TestEpochExecution:
         flits = {}
         for second in ("c2", "ghost"):
             timeline = make(second)
-            sim = FlitLevelSimulator(mesh_config, flow_control=True,
-                                     rx_buffer_words=2)
-            result = sim.run_timeline(
-                timeline,
-                traffic={name: saturating
-                         for name in timeline.channel_names})
-            flits[second] = result.flits_by_channel
+            result = _replay(
+                mesh_config, timeline,
+                {name: saturating for name in timeline.channel_names},
+                flow_control=True, rx_buffer_words=2)
+            flits[second] = result.meta["flits_by_channel"]
         # The restarted incarnation's share equals what an identically
         # allocated fresh channel achieves from the same slot.
         restart_share = flits["c2"]["c2"] - flits["ghost"]["c2"]
@@ -329,8 +329,6 @@ class TestEpochExecution:
         """A message maturing exactly at the stop boundary belongs to
         the stopped session and must not be injected (the flit-level
         simulator drops the same arrival with the schedule row)."""
-        from repro.baseline.be_network import BeNetworkSimulator
-        from repro.simulation.traffic import ConstantBitRate
         alloc = mesh_config.allocation
         timeline = ReconfigurationTimeline(
             mesh_config.topology,
@@ -341,20 +339,16 @@ class TestEpochExecution:
         # flit_size=3: events at cycles 0 and 5; cycle 5 matures at
         # tick ceil(5/3)=2 == stop and must be dropped.
         pattern = ConstantBitRate(1, 5.0)
-        result = BeNetworkSimulator(mesh_config).run_timeline(
-            timeline, traffic={"c2": pattern})
+        result = _replay(mesh_config, timeline, {"c2": pattern},
+                         BestEffortBackend)
         injected = {r.message_id
                     for r in result.stats.channel("c2").injections}
         assert injected == {0}
 
-    def test_be_single_epoch_equals_static_run(self, mesh_config,
-                                               monkeypatch):
+    def test_be_single_epoch_equals_static_run(self, mesh_config):
         """The best-effort twin of ``test_single_epoch_equals_static_run``:
         every channel started at slot 0 and never stopped gives the
-        static run's record log, record for record — and so does the
-        numpy-less ``events()`` expansion of the same arrivals."""
-        from repro.baseline import be_network
-        from repro.baseline.be_network import BeNetworkSimulator
+        static run's record log, record for record."""
         alloc = mesh_config.allocation
         timeline = ReconfigurationTimeline(
             mesh_config.topology,
@@ -367,23 +361,16 @@ class TestEpochExecution:
         # 10-word messages split into two packets each; c0's last
         # arrival (cycle 1198) matures exactly at the horizon tick.
         traffic["c0"] = ConstantBitRate(10, 31.0, offset_cycles=20)
-        static_sim = BeNetworkSimulator(mesh_config)
-        for name, pattern in traffic.items():
-            static_sim.set_traffic(name, pattern)
-        static = static_sim.run(400)
-        dynamic = BeNetworkSimulator(mesh_config).run_timeline(
-            timeline, traffic=traffic)
-        monkeypatch.setattr(be_network._compiled, "numpy_available",
-                            lambda: False)
-        expanded = static_sim.run(400)
-        for other in (dynamic, expanded):
-            assert static.stats.channels == other.stats.channels == \
-                timeline.channel_names
-            for name in timeline.channel_names:
-                assert static.stats.channel(name).injections == \
-                    other.stats.channel(name).injections
-                assert static.stats.channel(name).deliveries == \
-                    other.stats.channel(name).deliveries
+        static = BestEffortBackend(mesh_config).run(
+            SimRequest(n_slots=400, traffic=traffic))
+        dynamic = _replay(mesh_config, timeline, traffic, BestEffortBackend)
+        assert static.stats.channels == dynamic.stats.channels == \
+            timeline.channel_names
+        for name in timeline.channel_names:
+            assert static.stats.channel(name).injections == \
+                dynamic.stats.channel(name).injections
+            assert static.stats.channel(name).deliveries == \
+                dynamic.stats.channel(name).deliveries
 
     def test_timeline_request_validation(self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
@@ -449,9 +436,8 @@ _TRAFFIC = "traffic names channels outside the timeline: ['ghost']"
 _REQUEST_N = "n_slots 1001 exceeds the timeline horizon of 1000 slots"
 
 #: route -> fault -> expected ConfigurationError text (None = accepted).
-#: The accept/reject set differs per route on purpose: the direct flit
-#: simulator never looks at topology identity, and the best-effort
-#: baseline replays at any frequency and has no slot tables to size.
+#: The accept/reject set differs per route on purpose: the best-effort
+#: baseline replays at any frequency.
 _GUARD_TABLE = {
     "flit-backend": {
         "topology": _TOPOLOGY,
@@ -465,44 +451,24 @@ _GUARD_TABLE = {
                       "size 8",
         "frequency": None, "fmt": _FMT, "n_slots": _REQUEST_N,
         "traffic": _TRAFFIC},
-    "flit-sim": {
-        "topology": None,
-        "table_size": "timeline table size 16 != simulator table size 8",
-        "frequency": _FREQUENCY, "fmt": _FMT,
-        "n_slots": "n_slots must be in (0, 1000], got 1001",
-        "traffic": _TRAFFIC},
-    "be-sim": {
-        "topology": _TOPOLOGY, "table_size": None, "frequency": None,
-        "fmt": _FMT,
-        "n_slots": "n_ticks must be in (0, 1000], got 1001",
-        "traffic": _TRAFFIC},
 }
+_BACKENDS = {"flit-backend": FlitLevelBackend,
+             "be-backend": BestEffortBackend}
 
 
 class TestReplayGuardParity:
-    """One fault per request through every replay entry point: which
-    routes reject it, and with exactly which message."""
+    """One fault per request through both replaying backends: which
+    reject it, and with exactly which message."""
 
     @pytest.mark.parametrize("route", sorted(_GUARD_TABLE))
-    @pytest.mark.parametrize("fault", sorted(_GUARD_TABLE["flit-sim"]))
+    @pytest.mark.parametrize("fault", sorted(_GUARD_TABLE["flit-backend"]))
     def test_malformed_replay_request(self, mesh_config, route, fault):
-        from repro.baseline.be_network import BeNetworkSimulator
         config, timeline, n_slots, traffic = \
             _replay_faults(mesh_config)[fault]
 
         def run():
-            if route == "flit-backend":
-                FlitLevelBackend(config).run(SimRequest(
-                    n_slots=n_slots, traffic=traffic, timeline=timeline))
-            elif route == "be-backend":
-                BestEffortBackend(config).run(SimRequest(
-                    n_slots=n_slots, traffic=traffic, timeline=timeline))
-            elif route == "flit-sim":
-                FlitLevelSimulator(config).run_timeline(
-                    timeline, n_slots, traffic=traffic)
-            else:
-                BeNetworkSimulator(config).run_timeline(
-                    timeline, n_slots, traffic=traffic)
+            _BACKENDS[route](config).run(SimRequest(
+                n_slots=n_slots, traffic=traffic, timeline=timeline))
 
         expected = _GUARD_TABLE[route][fault]
         if expected is None:
@@ -513,17 +479,12 @@ class TestReplayGuardParity:
         assert str(excinfo.value) == expected
 
     def test_well_formed_request_accepted_everywhere(self, mesh_config):
-        from repro.baseline.be_network import BeNetworkSimulator
         timeline = _mesh_timeline(mesh_config)
         traffic = replay_traffic(timeline)
         request = SimRequest(n_slots=100, traffic=traffic,
                              timeline=timeline)
         assert FlitLevelBackend(mesh_config).run(request).stats.channels
         assert BestEffortBackend(mesh_config).run(request).stats.channels
-        FlitLevelSimulator(mesh_config).run_timeline(
-            timeline, 100, traffic=traffic)
-        BeNetworkSimulator(mesh_config).run_timeline(
-            timeline, 100, traffic=traffic)
 
 
 class TestDynamicComposability:
@@ -625,21 +586,6 @@ class TestServiceRoundTrip:
         b = self._service_timeline().to_record()
         assert json.dumps(a, sort_keys=True) == \
             json.dumps(b, sort_keys=True)
-
-
-class TestSatellites:
-    def test_run_with_channels_rejects_conflicting_flow_control(
-            self, mesh_config):
-        traffic = {}
-        with pytest.raises(ValueError):
-            run_with_channels(mesh_config, traffic, set(), 10,
-                              flow_control=True,
-                              backend_factory=BestEffortBackend)
-        # Either option alone stays legal.
-        run_with_channels(mesh_config, traffic, set(), 10,
-                          flow_control=True)
-        run_with_channels(mesh_config, traffic, set(), 10,
-                          backend_factory=BestEffortBackend)
 
 
 class TestReplayDemo:

@@ -105,6 +105,55 @@ class TestTopologyGraph:
         assert clone.nis == topo.nis
         assert clone.links == topo.links
 
+    @pytest.mark.parametrize("build", [
+        lambda: mesh(2, 2, nis_per_router=1),
+        lambda: concentrated_mesh(2, 2, nis_per_router=4),
+        lambda: torus(3, 3, nis_per_router=1),
+        lambda: ring(4, nis_per_router=2)],
+        ids=["mesh", "concentrated_mesh", "torus", "ring"])
+    def test_roundtrip_keeps_the_mesh(self, build):
+        """Coordinates survive JSON, and with them XY routing and the
+        design pruner's bisection bound (a saved configuration is where
+        users meet this)."""
+        import json
+
+        from repro.campaign.spec import WorkloadSpec
+        from repro.core.configuration import configure
+        from repro.core.serialization import (configuration_from_dict,
+                                              configuration_to_dict)
+        from repro.design.prune import prune_candidate
+        topo = build()
+        use_case, mapping = WorkloadSpec(
+            n_channels=6, n_ips=len(topo.nis)).build(topo, 3)
+        config = configure(topo, use_case, table_size=16,
+                           frequency_hz=500e6, mapping=mapping,
+                           require_met=False)
+        clone = configuration_from_dict(json.loads(json.dumps(
+            configuration_to_dict(config)))).topology
+        assert clone.to_dict() == topo.to_dict()
+        for node in topo.routers + topo.nis:
+            assert dict(clone.node_attrs(node)) == \
+                dict(topo.node_attrs(node))
+        for router in topo.routers:
+            assert router_coords(clone, router) == \
+                router_coords(topo, router)
+        first, last = topo.nis[0], topo.nis[-1]
+        assert xy_path(clone, first, last) == xy_path(topo, first, last)
+        verdicts = [prune_candidate(t, use_case, mapping, table_size=4,
+                                    frequency_hz=10e6)
+                    for t in (topo, clone)]
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0].reasons  # a verdict with something to lose
+
+    def test_dict_written_before_attrs_still_loads(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        data = topo.to_dict()
+        del data["attrs"]
+        clone = Topology.from_dict(data)
+        assert clone.links == topo.links
+        with pytest.raises(TopologyError, match="no mesh coordinates"):
+            router_coords(clone, "r0_0")
+
     def test_set_pipeline_stages(self):
         topo = mesh(2, 1, nis_per_router=1)
         updated = topo.set_pipeline_stages("r0_0", "r1_0", 3)

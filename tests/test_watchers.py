@@ -39,9 +39,7 @@ from repro.service.churn import ChurnWorkload
 from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
                                 demo_churn_spec)
 from repro.simulation.backend import FlitLevelBackend, SimRequest
-from repro.simulation.compiled import numpy_available
 from repro.simulation.composability import replay_traffic
-from repro.simulation.flitsim import FlitLevelSimulator
 from repro.simulation.monitors import DeliveryRecord, StatsCollector
 from repro.simulation.traffic import MessageEvent, PeriodicBurst, Replay
 from repro.telemetry.monitor import (FabricRollup, MonitorSpec,
@@ -50,8 +48,12 @@ from repro.telemetry.monitor import (FabricRollup, MonitorSpec,
 from repro.topology.builders import mesh
 from repro.usecase.runner import burst_traffic, run_be, run_gs
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="compiled executor requires numpy")
+
+def _replay(timeline, **options):
+    """The whole timeline at replay traffic through the flit backend."""
+    return FlitLevelBackend(replay_configuration(timeline), **options).run(
+        SimRequest(n_slots=timeline.horizon_slots,
+                   traffic=replay_traffic(timeline), timeline=timeline))
 
 
 # -- the event walks the lifetime table replaced ---------------------------
@@ -334,7 +336,6 @@ class TestCanonicalUseCaseBytes:
         assert len(gs.worst_latency_ns) == gs.n_measured
 
 
-@requires_numpy
 class TestRelocatedSurvivor:
 
     def relocated(self, outcome):
@@ -362,12 +363,8 @@ class TestRelocatedSurvivor:
 
     def test_latencies_restart_with_the_channel(self, fault_outcome):
         timeline = fault_outcome.timeline
-        config = replay_configuration(timeline)
-        traffic = replay_traffic(timeline)
-        compiled = FlitLevelSimulator(config).run_timeline(
-            timeline, traffic=traffic)
-        scalar = FlitLevelSimulator(config, compiled=False).run_timeline(
-            timeline, traffic=traffic)
+        compiled = _replay(timeline)
+        scalar = _replay(timeline, compiled=False)
         for name in self.relocated(fault_outcome):
             fast = compiled.stats.service_latencies_ns(name)
             assert fast and min(fast) >= 0
@@ -477,7 +474,6 @@ def assert_reads_equal_the_record_walks(compiled, scalar, names):
             compiled.stats, name)), name
 
 
-@requires_numpy
 class TestAggregateReads:
 
     def test_static_section7_run(self, section7_config):
@@ -495,12 +491,8 @@ class TestAggregateReads:
 
     def test_relocated_timeline(self, fault_outcome):
         timeline = fault_outcome.timeline
-        config = replay_configuration(timeline)
-        traffic = replay_traffic(timeline)
-        compiled = FlitLevelSimulator(config).run_timeline(
-            timeline, traffic=traffic)
-        scalar = FlitLevelSimulator(config, compiled=False).run_timeline(
-            timeline, traffic=traffic)
+        compiled = _replay(timeline)
+        scalar = _replay(timeline, compiled=False)
         relocated = TestRelocatedSurvivor().relocated(fault_outcome)
         assert all(len(compiled.stats.incarnation_observations(name)) > 1
                    for name in relocated)
@@ -524,7 +516,6 @@ class TestAggregateReads:
                                             ["c0", "c1"])
 
 
-@requires_numpy
 class TestNothingMaterialised:
     """A consumer that quietly expands 200 000 records fails here, not
     in a benchmark."""
@@ -543,9 +534,7 @@ class TestNothingMaterialised:
 
     def test_churn_replay_watchdog(self, fault_outcome):
         timeline = fault_outcome.timeline
-        compiled = FlitLevelSimulator(
-            replay_configuration(timeline)).run_timeline(
-                timeline, traffic=replay_traffic(timeline))
+        compiled = _replay(timeline)
         report = timeline_conformance(timeline, compiled)
         assert len(report.channels) > 50
         assert compiled.stats.materialised == ()

@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Structure gate: what was merged into one stays one, what was deleted
+stays deleted.  One table; the first broken rule is printed and exits 1
+(``python3 tools/structure_gate.py [repo-root]``).
+
+A rule is ``(pattern, scope, allowed, (low, high), message)``: ``pattern``
+is a regex matched per line of every ``*.py`` file (``scope`` ending in
+``/*``: every text file) under the ``scope`` paths; lines in files whose
+repo-relative path matches the regex ``allowed`` are not counted; the
+count must lie in ``[low, high]``.
+"""
+
+import re
+import sys
+from pathlib import Path
+
+SRC = ("src/repro",)
+NONE, ONCE = (0, 0), (1, 1)
+_EXECUTORS = r"repro\.(simulation\.(flitsim|compiled)|baseline\.be_network)\b"
+_GONE = "is back under src/repro"
+_STATS = r"src/repro/simulation/(monitors|compiled)\.py"
+
+RULES = [
+    (r"mode\s*(==|!=|in|not in)\s*[\(\"']", SRC,
+     r"src/repro/campaign/kinds\.py", NONE,
+     "mode comparison outside src/repro/campaign/kinds.py"),
+    (r"def _execute_\w*_run", ("src/repro/campaign/runner.py",), None, NONE,
+     "a per-mode run body is back in campaign/runner.py"),
+    (r"_build_arrivals|_check_timeline|_free_injection_slots", SRC, None, NONE,
+     f"a deleted special-case path {_GONE}"),
+    (r"rotate_mask\(", SRC, r"src/repro/core/slot_table\.py", ONCE,
+     "rotate_mask( must have one call site outside core/slot_table.py"),
+    (r"slots_for_channel\(", ("src/repro/core/allocation.py",), None, ONCE,
+     "slots_for_channel( must occur once in core/allocation.py"),
+    (r"set_excluded_links|free_injection_mask|_path_free_mask|"
+     r"def candidate_paths|_pending_admit_us", SRC, None, NONE,
+     f"a deleted placement twin or fault-state mirror {_GONE}"),
+    (r"^\s*(import|from) networkx", SRC, None, NONE,
+     "networkx is imported under src/repro"),
+    (r"_k(route|path)_cache\b[^=]*=\s*\\?\s*(\{\}|dict\(\))",
+     ("src/repro/core/allocation.py",), None, NONE,
+     "core/allocation.py keeps route geometry of its own again"),
+    *((re.escape(text), SRC, None, ONCE,
+       f"replay-guard message {text!r} must be spelled exactly once")
+      for text in ("timeline was recorded on a different topology object",
+                   "timeline table size {",
+                   "timeline frequency differs from the configuration's",
+                   "timeline word format differs from the configuration's",
+                   "must be in (0, {",
+                   "traffic names channels outside the timeline")),
+    (r"^\s*(from|import) repro\.usecase", ("src/repro/telemetry",), None, NONE,
+     "src/repro/telemetry imports repro.usecase"),
+    (re.escape('getattr(stats, "service_latencies_ns"'), SRC, None, NONE,
+     "dispatch on whether a collector has service_latencies_ns is back"),
+    (r"def service_latencies_ns", SRC, _STATS, NONE,
+     "service latency defined outside simulation/monitors.py"),
+    (r"full_horizon_cycles", ("src/repro/simulation/compiled.py",
+                              "src/repro/baseline/be_network.py"), None, NONE,
+     "a pattern table is compiled for the whole run again"),
+    (r"def agreement", SRC, _STATS, NONE,
+     "trace agreement defined outside simulation/{monitors,compiled}.py"),
+    (r"bench_recor[d]|--bench-recor[d]|BENCH_[a-z_0-9]+\.json|bench_chec[k]|"
+     r"bench-chec[k]|BenchVerdic[t]",
+     ("src/*", "tests/*", "docs/*", "README.md", ".github/*", "benchmarks/*"),
+     r"benchmarks/e2e/", NONE,
+     "the perf-trajectory recorder or its sentinel is back"),
+    (r"ProbeCache|probe_fingerprint|OptimizerSpec|indent: int|"
+     r"_RUN_OK_STATUSES", SRC, None, NONE,
+     f"a deleted design option or status mirror {_GONE}"),
+    (r"DesignSpec\(", SRC, r"src/repro/design/space\.py", NONE,
+     "DesignSpec( is constructed outside design/space.py"),
+    (r"DesignSpec\(", ("src/repro/design/space.py",), None, (1, 99),
+     "DesignSpace.scenarios no longer builds a DesignSpec"),
+    (r"^\s*(from|import) repro\.(design|campaign)|\"repro\.(design|campaign)",
+     ("src/repro/core", "src/repro/telemetry"), None, NONE,
+     "src/repro/{core,telemetry} imports repro.design / repro.campaign"),
+    (r"all_deliveries\(\)", ("src/repro/simulation/backend.py",
+                            "src/repro/telemetry"), None, NONE,
+     "simulation/backend.py or telemetry copies every delivery record"),
+    (r"key=lambda", ("src/repro/core/slot_table.py",), None, NONE,
+     "core/slot_table.py ranks candidates by a key again"),
+    (r"class FlitLevelSimulator|FlitSimResult|BeSimResult|def set_traffic|"
+     r"def run_timeline|numpy_available|raw=", SRC, None, NONE,
+     f"a deleted simulator entry point, result class or numpy fork {_GONE}"),
+    (r"check_replay\(", SRC, r"src/repro/core/timeline\.py", (0, 2),
+     "check_replay( has more than two call sites outside core/timeline.py"),
+    (rf"^\s*(from|import) {_EXECUTORS}|\"{_EXECUTORS}\"|"
+     r"^\s*from repro\.(simulation|baseline) import .*"
+     r"\b(flitsim|compiled|be_network)\b", SRC,
+     r"src/repro/(simulation/(backend|flitsim|compiled)|baseline/be_network)"
+     r"\.py", NONE,
+     "an executor is imported outside simulation/backend.py and its peers"),
+]
+
+
+def _lines(root: Path, scope, allowed):
+    """Every line of every file the scope names and ``allowed`` does not."""
+    for entry in scope:
+        base = root / entry.removesuffix("/*")
+        glob = "*" if entry.endswith("/*") else "*.py"
+        for path in [base] if base.is_file() else sorted(base.rglob(glob)):
+            name = path.relative_to(root).as_posix()
+            if path.is_file() and "__pycache__" not in name and \
+                    not (allowed and re.match(allowed, name)):
+                yield from path.read_text(errors="replace").splitlines()
+
+
+def first_violation(root: Path) -> str | None:
+    """The message of the first broken rule, or ``None``."""
+    for pattern, scope, allowed, (low, high), message in RULES:
+        count = sum(bool(re.search(pattern, line))
+                    for line in _lines(root, scope, allowed))
+        if not low <= count <= high:
+            return f"{message} ({count} matching lines)"
+    if (root / "benchmarks/records").exists():
+        return "benchmarks/records is back"
+    # The best-effort loop asks the topology at construction only.
+    text = (root / "src/repro/baseline/be_network.py").read_text()
+    built = re.search(r" def _build_routers.*?(?=\n    def |\Z)", text, re.S)
+    for lookup in ("neighbor_on_port(", "attached_router("):
+        if text.count(lookup) != 1 or not built or \
+                built.group().count(lookup) != 1:
+            return f"{lookup} must have one call site, inside _build_routers"
+
+
+if __name__ == "__main__":
+    problem = first_violation(Path(sys.argv[1]) if sys.argv[1:] else
+                              Path(__file__).resolve().parents[1])
+    if problem:
+        sys.exit(f"structure gate: {problem}")
