@@ -281,8 +281,7 @@ def grid_row(run: RunSpec) -> dict[str, object]:
     }
 
 
-def campaign_conformance(records, *, spec: MonitorSpec | None = None,
-                         scenario: str = "campaign"
+def campaign_conformance(records, *, spec: MonitorSpec | None = None
                          ) -> ConformanceReport:
     """Fold campaign run records into per-run conformance verdicts.
 
@@ -301,7 +300,7 @@ def campaign_conformance(records, *, spec: MonitorSpec | None = None,
     if iter_records is not None:
         records = iter_records()
     return ConformanceReport(
-        source="campaign", scenario=scenario,
+        source="campaign", scenario="campaign",
         channels=tuple(_run_conformance(record) for record in records),
         slack_fraction=spec.slack_fraction)
 

@@ -139,12 +139,11 @@ def churn_campaign(*, n_sessions: int = 400,
                         seeds=seeds)
 
 
-def replay_campaign(*, n_sessions: int = 120, n_slots: int = 2400,
-                    seeds: tuple[int, ...] = (1, 2)) -> CampaignSpec:
+def replay_campaign() -> CampaignSpec:
     """A dynamic-composability sweep: topology × backend under churn.
 
-    Every scenario records a churn trace through the control plane,
-    fits it into ``n_slots`` simulation slots, and replays it as a
+    Every scenario records a 120-session churn trace through the control
+    plane, fits it into 2 400 simulation slots, and replays it as a
     reconfiguration timeline on the named backend.  The flit scenarios
     state the paper's claim (survivor traces bit-identical across every
     epoch); the best-effort scenarios show the same churn destroying
@@ -162,18 +161,17 @@ def replay_campaign(*, n_sessions: int = 120, n_slots: int = 2400,
             scenarios.append(ScenarioSpec(
                 name=f"{topo_label}-{backend}-replay", mode="replay",
                 backend=backend, topology=topology,
-                churn=ChurnSpec(n_sessions=n_sessions),
-                n_slots=n_slots, table_size=32))
+                churn=ChurnSpec(n_sessions=120),
+                n_slots=2400, table_size=32))
     return CampaignSpec(name="replay", scenarios=tuple(scenarios),
-                        seeds=seeds)
+                        seeds=(1, 2))
 
 
-def design_campaign(*, target_admission_rate: float = 0.95,
-                    seed: int = 2009) -> CampaignSpec:
+def design_campaign() -> CampaignSpec:
     """A design-space sweep: dimension a network for a churn profile.
 
     The workload is the expected concurrent session population of a
-    churn profile at a target admission rate (Little's law, see
+    churn profile at a 95 % target admission rate (Little's law, see
     :func:`repro.design.space.workload_from_churn`); every scenario is
     one ``mode="design"`` candidate — topology family x slot-table size
     — evaluated through pruning, mapping optimisation, feasibility
@@ -182,9 +180,10 @@ def design_campaign(*, target_admission_rate: float = 0.95,
     """
     from repro.design.space import DesignSpace, workload_from_churn
 
+    seed = 2009
     use_case = workload_from_churn(
         ChurnSpec(n_sessions=200, arrival_rate_per_s=800.0),
-        target_admission_rate=target_admission_rate, seed=seed)
+        target_admission_rate=0.95, seed=seed)
     space = DesignSpace(
         topologies=(
             TopologySpec(kind="mesh", cols=2, rows=2, nis_per_router=3),

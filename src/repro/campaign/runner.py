@@ -506,34 +506,30 @@ class CampaignRunner:
 
     # -- execution -----------------------------------------------------
 
-    def run(self, *, resume: bool | None = None) -> CampaignResult:
+    def run(self) -> CampaignResult:
         """Execute every (remaining) run and aggregate the record set.
 
-        ``resume`` overrides the constructor flag.  Alongside the
-        deterministic records the result's ``meta`` section reports how
-        the execution went: per-stage wall timings, completion
-        heartbeats (at most ~100, strided), a per-worker run/wall
-        table, shard progress, steal/death/duplicate counts and
-        straggler flags.  None of it enters
+        Alongside the deterministic records the result's ``meta``
+        section reports how the execution went: per-stage wall timings,
+        completion heartbeats (at most ~100, strided), a per-worker
+        run/wall table, shard progress, steal/death/duplicate counts
+        and straggler flags.  None of it enters
         :meth:`CampaignResult.to_json`.
         """
-        resume = self.resume if resume is None else resume
-        if resume and self.workdir is None:
-            raise ConfigurationError("resume needs a workdir")
         tel = self.telemetry
         t0 = time.perf_counter()
         runs = sorted(self.spec.expand(), key=lambda r: r.run_id)
 
         workdir = (None if self.workdir is None
                    else CampaignWorkdir(self.workdir))
-        if resume:
+        if self.resume:
             shard_size = workdir.resume(self.spec)
         elif self.shard_size is None:
             shard_size = default_shard_size(len(runs))
         else:
             shard_size = self.shard_size
         shards = shard_campaign(self.spec, shard_size=shard_size)
-        if workdir is not None and not resume:
+        if workdir is not None and not self.resume:
             workdir.initialise(self.spec, shards, shard_size)
         expand_s = time.perf_counter() - t0
 
@@ -543,7 +539,7 @@ class CampaignRunner:
                                telemetry=tel, t0=t0)
         completed: set[str] = set()
         resume_start = time.perf_counter()
-        if resume:
+        if self.resume:
             for shard in shards:
                 journaled = workdir.load_shard(shard)
                 for run_id in sorted(journaled):
@@ -588,7 +584,7 @@ class CampaignRunner:
             "median_run_wall_s": round(aggregate.median_wall_s(), 6),
             "stragglers": aggregate.stragglers(),
             "shards": aggregate.shard_meta(),
-            "resume": {"enabled": bool(resume),
+            "resume": {"enabled": self.resume,
                        "n_resumed": aggregate.n_resumed},
             "dispatch": dispatch_meta,
             "heartbeats": aggregate.heartbeats,

@@ -332,8 +332,7 @@ def scenario_grid(topologies: dict[str, TopologySpec],
                   traffic_mixes: dict[str, TrafficSpec],
                   backends: dict[str, tuple[str, str]], *,
                   workload: WorkloadSpec | None = None,
-                  n_slots: int = 800, table_size: int = 16,
-                  frequency_mhz: float = 500.0
+                  n_slots: int = 800, table_size: int = 16
                   ) -> tuple[ScenarioSpec, ...]:
     """Cross labelled axes into the scenario list of a campaign.
 
@@ -351,6 +350,5 @@ def scenario_grid(topologies: dict[str, TopologySpec],
                     name=f"{topo_label}-{traffic_label}-{backend_label}",
                     topology=topology, workload=workload,
                     traffic=traffic, backend=backend, clocking=clocking,
-                    n_slots=n_slots, table_size=table_size,
-                    frequency_mhz=frequency_mhz))
+                    n_slots=n_slots, table_size=table_size))
     return tuple(scenarios)

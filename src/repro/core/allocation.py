@@ -392,8 +392,9 @@ class Allocation:
     table_size: int
     frequency_hz: float
     fmt: WordFormat
-    channels: dict[str, ChannelAllocation] = field(default_factory=dict)
-    link_tables: dict[tuple[str, str], SlotTable] = field(default_factory=dict)
+    channels: dict[str, ChannelAllocation] = field(
+        default_factory=dict, init=False)
+    link_tables: dict[tuple[str, str], SlotTable] = field(init=False)
     #: XOR of every held channel's :meth:`ChannelAllocation.fingerprint`
     #: — order-independent, folded by :meth:`commit` and :meth:`release`
     #: (the only two writers of ``channels``), so a checker that folds
@@ -413,12 +414,9 @@ class Allocation:
         default=frozenset(), init=False)
 
     def __post_init__(self) -> None:
-        if not self.link_tables:
-            self.link_tables = {key: SlotTable(self.table_size)
-                                for key in self.topology.iter_link_keys()}
+        self.link_tables = {key: SlotTable(self.table_size)
+                            for key in self.topology.iter_link_keys()}
         self.channels_digest = 0
-        for ca in self.channels.values():
-            self.channels_digest ^= ca.fingerprint()
 
     # -- queries ------------------------------------------------------------
 
@@ -574,7 +572,6 @@ class Allocation:
     # -- degraded-mode re-allocation ------------------------------------------
 
     def rebuild_excluding(self, failed_links=(), failed_routers=(), *,
-                          on_infeasible: str = "drop",
                           telemetry=None) -> RebuildReport:
         """Guarantee-preserving re-allocation around failed resources.
 
@@ -588,19 +585,12 @@ class Allocation:
         Per-channel outcomes are reported as :class:`ChannelVerdict`\\ s:
         ``rerouted_same_bounds`` (bounds no worse than pre-fault),
         ``rerouted_degraded`` (requirements still met, bounds weaker), or
-        ``dropped``.  With ``on_infeasible="raise"`` an un-reroutable
-        channel raises :class:`AllocationError` carrying the failing
-        channel and the per-candidate reasons instead of producing a
-        ``dropped`` verdict.
+        ``dropped`` (its ``reason`` carries the per-candidate failures).
 
         A zero-failure call reproduces the allocation exactly: every
         channel is ``unaffected`` and the rebuilt occupancy is
         byte-identical to the original.
         """
-        if on_infeasible not in ("drop", "raise"):
-            raise ConfigurationError(
-                f"on_infeasible must be 'drop' or 'raise', "
-                f"got {on_infeasible!r}")
         rebuilt = Allocation(self.topology, self.table_size,
                              self.frequency_hz, self.fmt)
         excluded = rebuilt.set_failed(failed_links, failed_routers)
@@ -630,8 +620,7 @@ class Allocation:
             else float("inf"),
             ca.spec.name))
         for ca in affected:
-            verdicts[ca.spec.name] = self._reroute_one(
-                rebuilt, ca, on_infeasible)
+            verdicts[ca.spec.name] = self._reroute_one(rebuilt, ca)
         rebuilt.validate()
         # Composability re-check for untouched channels: every (link,
         # slot) reservation they held before the fault must be recorded
@@ -672,8 +661,8 @@ class Allocation:
         return latency_bound_ns(ca.worst_wait_slots(self.table_size),
                                 ca.path, self.frequency_hz, self.fmt)
 
-    def _reroute_one(self, rebuilt: "Allocation", ca: ChannelAllocation,
-                     on_infeasible: str) -> ChannelVerdict:
+    def _reroute_one(self, rebuilt: "Allocation",
+                     ca: ChannelAllocation) -> ChannelVerdict:
         """Re-allocate one fault-affected channel over surviving paths."""
         from repro.core.exceptions import TopologyError
 
@@ -712,11 +701,6 @@ class Allocation:
                 new_latency_ns=self._latency_bound(new_ca),
                 old_n_slots=ca.n_slots, new_n_slots=new_ca.n_slots)
         detail = "; ".join(failures) if failures else "no surviving route"
-        if on_infeasible == "raise":
-            raise AllocationError(
-                f"cannot re-allocate channel {spec.name!r} around "
-                f"{len(excluded)} failed link(s): {detail}",
-                channel=spec.name, reason=detail)
         return ChannelVerdict(
             channel=spec.name, verdict="dropped", reason=detail,
             old_latency_ns=old_latency, old_n_slots=ca.n_slots)
@@ -759,8 +743,7 @@ class SlotAllocator:
 
     def __init__(self, topology: Topology, *, table_size: int,
                  frequency_hz: float, fmt: WordFormat | None = None,
-                 options: AllocatorOptions | None = None,
-                 telemetry=None):
+                 options: AllocatorOptions | None = None):
         if table_size <= 0:
             raise ConfigurationError(
                 f"slot table size must be positive, got {table_size}")
@@ -794,7 +777,7 @@ class SlotAllocator:
         # All three are fault-agnostic: failed fabric lives on each
         # Allocation and is applied when candidates are consulted, so
         # repairs need no invalidation and sharing leaks no faults.
-        self.set_telemetry(telemetry)
+        self.set_telemetry(None)
 
     def set_telemetry(self, telemetry) -> None:
         """(Re)bind the allocator's instrumentation hub.

@@ -10,8 +10,7 @@ configurations whose guarantees do not cover the requirements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from repro.core.allocation import (Allocation, AllocatorOptions,
-                                   SlotAllocator)
+from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.analysis import (AnalysisSummary, ChannelBounds, analyse,
                                  summarise)
 from repro.core.application import UseCase
@@ -66,7 +65,6 @@ class NocConfiguration:
 def configure(topology: Topology, use_case: UseCase, *, table_size: int,
               frequency_hz: float, fmt: WordFormat | None = None,
               mapping: Mapping | str = "communication_clustered",
-              options: AllocatorOptions | None = None,
               require_met: bool = True) -> NocConfiguration:
     """Run the full design flow for one use case.
 
@@ -88,8 +86,7 @@ def configure(topology: Topology, use_case: UseCase, *, table_size: int,
             f"use case {use_case.name!r} has no channels to configure")
     resolved = _resolve_mapping(mapping, topology, use_case)
     allocator = SlotAllocator(topology, table_size=table_size,
-                              frequency_hz=frequency_hz, fmt=fmt,
-                              options=options)
+                              frequency_hz=frequency_hz, fmt=fmt)
     allocation = allocator.allocate(list(channels), resolved)
     config = NocConfiguration(topology=topology, use_case=use_case,
                               mapping=resolved, allocation=allocation,

@@ -144,14 +144,12 @@ class ConnectionSpec:
             return (self.forward,)
         return (self.forward, self.reverse)
 
-    def with_credit_return(self, *,
-                           throughput_fraction: float = 0.05
-                           ) -> "ConnectionSpec":
+    def with_credit_return(self) -> "ConnectionSpec":
         """Add a minimal reverse channel for credit return if absent.
 
         Credits travel in packet headers, so the reverse bandwidth needed
-        is a small fraction of the forward payload bandwidth; 5 % is a safe
-        default for 3-word flits with 5 credit bits per header.
+        is a small fraction of the forward payload bandwidth; 5 % is safe
+        for 3-word flits with 5 credit bits per header.
         """
         if self.reverse is not None:
             return self
@@ -159,7 +157,7 @@ class ConnectionSpec:
             name=f"{self.forward.name}__cr",
             src_ip=self.forward.dst_ip, dst_ip=self.forward.src_ip,
             throughput_bytes_per_s=(
-                self.forward.throughput_bytes_per_s * throughput_fraction),
+                self.forward.throughput_bytes_per_s * 0.05),
             max_latency_ns=None,
             application=self.forward.application,
             burst_bytes=4)

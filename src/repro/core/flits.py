@@ -52,8 +52,6 @@ class FlitMeta:
     created_cycle:
         Cycle (in the injecting NI's clock domain) at which the message that
         produced this flit became available for injection.
-    injected_slot:
-        TDM slot in which the NI injected the flit.
     message_id:
         Identifier of the message whose payload this flit carries (flits
         never mix messages), or -1 for credit-only traffic.
@@ -67,7 +65,6 @@ class FlitMeta:
     payload_bytes: int = 0
     created_cycle: int = -1
     created_time_ps: int = -1
-    injected_slot: int = -1
     message_id: int = -1
     message_last: bool = False
     message_bytes: int = 0

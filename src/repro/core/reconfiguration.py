@@ -70,12 +70,11 @@ def _reservation_snapshot(allocation: Allocation,
 class ReconfigurationManager:
     """Live use-case transitions over one allocation."""
 
-    def __init__(self, allocator: SlotAllocator, mapping: Mapping,
-                 allocation: Allocation | None = None, *,
+    def __init__(self, allocator: SlotAllocator, mapping: Mapping, *,
                  recorder: "TimelineRecorder | None" = None):
         self.allocator = allocator
         self.mapping = mapping
-        self.allocation = allocation or Allocation(
+        self.allocation = Allocation(
             allocator.topology, allocator.table_size,
             allocator.frequency_hz, allocator.fmt)
         self.history: list[TransitionReport] = []
@@ -153,16 +152,13 @@ class ReconfigurationManager:
             self.recorder.record_stop(at_s, application_name)
         return report
 
-    def switch(self, stop: str, start: Application, *,
-               at_s: float = 0.0) -> tuple[
-            TransitionReport, TransitionReport]:
+    def switch(self, stop: str, start: Application
+               ) -> tuple[TransitionReport, TransitionReport]:
         """A use-case transition: stop one application, start another."""
-        stop_report = self.stop_application(stop, at_s=at_s)
-        start_report = self.start_application(start, at_s=at_s)
-        return stop_report, start_report
+        return self.stop_application(stop), self.start_application(start)
 
     def apply_fault(self, failed_links=(), failed_routers=(), *,
-                    at_s: float = 0.0, on_infeasible: str = "drop"):
+                    at_s: float = 0.0):
         """Degrade the live allocation around failed fabric.
 
         Delegates to :meth:`~repro.core.allocation.Allocation.
@@ -180,12 +176,9 @@ class ReconfigurationManager:
         applications started afterwards are routed around the dead
         fabric too.  :meth:`repair_fault` restores resources.
         """
-        # With on_infeasible="raise" a failed rebuild leaves the manager
-        # exactly as it was: nothing is written until it returns.
         report = self.allocation.rebuild_excluding(
             *self.allocation.fabric_after("fail", failed_links,
-                                          failed_routers),
-            on_infeasible=on_infeasible)
+                                          failed_routers))
         rebuilt = report.allocation
         old_channels = self.allocation.channels
         running_before = self.running_applications

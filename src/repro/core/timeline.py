@@ -402,7 +402,7 @@ class TimelineRecorder:
 
     The control plane records transitions in *seconds* of service time;
     :meth:`build` maps them onto TDM slots by linearly compressing the
-    trace so the last transition lands at ``fill`` of the requested
+    trace so the last transition lands at three quarters of the requested
     horizon — service time (session lifetimes of milliseconds) and slot
     time (nanoseconds) differ by six orders of magnitude, so replaying
     at the physical slot rate would need billions of slots.  Order and
@@ -443,8 +443,7 @@ class TimelineRecorder:
         """Record one application/session stop."""
         self._record(time_s, "stop", application, ())
 
-    def build(self, *, horizon_slots: int,
-              fill: float = 0.75) -> ReconfigurationTimeline:
+    def build(self, *, horizon_slots: int) -> ReconfigurationTimeline:
         """Convert the recorded transitions into a validated timeline.
 
         A session whose start and stop compress onto the *same* slot is
@@ -452,19 +451,14 @@ class TimelineRecorder:
         its events are dropped (keeping it would order the stop before
         its own start under the stops-first boundary normalisation).
         """
-        if not 0 < fill <= 1:
-            raise ConfigurationError("fill must be in (0, 1]")
         # Times are recorded in order, so the last one is the largest;
         # a trace that never leaves t=0 maps to slot 0 at any rate.
         last_s = self._transitions[-1][0] if self._transitions else 0.0
-        rate = horizon_slots * fill / last_s if last_s > 0 else 0.0
+        rate = horizon_slots * 0.75 / last_s if last_s > 0 else 0.0
         events: list[TimelineEvent | None] = []
         open_start: dict[str, int] = {}  # application -> index in events
         for time_s, action, application, channels in self._transitions:
-            # The fitted trace lies inside the horizon by construction;
-            # clamp away float wobble at fill=1.0 so the final
-            # transition is never pushed past it.
-            slot = min(int(time_s * rate), horizon_slots - 1)
+            slot = int(time_s * rate)
             if action == "start":
                 open_start[application] = len(events)
             else:

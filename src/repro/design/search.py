@@ -91,7 +91,6 @@ def min_feasible_configuration(topology: Topology, use_case: UseCase,
 
 def min_feasible_frequency(topology: Topology, use_case: UseCase,
                            mapping: Mapping, *, table_size: int,
-                           fmt: WordFormat | None = None,
                            low_hz: float = 100e6,
                            high_hz: float = 2e9,
                            tolerance_hz: float = 10e6) -> float:
@@ -107,7 +106,7 @@ def min_feasible_frequency(topology: Topology, use_case: UseCase,
     search relies on.
     """
     return _search(topology, use_case, mapping, table_size,
-                   fmt or WordFormat(), low_hz, high_hz, tolerance_hz)[0]
+                   WordFormat(), low_hz, high_hz, tolerance_hz)[0]
 
 
 def configuration_area(config: NocConfiguration) -> NetworkArea:
@@ -158,11 +157,10 @@ class TableSizeResult:
 
 def table_size_scan(topology: Topology, use_case: UseCase,
                     mapping: Mapping, *, frequency_hz: float,
-                    table_sizes: list[int] | None = None,
-                    fmt: WordFormat | None = None
+                    table_sizes: list[int] | None = None
                     ) -> list[TableSizeResult]:
     """Feasibility, bound quality, and silicon cost across table sizes."""
-    fmt = fmt or WordFormat()
+    fmt = WordFormat()
     sizes = table_sizes or [8, 16, 32, 64, 128]
     fmax_mhz = round(network_fmax_hz(topology, fmt) / 1e6, 1)
     results: list[TableSizeResult] = []

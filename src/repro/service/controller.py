@@ -33,11 +33,10 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable
 
-from repro.core.allocation import (Allocation, AllocatorOptions,
-                                   ChannelAllocation, SlotAllocator)
+from repro.core.allocation import (Allocation, ChannelAllocation,
+                                   SlotAllocator)
 from repro.core.analysis import channel_bounds
 from repro.core.exceptions import AllocationError, ConfigurationError
-from repro.core.words import WordFormat
 from repro.faults.model import FaultEvent
 from repro.service.admission import AdmissionController
 from repro.service.churn import SessionEvent
@@ -108,12 +107,9 @@ class SessionService:
     def __init__(self, topology: Topology, *,
                  table_size: int | None = None,
                  frequency_hz: float | None = None,
-                 fmt: WordFormat | None = None,
                  allocator: SlotAllocator | None = None,
-                 options: AllocatorOptions | None = None,
                  name: str = "service", seed: int = 0,
                  window: int = 100, record_events: bool = True,
-                 validate_every: int = 512,
                  record_timeline: bool = False,
                  telemetry=None,
                  monitor: MonitorSpec | bool | None = None,
@@ -140,8 +136,7 @@ class SessionService:
                 topology,
                 table_size=32 if table_size is None else table_size,
                 frequency_hz=(500e6 if frequency_hz is None
-                              else frequency_hz),
-                fmt=fmt, options=options)
+                              else frequency_hz))
         else:
             # A supplied allocator (cache sharing across service
             # instances) fixes the operating point; conflicting explicit
@@ -159,12 +154,6 @@ class SessionService:
                 raise ConfigurationError(
                     f"frequency_hz {frequency_hz:g} conflicts with the "
                     f"supplied allocator's {allocator.frequency_hz:g}")
-            if fmt is not None and fmt != allocator.fmt:
-                raise ConfigurationError(
-                    "fmt conflicts with the supplied allocator's format")
-            if options is not None and options != allocator.options:
-                raise ConfigurationError(
-                    "options conflict with the supplied allocator's")
         self.name = name
         self.seed = seed
         self.topology = topology
@@ -202,16 +191,43 @@ class SessionService:
             tel.register_flush(self._flush_telemetry)
         self.admission = AdmissionController(allocator, telemetry=tel)
         self.allocation: Allocation = self.admission.allocation
-        self.checker = CompositionInvariantChecker(
-            self.allocation, validate_every=validate_every)
-        # Which path each invariant check took: the checker keeps plain
-        # integer tallies, folded as deltas by the flush hook.
-        self._tel_invariants = (
-            tel.counter("invariants.checks", path="digest"),
-            tel.counter("invariants.checks", path="rescan"),
-            tel.counter("invariants.records_compared"),
-            tel.counter("invariants.full_validations"))
-        self._flushed_invariants = (0, 0, 0, 0)
+        self.checker = CompositionInvariantChecker(self.allocation)
+        #: Surprises in the event stream, counted and otherwise handled
+        #: as before: an event older than the one before it, an open
+        #: naming a session that is already active, a close naming a
+        #: session that is neither active nor owed one.  Beside — not
+        #: in — the canonical report (:attr:`ServiceReport.anomalies`).
+        self.anomalies = {"non_monotone_time": 0, "duplicate_session": 0,
+                          "unknown_session": 0}
+        # Which path each invariant check took, each anomaly kind and
+        # each policy layer's sheds: the hot path keeps plain integer
+        # tallies; the flush hook folds ``(counter, read the tally)``
+        # pairs as deltas.  The readers close over the tallied objects,
+        # not over ``self``, so a finished service is freed by refcount.
+        checker, fairness = self.checker, self._fairness
+        anomalies = self.anomalies
+        self._folds = [
+            (tel.counter("invariants.checks", path="digest"),
+             lambda: checker.transitions_checked - checker.rescans),
+            (tel.counter("invariants.checks", path="rescan"),
+             lambda: checker.rescans),
+            (tel.counter("invariants.records_compared"),
+             lambda: checker.records_compared),
+            (tel.counter("invariants.full_validations"),
+             lambda: checker.full_validations),
+            *((tel.counter("service.anomalies", kind=kind),
+               lambda kind=kind: anomalies[kind])
+              for kind in anomalies),
+            *((tel.counter("service.fairness.sheds", layer=layer),
+               lambda layer=layer: sum(stats[f"shed_{layer}"] for stats
+                                       in fairness.stats.values()))
+              for layer in (fairness.REASONS if fairness is not None
+                            else ()))]
+        self._flushed = [0] * len(self._folds)
+        # Sessions that hold no reservation but whose close is still to
+        # come (open shed or rejected, or dropped by a fault): what
+        # tells their close from one nobody opened.
+        self._unadmitted: set[str] = set()
         self.metrics = ServiceMetrics(window=window,
                                       record_events=record_events)
         # The guarantee-conformance watchdog: when armed, every accepted
@@ -270,9 +286,12 @@ class SessionService:
             return ""
         opened_s, qos_name = entry
         # One tuple append on the hot path; the hold-time histogram and
-        # the Span object itself materialise at flush time.
+        # the Span object itself materialise at flush time.  A stream
+        # that runs backwards in time (counted as an anomaly) ends the
+        # span where it started instead of before.
         self._pending_spans.append(
-            (session_id, opened_s, time_s, qos_name, outcome))
+            (session_id, opened_s, max(time_s, opened_s), qos_name,
+             outcome))
         return qos_name
 
     def _flush_telemetry(self) -> None:
@@ -297,20 +316,17 @@ class SessionService:
         for wall_s in walls[self._flushed_admits:]:
             observe(wall_s * 1e6)
         self._flushed_admits = len(walls)
-        checker = self.checker
-        totals = (checker.transitions_checked - checker.rescans,
-                  checker.rescans, checker.records_compared,
-                  checker.full_validations)
-        for counter, total, flushed in zip(
-                self._tel_invariants, totals, self._flushed_invariants):
-            if total != flushed:
-                counter.inc(total - flushed)
-        self._flushed_invariants = totals
+        for index, (counter, read) in enumerate(self._folds):
+            total = read()
+            counter.inc(total - self._flushed[index])
+            self._flushed[index] = total
 
     # -- event handling -------------------------------------------------------
 
     def process(self, event) -> None:
         """Apply one session or fault event to the live allocation."""
+        if event.time_s < self._last_time_s:
+            self.anomalies["non_monotone_time"] += 1
         self._last_time_s = event.time_s
         if isinstance(event, FaultEvent):
             self.process_fault(event)
@@ -437,6 +453,7 @@ class SessionService:
         except AllocationError as exc:
             outcome["decision"] = "dropped"
             outcome["reason"] = exc.reason
+            self._unadmitted.add(session_id)
             return outcome
         self._start(time_s, session_id, new_ca, qos_name, "relocated")
         allocator = self.allocator
@@ -449,6 +466,8 @@ class SessionService:
 
     def _open(self, event: SessionEvent) -> None:
         session = event.session
+        if session.session_id in self.active:
+            self.anomalies["duplicate_session"] += 1
         spec = session.channel_spec()
         # Record dicts (and the bound quote they carry) are only built
         # when per-event recording is on; campaigns and the benchmark run
@@ -482,6 +501,7 @@ class SessionService:
                     record["shed"] = verdict[0]
                     record["reason"] = verdict[1]
                 self.checker.check_transition(session.session_id)
+                self._unadmitted.add(session.session_id)
                 self.metrics.record_open(
                     record, qos_name=session.qos.name, accepted=False,
                     wall_s=wall, tenant=session.tenant,
@@ -500,6 +520,7 @@ class SessionService:
             # A capacity reject leaves the network untouched — still a
             # checked (no-op) transition.
             self.checker.check_transition(session.session_id)
+            self._unadmitted.add(session.session_id)
             accepted = False
         else:
             wall = time.perf_counter() - start
@@ -534,6 +555,10 @@ class SessionService:
         released = session.session_id in self.active
         if released:
             self._stop(event.time_s, session.session_id, "closed")
+        elif session.session_id in self._unadmitted:
+            self._unadmitted.remove(session.session_id)
+        else:
+            self.anomalies["unknown_session"] += 1
         record: dict[str, object] | None = None
         if self.metrics.record_events:
             record = {
@@ -637,4 +662,5 @@ class SessionService:
                       if self._fairness is not None else None),
         )
         report.timing = metrics.timing(wall_s)
+        report.anomalies = dict(self.anomalies)
         return report

@@ -32,8 +32,7 @@ def demo_churn_spec(n_events: int) -> ChurnSpec:
 
 
 def run_demo(*, n_events: int = 2000, seed: int = 2009,
-             record_events: bool = True, telemetry=None, monitor=None
-             ) -> tuple[ServiceReport, bool]:
+             telemetry=None, monitor=None) -> tuple[ServiceReport, bool]:
     """Run the demo trace twice; return (report, byte-identical?).
 
     ``telemetry`` instruments the *first* run only; the second run is
@@ -59,8 +58,7 @@ def run_demo(*, n_events: int = 2000, seed: int = 2009,
         service = SessionService(
             topology, table_size=DEMO_TABLE_SIZE,
             frequency_hz=DEMO_FREQUENCY_HZ, name="serve-demo",
-            seed=seed, record_events=record_events,
-            telemetry=run_telemetry, monitor=run_monitor)
+            seed=seed, telemetry=run_telemetry, monitor=run_monitor)
         report = service.run(events)
         if service.monitor is not None:
             report.conformance = service.conformance_report(

@@ -239,16 +239,16 @@ def shed_rank(qos: QosClass) -> int:
 
 
 def abusive_tenant_mix(n_well_behaved: int = 3, *,
-                       multiplier: float = 10.0, weight: float = 1.0,
-                       floor_opens_per_window: int = 0,
-                       apps_per_tenant: int = 2
+                       multiplier: float = 10.0,
+                       floor_opens_per_window: int = 0
                        ) -> tuple[TenantSpec, ...]:
     """The adversary profile: one flooding tenant among equals.
 
     Tenant ``abuser`` offers ``multiplier`` times the arrival intensity
     of each well-behaved tenant (``good0`` .. ``good{n-1}``) while every
-    weight stays equal — exactly the workload FCFS admission cannot
-    defend against and weighted-fair admission must.
+    weight stays 1 and every tenant runs two apps — exactly the workload
+    FCFS admission cannot defend against and weighted-fair admission
+    must.
 
     >>> [t.name for t in abusive_tenant_mix(2)]
     ['abuser', 'good0', 'good1']
@@ -257,12 +257,12 @@ def abusive_tenant_mix(n_well_behaved: int = 3, *,
     """
     if n_well_behaved < 1:
         raise ConfigurationError("need at least one well-behaved tenant")
-    apps = tuple(f"app{i}" for i in range(max(1, apps_per_tenant)))
+    apps = ("app0", "app1")
     tenants = [TenantSpec(
-        "abuser", weight=weight, rate_multiplier=multiplier, apps=apps,
+        "abuser", rate_multiplier=multiplier, apps=apps,
         floor_opens_per_window=floor_opens_per_window)]
     tenants += [TenantSpec(
-        f"good{i}", weight=weight, apps=apps,
+        f"good{i}", apps=apps,
         floor_opens_per_window=floor_opens_per_window)
         for i in range(n_well_behaved)]
     return tuple(tenants)

@@ -37,22 +37,18 @@ __all__ = ["fairness_churn_spec", "fairness_comparison",
 RETENTION_FLOOR = 0.95
 
 
-def fairness_churn_spec(n_events: int, *, multiplier: float = 10.0,
-                        arrival_rate_per_s: float = 18000.0
-                        ) -> ChurnSpec:
+def fairness_churn_spec(n_events: int) -> ChurnSpec:
     """The adversarial demo workload: one abuser among three equals.
 
-    The aggregate arrival rate is deliberately above what the Section
-    VII mesh can hold, with the abuser offering ``multiplier`` times
-    each well-behaved tenant's share — so FCFS admission hands the
+    The aggregate arrival rate (18 000 opens/s) is deliberately above
+    what the Section VII mesh can hold, with the abuser offering ten
+    times each well-behaved tenant's share — so FCFS admission hands the
     abuser the network while the fair-share load alone would fit.
     """
-    tenants = abusive_tenant_mix(3, multiplier=multiplier,
-                                 floor_opens_per_window=2)
     return ChurnSpec(
         n_sessions=max(1, (n_events + 1) // 2 + 8),
-        arrival_rate_per_s=arrival_rate_per_s,
-        tenants=tenants)
+        arrival_rate_per_s=18000.0,
+        tenants=abusive_tenant_mix(3, floor_opens_per_window=2))
 
 
 def demo_fairness_spec() -> FairnessSpec:
@@ -166,8 +162,7 @@ def fairness_comparison(topology, events,
 
 
 def run_fairness_demo(*, n_events: int = 2000, seed: int = 2009,
-                      multiplier: float = 10.0, telemetry=None,
-                      monitor=None
+                      telemetry=None, monitor=None
                       ) -> tuple[dict[str, object], str, bool]:
     """Run the adversarial comparison twice on the Section VII mesh.
 
@@ -181,7 +176,7 @@ def run_fairness_demo(*, n_events: int = 2000, seed: int = 2009,
 
     with coalesce(telemetry).phase("workload"):
         topology = concentrated_mesh(4, 3, nis_per_router=4)
-        spec = fairness_churn_spec(n_events, multiplier=multiplier)
+        spec = fairness_churn_spec(n_events)
         workload = ChurnWorkload(spec, topology,
                                  derive_seed(seed, "fairness-demo"))
         events = workload.events(limit=n_events)

@@ -237,7 +237,11 @@ class ServiceReport:
     #: state); ``None`` under the default FCFS policy.
     fairness: dict[str, object] | None = None
     #: Wall-clock figures; machine-dependent, never serialised.
-    timing: dict[str, float] = field(default_factory=dict)
+    timing: dict[str, float] = field(default_factory=dict, init=False)
+    #: Stream anomalies the service counted (``non_monotone_time``,
+    #: ``duplicate_session``, ``unknown_session``); never serialised —
+    #: a caller that wants to fail on one reads this block.
+    anomalies: dict[str, int] = field(default_factory=dict, init=False)
 
     def to_record(self) -> dict[str, object]:
         """The canonical, deterministic JSON-ready dictionary."""

@@ -149,13 +149,9 @@ class SimResult:
         """Raw end-to-end message latencies of one channel."""
         return self.stats.channel_aggregate(channel)[3]
 
-    def latency_summary(self, channel: str | None = None
-                        ) -> LatencySummary | None:
-        """Latency order statistics; over all channels when none named."""
-        if channel is not None:
-            latencies = self.channel_latencies_ns(channel)
-        else:
-            latencies = self.stats.all_latencies_ns()
+    def latency_summary(self) -> LatencySummary | None:
+        """Latency order statistics over all channels."""
+        latencies = self.stats.all_latencies_ns()
         if not latencies:
             return None
         return LatencySummary.of(latencies)
@@ -391,12 +387,10 @@ class CycleAccurateBackend(SimulationBackend):
     def __init__(self, config: NocConfiguration, *,
                  clocking: str = "synchronous",
                  plesiochronous_ppm: float = 200.0,
-                 rx_capacity_words: int = 256,
                  telemetry=None):
         super().__init__(config, telemetry=telemetry)
         self.clocking = clocking
         self.plesiochronous_ppm = plesiochronous_ppm
-        self.rx_capacity_words = rx_capacity_words
 
     def run(self, request: SimRequest) -> SimResult:
         if request.timeline is not None:
@@ -411,8 +405,7 @@ class CycleAccurateBackend(SimulationBackend):
             mesochronous_seed=request.seed,
             plesiochronous_ppm=self.plesiochronous_ppm,
             traffic=dict(request.traffic),
-            horizon_slots=request.n_slots,
-            rx_capacity_words=self.rx_capacity_words)
+            horizon_slots=request.n_slots)
         result = network.run(request.n_slots)
         self.telemetry.counter("executor.dispatch",
                                path="cycle-accurate").inc()

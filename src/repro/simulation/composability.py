@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.core.configuration import NocConfiguration
+from repro.core.exceptions import ConfigurationError
 from repro.core.timeline import ReconfigurationTimeline, replay_configuration
 from repro.simulation.backend import (FlitLevelBackend, SimRequest,
                                       SimulationBackend)
@@ -169,8 +170,7 @@ class DynamicComposabilityReport:
         }
 
 
-def replay_traffic(timeline: ReconfigurationTimeline, *,
-                   rate_factor: float = 1.0
+def replay_traffic(timeline: ReconfigurationTimeline
                    ) -> dict[str, TrafficPattern]:
     """CBR traffic at every timeline channel's required rate.
 
@@ -179,7 +179,7 @@ def replay_traffic(timeline: ReconfigurationTimeline, *,
     """
     return {
         name: ConstantBitRate.from_rate(
-            ca.spec.throughput_bytes_per_s * rate_factor,
+            ca.spec.throughput_bytes_per_s,
             timeline.frequency_hz, timeline.fmt)
         for name, ca in sorted(timeline.channel_allocations().items())}
 
@@ -219,7 +219,7 @@ def verify_timeline(timeline: ReconfigurationTimeline,
     survivors = tuple(sorted(survivors))
     unknown = sorted(set(survivors) - set(timeline.channel_names))
     if unknown:
-        raise ValueError(
+        raise ConfigurationError(
             f"survivors name channels outside the timeline: {unknown}")
     churn_result = backend.run(SimRequest(
         n_slots=n_slots, traffic=traffic, timeline=timeline))

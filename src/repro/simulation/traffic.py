@@ -76,16 +76,16 @@ class ConstantBitRate(TrafficPattern):
 
     @staticmethod
     def from_rate(throughput_bytes_per_s: float, frequency_hz: float,
-                  fmt: WordFormat, *, message_words: int | None = None,
+                  fmt: WordFormat, *,
                   offset_cycles: int = 0) -> "ConstantBitRate":
         """Build a CBR pattern delivering a given payload rate.
 
-        The default message size is one flit's worth of payload, matching
-        the allocator's conservative accounting.
+        A message is one flit's worth of payload, matching the
+        allocator's conservative accounting.
         """
         require_finite_positive("throughput_bytes_per_s",
                                 throughput_bytes_per_s)
-        words = message_words or fmt.payload_words_per_flit
+        words = fmt.payload_words_per_flit
         bytes_per_message = words * fmt.bytes_per_word
         interval = frequency_hz * bytes_per_message / throughput_bytes_per_s
         return ConstantBitRate(words, interval, offset_cycles=offset_cycles)

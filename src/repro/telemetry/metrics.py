@@ -17,6 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable
 
+from repro.core.exceptions import ConfigurationError
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry",
            "NullCounter", "NullGauge", "NullHistogram",
            "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM"]
@@ -118,10 +120,10 @@ class Histogram:
         self.wall = wall
         self.bounds = tuple(bounds)
         if not self.bounds:
-            raise ValueError(
+            raise ConfigurationError(
                 f"histogram {name!r} needs at least one bucket bound")
         if list(self.bounds) != sorted(set(self.bounds)):
-            raise ValueError(
+            raise ConfigurationError(
                 f"histogram {name!r} bounds must be strictly increasing: "
                 f"{self.bounds}")
         self.counts = [0] * (len(self.bounds) + 1)
@@ -227,7 +229,7 @@ class MetricRegistry:
         hist = self._get(Histogram, "histogram", name, labels,
                          bounds=bounds, wall=wall)
         if hist.bounds != tuple(bounds):
-            raise ValueError(
+            raise ConfigurationError(
                 f"histogram {name!r} re-requested with different bounds: "
                 f"{hist.bounds} != {tuple(bounds)}")
         return hist

@@ -143,7 +143,7 @@ class ChannelConformance:
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"verdict {self.verdict!r} not one of {VERDICTS}")
 
     @property
@@ -456,7 +456,6 @@ def timeline_conformance(timeline, result, *,
 
 
 def quote_conformance(quotes, *, spec: MonitorSpec | None = None,
-                      source: str = "service",
                       scenario: str = "quotes") -> ConformanceReport:
     """Watchdog an admission quote stream against the QoS requirements.
 
@@ -502,7 +501,7 @@ def quote_conformance(quotes, *, spec: MonitorSpec | None = None,
             required_mb_s=required_bps / 1e6,
             detail=qos_name, tenant=tenant or None))
     entries.sort(key=lambda e: e.channel)
-    return ConformanceReport(source=source, scenario=scenario,
+    return ConformanceReport(source="service", scenario=scenario,
                              channels=tuple(entries),
                              slack_fraction=spec.slack_fraction)
 
@@ -645,20 +644,20 @@ class FabricRollup:
         """Canonical serialisation: sorted keys, two-space indent."""
         return json.dumps(self.to_record(), indent=2, sort_keys=True)
 
-    def emit_counter_tracks(self, telemetry, *,
-                            track: str = "fabric") -> None:
+    def emit_counter_tracks(self, telemetry) -> None:
         """Counter tracks onto a hub's Perfetto/Chrome-trace export.
 
         The utilisation series becomes a ``ph: "C"`` counter track in
         :func:`repro.telemetry.export.chrome_trace`; per-link occupancy
         lands as a single-sample track per top-K hotspot so the heatmap
-        is visible on the trace timeline too.
+        is visible on the trace timeline too.  All on the ``fabric``
+        track.
         """
         if self.series:
             telemetry.counter_track("fabric.mean_link_utilisation",
-                                    self.series, track=track,
+                                    self.series, track="fabric",
                                     unit="slot")
         for name, slots in self.hotspots():
             telemetry.counter_track(
                 f"fabric.link_slots {name}", ((0, slots),),
-                track=track, unit="slot")
+                track="fabric", unit="slot")

@@ -18,8 +18,7 @@ __all__ = ["run_profiled"]
 T = TypeVar("T")
 
 
-def run_profiled(func: Callable[[], T], *, limit: int = 25,
-                 stream=None) -> T:
+def run_profiled(func: Callable[[], T], *, stream=None) -> T:
     """Run ``func`` under :mod:`cProfile`, print top stats, return result.
 
     Stats go to ``stream`` (default ``sys.stderr``, so profiling never
@@ -34,8 +33,8 @@ def run_profiled(func: Callable[[], T], *, limit: int = 25,
     result = profiler.runcall(func)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
-    stats.sort_stats("cumulative").print_stats(limit)
+    stats.sort_stats("cumulative").print_stats(25)
     out = stream if stream is not None else sys.stderr
-    out.write(f"--- profile (top {limit} by cumulative) ---\n")
+    out.write("--- profile (top 25 by cumulative) ---\n")
     out.write(buffer.getvalue())
     return result

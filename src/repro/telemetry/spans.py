@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.exceptions import ConfigurationError
+
 __all__ = ["Span", "CounterTrack", "SPAN_UNITS"]
 
 # Recognised span time units and their scale to Chrome-trace
@@ -42,10 +44,10 @@ class Span:
 
     def __post_init__(self):
         if self.unit not in SPAN_UNITS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"span unit {self.unit!r} not one of {sorted(SPAN_UNITS)}")
         if self.end < self.start:
-            raise ValueError(
+            raise ConfigurationError(
                 f"span {self.name!r} ends ({self.end}) before it starts "
                 f"({self.start})")
 
@@ -89,17 +91,17 @@ class CounterTrack:
 
     def __post_init__(self):
         if self.unit not in SPAN_UNITS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"counter unit {self.unit!r} not one of "
                 f"{sorted(SPAN_UNITS)}")
         self.points = tuple((float(ts), float(value))
                             for ts, value in self.points)
         if not self.points:
-            raise ValueError(
+            raise ConfigurationError(
                 f"counter track {self.name!r} needs at least one point")
         if any(b[0] < a[0] for a, b in zip(self.points,
                                            self.points[1:])):
-            raise ValueError(
+            raise ConfigurationError(
                 f"counter track {self.name!r} points must be "
                 "time-ordered")
 

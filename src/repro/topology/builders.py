@@ -86,27 +86,26 @@ def mesh(cols: int, rows: int, *, nis_per_router: int = 1,
 
 
 def concentrated_mesh(cols: int, rows: int, *, nis_per_router: int = 4,
-                      pipeline_stages: int = 0,
-                      name: str | None = None) -> Topology:
+                      pipeline_stages: int = 0) -> Topology:
     """A mesh with several NIs per router (the paper's evaluation topology)."""
     return mesh(cols, rows, nis_per_router=nis_per_router,
                 pipeline_stages=pipeline_stages,
-                name=name or f"cmesh{cols}x{rows}x{nis_per_router}")
+                name=f"cmesh{cols}x{rows}x{nis_per_router}")
 
 
-def line(n: int, *, nis_per_router: int = 1, pipeline_stages: int = 0,
-         name: str | None = None) -> Topology:
+def line(n: int, *, nis_per_router: int = 1,
+         pipeline_stages: int = 0) -> Topology:
     """A 1D chain of ``n`` routers (a ``n x 1`` mesh)."""
     return mesh(n, 1, nis_per_router=nis_per_router,
-                pipeline_stages=pipeline_stages, name=name or f"line{n}")
+                pipeline_stages=pipeline_stages, name=f"line{n}")
 
 
-def ring(n: int, *, nis_per_router: int = 1, pipeline_stages: int = 0,
-         name: str | None = None) -> Topology:
+def ring(n: int, *, nis_per_router: int = 1,
+         pipeline_stages: int = 0) -> Topology:
     """A bidirectional ring of ``n`` routers."""
     if n < 3:
         raise TopologyError(f"ring needs >= 3 routers, got {n}")
-    topo = Topology(name or f"ring{n}")
+    topo = Topology(f"ring{n}")
     for i in range(n):
         topo.add_router(_router_name(i, 0), x=i, y=0)
     for i in range(n):
@@ -118,12 +117,12 @@ def ring(n: int, *, nis_per_router: int = 1, pipeline_stages: int = 0,
 
 
 def torus(cols: int, rows: int, *, nis_per_router: int = 1,
-          pipeline_stages: int = 0, name: str | None = None) -> Topology:
+          pipeline_stages: int = 0) -> Topology:
     """A 2D torus (mesh with wrap-around links)."""
     if cols < 3 or rows < 3:
         raise TopologyError(
             f"torus needs extent >= 3 in both dimensions, got {cols}x{rows}")
-    topo = Topology(name or f"torus{cols}x{rows}")
+    topo = Topology(f"torus{cols}x{rows}")
     for y in range(rows):
         for x in range(cols):
             topo.add_router(_router_name(x, y), x=x, y=y)
@@ -142,11 +141,11 @@ def torus(cols: int, rows: int, *, nis_per_router: int = 1,
     return topo
 
 
-def single_router(arity_nis: int = 2, *, name: str | None = None) -> Topology:
+def single_router(arity_nis: int = 2) -> Topology:
     """One router with ``arity_nis`` NIs — the smallest useful network."""
     if arity_nis < 1:
         raise TopologyError("single_router needs at least one NI")
-    topo = Topology(name or "single")
+    topo = Topology("single")
     topo.add_router(_router_name(0, 0), x=0, y=0)
     _attach_nis(topo, arity_nis)
     topo.validate()
@@ -154,8 +153,7 @@ def single_router(arity_nis: int = 2, *, name: str | None = None) -> Topology:
 
 
 def custom(router_edges: Iterable[tuple[str, str]],
-           nis: Sequence[tuple[str, str]], *, pipeline_stages: int = 0,
-           name: str = "custom") -> Topology:
+           nis: Sequence[tuple[str, str]]) -> Topology:
     """Build an arbitrary topology.
 
     Parameters
@@ -167,7 +165,7 @@ def custom(router_edges: Iterable[tuple[str, str]],
         Pairs ``(ni_name, router_name)``; each NI is connected both ways to
         its router.
     """
-    topo = Topology(name)
+    topo = Topology("custom")
     routers: list[str] = []
     edges = list(router_edges)
     for a, b in edges:
@@ -178,7 +176,7 @@ def custom(router_edges: Iterable[tuple[str, str]],
     for r in routers + ni_routers:
         topo.add_router(r)
     for a, b in edges:
-        topo.connect(a, b, pipeline_stages=pipeline_stages)
+        topo.connect(a, b)
     for ni_name, router in nis:
         topo.add_ni(ni_name)
         topo.connect(ni_name, router)

@@ -216,7 +216,7 @@ def weighted_shortest_path(topo: Topology, src_ni: str, dst_ni: str,
                 (node, near) if side == 0 else (near, node)))
             if near in settled[side]:
                 if length < settled[side][near]:
-                    raise ValueError(
+                    raise TopologyError(
                         "contradictory paths found: negative link weight?")
             elif near not in seen[side] or length < seen[side][near]:
                 seen[side][near] = length

@@ -561,8 +561,8 @@ class TestRouteGeometryOnce:
                       classes=classes), topo, 19).events()
         assert len(events) == 2000
         tel = Telemetry()
-        allocator = SlotAllocator(topo, table_size=32, frequency_hz=500e6,
-                                  telemetry=tel)
+        allocator = SlotAllocator(topo, table_size=32, frequency_hz=500e6)
+        allocator.set_telemetry(tel)
 
         def serve():
             service = SessionService(topo, table_size=None,
@@ -602,15 +602,16 @@ class TestRouteGeometryOnce:
         topo = concentrated_mesh(2, 2, nis_per_router=2)
         pairs = [(a, b) for a in topo.nis for b in topo.nis if a != b]
         tel = Telemetry()
-        first = _allocator(topo, telemetry=tel)
+        first = _allocator(topo)
+        first.set_telemetry(tel)
         held = {pair: first.shortest_candidates(*pair) for pair in pairs}
         assert 0 < len(searched) <= len(topo.routers) ** 2
         expansions = tel.value("allocator.kshortest_expansions")
         assert expansions == len(searched)
         del searched[:]
         spec = ChannelSpec("c", "a", "b", 120 * MB, max_latency_ns=300.0)
-        second = _allocator(topo, table_size=32, frequency_hz=250e6,
-                            telemetry=tel)
+        second = _allocator(topo, table_size=32, frequency_hz=250e6)
+        second.set_telemetry(tel)
         for pair in pairs:
             assert second.shortest_candidates(*pair) is held[pair]
             assert second.shortest_candidates(*pair) == \

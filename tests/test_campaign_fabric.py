@@ -205,8 +205,6 @@ class TestCheckpointResume:
         typo = tmp_path / "tpyo"
         with pytest.raises(ConfigurationError, match="nothing to resume"):
             CampaignRunner(_grid(), workdir=typo, resume=True).run()
-        with pytest.raises(ConfigurationError, match="nothing to resume"):
-            CampaignRunner(_grid(), workdir=typo).run(resume=True)
         assert not typo.exists()
 
     def test_shard_size_zero_is_not_the_default(self):

@@ -275,14 +275,23 @@ class TestFairnessScenarios:
 
 
 class TestFairnessCli:
-    def test_wfq_demo_exit_code(self, capsys):
+    def test_wfq_demo_exit_code(self, capsys, tmp_path):
         from repro.__main__ import main
+        report, telemetry = tmp_path / "wfq.json", tmp_path / "wfq.jsonl"
         assert main(["serve", "--policy", "wfq", "--demo",
-                     "--events", "600"]) == 0
+                     "--events", "600", "--output", str(report),
+                     "--telemetry", str(telemetry)]) == 0
         out = capsys.readouterr().out
         assert "byte-identical: yes" in out
         assert "retention" in out
         assert "ABUSIVE" in out
+        # Every shed is attributed to the policy layer that made it.
+        sheds = {line["labels"]["layer"]: line["value"] for line in
+                 map(json.loads, telemetry.read_text().splitlines())
+                 if line.get("name") == "service.fairness.sheds"}
+        assert set(sheds) == {"throttle", "overload", "fairness"}
+        assert sum(sheds.values()) == json.loads(
+            report.read_text())["wfq"]["totals"]["n_shed"] > 0
 
     def test_fcfs_demo_output_unchanged(self, capsys):
         from repro.__main__ import main

@@ -182,19 +182,6 @@ class TestRebuildExcluding:
         for ca in report.allocation.channels.values():
             assert router not in ca.path.routers
 
-    def test_raise_mode_surfaces_channel_and_reason(self):
-        topology, allocation = build_allocation()
-        stranded_router = topology.attached_router(
-            sorted(allocation.channels.values(),
-                   key=lambda ca: ca.spec.name)[0].path.source)
-        with pytest.raises(AllocationError) as excinfo:
-            allocation.rebuild_excluding(
-                failed_routers=[stranded_router],
-                on_infeasible="raise")
-        assert excinfo.value.channel is not None
-        assert excinfo.value.reason
-        assert excinfo.value.channel in allocation.channels
-
     @pytest.mark.parametrize("spec, hog_slots, detail", [
         (ChannelSpec("v", "a", "b", 1 * MB, max_latency_ns=30.0), (),
          "latency below path traversal time"),
@@ -205,7 +192,7 @@ class TestRebuildExcluding:
     ])
     def test_unreroutable_reason_text(self, spec, hog_slots, detail):
         """The three per-candidate failure kinds on the one surviving
-        detour, pinned literally for both ``on_infeasible`` modes."""
+        detour, pinned literally."""
         from repro.core.allocation import Allocation, ChannelAllocation
         from repro.core.words import WordFormat
         from repro.topology.routing import k_shortest_paths
@@ -221,22 +208,12 @@ class TestRebuildExcluding:
         dead = [("r0_0", "r1_0")]
         reason = ("Path(ni0_0_0 -> r0_0 -> r0_1 -> r1_1 -> r1_0 -> "
                   f"ni1_0_0): {detail}")
-        with pytest.raises(AllocationError) as excinfo:
-            allocation.rebuild_excluding(failed_links=dead,
-                                         on_infeasible="raise")
-        assert excinfo.value.reason == reason
-        assert str(excinfo.value) == (
-            "cannot re-allocate channel 'v' around 1 failed link(s): "
-            + reason)
-        assert excinfo.value.channel == "v"
         verdict = allocation.rebuild_excluding(
             failed_links=dead).verdicts["v"]
         assert (verdict.verdict, verdict.reason) == ("dropped", reason)
 
     def test_bad_arguments(self):
         _, allocation = build_allocation(n_channels=4)
-        with pytest.raises(ConfigurationError):
-            allocation.rebuild_excluding(on_infeasible="explode")
         with pytest.raises(ConfigurationError):
             allocation.rebuild_excluding(failed_links=[("a", "b")])
 

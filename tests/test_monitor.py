@@ -115,7 +115,7 @@ class TestSimulationConformance:
 
     def test_invalid_verdict_rejected(self):
         from repro.telemetry.monitor import ChannelConformance
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             ChannelConformance(channel="c0", kind="trace",
                                verdict="fine")
 

@@ -179,13 +179,13 @@ class TestWeightedShortestPath:
         topo = mesh(3, 1, nis_per_router=1)
         weights = {link.key: 0.0 for link in topo.links}
         weights["r1_0", "r0_0"] = -5.0
-        for search in (
-                lambda: nx.shortest_path(
+        for error, search in (
+                (ValueError, lambda: nx.shortest_path(
                     router_digraph(topo), "r0_0", "r2_0",
-                    weight=lambda u, v, _data: 1.0 + weights[u, v]),
-                lambda: weighted_shortest_path(
-                    topo, "ni0_0_0", "ni2_0_0", weights.__getitem__)):
-            with pytest.raises(ValueError, match="negative"):
+                    weight=lambda u, v, _data: 1.0 + weights[u, v])),
+                (TopologyError, lambda: weighted_shortest_path(
+                    topo, "ni0_0_0", "ni2_0_0", weights.__getitem__))):
+            with pytest.raises(error, match="negative"):
                 search()
 
 

@@ -289,7 +289,8 @@ class TestAdmissionController:
         def one_pass():
             tel = Telemetry()
             allocator = SlotAllocator(small_mesh, table_size=16,
-                                      frequency_hz=500e6, telemetry=tel)
+                                      frequency_hz=500e6)
+            allocator.set_telemetry(tel)
             ctrl = AdmissionController(allocator)
             out = []
             # Twice over, so the second round re-quotes evicted keys.
@@ -396,6 +397,49 @@ class TestSessionService:
         with pytest.raises(ConfigurationError):
             SessionService(mesh(2, 2, nis_per_router=1),
                            allocator=allocator)
+
+    def test_stream_anomalies_are_counted_beside_the_report(
+            self, small_mesh):
+        """A reversed stream, a repeated open and a close nobody opened
+        are tallied — in ``report.anomalies`` and ``service.anomalies``
+        — never in the canonical record, and handled as before."""
+        from repro.telemetry import Telemetry
+        events = ChurnWorkload(ChurnSpec(n_sessions=20), small_mesh,
+                               3).events()
+        clean, _ = self._run(small_mesh, n_sessions=20)
+        assert set(clean.anomalies.values()) == {0}
+        assert "anomalies" not in clean.to_record()
+        # The close of a session whose open was rejected is owed, not
+        # unknown — and once it came nothing is remembered.
+        busy = SessionService(small_mesh, table_size=8, frequency_hz=500e6)
+        crowded = busy.run(ChurnWorkload(ChurnSpec(n_sessions=120),
+                                         small_mesh, 3).events())
+        assert crowded.totals["n_rejected"] > 0
+        assert set(crowded.anomalies.values()) == {0}
+        assert not busy._unadmitted
+
+        tel = Telemetry()
+        service = SessionService(small_mesh, table_size=32,
+                                 frequency_hz=500e6, telemetry=tel)
+        reverse = service.run(events[::-1])
+        assert reverse.invariant["ok"]
+        assert reverse.anomalies["non_monotone_time"] > 0
+        # Every close now precedes its open: none finds its session
+        # active or owed a close, and all are still open at the end.
+        assert reverse.anomalies["unknown_session"] == 20
+        assert reverse.anomalies["duplicate_session"] == 0
+        for kind, count in reverse.anomalies.items():
+            assert tel.value("service.anomalies", kind=kind) == count
+
+        opens = [e for e in events if e.kind == "open"]
+        service = SessionService(small_mesh, table_size=32,
+                                 frequency_hz=500e6)
+        twice = service.run([opens[0], opens[0]])
+        assert twice.anomalies == {"non_monotone_time": 0,
+                                   "duplicate_session": 1,
+                                   "unknown_session": 0}
+        assert (twice.totals["n_accepted"],
+                twice.totals["n_rejected"]) == (1, 1)
 
     def test_series_snapshots_every_window(self, sec7_mesh):
         report, _ = self._run(sec7_mesh, window=50)

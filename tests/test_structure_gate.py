@@ -1,12 +1,14 @@
-"""The structure gate runs in tier-1, and its rules bite.
+"""The structure gate and the census run in tier-1, and their rules bite.
 
 ``tools/structure_gate.py`` is the table CI's tier-1 job runs after the
-tests; running it here means a deleted twin that grows back fails
-locally, not on the runner.
+tests, ``tools/unreferenced.py`` the census of definitions nothing
+references and parameters nothing passes; running them here means a
+deleted twin or option that grows back fails locally, not on the runner.
 """
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GATE = ROOT / "tools" / "structure_gate.py"
+CENSUS = ROOT / "tools" / "unreferenced.py"
 
 
 def _gate(root: Path) -> subprocess.CompletedProcess:
@@ -45,6 +48,8 @@ def test_the_tree_passes():
      "mode comparison outside"),
     ("baseline/be_network.py", "# topo.attached_router(ni)",
      "attached_router( must have one call site"),
+    ("telemetry/spans.py", "def f(x):\n    raise ValueError(x)",
+     "builtin exception is raised"),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",
@@ -54,3 +59,169 @@ def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     proc = _gate(tmp_path)
     assert proc.returncode == 1
     assert message in proc.stderr
+
+
+# -- the census --------------------------------------------------------------
+
+def _census(root: Path) -> subprocess.CompletedProcess:
+    """Run the census over ``root`` (the tool reads the tree it sits in)."""
+    return subprocess.run([sys.executable, str(root / "tools" / CENSUS.name)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def _scratch(tmp_path: Path, source: str, *, caller: str = "",
+             test: str = "", allow: str = "",
+             package: str = "core") -> Path:
+    """A tree holding the census, one module under ``src/repro/<package>``,
+    one non-test caller and one test."""
+    for name in ("tools", f"src/repro/{package}", "benchmarks", "examples",
+                 "tests", "docs"):
+        (tmp_path / name).mkdir(parents=True)
+    shutil.copy(CENSUS, tmp_path / "tools")
+    (tmp_path / "tools" / "unreferenced_allow.txt").write_text(allow)
+    (tmp_path / "src/repro" / package / "mod.py").write_text(source)
+    (tmp_path / "examples" / "caller.py").write_text(
+        "from repro.core.mod import *\n" + caller)
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from repro.core.mod import *\n" + test)
+    return tmp_path
+
+
+F = "def f(x, y=1):\n    return x + y\n"
+POINT = ("from dataclasses import dataclass\n\n\n@dataclass\n"
+         "class Point:\n    x: int\n    y: int = 1\n")
+
+
+def test_the_census_passes_and_tallies():
+    proc = _census(ROOT)
+    assert proc.returncode == 0, proc.stdout
+    assert not [line for line in proc.stdout.splitlines()[:-1]
+                if not line.startswith("note: ")]
+    assert re.fullmatch(
+        r"\d+ parameters with defaults, (\d+) passed nowhere, \1 allowed; "
+        r"noted: \d+ passed nowhere in the paper-model packages, "
+        r"\d+ passed only by tests", proc.stdout.splitlines()[-1])
+
+
+def test_a_parameter_nothing_passes_is_flagged(tmp_path):
+    proc = _census(_scratch(tmp_path, F, caller="f(0)\n"))
+    assert proc.returncode == 1
+    assert "src/repro/core/mod.py:1: f(y) is passed nowhere" in proc.stdout
+    assert proc.stdout.splitlines()[-1].startswith(
+        "1 parameters with defaults, 1 passed nowhere, 0 allowed")
+
+
+@pytest.mark.parametrize("source, caller", [
+    (F, "f(0, y=2)\n"),
+    (F, "f(0, 2)\n"),
+    (F, "a = (0, 2)\nf(*a)\n"),
+    (F, "def g(**kw):\n    return f(0, **kw)\n\n\ng()\n"),
+    (F, "from functools import partial\npartial(f, y=2)(0)\n"),
+    (POINT, "import dataclasses\ndataclasses.replace(Point(0), y=2)\n"),
+    (POINT, "Point(0, 2)\n"),
+    ("class C:\n    def __init__(self, y=1):\n        self.y = y\n\n"
+     "    @classmethod\n    def make(cls):\n        return cls(y=2)\n",
+     "C.make()\n"),
+    ("class B:\n    def __init__(self, y=1):\n        self.y = y\n\n\n"
+     "class D(B):\n    def __init__(self):\n"
+     "        super().__init__(y=2)\n", "D()\n"),
+    ("class C:\n    def m(self, x, y=1):\n        return x + y\n",
+     "C().m(0, 2)\n"),
+    (F, "def make(factory, **kw):\n    return factory(0, **kw)\n\n\n"
+        "make(f)\n"),
+    (F, "class R:\n    def get(self, kind, factory):\n"
+        "        return factory(0, y=kind)\n\n\nR().get(2, factory=f)\n"),
+])
+def test_every_way_of_passing_counts(tmp_path, source, caller):
+    proc = _census(_scratch(tmp_path, source, caller=caller))
+    assert proc.returncode == 0, proc.stdout
+    assert " is passed " not in proc.stdout
+
+
+def test_a_relay_credits_only_what_it_passes(tmp_path):
+    """``make(f)`` counts as the call ``make`` makes through its parameter
+    — no more: a relay that passes no ``y`` leaves ``f(y)`` flagged, and
+    so does a function merely held as a value."""
+    relay = "def make(factory):\n    return factory(0)\n\n\nmake(f)\n"
+    proc = _census(_scratch(tmp_path / "a", F, caller=relay))
+    assert proc.returncode == 1
+    assert "f(y) is passed nowhere" in proc.stdout
+    held = _census(_scratch(tmp_path / "b", F, caller="TABLE = {'f': f}\n"))
+    assert held.returncode == 1
+
+
+def test_a_method_counts_positions_after_self(tmp_path):
+    source = "class C:\n    def m(self, x, y=1):\n        return x + y\n"
+    proc = _census(_scratch(tmp_path, source, caller="C().m(0)\n"))
+    assert proc.returncode == 1
+    assert "C.m(y) is passed nowhere" in proc.stdout
+
+
+def test_a_dataclass_state_field_is_not_a_parameter(tmp_path):
+    source = ("from dataclasses import dataclass, field\n\n\n@dataclass\n"
+              "class Point:\n    x: int\n"
+              "    seen: list = field(default_factory=list, init=False)\n")
+    proc = _census(_scratch(tmp_path, source, caller="Point(0)\n"))
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout.startswith("0 parameters with defaults")
+
+
+def test_a_tests_only_parameter_is_a_note(tmp_path):
+    proc = _census(_scratch(tmp_path, F, caller="f(0)\n", test="f(0, y=2)\n"))
+    assert proc.returncode == 0, proc.stdout
+    assert "note: src/repro/core/mod.py:1: f(y) is passed only by tests" \
+        in proc.stdout
+
+
+def test_a_paper_model_package_is_noted_not_gated(tmp_path):
+    proc = _census(_scratch(tmp_path, F, caller="f(0)\n", package="synthesis"))
+    assert proc.returncode == 0, proc.stdout
+    assert "note: src/repro/synthesis/mod.py:1: f(y) is passed nowhere" \
+        in proc.stdout
+
+
+def test_the_allow_list_needs_a_reason_and_a_finding(tmp_path):
+    allowed = _scratch(tmp_path / "a", F, caller="f(0)\n",
+                       allow="f(y)  # ROADMAP item 1 passes it\n")
+    assert _census(allowed).returncode == 0
+    bare = _census(_scratch(tmp_path / "b", F, caller="f(0)\n",
+                            allow="f(y)\n"))
+    assert bare.returncode == 1
+    assert "f(y) is allowed without a # reason" in bare.stdout
+    stale = _census(_scratch(tmp_path / "c", F, caller="f(0, 2)\n",
+                             allow="f(y)  # ROADMAP item 1 passes it\n"))
+    assert stale.returncode == 1
+    assert "f(y) allows nothing the census finds" in stale.stdout
+
+
+@pytest.fixture(scope="module")
+def tree_copy(tmp_path_factory) -> Path:
+    """One copy of everything the census reads, and of the census."""
+    root = tmp_path_factory.mktemp("tree")
+    for name in ("src", "benchmarks", "examples", "tests", "docs", "tools"):
+        shutil.copytree(ROOT / name, root / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".work"))
+    return root
+
+
+@pytest.mark.parametrize("path, old, new", [
+    ("telemetry/profiling.py", "*, stream=None)",
+     "*, limit: int = 25, stream=None)"),
+    ("core/timeline.py", "def build(self, *, horizon_slots: int)",
+     "def build(self, *, horizon_slots: int, fill: float = 0.75)"),
+    ("campaign/runner.py", "def run(self) -> CampaignResult:",
+     "def run(self, *, resume=None) -> CampaignResult:"),
+    ("core/connection.py", "def with_credit_return(self)",
+     "def with_credit_return(self, *, throughput_fraction=0.05)"),
+])
+def test_a_removed_parameter_cannot_come_back(tree_copy, path, old, new):
+    target = tree_copy / "src" / "repro" / path
+    source = target.read_text()
+    assert source.count(old) == 1
+    target.write_text(source.replace(old, new))
+    try:
+        proc = _census(tree_copy)
+    finally:
+        target.write_text(source)
+    assert proc.returncode == 1
+    assert "is passed nowhere" in proc.stdout

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.core.exceptions import ConfigurationError
 from repro.telemetry import (NULL_TELEMETRY, NullTelemetry, Telemetry,
                              chrome_trace, coalesce, prometheus_text)
 from repro.telemetry.metrics import (NULL_COUNTER, NULL_GAUGE,
@@ -61,15 +62,15 @@ class TestMetrics:
         assert record["sum"] == pytest.approx(17.0)
 
     def test_histogram_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Histogram("bad", bounds=(2, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Histogram("bad", bounds=())
 
     def test_histogram_rebind_with_other_bounds_rejected(self):
         registry = MetricRegistry()
         registry.histogram("h", bounds=(1, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             registry.histogram("h", bounds=(1, 2, 3))
 
     def test_registry_orders_metrics_deterministically(self):
@@ -118,9 +119,9 @@ class TestNullTelemetry:
 
 class TestSpans:
     def test_span_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Span(name="s", track="t", unit="fortnight", start=0, end=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             Span(name="s", track="t", unit="ms", start=2, end=1)
 
     def test_units_cover_sim_and_wall_domains(self):
@@ -234,12 +235,12 @@ class TestCounterTracks:
 
     def test_counter_track_validation(self):
         from repro.telemetry.spans import CounterTrack
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CounterTrack("empty", track="t", unit="slot", points=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CounterTrack("rev", track="t", unit="slot",
                          points=((2, 1.0), (1, 2.0)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CounterTrack("bad", track="t", unit="lightyear",
                          points=((0, 1.0),))
 

@@ -162,7 +162,7 @@ class TestRecorder:
         timeline = recorder.build(horizon_slots=1000)
         assert timeline.n_epochs == 3
         assert timeline.survivors() == ("c0", "c1")
-        # fit lands the last transition at fill * horizon.
+        # fit lands the last transition at 3/4 of the horizon.
         assert timeline.epoch_boundaries()[-1] == 750
 
     def test_zero_length_session_dropped_not_crashed(self, mesh_config):
@@ -180,20 +180,6 @@ class TestRecorder:
         timeline = recorder.build(horizon_slots=1000)
         assert "c2" not in timeline.channel_names
         assert timeline.channel_names == ("c0",)
-
-    def test_fill_one_keeps_the_final_transition(self, mesh_config):
-        """fill=1.0 must clamp float wobble instead of silently
-        dropping the last transition (which would fake a survivor)."""
-        alloc = mesh_config.allocation
-        recorder = TimelineRecorder(
-            mesh_config.topology, table_size=mesh_config.table_size,
-            frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
-        recorder.record_start(0.0, "appX", (alloc.channel("c0"),))
-        recorder.record_start(0.005, "appY", (alloc.channel("c2"),))
-        recorder.record_stop(0.020, "appY")
-        timeline = recorder.build(horizon_slots=1000, fill=1.0)
-        assert timeline.survivors() == ("c0",)
-        assert timeline.epoch_boundaries()[-1] == 999
 
     def test_out_of_order_times_rejected(self, mesh_config):
         recorder = TimelineRecorder(
@@ -532,7 +518,7 @@ class TestDynamicComposability:
 
     def test_explicit_survivors_validated(self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             verify_timeline(timeline, replay_traffic(timeline),
                             survivors=("ghost",))
 

@@ -90,6 +90,9 @@ RULES = [
      r"src/repro/(simulation/(backend|flitsim|compiled)|baseline/be_network)"
      r"\.py", NONE,
      "an executor is imported outside simulation/backend.py and its peers"),
+    (r"raise (ValueError|TypeError|KeyError)\b", SRC, None, NONE,
+     "a builtin exception is raised under src/repro; refuse with "
+     "ConfigurationError / TopologyError, which the CLI prints as one line"),
 ]
 
 
