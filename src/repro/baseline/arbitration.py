@@ -4,7 +4,8 @@ aelite needs no arbiter at all — that is its point.  The Æthereal
 combined GS+BE router the paper compares against arbitrates BE packets
 per output port with round-robin among requesting inputs; this module
 provides that (and a fixed-priority variant used in tests as a fairness
-foil).
+foil).  Both take the requesting indices in ascending order — the form
+the wormhole loop collects them in — and grant one of them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ class RoundRobinArbiter:
     """Classic rotating-priority arbiter.
 
     :meth:`grant` picks the first requesting index at or after the
-    rotating pointer; the pointer then moves past the winner, giving
-    every requester a bounded wait of one full rotation.
+    rotating pointer, wrapping round; the pointer then moves past the
+    winner, giving every requester a bounded wait of one full rotation.
     """
 
     def __init__(self, n_requesters: int):
@@ -31,38 +32,32 @@ class RoundRobinArbiter:
         self.n = n_requesters
         self._pointer = 0
 
-    def grant(self, requests: Sequence[bool]) -> int | None:
-        """Return the granted index, or ``None`` when nobody requests."""
-        if len(requests) != self.n:
-            raise ConfigurationError(
-                f"expected {self.n} request lines, got {len(requests)}")
-        for offset in range(self.n):
-            index = (self._pointer + offset) % self.n
-            if requests[index]:
-                self._pointer = (index + 1) % self.n
-                return index
-        return None
+    def grant(self, requests: Sequence[int]) -> int | None:
+        """Return the granted index, or ``None`` when nobody requests.
 
-    def reset(self) -> None:
-        """Return the pointer to its initial position."""
+        ``requests`` lists the requesting indices in ascending order.
+        """
+        if not requests:
+            return None
+        if requests[-1] >= self.n:
+            raise ConfigurationError(
+                f"request index {requests[-1]} outside {self.n} requesters")
+        pointer = self._pointer
+        for index in requests:
+            if index >= pointer:
+                break
+        else:
+            index = requests[0]
+        self._pointer = (index + 1) % self.n
+        return index
+
+
+class FixedPriorityArbiter(RoundRobinArbiter):
+    """Always grants the lowest requesting index (starvation-prone): a
+    round-robin whose pointer never leaves index 0."""
+
+    def grant(self, requests: Sequence[int]) -> int | None:
+        """Return the highest-priority (lowest) requesting index."""
+        winner = super().grant(requests)
         self._pointer = 0
-
-
-class FixedPriorityArbiter:
-    """Always grants the lowest requesting index (starvation-prone)."""
-
-    def __init__(self, n_requesters: int):
-        if n_requesters < 1:
-            raise ConfigurationError(
-                f"arbiter needs >= 1 requester, got {n_requesters}")
-        self.n = n_requesters
-
-    def grant(self, requests: Sequence[bool]) -> int | None:
-        """Return the highest-priority (lowest index) requester."""
-        if len(requests) != self.n:
-            raise ConfigurationError(
-                f"expected {self.n} request lines, got {len(requests)}")
-        for index, req in enumerate(requests):
-            if req:
-                return index
-        return None
+        return winner

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
 from repro.core.configuration import NocConfiguration
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, require_finite_positive
 from repro.core.timeline import ReconfigurationTimeline
 from repro.core.words import WordFormat
 from repro.simulation.monitors import (LatencySummary, StatsCollector,
@@ -95,8 +95,8 @@ class SimRequest:
         if self.n_slots <= 0:
             raise ConfigurationError(
                 f"n_slots must be positive, got {self.n_slots}")
-        if self.frequency_hz is not None and self.frequency_hz <= 0:
-            raise ConfigurationError("frequency_hz override must be positive")
+        if self.frequency_hz is not None:
+            require_finite_positive("frequency_hz override", self.frequency_hz)
         if self.timeline is not None and \
                 self.n_slots > self.timeline.horizon_slots:
             raise ConfigurationError(
@@ -431,6 +431,14 @@ class BestEffortBackend(SimulationBackend):
                  max_packet_flits: int = 4,
                  telemetry=None):
         super().__init__(config, telemetry=telemetry)
+        if frequency_hz is not None:
+            require_finite_positive("frequency_hz", frequency_hz)
+        for name, value in (("buffer_flits", buffer_flits),
+                            ("max_packet_flits", max_packet_flits)):
+            if isinstance(value, bool) or not isinstance(value, int) or \
+                    value < 1:
+                raise ConfigurationError(
+                    f"{name} must be a positive int, got {value!r}")
         self.frequency_hz = frequency_hz
         self.buffer_flits = buffer_flits
         self.max_packet_flits = max_packet_flits
@@ -448,7 +456,8 @@ class BestEffortBackend(SimulationBackend):
         from repro.baseline.be_network import BeNetworkSimulator
         engine = BeNetworkSimulator(
             self.config,
-            frequency_hz=request.frequency_hz or self.frequency_hz,
+            frequency_hz=(self.frequency_hz if request.frequency_hz is None
+                          else request.frequency_hz),
             buffer_flits=self.buffer_flits,
             max_packet_flits=self.max_packet_flits)
         stats = engine.run(intervals, patterns, request.n_slots)

@@ -3,66 +3,78 @@
 from __future__ import annotations
 
 import random
-from collections import deque
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from be_oracle import BeOracle, BoolRoundRobin, _InputBuffer
 from repro.baseline.arbitration import (FixedPriorityArbiter,
                                         RoundRobinArbiter)
-from repro.baseline.be_network import (BeNetworkSimulator, _NiState,
-                                       _SourceQueue)
+from repro.baseline.be_network import BeNetworkSimulator
 from repro.campaign.spec import WorkloadSpec
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.timeline import ReconfigurationTimeline, TimelineEvent
 from repro.simulation.backend import (BestEffortBackend, FlitLevelBackend,
                                       SimRequest)
-from repro.simulation.monitors import StatsCollector
 from repro.simulation.traffic import (ConstantBitRate, MessageEvent,
                                       PeriodicBurst, Saturating,
                                       TrafficPattern)
 from repro.topology.builders import (concentrated_mesh, mesh, ring,
                                      single_router)
-from repro.topology.mapping import Mapping, round_robin
+from repro.topology.mapping import Mapping
 
 
 class TestArbiters:
     def test_round_robin_rotates(self):
         arbiter = RoundRobinArbiter(3)
-        grants = [arbiter.grant([True, True, True]) for _ in range(6)]
+        grants = [arbiter.grant([0, 1, 2]) for _ in range(6)]
         assert grants == [0, 1, 2, 0, 1, 2]
 
     def test_round_robin_skips_idle(self):
         arbiter = RoundRobinArbiter(3)
-        assert arbiter.grant([False, False, True]) == 2
-        assert arbiter.grant([True, False, True]) == 0
+        assert arbiter.grant([2]) == 2
+        assert arbiter.grant([0, 2]) == 0
 
     def test_round_robin_none_when_idle(self):
-        assert RoundRobinArbiter(2).grant([False, False]) is None
+        assert RoundRobinArbiter(2).grant([]) is None
 
     def test_round_robin_bounded_wait(self):
         """No requester waits more than one full rotation."""
         arbiter = RoundRobinArbiter(4)
         waits = {i: 0 for i in range(4)}
-        pending = {i: True for i in range(4)}
         for _ in range(16):
-            winner = arbiter.grant([pending[i] for i in range(4)])
+            winner = arbiter.grant([0, 1, 2, 3])
             for i in range(4):
-                if pending[i] and i != winner:
+                if i != winner:
                     waits[i] += 1
                     assert waits[i] <= 4
             waits[winner] = 0
 
     def test_fixed_priority_starves(self):
         arbiter = FixedPriorityArbiter(2)
-        grants = [arbiter.grant([True, True]) for _ in range(5)]
+        grants = [arbiter.grant([0, 1]) for _ in range(5)]
         assert grants == [0] * 5
 
-    def test_wrong_width_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RoundRobinArbiter(2).grant([True])
+    def test_index_outside_the_requesters_rejected(self):
+        with pytest.raises(ConfigurationError, match="outside 2"):
+            RoundRobinArbiter(2).grant([0, 2])
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 9), data=st.data())
+    def test_index_form_equals_the_bool_vector(self, n, data):
+        """The ascending-index grant picks the winner, and leaves the
+        pointer, of the bool-vector reference round-robin."""
+        arbiter, reference = RoundRobinArbiter(n), BoolRoundRobin(n)
+        for _ in range(data.draw(st.integers(1, 30))):
+            requests = data.draw(st.lists(st.booleans(), min_size=n,
+                                          max_size=n))
+            assert arbiter.grant(
+                [i for i, asks in enumerate(requests) if asks]) == \
+                reference.grant(requests)
+            assert arbiter._pointer == reference.pointer
 
 
 def _two_router_config():
@@ -157,11 +169,37 @@ class TestBeNetwork:
     def test_invalid_parameters_rejected(self):
         config = _two_router_config()
         with pytest.raises(ConfigurationError):
-            BeNetworkSimulator(config, buffer_flits=0)
+            BestEffortBackend(config, buffer_flits=0)
         with pytest.raises(ConfigurationError):
-            BeNetworkSimulator(config, max_packet_flits=0)
+            BestEffortBackend(config, max_packet_flits=0)
         with pytest.raises(ConfigurationError):
             SimRequest(n_slots=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda config: SimRequest(n_slots=10, frequency_hz=float("nan")),
+        lambda config: SimRequest(n_slots=10, frequency_hz=float("inf")),
+        lambda config: SimRequest(n_slots=10, frequency_hz=0.0),
+        lambda config: BestEffortBackend(config, frequency_hz=float("nan")),
+        lambda config: BestEffortBackend(config, frequency_hz=-5e8),
+        lambda config: BestEffortBackend(config, frequency_hz=0.0),
+        lambda config: BestEffortBackend(config, buffer_flits=2.5),
+        lambda config: BestEffortBackend(config, max_packet_flits=True),
+    ], ids=["request-nan", "request-inf", "request-zero", "backend-nan",
+            "backend-negative", "backend-zero", "fractional-buffer",
+            "bool-packet"])
+    def test_bad_operating_point_refused_where_given(self, build):
+        with pytest.raises(ConfigurationError):
+            build(_two_router_config())
+
+    def test_zero_override_is_not_the_default(self):
+        """An explicit frequency is used as given, never replaced by
+        the configuration's because it is falsy."""
+        config = _two_router_config()
+        request = SimRequest(n_slots=50, frequency_hz=250e6,
+                             traffic={"x0": Saturating(2, 3)})
+        assert BestEffortBackend(config).run(request).frequency_hz == 250e6
+        assert BestEffortBackend(config, frequency_hz=1e9).run(
+            SimRequest(n_slots=50)).frequency_hz == 1e9
 
     def test_wormhole_no_packet_interleaving(self):
         """Flits of two packets never interleave on one link.
@@ -191,65 +229,7 @@ class TestBeNetwork:
             assert all(d.payload_bytes == 32 for d in deliveries)
 
 
-# -- the scanning loop the port tables and arrival buckets replaced ---------
-
-
-class ScanningSimulator(BeNetworkSimulator):
-    """The tick loop as it stood before: every tick polls every
-    channel's arrival queue, and every output port rebuilds its request
-    vector from every input.  It drives the same router state through
-    the same ``_try_advance`` / ``_inject_tick``."""
-
-    def _run_loop(self, n_ticks, arrivals, sources):
-        period_ps = round(1e12 / self.frequency_hz)
-        stats = StatsCollector()
-        routers, ni_inputs = self._build_routers()
-        nis, channel_queue = {}, {}
-        for name, source in sorted(sources.items()):
-            state = nis.setdefault(source, _NiState(
-                [], RoundRobinArbiter(1), ni_inputs[source]))
-            channel_queue[name] = _SourceQueue(channel=name)
-            state.queues.append(channel_queue[name])
-        for state in nis.values():
-            state.arbiter = RoundRobinArbiter(len(state.queues))
-        pending = {name: deque(events) for name, events in arrivals.items()}
-        for tick in range(n_ticks):
-            for channel, events in pending.items():
-                while events and events[0][0] <= tick:
-                    channel_queue[channel].packets.append(
-                        events.popleft()[1])
-            for router_name in self._router_order:
-                self._route_tick(routers[router_name], tick, period_ps,
-                                 stats)
-            for ni in sorted(nis):
-                self._inject_tick(nis[ni], tick, period_ps, stats)
-        return stats
-
-    def _route_tick(self, router, tick, period_ps, stats):
-        consumed_inputs = set()
-        for out_port in range(len(router.arbiters)):
-            locked = router.locks[out_port]
-            if locked is not None:
-                if locked in consumed_inputs:
-                    continue
-                if self._try_advance(router, out_port, locked, tick,
-                                     period_ps, stats, expect_body=True):
-                    consumed_inputs.add(locked)
-                continue
-            requests = []
-            for index, buf in enumerate(router.inputs):
-                head = buf.flits[0] if buf.flits else None
-                requests.append(
-                    index not in consumed_inputs and
-                    head is not None and head.flit_index == 0 and
-                    head.arrived_tick < tick and
-                    head.packet.out_ports[head.packet.hop] == out_port)
-            winner = router.arbiters[out_port].grant(requests)
-            if winner is None:
-                continue
-            if self._try_advance(router, out_port, winner, tick, period_ps,
-                                 stats, expect_body=False):
-                consumed_inputs.add(winner)
+# -- the engine against the per-object oracle -------------------------------
 
 
 class _BackAndForth(TrafficPattern):
@@ -269,11 +249,14 @@ BE_TOPOLOGIES = {
     "cmesh": lambda: concentrated_mesh(2, 2, nis_per_router=4),
     "ring": lambda: ring(5, nis_per_router=2),
 }
+#: Probability that a channel saturates; the rest send bursts.
+MIXES = {"saturating": 0.9, "bursty": 0.1, "mixed": 0.4}
 
 
-def _random_case(topo_name, seed):
+def _random_case(topo_name, seed, mix="mixed"):
     """A seeded configuration, simulator options and a traffic mix of
-    saturating and bursty sources with messages of 1-4 packets."""
+    saturating and bursty sources with messages of 1-4 packets, one of
+    them sending out of order."""
     rng = random.Random(seed)
     topology = BE_TOPOLOGIES[topo_name]()
     use_case, mapping = WorkloadSpec(
@@ -287,7 +270,7 @@ def _random_case(topo_name, seed):
     traffic = {}
     for name in sorted(config.allocation.channels):
         words = rng.randint(1, 24)
-        if rng.random() < 0.4:
+        if rng.random() < MIXES[mix]:
             traffic[name] = Saturating(words, config.fmt.flit_size)
         else:
             traffic[name] = PeriodicBurst(
@@ -295,6 +278,27 @@ def _random_case(topo_name, seed):
                 offset_cycles=rng.randrange(40))
     traffic[min(traffic)] = _BackAndForth()
     return config, options, traffic
+
+
+def _restarts(config, times, horizon):
+    """Three applications started, stopped and one restarted at
+    ``times``, five ascending ticks."""
+    apps = {}
+    for ca in config.allocation.channels.values():
+        apps.setdefault(ca.spec.application, []).append(ca)
+    (a, a_channels), (b, b_channels), (c, c_channels) = \
+        sorted((app, tuple(chans)) for app, chans in apps.items())
+    t1, t2, t3, t4, t5 = times
+    return ReconfigurationTimeline(
+        config.topology,
+        [TimelineEvent(0, "start", a, a_channels),
+         TimelineEvent(t1, "start", b, b_channels),
+         TimelineEvent(t2, "stop", a),
+         TimelineEvent(t3, "start", c, c_channels),
+         TimelineEvent(t4, "start", a, a_channels),
+         TimelineEvent(t5, "stop", b)],
+        horizon_slots=horizon, table_size=config.table_size,
+        frequency_hz=config.frequency_hz, fmt=config.fmt)
 
 
 def _assert_same_records(got, ref):
@@ -308,15 +312,23 @@ def _assert_same_records(got, ref):
             ref.channel(name).deliveries, name
 
 
-class TestLoopEqualsTheScanningLoop:
+def _both(config, options, intervals, traffic, n_ticks):
+    """The engine's and the oracle's records of one run; the oracle's
+    input buffers raise on overflow, so this also holds that no flit
+    ever entered a full queue."""
+    return (BeNetworkSimulator(config, **options).run(
+                intervals, traffic, n_ticks),
+            BeOracle(config, **options).run(intervals, traffic, n_ticks))
+
+
+class TestLoopEqualsTheOracle:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("topo_name", sorted(BE_TOPOLOGIES))
     def test_static_runs(self, topo_name, seed):
         config, options, traffic = _random_case(topo_name, seed)
         intervals = {name: ((0, 300, ca),) for name, ca in
                      sorted(config.allocation.channels.items())}
-        results = [simulator(config, **options).run(intervals, traffic, 300)
-                   for simulator in (BeNetworkSimulator, ScanningSimulator)]
+        results = _both(config, options, intervals, traffic, 300)
         _assert_same_records(*results)
         assert any(len(results[0].channel(name).deliveries) > 5
                    for name in results[0].channels)
@@ -324,24 +336,36 @@ class TestLoopEqualsTheScanningLoop:
         _assert_same_records(
             _be(config, traffic, 300, **options).stats, results[0])
 
-    def test_timeline_with_restarts(self):
-        config, options, traffic = _random_case("mesh", 11)
-        apps = {}
-        for ca in config.allocation.channels.values():
-            apps.setdefault(ca.spec.application, []).append(ca)
-        (a, a_channels), (b, b_channels), (c, c_channels) = \
-            sorted((app, tuple(chans)) for app, chans in apps.items())
-        timeline = ReconfigurationTimeline(
-            config.topology,
-            [TimelineEvent(0, "start", a, a_channels),
-             TimelineEvent(30, "start", b, b_channels),
-             TimelineEvent(120, "stop", a),
-             TimelineEvent(140, "start", c, c_channels),
-             TimelineEvent(200, "start", a, a_channels),
-             TimelineEvent(260, "stop", b)],
-            horizon_slots=400, table_size=config.table_size,
-            frequency_hz=config.frequency_hz, fmt=config.fmt)
-        _assert_same_records(*(
-            simulator(config, **options).run(
-                timeline.channel_intervals(), traffic, 400)
-            for simulator in (BeNetworkSimulator, ScanningSimulator)))
+    @settings(max_examples=30, deadline=None)
+    @given(topo_name=st.sampled_from(sorted(BE_TOPOLOGIES)),
+           seed=st.integers(0, 40), buffer_flits=st.integers(1, 4),
+           max_packet_flits=st.integers(1, 4),
+           mix=st.sampled_from(sorted(MIXES)),
+           times=st.none() | st.lists(st.integers(1, 239), min_size=5,
+                                      max_size=5, unique=True).map(sorted))
+    @example("mesh", 11, 1, 4, "mixed", [30, 120, 140, 200, 230])
+    @example("ring", 0, 1, 1, "saturating", None)
+    @example("cmesh", 3, 4, 4, "bursty", [1, 2, 3, 4, 5])
+    def test_property(self, topo_name, seed, buffer_flits, max_packet_flits,
+                      mix, times):
+        """Static (``times`` is None) or a timeline with a restart: the
+        engine equals the oracle record for record, on every topology
+        family, buffer depth and packet size."""
+        config, _, traffic = _random_case(topo_name, seed, mix)
+        options = {"buffer_flits": buffer_flits,
+                   "max_packet_flits": max_packet_flits}
+        if times is None:
+            intervals = {name: ((0, 240, ca),) for name, ca in
+                         sorted(config.allocation.channels.items())}
+        else:
+            intervals = _restarts(config, times, 240).channel_intervals()
+        _assert_same_records(*_both(config, options, intervals, traffic,
+                                    240))
+
+    def test_the_oracle_refuses_an_overflow(self):
+        """The oracle's flow-control check has teeth: a full input
+        buffer raises instead of growing."""
+        buffer = _InputBuffer("r.in0", 1)
+        buffer.push(None)
+        with pytest.raises(SimulationError, match="overflow"):
+            buffer.push(None)

@@ -48,6 +48,14 @@ def test_the_tree_passes():
      "mode comparison outside"),
     ("baseline/be_network.py", "# topo.attached_router(ni)",
      "attached_router( must have one call site"),
+    ("baseline/be_network.py", "def _try_advance(self): pass",
+     "deleted best-effort per-object step"),
+    ("baseline/be_network.py", "class _BufferedFlit: pass",
+     "deleted best-effort per-object step"),
+    ("baseline/be_network.py", "arbiter_pointer = 0",
+     "round-robin pointer lives outside"),
+    ("simulation/backend.py", "# link-level flow control violated",
+     "flow-control guard must be spelled exactly once"),
     ("telemetry/spans.py", "def f(x):\n    raise ValueError(x)",
      "builtin exception is raised"),
 ])

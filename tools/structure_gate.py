@@ -90,6 +90,14 @@ RULES = [
      r"src/repro/(simulation/(backend|flitsim|compiled)|baseline/be_network)"
      r"\.py", NONE,
      "an executor is imported outside simulation/backend.py and its peers"),
+    (r"def _route_tick|def _inject_tick|def _try_advance|"
+     r"class _BufferedFlit", SRC, None, NONE,
+     f"a deleted best-effort per-object step {_GONE}"),
+    (r"_pointer\b|\bpointer\s*(=|\+=)", SRC,
+     r"src/repro/baseline/arbitration\.py", NONE,
+     "a round-robin pointer lives outside baseline/arbitration.py"),
+    (re.escape("link-level flow control violated"), SRC, None, ONCE,
+     "the best-effort flow-control guard must be spelled exactly once"),
     (r"raise (ValueError|TypeError|KeyError)\b", SRC, None, NONE,
      "a builtin exception is raised under src/repro; refuse with "
      "ConfigurationError / TopologyError, which the CLI prints as one line"),
