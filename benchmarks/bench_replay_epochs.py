@@ -1,9 +1,8 @@
 """Tier-2 gate: compiled executor vs the per-flit oracle, two change plans.
 
 Opt in with ``--tier2``.  The production flit path is the vectorised
-epoch executor (:mod:`repro.simulation.compiled`, used unless credit
-flow control is on); ``compiled=False`` is the per-flit loop it is
-checked against.  Both run the Section VII use case (200 connections)
+epoch executor (:mod:`repro.simulation.compiled`); ``compiled=False``
+is the per-flit loop it is checked against.  Both run the Section VII use case (200 connections)
 through :class:`~repro.simulation.backend.FlitLevelBackend` on the two
 shapes a change plan takes:
 
@@ -100,19 +99,21 @@ def test_compiled_speedup(tier2, section7, plan):
 
     # Warm pass per executor doubles as the equivalence gate: the
     # compiled path must reproduce the oracle's run bit for bit.
-    fast, _ = run(None)
+    fast, _ = run(True)
     oracle, _ = run(False)
     assert fast.meta["executor"] == "compiled"
     assert oracle.meta["executor"] == "per-flit"
     assert fast.meta["n_epochs"] == oracle.meta["n_epochs"] == n_epochs
     assert fast.meta["flits_by_channel"] == oracle.meta["flits_by_channel"]
     assert sum(fast.meta["flits_by_channel"].values()) > 0
-    assert fast.trace.channels() == oracle.trace.channels()
-    for name in oracle.trace.channels():
-        assert fast.trace.trace(name) == oracle.trace.trace(name), name
+    fast_trace, oracle_trace = fast.composability_trace(), \
+        oracle.composability_trace()
+    assert fast_trace.channels() == oracle_trace.channels()
+    for name in oracle_trace.channels():
+        assert fast_trace.trace(name) == oracle_trace.trace(name), name
     assert _worst_margin_ns(config, fast) == _worst_margin_ns(config, oracle)
 
-    compiled_s = min(run(None)[1] for _ in range(3))
+    compiled_s = min(run(True)[1] for _ in range(3))
     oracle_s = min(run(False)[1] for _ in range(3))
     speedup = oracle_s / compiled_s
     assert speedup >= TARGET_SPEEDUP, (

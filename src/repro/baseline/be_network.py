@@ -29,8 +29,10 @@ waiting when the network is idle).
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.baseline.arbitration import RoundRobinArbiter
 from repro.core.configuration import NocConfiguration
@@ -49,7 +51,9 @@ class BePacket:
 
     A message larger than ``max_packet_flits`` is split into several
     packets; only the final one (``is_final``) records the message's
-    delivery, with the whole message's payload.
+    delivery, with the whole message's payload.  ``sequence`` is shared
+    by every packet of one channel incarnation and numbers its
+    injections, so the count restarts with the channel.
     """
 
     channel: str
@@ -59,6 +63,7 @@ class BePacket:
     n_flits: int
     payload_bytes: int
     is_final: bool
+    sequence: Iterator[int]
     hop: int = field(default=0, init=False)  # routing progress of the head
 
 
@@ -171,7 +176,7 @@ class BeNetworkSimulator:
                     table_cache, pattern, lifetime_cycles,
                     lifetime_cycles, fmt)
                 base_cycle = start * flit_size
-                out_ports = ca.path.out_ports
+                out_ports, sequence = ca.path.out_ports, itertools.count()
                 for tick, cycle, words, mid in zip(
                         (start + table.ready[:count]).tolist(),
                         table.cycles[:count].tolist(),
@@ -194,11 +199,12 @@ class BeNetworkSimulator:
                     flits = max(1, -(-words // per_flit))
                     while flits > most:
                         bucket.append((ni, queue, BePacket(
-                            name, mid, created, out_ports, most, 0, False)))
+                            name, mid, created, out_ports, most, 0, False,
+                            sequence)))
                         flits -= most
                     bucket.append((ni, queue, BePacket(
                         name, mid, created, out_ports, flits,
-                        words * fmt.bytes_per_word, True)))
+                        words * fmt.bytes_per_word, True, sequence)))
         for ni in nis.values():
             ni.arbiter = RoundRobinArbiter(len(ni.queues))
         self._run_loop(n_ticks, due, routers,
@@ -290,11 +296,11 @@ class BeNetworkSimulator:
                 packet, sent = queue[0], ni.sent
                 _enter(ni.buffer, (packet, sent, tick), capacity)
                 if not sent:
-                    injections = ni.injections[active]
                     cycle = tick * flit_size
-                    injections.append(InjectionRecord(
-                        packet.channel, packet.message_id, len(injections),
-                        tick, cycle, cycle * period_ps))
+                    ni.injections[active].append(InjectionRecord(
+                        packet.channel, packet.message_id,
+                        next(packet.sequence), tick, cycle,
+                        cycle * period_ps))
                 sent += 1
                 if sent == packet.n_flits:
                     queue.popleft()

@@ -18,8 +18,8 @@ neither numpy nor an engine:
   frequency override for backends that support retiming;
 * :class:`SimResult` — *what came out*, in one schema: the shared
   :class:`~repro.simulation.monitors.StatsCollector` record log, the
-  composability trace (reconstructed from the record log for backends
-  that do not collect one natively), latency/throughput summaries, a
+  composability trace (read off that log, the same way for every
+  backend), latency/throughput summaries, a
   backend-independent *logical flit schedule* for equivalence checking,
   and a JSON-serializable record for campaign aggregation;
 * :class:`SimulationBackend` — the protocol itself: construct with a
@@ -39,10 +39,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping
 
 from repro.core.configuration import NocConfiguration
-from repro.core.exceptions import ConfigurationError, require_finite_positive
+from repro.core.exceptions import (ConfigurationError, SimulationError,
+                                   require_finite_positive)
 from repro.core.timeline import ReconfigurationTimeline
 from repro.core.words import WordFormat
 from repro.simulation.monitors import (LatencySummary, StatsCollector,
@@ -119,7 +120,6 @@ class SimResult:
     simulated_slots: int
     frequency_hz: float
     fmt: WordFormat
-    trace: TraceRecorder | None = None
     meta: dict[str, object] = field(default_factory=dict)
 
     @property
@@ -175,26 +175,11 @@ class SimResult:
         return tuple((mid, created, lat) for created, mid, lat in entries)
 
     def composability_trace(self) -> TraceRecorder:
-        """The per-flit trace, reconstructing one from stats if needed.
-
-        The flit-level simulator records a native trace; the detailed and
-        best-effort models only emit stats records, from which an
-        equivalent ``(message_id, final_injection_slot, delivery_cycle)``
-        trace is rebuilt here.
-        """
-        if self.trace is not None:
-            return self.trace
-        rebuilt = TraceRecorder()
-        for channel in self.stats.channels:
-            channel_stats = self.stats.channel(channel)
-            last_injection: dict[int, int] = {}
-            for record in channel_stats.injections:
-                last_injection[record.message_id] = record.slot_index
-            for record in channel_stats.deliveries:
-                rebuilt.record(channel, record.message_id,
-                               last_injection.get(record.message_id, -1),
-                               record.delivered_cycle)
-        return rebuilt
+        """The ``(message_id, final_injection_slot, delivery_cycle)``
+        trace of every channel, read off the record log (see
+        :meth:`~repro.simulation.monitors.StatsCollector.
+        composability_trace`) — the same read for every backend."""
+        return self.stats.composability_trace()
 
     # -- presentation ----------------------------------------------------------
 
@@ -318,42 +303,65 @@ class SimulationBackend(ABC):
                 f"{len(self.config.allocation.channels)} channels)")
 
 
-class FlitOptions(NamedTuple):
-    """What a flit executor models beyond the schedule itself."""
+def check_plan_contention(initial: tuple, changes: tuple, n_slots: int,
+                          table_size: int) -> None:
+    """Raise unless no two flits a change plan may send share a link slot.
 
-    flow_control: bool = False
-    rx_buffer_words: int | None = None
-    check_contention: bool = False
+    A channel incarnation that holds table slot ``s`` over ``[start,
+    stop)`` and reaches a link ``k`` slots after injection occupies
+    that link at the absolute slots of ``[start + k, stop + k)`` that
+    are ``s + k`` modulo the table size — including the flits still in
+    flight after it stops.  Two incarnations (of any names) that share
+    such a slot raise :class:`~repro.core.exceptions.SimulationError`.
+    Reservation-level, so it needs no traffic: a valid static
+    configuration and a valid timeline whose stopped channels have
+    drained before their link slots are reused pass.
+    """
+    opened = {ca.spec.name: (0, ca) for ca in initial}
+    spans = []
+    for slot, stops, starts in changes:
+        spans.extend((*opened.pop(name), slot) for name in stops)
+        opened.update((ca.spec.name, (slot, ca)) for ca in starts)
+    spans.extend((start, ca, n_slots) for start, ca in opened.values())
+    held: dict[tuple, list[tuple[int, int, str]]] = {}
+    for start, ca, stop in spans:
+        name = ca.spec.name
+        for link, shift in zip(ca.path.links, ca.path.link_shifts):
+            for slot in ca.slots:
+                phase = (slot + shift) % table_size
+                holders = held.setdefault((link.key, phase), [])
+                for low, high, holder in holders:
+                    first = max(low, start + shift)
+                    first += (phase - first) % table_size
+                    if first < min(high, stop + shift):
+                        raise SimulationError(
+                            f"link {link.key} carries two flits in "
+                            f"absolute slot {first}: {holder!r} and "
+                            f"{name!r}")
+                holders.append((start + shift, stop + shift, name))
 
 
 class FlitLevelBackend(SimulationBackend):
     """Fast flit-level TDM simulation (the paper's aelite network).
 
-    Two executors share one signature: the compiled vectorised one
+    Two executors share one signature and run the TDM schedule and
+    nothing else: the compiled vectorised one
     (:func:`repro.simulation.compiled.execute`) and the per-flit
-    reference loop (:func:`repro.simulation.flitsim.execute`), the only
-    one that models credit back-pressure.  ``compiled`` names one
-    (``False`` is the oracle's spelling); left ``None`` the choice is
-    read off the input — compiled unless ``flow_control`` is on.
-    ``meta["executor"]`` reports which one ran.
+    reference loop (:func:`repro.simulation.flitsim.execute`), which
+    ``compiled=False`` names.  ``meta["executor"]`` reports which one
+    ran.  ``check_contention`` runs :func:`check_plan_contention` on the
+    change plan before either is dispatched.
     """
 
     name = "flit"
 
     def __init__(self, config: NocConfiguration, *,
-                 flow_control: bool = False,
-                 rx_buffer_words: int | None = None,
+                 compiled: bool = True,
                  check_contention: bool = False,
-                 compiled: bool | None = None,
                  telemetry=None):
         super().__init__(config, telemetry=telemetry)
-        if compiled and flow_control:
-            raise ConfigurationError(
-                "compiled=True cannot model credit flow control; "
-                "use the per-flit path (compiled=False)")
-        self.options = FlitOptions(flow_control, rx_buffer_words,
-                                   check_contention)
-        self.compiled = not flow_control if compiled is None else compiled
+        self.compiled = compiled
+        self.check_contention = check_contention
 
     def run(self, request: SimRequest) -> SimResult:
         self._reject_frequency_override(request)
@@ -366,15 +374,17 @@ class FlitLevelBackend(SimulationBackend):
         else:
             initial, changes = request.timeline.change_plan(
                 until=request.n_slots)
+        if self.check_contention:
+            check_plan_contention(initial, changes, request.n_slots,
+                                  config.table_size)
         if self.compiled:
             from repro.simulation.compiled import execute
         else:
             from repro.simulation.flitsim import execute
-        stats, trace, meta = execute(
-            config, initial, changes, request.n_slots, patterns,
-            self.options, self.telemetry)
+        stats, meta = execute(config, initial, changes, request.n_slots,
+                              patterns, self.telemetry)
         return SimResult(
-            backend=self.name, stats=stats, trace=trace,
+            backend=self.name, stats=stats,
             simulated_slots=request.n_slots,
             frequency_hz=config.frequency_hz, fmt=config.fmt, meta=meta)
 

@@ -43,13 +43,10 @@ Everything is exact integer arithmetic on the same quantities the
 per-flit path computes, so the materialised records are *equal* —
 field for field — to the reference implementation's, which is the
 correctness oracle the property tests and both tier-2 benchmarks
-enforce.
-
-The per-epoch link-contention check is hoisted here too: instead of the
-per-flit occupancy scan, the compiled path asserts reservation-level
-disjointness of every epoch's active set once per transition (strictly
-stronger: it flags overlapping reservations even when no flit happens
-to collide).
+enforce.  The composability trace is one more read of the same arrays
+(:meth:`CompiledStats.composability_trace`); the link-contention check
+is not the executor's at all but the change plan's
+(:func:`~repro.simulation.backend.check_plan_contention`).
 
 The best-effort baseline shares :func:`pattern_slice` for its timeline
 arrival expansion, and the cycle-accurate model consumes the flat
@@ -528,23 +525,28 @@ class CompiledStats(StatsCollector):
                         for latency in population]
         return super().service_latencies_ns(channel)
 
+    def composability_trace(self) -> "CompiledTraceRecorder":
+        """The trace as arrays: one run is one incarnation, so its
+        completed messages are its trace, and nothing materialises
+        until a tuple is asked for."""
+        return CompiledTraceRecorder({
+            name: delivered for name, runs in self._runs.items()
+            if (delivered := [run for run in runs if run.n_deliveries])})
+
 
 class CompiledTraceRecorder(TraceRecorder):
     """Composability trace backed by interval arrays.
 
     Traces materialise per channel on first access and are byte-equal
-    to the reference recorder's tuples.  :meth:`agreement` between two
+    to the record walk's tuples.  :meth:`agreement` between two
     compiled recorders never asks for them: it compares the same three
     fields of every event, in order, on the arrays.
     """
 
-    def __init__(self):
+    def __init__(self, runs: dict[str, list[_IntervalRun]]):
         super().__init__()
-        self._runs: dict[str, list[_IntervalRun]] = {}
+        self._runs = runs
         self._materialised: set[str] = set()
-
-    def _add_run(self, run: _IntervalRun) -> None:
-        self._runs.setdefault(run.channel, []).append(run)
 
     def _ensure(self, name: str) -> None:
         runs = self._runs.get(name)
@@ -560,10 +562,10 @@ class CompiledTraceRecorder(TraceRecorder):
         self._ensure(channel)
         return super().trace(channel)
 
-    def channel_sink(self, channel: str) -> list[tuple[int, int, int]]:
-        """The mutable event list of one channel (see the base class)."""
+    def record(self, channel: str, *event: int) -> None:
+        """Append one event after the channel's array events."""
         self._ensure(channel)
-        return super().channel_sink(channel)
+        super().record(channel, *event)
 
     def channels(self) -> tuple[str, ...]:
         """Channels with at least one event, sorted."""
@@ -601,30 +603,6 @@ class CompiledTraceRecorder(TraceRecorder):
         return tuple(identical), tuple(diverged)
 
 
-# -- epoch-level contention check ------------------------------------------------
-
-
-def _occupy(occupied: dict, name: str, alloc: "ChannelAllocation",
-            table_size: int, epoch_slot: int) -> None:
-    """Claim a channel's link slots; raise on reservation overlap."""
-    for key, slots in alloc.link_slots(table_size).items():
-        for slot in slots:
-            holder = occupied.get((key, slot))
-            if holder is not None and holder != name:
-                raise SimulationError(
-                    f"link {key} carries two flits in slot {slot} of "
-                    f"the epoch starting at slot {epoch_slot}: "
-                    f"{holder!r} and {name!r}")
-            occupied[(key, slot)] = name
-
-
-def _release(occupied: dict, alloc: "ChannelAllocation",
-             table_size: int) -> None:
-    for key, slots in alloc.link_slots(table_size).items():
-        for slot in slots:
-            occupied.pop((key, slot), None)
-
-
 # -- executors ------------------------------------------------------------------
 
 
@@ -654,13 +632,12 @@ def _finish_executor_stats(tel, exec_stats: dict, n_slots: int,
 
 def execute(config: "NocConfiguration",
             initial: tuple["ChannelAllocation", ...], changes: tuple,
-            n_slots: int, patterns: Mapping[str, TrafficPattern], options,
-            telemetry) -> tuple[CompiledStats, CompiledTraceRecorder, dict]:
+            n_slots: int, patterns: Mapping[str, TrafficPattern],
+            telemetry) -> tuple[CompiledStats, dict]:
     """Execute a change plan through the compiled executor.
 
     Same arguments and return as :func:`repro.simulation.flitsim.
-    execute`; of ``options`` only ``check_contention`` is read (credit
-    flow control is the per-flit loop's alone).
+    execute`.
 
     Contention-freedom makes channels independent, so each incarnation
     (one ``(start, stop)`` span from the change plan) is solved as one
@@ -674,10 +651,7 @@ def execute(config: "NocConfiguration",
     table_size = config.table_size
     period_ps = round(1e12 / config.frequency_hz)
     bytes_per_word = fmt.bytes_per_word
-    check = options.check_contention
-    occupied: dict = {}
     stats = CompiledStats()
-    trace = CompiledTraceRecorder()
     flits: dict[str, int] = {}
     cache: dict = {}
     active: dict[str, tuple[int, "ChannelAllocation"]] = {}
@@ -692,13 +666,9 @@ def execute(config: "NocConfiguration",
                 f"timeline starts channel {name!r} twice at slot {slot}")
         active[name] = (slot, alloc)
         flits.setdefault(name, 0)
-        if check:
-            _occupy(occupied, name, alloc, table_size, slot)
 
     def close_channel(name: str, end: int) -> None:
         start, alloc = active.pop(name)
-        if check:
-            _release(occupied, alloc, table_size)
         pattern = patterns.get(name)
         if pattern is None:
             return
@@ -714,8 +684,6 @@ def execute(config: "NocConfiguration",
             exec_stats.get("interval_runs", 0) + 1
         batch_hist.observe(run.count)
         stats._add_run(run)
-        if run.n_deliveries:
-            trace._add_run(run)
         flits[name] += run.n_flits
 
     for alloc in sorted(initial, key=lambda ca: ca.spec.name):
@@ -732,7 +700,6 @@ def execute(config: "NocConfiguration",
     for name in list(active):
         close_channel(name, n_slots)
     _finish_executor_stats(telemetry, exec_stats, n_slots, changes)
-    return stats, trace, {
-        "stalled_slots_by_channel": {name: 0 for name in flits},
+    return stats, {
         "flits_by_channel": flits, "n_epochs": len(changes) + 1,
         "executor": "compiled", "executor_stats": exec_stats}

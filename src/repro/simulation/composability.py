@@ -27,11 +27,13 @@ backend that holds by construction; on the best-effort baseline the same
 timeline measurably diverges.
 
 Both checks consume traces through the
-:class:`~repro.simulation.monitors.TraceRecorder` interface only, so
+:class:`~repro.simulation.monitors.TraceRecorder` interface only — the
+one a result's record log reads out
+(:meth:`~repro.simulation.backend.SimResult.composability_trace`) — so
 they work unchanged over the compiled vectorised executor
-(:mod:`repro.simulation.compiled`): its recorder materialises each
-channel's trace from the interval arrays on first access, and only for
-the channels a comparison actually touches.
+(:mod:`repro.simulation.compiled`): its recorder compares two runs on
+the interval arrays and materialises a channel's tuples only when one
+side holds tuples.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ def run_with_channels(config: NocConfiguration,
     allocation is untouched — stopping an application does not reconfigure
     the network) but offer no traffic, exactly like a stopped application.
     ``backend_factory`` selects and configures the simulator (say
-    ``lambda c: FlitLevelBackend(c, flow_control=True)``); the default is
+    ``lambda c: FlitLevelBackend(c, compiled=False)``); the default is
     the fast flit-level backend.
     """
     backend = (backend_factory or FlitLevelBackend)(config)

@@ -10,16 +10,15 @@ property of contention-free routing, which the detailed word-level
 simulator (:mod:`repro.simulation.cyclesim`) independently verifies on the
 same configurations.
 
-What the flit simulator adds over pure analysis:
-
-* actual queueing: messages wait for their channel's next reserved slot,
-  so measured latency reflects arrival phasing, burstiness and head-of-line
-  effects within a channel;
-* end-to-end credit flow control (optional): oversubscribed channels slow
-  down via back-pressure, without ever disturbing other channels;
-* per-flit traces for the composability comparison;
-* an optional paranoid mode asserting that no two flits ever occupy the
-  same link in the same slot (the invariant the allocation guarantees).
+What the flit simulator adds over pure analysis is actual queueing:
+messages wait for their channel's next reserved slot, so measured
+latency reflects arrival phasing, burstiness and head-of-line effects
+within a channel.  It models the TDM schedule and nothing else: credit
+back-pressure is the word-level NI's
+(:class:`~repro.simulation.cyclesim.DetailedNetwork`), and the
+composability trace and the link-contention check are read off the
+record log and the change plan by
+:class:`~repro.simulation.backend.FlitLevelBackend`.
 
 Payload accounting is conservative (header word in every flit), matching
 the allocator; packet continuation only improves real throughput.
@@ -37,31 +36,29 @@ change_plan` returns; a static run is the one-epoch plan.  At each
 boundary only the channels the transition touches have their
 injection-slot schedule entries rebuilt (*incremental recompilation*);
 every surviving channel's runtime — pending messages, arrival cursor,
-credit state, trace sinks — crosses the boundary untouched, which is
-exactly the paper's undisrupted-reconfiguration property at cycle level.
+record sinks — crosses the boundary untouched, which is exactly the
+paper's undisrupted-reconfiguration property at cycle level.
 
 This module is an *executor*, not an entry point: :func:`execute` takes
 a change plan that :class:`~repro.simulation.backend.FlitLevelBackend`
 has already vetted and returns the ingredients of a
 :class:`~repro.simulation.backend.SimResult`.  Its twin with the same
 signature, :func:`repro.simulation.compiled.execute`, solves each
-channel incarnation's whole schedule as a handful of array operations;
-the backend runs that one unless credit flow control is on.  The
-per-flit loop here stays as the reference the compiled executor must
-equal record for record (``FlitLevelBackend(config, compiled=False)``)
-and as the only path that models credit back-pressure.
+channel incarnation's whole schedule as a handful of array operations
+and is the one the backend runs; the per-flit loop here is the
+reference it must equal record for record
+(``FlitLevelBackend(config, compiled=False)``).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
 
 from repro.core.allocation import ChannelAllocation
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import SimulationError
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
-                                       StatsCollector, TraceRecorder)
+                                       StatsCollector)
 from repro.simulation.traffic import TrafficPattern
 
 __all__ = ["execute"]
@@ -98,10 +95,8 @@ class _ChannelRuntime:
     """
 
     __slots__ = ("name", "alloc", "ev_ready", "ev_cycle", "ev_words",
-                 "ev_id", "ev_pos", "ev_len", "pending", "credits_words",
-                 "flits_sent", "stalled_slots", "traversal_slots",
-                 "credit_loop_slots", "contention_keys", "injections",
-                 "deliveries", "trace_events")
+                 "ev_id", "ev_pos", "ev_len", "pending", "flits_sent",
+                 "traversal_slots", "injections", "deliveries")
 
     def __init__(self, name: str, alloc: ChannelAllocation):
         self.name = name
@@ -113,36 +108,30 @@ class _ChannelRuntime:
         self.ev_pos = 0
         self.ev_len = 0
         self.pending: deque[list[int]] = deque()
-        self.credits_words: int | None = None
         self.flits_sent = 0
-        self.stalled_slots = 0
         self.traversal_slots = alloc.path.traversal_slots
-        self.credit_loop_slots = 0
-        self.contention_keys: tuple[tuple[tuple[str, str], int], ...] = ()
         self.injections: list[InjectionRecord] = []
         self.deliveries: list[DeliveryRecord] = []
-        self.trace_events: list[tuple[int, int, int]] | None = None
 
 
 def execute(config: NocConfiguration,
             initial: tuple[ChannelAllocation, ...], changes: tuple,
-            n_slots: int, patterns: dict[str, TrafficPattern], options,
-            telemetry) -> tuple[StatsCollector, TraceRecorder, dict]:
+            n_slots: int, patterns: dict[str, TrafficPattern],
+            telemetry) -> tuple[StatsCollector, dict]:
     """Run the slot loop over one or more constant-channel epochs.
 
     ``config`` is the operating point (word format, table size,
     frequency); ``initial`` holds the channels active from slot 0 and
     ``changes`` the later boundaries, as :meth:`~repro.core.timeline.
     ReconfigurationTimeline.change_plan` returns them (a static run is
-    the plan with every allocated channel initial and no changes);
-    ``options`` carries ``flow_control``, ``rx_buffer_words`` and
-    ``check_contention``.  Returns the record log, the trace and the
-    ``meta`` of the :class:`~repro.simulation.backend.SimResult`.
+    the plan with every allocated channel initial and no changes).
+    Returns the record log and the ``meta`` of the
+    :class:`~repro.simulation.backend.SimResult`.
     """
     states = {
         ca.spec.name: _make_runtime(
-            config, options, ca.spec.name, ca, patterns.get(ca.spec.name),
-            0, n_slots)
+            config, ca.spec.name, ca, patterns.get(ca.spec.name), 0,
+            n_slots)
         for ca in sorted(initial, key=lambda ca: ca.spec.name)}
     fmt = config.fmt
     flit_size = fmt.flit_size
@@ -150,9 +139,7 @@ def execute(config: NocConfiguration,
     bytes_per_word = fmt.bytes_per_word
     period_ps = round(1e12 / config.frequency_hz)
     table_size = config.table_size
-    check_contention = options.check_contention
     stats = StatsCollector()
-    trace = TraceRecorder()
     all_states: list[_ChannelRuntime] = []
 
     def register(state: _ChannelRuntime) -> None:
@@ -164,25 +151,12 @@ def execute(config: NocConfiguration,
     for state in states.values():
         register(state)
     schedule = _compile_schedule(config, states)
-
-    # (slot, seq, runtime, words): credits return to the exact
-    # runtime that spent them, so a channel restarted under a
-    # timeline never absorbs its previous incarnation's returns;
-    # the sequence number keeps heap ordering off the runtimes.
-    credit_returns: list[tuple[int, int, _ChannelRuntime, int]] = []
-    credit_seq = 0
-    occupancy: dict[tuple[tuple[str, str], int], str] = {}
     injection_record = InjectionRecord
     delivery_record = DeliveryRecord
 
     span_start = 0
     for boundary, stops, starts in (*changes, (n_slots, (), ())):
         for abs_slot in range(span_start, min(boundary, n_slots)):
-            # Release credits that completed their loop.
-            while credit_returns and credit_returns[0][0] <= abs_slot:
-                _, _, state, words = heappop(credit_returns)
-                if state.credits_words is not None:
-                    state.credits_words += words
             for state in schedule[abs_slot % table_size]:
                 # Move arrivals whose ready slot has passed into the
                 # queue.
@@ -201,23 +175,9 @@ def execute(config: NocConfiguration,
                 if not pending:
                     continue
                 message = pending[0]
-                words_left = message[1]
-                payload_words = (words_left
-                                 if words_left < payload_per_flit
-                                 else payload_per_flit)
-                credits = state.credits_words
-                if credits is not None and credits < payload_words:
-                    state.stalled_slots += 1
-                    continue
-                if check_contention:
-                    _check_links(state, abs_slot, occupancy)
-                message[1] = words_left - payload_words
-                if credits is not None:
-                    state.credits_words = credits - payload_words
-                    heappush(credit_returns,
-                             (abs_slot + state.credit_loop_slots,
-                              credit_seq, state, payload_words))
-                    credit_seq += 1
+                # Only "nothing left" is ever read off the count, so a
+                # short final flit may take it below zero.
+                message[1] -= payload_per_flit
                 state.flits_sent += 1
                 cycle = abs_slot * flit_size
                 state.injections.append(injection_record(
@@ -236,41 +196,29 @@ def execute(config: NocConfiguration,
                         delivered_cycle=delivered_cycle,
                         delivered_time_ps=delivered_cycle * period_ps,
                         payload_bytes=message[2] * bytes_per_word))
-                    trace_events = state.trace_events
-                    if trace_events is None:
-                        trace_events = trace.channel_sink(state.name)
-                        state.trace_events = trace_events
-                    trace_events.append((message[0], abs_slot,
-                                         delivered_cycle))
         if boundary >= n_slots:
             break
         span_start = boundary
-        _apply_transition(
-            config, options, states, schedule, stops, starts, boundary,
-            n_slots, patterns, register)
+        _apply_transition(config, states, schedule, stops, starts, boundary,
+                          n_slots, patterns, register)
     stats.prune_empty()
-    stalled: dict[str, int] = {}
     flits: dict[str, int] = {}
     for state in all_states:
-        stalled[state.name] = stalled.get(state.name, 0) + \
-            state.stalled_slots
-        flits[state.name] = flits.get(state.name, 0) + \
-            state.flits_sent
+        flits[state.name] = flits.get(state.name, 0) + state.flits_sent
     n_epochs = len(changes) + 1
     if telemetry.enabled:
         telemetry.counter("executor.dispatch", path="per-flit").inc()
         telemetry.counter("executor.epochs").inc(n_epochs)
         record_epoch_spans(telemetry, n_slots, changes)
-    return stats, trace, {
-        "stalled_slots_by_channel": stalled, "flits_by_channel": flits,
-        "n_epochs": n_epochs, "executor": "per-flit",
-        "executor_stats": {"epochs": n_epochs}}
+    return stats, {
+        "flits_by_channel": flits, "n_epochs": n_epochs,
+        "executor": "per-flit", "executor_stats": {"epochs": n_epochs}}
 
 
 # -- helpers -------------------------------------------------------------------
 
 
-def _make_runtime(config: NocConfiguration, options, name: str,
+def _make_runtime(config: NocConfiguration, name: str,
                   alloc: ChannelAllocation,
                   pattern: TrafficPattern | None, start_slot: int,
                   n_slots: int) -> _ChannelRuntime:
@@ -280,8 +228,7 @@ def _make_runtime(config: NocConfiguration, options, name: str,
     at pattern cycle ``c`` becomes ready ``c`` cycles after the
     channel (re)starts.
     """
-    fmt = config.fmt
-    flit_size = fmt.flit_size
+    flit_size = config.fmt.flit_size
     state = _ChannelRuntime(name, alloc)
     if pattern is not None:
         base_cycle = start_slot * flit_size
@@ -294,19 +241,10 @@ def _make_runtime(config: NocConfiguration, options, name: str,
         state.ev_words = [e.words for e in events]
         state.ev_id = [e.message_id for e in events]
         state.ev_len = len(events)
-    if options.flow_control:
-        state.credits_words = options.rx_buffer_words or \
-            (alloc.n_slots * fmt.payload_words_per_flit * 4)
-        state.credit_loop_slots = (alloc.path.traversal_slots * 2 +
-                                   config.table_size)
-    if options.check_contention:
-        state.contention_keys = tuple(
-            (link.key, shift) for link, shift in
-            zip(alloc.path.links, alloc.path.link_shifts))
     return state
 
 
-def _apply_transition(config: NocConfiguration, options,
+def _apply_transition(config: NocConfiguration,
                       states: dict[str, _ChannelRuntime],
                       schedule: list[list[_ChannelRuntime]],
                       stops: tuple[str, ...],
@@ -335,8 +273,8 @@ def _apply_transition(config: NocConfiguration, options,
             raise SimulationError(
                 f"timeline starts channel {name!r} twice at slot "
                 f"{slot}")
-        state = _make_runtime(config, options, name, alloc,
-                              patterns.get(name), slot, n_slots)
+        state = _make_runtime(config, name, alloc, patterns.get(name),
+                              slot, n_slots)
         register(state)
         states[name] = state
         source = alloc.path.source
@@ -369,16 +307,3 @@ def _compile_schedule(config: NocConfiguration,
                if (ni, slot) in by_ni_slot]
         schedule.append(row)
     return schedule
-
-
-def _check_links(state: _ChannelRuntime, abs_slot: int,
-                 occupancy: dict) -> None:
-    name = state.name
-    for link_key, shift in state.contention_keys:
-        key = (link_key, abs_slot + shift)
-        holder = occupancy.get(key)
-        if holder is not None and holder != name:
-            raise SimulationError(
-                f"link {link_key} carries two flits in absolute slot "
-                f"{abs_slot + shift}: {holder!r} and {name!r}")
-        occupancy[key] = name

@@ -9,7 +9,8 @@ consume either.  All figures derive from two event logs:
   destination NI.
 
 :class:`ChannelStats` aggregates per-channel latency/throughput;
-:class:`TraceRecorder` keeps exact per-flit timing for bit-identical
+:class:`TraceRecorder` holds the exact per-flit timing read off the same
+two logs (:meth:`StatsCollector.composability_trace`) for bit-identical
 composability comparison (the paper's isolation claim is about *identical
 timing*, not merely similar averages).
 """
@@ -361,6 +362,26 @@ class StatsCollector:
                                                     previous_injection)
         return latencies
 
+    def composability_trace(self) -> "TraceRecorder":
+        """Every channel's ``(message_id, final_injection_slot,
+        delivery_cycle)`` trace, in delivery order.
+
+        Message ids restart with the channel, so a delivery is matched
+        to the last injection of its id within its own incarnation
+        (:meth:`ChannelStats.incarnations`).  This record walk is the
+        reference; collectors backed by schedule arrays override it.
+        """
+        trace = TraceRecorder()
+        for name in self.channels:
+            for incarnation in self.channel(name).incarnations():
+                last = {record.message_id: record.slot_index
+                        for record in incarnation.injections}
+                for record in incarnation.deliveries:
+                    trace.record(name, record.message_id,
+                                 last.get(record.message_id, -1),
+                                 record.delivered_cycle)
+        return trace
+
     def service_observation(self, channel: str) -> ServiceObservation:
         """The fold of :meth:`service_latencies_ns` over one channel."""
         return ServiceObservation(self.service_latencies_ns(channel))
@@ -402,15 +423,6 @@ class TraceRecorder:
         """Append one flit/message event to a channel's trace."""
         self._events[channel].append(
             (message_id, injection_slot, delivery_cycle))
-
-    def channel_sink(self, channel: str) -> list[tuple[int, int, int]]:
-        """The mutable event list of one channel, for hot-path appends.
-
-        Simulators may cache this list and append ``(message_id,
-        injection_slot, delivery_cycle)`` tuples directly instead of
-        paying a :meth:`record` call per delivery.
-        """
-        return self._events[channel]
 
     def trace(self, channel: str) -> tuple[tuple[int, int, int], ...]:
         """The immutable trace of one channel."""

@@ -42,7 +42,10 @@ class TrafficPattern(ABC):
 
     Cycles count from the channel's start, so no built-in pattern
     accepts an arrival before cycle 0: the executors would charge the
-    wait since before the channel existed to the NoC's latency.
+    wait since before the channel existed to the NoC's latency.  Message
+    ids are distinct: the record log pairs a delivery with its final
+    flit by id (:meth:`~repro.simulation.monitors.StatsCollector.
+    composability_trace`).
     """
 
     @abstractmethod
@@ -171,6 +174,9 @@ class Replay(TrafficPattern):
         if ordered and ordered[0].cycle < 0:
             raise ConfigurationError(
                 "replay events must not arrive before cycle 0")
+        if len({e.message_id for e in events}) < len(events):
+            raise ConfigurationError(
+                "replay message ids must be distinct")
         self._events = list(events)
 
     def events(self, horizon_cycles: int) -> list[MessageEvent]:

@@ -48,6 +48,7 @@ class _Packet:
     n_flits: int
     payload_bytes: int
     is_final: bool
+    incarnation: int
     hop: int = 0
     flits_sent: int = 0
 
@@ -86,7 +87,8 @@ class _Router:
 class _SourceQueue:
     channel: str
     packets: deque[_Packet] = field(default_factory=deque)
-    injected: int = 0
+    incarnation: int = -1  # of the packet injected last
+    injected: int = 0  # by that incarnation
 
 
 @dataclass
@@ -98,8 +100,9 @@ class _NiState:
 
 
 def packetise(fmt, channel, out_ports, created_cycle, words, message_id,
-              max_packet_flits):
-    """Split one message into wormhole packets."""
+              max_packet_flits, incarnation):
+    """Split one message of one channel incarnation into wormhole
+    packets."""
     total = max(1, -(-words // fmt.payload_words_per_flit))
     packets, remaining = [], total
     while remaining > 0:
@@ -111,7 +114,7 @@ def packetise(fmt, channel, out_ports, created_cycle, words, message_id,
             created_cycle=created_cycle, out_ports=out_ports,
             n_flits=flits,
             payload_bytes=words * fmt.bytes_per_word if final else 0,
-            is_final=final))
+            is_final=final, incarnation=incarnation))
     return packets
 
 
@@ -130,7 +133,7 @@ class BeOracle:
         for name, intervals in channel_intervals.items():
             sources[name] = intervals[0][2].path.source
             events = []
-            for start, stop, ca in intervals:
+            for incarnation, (start, stop, ca) in enumerate(intervals):
                 end = min(stop, n_ticks)
                 pattern = patterns.get(name)
                 if pattern is None or end <= start:
@@ -141,7 +144,8 @@ class BeOracle:
                         events.extend((tick, packet) for packet in packetise(
                             fmt, name, ca.path.out_ports,
                             start * flit_size + event.cycle, event.words,
-                            event.message_id, self.max_packet_flits))
+                            event.message_id, self.max_packet_flits,
+                            incarnation))
             arrivals[name] = deque(events)
         period_ps = round(1e12 / self.config.frequency_hz)
         stats = StatsCollector()
@@ -255,6 +259,8 @@ class BeOracle:
         packet = queue.packets[0]
         state.buffer.push(_BufferedFlit(packet, packet.flits_sent, tick))
         if packet.flits_sent == 0:
+            if packet.incarnation != queue.incarnation:
+                queue.incarnation, queue.injected = packet.incarnation, 0
             cycle = tick * self.fmt.flit_size
             stats.record_injection(InjectionRecord(
                 channel=packet.channel, message_id=packet.message_id,

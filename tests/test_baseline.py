@@ -18,7 +18,7 @@ from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.timeline import ReconfigurationTimeline, TimelineEvent
 from repro.simulation.backend import (BestEffortBackend, FlitLevelBackend,
-                                      SimRequest)
+                                      SimRequest, create_backend)
 from repro.simulation.traffic import (ConstantBitRate, MessageEvent,
                                       PeriodicBurst, Saturating,
                                       TrafficPattern)
@@ -361,6 +361,41 @@ class TestLoopEqualsTheOracle:
             intervals = _restarts(config, times, 240).channel_intervals()
         _assert_same_records(*_both(config, options, intervals, traffic,
                                     240))
+
+    @pytest.mark.parametrize("kind", ["flit", "be"])
+    def test_a_restart_restarts_the_injection_count(self, kind):
+        """``c0`` runs ``[0, 150)`` and ``[300, 600)``: its message ids
+        and its ``InjectionRecord.sequence`` both start again, so the
+        record log splits into two incarnations, every service latency
+        is measured inside its own one, and no trace entry claims an
+        injection after its delivery."""
+        use_case = UseCase("restart", (Application("app", (
+            ChannelSpec("c0", "ip0", "ip1", 40 * MB, application="app"),
+        )),))
+        config = configure(mesh(2, 2, nis_per_router=1), use_case,
+                           table_size=8, frequency_hz=500e6,
+                           mapping="round_robin")
+        c0 = config.allocation.channel("c0")
+        timeline = ReconfigurationTimeline(
+            config.topology, [TimelineEvent(0, "start", "app", (c0,)),
+                              TimelineEvent(150, "stop", "app"),
+                              TimelineEvent(300, "start", "app", (c0,))],
+            horizon_slots=600, table_size=8, frequency_hz=500e6,
+            fmt=config.fmt)
+        traffic = {"c0": ConstantBitRate.from_rate(40 * MB, 500e6,
+                                                   config.fmt)}
+        result = create_backend(kind, config).run(SimRequest(
+            n_slots=600, traffic=traffic, timeline=timeline))
+        assert len(result.stats.channel("c0").incarnations()) == 2
+        assert min(result.stats.service_latencies_ns("c0")) > 0
+        trace = result.composability_trace().trace("c0")
+        assert len(trace) > 10
+        flit_size = config.fmt.flit_size
+        assert all(slot * flit_size < delivered
+                   for _, slot, delivered in trace)
+        if kind == "be":
+            _assert_same_records(*_both(
+                config, {}, timeline.channel_intervals(), traffic, 600))
 
     def test_the_oracle_refuses_an_overflow(self):
         """The oracle's flow-control check has teeth: a full input

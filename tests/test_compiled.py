@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.campaign.spec import WorkloadSpec
 from repro.core.configuration import configure
-from repro.core.exceptions import ConfigurationError
 from repro.core.allocation import ChannelAllocation
 from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
                                  replay_configuration)
@@ -123,7 +122,7 @@ def _digest(result):
 def _assert_equivalent(got, ref):
     """Field-identical per-flit records, traces, and totals."""
     assert got.simulated_slots == ref.simulated_slots
-    for key in ("n_epochs", "flits_by_channel", "stalled_slots_by_channel"):
+    for key in ("n_epochs", "flits_by_channel"):
         assert got.meta[key] == ref.meta[key], key
     assert got.stats.channels == ref.stats.channels
     for name in ref.stats.channels:
@@ -131,9 +130,11 @@ def _assert_equivalent(got, ref):
         expected = ref.stats.channel(name)
         assert actual.injections == expected.injections, name
         assert actual.deliveries == expected.deliveries, name
-    assert got.trace.channels() == ref.trace.channels()
-    for name in ref.trace.channels():
-        assert got.trace.trace(name) == ref.trace.trace(name), name
+    got_trace, ref_trace = got.composability_trace(), \
+        ref.composability_trace()
+    assert got_trace.channels() == ref_trace.channels()
+    for name in ref_trace.channels():
+        assert got_trace.trace(name) == ref_trace.trace(name), name
     assert _digest(got) == _digest(ref)
 
 
@@ -149,8 +150,8 @@ class TestStaticEquivalence:
         _assert_equivalent(compiled, scalar)
 
     def test_hoisted_contention_check_accepts_valid_config(self):
-        """The reservation-level check replaces the per-slot occupancy
-        scan without changing what a contention-free run produces."""
+        """The plan-level check, run before dispatch, changes nothing a
+        contention-free run produces."""
         config = _config(mesh(3, 3, nis_per_router=2), 3)
         traffic = _traffic(config, 3)
         checked = _run(config, traffic, 400, check_contention=True)
@@ -243,18 +244,6 @@ class TestServiceLatencies:
         assert answered > 0
 
 
-class TestConfigurationGuards:
-    def test_compiled_rejects_flow_control_at_construction(self):
-        config = _config(mesh(2, 2, nis_per_router=2), 1, n_channels=4)
-        with pytest.raises(ConfigurationError, match="flow control"):
-            FlitLevelBackend(config, compiled=True, flow_control=True)
-
-    def test_flow_control_falls_back_to_per_flit(self):
-        config = _config(mesh(2, 2, nis_per_router=2), 1, n_channels=4)
-        result = _run(config, _traffic(config, 1), 300, flow_control=True)
-        assert not _is_compiled(result)
-
-
 # -- tables end with their incarnation (PR 22) ----------------------------------
 
 _FLIT_SIZE = 3  # WordFormat default; the strategies below need it early
@@ -276,7 +265,7 @@ _BUILT_INS = st.one_of(
     st.builds(_replay_events, st.lists(
         st.tuples(st.integers(0, 800), st.integers(0, 40),
                   st.integers(0, 9)),
-        max_size=30, unique_by=lambda p: p[:2])),
+        max_size=30, unique_by=lambda p: p[1])),  # ids are distinct
     st.builds(Saturating, st.integers(1, 9), st.just(_FLIT_SIZE)))
 
 
@@ -384,7 +373,7 @@ class TestTablesEndWithTheirIncarnation:
         assert _records(bounded, one.name) == (channel.injections,
                                                channel.deliveries)
         assert tuple(bounded.trace_events() if bounded else ()) == \
-            scalar.trace.trace(one.name)
+            scalar.composability_trace().trace(one.name)
         _assert_equivalent(one.run(timeline, pattern), scalar)
 
     @pytest.mark.parametrize("pattern", [
@@ -441,13 +430,20 @@ class TestTablesEndWithTheirIncarnation:
 
     def test_verify_timeline_allocates_for_what_flew(self):
         timeline = TestTimelineEquivalence()._timeline()
-        results = []
+        results, traces = [], []
+
+        def traced(result):
+            """``result``, keeping every trace read off it."""
+            read = result.composability_trace
+            result.composability_trace = lambda: (
+                traces.append(read()) or traces[-1])
+            results.append(result)
+            return result
 
         def backend_factory(config):
             backend = FlitLevelBackend(config)
             run = backend.run
-            backend.run = lambda request: (
-                results.append(run(request)) or results[-1])
+            backend.run = lambda request: traced(run(request))
             return backend
 
         verdict = verify_timeline(timeline, replay_traffic(timeline),
@@ -464,10 +460,12 @@ class TestTablesEndWithTheirIncarnation:
                     past = run.table.cycles.size - run.table.count_until(
                         longest[name] * flit_size)
                     assert past <= 1, (name, past)
-            # The survivors were compared on the arrays.
-            assert result.trace._materialised == set()
-            assert not result.trace._events
             assert result.stats.materialised == ()
+        # The survivors were compared on the arrays.
+        assert len(traces) == len(results) == 2
+        for trace in traces:
+            assert trace._materialised == set()
+            assert not trace._events
 
 
 def _mutations(draw, recorder):
@@ -505,13 +503,8 @@ def _mutations(draw, recorder):
         replacement = [part for part in (run, other)
                        if part.completed.any()]
     from repro.simulation.compiled import CompiledTraceRecorder
-    edited = CompiledTraceRecorder()
-    for channel, channel_runs in recorder._runs.items():
-        if channel == name:
-            channel_runs = (channel_runs[:index] + replacement
-                            + channel_runs[index + 1:])
-        for channel_run in channel_runs:
-            edited._add_run(channel_run)
+    edited = CompiledTraceRecorder(dict(recorder._runs))
+    edited._runs[name] = runs[:index] + replacement + runs[index + 1:]
     return edited, name, kind
 
 
@@ -529,7 +522,7 @@ class TestAgreementOnArrays:
     @pytest.fixture(scope="class")
     def recorder(self):
         config = _config(mesh(3, 3, nis_per_router=2), 5)
-        return _run(config, _traffic(config, 5), 600).trace
+        return _run(config, _traffic(config, 5), 600).composability_trace()
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -552,15 +545,75 @@ class TestAgreementOnArrays:
         ours, theirs = _in_array_form(recorder), _in_array_form(recorder)
         name = sorted(recorder._runs)[0]
         assert ours.agreement(theirs, [name]) == ((name,), ())
-        theirs.channel_sink(name).append((10 ** 6, 1, 2))
+        theirs.record(name, 10 ** 6, 1, 2)
         assert ours.agreement(theirs, [name]) == ((), (name,))
         assert theirs.agreement(ours, [name]) == ((), (name,))
 
     def test_per_flit_recorder_takes_the_tuple_walk(self):
         config = _config(mesh(2, 2, nis_per_router=2), 3, n_channels=6)
         traffic = _traffic(config, 3)
-        compiled = _run(config, traffic, 400).trace
-        scalar = _run(config, traffic, 400, compiled=False).trace
+        compiled = _run(config, traffic, 400).composability_trace()
+        scalar = _run(config, traffic, 400,
+                      compiled=False).composability_trace()
         names = sorted(scalar.channels())
         assert compiled.agreement(scalar, names) == (tuple(names), ())
         assert scalar.agreement(compiled, names) == (tuple(names), ())
+
+
+# -- the trace is read off the records ---------------------------------------
+
+
+@st.composite
+def _restarts(draw):
+    """A horizon and up to three disjoint incarnations of one channel."""
+    n_slots = draw(st.integers(2, 240))
+    spans, cursor = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        if cursor >= n_slots:
+            break
+        start = draw(st.integers(cursor, n_slots - 1))
+        end = draw(st.integers(start + 1, n_slots))
+        spans.append((start, end, draw(_SLOT_SETS)))
+        cursor = end
+    return n_slots, spans
+
+
+def _assert_one_trace(compiled, scalar):
+    """The compiled trace on its arrays, the record walk over compiled's
+    own expanded records and the per-flit trace are one trace."""
+    on_arrays = compiled.composability_trace()
+    walked = StatsCollector.composability_trace(compiled.stats)
+    reference = scalar.composability_trace()
+    names = reference.channels()
+    assert on_arrays.channels() == walked.channels() == names
+    for name in names:
+        assert on_arrays.trace(name) == walked.trace(name) == \
+            reference.trace(name), name
+
+
+class TestTraceReadOffTheRecords:
+    @pytest.fixture(scope="class")
+    def one(self):
+        return _OneChannel()
+
+    @settings(max_examples=80, deadline=None)
+    @given(pattern=_BUILT_INS, case=_restarts())
+    def test_restart_timelines(self, one, pattern, case):
+        n_slots, spans = case
+        timeline = one.timeline(n_slots, spans)
+        compiled = one.run(timeline, pattern)
+        scalar = one.run(timeline, pattern, compiled=False)
+        _assert_one_trace(compiled, scalar)
+        # One incarnation per run, and the record walk splits the same.
+        runs = compiled.stats._runs.get(one.name, [])
+        assert len(runs) == len(
+            scalar.stats.channel(one.name).incarnations())
+
+    @settings(max_examples=6, deadline=None)
+    @given(topo_name=st.sampled_from(sorted(TOPOLOGIES)),
+           seed=st.integers(0, 20))
+    def test_static_runs(self, topo_name, seed):
+        config = _config(TOPOLOGIES[topo_name](), seed)
+        traffic = _traffic(config, seed)
+        _assert_one_trace(_run(config, traffic, 300),
+                          _run(config, traffic, 300, compiled=False))

@@ -1,0 +1,164 @@
+"""One link-contention check, on the change plan, for both flit executors.
+
+``check_plan_contention`` reads a change plan before either executor
+runs: a channel incarnation that holds table slot ``s`` over ``[start,
+stop)`` and reaches a link ``k`` slots after injection occupies that
+link at the absolute slots of ``[start + k, stop + k)`` that are ``s +
+k`` modulo the table size.  Timeline validation checks reservations
+epoch by epoch, so a channel started within one traversal of the stop
+that freed its link slot is invisible to it; the flits still in flight
+are what this check adds.  A brute-force walk that marks every reserved
+slot of every incarnation is its oracle.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.allocation import ChannelAllocation
+from repro.core.connection import MB, ChannelSpec
+from repro.core.exceptions import SimulationError
+from repro.core.path import make_path
+from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
+                                 replay_configuration)
+from repro.core.words import WordFormat
+from repro.simulation.backend import (FlitLevelBackend, SimRequest,
+                                      check_plan_contention)
+from repro.simulation.traffic import Saturating
+from repro.topology.builders import mesh
+
+TABLE_SIZE = 4
+
+
+def _channel(topology, name, src, dst, slots):
+    """``name`` from NI ``src`` to NI ``dst`` of a line of routers."""
+    step = 1 if dst > src else -1
+    path = make_path(topology, topology.nis[src],
+                     [topology.routers[index]
+                      for index in range(src, dst + step, step)],
+                     topology.nis[dst])
+    return ChannelAllocation(
+        ChannelSpec(name, f"ip{src}", f"ip{dst}", MB, application=name),
+        path, tuple(sorted(slots)))
+
+
+class TestInFlight:
+    """``a`` crosses r0 -> r1 -> r2 in slot 0 and stops at slot 9; ``b``
+    crosses r1 -> r2 in slot 1.  ``a``'s flit injected at slot 8 is on
+    link r1 -> r2 at slot 10 (shift 2), exactly when ``b``'s first flit
+    is (injected at 9, shift 1).  Both epochs are contention-free."""
+
+    @pytest.fixture
+    def setup(self):
+        topology = mesh(3, 1, nis_per_router=1)
+        a = _channel(topology, "a", 0, 2, {0})
+        b = _channel(topology, "b", 1, 2, {1})
+        assert [link.key for link in a.path.links][2] == ("r1_0", "r2_0")
+        assert (a.path.link_shifts[2], b.path.link_shifts[1]) == (2, 1)
+        return topology, a, b
+
+    @staticmethod
+    def _run(topology, a, b, b_start, compiled):
+        timeline = ReconfigurationTimeline(
+            topology, [TimelineEvent(0, "start", "a", (a,)),
+                       TimelineEvent(9, "stop", "a"),
+                       TimelineEvent(b_start, "start", "b", (b,))],
+            horizon_slots=40, table_size=TABLE_SIZE, frequency_hz=500e6,
+            fmt=WordFormat())
+        saturating = Saturating(2, 3)
+        return FlitLevelBackend(replay_configuration(timeline),
+                                compiled=compiled,
+                                check_contention=True).run(SimRequest(
+            n_slots=40, traffic={"a": saturating, "b": saturating},
+            timeline=timeline))
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_a_start_inside_the_traversal_raises(self, setup, compiled):
+        with pytest.raises(SimulationError, match=(
+                r"link \('r1_0', 'r2_0'\) carries two flits in absolute "
+                r"slot 10: 'a' and 'b'")):
+            self._run(*setup, 9, compiled)
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_a_start_after_the_drain_runs(self, setup, compiled):
+        result = self._run(*setup, 10, compiled)
+        assert result.meta["flits_by_channel"]["b"] > 0
+
+
+def _walk(spans, table_size):
+    """The conflict a brute-force walk finds: every reserved slot of
+    every incarnation marked at ``(link, absolute slot + shift)``."""
+    marked = {}
+    for index, (start, stop, ca) in enumerate(spans):
+        for slot in range(start, stop):
+            if slot % table_size in ca.slots:
+                for link, shift in zip(ca.path.links, ca.path.link_shifts):
+                    if marked.setdefault((link.key, slot + shift),
+                                         index) != index:
+                        return link.key, slot + shift
+    return None
+
+
+def _plan(spans, n_slots):
+    """The change plan of ``(start, stop, allocation)`` incarnations."""
+    by_slot = {}
+    for start, stop, ca in spans:
+        if start:
+            by_slot.setdefault(start, ([], []))[1].append(ca)
+        if stop < n_slots:
+            by_slot.setdefault(stop, ([], []))[0].append(ca.spec.name)
+    return (tuple(ca for start, _, ca in spans if not start),
+            tuple((slot, tuple(stops), tuple(starts))
+                  for slot, (stops, starts) in sorted(by_slot.items())))
+
+
+_TOPOLOGIES = {stages: mesh(3, 1, nis_per_router=1, pipeline_stages=stages)
+               for stages in (0, 1)}
+
+
+@st.composite
+def _plans(draw):
+    """Up to four channels, each a run of disjoint incarnations (a
+    static plan: one incarnation each over the whole horizon)."""
+    topology = _TOPOLOGIES[draw(st.sampled_from(sorted(_TOPOLOGIES)))]
+    table_size = draw(st.integers(2, 6))
+    n_slots = draw(st.integers(1, 40))
+    static = draw(st.booleans())
+    spans = []
+    for index in range(draw(st.integers(1, 4))):
+        src, dst = draw(st.permutations(range(3)))[:2]
+        cursor = 0
+        for _ in range(1 if static else draw(st.integers(1, 3))):
+            if cursor >= n_slots:
+                break
+            start = cursor if static else draw(
+                st.integers(cursor, n_slots - 1))
+            stop = n_slots if static else draw(
+                st.integers(start + 1, n_slots))
+            slots = draw(st.sets(st.integers(0, table_size - 1),
+                                 min_size=1))
+            spans.append((start, stop, _channel(topology, f"c{index}",
+                                                src, dst, slots)))
+            cursor = stop
+    return spans, n_slots, table_size
+
+
+class TestPlanCheckAgainstTheWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_plans())
+    def test_raises_iff_the_walk_finds_a_conflict(self, case):
+        spans, n_slots, table_size = case
+        conflict = _walk(spans, table_size)
+        initial, changes = _plan(spans, n_slots)
+        if conflict is None:
+            check_plan_contention(initial, changes, n_slots, table_size)
+        else:
+            with pytest.raises(SimulationError, match=r"carries two flits"):
+                check_plan_contention(initial, changes, n_slots, table_size)
+
+    def test_a_restart_on_the_same_slots_is_clean(self):
+        topology = _TOPOLOGIES[0]
+        ca = _channel(topology, "c", 0, 2, {1, 3})
+        spans = [(0, 7, ca), (7, 20, ca), (20, 30, ca)]
+        assert _walk(spans, TABLE_SIZE) is None
+        check_plan_contention(*_plan(spans, 30), 30, TABLE_SIZE)

@@ -58,7 +58,8 @@ class TestSerialization:
                 n_slots=300, traffic={
                     name: Saturating(2, 3)
                     for name in config.allocation.channels}))
-            traces.append({name: result.trace.trace(name)
+            trace = result.composability_trace()
+            traces.append({name: trace.trace(name)
                            for name in config.allocation.channels})
         assert traces[0] == traces[1]
 

@@ -85,9 +85,11 @@ class TestTrafficPatterns:
          "offset_cycles must be >= 0"),
         (lambda fmt: Replay([MessageEvent(-7, 1, 0), MessageEvent(3, 1, 1)]),
          "replay events must not arrive before cycle 0"),
+        (lambda fmt: Replay([MessageEvent(0, 0, 0), MessageEvent(1, 0, 0)]),
+         "replay message ids must be distinct"),
     ], ids=["cbr-nan", "cbr-inf", "rate-nan", "frequency-nan",
             "cbr-fractional-words", "cbr-nan-words", "burst-negative-offset",
-            "replay-negative-cycle"])
+            "replay-negative-cycle", "replay-duplicate-id"])
     def test_constructor_refuses_where_it_is_called(self, fmt, build,
                                                     message):
         # Each of these used to be accepted and fail (or silently charge
@@ -137,20 +139,12 @@ class TestFlitSimulator:
         r_ref = _flit(mesh_config, _cbr_traffic(mesh_config), 2000)
         r_over = _flit(mesh_config, over, 2000)
         for unaffected in ("c1", "c2"):
-            assert r_ref.trace.trace(unaffected) == \
-                r_over.trace.trace(unaffected)
+            assert r_ref.composability_trace().trace(unaffected) == \
+                r_over.composability_trace().trace(unaffected)
         # The oversubscribed channel itself falls behind (queueing).
         ref_max = r_ref.stats.channel("c0").latency_summary().maximum
         over_max = r_over.stats.channel("c0").latency_summary().maximum
         assert over_max > ref_max
-
-    def test_flow_control_backpressure(self, tiny_config):
-        result = _flit(tiny_config, {"a2b": Saturating(
-            tiny_config.fmt.payload_words_per_flit,
-            tiny_config.fmt.flit_size)}, 500, flow_control=True,
-            rx_buffer_words=2)
-        assert result.meta["executor"] == "per-flit"
-        assert result.meta["stalled_slots_by_channel"]["a2b"] > 0
 
     def test_contention_check_clean_on_valid_allocation(self, mesh_config):
         _flit(mesh_config, {name: Saturating(2, 3) for name in
@@ -316,21 +310,20 @@ class TestSimulationBackendProtocol:
         assert sorted(result.to_record()["channels"]) == ["c0"]
 
     def test_composability_trace_rebuilt_from_stats(self, mesh_config):
-        """A backend without a native trace yields an equivalent one."""
+        """Every backend's trace is the same read of its record log."""
         request = SimRequest(n_slots=300,
                              traffic=_cbr_traffic(mesh_config, offset=2))
         flit = FlitLevelBackend(mesh_config).run(request)
         cycle = CycleAccurateBackend(
             mesh_config, clocking="synchronous").run(request)
-        assert cycle.trace is None
         rebuilt = cycle.composability_trace()
         native = flit.composability_trace()
         for name in mesh_config.allocation.channels:
             n = min(len(native.trace(name)), len(rebuilt.trace(name)))
             assert n > 5
-            # message ids and delivery order agree; the flit simulator's
-            # native injection slots are absolute, the rebuilt ones come
-            # from the NI's record log, so compare id sequences.
+            # message ids and delivery order agree; the flit executor's
+            # injection slots are absolute, the NI's count its own
+            # cycles, so compare id sequences.
             assert [e[0] for e in native.trace(name)[:n]] == \
                 [e[0] for e in rebuilt.trace(name)[:n]]
 
@@ -446,12 +439,6 @@ class TestOneEntryOneVetting:
             backend.run(SimRequest(n_slots=60, traffic=traffic,
                                    timeline=timeline))
             assert calls == ["check_replay"]
-
-    def test_compiled_with_flow_control_refused_at_construction(
-            self, mesh_config):
-        with pytest.raises(ConfigurationError, match="flow control"):
-            FlitLevelBackend(mesh_config, compiled=True, flow_control=True)
-        FlitLevelBackend(mesh_config, compiled=False, flow_control=True)
 
 
 class TestComposability:

@@ -58,6 +58,24 @@ def test_the_tree_passes():
      "flow-control guard must be spelled exactly once"),
     ("telemetry/spans.py", "def f(x):\n    raise ValueError(x)",
      "builtin exception is raised"),
+    ("simulation/backend.py", "class FlitOptions: pass",
+     "deleted flit-executor option"),
+    ("simulation/monitors.py", "def channel_sink(self, channel): pass",
+     "deleted flit-executor option, trace sink"),
+    ("simulation/compiled.py", "def _occupy(occupied): pass",
+     "contention twin"),
+    ("simulation/flitsim.py", "def _check_links(state): pass",
+     "contention twin"),
+    ("simulation/flitsim.py", 'META = {"stalled_slots_by_channel": {}}',
+     "deleted flit-executor option"),
+    ("simulation/flitsim.py", "def execute(flow_control=False): pass",
+     "flow control is back in a flit executor"),
+    ("simulation/cyclesim.py", "FLOW_CONTROL = None\nflow_control = True",
+     "cyclesim spells flow control"),
+    ("simulation/compiled.py", "def _epoch_contention(plan): pass",
+     "contention check is defined outside"),
+    ("simulation/backend.py", "def check_plan_contention(plan): pass",
+     "must define the one contention check"),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",

@@ -231,85 +231,46 @@ class TestEpochExecution:
             SimRequest(n_slots=800, traffic=traffic))
         dynamic = _replay(mesh_config, timeline, traffic)
         assert dynamic.meta["n_epochs"] == 1
+        static, dynamic = static.composability_trace(), \
+            dynamic.composability_trace()
         for name in timeline.channel_names:
-            assert static.trace.trace(name) == dynamic.trace.trace(name)
+            assert static.trace(name) == dynamic.trace(name)
 
     def test_default_executor_equals_per_flit_oracle(self, mesh_config):
-        """The executor the backend picks (compiled: no flow control)
-        against the per-flit loop, which rebuilds only touched rows."""
+        """The executor the backend picks (compiled) against the
+        per-flit loop, which rebuilds only touched rows."""
         timeline = _mesh_timeline(mesh_config)
         traffic = replay_traffic(timeline)
         results = {
             compiled: _replay(mesh_config, timeline, traffic,
                               compiled=compiled)
-            for compiled in (None, False)}
-        assert results[None].meta["executor"] == "compiled"
+            for compiled in (True, False)}
+        assert results[True].meta["executor"] == "compiled"
         assert results[False].meta["executor"] == "per-flit"
-        assert results[None].meta["n_epochs"] == \
+        assert results[True].meta["n_epochs"] == \
             results[False].meta["n_epochs"] == 3
+        traces = {compiled: result.composability_trace()
+                  for compiled, result in results.items()}
         for name in timeline.channel_names:
-            assert results[None].trace.trace(name) == \
-                results[False].trace.trace(name)
-        assert results[None].meta["flits_by_channel"] == \
+            assert traces[True].trace(name) == traces[False].trace(name)
+        assert results[True].meta["flits_by_channel"] == \
             results[False].meta["flits_by_channel"]
 
     def test_churning_channel_only_lives_inside_its_epochs(
             self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
         result = _replay(mesh_config, timeline, replay_traffic(timeline))
-        slots = [slot for _, slot, _ in result.trace.trace("c2")]
+        slots = [slot for _, slot, _ in
+                 result.composability_trace().trace("c2")]
         assert slots, "churn channel should have delivered messages"
         assert min(slots) >= 300
         assert max(slots) < 600
 
     def test_contention_check_holds_across_epochs(self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
-        for compiled in (None, False):
+        for compiled in (True, False):
             _replay(mesh_config, timeline, replay_traffic(timeline),
                     check_contention=True, compiled=compiled)
-
-    def test_flow_control_supported_across_epochs(self, mesh_config):
-        timeline = _mesh_timeline(mesh_config)
-        result = _replay(mesh_config, timeline, replay_traffic(timeline),
-                         flow_control=True)
-        assert result.meta["flits_by_channel"]["c0"] > 0
-
-    def test_restart_does_not_inherit_stale_credits(self, mesh_config):
-        """Credit returns in flight when a channel stops must not top up
-        its restarted incarnation: the restart behaves exactly like a
-        brand-new channel with the same allocation."""
-        alloc = mesh_config.allocation
-        c2 = alloc.channel("c2")
-        ghost = type(c2)(spec=ChannelSpec(
-            "ghost", c2.spec.src_ip, c2.spec.dst_ip,
-            c2.spec.throughput_bytes_per_s, application="ghost"),
-            path=c2.path, slots=c2.slots)
-
-        def make(second):
-            app, ca = ("appY", c2) if second == "c2" else ("ghost", ghost)
-            return ReconfigurationTimeline(
-                mesh_config.topology,
-                [TimelineEvent(0, "start", "appY", (c2,)),
-                 TimelineEvent(100, "stop", "appY"),
-                 TimelineEvent(102, "start", app, (ca,))],
-                horizon_slots=600, table_size=mesh_config.table_size,
-                frequency_hz=mesh_config.frequency_hz,
-                fmt=mesh_config.fmt)
-
-        saturating = Saturating(mesh_config.fmt.payload_words_per_flit,
-                                mesh_config.fmt.flit_size)
-        flits = {}
-        for second in ("c2", "ghost"):
-            timeline = make(second)
-            result = _replay(
-                mesh_config, timeline,
-                {name: saturating for name in timeline.channel_names},
-                flow_control=True, rx_buffer_words=2)
-            flits[second] = result.meta["flits_by_channel"]
-        # The restarted incarnation's share equals what an identically
-        # allocated fresh channel achieves from the same slot.
-        restart_share = flits["c2"]["c2"] - flits["ghost"]["c2"]
-        assert restart_share == flits["ghost"]["ghost"]
 
     def test_be_arrival_in_final_slot_dropped_at_stop(self, mesh_config):
         """A message maturing exactly at the stop boundary belongs to

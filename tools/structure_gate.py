@@ -101,6 +101,19 @@ RULES = [
     (r"raise (ValueError|TypeError|KeyError)\b", SRC, None, NONE,
      "a builtin exception is raised under src/repro; refuse with "
      "ConfigurationError / TopologyError, which the CLI prints as one line"),
+    (r"FlitOptions|channel_sink|\b_occupy\b|\b_check_links\b|"
+     r"stalled_slots_by_channel", SRC, None, NONE,
+     f"a deleted flit-executor option, trace sink or contention twin {_GONE}"),
+    (r"flow_control", ("src/repro/simulation",),
+     r"src/repro/simulation/cyclesim\.py", NONE,
+     "flow control is back in a flit executor (credits are the word-level "
+     "NI's: cyclesim's flow_control_pairs)"),
+    (r"flow_control(?!_pairs\b)", ("src/repro/simulation/cyclesim.py",), None,
+     NONE, "cyclesim spells flow control other than flow_control_pairs"),
+    (r"def \w*contention", SRC, r"src/repro/simulation/backend\.py", NONE,
+     "a contention check is defined outside simulation/backend.py"),
+    (r"def check_plan_contention\(", ("src/repro/simulation/backend.py",),
+     None, ONCE, "simulation/backend.py must define the one contention check"),
 ]
 
 
