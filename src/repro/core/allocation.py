@@ -40,7 +40,7 @@ from repro.core.exceptions import (AllocationError, ConfigurationError,
 from repro.core.path import Path, make_path
 from repro.core.requirements import latency_bound_ns, slots_for_channel
 from repro.core.slot_table import (SlotTable, mask_to_slots, rotate_mask,
-                                   shifted, spread_slots,
+                                   shifted_mask, spread_slots,
                                    worst_case_wait_slots)
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
@@ -49,7 +49,7 @@ from repro.topology.routing import (k_shortest_paths, k_shortest_routes,
                                     merge_load_aware, weighted_shortest_path)
 
 __all__ = ["ChannelAllocation", "Allocation", "AllocatorOptions",
-           "SlotAllocator", "RouteCandidate", "ChannelVerdict",
+           "SlotAllocator", "RouteCandidate", "RouteQuotes", "ChannelVerdict",
            "RebuildReport", "excluded_link_keys"]
 
 #: Most (endpoints, requirement) entries :meth:`SlotAllocator.
@@ -129,22 +129,75 @@ def _quoted(point: "Allocation | SlotAllocator", spec: ChannelSpec, paths,
     arithmetic, at the operating point (``table_size``,
     ``frequency_hz``, ``fmt``) that ``point`` carries.
 
+    The arithmetic reads a path only through its traversal time, and a
+    refusal's reason names no path, so it runs once per distinct
+    ``traversal_slots`` among the paths the consumer reaches.
+
     A path whose traversal alone breaks the latency requirement yields
     nothing; handed a ``failures`` list, its reason is appended the
     moment the consumer reaches it, so :func:`_first_fit`'s own reasons
     interleave in candidate order.
     """
     size = point.table_size
+    # traversal slots -> (n_slots, max_gap), or the refusal's reason
+    by_traversal: dict[int, tuple[int, int | None] | str] = {}
     for path in paths:
-        try:
-            n, gap = slots_for_channel(spec, path, size,
-                                       point.frequency_hz, point.fmt)
-        except AllocationError as exc:
+        traversal = path.traversal_slots
+        quote = by_traversal.get(traversal)
+        if quote is None:
+            try:
+                quote = slots_for_channel(spec, path, size,
+                                          point.frequency_hz, point.fmt)
+            except AllocationError as exc:
+                quote = exc.reason
+            by_traversal[traversal] = quote
+        if isinstance(quote, str):
             if failures is not None:
-                failures.append(f"{path!r}: {exc.reason}")
+                failures.append(f"{path!r}: {quote}")
             continue
-        yield RouteCandidate(path=path, n_slots=n, max_gap=gap,
+        yield RouteCandidate(path=path, n_slots=quote[0], max_gap=quote[1],
                              hops=path.hops, link_keys=path.link_key_set)
+
+
+class RouteQuotes:
+    """The :class:`RouteCandidate`\\ s of one (endpoints, requirement),
+    quoted only as far as a placement has read them.
+
+    Iterating yields them in candidate order, continuing :func:`_quoted`
+    where the furthest earlier iteration stopped: a route is quoted once
+    however many admissions read the entry, and a route no placement
+    reaches is never quoted.  Truth is "some route can meet the
+    requirement".
+    """
+
+    __slots__ = ("_quotes", "_pending")
+
+    def __init__(self, pending) -> None:
+        self._quotes: list[RouteCandidate] = []
+        #: the :func:`_quoted` generator, ``None`` once drained
+        self._pending = pending
+
+    def __iter__(self):
+        if self._pending is None:
+            return iter(self._quotes)
+        return self._continued()
+
+    def _continued(self):
+        quotes = self._quotes
+        index = 0
+        while True:
+            if index == len(quotes):
+                pending = self._pending
+                quote = None if pending is None else next(pending, None)
+                if quote is None:
+                    self._pending = None
+                    return
+                quotes.append(quote)
+            yield quotes[index]
+            index += 1
+
+    def __bool__(self) -> bool:
+        return next(iter(self), None) is not None
 
 
 def _first_fit(link_tables: dict[tuple[str, str], "SlotTable"],
@@ -345,28 +398,47 @@ class ChannelAllocation:
         rotations, phase = divmod(slot, table_size)
         return rotations * len(self.slots) + bisect_left(self.slots, phase)
 
-    def link_slots(self, table_size: int) -> dict[tuple[str, str], frozenset[int]]:
-        """Slots this channel occupies on each traversed link.
+    def link_occupancy(self, table_size: int
+                       ) -> tuple[tuple[tuple[str, str], int,
+                                        tuple[int, ...]], ...]:
+        """``(link key, link mask, ascending slots)`` per traversed link:
+        the injection-slot mask carried each hop's slot shift on.
 
-        Memoised per instance: the same map is consulted at commit, at
-        release, and by every full validation, and the admission service
+        The one per-link derivation: commit and release write and free
+        these masks, validation ORs them, and :meth:`link_slots` is a
+        view of them.  Memoised per instance — the admission service
         does all three per session.
         """
-        cache = self.__dict__.get("_link_slots_cache")
+        cache = self.__dict__.get("_link_occupancy")
         if cache is not None and cache[0] == table_size:
             return cache[1]
-        out: dict[tuple[str, str], frozenset[int]] = {}
-        for link, shift in zip(self.path.links, self.path.link_shifts):
-            out[link.key] = frozenset(
-                shifted(s, shift, table_size) for s in self.slots)
-        object.__setattr__(self, "_link_slots_cache", (table_size, out))
-        return out
+        injection = 0
+        for slot in self.slots:
+            injection |= 1 << slot % table_size
+        links = []
+        for key, shift in self.path.hops:
+            mask = shifted_mask(injection, shift, table_size)
+            links.append((key, mask, mask_to_slots(mask)))
+        occupancy = tuple(links)
+        object.__setattr__(self, "_link_occupancy", (table_size, occupancy))
+        return occupancy
+
+    def link_slots(self, table_size: int) -> dict[tuple[str, str], frozenset[int]]:
+        """Slots this channel occupies on each traversed link: a view of
+        :meth:`link_occupancy`, memoised with it."""
+        occupancy = self.link_occupancy(table_size)
+        view = self.__dict__.get("_link_slots")
+        if view is None or view[0] is not occupancy:
+            view = (occupancy, {key: frozenset(slots)
+                                for key, _, slots in occupancy})
+            object.__setattr__(self, "_link_slots", view)
+        return view[1]
 
     def fingerprint(self) -> int:
         """In-process hash of what composability protects: the channel's
         name, its slot tuple and the links it traverses.
 
-        Memoised per instance like :meth:`link_slots`.  Two records with
+        Memoised per instance like :meth:`link_occupancy`.  Two records with
         the same name, slots and route share a fingerprint, so an
         equal-but-replaced record reads as undisturbed.  String hashes
         vary with ``PYTHONHASHSEED``: the value is only comparable
@@ -465,32 +537,28 @@ class Allocation:
     # -- mutation (incremental reconfiguration) -------------------------------
 
     def commit(self, ca: ChannelAllocation) -> None:
-        """Add one channel's reservations; rolls back on any conflict."""
-        if ca.spec.name in self.channels:
-            raise AllocationError(
-                f"channel {ca.spec.name!r} is already allocated",
-                channel=ca.spec.name)
-        committed: list[tuple[tuple[str, str], int]] = []
-        try:
-            for key, slots in ca.link_slots(self.table_size).items():
-                table = self._table(key)
-                for slot in sorted(slots):
-                    table.reserve(slot, ca.spec.name)
-                    committed.append((key, slot))
-        except AllocationError:
-            for key, slot in committed:
-                self.link_tables[key].release(slot)
-            raise
-        self.channels[ca.spec.name] = ca
+        """Add one channel's reservations, or raise on the first link
+        (in route order) that is unknown or has a slot another channel
+        holds — checked on every link before any is written, so a
+        refused commit leaves every table as it was."""
+        name = ca.spec.name
+        if name in self.channels:
+            raise AllocationError(f"channel {name!r} is already allocated",
+                                  channel=name)
+        occupancy = ca.link_occupancy(self.table_size)
+        for key, mask, slots in occupancy:
+            self._table(key).check_free(mask, slots, name)
+        tables = self.link_tables
+        for key, mask, slots in occupancy:
+            tables[key].claim(mask, slots, name)
+        self.channels[name] = ca
         self.channels_digest ^= ca.fingerprint()
 
     def release(self, channel_name: str) -> ChannelAllocation:
         """Remove one channel, freeing its slots on every link."""
         ca = self.channel(channel_name)
-        for key, slots in ca.link_slots(self.table_size).items():
-            table = self._table(key)
-            for slot in slots:
-                table.release(slot)
+        for key, mask, slots in ca.link_occupancy(self.table_size):
+            self._table(key).clear(mask, slots)
         del self.channels[channel_name]
         self.channels_digest ^= ca.fingerprint()
         return ca
@@ -544,7 +612,39 @@ class Allocation:
         Raises :class:`AllocationError` on any contention (two channels on
         one link-slot) or bookkeeping divergence.  This is the programmatic
         statement of the paper's contention-free routing invariant.
+
+        One pass over the channels' link masks settles a consistent
+        allocation (:meth:`_masks_agree`); only when it disagrees does
+        the per-slot re-derivation run, as the diagnostic that names
+        the link and slot — and as the oracle the pass is held to.
         """
+        if not self._masks_agree():
+            self._derive_per_slot()
+
+    def _masks_agree(self) -> bool:
+        """True when the link tables hold exactly what the channels
+        derive: on every link of the topology, no two channels' masks
+        overlap, each derived slot's recorded owner is its channel, and
+        the table's mask and owner count are the OR of those masks and
+        its popcount.  Implies that :meth:`_derive_per_slot` passes."""
+        tables = self.link_tables
+        if tables.keys() != set(self.topology.iter_link_keys()):
+            return False
+        size = self.table_size
+        union = dict.fromkeys(tables, 0)
+        for ca in self.channels.values():
+            name = ca.spec.name
+            for key, mask, slots in ca.link_occupancy(size):
+                held = union.get(key)
+                if held is None or held & mask \
+                        or not tables[key].holds(slots, name):
+                    return False
+                union[key] = held | mask
+        return all(table.mirrors(union[key]) for key, table in tables.items())
+
+    def _derive_per_slot(self) -> None:
+        """:meth:`validate`'s diagnostic: every link-slot re-derived into
+        an owner map and compared with the table's."""
         fresh: dict[tuple[str, str], dict[int, str]] = {
             key: {} for key in self.topology.iter_link_keys()}
         for ca in self.channels.values():
@@ -772,8 +872,7 @@ class SlotAllocator:
             geometry.paths.setdefault(
                 (PATH_CANDIDATES, self.fmt.max_hops), {})
         self._quote_cache: dict[
-            tuple[str, str, float, float | None],
-            tuple[RouteCandidate, ...]] = {}
+            tuple[str, str, float, float | None], RouteQuotes] = {}
         # All three are fault-agnostic: failed fabric lives on each
         # Allocation and is applied when candidates are consulted, so
         # repairs need no invalidation and sharing leaks no faults.
@@ -912,8 +1011,7 @@ class SlotAllocator:
         return cached
 
     def cached_route_quotes(self, src_ni: str, dst_ni: str,
-                            spec: ChannelSpec
-                            ) -> tuple[RouteCandidate, ...] | None:
+                            spec: ChannelSpec) -> RouteQuotes | None:
         """What :meth:`route_quotes` would return, if already held.
 
         The admission hot path asks this first, so a warm admit costs
@@ -928,21 +1026,25 @@ class SlotAllocator:
         return cached
 
     def route_quotes(self, src_ni: str, dst_ni: str, spec: ChannelSpec
-                     ) -> tuple[RouteCandidate, ...]:
-        """Cached :class:`RouteCandidate` per candidate route.
+                     ) -> RouteQuotes:
+        """Cached :class:`RouteCandidate` per candidate route, as a
+        :class:`RouteQuotes` that quotes a route when a placement first
+        reaches it.
 
         The slot count and latency-gap constraint of a requirement on a
         path do not depend on current occupancy, so for admission churn
-        they are computed once per (endpoints, requirement) and replayed
-        — by every service sharing this allocator.  Candidates whose
-        traversal alone breaks the latency requirement are dropped; the
-        result may be empty.  At most :data:`QUOTE_CACHE_CAP` entries
-        are kept, oldest-inserted evicted first.
+        they are computed at most once per (endpoints, requirement) and
+        route, and replayed — by every service sharing this allocator.
+        Most placements stop at the first route, so most routes are
+        never quoted at all.  Candidates whose traversal alone breaks
+        the latency requirement are dropped; the result may be empty.
+        At most :data:`QUOTE_CACHE_CAP` entries are kept, oldest-inserted
+        evicted first.
         """
         cached = self.cached_route_quotes(src_ni, dst_ni, spec)
         if cached is not None:
             return cached
-        quotes = tuple(_quoted(
+        quotes = RouteQuotes(_quoted(
             self, spec, self.shortest_candidates(src_ni, dst_ni)))
         cache = self._quote_cache
         if len(cache) >= QUOTE_CACHE_CAP:

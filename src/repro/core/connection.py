@@ -11,10 +11,11 @@ the NI model's credit loop) work on connections.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, require_finite_positive
 
 __all__ = ["ChannelSpec", "ConnectionSpec", "MB", "GB", "NS", "US"]
 
@@ -69,12 +70,14 @@ class ChannelSpec:
         if self.src_ip == self.dst_ip:
             raise ConfigurationError(
                 f"channel {self.name!r} connects {self.src_ip!r} to itself")
-        if self.throughput_bytes_per_s < 0:
+        throughput = self.throughput_bytes_per_s
+        if not (math.isfinite(throughput) and throughput >= 0):
             raise ConfigurationError(
-                f"channel {self.name!r} has negative throughput requirement")
-        if self.max_latency_ns is not None and self.max_latency_ns <= 0:
-            raise ConfigurationError(
-                f"channel {self.name!r} has non-positive latency requirement")
+                f"channel {self.name!r} throughput_bytes_per_s must be a "
+                f"finite number >= 0, got {throughput!r}")
+        if self.max_latency_ns is not None:
+            require_finite_positive(f"channel {self.name!r} max_latency_ns",
+                                    self.max_latency_ns)
         if self.burst_bytes < 1:
             raise ConfigurationError(
                 f"channel {self.name!r} needs burst_bytes >= 1")

@@ -16,10 +16,11 @@ This module provides:
 * gap/wait analysis used by the latency bound (:mod:`repro.core.analysis`);
 * :func:`spread_slots` — the equidistant slot-choice heuristic;
 * bitmask slot arithmetic (:func:`slots_to_mask` / :func:`mask_to_slots` /
-  :func:`rotate_mask`) and :func:`choose_slots_fast` — the integer-mask
-  representation the allocation hot path and the online admission service
-  (:mod:`repro.service`) use to intersect per-link occupancy in a handful
-  of machine ops instead of per-slot set operations.
+  :func:`rotate_mask` / :func:`shifted_mask`) and :func:`choose_slots_fast`
+  — the integer-mask representation the allocation hot path and the online
+  admission service (:mod:`repro.service`) use to intersect, commit and
+  free per-link occupancy in a handful of machine ops instead of per-slot
+  set operations.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "slots_to_mask",
     "mask_to_slots",
     "rotate_mask",
+    "shifted_mask",
     "choose_slots_fast",
 ]
 
@@ -91,6 +93,17 @@ def rotate_mask(mask: int, shift: int, size: int) -> int:
         return mask
     full = (1 << size) - 1
     return ((mask >> shift) | (mask << (size - shift))) & full
+
+
+def shifted_mask(mask: int, shift: int, size: int) -> int:
+    """The bitmask form of :func:`shifted_slots`: bit ``(s + shift) % size``
+    of the result is bit ``s`` of ``mask`` — injection slots carried
+    ``shift`` hops on, the inverse of :func:`rotate_mask`.
+
+    >>> mask_to_slots(shifted_mask(slots_to_mask([0, 6], 8), 3, 8))
+    (1, 3)
+    """
+    return rotate_mask(mask, -shift, size)
 
 
 def choose_slots_fast(free: Iterable[int], n: int, size: int,
@@ -317,9 +330,11 @@ class SlotTable:
     0.25
 
     Occupancy is mirrored in an integer bitmask (bit ``s`` set = slot ``s``
-    reserved) so free/reserved queries and the allocator's per-link
-    intersections cost a few machine ops instead of a table scan.  The
-    owner map stays authoritative; the mask is pure acceleration.
+    reserved) so free/reserved queries, the allocator's per-link
+    intersections and its conflict checks (:meth:`check_free`) cost a few
+    machine ops instead of a table scan.  Every writer keeps the owner
+    map and the mask in step; :meth:`mirrors` is how
+    :meth:`~repro.core.allocation.Allocation.validate` holds them to it.
     """
 
     __slots__ = ("_size", "_owners", "_mask", "_full", "_row")
@@ -422,14 +437,56 @@ class SlotTable:
         self._check_slot(slot)
         if not owner:
             raise ConfigurationError("slot owner must be a non-empty name")
-        current = self._owners.get(slot)
-        if current is not None and current != owner:
-            raise AllocationError(
-                f"slot {slot} already reserved by {current!r}",
-                channel=owner, reason="slot conflict")
-        self._owners[slot] = owner
-        self._mask |= 1 << slot
+        mask = 1 << slot
+        self.check_free(mask, (slot,), owner)
+        self.claim(mask, (slot,), owner)
+
+    def check_free(self, mask: int, slots: Iterable[int], owner: str) -> None:
+        """Raise :class:`AllocationError` on the first of ``slots`` — the
+        ascending slots of ``mask`` — that another owner holds.
+
+        One AND against the occupancy when none is taken, so an
+        allocation can check every link of a route before it writes any.
+        """
+        if self._mask & mask:
+            owners = self._owners
+            for slot in slots:
+                current = owners.get(slot)
+                if current is not None and current != owner:
+                    raise AllocationError(
+                        f"slot {slot} already reserved by {current!r}",
+                        channel=owner, reason="slot conflict")
+
+    def claim(self, mask: int, slots: Iterable[int], owner: str) -> None:
+        """Record ``owner`` on ``slots`` — the ascending slots of ``mask``,
+        in range — unchecked: :meth:`check_free` comes first."""
+        owners = self._owners
+        for slot in slots:
+            owners[slot] = owner
+        self._mask |= mask
         self._row = None
+
+    def clear(self, mask: int, slots: Iterable[int]) -> None:
+        """Free ``slots`` — the slots of ``mask`` — whoever holds them."""
+        owners = self._owners
+        for slot in slots:
+            owners.pop(slot, None)
+        self._mask &= ~mask
+        self._row = None
+
+    def holds(self, slots: Iterable[int], owner: str) -> bool:
+        """True when ``owner`` is recorded on every one of ``slots``."""
+        owners = self._owners
+        for slot in slots:
+            if owners.get(slot) != owner:
+                return False
+        return True
+
+    def mirrors(self, mask: int) -> bool:
+        """True when exactly the slots of ``mask`` are reserved: the
+        occupancy bitmask is ``mask`` and the owner map holds one entry
+        per set bit."""
+        return self._mask == mask and len(self._owners) == mask.bit_count()
 
     def reserve_all(self, slots: Iterable[int], owner: str) -> None:
         """Reserve several slots atomically (rolls back on conflict)."""
@@ -450,9 +507,7 @@ class SlotTable:
     def release(self, slot: int) -> None:
         """Free one slot (idempotent)."""
         self._check_slot(slot)
-        if self._owners.pop(slot, None) is not None:
-            self._mask &= ~(1 << slot)
-            self._row = None
+        self.clear(1 << slot, (slot,))
 
     def release_owner(self, owner: str) -> None:
         """Free every slot held by ``owner``."""

@@ -11,17 +11,23 @@ once for every service that shares it, never per controller:
 * candidate routes come from the allocator's memoised k-shortest cache
   (:meth:`~repro.core.allocation.SlotAllocator.shortest_candidates`);
 * per (source NI, destination NI, requirement) triple, the slot count
-  and latency-gap constraint of every candidate path are computed once
-  (:class:`~repro.core.allocation.RouteCandidate`, held in
-  :meth:`~repro.core.allocation.SlotAllocator.route_quotes`' cache),
+  and latency-gap constraint of a candidate path are computed the first
+  time a placement reaches that path, and kept
+  (:class:`~repro.core.allocation.RouteCandidate`, in the
+  :class:`~repro.core.allocation.RouteQuotes` that
+  :meth:`~repro.core.allocation.SlotAllocator.route_quotes` caches),
   together with the keys and slot shifts of the links the path
-  traverses.  The records name links, not tables, so a fresh controller
-  over a warm allocator starts warm;
+  traverses.  Most admissions place on the first route, so the later
+  ones are usually never quoted; candidates of equal traversal time
+  share one computation.  The records name links, not tables, so a
+  fresh controller over a warm allocator starts warm;
 * the per-admission work that remains is the placement loop every
   allocation shares (:func:`~repro.core.allocation._first_fit`: one
   table lookup and one AND per link over integer free-slot bitmasks,
   a popcount) with the single-anchor spreading heuristic
-  (:func:`~repro.core.slot_table.choose_slots_fast`) as its chooser.
+  (:func:`~repro.core.slot_table.choose_slots_fast`) as its chooser,
+  and a commit or release that is one AND and one bulk write per link
+  (:meth:`~repro.core.allocation.ChannelAllocation.link_occupancy`).
 
 The controller checks once, at construction, that its allocation fits
 the allocator (same topology object, same table size); that is what

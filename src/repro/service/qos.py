@@ -6,9 +6,14 @@ negotiated per session: it arrives tagged with a :class:`QosClass` that
 fixes the throughput and latency requirement — exactly how Even & Fais
 frame online QoS allocation as a request-admission problem, and what
 makes the admission hot path cacheable: every (source NI, destination NI,
-class) triple maps to the same candidate routes and slot demands, so
-path search and slot arithmetic happen once per triple, not once per
-session.
+class) triple maps to the same candidate routes and slot demands.  Path
+search happens once per router pair; slot arithmetic at most once per
+triple and route traversal time, and only for the routes a placement
+reaches — never once per session.
+
+A class's throughput, latency and weight must be finite and positive;
+anything else is refused with a ``ConfigurationError`` where the class
+is built.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.connection import MB, ChannelSpec
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, require_finite_positive
 
 __all__ = ["QosClass", "DEFAULT_CLASSES", "class_by_name"]
 
@@ -52,15 +57,12 @@ class QosClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("QoS class name must be non-empty")
-        if self.throughput_mb_s <= 0:
-            raise ConfigurationError(
-                f"class {self.name!r} needs positive throughput")
-        if self.max_latency_ns is not None and self.max_latency_ns <= 0:
-            raise ConfigurationError(
-                f"class {self.name!r} has non-positive latency requirement")
-        if self.weight <= 0:
-            raise ConfigurationError(
-                f"class {self.name!r} needs positive weight")
+        require_finite_positive(f"class {self.name!r} throughput_mb_s",
+                                self.throughput_mb_s)
+        if self.max_latency_ns is not None:
+            require_finite_positive(f"class {self.name!r} max_latency_ns",
+                                    self.max_latency_ns)
+        require_finite_positive(f"class {self.name!r} weight", self.weight)
 
     def channel_spec(self, session_id: str, src_ni: str,
                      dst_ni: str) -> ChannelSpec:

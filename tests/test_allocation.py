@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nx_oracle import library_k_shortest_paths
 from repro.core.allocation import (PATH_CANDIDATES, Allocation,
                                    AllocatorOptions, ChannelAllocation,
-                                   RouteCandidate, SlotAllocator,
+                                   RouteCandidate, RouteQuotes, SlotAllocator,
                                    _first_fit, _quoted)
 from repro.core.analysis import analyse, channel_bounds
 from repro.core.connection import MB, ChannelSpec
@@ -151,6 +153,37 @@ class TestBasicAllocation:
             _allocator(topo).allocate(
                 [ChannelSpec("c", "a", "b", 1 * MB)], mapping)
 
+    @pytest.mark.parametrize("field, value", [
+        ("throughput_bytes_per_s", float("nan")),
+        ("throughput_bytes_per_s", float("inf")),
+        ("throughput_bytes_per_s", float("-inf")),
+        ("throughput_bytes_per_s", -1.0),
+        ("max_latency_ns", float("nan")),
+        ("max_latency_ns", float("inf")),
+        ("max_latency_ns", 0.0),
+    ])
+    def test_non_finite_requirement_is_refused_where_it_is_built(
+            self, field, value):
+        """NaN and inf used to pass the ``< 0`` / ``<= 0`` checks and
+        escape ``route_quotes`` as a builtin ``ValueError`` (NaN) or
+        ``OverflowError`` (inf); a NaN key also never hit the cache."""
+        kwargs = {"throughput_bytes_per_s": 1 * MB, "max_latency_ns": 100.0,
+                  field: value}
+        with pytest.raises(ConfigurationError, match=field):
+            ChannelSpec("c", "a", "b", **kwargs)
+
+    @pytest.mark.parametrize("field", ["throughput_bytes_per_s",
+                                       "max_latency_ns"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_from_dict_refuses_non_finite_json(self, field, literal):
+        record = ChannelSpec("c", "a", "b", 1 * MB,
+                             max_latency_ns=100.0).to_dict()
+        text = json.dumps(record).replace(
+            f'"{field}": {record[field]}', f'"{field}": {literal}')
+        assert literal in text
+        with pytest.raises(ConfigurationError, match=field):
+            ChannelSpec.from_dict(json.loads(text))
+
 
 class TestDeterminismAndOrdering:
     def _workload(self, topo, n=12, seed=3):
@@ -236,6 +269,36 @@ class TestIncrementalReconfiguration:
         with pytest.raises(AllocationError):
             alloc.commit(clash)
         assert "c2" not in alloc.channels
+        alloc.validate()
+
+    def test_refused_commit_keeps_the_text_and_writes_nothing(self):
+        """A clash on the third link of four: every link is checked
+        before any is written, and the refusal is the per-slot one —
+        the lowest clashing slot, in route order."""
+        topo = mesh(3, 1, nis_per_router=1)
+        allocator = _allocator(topo, table_size=8)
+        alloc = Allocation(topo, 8, 500e6, WordFormat())
+        held = allocator.shortest_candidates("ni1_0_0", "ni2_0_0")[0]
+        # ('r1_0', 'r2_0') carries "a" in slots 1 and 5 (shift 1).
+        alloc.commit(ChannelAllocation(ChannelSpec("a", "x", "y", 1 * MB),
+                                       held, (0, 4)))
+        path = allocator.shortest_candidates("ni0_0_0", "ni2_0_0")[0]
+        assert [shift for _, shift in path.hops] == [0, 1, 2, 3]
+
+        def snapshot():
+            return ({key: (json.dumps(table.to_dict()), table.occupancy_mask,
+                           table.owner_row())
+                     for key, table in alloc.link_tables.items()},
+                    dict(alloc.channels), alloc.channels_digest)
+
+        before = snapshot()
+        clash = ChannelAllocation(ChannelSpec("b", "x", "y", 1 * MB), path,
+                                  (3, 7))
+        with pytest.raises(AllocationError) as exc:
+            alloc.commit(clash)
+        assert str(exc.value) == "slot 1 already reserved by 'a'"
+        assert (exc.value.channel, exc.value.reason) == ("b", "slot conflict")
+        assert snapshot() == before
         alloc.validate()
 
 
@@ -708,3 +771,137 @@ class TestRouteGeometryOnce:
         placed = rebuilt.allocate([spec], mapping).channel("c")
         assert placed.path.link_shifts == (0, 1, 4)
         AdmissionController(rebuilt)
+
+
+# -- admission pays only for what it places ------------------------------------
+
+def _outcome(check) -> str | None:
+    """``None`` when ``check()`` passes, else its ``AllocationError``."""
+    try:
+        check()
+    except AllocationError as exc:
+        return str(exc)
+    return None
+
+
+class TestFastPathsHoldToTheirOracles:
+    """Lazy quotes against the eager record, and ``validate``'s mask pass
+    against the per-slot derivation that backs it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(topo=BUILDERS, data=st.data())
+    def test_lazy_quotes_equal_the_eager_record(self, topo, data):
+        nis = sorted(topo.nis)
+        assume(len(nis) >= 2)
+        size = data.draw(st.sampled_from((8, 16)))
+        allocator = _allocator(topo, table_size=size)
+        src, dst = data.draw(st.lists(st.sampled_from(nis), min_size=2,
+                                      max_size=2, unique=True))
+        spec = ChannelSpec(
+            "c", src, dst,
+            # 5 000 MB/s exceeds every table: the empty result.
+            data.draw(st.sampled_from((0.0, 5.0, 60.0, 300.0, 5000.0))) * MB,
+            # Below 18 ns no path's traversal fits: empty again.
+            max_latency_ns=data.draw(st.one_of(st.none(),
+                                               st.floats(1.0, 300.0))))
+        paths = allocator.shortest_candidates(src, dst)
+        reasons: list[str] = []
+        eager = tuple(_quoted(allocator, spec, paths, reasons))
+        # Per path, with no sharing between equal traversal times.
+        expected, expected_reasons = [], []
+        for path in paths:
+            try:
+                n, gap = slots_for_channel(spec, path, size, 500e6,
+                                           allocator.fmt)
+            except AllocationError as exc:
+                expected_reasons.append(f"{path!r}: {exc.reason}")
+            else:
+                expected.append((path, n, gap))
+        assert [(q.path, q.n_slots, q.max_gap) for q in eager] == expected
+        assert reasons == expected_reasons
+
+        fresh = RouteQuotes(_quoted(allocator, spec, paths))
+        assert bool(fresh) == bool(eager)
+        assert list(zip(iter(fresh), iter(fresh))) == [(q, q) for q in eager]
+
+        calls: list[int] = []
+
+        def counting(spec, path, *rest):
+            calls.append(path.traversal_slots)
+            return slots_for_channel(spec, path, *rest)
+
+        k = data.draw(st.integers(0, len(eager) + 1))
+        reached = (0 if k == 0 else len(paths) if k > len(eager)
+                   else paths.index(eager[k - 1].path) + 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.core.allocation.slots_for_channel",
+                          counting)
+            quotes = allocator.route_quotes(src, dst, spec)
+            assert allocator.cached_route_quotes(src, dst, spec) is quotes
+            assert list(itertools.islice(quotes, k)) == list(eager[:k])
+            # Quoted as far as read, once per traversal time.
+            assert sorted(calls) == sorted(
+                {p.traversal_slots for p in paths[:reached]})
+            assert tuple(quotes) == eager  # continues from there
+            assert tuple(quotes) == eager  # the drained record
+            assert bool(quotes) == bool(eager)
+        assert sorted(calls) == sorted({p.traversal_slots for p in paths})
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fast_validate_raises_iff_the_per_slot_derivation_does(
+            self, data):
+        size = 8
+        topo = mesh(2, 2, nis_per_router=2)
+        ctrl = AdmissionController(_allocator(topo, table_size=size))
+        allocation, allocator = ctrl.allocation, ctrl.allocator
+        ends = st.lists(st.sampled_from(sorted(topo.nis)), min_size=2,
+                        max_size=2, unique=True)
+        for index in range(data.draw(st.integers(0, 10))):
+            src, dst = data.draw(ends)
+            rate = data.draw(st.sampled_from((20, 100, 200))) * MB
+            try:
+                ctrl.admit(ChannelSpec(f"s{index}", src, dst, rate), src, dst)
+            except AllocationError:
+                pass
+        tables = allocation.link_tables
+        # Writes that bypass commit/release.
+        for _ in range(data.draw(st.integers(0, 3))):
+            write = data.draw(st.sampled_from(
+                ("reserve", "release", "foreign", "add", "drop", "stale")))
+            table = tables[data.draw(st.sampled_from(sorted(tables)))]
+            held, free = (sorted(table.reserved_slots()),
+                          sorted(table.free_slots()))
+            names = sorted(allocation.channels)
+            if write == "reserve" and free:
+                table.reserve(data.draw(st.sampled_from(free)),
+                              data.draw(st.sampled_from(names + ["ghost"])))
+            elif write in ("release", "foreign") and held:
+                slot = data.draw(st.sampled_from(held))
+                table.release(slot)
+                if write == "foreign":
+                    table.reserve(slot, "ghost")
+            elif write == "add":
+                src, dst = data.draw(ends)
+                name = data.draw(st.sampled_from(names + ["ghost"]))
+                ca = ChannelAllocation(
+                    ChannelSpec(name, src, dst, 1 * MB),
+                    allocator.shortest_candidates(src, dst)[0],
+                    tuple(sorted(data.draw(st.sets(
+                        st.integers(0, size - 1), min_size=1, max_size=3)))))
+                allocation.channels[
+                    data.draw(st.sampled_from((name, "alias")))] = ca
+                if data.draw(st.booleans()):  # and into its link tables
+                    for key, slots in ca.link_slots(size).items():
+                        try:
+                            tables[key].reserve_all(slots, name)
+                        except AllocationError:
+                            pass
+            elif write == "drop" and names:
+                del allocation.channels[data.draw(st.sampled_from(names))]
+            elif write == "stale" and free:
+                # An owner entry the occupancy mask does not mirror.
+                table._owners[data.draw(st.sampled_from(free))] = "ghost"
+        derived = _outcome(allocation._derive_per_slot)
+        assert _outcome(allocation.validate) == derived
+        assert allocation._masks_agree() == (derived is None)

@@ -45,3 +45,20 @@ def test_mem_phases_probe_runs_on_the_pipeline():
     assert "pass" in rows and "simulation.backend.flit_run" in rows
     before, arrow, after, peak = rows["pass"][1:]
     assert arrow == "->" and float(peak) >= float(after) >= float(before)
+
+
+def test_profile_pass_prints_the_top_rows():
+    """``tools/profile_pass.py`` re-takes the profile that motivated an
+    optimisation, against the benchmark's own workload code."""
+    for cold in ([], ["--cold"]):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "profile_pass.py"),
+             "churn_varied", "--smoke", "--top", "8", *cold],
+            capture_output=True, text=True, timeout=170)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        first = proc.stdout.splitlines()[0]
+        assert first.startswith("churn_varied seed=2009 "
+                                f"{'cold' if cold else 'warm'} pass: ")
+        assert "Ordered by: cumulative time" in proc.stdout
+        assert "to 8 due to restriction <8>" in proc.stdout
+        assert "(admit)" in proc.stdout

@@ -107,6 +107,17 @@ class TestQos:
         with pytest.raises(ConfigurationError):
             QosClass("bad", throughput_mb_s=1.0, weight=0.0)
 
+    @pytest.mark.parametrize("field", ["throughput_mb_s", "max_latency_ns",
+                                       "weight"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_class_rejected(self, field, value):
+        """NaN / inf passed ``<= 0`` and reached ``route_quotes`` as a
+        builtin ``ValueError`` / ``OverflowError``."""
+        with pytest.raises(ConfigurationError,
+                           match=f"'bad' {field} must be a finite positive"):
+            QosClass("bad", **{"throughput_mb_s": 1.0, field: value})
+
 
 class TestChurnWorkload:
     def test_same_seed_same_stream(self, small_mesh):

@@ -76,6 +76,12 @@ def test_the_tree_passes():
      "contention check is defined outside"),
     ("simulation/backend.py", "def check_plan_contention(plan): pass",
      "must define the one contention check"),
+    ("service/admission.py", "Q = RouteCandidate(None, 1, None, (), ())",
+     "RouteCandidate( must be constructed once"),
+    ("service/admission.py", "Q = tuple(_quoted(None, None, ()))",
+     "quotes are materialised eagerly"),
+    ("core/allocation.py", "S = shifted(0, 1, 4)",
+     "shifted( is called in core/allocation.py"),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",

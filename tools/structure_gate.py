@@ -32,6 +32,13 @@ RULES = [
      "rotate_mask( must have one call site outside core/slot_table.py"),
     (r"slots_for_channel\(", ("src/repro/core/allocation.py",), None, ONCE,
      "slots_for_channel( must occur once in core/allocation.py"),
+    (r"RouteCandidate\(", SRC, None, ONCE,
+     "RouteCandidate( must be constructed once under src/repro (_quoted)"),
+    (r"tuple\(_quoted\(", SRC, None, NONE,
+     "quotes are materialised eagerly again (tuple(_quoted(...)))"),
+    (r"\bshifted\(", ("src/repro/core/allocation.py",), None, NONE,
+     "shifted( is called in core/allocation.py: per-link occupancy has one "
+     "derivation, ChannelAllocation.link_occupancy"),
     (r"set_excluded_links|free_injection_mask|_path_free_mask|"
      r"def candidate_paths|_pending_admit_us", SRC, None, NONE,
      f"a deleted placement twin or fault-state mirror {_GONE}"),
