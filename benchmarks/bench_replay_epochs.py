@@ -1,23 +1,26 @@
-"""Tier-2 gate: compiled executor vs the per-flit oracle, two change plans.
+"""Tier-2 gate: compiled executor vs the per-flit oracle, two plans.
 
 Opt in with ``--tier2``.  The production flit path is the vectorised
-epoch executor (:mod:`repro.simulation.compiled`); ``compiled=False``
-is the per-flit loop it is checked against.  Both run the Section VII use case (200 connections)
-through :class:`~repro.simulation.backend.FlitLevelBackend` on the two
-shapes a change plan takes:
+executor (:mod:`repro.simulation.compiled`); ``compiled=False`` is the
+per-flit oracle it is checked against, which runs one channel
+incarnation at a time.  Both run the Section VII use case (200
+connections) through :class:`~repro.simulation.backend.FlitLevelBackend`
+on two shapes of lifetime table:
 
 * ``churn`` — every connection live at slot 0, then a round-robin
   stop/restart sequence, two transitions every ten slots: 601 short
-  epochs, so per-epoch recompilation dominates;
-* ``static`` — the one-epoch plan of a plain run: all 200 connections
-  under the use case's burst traffic for ``STATIC_SLOTS`` slots, so the
-  per-slot loop dominates.
+  epochs and 500 incarnations;
+* ``static`` — the table of a plain run: all 200 connections under the
+  use case's burst traffic for ``STATIC_SLOTS`` slots, so the per-flit
+  work dominates.
 
 On each plan the two executors must agree bit for bit — executor name,
 epoch count, per-channel flit counts and traces, the worst latency
-margin — and the compiled one must be at least ``TARGET_SPEEDUP``
-times faster.  The test measures, asserts and records nothing; times
-are reported by ``benchmarks/e2e`` (``pipeline``, ``sec7_static``).
+margin.  On the static plan the compiled one must also be at least
+``TARGET_SPEEDUP`` times faster (about 17x on one Xeon core); the
+compiled churn run takes about a millisecond, too short to hold a
+ratio to.  The test records nothing; times are reported by
+``benchmarks/e2e`` (``pipeline``, ``sec7_static``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ N_TOGGLES = 300
 TRANSITION_SPACING = 5
 #: Horizon of the one-epoch plan.
 STATIC_SLOTS = 2500
-#: Compiled executor over the per-flit oracle, on either plan.
+#: Compiled executor over the per-flit oracle, on the static plan.
 TARGET_SPEEDUP = 10.0
 
 
@@ -57,9 +60,8 @@ def _churn_plan(config) -> SimRequest:
         config.topology, events, horizon_slots=slot + TRANSITION_SPACING,
         table_size=config.table_size, frequency_hz=config.frequency_hz,
         fmt=config.fmt)
-    # Traffic on a handful of channels keeps the traces meaningful
-    # without letting injection work drown the recompilation cost this
-    # plan isolates.
+    # Traffic on a handful of channels keeps the traces meaningful;
+    # the plan's weight is its incarnations, not its flits.
     names = sorted(config.allocation.channels)[:8]
     traffic = {name: pattern
                for name, pattern in replay_traffic(timeline).items()
@@ -72,8 +74,9 @@ def _static_plan(config) -> SimRequest:
     return SimRequest(n_slots=STATIC_SLOTS, traffic=burst_traffic(config))
 
 
-PLANS = {"churn": (_churn_plan, 2 * N_TOGGLES + 1),
-         "static": (_static_plan, 1)}
+#: Plan -> (request builder, epoch count, whether the speedup is gated).
+PLANS = {"churn": (_churn_plan, 2 * N_TOGGLES + 1, False),
+         "static": (_static_plan, 1, True)}
 
 
 def _worst_margin_ns(config, result) -> float:
@@ -88,7 +91,7 @@ def _worst_margin_ns(config, result) -> float:
 @pytest.mark.parametrize("plan", sorted(PLANS))
 def test_compiled_speedup(tier2, section7, plan):
     _, config = section7
-    build, n_epochs = PLANS[plan]
+    build, n_epochs, timed = PLANS[plan]
     request = build(config)
 
     def run(compiled):
@@ -112,6 +115,8 @@ def test_compiled_speedup(tier2, section7, plan):
     for name in oracle_trace.channels():
         assert fast_trace.trace(name) == oracle_trace.trace(name), name
     assert _worst_margin_ns(config, fast) == _worst_margin_ns(config, oracle)
+    if not timed:
+        return
 
     compiled_s = min(run(True)[1] for _ in range(3))
     oracle_s = min(run(False)[1] for _ in range(3))

@@ -9,10 +9,13 @@ network is ever simulated across a transition.  A
 artifact of a churn run — every transition, timestamped in TDM slots and
 carrying the exact :class:`~repro.core.allocation.ChannelAllocation`
 records the transition committed — which the flit-level and best-effort
-backends can then *execute* epoch by epoch: hand it to
+backends can then *execute*: hand it to
 :class:`~repro.simulation.backend.SimRequest` as ``timeline=``, and the
 backend vets the request once (:meth:`~ReconfigurationTimeline.
-check_replay`) before it reads the change plan.
+check_replay`) before it reads the lifetime table
+(:meth:`~ReconfigurationTimeline.channel_intervals`) — the one input
+every replay, the contention check and the watchdog read.  A static run
+is the table :func:`static_lifetimes` builds.
 
 Construction validates the timeline the same way the allocator validates
 a static configuration: within every epoch (a maximal span with a
@@ -30,20 +33,43 @@ event order and relative spacing.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.core.allocation import Allocation, ChannelAllocation
 from repro.core.application import UseCase
-from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.exceptions import (AllocationError, ConfigurationError,
+                                   require_finite_positive)
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping
 
 __all__ = ["TimelineEvent", "ReconfigurationTimeline", "TimelineRecorder",
-           "replay_configuration"]
+           "replay_configuration", "static_lifetimes", "lifetime_boundaries"]
 
 _ACTIONS = ("start", "stop")
+
+
+def static_lifetimes(allocation: Allocation, n_slots: int) -> dict[
+        str, tuple[tuple[int, int, ChannelAllocation], ...]]:
+    """The lifetime table of a static run: every allocated channel live
+    from slot 0 to ``n_slots``, sorted by name."""
+    return {name: ((0, n_slots, ca),)
+            for name, ca in sorted(allocation.channels.items())}
+
+
+def lifetime_boundaries(lifetimes, until: int) -> tuple[int, ...]:
+    """The slots before ``until`` at which a lifetime table's active set
+    changes, including 0: one epoch starts at each.
+
+    >>> lifetime_boundaries({"a": ((0, 9, None), (12, 40, None)),
+    ...                      "b": ((5, 40, None),)}, 20)
+    (0, 5, 9, 12)
+    """
+    slots = {0}
+    for spans in lifetimes.values():
+        for start, stop, _ in spans:
+            slots.update((start, stop))
+    return tuple(sorted(slot for slot in slots if slot < until))
 
 
 @dataclass(frozen=True)
@@ -101,8 +127,7 @@ class ReconfigurationTimeline:
         if table_size <= 0:
             raise ConfigurationError(
                 f"table_size must be positive, got {table_size}")
-        if frequency_hz <= 0:
-            raise ConfigurationError("frequency_hz must be positive")
+        require_finite_positive("frequency_hz", frequency_hz)
         self.topology = topology
         self.horizon_slots = horizon_slots
         self.table_size = table_size
@@ -112,7 +137,6 @@ class ReconfigurationTimeline:
             events, key=lambda e: (e.slot, e.action != "stop",
                                    e.application)))
         self._validate()
-        self._plan = self._compile_plan()
 
     # -- validation ------------------------------------------------------------
 
@@ -193,25 +217,6 @@ class ReconfigurationTimeline:
         self._lifetimes = {name: tuple(spans[name])
                            for name in sorted(spans)}
 
-    def _compile_plan(self) -> tuple:
-        """The simulators' change plan, read off the paired sessions."""
-        initial: list[ChannelAllocation] = []
-        by_slot: dict[int, tuple[list[str], list[ChannelAllocation]]] = {}
-        for start, _, _, channels in self._sessions:
-            if start == 0:
-                initial.extend(channels)
-            else:
-                by_slot.setdefault(start, ([], []))[1].extend(channels)
-        # Stops apply in event order: by slot, then application name.
-        for _, stop, _, channels in sorted(
-                (s for s in self._sessions if s[1] < self.horizon_slots),
-                key=lambda s: (s[1], s[2])):
-            by_slot.setdefault(stop, ([], []))[0].extend(
-                ca.spec.name for ca in channels)
-        return tuple(initial), tuple(
-            (slot, tuple(stops), tuple(starts))
-            for slot, (stops, starts) in sorted(by_slot.items()))
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -262,31 +267,12 @@ class ReconfigurationTimeline:
 
     def epoch_boundaries(self) -> tuple[int, ...]:
         """Slots at which the active channel set changes, including 0."""
-        return tuple(sorted({0} | {e.slot for e in self.events}))
+        return lifetime_boundaries(self._lifetimes, self.horizon_slots)
 
     @property
     def n_epochs(self) -> int:
         """Number of maximal constant-configuration spans."""
         return len(self.epoch_boundaries())
-
-    def change_plan(self, *, until: int | None = None) -> tuple[
-            tuple[ChannelAllocation, ...],
-            tuple[tuple[int, tuple[str, ...],
-                        tuple[ChannelAllocation, ...]], ...]]:
-        """Compiled form for simulators: initial channels plus changes.
-
-        Returns the channels active from slot 0 and, per later boundary
-        slot, the channel names to remove and the allocations to add —
-        stops first, mirroring the event normalisation.  ``until`` drops
-        boundaries at or beyond a simulated prefix of the horizon (the
-        start/stop pairing is resolved over the *full* event list first,
-        so truncation never unbalances an application).
-        """
-        initial, changes = self._plan
-        if until is not None:
-            changes = changes[:bisect_left(changes, until,
-                                           key=lambda change: change[0])]
-        return initial, changes
 
     def check_replay(self, n_slots: int | None = None, traffic=(), *,
                      topology: Topology | None = None,
@@ -413,6 +399,7 @@ class TimelineRecorder:
 
     def __init__(self, topology: Topology, *, table_size: int,
                  frequency_hz: float, fmt: WordFormat | None = None):
+        require_finite_positive("frequency_hz", frequency_hz)
         self.topology = topology
         self.table_size = table_size
         self.frequency_hz = frequency_hz
@@ -427,8 +414,9 @@ class TimelineRecorder:
 
     def _record(self, time_s: float, action: str, application: str,
                 channels: tuple[ChannelAllocation, ...]) -> None:
-        if time_s < 0:
-            raise ConfigurationError("transition time must be >= 0")
+        if not 0 <= time_s < float("inf"):
+            raise ConfigurationError(
+                f"transition time must be finite and >= 0, got {time_s!r}")
         if self._transitions and time_s < self._transitions[-1][0]:
             raise ConfigurationError(
                 "transitions must be recorded in time order")

@@ -143,6 +143,12 @@ class SessionEvent:
     kind: str  # "open" | "close"
     session: SessionRequest
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.time_s < float("inf"):
+            raise ConfigurationError(
+                f"session event time_s must be finite and >= 0, got "
+                f"{self.time_s!r}")
+
 
 class ChurnWorkload:
     """Deterministic event stream over one topology.

@@ -206,6 +206,14 @@ class PolicyEvent:
     value: float | int | None = None
 
     def __post_init__(self) -> None:
+        if not 0 <= self.time_s < float("inf"):
+            raise ConfigurationError(
+                f"policy event time_s must be finite and >= 0, got "
+                f"{self.time_s!r}")
+        if self.value is not None and \
+                not -float("inf") < self.value < float("inf"):
+            raise ConfigurationError(
+                f"policy event value must be finite, got {self.value!r}")
         if self.action not in ("set_weight", "set_floor", "set_limit"):
             raise ConfigurationError(
                 f"unknown policy action {self.action!r}")

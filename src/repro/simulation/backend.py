@@ -28,7 +28,10 @@ neither numpy nor an engine:
   number of times.  Each request is vetted exactly once, before an
   engine is imported: a timeline request by
   :meth:`~repro.core.timeline.ReconfigurationTimeline.check_replay`, a
-  static one against the configuration's channel set.
+  static one against the configuration's channel set.  What runs is
+  then one lifetime table — ``channel → ((start, stop, allocation),
+  …)``, the timeline's or :func:`~repro.core.timeline.static_lifetimes`
+  — which every engine, and the contention check, reads.
 
 Backends are registered by name (``"flit"``, ``"cycle"``, ``"be"``) so
 declarative campaign specs can name them without importing simulator
@@ -44,7 +47,8 @@ from typing import Callable, Mapping
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import (ConfigurationError, SimulationError,
                                    require_finite_positive)
-from repro.core.timeline import ReconfigurationTimeline
+from repro.core.timeline import (ReconfigurationTimeline,
+                                 lifetime_boundaries, static_lifetimes)
 from repro.core.words import WordFormat
 from repro.simulation.monitors import (LatencySummary, StatsCollector,
                                        TraceRecorder, latency_digest)
@@ -283,6 +287,15 @@ class SimulationBackend(ABC):
                 holder="configuration", **replay_fields)
         return traffic
 
+    def _lifetimes(self, request: SimRequest) -> dict:
+        """The lifetime table a vetted request replays: its timeline's
+        (:meth:`~repro.core.timeline.ReconfigurationTimeline.
+        channel_intervals`), or for a static request every allocated
+        channel over the whole horizon."""
+        if request.timeline is None:
+            return static_lifetimes(self.config.allocation, request.n_slots)
+        return request.timeline.channel_intervals()
+
     def _check_traffic(self, request: SimRequest) -> None:
         unknown = sorted(set(request.traffic) -
                          set(self.config.allocation.channels))
@@ -303,54 +316,55 @@ class SimulationBackend(ABC):
                 f"{len(self.config.allocation.channels)} channels)")
 
 
-def check_plan_contention(initial: tuple, changes: tuple, n_slots: int,
-                          table_size: int) -> None:
-    """Raise unless no two flits a change plan may send share a link slot.
+def check_lifetime_contention(lifetimes: Mapping, n_slots: int,
+                              table_size: int) -> None:
+    """Raise unless no two flits a lifetime table may send share a link
+    slot within the first ``n_slots`` slots.
 
     A channel incarnation that holds table slot ``s`` over ``[start,
-    stop)`` and reaches a link ``k`` slots after injection occupies
-    that link at the absolute slots of ``[start + k, stop + k)`` that
-    are ``s + k`` modulo the table size — including the flits still in
-    flight after it stops.  Two incarnations (of any names) that share
-    such a slot raise :class:`~repro.core.exceptions.SimulationError`.
-    Reservation-level, so it needs no traffic: a valid static
-    configuration and a valid timeline whose stopped channels have
-    drained before their link slots are reused pass.
+    stop)`` — clipped to the window — and reaches a link ``k`` slots
+    after injection occupies that link at the absolute slots of
+    ``[start + k, stop + k)`` that are ``s + k`` modulo the table size,
+    including the flits still in flight after it stops.  Two
+    incarnations (of any names) that share such a slot raise
+    :class:`~repro.core.exceptions.SimulationError`.  Reservation-level,
+    so it needs no traffic: a valid static configuration and a valid
+    timeline whose stopped channels have drained before their link
+    slots are reused pass.
     """
-    opened = {ca.spec.name: (0, ca) for ca in initial}
-    spans = []
-    for slot, stops, starts in changes:
-        spans.extend((*opened.pop(name), slot) for name in stops)
-        opened.update((ca.spec.name, (slot, ca)) for ca in starts)
-    spans.extend((start, ca, n_slots) for start, ca in opened.values())
     held: dict[tuple, list[tuple[int, int, str]]] = {}
-    for start, ca, stop in spans:
-        name = ca.spec.name
-        for link, shift in zip(ca.path.links, ca.path.link_shifts):
-            for slot in ca.slots:
-                phase = (slot + shift) % table_size
-                holders = held.setdefault((link.key, phase), [])
-                for low, high, holder in holders:
-                    first = max(low, start + shift)
-                    first += (phase - first) % table_size
-                    if first < min(high, stop + shift):
-                        raise SimulationError(
-                            f"link {link.key} carries two flits in "
-                            f"absolute slot {first}: {holder!r} and "
-                            f"{name!r}")
-                holders.append((start + shift, stop + shift, name))
+    for name, spans in lifetimes.items():
+        for start, stop, ca in spans:
+            stop = min(stop, n_slots)
+            if start >= stop:
+                continue
+            for link, shift in zip(ca.path.links, ca.path.link_shifts):
+                for slot in ca.slots:
+                    phase = (slot + shift) % table_size
+                    holders = held.setdefault((link.key, phase), [])
+                    for low, high, holder in holders:
+                        first = max(low, start + shift)
+                        first += (phase - first) % table_size
+                        if first < min(high, stop + shift):
+                            raise SimulationError(
+                                f"link {link.key} carries two flits in "
+                                f"absolute slot {first}: {holder!r} and "
+                                f"{name!r}")
+                    holders.append((start + shift, stop + shift, name))
 
 
 class FlitLevelBackend(SimulationBackend):
     """Fast flit-level TDM simulation (the paper's aelite network).
 
-    Two executors share one signature and run the TDM schedule and
-    nothing else: the compiled vectorised one
-    (:func:`repro.simulation.compiled.execute`) and the per-flit
-    reference loop (:func:`repro.simulation.flitsim.execute`), which
+    Two executors share one signature, read the request's lifetime
+    table and run the TDM schedule and nothing else: the compiled
+    vectorised one (:func:`repro.simulation.compiled.execute`) and the
+    per-flit oracle (:func:`repro.simulation.flitsim.execute`), which
     ``compiled=False`` names.  ``meta["executor"]`` reports which one
-    ran.  ``check_contention`` runs :func:`check_plan_contention` on the
-    change plan before either is dispatched.
+    ran; the epoch count and the ``epochs`` spans come from the table's
+    boundaries, here.  ``check_contention`` runs
+    :func:`check_lifetime_contention` on the table before either is
+    dispatched.
     """
 
     name = "flit"
@@ -366,26 +380,28 @@ class FlitLevelBackend(SimulationBackend):
     def run(self, request: SimRequest) -> SimResult:
         self._reject_frequency_override(request)
         config = self.config
+        n_slots = request.n_slots
         patterns = self._vet(request, frequency_hz=config.frequency_hz)
-        if request.timeline is None:
-            # A static run is the one-epoch plan: every allocated
-            # channel active from slot 0, no boundaries.
-            initial, changes = tuple(config.allocation.channels.values()), ()
-        else:
-            initial, changes = request.timeline.change_plan(
-                until=request.n_slots)
+        lifetimes = self._lifetimes(request)
         if self.check_contention:
-            check_plan_contention(initial, changes, request.n_slots,
-                                  config.table_size)
+            check_lifetime_contention(lifetimes, n_slots, config.table_size)
         if self.compiled:
             from repro.simulation.compiled import execute
         else:
             from repro.simulation.flitsim import execute
-        stats, meta = execute(config, initial, changes, request.n_slots,
-                              patterns, self.telemetry)
+        telemetry = self.telemetry
+        stats, meta = execute(config, lifetimes, n_slots, patterns,
+                              telemetry)
+        boundaries = lifetime_boundaries(lifetimes, n_slots)
+        meta["n_epochs"] = len(boundaries)
+        if telemetry.enabled:
+            telemetry.counter("executor.epochs").inc(len(boundaries))
+            for index, (start, end) in enumerate(
+                    zip(boundaries, (*boundaries[1:], n_slots))):
+                telemetry.span(f"epoch {index}", start, end, track="epochs",
+                               unit="slot", slots=end - start)
         return SimResult(
-            backend=self.name, stats=stats,
-            simulated_slots=request.n_slots,
+            backend=self.name, stats=stats, simulated_slots=n_slots,
             frequency_hz=config.frequency_hz, fmt=config.fmt, meta=meta)
 
 
@@ -455,14 +471,7 @@ class BestEffortBackend(SimulationBackend):
 
     def run(self, request: SimRequest) -> SimResult:
         patterns = self._vet(request, units="ticks")
-        if request.timeline is None:
-            # A static run is the one-interval table: every allocated
-            # channel offers its pattern over the whole horizon.
-            intervals = {
-                name: ((0, request.n_slots, ca),) for name, ca in
-                sorted(self.config.allocation.channels.items())}
-        else:
-            intervals = request.timeline.channel_intervals()
+        lifetimes = self._lifetimes(request)
         from repro.baseline.be_network import BeNetworkSimulator
         engine = BeNetworkSimulator(
             self.config,
@@ -470,7 +479,7 @@ class BestEffortBackend(SimulationBackend):
                           else request.frequency_hz),
             buffer_flits=self.buffer_flits,
             max_packet_flits=self.max_packet_flits)
-        stats = engine.run(intervals, patterns, request.n_slots)
+        stats = engine.run(lifetimes, patterns, request.n_slots)
         self.telemetry.counter("executor.dispatch",
                                path="wormhole").inc()
         return SimResult(

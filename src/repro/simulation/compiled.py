@@ -2,9 +2,10 @@
 
 aelite's contention-free TDM schedule is completely regular: every flit's
 injection slot and per-hop link traversal is decidable at configuration
-time from the slot tables alone.  The per-flit interpreter in
-:mod:`repro.simulation.flitsim` re-derives that regularity slot by slot
-in Python; this module compiles it away.
+time from the slot tables alone.  The per-flit oracle in
+:mod:`repro.simulation.flitsim` walks each channel incarnation's
+reserved slots one by one in Python; this module compiles that walk
+away.
 
 The compiled representation has three layers:
 
@@ -45,8 +46,8 @@ field for field — to the reference implementation's, which is the
 correctness oracle the property tests and both tier-2 benchmarks
 enforce.  The composability trace is one more read of the same arrays
 (:meth:`CompiledStats.composability_trace`); the link-contention check
-is not the executor's at all but the change plan's
-(:func:`~repro.simulation.backend.check_plan_contention`).
+is not the executor's at all but the lifetime table's
+(:func:`~repro.simulation.backend.check_lifetime_contention`).
 
 The best-effort baseline shares :func:`pattern_slice` for its timeline
 arrival expansion, and the cycle-accurate model consumes the flat
@@ -66,7 +67,6 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as _np
 
-from repro.core.exceptions import SimulationError
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
                                        ServiceObservation, StatsCollector,
                                        TraceRecorder)
@@ -611,13 +611,11 @@ class CompiledTraceRecorder(TraceRecorder):
 _BATCH_BUCKETS = (1, 4, 16, 64, 256, 1024, 4096)
 
 
-def _finish_executor_stats(tel, exec_stats: dict, n_slots: int,
-                           changes: tuple) -> None:
+def _finish_executor_stats(tel, exec_stats: dict) -> None:
     """Fold one compiled run's work counters into the telemetry hub."""
     if not tel.enabled:
         return
     tel.counter("executor.dispatch", path="compiled").inc()
-    tel.counter("executor.epochs").inc(exec_stats.get("epochs", 1))
     tel.counter("executor.pattern_table", outcome="compile").inc(
         exec_stats.get("pattern_compiles", 0))
     tel.counter("executor.pattern_table", outcome="slice").inc(
@@ -626,25 +624,18 @@ def _finish_executor_stats(tel, exec_stats: dict, n_slots: int,
         exec_stats.get("table_bytes", 0))
     tel.counter("executor.interval_runs").inc(
         exec_stats.get("interval_runs", 0))
-    from repro.simulation.flitsim import record_epoch_spans
-    record_epoch_spans(tel, n_slots, changes)
 
 
-def execute(config: "NocConfiguration",
-            initial: tuple["ChannelAllocation", ...], changes: tuple,
+def execute(config: "NocConfiguration", lifetimes: Mapping[str, tuple],
             n_slots: int, patterns: Mapping[str, TrafficPattern],
             telemetry) -> tuple[CompiledStats, dict]:
-    """Execute a change plan through the compiled executor.
+    """Run a lifetime table's first ``n_slots`` slots, compiled.
 
     Same arguments and return as :func:`repro.simulation.flitsim.
-    execute`.
-
-    Contention-freedom makes channels independent, so each incarnation
-    (one ``(start, stop)`` span from the change plan) is solved as one
-    interval recurrence regardless of how many epoch boundaries other
-    applications' churn creates inside it — the logical extreme of the
-    per-flit path's incremental recompilation, where a surviving
-    channel's schedule rows cross boundaries untouched.
+    execute`.  Contention-freedom makes channels independent, so each
+    incarnation — one ``(start, stop, allocation)`` span, clipped to the
+    window — is solved as one interval recurrence regardless of how many
+    epoch boundaries other applications' churn creates inside it.
     """
     fmt = config.fmt
     flit_size = fmt.flit_size
@@ -654,52 +645,31 @@ def execute(config: "NocConfiguration",
     stats = CompiledStats()
     flits: dict[str, int] = {}
     cache: dict = {}
-    active: dict[str, tuple[int, "ChannelAllocation"]] = {}
     batch_hist = telemetry.histogram("executor.interval_batch_messages",
                                      bounds=_BATCH_BUCKETS)
-    exec_stats: dict = {"epochs": len(changes) + 1}
-
-    def open_channel(alloc: "ChannelAllocation", slot: int) -> None:
-        name = alloc.spec.name
-        if name in active:
-            raise SimulationError(
-                f"timeline starts channel {name!r} twice at slot {slot}")
-        active[name] = (slot, alloc)
-        flits.setdefault(name, 0)
-
-    def close_channel(name: str, end: int) -> None:
-        start, alloc = active.pop(name)
+    exec_stats: dict = {}
+    for name, spans in lifetimes.items():
         pattern = patterns.get(name)
-        if pattern is None:
-            return
-        table, count = pattern_slice(
-            cache, pattern, (end - start) * flit_size,
-            (n_slots - start) * flit_size, fmt, exec_stats)
-        run = _run_interval(name, table, count, start, end, alloc,
-                            table_size, flit_size, period_ps,
-                            bytes_per_word)
-        if run is None:
-            return
-        exec_stats["interval_runs"] = \
-            exec_stats.get("interval_runs", 0) + 1
-        batch_hist.observe(run.count)
-        stats._add_run(run)
-        flits[name] += run.n_flits
-
-    for alloc in sorted(initial, key=lambda ca: ca.spec.name):
-        open_channel(alloc, 0)
-    for slot, stops, starts in changes:
-        for name in stops:
-            if name not in active:
-                raise SimulationError(
-                    f"timeline stops unknown channel {name!r} at slot "
-                    f"{slot}")
-            close_channel(name, slot)
-        for alloc in starts:
-            open_channel(alloc, slot)
-    for name in list(active):
-        close_channel(name, n_slots)
-    _finish_executor_stats(telemetry, exec_stats, n_slots, changes)
-    return stats, {
-        "flits_by_channel": flits, "n_epochs": len(changes) + 1,
-        "executor": "compiled", "executor_stats": exec_stats}
+        for start, stop, alloc in spans:
+            if start >= n_slots:
+                break
+            flits.setdefault(name, 0)
+            if pattern is None:
+                continue
+            end = min(stop, n_slots)
+            table, count = pattern_slice(
+                cache, pattern, (end - start) * flit_size,
+                (n_slots - start) * flit_size, fmt, exec_stats)
+            run = _run_interval(name, table, count, start, end, alloc,
+                                table_size, flit_size, period_ps,
+                                bytes_per_word)
+            if run is None:
+                continue
+            exec_stats["interval_runs"] = \
+                exec_stats.get("interval_runs", 0) + 1
+            batch_hist.observe(run.count)
+            stats._add_run(run)
+            flits[name] += run.n_flits
+    _finish_executor_stats(telemetry, exec_stats)
+    return stats, {"flits_by_channel": flits, "executor": "compiled",
+                   "executor_stats": exec_stats}

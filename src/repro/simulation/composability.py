@@ -43,7 +43,8 @@ from typing import Callable, Iterable
 
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import ConfigurationError
-from repro.core.timeline import ReconfigurationTimeline, replay_configuration
+from repro.core.timeline import (ReconfigurationTimeline,
+                                 lifetime_boundaries, replay_configuration)
 from repro.simulation.backend import (FlitLevelBackend, SimRequest,
                                       SimulationBackend)
 from repro.simulation.monitors import TraceRecorder
@@ -235,7 +236,8 @@ def verify_timeline(timeline: ReconfigurationTimeline,
     identical, diverged = churn.agreement(solo, survivors)
     # Count only epochs the run actually entered (boundaries beyond a
     # truncated window were never simulated).
-    n_epochs = len(timeline.change_plan(until=n_slots)[1]) + 1
+    n_epochs = len(lifetime_boundaries(timeline.channel_intervals(),
+                                       n_slots))
     conformance = None
     if monitor is not None and monitor is not False:
         from repro.telemetry.monitor import MonitorSpec, timeline_conformance

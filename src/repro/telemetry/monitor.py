@@ -39,6 +39,7 @@ import json
 from dataclasses import dataclass, replace
 
 from repro.core.exceptions import ConfigurationError
+from repro.core.timeline import static_lifetimes
 from repro.simulation.monitors import ServiceObservation
 
 __all__ = [
@@ -418,9 +419,7 @@ def conformance_from_result(config, result, *,
     allocation = config.allocation
     slots = result.simulated_slots
     return _span_conformance(
-        "simulation", scenario,
-        {name: ((0, slots, ca),)
-         for name, ca in allocation.channels.items()},
+        "simulation", scenario, static_lifetimes(allocation, slots),
         result.stats, spec, table_size=allocation.table_size,
         frequency_hz=allocation.frequency_hz, fmt=allocation.fmt,
         horizon=slots, simulated_ns=result.simulated_ns)

@@ -9,15 +9,17 @@ Because the logical flit schedule is the paper's composability currency,
 """
 
 import copy
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import WorkloadSpec
 from repro.core.configuration import configure
 from repro.core.allocation import ChannelAllocation
+from repro.core.path import make_path
 from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
                                  replay_configuration)
 from repro.faults.model import FaultSchedule, FaultSpec
@@ -271,7 +273,9 @@ _BUILT_INS = st.one_of(
 
 class _OneChannel:
     """One real route, any slot set: a hand-built incarnation of one
-    channel for the executors and for ``_run_interval`` directly."""
+    channel for the executors and for ``_run_interval`` directly.  A
+    ``twin`` channel on a route that shares no link with it can replay
+    the same incarnations beside it, contention-free on any slots."""
 
     TABLE_SIZE = 16
 
@@ -282,26 +286,42 @@ class _OneChannel:
         self.fmt = config.fmt
         assert self.fmt.flit_size == _FLIT_SIZE
         self.frequency_hz = config.frequency_hz
+        self.twin = ChannelAllocation(
+            dataclasses.replace(self.granted.spec, name="twin"),
+            make_path(self.topology, "ni1_1_0", ["r1_1", "r0_1"],
+                      "ni0_1_1"), self.granted.slots)
+        assert not {link.key for link in self.twin.path.links} & \
+            {link.key for link in self.granted.path.links}
 
-    def allocation(self, slots):
-        return ChannelAllocation(self.granted.spec, self.granted.path,
+    def allocation(self, slots, channel=None):
+        channel = channel or self.granted
+        return ChannelAllocation(channel.spec, channel.path,
                                  tuple(sorted(slots)))
 
-    def timeline(self, n_slots, spans):
-        """``spans``: ``(start, end, slots)`` incarnations, in order."""
+    def timeline(self, n_slots, spans, twin=False):
+        """``spans``: ``(start, end, slots)`` incarnations, in order, of
+        the channel and, with ``twin``, of the twin too."""
         events = []
-        for start, end, slots in spans:
-            events.append(TimelineEvent(start, "start", "app",
-                                        (self.allocation(slots),)))
-            if end < n_slots:
-                events.append(TimelineEvent(end, "stop", "app"))
+        for app, channel in [("app", self.granted)] + \
+                [("twin", self.twin)] * twin:
+            for start, end, slots in spans:
+                events.append(TimelineEvent(
+                    start, "start", app,
+                    (self.allocation(slots, channel),)))
+                if end < n_slots:
+                    events.append(TimelineEvent(end, "stop", app))
         return ReconfigurationTimeline(
             self.topology, events, horizon_slots=n_slots,
             table_size=self.TABLE_SIZE, frequency_hz=self.frequency_hz,
             fmt=self.fmt)
 
-    def run(self, timeline, pattern, **kwargs):
-        return _replay(timeline, {self.name: pattern}, **kwargs)
+    def run(self, timeline, pattern, window=None, **kwargs):
+        """The first ``window`` slots (default: all) of ``timeline``,
+        every channel offered the one ``pattern`` object."""
+        return FlitLevelBackend(replay_configuration(timeline), **kwargs).run(
+            SimRequest(n_slots=window or timeline.horizon_slots,
+                       traffic=dict.fromkeys(timeline.channel_names, pattern),
+                       timeline=timeline))
 
     def interval(self, table, count, start, end, slots):
         from repro.simulation.compiled import _run_interval
@@ -565,7 +585,8 @@ class TestAgreementOnArrays:
 
 @st.composite
 def _restarts(draw):
-    """A horizon and up to three disjoint incarnations of one channel."""
+    """A horizon, the window a run simulates of it and up to three
+    disjoint incarnations of one channel."""
     n_slots = draw(st.integers(2, 240))
     spans, cursor = [], 0
     for _ in range(draw(st.integers(1, 3))):
@@ -575,7 +596,7 @@ def _restarts(draw):
         end = draw(st.integers(start + 1, n_slots))
         spans.append((start, end, draw(_SLOT_SETS)))
         cursor = end
-    return n_slots, spans
+    return n_slots, draw(st.integers(1, n_slots)), spans
 
 
 def _assert_one_trace(compiled, scalar):
@@ -597,17 +618,32 @@ class TestTraceReadOffTheRecords:
         return _OneChannel()
 
     @settings(max_examples=80, deadline=None)
-    @given(pattern=_BUILT_INS, case=_restarts())
-    def test_restart_timelines(self, one, pattern, case):
-        n_slots, spans = case
-        timeline = one.timeline(n_slots, spans)
-        compiled = one.run(timeline, pattern)
-        scalar = one.run(timeline, pattern, compiled=False)
+    @given(pattern=_BUILT_INS, case=_restarts(), twin=st.booleans())
+    @example(pattern=ConstantBitRate(2, 7.5), twin=False,
+             case=(120, 120, [(21, 120, {2, 5, 13})])
+             ).via("a start that is not on a table boundary")
+    @example(pattern=Saturating(3, _FLIT_SIZE), twin=False,
+             case=(200, 90, [(10, 60, {4}), (90, 150, {1, 9}),
+                             (170, 200, {0})])
+             ).via("spans that start at or after the window's end")
+    @example(pattern=PeriodicBurst(2, 3, 40), twin=False,
+             case=(160, 160, [(0, 45, {0, 7}), (45, 160, {3})])
+             ).via("a stop and a restart at the same slot")
+    @example(pattern=ConstantBitRate(4, 11.5), twin=True,
+             case=(150, 150, [(5, 70, {1, 8}), (70, 150, {2})])
+             ).via("one pattern object shared by two channels")
+    def test_restart_timelines(self, one, pattern, case, twin):
+        n_slots, window, spans = case
+        timeline = one.timeline(n_slots, spans, twin)
+        compiled = one.run(timeline, pattern, window)
+        scalar = one.run(timeline, pattern, window, compiled=False)
         _assert_one_trace(compiled, scalar)
+        _assert_equivalent(compiled, scalar)
         # One incarnation per run, and the record walk splits the same.
-        runs = compiled.stats._runs.get(one.name, [])
-        assert len(runs) == len(
-            scalar.stats.channel(one.name).incarnations())
+        for name in timeline.channel_names:
+            runs = compiled.stats._runs.get(name, [])
+            assert len(runs) == len(
+                scalar.stats.channel(name).incarnations())
 
     @settings(max_examples=6, deadline=None)
     @given(topo_name=st.sampled_from(sorted(TOPOLOGIES)),

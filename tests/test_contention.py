@@ -1,14 +1,15 @@
-"""One link-contention check, on the change plan, for both flit executors.
+"""One link-contention check, on the lifetime table, for both flit executors.
 
-``check_plan_contention`` reads a change plan before either executor
-runs: a channel incarnation that holds table slot ``s`` over ``[start,
-stop)`` and reaches a link ``k`` slots after injection occupies that
-link at the absolute slots of ``[start + k, stop + k)`` that are ``s +
-k`` modulo the table size.  Timeline validation checks reservations
-epoch by epoch, so a channel started within one traversal of the stop
-that freed its link slot is invisible to it; the flits still in flight
-are what this check adds.  A brute-force walk that marks every reserved
-slot of every incarnation is its oracle.
+``check_lifetime_contention`` reads the lifetime table before either
+executor runs: a channel incarnation that holds table slot ``s`` over
+``[start, stop)`` — clipped to the simulated window — and reaches a link
+``k`` slots after injection occupies that link at the absolute slots of
+``[start + k, stop + k)`` that are ``s + k`` modulo the table size.
+Timeline validation checks reservations epoch by epoch, so a channel
+started within one traversal of the stop that freed its link slot is
+invisible to it; the flits still in flight are what this check adds.  A
+brute-force walk that marks every reserved slot of every incarnation is
+its oracle.
 """
 
 import pytest
@@ -23,7 +24,7 @@ from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
                                  replay_configuration)
 from repro.core.words import WordFormat
 from repro.simulation.backend import (FlitLevelBackend, SimRequest,
-                                      check_plan_contention)
+                                      check_lifetime_contention)
 from repro.simulation.traffic import Saturating
 from repro.topology.builders import mesh
 
@@ -85,12 +86,14 @@ class TestInFlight:
         assert result.meta["flits_by_channel"]["b"] > 0
 
 
-def _walk(spans, table_size):
-    """The conflict a brute-force walk finds: every reserved slot of
-    every incarnation marked at ``(link, absolute slot + shift)``."""
+def _walk(lifetimes, window, table_size):
+    """The conflict a brute-force walk finds: every reserved slot before
+    ``window`` of every incarnation marked at ``(link, absolute slot +
+    shift)``."""
     marked = {}
+    spans = [span for spans in lifetimes.values() for span in spans]
     for index, (start, stop, ca) in enumerate(spans):
-        for slot in range(start, stop):
+        for slot in range(start, min(stop, window)):
             if slot % table_size in ca.slots:
                 for link, shift in zip(ca.path.links, ca.path.link_shifts):
                     if marked.setdefault((link.key, slot + shift),
@@ -99,32 +102,20 @@ def _walk(spans, table_size):
     return None
 
 
-def _plan(spans, n_slots):
-    """The change plan of ``(start, stop, allocation)`` incarnations."""
-    by_slot = {}
-    for start, stop, ca in spans:
-        if start:
-            by_slot.setdefault(start, ([], []))[1].append(ca)
-        if stop < n_slots:
-            by_slot.setdefault(stop, ([], []))[0].append(ca.spec.name)
-    return (tuple(ca for start, _, ca in spans if not start),
-            tuple((slot, tuple(stops), tuple(starts))
-                  for slot, (stops, starts) in sorted(by_slot.items())))
-
-
 _TOPOLOGIES = {stages: mesh(3, 1, nis_per_router=1, pipeline_stages=stages)
                for stages in (0, 1)}
 
 
 @st.composite
-def _plans(draw):
-    """Up to four channels, each a run of disjoint incarnations (a
-    static plan: one incarnation each over the whole horizon)."""
+def _tables(draw):
+    """A lifetime table of up to four channels, each a run of disjoint
+    incarnations (a static table: one incarnation each over the whole
+    horizon), and the window a run simulates of it."""
     topology = _TOPOLOGIES[draw(st.sampled_from(sorted(_TOPOLOGIES)))]
     table_size = draw(st.integers(2, 6))
     n_slots = draw(st.integers(1, 40))
     static = draw(st.booleans())
-    spans = []
+    lifetimes = {}
     for index in range(draw(st.integers(1, 4))):
         src, dst = draw(st.permutations(range(3)))[:2]
         cursor = 0
@@ -137,28 +128,27 @@ def _plans(draw):
                 st.integers(start + 1, n_slots))
             slots = draw(st.sets(st.integers(0, table_size - 1),
                                  min_size=1))
-            spans.append((start, stop, _channel(topology, f"c{index}",
-                                                src, dst, slots)))
+            lifetimes.setdefault(f"c{index}", []).append((
+                start, stop, _channel(topology, f"c{index}", src, dst,
+                                      slots)))
             cursor = stop
-    return spans, n_slots, table_size
+    return lifetimes, draw(st.integers(1, n_slots)), table_size
 
 
 class TestPlanCheckAgainstTheWalk:
     @settings(max_examples=300, deadline=None)
-    @given(case=_plans())
+    @given(case=_tables())
     def test_raises_iff_the_walk_finds_a_conflict(self, case):
-        spans, n_slots, table_size = case
-        conflict = _walk(spans, table_size)
-        initial, changes = _plan(spans, n_slots)
-        if conflict is None:
-            check_plan_contention(initial, changes, n_slots, table_size)
+        lifetimes, window, table_size = case
+        if _walk(lifetimes, window, table_size) is None:
+            check_lifetime_contention(lifetimes, window, table_size)
         else:
             with pytest.raises(SimulationError, match=r"carries two flits"):
-                check_plan_contention(initial, changes, n_slots, table_size)
+                check_lifetime_contention(lifetimes, window, table_size)
 
     def test_a_restart_on_the_same_slots_is_clean(self):
         topology = _TOPOLOGIES[0]
         ca = _channel(topology, "c", 0, 2, {1, 3})
-        spans = [(0, 7, ca), (7, 20, ca), (20, 30, ca)]
-        assert _walk(spans, TABLE_SIZE) is None
-        check_plan_contention(*_plan(spans, 30), 30, TABLE_SIZE)
+        lifetimes = {"c": ((0, 7, ca), (7, 20, ca), (20, 30, ca))}
+        assert _walk(lifetimes, 30, TABLE_SIZE) is None
+        check_lifetime_contention(lifetimes, 30, TABLE_SIZE)

@@ -94,6 +94,19 @@ class TestPolicyKnob:
         with pytest.raises(ConfigurationError):
             service.process(PolicyEvent(0.0, "set_weight", "a", 2.0))
 
+    @pytest.mark.parametrize("args", [
+        (float("nan"), "set_weight", "a", 2.0),
+        (float("inf"), "set_floor", "a", 1),
+        (-1.0, "set_limit", "a", None),
+        (0.0, "set_weight", "a", float("nan")),
+        (0.0, "set_weight", "a", float("inf")),
+        (0.0, "set_floor", "a", float("inf")),
+    ], ids=["nan-time", "inf-time", "negative-time", "nan-weight",
+            "inf-weight", "inf-floor"])
+    def test_non_finite_time_or_value_is_refused(self, args):
+        with pytest.raises(ConfigurationError, match="finite"):
+            PolicyEvent(*args)
+
     def test_policy_event_reweights_live_scheduler(self, small_mesh):
         workload = ChurnWorkload(TENANTED, small_mesh, 11)
         events = workload.events(limit=60)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -451,6 +452,16 @@ class TestSessionService:
                                    "unknown_session": 0}
         assert (twice.totals["n_accepted"],
                 twice.totals["n_rejected"]) == (1, 1)
+
+    @pytest.mark.parametrize("time_s", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_event_time_is_refused(self, small_mesh, time_s):
+        """An event time every later ordering comparison would be false
+        against never enters a stream (a recorded timeline once failed
+        on it with a builtin ``float`` -> ``int`` error)."""
+        first = ChurnWorkload(ChurnSpec(n_sessions=2), small_mesh,
+                              3).events()[0]
+        with pytest.raises(ConfigurationError, match="finite"):
+            dataclasses.replace(first, time_s=time_s)
 
     def test_series_snapshots_every_window(self, sec7_mesh):
         report, _ = self._run(sec7_mesh, window=50)

@@ -74,8 +74,17 @@ def test_the_tree_passes():
      "cyclesim spells flow control"),
     ("simulation/compiled.py", "def _epoch_contention(plan): pass",
      "contention check is defined outside"),
-    ("simulation/backend.py", "def check_plan_contention(plan): pass",
+    ("simulation/backend.py", "def check_lifetime_contention(t): pass",
      "must define the one contention check"),
+    ("core/timeline.py", "def change_plan(self): pass",
+     "the change plan or the per-slot oracle's schedule rows"),
+    ("simulation/flitsim.py", "class _ChannelRuntime: pass",
+     "the change plan or the per-slot oracle's schedule rows"),
+    ("simulation/backend.py",
+     "T = {name: ((0, request.n_slots, ca),) for name, ca in C}",
+     "static lifetime table must be built in one place"),
+    ("simulation/compiled.py", "from repro.simulation.flitsim import execute",
+     "the two flit executors import from each other"),
     ("service/admission.py", "Q = RouteCandidate(None, 1, None, (), ())",
      "RouteCandidate( must be constructed once"),
     ("service/admission.py", "Q = tuple(_quoted(None, None, ()))",

@@ -7,8 +7,8 @@ The load-bearing claims:
   unbalanced start/stop pairs, and out-of-horizon events are rejected
   at construction;
 * **Equivalence** — a one-epoch timeline run is bit-identical to the
-  static simulator, and incremental schedule recompilation is
-  bit-identical to a full per-epoch rebuild;
+  static simulator, and the compiled executor to the per-flit oracle
+  that runs one channel incarnation at a time;
 * **Dynamic composability** — on the flit-level TDM backend, survivors
   of a churn timeline produce bit-identical traces whether or not the
   churn happens (across >= 3 reconfiguration epochs), while the
@@ -42,6 +42,7 @@ from repro.simulation.traffic import ConstantBitRate, Saturating
 from repro.topology.builders import mesh
 from repro.topology.mapping import Mapping
 
+NAN, INF = float("nan"), float("inf")
 
 def _mesh_timeline(mesh_config, horizon=1000):
     """appX (c0, c1) runs throughout; appY (c2) churns mid-run."""
@@ -77,6 +78,27 @@ class TestTimelineArtifact:
         with pytest.raises(ConfigurationError):
             TimelineEvent(0, "stop", "app", (ca,))  # stop with channels
 
+    @pytest.mark.parametrize("build", [
+        lambda topo: ReconfigurationTimeline(
+            topo, [], horizon_slots=10, table_size=8, frequency_hz=NAN),
+        lambda topo: ReconfigurationTimeline(
+            topo, [], horizon_slots=10, table_size=8, frequency_hz=INF),
+        lambda topo: TimelineRecorder(topo, table_size=8, frequency_hz=NAN),
+        lambda topo: TimelineRecorder(topo, table_size=8, frequency_hz=INF),
+        lambda topo: TimelineRecorder(
+            topo, table_size=8, frequency_hz=500e6).record_stop(NAN, "app"),
+        lambda topo: TimelineRecorder(
+            topo, table_size=8, frequency_hz=500e6).record_start(
+                INF, "app", ()),
+    ], ids=["timeline-nan-hz", "timeline-inf-hz", "recorder-nan-hz",
+            "recorder-inf-hz", "recorder-nan-time", "recorder-inf-time"])
+    def test_non_finite_frequency_or_time_is_refused(self, mesh_config,
+                                                     build):
+        """Refused where it is handed in, not later as a replay
+        mismatch or a builtin ``float`` -> ``int`` error."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            build(mesh_config.topology)
+
     def test_queries(self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
         assert timeline.channel_names == ("c0", "c1", "c2")
@@ -87,13 +109,6 @@ class TestTimelineArtifact:
         assert intervals["c0"] == ((0, 1000,
                                     mesh_config.allocation.channel("c0")),)
         assert intervals["c2"][0][:2] == (300, 600)
-
-    def test_change_plan(self, mesh_config):
-        initial, changes = _mesh_timeline(mesh_config).change_plan()
-        assert sorted(ca.spec.name for ca in initial) == ["c0", "c1"]
-        assert [(slot, stops, tuple(ca.spec.name for ca in starts))
-                for slot, stops, starts in changes] == \
-            [(300, (), ("c2",)), (600, ("c2",), ())]
 
     def test_restriction_drops_churn(self, mesh_config):
         solo = _mesh_timeline(mesh_config).restricted_to(("c0", "c1"))
@@ -238,7 +253,7 @@ class TestEpochExecution:
 
     def test_default_executor_equals_per_flit_oracle(self, mesh_config):
         """The executor the backend picks (compiled) against the
-        per-flit loop, which rebuilds only touched rows."""
+        per-flit oracle, which runs one incarnation at a time."""
         timeline = _mesh_timeline(mesh_config)
         traffic = replay_traffic(timeline)
         results = {

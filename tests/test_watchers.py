@@ -31,7 +31,7 @@ from repro.core.allocation import ChannelAllocation
 from repro.core.analysis import channel_bounds
 from repro.core.configuration import configure
 from repro.core.timeline import (TimelineEvent, TimelineRecorder,
-                                 replay_configuration)
+                                 lifetime_boundaries, replay_configuration)
 from repro.experiments.section7 import section7_setup, usecase_gs_rows
 from repro.faults.demo import demo_fault_spec, run_churn_with_faults
 from repro.faults.model import FaultSchedule
@@ -99,26 +99,6 @@ def ref_survivors(timeline, until):
     return tuple(sorted(
         name for name, spans in ref_channel_intervals(timeline).items()
         if any(start < until <= stop for start, stop, _ in spans)))
-
-
-def ref_change_plan(timeline, until):
-    app_channels, initial, by_slot = {}, [], {}
-    for event in timeline.events:
-        if event.action == "start":
-            app_channels[event.application] = event.channels
-            if event.slot == 0:
-                initial.extend(event.channels)
-            else:
-                by_slot.setdefault(event.slot, ([], []))[1].extend(
-                    event.channels)
-        else:
-            stopped = app_channels.pop(event.application)
-            by_slot.setdefault(event.slot, ([], []))[0].extend(
-                ca.spec.name for ca in stopped)
-    changes = tuple((slot, tuple(stops), tuple(starts))
-                    for slot, (stops, starts) in sorted(by_slot.items())
-                    if until is None or slot < until)
-    return tuple(initial), changes
 
 
 def ref_restricted_events(timeline, wanted):
@@ -261,10 +241,12 @@ class TestLifetimeTable:
         for cut in (None, until):
             assert timeline.survivors(until=cut) == \
                 ref_survivors(timeline, cut)
-            assert timeline.change_plan(until=cut) == \
-                ref_change_plan(timeline, cut)
-        assert timeline.epoch_boundaries() == tuple(sorted(
+        boundaries = tuple(sorted(
             {0} | {event.slot for event in timeline.events}))
+        assert timeline.epoch_boundaries() == boundaries
+        # What a run of ``until`` slots counts as its epochs.
+        assert lifetime_boundaries(timeline.channel_intervals(), until) == \
+            tuple(slot for slot in boundaries if slot < until)
         names = {f"c{index}" for index in wanted}
         assert timeline.restricted_to(names).events == \
             ref_restricted_events(timeline, names)

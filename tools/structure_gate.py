@@ -119,8 +119,17 @@ RULES = [
      NONE, "cyclesim spells flow control other than flow_control_pairs"),
     (r"def \w*contention", SRC, r"src/repro/simulation/backend\.py", NONE,
      "a contention check is defined outside simulation/backend.py"),
-    (r"def check_plan_contention\(", ("src/repro/simulation/backend.py",),
+    (r"def check_lifetime_contention\(", ("src/repro/simulation/backend.py",),
      None, ONCE, "simulation/backend.py must define the one contention check"),
+    (r"change_plan|_compile_plan|_ChannelRuntime|_apply_transition|"
+     r"_compile_schedule", SRC, None, NONE,
+     f"the change plan or the per-slot oracle's schedule rows {_GONE}"),
+    (r"\(\(0,\s*[\w.]+,\s*\w+\),\)", SRC, None, ONCE,
+     "the static lifetime table must be built in one place "
+     "(core/timeline.static_lifetimes)"),
+    (r"^\s*(from|import) repro\.simulation\.(flitsim|compiled)\b",
+     ("src/repro/simulation/flitsim.py", "src/repro/simulation/compiled.py"),
+     None, NONE, "the two flit executors import from each other"),
 ]
 
 
