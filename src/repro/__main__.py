@@ -104,8 +104,6 @@ def _print_campaign_meta(meta: dict) -> None:
     dispatch = meta["dispatch"]  # empty for an in-process run
     if dispatch:
         print(f"dispatch: {dispatch['batches']} batches, "
-              f"{dispatch['steals']} steals, "
-              f"{dispatch['duplicates']} duplicate runs, "
               f"{dispatch['worker_deaths']} worker deaths")
 
 

@@ -20,8 +20,7 @@ from repro.campaign.presets import (PRESETS, churn_campaign, demo_campaign,
                                     design_campaign, fault_campaign,
                                     micro_campaign, preset_by_name,
                                     replay_campaign, synthetic_campaign)
-from repro.campaign.runner import (CampaignResult, CampaignRunner,
-                                   execute_run)
+from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import (CampaignSpec, RunSpec, ScenarioSpec,
                                  SyntheticSpec, TopologySpec, TrafficSpec,
                                  WorkloadSpec, derive_seed, scenario_grid)
@@ -30,7 +29,7 @@ __all__ = [
     "TopologySpec", "WorkloadSpec", "TrafficSpec", "SyntheticSpec",
     "ScenarioSpec", "RunSpec", "CampaignSpec", "scenario_grid",
     "derive_seed",
-    "CampaignRunner", "CampaignResult", "execute_run",
+    "CampaignRunner", "CampaignResult",
     "campaign_conformance",
     "Shard", "shard_campaign", "default_shard_size", "spec_fingerprint",
     "CampaignWorkdir",

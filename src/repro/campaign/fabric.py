@@ -11,10 +11,12 @@ This module is the persistence and addressing layer under
   memory.
 * **Checkpointed progress** — a :class:`CampaignWorkdir` holds an
   atomically-written manifest plus one append-only JSONL journal per
-  shard (:class:`ShardJournal`).  Completed-run records are appended
-  as they arrive; after a kill, :meth:`CampaignWorkdir.load_shard`
-  tolerates a truncated trailing line and the runner re-executes only
-  the missing runs.
+  shard, with one writer (:meth:`CampaignWorkdir.append`) and one
+  reader (:meth:`CampaignWorkdir.load_shard`).  Completed-run records
+  are appended as they arrive; after a kill, ``load_shard`` skips a
+  torn or damaged line and the runner re-executes only the missing
+  runs.  A manifest that cannot be read, or that names another grid,
+  is refused with :class:`~repro.core.exceptions.ConfigurationError`.
 * **Streaming reports** — :func:`iter_report_chunks` emits the
   canonical campaign report (`json.dumps(..., indent=2,
   sort_keys=True)` byte-compatible) from a *record iterator*, so a
@@ -36,7 +38,7 @@ from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.core.exceptions import ConfigurationError
 
 __all__ = ["Shard", "shard_campaign", "default_shard_size",
-           "spec_fingerprint", "ShardJournal", "CampaignWorkdir",
+           "spec_fingerprint", "CampaignWorkdir",
            "iter_report_chunks"]
 
 #: Manifest schema version; bumped on incompatible layout changes.
@@ -138,40 +140,6 @@ def spec_fingerprint(spec: CampaignSpec) -> str:
     return h.hexdigest()[:16]
 
 
-class ShardJournal:
-    """Append-only JSONL journal of one shard's completed-run records.
-
-    Each line is one JSON-ready record (the same object that enters the
-    canonical report).  Loading tolerates undecodable lines — a parent
-    killed mid-append leaves a truncated tail, which simply means that
-    run re-executes on resume.
-    """
-
-    def __init__(self, path: Path):
-        self.path = path
-
-    def load(self) -> dict[str, dict]:
-        """Completed records by run id; first write wins on duplicates.
-
-        Duplicates happen when a straggler batch was re-dispatched and
-        both executions finished — the runs are deterministic, so the
-        copies are identical and either is safe to keep.
-        """
-        records: dict[str, dict] = {}
-        if not self.path.exists():
-            return records
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # truncated by a kill mid-append
-                run_id = record.get("run_id")
-                if isinstance(run_id, str) and run_id not in records:
-                    records[run_id] = record
-        return records
-
-
 class CampaignWorkdir:
     """A campaign's on-disk checkpoint: manifest plus shard journals.
 
@@ -180,29 +148,40 @@ class CampaignWorkdir:
         <root>/manifest.json          # atomic: tmp + os.replace
         <root>/shards/<shard_id>.jsonl
 
-    The manifest pins the grid fingerprint, shard size and shard ids;
-    :meth:`resume` refuses a workdir whose manifest belongs to a
-    different grid.
+    The manifest pins the grid fingerprint, shard size and shard ids.
+    :meth:`initialise` refuses a directory that already holds a
+    manifest or a journal; :meth:`resume` refuses one whose manifest is
+    missing, unreadable or belongs to a different grid.  Every refusal
+    is a :class:`~repro.core.exceptions.ConfigurationError` naming the
+    directory.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.manifest_path = self.root / "manifest.json"
         self.shards_dir = self.root / "shards"
-        self._handles: OrderedDict[str, IO[str]] = OrderedDict()
+        self._handles: OrderedDict[str, IO[bytes]] = OrderedDict()
 
     # -- manifest ------------------------------------------------------
 
     def initialise(self, spec: CampaignSpec,
                    shards: tuple[Shard, ...], shard_size: int) -> None:
-        """Start a fresh campaign in this workdir (manifest must not
-        already exist — refusing to clobber checkpoints is the safe
-        default; resume instead, or pick a new directory)."""
+        """Start a fresh campaign in this workdir.
+
+        Refusing to clobber checkpoints is the safe default: a manifest
+        means resume instead, and a journal without one belongs to some
+        other campaign whose records first-write-wins would keep.
+        """
         if self.manifest_path.exists():
             raise ConfigurationError(
                 f"workdir {self.root} already holds a campaign manifest; "
                 "pass resume=True to continue it or choose a fresh "
                 "directory")
+        if any(self.shards_dir.glob("*.jsonl")):
+            raise ConfigurationError(
+                f"workdir {self.root} holds shard journals but no "
+                "manifest; they belong to another campaign, choose a "
+                "fresh directory")
         self.shards_dir.mkdir(parents=True, exist_ok=True)
         manifest = {
             "format": _MANIFEST_FORMAT,
@@ -236,8 +215,17 @@ class CampaignWorkdir:
             raise ConfigurationError(
                 f"nothing to resume in {self.root}: it holds no campaign "
                 "manifest")
-        with open(self.manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        try:
+            with open(self.manifest_path, "rb") as handle:
+                manifest = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(
+                f"workdir {self.root} has an unreadable manifest: {exc}"
+            ) from exc
+        if not isinstance(manifest, dict):
+            raise ConfigurationError(
+                f"workdir {self.root} has a manifest that is not a JSON "
+                "object")
         if manifest.get("format") != _MANIFEST_FORMAT:
             raise ConfigurationError(
                 f"workdir {self.root} uses manifest format "
@@ -250,8 +238,16 @@ class CampaignWorkdir:
                 f"grid (manifest fingerprint "
                 f"{manifest.get('fingerprint')!r}, spec {fingerprint!r}); "
                 "refusing to mix records")
-        shard_size = int(manifest["shard_size"])
-        expected = [e["id"] for e in manifest["shards"]]
+        shard_size = manifest.get("shard_size")
+        try:
+            expected = [entry["id"] for entry in manifest["shards"]]
+        except (KeyError, TypeError):
+            expected = None
+        if (type(shard_size) is not int or shard_size < 1
+                or expected is None):
+            raise ConfigurationError(
+                f"workdir {self.root} has a manifest without a positive "
+                "integer shard size and a list of shard ids")
         actual = [s.shard_id
                   for s in shard_campaign(spec, shard_size=shard_size)]
         if expected != actual:
@@ -267,31 +263,56 @@ class CampaignWorkdir:
         return self.shards_dir / f"{shard_id}.jsonl"
 
     def load_shard(self, shard: Shard) -> dict[str, dict]:
-        """Completed records of ``shard``, keyed by run id."""
-        loaded = ShardJournal(self.journal_path(shard.shard_id)).load()
-        return {run_id: record for run_id, record in loaded.items()
-                if run_id in set(shard.run_ids)}
+        """Completed records of ``shard`` by run id: the one journal
+        reader.
+
+        First write wins on a repeated run id.  A line that is not a
+        JSON object carrying one of the shard's run ids and a status —
+        a tail torn by a kill mid-append, or any other damage — is
+        skipped, and its run simply re-executes on resume.
+        """
+        records: dict[str, dict] = {}
+        path = self.journal_path(shard.shard_id)
+        if not path.exists():
+            return records
+        wanted = set(shard.run_ids)
+        with open(path, "rb") as handle:
+            for line in handle:
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                run_id = (record.get("run_id")
+                          if isinstance(record, dict) else None)
+                if (isinstance(run_id, str) and run_id in wanted
+                        and "status" in record):
+                    records.setdefault(run_id, record)
+        return records
 
     def append(self, shard_id: str, record: dict) -> None:
-        """Append one completed-run record to a shard's journal.
+        """Append one completed-run record to a shard's journal: the one
+        journal writer.
 
-        Handles are LRU-cached (dispatch is roughly shard-sequential)
-        and every line is flushed so a killed parent loses at most the
-        line it was writing.
+        Handles are LRU-cached (dispatch is shard-sequential) and every
+        line is flushed so a killed parent loses at most the line it
+        was writing.  A journal whose last line a kill tore is sealed
+        with a newline first, so the record lands on a line of its own.
         """
         handle = self._handles.get(shard_id)
         if handle is None:
             self.shards_dir.mkdir(parents=True, exist_ok=True)
-            handle = open(self.journal_path(shard_id), "a",
-                          encoding="utf-8")
+            handle = open(self.journal_path(shard_id), "a+b")
+            if handle.tell():
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
             self._handles[shard_id] = handle
             while len(self._handles) > _MAX_OPEN_JOURNALS:
                 _, oldest = self._handles.popitem(last=False)
                 oldest.close()
         else:
             self._handles.move_to_end(shard_id)
-        handle.write(json.dumps(record, sort_keys=True))
-        handle.write("\n")
+        handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
         handle.flush()
 
     def close(self) -> None:

@@ -1,13 +1,12 @@
-"""Sharded, checkpointed, work-stealing campaign execution.
+"""Sharded, checkpointed campaign execution.
 
 :class:`CampaignRunner` expands a :class:`~repro.campaign.spec.
 CampaignSpec` into its run grid, partitions it into deterministic
 shards (:mod:`repro.campaign.fabric`) and executes every run — in
-process, or fanned out over worker processes that pull adaptive
-batches from a shared dispatch loop.  Completed runs stream into an
-incremental aggregate (and, when a workdir is given, into per-shard
-JSONL journals), so huge campaigns neither hold all results in memory
-nor lose progress to a kill.
+process, or fanned out over worker processes one shard per message.
+Completed runs stream into an incremental aggregate (and, when a
+workdir is given, into per-shard JSONL journals), so huge campaigns
+neither hold all results in memory nor lose progress to a kill.
 
 Determinism is the contract: every run derives all of its randomness
 from :func:`~repro.campaign.spec.derive_seed` over the run id, each
@@ -19,15 +18,14 @@ diffed across commits.
 
 Dispatch design, for the curious:
 
+* the shard is the one partition of the grid: what is journaled,
+  resumed and dispatched.  Each message carries one shard's pending
+  runs, so every run is dispatched exactly once unless its worker dies;
 * the parent owns one duplex pipe per worker — a worker killed
   mid-message corrupts only its own channel, which the parent treats
-  as a death and re-queues the worker's incomplete runs;
-* batches are sized adaptively (``pending / (workers * 4)``, capped)
-  so dispatch overhead amortises early and the tail self-shrinks;
-* when the queue drains, idle workers *steal* the uncompleted tail of
-  the slowest outstanding batch (first finished copy wins — runs are
-  deterministic, so duplicates are byte-identical);
-* workers intern the scenario library once at spawn; batches carry
+  as a death and re-queues the worker's unfinished runs as an item of
+  their shard;
+* workers intern the scenario library once at spawn; messages carry
   only ``(run_id, scenario_name, seed)`` triples, never re-pickled
   scenario objects.
 """
@@ -41,7 +39,7 @@ import multiprocessing.connection
 import os
 import time
 import traceback
-from collections import Counter
+from collections import Counter, deque
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -55,19 +53,15 @@ from repro.campaign.spec import CampaignSpec, RunSpec
 from repro.core.exceptions import ConfigurationError
 from repro.telemetry.hub import coalesce
 
-__all__ = ["CampaignRunner", "CampaignResult", "execute_run"]
+__all__ = ["CampaignRunner", "CampaignResult"]
 
 #: A run is flagged a straggler when it took at least this many times
 #: the campaign's median per-run wall time (and a non-trivial absolute
-#: amount); stragglers also gate the dispatcher's steal decisions.
+#: amount).
 _STRAGGLER_RATIO = 3.0
 _STRAGGLER_FLOOR_S = 0.05
 
-#: Upper bound on adaptive batch size; small enough that a stolen tail
-#: is never catastrophic, large enough to amortise dispatch overhead.
-_MAX_BATCH = 128
-
-#: Batches kept in flight per worker so pipes never go idle between
+#: Shards kept in flight per worker so pipes never go idle between
 #: dispatches.
 _PIPELINE_DEPTH = 2
 
@@ -76,45 +70,27 @@ _PIPELINE_DEPTH = 2
 _TOP_WALLS = 128
 
 
-def execute_run(run: RunSpec) -> dict[str, object]:
-    """Execute one run and return its JSON-ready record.
+def _envelope(run: RunSpec) -> dict[str, object]:
+    """Execute one run into its envelope: record, wall time and pid.
 
     Top-level (picklable) so a worker process can execute it.  What
     the run does is its scenario kind's business
     (:func:`repro.campaign.kinds.run_kind`); an infeasible allocation
-    is a *result* (status ``allocation_failed``), not a crash.
+    is a *result* (status ``allocation_failed``), not a crash.  A run
+    that raises an *unexpected* exception must not poison its shard or
+    the pool: the exception becomes a record with ``status="crashed"``,
+    the error text and a digest of the traceback (stable across serial
+    and parallel execution — the stack below this frame is identical
+    either way).  Wall time and pid feed the heartbeat and straggler
+    accounting and never reach a journal or the report.
     """
-    return run_kind(run)
-
-
-def _safe_execute_run(run: RunSpec) -> dict[str, object]:
-    """:func:`execute_run` that degrades a crash into a failed envelope.
-
-    A run that raises an *unexpected* exception inside a worker must
-    not poison its batch or the pool: the exception becomes a record
-    with ``status="crashed"``, the error text and a digest of the
-    traceback (stable across serial and parallel execution — the stack
-    below this frame is identical either way), and the campaign's
-    remaining runs proceed untouched.  Expected domain failures
-    (``allocation_failed`` etc.) are classified by the kind table.
-    """
+    start = time.perf_counter()
     try:
-        return execute_run(run)
+        record = run_kind(run)
     except (KeyboardInterrupt, SystemExit):
         raise
     except BaseException as exc:  # noqa: BLE001 — the envelope IS the handler
-        return crashed_record(run, exc, traceback.format_exc())
-
-
-def _timed_execute_run(run: RunSpec) -> dict[str, object]:
-    """:func:`_safe_execute_run` wrapped with worker wall time and pid.
-
-    The envelope feeds the runner's heartbeat/straggler accounting and
-    is stripped before journaling and aggregation, so records stay
-    byte-identical to unwrapped execution.
-    """
-    start = time.perf_counter()
-    record = _safe_execute_run(run)
+        record = crashed_record(run, exc, traceback.format_exc())
     return {"record": record,
             "wall_s": time.perf_counter() - start,
             "pid": os.getpid()}
@@ -132,7 +108,7 @@ class CampaignResult:
 
     ``meta`` carries the execution's wall-clock observability — the
     per-stage timing table, per-worker run counts, completion
-    heartbeats, shard progress, steal/death counts and straggler flags
+    heartbeats, shard progress, batch/death counts and straggler flags
     — and is deliberately **excluded** from :meth:`to_json`, so the
     determinism contract (serial == parallel == resumed, run-to-run
     byte-identity) is untouched by how long anything took.
@@ -259,8 +235,10 @@ class _Aggregate:
     Owns everything the runner accumulates per envelope: the optional
     record list, status counters, journal appends, heartbeat and
     telemetry emission, per-worker/straggler wall accounting and
-    per-shard progress.  Memory is O(shards + workers + heartbeats) —
-    plus the record list only in keep-records mode.
+    per-shard progress.  Every caller hands :meth:`add` the run's shard
+    index.  Memory is O(shards + workers + heartbeats) plus one float
+    per executed run (the wall list the median reads) — and the record
+    list only in keep-records mode.
     """
 
     def __init__(self, *, n_runs: int, keep_records: bool,
@@ -285,18 +263,17 @@ class _Aggregate:
         self.walls: list[float] = []
         self._top: list[tuple[float, str, int]] = []
         self.worker_table: dict[int, dict[str, float]] = {}
-        # shard progress: run_id -> shard index, plus per-shard state
-        self._shard_of = {run_id: shard.index for shard in shards
-                          for run_id in shard.run_ids}
+        # per-shard progress
         self._shards = shards
         self._shard_done = [0] * len(shards)
         self._shard_t: list[list[float | None]] = [
             [None, None] for _ in shards]
         self.peak_resident_records = 0
 
-    def add(self, envelope: dict[str, object], *,
+    def add(self, envelope: dict[str, object], shard_index: int, *,
             resumed: bool = False) -> None:
-        """Fold one completed envelope into every accumulator."""
+        """Fold one completed envelope of shard ``shard_index`` into
+        every accumulator."""
         record = envelope["record"]
         run_id = str(record["run_id"])
         if self.keep:
@@ -304,7 +281,6 @@ class _Aggregate:
         else:
             self.peak_resident_records = max(self.peak_resident_records, 1)
         if self.workdir is not None and not resumed:
-            shard_index = self._shard_of[run_id]
             self.workdir.append(self._shards[shard_index].shard_id,
                                 record)
         status = str(record["status"])
@@ -336,11 +312,10 @@ class _Aggregate:
                 self.telemetry.span(run_id, end_ms - wall * 1e3, end_ms,
                                     track=f"worker {pid}", unit="ms",
                                     wall=True, status=status)
-        self._fold_shard(run_id, t_s)
+        self._fold_shard(shard_index, t_s)
 
-    def _fold_shard(self, run_id: str, t_s: float) -> None:
-        """Advance (and possibly close out) the run's shard."""
-        index = self._shard_of[run_id]
+    def _fold_shard(self, index: int, t_s: float) -> None:
+        """Advance (and possibly close out) shard ``index``."""
         times = self._shard_t[index]
         if times[0] is None:
             times[0] = t_s
@@ -394,12 +369,13 @@ class _WorkerHandle:
     def __init__(self, proc: multiprocessing.Process, conn):
         self.proc = proc
         self.conn = conn
-        self.outstanding: dict[int, dict[str, float]] = {}
+        # batch id -> (shard index, that shard's runs not yet returned)
+        self.outstanding: dict[int, tuple[int, dict[str, RunSpec]]] = {}
         self.dead = False
 
 
 #: Completed envelopes a worker accumulates before flushing one result
-#: message to the parent — the return-path analogue of batched
+#: message to the parent — the return-path analogue of one shard per
 #: dispatch.  Small enough that heartbeats and checkpoint journals lag
 #: the work by at most this many microsecond-scale runs; large enough
 #: that a 10k-run grid costs hundreds of IPC messages, not tens of
@@ -408,11 +384,11 @@ _RESULT_FLUSH = 32
 
 
 def _worker_main(conn, parent_ends, scenarios, base_seed: int) -> None:
-    """Worker loop: pull batches, push batched result envelopes.
+    """Worker loop: pull one shard's runs, push batched result envelopes.
 
     ``scenarios`` — the shared immutable scenario library — arrives
     once at spawn (inherited by fork, pickled once under spawn), so a
-    batch item is just ``(run_id, scenario_name, seed)``.  Results flow
+    run on the wire is just ``(run_id, scenario_name, seed)``.  Results flow
     back in chunks of at most ``_RESULT_FLUSH`` runs, so neither
     direction pays one pipe round-trip per microsecond-scale run.
 
@@ -437,7 +413,7 @@ def _worker_main(conn, parent_ends, scenarios, base_seed: int) -> None:
                 run = RunSpec(run_id=run_id,
                               scenario=scenarios[scenario_name],
                               seed=seed, base_seed=base_seed)
-                results.append((run_id, _timed_execute_run(run)))
+                results.append((run_id, _envelope(run)))
                 if len(results) >= _RESULT_FLUSH:
                     try:
                         conn.send(("runs", batch_id, results))
@@ -459,8 +435,8 @@ class CampaignRunner:
     """Fan a campaign's run grid out over worker processes.
 
     ``workers=1`` executes in-process (handy under profilers and in
-    tests); ``workers>1`` spawns a worker pool fed by a work-stealing
-    dispatch loop.  All paths — serial, parallel, killed-then-resumed —
+    tests); ``workers>1`` spawns a worker pool fed one shard per
+    message.  All paths — serial, parallel, killed-then-resumed —
     produce byte-identical canonical reports; scheduling only changes
     wall-clock time.
 
@@ -472,8 +448,9 @@ class CampaignRunner:
     * ``keep_records`` — ``False`` enables streaming aggregation: the
       result holds no record list and the canonical report streams from
       the journals (requires a ``workdir``).
-    * ``shard_size`` — runs per shard; defaults to a pure function of
-      the grid size so shard ids never depend on worker count.
+    * ``shard_size`` — runs per shard, and so per dispatch message;
+      defaults to a pure function of the grid size so shard ids never
+      depend on worker count.
     """
 
     def __init__(self, spec: CampaignSpec, *, workers: int = 1,
@@ -512,7 +489,7 @@ class CampaignRunner:
         Alongside the deterministic records the result's ``meta``
         section reports how the execution went: per-stage wall timings,
         completion heartbeats (at most ~100, strided), a per-worker
-        run/wall table, shard progress, steal/death/duplicate counts
+        run/wall table, shard progress, batch and worker-death counts
         and straggler flags.  None of it enters
         :meth:`CampaignResult.to_json`.
         """
@@ -537,29 +514,31 @@ class CampaignRunner:
                                keep_records=self.keep_records,
                                workdir=workdir, shards=shards,
                                telemetry=tel, t0=t0)
-        completed: set[str] = set()
+        # The work: each shard's pending runs, in shard order.
+        run_of = {run.run_id: run for run in runs}
+        work: deque[tuple[int, list[RunSpec]]] = deque()
         resume_start = time.perf_counter()
-        if self.resume:
-            for shard in shards:
-                journaled = workdir.load_shard(shard)
-                for run_id in sorted(journaled):
-                    aggregate.add({"record": journaled[run_id]},
-                                  resumed=True)
-                    completed.add(run_id)
+        for shard in shards:
+            journaled = workdir.load_shard(shard) if self.resume else {}
+            for run_id in sorted(journaled):
+                aggregate.add({"record": journaled[run_id]}, shard.index,
+                              resumed=True)
+            pending = [run_of[run_id] for run_id in shard.run_ids
+                       if run_id not in journaled]
+            if pending:
+                work.append((shard.index, pending))
         resume_s = time.perf_counter() - resume_start
 
-        pending = [run for run in runs if run.run_id not in completed]
         execute_start = time.perf_counter()
         dispatch_meta: dict[str, object] = {}
-        workers = min(self.workers, max(1, len(pending)))
-        if pending:
-            if workers > 1:
-                dispatch_meta = self._run_parallel(
-                    pending, workers, aggregate, completed)
-            else:
-                for run_spec in pending:
-                    aggregate.add(_timed_execute_run(run_spec))
-                    completed.add(run_spec.run_id)
+        workers = min(self.workers, max(1, len(work)))
+        if workers > 1:
+            dispatch_meta = self._run_parallel(work, workers, aggregate)
+        # In process: every shard when serial, and whatever the pool
+        # left when every worker died, so a campaign always completes.
+        for shard_index, pending in work:
+            for run_spec in pending:
+                aggregate.add(_envelope(run_spec), shard_index)
         execute_s = time.perf_counter() - execute_start
 
         aggregate_start = time.perf_counter()
@@ -609,25 +588,18 @@ class CampaignRunner:
 
     # -- parallel dispatch ---------------------------------------------
 
-    def _run_parallel(self, pending: list[RunSpec], workers: int,
-                      aggregate: _Aggregate, completed: set[str]
+    def _run_parallel(self, queue: deque[tuple[int, list[RunSpec]]],
+                      workers: int, aggregate: _Aggregate
                       ) -> dict[str, object]:
-        """The work-stealing dispatch loop.
+        """Dispatch ``queue``'s shards over ``workers`` processes.
 
-        The parent owns scheduling: it feeds adaptively-sized batches
-        through per-worker pipes, re-queues the work of dead workers,
-        lets idle workers steal the uncompleted tail of the slowest
-        outstanding batch, and — if every worker dies — finishes the
-        remainder in-process, so a campaign always completes.
+        Each message carries one shard's pending runs, with at most
+        ``_PIPELINE_DEPTH`` shards in flight per worker.  A dead
+        worker's unfinished runs go back on the queue as an item of
+        their shard; if every worker dies, what is left stays in
+        ``queue`` for the caller's in-process loop.
         """
         scenarios = {s.name: s for s in self.spec.scenarios}
-        run_of = {run.run_id: run for run in pending}
-        # The wire form of a run: workers rebuild it from their
-        # interned scenario library.
-        item_of = {run.run_id: (run.run_id, run.scenario.name, run.seed)
-                   for run in pending}
-        queue = list(item_of.values())
-        queue.reverse()  # pop() from the end == sorted dispatch order
         handles: list[_WorkerHandle] = []
         for _ in range(workers):
             parent_conn, child_conn = multiprocessing.Pipe()
@@ -641,30 +613,7 @@ class CampaignRunner:
             handles.append(_WorkerHandle(proc, parent_conn))
         self._live_pids = [h.proc.pid for h in handles
                            if h.proc.pid is not None]
-
-        next_batch_id = 0
-        dispatched_extra: set[str] = set()  # runs already stolen once
-        n_steals = n_duplicates = n_deaths = 0
-        target = len(pending) + len(completed)
-
-        def batch_size() -> int:
-            live = max(1, sum(1 for h in handles if not h.dead))
-            return max(1, min(_MAX_BATCH,
-                              len(queue) // (live * 4) or 1))
-
-        def send_batch(handle: _WorkerHandle,
-                       items: list[tuple[str, str, int]]) -> bool:
-            nonlocal next_batch_id
-            batch_id = next_batch_id
-            next_batch_id += 1
-            try:
-                handle.conn.send(("batch", batch_id, items))
-            except (BrokenPipeError, OSError):
-                reap(handle)
-                return False
-            handle.outstanding[batch_id] = {
-                item[0]: 0.0 for item in items}
-            return True
+        n_batches = n_deaths = 0
 
         def reap(handle: _WorkerHandle) -> None:
             """Mark a worker dead and re-queue its unfinished runs."""
@@ -675,54 +624,34 @@ class CampaignRunner:
             n_deaths += 1
             with suppress(OSError):
                 handle.conn.close()
-            for batch in handle.outstanding.values():
-                for run_id in batch:
-                    if run_id not in completed:
-                        queue.append(item_of[run_id])
+            for shard_index, remaining in handle.outstanding.values():
+                if remaining:
+                    queue.appendleft((shard_index, list(remaining.values())))
             handle.outstanding.clear()
             self._live_pids = [h.proc.pid for h in handles
                                if not h.dead and h.proc.pid is not None]
 
         def fill() -> None:
+            nonlocal n_batches
             for handle in handles:
-                if handle.dead:
-                    continue
-                while (queue and
-                       len(handle.outstanding) < _PIPELINE_DEPTH):
-                    size = batch_size()
-                    items = [queue.pop() for _ in range(
-                        min(size, len(queue)))]
-                    if not send_batch(handle, items):
-                        queue.extend(reversed(items))
+                while (queue and not handle.dead
+                       and len(handle.outstanding) < _PIPELINE_DEPTH):
+                    shard_index, pending = queue.popleft()
+                    # The wire form of a run: workers rebuild it from
+                    # their interned scenario library.
+                    items = [(run.run_id, run.scenario.name, run.seed)
+                             for run in pending]
+                    try:
+                        handle.conn.send(("batch", n_batches, items))
+                    except (BrokenPipeError, OSError):
+                        queue.appendleft((shard_index, pending))
+                        reap(handle)
                         break
-
-        def steal() -> None:
-            """Give an idle worker the tail of the largest batch."""
-            nonlocal n_steals
-            idle = [h for h in handles
-                    if not h.dead and not h.outstanding]
-            if not idle or queue:
-                return
-            victim_runs: list[str] = []
-            for handle in handles:
-                if handle.dead:
-                    continue
-                for batch in handle.outstanding.values():
-                    remaining = [run_id for run_id in batch
-                                 if run_id not in completed
-                                 and run_id not in dispatched_extra]
-                    if len(remaining) > len(victim_runs):
-                        victim_runs = remaining
-            if len(victim_runs) < 2:
-                return
-            tail = victim_runs[len(victim_runs) // 2:]
-            thief = idle[0]
-            if send_batch(thief, [item_of[run_id] for run_id in tail]):
-                dispatched_extra.update(tail)
-                n_steals += 1
+                    handle.outstanding[n_batches] = (
+                        shard_index, {run.run_id: run for run in pending})
+                    n_batches += 1
 
         def drain(handle: _WorkerHandle) -> None:
-            nonlocal n_duplicates
             while True:
                 try:
                     if not handle.conn.poll():
@@ -733,31 +662,17 @@ class CampaignRunner:
                     return
                 if message[0] == "runs":
                     _, batch_id, results = message
-                    batch = handle.outstanding.get(batch_id)
+                    shard_index, remaining = handle.outstanding[batch_id]
                     for run_id, envelope in results:
-                        if batch is not None:
-                            batch.pop(run_id, None)
-                        if run_id in completed:
-                            n_duplicates += 1
-                        else:
-                            completed.add(run_id)
-                            aggregate.add(envelope)
-                elif message[0] == "batch_done":
-                    handle.outstanding.pop(message[1], None)
+                        del remaining[run_id]
+                        aggregate.add(envelope, shard_index)
+                else:  # "batch_done"
+                    del handle.outstanding[message[1]]
 
         try:
             fill()
-            while len(completed) < target:
+            while any(h.outstanding for h in handles):
                 live = [h for h in handles if not h.dead]
-                if not live:
-                    # Every worker died: finish in-process so the
-                    # campaign still completes (and journals).
-                    leftovers = sorted({run_id for run_id, _, _ in queue}
-                                       - completed)
-                    for run_id in leftovers:
-                        aggregate.add(_timed_execute_run(run_of[run_id]))
-                        completed.add(run_id)
-                    break
                 ready = multiprocessing.connection.wait(
                     [h.conn for h in live], timeout=0.05)
                 for handle in live:
@@ -769,7 +684,6 @@ class CampaignRunner:
                         drain(handle)   # flush anything buffered
                         reap(handle)
                 fill()
-                steal()
         finally:
             for handle in handles:
                 if not handle.dead:
@@ -783,6 +697,7 @@ class CampaignRunner:
                 with suppress(OSError):
                     handle.conn.close()
             self._live_pids = []
-        return {"steals": n_steals, "duplicates": n_duplicates,
-                "worker_deaths": n_deaths,
-                "batches": next_batch_id}
+        # "steals" is always 0; benchmarks/e2e/workloads.py is its only
+        # reader.
+        return {"steals": 0, "worker_deaths": n_deaths,
+                "batches": n_batches}

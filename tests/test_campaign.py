@@ -15,7 +15,7 @@ from repro.campaign import (CampaignRunner, CampaignSpec, ScenarioSpec,
                             TopologySpec, TrafficSpec, WorkloadSpec,
                             demo_campaign, derive_seed, micro_campaign,
                             scenario_grid)
-from repro.campaign.runner import execute_run
+from repro.campaign.kinds import run_kind
 from repro.core.exceptions import ConfigurationError
 
 
@@ -115,7 +115,7 @@ class TestSpecs:
 class TestExecution:
     def test_single_run_record_shape(self):
         run = _tiny_campaign(seeds=(3,)).expand()[0]
-        record = execute_run(run)
+        record = run_kind(run)
         assert record["status"] == "ok"
         assert record["run_id"] == run.run_id
         result = record["result"]
@@ -141,7 +141,7 @@ class TestExecution:
         runs = _tiny_campaign(seeds=(1, 2)).expand()
         flit_runs = [r for r in runs if r.scenario.backend == "flit"
                      and "cbr" in r.scenario.name]
-        records = [execute_run(r) for r in flit_runs[:2]]
+        records = [run_kind(r) for r in flit_runs[:2]]
         assert records[0]["result"] != records[1]["result"]
 
     def test_summary_rows_render(self):
@@ -212,7 +212,7 @@ class TestReplayMode:
         spec = CampaignSpec(name="replay",
                             scenarios=(self._replay_scenario(),),
                             seeds=(1,))
-        record = execute_run(spec.expand()[0])
+        record = run_kind(spec.expand()[0])
         assert record["status"] == "ok"
         result = record["result"]
         assert result["composable"] is True

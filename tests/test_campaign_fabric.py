@@ -1,19 +1,23 @@
-"""Campaign fabric: sharding, checkpointing, resume, work stealing.
+"""Campaign fabric: sharding, checkpointing, resume, shard dispatch.
 
 The contract under test is byte-determinism against every scheduling
-accident the fabric is built to absorb: worker counts, batch and steal
-order, SIGKILLed workers, a SIGKILLed parent resumed from its
-journals, and runs that crash inside a worker.  Every path must
-reproduce the serial report byte for byte.
+accident the fabric is built to absorb: worker counts, shard order,
+SIGKILLed workers, a SIGKILLed parent resumed from its journals, a
+corrupted workdir, and runs that crash inside a worker.  Every path
+must reproduce the serial report byte for byte — or, for a workdir it
+cannot trust, refuse with a ``ConfigurationError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -22,9 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.fabric import (CampaignWorkdir, ShardJournal,
+from repro.campaign.fabric import (CampaignWorkdir, Shard,
                                    default_shard_size, iter_report_chunks,
                                    shard_campaign, spec_fingerprint)
+from repro.campaign.kinds import run_kind
 from repro.campaign.presets import synthetic_campaign
 from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import (CampaignSpec, ScenarioSpec, SyntheticSpec,
@@ -89,9 +94,9 @@ class TestDeterminism:
                 workdir=tmp_path / f"wd{workers}").run()
             assert result.to_json() == reference
 
-    def test_report_bytes_survive_steals(self):
-        # A grid engineered so idle workers must steal: a tail batch of
-        # slow runs (sorted last) while every other run is instant.
+    def test_report_bytes_survive_a_slow_tail(self):
+        # A tail of slow runs (sorted last) while every other run is
+        # instant: each shard is still dispatched exactly once.
         scenarios = tuple(
             ScenarioSpec(name=f"synth-{i:04d}", mode="synthetic",
                          synthetic=SyntheticSpec(work=0))
@@ -105,9 +110,11 @@ class TestDeterminism:
         result = CampaignRunner(spec, workers=4).run()
         assert result.to_json() == reference
         dispatch = result.meta["dispatch"]
-        # Stolen work may double-complete; dedup keeps one record.
-        assert dispatch["duplicates"] >= 0
+        assert dispatch["worker_deaths"] == 0
+        assert dispatch["batches"] == len(shard_campaign(spec))
         assert result.n_runs == len(scenarios) * 2
+        assert sum(entry["runs"] for entry in
+                   result.meta["worker_table"].values()) == result.n_runs
 
     def test_streaming_report_matches_json_dumps(self, tmp_path):
         spec = _grid(n_scenarios=4, seeds=(1, 2), fail_seeds=(2,))
@@ -144,16 +151,16 @@ class TestCheckpointResume:
         workdir = CampaignWorkdir(wd)
         workdir.initialise(spec, shards, default_shard_size(12))
         runs = {r.run_id: r for r in spec.expand()}
-        from repro.campaign.runner import _safe_execute_run
         for run_id in shards[0].run_ids:
-            workdir.append(shards[0].shard_id,
-                           _safe_execute_run(runs[run_id]))
+            workdir.append(shards[0].shard_id, run_kind(runs[run_id]))
         workdir.close()
         resumed = CampaignRunner(spec, workers=2, workdir=wd,
                                  resume=True).run()
         assert resumed.to_json() == serial
         assert resumed.meta["resume"]["n_resumed"] == \
             len(shards[0].run_ids)
+        # Only the shards with pending runs are dispatched.
+        assert resumed.meta["dispatch"]["batches"] == len(shards) - 1
 
     def test_resume_of_complete_campaign_is_a_noop(self, tmp_path):
         spec = _grid()
@@ -210,6 +217,165 @@ class TestCheckpointResume:
     def test_shard_size_zero_is_not_the_default(self):
         with pytest.raises(ConfigurationError, match="shard_size"):
             CampaignRunner(_grid(), shard_size=0).run()
+
+
+@pytest.fixture(scope="module")
+def completed(tmp_path_factory):
+    """An eight-run grid, its clean report, and a completed streamed
+    workdir of it in shards of 3, written at two workers."""
+    spec = _grid(n_scenarios=4, seeds=(1, 2))
+    wd = tmp_path_factory.mktemp("completed") / "wd"
+    CampaignRunner(spec, workers=2, workdir=wd, keep_records=False,
+                   shard_size=3).run()
+    return spec, wd, CampaignRunner(spec).run().to_json()
+
+
+def _journals(wd: Path) -> list[Path]:
+    return sorted((wd / "shards").glob("*.jsonl"))
+
+
+def _resume(spec, wd: Path) -> str:
+    return CampaignRunner(spec, workers=2, workdir=wd, resume=True,
+                          keep_records=False).run().to_json()
+
+
+#: Lines no journal writer produces; a status-less record is built per
+#: shard by ``_corrupt``.
+_BAD_LINES = (b"garbage", b"{", b"null", b"[1, 2]", b"7")
+_EDITS = ("truncate", "line", "duplicate", "move", "delete",
+          "manifest_field", "manifest_delete", "manifest_truncate")
+
+
+def _corrupt(spec, wd: Path, kind: str, a: int, b: int) -> None:
+    """Apply one edit of the corruption alphabet to workdir ``wd``;
+    ``a`` and ``b`` pick the journals, lines and values it touches."""
+    manifest = wd / "manifest.json"
+    if kind.startswith("manifest"):
+        if not manifest.exists():
+            return
+        data = manifest.read_bytes()
+        if kind == "manifest_delete":
+            manifest.unlink()
+        elif kind == "manifest_truncate":
+            manifest.write_bytes(data[:a % max(1, len(data))])
+        else:
+            try:
+                fields = json.loads(data)
+                shards = list(fields["shards"])
+            except (ValueError, KeyError, TypeError):
+                return  # already unreadable
+            name = ("fingerprint", "shard_size", "format", "shards")[a % 4]
+            value = {"fingerprint": ("0" * 16, None, 7),
+                     "shard_size": (2, 4, 0, -1, "3", None, 3.0, True),
+                     "format": (2, 0, "1", None),
+                     "shards": (shards[:-1], shards[::-1], [], 7, [7],
+                                [{"index": 0}], None)}[name]
+            fields[name] = value[b % len(value)]
+            manifest.write_text(json.dumps(fields))
+        return
+    journals = _journals(wd)
+    if not journals:
+        return
+    source = journals[a % len(journals)]
+    target = journals[b % len(journals)]
+    data = source.read_bytes()
+    if kind == "truncate":
+        body = data.rstrip(b"\n")
+        start = body.rfind(b"\n") + 1
+        source.write_bytes(body[:start + b % max(1, len(body) - start)])
+    elif kind == "line":
+        run_ids = {shard.shard_id: shard.run_ids
+                   for shard in shard_campaign(spec, shard_size=3)}
+        ids = run_ids.get(source.stem, ("nobody",))
+        lines = _BAD_LINES + (
+            json.dumps({"run_id": ids[a % len(ids)]}).encode(),)
+        line = lines[b % len(lines)]
+        source.write_bytes(line + b"\n" + data if a % 2
+                           else data + b"\n" + line + b"\n")
+    elif kind in ("duplicate", "move"):
+        if kind == "move" and source == target:
+            return
+        target.write_bytes(target.read_bytes() + b"\n" + data)
+        if kind == "move":
+            source.unlink()
+    else:  # delete
+        source.unlink()
+
+
+class TestCorruptWorkdir:
+    """A workdir resume cannot trust is refused with a
+    ``ConfigurationError``; damage it can see past is skipped and the
+    affected runs re-execute.  Either way, never a different report."""
+
+    def test_stale_journals_in_a_fresh_workdir_are_refused(self,
+                                                             tmp_path):
+        # First-write-wins used to keep the old campaign's records.
+        spec = synthetic_campaign(n_scenarios=4, seeds=(1, 2))
+        wd = tmp_path / "wd"
+        CampaignRunner(spec, workdir=wd, keep_records=False).run()
+        (wd / "manifest.json").unlink()
+        with pytest.raises(ConfigurationError, match="shard journals"):
+            CampaignRunner(dataclasses.replace(spec, base_seed=7),
+                           workdir=wd, keep_records=False).run()
+
+    @pytest.mark.parametrize("line", ["null", "[1, 2]", "7", "status-less"],
+                             ids=["null", "list", "number", "status-less"])
+    def test_a_line_the_aggregate_cannot_read_is_skipped(
+            self, completed, tmp_path, line):
+        spec, clean_wd, clean = completed
+        wd = tmp_path / "wd"
+        shutil.copytree(clean_wd, wd)
+        journal = _journals(wd)[0]
+        text = journal.read_text()
+        if line == "status-less":  # placed before the real record
+            line = json.dumps({"run_id": json.loads(
+                text.splitlines()[0])["run_id"]})
+        journal.write_text(line + "\n" + text)
+        assert _resume(spec, wd) == clean
+
+    @pytest.mark.parametrize("edit", ["truncated", "not-an-object",
+                                      "no-shard-size"])
+    def test_an_unreadable_manifest_is_refused(self, completed, tmp_path,
+                                               edit):
+        spec, clean_wd, _ = completed
+        wd = tmp_path / "wd"
+        shutil.copytree(clean_wd, wd)
+        manifest = wd / "manifest.json"
+        fields = json.loads(manifest.read_text())
+        del fields["shard_size"]
+        manifest.write_text({"truncated": "{", "not-an-object": "[]",
+                             "no-shard-size": json.dumps(fields)}[edit])
+        with pytest.raises(ConfigurationError) as refused:
+            _resume(spec, wd)
+        assert str(wd) in str(refused.value)
+
+    def test_a_torn_tail_is_sealed_before_the_next_append(self, completed,
+                                                          tmp_path):
+        # The re-executed record used to be glued onto the torn line, so
+        # a streamed report lost it.
+        spec, clean_wd, clean = completed
+        wd = tmp_path / "wd"
+        shutil.copytree(clean_wd, wd)
+        journal = _journals(wd)[0]
+        journal.write_bytes(journal.read_bytes()[:-10])
+        assert _resume(spec, wd) == clean
+
+    @settings(max_examples=100, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(_EDITS),
+                                    st.integers(0, 99), st.integers(0, 99)),
+                          min_size=1, max_size=4))
+    def test_resume_is_byte_identical_or_refused(self, completed, edits):
+        spec, clean_wd, clean = completed
+        with tempfile.TemporaryDirectory() as scratch:
+            wd = Path(scratch) / "wd"
+            shutil.copytree(clean_wd, wd)
+            for kind, a, b in edits:
+                _corrupt(spec, wd, kind, a, b)
+            try:
+                report = _resume(spec, wd)
+            except ConfigurationError:
+                return
+        assert report == clean
 
 
 def _proc_stat(pid: int) -> list[str] | None:
@@ -405,13 +571,13 @@ class TestSummary:
 
 class TestJournal:
     def test_journal_first_write_wins_on_duplicates(self, tmp_path):
-        journal = ShardJournal(tmp_path / "s.jsonl")
-        with open(journal.path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"run_id": "a", "status": "ok"}))
-            handle.write("\n")
-            handle.write(json.dumps({"run_id": "a", "status": "dup"}))
-            handle.write("\n")
-        assert journal.load() == {"a": {"run_id": "a", "status": "ok"}}
+        workdir = CampaignWorkdir(tmp_path)
+        shard = Shard(shard_id="s", index=0, run_ids=("a",))
+        for status in ("ok", "dup"):
+            workdir.append("s", {"run_id": "a", "status": status})
+        workdir.close()
+        assert workdir.load_shard(shard) == {
+            "a": {"run_id": "a", "status": "ok"}}
 
     def test_scenario_context_not_pickled_per_run(self):
         # The per-batch payload is compact triples; a worker rebuilds

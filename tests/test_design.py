@@ -18,7 +18,7 @@ import json
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignSpec, ScenarioSpec
-from repro.campaign.runner import execute_run
+from repro.campaign.kinds import run_kind
 from repro.campaign.spec import TopologySpec
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
@@ -260,7 +260,7 @@ class TestCampaignIntegration:
                             seeds=(1,))
 
     def test_execute_run_dispatches_design_mode(self):
-        record = execute_run(self._spec().expand()[0])
+        record = run_kind(self._spec().expand()[0])
         assert record["mode"] == "design"
         assert record["status"] in ("ok", "pruned", "infeasible")
         json.dumps(record)

@@ -11,7 +11,8 @@ import json
 
 import pytest
 
-from repro.campaign.runner import CampaignRunner, execute_run
+from repro.campaign.kinds import run_kind
+from repro.campaign.runner import CampaignRunner
 from repro.campaign.presets import fairness_campaign, preset_by_name
 from repro.campaign.spec import RunSpec, ScenarioSpec, TopologySpec
 from repro.core.exceptions import ConfigurationError
@@ -253,7 +254,7 @@ class TestFairnessScenarios:
             churn=TENANTED, table_size=32)
         run = RunSpec(run_id="fair/seed1", scenario=scenario, seed=1,
                       base_seed=2009)
-        record = execute_run(run)
+        record = run_kind(run)
         assert record["status"] == "ok"
         assert record["mode"] == "fairness"
         result = record["result"]
@@ -261,7 +262,7 @@ class TestFairnessScenarios:
                                             for t in TENANTED.tenants}
         assert "wfq" in result and "fcfs" in result
         assert not any(k.startswith("_") for k in result)
-        assert record == execute_run(run)
+        assert record == run_kind(run)
 
     def test_wfq_serve_scenario_runs(self):
         scenario = ScenarioSpec(
@@ -269,7 +270,7 @@ class TestFairnessScenarios:
             topology=TopologySpec(kind="mesh", cols=3, rows=3,
                                   nis_per_router=2),
             churn=TENANTED, table_size=32)
-        record = execute_run(RunSpec(
+        record = run_kind(RunSpec(
             run_id="wfq-serve/seed1", scenario=scenario, seed=1,
             base_seed=2009))
         assert record["status"] == "ok"

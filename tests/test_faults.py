@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.campaign.runner import execute_run
+from repro.campaign.kinds import run_kind
 from repro.campaign.spec import (CampaignSpec, RunSpec, ScenarioSpec,
                                  TopologySpec, WorkloadSpec, derive_seed)
 from repro.core.allocation import excluded_link_keys
@@ -356,8 +356,8 @@ class TestFaultScenarios:
         spec = CampaignSpec(name="ft", scenarios=(self._scenario(),),
                             seeds=(1,))
         run = spec.expand()[0]
-        first = execute_run(run)
-        second = execute_run(run)
+        first = run_kind(run)
+        second = run_kind(run)
         assert first["status"] == "ok"
         assert json.dumps(first, sort_keys=True) == \
             json.dumps(second, sort_keys=True)

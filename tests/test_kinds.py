@@ -20,8 +20,8 @@ import pytest
 import repro.__main__ as cli
 from repro.__main__ import main
 from repro.campaign import (PRESETS, CampaignResult, RunSpec, ScenarioSpec,
-                            TopologySpec, TrafficSpec, execute_run)
-from repro.campaign.kinds import KINDS, PAYLOAD_FIELDS, grid_row
+                            TopologySpec, TrafficSpec)
+from repro.campaign.kinds import KINDS, PAYLOAD_FIELDS, grid_row, run_kind
 from repro.campaign.spec import SyntheticSpec
 from repro.core.allocation import SlotAllocator
 from repro.core.application import Application, UseCase
@@ -79,9 +79,9 @@ class TestEveryKind:
         scenario = _scenario(kind, **accepted)
         run = RunSpec(run_id=f"{scenario.name}/seed1", scenario=scenario,
                       seed=1, base_seed=2009)
-        record = execute_run(run)
+        record = run_kind(run)
         assert record["status"] in ("ok", "pruned", "infeasible")
-        assert record == execute_run(run)
+        assert record == run_kind(run)
         assert list(record)[:3] == ["run_id", "scenario", "seed"]
         assert set(kind.header) <= set(record)
         # the record names its kind (simulate predates the key)

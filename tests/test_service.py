@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.campaign import CampaignRunner, CampaignSpec, churn_campaign
-from repro.campaign.runner import execute_run
+from repro.campaign.kinds import run_kind
 from repro.campaign.spec import ScenarioSpec, TopologySpec
 from repro.core.allocation import SlotAllocator
 from repro.core.exceptions import AllocationError, ConfigurationError
@@ -508,7 +508,7 @@ class TestChurnCampaign:
                 topology=TopologySpec(kind="mesh", cols=2, rows=2,
                                       nis_per_router=2),
                 churn=ChurnSpec(n_sessions=50), table_size=16),))
-        record = execute_run(spec.expand()[0])
+        record = run_kind(spec.expand()[0])
         assert record["status"] == "ok"
         assert record["mode"] == "serve"
         result = record["result"]

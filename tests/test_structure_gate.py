@@ -91,6 +91,15 @@ def test_the_tree_passes():
      "quotes are materialised eagerly"),
     ("core/allocation.py", "S = shifted(0, 1, 4)",
      "shifted( is called in core/allocation.py"),
+    ("campaign/runner.py", "def steal(): pass", "work stealing"),
+    ("campaign/runner.py", "_MAX_BATCH = 128", "adaptive batches"),
+    ("campaign/fabric.py", "class ShardJournal: pass", "run-wrapper twin"),
+    ("campaign/__init__.py",
+     "from repro.campaign.kinds import run_kind as execute_run",
+     "run-wrapper twin"),
+    ("campaign/runner.py", 'J = open("j.jsonl", "a", encoding="utf-8")',
+     "one writer"),
+    ("campaign/kinds.py", "def load_shard(path): pass", "one reader"),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",

@@ -130,6 +130,14 @@ RULES = [
     (r"^\s*(from|import) repro\.simulation\.(flitsim|compiled)\b",
      ("src/repro/simulation/flitsim.py", "src/repro/simulation/compiled.py"),
      None, NONE, "the two flit executors import from each other"),
+    (r"def steal|dispatched_extra|_MAX_BATCH|ShardJournal|\bexecute_run\b|"
+     r"_safe_execute_run|_timed_execute_run", SRC, None, NONE,
+     f"work stealing, adaptive batches or a run-wrapper twin {_GONE}"),
+    (r"\bopen\(.*[\"']a[+b]*[\"']", ("src/repro/campaign",), None, ONCE,
+     "a shard journal must have one writer (the append-mode open in "
+     "CampaignWorkdir.append)"),
+    (r"def load_shard\b", ("src/repro/campaign",), None, ONCE,
+     "a shard journal must have one reader (CampaignWorkdir.load_shard)"),
 ]
 
 
