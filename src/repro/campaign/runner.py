@@ -20,7 +20,8 @@ Dispatch design, for the curious:
 
 * the shard is the one partition of the grid: what is journaled,
   resumed and dispatched.  Each message carries one shard's pending
-  runs, so every run is dispatched exactly once unless its worker dies;
+  runs (split into several messages past ``_MESSAGE_RUNS``), so every
+  run is dispatched exactly once unless its worker dies;
 * the parent owns one duplex pipe per worker — a worker killed
   mid-message corrupts only its own channel, which the parent treats
   as a death and re-queues the worker's unfinished runs as an item of
@@ -61,9 +62,18 @@ __all__ = ["CampaignRunner", "CampaignResult"]
 _STRAGGLER_RATIO = 3.0
 _STRAGGLER_FLOOR_S = 0.05
 
-#: Shards kept in flight per worker so pipes never go idle between
+#: Messages kept in flight per worker so pipes never go idle between
 #: dispatches.
 _PIPELINE_DEPTH = 2
+
+#: Most runs one dispatch message carries; a larger shard goes out as
+#: several messages.  The parent sends a worker its next message while
+#: that worker still runs (and sends back the results of) the previous
+#: one, so a message must fit in a socket buffer: were the parent
+#: blocked in ``send``, it would read no results, and a worker whose
+#: result channel filled would never reach its next ``recv``.  128
+#: triples pickle to about 3.4 KB.
+_MESSAGE_RUNS = 128
 
 #: Slowest runs retained for the straggler report (memory cap on
 #: million-run campaigns; median comes from the full wall list).
@@ -448,9 +458,11 @@ class CampaignRunner:
     * ``keep_records`` — ``False`` enables streaming aggregation: the
       result holds no record list and the canonical report streams from
       the journals (requires a ``workdir``).
-    * ``shard_size`` — runs per shard, and so per dispatch message;
-      defaults to a pure function of the grid size so shard ids never
-      depend on worker count.
+    * ``shard_size`` — runs per shard, and so per dispatch message (at
+      most 128; a larger shard goes out as several); defaults to a pure
+      function of the grid size so shard ids never depend on worker
+      count.  A grid of fewer messages than workers leaves workers
+      idle.
     """
 
     def __init__(self, spec: CampaignSpec, *, workers: int = 1,
@@ -514,7 +526,8 @@ class CampaignRunner:
                                keep_records=self.keep_records,
                                workdir=workdir, shards=shards,
                                telemetry=tel, t0=t0)
-        # The work: each shard's pending runs, in shard order.
+        # The work: each shard's pending runs, in shard order, at most
+        # _MESSAGE_RUNS to an item.
         run_of = {run.run_id: run for run in runs}
         work: deque[tuple[int, list[RunSpec]]] = deque()
         resume_start = time.perf_counter()
@@ -525,8 +538,9 @@ class CampaignRunner:
                               resumed=True)
             pending = [run_of[run_id] for run_id in shard.run_ids
                        if run_id not in journaled]
-            if pending:
-                work.append((shard.index, pending))
+            for start in range(0, len(pending), _MESSAGE_RUNS):
+                work.append((shard.index,
+                             pending[start:start + _MESSAGE_RUNS]))
         resume_s = time.perf_counter() - resume_start
 
         execute_start = time.perf_counter()
@@ -593,8 +607,9 @@ class CampaignRunner:
                       ) -> dict[str, object]:
         """Dispatch ``queue``'s shards over ``workers`` processes.
 
-        Each message carries one shard's pending runs, with at most
-        ``_PIPELINE_DEPTH`` shards in flight per worker.  A dead
+        Each message carries one queue item — pending runs of one
+        shard, at most ``_MESSAGE_RUNS`` — with at most
+        ``_PIPELINE_DEPTH`` messages in flight per worker.  A dead
         worker's unfinished runs go back on the queue as an item of
         their shard; if every worker dies, what is left stays in
         ``queue`` for the caller's in-process loop.
@@ -632,10 +647,15 @@ class CampaignRunner:
                                if not h.dead and h.proc.pid is not None]
 
         def fill() -> None:
+            """Top every live worker up to ``_PIPELINE_DEPTH`` messages,
+            one message per worker per pass, so a short queue spreads
+            over the pool rather than piling onto the first worker."""
             nonlocal n_batches
-            for handle in handles:
-                while (queue and not handle.dead
-                       and len(handle.outstanding) < _PIPELINE_DEPTH):
+            for _ in range(_PIPELINE_DEPTH):
+                for handle in handles:
+                    if (not queue or handle.dead
+                            or len(handle.outstanding) >= _PIPELINE_DEPTH):
+                        continue
                     shard_index, pending = queue.popleft()
                     # The wire form of a run: workers rebuild it from
                     # their interned scenario library.
@@ -646,7 +666,7 @@ class CampaignRunner:
                     except (BrokenPipeError, OSError):
                         queue.appendleft((shard_index, pending))
                         reap(handle)
-                        break
+                        continue
                     handle.outstanding[n_batches] = (
                         shard_index, {run.run_id: run for run in pending})
                     n_batches += 1

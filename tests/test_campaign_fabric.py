@@ -116,6 +116,34 @@ class TestDeterminism:
         assert sum(entry["runs"] for entry in
                    result.meta["worker_table"].values()) == result.n_runs
 
+    def test_a_shard_larger_than_a_socket_buffer_completes(self):
+        # Two 12 000-run shards of instant runs: one shard's triples
+        # outweigh a socket buffer, and a worker's results outweigh the
+        # way back.  Sent whole while the worker still answers the
+        # previous message, parent and worker would block on each
+        # other's full pipe.
+        spec = _grid(n_scenarios=1200, seeds=tuple(range(1, 21)), work=0)
+        serial = CampaignRunner(spec, workers=1).run().digest()
+        runner = CampaignRunner(spec, workers=2, shard_size=12_000)
+        box: dict[str, object] = {}
+        thread = threading.Thread(
+            target=lambda: box.update(result=runner.run()), daemon=True)
+        thread.start()
+        thread.join(timeout=120.0)
+        assert not thread.is_alive(), "parallel dispatch stalled"
+        result = box["result"]
+        assert result.digest() == serial
+        # 94 messages of at most 128 runs per shard
+        assert result.meta["dispatch"]["batches"] == 2 * 94
+
+    def test_two_shards_spread_over_two_workers(self):
+        spec = _grid(n_scenarios=2, seeds=(1, 2))
+        reference = CampaignRunner(spec, workers=1).run().to_json()
+        result = CampaignRunner(spec, workers=2, shard_size=2).run()
+        assert result.to_json() == reference
+        assert result.meta["dispatch"]["batches"] == 2
+        assert len(result.meta["worker_table"]) == 2
+
     def test_streaming_report_matches_json_dumps(self, tmp_path):
         spec = _grid(n_scenarios=4, seeds=(1, 2), fail_seeds=(2,))
         result = CampaignRunner(spec, workers=2, workdir=tmp_path / "wd",
