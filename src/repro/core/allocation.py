@@ -18,8 +18,8 @@ The algorithm is a deterministic greedy allocator in the UMARS tradition:
    spreading heuristic of :mod:`repro.core.slot_table` picks slots that
    minimise the worst-case injection wait;
 4. the first path that satisfies both the slot count and the latency gap
-   constraint wins; its reservations are committed to the per-link
-   occupancy tables.
+   constraint wins; its reservations are ORed into the per-link
+   occupancy masks.
 
 Committed allocations are never revisited (no backtracking); this mirrors
 the incremental allocation used for undisrupted reconfiguration: channels
@@ -200,16 +200,16 @@ class RouteQuotes:
         return next(iter(self), None) is not None
 
 
-def _first_fit(link_tables: dict[tuple[str, str], "SlotTable"],
+def _first_fit(link_masks: dict[tuple[str, str], int],
                spec: ChannelSpec, candidates, choose, size: int,
                failures: list[str] | None = None
                ) -> tuple["ChannelAllocation | None", int]:
     """Fit ``spec`` onto the first candidate route that can carry it.
 
     The only placement loop: per :class:`RouteCandidate`, every
-    traversed link's free mask is rotated back by the link's slot shift
-    and intersected (the whole contention check is one AND per link),
-    the popcount is held against the slot count, and ``choose`` —
+    traversed link's occupancy mask is rotated back by the link's slot
+    shift and ORed (the whole contention check is one OR per link), the
+    free popcount is held against the slot count, and ``choose`` —
     :func:`~repro.core.slot_table.spread_slots` offline,
     :func:`~repro.core.slot_table.choose_slots_fast` online — picks
     slots under the gap constraint.  Returns the (uncommitted)
@@ -220,11 +220,12 @@ def _first_fit(link_tables: dict[tuple[str, str], "SlotTable"],
     """
     full = (1 << size) - 1
     for cand in candidates:
-        mask = full
+        busy = 0
         for key, shift in cand.hops:
-            mask &= rotate_mask(link_tables[key].free_mask, shift, size)
-            if not mask:
+            busy |= rotate_mask(link_masks[key], shift, size)
+            if busy == full:
                 break
+        mask = full ^ busy
         width = mask.bit_count()
         if width < cand.n_slots:
             if failures is not None:
@@ -399,40 +400,37 @@ class ChannelAllocation:
         return rotations * len(self.slots) + bisect_left(self.slots, phase)
 
     def link_occupancy(self, table_size: int
-                       ) -> tuple[tuple[tuple[str, str], int,
-                                        tuple[int, ...]], ...]:
-        """``(link key, link mask, ascending slots)`` per traversed link:
+                       ) -> tuple[tuple[tuple[str, str], int], ...]:
+        """``(link key, link mask)`` per traversed link, in route order:
         the injection-slot mask carried each hop's slot shift on.
 
-        The one per-link derivation: commit and release write and free
-        these masks, validation ORs them, and :meth:`link_slots` is a
-        view of them.  Memoised per instance — the admission service
-        does all three per session.
+        The one per-link derivation: commit ORs these masks in, release
+        clears them, validation and the fabric rollup read them.
+        Memoised per instance — the admission service does all three
+        per session.  A slot outside ``range(table_size)`` is refused
+        here, so no reader ever reduces one into the table.
         """
         cache = self.__dict__.get("_link_occupancy")
         if cache is not None and cache[0] == table_size:
             return cache[1]
+        slots = self.slots
+        if slots[0] < 0 or slots[-1] >= table_size:
+            raise AllocationError(
+                f"channel {self.spec.name!r} slot "
+                f"{slots[0] if slots[0] < 0 else slots[-1]} outside table "
+                f"of size {table_size}",
+                channel=self.spec.name, reason="slot outside table")
         injection = 0
-        for slot in self.slots:
-            injection |= 1 << slot % table_size
+        for slot in slots:
+            injection |= 1 << slot
+        # A list, not a generator expression: a generator per call
+        # raised churn_warm's peak RSS by 0.45 MB (~1 %).
         links = []
         for key, shift in self.path.hops:
-            mask = shifted_mask(injection, shift, table_size)
-            links.append((key, mask, mask_to_slots(mask)))
+            links.append((key, shifted_mask(injection, shift, table_size)))
         occupancy = tuple(links)
         object.__setattr__(self, "_link_occupancy", (table_size, occupancy))
         return occupancy
-
-    def link_slots(self, table_size: int) -> dict[tuple[str, str], frozenset[int]]:
-        """Slots this channel occupies on each traversed link: a view of
-        :meth:`link_occupancy`, memoised with it."""
-        occupancy = self.link_occupancy(table_size)
-        view = self.__dict__.get("_link_slots")
-        if view is None or view[0] is not occupancy:
-            view = (occupancy, {key: frozenset(slots)
-                                for key, _, slots in occupancy})
-            object.__setattr__(self, "_link_slots", view)
-        return view[1]
 
     def fingerprint(self) -> int:
         """In-process hash of what composability protects: the channel's
@@ -455,9 +453,13 @@ class ChannelAllocation:
 class Allocation:
     """A complete, validated set of channel allocations.
 
-    ``link_tables`` holds the occupancy of every topology link; it is the
-    authoritative record from which NI injection tables are derived and
-    against which contention-freedom is (re)validated.
+    ``channels`` is the one record of who holds what: NI injection
+    tables are derived from it and every holder's name is read off it
+    (:meth:`holder_of`).  ``link_masks`` — per topology link, the OR of
+    the channels' :meth:`ChannelAllocation.link_occupancy` masks (bit
+    ``s`` set = slot ``s`` taken) — is the only index derived from it,
+    kept in step by :meth:`commit` and :meth:`release` and held to it by
+    :meth:`validate`.
     """
 
     topology: Topology
@@ -466,7 +468,7 @@ class Allocation:
     fmt: WordFormat
     channels: dict[str, ChannelAllocation] = field(
         default_factory=dict, init=False)
-    link_tables: dict[tuple[str, str], SlotTable] = field(init=False)
+    link_masks: dict[tuple[str, str], int] = field(init=False)
     #: XOR of every held channel's :meth:`ChannelAllocation.fingerprint`
     #: — order-independent, folded by :meth:`commit` and :meth:`release`
     #: (the only two writers of ``channels``), so a checker that folds
@@ -486,8 +488,10 @@ class Allocation:
         default=frozenset(), init=False)
 
     def __post_init__(self) -> None:
-        self.link_tables = {key: SlotTable(self.table_size)
-                            for key in self.topology.iter_link_keys()}
+        if self.table_size <= 0:
+            raise ConfigurationError(
+                f"slot table size must be positive, got {self.table_size}")
+        self.link_masks = dict.fromkeys(self.topology.iter_link_keys(), 0)
         self.channels_digest = 0
 
     # -- queries ------------------------------------------------------------
@@ -519,10 +523,35 @@ class Allocation:
             table.reserve_all(ca.slots, ca.spec.name)
         return table
 
+    @staticmethod
+    def holder_of(channels, key: tuple[str, str], mask: int,
+                  table_size: int) -> tuple[int, str | None]:
+        """The lowest slot of ``mask`` and the name of the first of
+        ``channels`` whose flits cross link ``key`` in it (``None`` if
+        none does): the one place a holder's name is read, off the
+        channel records — a link mask names nobody.
+
+        >>> from repro.topology.builders import single_router
+        >>> from repro.core.path import make_path
+        >>> topo = single_router(2)
+        >>> ca = ChannelAllocation(
+        ...     ChannelSpec("c", "a", "b", 1.0),
+        ...     make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1"), (1,))
+        >>> Allocation.holder_of([ca], ("r0_0", "ni0_0_1"), 0b1100, 8)
+        (2, 'c')
+        """
+        slot = (mask & -mask).bit_length() - 1
+        for ca in channels:
+            for link, held in ca.link_occupancy(table_size):
+                if link == key and held >> slot & 1:
+                    return slot, ca.spec.name
+        return slot, None
+
     def link_utilisation(self) -> dict[tuple[str, str], float]:
         """Reserved-slot fraction per link."""
-        return {key: table.utilisation()
-                for key, table in self.link_tables.items()}
+        size = self.table_size
+        return {key: mask.bit_count() / size
+                for key, mask in self.link_masks.items()}
 
     def mean_link_utilisation(self) -> float:
         """Average reserved fraction over all links."""
@@ -539,26 +568,36 @@ class Allocation:
     def commit(self, ca: ChannelAllocation) -> None:
         """Add one channel's reservations, or raise on the first link
         (in route order) that is unknown or has a slot another channel
-        holds — checked on every link before any is written, so a
-        refused commit leaves every table as it was."""
+        holds, naming the lowest such slot — checked on every link
+        before any is written, so a refused commit leaves every mask as
+        it was."""
         name = ca.spec.name
         if name in self.channels:
             raise AllocationError(f"channel {name!r} is already allocated",
                                   channel=name)
         occupancy = ca.link_occupancy(self.table_size)
-        for key, mask, slots in occupancy:
-            self._table(key).check_free(mask, slots, name)
-        tables = self.link_tables
-        for key, mask, slots in occupancy:
-            tables[key].claim(mask, slots, name)
+        masks = self.link_masks
+        for key, mask in occupancy:
+            held = masks.get(key)
+            if held is None:
+                raise AllocationError(f"unknown link {key} in allocation")
+            if held & mask:
+                slot, holder = self.holder_of(self.channels.values(), key,
+                                              held & mask, self.table_size)
+                raise AllocationError(
+                    f"slot {slot} already reserved by {holder!r}",
+                    channel=name, reason="slot conflict")
+        for key, mask in occupancy:
+            masks[key] |= mask
         self.channels[name] = ca
         self.channels_digest ^= ca.fingerprint()
 
     def release(self, channel_name: str) -> ChannelAllocation:
         """Remove one channel, freeing its slots on every link."""
         ca = self.channel(channel_name)
-        for key, mask, slots in ca.link_occupancy(self.table_size):
-            self._table(key).clear(mask, slots)
+        masks = self.link_masks
+        for key, mask in ca.link_occupancy(self.table_size):
+            masks[key] &= ~mask
         del self.channels[channel_name]
         self.channels_digest ^= ca.fingerprint()
         return ca
@@ -622,48 +661,49 @@ class Allocation:
             self._derive_per_slot()
 
     def _masks_agree(self) -> bool:
-        """True when the link tables hold exactly what the channels
-        derive: on every link of the topology, no two channels' masks
-        overlap, each derived slot's recorded owner is its channel, and
-        the table's mask and owner count are the OR of those masks and
-        its popcount.  Implies that :meth:`_derive_per_slot` passes."""
-        tables = self.link_tables
-        if tables.keys() != set(self.topology.iter_link_keys()):
-            return False
-        size = self.table_size
-        union = dict.fromkeys(tables, 0)
+        """True when the link masks hold exactly what the channels
+        derive: the masks cover the topology's links, no two channels'
+        masks overlap on a link, and each link's mask is the OR of
+        theirs.  Implies that :meth:`_derive_per_slot` passes."""
+        union = dict.fromkeys(self.topology.iter_link_keys(), 0)
         for ca in self.channels.values():
-            name = ca.spec.name
-            for key, mask, slots in ca.link_occupancy(size):
+            for key, mask in ca.link_occupancy(self.table_size):
                 held = union.get(key)
-                if held is None or held & mask \
-                        or not tables[key].holds(slots, name):
+                if held is None or held & mask:
                     return False
                 union[key] = held | mask
-        return all(table.mirrors(union[key]) for key, table in tables.items())
+        return union == self.link_masks
 
     def _derive_per_slot(self) -> None:
         """:meth:`validate`'s diagnostic: every link-slot re-derived into
-        an owner map and compared with the table's."""
+        an owner map and compared with the link masks."""
+        size = self.table_size
         fresh: dict[tuple[str, str], dict[int, str]] = {
             key: {} for key in self.topology.iter_link_keys()}
         for ca in self.channels.values():
-            for key, slots in ca.link_slots(self.table_size).items():
-                if key not in fresh:
+            name = ca.spec.name
+            for key, mask in ca.link_occupancy(size):
+                owners = fresh.get(key)
+                if owners is None:
                     raise AllocationError(
-                        f"channel {ca.spec.name!r} uses unknown link {key}",
-                        channel=ca.spec.name)
-                for slot in slots:
-                    holder = fresh[key].get(slot)
+                        f"channel {name!r} uses unknown link {key}",
+                        channel=name)
+                for slot in mask_to_slots(mask):
+                    holder = owners.get(slot)
                     if holder is not None:
                         raise AllocationError(
                             f"contention on link {key} slot {slot}: "
-                            f"{holder!r} vs {ca.spec.name!r}",
-                            channel=ca.spec.name, reason="slot contention")
-                    fresh[key][slot] = ca.spec.name
+                            f"{holder!r} vs {name!r}",
+                            channel=name, reason="slot contention")
+                    owners[slot] = name
+        if self.link_masks.keys() != fresh.keys():
+            raise AllocationError(
+                f"occupancy bookkeeping covers {len(self.link_masks)} "
+                f"links, the topology has {len(fresh)}")
         for key, owners in fresh.items():
-            recorded = {s: self.link_tables[key].owner(s)
-                        for s in self.link_tables[key].reserved_slots()}
+            recorded = dict(self.holder_of(self.channels.values(), key,
+                                           1 << s, size)
+                            for s in mask_to_slots(self.link_masks[key]))
             if recorded != owners:
                 raise AllocationError(
                     f"occupancy bookkeeping diverged on link {key}: "
@@ -723,23 +763,16 @@ class Allocation:
             verdicts[ca.spec.name] = self._reroute_one(rebuilt, ca)
         rebuilt.validate()
         # Composability re-check for untouched channels: every (link,
-        # slot) reservation they held before the fault must be recorded
-        # to them in the rebuilt occupancy tables — derived from the
-        # tables, not from the carried-over objects, so bookkeeping
-        # corruption would actually trip it.
-        untouched_intact = True
-        for name, v in verdicts.items():
-            if v.verdict != "unaffected":
-                continue
-            for key, slots in self.channels[name].link_slots(
-                    self.table_size).items():
-                table = rebuilt.link_tables.get(key)
-                if table is None or any(table.owner(s) != name
-                                        for s in slots):
-                    untouched_intact = False
-                    break
-            if not untouched_intact:
-                break
+        # slot) reservation they held before the fault must be set in
+        # the rebuilt link masks — read off the masks, not the
+        # carried-over objects, so bookkeeping corruption would
+        # actually trip it.
+        masks = rebuilt.link_masks
+        untouched_intact = all(
+            (masks.get(key, 0) & mask) == mask
+            for name, v in verdicts.items() if v.verdict == "unaffected"
+            for key, mask in self.channels[name].link_occupancy(
+                self.table_size))
         report = RebuildReport(
             allocation=rebuilt, verdicts=verdicts,
             excluded_links=excluded,
@@ -781,7 +814,7 @@ class Allocation:
             failures.append(str(exc))
         else:
             new_ca, _ = _first_fit(
-                rebuilt.link_tables, spec,
+                rebuilt.link_masks, spec,
                 _quoted(self, spec, paths, failures), spread_slots,
                 self.table_size, failures)
         if new_ca is not None:
@@ -804,14 +837,6 @@ class Allocation:
         return ChannelVerdict(
             channel=spec.name, verdict="dropped", reason=detail,
             old_latency_ns=old_latency, old_n_slots=ca.n_slots)
-
-    # -- internals -----------------------------------------------------------
-
-    def _table(self, key: tuple[str, str]) -> SlotTable:
-        try:
-            return self.link_tables[key]
-        except KeyError:
-            raise AllocationError(f"unknown link {key} in allocation")
 
     def __repr__(self) -> str:
         return (f"Allocation({len(self.channels)} channels, "
@@ -1057,10 +1082,10 @@ class SlotAllocator:
 
     def _candidates(self, spec: ChannelSpec, mapping: Mapping,
                     excluded: frozenset[tuple[str, str]],
-                    tables: dict[tuple[str, str], SlotTable] | None = None
+                    masks: dict[tuple[str, str], int] | None = None
                     ) -> list[Path]:
         """Candidate routes of ``spec`` that avoid ``excluded``: the
-        cached k-shortest set, led — given occupancy ``tables`` — by the
+        cached k-shortest set, led — given occupancy ``masks`` — by the
         least-loaded route."""
         src_ni = mapping.ni_of(spec.src_ip)
         dst_ni = mapping.ni_of(spec.dst_ip)
@@ -1072,13 +1097,13 @@ class SlotAllocator:
         usable = [p for p in cached
                   if not excluded or excluded.isdisjoint(p.link_keys())]
         exclusion_filtered = len(usable) < len(cached)
-        if tables is not None:
+        if masks is not None:
+            size = self.table_size
 
             def weight(key: tuple[str, str]) -> float:
                 if key in excluded:
                     return 1e9  # failed fabric: effectively unroutable
-                table = tables.get(key)
-                return 4.0 * table.utilisation() if table is not None else 0.0
+                return 4.0 * (masks[key].bit_count() / size)
 
             weighted = weighted_shortest_path(self.topology, src_ni, dst_ni,
                                               weight)
@@ -1103,9 +1128,9 @@ class SlotAllocator:
                       mapping: Mapping) -> ChannelAllocation:
         failures: list[str] = []
         paths = self._candidates(spec, mapping, allocation.excluded_links,
-                                 allocation.link_tables)
+                                 allocation.link_masks)
         ca, _ = _first_fit(
-            allocation.link_tables, spec,
+            allocation.link_masks, spec,
             _quoted(self, spec, paths, failures), spread_slots,
             self.table_size, failures)
         if ca is not None:

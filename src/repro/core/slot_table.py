@@ -11,8 +11,8 @@ link traversal).
 This module provides:
 
 * :func:`shifted` / :func:`shifted_slots` — the per-hop reservation shift;
-* :class:`SlotTable` — an ownership map from slot to channel, used both for
-  NI injection tables and per-link occupancy accounting in the allocator;
+* :class:`SlotTable` — an ownership map from slot to channel, the NI
+  injection table;
 * gap/wait analysis used by the latency bound (:mod:`repro.core.analysis`);
 * :func:`spread_slots` — the equidistant slot-choice heuristic;
 * bitmask slot arithmetic (:func:`slots_to_mask` / :func:`mask_to_slots` /
@@ -307,17 +307,13 @@ def _largest_gap(ordered: list[int], size: int) -> tuple[int, int]:
 
 
 class SlotTable:
-    """Ownership map from TDM slot to channel name.
+    """Ownership map from TDM slot to channel name: the **injection
+    table** of a network interface (slot → channel to inject in that
+    slot).  Slot numbers are always in ``range(size)``.
 
-    Used in two roles:
-
-    * as the **injection table** of a network interface (slot → channel to
-      inject in that slot), and
-    * as the **occupancy table** of a link during allocation (slot → channel
-      whose flit traverses the link in that slot).
-
-    Both roles need the same operations: reserve, release, query, and
-    iterate.  Slot numbers are always in ``range(size)``.
+    A link has no table of its own: its occupancy is the channels'
+    reservations shifted onto it, one bitmask per link
+    (:attr:`~repro.core.allocation.Allocation.link_masks`).
 
     >>> table = SlotTable(8)
     >>> table.reserve(2, "video")
@@ -328,16 +324,9 @@ class SlotTable:
     [0, 1, 3, 4, 5, 7]
     >>> table.utilisation()
     0.25
-
-    Occupancy is mirrored in an integer bitmask (bit ``s`` set = slot ``s``
-    reserved) so free/reserved queries, the allocator's per-link
-    intersections and its conflict checks (:meth:`check_free`) cost a few
-    machine ops instead of a table scan.  Every writer keeps the owner
-    map and the mask in step; :meth:`mirrors` is how
-    :meth:`~repro.core.allocation.Allocation.validate` holds them to it.
     """
 
-    __slots__ = ("_size", "_owners", "_mask", "_full", "_row")
+    __slots__ = ("_size", "_owners", "_row")
 
     def __init__(self, size: int,
                  reservations: Mapping[int, str] | None = None):
@@ -346,8 +335,6 @@ class SlotTable:
                 f"slot table size must be positive, got {size}")
         self._size = size
         self._owners: dict[int, str] = {}
-        self._mask = 0
-        self._full = (1 << size) - 1
         self._row: tuple[str | None, ...] | None = None
         if reservations:
             for slot, owner in reservations.items():
@@ -386,31 +373,17 @@ class SlotTable:
     def is_free(self, slot: int) -> bool:
         """True when no channel has reserved ``slot``."""
         self._check_slot(slot)
-        return not self._mask >> slot & 1
-
-    @property
-    def occupancy_mask(self) -> int:
-        """Bitmask of reserved slots (bit ``s`` set = slot ``s`` taken)."""
-        return self._mask
-
-    @property
-    def free_mask(self) -> int:
-        """Bitmask of unreserved slots (complement of the occupancy)."""
-        return ~self._mask & self._full
+        return slot not in self._owners
 
     def free_slots(self) -> frozenset[int]:
         """All currently unreserved slots."""
-        return frozenset(mask_to_slots(self.free_mask))
+        return frozenset(range(self._size)).difference(self._owners)
 
     def reserved_slots(self, owner: str | None = None) -> frozenset[int]:
         """Slots reserved by ``owner`` (or by anyone if ``owner`` is None)."""
         if owner is None:
             return frozenset(self._owners)
         return frozenset(s for s, o in self._owners.items() if o == owner)
-
-    def owners(self) -> frozenset[str]:
-        """All channels holding at least one slot."""
-        return frozenset(self._owners.values())
 
     def utilisation(self) -> float:
         """Fraction of slots reserved."""
@@ -437,56 +410,13 @@ class SlotTable:
         self._check_slot(slot)
         if not owner:
             raise ConfigurationError("slot owner must be a non-empty name")
-        mask = 1 << slot
-        self.check_free(mask, (slot,), owner)
-        self.claim(mask, (slot,), owner)
-
-    def check_free(self, mask: int, slots: Iterable[int], owner: str) -> None:
-        """Raise :class:`AllocationError` on the first of ``slots`` — the
-        ascending slots of ``mask`` — that another owner holds.
-
-        One AND against the occupancy when none is taken, so an
-        allocation can check every link of a route before it writes any.
-        """
-        if self._mask & mask:
-            owners = self._owners
-            for slot in slots:
-                current = owners.get(slot)
-                if current is not None and current != owner:
-                    raise AllocationError(
-                        f"slot {slot} already reserved by {current!r}",
-                        channel=owner, reason="slot conflict")
-
-    def claim(self, mask: int, slots: Iterable[int], owner: str) -> None:
-        """Record ``owner`` on ``slots`` — the ascending slots of ``mask``,
-        in range — unchecked: :meth:`check_free` comes first."""
-        owners = self._owners
-        for slot in slots:
-            owners[slot] = owner
-        self._mask |= mask
+        current = self._owners.get(slot)
+        if current is not None and current != owner:
+            raise AllocationError(
+                f"slot {slot} already reserved by {current!r}",
+                channel=owner, reason="slot conflict")
+        self._owners[slot] = owner
         self._row = None
-
-    def clear(self, mask: int, slots: Iterable[int]) -> None:
-        """Free ``slots`` — the slots of ``mask`` — whoever holds them."""
-        owners = self._owners
-        for slot in slots:
-            owners.pop(slot, None)
-        self._mask &= ~mask
-        self._row = None
-
-    def holds(self, slots: Iterable[int], owner: str) -> bool:
-        """True when ``owner`` is recorded on every one of ``slots``."""
-        owners = self._owners
-        for slot in slots:
-            if owners.get(slot) != owner:
-                return False
-        return True
-
-    def mirrors(self, mask: int) -> bool:
-        """True when exactly the slots of ``mask`` are reserved: the
-        occupancy bitmask is ``mask`` and the owner map holds one entry
-        per set bit."""
-        return self._mask == mask and len(self._owners) == mask.bit_count()
 
     def reserve_all(self, slots: Iterable[int], owner: str) -> None:
         """Reserve several slots atomically (rolls back on conflict)."""
@@ -500,20 +430,19 @@ class SlotTable:
         except AllocationError:
             for slot in taken:
                 del self._owners[slot]
-                self._mask &= ~(1 << slot)
             self._row = None
             raise
 
     def release(self, slot: int) -> None:
         """Free one slot (idempotent)."""
         self._check_slot(slot)
-        self.clear(1 << slot, (slot,))
+        self._owners.pop(slot, None)
+        self._row = None
 
     def release_owner(self, owner: str) -> None:
         """Free every slot held by ``owner``."""
         for slot in [s for s, o in self._owners.items() if o == owner]:
             del self._owners[slot]
-            self._mask &= ~(1 << slot)
             self._row = None
 
     def copy(self) -> "SlotTable":

@@ -149,11 +149,15 @@ class ReconfigurationTimeline:
         a span never stopped running to the horizon — plus the same
         pairing per application (``_sessions``, in start order); every
         other view of the timeline is a read of those.
+
+        An epoch is checked on per-link occupancy masks, as
+        :meth:`Allocation.commit` checks a configuration; a contention
+        names the link, the lowest shared slot and its holder.
         """
+        size = self.table_size
         active_apps: dict[str, list] = {}
-        active_names: set[str] = set()
-        occupied: dict[tuple[tuple[str, str], int], str] = {}
-        link_keys = set(self.topology.iter_link_keys())
+        active: dict[str, ChannelAllocation] = {}
+        masks = dict.fromkeys(self.topology.iter_link_keys(), 0)
         sessions: list[list] = []  # [start, stop, application, channels]
         for event in self.events:
             if event.slot >= self.horizon_slots:
@@ -167,28 +171,26 @@ class ReconfigurationTimeline:
                         "twice without an intervening stop")
                 for ca in event.channels:
                     name = ca.spec.name
-                    if name in active_names:
+                    if name in active:
                         raise ConfigurationError(
                             f"channel {name!r} started while already "
                             "active")
-                    for key, slots in ca.link_slots(
-                            self.table_size).items():
-                        if key not in link_keys:
+                    for key, mask in ca.link_occupancy(size):
+                        held = masks.get(key)
+                        if held is None:
                             raise ConfigurationError(
                                 f"channel {name!r} uses link {key} "
                                 "unknown to the topology")
-                        for slot in slots:
-                            holder = occupied.get((key, slot))
-                            if holder is not None:
-                                raise AllocationError(
-                                    f"epoch starting at slot "
-                                    f"{event.slot}: contention on link "
-                                    f"{key} slot {slot}: {holder!r} vs "
-                                    f"{name!r}",
-                                    channel=name,
-                                    reason="slot contention")
-                            occupied[(key, slot)] = name
-                    active_names.add(name)
+                        if held & mask:
+                            slot, holder = Allocation.holder_of(
+                                active.values(), key, held & mask, size)
+                            raise AllocationError(
+                                f"epoch starting at slot {event.slot}: "
+                                f"contention on link {key} slot {slot}: "
+                                f"{holder!r} vs {name!r}",
+                                channel=name, reason="slot contention")
+                        masks[key] = held | mask
+                    active[name] = ca
                 session = [event.slot, self.horizon_slots,
                            event.application, event.channels]
                 active_apps[event.application] = session
@@ -201,11 +203,9 @@ class ReconfigurationTimeline:
                         f"{event.slot} without a matching start")
                 session[1] = event.slot
                 for ca in session[3]:  # the channels its start committed
-                    active_names.discard(ca.spec.name)
-                    for key, slots in ca.link_slots(
-                            self.table_size).items():
-                        for slot in slots:
-                            del occupied[(key, slot)]
+                    del active[ca.spec.name]
+                    for key, mask in ca.link_occupancy(size):
+                        masks[key] &= ~mask
         self._sessions = tuple(map(tuple, sessions))
         spans: dict[str, list[tuple[int, int, ChannelAllocation]]] = {}
         for start, stop, _, channels in self._sessions:

@@ -23,11 +23,11 @@ once for every service that shares it, never per controller:
   fresh controller over a warm allocator starts warm;
 * the per-admission work that remains is the placement loop every
   allocation shares (:func:`~repro.core.allocation._first_fit`: one
-  table lookup and one AND per link over integer free-slot bitmasks,
+  mask lookup and one OR per link over integer occupancy bitmasks,
   a popcount) with the single-anchor spreading heuristic
   (:func:`~repro.core.slot_table.choose_slots_fast`) as its chooser,
-  and a commit or release that is one AND and one bulk write per link
-  (:meth:`~repro.core.allocation.ChannelAllocation.link_occupancy`).
+  and a commit or release that is one AND and one OR (or AND-NOT) per
+  link (:meth:`~repro.core.allocation.ChannelAllocation.link_occupancy`).
 
 The controller checks once, at construction, that its allocation fits
 the allocator (same topology object, same table size); that is what
@@ -149,7 +149,7 @@ class AdmissionController:
         usable = candidates if not excluded else [
             cand for cand in candidates
             if excluded.isdisjoint(cand.link_keys)]
-        ca, width = _first_fit(allocation.link_tables, spec, usable,
+        ca, width = _first_fit(allocation.link_masks, spec, usable,
                                choose_slots_fast, allocator.table_size)
         if ca is not None:
             allocation.commit(ca)

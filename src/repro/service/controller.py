@@ -246,7 +246,6 @@ class SessionService:
         #: Tenant tag of every admitted tenanted session, so fault
         #: re-admissions can re-quote under the owning tenant.
         self._session_tenant: dict[str, str] = {}
-        self.active: dict[str, object] = {}
         self.peak_active = 0
         self._last_time_s = 0.0
         self.recorder = None
@@ -345,7 +344,7 @@ class SessionService:
         if self.metrics.due_for_snapshot:
             self.metrics.snapshot(
                 time_s=event.time_s,
-                active_sessions=len(self.active),
+                active_sessions=len(self.allocation.channels),
                 mean_link_utilisation=self.allocation
                 .mean_link_utilisation())
 
@@ -371,7 +370,7 @@ class SessionService:
         start = time.perf_counter()
         if event.action == "fail" and excluded:
             affected = sorted(
-                sid for sid, ca in self.active.items()
+                sid for sid, ca in self.allocation.channels.items()
                 if not excluded.isdisjoint(ca.path.link_keys()))
             for sid in affected:
                 outcome = self._relocate(sid, event.time_s)
@@ -413,10 +412,11 @@ class SessionService:
                ca: ChannelAllocation, qos_name: str, quoted_as: str
                ) -> None:
         """An admitted channel goes live: the one place every watcher —
-        active map, trace span, composability checker, timeline
-        recorder, conformance quotes — hears of it."""
-        self.active[session_id] = ca
-        self.peak_active = max(self.peak_active, len(self.active))
+        peak count, trace span, composability checker, timeline
+        recorder, conformance quotes — hears of it.  The live sessions
+        are ``allocation.channels``, which ``admit`` has just written."""
+        self.peak_active = max(self.peak_active,
+                               len(self.allocation.channels))
         if self._tel_enabled:
             self._session_open[session_id] = (time_s, qos_name)
         self.checker.check_transition(session_id)
@@ -435,7 +435,6 @@ class SessionService:
         if self._tel_enabled:
             qos_name = self._tel_session_end(session_id, time_s, outcome)
         self.admission.release(session_id)
-        del self.active[session_id]
         self.checker.check_transition(session_id)
         if self.recorder is not None:
             self.recorder.record_stop(time_s, session_id)
@@ -444,7 +443,7 @@ class SessionService:
     def _relocate(self, session_id: str, time_s: float
                   ) -> dict[str, object]:
         """Force-release one fault-hit session and try to re-admit it."""
-        old_ca = self.active[session_id]
+        old_ca = self.allocation.channels[session_id]
         qos_name = self._stop(time_s, session_id, "evicted")
         outcome: dict[str, object] = {"session": session_id}
         try:
@@ -466,7 +465,7 @@ class SessionService:
 
     def _open(self, event: SessionEvent) -> None:
         session = event.session
-        if session.session_id in self.active:
+        if session.session_id in self.allocation.channels:
             self.anomalies["duplicate_session"] += 1
         spec = session.channel_spec()
         # Record dicts (and the bound quote they carry) are only built
@@ -552,7 +551,7 @@ class SessionService:
 
     def _close(self, event: SessionEvent) -> None:
         session = event.session
-        released = session.session_id in self.active
+        released = session.session_id in self.allocation.channels
         if released:
             self._stop(event.time_s, session.session_id, "closed")
         elif session.session_id in self._unadmitted:
@@ -632,7 +631,7 @@ class SessionService:
             "accept_rate": round(
                 metrics.n_accepted / metrics.n_opens, 4)
             if metrics.n_opens else 1.0,
-            "active_at_end": len(self.active),
+            "active_at_end": len(self.allocation.channels),
             "peak_active": self.peak_active,
             "final_mean_link_utilisation": round(
                 self.allocation.mean_link_utilisation(), 4),

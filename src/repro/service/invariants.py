@@ -29,7 +29,7 @@ does the check.  Three mechanisms at three costs:
   O(active + reserved slots)**: the same rescan next to the full
   :meth:`Allocation.validate` re-derivation, as the *backstop*.  The
   re-derivation catches divergence between channel records and
-  per-link occupancy tables; the rescan catches a write that bypassed
+  per-link occupancy masks; the rescan catches a write that bypassed
   ``commit``/``release`` (``allocation.channels[name] = ...``), which
   no digest can see.
 

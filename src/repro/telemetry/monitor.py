@@ -535,14 +535,16 @@ class FabricRollup:
     @classmethod
     def _weighted(cls, table_size: int, n_channels: int, weighted,
                   series=()) -> "FabricRollup":
-        """Fold ``(allocation, weight)`` pairs: each channel's
-        :meth:`~repro.core.allocation.ChannelAllocation.link_slots`
-        and injection slots count ``weight`` times."""
+        """Fold ``(allocation, weight)`` pairs: the bits of each
+        channel's :meth:`~repro.core.allocation.ChannelAllocation.
+        link_occupancy` masks and its injection slots count ``weight``
+        times."""
         per_link: dict[tuple[str, str], float] = {}
         per_ni: dict[str, float] = {}
         for ca, weight in weighted:
-            for link, slots in ca.link_slots(table_size).items():
-                per_link[link] = per_link.get(link, 0) + len(slots) * weight
+            for link, mask in ca.link_occupancy(table_size):
+                per_link[link] = (per_link.get(link, 0)
+                                  + mask.bit_count() * weight)
             per_ni[ca.path.source] = (per_ni.get(ca.path.source, 0) +
                                       ca.n_slots * weight)
         return cls(
@@ -559,7 +561,7 @@ class FabricRollup:
         """Fold one live :class:`~repro.core.allocation.Allocation`.
 
         Every channel weighs 1 — the one-epoch timeline — so an entry
-        is the whole number of slots the link tables hold reserved.
+        is the whole number of slots the link masks hold reserved.
         """
         channels = allocation.channels
         return cls._weighted(

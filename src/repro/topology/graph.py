@@ -419,7 +419,9 @@ class Topology:
         preserves sorted order which keeps the mapping deterministic either
         way because readers must use the stored port numbers, which are
         re-checked here.  Dicts written before ``attrs`` existed load as
-        topologies without node attributes.
+        topologies without node attributes.  Ports and pipeline stages
+        must be non-negative JSON integers: a stage count read as
+        ``int(2.5)`` would silently move every slot shift behind it.
         """
         topo = Topology(str(data.get("name", "noc")))
         attrs = data.get("attrs", {})
@@ -428,10 +430,15 @@ class Topology:
         for n in data["nis"]:  # type: ignore[union-attr]
             topo.add_ni(str(n), **attrs.get(n, {}))
         for ld in data["links"]:  # type: ignore[union-attr]
+            numbers = [ld[key] for key in
+                       ("src_port", "dst_port", "pipeline_stages")]
+            if any(type(n) is not int or n < 0 for n in numbers):
+                raise TopologyError(
+                    f"link {ld['src']!r} -> {ld['dst']!r} needs "
+                    "non-negative integer ports and pipeline stages, got "
+                    f"{numbers}")
             topo._connect_explicit(
-                Link(src=str(ld["src"]), dst=str(ld["dst"]),
-                     src_port=int(ld["src_port"]), dst_port=int(ld["dst_port"]),
-                     pipeline_stages=int(ld["pipeline_stages"])))
+                Link(str(ld["src"]), str(ld["dst"]), *numbers))
         return topo
 
     def _connect_explicit(self, link: Link) -> None:

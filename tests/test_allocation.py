@@ -52,9 +52,12 @@ class TestBasicAllocation:
             [ChannelSpec("c", "a", "b", 100 * MB)], mapping)
         ca = alloc.channel("c")
         for link, shift in zip(ca.path.links, ca.path.link_shifts):
-            table = alloc.link_tables[link.key]
             for slot in ca.slots:
-                assert table.owner(shifted(slot, shift, 16)) == "c"
+                link_slot = shifted(slot, shift, 16)
+                assert alloc.link_masks[link.key] >> link_slot & 1
+                assert Allocation.holder_of(alloc.channels.values(),
+                                            link.key, 1 << link_slot,
+                                            16) == (link_slot, "c")
 
     def test_zero_throughput_still_gets_one_slot(self):
         topo = single_router(2)
@@ -286,10 +289,8 @@ class TestIncrementalReconfiguration:
         assert [shift for _, shift in path.hops] == [0, 1, 2, 3]
 
         def snapshot():
-            return ({key: (json.dumps(table.to_dict()), table.occupancy_mask,
-                           table.owner_row())
-                     for key, table in alloc.link_tables.items()},
-                    dict(alloc.channels), alloc.channels_digest)
+            return (dict(alloc.link_masks), dict(alloc.channels),
+                    alloc.channels_digest)
 
         before = snapshot()
         clash = ChannelAllocation(ChannelSpec("b", "x", "y", 1 * MB), path,
@@ -300,6 +301,23 @@ class TestIncrementalReconfiguration:
         assert (exc.value.channel, exc.value.reason) == ("b", "slot conflict")
         assert snapshot() == before
         alloc.validate()
+
+    @pytest.mark.parametrize("slots, named", [
+        ((8,), 8), ((3, 8), 8), ((-1,), -1), ((-2, 9), -2)])
+    def test_slot_outside_the_table_is_refused(self, slots, named):
+        """Once reduced modulo the table size, committed and validated."""
+        topo = mesh(2, 1, nis_per_router=1)
+        alloc = Allocation(topo, 8, 500e6, WordFormat())
+        path = _allocator(topo, table_size=8).shortest_candidates(
+            "ni0_0_0", "ni1_0_0")[0]
+        with pytest.raises(AllocationError) as exc:
+            alloc.commit(ChannelAllocation(
+                ChannelSpec("c", "x", "y", 1 * MB), path, slots))
+        assert str(exc.value) == \
+            f"channel 'c' slot {named} outside table of size 8"
+        assert (exc.value.channel, exc.value.reason) == \
+            ("c", "slot outside table")
+        assert not alloc.channels and not any(alloc.link_masks.values())
 
 
 class TestAllocationProperties:
@@ -351,12 +369,12 @@ class TestAllocationProperties:
         for name in victims:
             alloc.release(name)
         alloc.validate()
-        total = sum(t.utilisation() for t in alloc.link_tables.values())
         # Only surviving channels hold slots.
-        expected = set(alloc.channels)
-        for table in alloc.link_tables.values():
-            assert table.owners() <= expected
-        assert total >= 0
+        survivors = alloc.channels.values()
+        for key, mask in alloc.link_masks.items():
+            for slot in range(16):
+                assert bool(mask >> slot & 1) == (Allocation.holder_of(
+                    survivors, key, 1 << slot, 16)[1] is not None)
 
 
 # -- one placement path --------------------------------------------------------
@@ -377,9 +395,10 @@ def _reference_fit(allocation, spec, paths, choose):
             failures.append(f"{path!r}: {exc.reason}")
             continue
         free = {slot for slot in range(size)
-                if all(allocation.link_tables[link.key].is_free(
-                    shifted(slot, shift, size))
-                    for link, shift in zip(path.links, path.link_shifts))}
+                if not any(allocation.link_masks[link.key]
+                           >> shifted(slot, shift, size) & 1
+                           for link, shift in zip(path.links,
+                                                  path.link_shifts))}
         if len(free) < n:
             failures.append(f"{path!r}: {len(free)} free slots < {n} needed")
             continue
@@ -432,7 +451,7 @@ class TestOnePlacementPath:
         quotes = allocator.route_quotes(src, dst, spec)
         usable = [cand for cand in quotes
                   if allocation.excluded_links.isdisjoint(cand.link_keys)]
-        placed, _ = _first_fit(allocation.link_tables, spec, usable,
+        placed, _ = _first_fit(allocation.link_masks, spec, usable,
                                choose_slots_fast, self.SIZE)
         reference, _ = _reference_fit(
             allocation, spec,
@@ -456,7 +475,7 @@ class TestOnePlacementPath:
         try:
             paths = allocator._candidates(
                 spec, mapping, allocation.excluded_links,
-                allocation.link_tables)
+                allocation.link_masks)
         except AllocationError as exc:
             with pytest.raises(AllocationError) as refused:
                 allocator.extend(allocation, [spec], mapping)
@@ -464,7 +483,7 @@ class TestOnePlacementPath:
             return
         reasons: list[str] = []
         placed, _ = _first_fit(
-            allocation.link_tables, spec,
+            allocation.link_masks, spec,
             _quoted(allocator, spec, paths, reasons), spread_slots,
             self.SIZE, reasons)
         reference, reference_reasons = _reference_fit(
@@ -593,7 +612,7 @@ class TestRouteGeometryOnce:
             assert list(quotes) == expected  # dataclass ==: every field
             # Unreduced shifts (pipelined paths outrun the 8-slot table)
             # place exactly what a slot-by-slot walk places.
-            placed, _ = _first_fit(allocation.link_tables, spec, quotes,
+            placed, _ = _first_fit(allocation.link_masks, spec, quotes,
                                    choose_slots_fast, self.SIZE)
             walked, _ = _reference_fit(allocation, spec, reference,
                                        choose_slots_fast)
@@ -864,23 +883,20 @@ class TestFastPathsHoldToTheirOracles:
                 ctrl.admit(ChannelSpec(f"s{index}", src, dst, rate), src, dst)
             except AllocationError:
                 pass
-        tables = allocation.link_tables
-        # Writes that bypass commit/release.
+        masks = allocation.link_masks
+        # Writes that bypass commit/release.  (A wrong owner name on a
+        # correctly set bit cannot be written: a mask names nobody.)
         for _ in range(data.draw(st.integers(0, 3))):
             write = data.draw(st.sampled_from(
-                ("reserve", "release", "foreign", "add", "drop", "stale")))
-            table = tables[data.draw(st.sampled_from(sorted(tables)))]
-            held, free = (sorted(table.reserved_slots()),
-                          sorted(table.free_slots()))
+                ("reserve", "release", "add", "drop", "link")))
+            key = data.draw(st.sampled_from(sorted(masks)))
+            held = [s for s in range(size) if masks[key] >> s & 1]
+            free = [s for s in range(size) if not masks[key] >> s & 1]
             names = sorted(allocation.channels)
             if write == "reserve" and free:
-                table.reserve(data.draw(st.sampled_from(free)),
-                              data.draw(st.sampled_from(names + ["ghost"])))
-            elif write in ("release", "foreign") and held:
-                slot = data.draw(st.sampled_from(held))
-                table.release(slot)
-                if write == "foreign":
-                    table.reserve(slot, "ghost")
+                masks[key] |= 1 << data.draw(st.sampled_from(free))
+            elif write == "release" and held:
+                masks[key] &= ~(1 << data.draw(st.sampled_from(held)))
             elif write == "add":
                 src, dst = data.draw(ends)
                 name = data.draw(st.sampled_from(names + ["ghost"]))
@@ -891,17 +907,16 @@ class TestFastPathsHoldToTheirOracles:
                         st.integers(0, size - 1), min_size=1, max_size=3)))))
                 allocation.channels[
                     data.draw(st.sampled_from((name, "alias")))] = ca
-                if data.draw(st.booleans()):  # and into its link tables
-                    for key, slots in ca.link_slots(size).items():
-                        try:
-                            tables[key].reserve_all(slots, name)
-                        except AllocationError:
-                            pass
+                if data.draw(st.booleans()):  # and into its link masks
+                    for link, mask in ca.link_occupancy(size):
+                        masks[link] = masks.get(link, 0) | mask
             elif write == "drop" and names:
                 del allocation.channels[data.draw(st.sampled_from(names))]
-            elif write == "stale" and free:
-                # An owner entry the occupancy mask does not mirror.
-                table._owners[data.draw(st.sampled_from(free))] = "ghost"
+            elif write == "link":  # a link the topology lacks, or loses
+                if data.draw(st.booleans()):
+                    masks[("ghost", key[1])] = 0
+                else:
+                    del masks[key]
         derived = _outcome(allocation._derive_per_slot)
         assert _outcome(allocation.validate) == derived
         assert allocation._masks_agree() == (derived is None)

@@ -38,10 +38,8 @@ def allocation_fingerprint(allocation):
             name: {"links": [list(k) for k in ca.path.link_keys()],
                    "slots": list(ca.slots)}
             for name, ca in sorted(allocation.channels.items())},
-        "tables": {
-            f"{k[0]}->{k[1]}": {str(s): t.owner(s)
-                                for s in t.reserved_slots()}
-            for k, t in sorted(allocation.link_tables.items())},
+        "masks": {f"{k[0]}->{k[1]}": mask
+                  for k, mask in sorted(allocation.link_masks.items())},
     }, sort_keys=True).encode()
 
 
@@ -261,7 +259,7 @@ class TestServiceFaults:
         # Fail (and repair) a link no active session traverses, so the
         # occupancy itself is untouched and the comparison is exact.
         used = set()
-        for ca in service.active.values():
+        for ca in service.allocation.channels.values():
             used.update(ca.path.link_keys())
         link = next(key for key in topology.iter_link_keys()
                     if key not in used and key[0].startswith("r")

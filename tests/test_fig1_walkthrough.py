@@ -50,16 +50,12 @@ class TestFigure1:
     def test_shifted_reservations_match_figure(self, figure1):
         """The figure's tables: cA {0,2} -> {1,3} -> {2,0}; cB {1} -> {2} -> {3}."""
         _, _, _, _, allocation = figure1
-        ca = allocation.channel("cA")
-        link_slots = ca.link_slots(4)
-        assert link_slots[("ni_a", "rl")] == frozenset({0, 2})
-        assert link_slots[("rl", "rr")] == frozenset({1, 3})
-        assert link_slots[("rr", "ni_b")] == frozenset({2, 0})
-        cb = allocation.channel("cB")
-        cb_slots = cb.link_slots(4)
-        assert cb_slots[("ni_c", "rl")] == frozenset({1})
-        assert cb_slots[("rl", "rr")] == frozenset({2})
-        assert cb_slots[("rr", "ni_b")] == frozenset({3})
+        assert allocation.channel("cA").link_occupancy(4) == (
+            (("ni_a", "rl"), 0b0101), (("rl", "rr"), 0b1010),
+            (("rr", "ni_b"), 0b0101))
+        assert allocation.channel("cB").link_occupancy(4) == (
+            (("ni_c", "rl"), 0b0010), (("rl", "rr"), 0b0100),
+            (("rr", "ni_b"), 0b1000))
 
     def test_no_contention_on_shared_links(self, figure1):
         _, _, _, _, allocation = figure1
@@ -67,11 +63,11 @@ class TestFigure1:
 
     def test_shared_link_union_is_disjoint(self, figure1):
         _, _, _, _, allocation = figure1
-        table = allocation.link_tables[("rl", "rr")]
-        assert table.owner(1) == "cA"
-        assert table.owner(3) == "cA"
-        assert table.owner(2) == "cB"
-        assert table.owner(0) is None
+        shared = ("rl", "rr")
+        assert allocation.link_masks[shared] == 0b1110
+        assert [allocation.holder_of(allocation.channels.values(), shared,
+                                     1 << slot, 4) for slot in range(4)] == \
+            [(0, None), (1, "cA"), (2, "cB"), (3, "cA")]
 
     def test_simulation_confirms_figure(self, figure1):
         topo, spec_a, spec_b, mapping, allocation = figure1

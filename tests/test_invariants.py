@@ -56,9 +56,9 @@ def free_injection_slots(allocation, path) -> tuple[int, ...]:
     size = allocation.table_size
     return tuple(
         slot for slot in range(size)
-        if all(allocation.link_tables[link.key].is_free(
-            shifted(slot, shift, size))
-            for link, shift in zip(path.links, path.link_shifts)))
+        if not any(allocation.link_masks[link.key]
+                   >> shifted(slot, shift, size) & 1
+                   for link, shift in zip(path.links, path.link_shifts)))
 
 
 def moved(ctrl, ca: ChannelAllocation) -> ChannelAllocation:
@@ -133,8 +133,8 @@ def bypass_replace(ctrl):
 
 def corrupt_table(ctrl):
     key = ctrl.allocation.channels["s0"].path.link_keys()[0]
-    table = ctrl.allocation.link_tables[key]
-    table.reserve(min(table.free_slots()), "ghost")
+    masks = ctrl.allocation.link_masks
+    masks[key] |= (masks[key] + 1) & ~masks[key]  # the lowest free slot
     return "full validation failed"
 
 
@@ -177,8 +177,8 @@ def test_undone_bypass_leaves_digest_out_of_step(small_mesh):
     free = free_injection_slots(ctrl.allocation, path)
     ghost = ChannelAllocation(spec=spec, path=path, slots=free[:1])
     ctrl.allocation.channels["ghost"] = ghost
-    for key, slots in ghost.link_slots(16).items():
-        ctrl.allocation.link_tables[key].reserve_all(slots, "ghost")
+    for key, mask in ghost.link_occupancy(16):
+        ctrl.allocation.link_masks[key] |= mask
     ctrl.allocation.release("ghost")
     assert checker.check_transition("nobody") is False
     assert "out of step" in checker.violations[0]

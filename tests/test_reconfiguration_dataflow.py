@@ -151,11 +151,11 @@ class TestReconfigurationInterleavings:
         rng = random.Random(seed)
         manager, apps = self._pool(rng)
         by_name = {a.name: a for a in apps}
-        link_count = len(manager.allocation.link_tables)
+        link_count = len(manager.allocation.link_masks)
 
         def total_reserved():
-            return sum(len(t.reserved_slots())
-                       for t in manager.allocation.link_tables.values())
+            return sum(mask.bit_count()
+                       for mask in manager.allocation.link_masks.values())
 
         expected_slots: dict[str, int] = {}  # app -> slots it holds
         for step in range(self.N_STEPS):
@@ -190,7 +190,7 @@ class TestReconfigurationInterleavings:
                 assert freed == expected_slots.pop(name)
             # Disjointness / bookkeeping: contention-free throughout.
             manager.allocation.validate()
-            assert len(manager.allocation.link_tables) == link_count
+            assert len(manager.allocation.link_masks) == link_count
 
         for name in list(manager.running_applications):
             manager.stop_application(name)

@@ -99,6 +99,91 @@ class TestSerialization:
                             Exception)):
             configuration_from_dict(data)
 
+    @pytest.mark.parametrize("slot", [8, 9, -1])
+    def test_slot_outside_the_table_is_refused_on_load(self, mesh_config,
+                                                       slot):
+        """Once reduced modulo the table size, loaded and validated; the
+        first complaint came from ``bounds()``."""
+        data = configuration_to_dict(mesh_config)
+        data["allocation"]["c0"]["slots"] = [slot]
+        with pytest.raises(AllocationError,
+                           match=f"slot {slot} outside table of size 8") \
+                as refused:
+            configuration_from_dict(data)
+        assert refused.value.reason == "slot outside table"
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("word_format"),
+        lambda d: d["allocation"]["c0"].pop("routers"),
+        lambda d: d.update(table_size="x"),
+        lambda d: d.update(allocation=[]),
+    ], ids=["no-word-format", "no-routers", "table-size-str",
+            "allocation-list"])
+    def test_the_builtin_crashes_are_refusals(self, mesh_config, edit):
+        """``KeyError`` / ``ValueError`` / ``AttributeError`` before."""
+        data = configuration_to_dict(mesh_config)
+        edit(data)
+        with pytest.raises(ConfigurationError,
+                           match="malformed saved configuration|must be"):
+            configuration_from_dict(data)
+
+    def test_every_deletion_and_type_swap_loads_or_is_refused(
+            self, mesh_config):
+        """Each edit of the saved document — a field or list entry
+        deleted, or any value swapped for one of another JSON type —
+        either loads to a configuration that saves and reloads to
+        itself, or raises ``ConfigurationError``: never a builtin
+        exception, never an ``AllocationError`` from a coerced value."""
+        saved = json.loads(json.dumps(configuration_to_dict(mesh_config)))
+        swaps = (None, True, 7, 2.5, "x", [], {})
+        edits = []
+        for path, value in _nodes(saved):
+            if path:
+                edits.append((path, "delete"))
+            edits.extend((path, swap) for swap in swaps
+                         if type(swap) is not type(value))
+        assert len(edits) > 1000
+        loaded = refused = 0
+        for path, swap in edits:
+            document = _edited(saved, path, swap)
+            try:
+                config = configuration_from_dict(document)
+            except ConfigurationError:
+                refused += 1
+                continue
+            except Exception as exc:  # pragma: no cover - the failure
+                pytest.fail(f"{path} <- {swap!r}: {exc!r}")
+            again = json.loads(json.dumps(configuration_to_dict(config)))
+            assert configuration_to_dict(
+                configuration_from_dict(again)) == again, (path, swap)
+            loaded += 1
+        assert loaded and refused
+
+
+def _nodes(value, path=()):
+    """Every ``(path, value)`` of a JSON document, the root first."""
+    yield path, value
+    children = (value.items() if isinstance(value, dict)
+                else enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _nodes(child, (*path, key))
+
+
+def _edited(document, path, swap):
+    """A deep copy of ``document`` with the node at ``path`` deleted
+    (``swap == "delete"``) or replaced by ``swap``."""
+    copy = json.loads(json.dumps(document))
+    if not path:
+        return swap
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if swap == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = swap
+    return copy
+
 
 class TestExploration:
     def test_min_frequency_found(self, mesh_config):

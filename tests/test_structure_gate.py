@@ -91,6 +91,23 @@ def test_the_tree_passes():
      "quotes are materialised eagerly"),
     ("core/allocation.py", "S = shifted(0, 1, 4)",
      "shifted( is called in core/allocation.py"),
+    ("telemetry/monitor.py", "T = allocation.link_tables",
+     "a second record of who holds a link slot"),
+    ("core/allocation.py", "def link_slots(self, size): pass",
+     "a second record of who holds a link slot"),
+    ("service/admission.py", "table.check_free(0, (), 'a')",
+     "a second record of who holds a link slot"),
+    ("core/slot_table.py", "def claim(self, mask): pass",
+     "SlotTable keeps a link-occupancy mask"),
+    ("core/slot_table.py", "def _f(self):\n    return self._mask",
+     "SlotTable keeps a link-occupancy mask"),
+    ("service/controller.py", "def _f(self):\n    return self.active",
+     "copies allocation.channels into an active map"),
+    ("core/timeline.py",
+     "OCCUPIED: dict[tuple[tuple[str, str], int], str] = {}",
+     "keeps a per-(link, slot) dict"),
+    ("core/timeline.py", "def _f(o, key, slot):\n    return o[(key, slot)]",
+     "keeps a per-(link, slot) dict"),
     ("campaign/runner.py", "def steal(): pass", "work stealing"),
     ("campaign/runner.py", "_MAX_BATCH = 128", "adaptive batches"),
     ("campaign/fabric.py", "class ShardJournal: pass", "run-wrapper twin"),

@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.allocation import SlotAllocator
+from repro.core.allocation import ChannelAllocation, SlotAllocator
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
@@ -162,6 +163,97 @@ class TestTimelineArtifact:
         again = json.dumps(_mesh_timeline(mesh_config).to_record(),
                            sort_keys=True)
         assert text == again
+
+    @pytest.mark.parametrize("slots", [(8,), (1, 8), (-1,), (-1, 3)])
+    def test_slot_outside_the_table_is_refused_at_the_start(
+            self, mesh_config, slots):
+        """Once reduced modulo the table size and accepted."""
+        c0 = mesh_config.allocation.channel("c0")
+        outside = type(c0)(spec=c0.spec, path=c0.path, slots=slots)
+        with pytest.raises(AllocationError, match="outside table of size 8") \
+                as refused:
+            ReconfigurationTimeline(
+                mesh_config.topology,
+                [TimelineEvent(0, "start", "appX", (outside,))],
+                horizon_slots=100, table_size=8,
+                frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
+        assert refused.value.reason == "slot outside table"
+
+
+_FABRIC = mesh(2, 2, nis_per_router=1, pipeline_stages=1)
+_ROUTES = SlotAllocator(_FABRIC, table_size=4, frequency_hz=500e6)
+
+
+def _per_slot_walk(events, size):
+    """The per-(link, slot) walk timeline validation replaced, kept as
+    its oracle: ``None``, or ``(start slot, link, lowest shared slot,
+    holder, channel)`` of the first start that shares a link slot."""
+    occupied: dict[tuple[tuple[str, str], int], str] = {}
+    running: dict[str, tuple] = {}
+    for event in sorted(events, key=lambda e: (e.slot, e.action != "stop",
+                                               e.application)):
+        if event.action == "stop":
+            for ca in running.pop(event.application):
+                for link, shift in zip(ca.path.links, ca.path.link_shifts):
+                    for slot in ca.slots:
+                        del occupied[(link.key, (slot + shift) % size)]
+            continue
+        for ca in event.channels:
+            for link, shift in zip(ca.path.links, ca.path.link_shifts):
+                slots = sorted((slot + shift) % size for slot in ca.slots)
+                shared = [s for s in slots if (link.key, s) in occupied]
+                if shared:
+                    return (event.slot, link.key, shared[0],
+                            occupied[(link.key, shared[0])], ca.spec.name)
+                for slot in slots:
+                    occupied[(link.key, slot)] = ca.spec.name
+        running[event.application] = event.channels
+    return None
+
+
+class TestEpochMasksHoldToThePerSlotWalk:
+    SIZE = 4
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_start_is_refused_iff_the_walk_finds_a_shared_slot(
+            self, data):
+        nis = sorted(_FABRIC.nis)
+        events = []
+        for app in range(data.draw(st.integers(1, 5))):
+            channels = []
+            for index in range(data.draw(st.integers(1, 2))):
+                src, dst = data.draw(st.lists(st.sampled_from(nis),
+                                              min_size=2, max_size=2,
+                                              unique=True))
+                path = data.draw(st.sampled_from(
+                    _ROUTES.shortest_candidates(src, dst)))
+                slots = data.draw(st.sets(st.integers(0, self.SIZE - 1),
+                                          min_size=1, max_size=2))
+                channels.append(ChannelAllocation(
+                    ChannelSpec(f"a{app}c{index}", src, dst, 1 * MB),
+                    path, tuple(sorted(slots))))
+            start = data.draw(st.integers(0, 40))
+            events.append(TimelineEvent(start, "start", f"a{app}",
+                                        tuple(channels)))
+            if data.draw(st.booleans()):
+                events.append(TimelineEvent(
+                    data.draw(st.integers(start + 1, 60)), "stop",
+                    f"a{app}"))
+        expected = _per_slot_walk(events, self.SIZE)
+        try:
+            ReconfigurationTimeline(_FABRIC, events, horizon_slots=100,
+                                    table_size=self.SIZE,
+                                    frequency_hz=500e6)
+        except AllocationError as exc:
+            assert expected is not None
+            at, link, slot, holder, name = expected
+            assert str(exc) == (f"epoch starting at slot {at}: contention "
+                                f"on link {link} slot {slot}: {holder!r} "
+                                f"vs {name!r}")
+            assert (exc.channel, exc.reason) == (name, "slot contention")
+        else:
+            assert expected is None
 
 
 class TestRecorder:

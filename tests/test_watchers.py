@@ -130,9 +130,11 @@ def ref_rollup(timeline, horizon):
             if not active:
                 continue
             weight = active / horizon
-            for link, slots in ca.link_slots(table_size).items():
-                per_link[link] = per_link.get(link, 0.0) + \
-                    len(slots) * weight
+            # The shift is a bijection: a hop holds one slot per
+            # injection slot.
+            for link in ca.path.links:
+                per_link[link.key] = per_link.get(link.key, 0.0) + \
+                    len(ca.slots) * weight
             per_ni[ca.path.source] = per_ni.get(ca.path.source, 0.0) + \
                 ca.n_slots * weight
     series = []

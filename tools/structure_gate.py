@@ -42,6 +42,18 @@ RULES = [
     (r"set_excluded_links|free_injection_mask|_path_free_mask|"
      r"def candidate_paths|_pending_admit_us", SRC, None, NONE,
      f"a deleted placement twin or fault-state mirror {_GONE}"),
+    (r"link_tables|def link_slots\b|check_free|\.mirrors\(", SRC, None, NONE,
+     "a second record of who holds a link slot is back under src/repro "
+     "(Allocation.channels is the record, link_masks its one index)"),
+    (r"def (check_free|claim|clear|holds|mirrors)\b|self\._mask\b",
+     ("src/repro/core/slot_table.py",), None, NONE,
+     "SlotTable keeps a link-occupancy mask or its upkeep again"),
+    (r"\bself\.active\b", ("src/repro/service/controller.py",), None, NONE,
+     "SessionService copies allocation.channels into an active map again"),
+    (r"\(key, slot\)|tuple\[tuple\[str, str\], int\]",
+     ("src/repro/core/timeline.py",), None, NONE,
+     "timeline validation keeps a per-(link, slot) dict again; check an "
+     "epoch on per-link masks"),
     (r"^\s*(import|from) networkx", SRC, None, NONE,
      "networkx is imported under src/repro"),
     (r"_k(route|path)_cache\b[^=]*=\s*\\?\s*(\{\}|dict\(\))",
