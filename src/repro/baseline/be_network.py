@@ -37,7 +37,7 @@ from typing import Iterator
 from repro.baseline.arbitration import RoundRobinArbiter
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import ConfigurationError, SimulationError
-from repro.simulation.compiled import pattern_slice
+from repro.simulation.compiled import compile_arrivals
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
                                        StatsCollector)
 from repro.topology.graph import NodeKind, Topology
@@ -143,13 +143,12 @@ class BeNetworkSimulator:
         # Arrivals are bucketed by the tick that releases them, so a tick
         # visits only what is due in it.  A channel's arrivals are
         # released in event order: one never overtakes its predecessor.
-        # Each pattern's arrival stream is compiled once, as far as its
-        # longest interval reads, into the shared flat representation
-        # (:func:`repro.simulation.compiled.pattern_slice`) and each
-        # incarnation takes a prefix slice.
+        # Every interval's arrival stream is one segment of a single
+        # batch compiled by the executor's compiler
+        # (:func:`repro.simulation.compiled.compile_arrivals`).
         due: list[list[tuple[_Ni, deque[BePacket], BePacket]]] = [
             [] for _ in range(n_ticks)]
-        table_cache: dict = {}
+        offered, streams = [], []
         # Name order: each NI arbitrates its channels' queues in it.
         for name, intervals in sorted(channel_intervals.items()):
             source = intervals[0][2].path.source
@@ -160,7 +159,6 @@ class BeNetworkSimulator:
             ni.injections.append(sink.injections)
             deliveries[name] = sink.deliveries
             pattern = patterns.get(name)
-            release = 0
             for start, stop, ca in intervals:
                 if ca.path.source != source:
                     raise ConfigurationError(
@@ -168,43 +166,48 @@ class BeNetworkSimulator:
                         "source NI; the baseline keeps one queue per "
                         "channel")
                 end = min(stop, n_ticks)
-                span = end - start
-                if pattern is None or span <= 0:
+                if pattern is None or end <= start:
                     continue
-                lifetime_cycles = span * flit_size
-                table, count = pattern_slice(
-                    table_cache, pattern, lifetime_cycles,
-                    lifetime_cycles, fmt)
-                base_cycle = start * flit_size
-                out_ports, sequence = ca.path.out_ports, itertools.count()
-                for tick, cycle, words, mid in zip(
-                        (start + table.ready[:count]).tolist(),
-                        table.cycles[:count].tolist(),
-                        table.words[:count].tolist(),
-                        table.mids[:count].tolist()):
-                    # An arrival mid-way through the last active slot
-                    # only becomes injectable at the stop boundary
-                    # itself — by then the session is gone (the
-                    # flit-level simulator drops the same arrival with
-                    # the schedule row).
-                    if tick >= end:
-                        continue
-                    if tick > release:
-                        release = tick
-                    bucket = due[release]
-                    created = base_cycle + cycle
-                    # A message becomes packets of ``most`` flits; the
-                    # last one's delivery reports the whole payload,
-                    # matching the flit-level simulator's accounting.
-                    flits = max(1, -(-words // per_flit))
-                    while flits > most:
-                        bucket.append((ni, queue, BePacket(
-                            name, mid, created, out_ports, most, 0, False,
-                            sequence)))
-                        flits -= most
+                lifetime_cycles = (end - start) * flit_size
+                offered.append((name, ni, queue, start, end, ca))
+                streams.append((pattern, lifetime_cycles, lifetime_cycles))
+        arrivals = compile_arrivals(streams)
+        bounds = arrivals.bounds.tolist()
+        ready, cycles, words, mids = (column.tolist() for column in (
+            -(-arrivals.cycles // flit_size), arrivals.cycles,
+            arrivals.words, arrivals.mids))
+        channel = None
+        for (name, ni, queue, start, end, ca), lo, hi in zip(
+                offered, bounds, bounds[1:]):
+            if name != channel:
+                channel, release = name, 0
+            base_cycle = start * flit_size
+            out_ports, sequence = ca.path.out_ports, itertools.count()
+            for at in range(lo, hi):
+                tick = start + ready[at]
+                # An arrival mid-way through the last active slot only
+                # becomes injectable at the stop boundary itself — by
+                # then the session is gone (the flit-level simulator
+                # drops the same arrival with the schedule row).
+                if tick >= end:
+                    continue
+                if tick > release:
+                    release = tick
+                bucket = due[release]
+                mid, message_words = mids[at], words[at]
+                created = base_cycle + cycles[at]
+                # A message becomes packets of ``most`` flits; the last
+                # one's delivery reports the whole payload, matching the
+                # flit-level simulator's accounting.
+                flits = max(1, -(-message_words // per_flit))
+                while flits > most:
                     bucket.append((ni, queue, BePacket(
-                        name, mid, created, out_ports, flits,
-                        words * fmt.bytes_per_word, True, sequence)))
+                        name, mid, created, out_ports, most, 0, False,
+                        sequence)))
+                    flits -= most
+                bucket.append((ni, queue, BePacket(
+                    name, mid, created, out_ports, flits,
+                    message_words * fmt.bytes_per_word, True, sequence)))
         for ni in nis.values():
             ni.arbiter = RoundRobinArbiter(len(ni.queues))
         self._run_loop(n_ticks, due, routers,

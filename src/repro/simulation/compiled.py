@@ -5,34 +5,36 @@ injection slot and per-hop link traversal is decidable at configuration
 time from the slot tables alone.  The per-flit oracle in
 :mod:`repro.simulation.flitsim` walks each channel incarnation's
 reserved slots one by one in Python; this module compiles that walk
-away.
+away, for every incarnation of a run at once.
 
 The compiled representation has three layers:
 
-* :class:`PatternTable` — one traffic pattern's arrival stream as flat
-  ``int64`` arrays (cycle, words, message id, ready slot, flits per
-  message, running flit count).  Tables are compiled once per pattern
-  object, as far as its longest incarnation can read, and
-  *prefix-sliced* per channel incarnation, so a timeline that restarts a
-  channel hundreds of times pays for its arrival arithmetic once and a
-  session that lives for a hundredth of the run allocates a hundredth
-  of its arrivals.
-* the **interval recurrence** (:func:`_run_interval`) — a channel's
-  behaviour over one active span ``[start, end)``.  Contention-freedom
-  makes each channel independent, so a whole incarnation (spanning any
-  number of epoch boundaries that do not touch it) is solved in a dozen
-  array operations: with sorted reserved slots ``s`` (``m`` of them in a
-  table of ``T``), the index function ``A(x) = (x // T) * m +
-  searchsorted(s, x mod T)`` counts reserved slots before absolute slot
-  ``x`` without materialising the schedule, and the FIFO service start
-  of message ``i`` follows the Lindley-style recurrence ``k = F +
+* :class:`Arrivals` — the arrival streams of all of a run's channel
+  incarnations as one set of concatenated ``int64`` columns (cycle,
+  words, message id, ready slot), one segment per incarnation, built by
+  :func:`compile_arrivals`.  A segment holds only the events that arrive
+  within its incarnation, so a session that lives for a hundredth of
+  the run allocates a hundredth of its arrivals.
+* the **batched recurrence** (:func:`_solve`) — every incarnation's
+  behaviour over its active span ``[start, end)`` in the same array
+  operations, taken in blocks of whole segments that bound the
+  temporaries.  Contention-freedom makes each channel independent, so an
+  incarnation (spanning any number of epoch boundaries that do not touch
+  it) is a segment of the batch: with ``m`` reserved slots in a table of
+  ``T`` and ``C[x]`` the number of them before table slot ``x`` (one row
+  of a count-before table per distinct slot set), ``A(x) = (x // T) * m
+  + C[x mod T]`` counts reserved slots before absolute slot ``x``
+  without materialising the schedule, and the FIFO service start of
+  message ``i`` follows the Lindley-style recurrence ``k = F +
   cummax(pos - F)`` where ``F`` is the running flit count and ``pos``
   the first reserved slot index at or after the message's ready slot.
-* **lazy materialisation** — :class:`CompiledStats` and
-  :class:`CompiledTraceRecorder` are drop-in
+  The running maximum restarts at every segment boundary.
+* **lazy materialisation** — each incarnation that injected is an
+  :class:`_IntervalRun`, a ``[lo, hi)`` view of the batch columns.
+  :class:`CompiledStats` and :class:`CompiledTraceRecorder` are drop-in
   :class:`~repro.simulation.monitors.StatsCollector` /
   :class:`~repro.simulation.monitors.TraceRecorder` subclasses that hold
-  the interval arrays and only expand them into per-flit
+  those views and only expand them into per-flit
   :class:`~repro.simulation.monitors.InjectionRecord` /
   :class:`~repro.simulation.monitors.DeliveryRecord` objects (or trace
   tuples) when a monitor, ``verify_timeline`` or a campaign serialiser
@@ -49,8 +51,8 @@ enforce.  The composability trace is one more read of the same arrays
 is not the executor's at all but the lifetime table's
 (:func:`~repro.simulation.backend.check_lifetime_contention`).
 
-The best-effort baseline shares :func:`pattern_slice` for its timeline
-arrival expansion, and the cycle-accurate model consumes the flat
+The best-effort baseline compiles its arrivals with the same
+:func:`compile_arrivals`, and the cycle-accurate model consumes the flat
 :meth:`~repro.core.slot_table.SlotTable.owner_row` view of the same
 slot tables — one schedule representation across all three backends.
 
@@ -63,211 +65,247 @@ imports it (and with it numpy) on the first simulated run, never with
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from bisect import bisect_left
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as _np
 
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
                                        ServiceObservation, StatsCollector,
                                        TraceRecorder)
-from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
-                                      PeriodicBurst, Replay, Saturating,
-                                      TrafficPattern)
+from repro.simulation.traffic import (ConstantBitRate, PeriodicBurst,
+                                      Saturating, TrafficPattern)
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
-    from repro.core.allocation import ChannelAllocation
     from repro.core.configuration import NocConfiguration
-    from repro.core.words import WordFormat
 
-__all__ = ["PatternTable", "compile_pattern", "pattern_slice",
-           "CompiledStats", "CompiledTraceRecorder", "execute"]
+__all__ = ["Arrivals", "compile_arrivals", "CompiledStats",
+           "CompiledTraceRecorder", "execute"]
 
-#: Patterns whose ``events(h)`` is a prefix of ``events(H)`` for h <= H,
-#: so the table of the longest incarnation serves every other by slicing.
-_PREFIX_STABLE = (ConstantBitRate, PeriodicBurst, BernoulliMessages,
-                  Replay, Saturating)
+#: Events per block of :func:`_solve` (whole segments; a longer segment
+#: is a block of its own).
+_BLOCK = 1 << 14
 
 
-class PatternTable:
-    """One traffic pattern's arrival stream as flat ``int64`` arrays.
+def _segments(counts):
+    """``(segment, index within it)`` of every element of segments of
+    the given lengths, laid end to end."""
+    np = _np
+    segment = np.repeat(np.arange(counts.size), counts)
+    first = np.cumsum(counts) - counts
+    return segment, np.arange(segment.size) - first[segment]
 
-    All arrays are parallel and in event order.  ``ready`` is the
-    arrival slot *relative to the channel's start* (``ceil(cycle /
-    flit_size)``); ``ready_running`` its running maximum (the admission
-    order of the per-flit reference is FIFO in event order, so a later
-    event can never be served before an earlier one).  ``flits`` is the
-    flit count of each message (``max(1, ceil(words / payload))`` —
-    a zero-word message still costs one header-only flit, exactly like
-    the reference) and ``flits_before`` its exclusive running sum.
+
+def _segmented_cummax(values, segment):
+    """Running maximum of ``values`` restarting at every segment
+    (``segment`` ascending): each segment is lifted above every value
+    of the ones before it, so one global running maximum does."""
+    if not values.size:
+        return values
+    low = int(values.min())
+    lift = segment * (int(values.max()) - low + 1) - low
+    return _np.maximum.accumulate(values + lift) - lift
+
+
+def _cbr(patterns, lifetimes):
+    """Arrivals ``offset + floor(i * interval) < lifetime`` per stream —
+    the same IEEE-754 multiply and floor as the scalar ``events()``."""
+    np = _np
+    offset = np.array([p.offset_cycles for p in patterns], np.int64)
+    interval = np.array([p.interval_cycles for p in patterns], np.float64)
+    span = np.maximum(lifetimes - offset, 0)
+    counts = np.where(span > 0, (span / interval).astype(np.int64) + 2, 0)
+    while True:  # the estimate is an upper bound; grow any that fell short
+        segment, index = _segments(counts)
+        cycles = offset[segment] + \
+            np.floor(index * interval[segment]).astype(np.int64)
+        last = np.cumsum(counts) - 1
+        short = counts > 0
+        short[short] = cycles[last[short]] < lifetimes[short]
+        if not short.any():
+            break
+        counts[short] *= 2
+    keep = cycles < lifetimes[segment]
+    return segment[keep], index[keep], cycles[keep]
+
+
+def _burst(patterns, lifetimes):
+    """``burst_messages`` arrivals at every ``offset + j * period`` before
+    the lifetime."""
+    np = _np
+    offset = np.array([p.offset_cycles for p in patterns], np.int64)
+    period = np.array([p.period_cycles for p in patterns], np.int64)
+    burst = np.array([p.burst_messages for p in patterns], np.int64)
+    bursts = -(-np.maximum(lifetimes - offset, 0) // period)
+    segment, index = _segments(bursts * burst)
+    return segment, index, \
+        offset[segment] + index // burst[segment] * period[segment]
+
+
+def _saturating(patterns, lifetimes):
+    """One arrival at every ``flit_size`` boundary before the lifetime."""
+    np = _np
+    step = np.array([p.flit_size for p in patterns], np.int64)
+    segment, index = _segments(-(-np.maximum(lifetimes, 0) // step))
+    return segment, index, index * step[segment]
+
+
+#: Pattern classes expanded in numpy, each by its segment-wise builder.
+_CLOSED_FORMS = ((ConstantBitRate, _cbr), (PeriodicBurst, _burst),
+                 (Saturating, _saturating))
+
+
+class Arrivals:
+    """Arrival streams of many incarnations as concatenated columns.
+
+    Segment ``i`` is rows ``bounds[i]:bounds[i + 1]``, in event order;
+    ``cycles`` count from that incarnation's start, so an event may
+    inject from slot ``ceil(cycle / flit_size)`` after it.
     """
 
-    COLUMNS = ("cycles", "words", "mids", "ready", "ready_running",
-               "flits", "flits_before")
-    __slots__ = COLUMNS + ("horizon_cycles",)
-
-    def __init__(self, cycles, words, mids, horizon_cycles: int,
-                 flit_size: int, payload_per_flit: int):
-        self.cycles = cycles
-        self.words = words
-        self.mids = mids
-        self.horizon_cycles = horizon_cycles
-        self.ready = -(-cycles // flit_size)
-        if cycles.size:
-            self.ready_running = _np.maximum.accumulate(self.ready)
-        else:
-            self.ready_running = self.ready
-        self.flits = _np.maximum(-(-words // payload_per_flit), 1)
-        running = _np.cumsum(self.flits)
-        self.flits_before = running - self.flits
-
-    def count_until(self, horizon_cycles: int) -> int:
-        """Number of events with ``cycle < horizon_cycles``."""
-        return int(_np.searchsorted(self.cycles, horizon_cycles,
-                                    side="left"))
+    COLUMNS = ("cycles", "words", "mids")
+    __slots__ = COLUMNS + ("bounds",)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the seven columns."""
+        """Bytes held by the three columns."""
         return sum(getattr(self, name).nbytes for name in self.COLUMNS)
 
 
-def compile_pattern(pattern: TrafficPattern, horizon_cycles: int,
-                    fmt: "WordFormat") -> PatternTable:
-    """Compile one pattern's events before ``horizon_cycles`` to arrays.
+def compile_arrivals(streams: Sequence[tuple[TrafficPattern, int, int]]
+                     ) -> Arrivals:
+    """Compile ``(pattern, lifetime_cycles, events_horizon_cycles)``
+    streams into one :class:`Arrivals`, one segment per stream.
 
+    A segment holds the pattern's events with ``cycle <
+    lifetime_cycles``: an incarnation that long can inject nothing that
+    arrives later, since such an event is ready no earlier than its end.
     :class:`~repro.simulation.traffic.ConstantBitRate`,
     :class:`~repro.simulation.traffic.PeriodicBurst` and
-    :class:`~repro.simulation.traffic.Saturating` are expanded directly
-    in numpy (bit-identical to their scalar ``events()``: the CBR floor
-    is the same IEEE-754 multiply-and-floor); every other pattern goes
-    through its ``events()`` list once.
+    :class:`~repro.simulation.traffic.Saturating` streams are expanded
+    in numpy, all streams of a class together; every other stream calls
+    ``events()`` once, at ``events_horizon_cycles`` — the horizon the
+    caller's scalar reference hands it.
     """
     np = _np
-    flit_size = fmt.flit_size
-    if isinstance(pattern, ConstantBitRate) and \
-            horizon_cycles > pattern.offset_cycles:
-        interval = pattern.interval_cycles
-        offset = pattern.offset_cycles
-        n = int((horizon_cycles - offset) / interval) + 2
-        while True:
-            cycles = offset + np.floor(
-                np.arange(n, dtype=np.float64) * interval
-            ).astype(np.int64)
-            if cycles[-1] >= horizon_cycles:
+    lifetimes = np.array([lifetime for _, lifetime, _ in streams], np.int64)
+    counts = np.zeros(len(streams), np.int64)
+    parts = []  # per expansion: (stream, index in it, cycles, words, mids)
+    closed: dict = {}
+    listed: list[list[int]] = [[], [], [], [], []]  # as in ``parts``
+    for position, (pattern, lifetime, horizon) in enumerate(streams):
+        if lifetime <= 0:
+            continue
+        for kind, _ in _CLOSED_FORMS:
+            if isinstance(pattern, kind):
+                closed.setdefault(kind, []).append(position)
                 break
-            n *= 2
-        keep = int(np.searchsorted(cycles, horizon_cycles, side="left"))
-        cycles = cycles[:keep]
-        words = np.full(keep, pattern.message_words, dtype=np.int64)
-        mids = np.arange(keep, dtype=np.int64)
-    elif isinstance(pattern, PeriodicBurst) and \
-            horizon_cycles > pattern.offset_cycles:
-        n_bursts = -(-(horizon_cycles - pattern.offset_cycles) //
-                     pattern.period_cycles)
-        starts = pattern.offset_cycles + \
-            np.arange(n_bursts, dtype=np.int64) * pattern.period_cycles
-        cycles = np.repeat(starts, pattern.burst_messages)
-        words = np.full(cycles.size, pattern.message_words,
-                        dtype=np.int64)
-        mids = np.arange(cycles.size, dtype=np.int64)
-    elif isinstance(pattern, Saturating) and horizon_cycles > 0:
-        cycles = np.arange(0, horizon_cycles, pattern.flit_size,
-                           dtype=np.int64)
-        words = np.full(cycles.size, pattern.message_words,
-                        dtype=np.int64)
-        mids = np.arange(cycles.size, dtype=np.int64)
+        else:
+            events = pattern.events(horizon)
+            count = bisect_left([event.cycle for event in events], lifetime)
+            counts[position] = count
+            listed[0].extend([position] * count)
+            listed[1].extend(range(count))
+            listed[2].extend(event.cycle for event in events[:count])
+            listed[3].extend(event.words for event in events[:count])
+            listed[4].extend(event.message_id for event in events[:count])
+    for kind, build in _CLOSED_FORMS:
+        members = closed.get(kind)
+        if members is None:
+            continue
+        members = np.array(members, np.int64)
+        patterns = [streams[position][0] for position in members.tolist()]
+        segment, index, cycles = build(patterns, lifetimes[members])
+        words = np.array([p.message_words for p in patterns], np.int64)
+        counts[members] = np.bincount(segment, minlength=members.size)
+        parts.append((members[segment], index, cycles, words[segment],
+                      index))
+    if listed[0]:
+        parts.append(tuple(np.array(column, np.int64) for column in listed))
+    arrivals = Arrivals()
+    arrivals.bounds = bounds = np.zeros(len(streams) + 1, np.int64)
+    np.cumsum(counts, out=bounds[1:])
+    if len(parts) == 1:  # already in stream order: no copy to scatter
+        columns = parts[0][2:]
     else:
-        events = pattern.events(horizon_cycles) if horizon_cycles > 0 \
-            else []
-        n = len(events)
-        cycles = np.fromiter((e.cycle for e in events), np.int64, n)
-        words = np.fromiter((e.words for e in events), np.int64, n)
-        mids = np.fromiter((e.message_id for e in events), np.int64, n)
-    return PatternTable(cycles, words, mids, horizon_cycles, flit_size,
-                        fmt.payload_words_per_flit)
+        columns = [np.empty(int(bounds[-1]), np.int64) for _ in range(3)]
+        for owner, index, *values in parts:
+            at = bounds[owner] + index
+            for column, value in zip(columns, values):
+                column[at] = value
+    arrivals.cycles, arrivals.words, arrivals.mids = columns
+    return arrivals
 
 
-def pattern_slice(cache: dict, pattern: TrafficPattern,
-                  lifetime_cycles: int, events_horizon_cycles: int,
-                  fmt: "WordFormat",
-                  stats: dict | None = None) -> tuple[PatternTable, int]:
-    """A pattern's table plus its event count within one incarnation.
+class _Batch:
+    """One run solved, every incarnation's rows end to end: its
+    ``arrivals`` and the per-message solution beside them — ``k``
+    service-start indices, ``actual`` flits injected before the
+    incarnation's end, the ``completed`` mask and the ``last`` slot of
+    each message's final flit were it to complete — plus the run's slot
+    geometry."""
 
-    An incarnation ``lifetime_cycles`` long can inject nothing that
-    arrives at or after that cycle: such an event is ready no earlier
-    than the incarnation's end, so every reserved slot it could use lies
-    past the last one the incarnation owns.  Prefix-stable patterns are
-    therefore compiled only that far, cached by object identity (the
-    cache entry pins the pattern object so ids cannot be recycled) and
-    recompiled only when a later incarnation of the same object is
-    longer; other patterns are compiled at ``events_horizon_cycles``,
-    the horizon the caller's scalar reference hands ``events()``, and
-    only the count read from them stops at the lifetime.
+    COLUMNS = ("k", "actual", "completed", "last")
+    __slots__ = COLUMNS + ("arrivals", "table_size", "flit_size",
+                           "period_ps", "bytes_per_word")
 
-    ``stats``, when given, tallies ``pattern_compiles`` (full
-    :func:`compile_pattern` runs, with the ``table_events`` and
-    ``table_bytes`` they allocated) vs. ``pattern_slices`` (cache hits
-    answered by a binary-search prefix slice).
-    """
-    stable = isinstance(pattern, _PREFIX_STABLE)
-    entry = cache.get(id(pattern)) if stable else None
-    if entry is not None and entry[1].horizon_cycles >= lifetime_cycles:
-        table = entry[1]
-        if stats is not None:
-            stats["pattern_slices"] = stats.get("pattern_slices", 0) + 1
-    else:
-        table = compile_pattern(
-            pattern, lifetime_cycles if stable else events_horizon_cycles,
-            fmt)
-        if stable:
-            cache[id(pattern)] = (pattern, table)
-        if stats is not None:
-            for key, amount in (("pattern_compiles", 1),
-                                ("table_events", table.cycles.size),
-                                ("table_bytes", table.nbytes)):
-                stats[key] = stats.get(key, 0) + amount
-    return table, table.count_until(lifetime_cycles)
+
+def _rows(name: str) -> property:
+    """The run's rows ``[lo, hi)`` of one batch column (a dotted name
+    reads through the batch), as a property."""
+    column = attrgetter(name)
+    return property(lambda run: column(run.batch)[run.lo:run.hi],
+                    doc=f"The incarnation's rows of ``{name}``.")
 
 
 class _IntervalRun:
     """Solved recurrence of one channel incarnation over ``[start, end)``.
 
-    Holds the per-message arrays (``k`` service-start indices, ``actual``
-    flits injected before the interval end, ``completed`` mask) plus the
-    slot geometry needed to expand them lazily into absolute slots,
-    records and trace tuples.
+    A view of rows ``[lo, hi)`` of its :class:`_Batch`: every column
+    reads as the incarnation's own, and the slot geometry here expands
+    them lazily into absolute slots, records and trace tuples.
     """
 
-    __slots__ = ("channel", "table", "count", "start", "s", "m",
-                 "table_size", "base", "k", "actual", "completed",
-                 "n_flits", "n_deliveries", "traversal_slots",
-                 "flit_size", "period_ps", "bytes_per_word",
+    __slots__ = ("batch", "lo", "hi", "channel", "start", "slots", "base",
+                 "traversal_slots", "n_flits", "n_deliveries",
                  "_last_slots")
 
-    def __init__(self):
+    cycles, words, mids = (_rows(f"arrivals.{name}")
+                           for name in Arrivals.COLUMNS)
+    k, actual, completed, last = map(_rows, _Batch.COLUMNS)
+
+    def __init__(self, batch: _Batch, lo: int, hi: int):
+        self.batch = batch
+        self.lo = lo
+        self.hi = hi
         self._last_slots = None
+
+    @property
+    def count(self) -> int:
+        """Messages that arrived within the incarnation."""
+        return self.hi - self.lo
 
     # -- lazy expansions -------------------------------------------------------
 
     def _slots_of(self, indices):
         """Absolute slots of reserved-slot indices (vectorised)."""
-        q, j = _np.divmod(indices, self.m)
-        return q * self.table_size + self.s[j]
+        q, j = _np.divmod(indices, len(self.slots))
+        return q * self.batch.table_size + _np.asarray(self.slots)[j]
 
     def last_slots(self):
         """Absolute slot of the final flit of each completed message."""
         if self._last_slots is None:
-            last = (self.k + self.table.flits[:self.count])[
-                self.completed] - 1
-            self._last_slots = self._slots_of(self.base + last)
+            self._last_slots = self.last[self.completed]
         return self._last_slots
 
     def trace_columns(self):
         """The trace as ``(message ids, injection slots, delivery
         cycles)`` arrays, one entry per completed message."""
         last = self.last_slots()
-        return (self.table.mids[:self.count][self.completed], last,
-                (last + self.traversal_slots) * self.flit_size)
+        return (self.mids[self.completed], last,
+                (last + self.traversal_slots) * self.batch.flit_size)
 
     def trace_events(self) -> list[tuple[int, int, int]]:
         """``(message_id, injection_slot, delivery_cycle)`` tuples."""
@@ -276,18 +314,17 @@ class _IntervalRun:
 
     def latencies_ns(self) -> list[float]:
         """Delivery latencies, identical floats to the record path."""
-        last = self.last_slots()
-        delivered = (last + self.traversal_slots) * self.flit_size
-        created = self.start * self.flit_size + \
-            self.table.cycles[:self.count][self.completed]
-        return (((delivered - created) * self.period_ps) /
+        flit_size = self.batch.flit_size
+        delivered = (self.last_slots() + self.traversal_slots) * flit_size
+        created = self.start * flit_size + self.cycles[self.completed]
+        return (((delivered - created) * self.batch.period_ps) /
                 1000.0).tolist()
 
     def append_records(self, sink) -> None:
         """Expand into per-flit records on a ``ChannelStats`` sink."""
         np = _np
-        flit_size = self.flit_size
-        period_ps = self.period_ps
+        flit_size = self.batch.flit_size
+        period_ps = self.batch.period_ps
         channel = self.channel
         counts = self.actual
         message = np.repeat(np.arange(self.count), counts)
@@ -295,7 +332,7 @@ class _IntervalRun:
         offsets = np.arange(self.n_flits) - np.repeat(first, counts)
         slots = self._slots_of(self.base + self.k[message] + offsets)
         cycles = slots * flit_size
-        mids = self.table.mids[:self.count][message]
+        mids = self.mids[message]
         injections = sink.injections
         sequence = 0  # one run is one incarnation: sequences restart
         for mid, slot, cycle in zip(mids.tolist(), slots.tolist(),
@@ -308,15 +345,12 @@ class _IntervalRun:
         last = self.last_slots()
         delivered = (last + self.traversal_slots) * flit_size
         mask = self.completed
-        dmids = self.table.mids[:self.count][mask]
-        created = self.start * flit_size + \
-            self.table.cycles[:self.count][mask]
-        words = self.table.words[:self.count][mask]
+        created = self.start * flit_size + self.cycles[mask]
         deliveries = sink.deliveries
-        bytes_per_word = self.bytes_per_word
+        bytes_per_word = self.batch.bytes_per_word
         for mid, created_cycle, delivered_cycle, message_words in zip(
-                dmids.tolist(), created.tolist(), delivered.tolist(),
-                words.tolist()):
+                self.mids[mask].tolist(), created.tolist(),
+                delivered.tolist(), self.words[mask].tolist()):
             deliveries.append(DeliveryRecord(
                 channel=channel, message_id=mid,
                 created_cycle=created_cycle,
@@ -332,27 +366,26 @@ class _IntervalRun:
 
     def delivered_bytes(self) -> int:
         """Payload bytes of the completed messages."""
-        words = self.table.words[:self.count][self.completed]
-        return int(words.sum()) * self.bytes_per_word
+        return int(self.words[self.completed].sum()) * \
+            self.batch.bytes_per_word
 
     def service_latencies_ns(self) -> list[float] | None:
         """Vectorised service latencies, or ``None`` when the reference
         record walk is needed (non-monotone message ids)."""
         np = _np
-        mids = self.table.mids[:self.count]
+        mids = self.mids
         if mids.size > 1 and not bool((np.diff(mids) > 0).all()):
             return None
         if not self.n_deliveries:
             return []
-        period_ps = self.period_ps
-        flit_size = self.flit_size
+        period_ps = self.batch.period_ps
+        flit_size = self.batch.flit_size
         last = self.last_slots()
         injected_ps = last * flit_size * period_ps
         delivered_ps = (last + self.traversal_slots) * flit_size * \
             period_ps
         created_ps = (self.start * flit_size +
-                      self.table.cycles[:self.count][self.completed]) * \
-            period_ps
+                      self.cycles[self.completed]) * period_ps
         previous = np.empty_like(injected_ps)
         previous[0] = -1
         previous[1:] = injected_ps[:-1]
@@ -360,49 +393,105 @@ class _IntervalRun:
         return ((delivered_ps - ready) / 1000.0).tolist()
 
 
-def _run_interval(channel: str, table: PatternTable, count: int,
-                  start: int, end: int, alloc: "ChannelAllocation",
-                  table_size: int, flit_size: int, period_ps: int,
-                  bytes_per_word: int) -> _IntervalRun | None:
-    """Solve one incarnation's recurrence; ``None`` when nothing flew."""
-    if count == 0:
-        return None
+def _solve(channels: Sequence[str], spans: Sequence[tuple],
+           arrivals: Arrivals, config: "NocConfiguration"
+           ) -> list[_IntervalRun]:
+    """Solve every incarnation's recurrence together; returns the runs
+    that injected, in incarnation order.
+
+    ``spans[i]`` is the ``(start, end, allocation)`` of the incarnation
+    whose arrivals are segment ``i`` of ``arrivals``.
+    """
     np = _np
-    s = np.asarray(alloc.slots, dtype=np.int64)
-    m = s.size
-    base = alloc.reserved_before(start, table_size)
-    total = alloc.reserved_before(end, table_size) - base
-    if total <= 0:
-        return None
-    ready = table.ready_running[:count] + start
-    quotient, remainder = np.divmod(ready, table_size)
-    pos = quotient * m + np.searchsorted(s, remainder) - base
-    flits_before = table.flits_before[:count]
-    flits = table.flits[:count]
-    k = flits_before + np.maximum.accumulate(pos - flits_before)
-    actual = np.clip(total - k, 0, flits)
-    n_flits = int(actual.sum())
-    if n_flits == 0:
-        return None
-    run = _IntervalRun()
-    run.channel = channel
-    run.table = table
-    run.count = count
-    run.start = start
-    run.s = s
-    run.m = m
-    run.table_size = table_size
-    run.base = base
-    run.k = k
-    run.actual = actual
-    run.completed = actual == flits
-    run.n_flits = n_flits
-    run.n_deliveries = int(np.count_nonzero(run.completed))
-    run.traversal_slots = alloc.path.traversal_slots
-    run.flit_size = flit_size
-    run.period_ps = period_ps
-    run.bytes_per_word = bytes_per_word
-    return run
+    if not arrivals.cycles.size:
+        return []
+    fmt = config.fmt
+    table_size = config.table_size
+    flit_size = fmt.flit_size
+    per_flit = fmt.payload_words_per_flit
+    # One count-before row per distinct slot set: before[r, x] is how
+    # many of set r's slots lie before table slot x, before[r, T] all.
+    sets: dict[tuple[int, ...], int] = {}
+    row = np.array([sets.setdefault(alloc.slots, len(sets))
+                    for _, _, alloc in spans], np.int64)
+    width = np.fromiter(map(len, sets), np.int64, len(sets))
+    flat = np.fromiter(chain.from_iterable(sets), np.int64,
+                       int(width.sum()))
+    before = np.zeros((len(sets), table_size + 1), np.int64)
+    before[np.repeat(np.arange(len(sets)), width), flat + 1] = 1
+    np.cumsum(before, axis=1, out=before)
+
+    def reserved(slot, r):
+        """Reserved slots of set ``r`` before absolute ``slot``."""
+        rotations, phase = np.divmod(slot, table_size)
+        return rotations * width[r] + before[r, phase]
+
+    start = np.array([span[0] for span in spans], np.int64)
+    base = reserved(start, row)
+    total = reserved(np.array([span[1] for span in spans], np.int64),
+                     row) - base
+    offset = np.cumsum(width) - width  # each set's first slot in ``flat``
+    bounds = arrivals.bounds
+    counts = np.diff(bounds)
+    size = int(bounds[-1])
+    k, actual, last = (np.empty(size, np.int64) for _ in range(3))
+    completed = np.empty(size, bool)
+    n_flits, n_deliveries = np.zeros((2, len(spans)), np.int64)
+    # Blocks of whole segments, about _BLOCK events each, keep every
+    # temporary below the size of one block however long the run.
+    cuts = np.unique(np.searchsorted(bounds, np.arange(0, size, _BLOCK),
+                                     side="right") - 1).tolist()
+    for first, stop in zip(cuts, cuts[1:] + [len(spans)]):
+        lo, hi = int(bounds[first]), int(bounds[stop])
+        block = slice(lo, hi)
+        segment = np.repeat(np.arange(first, stop), counts[first:stop])
+        r = row[segment]
+        flits = np.maximum(-(-arrivals.words[block] // per_flit), 1)
+        # Flits before each message, counted from the block's start:
+        # ``k`` is unchanged by adding a constant to ``F`` within a
+        # segment, so the count need not restart; the running maximum
+        # must.
+        flits_before = np.cumsum(flits) - flits
+        # FIFO in event order needs no running maximum of the ready
+        # slots: the one over ``pos - F`` already keeps a later event
+        # from starting before an earlier one has been served.
+        ready = -(-arrivals.cycles[block] // flit_size) + start[segment]
+        pos = reserved(ready, r) - base[segment]
+        k[block] = flits_before + _segmented_cummax(pos - flits_before,
+                                                    segment)
+        np.clip(total[segment] - k[block], 0, flits, out=actual[block])
+        np.equal(actual[block], flits, out=completed[block])
+        rotations, index = np.divmod(base[segment] + k[block] + flits - 1,
+                                     width[r])
+        last[block] = rotations * table_size + flat[offset[r] + index]
+        sums = np.zeros((2, hi - lo + 1), np.int64)
+        np.cumsum(actual[block], out=sums[0, 1:])
+        np.cumsum(completed[block], out=sums[1, 1:])
+        edges = bounds[first:stop + 1] - lo
+        n_flits[first:stop], n_deliveries[first:stop] = \
+            sums[:, edges[1:]] - sums[:, edges[:-1]]
+    batch = _Batch()
+    batch.arrivals = arrivals
+    batch.k, batch.actual, batch.completed, batch.last = \
+        k, actual, completed, last
+    batch.table_size, batch.flit_size = table_size, flit_size
+    batch.period_ps = round(1e12 / config.frequency_hz)
+    batch.bytes_per_word = fmt.bytes_per_word
+    flown = np.flatnonzero(n_flits).tolist()
+    lows, bases = bounds.tolist(), base.tolist()
+    n_flits, n_deliveries = n_flits.tolist(), n_deliveries.tolist()
+    runs = []
+    for i in flown:
+        run = _IntervalRun(batch, lows[i], lows[i + 1])
+        run.channel = channels[i]
+        run.start, _, alloc = spans[i]
+        run.slots = alloc.slots
+        run.base = bases[i]
+        run.traversal_slots = alloc.path.traversal_slots
+        run.n_flits = n_flits[i]
+        run.n_deliveries = n_deliveries[i]
+        runs.append(run)
+    return runs
 
 
 class CompiledStats(StatsCollector):
@@ -617,13 +706,10 @@ def _finish_executor_stats(tel, exec_stats: dict) -> None:
         return
     tel.counter("executor.dispatch", path="compiled").inc()
     tel.counter("executor.pattern_table", outcome="compile").inc(
-        exec_stats.get("pattern_compiles", 0))
-    tel.counter("executor.pattern_table", outcome="slice").inc(
-        exec_stats.get("pattern_slices", 0))
+        exec_stats["pattern_compiles"])
     tel.counter("executor.pattern_table_bytes").inc(
-        exec_stats.get("table_bytes", 0))
-    tel.counter("executor.interval_runs").inc(
-        exec_stats.get("interval_runs", 0))
+        exec_stats["table_bytes"])
+    tel.counter("executor.interval_runs").inc(exec_stats["interval_runs"])
 
 
 def execute(config: "NocConfiguration", lifetimes: Mapping[str, tuple],
@@ -634,42 +720,40 @@ def execute(config: "NocConfiguration", lifetimes: Mapping[str, tuple],
     Same arguments and return as :func:`repro.simulation.flitsim.
     execute`.  Contention-freedom makes channels independent, so each
     incarnation — one ``(start, stop, allocation)`` span, clipped to the
-    window — is solved as one interval recurrence regardless of how many
+    window — is one segment of a single batch, regardless of how many
     epoch boundaries other applications' churn creates inside it.
     """
-    fmt = config.fmt
-    flit_size = fmt.flit_size
-    table_size = config.table_size
-    period_ps = round(1e12 / config.frequency_hz)
-    bytes_per_word = fmt.bytes_per_word
-    stats = CompiledStats()
+    flit_size = config.fmt.flit_size
     flits: dict[str, int] = {}
-    cache: dict = {}
-    batch_hist = telemetry.histogram("executor.interval_batch_messages",
-                                     bounds=_BATCH_BUCKETS)
-    exec_stats: dict = {}
-    for name, spans in lifetimes.items():
+    channels: list[str] = []
+    spans: list[tuple] = []
+    streams: list[tuple] = []
+    for name, incarnations in lifetimes.items():
         pattern = patterns.get(name)
-        for start, stop, alloc in spans:
+        for start, stop, alloc in incarnations:
             if start >= n_slots:
                 break
             flits.setdefault(name, 0)
             if pattern is None:
                 continue
             end = min(stop, n_slots)
-            table, count = pattern_slice(
-                cache, pattern, (end - start) * flit_size,
-                (n_slots - start) * flit_size, fmt, exec_stats)
-            run = _run_interval(name, table, count, start, end, alloc,
-                                table_size, flit_size, period_ps,
-                                bytes_per_word)
-            if run is None:
-                continue
-            exec_stats["interval_runs"] = \
-                exec_stats.get("interval_runs", 0) + 1
-            batch_hist.observe(run.count)
-            stats._add_run(run)
-            flits[name] += run.n_flits
+            channels.append(name)
+            spans.append((start, end, alloc))
+            streams.append((pattern, (end - start) * flit_size,
+                            (n_slots - start) * flit_size))
+    arrivals = compile_arrivals(streams)
+    runs = _solve(channels, spans, arrivals, config)
+    stats = CompiledStats()
+    batch_hist = telemetry.histogram("executor.interval_batch_messages",
+                                     bounds=_BATCH_BUCKETS)
+    for run in runs:
+        batch_hist.observe(run.count)
+        stats._add_run(run)
+        flits[run.channel] += run.n_flits
+    exec_stats = {"pattern_compiles": len(streams),
+                  "table_events": int(arrivals.cycles.size),
+                  "table_bytes": arrivals.nbytes,
+                  "interval_runs": len(runs)}
     _finish_executor_stats(telemetry, exec_stats)
     return stats, {"flits_by_channel": flits, "executor": "compiled",
                    "executor_stats": exec_stats}

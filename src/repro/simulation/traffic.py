@@ -13,6 +13,7 @@ equal parameters produce identical event streams.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from abc import ABC, abstractmethod
 from collections import deque
@@ -26,6 +27,37 @@ from repro.ni.packetizer import TxMessage
 __all__ = ["MessageEvent", "TrafficPattern", "ConstantBitRate",
            "PeriodicBurst", "BernoulliMessages", "Replay", "Saturating",
            "GeneratorComponent"]
+
+
+def _whole(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``, refusing a fraction, NaN, an infinity or
+    anything below ``minimum``.
+
+    The executors count cycles, words and messages in ``int64`` while
+    the scalar ``events()`` would keep a fraction, so a fractional
+    parameter would make the two disagree (or, as a NaN offset, never
+    reach the horizon at all).
+
+    >>> _whole("period_cycles", 40.0, 1)
+    40
+    >>> try:
+    ...     _whole("period_cycles", 7.5, 1)
+    ... except ConfigurationError as exc:
+    ...     print(exc)
+    period_cycles must be a whole number >= 1, got 7.5
+    """
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        if not (isinstance(value, float) and value.is_integer()):
+            raise ConfigurationError(
+                f"{name} must be a whole number >= {minimum}, "
+                f"got {value!r}") from None
+        whole = int(value)
+    if whole < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, "
+                                 f"got {value!r}")
+    return whole
 
 
 @dataclass(frozen=True)
@@ -67,15 +99,10 @@ class ConstantBitRate(TrafficPattern):
 
     def __init__(self, message_words: int, interval_cycles: float, *,
                  offset_cycles: int = 0):
-        if message_words < 1 or message_words % 1:
-            raise ConfigurationError(
-                "message_words must be a whole number >= 1")
+        self.message_words = _whole("message_words", message_words, 1)
         require_finite_positive("interval_cycles", interval_cycles)
-        if offset_cycles < 0:
-            raise ConfigurationError("offset_cycles must be >= 0")
-        self.message_words = message_words
         self.interval_cycles = interval_cycles
-        self.offset_cycles = offset_cycles
+        self.offset_cycles = _whole("offset_cycles", offset_cycles, 0)
 
     @staticmethod
     def from_rate(throughput_bytes_per_s: float, frequency_hz: float,
@@ -111,15 +138,10 @@ class PeriodicBurst(TrafficPattern):
 
     def __init__(self, burst_messages: int, message_words: int,
                  period_cycles: int, *, offset_cycles: int = 0):
-        if burst_messages < 1 or message_words < 1 or period_cycles < 1:
-            raise ConfigurationError(
-                "burst_messages, message_words and period_cycles must be >= 1")
-        if offset_cycles < 0:
-            raise ConfigurationError("offset_cycles must be >= 0")
-        self.burst_messages = burst_messages
-        self.message_words = message_words
-        self.period_cycles = period_cycles
-        self.offset_cycles = offset_cycles
+        self.burst_messages = _whole("burst_messages", burst_messages, 1)
+        self.message_words = _whole("message_words", message_words, 1)
+        self.period_cycles = _whole("period_cycles", period_cycles, 1)
+        self.offset_cycles = _whole("offset_cycles", offset_cycles, 0)
 
     def events(self, horizon_cycles: int) -> list[MessageEvent]:
         """All burst arrivals; messages of one burst share their cycle."""
@@ -142,12 +164,9 @@ class BernoulliMessages(TrafficPattern):
                  flit_size: int, *, seed: int = 0):
         if not 0 <= probability <= 1:
             raise ConfigurationError("probability must be in [0, 1]")
-        if message_words < 1 or flit_size < 1:
-            raise ConfigurationError(
-                "message_words and flit_size must be >= 1")
         self.probability = probability
-        self.message_words = message_words
-        self.flit_size = flit_size
+        self.message_words = _whole("message_words", message_words, 1)
+        self.flit_size = _whole("flit_size", flit_size, 1)
         self.seed = seed
 
     def events(self, horizon_cycles: int) -> list[MessageEvent]:
@@ -192,11 +211,8 @@ class Saturating(TrafficPattern):
     """
 
     def __init__(self, message_words: int, flit_size: int):
-        if message_words < 1 or flit_size < 1:
-            raise ConfigurationError(
-                "message_words and flit_size must be >= 1")
-        self.message_words = message_words
-        self.flit_size = flit_size
+        self.message_words = _whole("message_words", message_words, 1)
+        self.flit_size = _whole("flit_size", flit_size, 1)
 
     def events(self, horizon_cycles: int) -> list[MessageEvent]:
         """One message at every slot boundary."""

@@ -11,7 +11,9 @@ Because the logical flit schedule is the paper's composability currency,
 import copy
 import dataclasses
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,12 +28,18 @@ from repro.faults.model import FaultSchedule, FaultSpec
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService, merge_events
 from repro.simulation.backend import FlitLevelBackend, SimRequest
+from repro.simulation.compiled import (Arrivals, CompiledTraceRecorder,
+                                       _solve, compile_arrivals)
+import repro.simulation.compiled as compiled_module
+from repro.simulation.compiled import execute as compiled_execute
+from repro.simulation.flitsim import execute as flitsim_execute
 from repro.simulation.composability import replay_traffic, verify_timeline
 from repro.simulation.monitors import (ChannelStats, StatsCollector,
                                        TraceRecorder, latency_digest)
 from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
                                       MessageEvent, PeriodicBurst, Replay,
                                       Saturating, TrafficPattern)
+from repro.telemetry.hub import NULL_TELEMETRY
 from repro.topology.builders import concentrated_mesh, mesh, ring, torus
 
 TOPOLOGIES = {
@@ -45,8 +53,8 @@ TOPOLOGIES = {
 class _Jittered(TrafficPattern):
     """A pattern the compiler has no closed form for.
 
-    Forces the generic ``events()``-driven compile path (and per-horizon
-    recompilation, since unknown patterns are not prefix-stable).
+    Forces the generic ``events()``-driven compile path, called once per
+    incarnation at the reference horizon.
     """
 
     def __init__(self, message_words: int, mean_gap: int, seed: int):
@@ -246,7 +254,7 @@ class TestServiceLatencies:
         assert answered > 0
 
 
-# -- tables end with their incarnation (PR 22) ----------------------------------
+# -- arrivals end with their incarnation ------------------------------------------
 
 _FLIT_SIZE = 3  # WordFormat default; the strategies below need it early
 
@@ -254,6 +262,20 @@ _FLIT_SIZE = 3  # WordFormat default; the strategies below need it early
 def _replay_events(pairs):
     return Replay([MessageEvent(cycle, words, mid) for cycle, mid, words
                    in sorted(pairs, key=lambda p: p[:2])])
+
+
+class _HorizonScaled(TrafficPattern):
+    """A pattern that is not prefix-stable: its gap depends on the
+    horizon it is asked for, so only the horizon the per-flit reference
+    uses, ``(n_slots - start) * flit_size``, reproduces its arrivals."""
+
+    def __init__(self, message_words: int):
+        self.message_words = message_words
+
+    def events(self, horizon_cycles: int) -> list[MessageEvent]:
+        gap = 2 + (horizon_cycles // 7) % 11
+        return [MessageEvent(cycle, self.message_words, i)
+                for i, cycle in enumerate(range(1, horizon_cycles, gap))]
 
 
 _BUILT_INS = st.one_of(
@@ -270,10 +292,18 @@ _BUILT_INS = st.one_of(
         max_size=30, unique_by=lambda p: p[1])),  # ids are distinct
     st.builds(Saturating, st.integers(1, 9), st.just(_FLIT_SIZE)))
 
+#: Every pattern the batch compiles: the built-ins plus two it has no
+#: closed form for, one of them not prefix-stable.
+_ANY_PATTERN = st.one_of(
+    _BUILT_INS,
+    st.builds(_Jittered, st.integers(0, 9), st.integers(1, 60),
+              st.integers(0, 99)),
+    st.builds(_HorizonScaled, st.integers(1, 9)))
+
 
 class _OneChannel:
     """One real route, any slot set: a hand-built incarnation of one
-    channel for the executors and for ``_run_interval`` directly.  A
+    channel for the executors and for the batch API directly.  A
     ``twin`` channel on a route that shares no link with it can replay
     the same incarnations beside it, contention-free on any slots."""
 
@@ -281,7 +311,8 @@ class _OneChannel:
 
     def __init__(self):
         self.topology = mesh(2, 2, nis_per_router=2)
-        config = _config(self.topology, 1, n_channels=1)
+        self.config = config = _config(self.topology, 1, n_channels=1)
+        assert config.table_size == self.TABLE_SIZE
         (self.name, self.granted), = config.allocation.channels.items()
         self.fmt = config.fmt
         assert self.fmt.flit_size == _FLIT_SIZE
@@ -323,12 +354,23 @@ class _OneChannel:
                        traffic=dict.fromkeys(timeline.channel_names, pattern),
                        timeline=timeline))
 
-    def interval(self, table, count, start, end, slots):
-        from repro.simulation.compiled import _run_interval
-        return _run_interval(
-            self.name, table, count, start, end, self.allocation(slots),
-            self.TABLE_SIZE, self.fmt.flit_size,
-            round(1e12 / self.frequency_hz), self.fmt.bytes_per_word)
+    def solve(self, arrivals, start, end, slots):
+        """The one incarnation ``arrivals`` holds, solved by the batch:
+        its run, or ``None`` when nothing flew."""
+        runs = _solve([self.name], [(start, end, self.allocation(slots))],
+                      arrivals, self.config)
+        assert len(runs) <= 1
+        return runs[0] if runs else None
+
+
+def _arrivals_of(events):
+    """A one-segment :class:`Arrivals` built by hand from ``events``."""
+    arrivals = Arrivals()
+    arrivals.cycles, arrivals.words, arrivals.mids = (
+        np.array([getattr(e, field) for e in events], np.int64)
+        for field in ("cycle", "words", "message_id"))
+    arrivals.bounds = np.array([0, len(events)], np.int64)
+    return arrivals
 
 
 def _records(run, name):
@@ -346,8 +388,8 @@ _SLOT_SETS = st.sets(st.integers(0, _OneChannel.TABLE_SIZE - 1), min_size=1)
 
 
 class TestTablesEndWithTheirIncarnation:
-    """A table compiled only as far as its incarnation reads gives the
-    run the full-horizon table gives, and both give the per-flit run."""
+    """Arrivals compiled only as far as their incarnation reads give the
+    run the full-horizon arrivals give, and both give the per-flit run."""
 
     @pytest.fixture(scope="class")
     def one(self):
@@ -357,27 +399,30 @@ class TestTablesEndWithTheirIncarnation:
     @given(pattern=_BUILT_INS, incarnation=_INCARNATIONS, slots=_SLOT_SETS)
     def test_bounded_equals_full_horizon_equals_per_flit(
             self, one, pattern, incarnation, slots):
-        from repro.simulation.compiled import compile_pattern, pattern_slice
         n_slots, start, end = incarnation
         flit_size = one.fmt.flit_size
-        stats = {}
-        table, count = pattern_slice(
-            {}, pattern, (end - start) * flit_size,
-            (n_slots - start) * flit_size, one.fmt, stats)
-        assert table.horizon_cycles == (end - start) * flit_size
-        assert table.cycles.size == count == stats["table_events"]
-        assert stats["table_bytes"] == 7 * 8 * count
-        bounded = one.interval(table, count, start, end, slots)
-        # What the parent read: the whole run's table, every event that
-        # arrives before the run ends.
-        whole = compile_pattern(pattern, n_slots * flit_size, one.fmt)
-        full = one.interval(
-            whole, whole.count_until((n_slots - start) * flit_size),
+        lifetime = (end - start) * flit_size
+        arrivals = compile_arrivals(
+            [(pattern, lifetime, (n_slots - start) * flit_size)])
+        expected = [e for e in pattern.events(n_slots * flit_size)
+                    if e.cycle < lifetime]
+        assert arrivals.bounds.tolist() == [0, len(expected)]
+        assert arrivals.cycles.tolist() == [e.cycle for e in expected]
+        assert arrivals.words.tolist() == [e.words for e in expected]
+        assert arrivals.mids.tolist() == [e.message_id for e in expected]
+        assert arrivals.nbytes == 3 * 8 * len(expected)
+        bounded = one.solve(arrivals, start, end, slots)
+        # What the whole run offers: every event that arrives before the
+        # run ends, most of which the incarnation can never inject.
+        full = one.solve(_arrivals_of(
+            [e for e in pattern.events(n_slots * flit_size)
+             if e.cycle < (n_slots - start) * flit_size]),
             start, end, slots)
         assert (bounded is None) == (full is None)
         if bounded is not None:
-            assert full.count >= count
-            for column in ("k", "actual", "completed"):
+            count = len(expected)
+            assert bounded.count == count <= full.count
+            for column in ("k", "actual", "completed", "last"):
                 assert (getattr(bounded, column)
                         == getattr(full, column)[:count]).all(), column
             assert not full.actual[count:].any()
@@ -403,48 +448,62 @@ class TestTablesEndWithTheirIncarnation:
         Saturating(2, _FLIT_SIZE), _Jittered(3, 20, 1)],
         ids=lambda p: type(p).__name__)
     def test_zero_length_incarnation_reads_nothing(self, one, pattern):
-        from repro.simulation.compiled import pattern_slice
-        table, count = pattern_slice({}, pattern, 0, 300, one.fmt)
-        assert count == 0
-        assert one.interval(table, count, 50, 50, {1, 5}) is None
+        arrivals = compile_arrivals([(pattern, 0, 300), (pattern, 30, 300),
+                                     (pattern, 0, 150)])
+        bounds = arrivals.bounds.tolist()
+        assert bounds[0] == bounds[1] and bounds[2] == bounds[3]
+        assert one.solve(compile_arrivals([(pattern, 0, 300)]),
+                         50, 50, {1, 5}) is None
 
-    @pytest.mark.parametrize("spans, compiles, slices", [
-        ([(10, 40, {2, 9}), (100, 400, {4})], 2, 0),   # grows once
-        ([(10, 310, {2, 9}), (350, 380, {4})], 1, 1),  # long one first
-    ], ids=["short-then-long", "long-then-short"])
-    def test_reused_pattern_object_grows_its_table_once(
-            self, one, spans, compiles, slices):
-        pattern = ConstantBitRate(4, 11.5)
-        timeline = one.timeline(500, spans)
+    def test_restarts_of_one_object_each_call_events_once(self, one):
+        calls = []
+
+        class Counted(BernoulliMessages):
+            def events(self, horizon_cycles):
+                calls.append(horizon_cycles)
+                return super().events(horizon_cycles)
+
+        pattern = Counted(0.3, 2, _FLIT_SIZE, seed=5)
+        n_slots = 500
+        spans = [(10, 40, {2, 9}), (100, 400, {4}), (420, 450, {1})]
+        timeline = one.timeline(n_slots, spans)
         compiled = one.run(timeline, pattern)
-        stats = compiled.meta["executor_stats"]
-        assert (stats["pattern_compiles"],
-                stats.get("pattern_slices", 0)) == (compiles, slices)
-        first, second = compiled.stats._runs[one.name]
-        longest = max(end - start for start, end, _ in spans)
         flit_size = one.fmt.flit_size
-        assert first.table.horizon_cycles == \
-            (spans[0][1] - spans[0][0]) * flit_size
-        assert second.table.horizon_cycles == longest * flit_size
-        assert (first.table is second.table) == (compiles == 1)
+        # One call per incarnation, at the horizon the per-flit run uses.
+        assert calls == [(n_slots - start) * flit_size
+                         for start, _, _ in spans]
+        stats = compiled.meta["executor_stats"]
+        assert stats["pattern_compiles"] == len(spans)
         assert stats["table_events"] == sum(
-            table.cycles.size for table in {id(t): t for t in (
-                first.table, second.table)}.values())
-        # The earlier run still reads the table it was solved on.
+            sum(e.cycle < (end - start) * flit_size
+                for e in pattern.events((n_slots - start) * flit_size))
+            for start, end, _ in spans)
+        assert stats["interval_runs"] == len(compiled.stats._runs[one.name])
+        calls.clear()
         _assert_equivalent(compiled,
                            one.run(timeline, pattern, compiled=False))
 
     def test_unknown_pattern_is_compiled_at_the_reference_horizon(self, one):
-        pattern = _Jittered(message_words=5, mean_gap=12, seed=4)
-        n_slots, start, end = 400, 60, 130
-        timeline = one.timeline(n_slots, [(start, end, {0, 7})])
+        calls = []
+
+        class Counted(_HorizonScaled):
+            def events(self, horizon_cycles):
+                calls.append(horizon_cycles)
+                return super().events(horizon_cycles)
+
+        pattern = Counted(message_words=5)
+        n_slots, spans = 400, [(60, 130, {0, 7}), (200, 260, {3})]
+        timeline = one.timeline(n_slots, spans)
         compiled = one.run(timeline, pattern)
-        run, = compiled.stats._runs[one.name]
-        horizon = (n_slots - start) * one.fmt.flit_size
-        assert run.table.horizon_cycles == horizon
-        assert run.table.cycles.size == len(pattern.events(horizon))
-        assert run.count == run.table.count_until(
-            (end - start) * one.fmt.flit_size) < run.table.cycles.size
+        flit_size = one.fmt.flit_size
+        assert calls == [(n_slots - start) * flit_size
+                         for start, _, _ in spans]
+        for run, (start, end, _) in zip(compiled.stats._runs[one.name],
+                                        spans):
+            assert run.start == start
+            assert run.count == sum(
+                e.cycle < (end - start) * flit_size
+                for e in pattern.events((n_slots - start) * flit_size))
         _assert_equivalent(compiled,
                            one.run(timeline, pattern, compiled=False))
 
@@ -477,15 +536,153 @@ class TestTablesEndWithTheirIncarnation:
             assert result.meta["executor"] == "compiled"
             for name, runs in result.stats._runs.items():
                 for run in runs:
-                    past = run.table.cycles.size - run.table.count_until(
-                        longest[name] * flit_size)
-                    assert past <= 1, (name, past)
+                    assert (run.cycles < longest[name] * flit_size).all()
             assert result.stats.materialised == ()
         # The survivors were compared on the arrays.
         assert len(traces) == len(results) == 2
         for trace in traces:
             assert trace._materialised == set()
             assert not trace._events
+
+
+# -- the batch keeps its oracle -----------------------------------------------
+
+
+@st.composite
+def _lifetime_tables(draw):
+    """A window, a horizon and up to four channels with up to three
+    incarnations each — zero-length ones and ones past or across the
+    window included — over patterns that several channels share."""
+    n_slots = draw(st.integers(2, 200))
+    window = draw(st.integers(1, n_slots))
+    patterns = draw(st.lists(_ANY_PATTERN, min_size=1, max_size=3))
+    table, traffic = {}, {}
+    for index in range(draw(st.integers(1, 4))):
+        name = f"c{index}"
+        spans, cursor = [], 0
+        for _ in range(draw(st.integers(1, 3))):
+            if cursor >= n_slots:
+                break
+            start = draw(st.integers(cursor, n_slots - 1))
+            end = draw(st.integers(start, n_slots))
+            spans.append((start, end, draw(_SLOT_SETS)))
+            cursor = end
+        table[name] = spans
+        if draw(st.integers(0, 5)):  # now and then a channel offers nothing
+            traffic[name] = patterns[draw(st.integers(0,
+                                                      len(patterns) - 1))]
+    return window, table, traffic
+
+
+def _execute(executor, one, window, table, traffic):
+    """``executor`` over a hand-built lifetime table of ``one``'s route
+    (executors never check contention; channels are independent)."""
+    lifetimes = {
+        name: tuple((start, end, ChannelAllocation(
+            dataclasses.replace(one.granted.spec, name=name),
+            one.granted.path, tuple(sorted(slots))))
+            for start, end, slots in spans)
+        for name, spans in table.items()}
+    return executor(one.config, lifetimes, window, traffic, NULL_TELEMETRY)
+
+
+def _observations(stats, name):
+    """``incarnation_observations`` as comparable values; ``repr`` keeps
+    the float comparison bit-exact."""
+    return repr([(slot, delivered, seen.latencies_ns, seen.count,
+                  seen.worst_ns, seen.mean_ns)
+                 for slot, delivered, seen in
+                 stats.incarnation_observations(name)])
+
+
+class TestBatchKeepsItsOracle:
+    @pytest.fixture(scope="class")
+    def one(self):
+        return _OneChannel()
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=_lifetime_tables(), other_window=st.integers(1, 200),
+           block=st.sampled_from([1, 2, 5, 1 << 14]))
+    @example(case=(120, {"c0": [(10, 10, {3}), (10, 70, {1, 9}),
+                                (70, 120, {4})],
+                         "c1": [(0, 120, {0, 8})]},
+                   {"c0": ConstantBitRate(3, 6.5),
+                    "c1": ConstantBitRate(3, 6.5)}),
+             other_window=60, block=2
+             ).via("a zero-length incarnation and a pattern shared by two "
+                   "channels")
+    @example(case=(50, {"c0": [(0, 40, {2}), (45, 90, {5})],
+                        "c1": [(60, 100, {1})]},
+                   {"c0": _HorizonScaled(4), "c1": _HorizonScaled(4)}),
+             other_window=45, block=1 << 14
+             ).via("window-clipped and skipped incarnations of a pattern "
+                   "that is not prefix-stable")
+    @example(case=(90, {"c0": [(0, 60, {2, 9})], "c1": [(5, 90, {4})],
+                        "c2": [(0, 30, {1}), (40, 90, {6})]},
+                   {"c0": BernoulliMessages(0.6, 2, _FLIT_SIZE, seed=1),
+                    "c1": BernoulliMessages(0.6, 2, _FLIT_SIZE, seed=2),
+                    "c2": _replay_events([(3, 7, 2), (30, 1, 1),
+                                          (31, 4, 0)])}),
+             other_window=90, block=5
+             ).via("distinct objects of one class on consecutive "
+                   "channels")
+    def test_batch_equals_the_per_flit_oracle(self, one, case,
+                                              other_window, block):
+        window, table, traffic = case
+        # Small blocks split the solve between segments as a long run does.
+        with mock.patch.object(compiled_module, "_BLOCK", block):
+            stats, meta = _execute(compiled_execute, one, window, table,
+                                   traffic)
+        reference, reference_meta = _execute(flitsim_execute, one, window,
+                                             table, traffic)
+        assert meta["flits_by_channel"] == reference_meta["flits_by_channel"]
+        assert stats.delivery_count() == reference.delivery_count()
+        names = sorted(table)
+        for name in names:
+            assert stats.service_latencies_ns(name) == \
+                reference.service_latencies_ns(name), name
+            assert _observations(stats, name) == \
+                _observations(reference, name), name
+            assert repr(stats.channel_aggregate(name)) == \
+                repr(reference.channel_aggregate(name)), name
+        # Only a run with unordered message ids takes the record walk.
+        assert set(stats.materialised) == {
+            name for name, runs in stats._runs.items()
+            if None in (run.service_latencies_ns() for run in runs)}
+        trace = stats.composability_trace()
+        reference_trace = reference.composability_trace()
+        assert trace.channels() == reference_trace.channels()
+        for name in names:
+            assert trace.trace(name) == reference_trace.trace(name), name
+        assert stats.channels == reference.channels
+        for name in reference.channels:
+            assert stats.channel(name).injections == \
+                reference.channel(name).injections, name
+            assert stats.channel(name).deliveries == \
+                reference.channel(name).deliveries, name
+        # Two batches compared on their arrays agree with the tuple walk.
+        ours = _execute(compiled_execute, one, window, table,
+                        traffic)[0].composability_trace()
+        theirs = _execute(compiled_execute, one, other_window, table,
+                          traffic)[0].composability_trace()
+        on_arrays = ours.agreement(theirs, names + ["never-ran"])
+        assert not ours._events and not theirs._events
+        assert on_arrays == TraceRecorder.agreement(
+            _in_array_form(ours), _in_array_form(theirs),
+            names + ["never-ran"])
+
+
+def _with_rows(run, column, rows):
+    """``run`` over a copy of its batch whose ``column`` reads ``rows``
+    in the run's place; other runs keep the batch they had."""
+    batch = holder = copy.copy(run.batch)
+    if column in Arrivals.COLUMNS:
+        holder = batch.arrivals = copy.copy(batch.arrivals)
+    values = getattr(holder, column).copy()
+    values[run.lo:run.hi] = rows
+    setattr(holder, column, values)
+    run.batch = batch
+    return run
 
 
 def _mutations(draw, recorder):
@@ -501,10 +698,9 @@ def _mutations(draw, recorder):
         ["mid", "slot", "traversal", "drop", "split"]))
     replacement = [run]
     if kind == "mid":
-        run.table = copy.copy(run.table)
-        run.table.mids = run.table.mids.copy()
-        position = run.completed.nonzero()[0][which]
-        run.table.mids[position] += 1000
+        mids = run.mids.copy()
+        mids[run.completed.nonzero()[0][which]] += 1000
+        _with_rows(run, "mids", mids)
     elif kind == "slot":
         run._last_slots = run.last_slots().copy()
         run._last_slots[which] += 1
@@ -517,12 +713,11 @@ def _mutations(draw, recorder):
         tail = run.completed & ~head
         if kind == "drop":
             tail[positions[which]] = False
-        other = copy.copy(run)
-        run.completed, other.completed = head, tail
+        other = _with_rows(copy.copy(run), "completed", tail)
+        _with_rows(run, "completed", head)
         run._last_slots = other._last_slots = None
         replacement = [part for part in (run, other)
                        if part.completed.any()]
-    from repro.simulation.compiled import CompiledTraceRecorder
     edited = CompiledTraceRecorder(dict(recorder._runs))
     edited._runs[name] = runs[:index] + replacement + runs[index + 1:]
     return edited, name, kind

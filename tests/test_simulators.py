@@ -97,6 +97,45 @@ class TestTrafficPatterns:
         with pytest.raises(ConfigurationError, match=message):
             build(fmt)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: ConstantBitRate(2, 7.0, offset_cycles=float("nan")),
+         "offset_cycles"),
+        (lambda: ConstantBitRate(2, 7.0, offset_cycles=2.5),
+         "offset_cycles"),
+        (lambda: PeriodicBurst(2, 2.5, 40), "message_words"),
+        (lambda: PeriodicBurst(1.5, 2, 40), "burst_messages"),
+        (lambda: PeriodicBurst(2, 2, 7.5), "period_cycles"),
+        (lambda: PeriodicBurst(2, 2, float("inf")), "period_cycles"),
+        (lambda: PeriodicBurst(2, 2, 40, offset_cycles=0.5),
+         "offset_cycles"),
+        (lambda: Saturating(2.5, 3), "message_words"),
+        (lambda: Saturating(2, 1.5), "flit_size"),
+        (lambda: BernoulliMessages(0.5, 2.5, 3), "message_words"),
+        (lambda: BernoulliMessages(0.5, 2, float("nan")), "flit_size"),
+    ], ids=["cbr-nan-offset", "cbr-fractional-offset",
+            "burst-fractional-words", "burst-fractional-burst",
+            "burst-fractional-period", "burst-inf-period",
+            "burst-fractional-offset", "saturating-fractional-words",
+            "saturating-fractional-flit-size",
+            "bernoulli-fractional-words", "bernoulli-nan-flit-size"])
+    def test_fractional_or_non_finite_parameter_is_refused(self, build,
+                                                           name):
+        # Each used to construct: a NaN offset made events() loop
+        # forever, fractional words were truncated by the compiled
+        # executor but kept by events(), a fractional burst or flit size
+        # raised TypeError inside numpy and a fractional offset or period
+        # gave float cycles.
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{name} must be a whole number >= \d"):
+            build()
+
+    def test_whole_float_parameters_are_stored_as_ints(self):
+        burst = PeriodicBurst(2.0, 3.0, 40.0, offset_cycles=5.0)
+        assert [type(value) for value in (
+            burst.burst_messages, burst.message_words, burst.period_cycles,
+            burst.offset_cycles)] == [int] * 4
+        assert burst.events(50)[-1] == MessageEvent(45, 3, 3)
+
     def test_saturating_every_slot(self, fmt):
         events = Saturating(2, fmt.flit_size).events(30)
         assert [e.cycle for e in events] == [0, 3, 6, 9, 12, 15, 18, 21,

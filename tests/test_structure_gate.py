@@ -117,6 +117,14 @@ def test_the_tree_passes():
     ("campaign/runner.py", 'J = open("j.jsonl", "a", encoding="utf-8")',
      "one writer"),
     ("campaign/kinds.py", "def load_shard(path): pass", "one reader"),
+    ("simulation/compiled.py", "def pattern_slice(cache, pattern): pass",
+     "per-incarnation compile or solve is back"),
+    ("simulation/flitsim.py", "def _run_interval(table, count): pass",
+     "per-incarnation compile or solve is back"),
+    ("simulation/compiled.py", "T = cache.get(id(pattern))",
+     "identity-keyed pattern cache"),
+    ("baseline/be_network.py", "cache[id(pattern)] = (pattern, table)",
+     "identity-keyed pattern cache"),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",

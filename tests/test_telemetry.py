@@ -330,6 +330,34 @@ class TestExecutorTelemetry:
         assert tel.value("executor.epochs") == result.meta["n_epochs"] == 1
         assert any(s.track == "epochs" for s in tel.spans)
 
+    def test_compiled_counters_describe_the_batch(self, tiny_config):
+        from repro.simulation.backend import SimRequest, create_backend
+        from repro.telemetry.checked import canonical_json
+        traffic = _cbr_traffic(tiny_config)
+        request = SimRequest(n_slots=400, traffic=traffic)
+        tel = Telemetry()
+        on = create_backend("flit", tiny_config, telemetry=tel).run(request)
+        off = create_backend("flit", tiny_config).run(request)
+        assert canonical_json(on.to_record()) == \
+            canonical_json(off.to_record())
+        stats = on.meta["executor_stats"]
+        assert stats == off.meta["executor_stats"]
+        assert set(stats) == {"pattern_compiles", "table_events",
+                              "table_bytes", "interval_runs"}
+        # One arrival stream per incarnation, all compiled in one batch.
+        assert tel.value("executor.pattern_table", outcome="compile") == \
+            stats["pattern_compiles"] == len(traffic)
+        assert tel.value("executor.pattern_table", outcome="slice") is None
+        assert tel.value("executor.pattern_table_bytes") == \
+            stats["table_bytes"] == 3 * 8 * stats["table_events"]
+        runs = [run for runs in on.stats._runs.values() for run in runs]
+        assert tel.value("executor.interval_runs") == \
+            stats["interval_runs"] == len(runs) > 0
+        batch, = [record for record in tel.snapshot()
+                  if record["name"] == "executor.interval_batch_messages"]
+        assert (batch["count"], batch["sum"]) == \
+            (len(runs), sum(run.count for run in runs))
+
     def test_all_backends_name_their_executor(self, tiny_config):
         from repro.simulation.backend import SimRequest, create_backend
         for kind in ("flit", "cycle", "be"):

@@ -76,6 +76,14 @@ RULES = [
     (r"full_horizon_cycles", ("src/repro/simulation/compiled.py",
                               "src/repro/baseline/be_network.py"), None, NONE,
      "a pattern table is compiled for the whole run again"),
+    (r"def (pattern_slice|_run_interval)\b", SRC, None, NONE,
+     "the per-incarnation compile or solve is back under src/repro (a run "
+     "is one batch: compile_arrivals, then _solve)"),
+    (r"\bid\(", ("src/repro/simulation/compiled.py",
+                 "src/repro/baseline/be_network.py"), None, NONE,
+     "an identity-keyed pattern cache is back in the compiled executor or "
+     "the best-effort baseline (restarts of one pattern object share one "
+     "events() call inside compile_arrivals)"),
     (r"def agreement", SRC, _STATS, NONE,
      "trace agreement defined outside simulation/{monitors,compiled}.py"),
     (r"bench_recor[d]|--bench-recor[d]|BENCH_[a-z_0-9]+\.json|bench_chec[k]|"
