@@ -87,7 +87,8 @@ def _print_campaign_meta(meta: dict) -> None:
     if len(workers) > 1:
         print(format_table(
             [{"pid": pid, "runs": entry["runs"],
-              "wall_s": entry["wall_s"]}
+              "wall_s": entry["wall_s"], "cpu_s": entry["cpu_s"],
+              "warmup_s": entry["warmup_s"]}
              for pid, entry in workers.items()],
             title="per-worker runs"))
     stragglers = meta["stragglers"]

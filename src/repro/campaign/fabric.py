@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, require_whole
 
 __all__ = ["Shard", "shard_campaign", "default_shard_size",
            "spec_fingerprint", "CampaignWorkdir",
@@ -107,9 +107,8 @@ def shard_campaign(spec: CampaignSpec, *, shard_size: int | None = None
     >>> shards == shard_campaign(spec, shard_size=4)
     True
     """
-    if shard_size is not None and shard_size < 1:
-        raise ConfigurationError(
-            f"shard_size must be >= 1, got {shard_size}")
+    if shard_size is not None:
+        shard_size = require_whole("shard_size", shard_size, 1)
     run_ids = sorted(run.run_id for run in spec.expand())
     size = shard_size or default_shard_size(len(run_ids))
     shards = []

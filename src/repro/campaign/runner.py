@@ -51,7 +51,7 @@ from repro.campaign.fabric import (CampaignWorkdir, Shard,
 from repro.campaign.kinds import (NON_FAILURE_STATUSES, crashed_record,
                                   run_kind, summary_row)
 from repro.campaign.spec import CampaignSpec, RunSpec
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, require_whole
 from repro.telemetry.hub import coalesce
 
 __all__ = ["CampaignRunner", "CampaignResult"]
@@ -75,13 +75,24 @@ _PIPELINE_DEPTH = 2
 #: triples pickle to about 3.4 KB.
 _MESSAGE_RUNS = 128
 
+#: The native thread pools a worker pins to one thread before its first
+#: message, so before any run can import numpy.  Nothing in ``repro``
+#: calls BLAS, yet OpenBLAS starts one thread per CPU at import; on a
+#: 2-vCPU host two workers' pools competed with both workers for the
+#: cores.  Pinning them took ``campaign_grid`` ``wall_s`` from 0.474 to
+#: 0.395 s (median of 10 alternating pairs) and the workers' involuntary
+#: context switches from ~600 to ~230 (docs/performance.md, "One thread
+#: per worker").
+_ONE_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                   "MKL_NUM_THREADS")
+
 #: Slowest runs retained for the straggler report (memory cap on
 #: million-run campaigns; median comes from the full wall list).
 _TOP_WALLS = 128
 
 
 def _envelope(run: RunSpec) -> dict[str, object]:
-    """Execute one run into its envelope: record, wall time and pid.
+    """Execute one run into its envelope: record, wall and CPU time, pid.
 
     Top-level (picklable) so a worker process can execute it.  What
     the run does is its scenario kind's business
@@ -91,10 +102,13 @@ def _envelope(run: RunSpec) -> dict[str, object]:
     the pool: the exception becomes a record with ``status="crashed"``,
     the error text and a digest of the traceback (stable across serial
     and parallel execution — the stack below this frame is identical
-    either way).  Wall time and pid feed the heartbeat and straggler
-    accounting and never reach a journal or the report.
+    either way).  Wall time, CPU time and pid feed the heartbeat,
+    per-worker and straggler accounting and never reach a journal or
+    the report.  ``process_time`` counts every thread of the process, so
+    a thread pool the run never asked for shows up as CPU above wall.
     """
     start = time.perf_counter()
+    cpu_start = time.process_time()
     try:
         record = run_kind(run)
     except (KeyboardInterrupt, SystemExit):
@@ -103,6 +117,7 @@ def _envelope(run: RunSpec) -> dict[str, object]:
         record = crashed_record(run, exc, traceback.format_exc())
     return {"record": record,
             "wall_s": time.perf_counter() - start,
+            "cpu_s": time.process_time() - cpu_start,
             "pid": os.getpid()}
 
 
@@ -245,10 +260,13 @@ class _Aggregate:
     Owns everything the runner accumulates per envelope: the optional
     record list, status counters, journal appends, heartbeat and
     telemetry emission, per-worker/straggler wall accounting and
-    per-shard progress.  Every caller hands :meth:`add` the run's shard
-    index.  Memory is O(shards + workers + heartbeats) plus one float
-    per executed run (the wall list the median reads) — and the record
-    list only in keep-records mode.
+    per-shard progress.  The first envelope from each pid is that
+    process's warm-up (it paid the imports and caches every later run
+    reuses): its wall is recorded as the pid's ``warmup_s`` and kept
+    out of the median and the straggler heap.  Every caller hands
+    :meth:`add` the run's shard index.  Memory is O(shards + workers +
+    heartbeats) plus one float per executed run (the wall list the
+    median reads) — and the record list only in keep-records mode.
     """
 
     def __init__(self, *, n_runs: int, keep_records: bool,
@@ -304,14 +322,19 @@ class _Aggregate:
         else:
             pid = int(envelope.get("pid", 0))
             wall = float(envelope.get("wall_s", 0.0))
-            self.walls.append(wall)
-            entry = self.worker_table.setdefault(
-                pid, {"runs": 0, "wall_s": 0.0})
+            entry = self.worker_table.get(pid)
+            if entry is None:
+                entry = self.worker_table[pid] = {
+                    "runs": 0, "wall_s": 0.0, "cpu_s": 0.0,
+                    "warmup_s": wall}
+            else:
+                self.walls.append(wall)
+                heapq.heappush(self._top, (wall, run_id, pid))
+                if len(self._top) > _TOP_WALLS:
+                    heapq.heappop(self._top)
             entry["runs"] += 1
             entry["wall_s"] += wall
-            heapq.heappush(self._top, (wall, run_id, pid))
-            if len(self._top) > _TOP_WALLS:
-                heapq.heappop(self._top)
+            entry["cpu_s"] += float(envelope.get("cpu_s", 0.0))
             if (self.done % self._stride == 0
                     or self.done == self.n_runs):
                 self.heartbeats.append({
@@ -341,7 +364,8 @@ class _Aggregate:
                                    status="completed", wall=True).inc()
 
     def median_wall_s(self) -> float:
-        """Median executed-run wall time (resumed runs excluded)."""
+        """Median executed-run wall time (resumed runs and warm-ups
+        excluded)."""
         if not self.walls:
             return 0.0
         return sorted(self.walls)[len(self.walls) // 2]
@@ -406,7 +430,11 @@ def _worker_main(conn, parent_ends, scenarios, base_seed: int) -> None:
     (its own and every earlier worker's).  They are closed first: while
     any worker holds one open, a SIGKILLed parent never reads as EOF
     and every worker blocks in ``recv`` forever.
+
+    Before the first message the worker pins the native thread pools of
+    ``_ONE_THREAD_ENV`` to one thread, in its own environment only.
     """
+    os.environ.update(dict.fromkeys(_ONE_THREAD_ENV, "1"))
     for end in parent_ends:
         end.close()
     try:
@@ -469,9 +497,9 @@ class CampaignRunner:
                  telemetry=None, workdir: str | os.PathLike | None = None,
                  resume: bool = False, keep_records: bool = True,
                  shard_size: int | None = None):
-        if workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {workers}")
+        workers = require_whole("workers", workers, 1)
+        if shard_size is not None:
+            shard_size = require_whole("shard_size", shard_size, 1)
         if not keep_records and workdir is None:
             raise ConfigurationError(
                 "streaming aggregation (keep_records=False) needs a "
@@ -501,8 +529,8 @@ class CampaignRunner:
         Alongside the deterministic records the result's ``meta``
         section reports how the execution went: per-stage wall timings,
         completion heartbeats (at most ~100, strided), a per-worker
-        run/wall table, shard progress, batch and worker-death counts
-        and straggler flags.  None of it enters
+        run/wall/CPU/warm-up table, shard progress, batch and
+        worker-death counts and straggler flags.  None of it enters
         :meth:`CampaignResult.to_json`.
         """
         tel = self.telemetry
@@ -571,7 +599,9 @@ class CampaignRunner:
             "workers": workers,
             "worker_table": {
                 str(pid): {"runs": int(entry["runs"]),
-                           "wall_s": round(entry["wall_s"], 6)}
+                           "wall_s": round(entry["wall_s"], 6),
+                           "cpu_s": round(entry["cpu_s"], 6),
+                           "warmup_s": round(entry["warmup_s"], 6)}
                 for pid, entry in sorted(
                     aggregate.worker_table.items())},
             "median_run_wall_s": round(aggregate.median_wall_s(), 6),

@@ -9,6 +9,7 @@ failures diagnosable without re-running with a debugger.
 from __future__ import annotations
 
 import math
+import operator
 
 
 class ReproError(Exception):
@@ -42,6 +43,37 @@ def require_finite_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ConfigurationError(
             f"{name} must be a finite positive number, got {value!r}")
+
+
+def require_whole(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``, refusing a fraction, NaN, an infinity or
+    anything below ``minimum``.
+
+    A count that arrives as ``2.5`` or ``nan`` otherwise surfaces far
+    from the caller: as a ``TypeError`` from ``range``, an ``int64``
+    executor disagreeing with a scalar one that kept the fraction, or a
+    comparison that NaN quietly passes.
+
+    >>> require_whole("period_cycles", 40.0, 1)
+    40
+    >>> try:
+    ...     require_whole("period_cycles", 7.5, 1)
+    ... except ConfigurationError as exc:
+    ...     print(exc)
+    period_cycles must be a whole number >= 1, got 7.5
+    """
+    try:
+        whole = operator.index(value)
+    except TypeError:
+        if not (isinstance(value, float) and value.is_integer()):
+            raise ConfigurationError(
+                f"{name} must be a whole number >= {minimum}, "
+                f"got {value!r}") from None
+        whole = int(value)
+    if whole < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, "
+                                 f"got {value!r}")
+    return whole
 
 
 class TopologyError(ConfigurationError):

@@ -13,51 +13,19 @@ equal parameters produce identical event streams.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 
 from repro.core.exceptions import (ConfigurationError,
-                                   require_finite_positive)
+                                   require_finite_positive, require_whole)
 from repro.core.words import WordFormat
 from repro.ni.packetizer import TxMessage
 
 __all__ = ["MessageEvent", "TrafficPattern", "ConstantBitRate",
            "PeriodicBurst", "BernoulliMessages", "Replay", "Saturating",
            "GeneratorComponent"]
-
-
-def _whole(name: str, value, minimum: int) -> int:
-    """``value`` as an ``int``, refusing a fraction, NaN, an infinity or
-    anything below ``minimum``.
-
-    The executors count cycles, words and messages in ``int64`` while
-    the scalar ``events()`` would keep a fraction, so a fractional
-    parameter would make the two disagree (or, as a NaN offset, never
-    reach the horizon at all).
-
-    >>> _whole("period_cycles", 40.0, 1)
-    40
-    >>> try:
-    ...     _whole("period_cycles", 7.5, 1)
-    ... except ConfigurationError as exc:
-    ...     print(exc)
-    period_cycles must be a whole number >= 1, got 7.5
-    """
-    try:
-        whole = operator.index(value)
-    except TypeError:
-        if not (isinstance(value, float) and value.is_integer()):
-            raise ConfigurationError(
-                f"{name} must be a whole number >= {minimum}, "
-                f"got {value!r}") from None
-        whole = int(value)
-    if whole < minimum:
-        raise ConfigurationError(f"{name} must be >= {minimum}, "
-                                 f"got {value!r}")
-    return whole
 
 
 @dataclass(frozen=True)
@@ -99,10 +67,10 @@ class ConstantBitRate(TrafficPattern):
 
     def __init__(self, message_words: int, interval_cycles: float, *,
                  offset_cycles: int = 0):
-        self.message_words = _whole("message_words", message_words, 1)
+        self.message_words = require_whole("message_words", message_words, 1)
         require_finite_positive("interval_cycles", interval_cycles)
         self.interval_cycles = interval_cycles
-        self.offset_cycles = _whole("offset_cycles", offset_cycles, 0)
+        self.offset_cycles = require_whole("offset_cycles", offset_cycles, 0)
 
     @staticmethod
     def from_rate(throughput_bytes_per_s: float, frequency_hz: float,
@@ -138,10 +106,11 @@ class PeriodicBurst(TrafficPattern):
 
     def __init__(self, burst_messages: int, message_words: int,
                  period_cycles: int, *, offset_cycles: int = 0):
-        self.burst_messages = _whole("burst_messages", burst_messages, 1)
-        self.message_words = _whole("message_words", message_words, 1)
-        self.period_cycles = _whole("period_cycles", period_cycles, 1)
-        self.offset_cycles = _whole("offset_cycles", offset_cycles, 0)
+        self.burst_messages = require_whole("burst_messages",
+                                            burst_messages, 1)
+        self.message_words = require_whole("message_words", message_words, 1)
+        self.period_cycles = require_whole("period_cycles", period_cycles, 1)
+        self.offset_cycles = require_whole("offset_cycles", offset_cycles, 0)
 
     def events(self, horizon_cycles: int) -> list[MessageEvent]:
         """All burst arrivals; messages of one burst share their cycle."""
@@ -165,8 +134,8 @@ class BernoulliMessages(TrafficPattern):
         if not 0 <= probability <= 1:
             raise ConfigurationError("probability must be in [0, 1]")
         self.probability = probability
-        self.message_words = _whole("message_words", message_words, 1)
-        self.flit_size = _whole("flit_size", flit_size, 1)
+        self.message_words = require_whole("message_words", message_words, 1)
+        self.flit_size = require_whole("flit_size", flit_size, 1)
         self.seed = seed
 
     def events(self, horizon_cycles: int) -> list[MessageEvent]:
@@ -211,8 +180,8 @@ class Saturating(TrafficPattern):
     """
 
     def __init__(self, message_words: int, flit_size: int):
-        self.message_words = _whole("message_words", message_words, 1)
-        self.flit_size = _whole("flit_size", flit_size, 1)
+        self.message_words = require_whole("message_words", message_words, 1)
+        self.flit_size = require_whole("flit_size", flit_size, 1)
 
     def events(self, horizon_cycles: int) -> list[MessageEvent]:
         """One message at every slot boundary."""

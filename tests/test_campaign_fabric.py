@@ -30,7 +30,7 @@ from repro.campaign.fabric import (CampaignWorkdir, Shard,
                                    default_shard_size, iter_report_chunks,
                                    shard_campaign, spec_fingerprint)
 from repro.campaign.kinds import run_kind
-from repro.campaign.presets import synthetic_campaign
+from repro.campaign.presets import demo_campaign, synthetic_campaign
 from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import (CampaignSpec, ScenarioSpec, SyntheticSpec,
                                  derive_seed)
@@ -82,6 +82,35 @@ class TestSharding:
         again = shard_campaign(spec, shard_size=shard_size)
         assert first == again
         assert sum(s.n_runs for s in first) == n_scenarios * n_seeds
+
+
+class TestWholeCounts:
+    """``workers`` and ``shard_size`` are counts: a fraction, NaN, an
+    infinity or a string is refused when the runner is built, naming the
+    parameter, not as a ``TypeError`` from dispatch or a quiet serial
+    run."""
+
+    @pytest.mark.parametrize("name, value", [
+        ("workers", 2.5), ("workers", float("nan")),
+        ("workers", float("inf")), ("workers", "2"),
+        ("shard_size", 2.5), ("shard_size", float("nan")),
+        ("shard_size", float("-inf")), ("shard_size", "4"),
+        ("shard_size", 0)])
+    def test_runner_refuses_a_count_that_is_not_whole(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            CampaignRunner(_grid(), **{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), "4"])
+    def test_shard_campaign_refuses_a_count_that_is_not_whole(self, value):
+        with pytest.raises(ConfigurationError, match="shard_size"):
+            shard_campaign(_grid(), shard_size=value)
+
+    def test_whole_floats_run_as_ints(self):
+        spec = _grid(n_scenarios=2, seeds=(1, 2))
+        runner = CampaignRunner(spec, workers=2.0, shard_size=2.0)
+        assert (runner.workers, runner.shard_size) == (2, 2)
+        assert runner.run().to_json() == \
+            CampaignRunner(spec, workers=1).run().to_json()
 
 
 class TestDeterminism:
@@ -595,6 +624,35 @@ class TestSummary:
         # deterministic head of the line.
         head = keep.summary().split("; stragglers")[0]
         assert stream.summary().split("; stragglers")[0] == head
+
+
+class TestWorkerTable:
+    def test_warmups_are_reported_not_flagged(self):
+        # A worker's first run pays its imports; it lands in that pid's
+        # warmup_s, never among the stragglers or in the median.
+        result = CampaignRunner(demo_campaign(), workers=2).run()
+        meta = result.meta
+        assert len(meta["heartbeats"]) == result.n_runs  # one per run
+        first_run: dict[int, str] = {}
+        for beat in meta["heartbeats"]:
+            first_run.setdefault(beat["pid"], beat["run_id"])
+        assert set(meta["worker_table"]) == {str(p) for p in first_run}
+        assert len(first_run) == 2
+        for straggler in meta["stragglers"]:
+            assert first_run[straggler["pid"]] != straggler["run_id"]
+        for entry in meta["worker_table"].values():
+            assert 0 < entry["warmup_s"] <= entry["wall_s"]
+            assert entry["cpu_s"] > 0
+        assert sum(entry["runs"] for entry in
+                   meta["worker_table"].values()) == result.n_runs
+        report = result.to_json()
+        assert "warmup_s" not in report and "cpu_s" not in report
+
+    def test_serial_run_warms_up_once(self):
+        result = CampaignRunner(_grid(n_scenarios=3), workers=1).run()
+        (entry,) = result.meta["worker_table"].values()
+        assert entry["runs"] == result.n_runs
+        assert entry["warmup_s"] <= entry["wall_s"]
 
 
 class TestJournal:

@@ -5,14 +5,22 @@ graph) and numpy arrives with the first simulated flit, not with the
 package.  Asserted on ``sys.modules`` in a fresh interpreter — exact, so
 a re-introduced top-level import fails here instead of moving every
 workload's ``setup_s`` by a tenth of a second unnoticed.
+
+A campaign worker imports numpy with its first simulated flit; it must
+do so with its native thread pools pinned to one thread, or on a
+multi-core host each worker starts a BLAS pool that competes with every
+worker for the cores.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,3 +38,49 @@ def test_control_plane_imports_neither_networkx_nor_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+THREADS_SCRIPT = """
+import json, multiprocessing, os, sys
+# the wrapped run_kind below reaches the workers by inheritance
+multiprocessing.set_start_method("fork")
+import repro.campaign.runner as runner
+from repro.campaign.presets import demo_campaign
+
+run_kind = runner.run_kind
+
+
+def counted(run):
+    record = run_kind(run)
+    import numpy  # noqa: F401
+    return dict(record, threads=len(os.listdir("/proc/self/task")))
+
+
+runner.run_kind = counted
+environ = dict(os.environ)
+result = runner.CampaignRunner(demo_campaign(n_slots=200, seeds=(1,)),
+                               workers=2).run()
+print(json.dumps({
+    "threads": [record["threads"] for record in result.records],
+    "workers": len(result.meta["worker_table"]),
+    "parent_numpy": "numpy" in sys.modules,
+    "parent_environ_kept": dict(os.environ) == environ}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads through /proc")
+def test_campaign_workers_import_numpy_on_one_thread():
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                           "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["workers"] == 2
+    assert seen["threads"] and set(seen["threads"]) == {1}
+    assert not seen["parent_numpy"]
+    assert seen["parent_environ_kept"]
