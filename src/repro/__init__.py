@@ -58,7 +58,6 @@ _EXPORTS: dict[str, str] = {
     "ConnectionSpec": "repro.core.connection",
     "Application": "repro.core.application",
     "UseCase": "repro.core.application",
-    "SlotTable": "repro.core.slot_table",
     "SlotAllocator": "repro.core.allocation",
     "Allocation": "repro.core.allocation",
     "NocConfiguration": "repro.core.configuration",

@@ -25,7 +25,7 @@ from repro.core.application import Application, UseCase
 from repro.core.configuration import NocConfiguration, configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import (ConfigurationError,
-                                   require_finite_positive)
+                                   require_finite_positive, require_whole)
 from repro.faults.model import FaultSpec
 from repro.service.churn import ChurnSpec
 from repro.simulation.traffic import (BernoulliMessages, Saturating,
@@ -274,10 +274,10 @@ class ScenarioSpec:
                 "synchronous", "mesochronous", "asynchronous"):
             raise ConfigurationError(
                 f"unknown clocking scheme {self.clocking!r}")
-        if self.n_slots <= 0:
-            raise ConfigurationError("n_slots must be positive")
-        if self.table_size < 2:
-            raise ConfigurationError("table_size must be >= 2")
+        object.__setattr__(self, "n_slots",
+                           require_whole("n_slots", self.n_slots, 1))
+        object.__setattr__(self, "table_size",
+                           require_whole("table_size", self.table_size, 2))
         require_finite_positive("frequency_mhz", self.frequency_mhz)
         validate_scenario(self)
 

@@ -31,9 +31,7 @@ _EXPORTS: dict[str, str] = {
     "FlitMeta": "repro.core.flits",
     "Packet": "repro.core.flits",
     # slots / paths
-    "SlotTable": "repro.core.slot_table",
     "shifted": "repro.core.slot_table",
-    "shifted_slots": "repro.core.slot_table",
     "worst_case_wait_slots": "repro.core.slot_table",
     "max_consecutive_gap": "repro.core.slot_table",
     "spread_slots": "repro.core.slot_table",

@@ -13,13 +13,18 @@ The algorithm is a deterministic greedy allocator in the UMARS tradition:
 2. for each channel a small set of candidate paths is considered —
    k-shortest plus a congestion-aware shortest path that weighs links by
    their current slot occupancy;
-3. on each candidate path, the set of injection slots that are free on
-   *every* traversed link (after per-hop shifting) is computed, and the
-   spreading heuristic of :mod:`repro.core.slot_table` picks slots that
-   minimise the worst-case injection wait;
+3. the placement loop of :mod:`repro.core.placement` intersects, on each
+   candidate path, the injection slots free on *every* traversed link
+   (after per-hop shifting), and the spreading heuristic of
+   :mod:`repro.core.slot_table` picks slots that minimise the worst-case
+   injection wait;
 4. the first path that satisfies both the slot count and the latency gap
    constraint wins; its reservations are ORed into the per-link
    occupancy masks.
+
+This module holds the record (:class:`ChannelAllocation`,
+:class:`Allocation`) and the caching front (:class:`SlotAllocator`);
+the placement loop itself lives below it in :mod:`repro.core.placement`.
 
 Committed allocations are never revisited (no backtracking); this mirrors
 the incremental allocation used for undisrupted reconfiguration: channels
@@ -36,11 +41,12 @@ from typing import Sequence
 
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import (AllocationError, ConfigurationError,
-                                   require_finite_positive)
+                                   TopologyError, require_finite_positive,
+                                   require_whole)
 from repro.core.path import Path, make_path
-from repro.core.requirements import latency_bound_ns, slots_for_channel
-from repro.core.slot_table import (SlotTable, mask_to_slots, rotate_mask,
-                                   shifted_mask, spread_slots,
+from repro.core.placement import RouteQuotes, first_fit, quote_routes
+from repro.core.requirements import latency_bound_ns
+from repro.core.slot_table import (mask_to_slots, shifted_mask, spread_slots,
                                    worst_case_wait_slots)
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
@@ -49,7 +55,7 @@ from repro.topology.routing import (k_shortest_paths, k_shortest_routes,
                                     merge_load_aware, weighted_shortest_path)
 
 __all__ = ["ChannelAllocation", "Allocation", "AllocatorOptions",
-           "SlotAllocator", "RouteCandidate", "RouteQuotes", "ChannelVerdict",
+           "SlotAllocator", "ChannelVerdict",
            "RebuildReport", "excluded_link_keys"]
 
 #: Most (endpoints, requirement) entries :meth:`SlotAllocator.
@@ -102,146 +108,6 @@ def excluded_link_keys(topology: Topology,
                         if key[0] in failed_router_set
                         or key[1] in failed_router_set)
     return frozenset(excluded)
-
-
-@dataclass(frozen=True, slots=True)
-class RouteCandidate:
-    """One admissible route of a requirement, with its slot arithmetic.
-
-    Nothing here depends on occupancy or on a particular
-    :class:`Allocation`: links are named by key, so one record serves
-    every allocation compatible with the allocator that quoted it.
-    """
-
-    path: Path
-    n_slots: int
-    max_gap: int | None
-    #: ``(link key, slot shift)`` per traversed link (``Path.hops``).
-    hops: tuple[tuple[tuple[str, str], int], ...]
-    #: Traversed link keys, for the degraded-mode exclusion check.
-    link_keys: frozenset[tuple[str, str]]
-
-
-def _quoted(point: "Allocation | SlotAllocator", spec: ChannelSpec, paths,
-            failures: list[str] | None = None):
-    """Lazily turn ``paths`` into the :class:`RouteCandidate` of ``spec``
-    on each — the one place a (path, requirement) pair becomes slot
-    arithmetic, at the operating point (``table_size``,
-    ``frequency_hz``, ``fmt``) that ``point`` carries.
-
-    The arithmetic reads a path only through its traversal time, and a
-    refusal's reason names no path, so it runs once per distinct
-    ``traversal_slots`` among the paths the consumer reaches.
-
-    A path whose traversal alone breaks the latency requirement yields
-    nothing; handed a ``failures`` list, its reason is appended the
-    moment the consumer reaches it, so :func:`_first_fit`'s own reasons
-    interleave in candidate order.
-    """
-    size = point.table_size
-    # traversal slots -> (n_slots, max_gap), or the refusal's reason
-    by_traversal: dict[int, tuple[int, int | None] | str] = {}
-    for path in paths:
-        traversal = path.traversal_slots
-        quote = by_traversal.get(traversal)
-        if quote is None:
-            try:
-                quote = slots_for_channel(spec, path, size,
-                                          point.frequency_hz, point.fmt)
-            except AllocationError as exc:
-                quote = exc.reason
-            by_traversal[traversal] = quote
-        if isinstance(quote, str):
-            if failures is not None:
-                failures.append(f"{path!r}: {quote}")
-            continue
-        yield RouteCandidate(path=path, n_slots=quote[0], max_gap=quote[1],
-                             hops=path.hops, link_keys=path.link_key_set)
-
-
-class RouteQuotes:
-    """The :class:`RouteCandidate`\\ s of one (endpoints, requirement),
-    quoted only as far as a placement has read them.
-
-    Iterating yields them in candidate order, continuing :func:`_quoted`
-    where the furthest earlier iteration stopped: a route is quoted once
-    however many admissions read the entry, and a route no placement
-    reaches is never quoted.  Truth is "some route can meet the
-    requirement".
-    """
-
-    __slots__ = ("_quotes", "_pending")
-
-    def __init__(self, pending) -> None:
-        self._quotes: list[RouteCandidate] = []
-        #: the :func:`_quoted` generator, ``None`` once drained
-        self._pending = pending
-
-    def __iter__(self):
-        if self._pending is None:
-            return iter(self._quotes)
-        return self._continued()
-
-    def _continued(self):
-        quotes = self._quotes
-        index = 0
-        while True:
-            if index == len(quotes):
-                pending = self._pending
-                quote = None if pending is None else next(pending, None)
-                if quote is None:
-                    self._pending = None
-                    return
-                quotes.append(quote)
-            yield quotes[index]
-            index += 1
-
-    def __bool__(self) -> bool:
-        return next(iter(self), None) is not None
-
-
-def _first_fit(link_masks: dict[tuple[str, str], int],
-               spec: ChannelSpec, candidates, choose, size: int,
-               failures: list[str] | None = None
-               ) -> tuple["ChannelAllocation | None", int]:
-    """Fit ``spec`` onto the first candidate route that can carry it.
-
-    The only placement loop: per :class:`RouteCandidate`, every
-    traversed link's occupancy mask is rotated back by the link's slot
-    shift and ORed (the whole contention check is one OR per link), the
-    free popcount is held against the slot count, and ``choose`` —
-    :func:`~repro.core.slot_table.spread_slots` offline,
-    :func:`~repro.core.slot_table.choose_slots_fast` online — picks
-    slots under the gap constraint.  Returns the (uncommitted)
-    allocation, or ``None``, plus the width of the winning intersection.
-    Handed a ``failures`` list, it appends one reason per rejected
-    candidate — the text of ``AllocationError.reason`` and of a
-    ``dropped`` verdict.
-    """
-    full = (1 << size) - 1
-    for cand in candidates:
-        busy = 0
-        for key, shift in cand.hops:
-            busy |= rotate_mask(link_masks[key], shift, size)
-            if busy == full:
-                break
-        mask = full ^ busy
-        width = mask.bit_count()
-        if width < cand.n_slots:
-            if failures is not None:
-                failures.append(f"{cand.path!r}: {width} free slots < "
-                                f"{cand.n_slots} needed")
-            continue
-        slots = choose(mask_to_slots(mask), cand.n_slots, size,
-                       max_gap=cand.max_gap)
-        if slots is None:
-            if failures is not None:
-                failures.append(f"{cand.path!r}: free slots cannot "
-                                f"satisfy gap <= {cand.max_gap}")
-            continue
-        return ChannelAllocation(spec=spec, path=cand.path,
-                                 slots=slots), width
-    return None, 0
 
 
 @dataclass(frozen=True)
@@ -488,9 +354,7 @@ class Allocation:
         default=frozenset(), init=False)
 
     def __post_init__(self) -> None:
-        if self.table_size <= 0:
-            raise ConfigurationError(
-                f"slot table size must be positive, got {self.table_size}")
+        self.table_size = require_whole("table_size", self.table_size, 1)
         self.link_masks = dict.fromkeys(self.topology.iter_link_keys(), 0)
         self.channels_digest = 0
 
@@ -516,12 +380,39 @@ class Allocation:
             (ca for ca in self.channels.values() if ca.path.dest == ni),
             key=lambda ca: ca.spec.name))
 
-    def ni_injection_table(self, ni: str) -> SlotTable:
-        """The TDM table programmed into NI ``ni``."""
-        table = SlotTable(self.table_size)
+    def ni_injection_table(self, ni: str) -> tuple[str | None, ...]:
+        """The TDM table programmed into NI ``ni``: per injection slot,
+        the name of the channel that injects in it, or ``None``.
+
+        Read off the channel records, as :meth:`holder_of` reads a
+        link's holders.  Refuses a name that is no NI of the topology,
+        and a slot two of the NI's channels both claim (which
+        :meth:`commit` never lets happen).
+
+        >>> from repro.topology.builders import single_router
+        >>> from repro.core.path import make_path
+        >>> topo = single_router(2)
+        >>> allocation = Allocation(topo, 4, 500e6, WordFormat())
+        >>> allocation.commit(ChannelAllocation(
+        ...     ChannelSpec("c", "a", "b", 1.0),
+        ...     make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1"), (1, 3)))
+        >>> allocation.ni_injection_table("ni0_0_0")
+        (None, 'c', None, 'c')
+        """
+        if ni not in self.topology.nis:
+            raise ConfigurationError(
+                f"no NI {ni!r} in topology {self.topology.name!r}")
+        row: list[str | None] = [None] * self.table_size
         for ca in self.channels_from_ni(ni):
-            table.reserve_all(ca.slots, ca.spec.name)
-        return table
+            name = ca.spec.name
+            for slot in ca.slots:
+                if row[slot] is not None:
+                    raise AllocationError(
+                        f"NI {ni!r} slot {slot} is claimed by both "
+                        f"{row[slot]!r} and {name!r}",
+                        channel=name, reason="slot conflict")
+                row[slot] = name
+        return tuple(row)
 
     @staticmethod
     def holder_of(channels, key: tuple[str, str], mask: int,
@@ -797,8 +688,6 @@ class Allocation:
     def _reroute_one(self, rebuilt: "Allocation",
                      ca: ChannelAllocation) -> ChannelVerdict:
         """Re-allocate one fault-affected channel over surviving paths."""
-        from repro.core.exceptions import TopologyError
-
         spec = ca.spec
         excluded = rebuilt.excluded_links
         old_latency = self._latency_bound(ca)
@@ -813,10 +702,12 @@ class Allocation:
         except TopologyError as exc:
             failures.append(str(exc))
         else:
-            new_ca, _ = _first_fit(
-                rebuilt.link_masks, spec,
-                _quoted(self, spec, paths, failures), spread_slots,
-                self.table_size, failures)
+            placed = first_fit(
+                rebuilt.link_masks, quote_routes(self, spec, paths, failures),
+                spread_slots, self.table_size, failures)
+            if placed is not None:
+                new_ca = ChannelAllocation(spec=spec, path=placed[0].path,
+                                           slots=placed[1])
         if new_ca is not None:
             try:
                 rebuilt.commit(new_ca)
@@ -869,9 +760,7 @@ class SlotAllocator:
     def __init__(self, topology: Topology, *, table_size: int,
                  frequency_hz: float, fmt: WordFormat | None = None,
                  options: AllocatorOptions | None = None):
-        if table_size <= 0:
-            raise ConfigurationError(
-                f"slot table size must be positive, got {table_size}")
+        table_size = require_whole("table_size", table_size, 1)
         require_finite_positive("frequency_hz", frequency_hz)
         topology.validate()
         self.topology = topology
@@ -994,7 +883,7 @@ class SlotAllocator:
         def tightness(spec: ChannelSpec) -> tuple[float, float, str]:
             # Hardest first: estimate slots on a shortest path, then the
             # latency requirement (tighter = smaller), then name.
-            cand = next(_quoted(
+            cand = next(quote_routes(
                 self, spec, self._candidates(spec, mapping, excluded)[:1]),
                 None)
             if cand is None:
@@ -1052,8 +941,9 @@ class SlotAllocator:
 
     def route_quotes(self, src_ni: str, dst_ni: str, spec: ChannelSpec
                      ) -> RouteQuotes:
-        """Cached :class:`RouteCandidate` per candidate route, as a
-        :class:`RouteQuotes` that quotes a route when a placement first
+        """Cached :class:`~repro.core.placement.RouteCandidate` per
+        candidate route, as a :class:`~repro.core.placement.RouteQuotes`
+        that quotes a route when a placement first
         reaches it.
 
         The slot count and latency-gap constraint of a requirement on a
@@ -1069,7 +959,7 @@ class SlotAllocator:
         cached = self.cached_route_quotes(src_ni, dst_ni, spec)
         if cached is not None:
             return cached
-        quotes = RouteQuotes(_quoted(
+        quotes = RouteQuotes(quote_routes(
             self, spec, self.shortest_candidates(src_ni, dst_ni)))
         cache = self._quote_cache
         if len(cache) >= QUOTE_CACHE_CAP:
@@ -1129,12 +1019,12 @@ class SlotAllocator:
         failures: list[str] = []
         paths = self._candidates(spec, mapping, allocation.excluded_links,
                                  allocation.link_masks)
-        ca, _ = _first_fit(
-            allocation.link_masks, spec,
-            _quoted(self, spec, paths, failures), spread_slots,
-            self.table_size, failures)
-        if ca is not None:
-            return ca
+        placed = first_fit(
+            allocation.link_masks, quote_routes(self, spec, paths, failures),
+            spread_slots, self.table_size, failures)
+        if placed is not None:
+            return ChannelAllocation(spec=spec, path=placed[0].path,
+                                     slots=placed[1])
         detail = "; ".join(failures) if failures else "no candidate paths"
         raise AllocationError(
             f"cannot allocate channel {spec.name!r} "

@@ -1,18 +1,19 @@
-"""TDM slot tables and the slot arithmetic of contention-free routing.
+"""The slot arithmetic of contention-free routing.
 
 Every network interface regulates injection with a slot table of ``size``
 slots; the table has the same size throughout the NoC (Section III of the
-paper).  A reservation of slot ``s`` at the NI's output link implies slot
-``(s + d) mod size`` on every downstream link, where ``d`` is the accumulated
-*slot shift*: one slot per router traversed (its three-cycle flit cycle) and
-one per mesochronous link pipeline stage (Section V allocates a slot for the
-link traversal).
+paper).  In hardware that table is a row — slot ``s`` names the channel
+that injects in ``s`` — and so it is here: the slot-indexed owner tuple
+:meth:`~repro.core.allocation.Allocation.ni_injection_table` reads off
+the channel records.  A reservation of slot ``s`` at the NI's output
+link implies slot ``(s + d) mod size`` on every downstream link, where
+``d`` is the accumulated *slot shift*: one slot per router traversed (its
+three-cycle flit cycle) and one per mesochronous link pipeline stage
+(Section V allocates a slot for the link traversal).
 
 This module provides:
 
-* :func:`shifted` / :func:`shifted_slots` — the per-hop reservation shift;
-* :class:`SlotTable` — an ownership map from slot to channel, the NI
-  injection table;
+* :func:`shifted` — the per-hop reservation shift;
 * gap/wait analysis used by the latency bound (:mod:`repro.core.analysis`);
 * :func:`spread_slots` — the equidistant slot-choice heuristic;
 * bitmask slot arithmetic (:func:`slots_to_mask` / :func:`mask_to_slots` /
@@ -25,14 +26,12 @@ This module provides:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable
 
 from repro.core.exceptions import AllocationError, ConfigurationError
 
 __all__ = [
     "shifted",
-    "shifted_slots",
-    "SlotTable",
     "worst_case_wait_slots",
     "max_consecutive_gap",
     "spread_slots",
@@ -50,11 +49,6 @@ def shifted(slot: int, shift: int, size: int) -> int:
     if size <= 0:
         raise ConfigurationError(f"slot table size must be positive, got {size}")
     return (slot + shift) % size
-
-
-def shifted_slots(slots: Iterable[int], shift: int, size: int) -> frozenset[int]:
-    """Shift a whole reservation set by ``shift`` slots (cyclically)."""
-    return frozenset(shifted(s, shift, size) for s in slots)
 
 
 def slots_to_mask(slots: Iterable[int], size: int) -> int:
@@ -96,8 +90,8 @@ def rotate_mask(mask: int, shift: int, size: int) -> int:
 
 
 def shifted_mask(mask: int, shift: int, size: int) -> int:
-    """The bitmask form of :func:`shifted_slots`: bit ``(s + shift) % size``
-    of the result is bit ``s`` of ``mask`` — injection slots carried
+    """The bitmask form of :func:`shifted`: bit ``(s + shift) % size`` of
+    the result is bit ``s`` of ``mask`` — injection slots carried
     ``shift`` hops on, the inverse of :func:`rotate_mask`.
 
     >>> mask_to_slots(shifted_mask(slots_to_mask([0, 6], 8), 3, 8))
@@ -305,166 +299,3 @@ def _largest_gap(ordered: list[int], size: int) -> tuple[int, int]:
             best_start, best_len = ordered[i], length
     return best_start, best_len
 
-
-class SlotTable:
-    """Ownership map from TDM slot to channel name: the **injection
-    table** of a network interface (slot → channel to inject in that
-    slot).  Slot numbers are always in ``range(size)``.
-
-    A link has no table of its own: its occupancy is the channels'
-    reservations shifted onto it, one bitmask per link
-    (:attr:`~repro.core.allocation.Allocation.link_masks`).
-
-    >>> table = SlotTable(8)
-    >>> table.reserve(2, "video")
-    >>> table.reserve(6, "video")
-    >>> table.owner(2)
-    'video'
-    >>> sorted(table.free_slots())
-    [0, 1, 3, 4, 5, 7]
-    >>> table.utilisation()
-    0.25
-    """
-
-    __slots__ = ("_size", "_owners", "_row")
-
-    def __init__(self, size: int,
-                 reservations: Mapping[int, str] | None = None):
-        if size <= 0:
-            raise ConfigurationError(
-                f"slot table size must be positive, got {size}")
-        self._size = size
-        self._owners: dict[int, str] = {}
-        self._row: tuple[str | None, ...] | None = None
-        if reservations:
-            for slot, owner in reservations.items():
-                self.reserve(slot, owner)
-
-    # -- basic queries ------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        """Number of slots in the table (the TDM period)."""
-        return self._size
-
-    def owner(self, slot: int) -> str | None:
-        """Channel owning ``slot``, or ``None`` when the slot is free."""
-        self._check_slot(slot)
-        return self._owners.get(slot)
-
-    def owner_row(self) -> tuple[str | None, ...]:
-        """The whole ownership map as a flat slot-indexed tuple.
-
-        This is the compiled form the simulation hot paths index
-        (``row[slot % size]`` replaces a bounds-checked dict lookup per
-        slot); the tuple is cached and rebuilt only after a mutation,
-        so a steady-state schedule pays for it once.
-
-        >>> table = SlotTable(4)
-        >>> table.reserve(1, "audio")
-        >>> table.owner_row()
-        (None, 'audio', None, None)
-        """
-        if self._row is None:
-            owners = self._owners
-            self._row = tuple(owners.get(s) for s in range(self._size))
-        return self._row
-
-    def is_free(self, slot: int) -> bool:
-        """True when no channel has reserved ``slot``."""
-        self._check_slot(slot)
-        return slot not in self._owners
-
-    def free_slots(self) -> frozenset[int]:
-        """All currently unreserved slots."""
-        return frozenset(range(self._size)).difference(self._owners)
-
-    def reserved_slots(self, owner: str | None = None) -> frozenset[int]:
-        """Slots reserved by ``owner`` (or by anyone if ``owner`` is None)."""
-        if owner is None:
-            return frozenset(self._owners)
-        return frozenset(s for s, o in self._owners.items() if o == owner)
-
-    def utilisation(self) -> float:
-        """Fraction of slots reserved."""
-        return len(self._owners) / self._size
-
-    def __iter__(self) -> Iterator[tuple[int, str | None]]:
-        for slot in range(self._size):
-            yield slot, self._owners.get(slot)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SlotTable):
-            return NotImplemented
-        return self._size == other._size and self._owners == other._owners
-
-    def __repr__(self) -> str:
-        cells = ",".join(self._owners.get(s, "-") or "-"
-                         for s in range(self._size))
-        return f"SlotTable[{cells}]"
-
-    # -- mutation -----------------------------------------------------------
-
-    def reserve(self, slot: int, owner: str) -> None:
-        """Reserve ``slot`` for ``owner``; raises if already taken."""
-        self._check_slot(slot)
-        if not owner:
-            raise ConfigurationError("slot owner must be a non-empty name")
-        current = self._owners.get(slot)
-        if current is not None and current != owner:
-            raise AllocationError(
-                f"slot {slot} already reserved by {current!r}",
-                channel=owner, reason="slot conflict")
-        self._owners[slot] = owner
-        self._row = None
-
-    def reserve_all(self, slots: Iterable[int], owner: str) -> None:
-        """Reserve several slots atomically (rolls back on conflict)."""
-        taken: list[int] = []
-        try:
-            for slot in slots:
-                before = self._owners.get(slot)
-                self.reserve(slot, owner)
-                if before is None:
-                    taken.append(slot)
-        except AllocationError:
-            for slot in taken:
-                del self._owners[slot]
-            self._row = None
-            raise
-
-    def release(self, slot: int) -> None:
-        """Free one slot (idempotent)."""
-        self._check_slot(slot)
-        self._owners.pop(slot, None)
-        self._row = None
-
-    def release_owner(self, owner: str) -> None:
-        """Free every slot held by ``owner``."""
-        for slot in [s for s, o in self._owners.items() if o == owner]:
-            del self._owners[slot]
-            self._row = None
-
-    def copy(self) -> "SlotTable":
-        """Independent copy (used for what-if allocation)."""
-        return SlotTable(self._size, dict(self._owners))
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable representation."""
-        return {"size": self._size,
-                "reservations": {str(s): o for s, o in self._owners.items()}}
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "SlotTable":
-        """Inverse of :meth:`to_dict`."""
-        size = int(data["size"])  # type: ignore[arg-type]
-        raw = data.get("reservations", {})
-        return SlotTable(size, {int(k): str(v)
-                                for k, v in raw.items()})  # type: ignore[union-attr]
-
-    # -- internals ----------------------------------------------------------
-
-    def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < self._size:
-            raise ConfigurationError(
-                f"slot {slot} outside table of size {self._size}")

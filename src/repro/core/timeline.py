@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from repro.core.allocation import Allocation, ChannelAllocation
 from repro.core.application import UseCase
 from repro.core.exceptions import (AllocationError, ConfigurationError,
-                                   require_finite_positive)
+                                   require_finite_positive, require_whole)
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping
@@ -87,9 +87,8 @@ class TimelineEvent:
     channels: tuple[ChannelAllocation, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.slot < 0:
-            raise ConfigurationError(
-                f"timeline event slot must be >= 0, got {self.slot}")
+        object.__setattr__(self, "slot",
+                           require_whole("timeline event slot", self.slot, 0))
         if self.action not in _ACTIONS:
             raise ConfigurationError(
                 f"unknown timeline action {self.action!r}; expected one "
@@ -121,16 +120,10 @@ class ReconfigurationTimeline:
                  events: tuple[TimelineEvent, ...] | list[TimelineEvent],
                  *, horizon_slots: int, table_size: int,
                  frequency_hz: float, fmt: WordFormat | None = None):
-        if horizon_slots <= 0:
-            raise ConfigurationError(
-                f"horizon_slots must be positive, got {horizon_slots}")
-        if table_size <= 0:
-            raise ConfigurationError(
-                f"table_size must be positive, got {table_size}")
+        self.horizon_slots = require_whole("horizon_slots", horizon_slots, 1)
+        self.table_size = require_whole("table_size", table_size, 1)
         require_finite_positive("frequency_hz", frequency_hz)
         self.topology = topology
-        self.horizon_slots = horizon_slots
-        self.table_size = table_size
         self.frequency_hz = frequency_hz
         self.fmt = fmt or WordFormat()
         self.events: tuple[TimelineEvent, ...] = tuple(sorted(
@@ -401,7 +394,7 @@ class TimelineRecorder:
                  frequency_hz: float, fmt: WordFormat | None = None):
         require_finite_positive("frequency_hz", frequency_hz)
         self.topology = topology
-        self.table_size = table_size
+        self.table_size = require_whole("table_size", table_size, 1)
         self.frequency_hz = frequency_hz
         self.fmt = fmt or WordFormat()
         self._transitions: list[tuple[float, str, str,
@@ -439,6 +432,7 @@ class TimelineRecorder:
         its events are dropped (keeping it would order the stop before
         its own start under the stops-first boundary normalisation).
         """
+        horizon_slots = require_whole("horizon_slots", horizon_slots, 1)
         # Times are recorded in order, so the last one is the largest;
         # a trace that never leaves t=0 maps to slot 0 at any rate.
         last_s = self._transitions[-1][0] if self._transitions else 0.0

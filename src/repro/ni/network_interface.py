@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from repro.core.exceptions import (ConfigurationError, FlowControlError,
                                    SimulationError)
 from repro.core.flits import Flit
-from repro.core.slot_table import SlotTable
 from repro.core.words import (WordFormat, header_credits, header_queue)
 from repro.ni.packetizer import Packetizer, TxMessage
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
@@ -114,14 +113,22 @@ class _RxState:
 
 
 class NetworkInterface:
-    """TDM-scheduled NI (implements ``Clocked``)."""
+    """TDM-scheduled NI (implements ``Clocked``).
 
-    def __init__(self, name: str, table: SlotTable, fmt: WordFormat, *,
+    ``row`` is the NI's slot table: per slot, the TX channel that
+    injects in it, or ``None`` (:meth:`~repro.core.allocation.
+    Allocation.ni_injection_table`); its length is the table size.
+    """
+
+    def __init__(self, name: str, row: tuple[str | None, ...],
+                 fmt: WordFormat, *,
                  tx_channels: list[TxChannelConfig] | None = None,
                  rx_queues: list[RxQueueConfig] | None = None,
                  stats: StatsCollector | None = None):
+        if not row:
+            raise ConfigurationError(f"NI {name!r}: empty slot table")
         self.name = name
-        self.table = table
+        self.row = tuple(row)
         self.fmt = fmt
         self.stats = stats
         self.inputs = [WordWire(f"{name}.in")]
@@ -132,6 +139,12 @@ class NetworkInterface:
             self.add_tx_channel(cfg)
         for cfg in rx_queues or []:
             self.add_rx_queue(cfg)
+        strangers = sorted({owner for owner in self.row
+                            if owner is not None and owner not in self._tx})
+        if strangers:
+            raise ConfigurationError(
+                f"NI {name!r}: slot table names {strangers} without a TX "
+                "channel")
         # TX emission state.
         self._emitting: Flit | None = None
         self._emit_pos = 0
@@ -207,14 +220,14 @@ class NetworkInterface:
 
     def _begin_slot(self, cycle: int, time_ps: int) -> None:
         slot_index = cycle // self.fmt.flit_size
-        row = self.table.owner_row()
-        slot = slot_index % self.table.size
+        row = self.row
+        slot = slot_index % len(row)
         self.slots_seen += 1
         owner = row[slot]
         self._emitting = None
         self._emit_pos = 0
         self._emit_channel = None
-        if owner is None or owner not in self._tx:
+        if owner is None:
             return
         tx = self._tx[owner]
         if tx.packetizer.has_data:
@@ -235,7 +248,7 @@ class NetworkInterface:
                     self._emit_channel = owner
                     self.flits_injected += 1
                 return
-            next_slot = (slot + 1) % self.table.size
+            next_slot = (slot + 1) % len(row)
             flit = tx.packetizer.next_flit(
                 credits=credits_to_carry,
                 next_slot_is_ours=row[next_slot] == owner)

@@ -13,8 +13,8 @@ once for every service that shares it, never per controller:
 * per (source NI, destination NI, requirement) triple, the slot count
   and latency-gap constraint of a candidate path are computed the first
   time a placement reaches that path, and kept
-  (:class:`~repro.core.allocation.RouteCandidate`, in the
-  :class:`~repro.core.allocation.RouteQuotes` that
+  (:class:`~repro.core.placement.RouteCandidate`, in the
+  :class:`~repro.core.placement.RouteQuotes` that
   :meth:`~repro.core.allocation.SlotAllocator.route_quotes` caches),
   together with the keys and slot shifts of the links the path
   traverses.  Most admissions place on the first route, so the later
@@ -22,7 +22,7 @@ once for every service that shares it, never per controller:
   share one computation.  The records name links, not tables, so a
   fresh controller over a warm allocator starts warm;
 * the per-admission work that remains is the placement loop every
-  allocation shares (:func:`~repro.core.allocation._first_fit`: one
+  allocation shares (:func:`~repro.core.placement.first_fit`: one
   mask lookup and one OR per link over integer occupancy bitmasks,
   a popcount) with the single-anchor spreading heuristic
   (:func:`~repro.core.slot_table.choose_slots_fast`) as its chooser,
@@ -48,9 +48,10 @@ candidate cache is fault-agnostic, so repairs need no invalidation.
 from __future__ import annotations
 
 from repro.core.allocation import (Allocation, ChannelAllocation,
-                                   SlotAllocator, _first_fit)
+                                   SlotAllocator)
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError
+from repro.core.placement import first_fit
 from repro.core.slot_table import choose_slots_fast
 from repro.telemetry.hub import coalesce
 
@@ -149,9 +150,11 @@ class AdmissionController:
         usable = candidates if not excluded else [
             cand for cand in candidates
             if excluded.isdisjoint(cand.link_keys)]
-        ca, width = _first_fit(allocation.link_masks, spec, usable,
-                               choose_slots_fast, allocator.table_size)
-        if ca is not None:
+        placed = first_fit(allocation.link_masks, usable, choose_slots_fast,
+                           allocator.table_size)
+        if placed is not None:
+            cand, slots, width = placed
+            ca = ChannelAllocation(spec=spec, path=cand.path, slots=slots)
             allocation.commit(ca)
             self.admits += 1
             if self._tel_collect:

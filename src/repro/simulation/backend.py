@@ -46,7 +46,7 @@ from typing import Callable, Mapping
 
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import (ConfigurationError, SimulationError,
-                                   require_finite_positive)
+                                   require_finite_positive, require_whole)
 from repro.core.timeline import (ReconfigurationTimeline,
                                  lifetime_boundaries, static_lifetimes)
 from repro.core.words import WordFormat
@@ -97,9 +97,8 @@ class SimRequest:
     timeline: ReconfigurationTimeline | None = None
 
     def __post_init__(self) -> None:
-        if self.n_slots <= 0:
-            raise ConfigurationError(
-                f"n_slots must be positive, got {self.n_slots}")
+        object.__setattr__(self, "n_slots",
+                           require_whole("n_slots", self.n_slots, 1))
         if self.frequency_hz is not None:
             require_finite_positive("frequency_hz override", self.frequency_hz)
         if self.timeline is not None and \

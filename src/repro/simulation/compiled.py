@@ -52,9 +52,10 @@ is not the executor's at all but the lifetime table's
 (:func:`~repro.simulation.backend.check_lifetime_contention`).
 
 The best-effort baseline compiles its arrivals with the same
-:func:`compile_arrivals`, and the cycle-accurate model consumes the flat
-:meth:`~repro.core.slot_table.SlotTable.owner_row` view of the same
-slot tables — one schedule representation across all three backends.
+:func:`compile_arrivals`, and the cycle-accurate model's NIs index the
+slot-owner rows of :meth:`~repro.core.allocation.Allocation.
+ni_injection_table` — one schedule representation across all three
+backends.
 
 This module is an *executor*, not an entry point: :func:`execute` has
 the signature of :func:`repro.simulation.flitsim.execute` and is reached

@@ -176,14 +176,8 @@ class DetailedNetwork:
                 queue_id=self._queue_ids[name], channel=name,
                 capacity_words=self._rx_capacity_words,
                 credit_target_tx=credit_target))
-        table = allocation.ni_injection_table(ni)
-        # Pre-warm the compiled slot-owner row: injection tables are
-        # immutable for the run, so every ``_begin_slot`` then indexes
-        # one shared tuple — the same flat schedule representation the
-        # compiled flit executor derives its reserved-slot arrays from.
-        table.owner_row()
         return NetworkInterface(
-            ni, table, self.fmt,
+            ni, allocation.ni_injection_table(ni), self.fmt,
             tx_channels=tx_configs, rx_queues=rx_configs, stats=self.stats)
 
     # -- wiring ----------------------------------------------------------------

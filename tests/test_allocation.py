@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 from nx_oracle import library_k_shortest_paths
 from repro.core.allocation import (PATH_CANDIDATES, Allocation,
                                    AllocatorOptions, ChannelAllocation,
-                                   RouteCandidate, RouteQuotes, SlotAllocator,
-                                   _first_fit, _quoted)
+                                   SlotAllocator)
 from repro.core.analysis import analyse, channel_bounds
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.path import make_path
+from repro.core.placement import (RouteCandidate, RouteQuotes, first_fit,
+                                  quote_routes)
 from repro.core.requirements import latency_bound_ns, slots_for_channel
 from repro.core.slot_table import choose_slots_fast, shifted, spread_slots
 from repro.core.words import WordFormat
@@ -377,7 +379,67 @@ class TestAllocationProperties:
                     survivors, key, 1 << slot, 16)[1] is not None)
 
 
+class TestInjectionTable:
+    """An NI's slot table is the owner row read off the channel records."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 24),
+           size=st.sampled_from((4, 8, 16, 32)))
+    def test_row_equals_the_records_slot_by_slot(self, seed, n, size):
+        rng = random.Random(seed)
+        topo = mesh(2, 2, nis_per_router=2)
+        nis = list(topo.nis)
+        ctrl = AdmissionController(_allocator(topo, table_size=size))
+        allocation = ctrl.allocation
+        for index in range(n):
+            if allocation.channels and rng.random() < 0.3:
+                ctrl.release(rng.choice(sorted(allocation.channels)))
+                continue
+            src, dst = rng.sample(nis, 2)
+            try:
+                ctrl.admit(ChannelSpec(f"s{index}", src, dst,
+                                       rng.choice((20, 150, 400)) * MB),
+                           src, dst)
+            except AllocationError:
+                pass
+        for ni in nis:
+            held = allocation.channels_from_ni(ni)
+            expected = []
+            for slot in range(size):
+                owners = [ca.spec.name for ca in held if slot in ca.slots]
+                assert len(owners) <= 1
+                expected.append(owners[0] if owners else None)
+            assert allocation.ni_injection_table(ni) == tuple(expected)
+
+    @pytest.mark.parametrize("name", ["ni9_9_9", "r0_0"])
+    def test_a_name_that_is_no_ni_is_refused(self, name):
+        allocation = Allocation(mesh(2, 2, nis_per_router=1), 8, 500e6,
+                                WordFormat())
+        with pytest.raises(ConfigurationError, match=f"no NI '{name}'"):
+            allocation.ni_injection_table(name)
+
+    def test_a_slot_two_channels_claim_is_refused(self):
+        """``commit`` never lets it happen; a record written around it
+        is refused, naming the NI."""
+        topo = single_router(3)
+        allocation = Allocation(topo, 8, 500e6, WordFormat())
+        for name, dest, slots in (("a", "ni0_0_1", (1, 5)),
+                                  ("b", "ni0_0_2", (2, 5))):
+            allocation.channels[name] = ChannelAllocation(
+                ChannelSpec(name, "x", "y", 1.0),
+                make_path(topo, "ni0_0_0", ["r0_0"], dest), slots)
+        with pytest.raises(AllocationError,
+                           match="NI 'ni0_0_0' slot 5 is claimed by both "
+                                 "'a' and 'b'"):
+            allocation.ni_injection_table("ni0_0_0")
+
+
 # -- one placement path --------------------------------------------------------
+
+def _placed(fit):
+    """``first_fit``'s result as ``(path, slots)``, or ``None``."""
+    return None if fit is None else (fit[0].path, fit[1])
+
 
 def _reference_fit(allocation, spec, paths, choose):
     """The placement loop before ``admit`` and ``extend`` shared one,
@@ -413,7 +475,7 @@ def _reference_fit(allocation, spec, paths, choose):
 
 class TestOnePlacementPath:
     """``admit``, ``extend`` and ``rebuild_excluding`` all place through
-    ``_first_fit``; only the candidates and the chooser differ."""
+    ``first_fit``; only the candidates and the chooser differ."""
 
     SIZE = 8
 
@@ -451,8 +513,8 @@ class TestOnePlacementPath:
         quotes = allocator.route_quotes(src, dst, spec)
         usable = [cand for cand in quotes
                   if allocation.excluded_links.isdisjoint(cand.link_keys)]
-        placed, _ = _first_fit(allocation.link_masks, spec, usable,
-                               choose_slots_fast, self.SIZE)
+        placed = _placed(first_fit(allocation.link_masks, usable,
+                                   choose_slots_fast, self.SIZE))
         reference, _ = _reference_fit(
             allocation, spec,
             [p for p in allocator.shortest_candidates(src, dst)
@@ -467,8 +529,7 @@ class TestOnePlacementPath:
                 else "every candidate route crosses failed fabric"
                 if not usable else "no candidate route has capacity")
         else:
-            assert ca == placed
-            assert (ca.path, ca.slots) == reference
+            assert (ca.path, ca.slots) == placed == reference
             assert allocation.channels[spec.name] is ca
 
     def _check_extend(self, allocator, allocation, spec, mapping):
@@ -482,10 +543,10 @@ class TestOnePlacementPath:
             assert refused.value.reason == exc.reason
             return
         reasons: list[str] = []
-        placed, _ = _first_fit(
-            allocation.link_masks, spec,
-            _quoted(allocator, spec, paths, reasons), spread_slots,
-            self.SIZE, reasons)
+        placed = _placed(first_fit(
+            allocation.link_masks,
+            quote_routes(allocator, spec, paths, reasons), spread_slots,
+            self.SIZE, reasons))
         reference, reference_reasons = _reference_fit(
             allocation, spec, paths, spread_slots)
         assert reasons == reference_reasons
@@ -496,8 +557,7 @@ class TestOnePlacementPath:
             assert exc.reason == "; ".join(reference_reasons)
         else:
             ca = allocation.channels[spec.name]
-            assert ca == placed
-            assert (ca.path, ca.slots) == reference
+            assert (ca.path, ca.slots) == placed == reference
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(),
@@ -612,15 +672,13 @@ class TestRouteGeometryOnce:
             assert list(quotes) == expected  # dataclass ==: every field
             # Unreduced shifts (pipelined paths outrun the 8-slot table)
             # place exactly what a slot-by-slot walk places.
-            placed, _ = _first_fit(allocation.link_masks, spec, quotes,
-                                   choose_slots_fast, self.SIZE)
+            placed = _placed(first_fit(allocation.link_masks, quotes,
+                                       choose_slots_fast, self.SIZE))
             walked, _ = _reference_fit(allocation, spec, reference,
                                        choose_slots_fast)
-            if placed is None:
-                assert walked is None
-            else:
-                assert (placed.path, placed.slots) == walked
-                allocation.commit(placed)
+            assert placed == walked
+            if placed is not None:
+                allocation.commit(ChannelAllocation(spec, *placed))
         allocation.validate()
 
     def test_jittered_churn_searches_once_per_router_pair(self):
@@ -825,7 +883,7 @@ class TestFastPathsHoldToTheirOracles:
                                                st.floats(1.0, 300.0))))
         paths = allocator.shortest_candidates(src, dst)
         reasons: list[str] = []
-        eager = tuple(_quoted(allocator, spec, paths, reasons))
+        eager = tuple(quote_routes(allocator, spec, paths, reasons))
         # Per path, with no sharing between equal traversal times.
         expected, expected_reasons = [], []
         for path in paths:
@@ -839,7 +897,7 @@ class TestFastPathsHoldToTheirOracles:
         assert [(q.path, q.n_slots, q.max_gap) for q in eager] == expected
         assert reasons == expected_reasons
 
-        fresh = RouteQuotes(_quoted(allocator, spec, paths))
+        fresh = RouteQuotes(quote_routes(allocator, spec, paths))
         assert bool(fresh) == bool(eager)
         assert list(zip(iter(fresh), iter(fresh))) == [(q, q) for q in eager]
 
@@ -853,7 +911,7 @@ class TestFastPathsHoldToTheirOracles:
         reached = (0 if k == 0 else len(paths) if k > len(eager)
                    else paths.index(eager[k - 1].path) + 1)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("repro.core.allocation.slots_for_channel",
+            patch.setattr("repro.core.placement.slots_for_channel",
                           counting)
             quotes = allocator.route_quotes(src, dst, spec)
             assert allocator.cached_route_quotes(src, dst, spec) is quotes

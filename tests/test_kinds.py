@@ -21,16 +21,21 @@ import repro.__main__ as cli
 from repro.__main__ import main
 from repro.campaign import (PRESETS, CampaignResult, RunSpec, ScenarioSpec,
                             TopologySpec, TrafficSpec)
+from repro.campaign.fabric import spec_fingerprint
 from repro.campaign.kinds import KINDS, PAYLOAD_FIELDS, grid_row, run_kind
-from repro.campaign.spec import SyntheticSpec
-from repro.core.allocation import SlotAllocator
+from repro.campaign.spec import CampaignSpec, SyntheticSpec
+from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.application import Application, UseCase
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError
+from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
+                                 TimelineRecorder)
+from repro.core.words import WordFormat
 from repro.design import DesignSpec
 from repro.faults import FaultEvent, FaultSpec
 from repro.service import (ChurnSpec, FairnessSpec, TenantSpec,
                            abusive_tenant_mix)
+from repro.simulation.backend import SimRequest
 
 #: One small value per payload field (tenant-tagged churn, so it fits
 #: every kind that accepts churn).
@@ -170,6 +175,108 @@ class TestNonFiniteAxes:
         make(**{field: good})
         with pytest.raises(ConfigurationError, match=field):
             make(**{field: bad})
+
+
+class TestWholeSlotCounts:
+    """Slot counts and table sizes are whole numbers at every boundary
+    that takes one; a whole float is stored as an ``int``."""
+
+    FABRIC = TOPOLOGY.build()
+
+    @pytest.mark.parametrize("make, field", [
+        (partial(ScenarioSpec, "x", table_size=16.5), "table_size"),
+        (partial(ScenarioSpec, "x", table_size=math.nan), "table_size"),
+        (partial(ScenarioSpec, "x", table_size=math.inf), "table_size"),
+        (partial(ScenarioSpec, "x", n_slots=200.5), "n_slots"),
+        (partial(ScenarioSpec, "x", n_slots=math.nan), "n_slots"),
+        (partial(SimRequest, n_slots=2.5), "n_slots"),
+        (partial(SimRequest, n_slots=math.nan), "n_slots"),
+        (partial(SlotAllocator, FABRIC, table_size=2.5,
+                 frequency_hz=500e6), "table_size"),
+        (partial(SlotAllocator, FABRIC, table_size=math.nan,
+                 frequency_hz=500e6), "table_size"),
+        (partial(SlotAllocator, FABRIC, table_size=math.inf,
+                 frequency_hz=500e6), "table_size"),
+        (partial(Allocation, FABRIC, 2.5, 500e6, WordFormat()),
+         "table_size"),
+        (partial(Allocation, FABRIC, math.nan, 500e6, WordFormat()),
+         "table_size"),
+        (partial(Allocation, FABRIC, math.inf, 500e6, WordFormat()),
+         "table_size"),
+        (partial(ReconfigurationTimeline, FABRIC, [], horizon_slots=10,
+                 table_size=2.5, frequency_hz=500e6), "table_size"),
+        (partial(ReconfigurationTimeline, FABRIC, [], horizon_slots=10,
+                 table_size=math.nan, frequency_hz=500e6), "table_size"),
+        (partial(ReconfigurationTimeline, FABRIC, [],
+                 horizon_slots=math.nan, table_size=8, frequency_hz=500e6),
+         "horizon_slots"),
+        (partial(ReconfigurationTimeline, FABRIC, [], horizon_slots=2.5,
+                 table_size=8, frequency_hz=500e6), "horizon_slots"),
+        (partial(ReconfigurationTimeline, FABRIC, [],
+                 horizon_slots=math.inf, table_size=8, frequency_hz=500e6),
+         "horizon_slots"),
+        (partial(TimelineEvent, math.nan, "stop", "app"),
+         "timeline event slot"),
+        (partial(TimelineEvent, 2.5, "stop", "app"), "timeline event slot"),
+        (partial(TimelineRecorder, FABRIC, table_size=0,
+                 frequency_hz=500e6), "table_size"),
+        (partial(TimelineRecorder, FABRIC, table_size=2.5,
+                 frequency_hz=500e6), "table_size"),
+        (lambda: TimelineRecorder(
+            TestWholeSlotCounts.FABRIC, table_size=8,
+            frequency_hz=500e6).build(horizon_slots=math.nan),
+         "horizon_slots"),
+    ], ids=["scenario-fractional-table", "scenario-nan-table",
+            "scenario-inf-table", "scenario-fractional-slots",
+            "scenario-nan-slots", "request-fractional-slots",
+            "request-nan-slots", "allocator-fractional-table",
+            "allocator-nan-table", "allocator-inf-table",
+            "allocation-fractional-table", "allocation-nan-table",
+            "allocation-inf-table", "timeline-fractional-table",
+            "timeline-nan-table", "timeline-nan-horizon",
+            "timeline-fractional-horizon", "timeline-inf-horizon",
+            "event-nan-slot", "event-fractional-slot",
+            "recorder-zero-table", "recorder-fractional-table",
+            "recorder-nan-horizon"])
+    def test_fraction_nan_inf_or_too_small_is_refused(self, make, field):
+        # Before: a fractional table crashed the run with a TypeError from
+        # ``<<``, a NaN table reached the allocator's mismatch check,
+        # 200.5 slots ran with status ok and 2.5 slots were reported as
+        # ``simulated_slots``.
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be (a whole number )?>= "):
+            make()
+
+    def test_whole_floats_are_stored_as_ints(self):
+        spec = ScenarioSpec(name="x", table_size=16.0, n_slots=800.0)
+        assert repr(spec) == repr(ScenarioSpec(name="x"))
+        campaign = partial(CampaignSpec, "c")
+        assert spec_fingerprint(campaign((spec,))) == spec_fingerprint(
+            campaign((ScenarioSpec(name="x"),)))
+        timeline = ReconfigurationTimeline(
+            self.FABRIC, [], horizon_slots=10.0, table_size=8.0,
+            frequency_hz=500e6)
+        for value in (SimRequest(n_slots=8.0).n_slots,
+                      SlotAllocator(self.FABRIC, table_size=8.0,
+                                    frequency_hz=500e6).table_size,
+                      Allocation(self.FABRIC, 8.0, 500e6,
+                                 WordFormat()).table_size,
+                      timeline.horizon_slots, timeline.table_size,
+                      TimelineEvent(3.0, "stop", "app").slot,
+                      TimelineRecorder(self.FABRIC, table_size=8.0,
+                                       frequency_hz=500e6).table_size):
+            assert type(value) is int and value in (3, 8, 10)
+
+    def test_a_whole_float_table_runs_as_its_int(self):
+        """``table_size=16.0`` used to crash the run inside the
+        allocator's mask arithmetic."""
+        def record(table_size):
+            scenario = ScenarioSpec(name="x", n_slots=120,
+                                    table_size=table_size)
+            return run_kind(RunSpec("x/seed1", scenario, 1, 2009))
+
+        assert record(16.0) == record(16)
+        assert record(16)["status"] == "ok"
 
 
 # -- the checked demos -----------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 
 from repro.clocking.clock import ClockDomain
 from repro.core.exceptions import ConfigurationError
-from repro.core.slot_table import SlotTable
 from repro.core.words import (WordFormat, decode_header, header_credits,
                               header_queue)
 from repro.ni.network_interface import (NetworkInterface, RxQueueConfig,
@@ -123,11 +122,9 @@ class _Loopback:
 class TestNetworkInterface:
     def _make_ni(self, fmt, slots=(0, 2), queue=0, credits=None,
                  stats=None):
-        table = SlotTable(4)
-        for slot in slots:
-            table.reserve(slot, "ch")
+        row = tuple("ch" if slot in slots else None for slot in range(4))
         ni = NetworkInterface(
-            "ni", table, fmt,
+            "ni", row, fmt,
             tx_channels=[TxChannelConfig(
                 name="ch", path_field=0, queue_id=queue,
                 initial_credits=credits)],
@@ -196,10 +193,8 @@ class TestNetworkInterface:
         (the channel is its own reverse channel here), so traffic keeps
         flowing — but strictly slower than without flow control."""
         stats = StatsCollector()
-        table = SlotTable(4)
-        table.reserve(0, "ch")
         ni = NetworkInterface(
-            "ni", table, fmt,
+            "ni", ("ch", None, None, None), fmt,
             tx_channels=[TxChannelConfig(
                 name="ch", path_field=0, queue_id=0,
                 initial_credits=2, credit_source_queue=0)],
@@ -220,13 +215,25 @@ class TestNetworkInterface:
             self._run(ni, 24, enqueue_at=[(0, _message(0))])
 
     def test_duplicate_tx_channel_rejected(self, fmt):
-        table = SlotTable(4)
         cfg = TxChannelConfig(name="x", path_field=0, queue_id=0)
         with pytest.raises(ConfigurationError):
-            NetworkInterface("ni", table, fmt, tx_channels=[cfg, cfg])
+            NetworkInterface("ni", (None,) * 4, fmt, tx_channels=[cfg, cfg])
 
     def test_queue_id_overflow_rejected(self, fmt):
-        table = SlotTable(4)
         with pytest.raises(ConfigurationError):
-            NetworkInterface("ni", table, fmt, rx_queues=[
+            NetworkInterface("ni", (None,) * 4, fmt, rx_queues=[
                 RxQueueConfig(queue_id=fmt.max_queue + 1, channel="x")])
+
+    def test_empty_row_rejected(self, fmt):
+        with pytest.raises(ConfigurationError,
+                           match="NI 'ni': empty slot table"):
+            NetworkInterface("ni", (), fmt)
+
+    def test_row_owner_without_tx_channel_rejected(self, fmt):
+        """A slot whose owner has no TX channel would sit idle unseen."""
+        cfg = TxChannelConfig(name="ch", path_field=0, queue_id=0)
+        with pytest.raises(ConfigurationError,
+                           match=r"NI 'ni': slot table names \['ghost'\] "
+                                 "without a TX channel"):
+            NetworkInterface("ni", ("ch", "ghost", None, "ghost"), fmt,
+                             tx_channels=[cfg])

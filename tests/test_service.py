@@ -14,9 +14,9 @@ from repro.campaign.kinds import run_kind
 from repro.campaign.spec import ScenarioSpec, TopologySpec
 from repro.core.allocation import SlotAllocator
 from repro.core.exceptions import AllocationError, ConfigurationError
-from repro.core.slot_table import (SlotTable, choose_slots_fast,
-                                   mask_to_slots, max_consecutive_gap,
-                                   rotate_mask, shifted, slots_to_mask)
+from repro.core.slot_table import (choose_slots_fast, mask_to_slots,
+                                   max_consecutive_gap, rotate_mask, shifted,
+                                   slots_to_mask)
 from repro.service import (DEFAULT_CLASSES, AdmissionController, ChurnSpec,
                            ChurnWorkload, QosClass, SessionService,
                            run_demo)
@@ -51,28 +51,6 @@ class TestMaskArithmetic:
     def test_rotate_rejects_bad_size(self):
         with pytest.raises(ConfigurationError):
             rotate_mask(1, 1, 0)
-
-    @given(st.data())
-    def test_owner_map_follows_reserve_and_release(self, data):
-        """Random reserve/release churn: the free and reserved views are
-        the complement of each other and of what was reserved."""
-        size = data.draw(st.integers(2, 24))
-        table = SlotTable(size)
-        reserved: dict[int, str] = {}
-        for step in range(data.draw(st.integers(1, 30))):
-            slot = data.draw(st.integers(0, size - 1))
-            if data.draw(st.booleans()):
-                if slot not in reserved:
-                    table.reserve(slot, f"o{step}")
-                    reserved[slot] = f"o{step}"
-            else:
-                table.release(slot)
-                reserved.pop(slot, None)
-            assert table.reserved_slots() == set(reserved)
-            assert table.free_slots() == (frozenset(range(size))
-                                          - set(reserved))
-            assert table.owner_row() == tuple(reserved.get(s)
-                                              for s in range(size))
 
     @given(st.data())
     def test_choose_slots_fast_honours_constraints(self, data):

@@ -1,4 +1,4 @@
-"""Unit and property tests for slot tables and slot arithmetic."""
+"""Unit and property tests for slot arithmetic and the slot choosers."""
 
 from __future__ import annotations
 
@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.exceptions import AllocationError, ConfigurationError
-from repro.core.slot_table import (SlotTable, _largest_gap, _nearest,
+from repro.core.slot_table import (_largest_gap, _nearest,
                                    choose_slots_fast, ideal_positions,
                                    max_consecutive_gap, shifted,
-                                   shifted_slots, spread_slots,
-                                   worst_case_wait_slots)
+                                   spread_slots, worst_case_wait_slots)
 
 
 class TestShift:
@@ -19,9 +18,6 @@ class TestShift:
 
     def test_zero_shift_identity(self):
         assert shifted(5, 0, 8) == 5
-
-    def test_shifted_slots_set(self):
-        assert shifted_slots({0, 7}, 1, 8) == frozenset({1, 0})
 
     def test_rejects_bad_size(self):
         with pytest.raises(ConfigurationError):
@@ -217,77 +213,3 @@ class TestOutwardWalk:
                                  r"size 32"):
             chooser(free, 2, 32)
 
-
-class TestSlotTable:
-    def test_reserve_and_query(self):
-        table = SlotTable(8)
-        table.reserve(3, "ch")
-        assert table.owner(3) == "ch"
-        assert not table.is_free(3)
-        assert table.reserved_slots("ch") == frozenset({3})
-
-    def test_conflict_raises(self):
-        table = SlotTable(8)
-        table.reserve(3, "a")
-        with pytest.raises(AllocationError):
-            table.reserve(3, "b")
-
-    def test_same_owner_reserve_idempotent(self):
-        table = SlotTable(8)
-        table.reserve(3, "a")
-        table.reserve(3, "a")
-        assert table.reserved_slots("a") == frozenset({3})
-
-    def test_reserve_all_rolls_back_on_conflict(self):
-        table = SlotTable(8)
-        table.reserve(2, "other")
-        with pytest.raises(AllocationError):
-            table.reserve_all([0, 1, 2], "mine")
-        assert table.reserved_slots("mine") == frozenset()
-        assert table.owner(2) == "other"
-
-    def test_release_owner(self):
-        table = SlotTable(8)
-        table.reserve_all([1, 4, 6], "a")
-        table.reserve(2, "b")
-        table.release_owner("a")
-        assert table.reserved_slots("a") == frozenset()
-        assert table.owner(2) == "b"
-
-    def test_utilisation(self):
-        table = SlotTable(8)
-        table.reserve_all([0, 1], "a")
-        assert table.utilisation() == pytest.approx(0.25)
-
-    def test_free_slots(self):
-        table = SlotTable(4)
-        table.reserve(1, "x")
-        assert table.free_slots() == frozenset({0, 2, 3})
-
-    def test_iteration_order(self):
-        table = SlotTable(3, {2: "c", 0: "a"})
-        assert list(table) == [(0, "a"), (1, None), (2, "c")]
-
-    def test_copy_is_independent(self):
-        table = SlotTable(4, {0: "a"})
-        clone = table.copy()
-        clone.reserve(1, "b")
-        assert table.is_free(1)
-
-    def test_dict_roundtrip(self):
-        table = SlotTable(6, {0: "a", 5: "b"})
-        assert SlotTable.from_dict(table.to_dict()) == table
-
-    def test_bad_slot_rejected(self):
-        table = SlotTable(4)
-        with pytest.raises(ConfigurationError):
-            table.reserve(4, "x")
-
-    def test_empty_owner_rejected(self):
-        table = SlotTable(4)
-        with pytest.raises(ConfigurationError):
-            table.reserve(0, "")
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SlotTable(0)

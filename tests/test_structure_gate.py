@@ -87,8 +87,10 @@ def test_the_tree_passes():
      "the two flit executors import from each other"),
     ("service/admission.py", "Q = RouteCandidate(None, 1, None, (), ())",
      "RouteCandidate( must be constructed once"),
-    ("service/admission.py", "Q = tuple(_quoted(None, None, ()))",
+    ("service/admission.py", "Q = tuple(quote_routes(None, None, ()))",
      "quotes are materialised eagerly"),
+    ("core/placement.py", "N = slots_for_channel(None, None, 8, 1.0, None)",
+     "slots_for_channel( must occur once in core/placement.py"),
     ("core/allocation.py", "S = shifted(0, 1, 4)",
      "shifted( is called in core/allocation.py"),
     ("telemetry/monitor.py", "T = allocation.link_tables",
@@ -97,10 +99,17 @@ def test_the_tree_passes():
      "a second record of who holds a link slot"),
     ("service/admission.py", "table.check_free(0, (), 'a')",
      "a second record of who holds a link slot"),
-    ("core/slot_table.py", "def claim(self, mask): pass",
-     "SlotTable keeps a link-occupancy mask"),
-    ("core/slot_table.py", "def _f(self):\n    return self._mask",
-     "SlotTable keeps a link-occupancy mask"),
+    ("core/slot_table.py", "class SlotTable:\n    size = 8",
+     "class SlotTable is back under src/repro"),
+    ("ni/network_interface.py", "class SlotTable(tuple): pass",
+     "class SlotTable is back under src/repro"),
+    ("service/admission.py",
+     "from repro.core.placement import (first_fit,\n    _quoted)",
+     "_-prefixed name of core.placement or core.allocation is imported"),
+    ("faults/model.py", "from repro.core.allocation import _first_fit",
+     "_-prefixed name of core.placement or core.allocation is imported"),
+    ("simulation/cyclesim.py", "F = repro.core.placement._helper",
+     "_-prefixed name of core.placement or core.allocation is imported"),
     ("service/controller.py", "def _f(self):\n    return self.active",
      "copies allocation.channels into an active map"),
     ("core/timeline.py",

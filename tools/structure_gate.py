@@ -7,9 +7,12 @@ A rule is ``(pattern, scope, allowed, (low, high), message)``: ``pattern``
 is a regex matched per line of every ``*.py`` file (``scope`` ending in
 ``/*``: every text file) under the ``scope`` paths; lines in files whose
 repo-relative path matches the regex ``allowed`` are not counted; the
-count must lie in ``[low, high]``.
+count must lie in ``[low, high]``.  The few rules a line cannot hold
+(an import statement spans lines) follow the table in
+:func:`first_violation`.
 """
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -19,6 +22,10 @@ NONE, ONCE = (0, 0), (1, 1)
 _EXECUTORS = r"repro\.(simulation\.(flitsim|compiled)|baseline\.be_network)\b"
 _GONE = "is back under src/repro"
 _STATS = r"src/repro/simulation/(monitors|compiled)\.py"
+#: Modules whose ``_``-prefixed names stay inside ``src/repro/core``.
+_SEAMS = ("repro.core.placement", "repro.core.allocation")
+_PRIVATE = ("a _-prefixed name of core.placement or core.allocation is "
+            "imported outside src/repro/core")
 
 RULES = [
     (r"mode\s*(==|!=|in|not in)\s*[\(\"']", SRC,
@@ -30,12 +37,13 @@ RULES = [
      f"a deleted special-case path {_GONE}"),
     (r"rotate_mask\(", SRC, r"src/repro/core/slot_table\.py", ONCE,
      "rotate_mask( must have one call site outside core/slot_table.py"),
-    (r"slots_for_channel\(", ("src/repro/core/allocation.py",), None, ONCE,
-     "slots_for_channel( must occur once in core/allocation.py"),
+    (r"slots_for_channel\(", ("src/repro/core/placement.py",), None, ONCE,
+     "slots_for_channel( must occur once in core/placement.py"),
     (r"RouteCandidate\(", SRC, None, ONCE,
-     "RouteCandidate( must be constructed once under src/repro (_quoted)"),
-    (r"tuple\(_quoted\(", SRC, None, NONE,
-     "quotes are materialised eagerly again (tuple(_quoted(...)))"),
+     "RouteCandidate( must be constructed once under src/repro "
+     "(quote_routes)"),
+    (r"tuple\(quote_routes\(", SRC, None, NONE,
+     "quotes are materialised eagerly again (tuple(quote_routes(...)))"),
     (r"\bshifted\(", ("src/repro/core/allocation.py",), None, NONE,
      "shifted( is called in core/allocation.py: per-link occupancy has one "
      "derivation, ChannelAllocation.link_occupancy"),
@@ -45,9 +53,11 @@ RULES = [
     (r"link_tables|def link_slots\b|check_free|\.mirrors\(", SRC, None, NONE,
      "a second record of who holds a link slot is back under src/repro "
      "(Allocation.channels is the record, link_masks its one index)"),
-    (r"def (check_free|claim|clear|holds|mirrors)\b|self\._mask\b",
-     ("src/repro/core/slot_table.py",), None, NONE,
-     "SlotTable keeps a link-occupancy mask or its upkeep again"),
+    (r"class SlotTable\b", SRC, None, NONE,
+     "class SlotTable is back under src/repro (an NI's slot table is the "
+     "owner row Allocation.ni_injection_table reads off the records)"),
+    (r"\brepro\.core\.(placement|allocation)\._\w", SRC, r"src/repro/core/",
+     NONE, _PRIVATE),
     (r"\bself\.active\b", ("src/repro/service/controller.py",), None, NONE,
      "SessionService copies allocation.channels into an active map again"),
     (r"\(key, slot\)|tuple\[tuple\[str, str\], int\]",
@@ -180,6 +190,14 @@ def first_violation(root: Path) -> str | None:
                     for line in _lines(root, scope, allowed))
         if not low <= count <= high:
             return f"{message} ({count} matching lines)"
+    # An import statement may span lines, so this rule reads the syntax.
+    for path in sorted((root / "src/repro").rglob("*.py")):
+        if path.relative_to(root / "src/repro").parts[0] == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(errors="replace"))):
+            if isinstance(node, ast.ImportFrom) and node.module in _SEAMS \
+                    and any(a.name.startswith("_") for a in node.names):
+                return f"{_PRIVATE} ({path.relative_to(root).as_posix()})"
     if (root / "benchmarks/records").exists():
         return "benchmarks/records is back"
     # The best-effort loop asks the topology at construction only.
