@@ -229,7 +229,18 @@ class ChannelAllocation:
             raise AllocationError(
                 f"channel {self.spec.name!r} allocated zero slots",
                 channel=self.spec.name)
-        if tuple(sorted(set(self.slots))) != self.slots:
+        # One pass: every slot an int, each above the one before it.
+        ascending = type(self.slots) is tuple
+        previous = None
+        for slot in self.slots:
+            if type(slot) is not int:
+                raise AllocationError(
+                    f"channel {self.spec.name!r} slot {slot!r} is not an "
+                    f"integer", channel=self.spec.name)
+            if previous is not None and slot <= previous:
+                ascending = False
+            previous = slot
+        if not ascending:
             raise AllocationError(
                 f"channel {self.spec.name!r} slots must be sorted and unique",
                 channel=self.spec.name)

@@ -21,7 +21,7 @@ from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError
 from repro.core.path import Path
 from repro.core.requirements import slots_for_channel
-from repro.core.slot_table import mask_to_slots, rotate_mask
+from repro.core.slot_table import rotate_mask
 
 __all__ = ["RouteCandidate", "RouteQuotes", "quote_routes", "first_fit"]
 
@@ -138,6 +138,26 @@ def first_fit(link_masks: dict[tuple[str, str], int], candidates, choose,
     intersection, or ``None``; nothing is committed.  Handed a
     ``failures`` list, it appends one reason per rejected candidate —
     the text of ``AllocationError.reason`` and of a ``dropped`` verdict.
+    ``choose`` reads the free intersection as the mask itself.
+
+    The NI's link holds slots 0 and 4 and the router's output link,
+    one slot downstream, holds slot 2, so injection slots 0, 1 and 4
+    are taken:
+
+    >>> from types import SimpleNamespace
+    >>> from repro.core.path import make_path
+    >>> from repro.core.slot_table import choose_slots_fast
+    >>> from repro.core.words import WordFormat
+    >>> from repro.topology.builders import single_router
+    >>> path = make_path(single_router(2), "ni0_0_0", ["r0_0"], "ni0_0_1")
+    >>> point = SimpleNamespace(table_size=8, frequency_hz=500e6,
+    ...                         fmt=WordFormat())
+    >>> link_masks = {("ni0_0_0", "r0_0"): 0b10001,
+    ...               ("r0_0", "ni0_0_1"): 0b00100}
+    >>> quotes = quote_routes(point, ChannelSpec("c", "a", "b", 1.0), [path])
+    >>> _, slots, width = first_fit(link_masks, quotes, choose_slots_fast, 8)
+    >>> slots, width
+    ((2,), 5)
     """
     full = (1 << size) - 1
     for cand in candidates:
@@ -153,8 +173,7 @@ def first_fit(link_masks: dict[tuple[str, str], int], candidates, choose,
                 failures.append(f"{cand.path!r}: {width} free slots < "
                                 f"{cand.n_slots} needed")
             continue
-        slots = choose(mask_to_slots(mask), cand.n_slots, size,
-                       max_gap=cand.max_gap)
+        slots = choose(mask, cand.n_slots, size, max_gap=cand.max_gap)
         if slots is None:
             if failures is not None:
                 failures.append(f"{cand.path!r}: free slots cannot "

@@ -21,14 +21,17 @@ This module provides:
   — the integer-mask representation the allocation hot path and the online
   admission service (:mod:`repro.service`) use to intersect, commit and
   free per-link occupancy in a handful of machine ops instead of per-slot
-  set operations.
+  set operations.  Both choosers take the free slots as that mask, find
+  the free slot nearest a template position with two bit scans, and
+  unpack only the slots they chose.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.exceptions import (AllocationError, ConfigurationError,
+                                   require_whole)
 
 __all__ = [
     "shifted",
@@ -100,34 +103,6 @@ def shifted_mask(mask: int, shift: int, size: int) -> int:
     return rotate_mask(mask, -shift, size)
 
 
-def choose_slots_fast(free: Iterable[int], n: int, size: int,
-                      max_gap: int | None = None) -> tuple[int, ...] | None:
-    """Single-anchor variant of :func:`spread_slots` for the admission
-    hot path.
-
-    :func:`spread_slots` anchors its equidistant template at *every* free
-    slot and keeps the best — optimal spreading, but O(|free|²·n), which
-    dominates per-admission cost in the online service.  This variant
-    anchors only at the first free slot (deterministic), then falls back
-    to the same gap-filling step when a ``max_gap`` constraint is not yet
-    met.  Slot choices may differ from :func:`spread_slots`, but every
-    returned reservation honours the same constraints, so the quoted
-    bounds remain guarantees.
-    """
-    free_sorted = _sorted_free(free, size)
-    if n <= 0:
-        raise AllocationError(f"cannot reserve {n} slots")
-    if len(free_sorted) < n:
-        return None
-    chosen = _assign_near_ideal(free_sorted, ideal_positions(n, size), size,
-                                free_sorted[0])
-    if chosen is None:
-        return None
-    if max_gap is not None and max_consecutive_gap(chosen, size) > max_gap:
-        chosen = _fill_gaps(chosen, free_sorted, size, max_gap)
-    return chosen
-
-
 def max_consecutive_gap(slots: Iterable[int], size: int) -> int:
     """Largest cyclic distance between consecutive reserved slots.
 
@@ -138,6 +113,8 @@ def max_consecutive_gap(slots: Iterable[int], size: int) -> int:
     if not ordered:
         raise AllocationError("gap of an empty reservation is undefined")
     for s in ordered:
+        if type(s) is not int:
+            raise ConfigurationError(f"slot {s!r} is not an integer")
         if not 0 <= s < size:
             raise ConfigurationError(f"slot {s} outside table of size {size}")
     if len(ordered) == 1:
@@ -173,12 +150,35 @@ def ideal_positions(n: int, size: int) -> list[int]:
     """
     if n <= 0:
         return []
-    return [round(i * size / n) % size for i in range(n)]
+    return list(_template(n, size)[2])
 
 
-def spread_slots(free: Iterable[int], n: int, size: int,
+#: ``(n, size)`` -> :func:`_template`'s triple; cleared when it reaches
+#: ``_TEMPLATES_HELD`` entries.  A plain dict: under ``functools.lru_cache``
+#: the ``pipeline`` benchmark's peak RSS sat ~0.4 MB higher.
+_TEMPLATES: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
+_TEMPLATES_HELD = 256
+
+
+def _template(n: int, size: int) -> tuple[int, int, tuple[int, ...]]:
+    """``(n, size, offsets)`` with both counts whole and the offsets of
+    :func:`ideal_positions` — built once per distinct ``(n, size)``, so
+    the check stays off the per-placement path."""
+    template = _TEMPLATES.get((n, size))
+    if template is None:
+        n = require_whole("slot count", n, 1)
+        size = require_whole("slot table size", size, 1)
+        if len(_TEMPLATES) >= _TEMPLATES_HELD:
+            _TEMPLATES.clear()
+        template = _TEMPLATES[n, size] = (
+            n, size, tuple(round(i * size / n) % size for i in range(n)))
+    return template
+
+
+def spread_slots(free_mask: int, n: int, size: int,
                  max_gap: int | None = None) -> tuple[int, ...] | None:
-    """Choose ``n`` slots from ``free`` spread as evenly as possible.
+    """Choose ``n`` slots from the free-slot bitmask ``free_mask``
+    (bit ``s`` = slot ``s`` free) spread as evenly as possible.
 
     The heuristic anchors an equidistant template at each free slot, assigns
     every template position to the nearest remaining free slot, and keeps
@@ -189,113 +189,153 @@ def spread_slots(free: Iterable[int], n: int, size: int,
 
     Returns the chosen slots sorted ascending, or ``None`` when no
     assignment with ``n`` (or, under ``max_gap``, more) slots exists.
-    """
-    free_sorted = _sorted_free(free, size)
-    if n <= 0:
-        raise AllocationError(f"cannot reserve {n} slots")
-    if len(free_sorted) < n:
-        return None
 
-    best: tuple[int, ...] | None = None
+    >>> spread_slots(slots_to_mask(range(16), 16), 4, 16)
+    (0, 4, 8, 12)
+    """
+    n, size, offsets = _checked(free_mask, n, size)
+    if free_mask.bit_count() < n:
+        return None
+    best = 0
     best_gap = size + 1
-    offsets = ideal_positions(n, size)
+    optimal = (size + n - 1) // n
+    anchors = mask_to_slots(free_mask)
     # Anchoring at every free slot is O(|free|^2 * n) in the worst case but
     # tables are small (typically 8..64 slots); measured cost is negligible
     # next to simulation.
-    anchors = free_sorted if len(free_sorted) <= 64 else free_sorted[::2]
+    if len(anchors) > 64:
+        anchors = anchors[::2]
     for anchor in anchors:
-        chosen = _assign_near_ideal(free_sorted, offsets, size, anchor)
-        if chosen is None:
-            continue
-        gap = max_consecutive_gap(chosen, size)
+        chosen = _assign_near_ideal(free_mask, offsets, size, anchor)
+        gap = _largest_gap(chosen, size)[1]
         if gap < best_gap:
             best, best_gap = chosen, gap
-            if max_gap is None and gap <= (size + n - 1) // n:
+            if max_gap is None and gap <= optimal:
                 break  # already optimal for n slots
-    if best is None:
-        return None
-
     if max_gap is not None and best_gap > max_gap:
-        best = _fill_gaps(best, free_sorted, size, max_gap)
+        best = _fill_gaps(best, free_mask, size, max_gap)
         if best is None:
             return None
-    return best
+    return mask_to_slots(best)
 
 
-def _sorted_free(free: Iterable[int], size: int) -> list[int]:
-    """The distinct free slots, ascending; all must lie in the table.
+def choose_slots_fast(free_mask: int, n: int, size: int,
+                      max_gap: int | None = None) -> tuple[int, ...] | None:
+    """Single-anchor variant of :func:`spread_slots` for the admission
+    hot path.
 
-    The choosers search ``range(size)`` only, so a slot outside it would
-    otherwise read as missing capacity.
+    :func:`spread_slots` anchors its equidistant template at *every* free
+    slot and keeps the best — optimal spreading, but O(|free|²·n), which
+    dominates per-admission cost in the online service.  This variant
+    anchors only at the first free slot (deterministic), then falls back
+    to the same gap-filling step when a ``max_gap`` constraint is not yet
+    met.  Slot choices may differ from :func:`spread_slots`, but every
+    returned reservation honours the same constraints, so the quoted
+    bounds remain guarantees.
     """
-    free_sorted = sorted(set(free))
-    if free_sorted:
-        for slot in (free_sorted[0], free_sorted[-1]):
-            if not 0 <= slot < size:
-                raise ConfigurationError(
-                    f"free slot {slot} outside table of size {size}")
-    return free_sorted
-
-
-def _assign_near_ideal(free_sorted: list[int], offsets: list[int], size: int,
-                       anchor: int) -> tuple[int, ...] | None:
-    """Greedy nearest-free assignment of an equidistant template (its
-    ``offsets`` from :func:`ideal_positions`) at ``anchor``."""
-    remaining = set(free_sorted)
-    chosen: list[int] = []
-    for offset in offsets:
-        target = (anchor + offset) % size
-        pick = _nearest(remaining, target, size)
-        if pick is None:
+    n, size, offsets = _checked(free_mask, n, size)
+    if free_mask.bit_count() < n:
+        return None
+    chosen = _assign_near_ideal(free_mask, offsets, size,
+                                (free_mask & -free_mask).bit_length() - 1)
+    if max_gap is not None and _largest_gap(chosen, size)[1] > max_gap:
+        chosen = _fill_gaps(chosen, free_mask, size, max_gap)
+        if chosen is None:
             return None
-        remaining.discard(pick)
-        chosen.append(pick)
-    return tuple(sorted(chosen))
+    return mask_to_slots(chosen)
 
 
-def _nearest(candidates: set[int], target: int, size: int) -> int | None:
-    """Free slot with smallest cyclic distance to ``target`` (ties: earlier).
+def _checked(free_mask: int, n: int, size: int
+             ) -> tuple[int, int, tuple[int, ...]]:
+    """The chooser's entry checks; returns :func:`_template`'s triple.
 
-    Walks outward from the target, so the cost follows the distance to
-    the pick, not the number of candidates; ``candidates`` must lie in
-    ``range(size)``.
+    The choosers search ``range(size)`` only, so a free slot outside it
+    would otherwise read as missing capacity.
     """
-    for distance in range(size // 2 + 1):
-        first = (target - distance) % size
-        second = (target + distance) % size
-        if second < first:
-            first, second = second, first
-        if first in candidates:
-            return first
-        if second in candidates:
-            return second
-    return None
+    if n <= 0:
+        raise AllocationError(f"cannot reserve {n} slots")
+    n, size, offsets = _template(n, size)
+    if free_mask >> size:
+        raise ConfigurationError(
+            f"free-slot mask {free_mask} is negative" if free_mask < 0 else
+            f"free slot {free_mask.bit_length() - 1} outside table of size "
+            f"{size}")
+    return n, size, offsets
 
 
-def _fill_gaps(chosen: tuple[int, ...], free_sorted: list[int], size: int,
-               max_gap: int) -> tuple[int, ...] | None:
-    """Insert extra free slots into the largest gaps until ``max_gap`` holds."""
-    slots = set(chosen)
-    available = [s for s in free_sorted if s not in slots]
-    while max_consecutive_gap(slots, size) > max_gap:
+def _assign_near_ideal(free_mask: int, offsets: tuple[int, ...], size: int,
+                       anchor: int) -> int:
+    """Greedy nearest-free assignment of an equidistant template (its
+    ``offsets`` from :func:`_template`) at ``anchor``, as a mask.
+
+    ``free_mask`` must hold at least ``len(offsets)`` slots.
+    """
+    chosen = 0
+    for offset in offsets:
+        bit = 1 << _nearest(free_mask, (anchor + offset) % size, size)
+        free_mask ^= bit
+        chosen |= bit
+    return chosen
+
+
+def _nearest(mask: int, target: int, size: int) -> int | None:
+    """Set bit of ``mask`` with smallest cyclic distance to ``target``
+    (ties: the lower slot), or ``None`` for an empty mask.
+
+    Two bit scans: the lowest set bit above ``target`` (else, wrapping,
+    the lowest of all) and the highest below it (else the highest of
+    all); the nearer one wins.  ``mask`` must lie in ``range(size)``.
+    """
+    high = mask >> target
+    if high & 1:
+        return target
+    if not mask:
+        return None
+    # Unwrapped: target < above < target + size, target - size < below
+    # < target, so the two distances need no modulo.
+    above = ((high & -high).bit_length() - 1 + target if high
+             else (mask & -mask).bit_length() - 1 + size)
+    low = mask & ((1 << target) - 1)
+    below = low.bit_length() - 1 if low else mask.bit_length() - 1 - size
+    up = above - target
+    down = target - below
+    if up < down:
+        return above if above < size else above - size
+    if down < up:
+        return below if below >= 0 else below + size
+    return min(above % size, below % size)
+
+
+def _fill_gaps(chosen: int, free_mask: int, size: int,
+               max_gap: int) -> int | None:
+    """Insert extra free slots into the largest gaps until ``max_gap``
+    holds; masks in, mask out (``None`` when free slots run out)."""
+    available = free_mask & ~chosen
+    while True:
+        start, length = _largest_gap(chosen, size)
+        if length <= max_gap:
+            return chosen
         if not available:
             return None
-        start, length = _largest_gap(sorted(slots), size)
-        middle = (start + length // 2) % size
-        pick = _nearest(set(available), middle, size)
-        if pick is None:
-            return None
-        available.remove(pick)
-        slots.add(pick)
-    return tuple(sorted(slots))
+        bit = 1 << _nearest(available, (start + length // 2) % size, size)
+        available ^= bit
+        chosen |= bit
 
 
-def _largest_gap(ordered: list[int], size: int) -> tuple[int, int]:
-    """Return ``(start_slot, gap_length)`` of the largest cyclic gap."""
-    best_start, best_len = ordered[-1], size - ordered[-1] + ordered[0]
-    for i in range(len(ordered) - 1):
-        length = ordered[i + 1] - ordered[i]
-        if length > best_len:
-            best_start, best_len = ordered[i], length
+def _largest_gap(mask: int, size: int) -> tuple[int, int]:
+    """Return ``(start_slot, gap_length)`` of the largest cyclic gap
+    between the set bits of a non-empty ``mask`` (ties: the wrapping
+    gap, then the earliest)."""
+    first = (mask & -mask).bit_length() - 1
+    last = mask.bit_length() - 1
+    best_start, best_len = last, size - last + first
+    previous = first
+    rest = mask ^ (1 << first)
+    while rest:
+        low = rest & -rest
+        slot = low.bit_length() - 1
+        if slot - previous > best_len:
+            best_start, best_len = previous, slot - previous
+        previous = slot
+        rest ^= low
     return best_start, best_len
-

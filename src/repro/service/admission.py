@@ -26,6 +26,7 @@ once for every service that shares it, never per controller:
   mask lookup and one OR per link over integer occupancy bitmasks,
   a popcount) with the single-anchor spreading heuristic
   (:func:`~repro.core.slot_table.choose_slots_fast`) as its chooser,
+  which reads that free-slot mask as it is and works on its bits,
   and a commit or release that is one AND and one OR (or AND-NOT) per
   link (:meth:`~repro.core.allocation.ChannelAllocation.link_occupancy`).
 

@@ -20,7 +20,8 @@ from repro.core.path import make_path
 from repro.core.placement import (RouteCandidate, RouteQuotes, first_fit,
                                   quote_routes)
 from repro.core.requirements import latency_bound_ns, slots_for_channel
-from repro.core.slot_table import choose_slots_fast, shifted, spread_slots
+from repro.core.slot_table import (choose_slots_fast, shifted, slots_to_mask,
+                                   spread_slots)
 from repro.core.words import WordFormat
 from repro.service import ChurnSpec, ChurnWorkload, SessionService
 from repro.service.admission import AdmissionController
@@ -304,6 +305,20 @@ class TestIncrementalReconfiguration:
         assert snapshot() == before
         alloc.validate()
 
+    @pytest.mark.parametrize("slots", [(1, 2.5), (2.0,), (0, True)])
+    def test_a_slot_that_is_not_an_int_is_refused(self, slots):
+        """``ChannelAllocation(spec, path, (1, 2.5))`` used to construct,
+        quote a fractional wait and fail in ``commit`` with a builtin
+        ``TypeError``."""
+        topo = mesh(2, 1, nis_per_router=1)
+        path = _allocator(topo, table_size=8).shortest_candidates(
+            "ni0_0_0", "ni1_0_0")[0]
+        with pytest.raises(AllocationError) as exc:
+            ChannelAllocation(ChannelSpec("c", "x", "y", 1 * MB), path, slots)
+        assert str(exc.value) == \
+            f"channel 'c' slot {slots[-1]!r} is not an integer"
+        assert exc.value.channel == "c"
+
     @pytest.mark.parametrize("slots, named", [
         ((8,), 8), ((3, 8), 8), ((-1,), -1), ((-2, 9), -2)])
     def test_slot_outside_the_table_is_refused(self, slots, named):
@@ -464,7 +479,7 @@ def _reference_fit(allocation, spec, paths, choose):
         if len(free) < n:
             failures.append(f"{path!r}: {len(free)} free slots < {n} needed")
             continue
-        slots = choose(free, n, size, max_gap=gap)
+        slots = choose(slots_to_mask(free, size), n, size, max_gap=gap)
         if slots is None:
             failures.append(
                 f"{path!r}: free slots cannot satisfy gap <= {gap}")

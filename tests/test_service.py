@@ -59,7 +59,8 @@ class TestMaskArithmetic:
                                  max_size=size))
         n = data.draw(st.integers(1, len(free)))
         max_gap = data.draw(st.one_of(st.none(), st.integers(1, size)))
-        chosen = choose_slots_fast(free, n, size, max_gap=max_gap)
+        chosen = choose_slots_fast(slots_to_mask(free, size), n, size,
+                                   max_gap=max_gap)
         if chosen is None:
             # Only a gap constraint can make the fast chooser fail once
             # n <= |free|; verify genuine infeasibility.

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.exceptions import AllocationError, ConfigurationError
-from repro.core.slot_table import (_largest_gap, _nearest,
-                                   choose_slots_fast, ideal_positions,
-                                   max_consecutive_gap, shifted,
-                                   spread_slots, worst_case_wait_slots)
+from repro.core.placement import RouteCandidate, first_fit
+from repro.core.slot_table import (_nearest, choose_slots_fast,
+                                   ideal_positions, max_consecutive_gap,
+                                   shifted, slots_to_mask, spread_slots,
+                                   worst_case_wait_slots)
 
 
 class TestShift:
@@ -43,6 +44,15 @@ class TestGaps:
         with pytest.raises(ConfigurationError):
             max_consecutive_gap([9], 8)
 
+    @pytest.mark.parametrize("measure", [max_consecutive_gap,
+                                         worst_case_wait_slots])
+    @pytest.mark.parametrize("slots", [[0.5], [1, 2.5], [2.0]])
+    def test_fractional_slot_rejected(self, measure, slots):
+        """``max_consecutive_gap([0.5], 4)`` used to return ``4`` and
+        ``worst_case_wait_slots([1, 2.5], 4)`` a fractional ``2.5``."""
+        with pytest.raises(ConfigurationError, match="is not an integer"):
+            measure(slots, 4)
+
     @given(st.sets(st.integers(0, 15), min_size=1, max_size=16))
     def test_matches_brute_force_wait(self, slots):
         """The max gap equals the worst over arrival phases of the wait."""
@@ -67,25 +77,40 @@ class TestIdealPositions:
     def test_zero(self):
         assert ideal_positions(0, 8) == []
 
+    def test_each_call_returns_its_own_list(self):
+        """The template is memoised per ``(n, size)``; a caller that
+        mutates what it got cannot change what the next one gets."""
+        ideal_positions(4, 16).append(99)
+        assert ideal_positions(4, 16) == [0, 4, 8, 12]
+
+    @pytest.mark.parametrize("n, size, name", [
+        (3, 0, "slot table size"), (2, 4.5, "slot table size"),
+        (2.5, 8, "slot count"), (float("nan"), 8, "slot count")])
+    def test_a_template_that_is_not_whole_is_refused(self, n, size, name):
+        """``ideal_positions(3, 0)`` used to raise ``ZeroDivisionError``."""
+        with pytest.raises(ConfigurationError, match=f"{name} must be "):
+            ideal_positions(n, size)
+
 
 class TestSpreadSlots:
     def test_exact_when_all_free(self):
-        chosen = spread_slots(range(16), 4, 16)
+        chosen = spread_slots(slots_to_mask(range(16), 16), 4, 16)
         assert chosen is not None
         assert max_consecutive_gap(chosen, 16) == 4
 
     def test_insufficient_free(self):
-        assert spread_slots([1, 2], 3, 16) is None
+        assert spread_slots(slots_to_mask([1, 2], 16), 3, 16) is None
 
     def test_respects_max_gap_by_adding_slots(self):
-        chosen = spread_slots(range(16), 2, 16, max_gap=4)
+        chosen = spread_slots(slots_to_mask(range(16), 16), 2, 16, max_gap=4)
         assert chosen is not None
         assert len(chosen) >= 4
         assert max_consecutive_gap(chosen, 16) <= 4
 
     def test_max_gap_infeasible(self):
         # Free slots clustered: a gap of 2 cannot be met.
-        assert spread_slots([0, 1, 2], 2, 16, max_gap=4) is None
+        assert spread_slots(slots_to_mask([0, 1, 2], 16), 2, 16,
+                            max_gap=4) is None
 
     @given(st.data())
     def test_properties(self, data):
@@ -93,7 +118,7 @@ class TestSpreadSlots:
         free = data.draw(st.sets(st.integers(0, size - 1), min_size=1,
                                  max_size=size))
         n = data.draw(st.integers(1, len(free)))
-        chosen = spread_slots(free, n, size)
+        chosen = spread_slots(slots_to_mask(free, size), n, size)
         assert chosen is not None
         assert len(chosen) == n
         assert set(chosen) <= set(free)
@@ -106,7 +131,8 @@ class TestSpreadSlots:
                                  max_size=size))
         n = data.draw(st.integers(1, len(free)))
         max_gap = data.draw(st.integers(1, size))
-        chosen = spread_slots(free, n, size, max_gap=max_gap)
+        chosen = spread_slots(slots_to_mask(free, size), n, size,
+                              max_gap=max_gap)
         if chosen is not None:
             assert max_consecutive_gap(chosen, size) <= max_gap
         else:
@@ -115,10 +141,11 @@ class TestSpreadSlots:
             assert max_consecutive_gap(free, size) > max_gap
 
 
-# -- the nearest-by-min choosers the outward walk replaced -------------------
+# -- the nearest-by-min choosers the bit scans replaced ----------------------
 #
 # Test-local copies of the choosers as they stood before ``_nearest``
-# walked outward from its target: a ``min`` over every candidate, and the
+# walked outward from its target and before the choosers took the
+# free-slot mask: a ``min`` over every candidate of a set, and the
 # template offsets recomputed per anchor.
 
 
@@ -141,13 +168,22 @@ def ref_assign(free_sorted, n, size, anchor):
     return tuple(sorted(chosen))
 
 
+def ref_largest_gap(ordered, size):
+    best_start, best_len = ordered[-1], size - ordered[-1] + ordered[0]
+    for i in range(len(ordered) - 1):
+        length = ordered[i + 1] - ordered[i]
+        if length > best_len:
+            best_start, best_len = ordered[i], length
+    return best_start, best_len
+
+
 def ref_fill_gaps(chosen, free_sorted, size, max_gap):
     slots = set(chosen)
     available = [s for s in free_sorted if s not in slots]
     while max_consecutive_gap(slots, size) > max_gap:
         if not available:
             return None
-        start, length = _largest_gap(sorted(slots), size)
+        start, length = ref_largest_gap(sorted(slots), size)
         pick = ref_nearest(set(available), (start + length // 2) % size,
                            size)
         available.remove(pick)
@@ -183,14 +219,59 @@ def ref_choose_slots_fast(free, n, size, max_gap=None):
     return chosen
 
 
+def ref_first_fit(link_masks, candidates, ref_choose, size):
+    """:func:`first_fit` read slot by slot: a candidate's free injection
+    slots are those no hop holds once shifted, handed to ``ref_choose``
+    as a set."""
+    for cand in candidates:
+        free = {slot for slot in range(size)
+                if not any(link_masks[key] >> ((slot + shift) % size) & 1
+                           for key, shift in cand.hops)}
+        if len(free) < cand.n_slots:
+            continue
+        slots = ref_choose(free, cand.n_slots, size, cand.max_gap)
+        if slots is not None:
+            return cand, slots, len(free)
+    return None
+
+
+@st.composite
+def placements(draw):
+    """Random link occupancy and candidate routes over it."""
+    size = draw(st.integers(1, 64))
+    keys = [(f"a{i}", f"b{i}") for i in range(draw(st.integers(1, 4)))]
+    link_masks = {key: draw(st.integers(0, (1 << size) - 1)) for key in keys}
+    candidates = [
+        RouteCandidate(
+            path=f"route{index}", n_slots=draw(st.integers(1, size)),
+            max_gap=draw(st.none() | st.integers(1, size)),
+            hops=tuple(draw(st.lists(
+                st.tuples(st.sampled_from(keys), st.integers(0, 3 * size)),
+                min_size=1, max_size=4))),
+            link_keys=frozenset(keys))
+        for index in range(draw(st.integers(1, 4)))]
+    return link_masks, candidates, size
+
+
 class TestOutwardWalk:
     @given(st.data())
     def test_nearest_equals_min_by_cyclic_distance(self, data):
         size = data.draw(st.integers(1, 64))
         candidates = data.draw(st.sets(st.integers(0, size - 1)))
         target = data.draw(st.integers(0, size - 1))
-        assert _nearest(candidates, target, size) == \
+        assert _nearest(slots_to_mask(candidates, size), target, size) == \
             ref_nearest(candidates, target, size)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 32, 64])
+    def test_nearest_on_an_empty_mask_and_on_exact_ties(self, size):
+        """Empty: ``None``.  Two slots ``size // 2`` away on either side
+        of the target: the lower slot, as the ``(distance, slot)`` key
+        ranks them."""
+        for target in range(size):
+            assert _nearest(0, target, size) is None
+            pair = {(target - size // 2) % size, (target + size // 2) % size}
+            assert _nearest(slots_to_mask(pair, size), target, size) == \
+                ref_nearest(pair, target, size) == min(pair)
 
     @given(st.data())
     def test_choosers_equal_the_nearest_by_min_choosers(self, data):
@@ -198,18 +279,55 @@ class TestOutwardWalk:
         free = data.draw(st.sets(st.integers(0, size - 1), min_size=1))
         n = data.draw(st.integers(1, len(free)))
         max_gap = data.draw(st.none() | st.integers(1, size))
-        assert spread_slots(free, n, size, max_gap=max_gap) == \
+        mask = slots_to_mask(free, size)
+        assert spread_slots(mask, n, size, max_gap=max_gap) == \
             ref_spread_slots(free, n, size, max_gap)
-        assert choose_slots_fast(free, n, size, max_gap=max_gap) == \
+        assert choose_slots_fast(mask, n, size, max_gap=max_gap) == \
             ref_choose_slots_fast(free, n, size, max_gap)
 
-    @pytest.mark.parametrize("chooser", [spread_slots, choose_slots_fast])
-    @pytest.mark.parametrize("free", [[-1, 40], [0, 32], [-1, 3]])
-    def test_free_slot_outside_the_table_is_refused(self, chooser, free):
-        """``choose_slots_fast([-1, 40], 2, 32)`` used to return
-        ``(-1, 40)``, a reservation outside the table."""
-        with pytest.raises(ConfigurationError,
-                           match=r"free slot -?\d+ outside table of "
-                                 r"size 32"):
-            chooser(free, 2, 32)
+    @given(placements())
+    def test_first_fit_places_as_the_set_based_reference(self, placement):
+        link_masks, candidates, size = placement
+        for choose, ref_choose in ((choose_slots_fast, ref_choose_slots_fast),
+                                   (spread_slots, ref_spread_slots)):
+            assert first_fit(link_masks, candidates, choose, size) == \
+                ref_first_fit(link_masks, candidates, ref_choose, size)
 
+    @pytest.mark.parametrize("chooser", [spread_slots, choose_slots_fast])
+    @pytest.mark.parametrize("mask, top", [
+        (1 | 1 << 40, 40), (1 | 1 << 32, 32), (1 << 32, 32)],
+        ids=["0-and-40", "0-and-32", "32"])
+    def test_free_slot_outside_the_table_is_refused(self, chooser, mask, top):
+        """``choose_slots_fast([-1, 40], 2, 32)`` once returned
+        ``(-1, 40)``, a reservation outside the table; a bit at or above
+        the table size is refused."""
+        with pytest.raises(ConfigurationError,
+                           match=f"free slot {top} outside table of size 32"):
+            chooser(mask, 2, 32)
+
+    @pytest.mark.parametrize("chooser", [spread_slots, choose_slots_fast])
+    def test_a_negative_slot_or_mask_is_refused(self, chooser):
+        with pytest.raises(ConfigurationError,
+                           match="slot -1 outside table of size 32"):
+            slots_to_mask([-1, 3], 32)
+        with pytest.raises(ConfigurationError,
+                           match="free-slot mask -8 is negative"):
+            chooser(-8, 2, 32)
+
+    @pytest.mark.parametrize("chooser", [spread_slots, choose_slots_fast])
+    def test_a_whole_float_count_reads_as_the_int(self, chooser):
+        """``choose_slots_fast(free, 2.0, 4)`` used to raise a builtin
+        ``TypeError`` from ``range``."""
+        mask = slots_to_mask([0, 1, 3], 4)
+        assert chooser(mask, 2.0, 4) == chooser(mask, 2, 4.0) == \
+            chooser(mask, 2, 4)
+
+    @pytest.mark.parametrize("chooser", [spread_slots, choose_slots_fast])
+    @pytest.mark.parametrize("n, size, name", [
+        (2, 4.5, "slot table size"), (1.5, 4, "slot count")])
+    def test_a_fractional_count_is_refused(self, chooser, n, size, name):
+        """``spread_slots(free, 2, 4.5)`` used to raise a builtin
+        ``TypeError`` from ``range``."""
+        with pytest.raises(ConfigurationError,
+                           match=f"{name} must be a whole number"):
+            chooser(0b1011, n, size)

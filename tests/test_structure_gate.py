@@ -91,6 +91,12 @@ def test_the_tree_passes():
      "quotes are materialised eagerly"),
     ("core/placement.py", "N = slots_for_channel(None, None, 8, 1.0, None)",
      "slots_for_channel( must occur once in core/placement.py"),
+    ("core/placement.py", "S = choose(mask_to_slots(0), 1, 8)",
+     "first_fit unpacks the free mask for its chooser again"),
+    ("core/slot_table.py", "def _sorted_free(free, size): pass",
+     "sorts or sets the free slots again"),
+    ("core/slot_table.py", "F = set(free_slots)",
+     "sorts or sets the free slots again"),
     ("core/allocation.py", "S = shifted(0, 1, 4)",
      "shifted( is called in core/allocation.py"),
     ("telemetry/monitor.py", "T = allocation.link_tables",

@@ -37,6 +37,12 @@ RULES = [
      f"a deleted special-case path {_GONE}"),
     (r"rotate_mask\(", SRC, r"src/repro/core/slot_table\.py", ONCE,
      "rotate_mask( must have one call site outside core/slot_table.py"),
+    (r"choose\(mask_to_slots\(", ("src/repro/core/placement.py",), None, NONE,
+     "first_fit unpacks the free mask for its chooser again (the choosers "
+     "take the mask)"),
+    (r"_sorted_free|set\(free", ("src/repro/core/slot_table.py",), None, NONE,
+     "core/slot_table.py sorts or sets the free slots again (the choosers "
+     "work on the free-slot mask)"),
     (r"slots_for_channel\(", ("src/repro/core/placement.py",), None, ONCE,
      "slots_for_channel( must occur once in core/placement.py"),
     (r"RouteCandidate\(", SRC, None, ONCE,
