@@ -59,7 +59,7 @@ _EXPORTS: dict[str, str] = {
     "SlotAllocator": "repro.core.allocation",
     "AllocatorOptions": "repro.core.allocation",
     "Allocation": "repro.core.allocation",
-    "ChannelAllocation": "repro.core.allocation",
+    "ChannelAllocation": "repro.core.placement",
     "ChannelVerdict": "repro.core.allocation",
     "RebuildReport": "repro.core.allocation",
     "excluded_link_keys": "repro.core.allocation",

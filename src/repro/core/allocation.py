@@ -22,9 +22,10 @@ The algorithm is a deterministic greedy allocator in the UMARS tradition:
    constraint wins; its reservations are ORed into the per-link
    occupancy masks.
 
-This module holds the record (:class:`ChannelAllocation`,
-:class:`Allocation`) and the caching front (:class:`SlotAllocator`);
-the placement loop itself lives below it in :mod:`repro.core.placement`.
+This module holds the allocation (:class:`Allocation`) and the caching
+front (:class:`SlotAllocator`); the placement loop and the record it
+returns (:class:`~repro.core.placement.ChannelAllocation`) live below
+it in :mod:`repro.core.placement`.
 
 Committed allocations are never revisited (no backtracking); this mirrors
 the incremental allocation used for undisrupted reconfiguration: channels
@@ -35,7 +36,6 @@ behind.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,19 +44,18 @@ from repro.core.exceptions import (AllocationError, ConfigurationError,
                                    TopologyError, require_finite_positive,
                                    require_whole)
 from repro.core.path import Path, make_path
-from repro.core.placement import RouteQuotes, first_fit, quote_routes
+from repro.core.placement import (ChannelAllocation, RouteQuotes, place,
+                                   quote_routes)
 from repro.core.requirements import latency_bound_ns
-from repro.core.slot_table import (mask_to_slots, shifted_mask, spread_slots,
-                                   worst_case_wait_slots)
+from repro.core.slot_table import mask_to_slots, spread_slots
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping
 from repro.topology.routing import (k_shortest_paths, k_shortest_routes,
                                     merge_load_aware, weighted_shortest_path)
 
-__all__ = ["ChannelAllocation", "Allocation", "AllocatorOptions",
-           "SlotAllocator", "ChannelVerdict",
-           "RebuildReport", "excluded_link_keys"]
+__all__ = ["Allocation", "AllocatorOptions", "SlotAllocator",
+           "ChannelVerdict", "RebuildReport", "excluded_link_keys"]
 
 #: Most (endpoints, requirement) entries :meth:`SlotAllocator.
 #: route_quotes` keeps.  The key holds the raw float requirement and the
@@ -216,116 +215,6 @@ class RebuildReport:
         }
 
 
-@dataclass(frozen=True)
-class ChannelAllocation:
-    """The route and injection slots granted to one channel."""
-
-    spec: ChannelSpec
-    path: Path
-    slots: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.slots:
-            raise AllocationError(
-                f"channel {self.spec.name!r} allocated zero slots",
-                channel=self.spec.name)
-        # One pass: every slot an int, each above the one before it.
-        ascending = type(self.slots) is tuple
-        previous = None
-        for slot in self.slots:
-            if type(slot) is not int:
-                raise AllocationError(
-                    f"channel {self.spec.name!r} slot {slot!r} is not an "
-                    f"integer", channel=self.spec.name)
-            if previous is not None and slot <= previous:
-                ascending = False
-            previous = slot
-        if not ascending:
-            raise AllocationError(
-                f"channel {self.spec.name!r} slots must be sorted and unique",
-                channel=self.spec.name)
-
-    @property
-    def n_slots(self) -> int:
-        """Number of slots held per table rotation."""
-        return len(self.slots)
-
-    def worst_wait_slots(self, table_size: int) -> int:
-        """Worst-case whole-slot injection wait (max cyclic gap)."""
-        return worst_case_wait_slots(self.slots, table_size)
-
-    def no_worse_than(self, before: "ChannelAllocation",
-                      table_size: int) -> bool:
-        """True when this reservation's bounds are no worse than
-        ``before``'s: no fewer slots, and no more worst-case wait plus
-        traversal slots.
-
-        Integer-exact: at a fixed operating point the guaranteed
-        throughput is monotone in the slot count and the latency bound
-        in that slot sum, so no tolerance is involved.
-        """
-        return (self.n_slots >= before.n_slots
-                and self.worst_wait_slots(table_size)
-                + self.path.traversal_slots
-                <= before.worst_wait_slots(table_size)
-                + before.path.traversal_slots)
-
-    def reserved_before(self, slot: int, table_size: int) -> int:
-        """How many of this channel's injection slots occur before the
-        absolute ``slot``, counting from slot 0 of the run."""
-        rotations, phase = divmod(slot, table_size)
-        return rotations * len(self.slots) + bisect_left(self.slots, phase)
-
-    def link_occupancy(self, table_size: int
-                       ) -> tuple[tuple[tuple[str, str], int], ...]:
-        """``(link key, link mask)`` per traversed link, in route order:
-        the injection-slot mask carried each hop's slot shift on.
-
-        The one per-link derivation: commit ORs these masks in, release
-        clears them, validation and the fabric rollup read them.
-        Memoised per instance — the admission service does all three
-        per session.  A slot outside ``range(table_size)`` is refused
-        here, so no reader ever reduces one into the table.
-        """
-        cache = self.__dict__.get("_link_occupancy")
-        if cache is not None and cache[0] == table_size:
-            return cache[1]
-        slots = self.slots
-        if slots[0] < 0 or slots[-1] >= table_size:
-            raise AllocationError(
-                f"channel {self.spec.name!r} slot "
-                f"{slots[0] if slots[0] < 0 else slots[-1]} outside table "
-                f"of size {table_size}",
-                channel=self.spec.name, reason="slot outside table")
-        injection = 0
-        for slot in slots:
-            injection |= 1 << slot
-        # A list, not a generator expression: a generator per call
-        # raised churn_warm's peak RSS by 0.45 MB (~1 %).
-        links = []
-        for key, shift in self.path.hops:
-            links.append((key, shifted_mask(injection, shift, table_size)))
-        occupancy = tuple(links)
-        object.__setattr__(self, "_link_occupancy", (table_size, occupancy))
-        return occupancy
-
-    def fingerprint(self) -> int:
-        """In-process hash of what composability protects: the channel's
-        name, its slot tuple and the links it traverses.
-
-        Memoised per instance like :meth:`link_occupancy`.  Two records with
-        the same name, slots and route share a fingerprint, so an
-        equal-but-replaced record reads as undisturbed.  String hashes
-        vary with ``PYTHONHASHSEED``: the value is only comparable
-        inside one process and is never serialised.
-        """
-        fp = self.__dict__.get("_fingerprint")
-        if fp is None:
-            fp = hash((self.spec.name, self.slots, self.path.link_keys()))
-            object.__setattr__(self, "_fingerprint", fp)
-        return fp
-
-
 @dataclass
 class Allocation:
     """A complete, validated set of channel allocations.
@@ -333,7 +222,7 @@ class Allocation:
     ``channels`` is the one record of who holds what: NI injection
     tables are derived from it and every holder's name is read off it
     (:meth:`holder_of`).  ``link_masks`` — per topology link, the OR of
-    the channels' :meth:`ChannelAllocation.link_occupancy` masks (bit
+    the channels' :attr:`ChannelAllocation.link_occupancy` masks (bit
     ``s`` set = slot ``s`` taken) — is the only index derived from it,
     kept in step by :meth:`commit` and :meth:`release` and held to it by
     :meth:`validate`.
@@ -346,7 +235,7 @@ class Allocation:
     channels: dict[str, ChannelAllocation] = field(
         default_factory=dict, init=False)
     link_masks: dict[tuple[str, str], int] = field(init=False)
-    #: XOR of every held channel's :meth:`ChannelAllocation.fingerprint`
+    #: XOR of every held channel's :attr:`ChannelAllocation.fingerprint`
     #: — order-independent, folded by :meth:`commit` and :meth:`release`
     #: (the only two writers of ``channels``), so a checker that folds
     #: the one session it expects to change can tell in O(1) whether
@@ -406,7 +295,7 @@ class Allocation:
         >>> allocation = Allocation(topo, 4, 500e6, WordFormat())
         >>> allocation.commit(ChannelAllocation(
         ...     ChannelSpec("c", "a", "b", 1.0),
-        ...     make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1"), (1, 3)))
+        ...     make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1"), (1, 3), 4))
         >>> allocation.ni_injection_table("ni0_0_0")
         (None, 'c', None, 'c')
         """
@@ -426,8 +315,8 @@ class Allocation:
         return tuple(row)
 
     @staticmethod
-    def holder_of(channels, key: tuple[str, str], mask: int,
-                  table_size: int) -> tuple[int, str | None]:
+    def holder_of(channels, key: tuple[str, str], mask: int
+                  ) -> tuple[int, str | None]:
         """The lowest slot of ``mask`` and the name of the first of
         ``channels`` whose flits cross link ``key`` in it (``None`` if
         none does): the one place a holder's name is read, off the
@@ -438,13 +327,13 @@ class Allocation:
         >>> topo = single_router(2)
         >>> ca = ChannelAllocation(
         ...     ChannelSpec("c", "a", "b", 1.0),
-        ...     make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1"), (1,))
-        >>> Allocation.holder_of([ca], ("r0_0", "ni0_0_1"), 0b1100, 8)
+        ...     make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1"), (1,), 8)
+        >>> Allocation.holder_of([ca], ("r0_0", "ni0_0_1"), 0b1100)
         (2, 'c')
         """
         slot = (mask & -mask).bit_length() - 1
         for ca in channels:
-            for link, held in ca.link_occupancy(table_size):
+            for link, held in ca.link_occupancy:
                 if link == key and held >> slot & 1:
                     return slot, ca.spec.name
         return slot, None
@@ -472,12 +361,17 @@ class Allocation:
         (in route order) that is unknown or has a slot another channel
         holds, naming the lowest such slot — checked on every link
         before any is written, so a refused commit leaves every mask as
-        it was."""
+        it was.  A record placed in a table of another size is refused
+        first."""
         name = ca.spec.name
         if name in self.channels:
             raise AllocationError(f"channel {name!r} is already allocated",
                                   channel=name)
-        occupancy = ca.link_occupancy(self.table_size)
+        if ca.table_size != self.table_size:
+            raise ConfigurationError(
+                f"channel {name!r} was placed in a table of size "
+                f"{ca.table_size}, this allocation's has {self.table_size}")
+        occupancy = ca.link_occupancy
         masks = self.link_masks
         for key, mask in occupancy:
             held = masks.get(key)
@@ -485,23 +379,23 @@ class Allocation:
                 raise AllocationError(f"unknown link {key} in allocation")
             if held & mask:
                 slot, holder = self.holder_of(self.channels.values(), key,
-                                              held & mask, self.table_size)
+                                              held & mask)
                 raise AllocationError(
                     f"slot {slot} already reserved by {holder!r}",
                     channel=name, reason="slot conflict")
         for key, mask in occupancy:
             masks[key] |= mask
         self.channels[name] = ca
-        self.channels_digest ^= ca.fingerprint()
+        self.channels_digest ^= ca.fingerprint
 
     def release(self, channel_name: str) -> ChannelAllocation:
         """Remove one channel, freeing its slots on every link."""
         ca = self.channel(channel_name)
         masks = self.link_masks
-        for key, mask in ca.link_occupancy(self.table_size):
+        for key, mask in ca.link_occupancy:
             masks[key] &= ~mask
         del self.channels[channel_name]
-        self.channels_digest ^= ca.fingerprint()
+        self.channels_digest ^= ca.fingerprint
         return ca
 
     def release_application(self, application: str) -> tuple[str, ...]:
@@ -569,7 +463,7 @@ class Allocation:
         theirs.  Implies that :meth:`_derive_per_slot` passes."""
         union = dict.fromkeys(self.topology.iter_link_keys(), 0)
         for ca in self.channels.values():
-            for key, mask in ca.link_occupancy(self.table_size):
+            for key, mask in ca.link_occupancy:
                 held = union.get(key)
                 if held is None or held & mask:
                     return False
@@ -579,12 +473,11 @@ class Allocation:
     def _derive_per_slot(self) -> None:
         """:meth:`validate`'s diagnostic: every link-slot re-derived into
         an owner map and compared with the link masks."""
-        size = self.table_size
         fresh: dict[tuple[str, str], dict[int, str]] = {
             key: {} for key in self.topology.iter_link_keys()}
         for ca in self.channels.values():
             name = ca.spec.name
-            for key, mask in ca.link_occupancy(size):
+            for key, mask in ca.link_occupancy:
                 owners = fresh.get(key)
                 if owners is None:
                     raise AllocationError(
@@ -604,7 +497,7 @@ class Allocation:
                 f"links, the topology has {len(fresh)}")
         for key, owners in fresh.items():
             recorded = dict(self.holder_of(self.channels.values(), key,
-                                           1 << s, size)
+                                           1 << s)
                             for s in mask_to_slots(self.link_masks[key]))
             if recorded != owners:
                 raise AllocationError(
@@ -673,8 +566,7 @@ class Allocation:
         untouched_intact = all(
             (masks.get(key, 0) & mask) == mask
             for name, v in verdicts.items() if v.verdict == "unaffected"
-            for key, mask in self.channels[name].link_occupancy(
-                self.table_size))
+            for key, mask in self.channels[name].link_occupancy)
         report = RebuildReport(
             allocation=rebuilt, verdicts=verdicts,
             excluded_links=excluded,
@@ -693,7 +585,7 @@ class Allocation:
     def _latency_bound(self, ca: ChannelAllocation) -> float:
         """Worst-case latency bound of one channel at this operating
         point (injection wait plus path traversal, in nanoseconds)."""
-        return latency_bound_ns(ca.worst_wait_slots(self.table_size),
+        return latency_bound_ns(ca.worst_wait_slots(),
                                 ca.path, self.frequency_hz, self.fmt)
 
     def _reroute_one(self, rebuilt: "Allocation",
@@ -702,7 +594,7 @@ class Allocation:
         spec = ca.spec
         excluded = rebuilt.excluded_links
         old_latency = self._latency_bound(ca)
-        new_ca = None
+        placed = None
         failures: list[str] = []
         try:
             paths = [
@@ -713,13 +605,12 @@ class Allocation:
         except TopologyError as exc:
             failures.append(str(exc))
         else:
-            placed = first_fit(
-                rebuilt.link_masks, quote_routes(self, spec, paths, failures),
-                spread_slots, self.table_size, failures)
-            if placed is not None:
-                new_ca = ChannelAllocation(spec=spec, path=placed[0].path,
-                                           slots=placed[1])
-        if new_ca is not None:
+            placed = place(
+                rebuilt.link_masks, spec,
+                quote_routes(self, spec, paths, failures), spread_slots,
+                self.table_size, failures)
+        if placed is not None:
+            new_ca, _ = placed
             try:
                 rebuilt.commit(new_ca)
             except AllocationError as exc:
@@ -730,7 +621,7 @@ class Allocation:
             return ChannelVerdict(
                 channel=spec.name,
                 verdict=("rerouted_same_bounds"
-                         if new_ca.no_worse_than(ca, self.table_size)
+                         if new_ca.no_worse_than(ca)
                          else "rerouted_degraded"),
                 old_latency_ns=old_latency,
                 new_latency_ns=self._latency_bound(new_ca),
@@ -853,18 +744,24 @@ class SlotAllocator:
 
     def check_compatible(self, allocation: Allocation) -> None:
         """Raise :class:`ConfigurationError` unless ``allocation`` was
-        built for this allocator's topology object and table size, and
-        that topology is still as the allocator found it.
+        built for this allocator's topology object and operating point
+        (table size, frequency, word format), and that topology is still
+        as the allocator found it.
 
         Quotes rotate masks modulo the allocator's table size and name
         links of its topology, with the slot shifts those links had when
-        the route was searched, so they are only meaningful against such
-        an allocation.
+        the route was searched, and their slot counts meet the
+        requirement at the allocator's frequency and word format, so
+        they are only meaningful against such an allocation.
         """
-        if allocation.table_size != self.table_size:
-            raise ConfigurationError(
-                f"allocation table size {allocation.table_size} != "
-                f"allocator table size {self.table_size}")
+        for attr, what in (("table_size", "table size"),
+                           ("frequency_hz", "frequency"),
+                           ("fmt", "word format")):
+            theirs, ours = getattr(allocation, attr), getattr(self, attr)
+            if theirs != ours:
+                raise ConfigurationError(
+                    f"allocation {what} {theirs!r} != allocator {what} "
+                    f"{ours!r}")
         if allocation.topology is not self.topology:
             raise ConfigurationError(
                 "allocation was built for a different topology object")
@@ -1030,12 +927,12 @@ class SlotAllocator:
         failures: list[str] = []
         paths = self._candidates(spec, mapping, allocation.excluded_links,
                                  allocation.link_masks)
-        placed = first_fit(
-            allocation.link_masks, quote_routes(self, spec, paths, failures),
-            spread_slots, self.table_size, failures)
+        placed = place(
+            allocation.link_masks, spec,
+            quote_routes(self, spec, paths, failures), spread_slots,
+            self.table_size, failures)
         if placed is not None:
-            return ChannelAllocation(spec=spec, path=placed[0].path,
-                                     slots=placed[1])
+            return placed[0]
         detail = "; ".join(failures) if failures else "no candidate paths"
         raise AllocationError(
             f"cannot allocate channel {spec.name!r} "

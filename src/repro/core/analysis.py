@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.allocation import Allocation, ChannelAllocation
+from repro.core.allocation import Allocation
+from repro.core.placement import ChannelAllocation
 from repro.core.requirements import latency_bound_ns, throughput_of_slots
 from repro.core.words import WordFormat
 
@@ -77,10 +78,11 @@ class ChannelBounds:
         return self.required_latency_ns - self.latency_ns
 
 
-def channel_bounds(ca: ChannelAllocation, table_size: int,
-                   frequency_hz: float, fmt: WordFormat) -> ChannelBounds:
-    """Bounds of a single channel allocation."""
-    wait = ca.worst_wait_slots(table_size)
+def channel_bounds(ca: ChannelAllocation, frequency_hz: float,
+                   fmt: WordFormat) -> ChannelBounds:
+    """Bounds of a single channel allocation, in the table it was
+    placed in."""
+    wait = ca.worst_wait_slots()
     traversal = ca.path.traversal_slots
     latency_cycles = (wait + traversal) * fmt.flit_size
     return ChannelBounds(
@@ -92,7 +94,7 @@ def channel_bounds(ca: ChannelAllocation, table_size: int,
         latency_cycles=latency_cycles,
         latency_ns=latency_bound_ns(wait, ca.path, frequency_hz, fmt),
         throughput_bytes_per_s=throughput_of_slots(
-            ca.n_slots, table_size, frequency_hz, fmt),
+            ca.n_slots, ca.table_size, frequency_hz, fmt),
         required_throughput_bytes_per_s=ca.spec.throughput_bytes_per_s,
         required_latency_ns=ca.spec.max_latency_ns,
     )
@@ -100,8 +102,8 @@ def channel_bounds(ca: ChannelAllocation, table_size: int,
 
 def analyse(allocation: Allocation) -> dict[str, ChannelBounds]:
     """Bounds for every channel of an allocation, keyed by channel name."""
-    return {name: channel_bounds(ca, allocation.table_size,
-                                 allocation.frequency_hz, allocation.fmt)
+    return {name: channel_bounds(ca, allocation.frequency_hz,
+                                 allocation.fmt)
             for name, ca in sorted(allocation.channels.items())}
 
 

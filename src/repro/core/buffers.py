@@ -18,9 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.allocation import ChannelAllocation
 from repro.core.exceptions import ConfigurationError
-from repro.core.slot_table import worst_case_wait_slots
+from repro.core.placement import ChannelAllocation
 from repro.core.words import WordFormat
 
 __all__ = ["CreditLoop", "credit_loop", "required_rx_buffer_words",
@@ -53,8 +52,8 @@ class CreditLoop:
                 self.reverse_slots + 1)
 
 
-def credit_loop(forward: ChannelAllocation, reverse: ChannelAllocation,
-                table_size: int) -> CreditLoop:
+def credit_loop(forward: ChannelAllocation,
+                reverse: ChannelAllocation) -> CreditLoop:
     """Worst-case credit loop of a connection's channel pair."""
     if forward.path.source != reverse.path.dest or \
             forward.path.dest != reverse.path.source:
@@ -63,14 +62,14 @@ def credit_loop(forward: ChannelAllocation, reverse: ChannelAllocation,
             "not form a forward/reverse pair")
     return CreditLoop(
         forward_slots=forward.path.traversal_slots,
-        credit_wait_slots=worst_case_wait_slots(reverse.slots, table_size),
+        credit_wait_slots=reverse.worst_wait_slots(),
         reverse_slots=reverse.path.traversal_slots,
     )
 
 
 def required_rx_buffer_words(forward: ChannelAllocation,
                              reverse: ChannelAllocation,
-                             table_size: int, fmt: WordFormat) -> int:
+                             fmt: WordFormat) -> int:
     """Destination-queue capacity that sustains full reserved throughput.
 
     The source may inject up to ``n_slots`` payload-bearing flits per table
@@ -79,8 +78,8 @@ def required_rx_buffer_words(forward: ChannelAllocation,
     flight.  One extra flit covers the flit in transit when the loop
     estimate is tight.
     """
-    loop = credit_loop(forward, reverse, table_size)
-    rotations = math.ceil(loop.total_slots / table_size)
+    loop = credit_loop(forward, reverse)
+    rotations = math.ceil(loop.total_slots / forward.table_size)
     flits_in_flight = rotations * forward.n_slots + 1
     return flits_in_flight * fmt.payload_words_per_flit
 
@@ -103,8 +102,7 @@ def required_tx_buffer_words(forward: ChannelAllocation,
 
 
 def credit_headroom_ok(forward: ChannelAllocation,
-                       reverse: ChannelAllocation, table_size: int,
-                       fmt: WordFormat) -> bool:
+                       reverse: ChannelAllocation, fmt: WordFormat) -> bool:
     """Can the reverse channel return credits as fast as they are produced?
 
     Each reverse-channel header carries at most ``fmt.max_credits`` credits

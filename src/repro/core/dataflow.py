@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.allocation import Allocation, ChannelAllocation
+from repro.core.allocation import Allocation
 from repro.core.exceptions import ConfigurationError
+from repro.core.placement import ChannelAllocation
 from repro.core.requirements import throughput_of_slots
-from repro.core.slot_table import worst_case_wait_slots
 from repro.core.words import WordFormat
 
 __all__ = ["LatencyRateServer", "latency_rate_of", "busy_period_latency_ns",
@@ -66,17 +66,17 @@ class LatencyRateServer:
         return self.theta_ns + pending_bytes / self.rho_bytes_per_s * 1e9
 
 
-def latency_rate_of(ca: ChannelAllocation, table_size: int,
-                    frequency_hz: float,
+def latency_rate_of(ca: ChannelAllocation, frequency_hz: float,
                     fmt: WordFormat) -> LatencyRateServer:
-    """Latency-rate parameters of one allocation."""
-    wait_slots = worst_case_wait_slots(ca.slots, table_size)
-    theta_cycles = (wait_slots + ca.path.traversal_slots) * fmt.flit_size
+    """Latency-rate parameters of one allocation, in the table it was
+    placed in."""
+    theta_cycles = ((ca.worst_wait_slots() + ca.path.traversal_slots)
+                    * fmt.flit_size)
     return LatencyRateServer(
         channel=ca.spec.name,
         theta_ns=theta_cycles / frequency_hz * 1e9,
         rho_bytes_per_s=throughput_of_slots(
-            ca.n_slots, table_size, frequency_hz, fmt))
+            ca.n_slots, ca.table_size, frequency_hz, fmt))
 
 
 def busy_period_latency_ns(server: LatencyRateServer, *,
@@ -117,6 +117,6 @@ def backlog_bound_bytes(server: LatencyRateServer, *,
 def analyse_dataflow(allocation: Allocation
                      ) -> dict[str, LatencyRateServer]:
     """Latency-rate servers for every channel of an allocation."""
-    return {name: latency_rate_of(ca, allocation.table_size,
-                                  allocation.frequency_hz, allocation.fmt)
+    return {name: latency_rate_of(ca, allocation.frequency_hz,
+                                  allocation.fmt)
             for name, ca in sorted(allocation.channels.items())}

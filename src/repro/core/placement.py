@@ -1,29 +1,129 @@
-"""The placement loop: fit one channel onto the first route that can carry it.
+"""The placement loop and its result: fit one channel onto the first
+route that can carry it, and the record of what it was granted.
 
 Every placement — offline extension (:class:`~repro.core.allocation.
 SlotAllocator`), degraded-mode rerouting (:meth:`~repro.core.allocation.
 Allocation.rebuild_excluding`) and online admission (:class:`~repro.
-service.admission.AdmissionController`) — runs :func:`first_fit` over
+service.admission.AdmissionController`) — runs :func:`place` over
 :class:`RouteCandidate`\\ s built in one place (:func:`quote_routes`).
 Only the candidate routes and the slot chooser differ between them.
 
-The module sits below the allocation record: it reads link occupancy as
-the ``link_masks`` dictionary and returns what it found, so each caller
-builds and commits the :class:`~repro.core.allocation.ChannelAllocation`
-itself.
+The module sits below the allocation: it reads link occupancy as the
+``link_masks`` dictionary and returns the finished
+:class:`ChannelAllocation`, which each caller commits itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError
 from repro.core.path import Path
 from repro.core.requirements import slots_for_channel
-from repro.core.slot_table import rotate_mask
+from repro.core.slot_table import (rotate_mask, shifted_mask, slots_to_mask,
+                                   worst_case_wait_slots)
 
-__all__ = ["RouteCandidate", "RouteQuotes", "quote_routes", "first_fit"]
+__all__ = ["ChannelAllocation", "RouteCandidate", "RouteQuotes",
+           "quote_routes", "place"]
+
+
+@dataclass(frozen=True)
+class ChannelAllocation:
+    """The route and injection slots granted to one channel in a slot
+    table of ``table_size`` slots — the result of a placement.
+
+    The table has one size throughout the NoC, so a reservation of
+    injection slot ``s`` is slot ``(s + d) % table_size`` on a link
+    ``d`` slot shifts downstream: once route and slots are chosen, the
+    per-link masks are fixed.  Construction checks the record and
+    derives them, and the fingerprint, once.
+    """
+
+    spec: ChannelSpec
+    path: Path
+    slots: tuple[int, ...]
+    table_size: int
+    #: ``(link key, link mask)`` per traversed link, in route order: the
+    #: injection-slot mask carried each hop's slot shift on.  The one
+    #: per-link derivation: commit ORs these masks in, release clears
+    #: them, validation and the fabric rollup read them.
+    link_occupancy: tuple[tuple[tuple[str, str], int], ...] = field(
+        init=False, compare=False, repr=False)
+    #: In-process hash of what composability protects: the channel's
+    #: name, its slot tuple and the links it traverses.  Two records
+    #: with the same name, slots and route share a fingerprint, so an
+    #: equal-but-replaced record reads as undisturbed.  String hashes
+    #: vary with ``PYTHONHASHSEED``: the value is only comparable inside
+    #: one process and is never serialised.
+    fingerprint: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        name = self.spec.name
+        slots = self.slots
+        if not slots:
+            raise AllocationError(
+                f"channel {name!r} allocated zero slots", channel=name)
+        # One pass: every slot an int, each above the one before it.
+        ascending = type(slots) is tuple
+        previous = None
+        for slot in slots:
+            if type(slot) is not int:
+                raise AllocationError(
+                    f"channel {name!r} slot {slot!r} is not an integer",
+                    channel=name)
+            if previous is not None and slot <= previous:
+                ascending = False
+            previous = slot
+        if not ascending:
+            raise AllocationError(
+                f"channel {name!r} slots must be sorted and unique",
+                channel=name)
+        size = self.table_size
+        if slots[0] < 0 or slots[-1] >= size:
+            raise AllocationError(
+                f"channel {name!r} slot "
+                f"{slots[0] if slots[0] < 0 else slots[-1]} outside table "
+                f"of size {size}",
+                channel=name, reason="slot outside table")
+        injection = slots_to_mask(slots, size)
+        # A list, not a generator expression: a generator per record
+        # raised churn_warm's peak RSS by 0.45 MB (~1 %).
+        links = []
+        for key, shift in self.path.hops:
+            links.append((key, shifted_mask(injection, shift, size)))
+        object.__setattr__(self, "link_occupancy", tuple(links))
+        object.__setattr__(self, "fingerprint",
+                           hash((name, slots, self.path.link_keys())))
+
+    @property
+    def n_slots(self) -> int:
+        """Number of slots held per table rotation."""
+        return len(self.slots)
+
+    def worst_wait_slots(self) -> int:
+        """Worst-case whole-slot injection wait (max cyclic gap)."""
+        return worst_case_wait_slots(self.slots, self.table_size)
+
+    def no_worse_than(self, before: ChannelAllocation) -> bool:
+        """True when this reservation's bounds are no worse than
+        ``before``'s: no fewer slots, and no more worst-case wait plus
+        traversal slots.
+
+        Integer-exact: at a fixed operating point the guaranteed
+        throughput is monotone in the slot count and the latency bound
+        in that slot sum, so no tolerance is involved.
+        """
+        return (self.n_slots >= before.n_slots
+                and self.worst_wait_slots() + self.path.traversal_slots
+                <= before.worst_wait_slots() + before.path.traversal_slots)
+
+    def reserved_before(self, slot: int) -> int:
+        """How many of this channel's injection slots occur before the
+        absolute ``slot``, counting from slot 0 of the run."""
+        rotations, phase = divmod(slot, self.table_size)
+        return rotations * len(self.slots) + bisect_left(self.slots, phase)
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,7 +157,7 @@ def quote_routes(point, spec: ChannelSpec, paths,
 
     A path whose traversal alone breaks the latency requirement yields
     nothing; handed a ``failures`` list, its reason is appended the
-    moment the consumer reaches it, so :func:`first_fit`'s own reasons
+    moment the consumer reaches it, so :func:`place`'s own reasons
     interleave in candidate order.
     """
     size = point.table_size
@@ -122,10 +222,10 @@ class RouteQuotes:
         return next(iter(self), None) is not None
 
 
-def first_fit(link_masks: dict[tuple[str, str], int], candidates, choose,
-              size: int, failures: list[str] | None = None
-              ) -> tuple[RouteCandidate, tuple[int, ...], int] | None:
-    """The first candidate route that can carry its requirement.
+def place(link_masks: dict[tuple[str, str], int], spec: ChannelSpec,
+          candidates, choose, size: int, failures: list[str] | None = None
+          ) -> tuple[ChannelAllocation, int] | None:
+    """Place ``spec`` on the first candidate route that can carry it.
 
     The only placement loop: per :class:`RouteCandidate`, every
     traversed link's occupancy mask is rotated back by the link's slot
@@ -133,12 +233,13 @@ def first_fit(link_masks: dict[tuple[str, str], int], candidates, choose,
     free popcount is held against the slot count, and ``choose`` —
     :func:`~repro.core.slot_table.spread_slots` offline,
     :func:`~repro.core.slot_table.choose_slots_fast` online — picks
-    slots under the gap constraint.  Returns the winning candidate, the
-    injection slots chosen on it and the width of its free
-    intersection, or ``None``; nothing is committed.  Handed a
-    ``failures`` list, it appends one reason per rejected candidate —
-    the text of ``AllocationError.reason`` and of a ``dropped`` verdict.
-    ``choose`` reads the free intersection as the mask itself.
+    slots under the gap constraint.  Returns the channel's
+    :class:`ChannelAllocation` in a table of ``size`` slots and the
+    width of its route's free intersection, or ``None``; nothing is
+    committed.  Handed a ``failures`` list, it appends one reason per
+    rejected candidate — the text of ``AllocationError.reason`` and of
+    a ``dropped`` verdict.  ``choose`` reads the free intersection as
+    the mask itself.
 
     The NI's link holds slots 0 and 4 and the router's output link,
     one slot downstream, holds slot 2, so injection slots 0, 1 and 4
@@ -154,10 +255,13 @@ def first_fit(link_masks: dict[tuple[str, str], int], candidates, choose,
     ...                         fmt=WordFormat())
     >>> link_masks = {("ni0_0_0", "r0_0"): 0b10001,
     ...               ("r0_0", "ni0_0_1"): 0b00100}
-    >>> quotes = quote_routes(point, ChannelSpec("c", "a", "b", 1.0), [path])
-    >>> _, slots, width = first_fit(link_masks, quotes, choose_slots_fast, 8)
-    >>> slots, width
+    >>> spec = ChannelSpec("c", "a", "b", 1.0)
+    >>> quotes = quote_routes(point, spec, [path])
+    >>> ca, width = place(link_masks, spec, quotes, choose_slots_fast, 8)
+    >>> ca.slots, width
     ((2,), 5)
+    >>> ca.link_occupancy
+    ((('ni0_0_0', 'r0_0'), 4), (('r0_0', 'ni0_0_1'), 8))
     """
     full = (1 << size) - 1
     for cand in candidates:
@@ -179,5 +283,5 @@ def first_fit(link_masks: dict[tuple[str, str], int], candidates, choose,
                 failures.append(f"{cand.path!r}: free slots cannot "
                                 f"satisfy gap <= {cand.max_gap}")
             continue
-        return cand, slots, width
+        return ChannelAllocation(spec, cand.path, slots, size), width
     return None

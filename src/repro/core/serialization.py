@@ -15,13 +15,14 @@ import json
 from dataclasses import asdict, fields
 from typing import Mapping as TMapping
 
-from repro.core.allocation import Allocation, ChannelAllocation
+from repro.core.allocation import Allocation
 from repro.core.application import Application, UseCase
 from repro.core.configuration import NocConfiguration
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import (ConfigurationError,
                                    require_finite_positive)
 from repro.core.path import make_path
+from repro.core.placement import ChannelAllocation
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping
@@ -125,7 +126,8 @@ def configuration_from_dict(data: TMapping[str, object]
                              mapping.ni_of(spec.dst_ip))
             allocation.commit(ChannelAllocation(
                 spec=spec, path=path, slots=tuple(sorted(
-                    _integer(slot, f"{where}.slots") for slot in slots))))
+                    _integer(slot, f"{where}.slots") for slot in slots)),
+                table_size=allocation.table_size))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigurationError(
             f"malformed saved configuration: {where}: {exc!r}") from exc

@@ -7,7 +7,7 @@ are moved in the bookkeeping and invariants are re-checked, but no
 network is ever simulated across a transition.  A
 :class:`ReconfigurationTimeline` closes that gap: it is the replayable
 artifact of a churn run — every transition, timestamped in TDM slots and
-carrying the exact :class:`~repro.core.allocation.ChannelAllocation`
+carrying the exact :class:`~repro.core.placement.ChannelAllocation`
 records the transition committed — which the flit-level and best-effort
 backends can then *execute*: hand it to
 :class:`~repro.simulation.backend.SimRequest` as ``timeline=``, and the
@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.allocation import Allocation, ChannelAllocation
+from repro.core.allocation import Allocation
 from repro.core.application import UseCase
 from repro.core.exceptions import (AllocationError, ConfigurationError,
                                    require_finite_positive, require_whole)
+from repro.core.placement import ChannelAllocation
 from repro.core.words import WordFormat
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping
@@ -145,7 +146,8 @@ class ReconfigurationTimeline:
 
         An epoch is checked on per-link occupancy masks, as
         :meth:`Allocation.commit` checks a configuration; a contention
-        names the link, the lowest shared slot and its holder.
+        names the link, the lowest shared slot and its holder, and a
+        record placed in a table of another size is refused.
         """
         size = self.table_size
         active_apps: dict[str, list] = {}
@@ -168,7 +170,12 @@ class ReconfigurationTimeline:
                         raise ConfigurationError(
                             f"channel {name!r} started while already "
                             "active")
-                    for key, mask in ca.link_occupancy(size):
+                    if ca.table_size != size:
+                        raise ConfigurationError(
+                            f"channel {name!r} was placed in a table of "
+                            f"size {ca.table_size}, the timeline's has "
+                            f"{size}")
+                    for key, mask in ca.link_occupancy:
                         held = masks.get(key)
                         if held is None:
                             raise ConfigurationError(
@@ -176,7 +183,7 @@ class ReconfigurationTimeline:
                                 "unknown to the topology")
                         if held & mask:
                             slot, holder = Allocation.holder_of(
-                                active.values(), key, held & mask, size)
+                                active.values(), key, held & mask)
                             raise AllocationError(
                                 f"epoch starting at slot {event.slot}: "
                                 f"contention on link {key} slot {slot}: "
@@ -197,7 +204,7 @@ class ReconfigurationTimeline:
                 session[1] = event.slot
                 for ca in session[3]:  # the channels its start committed
                     del active[ca.spec.name]
-                    for key, mask in ca.link_occupancy(size):
+                    for key, mask in ca.link_occupancy:
                         masks[key] &= ~mask
         self._sessions = tuple(map(tuple, sessions))
         spans: dict[str, list[tuple[int, int, ChannelAllocation]]] = {}

@@ -22,17 +22,19 @@ once for every service that shares it, never per controller:
   share one computation.  The records name links, not tables, so a
   fresh controller over a warm allocator starts warm;
 * the per-admission work that remains is the placement loop every
-  allocation shares (:func:`~repro.core.placement.first_fit`: one
+  allocation shares (:func:`~repro.core.placement.place`: one
   mask lookup and one OR per link over integer occupancy bitmasks,
   a popcount) with the single-anchor spreading heuristic
   (:func:`~repro.core.slot_table.choose_slots_fast`) as its chooser,
   which reads that free-slot mask as it is and works on its bits,
   and a commit or release that is one AND and one OR (or AND-NOT) per
-  link (:meth:`~repro.core.allocation.ChannelAllocation.link_occupancy`).
+  link (:attr:`~repro.core.placement.ChannelAllocation.link_occupancy`).
 
 The controller checks once, at construction, that its allocation fits
-the allocator (same topology object, same table size); that is what
-makes every key in a candidate record resolvable in the hot loop.
+the allocator (same topology object, same table size, frequency and
+word format); that is what makes every key in a candidate record
+resolvable in the hot loop, and every quote valid at the allocation's
+operating point.
 
 Commits go through :meth:`Allocation.commit`, so the authoritative
 bookkeeping — and its rollback-on-conflict guarantee — is shared with
@@ -48,11 +50,10 @@ candidate cache is fault-agnostic, so repairs need no invalidation.
 
 from __future__ import annotations
 
-from repro.core.allocation import (Allocation, ChannelAllocation,
-                                   SlotAllocator)
+from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError
-from repro.core.placement import first_fit
+from repro.core.placement import ChannelAllocation, place
 from repro.core.slot_table import choose_slots_fast
 from repro.telemetry.hub import coalesce
 
@@ -151,11 +152,10 @@ class AdmissionController:
         usable = candidates if not excluded else [
             cand for cand in candidates
             if excluded.isdisjoint(cand.link_keys)]
-        placed = first_fit(allocation.link_masks, usable, choose_slots_fast,
-                           allocator.table_size)
+        placed = place(allocation.link_masks, spec, usable,
+                       choose_slots_fast, allocator.table_size)
         if placed is not None:
-            cand, slots, width = placed
-            ca = ChannelAllocation(spec=spec, path=cand.path, slots=slots)
+            ca, width = placed
             allocation.commit(ca)
             self.admits += 1
             if self._tel_collect:

@@ -33,10 +33,10 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable
 
-from repro.core.allocation import (Allocation, ChannelAllocation,
-                                   SlotAllocator)
+from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.analysis import channel_bounds
 from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.placement import ChannelAllocation
 from repro.faults.model import FaultEvent
 from repro.service.admission import AdmissionController
 from repro.service.churn import SessionEvent
@@ -456,11 +456,10 @@ class SessionService:
             return outcome
         self._start(time_s, session_id, new_ca, qos_name, "relocated")
         allocator = self.allocator
-        same = new_ca.no_worse_than(old_ca, allocator.table_size)
+        same = new_ca.no_worse_than(old_ca)
         outcome["decision"] = "same_bounds" if same else "degraded"
         outcome["latency_bound_ns"] = round(channel_bounds(
-            new_ca, allocator.table_size, allocator.frequency_hz,
-            allocator.fmt).latency_ns, 3)
+            new_ca, allocator.frequency_hz, allocator.fmt).latency_ns, 3)
         return outcome
 
     def _open(self, event: SessionEvent) -> None:
@@ -530,8 +529,7 @@ class SessionService:
             self._start(event.time_s, session.session_id, ca,
                         session.qos.name, session.qos.name)
             if record is not None:
-                bounds = channel_bounds(ca, self.allocator.table_size,
-                                        self.allocator.frequency_hz,
+                bounds = channel_bounds(ca, self.allocator.frequency_hz,
                                         self.allocator.fmt)
                 record["decision"] = "accept"
                 record["quote"] = {
@@ -586,8 +584,7 @@ class SessionService:
                 "with monitor=MonitorSpec() (or monitor=True)")
         quotes = []
         for session_id, qos_name, ca, tenant in self._quotes:
-            bounds = channel_bounds(ca, self.allocator.table_size,
-                                    self.allocator.frequency_hz,
+            bounds = channel_bounds(ca, self.allocator.frequency_hz,
                                     self.allocator.fmt)
             quotes.append((session_id, qos_name, bounds.latency_ns,
                            ca.spec.max_latency_ns,

@@ -13,7 +13,7 @@ aelite gets that property by construction at O(changed) cost, and so
 does the check.  Three mechanisms at three costs:
 
 * **every transition, O(1)**: the checker keeps its own XOR digest of
-  the sessions it expects (:meth:`ChannelAllocation.fingerprint`: name,
+  the sessions it expects (:attr:`ChannelAllocation.fingerprint`: name,
   slot tuple, traversed links), folds in only the old and the new
   record of the one session the transition names, and compares digest
   and session count with :attr:`Allocation.channels_digest`, which
@@ -47,7 +47,7 @@ whose ``invariant`` section states the verdict.
 from __future__ import annotations
 
 from repro.core.allocation import Allocation
-from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.exceptions import AllocationError, require_whole
 
 __all__ = ["CompositionInvariantChecker"]
 
@@ -57,10 +57,9 @@ class CompositionInvariantChecker:
 
     def __init__(self, allocation: Allocation, *,
                  validate_every: int = 512):
-        if validate_every < 1:
-            raise ConfigurationError("validate_every must be >= 1")
         self.allocation = allocation
-        self.validate_every = validate_every
+        self.validate_every = require_whole("validate_every",
+                                            validate_every, 1)
         self.transitions_checked = 0
         self.full_validations = 0
         self.violations: list[str] = []
@@ -102,9 +101,9 @@ class CompositionInvariantChecker:
         new = allocation.channels.get(changed)
         if new is not old:
             if old is not None:
-                self._digest ^= old.fingerprint()
+                self._digest ^= old.fingerprint
             if new is not None:
-                self._digest ^= new.fingerprint()
+                self._digest ^= new.fingerprint
                 expected[changed] = new
             else:
                 del expected[changed]

@@ -42,7 +42,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Mapping
 
-from repro.core.allocation import ChannelAllocation
+from repro.core.placement import ChannelAllocation
 from repro.core.configuration import NocConfiguration
 from repro.simulation.monitors import (ChannelStats, DeliveryRecord,
                                        InjectionRecord, StatsCollector)

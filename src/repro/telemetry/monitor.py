@@ -334,7 +334,7 @@ class ConformanceReport:
 
 
 def _judge_spans(name: str, spans, stats, spec: MonitorSpec, *,
-                 table_size: int, frequency_hz: float, fmt,
+                 frequency_hz: float, fmt,
                  horizon: int, simulated_ns: float) -> ChannelConformance:
     """Hold one channel's measurements against its quotes, span by span.
 
@@ -359,7 +359,7 @@ def _judge_spans(name: str, spans, stats, spec: MonitorSpec, *,
     incarnations = stats.incarnation_observations(name)
     entries = []
     for start, end, ca in spans:
-        bounds = channel_bounds(ca, table_size, frequency_hz, fmt)
+        bounds = channel_bounds(ca, frequency_hz, fmt)
         delivered_bytes, seen = next(
             ((delivered, seen) for first_slot, delivered, seen
              in incarnations if start <= first_slot < end),
@@ -371,8 +371,7 @@ def _judge_spans(name: str, spans, stats, spec: MonitorSpec, *,
         if simulated_ns > 0 and end > start:
             delivered_mb_s = (delivered_bytes / (
                 simulated_ns * ((end - start) / horizon)) * 1e9 / 1e6)
-            reserved = (ca.reserved_before(end, table_size) -
-                        ca.reserved_before(start, table_size))
+            reserved = ca.reserved_before(end) - ca.reserved_before(start)
             if delivered_bytes > reserved * fmt.payload_bytes_per_flit:
                 verdict = "violated"
         entries.append(ChannelConformance(
@@ -420,8 +419,8 @@ def conformance_from_result(config, result, *,
     slots = result.simulated_slots
     return _span_conformance(
         "simulation", scenario, static_lifetimes(allocation, slots),
-        result.stats, spec, table_size=allocation.table_size,
-        frequency_hz=allocation.frequency_hz, fmt=allocation.fmt,
+        result.stats, spec, frequency_hz=allocation.frequency_hz,
+        fmt=allocation.fmt,
         horizon=slots, simulated_ns=result.simulated_ns)
 
 
@@ -449,7 +448,6 @@ def timeline_conformance(timeline, result, *,
     slot_ns = timeline.fmt.flit_size / timeline.frequency_hz * 1e9
     return _span_conformance(
         "timeline", scenario, spans, result.stats, spec,
-        table_size=timeline.table_size,
         frequency_hz=timeline.frequency_hz, fmt=timeline.fmt,
         horizon=horizon, simulated_ns=horizon * slot_ns)
 
@@ -536,13 +534,13 @@ class FabricRollup:
     def _weighted(cls, table_size: int, n_channels: int, weighted,
                   series=()) -> "FabricRollup":
         """Fold ``(allocation, weight)`` pairs: the bits of each
-        channel's :meth:`~repro.core.allocation.ChannelAllocation.
+        channel's :attr:`~repro.core.placement.ChannelAllocation.
         link_occupancy` masks and its injection slots count ``weight``
         times."""
         per_link: dict[tuple[str, str], float] = {}
         per_ni: dict[str, float] = {}
         for ca, weight in weighted:
-            for link, mask in ca.link_occupancy(table_size):
+            for link, mask in ca.link_occupancy:
                 per_link[link] = (per_link.get(link, 0)
                                   + mask.bit_count() * weight)
             per_ni[ca.path.source] = (per_ni.get(ca.path.source, 0) +

@@ -175,7 +175,7 @@ def fold_requirements(channels, worst_latency_ns: dict[str, float]
                       ) -> tuple[int, float, float]:
     """Hold measured worst cases against the latency requirements.
 
-    ``channels`` are :class:`~repro.core.allocation.ChannelAllocation`
+    ``channels`` are :class:`~repro.core.placement.ChannelAllocation`
     records; those absent from ``worst_latency_ns`` were not measured
     and are skipped.  Returns ``(n_latency_ok, max_latency_ns,
     worst_margin_ns)`` — a channel without a requirement is always ok

@@ -11,14 +11,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from nx_oracle import library_k_shortest_paths
 from repro.core.allocation import (PATH_CANDIDATES, Allocation,
-                                   AllocatorOptions, ChannelAllocation,
-                                   SlotAllocator)
+                                   AllocatorOptions, SlotAllocator)
 from repro.core.analysis import analyse, channel_bounds
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.path import make_path
-from repro.core.placement import (RouteCandidate, RouteQuotes, first_fit,
-                                  quote_routes)
+from repro.core.placement import (ChannelAllocation, RouteCandidate,
+                                  RouteQuotes, place, quote_routes)
 from repro.core.requirements import latency_bound_ns, slots_for_channel
 from repro.core.slot_table import (choose_slots_fast, shifted, slots_to_mask,
                                    spread_slots)
@@ -59,8 +58,8 @@ class TestBasicAllocation:
                 link_slot = shifted(slot, shift, 16)
                 assert alloc.link_masks[link.key] >> link_slot & 1
                 assert Allocation.holder_of(alloc.channels.values(),
-                                            link.key, 1 << link_slot,
-                                            16) == (link_slot, "c")
+                                            link.key, 1 << link_slot
+                                            ) == (link_slot, "c")
 
     def test_zero_throughput_still_gets_one_slot(self):
         topo = single_router(2)
@@ -125,7 +124,6 @@ class TestBasicAllocation:
     def test_infeasible_reason_text(self, spec, hog_slots, detail):
         """The three per-candidate failure kinds, pinned literally:
         ``reason`` reaches campaign records' ``error`` field."""
-        from repro.core.allocation import ChannelAllocation
         topo = single_router(2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         allocator = _allocator(topo)
@@ -134,7 +132,7 @@ class TestBasicAllocation:
         if hog_slots:
             alloc.commit(ChannelAllocation(
                 ChannelSpec("hog", "a", "b", 1 * MB), path,
-                tuple(hog_slots)))
+                tuple(hog_slots), 16))
         with pytest.raises(AllocationError) as exc:
             allocator.extend(alloc, [spec], mapping)
         reason = f"Path(ni0_0_0 -> r0_0 -> ni0_0_1): {detail}"
@@ -267,11 +265,10 @@ class TestIncrementalReconfiguration:
         allocator = _allocator(topo, table_size=4)
         alloc = allocator.allocate(
             [ChannelSpec("c1", "a", "b", 1 * MB)], mapping)
-        from repro.core.allocation import ChannelAllocation
         taken = alloc.channel("c1")
         clash = ChannelAllocation(
             spec=ChannelSpec("c2", "a", "b", 1 * MB),
-            path=taken.path, slots=taken.slots)
+            path=taken.path, slots=taken.slots, table_size=4)
         with pytest.raises(AllocationError):
             alloc.commit(clash)
         assert "c2" not in alloc.channels
@@ -287,7 +284,7 @@ class TestIncrementalReconfiguration:
         held = allocator.shortest_candidates("ni1_0_0", "ni2_0_0")[0]
         # ('r1_0', 'r2_0') carries "a" in slots 1 and 5 (shift 1).
         alloc.commit(ChannelAllocation(ChannelSpec("a", "x", "y", 1 * MB),
-                                       held, (0, 4)))
+                                       held, (0, 4), 8))
         path = allocator.shortest_candidates("ni0_0_0", "ni2_0_0")[0]
         assert [shift for _, shift in path.hops] == [0, 1, 2, 3]
 
@@ -297,7 +294,7 @@ class TestIncrementalReconfiguration:
 
         before = snapshot()
         clash = ChannelAllocation(ChannelSpec("b", "x", "y", 1 * MB), path,
-                                  (3, 7))
+                                  (3, 7), 8)
         with pytest.raises(AllocationError) as exc:
             alloc.commit(clash)
         assert str(exc.value) == "slot 1 already reserved by 'a'"
@@ -314,7 +311,8 @@ class TestIncrementalReconfiguration:
         path = _allocator(topo, table_size=8).shortest_candidates(
             "ni0_0_0", "ni1_0_0")[0]
         with pytest.raises(AllocationError) as exc:
-            ChannelAllocation(ChannelSpec("c", "x", "y", 1 * MB), path, slots)
+            ChannelAllocation(ChannelSpec("c", "x", "y", 1 * MB), path, slots,
+                              8)
         assert str(exc.value) == \
             f"channel 'c' slot {slots[-1]!r} is not an integer"
         assert exc.value.channel == "c"
@@ -322,19 +320,37 @@ class TestIncrementalReconfiguration:
     @pytest.mark.parametrize("slots, named", [
         ((8,), 8), ((3, 8), 8), ((-1,), -1), ((-2, 9), -2)])
     def test_slot_outside_the_table_is_refused(self, slots, named):
-        """Once reduced modulo the table size, committed and validated."""
+        """Once reduced modulo the table size, committed and validated;
+        then refused at the first commit.  Now the record cannot be
+        built."""
         topo = mesh(2, 1, nis_per_router=1)
-        alloc = Allocation(topo, 8, 500e6, WordFormat())
         path = _allocator(topo, table_size=8).shortest_candidates(
             "ni0_0_0", "ni1_0_0")[0]
         with pytest.raises(AllocationError) as exc:
-            alloc.commit(ChannelAllocation(
-                ChannelSpec("c", "x", "y", 1 * MB), path, slots))
+            ChannelAllocation(ChannelSpec("c", "x", "y", 1 * MB), path,
+                              slots, 8)
         assert str(exc.value) == \
             f"channel 'c' slot {named} outside table of size 8"
         assert (exc.value.channel, exc.value.reason) == \
             ("c", "slot outside table")
+
+    @pytest.mark.parametrize("placed_in", [4, 16])
+    def test_a_record_of_another_table_size_is_refused(self, placed_in):
+        """Its link masks were derived modulo another size; ORed in,
+        they would name slots this table does not have (or wrap them
+        where this table would not)."""
+        topo = mesh(2, 1, nis_per_router=1)
+        alloc = Allocation(topo, 8, 500e6, WordFormat())
+        path = _allocator(topo, table_size=8).shortest_candidates(
+            "ni0_0_0", "ni1_0_0")[0]
+        with pytest.raises(ConfigurationError) as exc:
+            alloc.commit(ChannelAllocation(
+                ChannelSpec("c", "x", "y", 1 * MB), path, (1, 3), placed_in))
+        assert str(exc.value) == (
+            f"channel 'c' was placed in a table of size {placed_in}, "
+            f"this allocation's has 8")
         assert not alloc.channels and not any(alloc.link_masks.values())
+        assert alloc.channels_digest == 0
 
 
 class TestAllocationProperties:
@@ -391,7 +407,7 @@ class TestAllocationProperties:
         for key, mask in alloc.link_masks.items():
             for slot in range(16):
                 assert bool(mask >> slot & 1) == (Allocation.holder_of(
-                    survivors, key, 1 << slot, 16)[1] is not None)
+                    survivors, key, 1 << slot)[1] is not None)
 
 
 class TestInjectionTable:
@@ -442,7 +458,7 @@ class TestInjectionTable:
                                   ("b", "ni0_0_2", (2, 5))):
             allocation.channels[name] = ChannelAllocation(
                 ChannelSpec(name, "x", "y", 1.0),
-                make_path(topo, "ni0_0_0", ["r0_0"], dest), slots)
+                make_path(topo, "ni0_0_0", ["r0_0"], dest), slots, 8)
         with pytest.raises(AllocationError,
                            match="NI 'ni0_0_0' slot 5 is claimed by both "
                                  "'a' and 'b'"):
@@ -452,8 +468,8 @@ class TestInjectionTable:
 # -- one placement path --------------------------------------------------------
 
 def _placed(fit):
-    """``first_fit``'s result as ``(path, slots)``, or ``None``."""
-    return None if fit is None else (fit[0].path, fit[1])
+    """``place``'s result as ``(path, slots)``, or ``None``."""
+    return None if fit is None else (fit[0].path, fit[0].slots)
 
 
 def _reference_fit(allocation, spec, paths, choose):
@@ -490,14 +506,14 @@ def _reference_fit(allocation, spec, paths, choose):
 
 class TestOnePlacementPath:
     """``admit``, ``extend`` and ``rebuild_excluding`` all place through
-    ``first_fit``; only the candidates and the chooser differ."""
+    ``place``; only the candidates and the chooser differ."""
 
     SIZE = 8
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(4, 28),
            fail=st.booleans())
-    def test_admit_and_extend_commit_what_first_fit_places(
+    def test_admit_and_extend_commit_what_place_places(
             self, seed, n, fail):
         rng = random.Random(seed)
         topo = mesh(3, 2, nis_per_router=1)
@@ -528,8 +544,8 @@ class TestOnePlacementPath:
         quotes = allocator.route_quotes(src, dst, spec)
         usable = [cand for cand in quotes
                   if allocation.excluded_links.isdisjoint(cand.link_keys)]
-        placed = _placed(first_fit(allocation.link_masks, usable,
-                                   choose_slots_fast, self.SIZE))
+        placed = _placed(place(allocation.link_masks, spec, usable,
+                               choose_slots_fast, self.SIZE))
         reference, _ = _reference_fit(
             allocation, spec,
             [p for p in allocator.shortest_candidates(src, dst)
@@ -558,8 +574,8 @@ class TestOnePlacementPath:
             assert refused.value.reason == exc.reason
             return
         reasons: list[str] = []
-        placed = _placed(first_fit(
-            allocation.link_masks,
+        placed = _placed(place(
+            allocation.link_masks, spec,
             quote_routes(allocator, spec, paths, reasons), spread_slots,
             self.SIZE, reasons))
         reference, reference_reasons = _reference_fit(
@@ -591,22 +607,22 @@ class TestOnePlacementPath:
         spec = ChannelSpec("c", "a", "b", 1 * MB)
         old, new = (
             ChannelAllocation(spec, data.draw(st.sampled_from(paths)),
-                              tuple(sorted(data.draw(slot_sets))))
+                              tuple(sorted(data.draw(slot_sets))), size)
             for _ in range(2))
 
         def latency(ca):
-            return latency_bound_ns(ca.worst_wait_slots(size), ca.path,
+            return latency_bound_ns(ca.worst_wait_slots(), ca.path,
                                     frequency_hz, fmt)
 
         rebuild_formula = (new.n_slots >= old.n_slots
                            and latency(new) <= latency(old) * (1 + 1e-9))
-        old_b, new_b = (channel_bounds(ca, size, frequency_hz, fmt)
+        old_b, new_b = (channel_bounds(ca, frequency_hz, fmt)
                         for ca in (old, new))
         relocate_formula = (
             new_b.throughput_bytes_per_s
             >= old_b.throughput_bytes_per_s * (1 - 1e-9)
             and new_b.latency_ns <= old_b.latency_ns * (1 + 1e-9))
-        assert new.no_worse_than(old, size) \
+        assert new.no_worse_than(old) \
             == rebuild_formula == relocate_formula
 
 
@@ -687,13 +703,24 @@ class TestRouteGeometryOnce:
             assert list(quotes) == expected  # dataclass ==: every field
             # Unreduced shifts (pipelined paths outrun the 8-slot table)
             # place exactly what a slot-by-slot walk places.
-            placed = _placed(first_fit(allocation.link_masks, quotes,
-                                       choose_slots_fast, self.SIZE))
+            fit = place(allocation.link_masks, spec, quotes,
+                        choose_slots_fast, self.SIZE)
             walked, _ = _reference_fit(allocation, spec, reference,
                                        choose_slots_fast)
-            assert placed == walked
-            if placed is not None:
-                allocation.commit(ChannelAllocation(spec, *placed))
+            assert _placed(fit) == walked
+            if fit is not None:
+                ca = fit[0]
+                # The record's link masks and fingerprint, derived once
+                # at construction, against the per-slot derivation.
+                assert ca.link_occupancy == tuple(
+                    (link.key, slots_to_mask(
+                        {shifted(slot, shift, self.SIZE)
+                         for slot in ca.slots}, self.SIZE))
+                    for link, shift in zip(ca.path.links,
+                                           ca.path.link_shifts))
+                assert ca.fingerprint == hash(
+                    (spec.name, ca.slots, ca.path.link_keys()))
+                allocation.commit(ca)
         allocation.validate()
 
     def test_jittered_churn_searches_once_per_router_pair(self):
@@ -977,11 +1004,12 @@ class TestFastPathsHoldToTheirOracles:
                     ChannelSpec(name, src, dst, 1 * MB),
                     allocator.shortest_candidates(src, dst)[0],
                     tuple(sorted(data.draw(st.sets(
-                        st.integers(0, size - 1), min_size=1, max_size=3)))))
+                        st.integers(0, size - 1), min_size=1, max_size=3)))),
+                    size)
                 allocation.channels[
                     data.draw(st.sampled_from((name, "alias")))] = ca
                 if data.draw(st.booleans()):  # and into its link masks
-                    for link, mask in ca.link_occupancy(size):
+                    for link, mask in ca.link_occupancy:
                         masks[link] = masks.get(link, 0) | mask
             elif write == "drop" and names:
                 del allocation.channels[data.draw(st.sampled_from(names))]

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.campaign.spec import WorkloadSpec
 from repro.core.configuration import configure
-from repro.core.allocation import ChannelAllocation
+from repro.core.placement import ChannelAllocation
 from repro.core.path import make_path
 from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
                                  replay_configuration)
@@ -320,14 +320,14 @@ class _OneChannel:
         self.twin = ChannelAllocation(
             dataclasses.replace(self.granted.spec, name="twin"),
             make_path(self.topology, "ni1_1_0", ["r1_1", "r0_1"],
-                      "ni0_1_1"), self.granted.slots)
+                      "ni0_1_1"), self.granted.slots, self.TABLE_SIZE)
         assert not {link.key for link in self.twin.path.links} & \
             {link.key for link in self.granted.path.links}
 
     def allocation(self, slots, channel=None):
         channel = channel or self.granted
         return ChannelAllocation(channel.spec, channel.path,
-                                 tuple(sorted(slots)))
+                                 tuple(sorted(slots)), self.TABLE_SIZE)
 
     def timeline(self, n_slots, spans, twin=False):
         """``spans``: ``(start, end, slots)`` incarnations, in order, of
@@ -580,7 +580,7 @@ def _execute(executor, one, window, table, traffic):
     lifetimes = {
         name: tuple((start, end, ChannelAllocation(
             dataclasses.replace(one.granted.spec, name=name),
-            one.granted.path, tuple(sorted(slots))))
+            one.granted.path, tuple(sorted(slots)), one.TABLE_SIZE))
             for start, end, slots in spans)
         for name, spans in table.items()}
     return executor(one.config, lifetimes, window, traffic, NULL_TELEMETRY)

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import ChannelAllocation
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import SimulationError
 from repro.core.path import make_path
+from repro.core.placement import ChannelAllocation
 from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
                                  replay_configuration)
 from repro.core.words import WordFormat
@@ -31,7 +31,7 @@ from repro.topology.builders import mesh
 TABLE_SIZE = 4
 
 
-def _channel(topology, name, src, dst, slots):
+def _channel(topology, name, src, dst, slots, table_size=TABLE_SIZE):
     """``name`` from NI ``src`` to NI ``dst`` of a line of routers."""
     step = 1 if dst > src else -1
     path = make_path(topology, topology.nis[src],
@@ -40,7 +40,7 @@ def _channel(topology, name, src, dst, slots):
                      topology.nis[dst])
     return ChannelAllocation(
         ChannelSpec(name, f"ip{src}", f"ip{dst}", MB, application=name),
-        path, tuple(sorted(slots)))
+        path, tuple(sorted(slots)), table_size)
 
 
 class TestInFlight:
@@ -130,7 +130,7 @@ def _tables(draw):
                                  min_size=1))
             lifetimes.setdefault(f"c{index}", []).append((
                 start, stop, _channel(topology, f"c{index}", src, dst,
-                                      slots)))
+                                      slots, table_size)))
             cursor = stop
     return lifetimes, draw(st.integers(1, n_slots)), table_size
 

@@ -191,18 +191,19 @@ class TestRebuildExcluding:
     def test_unreroutable_reason_text(self, spec, hog_slots, detail):
         """The three per-candidate failure kinds on the one surviving
         detour, pinned literally."""
-        from repro.core.allocation import Allocation, ChannelAllocation
+        from repro.core.allocation import Allocation
+        from repro.core.placement import ChannelAllocation
         from repro.core.words import WordFormat
         from repro.topology.routing import k_shortest_paths
         topo = mesh(2, 2, nis_per_router=1)
         direct, = k_shortest_paths(topo, "ni0_0_0", "ni1_0_0", 1)
         hog_path, = k_shortest_paths(topo, "ni0_1_0", "ni1_1_0", 1)
         allocation = Allocation(topo, 16, 500e6, WordFormat())
-        allocation.commit(ChannelAllocation(spec, direct, (0,)))
+        allocation.commit(ChannelAllocation(spec, direct, (0,), 16))
         if hog_slots:
             allocation.commit(ChannelAllocation(
                 ChannelSpec("hog", "h0", "h1", 1 * MB), hog_path,
-                tuple(hog_slots)))
+                tuple(hog_slots), 16))
         dead = [("r0_0", "r1_0")]
         reason = ("Path(ni0_0_0 -> r0_0 -> r0_1 -> r1_1 -> r1_0 -> "
                   f"ni1_0_0): {detail}")

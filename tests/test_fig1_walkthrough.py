@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.allocation import Allocation, ChannelAllocation
+from repro.core.allocation import Allocation
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.path import make_path
+from repro.core.placement import ChannelAllocation
 from repro.core.slot_table import shifted
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.traffic import Saturating
@@ -40,9 +41,9 @@ def figure1():
     path_a = make_path(topo, "ni_a", ["rl", "rr"], "ni_b")
     path_b = make_path(topo, "ni_c", ["rl", "rr"], "ni_b")
     allocation.commit(ChannelAllocation(spec=spec_a, path=path_a,
-                                        slots=(0, 2)))
+                                        slots=(0, 2), table_size=4))
     allocation.commit(ChannelAllocation(spec=spec_b, path=path_b,
-                                        slots=(1,)))
+                                        slots=(1,), table_size=4))
     return topo, spec_a, spec_b, mapping, allocation
 
 
@@ -50,10 +51,10 @@ class TestFigure1:
     def test_shifted_reservations_match_figure(self, figure1):
         """The figure's tables: cA {0,2} -> {1,3} -> {2,0}; cB {1} -> {2} -> {3}."""
         _, _, _, _, allocation = figure1
-        assert allocation.channel("cA").link_occupancy(4) == (
+        assert allocation.channel("cA").link_occupancy == (
             (("ni_a", "rl"), 0b0101), (("rl", "rr"), 0b1010),
             (("rr", "ni_b"), 0b0101))
-        assert allocation.channel("cB").link_occupancy(4) == (
+        assert allocation.channel("cB").link_occupancy == (
             (("ni_c", "rl"), 0b0010), (("rl", "rr"), 0b0100),
             (("rr", "ni_b"), 0b1000))
 
@@ -66,7 +67,7 @@ class TestFigure1:
         shared = ("rl", "rr")
         assert allocation.link_masks[shared] == 0b1110
         assert [allocation.holder_of(allocation.channels.values(), shared,
-                                     1 << slot, 4) for slot in range(4)] == \
+                                     1 << slot) for slot in range(4)] == \
             [(0, None), (1, "cA"), (2, "cB"), (3, "cA")]
 
     def test_simulation_confirms_figure(self, figure1):

@@ -11,8 +11,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocation import ChannelAllocation, SlotAllocator
-from repro.core.exceptions import AllocationError
+from repro.core.allocation import SlotAllocator
+from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.placement import ChannelAllocation
 from repro.core.slot_table import shifted
 from repro.service import (DEFAULT_CLASSES, AdmissionController, ChurnSpec,
                            ChurnWorkload, CompositionInvariantChecker,
@@ -67,7 +68,8 @@ def moved(ctrl, ca: ChannelAllocation) -> ChannelAllocation:
     spare = next(slot for slot in free if slot not in ca.slots)
     return ChannelAllocation(
         spec=ca.spec, path=ca.path,
-        slots=tuple(sorted((*ca.slots[1:], spare))))
+        slots=tuple(sorted((*ca.slots[1:], spare))),
+        table_size=ca.table_size)
 
 
 # -- (a) tampering through commit/release: reported on that transition -------
@@ -104,7 +106,8 @@ def test_equal_but_replaced_record_is_not_a_false_alarm(small_mesh):
     ctrl, checker = checked_controller(small_mesh)
     ca = ctrl.allocation.release("s0")
     ctrl.allocation.commit(
-        ChannelAllocation(spec=ca.spec, path=ca.path, slots=ca.slots))
+        ChannelAllocation(spec=ca.spec, path=ca.path, slots=ca.slots,
+                          table_size=ca.table_size))
     ctrl.admit(*spec_of("new", 5))
     assert checker.check_transition("new") is True
     assert checker.final_check()["ok"]
@@ -127,7 +130,8 @@ def bypass_replace(ctrl):
     ca = ctrl.allocation.channels["s0"]
     other = ctrl.allocation.channels["s1"]
     ctrl.allocation.channels["s0"] = ChannelAllocation(
-        spec=ca.spec, path=other.path, slots=other.slots)
+        spec=ca.spec, path=other.path, slots=other.slots,
+        table_size=ca.table_size)
     return "disturbed running session 's0'"
 
 
@@ -149,6 +153,18 @@ def test_bypassing_write_caught_by_next_cadence_boundary(small_mesh, write):
     assert verdicts == [True, True, True, False]
     assert checker.full_validations == 2
     assert any(message in violation for violation in checker.violations)
+
+
+@pytest.mark.parametrize("every", [0, float("nan"), 2.5, float("inf")])
+def test_a_cadence_that_is_no_whole_count_is_refused(small_mesh, every):
+    """``nan`` used to turn the backstop off (no comparison with it
+    holds) and ``2.5`` to be accepted."""
+    allocation = AdmissionController(
+        SlotAllocator(small_mesh, table_size=16, frequency_hz=500e6)
+    ).allocation
+    with pytest.raises(ConfigurationError,
+                       match="validate_every must be"):
+        CompositionInvariantChecker(allocation, validate_every=every)
 
 
 @pytest.mark.parametrize("write", [bypass_replace, corrupt_table])
@@ -175,9 +191,10 @@ def test_undone_bypass_leaves_digest_out_of_step(small_mesh):
     spec, src, dst = spec_of("ghost", 4)
     path = ctrl.allocator.shortest_candidates(src, dst)[0]
     free = free_injection_slots(ctrl.allocation, path)
-    ghost = ChannelAllocation(spec=spec, path=path, slots=free[:1])
+    ghost = ChannelAllocation(spec=spec, path=path, slots=free[:1],
+                              table_size=16)
     ctrl.allocation.channels["ghost"] = ghost
-    for key, mask in ghost.link_occupancy(16):
+    for key, mask in ghost.link_occupancy:
         ctrl.allocation.link_masks[key] |= mask
     ctrl.allocation.release("ghost")
     assert checker.check_transition("nobody") is False

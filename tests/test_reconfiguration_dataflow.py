@@ -204,13 +204,13 @@ class TestDataflow:
     def _server(self, slots=(0, 8), table=16):
         from repro.core.path import make_path
         from repro.topology.builders import single_router
-        from repro.core.allocation import ChannelAllocation
+        from repro.core.placement import ChannelAllocation
         topo = single_router(2)
         path = make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1")
         ca = ChannelAllocation(
             spec=ChannelSpec("c", "a", "b", 50 * MB),
-            path=path, slots=slots)
-        return latency_rate_of(ca, table, 500e6, WordFormat())
+            path=path, slots=slots, table_size=table)
+        return latency_rate_of(ca, 500e6, WordFormat())
 
     def test_theta_matches_analysis_bound(self):
         server = self._server()

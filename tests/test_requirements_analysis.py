@@ -7,7 +7,6 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.allocation import ChannelAllocation
 from repro.core.analysis import channel_bounds, summarise
 from repro.core.buffers import (credit_headroom_ok, credit_loop,
                                 required_rx_buffer_words,
@@ -15,6 +14,7 @@ from repro.core.buffers import (credit_headroom_ok, credit_loop,
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.path import make_path
+from repro.core.placement import ChannelAllocation
 from repro.core.requirements import (latency_bound_ns,
                                      link_payload_bytes_per_s,
                                      link_raw_bytes_per_s,
@@ -93,11 +93,12 @@ class TestChannelBounds:
         path = make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1")
         spec = ChannelSpec("c", "a", "b", throughput,
                            max_latency_ns=latency)
-        return ChannelAllocation(spec=spec, path=path, slots=slots)
+        return ChannelAllocation(spec=spec, path=path, slots=slots,
+                                 table_size=16)
 
     def test_bounds_fields(self, fmt):
         ca = self._alloc(fmt, (0, 8))
-        bounds = channel_bounds(ca, 16, 500e6, fmt)
+        bounds = channel_bounds(ca, 500e6, fmt)
         assert bounds.n_slots == 2
         assert bounds.worst_wait_slots == 8
         assert bounds.traversal_slots == 2
@@ -106,21 +107,21 @@ class TestChannelBounds:
 
     def test_meets_flags(self, fmt):
         good = channel_bounds(self._alloc(fmt, (0, 4, 8, 12),
-                                          latency=100.0), 16, 500e6, fmt)
+                                          latency=100.0), 500e6, fmt)
         assert good.meets_latency and good.meets_throughput
         bad = channel_bounds(self._alloc(fmt, (0,), latency=40.0,
                                          throughput=300 * MB),
-                             16, 500e6, fmt)
+                             500e6, fmt)
         assert not bad.meets_latency
         assert not bad.meets_throughput
 
     def test_latency_slack(self, fmt):
         bounds = channel_bounds(self._alloc(fmt, (0, 8), latency=100.0),
-                                16, 500e6, fmt)
+                                500e6, fmt)
         assert bounds.latency_slack_ns == pytest.approx(40.0)
 
     def test_no_latency_requirement_always_met(self, fmt):
-        bounds = channel_bounds(self._alloc(fmt, (0,)), 16, 500e6, fmt)
+        bounds = channel_bounds(self._alloc(fmt, (0,)), 500e6, fmt)
         assert bounds.meets_latency
         assert bounds.latency_slack_ns == float("inf")
 
@@ -139,15 +140,15 @@ class TestBuffers:
                                  "ni0_0_0")
         forward = ChannelAllocation(
             spec=ChannelSpec("f", "a", "b", 100 * MB),
-            path=forward_path, slots=(0, 8))
+            path=forward_path, slots=(0, 8), table_size=16)
         reverse = ChannelAllocation(
             spec=ChannelSpec("r", "b", "a", 10 * MB),
-            path=reverse_path, slots=(4,))
+            path=reverse_path, slots=(4,), table_size=16)
         return forward, reverse
 
     def test_credit_loop_arithmetic(self, fmt):
         forward, reverse = self._pair(fmt)
-        loop = credit_loop(forward, reverse, 16)
+        loop = credit_loop(forward, reverse)
         assert loop.forward_slots == forward.path.traversal_slots
         assert loop.credit_wait_slots == 16  # single reverse slot
         assert loop.reverse_slots == reverse.path.traversal_slots
@@ -157,8 +158,8 @@ class TestBuffers:
 
     def test_rx_buffer_covers_loop(self, fmt):
         forward, reverse = self._pair(fmt)
-        words = required_rx_buffer_words(forward, reverse, 16, fmt)
-        loop = credit_loop(forward, reverse, 16)
+        words = required_rx_buffer_words(forward, reverse, fmt)
+        loop = credit_loop(forward, reverse)
         rotations = math.ceil(loop.total_slots / 16)
         assert words == (rotations * forward.n_slots + 1) * \
             fmt.payload_words_per_flit
@@ -174,9 +175,9 @@ class TestBuffers:
         forward, reverse = self._pair(fmt)
         # 2 fwd slots * 2 payload words = 4 credits consumed/rotation;
         # 1 rev slot * 31 max credits = 31 returned: plenty.
-        assert credit_headroom_ok(forward, reverse, 16, fmt)
+        assert credit_headroom_ok(forward, reverse, fmt)
 
     def test_mismatched_pair_rejected(self, fmt):
         forward, _ = self._pair(fmt)
         with pytest.raises(ConfigurationError):
-            credit_loop(forward, forward, 16)
+            credit_loop(forward, forward)

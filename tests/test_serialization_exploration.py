@@ -103,7 +103,8 @@ class TestSerialization:
     def test_slot_outside_the_table_is_refused_on_load(self, mesh_config,
                                                        slot):
         """Once reduced modulo the table size, loaded and validated; the
-        first complaint came from ``bounds()``."""
+        first complaint came from ``bounds()``.  Now the record for the
+        table the file names cannot be built."""
         data = configuration_to_dict(mesh_config)
         data["allocation"]["c0"]["slots"] = [slot]
         with pytest.raises(AllocationError,
@@ -111,6 +112,7 @@ class TestSerialization:
                 as refused:
             configuration_from_dict(data)
         assert refused.value.reason == "slot outside table"
+        assert refused.traceback[-1].name == "__post_init__"
 
     @pytest.mark.parametrize("edit", [
         lambda d: d.pop("word_format"),

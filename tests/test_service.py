@@ -12,15 +12,18 @@ from hypothesis import given, strategies as st
 from repro.campaign import CampaignRunner, CampaignSpec, churn_campaign
 from repro.campaign.kinds import run_kind
 from repro.campaign.spec import ScenarioSpec, TopologySpec
-from repro.core.allocation import SlotAllocator
+from repro.core.allocation import Allocation, SlotAllocator
+from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.slot_table import (choose_slots_fast, mask_to_slots,
                                    max_consecutive_gap, rotate_mask, shifted,
                                    slots_to_mask)
+from repro.core.words import WordFormat
 from repro.service import (DEFAULT_CLASSES, AdmissionController, ChurnSpec,
                            ChurnWorkload, QosClass, SessionService,
                            run_demo)
 from repro.topology.builders import concentrated_mesh, mesh
+from repro.topology.mapping import Mapping
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +269,28 @@ class TestAdmissionController:
                 AdmissionController(allocator, foreign)
         own = AdmissionController(allocator).allocation
         assert AdmissionController(allocator, own).allocation is own
+
+    @pytest.mark.parametrize("frequency_hz, fmt, refused", [
+        (125e6, WordFormat(), "allocation frequency 125000000.0 != "
+                              "allocator frequency 500000000.0"),
+        (500e6, WordFormat(data_width=64), "allocation word format "),
+    ], ids=["frequency", "word-format"])
+    def test_an_allocation_at_another_operating_point_is_refused(
+            self, small_mesh, frequency_hz, fmt, refused):
+        """Quotes meet a requirement at the allocator's frequency and
+        word format; bounds are read at the allocation's.  At 125 MHz a
+        ``max_latency_ns=100`` channel used to be admitted with a bound
+        of 240 ns."""
+        allocator = SlotAllocator(small_mesh, table_size=16,
+                                  frequency_hz=500e6)
+        foreign = Allocation(small_mesh, 16, frequency_hz, fmt)
+        with pytest.raises(ConfigurationError, match=refused):
+            AdmissionController(allocator, foreign)
+        mapping = Mapping({"a": "ni0_0_0", "b": "ni1_1_0"})
+        with pytest.raises(ConfigurationError, match=refused):
+            allocator.extend(foreign, [ChannelSpec(
+                "c", "a", "b", 1e6, max_latency_ns=100.0)], mapping)
+        assert not foreign.channels
 
     def test_quote_cache_is_bounded_and_eviction_is_invisible(
             self, small_mesh, monkeypatch):

@@ -14,6 +14,7 @@ The load-bearing claims:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -392,13 +393,18 @@ class TestOneEntryOneVetting:
 
     @staticmethod
     def _timeline(config, **changed):
+        """One start of ``config``'s channels; a changed ``table_size``
+        carries them placed in that table (a timeline refuses a record
+        of another size)."""
         from repro.core.timeline import (ReconfigurationTimeline,
                                          TimelineEvent)
+        size = changed.get("table_size", config.table_size)
         return ReconfigurationTimeline(**{
             "topology": config.topology,
             "events": [TimelineEvent(
                 0, "start", "app",
-                tuple(config.allocation.channels.values()))],
+                tuple(dataclasses.replace(ca, table_size=size)
+                      for ca in config.allocation.channels.values()))],
             "horizon_slots": 200, "table_size": config.table_size,
             "frequency_hz": config.frequency_hz, "fmt": config.fmt,
             **changed})

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.exceptions import AllocationError, ConfigurationError
-from repro.core.placement import RouteCandidate, first_fit
+from repro.core.connection import ChannelSpec
+from repro.core.placement import RouteCandidate, place
 from repro.core.slot_table import (_nearest, choose_slots_fast,
                                    ideal_positions, max_consecutive_gap,
                                    shifted, slots_to_mask, spread_slots,
@@ -220,7 +221,7 @@ def ref_choose_slots_fast(free, n, size, max_gap=None):
 
 
 def ref_first_fit(link_masks, candidates, ref_choose, size):
-    """:func:`first_fit` read slot by slot: a candidate's free injection
+    """:func:`place` read slot by slot: a candidate's free injection
     slots are those no hop holds once shifted, handed to ``ref_choose``
     as a set."""
     for cand in candidates:
@@ -235,21 +236,32 @@ def ref_first_fit(link_masks, candidates, ref_choose, size):
     return None
 
 
+class _Route:
+    """What a placed record reads of a route: its hops and link keys."""
+
+    def __init__(self, hops):
+        self.hops = hops
+
+    def link_keys(self):
+        return tuple(key for key, _ in self.hops)
+
+
 @st.composite
 def placements(draw):
     """Random link occupancy and candidate routes over it."""
     size = draw(st.integers(1, 64))
     keys = [(f"a{i}", f"b{i}") for i in range(draw(st.integers(1, 4)))]
     link_masks = {key: draw(st.integers(0, (1 << size) - 1)) for key in keys}
-    candidates = [
-        RouteCandidate(
-            path=f"route{index}", n_slots=draw(st.integers(1, size)),
+    candidates = []
+    for _ in range(draw(st.integers(1, 4))):
+        hops = tuple(draw(st.lists(
+            st.tuples(st.sampled_from(keys), st.integers(0, 3 * size)),
+            min_size=1, max_size=4)))
+        candidates.append(RouteCandidate(
+            path=_Route(hops),
+            n_slots=draw(st.integers(1, size)),
             max_gap=draw(st.none() | st.integers(1, size)),
-            hops=tuple(draw(st.lists(
-                st.tuples(st.sampled_from(keys), st.integers(0, 3 * size)),
-                min_size=1, max_size=4))),
-            link_keys=frozenset(keys))
-        for index in range(draw(st.integers(1, 4)))]
+            hops=hops, link_keys=frozenset(keys)))
     return link_masks, candidates, size
 
 
@@ -286,12 +298,18 @@ class TestOutwardWalk:
             ref_choose_slots_fast(free, n, size, max_gap)
 
     @given(placements())
-    def test_first_fit_places_as_the_set_based_reference(self, placement):
+    def test_place_places_as_the_set_based_reference(self, placement):
         link_masks, candidates, size = placement
+        spec = ChannelSpec("c", "a", "b", 1.0)
         for choose, ref_choose in ((choose_slots_fast, ref_choose_slots_fast),
                                    (spread_slots, ref_spread_slots)):
-            assert first_fit(link_masks, candidates, choose, size) == \
-                ref_first_fit(link_masks, candidates, ref_choose, size)
+            placed = place(link_masks, spec, candidates, choose, size)
+            reference = ref_first_fit(link_masks, candidates, ref_choose,
+                                      size)
+            assert (None if placed is None else
+                    (placed[0].path, placed[0].slots, placed[1])) == \
+                (None if reference is None else
+                 (reference[0].path, reference[1], reference[2]))
 
     @pytest.mark.parametrize("chooser", [spread_slots, choose_slots_fast])
     @pytest.mark.parametrize("mask, top", [

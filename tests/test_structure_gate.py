@@ -92,13 +92,26 @@ def test_the_tree_passes():
     ("core/placement.py", "N = slots_for_channel(None, None, 8, 1.0, None)",
      "slots_for_channel( must occur once in core/placement.py"),
     ("core/placement.py", "S = choose(mask_to_slots(0), 1, 8)",
-     "first_fit unpacks the free mask for its chooser again"),
+     "place unpacks the free mask for its chooser again"),
     ("core/slot_table.py", "def _sorted_free(free, size): pass",
      "sorts or sets the free slots again"),
     ("core/slot_table.py", "F = set(free_slots)",
      "sorts or sets the free slots again"),
     ("core/allocation.py", "S = shifted(0, 1, 4)",
      "shifted( is called in core/allocation.py"),
+    ("core/placement.py", "S = shifted(0, 1, 4)",
+     "shifted( is called in core/allocation.py or core/placement.py"),
+    ("core/placement.py", "first_fit = place",
+     "first_fit is back under src/repro"),
+    ("telemetry/monitor.py", "M = ca.link_occupancy(16)",
+     "link_occupancy is called or memoised again"),
+    ("core/placement.py", "_link_occupancy = None",
+     "link_occupancy is called or memoised again"),
+    ("service/admission.py", "CA = ChannelAllocation(None, None, (0,), 8)",
+     "a ChannelAllocation is built outside"),
+    ("core/allocation.py",
+     "def f(ca):\n    return ChannelAllocation(ca.spec, ca.path, (0,), 8)",
+     "a ChannelAllocation is built outside"),
     ("telemetry/monitor.py", "T = allocation.link_tables",
      "a second record of who holds a link slot"),
     ("core/allocation.py", "def link_slots(self, size): pass",
@@ -110,7 +123,7 @@ def test_the_tree_passes():
     ("ni/network_interface.py", "class SlotTable(tuple): pass",
      "class SlotTable is back under src/repro"),
     ("service/admission.py",
-     "from repro.core.placement import (first_fit,\n    _quoted)",
+     "from repro.core.placement import (place,\n    _quoted)",
      "_-prefixed name of core.placement or core.allocation is imported"),
     ("faults/model.py", "from repro.core.allocation import _first_fit",
      "_-prefixed name of core.placement or core.allocation is imported"),

@@ -24,11 +24,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocation import ChannelAllocation, SlotAllocator
+from repro.core.allocation import SlotAllocator
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.placement import ChannelAllocation
 from repro.core.reconfiguration import ReconfigurationManager
 from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
                                  TimelineRecorder, replay_configuration)
@@ -124,7 +125,7 @@ class TestTimelineArtifact:
         clone = type(c0)(spec=ChannelSpec(
             "ghost", c0.spec.src_ip, c0.spec.dst_ip,
             c0.spec.throughput_bytes_per_s, application="ghost"),
-            path=c0.path, slots=c0.slots)
+            path=c0.path, slots=c0.slots, table_size=c0.table_size)
         with pytest.raises(AllocationError):
             ReconfigurationTimeline(
                 mesh_config.topology,
@@ -167,17 +168,27 @@ class TestTimelineArtifact:
     @pytest.mark.parametrize("slots", [(8,), (1, 8), (-1,), (-1, 3)])
     def test_slot_outside_the_table_is_refused_at_the_start(
             self, mesh_config, slots):
-        """Once reduced modulo the table size and accepted."""
+        """Once reduced modulo the table size and accepted; then refused
+        at the start.  Now the record cannot be built."""
         c0 = mesh_config.allocation.channel("c0")
-        outside = type(c0)(spec=c0.spec, path=c0.path, slots=slots)
         with pytest.raises(AllocationError, match="outside table of size 8") \
                 as refused:
+            type(c0)(spec=c0.spec, path=c0.path, slots=slots, table_size=8)
+        assert refused.value.reason == "slot outside table"
+
+    def test_a_record_of_another_table_size_is_refused_at_the_start(
+            self, mesh_config):
+        c0 = mesh_config.allocation.channel("c0")
+        assert c0.table_size == 8
+        with pytest.raises(ConfigurationError) as refused:
             ReconfigurationTimeline(
                 mesh_config.topology,
-                [TimelineEvent(0, "start", "appX", (outside,))],
-                horizon_slots=100, table_size=8,
+                [TimelineEvent(0, "start", "appX", (c0,))],
+                horizon_slots=100, table_size=16,
                 frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
-        assert refused.value.reason == "slot outside table"
+        assert str(refused.value) == (
+            "channel 'c0' was placed in a table of size 8, the timeline's "
+            "has 16")
 
 
 _FABRIC = mesh(2, 2, nis_per_router=1, pipeline_stages=1)
@@ -232,7 +243,7 @@ class TestEpochMasksHoldToThePerSlotWalk:
                                           min_size=1, max_size=2))
                 channels.append(ChannelAllocation(
                     ChannelSpec(f"a{app}c{index}", src, dst, 1 * MB),
-                    path, tuple(sorted(slots))))
+                    path, tuple(sorted(slots)), self.SIZE))
             start = data.draw(st.integers(0, 40))
             events.append(TimelineEvent(start, "start", f"a{app}",
                                         tuple(channels)))
@@ -462,8 +473,14 @@ def _replay_faults(config):
     foreign = mesh(2, 2, nis_per_router=1, pipeline_stages=1)
 
     def rebuilt(**changed):
+        # Records placed in the rebuilt table: a timeline refuses one
+        # of another size.
+        size = changed.get("table_size", good.table_size)
+        events = [replace(event, channels=tuple(
+            replace(ca, table_size=size) for ca in event.channels))
+            for event in good.events]
         return ReconfigurationTimeline(**{
-            "topology": good.topology, "events": good.events,
+            "topology": good.topology, "events": events,
             "horizon_slots": good.horizon_slots,
             "table_size": good.table_size,
             "frequency_hz": good.frequency_hz, "fmt": good.fmt,

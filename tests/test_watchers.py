@@ -27,9 +27,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.spec import WorkloadSpec, derive_seed
-from repro.core.allocation import ChannelAllocation
 from repro.core.analysis import channel_bounds
 from repro.core.configuration import configure
+from repro.core.placement import ChannelAllocation
 from repro.core.timeline import (TimelineEvent, TimelineRecorder,
                                  lifetime_boundaries, replay_configuration)
 from repro.experiments.section7 import section7_setup, usecase_gs_rows
@@ -339,8 +339,7 @@ class TestRelocatedSurvivor:
         timeline = fault_outcome.timeline
         entries = {entry.channel: entry for entry in report.channels}
         for name in relocated:
-            bounds = [channel_bounds(ca, timeline.table_size,
-                                     timeline.frequency_hz,
+            bounds = [channel_bounds(ca, timeline.frequency_hz,
                                      timeline.fmt).latency_ns
                       for _, _, ca in timeline.channel_intervals()[name]]
             assert entries[name].latency_bound_ns in bounds
@@ -415,7 +414,7 @@ class TestOverDelivery:
             n_slots=400, traffic=burst_traffic(config)))
         assert conformance_from_result(config, result).n_violated == 0
         ca = config.allocation.channels["c0"]
-        capacity = ca.reserved_before(400, config.table_size) * \
+        capacity = ca.reserved_before(400) * \
             config.fmt.payload_bytes_per_flit
         deliveries = result.stats.channel("c0").deliveries
         extra = capacity - sum(d.payload_bytes for d in deliveries) + 1

@@ -13,6 +13,7 @@ count must lie in ``[low, high]``.  The few rules a line cannot hold
 """
 
 import ast
+import functools
 import re
 import sys
 from pathlib import Path
@@ -38,7 +39,7 @@ RULES = [
     (r"rotate_mask\(", SRC, r"src/repro/core/slot_table\.py", ONCE,
      "rotate_mask( must have one call site outside core/slot_table.py"),
     (r"choose\(mask_to_slots\(", ("src/repro/core/placement.py",), None, NONE,
-     "first_fit unpacks the free mask for its chooser again (the choosers "
+     "place unpacks the free mask for its chooser again (the choosers "
      "take the mask)"),
     (r"_sorted_free|set\(free", ("src/repro/core/slot_table.py",), None, NONE,
      "core/slot_table.py sorts or sets the free slots again (the choosers "
@@ -50,9 +51,21 @@ RULES = [
      "(quote_routes)"),
     (r"tuple\(quote_routes\(", SRC, None, NONE,
      "quotes are materialised eagerly again (tuple(quote_routes(...)))"),
-    (r"\bshifted\(", ("src/repro/core/allocation.py",), None, NONE,
-     "shifted( is called in core/allocation.py: per-link occupancy has one "
-     "derivation, ChannelAllocation.link_occupancy"),
+    (r"\bshifted\(", ("src/repro/core/allocation.py",
+                      "src/repro/core/placement.py"), None, NONE,
+     "shifted( is called in core/allocation.py or core/placement.py: "
+     "per-link occupancy has one derivation, the masks ChannelAllocation "
+     "derives at construction"),
+    (r"\bfirst_fit\b", SRC, None, NONE,
+     "first_fit is back under src/repro (place returns the channel's "
+     "record)"),
+    (r"link_occupancy\(|\b_link_occupancy\b", SRC, None, NONE,
+     "ChannelAllocation.link_occupancy is called or memoised again (an "
+     "attribute derived once, at construction)"),
+    (r"^(?!\s*(>>>|\.\.\.)).*\bChannelAllocation\(", SRC,
+     r"src/repro/core/(placement|serialization)\.py", NONE,
+     "a ChannelAllocation is built outside core/placement.py and "
+     "core/serialization.py (a placement returns the record)"),
     (r"set_excluded_links|free_injection_mask|_path_free_mask|"
      r"def candidate_paths|_pending_admit_us", SRC, None, NONE,
      f"a deleted placement twin or fault-state mirror {_GONE}"),
@@ -177,8 +190,9 @@ RULES = [
 ]
 
 
-def _lines(root: Path, scope, allowed):
-    """Every line of every file the scope names and ``allowed`` does not."""
+def _lines(root: Path, scope, allowed, lines):
+    """Every line of every file the scope names and ``allowed`` does not,
+    each file's through ``lines`` (split once per run)."""
     for entry in scope:
         base = root / entry.removesuffix("/*")
         glob = "*" if entry.endswith("/*") else "*.py"
@@ -186,31 +200,44 @@ def _lines(root: Path, scope, allowed):
             name = path.relative_to(root).as_posix()
             if path.is_file() and "__pycache__" not in name and \
                     not (allowed and re.match(allowed, name)):
-                yield from path.read_text(errors="replace").splitlines()
+                yield from lines(path)
 
 
 def first_violation(root: Path) -> str | None:
-    """The message of the first broken rule, or ``None``."""
+    """The message of the first broken rule, or ``None``.
+
+    Every file is read, and split into lines, at most once per run.
+    """
+    @functools.cache
+    def text(path: Path) -> str:
+        return path.read_text(errors="replace")
+
+    @functools.cache
+    def lines(path: Path) -> list[str]:
+        return text(path).splitlines()
+
     for pattern, scope, allowed, (low, high), message in RULES:
-        count = sum(bool(re.search(pattern, line))
-                    for line in _lines(root, scope, allowed))
+        search = re.compile(pattern).search
+        count = sum(bool(search(line))
+                    for line in _lines(root, scope, allowed, lines))
         if not low <= count <= high:
             return f"{message} ({count} matching lines)"
     # An import statement may span lines, so this rule reads the syntax.
     for path in sorted((root / "src/repro").rglob("*.py")):
         if path.relative_to(root / "src/repro").parts[0] == "core":
             continue
-        for node in ast.walk(ast.parse(path.read_text(errors="replace"))):
+        for node in ast.walk(ast.parse(text(path))):
             if isinstance(node, ast.ImportFrom) and node.module in _SEAMS \
                     and any(a.name.startswith("_") for a in node.names):
                 return f"{_PRIVATE} ({path.relative_to(root).as_posix()})"
     if (root / "benchmarks/records").exists():
         return "benchmarks/records is back"
     # The best-effort loop asks the topology at construction only.
-    text = (root / "src/repro/baseline/be_network.py").read_text()
-    built = re.search(r" def _build_routers.*?(?=\n    def |\Z)", text, re.S)
+    source = text(root / "src/repro/baseline/be_network.py")
+    built = re.search(r" def _build_routers.*?(?=\n    def |\Z)", source,
+                      re.S)
     for lookup in ("neighbor_on_port(", "attached_router("):
-        if text.count(lookup) != 1 or not built or \
+        if source.count(lookup) != 1 or not built or \
                 built.group().count(lookup) != 1:
             return f"{lookup} must have one call site, inside _build_routers"
 
