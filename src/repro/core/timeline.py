@@ -324,9 +324,9 @@ class ReconfigurationTimeline:
         if fmt is not None and self.fmt != fmt:
             raise ConfigurationError(
                 "timeline word format differs from the configuration's")
-        if n_slots is None:
-            n_slots = self.horizon_slots
-        if not 0 < n_slots <= self.horizon_slots:
+        n_slots = self.horizon_slots if n_slots is None else \
+            require_whole(f"n_{units}", n_slots, 1)
+        if n_slots > self.horizon_slots:
             raise ConfigurationError(
                 f"n_{units} must be in (0, {self.horizon_slots}], "
                 f"got {n_slots}")

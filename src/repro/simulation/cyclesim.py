@@ -12,7 +12,10 @@ the paper's three deployment styles:
   (Section V);
 * ``"asynchronous"`` — every router and NI wrapped into a stallable
   process with token-based synchronisation; clocks may be plesiochronous
-  (Section VI).
+  (Section VI).  Each link's IPI is primed with the ``1 +
+  pipeline_stages`` slots the allocator charges the hop (one more on an
+  NI link), so every router-to-router link needs a pipeline stage, as
+  mesochronous clocking needs one on a link that crosses regions.
 
 The detailed simulator is the ground truth the fast flit-level simulator
 is validated against: integration tests assert both produce identical
@@ -241,8 +244,8 @@ class DetailedNetwork:
                 is_ni=topo.kind(node) is NodeKind.NI)
         for link in topo.links:
             latency = max(1, self.domains[link.src].period_ps // 2)
-            connect_wrappers(self.wrappers[link.src], link.src_port,
-                             self.wrappers[link.dst], link.dst_port,
+            connect_wrappers(self.wrappers[link.src],
+                             self.wrappers[link.dst], link,
                              latency_ps=latency)
 
     # -- registration --------------------------------------------------------------

@@ -424,6 +424,14 @@ def conformance_from_result(config, result, *,
         horizon=slots, simulated_ns=result.simulated_ns)
 
 
+def _window(timeline, n_slots):
+    """The window a timeline reader judges — ``n_slots`` vetted by
+    :meth:`~repro.core.timeline.ReconfigurationTimeline.check_replay`,
+    the horizon by default — and the lifetime table clipped to it."""
+    horizon = timeline.check_replay(n_slots)
+    return horizon, timeline.clipped_intervals(horizon)
+
+
 def timeline_conformance(timeline, result, *,
                          n_slots: int | None = None,
                          channels=None,
@@ -441,8 +449,7 @@ def timeline_conformance(timeline, result, *,
     the channels whose guarantees are live across every epoch); the
     default monitors every timeline channel.
     """
-    horizon = n_slots if n_slots is not None else timeline.horizon_slots
-    spans = timeline.clipped_intervals(horizon)
+    horizon, spans = _window(timeline, n_slots)
     if channels is not None:
         spans = {name: spans[name] for name in channels}
     slot_ns = timeline.fmt.flit_size / timeline.frequency_hz * 1e9
@@ -578,9 +585,7 @@ class FabricRollup:
         of the instantaneously-active channel set at slot 0 and at
         every reconfiguration epoch boundary inside the window.
         """
-        horizon = n_slots if n_slots is not None else \
-            timeline.horizon_slots
-        intervals = timeline.clipped_intervals(horizon)
+        horizon, intervals = _window(timeline, n_slots)
         weighted = []
         steps = {0: 0}  # slot -> change in live link-slot reservations
         for spans in intervals.values():

@@ -1,11 +1,11 @@
 """Asynchronous wrappers: stallable routers/NIs with token synchronisation."""
 
-from repro.wrapper.asynchronous import (DEFAULT_INITIAL_TOKENS, AsyncWrapper,
-                                        DeadlockWatchdog, connect_wrappers)
+from repro.wrapper.asynchronous import (AsyncWrapper, DeadlockWatchdog,
+                                        connect_wrappers)
 from repro.wrapper.controller import PortInterfaceController
 from repro.wrapper.port_interface import (InputPortInterface,
                                           OutputPortInterface, TokenChannel)
 
 __all__ = ["AsyncWrapper", "connect_wrappers", "DeadlockWatchdog",
-           "DEFAULT_INITIAL_TOKENS", "PortInterfaceController",
+           "PortInterfaceController",
            "InputPortInterface", "OutputPortInterface", "TokenChannel"]

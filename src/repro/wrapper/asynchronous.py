@@ -21,17 +21,28 @@ Model semantics, mirroring the paper:
 * A fired **NI** window advances the NI by one flit cycle of *logical*
   time (its slot table indexes by firing count, not wall cycles) — this
   is what keeps the TDM schedule intact under stalling.
-* At reset every IPI is primed with ``initial_tokens`` empty tokens
-  (the paper's "a few cycles are spent at reset to produce initial empty
-  tokens ... otherwise the system deadlocks").  Two tokens cover the
-  token-loop pipeline depth so a fully synchronous system sustains one
-  firing per window.
+* At reset every IPI is primed with empty tokens (the paper's "a few
+  cycles are spent at reset to produce initial empty tokens ...
+  otherwise the system deadlocks").  The count is the link's: a flit
+  that enters an IPI behind ``k`` primed tokens is consumed ``k``
+  firings later, so a link costs ``k`` slots of logical time, and
+  :func:`connect_wrappers` primes the ``1 + pipeline_stages`` slots the
+  allocator charges a hop (:attr:`~repro.core.path.Path.link_shifts`).
+  A link to or from an NI gets one token more: every path starts and
+  ends on such a link, so the extra token shifts every channel by the
+  same slot and only gives the NI's token loop its second token.  A
+  router-to-router link without a stage would get one token, which
+  matches the allocator but halves the firing rate, so it is refused.
+  Each IPI holds one place per primed token plus one for the link's
+  transfer; each OPI holds two tokens.
 
 Because each firing consumes exactly one token per input in FIFO order,
 the n-th firing of every element processes exactly the flits that the
-globally synchronous network would process in that element's n-th slot:
-the network is *flit-synchronous*, and the allocation's contention-free
-guarantee transfers unchanged.  Link and clock latencies shift wall-clock
+globally synchronous network would process in that element's n-th slot,
+shifted by the NI links' extra tokens (one slot at a router, two at a
+receiving NI) — the same shift for every channel: the network is
+*flit-synchronous*, and the allocation's contention-free guarantee
+transfers unchanged.  Link and clock latencies shift wall-clock
 timing only — which the throughput and schedule tests verify.
 """
 
@@ -46,17 +57,12 @@ from repro.core.exceptions import ConfigurationError, DeadlockError
 from repro.core.flits import Flit, FlitKind
 from repro.core.words import WordFormat
 from repro.simulation.signals import IDLE, Phit, WordWire
+from repro.topology.graph import Link
 from repro.wrapper.controller import PortInterfaceController
 from repro.wrapper.port_interface import (InputPortInterface,
                                           OutputPortInterface, TokenChannel)
 
-__all__ = ["AsyncWrapper", "connect_wrappers", "DeadlockWatchdog",
-           "DEFAULT_INITIAL_TOKENS"]
-
-#: Tokens primed into every IPI at reset; two cover the production
-#: pipeline (fire -> capture -> transfer) so equal clocks sustain one
-#: firing per flit cycle.
-DEFAULT_INITIAL_TOKENS = 2
+__all__ = ["AsyncWrapper", "connect_wrappers", "DeadlockWatchdog"]
 
 
 class _Wrappable(Protocol):  # pragma: no cover - typing helper
@@ -73,36 +79,27 @@ class _Capture:
     """An in-progress output-token assembly for one firing."""
 
     start_cycle: int
-    collected: list[list[Phit]] = field(default_factory=list)
+    collected: list[list[Phit]] = field(init=False, default_factory=list)
 
 
 class AsyncWrapper:
     """Wraps one router or NI into a stallable process (``Clocked``)."""
 
     def __init__(self, name: str, inner: _Wrappable, clock: ClockDomain,
-                 fmt: WordFormat, *, is_ni: bool,
-                 ipi_capacity: int = 3, opi_capacity: int = 2,
-                 initial_tokens: int = DEFAULT_INITIAL_TOKENS):
-        if initial_tokens < 0:
-            raise ConfigurationError("initial_tokens must be >= 0")
-        if initial_tokens > ipi_capacity:
-            raise ConfigurationError(
-                f"wrapper {name!r}: {initial_tokens} initial tokens exceed "
-                f"IPI capacity {ipi_capacity}")
+                 fmt: WordFormat, *, is_ni: bool):
         self.name = name
         self.inner = inner
         self.clock = clock
         self.fmt = fmt
         self.is_ni = is_ni
-        self.ipis = [InputPortInterface(f"{name}.ipi{i}", ipi_capacity)
+        # One place for the link's transfer; connect_wrappers primes
+        # the link's tokens, each with a place of its own.
+        self.ipis = [InputPortInterface(f"{name}.ipi{i}", 1)
                      for i in range(len(inner.inputs))]
-        self.opis = [OutputPortInterface(f"{name}.opi{o}", opi_capacity)
+        self.opis = [OutputPortInterface(f"{name}.opi{o}")
                      for o in range(len(inner.outputs))]
         self.pic = PortInterfaceController(f"{name}.pic", self.ipis,
                                            self.opis)
-        for ipi in self.ipis:
-            for _ in range(initial_tokens):
-                ipi.prime(Flit.empty(fmt))
         self.in_channels: list[TokenChannel] = []
         self.out_channels: list[TokenChannel] = []
         self._window_tokens: list[Flit] | None = None
@@ -218,13 +215,27 @@ class AsyncWrapper:
                 f"{self.pic.firings} firings)")
 
 
-def connect_wrappers(source: AsyncWrapper, out_port: int,
-                     sink: AsyncWrapper, in_port: int, *,
-                     latency_ps: int = 0) -> TokenChannel:
-    """Create the asynchronous token link between two wrapped elements."""
+def connect_wrappers(source: AsyncWrapper, sink: AsyncWrapper, link: Link,
+                     *, latency_ps: int) -> TokenChannel:
+    """Create the asynchronous token link ``link`` between two wrapped
+    elements and prime the sink's IPI with the link's slot cost.
+
+    Raises :class:`ConfigurationError` for a router-to-router link
+    without a pipeline stage: no token count both matches the one slot
+    the allocator charges it and sustains one firing per window.
+    """
+    ni_link = source.is_ni or sink.is_ni
+    if link.pipeline_stages == 0 and not ni_link:
+        raise ConfigurationError(
+            f"link {link.key} joins two routers without a pipeline stage; "
+            "asynchronous wrappers need one stage per router-to-router "
+            "link")
+    ipi = sink.ipis[link.dst_port]
+    for _ in range(1 + link.pipeline_stages + ni_link):
+        ipi.prime(Flit.empty(sink.fmt))
     channel = TokenChannel(
-        f"{source.name}.out{out_port}->{sink.name}.in{in_port}",
-        source.opis[out_port], sink.ipis[in_port], latency_ps=latency_ps)
+        f"{source.name}.out{link.src_port}->{sink.name}.in{link.dst_port}",
+        source.opis[link.src_port], ipi, latency_ps=latency_ps)
     source.out_channels.append(channel)
     sink.in_channels.append(channel)
     return channel

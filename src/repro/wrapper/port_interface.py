@@ -42,7 +42,8 @@ class InputPortInterface:
         self.max_occupancy = 0
 
     def prime(self, token: Flit) -> None:
-        """Insert an initial (reset-time) token."""
+        """Insert an initial (reset-time) token in a place of its own."""
+        self.capacity += 1
         self.push(token)
 
     def push(self, token: Flit) -> None:

@@ -153,6 +153,14 @@ def test_the_tree_passes():
      "identity-keyed pattern cache"),
     ("baseline/be_network.py", "cache[id(pattern)] = (pattern, table)",
      "identity-keyed pattern cache"),
+    ("wrapper/asynchronous.py", "def f(initial_tokens=2): pass",
+     "asynchronous token depth option is back"),
+    ("wrapper/asynchronous.py", "def f(ipi_capacity=3): pass",
+     "asynchronous token depth option is back"),
+    ("wrapper/asynchronous.py", "def f(opi_capacity=2): pass",
+     "asynchronous token depth option is back"),
+    ("wrapper/__init__.py", "DEFAULT_INITIAL_TOKENS = 2",
+     "asynchronous token depth option is back"),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",

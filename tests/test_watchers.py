@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.campaign.spec import WorkloadSpec, derive_seed
 from repro.core.analysis import channel_bounds
 from repro.core.configuration import configure
+from repro.core.exceptions import ConfigurationError
 from repro.core.placement import ChannelAllocation
 from repro.core.timeline import (TimelineEvent, TimelineRecorder,
                                  lifetime_boundaries, replay_configuration)
@@ -265,6 +266,25 @@ class TestLifetimeTable:
         assert all(0 <= start <= end <= 100
                    for spans in clipped.values()
                    for start, end, _ in spans)
+
+    @pytest.mark.parametrize("n_slots",
+                             [2.5, float("nan"), 0, -5, 41, 10 ** 6])
+    def test_readers_refuse_a_window_outside_the_timeline(self, app_pool,
+                                                          n_slots):
+        """A fraction, NaN, an empty or negative window, or one past the
+        40-slot horizon: both readers refuse it, as a replay does,
+        instead of judging or weighting the channels over it."""
+        timeline = toggled_timeline(app_pool, [(1.0, i) for i in range(4)],
+                                    40)
+        result = _replay(timeline)
+        for read in (
+                lambda: timeline.check_replay(n_slots),
+                lambda: timeline_conformance(timeline, result,
+                                             n_slots=n_slots),
+                lambda: FabricRollup.from_timeline(timeline,
+                                                   n_slots=n_slots)):
+            with pytest.raises(ConfigurationError, match="^n_slots must"):
+                read()
 
     def test_rollup_long_timeline_bytes_and_linear_series(
             self, app_pool, monkeypatch):

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.application import Application, UseCase
+from repro.core.configuration import configure
+from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.flits import Flit, FlitKind
 from repro.core.words import WordFormat
 from repro.simulation import DetailedNetwork
 from repro.simulation.traffic import ConstantBitRate
+from repro.topology.builders import mesh
+from repro.topology.mapping import Mapping
 from repro.wrapper.controller import PortInterfaceController
 from repro.wrapper.port_interface import (InputPortInterface,
                                           OutputPortInterface, TokenChannel)
+from test_flit_synchronous import assert_links_in_step
 
 
 class TestPortInterfaces:
@@ -135,9 +141,8 @@ class TestWrappedNetwork:
         max_windows = horizon_ps // (slowest * mesh_config.fmt.flit_size)
         for firings in result.wrapper_firings.values():
             assert firings <= max_windows + 2
-        # All elements advance in lock-step (flit synchronicity).
-        values = sorted(result.wrapper_firings.values())
-        assert values[-1] - values[0] <= 3
+        # Neighbours advance in lock-step (flit synchronicity).
+        assert_links_in_step(net, result)
 
     def test_all_messages_delivered_in_order(self, mesh_config):
         net, result = self._run(mesh_config, ppm=2000.0)
@@ -172,12 +177,18 @@ class TestWrappedNetwork:
             assert n > 0
             assert sync_ids[:n] == wrapped_ids[:n]
 
-    def test_initial_tokens_config_validated(self, fmt):
-        from repro.router.synchronous import SynchronousRouter
-        from repro.clocking.clock import ClockDomain
-        from repro.wrapper.asynchronous import AsyncWrapper
-        router = SynchronousRouter("r", 2, 2, fmt)
-        clock = ClockDomain("c", period_ps=2000)
-        with pytest.raises(ConfigurationError):
-            AsyncWrapper("w", router, clock, fmt, is_ni=False,
-                         ipi_capacity=2, initial_tokens=5)
+    def test_unstaged_router_link_refused(self):
+        """The priming follows the link; a router-to-router link without
+        a stage has no token count that matches the allocator's one-slot
+        charge at full rate, so asynchronous clocking refuses it."""
+        topology = mesh(2, 1, nis_per_router=1, pipeline_stages=1)
+        topology.set_pipeline_stages("r1_0", "r0_0", 0)
+        channel = ChannelSpec("c", "ipA", "ipB", 40 * MB, application="a")
+        config = configure(topology,
+                           UseCase("u", (Application("a", (channel,)),)),
+                           table_size=8, frequency_hz=500e6,
+                           mapping=Mapping({"ipA": "ni0_0_0",
+                                            "ipB": "ni1_0_0"}))
+        with pytest.raises(ConfigurationError,
+                           match=r"link \('r1_0', 'r0_0'\) joins two routers"):
+            DetailedNetwork(config, clocking="asynchronous")

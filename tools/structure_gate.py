@@ -187,6 +187,10 @@ RULES = [
      "CampaignWorkdir.append)"),
     (r"def load_shard\b", ("src/repro/campaign",), None, ONCE,
      "a shard journal must have one reader (CampaignWorkdir.load_shard)"),
+    (r"initial_tokens|ipi_capacity|opi_capacity|DEFAULT_INITIAL_TOKENS", SRC,
+     None, NONE,
+     "an asynchronous token depth option is back under src/repro (each IPI "
+     "is primed with its link's hop cost in connect_wrappers)"),
 ]
 
 
