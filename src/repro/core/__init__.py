@@ -102,7 +102,6 @@ _EXPORTS: dict[str, str] = {
     "AllocationError": "repro.core.exceptions",
     "SimulationError": "repro.core.exceptions",
     "DeadlockError": "repro.core.exceptions",
-    "FlowControlError": "repro.core.exceptions",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -9,7 +9,7 @@ configurations whose guarantees do not cover the requirements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.analysis import (AnalysisSummary, ChannelBounds, analyse,
                                  summarise)
@@ -31,16 +31,35 @@ class NocConfiguration:
     """A fully resolved network configuration.
 
     Everything downstream — flit-level simulation, detailed hardware
-    simulation, synthesis-area roll-ups — consumes this object.
+    simulation, synthesis-area roll-ups — consumes this object.  The
+    operating point (topology, table size, frequency, word format) is
+    the allocation's: every bound was computed there, so it is read off
+    the allocation, never stored beside it.
     """
 
-    topology: Topology
     use_case: UseCase
     mapping: Mapping
     allocation: Allocation
-    table_size: int
-    frequency_hz: float
-    fmt: WordFormat = field(default_factory=WordFormat)
+
+    @property
+    def topology(self) -> Topology:
+        """The allocation's topology."""
+        return self.allocation.topology
+
+    @property
+    def table_size(self) -> int:
+        """The allocation's slot-table size."""
+        return self.allocation.table_size
+
+    @property
+    def frequency_hz(self) -> float:
+        """The allocation's operating frequency."""
+        return self.allocation.frequency_hz
+
+    @property
+    def fmt(self) -> WordFormat:
+        """The allocation's word format."""
+        return self.allocation.fmt
 
     def bounds(self) -> dict[str, ChannelBounds]:
         """Per-channel worst-case guarantees."""
@@ -88,10 +107,8 @@ def configure(topology: Topology, use_case: UseCase, *, table_size: int,
     allocator = SlotAllocator(topology, table_size=table_size,
                               frequency_hz=frequency_hz, fmt=fmt)
     allocation = allocator.allocate(list(channels), resolved)
-    config = NocConfiguration(topology=topology, use_case=use_case,
-                              mapping=resolved, allocation=allocation,
-                              table_size=table_size,
-                              frequency_hz=frequency_hz, fmt=fmt)
+    config = NocConfiguration(use_case=use_case, mapping=resolved,
+                              allocation=allocation)
     if require_met:
         unmet = config.unmet_channels()
         if unmet:

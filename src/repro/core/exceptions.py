@@ -117,7 +117,3 @@ class SimulationError(ReproError):
 
 class DeadlockError(SimulationError):
     """The asynchronous wrapper network stopped making progress."""
-
-
-class FlowControlError(SimulationError):
-    """End-to-end credit accounting went negative or a buffer overflowed."""

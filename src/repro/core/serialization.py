@@ -132,10 +132,8 @@ def configuration_from_dict(data: TMapping[str, object]
         raise ConfigurationError(
             f"malformed saved configuration: {where}: {exc!r}") from exc
     allocation.validate()
-    return NocConfiguration(
-        topology=topology, use_case=use_case, mapping=mapping,
-        allocation=allocation, table_size=table_size,
-        frequency_hz=frequency_hz, fmt=fmt)
+    return NocConfiguration(use_case=use_case, mapping=mapping,
+                            allocation=allocation)
 
 
 def save_configuration(config: NocConfiguration, path: str) -> None:

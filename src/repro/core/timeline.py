@@ -476,11 +476,7 @@ def replay_configuration(timeline: ReconfigurationTimeline
     from repro.core.configuration import NocConfiguration
 
     return NocConfiguration(
-        topology=timeline.topology,
         use_case=UseCase("replay", ()),
         mapping=Mapping({}),
         allocation=Allocation(timeline.topology, timeline.table_size,
-                              timeline.frequency_hz, timeline.fmt),
-        table_size=timeline.table_size,
-        frequency_hz=timeline.frequency_hz,
-        fmt=timeline.fmt)
+                              timeline.frequency_hz, timeline.fmt))

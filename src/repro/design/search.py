@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from repro.core.application import UseCase
 from repro.core.configuration import NocConfiguration, configure
-from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.exceptions import (AllocationError, ConfigurationError,
+                                   require_finite_positive)
 from repro.core.words import WordFormat
 from repro.synthesis.network import (NetworkArea, network_area,
                                      network_fmax_hz)
@@ -43,7 +44,10 @@ def _search(topology: Topology, use_case: UseCase, mapping: Mapping,
             high_hz: float, tolerance_hz: float
             ) -> tuple[float, NocConfiguration]:
     """Bisection core: ``(frequency, configuration)`` of the minimum."""
-    if low_hz <= 0 or high_hz <= low_hz or tolerance_hz <= 0:
+    for name, value in (("low_hz", low_hz), ("high_hz", high_hz),
+                        ("tolerance_hz", tolerance_hz)):
+        require_finite_positive(name, value)
+    if high_hz <= low_hz:
         raise ConfigurationError("invalid search interval")
     failure, config = _probe(topology, use_case, mapping, table_size,
                              high_hz, fmt)

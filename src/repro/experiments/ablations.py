@@ -53,8 +53,7 @@ def _workload(topo, n_channels: int = 24, seed: int = 5):
     return channels, mapping
 
 
-def table_size_rows(*, frequency_hz: float = 500e6
-                    ) -> list[dict[str, object]]:
+def table_size_rows() -> list[dict[str, object]]:
     """Allocation quality versus slot-table size."""
     topo = mesh(3, 2, nis_per_router=2)
     channels, mapping = _workload(topo)
@@ -63,7 +62,7 @@ def table_size_rows(*, frequency_hz: float = 500e6
         try:
             allocation = SlotAllocator(
                 topo, table_size=table_size,
-                frequency_hz=frequency_hz).allocate(channels, mapping)
+                frequency_hz=500e6).allocate(channels, mapping)
             summary = summarise(analyse(allocation))
             rows.append({
                 "table_size": table_size,
@@ -135,7 +134,7 @@ def ordering_rows() -> list[dict[str, object]]:
     return rows
 
 
-def backend_rows(*, n_slots: int = 400) -> list[dict[str, object]]:
+def backend_rows() -> list[dict[str, object]]:
     """One workload through every backend, via the unified protocol.
 
     The flit-level and cycle-accurate backends must agree on the logical
@@ -167,7 +166,7 @@ def backend_rows(*, n_slots: int = 400) -> list[dict[str, object]]:
             spec.throughput_bytes_per_s, 500e6, config.fmt,
             offset_cycles=2)
         for spec in channels}
-    request = SimRequest(n_slots=n_slots, traffic=traffic, seed=11)
+    request = SimRequest(n_slots=400, traffic=traffic, seed=11)
     variants = [
         ("flit", "flit", {}),
         ("cycle/synchronous", "cycle", {"clocking": "synchronous"}),

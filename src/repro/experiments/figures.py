@@ -17,7 +17,6 @@ EXPERIMENTS.md records the paper-versus-measured comparison.
 from __future__ import annotations
 
 from repro.core.words import WordFormat
-from repro.synthesis.technology import TECH_90LP, Technology
 from repro.synthesis.timing_model import (frequency_sweep,
                                           max_frequency_hz,
                                           router_area_at_frequency_um2)
@@ -36,12 +35,10 @@ FIG6A_ARITIES = [2, 3, 4, 5, 6, 7]
 FIG6B_WIDTHS = [32, 64, 96, 128, 160, 192, 224, 256]
 
 
-def figure5_rows(*, arity: int = 5, fmt: WordFormat | None = None,
-                 tech: Technology = TECH_90LP) -> list[dict[str, object]]:
-    """Area/target-frequency trade-off rows (Figure 5)."""
-    fmt = fmt or WordFormat()
-    points = frequency_sweep(arity, [m * 1e6 for m in FIG5_TARGETS_MHZ],
-                             fmt, tech=tech)
+def figure5_rows() -> list[dict[str, object]]:
+    """Area/target-frequency trade-off rows (Figure 5): arity 5, 32 bit."""
+    points = frequency_sweep(5, [m * 1e6 for m in FIG5_TARGETS_MHZ],
+                             WordFormat())
     return [{
         "target_mhz": p.target_mhz,
         "achieved_mhz": round(p.achieved_mhz, 1),
@@ -50,14 +47,13 @@ def figure5_rows(*, arity: int = 5, fmt: WordFormat | None = None,
     } for p in points]
 
 
-def figure6a_rows(*, fmt: WordFormat | None = None,
-                  tech: Technology = TECH_90LP) -> list[dict[str, object]]:
-    """Area and max frequency versus arity (Figure 6a)."""
-    fmt = fmt or WordFormat()
+def figure6a_rows() -> list[dict[str, object]]:
+    """Area and max frequency versus arity (Figure 6a), 32 bit."""
+    fmt = WordFormat()
     rows = []
     for arity in FIG6A_ARITIES:
-        fmax = max_frequency_hz(arity, fmt, tech=tech)
-        area = router_area_at_frequency_um2(arity, fmax, fmt, tech=tech)
+        fmax = max_frequency_hz(arity, fmt)
+        area = router_area_at_frequency_um2(arity, fmax, fmt)
         rows.append({
             "arity": arity,
             "area_um2": round(area),
@@ -66,14 +62,13 @@ def figure6a_rows(*, fmt: WordFormat | None = None,
     return rows
 
 
-def figure6b_rows(*, arity: int = 6,
-                  tech: Technology = TECH_90LP) -> list[dict[str, object]]:
-    """Area and max frequency versus data width (Figure 6b)."""
+def figure6b_rows() -> list[dict[str, object]]:
+    """Area and max frequency versus data width (Figure 6b), arity 6."""
     rows = []
     for width in FIG6B_WIDTHS:
         fmt = WordFormat(data_width=width)
-        fmax = max_frequency_hz(arity, fmt, tech=tech)
-        area = router_area_at_frequency_um2(arity, fmax, fmt, tech=tech)
+        fmax = max_frequency_hz(6, fmt)
+        area = router_area_at_frequency_um2(6, fmax, fmt)
         rows.append({
             "word_width_bits": width,
             "area_um2": round(area),

@@ -26,7 +26,7 @@ from repro.synthesis.area_model import aethereal_gsbe_router_area_um2
 from repro.synthesis.technology import (TECH_90LP, TECH_130,
                                         scale_area_um2)
 from repro.synthesis.timing_model import router_area_at_frequency_um2
-from repro.usecase.generator import Section7Instance, generate_section7
+from repro.usecase.generator import Section7Instance
 from repro.usecase.runner import (be_frequency_sweep, burst_traffic,
                                   configure_section7, fold_requirements,
                                   run_be, run_gs)
@@ -37,12 +37,9 @@ __all__ = ["section7_setup", "usecase_gs_rows", "be_sweep_rows",
 DEFAULT_SWEEP_MHZ = [500, 600, 700, 800, 900, 1000, 1100]
 
 
-def section7_setup(seed: int = 2009
-                   ) -> tuple[Section7Instance, NocConfiguration]:
-    """Generate and allocate the canonical use case."""
-    from repro.usecase.generator import Section7Parameters
-    instance = generate_section7(Section7Parameters(seed=seed))
-    return configure_section7(instance)
+def section7_setup() -> tuple[Section7Instance, NocConfiguration]:
+    """Generate and allocate the canonical use case (seed 2009)."""
+    return configure_section7()
 
 
 def usecase_gs_rows(config: NocConfiguration, *, n_slots: int = 3000

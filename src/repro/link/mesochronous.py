@@ -46,7 +46,7 @@ DEFAULT_FIFO_WORDS = 4
 #: a flit written in slot ``s`` is always — and only — readable at the
 #: reader's slot boundary ``s + 1``, making the stage's one-slot latency
 #: exact and phase-independent.
-DEFAULT_FORWARD_DELAY_CYCLES = 1
+FORWARD_DELAY_CYCLES = 1
 
 
 class MesoWriter:
@@ -109,8 +109,7 @@ class MesochronousLinkStage:
 
     def __init__(self, name: str, writer_clock: ClockDomain,
                  reader_clock: ClockDomain, fmt: WordFormat, *,
-                 fifo_words: int = DEFAULT_FIFO_WORDS,
-                 forward_delay_cycles: int = DEFAULT_FORWARD_DELAY_CYCLES):
+                 fifo_words: int = DEFAULT_FIFO_WORDS):
         if not writer_clock.is_mesochronous_with(reader_clock):
             raise ConfigurationError(
                 f"link stage {name!r}: mesochronous stages need equal "
@@ -126,7 +125,7 @@ class MesochronousLinkStage:
         self.reader_clock = reader_clock
         self.fifo = BisyncFifo(
             f"{name}.fifo", fifo_words,
-            forward_delay_cycles * writer_clock.period_ps)
+            FORWARD_DELAY_CYCLES * writer_clock.period_ps)
         self.writer = MesoWriter(f"{name}.wr", self.fifo)
         self.reader = MesoReader(f"{name}.rd", self.fifo, fmt)
 
@@ -150,14 +149,11 @@ class MesochronousLinkStage:
 
 
 def make_stage(engine: Engine, name: str, writer_clock: ClockDomain,
-               reader_clock: ClockDomain, fmt: WordFormat, *,
-               fifo_words: int = DEFAULT_FIFO_WORDS,
-               forward_delay_cycles: int = DEFAULT_FORWARD_DELAY_CYCLES
+               reader_clock: ClockDomain, fmt: WordFormat
                ) -> MesochronousLinkStage:
-    """Build a stage and register both halves with the engine."""
-    stage = MesochronousLinkStage(
-        name, writer_clock, reader_clock, fmt, fifo_words=fifo_words,
-        forward_delay_cycles=forward_delay_cycles)
+    """Build a stage of the paper's 4-word FIFO and register both halves
+    with the engine."""
+    stage = MesochronousLinkStage(name, writer_clock, reader_clock, fmt)
     engine.add_component(writer_clock, stage.writer)
     engine.add_component(reader_clock, stage.reader)
     engine.add_wire(reader_clock, stage.reader.outputs[0])

@@ -15,8 +15,8 @@ The NI is where aelite's guaranteed services are enforced (Section III):
   (back-pressure): an oversubscribing application slows *itself* down,
   never its neighbours.
 * **RX side** — reassembles packets per destination queue, delivers
-  payload to the (modelled) IP sink, and accumulates consumption credits
-  for piggybacking.
+  payload to the (modelled) always-ready IP sink, and accumulates
+  consumption credits for piggybacking.
 
 The IP-facing side abstracts the paper's bi-synchronous clock-domain
 crossing: messages appear in TX queues via :meth:`enqueue_message` (called
@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.exceptions import (ConfigurationError, FlowControlError,
-                                   SimulationError)
+from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.flits import Flit
 from repro.core.words import (WordFormat, header_credits, header_queue)
 from repro.ni.packetizer import Packetizer, TxMessage
@@ -58,8 +57,8 @@ class TxChannelConfig:
     credit_source_queue:
         Local RX queue whose consumption credits ride on this channel's
         headers (the reverse channel of a connection), or ``None``.
-    max_packet_flits:
-        Packet-length limit for the packetiser.
+
+    Packets are at most the packetiser's default of four flits long.
     """
 
     name: str
@@ -67,12 +66,14 @@ class TxChannelConfig:
     queue_id: int
     initial_credits: int | None = None
     credit_source_queue: int | None = None
-    max_packet_flits: int = 4
 
 
 @dataclass(frozen=True)
 class RxQueueConfig:
     """Static configuration of one incoming queue at an NI.
+
+    The IP behind the queue is an always-ready sink: every payload word
+    is consumed on arrival and earns one credit for the sender.
 
     Attributes
     ----------
@@ -80,20 +81,14 @@ class RxQueueConfig:
         Local queue index (as encoded in arriving headers).
     channel:
         Name of the channel that feeds this queue.
-    capacity_words:
-        Buffer capacity (only enforced when flow control is on).
     credit_target_tx:
         Local TX channel whose credit counter is replenished by credits
         arriving in this queue's headers, or ``None``.
-    sink_words_per_cycle:
-        IP consumption rate; ``None`` models an always-ready sink.
     """
 
     queue_id: int
     channel: str
-    capacity_words: int = 64
     credit_target_tx: str | None = None
-    sink_words_per_cycle: float | None = None
 
 
 @dataclass
@@ -106,10 +101,8 @@ class _TxState:
 @dataclass
 class _RxState:
     config: RxQueueConfig
-    buffered_words: int = 0
-    pending_credits: int = 0
-    sink_progress: float = 0.0
-    received_words: int = 0
+    #: Consumed words not yet returned as credits on a header.
+    pending_credits: int = field(default=0, init=False)
 
 
 class NetworkInterface:
@@ -167,8 +160,7 @@ class NetworkInterface:
             raise ConfigurationError(
                 f"NI {self.name!r}: duplicate TX channel {cfg.name!r}")
         packetizer = Packetizer(cfg.name, cfg.path_field, cfg.queue_id,
-                                self.fmt,
-                                max_packet_flits=cfg.max_packet_flits)
+                                self.fmt)
         self._tx[cfg.name] = _TxState(cfg, packetizer, cfg.initial_credits)
 
     def add_rx_queue(self, cfg: RxQueueConfig) -> None:
@@ -300,7 +292,6 @@ class NetworkInterface:
     # -- RX path ------------------------------------------------------------------
 
     def _absorb_rx(self, cycle: int, time_ps: int) -> None:
-        self._drain_sinks()
         phit = self._pending_input
         self._pending_input = IDLE
         if not phit.valid:
@@ -322,18 +313,8 @@ class NetworkInterface:
             if self._rx_queue_current is None:
                 raise SimulationError(
                     f"NI {self.name!r}: payload word outside any packet")
-            rx = self._rx[self._rx_queue_current]
-            rx.buffered_words += 1
-            rx.received_words += 1
-            if rx.config.sink_words_per_cycle is None:
-                # Always-ready sink: consumed immediately, credit granted.
-                rx.buffered_words = 0
-                rx.pending_credits += 1
-            elif rx.buffered_words > rx.config.capacity_words:
-                raise FlowControlError(
-                    f"NI {self.name!r}: queue {rx.config.queue_id} "
-                    f"overflowed {rx.config.capacity_words} words — "
-                    "end-to-end flow control failed")
+            # Always-ready sink: consumed immediately, credit granted.
+            self._rx[self._rx_queue_current].pending_credits += 1
         # End-of-flit bookkeeping: the last word of each flit closes the
         # word group; EoP additionally closes the packet.
         if phit.word_index == self.fmt.flit_size - 1:
@@ -345,18 +326,6 @@ class NetworkInterface:
         if phit.eop:
             self._rx_expect_header = True
             self._rx_queue_current = None
-
-    def _drain_sinks(self) -> None:
-        for rx in self._rx.values():
-            rate = rx.config.sink_words_per_cycle
-            if rate is None or rx.buffered_words == 0:
-                continue
-            rx.sink_progress += rate
-            consume = min(rx.buffered_words, int(rx.sink_progress))
-            if consume > 0:
-                rx.sink_progress -= consume
-                rx.buffered_words -= consume
-                rx.pending_credits += consume
 
     def _record_delivery(self, meta, cycle: int, time_ps: int) -> None:
         if self.stats is None:

@@ -42,14 +42,13 @@ class TxMessage:
     words: deque[int]
     created_cycle: int
     created_time_ps: int = -1
-    total_words: int = field(default=0)
+    total_words: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.words:
             raise ConfigurationError(
                 f"message {self.message_id} has no payload words")
-        if self.total_words == 0:
-            self.total_words = len(self.words)
+        self.total_words = len(self.words)
 
 
 class Packetizer:

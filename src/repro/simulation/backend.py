@@ -141,7 +141,16 @@ class SimResult:
     def channel_throughput_bytes_per_s(self, channel: str, *,
                                        warmup_fraction: float = 0.1
                                        ) -> float:
-        """Delivered payload rate of one channel after warm-up."""
+        """Delivered payload rate of one channel after warm-up.
+
+        ``warmup_fraction`` is the share of the run skipped before
+        measuring, in ``[0, 1)``; anything else is refused (a negative
+        one would open the window before the run).
+        """
+        if not 0 <= warmup_fraction < 1:
+            raise ConfigurationError(
+                f"warmup_fraction must lie in [0, 1), got "
+                f"{warmup_fraction!r}")
         total_ps = int(self.simulated_slots * self.fmt.flit_size *
                        1e12 / self.frequency_hz)
         start = int(total_ps * warmup_fraction)

@@ -177,7 +177,6 @@ class DetailedNetwork:
                 else None
             rx_configs.append(RxQueueConfig(
                 queue_id=self._queue_ids[name], channel=name,
-                capacity_words=self._rx_capacity_words,
                 credit_target_tx=credit_target))
         return NetworkInterface(
             ni, allocation.ni_injection_table(ni), self.fmt,

@@ -51,6 +51,13 @@ GSBE_OVERHEAD = 1.43
 LINK_FSM_GATES = 260
 LINK_FSM_REGISTERS = 6
 
+#: Depth of the link stage's custom bi-synchronous FIFO (Section V).
+LINK_FIFO_WORDS = 4
+#: Depth of an NI channel queue and of a GS+BE router's BE input queue.
+QUEUE_WORDS = 8
+#: Area multiplier of the high-effort router in the mesochronous figure.
+MESOCHRONOUS_EFFORT_FACTOR = 1.3
+
 
 @dataclass(frozen=True)
 class RouterAreaModel:
@@ -98,53 +105,45 @@ class RouterAreaModel:
         return self.gate_counts().area_um2(tech) * ROUTER_OVERHEAD
 
 
-def link_stage_area_um2(fmt: WordFormat = WordFormat(), *,
-                        tech: Technology = TECH_90LP,
-                        custom_fifo: bool = True,
-                        fifo_words: int = 4) -> float:
-    """Area of one mesochronous link pipeline stage (FIFO + FSM)."""
+def link_stage_area_um2(fmt: WordFormat = WordFormat()) -> float:
+    """Area of one mesochronous link pipeline stage (custom FIFO + FSM)
+    at 90 nm."""
     width = fmt.data_width + SIDEBAND_BITS
-    fifo = fifo_area_um2(fifo_words, width, tech, custom=custom_fifo)
+    fifo = fifo_area_um2(LINK_FIFO_WORDS, width, TECH_90LP)
     fsm = GateCounts()
     fsm.add_registers(LINK_FSM_REGISTERS)
     fsm.add_logic(LINK_FSM_GATES)
-    return fifo + fsm.area_um2(tech)
+    return fifo + fsm.area_um2(TECH_90LP)
 
 
 def mesochronous_router_area_um2(n_inputs: int, n_outputs: int,
-                                 fmt: WordFormat = WordFormat(), *,
-                                 tech: Technology = TECH_90LP,
-                                 custom_fifo: bool = True,
-                                 effort_factor: float = 1.3) -> float:
-    """A router plus one link pipeline stage per input.
+                                 fmt: WordFormat = WordFormat()) -> float:
+    """A router plus one link pipeline stage per input (90 nm).
 
     This reproduces the paper's "complete arity-5 router with
     mesochronous links ... in the order of 0.032 mm^2": the router at
     high synthesis effort plus ``n_inputs`` link stages.
     """
     router = RouterAreaModel(n_inputs, n_outputs, fmt)
-    stages = n_inputs * link_stage_area_um2(
-        fmt, tech=tech, custom_fifo=custom_fifo)
-    return router.base_area_um2(tech) * effort_factor + stages
+    stages = n_inputs * link_stage_area_um2(fmt)
+    return router.base_area_um2() * MESOCHRONOUS_EFFORT_FACTOR + stages
 
 
 def ni_area_um2(n_tx_channels: int, n_rx_channels: int, table_size: int,
-                fmt: WordFormat = WordFormat(), *,
-                tech: Technology = TECH_90LP,
-                queue_words: int = 8) -> float:
+                fmt: WordFormat = WordFormat()) -> float:
     """Structural estimate of a network interface (for network roll-ups).
 
     The paper does not report NI synthesis; this model exists so that
     system-level cost sweeps can include NIs consistently.  Components:
     per-channel TX/RX queues, the slot table, the packetiser datapath and
-    per-channel credit counters.
+    per-channel credit counters, priced at 90 nm.
     """
     if n_tx_channels < 0 or n_rx_channels < 0 or table_size < 1:
         raise ConfigurationError("invalid NI geometry")
     width = fmt.data_width + SIDEBAND_BITS
     counts = GateCounts()
     queues = (n_tx_channels + n_rx_channels) * fifo_area_um2(
-        queue_words, width, tech, custom=True)
+        QUEUE_WORDS, width, TECH_90LP)
     # Slot table: one channel id per slot.
     id_bits = clog2(max(n_tx_channels, 2))
     counts.add_registers(table_size * id_bits)
@@ -155,13 +154,12 @@ def ni_area_um2(n_tx_channels: int, n_rx_channels: int, table_size: int,
     # Credit counters: one per TX channel.
     counts.add_registers(n_tx_channels * 8)
     counts.add_logic(n_tx_channels * counter_gates(8))
-    return queues + counts.area_um2(tech)
+    return queues + counts.area_um2(TECH_90LP)
 
 
 def aethereal_gsbe_router_area_um2(arity: int = 5,
                                    fmt: WordFormat = WordFormat(), *,
-                                   tech: Technology = TECH_130,
-                                   be_queue_words: int = 8) -> float:
+                                   tech: Technology = TECH_130) -> float:
     """Structural model of the combined GS+BE Æthereal router ([8]).
 
     Everything the GS-only aelite router sheds is priced here: per-input
@@ -175,8 +173,8 @@ def aethereal_gsbe_router_area_um2(arity: int = 5,
     width = fmt.data_width + SIDEBAND_BITS
     counts = RouterAreaModel(arity, arity, fmt).gate_counts()
     # BE input queues (flip-flop based; these dominate).
-    counts.add_registers(arity * be_queue_words * width)
-    counts.add_logic(arity * (counter_gates(clog2(be_queue_words)) + 40))
+    counts.add_registers(arity * QUEUE_WORDS * width)
+    counts.add_logic(arity * (counter_gates(clog2(QUEUE_WORDS)) + 40))
     # Second VC through the switch: the output mux doubles.
     counts.add_logic(arity * mux_tree_gates(2, width))
     counts.add_logic(arity * mux_tree_gates(arity, width))

@@ -23,7 +23,7 @@ from repro.core.words import WordFormat
 from repro.synthesis.area_model import (RouterAreaModel,
                                         aethereal_gsbe_router_area_um2,
                                         mesochronous_router_area_um2)
-from repro.synthesis.technology import (TECH_90LP, TECH_130, Technology,
+from repro.synthesis.technology import (TECH_90LP, TECH_130,
                                         scale_area_um2,
                                         scale_frequency_hz)
 from repro.synthesis.timing_model import (max_frequency_hz,
@@ -55,17 +55,16 @@ class ComparisonRow:
     source: str
 
 
-def related_work_table(fmt: WordFormat = WordFormat(), *,
-                       tech: Technology = TECH_90LP) -> list[ComparisonRow]:
-    """The Section VII comparison table (arity-5 routers at 90 nm)."""
-    aelite_fmax = max_frequency_hz(5, fmt, tech=tech)
-    aelite_area = router_area_at_frequency_um2(5, aelite_fmax, fmt,
-                                               tech=tech)
-    meso_area = mesochronous_router_area_um2(5, 5, fmt, tech=tech)
-    gsbe_area_130 = aethereal_gsbe_router_area_um2(5, fmt, tech=TECH_130)
-    gsbe_area_90 = scale_area_um2(gsbe_area_130, TECH_130, tech)
+def related_work_table() -> list[ComparisonRow]:
+    """The Section VII comparison table (arity-5, 32-bit routers at
+    90 nm)."""
+    aelite_fmax = max_frequency_hz(5)
+    aelite_area = router_area_at_frequency_um2(5, aelite_fmax)
+    meso_area = mesochronous_router_area_um2(5, 5)
+    gsbe_area_130 = aethereal_gsbe_router_area_um2(5, tech=TECH_130)
+    gsbe_area_90 = scale_area_um2(gsbe_area_130, TECH_130, TECH_90LP)
     gsbe_mhz_90 = scale_frequency_hz(AETHEREAL_GSBE_MHZ_130 * 1e6,
-                                     TECH_130, tech) / 1e6
+                                     TECH_130, TECH_90LP) / 1e6
     return [
         ComparisonRow("aelite GS-only router", aelite_area / 1e6,
                       aelite_fmax / 1e6, "unlimited (TDM)", True,
@@ -105,17 +104,16 @@ class AeliteVsAethereal:
         return self.aelite_frequency_mhz / self.aethereal_frequency_mhz
 
 
-def aelite_vs_aethereal(fmt: WordFormat = WordFormat(), *,
-                        tech: Technology = TECH_90LP) -> AeliteVsAethereal:
-    """Compute the "roughly 5x smaller, 1.5x faster" comparison."""
+def aelite_vs_aethereal(fmt: WordFormat = WordFormat()
+                        ) -> AeliteVsAethereal:
+    """Compute the "roughly 5x smaller, 1.5x faster" comparison (90 nm)."""
     gsbe_130 = aethereal_gsbe_router_area_um2(5, fmt, tech=TECH_130)
-    gsbe_90 = scale_area_um2(gsbe_130, TECH_130, tech)
+    gsbe_90 = scale_area_um2(gsbe_130, TECH_130, TECH_90LP)
     gsbe_mhz = scale_frequency_hz(AETHEREAL_GSBE_MHZ_130 * 1e6,
-                                  TECH_130, tech) / 1e6
-    aelite_fmax = max_frequency_hz(5, fmt, tech=tech) / 1e6
+                                  TECH_130, TECH_90LP) / 1e6
+    aelite_fmax = max_frequency_hz(5, fmt) / 1e6
     # Compare like for like: both at the Æthereal operating frequency.
-    aelite_area = router_area_at_frequency_um2(
-        5, gsbe_mhz * 1e6, fmt, tech=tech)
+    aelite_area = router_area_at_frequency_um2(5, gsbe_mhz * 1e6, fmt)
     return AeliteVsAethereal(
         aelite_area_mm2=aelite_area / 1e6,
         aethereal_area_mm2=gsbe_90 / 1e6,
@@ -123,17 +121,16 @@ def aelite_vs_aethereal(fmt: WordFormat = WordFormat(), *,
         aethereal_frequency_mhz=gsbe_mhz)
 
 
-def throughput_per_area(arity: int, fmt: WordFormat, *,
-                        tech: Technology = TECH_90LP,
-                        frequency_hz: float | None = None
+def throughput_per_area(arity: int, fmt: WordFormat
                         ) -> tuple[float, float]:
-    """Aggregate raw throughput (GB/s, both directions) and area (mm^2).
+    """Aggregate raw throughput (GB/s, both directions) and area (mm^2)
+    at the router's maximum frequency, 90 nm.
 
     Reproduces the "arity-6 aelite router offers 64 GB/s at 0.03 mm^2
     for a 64-bit data width" observation: all input plus all output
     ports moving one word per cycle.
     """
-    f = frequency_hz or max_frequency_hz(arity, fmt, tech=tech)
-    bytes_per_s = 2 * arity * fmt.bytes_per_word * f
-    area = RouterAreaModel(arity, arity, fmt).base_area_um2(tech)
+    bytes_per_s = 2 * arity * fmt.bytes_per_word * max_frequency_hz(
+        arity, fmt)
+    area = RouterAreaModel(arity, arity, fmt).base_area_um2()
     return bytes_per_s / 1e9, area / 1e6

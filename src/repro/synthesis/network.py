@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from repro.core.words import WordFormat
 from repro.synthesis.area_model import link_stage_area_um2, ni_area_um2
-from repro.synthesis.technology import TECH_90LP, Technology
 from repro.synthesis.timing_model import (max_frequency_hz,
                                           router_area_at_frequency_um2)
 from repro.topology.graph import Topology
@@ -51,20 +50,20 @@ class NetworkArea:
         }
 
 
-def network_fmax_hz(topology: Topology, fmt: WordFormat | None = None, *,
-                    tech: Technology = TECH_90LP) -> float:
+def network_fmax_hz(topology: Topology, fmt: WordFormat | None = None
+                    ) -> float:
     """Achievable frequency ceiling: the slowest router sets the clock."""
     fmt = fmt or WordFormat()
-    return min(max_frequency_hz(topology.arity(router), fmt, tech=tech)
+    return min(max_frequency_hz(topology.arity(router), fmt)
                for router in topology.routers)
 
 
 def network_area(topology: Topology, *, table_size: int,
                  frequency_hz: float, fmt: WordFormat | None = None,
-                 tech: Technology = TECH_90LP,
-                 channels_per_ni: dict[str, tuple[int, int]] | None = None,
-                 queue_words: int = 8) -> NetworkArea:
-    """Cell area of a whole network at one operating point.
+                 channels_per_ni: dict[str, tuple[int, int]] | None = None
+                 ) -> NetworkArea:
+    """Cell area of a whole network at one operating point (90 nm, 8-word
+    NI queues).
 
     Parameters
     ----------
@@ -77,14 +76,13 @@ def network_area(topology: Topology, *, table_size: int,
     fmt = fmt or WordFormat()
     routers = sum(
         router_area_at_frequency_um2(topology.arity(router), frequency_hz,
-                                     fmt, tech=tech)
+                                     fmt)
         for router in topology.routers)
-    stage = link_stage_area_um2(fmt, tech=tech)
+    stage = link_stage_area_um2(fmt)
     stages = sum(link.pipeline_stages for link in topology.links) * stage
     nis = 0.0
     for ni in topology.nis:
         n_tx, n_rx = (channels_per_ni or {}).get(ni, (1, 1))
-        nis += ni_area_um2(max(n_tx, 1), max(n_rx, 1), table_size, fmt,
-                           tech=tech, queue_words=queue_words)
+        nis += ni_area_um2(max(n_tx, 1), max(n_rx, 1), table_size, fmt)
     return NetworkArea(routers_um2=routers, link_stages_um2=stages,
                        nis_um2=nis)

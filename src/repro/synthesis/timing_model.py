@@ -99,13 +99,13 @@ def router_area_at_frequency_um2(arity: int, target_hz: float,
 
 
 def frequency_sweep(arity: int, targets_hz: list[float],
-                    fmt: WordFormat = WordFormat(), *,
-                    tech: Technology = TECH_90LP) -> list[SynthesisPoint]:
-    """Synthesise a router across target frequencies (Figure 5's sweep)."""
-    fmax = max_frequency_hz(arity, fmt, tech=tech)
+                    fmt: WordFormat = WordFormat()) -> list[SynthesisPoint]:
+    """Synthesise a router across target frequencies (Figure 5's sweep,
+    90 nm)."""
+    fmax = max_frequency_hz(arity, fmt)
     points = []
     for target in targets_hz:
-        area = router_area_at_frequency_um2(arity, target, fmt, tech=tech)
+        area = router_area_at_frequency_um2(arity, target, fmt)
         points.append(SynthesisPoint(
             target_mhz=target / 1e6,
             achieved_mhz=min(target, fmax) / 1e6,

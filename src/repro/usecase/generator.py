@@ -48,11 +48,14 @@ LATENCY_FEASIBILITY_MARGIN = 1.35
 #: Share of an NI link's slot table the negotiated requirements may ask
 #: for before the tightest channel on it is relaxed.
 LINK_PRESSURE_BUDGET = 0.78
+#: Upper end of the drawn throughput range (MB/s), the paper's 500.
+MAX_THROUGHPUT_MB_S = 500.0
 
 
 @dataclass(frozen=True)
 class Section7Parameters:
-    """Knobs of the use-case generator (paper values as defaults)."""
+    """Knobs of the use-case generator (paper values as defaults; the
+    throughput range ends at :data:`MAX_THROUGHPUT_MB_S`)."""
 
     seed: int = 2009
     cols: int = 4
@@ -62,7 +65,6 @@ class Section7Parameters:
     n_applications: int = 4
     connections_per_application: int = 50
     min_throughput_mb_s: float = 10.0
-    max_throughput_mb_s: float = 500.0
     min_latency_ns: float = 35.0
     max_latency_ns: float = 500.0
     frequency_hz: float = 500e6
@@ -71,11 +73,11 @@ class Section7Parameters:
     def __post_init__(self) -> None:
         if self.n_applications < 1 or self.connections_per_application < 1:
             raise ConfigurationError("need >= 1 application and connection")
-        if self.min_throughput_mb_s <= 0 or \
-                self.max_throughput_mb_s < self.min_throughput_mb_s:
+        # Chained comparisons, which NaN fails.  An empty throughput
+        # range would divide by its zero log-span.
+        if not 0 < self.min_throughput_mb_s < MAX_THROUGHPUT_MB_S:
             raise ConfigurationError("bad throughput range")
-        if self.min_latency_ns <= 0 or \
-                self.max_latency_ns < self.min_latency_ns:
+        if not 0 < self.min_latency_ns <= self.max_latency_ns < math.inf:
             raise ConfigurationError("bad latency range")
 
     @property
@@ -101,11 +103,11 @@ class Section7Instance:
                    for ch in self.use_case.channels)
 
 
-def generate_section7(params: Section7Parameters | None = None,
-                      fmt: WordFormat | None = None) -> Section7Instance:
+def generate_section7(params: Section7Parameters | None = None
+                      ) -> Section7Instance:
     """Generate the paper's 200-connection evaluation workload."""
     params = params or Section7Parameters()
-    fmt = fmt or WordFormat()
+    fmt = WordFormat()
     rng = random.Random(params.seed)
     topo = concentrated_mesh(params.cols, params.rows,
                              nis_per_router=params.nis_per_router)
@@ -182,7 +184,7 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
     channels: list[ChannelSpec] = []
     for index in range(params.connections_per_application):
         throughput_mb = _log_uniform(rng, params.min_throughput_mb_s,
-                                     params.max_throughput_mb_s)
+                                     MAX_THROUGHPUT_MB_S)
         slots = slots_for_throughput(
             throughput_mb * MB, params.table_size, params.frequency_hz,
             fmt)
@@ -221,7 +223,7 @@ def _pick_endpoints(ips: list[str], ip_coords: dict[str, tuple[int, int]],
     for latency-driven slots) are avoided; among admissible candidates
     the first sampled wins, keeping the draw random.
     """
-    span = (math.log(params.max_throughput_mb_s) -
+    span = (math.log(MAX_THROUGHPUT_MB_S) -
             math.log(params.min_throughput_mb_s))
     position = (math.log(throughput_mb) -
                 math.log(params.min_throughput_mb_s)) / span

@@ -44,7 +44,6 @@ SECTION7_TABLE_SIZE = 32
 
 
 def configure_section7(instance: Section7Instance | None = None, *,
-                       table_size: int = SECTION7_TABLE_SIZE,
                        frequency_hz: float | None = None,
                        max_negotiations: int = 40
                        ) -> tuple[Section7Instance, NocConfiguration]:
@@ -66,7 +65,7 @@ def configure_section7(instance: Section7Instance | None = None, *,
         try:
             config = configure(
                 instance.topology, use_case,
-                table_size=table_size,
+                table_size=SECTION7_TABLE_SIZE,
                 frequency_hz=(frequency_hz or
                               instance.parameters.frequency_hz),
                 fmt=instance.fmt,
@@ -125,20 +124,20 @@ def _relax_channel(use_case, channel_name: str, *, cap_ns: float):
 
 
 def cbr_traffic(config: NocConfiguration, *,
-                frequency_hz: float | None = None,
                 rate_factor: float = 1.0) -> dict[str, TrafficPattern]:
-    """Per-connection CBR sources at the required rates.
+    """Per-connection CBR sources at the required rates, clocked at the
+    configuration's frequency.
 
     Offsets are staggered deterministically per channel so sources do
     not all burst in the same cycle (the stagger is stable across runs).
     """
-    frequency = frequency_hz or config.frequency_hz
     patterns: dict[str, TrafficPattern] = {}
     for index, (name, ca) in enumerate(
             sorted(config.allocation.channels.items())):
         patterns[name] = ConstantBitRate.from_rate(
-            ca.spec.throughput_bytes_per_s * rate_factor, frequency,
-            config.fmt, offset_cycles=(index * 7) % 64)
+            ca.spec.throughput_bytes_per_s * rate_factor,
+            config.frequency_hz, config.fmt,
+            offset_cycles=(index * 7) % 64)
     return patterns
 
 
@@ -276,16 +275,16 @@ class BeOutcome:
 
 def run_be(config: NocConfiguration, *, frequency_hz: float,
            n_ticks: int = 4000,
-           traffic: dict[str, TrafficPattern] | None = None,
-           buffer_flits: int = 2) -> BeOutcome:
-    """Simulate the best-effort baseline at one operating frequency.
+           traffic: dict[str, TrafficPattern] | None = None) -> BeOutcome:
+    """Simulate the best-effort baseline, with 2-flit router buffers, at
+    one operating frequency.
 
     Uses the same service-latency metric as :func:`run_gs` for a fair
     comparison: self-queueing behind the channel's own messages is
     excluded, contention with other channels is in.
     """
     traffic = traffic or burst_traffic(config, frequency_hz=frequency_hz)
-    backend = BestEffortBackend(config, buffer_flits=buffer_flits)
+    backend = BestEffortBackend(config, buffer_flits=2)
     result = backend.run(SimRequest(n_slots=n_ticks, traffic=traffic,
                                     frequency_hz=frequency_hz))
     channels = config.allocation.channels
@@ -318,8 +317,7 @@ class SweepRow:
 
 def be_frequency_sweep(config: NocConfiguration,
                        frequencies_hz: list[float], *,
-                       n_ticks: int = 4000,
-                       buffer_flits: int = 2) -> list[SweepRow]:
+                       n_ticks: int = 4000) -> list[SweepRow]:
     """Run the BE baseline across frequencies (the paper's >900 MHz scan).
 
     Traffic is rebuilt per frequency from the byte rates, so the offered
@@ -329,8 +327,7 @@ def be_frequency_sweep(config: NocConfiguration,
         raise SimulationError("frequency sweep needs at least one point")
     rows = []
     for frequency in frequencies_hz:
-        outcome = run_be(config, frequency_hz=frequency, n_ticks=n_ticks,
-                         buffer_flits=buffer_flits)
+        outcome = run_be(config, frequency_hz=frequency, n_ticks=n_ticks)
         rows.append(SweepRow(
             frequency_mhz=frequency / 1e6,
             n_latency_ok=outcome.n_latency_ok,

@@ -75,10 +75,8 @@ class TestFigure1:
         use_case = UseCase("fig1", (Application("fig1",
                                                 (spec_a, spec_b)),))
         from repro.core.configuration import NocConfiguration
-        config = NocConfiguration(
-            topology=topo, use_case=use_case, mapping=mapping,
-            allocation=allocation, table_size=4, frequency_hz=500e6,
-            fmt=allocation.fmt)
+        config = NocConfiguration(use_case=use_case, mapping=mapping,
+                                  allocation=allocation)
         result = FlitLevelBackend(config, check_contention=True).run(
             SimRequest(n_slots=40, traffic={"cA": Saturating(2, 3),
                                             "cB": Saturating(2, 3)}))

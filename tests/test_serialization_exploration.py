@@ -233,6 +233,16 @@ class TestExploration:
                 mesh_config.mapping, table_size=8, low_hz=1e9,
                 high_hz=1e8)
 
+    @pytest.mark.parametrize("bound", ["low_hz", "high_hz",
+                                       "tolerance_hz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bound_refused(self, mesh_config, bound, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{bound} must be a finite positive"):
+            min_feasible_frequency(
+                mesh_config.topology, mesh_config.use_case,
+                mesh_config.mapping, table_size=8, **{bound: value})
+
     def test_table_size_scan(self, mesh_config):
         results = table_size_scan(
             mesh_config.topology, mesh_config.use_case,

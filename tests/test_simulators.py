@@ -25,6 +25,7 @@ from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.words import WordFormat
 from repro.simulation.backend import (BestEffortBackend,
                                       CycleAccurateBackend,
                                       FlitLevelBackend, SimRequest,
@@ -168,6 +169,15 @@ class TestFlitSimulator:
                 name, warmup_fraction=0.25)
             assert measured == pytest.approx(
                 bound.throughput_bytes_per_s, rel=0.02)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), float("inf"),
+                                          -0.5, 1.0])
+    def test_warmup_outside_the_run_is_refused(self, mesh_config,
+                                               fraction):
+        result = _flit(mesh_config, _cbr_traffic(mesh_config), 200)
+        with pytest.raises(ConfigurationError, match="warmup_fraction"):
+            result.channel_throughput_bytes_per_s(
+                "c0", warmup_fraction=fraction)
 
     def test_oversubscription_slows_only_itself(self, mesh_config):
         """2x offered load on c0 backlogs c0 but leaves c1/c2 untouched."""
@@ -368,6 +378,36 @@ class TestSimulationBackendProtocol:
                 [e[0] for e in rebuilt.trace(name)[:n]]
 
 
+class TestOneOperatingPoint:
+    """A configuration's operating point is its allocation's: a copy
+    that disagrees with the allocation cannot be built."""
+
+    @pytest.fixture
+    def config(self):
+        spec = ChannelSpec("c", "ipA", "ipB", 100 * MB, application="app")
+        return configure(
+            mesh(2, 2, nis_per_router=1),
+            UseCase("one", (Application("app", (spec,)),)),
+            table_size=8, frequency_hz=500e6,
+            mapping=Mapping({"ipA": "ni0_0_0", "ipB": "ni1_0_0"}))
+
+    def test_it_is_read_off_the_allocation(self, config):
+        allocation = config.allocation
+        assert [f.name for f in dataclasses.fields(config)] == \
+            ["use_case", "mapping", "allocation"]
+        assert (config.topology, config.table_size, config.frequency_hz,
+                config.fmt) == (allocation.topology, allocation.table_size,
+                                allocation.frequency_hz, allocation.fmt)
+
+    @pytest.mark.parametrize("changed", [
+        {"table_size": 16}, {"frequency_hz": 250e6},
+        {"fmt": WordFormat(flit_size=4)},
+        {"topology": mesh(2, 2, nis_per_router=1)}])
+    def test_a_second_copy_cannot_be_set(self, config, changed):
+        with pytest.raises(TypeError):
+            dataclasses.replace(config, **changed)
+
+
 class TestOneEntryOneVetting:
     """Every malformed request is refused by the backend, with a
     ``ConfigurationError``, before an engine is imported or run."""
@@ -411,7 +451,6 @@ class TestOneEntryOneVetting:
 
     def _malformed(self, config):
         """fault -> (request arguments, backends it must stop at)."""
-        from repro.core.words import WordFormat
         traffic = _cbr_traffic(config)
         tdm, replaying, every = ("flit", "cycle"), ("flit", "be"), \
             ("flit", "be", "cycle")

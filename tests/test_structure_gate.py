@@ -161,6 +161,10 @@ def test_the_tree_passes():
      "asynchronous token depth option is back"),
     ("wrapper/__init__.py", "DEFAULT_INITIAL_TOKENS = 2",
      "asynchronous token depth option is back"),
+    *(("core/configuration.py",
+       f"class NocConfiguration:\n    {field}: object = None",
+       "NocConfiguration stores a copy of its allocation's operating point")
+      for field in ("topology", "table_size", "frequency_hz", "fmt")),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",
@@ -210,8 +214,7 @@ def test_the_census_passes_and_tallies():
                 if not line.startswith("note: ")]
     assert re.fullmatch(
         r"\d+ parameters with defaults, (\d+) passed nowhere, \1 allowed; "
-        r"noted: \d+ passed nowhere in the paper-model packages, "
-        r"\d+ passed only by tests", proc.stdout.splitlines()[-1])
+        r"noted: \d+ passed only by tests", proc.stdout.splitlines()[-1])
 
 
 def test_a_parameter_nothing_passes_is_flagged(tmp_path):
@@ -284,11 +287,11 @@ def test_a_tests_only_parameter_is_a_note(tmp_path):
         in proc.stdout
 
 
-def test_a_paper_model_package_is_noted_not_gated(tmp_path):
+def test_a_paper_model_package_is_gated_too(tmp_path):
     proc = _census(_scratch(tmp_path, F, caller="f(0)\n", package="synthesis"))
-    assert proc.returncode == 0, proc.stdout
-    assert "note: src/repro/synthesis/mod.py:1: f(y) is passed nowhere" \
-        in proc.stdout
+    assert proc.returncode == 1
+    assert "src/repro/synthesis/mod.py:1: f(y) is passed nowhere" \
+        in proc.stdout.splitlines()
 
 
 def test_the_allow_list_needs_a_reason_and_a_finding(tmp_path):

@@ -24,7 +24,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocation import SlotAllocator
+from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
@@ -487,8 +487,9 @@ def _replay_faults(config):
             **changed})
 
     return {
-        "topology": (replace(config, topology=foreign), good, 100,
-                     traffic),
+        "topology": (replace(config, allocation=Allocation(
+            foreign, config.table_size, config.frequency_hz, config.fmt)),
+            good, 100, traffic),
         "table_size": (config, rebuilt(table_size=16), 100, traffic),
         "frequency": (config, rebuilt(frequency_hz=250e6), 100, traffic),
         "fmt": (config, rebuilt(fmt=WordFormat(flit_size=4)), 100,

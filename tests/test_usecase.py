@@ -70,6 +70,16 @@ class TestGenerator:
         with pytest.raises(ConfigurationError):
             Section7Parameters(n_applications=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("min_throughput_mb_s", float("nan")),
+        ("min_throughput_mb_s", 500.0),
+        ("min_latency_ns", float("nan")),
+        ("max_latency_ns", float("nan")),
+        ("max_latency_ns", float("inf"))])
+    def test_non_finite_range_bound_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match="bad .* range"):
+            Section7Parameters(**{field: value})
+
     @pytest.mark.parametrize("seed", [1, 2, 42, 2009])
     def test_generated_instances_allocate_at_500mhz(self, seed):
         """The headline claim must be robust over seeds, not luck."""

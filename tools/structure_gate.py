@@ -191,6 +191,11 @@ RULES = [
      None, NONE,
      "an asynchronous token depth option is back under src/repro (each IPI "
      "is primed with its link's hop cost in connect_wrappers)"),
+    (r"^    (topology|table_size|frequency_hz|fmt)\s*:",
+     ("src/repro/core/configuration.py",), None, NONE,
+     "NocConfiguration stores a copy of its allocation's operating point "
+     "again (topology, table_size, frequency_hz and fmt are read off "
+     "allocation)"),
 ]
 
 

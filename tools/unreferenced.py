@@ -24,14 +24,11 @@ Two rules, one walk over ``src/``, ``benchmarks/``, ``examples/``,
    (``_get(Counter, ...)`` is that call of ``Counter``); a function
    merely held as a value (a registry entry) is credited nothing.
 
-Rule 2 gates the *system* packages (everything under ``src/repro`` that
-is not a paper-model package): a parameter nothing passes fails the
-run.  Findings in the paper-model packages (``synthesis``,
-``experiments``, ``usecase``, ``baseline``, ``router``, ``link``, ``ni``,
-``wrapper``, ``clocking``) and parameters that only ``tests/`` pass are
-printed as ``note:`` lines and gate nothing.  The last line is the tally
-``N parameters with defaults, M passed nowhere, K allowed`` (gated
-packages), followed by the two noted figures.
+Rule 2 gates every package under ``src/repro``: a parameter nothing
+passes fails the run.  A parameter that only ``tests/`` pass is printed
+as a ``note:`` line and gates nothing.  The last line is the tally
+``N parameters with defaults, M passed nowhere, K allowed; noted: T
+passed only by tests``.
 
 ``tools/unreferenced_allow.txt`` is the allow-list of both rules, one
 entry a line: ``name  # reason`` keeps a definition, ``Name(param)  #
@@ -51,8 +48,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORD = re.compile(r"[A-Za-z_]\w*")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-MODEL = {"synthesis", "experiments", "usecase", "baseline", "router",
-         "link", "ni", "wrapper", "clocking"}
 EVERY = 10 ** 6  # "*args at the call": every position is passed
 
 
@@ -239,10 +234,9 @@ def main() -> int:
                 through[name].append(relay)
             if in_src:
                 rel = path.relative_to(ROOT)
-                package = rel.parts[2].removesuffix(".py")
                 params += [(f"{rel}:{line}", f"{label}({param})", name, param,
                             positional.index(param) if param in positional
-                            else None, is_dataclass, package in MODEL)
+                            else None, is_dataclass)
                            for name, label, positional, defaulted, is_dataclass
                            in signatures(tree)
                            for param, line in defaulted.items()]
@@ -255,16 +249,13 @@ def main() -> int:
         if mentions[name] == own[name] and not name.startswith("__") \
                 and not allowed.pop(name, 0):
             problems.append(f"{where[name]}: {name} is referenced nowhere")
-    nowhere = n_allowed = n_model = n_tests = 0
-    for at, label, name, param, index, is_dataclass, model in params:
+    nowhere = n_allowed = n_tests = 0
+    for at, label, name, param, index, is_dataclass in params:
         if code.passes(name, param, index, is_dataclass):
             continue
         if tests.passes(name, param, index, is_dataclass):
             n_tests += 1
             print(f"note: {at}: {label} is passed only by tests")
-        elif model:
-            n_model += 1
-            print(f"note: {at}: {label} is passed nowhere")
         else:
             nowhere += 1
             if allowed.pop(label, 0):
@@ -276,8 +267,8 @@ def main() -> int:
                  in allowed.items()]
     print("\n".join(problems), end="\n" if problems else "")
     print(f"{len(params)} parameters with defaults, {nowhere} passed "
-          f"nowhere, {n_allowed} allowed; noted: {n_model} passed nowhere "
-          f"in the paper-model packages, {n_tests} passed only by tests")
+          f"nowhere, {n_allowed} allowed; noted: {n_tests} passed only by "
+          "tests")
     return 1 if problems else 0
 
 
