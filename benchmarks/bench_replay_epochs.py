@@ -1,11 +1,12 @@
 """Tier-2 gate: compiled executor vs the per-flit oracle, two plans.
 
 Opt in with ``--tier2``.  The production flit path is the vectorised
-executor (:mod:`repro.simulation.compiled`); ``compiled=False`` is the
-per-flit oracle it is checked against, which runs one channel
+executor (:mod:`repro.simulation.compiled`), which
+:class:`~repro.simulation.backend.FlitLevelBackend` runs; the per-flit
+oracle it is checked against (:func:`repro.simulation.flitsim.execute`,
+called here directly on the same lifetime table) runs one channel
 incarnation at a time.  Both run the Section VII use case (200
-connections) through :class:`~repro.simulation.backend.FlitLevelBackend`
-on two shapes of lifetime table:
+connections) on two shapes of lifetime table:
 
 * ``churn`` — every connection live at slot 0, then a round-robin
   stop/restart sequence, two transitions every ten slots: 601 short
@@ -29,9 +30,12 @@ import time
 
 import pytest
 
-from repro.core.timeline import ReconfigurationTimeline, TimelineEvent
+from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
+                                 lifetime_boundaries, static_lifetimes)
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.composability import replay_traffic
+from repro.simulation.flitsim import execute as oracle_execute
+from repro.telemetry.hub import NULL_TELEMETRY
 from repro.usecase.runner import burst_traffic, fold_requirements
 
 #: Stop/restart pairs in the churn sequence (two epochs each).
@@ -79,10 +83,10 @@ PLANS = {"churn": (_churn_plan, 2 * N_TOGGLES + 1, False),
          "static": (_static_plan, 1, True)}
 
 
-def _worst_margin_ns(config, result) -> float:
+def _worst_margin_ns(config, stats) -> float:
     worst = {}
     for name in config.allocation.channels:
-        observed = result.stats.service_observation(name).worst_ns
+        observed = stats.service_observation(name).worst_ns
         if observed is not None:
             worst[name] = observed
     return fold_requirements(config.allocation.channels.values(), worst)[2]
@@ -94,21 +98,36 @@ def test_compiled_speedup(tier2, section7, plan):
     build, n_epochs, timed = PLANS[plan]
     request = build(config)
 
-    def run(compiled):
-        backend = FlitLevelBackend(config, compiled=compiled)
+    backend = FlitLevelBackend(config)
+
+    def run_compiled():
+        """The backend's run: (stats, meta, seconds)."""
         start = time.perf_counter()
         result = backend.run(request)
-        return result, time.perf_counter() - start
+        return result.stats, result.meta, time.perf_counter() - start
+
+    def run_oracle():
+        """The oracle on the lifetime table the backend would replay,
+        built inside the timing as the backend builds it."""
+        start = time.perf_counter()
+        lifetimes = (static_lifetimes(config.allocation, request.n_slots)
+                     if request.timeline is None
+                     else request.timeline.channel_intervals())
+        stats, meta = oracle_execute(config, lifetimes, request.n_slots,
+                                     dict(request.traffic), NULL_TELEMETRY)
+        meta["n_epochs"] = len(lifetime_boundaries(lifetimes,
+                                                   request.n_slots))
+        return stats, meta, time.perf_counter() - start
 
     # Warm pass per executor doubles as the equivalence gate: the
     # compiled path must reproduce the oracle's run bit for bit.
-    fast, _ = run(True)
-    oracle, _ = run(False)
-    assert fast.meta["executor"] == "compiled"
-    assert oracle.meta["executor"] == "per-flit"
-    assert fast.meta["n_epochs"] == oracle.meta["n_epochs"] == n_epochs
-    assert fast.meta["flits_by_channel"] == oracle.meta["flits_by_channel"]
-    assert sum(fast.meta["flits_by_channel"].values()) > 0
+    fast, fast_meta, _ = run_compiled()
+    oracle, oracle_meta, _ = run_oracle()
+    assert fast_meta["executor"] == "compiled"
+    assert oracle_meta["executor"] == "per-flit"
+    assert fast_meta["n_epochs"] == oracle_meta["n_epochs"] == n_epochs
+    assert fast_meta["flits_by_channel"] == oracle_meta["flits_by_channel"]
+    assert sum(fast_meta["flits_by_channel"].values()) > 0
     fast_trace, oracle_trace = fast.composability_trace(), \
         oracle.composability_trace()
     assert fast_trace.channels() == oracle_trace.channels()
@@ -118,8 +137,8 @@ def test_compiled_speedup(tier2, section7, plan):
     if not timed:
         return
 
-    compiled_s = min(run(True)[1] for _ in range(3))
-    oracle_s = min(run(False)[1] for _ in range(3))
+    compiled_s = min(run_compiled()[2] for _ in range(3))
+    oracle_s = min(run_oracle()[2] for _ in range(3))
     speedup = oracle_s / compiled_s
     assert speedup >= TARGET_SPEEDUP, (
         f"compiled executor only {speedup:.2f}x faster than the "

@@ -90,8 +90,11 @@ def test_section7_be_composability_lost(section7):
         name for name, ca in config.allocation.channels.items()
         if ca.spec.application == target_app)
 
+    # The baseline runs at the configuration's frequency, the paper's.
+    assert config.frequency_hz == 500e6
+
     def be_factory(cfg):
-        return BestEffortBackend(cfg, frequency_hz=500e6, buffer_flits=2)
+        return BestEffortBackend(cfg, buffer_flits=2)
 
     def run(active):
         return run_with_channels(config, traffic, active, 2000,

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from repro.core import (MB, Application, ChannelSpec, UseCase, configure,
                         shifted)
+from repro.core.timeline import static_lifetimes
 from repro.simulation import FlitLevelBackend, Saturating, SimRequest
+from repro.simulation.backend import check_lifetime_contention
 from repro.topology import Mapping, custom
 
 
@@ -45,8 +47,11 @@ def main() -> None:
                   f"slots {slots}")
         print()
 
-    # Simulate both connections saturated and draw the link occupancy.
-    backend = FlitLevelBackend(config, check_contention=True)
+    # Check the reservations for contention over the run, then simulate
+    # both connections saturated and draw the link occupancy.
+    check_lifetime_contention(static_lifetimes(config.allocation, 12), 12,
+                              config.table_size)
+    backend = FlitLevelBackend(config)
     result = backend.run(SimRequest(n_slots=12, traffic={
         spec.name: Saturating(config.fmt.payload_words_per_flit,
                               config.fmt.flit_size)

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from repro.core import (MB, Application, ChannelSpec, UseCase, analyse,
                         configure)
+from repro.core.timeline import static_lifetimes
 from repro.simulation import (ConstantBitRate, FlitLevelBackend,
                               SimRequest)
+from repro.simulation.backend import check_lifetime_contention
 from repro.topology import mesh
 
 
@@ -50,8 +52,12 @@ def main() -> None:
               f"{bounds.throughput_bytes_per_s / 1e6:6.1f} MB/s   "
               f"(slots {bounds.n_slots})")
 
-    # 4. Simulate with each channel offering its contracted rate.
-    backend = FlitLevelBackend(config, check_contention=True)
+    # 4. Check that no two flits the reservations allow can meet on a
+    #    link, then simulate with each channel offering its contracted
+    #    rate.
+    check_lifetime_contention(static_lifetimes(config.allocation, 4000),
+                              4000, config.table_size)
+    backend = FlitLevelBackend(config)
     result = backend.run(SimRequest(n_slots=4000, traffic={
         spec.name: ConstantBitRate.from_rate(
             spec.throughput_bytes_per_s, config.frequency_hz, config.fmt)

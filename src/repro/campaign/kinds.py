@@ -32,6 +32,7 @@ from typing import Callable
 
 from repro.campaign.spec import (RunSpec, ScenarioSpec, SyntheticSpec,
                                  derive_seed)
+from repro.core.allocation import SlotAllocator
 from repro.core.configuration import configure
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.faults.model import FaultSpec
@@ -390,9 +391,11 @@ def _serve_body(ctx: RunContext) -> dict[str, object]:
     scenario = ctx.scenario
     wfq = scenario.policy == "wfq"
     service = SessionService(
-        ctx.topology, table_size=scenario.table_size,
-        frequency_hz=ctx.frequency_hz, name=scenario.name,
-        seed=ctx.run.seed, record_events=False, policy=scenario.policy,
+        ctx.topology, allocator=SlotAllocator(
+            ctx.topology, table_size=scenario.table_size,
+            frequency_hz=ctx.frequency_hz),
+        name=scenario.name, seed=ctx.run.seed, record_events=False,
+        policy=scenario.policy,
         tenants=ctx.payload["churn"].tenants if wfq else ())
     return {"result": service.run(ctx.events).to_record()}
 
@@ -457,9 +460,11 @@ def _replay_body(ctx: RunContext) -> dict[str, object]:
 
     scenario = ctx.scenario
     service = SessionService(
-        ctx.topology, table_size=scenario.table_size,
-        frequency_hz=ctx.frequency_hz, name=scenario.name,
-        seed=ctx.run.seed, record_events=False, record_timeline=True)
+        ctx.topology, allocator=SlotAllocator(
+            ctx.topology, table_size=scenario.table_size,
+            frequency_hz=ctx.frequency_hz),
+        name=scenario.name, seed=ctx.run.seed, record_events=False,
+        record_timeline=True)
     service.run(ctx.events)
     timeline = service.timeline(horizon_slots=scenario.n_slots)
     report = verify_timeline(timeline, replay_traffic(timeline),

@@ -21,6 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.clocking.domains import CLOCKING_MODES
 from repro.core.application import Application, UseCase
 from repro.core.configuration import NocConfiguration, configure
 from repro.core.connection import MB, ChannelSpec
@@ -270,8 +271,7 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; expected one of "
                 f"{available_backends()}")
-        if self.backend == "cycle" and self.clocking not in (
-                "synchronous", "mesochronous", "asynchronous"):
+        if self.backend == "cycle" and self.clocking not in CLOCKING_MODES:
             raise ConfigurationError(
                 f"unknown clocking scheme {self.clocking!r}")
         object.__setattr__(self, "n_slots",

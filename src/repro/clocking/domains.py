@@ -19,8 +19,11 @@ from typing import Iterable
 from repro.clocking.clock import ClockDomain, period_ps_from_hz
 from repro.core.exceptions import ConfigurationError
 
-__all__ = ["synchronous_domains", "mesochronous_domains",
+__all__ = ["CLOCKING_MODES", "synchronous_domains", "mesochronous_domains",
            "plesiochronous_domains"]
+
+#: The clocking schemes a detailed network can be elaborated under.
+CLOCKING_MODES = ("synchronous", "mesochronous", "asynchronous")
 
 
 def synchronous_domains(nodes: Iterable[str],

@@ -110,6 +110,7 @@ def run_churn_with_faults(topology, events, schedule, *,
     (quote conformance via ``outcome.service.conformance_report()``)
     and on the replay verification (``outcome.verdict.conformance``).
     """
+    from repro.core.allocation import SlotAllocator
     from repro.service.controller import SessionService, merge_events
 
     tel = coalesce(telemetry)
@@ -117,7 +118,8 @@ def run_churn_with_faults(topology, events, schedule, *,
     def service(record_timeline: bool, run_telemetry=None,
                 run_monitor=None) -> SessionService:
         return SessionService(
-            topology, table_size=table_size, frequency_hz=frequency_hz,
+            topology, allocator=SlotAllocator(
+                topology, table_size=table_size, frequency_hz=frequency_hz),
             name=name, seed=seed, record_events=False,
             record_timeline=record_timeline, telemetry=run_telemetry,
             monitor=run_monitor)

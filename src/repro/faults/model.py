@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.core.allocation import excluded_link_keys
 from repro.core.exceptions import (ConfigurationError,
-                                   require_finite_positive)
+                                   require_finite_positive, require_whole)
 from repro.topology.graph import NodeKind, Topology
 
 __all__ = ["FaultSpec", "FaultEvent", "FaultSchedule"]
@@ -67,8 +67,8 @@ class FaultSpec:
     repair: bool = True
 
     def __post_init__(self) -> None:
-        if self.n_faults < 1:
-            raise ConfigurationError("fault schedule needs >= 1 fault")
+        object.__setattr__(self, "n_faults",
+                           require_whole("n_faults", self.n_faults, 1))
         require_finite_positive("fault_rate_per_s", self.fault_rate_per_s)
         require_finite_positive("mean_repair_s", self.mean_repair_s)
         if not 0 <= self.router_fraction <= 1:

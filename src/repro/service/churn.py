@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import (ConfigurationError,
-                                   require_finite_positive)
+                                   require_finite_positive, require_whole)
 from repro.service.fairness import TenantSpec
 from repro.service.qos import DEFAULT_CLASSES, QosClass
 from repro.topology.graph import Topology
@@ -76,8 +76,8 @@ class ChurnSpec:
     tenants: tuple[TenantSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n_sessions < 1:
-            raise ConfigurationError("churn needs >= 1 session")
+        object.__setattr__(self, "n_sessions",
+                           require_whole("n_sessions", self.n_sessions, 1))
         require_finite_positive("arrival_rate_per_s",
                                 self.arrival_rate_per_s)
         require_finite_positive("mean_duration_s", self.mean_duration_s)
@@ -215,5 +215,5 @@ class ChurnWorkload:
         stream.sort(key=lambda e: (e.time_s, e.kind != "close",
                                    e.session.session_id))
         if limit is not None:
-            stream = stream[:max(0, limit)]
+            stream = stream[:require_whole("limit", limit, 0)]
         return tuple(stream)

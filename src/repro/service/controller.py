@@ -102,12 +102,15 @@ def merge_events(*event_streams):
 
 
 class SessionService:
-    """Admission-controlled session churn over one NoC."""
+    """Admission-controlled session churn over one NoC.
+
+    The ``allocator`` fixes the operating point — table size, frequency,
+    word format and allocator options — and may be shared by several
+    services over one topology, which then share its route caches.
+    """
 
     def __init__(self, topology: Topology, *,
-                 table_size: int | None = None,
-                 frequency_hz: float | None = None,
-                 allocator: SlotAllocator | None = None,
+                 allocator: SlotAllocator,
                  name: str = "service", seed: int = 0,
                  window: int = 100, record_events: bool = True,
                  record_timeline: bool = False,
@@ -126,34 +129,16 @@ class SessionService:
                 "policy='wfq' (FCFS must stay byte-identical to "
                 "policy-free runs)")
         self.policy = policy
+        self.metrics = ServiceMetrics(window=window,
+                                      record_events=record_events)
         #: The weighted-fair gate; ``None`` keeps the FCFS hot path
         #: untouched (not a single extra branch taken per event).
         self._fairness: WeightedFairScheduler | None = (
             WeightedFairScheduler(tenants, spec=fairness)
             if policy == "wfq" else None)
-        if allocator is None:
-            allocator = SlotAllocator(
-                topology,
-                table_size=32 if table_size is None else table_size,
-                frequency_hz=(500e6 if frequency_hz is None
-                              else frequency_hz))
-        else:
-            # A supplied allocator (cache sharing across service
-            # instances) fixes the operating point; conflicting explicit
-            # parameters must not be silently dropped.
-            if allocator.topology is not topology:
-                raise ConfigurationError(
-                    "allocator was built for a different topology object")
-            if table_size is not None and \
-                    table_size != allocator.table_size:
-                raise ConfigurationError(
-                    f"table_size {table_size} conflicts with the supplied "
-                    f"allocator's {allocator.table_size}")
-            if frequency_hz is not None and \
-                    frequency_hz != allocator.frequency_hz:
-                raise ConfigurationError(
-                    f"frequency_hz {frequency_hz:g} conflicts with the "
-                    f"supplied allocator's {allocator.frequency_hz:g}")
+        if allocator.topology is not topology:
+            raise ConfigurationError(
+                "allocator was built for a different topology object")
         self.name = name
         self.seed = seed
         self.topology = topology
@@ -228,8 +213,6 @@ class SessionService:
         # come (open shed or rejected, or dropped by a fault): what
         # tells their close from one nobody opened.
         self._unadmitted: set[str] = set()
-        self.metrics = ServiceMetrics(window=window,
-                                      record_events=record_events)
         # The guarantee-conformance watchdog: when armed, every accepted
         # admission (and fault re-admission) is retained for quoting.
         # Deferred like the span/histogram capture above: the hot path

@@ -10,6 +10,7 @@ its serial/parallel split.
 
 from __future__ import annotations
 
+from repro.core.allocation import SlotAllocator
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService
 from repro.service.metrics import ServiceReport
@@ -56,8 +57,10 @@ def run_demo(*, n_events: int = 2000, seed: int = 2009,
 
     def one_run(run_telemetry=None, run_monitor=None) -> ServiceReport:
         service = SessionService(
-            topology, table_size=DEMO_TABLE_SIZE,
-            frequency_hz=DEMO_FREQUENCY_HZ, name="serve-demo",
+            topology, allocator=SlotAllocator(
+                topology, table_size=DEMO_TABLE_SIZE,
+                frequency_hz=DEMO_FREQUENCY_HZ),
+            name="serve-demo",
             seed=seed, telemetry=run_telemetry, monitor=run_monitor)
         report = service.run(events)
         if service.monitor is not None:

@@ -42,7 +42,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.exceptions import (ConfigurationError,
-                                   require_finite_positive)
+                                   require_finite_positive, require_whole)
 from repro.service.qos import QosClass
 
 __all__ = ["TenantSpec", "FairnessSpec", "PolicyEvent",
@@ -168,15 +168,14 @@ class FairnessSpec:
         if not 0.0 <= self.pressure_threshold <= 1.0:
             raise ConfigurationError(
                 "pressure_threshold must lie in [0, 1]")
-        for label, limit in (("tenant", self.tenant_opens_per_window),
-                             ("app", self.app_opens_per_window)):
-            if limit is not None and limit < 1:
-                raise ConfigurationError(
-                    f"{label}_opens_per_window must be >= 1 or None")
-        if self.overload_window < 1:
-            raise ConfigurationError("overload_window must be >= 1")
-        if self.min_overload_samples < 1:
-            raise ConfigurationError("min_overload_samples must be >= 1")
+        for name, optional in (("tenant_opens_per_window", True),
+                               ("app_opens_per_window", True),
+                               ("overload_window", False),
+                               ("min_overload_samples", False)):
+            value = getattr(self, name)
+            if value is not None or not optional:
+                object.__setattr__(self, name,
+                                   require_whole(name, value, 1))
         if any(not 0.0 < t <= 1.0 for t in self.shed_thresholds):
             raise ConfigurationError(
                 "shed thresholds must lie in (0, 1]")

@@ -20,6 +20,7 @@ twice to prove the emitted report is byte-identical.
 
 from __future__ import annotations
 
+from repro.core.allocation import SlotAllocator
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService
 from repro.service.demo import DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE
@@ -93,7 +94,8 @@ def fairness_comparison(topology, events,
     def one_run(policy: str, run_events, run_name: str,
                 run_telemetry=None, run_monitor=None):
         service = SessionService(
-            topology, table_size=table_size, frequency_hz=frequency_hz,
+            topology, allocator=SlotAllocator(
+                topology, table_size=table_size, frequency_hz=frequency_hz),
             name=run_name, seed=seed, record_events=False,
             telemetry=run_telemetry, monitor=run_monitor,
             policy=policy,

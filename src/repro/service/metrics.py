@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.core.exceptions import require_whole
+
 __all__ = ["ServiceMetrics", "ServiceReport"]
 
 
@@ -32,7 +34,7 @@ class ServiceMetrics:
     """Accumulates per-event records and windowed time series."""
 
     def __init__(self, *, window: int = 100, record_events: bool = True):
-        self.window = max(1, window)
+        self.window = require_whole("window", window, 1)
         self.record_events = record_events
         self.events: list[dict[str, object]] = []
         self.series: list[dict[str, object]] = []

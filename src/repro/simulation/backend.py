@@ -4,8 +4,9 @@ aelite is flit-synchronous — whatever the clocking underneath, the
 network is one logical machine whose unit of time is the flit cycle — so
 one request (a horizon in slots, traffic per channel, optionally a
 reconfiguration timeline) drives all three models: the flit-level TDM
-executors (:mod:`repro.simulation.compiled` and its per-flit reference
-:mod:`repro.simulation.flitsim`), the cycle-accurate multi-clock model
+executor (:mod:`repro.simulation.compiled`; its per-flit oracle
+:mod:`repro.simulation.flitsim` is called directly, never through a
+backend), the cycle-accurate multi-clock model
 (:mod:`repro.simulation.cyclesim`) and the best-effort wormhole engine
 (:mod:`repro.baseline.be_network`).  None of them has an entry point of
 its own; this module is the only one under ``src/repro`` that imports
@@ -31,7 +32,7 @@ neither numpy nor an engine:
   static one against the configuration's channel set.  What runs is
   then one lifetime table — ``channel → ((start, stop, allocation),
   …)``, the timeline's or :func:`~repro.core.timeline.static_lifetimes`
-  — which every engine, and the contention check, reads.
+  — which every engine, and :func:`check_lifetime_contention`, reads.
 
 Backends are registered by name (``"flit"``, ``"cycle"``, ``"be"``) so
 declarative campaign specs can name them without importing simulator
@@ -40,10 +41,12 @@ classes.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
+from repro.clocking.domains import CLOCKING_MODES
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import (ConfigurationError, SimulationError,
                                    require_finite_positive, require_whole)
@@ -199,9 +202,9 @@ class SimResult:
         """One-line latency digest for campaign logs and the REPL.
 
         Every backend names its execution path in ``meta["executor"]``
-        (``"compiled"``/``"per-flit"`` for the flit backend,
-        ``"cycle-accurate"``, ``"wormhole"``); the digest label carries
-        it so logs show *which* engine produced the numbers.
+        (``"compiled"`` for the flit backend, ``"per-flit"`` for its
+        oracle, ``"cycle-accurate"``, ``"wormhole"``); the digest label
+        carries it so logs show *which* engine produced the numbers.
         """
         label = self.backend
         executor = self.meta.get("executor")
@@ -364,26 +367,18 @@ def check_lifetime_contention(lifetimes: Mapping, n_slots: int,
 class FlitLevelBackend(SimulationBackend):
     """Fast flit-level TDM simulation (the paper's aelite network).
 
-    Two executors share one signature, read the request's lifetime
-    table and run the TDM schedule and nothing else: the compiled
-    vectorised one (:func:`repro.simulation.compiled.execute`) and the
-    per-flit oracle (:func:`repro.simulation.flitsim.execute`), which
-    ``compiled=False`` names.  ``meta["executor"]`` reports which one
-    ran; the epoch count and the ``epochs`` spans come from the table's
-    boundaries, here.  ``check_contention`` runs
-    :func:`check_lifetime_contention` on the table before either is
-    dispatched.
+    Runs the request's lifetime table through the compiled vectorised
+    executor (:func:`repro.simulation.compiled.execute`), which runs the
+    TDM schedule and nothing else; ``meta["executor"]`` names it, and
+    the epoch count and the ``epochs`` spans come from the table's
+    boundaries, here.  Its oracle, :func:`repro.simulation.flitsim.
+    execute`, and the contention check, :func:`check_lifetime_contention`,
+    read the same table and are called directly by whoever wants them:
+    the slot tables fix every flit's link slots at configuration time,
+    so a run has one executor and no checking mode.
     """
 
     name = "flit"
-
-    def __init__(self, config: NocConfiguration, *,
-                 compiled: bool = True,
-                 check_contention: bool = False,
-                 telemetry=None):
-        super().__init__(config, telemetry=telemetry)
-        self.compiled = compiled
-        self.check_contention = check_contention
 
     def run(self, request: SimRequest) -> SimResult:
         self._reject_frequency_override(request)
@@ -391,12 +386,7 @@ class FlitLevelBackend(SimulationBackend):
         n_slots = request.n_slots
         patterns = self._vet(request, frequency_hz=config.frequency_hz)
         lifetimes = self._lifetimes(request)
-        if self.check_contention:
-            check_lifetime_contention(lifetimes, n_slots, config.table_size)
-        if self.compiled:
-            from repro.simulation.compiled import execute
-        else:
-            from repro.simulation.flitsim import execute
+        from repro.simulation.compiled import execute
         telemetry = self.telemetry
         stats, meta = execute(config, lifetimes, n_slots, patterns,
                               telemetry)
@@ -423,6 +413,14 @@ class CycleAccurateBackend(SimulationBackend):
                  plesiochronous_ppm: float = 200.0,
                  telemetry=None):
         super().__init__(config, telemetry=telemetry)
+        if clocking not in CLOCKING_MODES:
+            raise ConfigurationError(
+                f"unknown clocking mode {clocking!r}; expected one of "
+                f"{CLOCKING_MODES}")
+        if not 0 <= plesiochronous_ppm < math.inf:
+            raise ConfigurationError(
+                f"plesiochronous_ppm must be a finite number >= 0, got "
+                f"{plesiochronous_ppm!r}")
         self.clocking = clocking
         self.plesiochronous_ppm = plesiochronous_ppm
 
@@ -455,25 +453,26 @@ class CycleAccurateBackend(SimulationBackend):
 
 
 class BestEffortBackend(SimulationBackend):
-    """Æthereal-style best-effort wormhole baseline (no TDM)."""
+    """Æthereal-style best-effort wormhole baseline (no TDM).
+
+    Without slot tables it can be retimed: a request's
+    ``frequency_hz`` runs it at that frequency instead of the
+    configuration's.
+    """
 
     name = "be"
 
     def __init__(self, config: NocConfiguration, *,
-                 frequency_hz: float | None = None,
                  buffer_flits: int = 4,
                  max_packet_flits: int = 4,
                  telemetry=None):
         super().__init__(config, telemetry=telemetry)
-        if frequency_hz is not None:
-            require_finite_positive("frequency_hz", frequency_hz)
         for name, value in (("buffer_flits", buffer_flits),
                             ("max_packet_flits", max_packet_flits)):
             if isinstance(value, bool) or not isinstance(value, int) or \
                     value < 1:
                 raise ConfigurationError(
                     f"{name} must be a positive int, got {value!r}")
-        self.frequency_hz = frequency_hz
         self.buffer_flits = buffer_flits
         self.max_packet_flits = max_packet_flits
 
@@ -482,9 +481,7 @@ class BestEffortBackend(SimulationBackend):
         lifetimes = self._lifetimes(request)
         from repro.baseline.be_network import BeNetworkSimulator
         engine = BeNetworkSimulator(
-            self.config,
-            frequency_hz=(self.frequency_hz if request.frequency_hz is None
-                          else request.frequency_hz),
+            self.config, frequency_hz=request.frequency_hz,
             buffer_flits=self.buffer_flits,
             max_packet_flits=self.max_packet_flits)
         stats = engine.run(lifetimes, patterns, request.n_slots)

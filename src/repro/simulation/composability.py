@@ -88,8 +88,8 @@ def run_with_channels(config: NocConfiguration,
     allocation is untouched — stopping an application does not reconfigure
     the network) but offer no traffic, exactly like a stopped application.
     ``backend_factory`` selects and configures the simulator (say
-    ``lambda c: FlitLevelBackend(c, compiled=False)``); the default is
-    the fast flit-level backend.
+    ``lambda c: CycleAccurateBackend(c, clocking="mesochronous")``); the
+    default is the fast flit-level backend.
     """
     backend = (backend_factory or FlitLevelBackend)(config)
     request = SimRequest(

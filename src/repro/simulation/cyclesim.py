@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.clocking.clock import ClockDomain
-from repro.clocking.domains import (mesochronous_domains,
+from repro.clocking.domains import (CLOCKING_MODES, mesochronous_domains,
                                     plesiochronous_domains,
                                     synchronous_domains)
 from repro.core.configuration import NocConfiguration
@@ -44,9 +44,6 @@ from repro.wrapper.asynchronous import (AsyncWrapper, DeadlockWatchdog,
                                         connect_wrappers)
 
 __all__ = ["DetailedNetwork", "DetailedSimResult"]
-
-_CLOCKING_MODES = ("synchronous", "mesochronous", "asynchronous")
-
 
 @dataclass
 class DetailedSimResult:
@@ -72,10 +69,10 @@ class DetailedNetwork:
                  horizon_slots: int = 1024,
                  flow_control_pairs: dict[str, str] | None = None,
                  rx_capacity_words: int = 256):
-        if clocking not in _CLOCKING_MODES:
+        if clocking not in CLOCKING_MODES:
             raise ConfigurationError(
                 f"unknown clocking mode {clocking!r}; expected one of "
-                f"{_CLOCKING_MODES}")
+                f"{CLOCKING_MODES}")
         self.config = config
         self.clocking = clocking
         self.fmt = config.fmt

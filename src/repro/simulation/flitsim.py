@@ -22,19 +22,20 @@ their channel's next reserved slot, so measured latency reflects arrival
 phasing, burstiness and head-of-line effects within a channel.  It
 models the TDM schedule and nothing else: credit back-pressure is the
 word-level NI's (:class:`~repro.simulation.cyclesim.DetailedNetwork`),
-and the composability trace and the link-contention check are read off
-the record log and the lifetime table by
-:class:`~repro.simulation.backend.FlitLevelBackend`.  Payload accounting
-is conservative (header word in every flit), matching the allocator.
+the composability trace is read off the record log, and the
+link-contention check
+(:func:`~repro.simulation.backend.check_lifetime_contention`) off the
+lifetime table.  Payload accounting is conservative (header word in
+every flit), matching the allocator.
 
-This module is an *executor*, not an entry point: :func:`execute` takes
-a lifetime table that :class:`~repro.simulation.backend.FlitLevelBackend`
-has already vetted and returns the ingredients of a
+This module is an *oracle*, not an entry point: :func:`execute` takes a
+vetted lifetime table and returns the ingredients of a
 :class:`~repro.simulation.backend.SimResult`.  Its twin with the same
 signature, :func:`repro.simulation.compiled.execute`, solves each
-incarnation as a handful of array operations and is the one the backend
-runs; the loop here is the oracle it must equal record for record
-(``FlitLevelBackend(config, compiled=False)``).
+incarnation as a handful of array operations and is the one
+:class:`~repro.simulation.backend.FlitLevelBackend` runs; the loop here
+is what it must equal record for record, and the tests call it
+directly.
 """
 
 from __future__ import annotations

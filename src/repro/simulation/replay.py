@@ -53,6 +53,7 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
     # Local imports: campaign.spec imports service.churn which would
     # cycle through the package __init__s at module scope.
     from repro.campaign.spec import derive_seed
+    from repro.core.allocation import SlotAllocator
     from repro.service.churn import ChurnWorkload
     from repro.service.controller import SessionService
     from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
@@ -71,8 +72,10 @@ def run_replay_demo(*, n_events: int = 240, n_slots: int = 3000,
     def one_run(run_telemetry, run_monitor) -> dict[str, object]:
         run_tel = coalesce(run_telemetry)
         service = SessionService(
-            topology, table_size=DEMO_TABLE_SIZE,
-            frequency_hz=DEMO_FREQUENCY_HZ, name="replay-demo",
+            topology, allocator=SlotAllocator(
+                topology, table_size=DEMO_TABLE_SIZE,
+                frequency_hz=DEMO_FREQUENCY_HZ),
+            name="replay-demo",
             seed=seed, record_events=False, record_timeline=True,
             telemetry=run_telemetry)
         service.run(events)

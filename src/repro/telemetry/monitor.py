@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, require_whole
 from repro.core.timeline import static_lifetimes
 from repro.simulation.monitors import ServiceObservation
 
@@ -84,9 +84,8 @@ class MonitorSpec:
             raise ConfigurationError(
                 f"slack_fraction must be in [0, 1), got "
                 f"{self.slack_fraction}")
-        if self.top_k < 1:
-            raise ConfigurationError(
-                f"top_k must be >= 1, got {self.top_k}")
+        object.__setattr__(self, "top_k",
+                           require_whole("top_k", self.top_k, 1))
 
     def classify(self, observed: float, bound: float) -> str:
         """Classify one observation against its quoted bound.

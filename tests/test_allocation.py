@@ -747,8 +747,7 @@ class TestRouteGeometryOnce:
         allocator.set_telemetry(tel)
 
         def serve():
-            service = SessionService(topo, table_size=None,
-                                     frequency_hz=None, allocator=allocator,
+            service = SessionService(topo, allocator=allocator,
                                      record_events=False)
             assert service.run(events).invariant["ok"]
             return service.admission

@@ -18,16 +18,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flit_oracle import oracle_run
 from repro.campaign.spec import WorkloadSpec
+from repro.core.allocation import SlotAllocator
 from repro.core.configuration import configure
 from repro.core.placement import ChannelAllocation
 from repro.core.path import make_path
 from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
-                                 replay_configuration)
+                                 replay_configuration, static_lifetimes)
 from repro.faults.model import FaultSchedule, FaultSpec
 from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService, merge_events
-from repro.simulation.backend import FlitLevelBackend, SimRequest
+from repro.simulation.backend import (FlitLevelBackend, SimRequest,
+                                      check_lifetime_contention)
 from repro.simulation.compiled import (Arrivals, CompiledTraceRecorder,
                                        _solve, compile_arrivals)
 import repro.simulation.compiled as compiled_module
@@ -108,15 +111,22 @@ def _traffic(config, seed):
     return patterns
 
 
-def _run(config, traffic, n_slots, **kwargs):
-    return FlitLevelBackend(config, **kwargs).run(
-        SimRequest(n_slots=n_slots, traffic=traffic))
+def _through(config, request, oracle):
+    """``request`` on the flit backend, or on the per-flit oracle."""
+    if oracle:
+        return oracle_run(config, request)
+    return FlitLevelBackend(config).run(request)
 
 
-def _replay(timeline, traffic, **kwargs):
-    return FlitLevelBackend(replay_configuration(timeline), **kwargs).run(
-        SimRequest(n_slots=timeline.horizon_slots, traffic=traffic,
-                   timeline=timeline))
+def _run(config, traffic, n_slots, *, oracle=False):
+    return _through(config, SimRequest(n_slots=n_slots, traffic=traffic),
+                    oracle)
+
+
+def _replay(timeline, traffic, *, oracle=False):
+    return _through(replay_configuration(timeline),
+                    SimRequest(n_slots=timeline.horizon_slots,
+                               traffic=traffic, timeline=timeline), oracle)
 
 
 def _is_compiled(result):
@@ -155,25 +165,22 @@ class TestStaticEquivalence:
         config = _config(TOPOLOGIES[topo_name](), seed)
         traffic = _traffic(config, seed)
         compiled = _run(config, traffic, 600)
-        scalar = _run(config, traffic, 600, compiled=False)
+        scalar = _run(config, traffic, 600, oracle=True)
         assert _is_compiled(compiled) and not _is_compiled(scalar)
         _assert_equivalent(compiled, scalar)
 
-    def test_hoisted_contention_check_accepts_valid_config(self):
-        """The plan-level check, run before dispatch, changes nothing a
-        contention-free run produces."""
+    def test_contention_check_accepts_valid_config(self):
+        """The check on the lifetime table passes a contention-free
+        configuration over the whole window."""
         config = _config(mesh(3, 3, nis_per_router=2), 3)
-        traffic = _traffic(config, 3)
-        checked = _run(config, traffic, 400, check_contention=True)
-        plain = _run(config, traffic, 400)
-        assert _is_compiled(checked)
-        _assert_equivalent(checked, plain)
+        check_lifetime_contention(static_lifetimes(config.allocation, 400),
+                                  400, config.table_size)
 
     def test_backend_meta_names_the_executor(self):
         config = _config(mesh(3, 3, nis_per_router=2), 2)
         request = SimRequest(n_slots=300, traffic=_traffic(config, 2))
         fast = FlitLevelBackend(config).run(request)
-        slow = FlitLevelBackend(config, compiled=False).run(request)
+        slow = oracle_run(config, request)
         assert fast.meta["executor"] == "compiled"
         assert slow.meta["executor"] == "per-flit"
         for name in slow.composability_trace().channels():
@@ -189,9 +196,10 @@ class TestTimelineEquivalence:
         schedule = FaultSchedule(
             FaultSpec(n_faults=3, fault_rate_per_s=400.0,
                       mean_repair_s=0.004), topology, 9)
-        service = SessionService(topology, table_size=32,
-                                 frequency_hz=500e6, name="t", seed=1,
-                                 record_timeline=True)
+        service = SessionService(
+            topology, allocator=SlotAllocator(topology, table_size=32,
+                                              frequency_hz=500e6),
+            name="t", seed=1, record_timeline=True)
         report = service.run(merge_events(churn.events(limit=60),
                                           schedule.events()))
         assert report.faults["n_evicted"] > 0
@@ -201,7 +209,7 @@ class TestTimelineEquivalence:
         timeline = self._timeline()
         traffic = replay_traffic(timeline)
         compiled = _replay(timeline, traffic)
-        scalar = _replay(timeline, traffic, compiled=False)
+        scalar = _replay(timeline, traffic, oracle=True)
         assert _is_compiled(compiled) and not _is_compiled(scalar)
         assert compiled.meta["n_epochs"] > 5
         _assert_equivalent(compiled, scalar)
@@ -227,7 +235,7 @@ class TestPropertyEquivalence:
                     ca.spec.throughput_bytes_per_s * rate_factor,
                     config.frequency_hz, fmt)
         compiled = _run(config, traffic, 500)
-        scalar = _run(config, traffic, 500, compiled=False)
+        scalar = _run(config, traffic, 500, oracle=True)
         assert _is_compiled(compiled)
         _assert_equivalent(compiled, scalar)
 
@@ -237,7 +245,7 @@ class TestServiceLatencies:
         config = _config(mesh(3, 3, nis_per_router=2), 5)
         traffic = _traffic(config, 5)
         compiled = _run(config, traffic, 800)
-        scalar = _run(config, traffic, 800, compiled=False)
+        scalar = _run(config, traffic, 800, oracle=True)
         assert _is_compiled(compiled)
         answered = 0
         for name in sorted(scalar.stats.channels):
@@ -346,13 +354,13 @@ class _OneChannel:
             table_size=self.TABLE_SIZE, frequency_hz=self.frequency_hz,
             fmt=self.fmt)
 
-    def run(self, timeline, pattern, window=None, **kwargs):
+    def run(self, timeline, pattern, window=None, *, oracle=False):
         """The first ``window`` slots (default: all) of ``timeline``,
         every channel offered the one ``pattern`` object."""
-        return FlitLevelBackend(replay_configuration(timeline), **kwargs).run(
-            SimRequest(n_slots=window or timeline.horizon_slots,
-                       traffic=dict.fromkeys(timeline.channel_names, pattern),
-                       timeline=timeline))
+        return _through(replay_configuration(timeline), SimRequest(
+            n_slots=window or timeline.horizon_slots,
+            traffic=dict.fromkeys(timeline.channel_names, pattern),
+            timeline=timeline), oracle)
 
     def solve(self, arrivals, start, end, slots):
         """The one incarnation ``arrivals`` holds, solved by the batch:
@@ -433,7 +441,7 @@ class TestTablesEndWithTheirIncarnation:
         assert _records(bounded, one.name) == _records(full, one.name)
         # The per-flit oracle on a timeline built from the same draws.
         timeline = one.timeline(n_slots, [(start, end, slots)])
-        scalar = one.run(timeline, pattern, compiled=False)
+        scalar = one.run(timeline, pattern, oracle=True)
         channel = scalar.stats.channel(one.name)
         assert _records(bounded, one.name) == (channel.injections,
                                                channel.deliveries)
@@ -481,7 +489,7 @@ class TestTablesEndWithTheirIncarnation:
         assert stats["interval_runs"] == len(compiled.stats._runs[one.name])
         calls.clear()
         _assert_equivalent(compiled,
-                           one.run(timeline, pattern, compiled=False))
+                           one.run(timeline, pattern, oracle=True))
 
     def test_unknown_pattern_is_compiled_at_the_reference_horizon(self, one):
         calls = []
@@ -505,7 +513,7 @@ class TestTablesEndWithTheirIncarnation:
                 e.cycle < (end - start) * flit_size
                 for e in pattern.events((n_slots - start) * flit_size))
         _assert_equivalent(compiled,
-                           one.run(timeline, pattern, compiled=False))
+                           one.run(timeline, pattern, oracle=True))
 
     def test_verify_timeline_allocates_for_what_flew(self):
         timeline = TestTimelineEquivalence()._timeline()
@@ -769,7 +777,7 @@ class TestAgreementOnArrays:
         traffic = _traffic(config, 3)
         compiled = _run(config, traffic, 400).composability_trace()
         scalar = _run(config, traffic, 400,
-                      compiled=False).composability_trace()
+                      oracle=True).composability_trace()
         names = sorted(scalar.channels())
         assert compiled.agreement(scalar, names) == (tuple(names), ())
         assert scalar.agreement(compiled, names) == (tuple(names), ())
@@ -831,7 +839,7 @@ class TestTraceReadOffTheRecords:
         n_slots, window, spans = case
         timeline = one.timeline(n_slots, spans, twin)
         compiled = one.run(timeline, pattern, window)
-        scalar = one.run(timeline, pattern, window, compiled=False)
+        scalar = one.run(timeline, pattern, window, oracle=True)
         _assert_one_trace(compiled, scalar)
         _assert_equivalent(compiled, scalar)
         # One incarnation per run, and the record walk splits the same.
@@ -847,4 +855,4 @@ class TestTraceReadOffTheRecords:
         config = _config(TOPOLOGIES[topo_name](), seed)
         traffic = _traffic(config, seed)
         _assert_one_trace(_run(config, traffic, 300),
-                          _run(config, traffic, 300, compiled=False))
+                          _run(config, traffic, 300, oracle=True))

@@ -1,7 +1,7 @@
-"""One link-contention check, on the lifetime table, for both flit executors.
+"""One link-contention check, on the lifetime table the flit executors read.
 
-``check_lifetime_contention`` reads the lifetime table before either
-executor runs: a channel incarnation that holds table slot ``s`` over
+``check_lifetime_contention`` reads the lifetime table a run replays: a
+channel incarnation that holds table slot ``s`` over
 ``[start, stop)`` — clipped to the simulated window — and reaches a link
 ``k`` slots after injection occupies that link at the absolute slots of
 ``[start + k, stop + k)`` that are ``s + k`` modulo the table size.
@@ -23,12 +23,17 @@ from repro.core.placement import ChannelAllocation
 from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
                                  replay_configuration)
 from repro.core.words import WordFormat
+from flit_oracle import oracle_run
 from repro.simulation.backend import (FlitLevelBackend, SimRequest,
                                       check_lifetime_contention)
 from repro.simulation.traffic import Saturating
 from repro.topology.builders import mesh
 
 TABLE_SIZE = 4
+#: The compiled executor through the backend, and its per-flit oracle.
+_EXECUTORS = (lambda config, request: FlitLevelBackend(config).run(request),
+              oracle_run)
+_EXECUTOR_IDS = ("compiled", "oracle")
 
 
 def _channel(topology, name, src, dst, slots, table_size=TABLE_SIZE):
@@ -59,30 +64,33 @@ class TestInFlight:
         return topology, a, b
 
     @staticmethod
-    def _run(topology, a, b, b_start, compiled):
+    def _run(topology, a, b, b_start, run):
+        """The checked run: the contention check on the timeline's
+        lifetime table, then ``run`` on its replay."""
         timeline = ReconfigurationTimeline(
             topology, [TimelineEvent(0, "start", "a", (a,)),
                        TimelineEvent(9, "stop", "a"),
                        TimelineEvent(b_start, "start", "b", (b,))],
             horizon_slots=40, table_size=TABLE_SIZE, frequency_hz=500e6,
             fmt=WordFormat())
+        check_lifetime_contention(timeline.channel_intervals(), 40,
+                                  TABLE_SIZE)
         saturating = Saturating(2, 3)
-        return FlitLevelBackend(replay_configuration(timeline),
-                                compiled=compiled,
-                                check_contention=True).run(SimRequest(
+        return run(replay_configuration(timeline), SimRequest(
             n_slots=40, traffic={"a": saturating, "b": saturating},
             timeline=timeline))
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_a_start_inside_the_traversal_raises(self, setup, compiled):
+    def test_a_start_inside_the_traversal_raises(self, setup):
+        def unreached(config, request):
+            raise AssertionError("the check runs before any executor")
         with pytest.raises(SimulationError, match=(
                 r"link \('r1_0', 'r2_0'\) carries two flits in absolute "
                 r"slot 10: 'a' and 'b'")):
-            self._run(*setup, 9, compiled)
+            self._run(*setup, 9, unreached)
 
-    @pytest.mark.parametrize("compiled", [True, False])
-    def test_a_start_after_the_drain_runs(self, setup, compiled):
-        result = self._run(*setup, 10, compiled)
+    @pytest.mark.parametrize("run", _EXECUTORS, ids=_EXECUTOR_IDS)
+    def test_a_start_after_the_drain_runs(self, setup, run):
+        result = self._run(*setup, 10, run)
         assert result.meta["flits_by_channel"]["b"] > 0
 
 

@@ -15,6 +15,7 @@ from repro.campaign.kinds import run_kind
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.presets import fairness_campaign, preset_by_name
 from repro.campaign.spec import RunSpec, ScenarioSpec, TopologySpec
+from repro.core.allocation import SlotAllocator
 from repro.core.exceptions import ConfigurationError
 from repro.faults.model import FaultEvent, FaultSchedule, FaultSpec
 from repro.service import (ChurnSpec, ChurnWorkload, FairnessSpec,
@@ -36,8 +37,9 @@ def small_mesh():
 
 
 def _service(topology, **kwargs):
-    return SessionService(topology, table_size=32, frequency_hz=500e6,
-                          name="fair-test", seed=1, **kwargs)
+    return SessionService(topology, allocator=SlotAllocator(
+        topology, table_size=32, frequency_hz=500e6),
+        name="fair-test", seed=1, **kwargs)
 
 
 class TestMergeEvents:
@@ -89,6 +91,26 @@ class TestPolicyKnob:
             _service(small_mesh, tenants=(TenantSpec("a"),))
         with pytest.raises(ConfigurationError):
             _service(small_mesh, policy="lifo")
+
+    @pytest.mark.parametrize("field", [
+        "overload_window", "min_overload_samples",
+        "tenant_opens_per_window", "app_opens_per_window"])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), 0])
+    def test_spec_count_that_is_not_whole_is_refused(self, field, value):
+        """Refused where the spec is built, not when a scheduler slices
+        a fractional window or compares against a NaN count."""
+        with pytest.raises(ConfigurationError, match=field):
+            FairnessSpec(**{field: value})
+
+    def test_spec_counts_are_stored_as_ints(self):
+        spec = FairnessSpec(overload_window=32.0, min_overload_samples=8.0,
+                            tenant_opens_per_window=4.0)
+        assert (spec.overload_window, spec.min_overload_samples,
+                spec.tenant_opens_per_window,
+                spec.app_opens_per_window) == (32, 8, 4, None)
+        assert type(spec.overload_window) is int
+        with pytest.raises(ConfigurationError, match="overload_window"):
+            FairnessSpec(overload_window=None)
 
     def test_fcfs_service_refuses_policy_events(self, small_mesh):
         service = _service(small_mesh)

@@ -19,6 +19,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.allocation import SlotAllocator
 from repro.service import (ChurnSpec, ChurnWorkload, FairnessSpec,
                            SessionService, TenantSpec,
                            WeightedFairScheduler)
@@ -182,7 +183,8 @@ class TestFcfsByteIdentity:
 
         def run(**kwargs):
             service = SessionService(
-                topology, table_size=16, frequency_hz=500e6,
+                topology, allocator=SlotAllocator(
+                    topology, table_size=16, frequency_hz=500e6),
                 name="identity", seed=7, record_events=False, **kwargs)
             return service.run(events)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.campaign.kinds import run_kind
 from repro.campaign.spec import (CampaignSpec, RunSpec, ScenarioSpec,
                                  TopologySpec, WorkloadSpec, derive_seed)
-from repro.core.allocation import excluded_link_keys
+from repro.core.allocation import SlotAllocator, excluded_link_keys
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
@@ -93,6 +93,20 @@ class TestFaultSchedule:
             FaultEvent(-1.0, "fail", "link", ("a", "b"))
         with pytest.raises(ConfigurationError):
             FaultEvent(0.0, "explode", "link", ("a", "b"))
+
+    @pytest.mark.parametrize("n_faults", [2.5, float("nan"), "2"])
+    def test_fractional_fault_count_is_refused(self, n_faults):
+        """Refused where the spec is built, not in ``events()``."""
+        with pytest.raises(ConfigurationError, match="n_faults"):
+            FaultSpec(n_faults=n_faults)
+
+    def test_whole_float_fault_count_is_an_int(self):
+        topology = mesh(2, 2)
+        spec = FaultSpec(n_faults=2.0)
+        assert spec.n_faults == 2 and type(spec.n_faults) is int
+        assert spec.label == FaultSpec(n_faults=2).label
+        assert FaultSchedule(spec, topology, 7).events() == \
+            FaultSchedule(FaultSpec(n_faults=2), topology, 7).events()
 
 
 class TestExcludedLinkKeys:
@@ -219,9 +233,9 @@ class TestRebuildExcluding:
 
 class TestServiceFaults:
     def _service(self, topology, **kwargs):
-        return SessionService(topology, table_size=32,
-                              frequency_hz=500e6, name="t", seed=1,
-                              **kwargs)
+        return SessionService(topology, allocator=SlotAllocator(
+            topology, table_size=32, frequency_hz=500e6),
+            name="t", seed=1, **kwargs)
 
     def test_fault_evicts_and_reallocates(self):
         topology = mesh(3, 3, nis_per_router=2)
@@ -419,7 +433,6 @@ class TestSpareCapacity:
 
 class TestReconfigurationFaults:
     def test_apply_fault_records_timeline(self):
-        from repro.core.allocation import SlotAllocator
         from repro.core.reconfiguration import ReconfigurationManager
         from repro.core.timeline import TimelineRecorder
         topology = mesh(3, 3, nis_per_router=2)
@@ -461,7 +474,6 @@ class TestSharedAllocatorIsolation:
     shared for its warm caches carries none of it to a neighbour."""
 
     def _managers(self, n):
-        from repro.core.allocation import SlotAllocator
         from repro.core.reconfiguration import ReconfigurationManager
         topology = mesh(3, 3, nis_per_router=2)
         use_case, mapping = WorkloadSpec(
@@ -504,7 +516,6 @@ class TestSharedAllocatorIsolation:
         faulty.start_application(late)
 
     def test_service_fault_stays_off_the_other_service(self):
-        from repro.core.allocation import SlotAllocator
         topology = mesh(3, 3, nis_per_router=2)
         allocator = SlotAllocator(topology, table_size=32,
                                   frequency_hz=500e6)

@@ -18,7 +18,9 @@ from repro.core.connection import MB, ChannelSpec
 from repro.core.path import make_path
 from repro.core.placement import ChannelAllocation
 from repro.core.slot_table import shifted
-from repro.simulation.backend import FlitLevelBackend, SimRequest
+from repro.core.timeline import static_lifetimes
+from repro.simulation.backend import (FlitLevelBackend, SimRequest,
+                                      check_lifetime_contention)
 from repro.simulation.traffic import Saturating
 from repro.topology.builders import custom
 from repro.topology.mapping import Mapping
@@ -77,7 +79,9 @@ class TestFigure1:
         from repro.core.configuration import NocConfiguration
         config = NocConfiguration(use_case=use_case, mapping=mapping,
                                   allocation=allocation)
-        result = FlitLevelBackend(config, check_contention=True).run(
+        check_lifetime_contention(static_lifetimes(allocation, 40), 40,
+                                  config.table_size)
+        result = FlitLevelBackend(config).run(
             SimRequest(n_slots=40, traffic={"cA": Saturating(2, 3),
                                             "cB": Saturating(2, 3)}))
         # cA gets half the slots, cB a quarter.

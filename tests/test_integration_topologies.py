@@ -13,7 +13,9 @@ from repro.core.analysis import analyse
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
-from repro.simulation.backend import FlitLevelBackend, SimRequest
+from repro.core.timeline import static_lifetimes
+from repro.simulation.backend import (FlitLevelBackend, SimRequest,
+                                      check_lifetime_contention)
 from repro.simulation.cyclesim import DetailedNetwork
 from repro.simulation.traffic import ConstantBitRate
 from repro.topology.builders import concentrated_mesh, mesh, ring, torus
@@ -92,7 +94,9 @@ class TestAlternativeTopologies:
         config = configure(topo, use_case, table_size=16,
                            frequency_hz=500e6, mapping=mapping)
         config.allocation.validate()
-        result = FlitLevelBackend(config, check_contention=True).run(
+        check_lifetime_contention(static_lifetimes(config.allocation, 600),
+                                  600, config.table_size)
+        result = FlitLevelBackend(config).run(
             SimRequest(n_slots=600, traffic=_traffic(config)))
         for name in config.allocation.channels:
             assert result.stats.channel(name).deliveries

@@ -33,6 +33,10 @@ def sec7_mesh():
     return concentrated_mesh(4, 3, nis_per_router=4)
 
 
+def _allocator(topology):
+    return SlotAllocator(topology, table_size=32, frequency_hz=500e6)
+
+
 def spec_of(name: str, index: int, qos_index: int = 2):
     src, dst = NIS[index % len(NIS)], NIS[(index + 1) % len(NIS)]
     return DEFAULT_CLASSES[qos_index].channel_spec(name, src, dst), src, dst
@@ -289,7 +293,7 @@ def test_records_compared_scale_with_validations_not_events(sec7_mesh):
         ChurnSpec(n_sessions=1000, arrival_rate_per_s=18000.0),
         sec7_mesh, 7).events()
     assert len(events) == 2000
-    service = SessionService(sec7_mesh, table_size=32, frequency_hz=500e6,
+    service = SessionService(sec7_mesh, allocator=_allocator(sec7_mesh),
                              record_events=False)
     report = service.run(events)
     checker = service.checker
@@ -308,11 +312,10 @@ def test_second_service_over_one_allocator_starts_warm(sec7_mesh):
 
     def serve(allocator=None):
         service = SessionService(
-            sec7_mesh, table_size=None if allocator else 32,
-            frequency_hz=None if allocator else 500e6, allocator=allocator)
+            sec7_mesh, allocator=allocator or _allocator(sec7_mesh))
         return service.run(events), service.admission
 
-    shared = SlotAllocator(sec7_mesh, table_size=32, frequency_hz=500e6)
+    shared = _allocator(sec7_mesh)
     first, first_admission = serve(shared)
     second, second_admission = serve(shared)
     fresh, _ = serve()

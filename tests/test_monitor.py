@@ -63,6 +63,16 @@ class TestClassification:
         with pytest.raises(ConfigurationError):
             MonitorSpec(top_k=0)
 
+    @pytest.mark.parametrize("top_k", [2.5, float("nan"), None])
+    def test_top_k_that_is_not_a_count_is_refused(self, top_k):
+        """Refused where the spec is built, not as a slice in
+        ``worst_channels``."""
+        with pytest.raises(ConfigurationError, match="top_k"):
+            MonitorSpec(top_k=top_k)
+
+    def test_whole_float_top_k_is_an_int(self):
+        assert type(MonitorSpec(top_k=3.0).top_k) is int
+
     def test_worst_channels_orders_by_headroom(self):
         from repro.telemetry.monitor import ChannelConformance
 
@@ -134,10 +144,13 @@ class TestServiceConformance:
         assert all(c.kind == "quote" for c in conformance.channels)
 
     def test_unarmed_service_refuses_conformance_report(self):
+        from repro.core.allocation import SlotAllocator
         from repro.core.exceptions import ConfigurationError
         from repro.service.controller import SessionService
         from repro.topology.builders import mesh
-        service = SessionService(mesh(2, 2, nis_per_router=1))
+        topology = mesh(2, 2, nis_per_router=1)
+        service = SessionService(topology, allocator=SlotAllocator(
+            topology, table_size=32, frequency_hz=500e6))
         with pytest.raises(ConfigurationError):
             service.conformance_report()
 

@@ -25,9 +25,11 @@ from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError
+from repro.core.timeline import static_lifetimes
 from repro.core.words import WordFormat, encode_header
 from repro.router.synchronous import SynchronousRouter
-from repro.simulation.backend import FlitLevelBackend, SimRequest
+from repro.simulation.backend import (FlitLevelBackend, SimRequest,
+                                      check_lifetime_contention)
 from repro.simulation.engine import Engine
 from repro.simulation.signals import IDLE, Phit
 from repro.simulation.traffic import BernoulliMessages, PeriodicBurst
@@ -156,7 +158,9 @@ def test_flitsim_bounds_hold_for_random_traffic(seed):
         else:
             traffic[spec.name] = PeriodicBurst(
                 1, 2, rng.randint(20, 60), offset_cycles=i)
-    result = FlitLevelBackend(config, check_contention=True).run(
+    check_lifetime_contention(static_lifetimes(config.allocation, 800), 800,
+                              config.table_size)
+    result = FlitLevelBackend(config).run(
         SimRequest(n_slots=800, traffic=traffic))
     for spec in channels:
         for latency in result.stats.service_latencies_ns(spec.name):

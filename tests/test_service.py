@@ -131,6 +131,28 @@ class TestChurnWorkload:
     def test_limit_truncates(self, small_mesh):
         workload = ChurnWorkload(ChurnSpec(n_sessions=40), small_mesh, 1)
         assert len(workload.events(limit=10)) == 10
+        assert workload.events(limit=10.0) == workload.events(limit=10)
+        assert workload.events(limit=0) == ()
+
+    @pytest.mark.parametrize("limit", [-1, 2.5, float("nan")])
+    def test_limit_that_is_not_a_count_is_refused(self, small_mesh, limit):
+        """A negative limit is refused, not read as an empty stream."""
+        workload = ChurnWorkload(ChurnSpec(n_sessions=4), small_mesh, 1)
+        with pytest.raises(ConfigurationError, match="limit"):
+            workload.events(limit=limit)
+
+    @pytest.mark.parametrize("n_sessions", [2.5, float("nan"), "2"])
+    def test_fractional_session_count_is_refused(self, n_sessions):
+        """Refused where the spec is built, not in ``events()``."""
+        with pytest.raises(ConfigurationError, match="n_sessions"):
+            ChurnSpec(n_sessions=n_sessions)
+
+    def test_whole_float_session_count_is_an_int(self, small_mesh):
+        spec = ChurnSpec(n_sessions=2.0)
+        assert spec.n_sessions == 2 and type(spec.n_sessions) is int
+        assert spec.label == ChurnSpec(n_sessions=2).label
+        assert ChurnWorkload(spec, small_mesh, 1).events() == \
+            ChurnWorkload(ChurnSpec(n_sessions=2), small_mesh, 1).events()
 
     def test_durations_capped_and_positive(self, small_mesh):
         spec = ChurnSpec(n_sessions=200, max_duration_s=0.5)
@@ -337,12 +359,17 @@ class TestAdmissionController:
         assert QUOTE_CACHE_CAP > 48 * 47 * len(DEFAULT_CLASSES)
 
 
+def _allocator(topo, table_size=32):
+    return SlotAllocator(topo, table_size=table_size, frequency_hz=500e6)
+
+
 class TestSessionService:
-    def _run(self, topo, *, n_sessions=120, seed=3, **kwargs):
+    def _run(self, topo, *, n_sessions=120, seed=3, allocator=None,
+             **kwargs):
         workload = ChurnWorkload(ChurnSpec(n_sessions=n_sessions), topo,
                                  seed)
-        service = SessionService(topo, table_size=32,
-                                 frequency_hz=500e6, **kwargs)
+        service = SessionService(
+            topo, allocator=allocator or _allocator(topo), **kwargs)
         return service.run(workload.events()), service
 
     def test_full_trace_clean(self, sec7_mesh):
@@ -384,8 +411,8 @@ class TestSessionService:
         workload = ChurnWorkload(
             ChurnSpec(n_sessions=80, classes=heavy,
                       mean_duration_s=0.1), small_mesh, 11)
-        service = SessionService(small_mesh, table_size=8,
-                                 frequency_hz=500e6)
+        service = SessionService(small_mesh,
+                                 allocator=_allocator(small_mesh, 8))
         report = service.run(workload.events())
         assert report.totals["n_rejected"] > 0
         assert report.invariant["ok"]
@@ -395,22 +422,25 @@ class TestSessionService:
 
     def test_shared_allocator_does_not_change_results(self, sec7_mesh):
         """Cache warm-up must be invisible in the canonical report."""
-        allocator = SlotAllocator(sec7_mesh, table_size=32,
-                                  frequency_hz=500e6)
+        allocator = _allocator(sec7_mesh)
         cold, _ = self._run(sec7_mesh)
         warm, _ = self._run(sec7_mesh, allocator=allocator)
         warm2, _ = self._run(sec7_mesh, allocator=allocator)
         assert cold.to_json() == warm.to_json() == warm2.to_json()
 
-    def test_conflicting_allocator_parameters_rejected(self, sec7_mesh):
-        allocator = SlotAllocator(sec7_mesh, table_size=32,
-                                  frequency_hz=500e6)
-        with pytest.raises(ConfigurationError):
+    def test_the_allocator_is_the_one_operating_point(self, sec7_mesh):
+        """The service takes its table size and frequency from the
+        allocator it is handed, and from nowhere else."""
+        allocator = _allocator(sec7_mesh)
+        with pytest.raises(TypeError):
             SessionService(sec7_mesh, table_size=16, allocator=allocator)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
             SessionService(sec7_mesh, frequency_hz=1e9,
                            allocator=allocator)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(TypeError):
+            SessionService(sec7_mesh)
+        with pytest.raises(ConfigurationError,
+                           match="different topology object"):
             SessionService(mesh(2, 2, nis_per_router=1),
                            allocator=allocator)
 
@@ -427,7 +457,8 @@ class TestSessionService:
         assert "anomalies" not in clean.to_record()
         # The close of a session whose open was rejected is owed, not
         # unknown — and once it came nothing is remembered.
-        busy = SessionService(small_mesh, table_size=8, frequency_hz=500e6)
+        busy = SessionService(small_mesh,
+                              allocator=_allocator(small_mesh, 8))
         crowded = busy.run(ChurnWorkload(ChurnSpec(n_sessions=120),
                                          small_mesh, 3).events())
         assert crowded.totals["n_rejected"] > 0
@@ -435,8 +466,9 @@ class TestSessionService:
         assert not busy._unadmitted
 
         tel = Telemetry()
-        service = SessionService(small_mesh, table_size=32,
-                                 frequency_hz=500e6, telemetry=tel)
+        service = SessionService(small_mesh,
+                                 allocator=_allocator(small_mesh),
+                                 telemetry=tel)
         reverse = service.run(events[::-1])
         assert reverse.invariant["ok"]
         assert reverse.anomalies["non_monotone_time"] > 0
@@ -448,8 +480,8 @@ class TestSessionService:
             assert tel.value("service.anomalies", kind=kind) == count
 
         opens = [e for e in events if e.kind == "open"]
-        service = SessionService(small_mesh, table_size=32,
-                                 frequency_hz=500e6)
+        service = SessionService(small_mesh,
+                                 allocator=_allocator(small_mesh))
         twice = service.run([opens[0], opens[0]])
         assert twice.anomalies == {"non_monotone_time": 0,
                                    "duplicate_session": 1,
@@ -473,6 +505,23 @@ class TestSessionService:
         for point in report.series:
             assert 0.0 <= point["accept_rate_total"] <= 1.0
             assert point["active_sessions"] >= 0
+
+    @pytest.mark.parametrize("window", [0, -5, float("nan"), 2.5])
+    def test_window_that_is_not_a_positive_count_is_refused(
+            self, small_mesh, window):
+        """Refused, not coerced: a series point is taken every
+        ``window`` events and its churn rate is ``window`` per span, so
+        the window must be one whole count."""
+        with pytest.raises(ConfigurationError, match="window"):
+            SessionService(small_mesh, allocator=_allocator(small_mesh),
+                           window=window)
+
+    def test_whole_float_window_is_read_as_a_count(self, small_mesh):
+        report, service = self._run(small_mesh, n_sessions=20,
+                                    window=10.0)
+        assert service.metrics.window == 10
+        assert type(service.metrics.window) is int
+        assert len(report.series) == 4
 
 
 class TestServeDemo:

@@ -25,11 +25,14 @@ from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.timeline import static_lifetimes
 from repro.core.words import WordFormat
 from repro.simulation.backend import (BestEffortBackend,
                                       CycleAccurateBackend,
                                       FlitLevelBackend, SimRequest,
-                                      available_backends, create_backend)
+                                      available_backends,
+                                      check_lifetime_contention,
+                                      create_backend)
 from repro.simulation.composability import compare_subsets
 from repro.simulation.cyclesim import DetailedNetwork
 from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
@@ -144,16 +147,23 @@ class TestTrafficPatterns:
                                              24, 27]
 
 
-def _flit(config, traffic, n_slots, **options):
-    return FlitLevelBackend(config, **options).run(
+def _flit(config, traffic, n_slots):
+    return FlitLevelBackend(config).run(
         SimRequest(n_slots=n_slots, traffic=traffic))
+
+
+def _check_contention(config, n_slots):
+    """The contention check on the static lifetime table of ``config``."""
+    check_lifetime_contention(static_lifetimes(config.allocation, n_slots),
+                              n_slots, config.table_size)
 
 
 class TestFlitSimulator:
     def test_latency_never_exceeds_bound(self, mesh_config):
         bounds = analyse(mesh_config.allocation)
+        _check_contention(mesh_config, 2000)
         result = _flit(mesh_config, _cbr_traffic(mesh_config, offset=1),
-                       2000, check_contention=True)
+                       2000)
         for name, bound in bounds.items():
             summary = result.stats.channel(name).latency_summary()
             assert summary.maximum <= bound.latency_ns + 1e-9
@@ -197,9 +207,7 @@ class TestFlitSimulator:
         assert over_max > ref_max
 
     def test_contention_check_clean_on_valid_allocation(self, mesh_config):
-        _flit(mesh_config, {name: Saturating(2, 3) for name in
-                            mesh_config.allocation.channels}, 1000,
-              check_contention=True)  # must not raise
+        _check_contention(mesh_config, 1000)  # must not raise
 
 
 class TestSimulatorAgreement:
@@ -309,6 +317,31 @@ class TestSimulationBackendProtocol:
         result = backend.run(request)
         assert result.frequency_hz == 1e9
         assert result.backend == "be"
+
+    @pytest.mark.parametrize("build", [
+        lambda config: FlitLevelBackend(config, compiled=False),
+        lambda config: FlitLevelBackend(config, check_contention=True),
+        lambda config: BestEffortBackend(config, frequency_hz=5e8),
+    ], ids=["flit-compiled", "flit-check-contention", "be-frequency"])
+    def test_a_run_has_one_source_of_settings(self, mesh_config, build):
+        """The flit backend runs one executor (its oracle and the
+        contention check are called directly) and the best-effort one
+        is retimed by the request alone."""
+        with pytest.raises(TypeError):
+            build(mesh_config)
+
+    @pytest.mark.parametrize("build, option", [
+        (lambda config: CycleAccurateBackend(config, clocking="bogus"),
+         "clocking"),
+        *((lambda config, ppm=ppm: CycleAccurateBackend(
+            config, plesiochronous_ppm=ppm), "plesiochronous_ppm")
+          for ppm in (float("nan"), -1.0, float("inf")))],
+        ids=["clocking", "ppm-nan", "ppm-negative", "ppm-inf"])
+    def test_cycle_backend_refuses_its_options_at_construction(
+            self, mesh_config, build, option):
+        """Refused where they are given, not at the first run."""
+        with pytest.raises(ConfigurationError, match=option):
+            build(mesh_config)
 
     def test_tdm_backends_reject_frequency_override(self, mesh_config):
         request = SimRequest(n_slots=100,
@@ -514,7 +547,6 @@ class TestOneEntryOneVetting:
         timeline = self._timeline(mesh_config)
         traffic = _cbr_traffic(mesh_config)
         for backend in (FlitLevelBackend(mesh_config),
-                        FlitLevelBackend(mesh_config, compiled=False),
                         BestEffortBackend(mesh_config)):
             del calls[:]
             backend.run(SimRequest(n_slots=60, traffic=traffic))

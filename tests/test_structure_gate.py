@@ -165,6 +165,24 @@ def test_the_tree_passes():
        f"class NocConfiguration:\n    {field}: object = None",
        "NocConfiguration stores a copy of its allocation's operating point")
       for field in ("topology", "table_size", "frequency_hz", "fmt")),
+    ("simulation/backend.py", "def run(self, check_contention=True): pass",
+     "a contention-checking mode is back"),
+    ("service/controller.py", "OPTIONS = {'check_contention': True}",
+     "a contention-checking mode is back"),
+    ("simulation/backend.py",
+     "class B:\n    def __init__(self, compiled: bool = True):\n"
+     "        self.compiled = compiled",
+     "a compiled switch is back in simulation/backend.py"),
+    ("simulation/backend.py",
+     "def run(self):\n    from repro.simulation.flitsim import execute",
+     "a compiled switch is back in simulation/backend.py"),
+    *(("service/controller.py",
+       f"class SessionService:\n    def __init__(self, topology, *, "
+       f"{params}):\n        pass",
+       "SessionService takes table_size or frequency_hz, or an optional "
+       "allocator")
+      for params in ("allocator, table_size=32", "allocator, frequency_hz=5e8",
+                     "allocator=None", "name='service'")),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",

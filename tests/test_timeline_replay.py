@@ -24,6 +24,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flit_oracle import oracle_run
 from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.application import Application, UseCase
 from repro.core.configuration import configure
@@ -37,7 +38,8 @@ from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.service.controller import SessionService
 from repro.simulation.backend import (BestEffortBackend,
                                       CycleAccurateBackend,
-                                      FlitLevelBackend, SimRequest)
+                                      FlitLevelBackend, SimRequest,
+                                      check_lifetime_contention)
 from repro.simulation.composability import (replay_traffic,
                                             verify_timeline)
 from repro.simulation.traffic import ConstantBitRate, Saturating
@@ -61,11 +63,15 @@ def _mesh_timeline(mesh_config, horizon=1000):
         frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
 
 
-def _replay(config, timeline, traffic, backend=FlitLevelBackend, **options):
+def _request(timeline, traffic):
+    """The whole timeline at ``traffic``."""
+    return SimRequest(n_slots=timeline.horizon_slots, traffic=traffic,
+                      timeline=timeline)
+
+
+def _replay(config, timeline, traffic, backend=FlitLevelBackend):
     """The whole timeline through one backend."""
-    return backend(config, **options).run(SimRequest(
-        n_slots=timeline.horizon_slots, traffic=traffic,
-        timeline=timeline))
+    return backend(config).run(_request(timeline, traffic))
 
 
 class TestTimelineArtifact:
@@ -360,9 +366,8 @@ class TestEpochExecution:
         timeline = _mesh_timeline(mesh_config)
         traffic = replay_traffic(timeline)
         results = {
-            compiled: _replay(mesh_config, timeline, traffic,
-                              compiled=compiled)
-            for compiled in (True, False)}
+            True: _replay(mesh_config, timeline, traffic),
+            False: oracle_run(mesh_config, _request(timeline, traffic))}
         assert results[True].meta["executor"] == "compiled"
         assert results[False].meta["executor"] == "per-flit"
         assert results[True].meta["n_epochs"] == \
@@ -386,9 +391,9 @@ class TestEpochExecution:
 
     def test_contention_check_holds_across_epochs(self, mesh_config):
         timeline = _mesh_timeline(mesh_config)
-        for compiled in (True, False):
-            _replay(mesh_config, timeline, replay_traffic(timeline),
-                    check_contention=True, compiled=compiled)
+        check_lifetime_contention(timeline.channel_intervals(),
+                                  timeline.horizon_slots,
+                                  mesh_config.table_size)
 
     def test_be_arrival_in_final_slot_dropped_at_stop(self, mesh_config):
         """A message maturing exactly at the stop boundary belongs to
@@ -633,10 +638,10 @@ class TestServiceRoundTrip:
         topology = mesh(3, 3, nis_per_router=2)
         workload = ChurnWorkload(ChurnSpec(n_sessions=n_events // 2 + 8),
                                  topology, seed=7)
-        service = SessionService(topology, table_size=32,
-                                 frequency_hz=500e6,
-                                 record_events=False,
-                                 record_timeline=True)
+        service = SessionService(
+            topology, allocator=SlotAllocator(topology, table_size=32,
+                                              frequency_hz=500e6),
+            record_events=False, record_timeline=True)
         service.run(workload.events(limit=n_events))
         return service.timeline(horizon_slots=horizon)
 
@@ -649,7 +654,8 @@ class TestServiceRoundTrip:
 
     def test_timeline_requires_recording(self):
         topology = mesh(2, 2, nis_per_router=1)
-        service = SessionService(topology)
+        service = SessionService(topology, allocator=SlotAllocator(
+            topology, table_size=32, frequency_hz=500e6))
         with pytest.raises(ConfigurationError):
             service.timeline(horizon_slots=100)
 

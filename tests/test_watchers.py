@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flit_oracle import oracle_run
 from repro.campaign.spec import WorkloadSpec, derive_seed
 from repro.core.analysis import channel_bounds
 from repro.core.configuration import configure
@@ -50,11 +51,15 @@ from repro.topology.builders import mesh
 from repro.usecase.runner import burst_traffic, run_be, run_gs
 
 
-def _replay(timeline, **options):
-    """The whole timeline at replay traffic through the flit backend."""
-    return FlitLevelBackend(replay_configuration(timeline), **options).run(
-        SimRequest(n_slots=timeline.horizon_slots,
-                   traffic=replay_traffic(timeline), timeline=timeline))
+def _replay(timeline, *, oracle=False):
+    """The whole timeline at replay traffic through the flit backend, or
+    through the per-flit oracle."""
+    config = replay_configuration(timeline)
+    request = SimRequest(n_slots=timeline.horizon_slots,
+                         traffic=replay_traffic(timeline), timeline=timeline)
+    if oracle:
+        return oracle_run(config, request)
+    return FlitLevelBackend(config).run(request)
 
 
 # -- the event walks the lifetime table replaced ---------------------------
@@ -367,7 +372,7 @@ class TestRelocatedSurvivor:
     def test_latencies_restart_with_the_channel(self, fault_outcome):
         timeline = fault_outcome.timeline
         compiled = _replay(timeline)
-        scalar = _replay(timeline, compiled=False)
+        scalar = _replay(timeline, oracle=True)
         for name in self.relocated(fault_outcome):
             fast = compiled.stats.service_latencies_ns(name)
             assert fast and min(fast) >= 0
@@ -483,7 +488,7 @@ class TestAggregateReads:
         config = section7_config
         request = SimRequest(n_slots=1200, traffic=burst_traffic(config))
         compiled = FlitLevelBackend(config).run(request)
-        scalar = FlitLevelBackend(config, compiled=False).run(request)
+        scalar = oracle_run(config, request)
         assert compiled.meta["executor"] == "compiled"
         assert scalar.meta["executor"] == "per-flit"
         assert json.dumps(compiled.to_record(), sort_keys=True) == \
@@ -495,7 +500,7 @@ class TestAggregateReads:
     def test_relocated_timeline(self, fault_outcome):
         timeline = fault_outcome.timeline
         compiled = _replay(timeline)
-        scalar = _replay(timeline, compiled=False)
+        scalar = _replay(timeline, oracle=True)
         relocated = TestRelocatedSurvivor().relocated(fault_outcome)
         assert all(len(compiled.stats.incarnation_observations(name)) > 1
                    for name in relocated)
@@ -509,7 +514,7 @@ class TestAggregateReads:
                    "c1": PeriodicBurst(2, 2, 60)}
         request = SimRequest(n_slots=300, traffic=traffic)
         compiled = FlitLevelBackend(config).run(request)
-        scalar = FlitLevelBackend(config, compiled=False).run(request)
+        scalar = oracle_run(config, request)
         compiled.stats.incarnation_observations("c1")
         assert compiled.stats.materialised == ()
         # The walk sorts by message id; the arrays cannot, and say so.

@@ -8,7 +8,7 @@ is a regex matched per line of every ``*.py`` file (``scope`` ending in
 ``/*``: every text file) under the ``scope`` paths; lines in files whose
 repo-relative path matches the regex ``allowed`` are not counted; the
 count must lie in ``[low, high]``.  The few rules a line cannot hold
-(an import statement spans lines) follow the table in
+(an import statement or a signature spans lines) follow the table in
 :func:`first_violation`.
 """
 
@@ -196,6 +196,14 @@ RULES = [
      "NocConfiguration stores a copy of its allocation's operating point "
      "again (topology, table_size, frequency_hz and fmt are read off "
      "allocation)"),
+    (r"check_contention", SRC, None, NONE,
+     "a contention-checking mode is back under src/repro (call "
+     "check_lifetime_contention on the lifetime table)"),
+    (r"self\.compiled\b|\bcompiled\s*(:\s*bool|=\s*(True|False))|"
+     r"^\s*from repro\.simulation\.flitsim import",
+     ("src/repro/simulation/backend.py",), None, NONE,
+     "a compiled switch is back in simulation/backend.py (a flit run has "
+     "one executor; the per-flit oracle is called directly)"),
 ]
 
 
@@ -239,6 +247,28 @@ def first_violation(root: Path) -> str | None:
             if isinstance(node, ast.ImportFrom) and node.module in _SEAMS \
                     and any(a.name.startswith("_") for a in node.names):
                 return f"{_PRIVATE} ({path.relative_to(root).as_posix()})"
+    # SessionService runs on the allocator it is handed, and on nothing
+    # else: a signature spans lines, so this rule reads the syntax too.
+    for node in ast.walk(ast.parse(text(
+            root / "src/repro/service/controller.py"))):
+        if not (isinstance(node, ast.ClassDef) and
+                node.name == "SessionService"):
+            continue
+        for init in node.body:
+            if not (isinstance(init, ast.FunctionDef) and
+                    init.name == "__init__"):
+                continue
+            args = init.args
+            positional = [*args.posonlyargs, *args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + \
+                [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            names = {a.arg for a in (*positional, *args.kwonlyargs)}
+            if names & {"table_size", "frequency_hz"} or \
+                    "allocator" not in names or \
+                    "allocator" in {a.arg for a in defaulted}:
+                return ("SessionService takes table_size or frequency_hz, "
+                        "or an optional allocator, again (the allocator it "
+                        "is handed fixes the operating point)")
     if (root / "benchmarks/records").exists():
         return "benchmarks/records is back"
     # The best-effort loop asks the topology at construction only.
