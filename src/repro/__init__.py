@@ -55,7 +55,6 @@ _EXPORTS: dict[str, str] = {
     # The most common entry points, re-exported for convenience.
     "WordFormat": "repro.core.words",
     "ChannelSpec": "repro.core.connection",
-    "ConnectionSpec": "repro.core.connection",
     "Application": "repro.core.application",
     "UseCase": "repro.core.application",
     "SlotAllocator": "repro.core.allocation",

@@ -4,7 +4,6 @@ The wormhole engine (:mod:`repro.baseline.be_network`) is run through
 :class:`~repro.simulation.backend.BestEffortBackend`.
 """
 
-from repro.baseline.arbitration import (FixedPriorityArbiter,
-                                        RoundRobinArbiter)
+from repro.baseline.arbitration import RoundRobinArbiter
 
-__all__ = ["RoundRobinArbiter", "FixedPriorityArbiter"]
+__all__ = ["RoundRobinArbiter"]

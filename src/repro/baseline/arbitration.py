@@ -3,9 +3,8 @@
 aelite needs no arbiter at all — that is its point.  The Æthereal
 combined GS+BE router the paper compares against arbitrates BE packets
 per output port with round-robin among requesting inputs; this module
-provides that (and a fixed-priority variant used in tests as a fairness
-foil).  Both take the requesting indices in ascending order — the form
-the wormhole loop collects them in — and grant one of them.
+provides that.  It takes the requesting indices in ascending order — the
+form the wormhole loop collects them in — and grants one of them.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from typing import Sequence
 
 from repro.core.exceptions import ConfigurationError
 
-__all__ = ["RoundRobinArbiter", "FixedPriorityArbiter"]
+__all__ = ["RoundRobinArbiter"]
 
 
 class RoundRobinArbiter:
@@ -50,14 +49,3 @@ class RoundRobinArbiter:
             index = requests[0]
         self._pointer = (index + 1) % self.n
         return index
-
-
-class FixedPriorityArbiter(RoundRobinArbiter):
-    """Always grants the lowest requesting index (starvation-prone): a
-    round-robin whose pointer never leaves index 0."""
-
-    def grant(self, requests: Sequence[int]) -> int | None:
-        """Return the highest-priority (lowest) requesting index."""
-        winner = super().grant(requests)
-        self._pointer = 0
-        return winner

@@ -73,6 +73,9 @@ class TopologySpec:
             raise ConfigurationError(
                 f"unknown topology kind {self.kind!r}; expected one of "
                 f"{sorted(_TOPOLOGY_BUILDERS)}")
+        for name, minimum in (("cols", 1), ("rows", 1),
+                              ("nis_per_router", 0), ("pipeline_stages", 0)):
+            require_whole(name, getattr(self, name), minimum)
 
     @property
     def label(self) -> str:
@@ -118,11 +121,9 @@ class WorkloadSpec:
     max_throughput_mb_s: float = 40.0
 
     def __post_init__(self) -> None:
-        if self.n_channels < 1 or self.n_ips < 2:
-            raise ConfigurationError(
-                "workload needs >= 1 channel and >= 2 IPs")
-        if self.n_applications < 1:
-            raise ConfigurationError("workload needs >= 1 application")
+        require_whole("n_channels", self.n_channels, 1)
+        require_whole("n_ips", self.n_ips, 2)
+        require_whole("n_applications", self.n_applications, 1)
         if not 0 < self.min_throughput_mb_s <= self.max_throughput_mb_s:
             raise ConfigurationError("bad throughput range")
 
@@ -168,8 +169,7 @@ class TrafficSpec:
             raise ConfigurationError(
                 f"unknown traffic pattern {self.pattern!r}")
         require_finite_positive("rate_factor", self.rate_factor)
-        if self.burst_messages < 1:
-            raise ConfigurationError("burst_messages must be >= 1")
+        require_whole("burst_messages", self.burst_messages, 1)
         if not 0.0 <= self.probability <= 1.0:
             raise ConfigurationError("probability must be in [0, 1]")
 
@@ -220,8 +220,7 @@ class SyntheticSpec:
     fail_seeds: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.work < 0:
-            raise ConfigurationError("synthetic work must be >= 0")
+        require_whole("synthetic work", self.work, 0)
 
 
 @dataclass(frozen=True)

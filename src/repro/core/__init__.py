@@ -40,7 +40,6 @@ _EXPORTS: dict[str, str] = {
     "make_path": "repro.core.path",
     # specs
     "ChannelSpec": "repro.core.connection",
-    "ConnectionSpec": "repro.core.connection",
     "Application": "repro.core.application",
     "UseCase": "repro.core.application",
     "MB": "repro.core.connection",
@@ -89,11 +88,6 @@ _EXPORTS: dict[str, str] = {
     "analyse_dataflow": "repro.core.dataflow",
     "busy_period_latency_ns": "repro.core.dataflow",
     "backlog_bound_bytes": "repro.core.dataflow",
-    # serialisation
-    "configuration_to_dict": "repro.core.serialization",
-    "configuration_from_dict": "repro.core.serialization",
-    "save_configuration": "repro.core.serialization",
-    "load_configuration": "repro.core.serialization",
     # errors
     "ReproError": "repro.core.exceptions",
     "ConfigurationError": "repro.core.exceptions",

@@ -15,7 +15,6 @@ and demonstrated by :mod:`repro.simulation.composability`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import ConfigurationError
@@ -114,26 +113,3 @@ class UseCase:
                 return app
         raise ConfigurationError(
             f"use case {self.name!r} has no application {name!r}")
-
-    def subset(self, app_names: Iterable[str]) -> "UseCase":
-        """A use case containing only the named applications.
-
-        Used by the composability experiments: the allocation of the full
-        use case is reused, and simulating any subset must produce
-        bit-identical per-channel timing.
-        """
-        wanted = set(app_names)
-        unknown = wanted - {a.name for a in self.applications}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown applications in subset: {sorted(unknown)}")
-        apps = tuple(a for a in self.applications if a.name in wanted)
-        return UseCase(f"{self.name}[{'+'.join(sorted(wanted))}]", apps)
-
-    def application_of(self, channel_name: str) -> str:
-        """Name of the application owning ``channel_name``."""
-        for app in self.applications:
-            for ch in app.channels:
-                if ch.name == channel_name:
-                    return app.name
-        raise ConfigurationError(f"no channel named {channel_name!r}")

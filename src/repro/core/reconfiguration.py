@@ -156,63 +156,3 @@ class ReconfigurationManager:
                ) -> tuple[TransitionReport, TransitionReport]:
         """A use-case transition: stop one application, start another."""
         return self.stop_application(stop), self.start_application(start)
-
-    def apply_fault(self, failed_links=(), failed_routers=(), *,
-                    at_s: float = 0.0):
-        """Degrade the live allocation around failed fabric.
-
-        Delegates to :meth:`~repro.core.allocation.Allocation.
-        rebuild_excluding`: applications untouched by the failure keep
-        their exact reservations; affected channels are re-allocated
-        over surviving routes or dropped, per the returned
-        :class:`~repro.core.allocation.RebuildReport`.  Each disrupted
-        application is recorded to the attached timeline as a stop plus
-        (when any of its channels survive) a restart carrying the
-        degraded-mode allocations, and logged in :attr:`history` as an
-        ``action="fault"`` transition.
-
-        The failure persists: it accumulates into the failed fabric of
-        the live allocation (the rebuilt allocation carries it), so
-        applications started afterwards are routed around the dead
-        fabric too.  :meth:`repair_fault` restores resources.
-        """
-        report = self.allocation.rebuild_excluding(
-            *self.allocation.fabric_after("fail", failed_links,
-                                          failed_routers))
-        rebuilt = report.allocation
-        old_channels = self.allocation.channels
-        running_before = self.running_applications
-        changed = tuple(sorted(
-            name for name, v in report.verdicts.items()
-            if v.verdict != "unaffected"))
-        disrupted = sorted({old_channels[name].spec.application
-                            for name in changed})
-        self.allocation = rebuilt
-        for app in disrupted:
-            if self.recorder is not None:
-                self.recorder.record_stop(at_s, app)
-                survivors = tuple(
-                    ca for _, ca in sorted(rebuilt.channels.items())
-                    if ca.spec.application == app)
-                if survivors:
-                    self.recorder.record_start(at_s, app, survivors)
-            self.history.append(TransitionReport(
-                action="fault", application=app,
-                channels_changed=tuple(
-                    n for n in changed
-                    if old_channels[n].spec.application == app),
-                untouched=report.untouched_intact,
-                running_before=running_before,
-                running_after=self.allocation.applications()))
-        return report
-
-    def repair_fault(self, failed_links=(), failed_routers=()) -> None:
-        """Restore previously failed fabric.
-
-        Running channels are left where they are (no disruption without
-        cause — the paper's reconfiguration ethos); only the exclusion
-        set shrinks, so later starts may use the repaired resources
-        again.
-        """
-        self.allocation.set_failed(*self.allocation.fabric_after(
-            "repair", failed_links, failed_routers))

@@ -22,10 +22,10 @@ travel alongside each word in the models in :mod:`repro.router` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from repro.core.exceptions import HeaderFormatError
+from repro.core.exceptions import HeaderFormatError, require_whole
 
 __all__ = [
     "WordFormat",
@@ -84,6 +84,9 @@ class WordFormat:
                 f"header has no room for a path: data_width={self.data_width}, "
                 f"queue_bits={self.queue_bits}, credit_bits={self.credit_bits}"
             )
+        # NaN and fractions pass the comparisons above.
+        for f in fields(self):
+            require_whole(f.name, getattr(self, f.name), 0)
 
     # -- derived geometry ---------------------------------------------------
 

@@ -18,9 +18,7 @@ from repro.design.explorer import (DesignExplorer, DesignReport,
 from repro.design.mapping_opt import MappingSearchResult, optimize_mapping
 from repro.design.prune import (PruneReport, frequency_lower_bound_hz,
                                 min_traversal_slots, prune_candidate)
-from repro.design.search import (TableSizeResult,
-                                 min_feasible_configuration,
-                                 min_feasible_frequency, table_size_scan)
+from repro.design.search import min_feasible_configuration
 from repro.design.space import (Candidate, DesignSpace, DesignSpec,
                                 demo_space, provisioned_use_case,
                                 section7_demo_use_case,
@@ -32,8 +30,7 @@ __all__ = [
     "PruneReport", "prune_candidate", "frequency_lower_bound_hz",
     "min_traversal_slots",
     "MappingSearchResult", "optimize_mapping",
-    "min_feasible_frequency", "min_feasible_configuration",
-    "TableSizeResult", "table_size_scan",
+    "min_feasible_configuration",
     "DesignExplorer", "DesignReport", "pareto_front",
     "evaluate_candidate", "execute_design_run", "run_design_demo",
 ]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.allocation import excluded_link_keys
 from repro.core.exceptions import (ConfigurationError,
                                    require_finite_positive, require_whole)
 from repro.topology.graph import NodeKind, Topology
@@ -210,27 +209,3 @@ class FaultSchedule:
     def events(self) -> tuple[FaultEvent, ...]:
         """The time-ordered fail/repair stream."""
         return self._events
-
-    def failed_at(self, time_s: float) -> tuple[frozenset[tuple[str, str]],
-                                                frozenset[str]]:
-        """The ``(failed_links, failed_routers)`` sets at ``time_s``.
-
-        Events at exactly ``time_s`` are included (a fault takes effect
-        at its own instant).
-        """
-        links: set[tuple[str, str]] = set()
-        routers: set[str] = set()
-        for event in self._events:
-            if event.time_s > time_s:
-                break
-            pool = links if event.kind == "link" else routers
-            if event.action == "fail":
-                pool.add(event.target)  # type: ignore[arg-type]
-            else:
-                pool.discard(event.target)  # type: ignore[arg-type]
-        return frozenset(links), frozenset(routers)
-
-    def excluded_at(self, time_s: float) -> frozenset[tuple[str, str]]:
-        """Directed link keys unusable at ``time_s`` (links + routers)."""
-        links, routers = self.failed_at(time_s)
-        return excluded_link_keys(self.topology, links, routers)

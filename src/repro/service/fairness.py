@@ -98,9 +98,8 @@ class TenantSpec:
         if len(set(self.apps)) != len(self.apps):
             raise ConfigurationError(
                 f"tenant {self.name!r} has duplicate app names")
-        if self.floor_opens_per_window < 0:
-            raise ConfigurationError(
-                f"tenant {self.name!r} floor must be >= 0")
+        require_whole(f"tenant {self.name!r} floor_opens_per_window",
+                      self.floor_opens_per_window, 0)
 
     @property
     def label(self) -> str:

@@ -13,8 +13,8 @@ admission (:mod:`repro.service.admission`), allocation
 * :mod:`repro.telemetry.spans` — spans whose timestamps are *simulated*
   slots/cycles/milliseconds, never wall clock, so traces inherit the
   repo's byte-determinism; wall-clock data is quarantined in ``meta``;
-* :mod:`repro.telemetry.export` — JSONL, Prometheus text exposition,
-  and Perfetto-loadable Chrome trace-event JSON;
+* :mod:`repro.telemetry.export` — JSONL and Perfetto-loadable Chrome
+  trace-event JSON;
 * :mod:`repro.telemetry.monitor` — the analysis tier: the
   guarantee-conformance watchdog (observed latency/throughput vs the
   quoted analytical bounds, classified ``within_bounds`` / ``tight`` /
@@ -28,7 +28,7 @@ instruments are shared no-ops — the overhead gate
 under 5% on the admission hot path and disabled mode within noise.
 """
 
-from repro.telemetry.export import chrome_trace, prometheus_text, to_jsonl
+from repro.telemetry.export import chrome_trace, to_jsonl
 from repro.telemetry.hub import (NULL_TELEMETRY, NullTelemetry, Telemetry,
                                  coalesce)
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
@@ -45,7 +45,7 @@ __all__ = [
     "Telemetry", "NullTelemetry", "NULL_TELEMETRY", "coalesce",
     "Counter", "Gauge", "Histogram", "MetricRegistry", "Span",
     "CounterTrack",
-    "to_jsonl", "prometheus_text", "chrome_trace", "run_profiled",
+    "to_jsonl", "chrome_trace", "run_profiled",
     "MonitorSpec", "ChannelConformance", "ConformanceReport",
     "conformance_from_result", "timeline_conformance",
     "quote_conformance", "FabricRollup",

@@ -1,15 +1,12 @@
-"""Render a telemetry capture: JSONL, Prometheus text, Chrome trace.
+"""Render a telemetry capture: JSONL, Chrome trace.
 
-Three targets, one source of truth (the hub's registry + span list):
+Two targets, one source of truth (the hub's registry + span list):
 
 * :func:`to_jsonl` — one canonical JSON object per line: all metrics in
   registry-sorted order, then all sim-time spans in emission order, then
   a single trailing ``{"kind": "meta", ...}`` line holding everything
   wall-clock (phase timers, wall metrics/spans).  Strip that one line
   and the stream is byte-deterministic across repeated runs.
-* :func:`prometheus_text` — Prometheus text exposition (``# TYPE``
-  headers, ``_total``/``_bucket``/``_sum``/``_count`` conventions) for
-  scraping or eyeballing.
 * :func:`chrome_trace` — Chrome trace-event JSON, loadable in Perfetto
   (https://ui.perfetto.dev) for epoch/session/campaign timelines.  Each
   span track becomes a named thread; wall-clock tracks live in their own
@@ -19,14 +16,12 @@ Three targets, one source of truth (the hub's registry + span list):
 from __future__ import annotations
 
 import json
-import re
 
 from repro.telemetry.spans import SPAN_UNITS, Span
 
-__all__ = ["to_jsonl", "prometheus_text", "chrome_trace"]
+__all__ = ["to_jsonl", "chrome_trace"]
 
 _CANONICAL = {"sort_keys": True, "separators": (",", ":")}
-_PROM_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def _dumps(obj: dict) -> str:
@@ -66,62 +61,6 @@ def to_jsonl(tel) -> str:
         meta["wall_counter_tracks"] = wall_counters
     lines.append(_dumps(meta))
     return "\n".join(lines) + "\n"
-
-
-def _prom_name(name: str) -> str:
-    return _PROM_BAD.sub("_", name)
-
-
-def _prom_label_value(value) -> str:
-    """Escape one label value per the text exposition format.
-
-    The format requires ``\\`` -> ``\\\\``, newline -> ``\\n`` and
-    ``"`` -> ``\\"`` inside the double-quoted value; anything else
-    passes through (values are UTF-8, not restricted like names).
-    """
-    return (str(value).replace("\\", "\\\\").replace("\n", "\\n")
-            .replace('"', '\\"'))
-
-
-def _prom_labels(labels, extra: str = "") -> str:
-    parts = [f'{_prom_name(k)}="{_prom_label_value(v)}"'
-             for k, v in labels]
-    if extra:
-        parts.append(extra)
-    return "{" + ",".join(parts) + "}" if parts else ""
-
-
-def prometheus_text(tel) -> str:
-    """Prometheus text exposition of every metric (wall ones included)."""
-    out: list[str] = []
-    typed: set[str] = set()
-    for metric in tel.registry.metrics():
-        name = _prom_name(metric.name)
-        if metric.kind == "counter":
-            name += "_total"
-        if name not in typed:
-            typed.add(name)
-            out.append(f"# TYPE {name} {metric.kind}")
-        if metric.kind == "histogram":
-            cumulative = 0
-            for bound, count in zip(metric.bounds, metric.counts):
-                cumulative += count
-                le = 'le="%s"' % bound
-                out.append(f"{name}_bucket"
-                           f"{_prom_labels(metric.labels, le)}"
-                           f" {cumulative}")
-            inf = 'le="+Inf"'
-            out.append(f"{name}_bucket"
-                       f"{_prom_labels(metric.labels, inf)}"
-                       f" {metric.count}")
-            out.append(f"{name}_sum{_prom_labels(metric.labels)}"
-                       f" {round(metric.sum, 6)}")
-            out.append(f"{name}_count{_prom_labels(metric.labels)}"
-                       f" {metric.count}")
-        else:
-            out.append(f"{name}{_prom_labels(metric.labels)} "
-                       f"{metric.value}")
-    return "\n".join(out) + "\n" if out else ""
 
 
 def chrome_trace(tel) -> dict:
@@ -170,7 +109,7 @@ def chrome_trace(tel) -> dict:
 
 
 def _doctest_roundtrip() -> bool:
-    """Smoke-check the three exporters agree on one tiny capture.
+    """Smoke-check the two exporters agree on one tiny capture.
 
     >>> _doctest_roundtrip()
     True
@@ -180,8 +119,6 @@ def _doctest_roundtrip() -> bool:
     tel.counter("hits", outcome="fast").inc(3)
     tel.span("e0", 0, 4, track="epochs", unit="slot")
     jsonl = to_jsonl(tel)
-    prom = prometheus_text(tel)
     trace = chrome_trace(tel)
     return ('"kind":"span"' in jsonl
-            and 'hits_total{outcome="fast"} 3' in prom
             and any(e.get("ph") == "X" for e in trace["traceEvents"]))

@@ -166,11 +166,6 @@ class Telemetry:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_jsonl())
 
-    def prometheus_text(self) -> str:
-        """Prometheus text exposition of every metric."""
-        self.flush()
-        return _export.prometheus_text(self)
-
     def chrome_trace(self) -> dict:
         """Chrome trace-event JSON as a dict (Perfetto-loadable)."""
         self.flush()

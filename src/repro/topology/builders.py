@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core.exceptions import TopologyError
+from repro.core.exceptions import TopologyError, require_whole
 from repro.topology.graph import Topology
 
 __all__ = ["mesh", "concentrated_mesh", "line", "ring", "torus",
@@ -68,6 +68,7 @@ def mesh(cols: int, rows: int, *, nis_per_router: int = 1,
         raise TopologyError(f"mesh needs positive extent, got {cols}x{rows}")
     if nis_per_router < 0:
         raise TopologyError("nis_per_router must be >= 0")
+    cols, rows = require_whole("cols", cols, 1), require_whole("rows", rows, 1)
     topo = Topology(name or f"mesh{cols}x{rows}")
     for y in range(rows):
         for x in range(cols):
@@ -105,6 +106,7 @@ def ring(n: int, *, nis_per_router: int = 1,
     """A bidirectional ring of ``n`` routers."""
     if n < 3:
         raise TopologyError(f"ring needs >= 3 routers, got {n}")
+    n = require_whole("ring size", n, 3)
     topo = Topology(f"ring{n}")
     for i in range(n):
         topo.add_router(_router_name(i, 0), x=i, y=0)
@@ -122,6 +124,7 @@ def torus(cols: int, rows: int, *, nis_per_router: int = 1,
     if cols < 3 or rows < 3:
         raise TopologyError(
             f"torus needs extent >= 3 in both dimensions, got {cols}x{rows}")
+    cols, rows = require_whole("cols", cols, 3), require_whole("rows", rows, 3)
     topo = Topology(f"torus{cols}x{rows}")
     for y in range(rows):
         for x in range(cols):
@@ -187,6 +190,7 @@ def custom(router_edges: Iterable[tuple[str, str]],
 
 def _attach_nis(topo: Topology, nis_per_router: int) -> None:
     """Attach ``nis_per_router`` NIs to every router of ``topo``."""
+    nis_per_router = require_whole("nis_per_router", nis_per_router, 0)
     for router in topo.routers:
         attrs = topo.node_attrs(router)
         x = int(attrs.get("x", 0))  # type: ignore[arg-type]

@@ -25,12 +25,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from repro.core.exceptions import TopologyError
+from repro.core.exceptions import TopologyError, require_whole
 
 __all__ = ["NodeKind", "Link", "Topology", "RouteGeometry", "hop_distances"]
-
-#: Node-attribute value types :meth:`Topology.to_dict` keeps.
-_JSON_SCALARS = (bool, int, float, str, type(None))
 
 
 class NodeKind(enum.Enum):
@@ -181,13 +178,14 @@ class Topology:
             raise TopologyError(f"link {src!r} -> {dst!r} already exists")
         if pipeline_stages < 0:
             raise TopologyError("pipeline_stages must be >= 0")
+        stages = require_whole("pipeline_stages", pipeline_stages, 0)
         if self.kind(src) is NodeKind.NI and self.kind(dst) is NodeKind.NI:
             raise TopologyError(
                 f"NIs may not be directly connected ({src!r} -> {dst!r})")
         link = Link(src=src, dst=dst,
                     src_port=self._take_out_port(src),
                     dst_port=self._take_in_port(dst),
-                    pipeline_stages=pipeline_stages)
+                    pipeline_stages=stages)
         self._store(link)
         return link
 
@@ -202,6 +200,7 @@ class Topology:
         old = self.link(src, dst)
         if stages < 0:
             raise TopologyError("pipeline_stages must be >= 0")
+        stages = require_whole("pipeline_stages", stages, 0)
         new = Link(src=old.src, dst=old.dst, src_port=old.src_port,
                    dst_port=old.dst_port, pipeline_stages=stages)
         self._store(new)
@@ -385,81 +384,6 @@ class Topology:
         for r in routers:
             if not self._pred[r] or not self._succ[r]:
                 raise TopologyError(f"router {r!r} has a dangling side")
-
-    # -- (de)serialisation ---------------------------------------------------
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable structural description.
-
-        ``attrs`` carries each node's JSON-safe attributes (the mesh
-        coordinates the builders attach), so XY routing and the design
-        pruner work on the restored topology too.
-        """
-        return {
-            "name": self.name,
-            "routers": list(self.routers),
-            "nis": list(self.nis),
-            "attrs": {
-                name: kept for name, attrs in sorted(self._nodes.items())
-                if (kept := {key: value for key, value in attrs.items()
-                             if isinstance(value, _JSON_SCALARS)})},
-            "links": [
-                {"src": l.src, "dst": l.dst, "src_port": l.src_port,
-                 "dst_port": l.dst_port, "pipeline_stages": l.pipeline_stages}
-                for l in self.links
-            ],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, object]) -> "Topology":
-        """Rebuild a topology saved with :meth:`to_dict`.
-
-        Port numbers are re-derived from link order, so the serialised link
-        list must be in the original connection order; :meth:`to_dict`
-        preserves sorted order which keeps the mapping deterministic either
-        way because readers must use the stored port numbers, which are
-        re-checked here.  Dicts written before ``attrs`` existed load as
-        topologies without node attributes.  Ports and pipeline stages
-        must be non-negative JSON integers: a stage count read as
-        ``int(2.5)`` would silently move every slot shift behind it.
-        """
-        topo = Topology(str(data.get("name", "noc")))
-        attrs = data.get("attrs", {})
-        for r in data["routers"]:  # type: ignore[union-attr]
-            topo.add_router(str(r), **attrs.get(r, {}))
-        for n in data["nis"]:  # type: ignore[union-attr]
-            topo.add_ni(str(n), **attrs.get(n, {}))
-        for ld in data["links"]:  # type: ignore[union-attr]
-            numbers = [ld[key] for key in
-                       ("src_port", "dst_port", "pipeline_stages")]
-            if any(type(n) is not int or n < 0 for n in numbers):
-                raise TopologyError(
-                    f"link {ld['src']!r} -> {ld['dst']!r} needs "
-                    "non-negative integer ports and pipeline stages, got "
-                    f"{numbers}")
-            topo._connect_explicit(
-                Link(str(ld["src"]), str(ld["dst"]), *numbers))
-        return topo
-
-    def _connect_explicit(self, link: Link) -> None:
-        """Insert a link with pre-assigned port numbers (deserialisation)."""
-        self._require_node(link.src)
-        self._require_node(link.dst)
-        if link.dst in self._succ[link.src]:
-            raise TopologyError(f"link {link.src!r} -> {link.dst!r} already exists")
-        if any(other.src_port == link.src_port
-               for other in self._succ[link.src].values()):
-            raise TopologyError(
-                f"output port {link.src_port} of {link.src!r} already used")
-        if any(other.dst_port == link.dst_port
-               for other in self._pred[link.dst].values()):
-            raise TopologyError(
-                f"input port {link.dst_port} of {link.dst!r} already used")
-        self._store(link)
-        self._next_out_port[link.src] = max(self._next_out_port[link.src],
-                                            link.src_port + 1)
-        self._next_in_port[link.dst] = max(self._next_in_port[link.dst],
-                                           link.dst_port + 1)
 
     # -- internals ----------------------------------------------------------
 

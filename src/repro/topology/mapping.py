@@ -71,15 +71,6 @@ class Mapping:
                 raise TopologyError(
                     f"IP {ip!r} mapped to unknown NI {ni!r}")
 
-    def to_dict(self) -> dict[str, str]:
-        """JSON-serialisable representation."""
-        return dict(self.ip_to_ni)
-
-    @staticmethod
-    def from_dict(data: Mapping[str, str]) -> "Mapping":
-        """Inverse of :meth:`to_dict`."""
-        return Mapping(dict(data))
-
 
 def round_robin(ips: Sequence[str], topo: Topology) -> Mapping:
     """Deal IPs to NIs in sorted order, wrapping around."""

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 from repro.core.application import Application, UseCase
 from repro.core.connection import MB, ChannelSpec
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import (ConfigurationError,
+                                   require_finite_positive, require_whole)
 from repro.core.words import WordFormat
 from repro.topology.builders import concentrated_mesh, router_coords
 from repro.topology.graph import Topology
@@ -71,8 +72,11 @@ class Section7Parameters:
     table_size: int = 32
 
     def __post_init__(self) -> None:
-        if self.n_applications < 1 or self.connections_per_application < 1:
-            raise ConfigurationError("need >= 1 application and connection")
+        for name in ("cols", "rows", "nis_per_router", "n_ips",
+                     "n_applications", "connections_per_application",
+                     "table_size"):
+            require_whole(name, getattr(self, name), 1)
+        require_finite_positive("frequency_hz", self.frequency_hz)
         # Chained comparisons, which NaN fails.  An empty throughput
         # range would divide by its zero log-span.
         if not 0 < self.min_throughput_mb_s < MAX_THROUGHPUT_MB_S:

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from be_oracle import BeOracle, BoolRoundRobin, _InputBuffer
-from repro.baseline.arbitration import (FixedPriorityArbiter,
-                                        RoundRobinArbiter)
+from repro.baseline.arbitration import RoundRobinArbiter
 from repro.baseline.be_network import BeNetworkSimulator
 from repro.campaign.spec import WorkloadSpec
 from repro.core.application import Application, UseCase
@@ -52,11 +51,6 @@ class TestArbiters:
                     waits[i] += 1
                     assert waits[i] <= 4
             waits[winner] = 0
-
-    def test_fixed_priority_starves(self):
-        arbiter = FixedPriorityArbiter(2)
-        grants = [arbiter.grant([0, 1]) for _ in range(5)]
-        assert grants == [0] * 5
 
     def test_index_outside_the_requesters_rejected(self):
         with pytest.raises(ConfigurationError, match="outside 2"):

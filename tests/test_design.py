@@ -28,10 +28,10 @@ from repro.core.words import WordFormat
 from repro.design import (Candidate, DesignExplorer, DesignSpace,
                           DesignSpec, evaluate_candidate,
                           frequency_lower_bound_hz,
-                          min_feasible_frequency, optimize_mapping,
+                          min_feasible_configuration, optimize_mapping,
                           pareto_front, prune_candidate,
-                          section7_demo_use_case, table_size_scan,
-                          workload_from_churn)
+                          section7_demo_use_case, workload_from_churn)
+from repro.design.search import configuration_area
 from repro.service.churn import ChurnSpec
 from repro.topology.builders import mesh
 from repro.topology.mapping import round_robin
@@ -173,9 +173,9 @@ class TestPruneSoundness:
         mapping = round_robin(list(use_case.ips), topo)
         floor = frequency_lower_bound_hz(topo, use_case, mapping)
         assert floor > 0
-        found = min_feasible_frequency(topo, use_case, mapping,
-                                       table_size=16, low_hz=50e6,
-                                       high_hz=2e9)
+        found = min_feasible_configuration(topo, use_case, mapping,
+                                           table_size=16, low_hz=50e6,
+                                           high_hz=2e9).frequency_hz
         assert found >= floor * (1 - 1e-9)
 
 
@@ -386,26 +386,139 @@ class TestExplorerAndDemo:
         json.loads(report.to_json())
 
 
-class TestTableSizeScanColumns:
-    def test_synthesis_columns_present_when_feasible(self):
+class TestMinFeasibleConfiguration:
+    def test_min_frequency_found(self, mesh_config):
+        frequency = min_feasible_configuration(
+            mesh_config.topology, mesh_config.use_case,
+            mesh_config.mapping, table_size=8).frequency_hz
+        # The fixture allocates at 500 MHz, so the minimum is at most
+        # that; and the requirements make 100 MHz insufficient... or
+        # not — assert only the contract: feasible at the result.
+        config = configure(mesh_config.topology, mesh_config.use_case,
+                           table_size=8, frequency_hz=frequency,
+                           mapping=mesh_config.mapping)
+        assert config.summary().all_requirements_met
+        assert frequency <= 500e6 + 10e6
+
+    def test_min_frequency_monotone_contract(self, mesh_config):
+        """Slightly below the minimum must be infeasible (if > low)."""
+        frequency = min_feasible_configuration(
+            mesh_config.topology, mesh_config.use_case,
+            mesh_config.mapping, table_size=8, low_hz=50e6,
+            tolerance_hz=5e6).frequency_hz
+        if frequency > 55e6:
+            with pytest.raises(AllocationError):
+                configure(mesh_config.topology, mesh_config.use_case,
+                          table_size=8, frequency_hz=frequency * 0.8,
+                          mapping=mesh_config.mapping)
+
+    def test_infeasible_raises(self, mesh_config):
+        scaled = type(mesh_config.use_case)(
+            "impossible",
+            tuple(type(app)(app.name, tuple(
+                ch.scaled(1000.0) for ch in app.channels))
+                for app in mesh_config.use_case.applications))
+        with pytest.raises(AllocationError):
+            min_feasible_configuration(
+                mesh_config.topology, scaled, mesh_config.mapping,
+                table_size=8, high_hz=1e9)
+
+    def test_bad_interval_rejected(self, mesh_config):
+        with pytest.raises(ConfigurationError):
+            min_feasible_configuration(
+                mesh_config.topology, mesh_config.use_case,
+                mesh_config.mapping, table_size=8, low_hz=1e9,
+                high_hz=1e8)
+
+    @pytest.mark.parametrize("bound", ["low_hz", "high_hz",
+                                       "tolerance_hz"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bound_refused(self, mesh_config, bound, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"{bound} must be a finite positive"):
+            min_feasible_configuration(
+                mesh_config.topology, mesh_config.use_case,
+                mesh_config.mapping, table_size=8, **{bound: value})
+
+
+def _at_table_sizes(topology, use_case, mapping, sizes,
+                    frequency_hz=500e6):
+    """The configuration at each table size, or ``None`` where some
+    requirement cannot be met."""
+    configs = []
+    for size in sizes:
+        try:
+            configs.append(configure(topology, use_case, table_size=size,
+                                     frequency_hz=frequency_hz,
+                                     mapping=mapping))
+        except AllocationError:
+            configs.append(None)
+    return configs
+
+
+class TestTableSize:
+    """Feasibility, bound quality and cost as the slot table grows, at
+    one frequency."""
+
+    @pytest.fixture(scope="class")
+    def section7_fanout(self):
+        """The Section VII topology (4x3 cmesh, 4 NIs) with six
+        bandwidth-only channels out of one NI: a table of fewer than six
+        slots cannot serialise the injection link, and feasibility of a
+        bandwidth-only workload is monotone in table size."""
+        from repro.topology.builders import concentrated_mesh
+        from repro.topology.mapping import Mapping
+        topology = concentrated_mesh(4, 3, nis_per_router=4)
+        nis = topology.nis
+        channels = tuple(
+            ChannelSpec(f"fan{i}", "hub", f"leaf{i}", 40 * MB,
+                        application="fan")
+            for i in range(6))
+        use_case = UseCase("fanout", (Application("fan", channels),))
+        mapping = Mapping({"hub": nis[0], **{
+            f"leaf{i}": nis[i + 1] for i in range(6)}})
+        return _at_table_sizes(topology, use_case, mapping,
+                               [4, 8, 16, 32, 64])
+
+    def test_feasibility_is_monotone_in_table_size(self, section7_fanout):
+        flags = [config is not None for config in section7_fanout]
+        assert flags[0] is False  # 4 slots < 6 channels on one NI link
+        assert True in flags
+        # Once feasible, never infeasible again at a larger size.
+        assert flags == sorted(flags)
+
+    def test_bound_quality_follows_the_table(self, section7_fanout):
+        feasible = [c for c in section7_fanout if c is not None]
+        for config in feasible:
+            summary = config.summary()
+            assert summary.max_latency_ns >= summary.mean_latency_ns > 0
+            assert 0 < config.allocation.mean_link_utilisation() <= 1
+        # Larger tables spread the same demand thinner.
+        utils = [c.allocation.mean_link_utilisation() for c in feasible]
+        assert utils == sorted(utils, reverse=True)
+        # Longer rotations worsen the worst-case wait, so latency
+        # bounds grow with the table.
+        latencies = [c.summary().max_latency_ns for c in feasible]
+        assert latencies == sorted(latencies)
+
+    def test_larger_tables_lower_utilisation(self, mesh_config):
+        configs = _at_table_sizes(mesh_config.topology,
+                                  mesh_config.use_case,
+                                  mesh_config.mapping, [8, 16, 32])
+        feasible = [c for c in configs if c is not None]
+        assert feasible
+        utils = [c.allocation.mean_link_utilisation() for c in feasible]
+        assert utils == sorted(utils, reverse=True)
+
+    def test_network_area_grows_with_the_table(self):
         topo = mesh(2, 2, nis_per_router=2)
         use_case = _small_use_case()
         mapping = round_robin(list(use_case.ips), topo)
-        rows = table_size_scan(topo, use_case, mapping,
-                               frequency_hz=500e6,
-                               table_sizes=[2, 16, 32])
-        assert [r.table_size for r in rows] == [2, 16, 32]
-        for row in rows:
-            if row.feasible:
-                assert row.network_area_um2 > 0
-                assert row.fmax_mhz > 0
-                assert set(row.to_record()) >= {"network_area_um2",
-                                                "fmax_mhz"}
-            else:
-                assert row.network_area_um2 is None
-                assert row.fmax_mhz is None
-        feasible = [r for r in rows if r.feasible]
+        feasible = [c for c in _at_table_sizes(topo, use_case, mapping,
+                                               [2, 16, 32])
+                    if c is not None]
         assert feasible
         # NI slot tables grow with the table size: area rises.
-        areas = [r.network_area_um2 for r in feasible]
+        areas = [configuration_area(c).total_um2 for c in feasible]
+        assert all(area > 0 for area in areas)
         assert areas == sorted(areas)

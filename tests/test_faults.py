@@ -71,18 +71,8 @@ class TestFaultSchedule:
         schedule = FaultSchedule(
             FaultSpec(n_faults=3, repair=False), topo, 1)
         assert all(e.action == "fail" for e in schedule.events())
-        links, routers = schedule.failed_at(float("inf"))
-        assert len(links) + len(routers) == len(schedule.events())
-
-    def test_failed_at_and_excluded_at(self):
-        topo = mesh(3, 3, nis_per_router=2)
-        schedule = FaultSchedule(FaultSpec(n_faults=5), topo, 11)
-        first = schedule.events()[0]
-        links, routers = schedule.failed_at(first.time_s)
-        assert (first.target in links) or (first.target in routers)
-        assert schedule.excluded_at(first.time_s)
-        # Before anything fails, nothing is excluded.
-        assert schedule.excluded_at(first.time_s / 2) == frozenset()
+        assert len({e.target for e in schedule.events()}) == \
+            len(schedule.events())
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -431,44 +421,6 @@ class TestSpareCapacity:
         assert heavy["spare_capacity"] == 3.0
 
 
-class TestReconfigurationFaults:
-    def test_apply_fault_records_timeline(self):
-        from repro.core.reconfiguration import ReconfigurationManager
-        from repro.core.timeline import TimelineRecorder
-        topology = mesh(3, 3, nis_per_router=2)
-        use_case, mapping = WorkloadSpec(
-            n_channels=12, n_ips=12).build(topology, 3)
-        allocator = SlotAllocator(topology, table_size=16,
-                                  frequency_hz=500e6)
-        recorder = TimelineRecorder(topology, table_size=16,
-                                    frequency_hz=500e6)
-        manager = ReconfigurationManager(allocator, mapping,
-                                         recorder=recorder)
-        for app in use_case.applications:
-            manager.start_application(app, at_s=0.0)
-        report = manager.apply_fault(failed_links=[("r1_1", "r1_0")],
-                                     at_s=1.0)
-        manager.allocation.validate()
-        assert report.untouched_intact
-        assert any(h.action == "fault" for h in manager.history)
-        timeline = recorder.build(horizon_slots=2000)
-        assert timeline.n_epochs >= 2
-        # The failure persists: later starts must avoid the dead link.
-        assert ("r1_1", "r1_0") in manager.allocation.excluded_links
-        from repro.core.application import Application
-        from repro.core.connection import MB, ChannelSpec
-        ips = sorted(use_case.ips)[:2]
-        late = Application("late", (ChannelSpec(
-            "late0", ips[0], ips[1], 5 * MB, application="late"),))
-        manager.start_application(late, at_s=2.0)
-        for ca in manager.allocation.channels.values():
-            assert ("r1_1", "r1_0") not in ca.path.link_keys()
-        # Repair restores the allocator's pre-fault route freedom.
-        manager.repair_fault(failed_links=[("r1_1", "r1_0")])
-        assert manager.allocation.failed_links == frozenset()
-        assert manager.allocation.excluded_links == frozenset()
-
-
 class TestSharedAllocatorIsolation:
     """Failed fabric is state of one live allocation: an allocator
     shared for its warm caches carries none of it to a neighbour."""
@@ -491,7 +443,8 @@ class TestSharedAllocatorIsolation:
         from repro.core.application import Application
         allocator, mapping, (faulty, healthy, control) = self._managers(3)
         held = dict(vars(allocator))
-        faulty.apply_fault(failed_routers=["r1_1"])
+        faulty.allocation = faulty.allocation.rebuild_excluding(
+            failed_routers=["r1_1"]).allocation
         # The allocator's caches fill in place; a fault rebinds nothing.
         assert vars(allocator) == held
         assert healthy.allocation.excluded_links == frozenset()
@@ -511,7 +464,8 @@ class TestSharedAllocatorIsolation:
         assert (allocation_fingerprint(healthy.allocation)
                 == allocation_fingerprint(control.allocation))
         # Repair on one side changes nothing on the other either.
-        faulty.repair_fault(failed_routers=["r1_1"])
+        faulty.allocation.set_failed(*faulty.allocation.fabric_after(
+            "repair", (), ["r1_1"]))
         assert faulty.allocation.excluded_links == frozenset()
         faulty.start_application(late)
 

@@ -23,7 +23,7 @@ from repro.campaign import (PRESETS, CampaignResult, RunSpec, ScenarioSpec,
                             TopologySpec, TrafficSpec)
 from repro.campaign.fabric import spec_fingerprint
 from repro.campaign.kinds import KINDS, PAYLOAD_FIELDS, grid_row, run_kind
-from repro.campaign.spec import CampaignSpec, SyntheticSpec
+from repro.campaign.spec import CampaignSpec, SyntheticSpec, WorkloadSpec
 from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.application import Application, UseCase
 from repro.core.connection import MB, ChannelSpec
@@ -36,6 +36,9 @@ from repro.faults import FaultEvent, FaultSpec
 from repro.service import (ChurnSpec, FairnessSpec, TenantSpec,
                            abusive_tenant_mix)
 from repro.simulation.backend import SimRequest
+from repro.topology.builders import (concentrated_mesh, line, mesh, ring,
+                                     single_router, torus)
+from repro.usecase.generator import Section7Parameters
 
 #: One small value per payload field (tenant-tagged churn, so it fits
 #: every kind that accepts churn).
@@ -277,6 +280,105 @@ class TestWholeSlotCounts:
 
         assert record(16.0) == record(16)
         assert record(16)["status"] == "ok"
+
+
+class TestWholeCountsAtConstruction:
+    """Topology extents, NI counts, link stages, word-format fields and
+    the counts of the campaign, use-case and tenant specs are refused at
+    construction when fractional or NaN; a whole float keeps its type."""
+
+    @pytest.mark.parametrize("make, field", [
+        (partial(mesh, 2, 2, pipeline_stages=1.5), "pipeline_stages"),
+        (lambda: mesh(2, 1).set_pipeline_stages("r0_0", "r1_0", 1.5),
+         "pipeline_stages"),
+        (partial(TopologySpec, pipeline_stages=math.nan), "pipeline_stages"),
+        (partial(TopologySpec, pipeline_stages=1.5), "pipeline_stages"),
+        (partial(mesh, 2.5, 2), "cols"),
+        (partial(ring, 3.5), "ring size"),
+        (partial(concentrated_mesh, 2, 2, nis_per_router=1.5),
+         "nis_per_router"),
+        (partial(WordFormat, flit_size=math.nan), "flit_size"),
+        (partial(WordFormat, flit_size=2.5), "flit_size"),
+        (partial(WordFormat, data_width=31.5), "data_width"),
+        (partial(WordFormat, port_bits=2.5), "port_bits"),
+        (partial(WorkloadSpec, n_channels=2.5), "n_channels"),
+        (partial(WorkloadSpec, n_ips=math.nan), "n_ips"),
+        (partial(SyntheticSpec, work=2.5), "synthetic work"),
+        (partial(TrafficSpec, pattern="burst", burst_messages=2.5),
+         "burst_messages"),
+        (partial(Section7Parameters, frequency_hz=math.nan), "frequency_hz"),
+        (partial(Section7Parameters, cols=2.5), "cols"),
+        (partial(Section7Parameters, table_size=16.5), "table_size"),
+        (partial(TenantSpec, "t", floor_opens_per_window=2.5),
+         "tenant 't' floor_opens_per_window"),
+        (partial(TenantSpec, "t", floor_opens_per_window=math.nan),
+         "tenant 't' floor_opens_per_window"),
+        (partial(ChannelSpec, "c", "a", "b", MB, burst_bytes=math.nan),
+         "channel 'c' burst_bytes"),
+        (partial(ChannelSpec, "c", "a", "b", MB, burst_bytes=2.5),
+         "channel 'c' burst_bytes"),
+        (partial(torus, 3, math.nan), "rows"),
+        (partial(line, 2.5), "cols"),
+        (partial(single_router, 1.5), "nis_per_router"),
+    ], ids=["mesh-stages", "set-stages", "spec-nan-stages",
+            "spec-fractional-stages", "mesh-cols", "ring-size",
+            "cmesh-nis", "flit-nan", "flit-fractional", "data-width",
+            "port-bits", "workload-channels", "workload-ips",
+            "synthetic-work", "burst-messages", "section7-nan-frequency",
+            "section7-cols", "section7-table", "tenant-floor",
+            "tenant-nan-floor", "channel-nan-burst",
+            "channel-fractional-burst", "torus-nan-rows", "line-length",
+            "single-router-nis"])
+    def test_fraction_or_nan_is_refused_at_construction(self, make, field):
+        # Before: a fractional stage count built and crashed ``configure``
+        # with a TypeError from ``>>`` (a scenario ended ``crashed``), a
+        # fractional extent raised a TypeError from ``range``, NaN passed
+        # every ``<`` check, and a 2.5-word flit allocated.
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be (a whole|a finite)"):
+            make()
+
+    @pytest.mark.parametrize("make, field", [
+        (partial(mesh, math.inf, 2), "cols"),
+        (partial(ring, math.inf), "ring size"),
+        (lambda: mesh(2, 1).set_pipeline_stages("r0_0", "r1_0", math.inf),
+         "pipeline_stages"),
+        (partial(TopologySpec, pipeline_stages=math.inf), "pipeline_stages"),
+        (partial(WordFormat, flit_size=math.inf), "flit_size"),
+        (partial(WorkloadSpec, n_channels=math.inf), "n_channels"),
+        (partial(Section7Parameters, table_size=math.inf), "table_size"),
+        (partial(Section7Parameters, frequency_hz=math.inf), "frequency_hz"),
+        (partial(TenantSpec, "t", floor_opens_per_window=math.inf),
+         "tenant 't' floor_opens_per_window"),
+        (partial(ChannelSpec, "c", "a", "b", MB, burst_bytes=math.inf),
+         "channel 'c' burst_bytes"),
+    ], ids=["mesh-cols", "ring-size", "set-stages", "spec-stages",
+            "flit", "workload-channels", "section7-table",
+            "section7-frequency", "tenant-floor", "channel-burst"])
+    def test_an_infinity_is_refused_at_construction(self, make, field):
+        # An infinity passes every lower-bound ``<`` check, so only the
+        # whole-number test stands between it and ``range`` or ``>>``.
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be (a whole|a finite)"):
+            make()
+
+    def test_a_whole_float_keeps_its_type(self):
+        topology = TopologySpec(cols=2.0, rows=2.0, pipeline_stages=1.0)
+        assert (topology.cols, topology.pipeline_stages) == (2.0, 1.0)
+        assert type(topology.cols) is float
+        assert topology.build().links == mesh(2, 2,
+                                               pipeline_stages=1).links
+        for value, whole in (
+                (WordFormat(flit_size=3.0).flit_size, 3),
+                (WorkloadSpec(n_channels=6.0).n_channels, 6),
+                (SyntheticSpec(work=4.0).work, 4),
+                (TrafficSpec(burst_messages=3.0).burst_messages, 3),
+                (Section7Parameters(table_size=32.0).table_size, 32),
+                (TenantSpec("t", floor_opens_per_window=2.0)
+                 .floor_opens_per_window, 2),
+                (ChannelSpec("c", "a", "b", MB,
+                             burst_bytes=16.0).burst_bytes, 16)):
+            assert type(value) is float and value == whole
 
 
 # -- the checked demos -----------------------------------------------------

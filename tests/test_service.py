@@ -581,11 +581,12 @@ class TestChurnCampaign:
 
 class TestExplorationFailureSurfacing:
     def test_infeasible_error_names_channel_and_reason(self, mesh_config):
-        """min_feasible_frequency surfaces the allocator's last failure."""
+        """min_feasible_configuration surfaces the allocator's last
+        failure."""
         from dataclasses import replace
 
         from repro.core.application import Application, UseCase
-        from repro.design.search import min_feasible_frequency
+        from repro.design.search import min_feasible_configuration
 
         # A latency requirement below any path's traversal time can never
         # be met, at any frequency in the search interval.
@@ -598,7 +599,7 @@ class TestExplorationFailureSurfacing:
             apps.append(Application(app.name, channels))
         impossible = UseCase("impossible", tuple(apps))
         with pytest.raises(AllocationError) as excinfo:
-            min_feasible_frequency(
+            min_feasible_configuration(
                 mesh_config.topology, impossible, mesh_config.mapping,
                 table_size=8, high_hz=1e9)
         err = excinfo.value

@@ -1,11 +1,11 @@
-"""Tests for channel/connection/application/use-case specifications."""
+"""Tests for channel/application/use-case specifications."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.application import Application, UseCase
-from repro.core.connection import GB, MB, NS, US, ChannelSpec, ConnectionSpec
+from repro.core.connection import GB, MB, NS, US, ChannelSpec
 from repro.core.exceptions import ConfigurationError
 
 
@@ -39,42 +39,6 @@ class TestChannelSpec:
         assert spec.scaled(2.0).throughput_bytes_per_s == 200e6
         assert spec.throughput_bytes_per_s == 100e6
 
-    def test_dict_roundtrip(self):
-        spec = ChannelSpec("c", "a", "b", 100 * MB, max_latency_ns=55.0,
-                           application="app", burst_bytes=32)
-        assert ChannelSpec.from_dict(spec.to_dict()) == spec
-
-    def test_dict_roundtrip_no_latency(self):
-        spec = ChannelSpec("c", "a", "b", 100 * MB)
-        assert ChannelSpec.from_dict(spec.to_dict()) == spec
-
-
-class TestConnectionSpec:
-    def test_forward_only(self):
-        conn = ConnectionSpec("x", ChannelSpec("f", "a", "b", 1 * MB))
-        assert conn.channels == (conn.forward,)
-
-    def test_reverse_must_mirror(self):
-        forward = ChannelSpec("f", "a", "b", 1 * MB)
-        wrong = ChannelSpec("r", "a", "b", 1 * MB)
-        with pytest.raises(ConfigurationError):
-            ConnectionSpec("x", forward, wrong)
-
-    def test_with_credit_return(self):
-        forward = ChannelSpec("f", "a", "b", 100 * MB, application="app")
-        conn = ConnectionSpec("x", forward).with_credit_return()
-        assert conn.reverse is not None
-        assert conn.reverse.src_ip == "b"
-        assert conn.reverse.dst_ip == "a"
-        assert conn.reverse.application == "app"
-        assert conn.reverse.throughput_bytes_per_s == \
-            pytest.approx(5 * MB)
-
-    def test_with_credit_return_idempotent(self):
-        forward = ChannelSpec("f", "a", "b", 1 * MB)
-        conn = ConnectionSpec("x", forward).with_credit_return()
-        assert conn.with_credit_return() is conn
-
 
 class TestApplicationAndUseCase:
     def test_duplicate_channel_rejected(self):
@@ -104,23 +68,3 @@ class TestApplicationAndUseCase:
             UseCase("uc", (Application("x", (spec_a,)),
                            Application("y", (spec_b,))))
 
-    def test_subset(self):
-        apps = (
-            Application("x", (ChannelSpec("c1", "a", "b", 1 * MB,
-                                          application="x"),)),
-            Application("y", (ChannelSpec("c2", "c", "d", 1 * MB,
-                                          application="y"),)),
-        )
-        uc = UseCase("uc", apps)
-        sub = uc.subset(["x"])
-        assert [a.name for a in sub.applications] == ["x"]
-        assert len(sub.channels) == 1
-        with pytest.raises(ConfigurationError):
-            uc.subset(["nope"])
-
-    def test_application_of(self):
-        uc = UseCase("uc", (Application("x", (
-            ChannelSpec("c1", "a", "b", 1 * MB, application="x"),)),))
-        assert uc.application_of("c1") == "x"
-        with pytest.raises(ConfigurationError):
-            uc.application_of("missing")

@@ -183,6 +183,14 @@ def test_the_tree_passes():
        "allocator")
       for params in ("allocator, table_size=32", "allocator, frequency_hz=5e8",
                      "allocator=None", "name='service'")),
+    *((path, line, "a capability no entry point reached")
+      for path, line in (
+          ("topology/graph.py", "def to_dict(topology): pass"),
+          ("telemetry/export.py", "def prometheus_text(tel): pass"),
+          ("core/connection.py", "class ConnectionSpec: pass"),
+          ("design/search.py", "def min_feasible_frequency(*args): pass"),
+          ("core/reconfiguration.py", "def apply_fault(manager): pass"),
+          ("baseline/arbitration.py", "class FixedPriorityArbiter: pass"))),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",
@@ -343,8 +351,8 @@ def tree_copy(tmp_path_factory) -> Path:
      "def build(self, *, horizon_slots: int, fill: float = 0.75)"),
     ("campaign/runner.py", "def run(self) -> CampaignResult:",
      "def run(self, *, resume=None) -> CampaignResult:"),
-    ("core/connection.py", "def with_credit_return(self)",
-     "def with_credit_return(self, *, throughput_fraction=0.05)"),
+    ("link/mesochronous.py", "reader_clock: ClockDomain, fmt: WordFormat\n",
+     "reader_clock: ClockDomain, fmt: WordFormat, fifo_words: int = 4\n"),
 ])
 def test_a_removed_parameter_cannot_come_back(tree_copy, path, old, new):
     target = tree_copy / "src" / "repro" / path

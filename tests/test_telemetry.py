@@ -5,7 +5,7 @@ byte-identical with telemetry on and off, the non-wall portion of the
 telemetry stream itself must be byte-identical across repeated runs,
 and every wall-clock quantity must be quarantined into the trailing
 ``meta`` line.  The rest covers the instrument semantics (histogram
-bucket edges, Null no-ops), the exporters (JSONL, Prometheus, Chrome
+bucket edges, Null no-ops), the exporters (JSONL, Chrome
 trace) and the satellite regressions (empty latency stats, executor
 names in ``SimResult``).
 """
@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.exceptions import ConfigurationError
 from repro.telemetry import (NULL_TELEMETRY, NullTelemetry, Telemetry,
-                             chrome_trace, coalesce, prometheus_text)
+                             chrome_trace, coalesce)
 from repro.telemetry.metrics import (NULL_COUNTER, NULL_GAUGE,
                                      NULL_HISTOGRAM, Histogram,
                                      MetricRegistry)
@@ -161,13 +161,6 @@ class TestExporters:
         assert [m["name"] for m in meta["wall_metrics"]] == ["wall_depth"]
         assert [s["name"] for s in meta["wall_spans"]] == ["load"]
 
-    def test_prometheus_exposition_shape(self):
-        text = prometheus_text(self._populated())
-        assert "hits_total" in text
-        assert 'outcome="ok"' in text
-        assert 'le="+Inf"' in text
-        assert "width_sum" in text and "width_count" in text
-
     def test_chrome_trace_schema(self):
         trace = chrome_trace(self._populated())
         events = trace["traceEvents"]
@@ -187,20 +180,6 @@ class TestExporters:
         names = {e["args"]["name"] for e in trace["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert "epochs [slot]" in names
-
-    def test_prometheus_escapes_label_values(self):
-        # Exposition format: backslash, newline and double quote must
-        # escape inside the quoted label value, or the scrape breaks.
-        tel = Telemetry()
-        tel.counter("odd", path='a"b\nc\\d').inc()
-        text = prometheus_text(tel)
-        assert 'path="a\\"b\\nc\\\\d"' in text
-        assert "\n" not in text.splitlines()[1]  # sample stays one line
-        # The value is recoverable by undoing the three escapes.
-        raw = text.split('path="', 1)[1].rsplit('"', 1)[0]
-        unescaped = (raw.replace("\\\\", "\x00").replace("\\n", "\n")
-                     .replace('\\"', '"').replace("\x00", "\\"))
-        assert unescaped == 'a"b\nc\\d'
 
 
 class TestCounterTracks:

@@ -98,13 +98,6 @@ class TestTopologyGraph:
         with pytest.raises(TopologyError):
             topo.validate()
 
-    def test_dict_roundtrip(self):
-        topo = mesh(3, 2, nis_per_router=2, pipeline_stages=1)
-        clone = Topology.from_dict(topo.to_dict())
-        assert clone.routers == topo.routers
-        assert clone.nis == topo.nis
-        assert clone.links == topo.links
-
     @pytest.mark.parametrize("build", [
         lambda: mesh(2, 2, nis_per_router=1),
         lambda: concentrated_mesh(2, 2, nis_per_router=4),
@@ -112,47 +105,27 @@ class TestTopologyGraph:
         lambda: ring(4, nis_per_router=2)],
         ids=["mesh", "concentrated_mesh", "torus", "ring"])
     def test_roundtrip_keeps_the_mesh(self, build):
-        """Coordinates survive JSON, and with them XY routing and the
-        design pruner's bisection bound (a saved configuration is where
-        users meet this)."""
-        import json
-
+        """Coordinates survive a pickled or deep copy of every builder's
+        topology, and with them XY routing and the design pruner's
+        bisection bound."""
         from repro.campaign.spec import WorkloadSpec
-        from repro.core.configuration import configure
-        from repro.core.serialization import (configuration_from_dict,
-                                              configuration_to_dict)
         from repro.design.prune import prune_candidate
         topo = build()
         use_case, mapping = WorkloadSpec(
             n_channels=6, n_ips=len(topo.nis)).build(topo, 3)
-        config = configure(topo, use_case, table_size=16,
-                           frequency_hz=500e6, mapping=mapping,
-                           require_met=False)
-        clone = configuration_from_dict(json.loads(json.dumps(
-            configuration_to_dict(config)))).topology
-        assert clone.to_dict() == topo.to_dict()
-        for node in topo.routers + topo.nis:
-            assert dict(clone.node_attrs(node)) == \
-                dict(topo.node_attrs(node))
-        for router in topo.routers:
-            assert router_coords(clone, router) == \
-                router_coords(topo, router)
         first, last = topo.nis[0], topo.nis[-1]
-        assert xy_path(clone, first, last) == xy_path(topo, first, last)
-        verdicts = [prune_candidate(t, use_case, mapping, table_size=4,
-                                    frequency_hz=10e6)
-                    for t in (topo, clone)]
-        assert verdicts[0] == verdicts[1]
-        assert verdicts[0].reasons  # a verdict with something to lose
-
-    def test_dict_written_before_attrs_still_loads(self):
-        topo = mesh(2, 2, nis_per_router=1)
-        data = topo.to_dict()
-        del data["attrs"]
-        clone = Topology.from_dict(data)
-        assert clone.links == topo.links
-        with pytest.raises(TopologyError, match="no mesh coordinates"):
-            router_coords(clone, "r0_0")
+        verdict = prune_candidate(topo, use_case, mapping, table_size=4,
+                                  frequency_hz=10e6)
+        assert verdict.reasons  # a verdict with something to lose
+        for clone in (pickle.loads(pickle.dumps(topo)),
+                      copy.deepcopy(topo)):
+            for router in topo.routers:
+                assert router_coords(clone, router) == \
+                    router_coords(topo, router)
+            assert xy_path(clone, first, last) == \
+                xy_path(topo, first, last)
+            assert prune_candidate(clone, use_case, mapping, table_size=4,
+                                   frequency_hz=10e6) == verdict
 
     def test_set_pipeline_stages(self):
         topo = mesh(2, 1, nis_per_router=1)
@@ -254,7 +227,7 @@ class TestRouterGraphMemo:
         def reads_and_refused_writes():
             topo.validate()
             topo.geometry()
-            topo.links, topo.routers, topo.nis, topo.to_dict()
+            topo.links, topo.routers, topo.nis
             k_shortest_paths(topo, "n", "n", 2,
                              exclude_links=frozenset({("a", "b")}))
             weighted_shortest_path(topo, "n", "n", lambda key: 1.0)
@@ -277,7 +250,10 @@ class TestRouterGraphMemo:
         topo.geometry()
         for clone in (pickle.loads(pickle.dumps(topo)),
                       copy.deepcopy(topo)):
-            assert clone.to_dict() == topo.to_dict()
+            assert (clone.name, clone.routers, clone.nis, clone.links) == \
+                (topo.name, topo.routers, topo.nis, topo.links)
+            assert all(clone.node_attrs(n) == topo.node_attrs(n)
+                       for n in topo.routers + topo.nis)
             assert clone.revision == topo.revision
             assert clone.geometry() is not topo.geometry()
             assert clone.geometry().succ == topo.geometry().succ
@@ -377,6 +353,8 @@ class TestBuilders:
                       [("n0", "a"), ("n1", "b")])
         assert topo.routers == ("a", "b")
         assert topo.attached_router("n0") == "a"
+        with pytest.raises(TopologyError, match="no mesh coordinates"):
+            router_coords(topo, "a")
 
     def test_router_coords(self):
         topo = mesh(3, 2)
@@ -507,8 +485,3 @@ class TestMapping:
         mapping = Mapping({"a": "nowhere"})
         with pytest.raises(TopologyError):
             mapping.validate(topo)
-
-    def test_mapping_dict_roundtrip(self):
-        mapping = Mapping({"a": "n1", "b": "n2"})
-        assert Mapping.from_dict(mapping.to_dict()).ip_to_ni == \
-            mapping.ip_to_ni

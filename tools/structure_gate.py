@@ -63,9 +63,9 @@ RULES = [
      "ChannelAllocation.link_occupancy is called or memoised again (an "
      "attribute derived once, at construction)"),
     (r"^(?!\s*(>>>|\.\.\.)).*\bChannelAllocation\(", SRC,
-     r"src/repro/core/(placement|serialization)\.py", NONE,
-     "a ChannelAllocation is built outside core/placement.py and "
-     "core/serialization.py (a placement returns the record)"),
+     r"src/repro/core/placement\.py", NONE,
+     "a ChannelAllocation is built outside core/placement.py (a placement "
+     "returns the record)"),
     (r"set_excluded_links|free_injection_mask|_path_free_mask|"
      r"def candidate_paths|_pending_admit_us", SRC, None, NONE,
      f"a deleted placement twin or fault-state mirror {_GONE}"),
@@ -199,6 +199,17 @@ RULES = [
     (r"check_contention", SRC, None, NONE,
      "a contention-checking mode is back under src/repro (call "
      "check_lifetime_contention on the lifetime table)"),
+    (r"core\.serialization|configuration_(to|from)_dict|"
+     r"(save|load)_configuration|\b(to|from)_dict\b|_connect_explicit|"
+     r"_JSON_SCALARS|prometheus_text|\b_prom_|ConnectionSpec|"
+     r"with_credit_return|min_feasible_frequency|table_size_scan|"
+     r"TableSizeResult|apply_fault|repair_fault|repro\.link\.wire|"
+     r"FixedPriorityArbiter|\b(failed|excluded)_at\b|def subset\b|"
+     r"application_of", SRC, None, NONE,
+     "a capability no entry point reached (the saved-configuration format, "
+     "the Prometheus exposition, ConnectionSpec, a 1-D design-search "
+     "wrapper, the offline manager's fault path or an uncalled leaf) "
+     f"{_GONE}"),
     (r"self\.compiled\b|\bcompiled\s*(:\s*bool|=\s*(True|False))|"
      r"^\s*from repro\.simulation\.flitsim import",
      ("src/repro/simulation/backend.py",), None, NONE,
