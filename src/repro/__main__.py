@@ -29,7 +29,11 @@ exit codes — and ``--help`` on any of them lists its flags.
 from Python); with it the flow runs twice and the command exits non-zero
 unless the two canonical JSON reports are byte-identical and the flow's
 own verdicts hold (``_checked_demo`` is the one skeleton behind all of
-them).  ``campaign --demo`` checks serial against parallel the same way.
+them).  All but ``monitor`` run a campaign preset built from their
+flags (``repro.campaign.presets``: ``serve_demo``, ``fairness_demo``,
+``replay_demo``, ``faults_demo``, ``design_demo``), so their report is
+that preset's campaign report.  ``campaign --demo`` checks serial
+against parallel the same way.
 
 ``--monitor`` (``serve``, ``replay``, ``faults``, ``campaign``) arms the
 conformance watchdog; every demo accepts ``--telemetry PATH`` and
@@ -45,9 +49,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from importlib import import_module
-from typing import Callable
 
 from repro.experiments.report import format_table
 
@@ -239,40 +241,77 @@ def _verdict_line(claim: str, held: bool, failure: str,
     return f"{claim}: {'yes' if held else 'NO — ' + failure}{note}"
 
 
-@dataclass
-class _Checked:
-    """What a checked demo's flow hands :func:`_checked_demo`.
+def _demo_preset(args: argparse.Namespace):
+    """The campaign preset a checked demo runs, built from its flags."""
+    from repro.campaign.presets import (design_demo, fairness_demo,
+                                        faults_demo, replay_demo,
+                                        serve_demo)
+    if args.experiment == "design":
+        return design_demo(seed=args.seed,
+                           spare_capacity=args.spare_capacity)
+    if args.experiment == "faults":
+        return faults_demo(n_events=args.events, n_slots=args.slots,
+                           n_faults=args.faults, seed=args.seed)
+    if args.experiment == "replay":
+        return replay_demo(n_events=args.events, n_slots=args.slots,
+                           seed=args.seed)
+    if args.policy == "wfq":
+        return fairness_demo(n_events=args.events, seed=args.seed)
+    return serve_demo(n_events=args.events, seed=args.seed)
 
-    ``verdicts`` is the flow's pass condition, as ``(claim, held,
-    failure word[, note])`` tuples — the skeleton prints one
-    :func:`_verdict_line` per entry and the demo passes only if every
-    one held —
-    ``identical`` is the run-twice verdict and ``canonical`` the report
-    ``--output`` writes.  ``healthy`` carries a condition that has no
-    verdict line of its own.  ``epilogue`` prints what follows the
-    byte-identity line; ``stdout_report`` is shown when no ``--output``
-    is given.  ``identical_line`` / ``written_line`` are the wording of
-    the two lines the skeleton prints about the report.
+
+def _preset_flow(args: argparse.Namespace, tel, monitor):
+    """Run the demo's preset twice; print the campaign's table and the
+    preset's detail table; hand back its verdicts.
+
+    The instrumented pass runs every run through ``run_kind`` with the
+    telemetry hub, and arms the watchdog on the preset's first
+    scenario.  ``design`` fans its candidates out over ``--workers``
+    through the campaign runner instead.
     """
+    from repro.campaign.kinds import run_kind
+    from repro.campaign.presets import DEMO_CHECKS
+    from repro.campaign.runner import CampaignResult, CampaignRunner
+    from repro.telemetry.checked import run_twice
+    spec = _demo_preset(args)
 
-    verdicts: list[tuple]
-    identical: bool
-    canonical: str
-    healthy: bool = True
-    conformance: object = None
-    epilogue: Callable[[], None] | None = None
-    stdout_report: str | None = None
-    identical_line: str = "repeated-run reports byte-identical"
-    written_line: str = "canonical JSON report written to"
+    def one_pass(run_telemetry, run_monitor):
+        if args.experiment == "design":
+            return CampaignRunner(spec, workers=args.workers,
+                                  telemetry=run_telemetry).run(), None
+        records = [run_kind(run, telemetry=run_telemetry,
+                            monitor=None if index else run_monitor)
+                   for index, run in enumerate(spec.expand())]
+        conformance = records[0].pop("_conformance", None)
+        records.sort(key=lambda record: record["run_id"])
+        return CampaignResult(spec.name, spec.base_seed, records), \
+            conformance
+
+    (result, conformance), canonical, identical = run_twice(
+        one_pass, lambda outcome: outcome[0].to_json(), telemetry=tel,
+        monitor=monitor, phases=("run", "re-run"))
+    tables = [(result.summary_rows(),
+               f"campaign {spec.name!r} — {result.n_runs} runs "
+               f"({result.n_failed} failed)")]
+    verdicts = [("every run finished", not result.n_failed, "RUN FAILED")]
+    if not result.n_failed:
+        checks, detail = DEMO_CHECKS[spec.name](result.records)
+        verdicts += checks
+        tables.append(detail)
+    _print_tables(*tables)
+    if result.meta:
+        _print_campaign_meta(result.meta)
+    return verdicts, identical, canonical, conformance
 
 
 def _checked_demo(args: argparse.Namespace) -> int:
     """The skeleton every checked demo shares.
 
     Refuse without ``--demo``; run the flow on a fresh telemetry hub
-    (the flow prints its tables); then its verdict lines, the
-    byte-identity line, the conformance verdict when the monitor is
-    armed, ``--output``, the phase table and the exit code.
+    (it prints its tables and hands back its verdicts, the run-twice
+    verdict, the canonical report and the watchdog's report); then the
+    verdict lines, the conformance verdict when the monitor is armed,
+    ``--output``, the phase table and the exit code.
     """
     flow, what, advice = _DEMOS[args.experiment]
     if not args.demo:
@@ -282,219 +321,27 @@ def _checked_demo(args: argparse.Namespace) -> int:
     from repro.telemetry.hub import Telemetry
     tel = Telemetry(name=args.experiment)
     monitor = _monitor_spec(args)
-    checked = flow(args, tel, monitor)
-    checked.verdicts.append(
-        (checked.identical_line, checked.identical, "DETERMINISM BUG"))
-    for verdict in checked.verdicts:
+    verdicts, identical, canonical, conformance = flow(args, tel, monitor)
+    verdicts.append(("repeated-run reports byte-identical", identical,
+                     "DETERMINISM BUG"))
+    print()
+    for verdict in verdicts:
         print(_verdict_line(*verdict))
-    if checked.epilogue is not None:
-        checked.epilogue()
-    conformance_ok = True
+    ok = all(held for _, held, *_ in verdicts)
     if monitor is not None:
-        conformance_ok = _print_conformance(checked.conformance, args)
+        ok = _print_conformance(conformance, args) and ok
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(checked.canonical)
+            handle.write(canonical)
             handle.write("\n")
-        print(f"{checked.written_line} {args.output}")
-    elif checked.stdout_report is not None:
-        print("\n" + checked.stdout_report)
+        print(f"canonical JSON report written to {args.output}")
     _finish_telemetry(tel, args)
-    return 0 if (all(held for _, held, *_ in checked.verdicts)
-                 and checked.healthy and conformance_ok) else 1
+    return 0 if ok else 1
 
 
-def _design_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
-    from repro.design import run_design_demo
-    report, identical, matches = run_design_demo(
-        workers=args.workers, seed=args.seed,
-        spare_capacity=args.spare_capacity, telemetry=tel)
-    n_crashed = report.count("configuration_failed")
-    title = (f"design demo — {report.n_candidates} candidates "
-             f"({report.count('ok')} feasible, "
-             f"{report.count('pruned')} pruned analytically, "
-             f"{report.count('infeasible')} infeasible"
-             + (f", {n_crashed} failed to configure" if n_crashed
-                else "") + ")")
-    print(format_table(report.summary_rows(), title=title))
-    chosen = report.min_area_point()
-    if chosen is not None:
-        result = chosen["result"]
-        print(f"\nchosen point: {chosen['scenario']} at "
-              f"{result['operating_frequency_mhz']:.0f} MHz, "
-              f"{result['area']['total_um2'] / 1e6:.3f} mm^2 "
-              f"(paper hand-picks the 2x2 mesh at 500 MHz)")
-    verdicts = []
-    if matches is None:
-        print("minimum-area point vs the paper's dimensioning: check "
-              "skipped (workload provisioned with "
-              f"--spare-capacity {args.spare_capacity:g})")
-    else:
-        verdicts.append((
-            "minimum-area point matches the paper's dimensioning "
-            "(2x2 mesh at <= 500 MHz)", matches, "SEARCH REGRESSION"))
-
-    def epilogue() -> None:
-        if n_crashed:
-            print(f"{n_crashed} candidate evaluation(s) crashed "
-                  "(configuration_failed) — see the JSON report")
-        _print_campaign_meta(report.meta)
-
-    return _Checked(verdicts, identical=identical,
-                    canonical=report.to_json(), healthy=not n_crashed,
-                    epilogue=epilogue)
-
-
-def _faults_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
-    from repro.faults.demo import run_faults_demo
-    record, report_json, identical = run_faults_demo(
-        n_events=args.events, n_slots=args.slots,
-        n_faults=args.faults, seed=args.seed, telemetry=tel,
-        monitor=monitor)
-    schedule = record["fault_schedule"]
-    print(format_table(
-        schedule, title=f"faults demo — {len(schedule)} fabric events "
-                        f"over {record['n_events']} session events"))
-    surv = record["survivability"]
-    comp = record["composability"]
-    rebuild = record["rebuild_first_failure"]
-    print(f"\nadmission retention vs fault-free baseline: "
-          f"{surv['admission_retention']:.1%}")
-    print(f"session survival: {surv['session_survival']:.1%} "
-          f"({surv['n_reallocated']} of {surv['n_evicted']} evicted "
-          f"re-admitted, {surv['n_dropped']} dropped)")
-    print(f"guarantee retention: {surv['guarantee_retention']:.1%} of "
-          f"evicted sessions re-admitted with their original bounds")
-    print(f"rebuild around first failure: "
-          f"{rebuild['n_rerouted_same_bounds']} same-bounds / "
-          f"{rebuild['n_rerouted_degraded']} degraded / "
-          f"{rebuild['n_dropped']} dropped of {rebuild['n_affected']} "
-          f"affected channels (untouched intact: "
-          f"{'yes' if rebuild['untouched_intact'] else 'NO'})")
-    return _Checked(
-        [(f"fault survivors bit-identical across {comp['n_epochs']} "
-          "epochs", bool(comp["composable"]), "ISOLATION BUG"),
-         ("composability invariant held through all faults",
-          bool(record["faulty"]["invariant"]["ok"]), "ISOLATION BUG")],
-        identical=identical, canonical=report_json,
-        healthy=bool(rebuild["untouched_intact"]),
-        conformance=record.get("_conformance"))
-
-
-def _fairness_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
-    """The ``serve --policy wfq --demo`` flow: the fairness verdict."""
-    from repro.service import run_fairness_demo
-    record, report_json, identical = run_fairness_demo(
-        n_events=args.events, seed=args.seed, telemetry=tel,
-        monitor=monitor)
-    wfq_totals = record["wfq"]["totals"]
-    fcfs_totals = record["fcfs"]["totals"]
-    per_tenant = record["wfq"]["fairness"]["per_tenant"]
-    rows = [{
-        "tenant": name,
-        "weight": stats["weight"],
-        "opens": stats["opens"],
-        "admitted": stats["admitted"],
-        "shed": stats["shed"],
-        "capacity_rejects": stats["rejected_capacity"],
-    } for name, stats in sorted(per_tenant.items())]
-    retention_rows = [{
-        "tenant": name,
-        "behaved": "yes" if row["well_behaved"] else "ABUSIVE",
-        "solo": row["solo_rate"],
-        "wfq": row["wfq_rate"],
-        "fcfs": row["fcfs_rate"],
-        "wfq_retention": row["wfq_retention"],
-        "fcfs_retention": row["fcfs_retention"],
-    } for name, row in sorted(record["retention"].items())]
-    _print_tables(
-        (rows, f"fairness demo — {record['n_events']} events on "
-               f"{record['topology']} (wfq accept "
-               f"{wfq_totals['accept_rate']:.1%}, fcfs "
-               f"{fcfs_totals['accept_rate']:.1%})"),
-        (retention_rows, "admission retention vs solo baseline"))
-    checks = record["checks"]
-    print()
-    return _Checked(
-        [(f"well-behaved tenants retain >= "
-          f"{checks['retention_floor']:.0%} of their solo admission "
-          "rate under wfq", bool(checks["wfq_retention_ok"]),
-          "FAIRNESS BUG",
-          f" (min {checks['min_well_behaved_retention']:.1%})"),
-         ("FCFS baseline fails the same bound (the policy earns its "
-          "keep)", bool(checks["fcfs_fails"]), "adversary too weak")],
-        identical=identical, canonical=report_json,
-        conformance=record.get("_conformance"))
-
-
-def _serve_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
-    from repro.service import run_demo
-    if args.policy == "wfq":
-        return _fairness_flow(args, tel, monitor)
-    report, identical = run_demo(n_events=args.events, seed=args.seed,
-                                 telemetry=tel, monitor=monitor)
-    print(format_table(
-        report.summary_rows(),
-        title=f"serve demo — {report.totals['n_events']} events on "
-              f"{report.topology} (accept rate "
-              f"{report.totals['accept_rate']:.1%})"))
-    print()
-
-    def epilogue() -> None:
-        timing = report.timing
-        print(f"throughput: {timing['events_per_s']:,.0f} events/s "
-              f"(admission mean {timing.get('admit_mean_us', 0.0):.1f} "
-              f"us, p99 {timing.get('admit_p99_us', 0.0):.1f} us) "
-              "[wall-clock; excluded from the canonical report]")
-
-    return _Checked(
-        [(f"composability invariant held across "
-          f"{report.invariant['transitions_checked']} transitions",
-          bool(report.invariant["ok"]), "ISOLATION BUG")],
-        identical=identical, canonical=report.to_json(),
-        conformance=getattr(report, "conformance", None),
-        epilogue=epilogue)
-
-
-def _replay_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
-    import json
-
-    from repro.simulation.replay import run_replay_demo
-    record, report_json, identical = run_replay_demo(
-        n_events=args.events, n_slots=args.slots, seed=args.seed,
-        telemetry=tel, monitor=monitor)
-    verdicts = record["verdicts"]
-    rows = [{
-        "backend": name,
-        "epochs": verdict["n_epochs"],
-        "survivors": verdict["n_survivors"],
-        "identical": verdict["identical"],
-        "diverged": len(verdict["diverged"]),
-        "composable": "yes" if verdict["composable"] else "NO",
-    } for name, verdict in sorted(verdicts.items())]
-    timeline = record["timeline"]
-    print(format_table(
-        rows,
-        title=f"replay demo — {len(timeline['events'])} transitions, "
-              f"{timeline['n_epochs']} epochs over "
-              f"{timeline['horizon_slots']} slots"))
-    print()
-    return _Checked(
-        [("flit (TDM): survivors bit-identical across every epoch",
-          bool(verdicts["flit"]["composable"])
-          and verdicts["flit"]["n_survivors"] > 0, "ISOLATION BUG"),
-         ("best-effort baseline diverges under the same churn",
-          bool(verdicts["be"]["diverged"]),
-          "expected divergence missing")],
-        identical=identical,
-        canonical=report_json, conformance=record.get("_conformance"),
-        stdout_report=json.dumps(
-            {"verdicts": verdicts,
-             "n_transitions": len(timeline["events"])},
-            indent=2, sort_keys=True))
-
-
-def _monitor_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
+def _monitor_flow(args: argparse.Namespace, tel, monitor):
+    """``monitor --demo``: Section VII's conformance and heatmaps (not a
+    campaign preset — the use case is no ``WorkloadSpec``)."""
     from repro.experiments.section7 import section7_setup
     from repro.telemetry.checked import run_twice
     from repro.telemetry.monitor import (ConformanceReport, FabricRollup,
@@ -519,27 +366,23 @@ def _monitor_flow(args: argparse.Namespace, tel, monitor) -> _Checked:
         (conformance.summary_rows(args.top), "least-headroom channels"),
         (rollup.link_rows(args.top), "hottest links (slot occupancy)"),
         (rollup.ni_rows(args.top), "busiest source NIs (slot occupancy)"))
-    print()
-    return _Checked(
-        [("zero violated channels on the GS backend",
-          conformance.n_violated == 0, "BOUNDS BUG")],
-        identical=identical, canonical=canonical,
-        identical_line="repeated-run conformance byte-identical",
-        written_line="conformance report written to")
+    return ([("zero violated channels on the GS backend",
+              conformance.n_violated == 0, "BOUNDS BUG")],
+            identical, canonical, None)
 
 
 #: The checked demos: subcommand -> (flow, what ``--demo`` runs, where
 #: custom runs are driven from instead).
 _DEMOS = {
-    "serve": (_serve_flow, "trace",
+    "serve": (_preset_flow, "trace",
               "drive custom workloads with repro.service in Python"),
-    "replay": (_replay_flow, "trace",
+    "replay": (_preset_flow, "trace",
                "drive custom timelines with "
                "repro.simulation.verify_timeline in Python"),
-    "design": (_design_flow, "exploration",
+    "design": (_preset_flow, "exploration",
                "build custom problems with repro.design in Python "
                "(DesignExplorer, DesignSpace, workload_from_churn)"),
-    "faults": (_faults_flow, "flow",
+    "faults": (_preset_flow, "flow",
                "drive custom schedules with repro.faults in Python "
                "(FaultSpec, FaultSchedule, Allocation.rebuild_excluding)"),
     "monitor": (_monitor_flow, "flow",

@@ -11,7 +11,9 @@ row.  The shared machinery around the table is written once:
 * :func:`run_kind` — writes the common record header, hands the body a
   :class:`RunContext` (topology and seeded churn stream built on first
   use) and maps ``AllocationError`` / ``ConfigurationError`` to a
-  status;
+  status.  A checked demo (``python -m repro serve --demo`` and its
+  siblings) runs its preset through it too, handing the bodies a
+  telemetry hub and a watchdog that every campaign run leaves ``None``;
 * :func:`summary_row` / :func:`grid_row` — the per-run table rows of
   the campaign report and of ``python -m repro campaign --list``;
 * :func:`campaign_conformance` — the run-level conformance verdicts of
@@ -62,14 +64,21 @@ class RunContext:
     body that needs neither (``synthetic``, ``design``) pays for
     neither, and a build failure surfaces inside the body — where
     :func:`run_kind` maps it to a status.
+
+    ``telemetry`` (a hub) and ``monitor`` (a :class:`~repro.telemetry.
+    monitor.MonitorSpec`) are ``None`` in every campaign run; a checked
+    demo sets them.  Neither changes the record: the watchdog's report
+    rides under the non-canonical ``_conformance`` key.
     """
 
-    def __init__(self, run: RunSpec, kind: Kind):
+    def __init__(self, run: RunSpec, kind: Kind, telemetry, monitor):
         self.run = run
         self.scenario = run.scenario
         self.kind = kind
         self.payload = _payload(run.scenario, kind)
         self.frequency_hz = run.scenario.frequency_mhz * 1e6
+        self.telemetry = telemetry
+        self.monitor = monitor
 
     def seed(self, label: str) -> int:
         """The run's derived seed for one source of randomness."""
@@ -96,7 +105,8 @@ class RunContext:
 
     def backend(self, config):
         """The scenario's simulation backend over ``config``."""
-        return create_backend(self.scenario.backend, config)
+        return create_backend(self.scenario.backend, config,
+                              telemetry=self.telemetry)
 
 
 @dataclass(frozen=True)
@@ -203,17 +213,20 @@ def _identity(run: RunSpec) -> dict[str, object]:
             "seed": run.seed}
 
 
-def run_kind(run: RunSpec) -> dict[str, object]:
+def run_kind(run: RunSpec, *, telemetry=None,
+             monitor=None) -> dict[str, object]:
     """Execute one run through its kind's body; return its record.
 
     An infeasible allocation or an unhostable configuration is a
     *result* (status ``allocation_failed`` / ``configuration_failed``),
     not a crash — campaigns sweep into infeasible corners on purpose.
+    ``telemetry`` and ``monitor`` reach the body as :class:`RunContext`
+    attributes (a checked demo's instrumented pass).
     """
     scenario = run.scenario
     kind = KINDS[scenario.mode]
     record = _identity(run)
-    ctx = RunContext(run, kind)
+    ctx = RunContext(run, kind, telemetry, monitor)
     record.update(_header(scenario, kind, ctx.payload))
     try:
         fields = {"status": "ok", **kind.body(ctx)}
@@ -342,6 +355,15 @@ def _flag_status(row: dict, ok: object, yes: str, no: str) -> None:
     row["status"] = f"{row['status']}/{yes if ok else no}"
 
 
+def _watched(result: dict, conformance) -> dict[str, object]:
+    """A body's fields: its ``result``, plus the watchdog's report under
+    the non-canonical ``_conformance`` key when a monitor was armed."""
+    fields: dict[str, object] = {"result": result}
+    if conformance is not None:
+        fields["_conformance"] = conformance
+    return fields
+
+
 # -- simulate ------------------------------------------------------------
 
 
@@ -396,8 +418,11 @@ def _serve_body(ctx: RunContext) -> dict[str, object]:
             frequency_hz=ctx.frequency_hz),
         name=scenario.name, seed=ctx.run.seed, record_events=False,
         policy=scenario.policy,
-        tenants=ctx.payload["churn"].tenants if wfq else ())
-    return {"result": service.run(ctx.events).to_record()}
+        tenants=ctx.payload["churn"].tenants if wfq else (),
+        telemetry=ctx.telemetry, monitor=ctx.monitor)
+    result = service.run(ctx.events).to_record()
+    return _watched(result, None if ctx.monitor is None else
+                    service.conformance_report(scenario=scenario.name))
 
 
 def _serve_row(row: dict, record: dict, result: dict) -> None:
@@ -409,9 +434,10 @@ def _serve_row(row: dict, record: dict, result: dict) -> None:
 
 
 def _fairness_churn() -> ChurnSpec:
-    """The abusive-tenant adversary profile (``churn=None`` default)."""
+    """The abusive-tenant adversary profile (``churn=None`` default):
+    508 sessions, enough to fill a 1 000-event stream cut at its end."""
     from repro.service.fairness_demo import fairness_churn_spec
-    return fairness_churn_spec(1000)
+    return fairness_churn_spec(508)
 
 
 def _fairness_check(scenario: ScenarioSpec) -> None:
@@ -437,9 +463,9 @@ def _fairness_body(ctx: RunContext) -> dict[str, object]:
         ctx.topology, ctx.events, ctx.payload["churn"].tenants,
         table_size=scenario.table_size, frequency_hz=ctx.frequency_hz,
         fairness=demo_fairness_spec(), name=scenario.name,
-        seed=ctx.run.seed)
-    return {"result": {k: v for k, v in comparison.items()
-                       if not k.startswith("_")}}
+        seed=ctx.run.seed, telemetry=ctx.telemetry, monitor=ctx.monitor)
+    conformance = comparison.pop("_conformance", None)
+    return _watched(comparison, conformance)
 
 
 def _fairness_row(row: dict, record: dict, result: dict) -> None:
@@ -464,15 +490,15 @@ def _replay_body(ctx: RunContext) -> dict[str, object]:
             ctx.topology, table_size=scenario.table_size,
             frequency_hz=ctx.frequency_hz),
         name=scenario.name, seed=ctx.run.seed, record_events=False,
-        record_timeline=True)
+        record_timeline=True, telemetry=ctx.telemetry)
     service.run(ctx.events)
     timeline = service.timeline(horizon_slots=scenario.n_slots)
     report = verify_timeline(timeline, replay_traffic(timeline),
                              backend_factory=ctx.backend,
-                             scenario=scenario.name)
+                             scenario=scenario.name, monitor=ctx.monitor)
     result = report.to_record()
     result["n_channels"] = len(timeline.channel_names)
-    return {"result": result}
+    return _watched(result, report.conformance)
 
 
 def _replay_row(row: dict, record: dict, result: dict) -> None:
@@ -500,8 +526,9 @@ def _faults_body(ctx: RunContext) -> dict[str, object]:
         table_size=scenario.table_size, frequency_hz=ctx.frequency_hz,
         horizon_slots=scenario.n_slots, name=scenario.name,
         seed=ctx.run.seed, backend_factory=ctx.backend,
-        scenario=scenario.name)
-    return {"result": {
+        scenario=scenario.name, telemetry=ctx.telemetry,
+        monitor=ctx.monitor)
+    return _watched({
         "survivability": survivability_record(
             outcome.baseline.totals, outcome.faulty.totals,
             outcome.faulty.faults),
@@ -510,7 +537,7 @@ def _faults_body(ctx: RunContext) -> dict[str, object]:
         "invariant": outcome.faulty.invariant,
         "composability": outcome.verdict.to_record(),
         "n_channels": len(outcome.timeline.channel_names),
-    }}
+    }, outcome.verdict.conformance)
 
 
 def _faults_row(row: dict, record: dict, result: dict) -> None:

@@ -1,8 +1,15 @@
-"""Ready-made campaign specs: the CLI demo and the CI smoke check.
+"""Ready-made campaign specs: the CLI demos and the CI smoke check.
 
 These are ordinary :class:`~repro.campaign.spec.CampaignSpec` values —
 nothing here is privileged.  They double as worked examples of
 :func:`~repro.campaign.spec.scenario_grid`.
+
+The ``*_demo`` presets are the checked demos: ``python -m repro serve
+--demo`` (``--policy wfq``), ``replay --demo``, ``faults --demo`` and
+``design --demo`` build one from their flags, run it twice and judge it
+with its entry in :data:`DEMO_CHECKS`.  Their defaults are the CI smoke
+sizes, so ``campaign --preset serve_demo --workers 1 --output F``
+writes the bytes ``serve --demo --events 200 --output F`` writes.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from repro.service.qos import QosClass
 
 __all__ = ["demo_campaign", "micro_campaign", "churn_campaign",
            "replay_campaign", "design_campaign", "fault_campaign",
-           "fairness_campaign", "synthetic_campaign", "PRESETS",
-           "preset_by_name"]
+           "fairness_campaign", "synthetic_campaign", "serve_demo",
+           "fairness_demo", "replay_demo", "faults_demo", "design_demo",
+           "PRESETS", "DEMO_CHECKS", "preset_by_name"]
 
 
 def demo_campaign(*, n_slots: int = 600,
@@ -146,8 +154,8 @@ def replay_campaign() -> CampaignSpec:
     plane, fits it into 2 400 simulation slots, and replays it as a
     reconfiguration timeline on the named backend.  The flit scenarios
     state the paper's claim (survivor traces bit-identical across every
-    epoch); the best-effort scenarios show the same churn destroying
-    isolation on the baseline.
+    epoch); the best-effort scenarios show churn of the same profile
+    destroying isolation on the baseline.
     """
     topologies = {
         "mesh3x3": TopologySpec(kind="mesh", cols=3, rows=3,
@@ -307,6 +315,191 @@ def synthetic_campaign(*, n_scenarios: int = 8,
                         seeds=seeds)
 
 
+# -- the checked demos ---------------------------------------------------
+
+#: The Section VII mesh and the denser mesh the replay and faults demos
+#: reroute on; the churn demos run at 32-slot tables and 500 MHz.
+_SECTION7_MESH = TopologySpec(kind="cmesh", cols=4, rows=3, nis_per_router=4)
+_DEMO_MESH = TopologySpec(kind="mesh", cols=3, rows=3, nis_per_router=2)
+
+
+def _open_tail_sessions(n_events: int) -> int:
+    """Sessions whose stream an open-tail kind cuts to ``n_events``
+    events (it keeps three halves of the session count)."""
+    return max(1, 2 * n_events // 3)
+
+
+def serve_demo(*, n_events: int = 200, seed: int = 2009) -> CampaignSpec:
+    """``python -m repro serve --demo``: the control plane over one
+    seeded churn trace on the Section VII mesh.
+
+    Every session opens and closes, so ``n_events`` (rounded up to
+    even) events come from half as many sessions.
+    """
+    return CampaignSpec(name="serve_demo", scenarios=(ScenarioSpec(
+        name="cmesh4x3-serve", mode="serve", topology=_SECTION7_MESH,
+        churn=ChurnSpec(n_sessions=(n_events + 1) // 2),
+        table_size=32),), seeds=(seed,))
+
+
+def fairness_demo(*, n_events: int = 600, seed: int = 2009) -> CampaignSpec:
+    """``python -m repro serve --policy wfq --demo``: wfq vs FCFS vs
+    per-tenant solo under the abusive-tenant profile."""
+    from repro.service.fairness_demo import fairness_churn_spec
+    return CampaignSpec(name="fairness_demo", scenarios=(ScenarioSpec(
+        name="cmesh4x3-fairness", mode="fairness", topology=_SECTION7_MESH,
+        churn=fairness_churn_spec(_open_tail_sessions(n_events)),
+        table_size=32),), seeds=(seed,))
+
+
+def replay_demo(*, n_events: int = 120, n_slots: int = 1200,
+                seed: int = 2009) -> CampaignSpec:
+    """``python -m repro replay --demo``: a churn trace replayed on the
+    flit-level backend, and one of the same profile on the best-effort
+    baseline (a run's id seeds its stream, so the two traces differ)."""
+    churn = ChurnSpec(n_sessions=_open_tail_sessions(n_events))
+    return CampaignSpec(name="replay_demo", scenarios=tuple(
+        ScenarioSpec(name=f"mesh3x3-{backend}-replay", mode="replay",
+                     backend=backend, topology=_DEMO_MESH, churn=churn,
+                     n_slots=n_slots, table_size=32)
+        for backend in ("flit", "be")), seeds=(seed,))
+
+
+def faults_demo(*, n_events: int = 120, n_slots: int = 1200,
+                n_faults: int = 6, seed: int = 2009) -> CampaignSpec:
+    """``python -m repro faults --demo``: churn merged with ``n_faults``
+    failures paced to land inside the ~20 ms the trace spans, most
+    repaired quickly, against its fault-free baseline."""
+    return CampaignSpec(name="faults_demo", scenarios=(ScenarioSpec(
+        name="mesh3x3-faults", mode="faults", topology=_DEMO_MESH,
+        churn=ChurnSpec(n_sessions=_open_tail_sessions(n_events)),
+        faults=FaultSpec(n_faults=n_faults, fault_rate_per_s=400.0,
+                         mean_repair_s=0.004, router_fraction=0.25),
+        n_slots=n_slots, table_size=32),), seeds=(seed,))
+
+
+def design_demo(*, seed: int = 2009,
+                spare_capacity: float = 0.0) -> CampaignSpec:
+    """``python -m repro design --demo``: dimension the demo-scale
+    Section VII workload over the built-in 18-candidate space.
+
+    ``spare_capacity`` inflates every requirement by that fraction
+    (fault-tolerance headroom).
+    """
+    import dataclasses
+
+    from repro.design.space import demo_space, section7_demo_use_case
+    space = dataclasses.replace(demo_space(), spare_capacity=spare_capacity)
+    return CampaignSpec(
+        name="design_demo",
+        scenarios=space.scenarios(section7_demo_use_case(seed)), seeds=(1,))
+
+
+def _serve_checks(records: list[dict]) -> tuple[list, tuple]:
+    result = records[0]["result"]
+    invariant = result["invariant"]
+    rows = [{"class": name, "opens": stats["opens"],
+             "accepted": stats["accepted"], "rejected": stats["rejected"]}
+            for name, stats in sorted(result["per_class"].items())]
+    return ([(f"composability invariant held across "
+              f"{invariant['transitions_checked']} transitions",
+              bool(invariant["ok"]), "ISOLATION BUG")],
+            (rows, "admission per QoS class"))
+
+
+def _fairness_checks(records: list[dict]) -> tuple[list, tuple]:
+    result = records[0]["result"]
+    checks = result["checks"]
+    rows = [{"tenant": name,
+             "behaved": "yes" if row["well_behaved"] else "ABUSIVE",
+             "solo": row["solo_rate"], "wfq": row["wfq_rate"],
+             "fcfs": row["fcfs_rate"],
+             "wfq_retention": row["wfq_retention"],
+             "fcfs_retention": row["fcfs_retention"]}
+            for name, row in sorted(result["retention"].items())]
+    return ([(f"well-behaved tenants retain >= "
+              f"{checks['retention_floor']:.0%} of their solo admission "
+              "rate under wfq", bool(checks["wfq_retention_ok"]),
+              "FAIRNESS BUG",
+              f" (min {checks['min_well_behaved_retention']:.1%})"),
+             ("FCFS baseline fails the same bound (the policy earns its "
+              "keep)", bool(checks["fcfs_fails"]), "adversary too weak")],
+            (rows, "admission retention vs solo baseline"))
+
+
+def _replay_checks(records: list[dict]) -> tuple[list, tuple]:
+    results = {record["backend"]: record["result"] for record in records}
+    flit, be = results["flit"], results["be"]
+    rows = [{"backend": name, "epochs": result["n_epochs"],
+             "survivors": result["n_survivors"],
+             "identical": result["identical"],
+             "diverged": len(result["diverged"])}
+            for name, result in sorted(results.items())]
+    return ([("flit (TDM): survivors bit-identical across every epoch",
+              bool(flit["composable"]) and flit["n_survivors"] > 0,
+              "ISOLATION BUG"),
+             ("best-effort baseline diverges under churn of the same "
+              "profile", bool(be["diverged"]), "expected divergence missing")],
+            (rows, "survivor traces, churn run vs solo reference"))
+
+
+def _faults_checks(records: list[dict]) -> tuple[list, tuple]:
+    result = records[0]["result"]
+    composability = result["composability"]
+    survival = result["survivability"]
+    rows = [{key: survival[key] for key in (
+        "admission_retention", "session_survival", "guarantee_retention",
+        "n_evicted", "n_reallocated", "n_dropped")}]
+    return ([(f"fault survivors bit-identical across "
+              f"{composability['n_epochs']} epochs",
+              bool(composability["composable"]), "ISOLATION BUG"),
+             ("composability invariant held through all faults",
+              bool(result["invariant"]["ok"]), "ISOLATION BUG")],
+            (rows, "survivability vs the fault-free baseline"))
+
+
+def _design_checks(records: list[dict]) -> tuple[list, tuple]:
+    from repro.design.explorer import pareto_front
+    front = pareto_front(records)
+    rows = [{"candidate": record["scenario"],
+             "mhz": record["result"]["operating_frequency_mhz"],
+             "area_mm2": round(record["result"]["area"]["total_um2"] / 1e6,
+                               4),
+             "slack": record["result"]["guarantee_slack"]}
+            for record in front]
+    verdicts = []
+    # The paper's dimensioning answers the unprovisioned workload; a
+    # candidate provisioned with spare capacity carries the fraction.
+    if not any("spare_capacity" in record for record in records):
+        chosen = front[0] if front else None
+        verdicts.append((
+            "minimum-area point matches the paper's dimensioning "
+            "(2x2 mesh at <= 500 MHz)",
+            chosen is not None
+            and str(chosen["topology"]).startswith("mesh2x2")
+            and chosen["result"]["operating_frequency_mhz"] <= 500.0,
+            "SEARCH REGRESSION",
+            "" if chosen is None else f" ({chosen['scenario']} at "
+            f"{chosen['result']['operating_frequency_mhz']:.0f} MHz)"))
+    return verdicts, (rows, "Pareto front (area, frequency, slack)")
+
+
+#: How each checked demo judges its preset's records (run-id order):
+#: ``(verdicts, detail table)``, a verdict being ``(claim, held, failure
+#: word[, note])`` and the table ``(rows, title)``.  The claims sit
+#: beside the presets, not on the kinds, because they are claims about
+#: these scenarios — the best-effort replay diverges under *this* churn,
+#: the minimum-area point is the paper's for *this* workload — that
+#: other runs of the same kind need not meet.
+DEMO_CHECKS: dict[str, Callable[[list[dict]], tuple[list, tuple]]] = {
+    "serve_demo": _serve_checks,
+    "fairness_demo": _fairness_checks,
+    "replay_demo": _replay_checks,
+    "faults_demo": _faults_checks,
+    "design_demo": _design_checks,
+}
+
+
 #: Registry of the ready-made campaigns, keyed by their function names
 #: (what ``python -m repro campaign --preset <name>`` accepts).
 PRESETS: dict[str, Callable[[], CampaignSpec]] = {
@@ -318,6 +511,11 @@ PRESETS: dict[str, Callable[[], CampaignSpec]] = {
     "fault_campaign": fault_campaign,
     "fairness_campaign": fairness_campaign,
     "synthetic_campaign": synthetic_campaign,
+    "serve_demo": serve_demo,
+    "fairness_demo": fairness_demo,
+    "replay_demo": replay_demo,
+    "faults_demo": faults_demo,
+    "design_demo": design_demo,
 }
 
 

@@ -506,8 +506,8 @@ class Allocation:
 
     # -- degraded-mode re-allocation ------------------------------------------
 
-    def rebuild_excluding(self, failed_links=(), failed_routers=(), *,
-                          telemetry=None) -> RebuildReport:
+    def rebuild_excluding(self, failed_links=(),
+                          failed_routers=()) -> RebuildReport:
         """Guarantee-preserving re-allocation around failed resources.
 
         Builds a *new* allocation in which every channel whose path avoids
@@ -567,20 +567,11 @@ class Allocation:
             (masks.get(key, 0) & mask) == mask
             for name, v in verdicts.items() if v.verdict == "unaffected"
             for key, mask in self.channels[name].link_occupancy)
-        report = RebuildReport(
+        return RebuildReport(
             allocation=rebuilt, verdicts=verdicts,
             excluded_links=excluded,
             failed_routers=tuple(sorted(rebuilt.failed_routers)),
             untouched_intact=untouched_intact)
-        if telemetry is not None and telemetry.enabled:
-            telemetry.counter("faults.rebuilds").inc()
-            for verdict in ("unaffected", "rerouted_same_bounds",
-                            "rerouted_degraded", "dropped"):
-                n = report.count(verdict)
-                if n:
-                    telemetry.counter("faults.rebuild_verdicts",
-                                      verdict=verdict).inc(n)
-        return report
 
     def _latency_bound(self, ca: ChannelAllocation) -> float:
         """Worst-case latency bound of one channel at this operating

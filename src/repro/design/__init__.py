@@ -9,12 +9,14 @@ such operating points.  Give it a workload — a
 byte-deterministic Pareto front over silicon area, operating frequency
 and worst-case guarantee slack, using analytical lower-bound pruning,
 seeded mapping optimisation, floor-tightened feasibility bisection and
-the campaign runner's process pool.
+the campaign runner's process pool.  ``python -m repro design --demo``
+runs the ``design_demo`` campaign preset: the demo-scale Section VII
+workload over :func:`~repro.design.space.demo_space`.
 """
 
 from repro.design.explorer import (DesignExplorer, DesignReport,
                                    evaluate_candidate, execute_design_run,
-                                   pareto_front, run_design_demo)
+                                   pareto_front)
 from repro.design.mapping_opt import MappingSearchResult, optimize_mapping
 from repro.design.prune import (PruneReport, frequency_lower_bound_hz,
                                 min_traversal_slots, prune_candidate)
@@ -32,5 +34,5 @@ __all__ = [
     "MappingSearchResult", "optimize_mapping",
     "min_feasible_configuration",
     "DesignExplorer", "DesignReport", "pareto_front",
-    "evaluate_candidate", "execute_design_run", "run_design_demo",
+    "evaluate_candidate", "execute_design_run",
 ]

@@ -41,7 +41,7 @@ from repro.topology.mapping import (Mapping, communication_clustered,
                                     router_distances, traffic_balanced)
 
 __all__ = ["evaluate_candidate", "execute_design_run", "pareto_front",
-           "DesignReport", "DesignExplorer", "run_design_demo"]
+           "DesignReport", "DesignExplorer"]
 
 
 #: The one-shot mapping heuristics by strategy name.
@@ -311,46 +311,16 @@ class DesignReport:
              "records": self.records},
             indent=2, sort_keys=True)
 
-    def write(self, path: str) -> None:
-        """Write the canonical JSON report to a file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-
-    def summary_rows(self) -> list[dict[str, object]]:
-        """Per-candidate table rows for the CLI."""
-        rows = []
-        front_ids = {r["run_id"] for r in self.front}
-        for record in self.records:
-            row: dict[str, object] = {
-                "candidate": record["scenario"],
-                "status": record["status"],
-                "pareto": "*" if record["run_id"] in front_ids else "",
-            }
-            result = record.get("result")
-            if isinstance(result, dict):
-                row["mhz"] = result["operating_frequency_mhz"]
-                row["area_mm2"] = round(
-                    result["area"]["total_um2"] / 1e6, 4)
-                row["slack"] = result["guarantee_slack"]
-                row["util"] = round(result["mean_link_utilisation"], 3)
-            prune = record.get("prune")
-            if isinstance(prune, dict) and prune["reasons"]:
-                row["why"] = prune["reasons"][0][:48]
-            rows.append(row)
-        return rows
-
 
 class DesignExplorer:
     """Fan a design space out over the campaign runner's process pool."""
 
     def __init__(self, use_case, space: DesignSpace, *, workers: int = 1,
-                 name: str = "design", telemetry=None):
+                 name: str = "design"):
         self.use_case = use_case
         self.space = space
         self.workers = workers
         self.name = name
-        self.telemetry = telemetry
 
     def campaign_spec(self) -> CampaignSpec:
         """The space's scenarios for the workload, as one campaign."""
@@ -361,52 +331,7 @@ class DesignExplorer:
     def explore(self) -> DesignReport:
         """Evaluate every candidate and aggregate the Pareto report."""
         spec = self.campaign_spec()
-        result = CampaignRunner(spec, workers=self.workers,
-                                telemetry=self.telemetry).run()
+        result = CampaignRunner(spec, workers=self.workers).run()
         return DesignReport(problem=self.use_case.name,
                             base_seed=spec.base_seed,
                             records=result.records, meta=result.meta)
-
-
-def run_design_demo(*, workers: int = 2, seed: int = 2009,
-                    spare_capacity: float = 0.0, telemetry=None
-                    ) -> tuple[DesignReport, bool, bool | None]:
-    """Dimension the demo-scale Section VII workload, twice.
-
-    Returns ``(report, byte_identical, matches_paper)`` where
-    ``matches_paper`` asserts the acceptance claim: the minimum-area
-    feasible point of the Pareto front is the paper's 2x2 mesh operated
-    at or below 500 MHz.  ``spare_capacity`` provisions fault-tolerance
-    headroom (every requirement inflated by that fraction); the paper
-    match is only meaningful for the unprovisioned workload — extra
-    headroom may legitimately push the minimum-area point elsewhere —
-    so with ``spare_capacity > 0`` the check is skipped and
-    ``matches_paper`` is ``None``.
-    """
-    import dataclasses
-
-    from repro.design.space import demo_space, section7_demo_use_case
-    from repro.telemetry.checked import run_twice
-    from repro.telemetry.hub import coalesce
-
-    with coalesce(telemetry).phase("space"):
-        use_case = section7_demo_use_case(seed)
-        space = dataclasses.replace(demo_space(),
-                                    spare_capacity=spare_capacity)
-
-    def once(run_telemetry, run_monitor) -> DesignReport:
-        return DesignExplorer(use_case, space, workers=workers,
-                              name="design-demo",
-                              telemetry=run_telemetry).explore()
-
-    report, _, identical = run_twice(
-        once, DesignReport.to_json, telemetry=telemetry,
-        phases=("explore", "verify"))
-    if spare_capacity > 0:
-        return report, identical, None
-    chosen = report.min_area_point()
-    matches = bool(
-        chosen is not None and
-        str(chosen["topology"]).startswith("mesh2x2") and
-        chosen["result"]["operating_frequency_mhz"] <= 500.0)
-    return report, identical, matches

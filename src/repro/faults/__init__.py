@@ -14,15 +14,17 @@ this package measures what survives when the fabric degrades:
   control-plane answer: fault-hit sessions are force-released and
   re-admitted through the normal admission path, all recorded onto the
   replayable reconfiguration timeline;
-* :mod:`repro.faults.demo` — the ``python -m repro faults --demo``
-  flow: churn + faults, survivability metrics against a fault-free
-  baseline, and the dynamic composability proof for fault survivors.
+* :mod:`repro.faults.demo` — the ``mode="faults"`` experiment: churn
+  + faults, survivability metrics against a fault-free baseline, and
+  the dynamic composability proof for fault survivors.
 
 Campaign grids sweep fault rate × topology × slot-table size as
-``mode="faults"`` scenarios (:func:`repro.campaign.fault_campaign`).
+``mode="faults"`` scenarios (:func:`repro.campaign.fault_campaign`);
+``python -m repro faults --demo`` runs the one-scenario
+``faults_demo`` preset.
 
-Exports are resolved lazily (PEP 562) because the demo imports the
-service layer, which itself imports :mod:`repro.faults.model`.
+Exports are resolved lazily (PEP 562) because the experiment imports
+the service layer, which itself imports :mod:`repro.faults.model`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ _EXPORTS: dict[str, str] = {
     "FaultSchedule": "repro.faults.model",
     "FaultRunOutcome": "repro.faults.demo",
     "run_churn_with_faults": "repro.faults.demo",
-    "run_faults_demo": "repro.faults.demo",
     "survivability_record": "repro.faults.demo",
 }
 

@@ -21,23 +21,24 @@ millions of user sessions opening and closing against a live network:
   including fabric :class:`~repro.faults.model.FaultEvent` handling
   (fault-hit sessions are force-released and re-admitted over
   surviving routes, scored against their original quotes);
-* :mod:`repro.service.demo` — the ``python -m repro serve --demo`` flow.
+* :mod:`repro.service.fairness_demo` — the wfq vs FCFS vs solo
+  comparison behind ``mode="fairness"`` scenarios.
 
 Churn scenarios also run inside :mod:`repro.campaign` grids (scenario
 ``mode="serve"``), sweeping topology × arrival rate × session mix ×
-seed like any simulation scenario.
+seed like any simulation scenario; ``python -m repro serve --demo``
+(``--policy wfq``) runs the one-scenario ``serve_demo``
+(``fairness_demo``) preset.
 """
 
 from repro.service.admission import AdmissionController
 from repro.service.churn import (ChurnSpec, ChurnWorkload, SessionEvent,
                                  SessionRequest)
 from repro.service.controller import SessionService, merge_events
-from repro.service.demo import run_demo
 from repro.service.fairness import (FairnessSpec, PolicyEvent, TenantSpec,
                                     WeightedFairScheduler,
                                     abusive_tenant_mix, shed_rank,
                                     tenant_events)
-from repro.service.fairness_demo import run_fairness_demo
 from repro.service.invariants import CompositionInvariantChecker
 from repro.service.metrics import ServiceMetrics, ServiceReport
 from repro.service.qos import DEFAULT_CLASSES, QosClass, class_by_name
@@ -49,5 +50,4 @@ __all__ = [
     "abusive_tenant_mix", "shed_rank", "tenant_events",
     "AdmissionController", "CompositionInvariantChecker",
     "ServiceMetrics", "ServiceReport", "SessionService", "merge_events",
-    "run_demo", "run_fairness_demo",
 ]

@@ -1,9 +1,10 @@
-"""The ``python -m repro serve --policy wfq --demo`` flow.
+"""The fairness comparison behind the ``mode="fairness"`` kind.
 
-Runs the abusive-tenant adversary profile on the Section VII mesh and
-answers the question the fairness subsystem exists for: *does one
-flooding tenant degrade anyone else's admission?*  Three runs over the
-identical tenant-tagged event stream make the verdict quantitative:
+Runs a tenant-tagged churn stream (by default the abusive-tenant
+adversary profile) and answers the question the fairness subsystem
+exists for: *does one flooding tenant degrade anyone else's
+admission?*  Three runs over the identical tenant-tagged event stream
+make the verdict quantitative:
 
 * **wfq** — the weighted-fair policy under test;
 * **fcfs** — the legacy first-come-first-served baseline;
@@ -12,34 +13,31 @@ identical tenant-tagged event stream make the verdict quantitative:
   admission rate.
 
 A tenant's *retention* is its contended admission rate over its solo
-rate.  The demo asserts every well-behaved tenant retains at least
-:data:`RETENTION_FLOOR` under wfq while the FCFS baseline demonstrably
-fails that bound — and, like every demo, the whole comparison runs
-twice to prove the emitted report is byte-identical.
+rate.  The record's checks say whether every well-behaved tenant
+retains at least :data:`RETENTION_FLOOR` under wfq and whether the FCFS
+baseline fails that bound; ``python -m repro serve --policy wfq
+--demo`` runs the ``fairness_demo`` campaign preset and prints them as
+its verdicts.
 """
 
 from __future__ import annotations
 
 from repro.core.allocation import SlotAllocator
-from repro.service.churn import ChurnSpec, ChurnWorkload
+from repro.service.churn import ChurnSpec
 from repro.service.controller import SessionService
-from repro.service.demo import DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE
 from repro.service.fairness import (FairnessSpec, TenantSpec,
                                     abusive_tenant_mix, tenant_events)
-from repro.telemetry.checked import run_twice
-from repro.telemetry.hub import coalesce
-from repro.topology.builders import concentrated_mesh
 
 __all__ = ["fairness_churn_spec", "fairness_comparison",
-           "run_fairness_demo", "RETENTION_FLOOR"]
+           "demo_fairness_spec", "RETENTION_FLOOR"]
 
 #: Minimum contended/solo admission-rate ratio a well-behaved tenant
 #: must retain under the weighted-fair policy.
 RETENTION_FLOOR = 0.95
 
 
-def fairness_churn_spec(n_events: int) -> ChurnSpec:
-    """The adversarial demo workload: one abuser among three equals.
+def fairness_churn_spec(n_sessions: int) -> ChurnSpec:
+    """The adversarial workload: one abuser among three equals.
 
     The aggregate arrival rate (18 000 opens/s) is deliberately above
     what the Section VII mesh can hold, with the abuser offering ten
@@ -47,8 +45,7 @@ def fairness_churn_spec(n_events: int) -> ChurnSpec:
     abuser the network while the fair-share load alone would fit.
     """
     return ChurnSpec(
-        n_sessions=max(1, (n_events + 1) // 2 + 8),
-        arrival_rate_per_s=18000.0,
+        n_sessions=n_sessions, arrival_rate_per_s=18000.0,
         tenants=abusive_tenant_mix(3, floor_opens_per_window=2))
 
 
@@ -89,7 +86,7 @@ def fairness_comparison(topology, events,
     costs each tenant.  ``telemetry``/``monitor`` instrument the wfq
     run only; a monitored run additionally attaches the per-tenant
     quote-conformance verdict under the non-canonical ``_conformance``
-    key (:func:`~repro.telemetry.checked.canonical_json` strips it).
+    key (the ``fairness`` kind moves it out of its ``result``).
     """
     def one_run(policy: str, run_events, run_name: str,
                 run_telemetry=None, run_monitor=None):
@@ -159,42 +156,4 @@ def fairness_comparison(topology, events,
     }
     if conformance is not None:
         record["_conformance"] = conformance
-    record["_reports"] = (wfq, fcfs)
     return record
-
-
-def run_fairness_demo(*, n_events: int = 2000, seed: int = 2009,
-                      telemetry=None, monitor=None
-                      ) -> tuple[dict[str, object], str, bool]:
-    """Run the adversarial comparison twice on the Section VII mesh.
-
-    Returns ``(record, canonical_json, byte_identical)``; the record
-    carries the retention table and verdicts of the *first* pass, which
-    is also the only instrumented one (same contract as every other
-    demo: the byte-identity verdict doubles as proof instrumentation
-    never leaks into the report).
-    """
-    from repro.campaign.spec import derive_seed
-
-    with coalesce(telemetry).phase("workload"):
-        topology = concentrated_mesh(4, 3, nis_per_router=4)
-        spec = fairness_churn_spec(n_events)
-        workload = ChurnWorkload(spec, topology,
-                                 derive_seed(seed, "fairness-demo"))
-        events = workload.events(limit=n_events)
-
-    def one_pass(pass_telemetry=None, pass_monitor=None):
-        record = fairness_comparison(
-            topology, events, spec.tenants,
-            table_size=DEMO_TABLE_SIZE,
-            frequency_hz=DEMO_FREQUENCY_HZ,
-            fairness=demo_fairness_spec(), name="fairness-demo",
-            seed=seed, telemetry=pass_telemetry,
-            monitor=pass_monitor)
-        record["seed"] = seed
-        record["n_events"] = len(events)
-        record["topology"] = topology.name
-        return record
-
-    return run_twice(one_pass, telemetry=telemetry, monitor=monitor,
-                     phases=("compare", "verify"))

@@ -271,43 +271,3 @@ class ServiceReport:
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, no wall-clock state."""
         return json.dumps(self.to_record(), indent=2, sort_keys=True)
-
-    def write(self, path: str) -> None:
-        """Write the canonical JSON report to a file."""
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-            handle.write("\n")
-
-    def summary_rows(self) -> list[dict[str, object]]:
-        """Per-class table rows for :func:`~repro.experiments.report.
-        format_table`."""
-        rows = []
-        for name in sorted(self.per_class):
-            stats = self.per_class[name]
-            rows.append({
-                "class": name,
-                "opens": stats["opens"],
-                "accepted": stats["accepted"],
-                "rejected": stats["rejected"],
-                "accept_rate": round(
-                    stats["accepted"] / stats["opens"], 3)
-                if stats["opens"] else 1.0,
-            })
-        return rows
-
-    def tenant_rows(self) -> list[dict[str, object]]:
-        """Per-tenant table rows (empty for untenanted workloads)."""
-        rows = []
-        for name in sorted(self.tenants or {}):
-            stats = self.tenants[name]
-            rows.append({
-                "tenant": name,
-                "opens": stats["opens"],
-                "accepted": stats["accepted"],
-                "rejected": stats["rejected"],
-                "shed": stats["shed"],
-                "accept_rate": round(
-                    stats["accepted"] / stats["opens"], 3)
-                if stats["opens"] else 1.0,
-            })
-        return rows

@@ -1,4 +1,9 @@
-"""Simulation: event kernel, backend protocol, flit- and word-level models."""
+"""Simulation: event kernel, backend protocol, flit- and word-level models.
+
+``python -m repro replay --demo`` replays a churn timeline through
+:func:`verify_timeline` on the flit-level and best-effort backends: the
+two-scenario ``replay_demo`` campaign preset (``mode="replay"``).
+"""
 
 from __future__ import annotations
 
@@ -40,7 +45,6 @@ _EXPORTS: dict[str, str] = {
     "DynamicComposabilityReport": "repro.simulation.composability",
     "replay_traffic": "repro.simulation.composability",
     "verify_timeline": "repro.simulation.composability",
-    "run_replay_demo": "repro.simulation.replay",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -22,8 +22,9 @@ from repro.service import (ChurnSpec, ChurnWorkload, FairnessSpec,
                            PolicyEvent, SessionService, TenantSpec,
                            abusive_tenant_mix, merge_events, shed_rank,
                            tenant_events)
-from repro.service.fairness_demo import RETENTION_FLOOR, run_fairness_demo
-from repro.telemetry.checked import canonical_json
+from repro.campaign.kinds import run_kind
+from repro.campaign.presets import fairness_demo
+from repro.service.fairness_demo import RETENTION_FLOOR
 from repro.topology.builders import concentrated_mesh, mesh
 
 TENANTED = ChurnSpec(n_sessions=120, arrival_rate_per_s=15000.0,
@@ -160,38 +161,40 @@ class TestAdversarialRegression:
     """The ISSUE's acceptance criterion, as a regression test."""
 
     @pytest.fixture(scope="class")
-    def demo(self):
-        return run_fairness_demo(n_events=800)
+    def demo_run(self):
+        run, = fairness_demo(n_events=800).expand()
+        return run
+
+    @pytest.fixture(scope="class")
+    def demo(self, demo_run):
+        return run_kind(demo_run)["result"]
 
     def test_well_behaved_tenants_keep_solo_rate_under_wfq(self, demo):
-        record, _, _ = demo
-        checks = record["checks"]
+        checks = demo["checks"]
         assert checks["wfq_retention_ok"], checks
         assert checks["min_well_behaved_retention"] >= RETENTION_FLOOR
 
     def test_fcfs_baseline_demonstrably_fails(self, demo):
-        record, _, _ = demo
-        assert record["checks"]["fcfs_fails"]
+        assert demo["checks"]["fcfs_fails"]
         worst = min(
             row["fcfs_retention"]
-            for row in record["retention"].values()
+            for row in demo["retention"].values()
             if row["well_behaved"])
         assert worst < RETENTION_FLOOR
 
     def test_abuser_is_contained_not_starved(self, demo):
-        record, _, _ = demo
-        abuser = record["retention"]["abuser"]
+        abuser = demo["retention"]["abuser"]
         assert not abuser["well_behaved"]
         assert abuser["wfq_retention"] < abuser["fcfs_retention"]
-        assert record["wfq"]["fairness"]["per_tenant"]["abuser"][
+        assert demo["wfq"]["fairness"]["per_tenant"]["abuser"][
             "admitted"] > 0
 
-    def test_reports_byte_identical_and_canonical(self, demo):
-        record, report_json, identical = demo
-        assert identical
-        parsed = json.loads(report_json)
-        assert "_conformance" not in parsed and "_reports" not in parsed
-        assert report_json == canonical_json(record)
+    def test_reports_byte_identical_and_canonical(self, demo_run, demo):
+        report_json = json.dumps(demo, sort_keys=True)
+        assert report_json == json.dumps(run_kind(demo_run)["result"],
+                                         sort_keys=True)
+        assert "_conformance" not in demo and "_reports" not in demo
+        assert json.loads(report_json) == demo
 
     def test_solo_filter_partitions_stream(self, small_mesh):
         events = ChurnWorkload(TENANTED, small_mesh, 3).events(limit=60)
@@ -326,8 +329,9 @@ class TestFairnessCli:
                  map(json.loads, telemetry.read_text().splitlines())
                  if line.get("name") == "service.fairness.sheds"}
         assert set(sheds) == {"throttle", "overload", "fairness"}
-        assert sum(sheds.values()) == json.loads(
-            report.read_text())["wfq"]["totals"]["n_shed"] > 0
+        record, = json.loads(report.read_text())["records"]
+        assert sum(sheds.values()) == \
+            record["result"]["wfq"]["totals"]["n_shed"] > 0
 
     def test_fcfs_demo_output_unchanged(self, capsys):
         from repro.__main__ import main
@@ -339,10 +343,10 @@ class TestFairnessCli:
 class TestTenantConformance:
     def test_monitored_demo_reports_per_tenant_retention(self):
         from repro.telemetry.monitor import MonitorSpec
-        record, _, identical = run_fairness_demo(
-            n_events=400, monitor=MonitorSpec())
-        assert identical
-        conformance = record["_conformance"]
+        run, = fairness_demo(n_events=400).expand()
+        record = run_kind(run, monitor=MonitorSpec())
+        conformance = record.pop("_conformance")
+        assert record == run_kind(run)
         retention = conformance.tenant_retention
         assert retention, "monitored wfq run must attribute tenants"
         for name, row in retention.items():

@@ -384,59 +384,47 @@ class TestWholeCountsAtConstruction:
 # -- the checked demos -----------------------------------------------------
 
 
-def _serve_json():
-    from repro.service import run_demo
-    return run_demo(n_events=120)[0].to_json()
+def _preset_json(name: str, tmp_path) -> str:
+    """The preset's report as ``campaign --preset NAME --workers 1``
+    writes it."""
+    path = tmp_path / f"{name}.json"
+    assert main(["campaign", "--preset", name, "--workers", "1",
+                 "--output", str(path)]) == 0
+    return path.read_text(encoding="utf-8")
 
 
-def _fairness_json():
-    from repro.service import run_fairness_demo
-    return run_fairness_demo(n_events=300)[1]
-
-
-def _replay_json():
-    from repro.simulation.replay import run_replay_demo
-    return run_replay_demo(n_events=80, n_slots=800)[1]
-
-
-def _faults_json():
-    from repro.faults.demo import run_faults_demo
-    return run_faults_demo(n_events=80, n_slots=800)[1]
-
-
-def _design_json():
-    from repro.design import run_design_demo
-    return run_design_demo(workers=1)[0].to_json()
-
-
-def _monitor_json():
+def _monitor_json(tmp_path) -> str:
     from repro.experiments.section7 import section7_setup
     from repro.telemetry.monitor import MonitorSpec, conformance_from_result
     from repro.usecase.runner import run_gs
     _, config = section7_setup()
     return conformance_from_result(
         config, run_gs(config, n_slots=600).result,
-        spec=MonitorSpec()).to_json()
+        spec=MonitorSpec()).to_json() + "\n"
 
 
 @dataclasses.dataclass(frozen=True)
 class Demo:
     argv: tuple[str, ...]
-    library_json: Callable[[], str]
-    verdict: str = "repeated-run reports byte-identical: yes"
+    library_json: Callable[..., str]
+    watched: bool = True    # takes --monitor
 
 
+#: Each demo at its preset's defaults (the CI smoke sizes), so its
+#: ``--output`` is the bytes ``campaign --preset`` writes.
 DEMOS = {
-    "serve": Demo(("serve", "--events", "120"), _serve_json),
-    "serve-wfq": Demo(("serve", "--policy", "wfq", "--events", "300"),
-                      _fairness_json),
-    "replay": Demo(("replay", "--events", "80", "--slots", "800"),
-                   _replay_json),
-    "faults": Demo(("faults", "--events", "80", "--slots", "800"),
-                   _faults_json),
-    "design": Demo(("design", "--workers", "1"), _design_json),
+    "serve": Demo(("serve", "--events", "200"),
+                  partial(_preset_json, "serve_demo")),
+    "serve-wfq": Demo(("serve", "--policy", "wfq", "--events", "600"),
+                      partial(_preset_json, "fairness_demo")),
+    "replay": Demo(("replay", "--events", "120", "--slots", "1200"),
+                   partial(_preset_json, "replay_demo")),
+    "faults": Demo(("faults", "--events", "120", "--slots", "1200"),
+                   partial(_preset_json, "faults_demo")),
+    "design": Demo(("design", "--workers", "1"),
+                   partial(_preset_json, "design_demo"), watched=False),
     "monitor": Demo(("monitor", "--slots", "600"), _monitor_json,
-                    "repeated-run conformance byte-identical: yes"),
+                    watched=False),
 }
 
 
@@ -459,18 +447,28 @@ class TestEveryCheckedDemo:
         # The pass condition is data: every verdict the flow handed the
         # skeleton held (the byte-identity verdict is appended to them),
         # and each was printed as its line.
-        checked, = handed
-        assert len(checked.verdicts) >= 2 and checked.healthy
-        for verdict in checked.verdicts:
+        (verdicts, identical, _, _), = handed
+        assert len(verdicts) >= 2 and identical
+        for verdict in verdicts:
             assert verdict[1] is True
             assert cli._verdict_line(*verdict) in out
-        assert demo.verdict in out
+        assert "repeated-run reports byte-identical: yes" in out
         assert "NO —" not in out
         assert f"written to {path}" in out
         assert "phase timing" in out
         text = path.read_text(encoding="utf-8")
         json.loads(text)
-        assert text == demo.library_json() + "\n"
+        assert text == demo.library_json(tmp_path)
+
+    def test_observability_leaves_the_report_bytes(self, demo, tmp_path):
+        plain, observed = tmp_path / "plain.json", tmp_path / "observed.json"
+        assert main([*demo.argv, "--demo", "--output", str(plain)]) == 0
+        assert main([*demo.argv, "--demo", "--output", str(observed),
+                     "--telemetry", str(tmp_path / "t.jsonl"),
+                     "--trace", str(tmp_path / "t.json"),
+                     *(("--monitor",) if demo.watched else ())]) == 0
+        assert observed.read_bytes() == plain.read_bytes()
+        assert (tmp_path / "t.jsonl").stat().st_size > 0
 
     def test_refuses_without_demo_flag(self, demo, capsys):
         assert main(list(demo.argv)) == 2

@@ -133,13 +133,13 @@ class TestSimulationConformance:
 class TestServiceConformance:
 
     def test_monitored_service_reports_and_stays_byte_identical(self):
-        from repro.service.demo import run_demo
-        plain, _ = run_demo(n_events=200)
-        monitored, identical = run_demo(n_events=200,
-                                        monitor=MonitorSpec())
-        assert identical
-        assert plain.to_json() == monitored.to_json()
-        conformance = monitored.conformance
+        from repro.campaign.kinds import run_kind
+        from repro.campaign.presets import serve_demo
+        run, = serve_demo().expand()
+        plain = run_kind(run)
+        monitored = run_kind(run, monitor=MonitorSpec())
+        conformance = monitored.pop("_conformance")
+        assert plain == monitored
         assert conformance.n_violated == 0
         assert all(c.kind == "quote" for c in conformance.channels)
 
@@ -165,26 +165,27 @@ class TestServiceConformance:
 
 class TestTimelineConformance:
 
-    def test_faults_demo_survivors_zero_violated(self):
-        from repro.faults.demo import run_faults_demo
-        record, plain_json, identical = run_faults_demo(
-            n_events=100, n_slots=1200, n_faults=4,
-            monitor=MonitorSpec())
-        assert identical
-        conformance = record["_conformance"]
+    @pytest.fixture(scope="class")
+    def faults_run(self):
+        from repro.campaign.presets import faults_demo
+        run, = faults_demo(n_events=100, n_slots=1200, n_faults=4).expand()
+        return run
+
+    def test_faults_demo_survivors_zero_violated(self, faults_run):
+        from repro.campaign.kinds import run_kind
+        record = run_kind(faults_run, monitor=MonitorSpec())
+        conformance = record.pop("_conformance")
         assert conformance.n_violated == 0
         assert conformance.source == "timeline"
-        # The stashed artifact never entered the canonical record.
-        assert "_conformance" not in json.loads(plain_json)
+        # The stashed artifact is the only key the watchdog added.
+        assert record == run_kind(faults_run)
 
-    def test_monitor_off_report_bytes_unchanged(self):
-        from repro.faults.demo import run_faults_demo
-        _, on_json, _ = run_faults_demo(
-            n_events=100, n_slots=1200, n_faults=4,
-            monitor=MonitorSpec())
-        _, off_json, _ = run_faults_demo(
-            n_events=100, n_slots=1200, n_faults=4)
-        assert on_json == off_json
+    def test_monitor_off_report_bytes_unchanged(self, faults_run):
+        from repro.campaign.kinds import run_kind
+        on = run_kind(faults_run, monitor=MonitorSpec())
+        del on["_conformance"]
+        assert json.dumps(on, sort_keys=True) == \
+            json.dumps(run_kind(faults_run), sort_keys=True)
 
 
 class TestCampaignConformance:

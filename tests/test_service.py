@@ -20,8 +20,7 @@ from repro.core.slot_table import (choose_slots_fast, mask_to_slots,
                                    slots_to_mask)
 from repro.core.words import WordFormat
 from repro.service import (DEFAULT_CLASSES, AdmissionController, ChurnSpec,
-                           ChurnWorkload, QosClass, SessionService,
-                           run_demo)
+                           ChurnWorkload, QosClass, SessionService)
 from repro.topology.builders import concentrated_mesh, mesh
 from repro.topology.mapping import Mapping
 
@@ -526,13 +525,13 @@ class TestSessionService:
 
 class TestServeDemo:
     def test_demo_deterministic_and_clean(self):
-        report, identical = run_demo(n_events=200, seed=7)
-        assert identical
-        assert report.totals["n_events"] == 200
-        assert report.invariant["ok"]
-        opens = [e for e in report.events if e["kind"] == "open"]
-        assert all("quote" in e for e in opens
-                   if e["decision"] == "accept")
+        from repro.campaign.presets import serve_demo
+        run, = serve_demo(n_events=200, seed=7).expand()
+        record = run_kind(run)
+        assert record == run_kind(run)
+        assert run.seed == 7 and record["status"] == "ok"
+        assert record["result"]["totals"]["n_events"] == 200
+        assert record["result"]["invariant"]["ok"]
 
     def test_demo_cli_exit_code(self, capsys):
         from repro.__main__ import main

@@ -191,6 +191,12 @@ def test_the_tree_passes():
           ("design/search.py", "def min_feasible_frequency(*args): pass"),
           ("core/reconfiguration.py", "def apply_fault(manager): pass"),
           ("baseline/arbitration.py", "class FixedPriorityArbiter: pass"))),
+    *((path, line, "a demo driver or a bespoke demo flow")
+      for path, line in (
+          ("service/controller.py", "def run_demo(): pass"),
+          ("faults/demo.py", "def run_faults_demo(): pass"),
+          ("__main__.py", "class _Checked: pass"),
+          ("__main__.py", "def _serve_flow(args): pass"))),
 ])
 def test_a_regrown_twin_is_refused(tmp_path, path, line, message):
     shutil.copytree(ROOT / "src" / "repro", tmp_path / "src" / "repro",

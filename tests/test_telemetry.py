@@ -233,18 +233,19 @@ class TestReportByteIdentity:
     """Telemetry-on and telemetry-off reports must match byte for byte."""
 
     def test_serve_demo_identical_with_telemetry(self):
-        from repro.service.demo import run_demo
+        from repro.campaign.kinds import run_kind
+        from repro.campaign.presets import serve_demo
+        run, = serve_demo(n_events=60).expand()
         tel = Telemetry()
-        report_on, identical = run_demo(n_events=60, telemetry=tel)
-        assert identical, "telemetry leaked into the canonical report"
-        report_off, _ = run_demo(n_events=60)
-        assert report_on.to_json() == report_off.to_json()
+        record_on = run_kind(run, telemetry=tel)
+        assert record_on == run_kind(run), \
+            "telemetry leaked into the canonical report"
         # ... and the instrumented run actually recorded something.
         assert tel.value("admission.decisions", outcome="accept") > 0
         assert tel.value("executor.dispatch") is None  # no sim here
         # The invariant checker says which path each check took; the
         # tallies ride outside the report's ``invariant`` section.
-        invariant = report_on.invariant
+        invariant = record_on["result"]["invariant"]
         assert (tel.value("invariants.checks", path="digest")
                 + tel.value("invariants.checks", path="rescan")
                 == invariant["transitions_checked"])
@@ -252,14 +253,16 @@ class TestReportByteIdentity:
         assert tel.value("invariants.full_validations") \
             == invariant["full_validations"]
         assert tel.value("invariants.records_compared") \
-            == report_on.totals["active_at_end"]
+            == record_on["result"]["totals"]["active_at_end"]
 
     def test_serve_demo_telemetry_stream_is_deterministic(self):
-        from repro.service.demo import run_demo
+        from repro.campaign.kinds import run_kind
+        from repro.campaign.presets import serve_demo
+        run, = serve_demo(n_events=60).expand()
 
         def stream() -> list[str]:
             tel = Telemetry()
-            run_demo(n_events=60, telemetry=tel)
+            run_kind(run, telemetry=tel)
             return _strip_meta(tel.to_jsonl())
 
         first = stream()
@@ -311,14 +314,13 @@ class TestExecutorTelemetry:
 
     def test_compiled_counters_describe_the_batch(self, tiny_config):
         from repro.simulation.backend import SimRequest, create_backend
-        from repro.telemetry.checked import canonical_json
         traffic = _cbr_traffic(tiny_config)
         request = SimRequest(n_slots=400, traffic=traffic)
         tel = Telemetry()
         on = create_backend("flit", tiny_config, telemetry=tel).run(request)
         off = create_backend("flit", tiny_config).run(request)
-        assert canonical_json(on.to_record()) == \
-            canonical_json(off.to_record())
+        assert json.dumps(on.to_record(), sort_keys=True) == \
+            json.dumps(off.to_record(), sort_keys=True)
         stats = on.meta["executor_stats"]
         assert stats == off.meta["executor_stats"]
         assert set(stats) == {"pattern_compiles", "table_events",

@@ -668,14 +668,14 @@ class TestServiceRoundTrip:
 
 class TestReplayDemo:
     def test_demo_round_trip(self):
-        from repro.simulation.replay import run_replay_demo
-        record, report_json, identical = run_replay_demo(
-            n_events=80, n_slots=800, seed=11)
-        assert identical
-        verdicts = record["verdicts"]
-        assert verdicts["flit"]["composable"]
-        assert verdicts["flit"]["n_survivors"] >= 1
-        assert verdicts["flit"]["n_epochs"] >= 3
+        from repro.campaign.kinds import run_kind
+        from repro.campaign.presets import replay_demo
+        runs = replay_demo(n_events=80, n_slots=800, seed=11).expand()
+        records = {run.scenario.backend: run_kind(run) for run in runs}
+        assert records["flit"] == run_kind(runs[0])
+        flit = records["flit"]["result"]
+        assert flit["composable"]
+        assert flit["n_survivors"] >= 1
+        assert flit["n_epochs"] >= 3
         # The canonical JSON parses back to the record.
-        assert json.loads(report_json) == json.loads(
-            json.dumps(record, sort_keys=True))
+        assert json.loads(json.dumps(records, sort_keys=True)) == records

@@ -35,11 +35,9 @@ from repro.core.placement import ChannelAllocation
 from repro.core.timeline import (TimelineEvent, TimelineRecorder,
                                  lifetime_boundaries, replay_configuration)
 from repro.experiments.section7 import section7_setup, usecase_gs_rows
-from repro.faults.demo import demo_fault_spec, run_churn_with_faults
-from repro.faults.model import FaultSchedule
-from repro.service.churn import ChurnWorkload
-from repro.service.demo import (DEMO_FREQUENCY_HZ, DEMO_TABLE_SIZE,
-                                demo_churn_spec)
+from repro.faults.demo import run_churn_with_faults
+from repro.faults.model import FaultSchedule, FaultSpec
+from repro.service.churn import ChurnSpec, ChurnWorkload
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.composability import replay_traffic
 from repro.simulation.monitors import DeliveryRecord, StatsCollector
@@ -203,19 +201,19 @@ def toggled_timeline(app_pool, toggles, horizon_slots):
 
 @pytest.fixture(scope="module")
 def fault_outcome():
-    """The faults demo's churn+fault run: two of its survivors are
-    relocated onto another route by a link failure."""
+    """A churn+fault run in which a link failure relocates two of the
+    survivors onto another route."""
     topology = mesh(3, 3, nis_per_router=2)
     events = ChurnWorkload(
-        demo_churn_spec(120), topology,
+        ChurnSpec(n_sessions=68), topology,
         derive_seed(2009, "faults-demo")).events(limit=120)
     schedule = FaultSchedule(
-        demo_fault_spec(6), topology,
+        FaultSpec(n_faults=6, fault_rate_per_s=400.0, mean_repair_s=0.004,
+                  router_fraction=0.25), topology,
         derive_seed(2009, "faults-demo", "schedule"))
     return run_churn_with_faults(
-        topology, events, schedule, table_size=DEMO_TABLE_SIZE,
-        frequency_hz=DEMO_FREQUENCY_HZ, horizon_slots=1200,
-        seed=2009, monitor=MonitorSpec())
+        topology, events, schedule, table_size=32, frequency_hz=500e6,
+        horizon_slots=1200, seed=2009, monitor=MonitorSpec())
 
 
 @pytest.fixture(scope="module")

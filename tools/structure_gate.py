@@ -210,6 +210,11 @@ RULES = [
      "the Prometheus exposition, ConnectionSpec, a 1-D design-search "
      "wrapper, the offline manager's fault path or an uncalled leaf) "
      f"{_GONE}"),
+    (r"\b(run_demo|run_fairness_demo|run_replay_demo|run_faults_demo|"
+     r"run_design_demo|_Checked|_serve_flow|_fairness_flow|_replay_flow|"
+     r"_faults_flow|_design_flow)\b", SRC, None, NONE,
+     "a demo driver or a bespoke demo flow is back under src/repro (a "
+     "checked demo is a campaign preset run through _preset_flow)"),
     (r"self\.compiled\b|\bcompiled\s*(:\s*bool|=\s*(True|False))|"
      r"^\s*from repro\.simulation\.flitsim import",
      ("src/repro/simulation/backend.py",), None, NONE,
