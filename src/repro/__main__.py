@@ -654,15 +654,23 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     A :class:`~repro.core.exceptions.ConfigurationError` — an input the
     library refuses — is a usage error here: one line on stderr, exit 2.
+    Output into a pipe whose reader has gone (``| head``) ends quietly,
+    exit 1, as the Python documentation's SIGPIPE recipe does: stdout
+    is pointed at devnull so the flush at exit cannot raise again.
     """
     from repro.core.exceptions import ConfigurationError
     handlers = {"campaign": _campaign,
                 **dict.fromkeys(_DEMOS, _checked_demo)}
     try:
-        return handlers.get(args.experiment, _artefacts)(args)
+        code = handlers.get(args.experiment, _artefacts)(args)
+        sys.stdout.flush()
+        return code
     except ConfigurationError as exc:
         print(f"repro {args.experiment}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -592,7 +592,7 @@ class Allocation:
                 p for p in k_shortest_paths(
                     self.topology, ca.path.source, ca.path.dest,
                     PATH_CANDIDATES, exclude_links=excluded)
-                if len(p.out_ports) <= self.fmt.max_hops]
+                if len(p.routers) <= self.fmt.max_hops]
         except TopologyError as exc:
             failures.append(str(exc))
         else:
@@ -673,7 +673,8 @@ class SlotAllocator:
         # pair and QoS class in the admission service, at most
         # QUOTE_CACHE_CAP of them.
         geometry = topology.geometry()
-        self._kroute_cache: dict[tuple[str, str], list[list[str]]] = \
+        self._kroute_cache: dict[tuple[str, str],
+                                 tuple[tuple[str, ...], ...]] = \
             geometry.routes.setdefault(PATH_CANDIDATES, {})
         self._kpath_cache: dict[tuple[str, str], tuple[Path, ...]] = \
             geometry.paths.setdefault(
@@ -810,13 +811,16 @@ class SlotAllocator:
                        topo.attached_router(dst_ni))
             routes = self._kroute_cache.get(routers)
             if routes is None:
-                routes = self._kroute_cache[routers] = k_shortest_routes(
-                    topo, *routers, PATH_CANDIDATES)
+                # Tuples, so every NI pair's path over a route shares
+                # the route's router sequence.
+                routes = self._kroute_cache[routers] = tuple(map(
+                    tuple, k_shortest_routes(topo, *routers,
+                                             PATH_CANDIDATES)))
                 self._tel_kshortest.inc()
             paths = (make_path(topo, src_ni, route, dst_ni)
                      for route in routes)
             cached = tuple(p for p in paths
-                           if len(p.out_ports) <= self.fmt.max_hops)
+                           if len(p.routers) <= self.fmt.max_hops)
             self._kpath_cache[key] = cached
             self._tel_kpath_miss.inc()
         else:
@@ -896,7 +900,7 @@ class SlotAllocator:
 
             weighted = weighted_shortest_path(self.topology, src_ni, dst_ni,
                                               weight)
-            if len(weighted.out_ports) <= self.fmt.max_hops and \
+            if len(weighted.routers) <= self.fmt.max_hops and \
                     (not excluded
                      or excluded.isdisjoint(weighted.link_keys())):
                 merge_load_aware(usable, weighted)

@@ -19,8 +19,7 @@ Shift rules (Sections III and V of the paper):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.core.exceptions import ConfigurationError, TopologyError
@@ -32,30 +31,59 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 __all__ = ["Path", "make_path"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """An end-to-end route from a source NI to a destination NI.
 
     ``links`` has ``len(routers) + 1`` entries: NI -> R0, R0 -> R1, ...,
-    R_last -> NI.  Construction validates the chaining.
+    R_last -> NI.  Construction validates the chaining and derives the
+    route's slot arithmetic once: every fault check, rebuild,
+    fingerprint and route candidate reads it, and the link keys it
+    holds are the links' own :attr:`~repro.topology.graph.Link.key`
+    tuples, not copies.
     """
 
     source: str
     dest: str
     routers: tuple[str, ...]
     links: tuple["Link", ...]
+    #: Slot shift of each link relative to the injection slot:
+    #: ``link_shifts[i]`` is the number of slots after injection at
+    #: which a flit occupies ``links[i]``.
+    link_shifts: tuple[int, ...] = field(
+        init=False, compare=False, repr=False)
+    #: Slots from injection until the flit enters the destination NI:
+    #: the flit traverses the final link at ``link_shifts[-1]``, and any
+    #: pipeline stages on that link add further slots; delivery
+    #: completes at the end of that slot.
+    arrival_shift: int = field(init=False, compare=False, repr=False)
+    _keys: tuple[tuple[str, str], ...] = field(
+        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.links) != len(self.routers) + 1:
+        links = self.links
+        if len(links) != len(self.routers) + 1:
             raise ConfigurationError(
                 f"path needs {len(self.routers) + 1} links for "
-                f"{len(self.routers)} routers, got {len(self.links)}")
+                f"{len(self.routers)} routers, got {len(links)}")
         expected = [self.source, *self.routers, self.dest]
-        for i, link in enumerate(self.links):
+        # One pass checks the chaining and sums the shifts: +1 for the
+        # router after each link but the last, plus any pipeline stages
+        # sitting on it.
+        shifts = []
+        shift = 0
+        for i, link in enumerate(links):
             if link.src != expected[i] or link.dst != expected[i + 1]:
                 raise ConfigurationError(
                     f"link {i} of path {self.source}->{self.dest} is {link}, "
                     f"expected {expected[i]} -> {expected[i + 1]}")
+            shifts.append(shift)
+            shift += 1 + link.pipeline_stages
+        keys = tuple([link.key for link in links])
+        object.__setattr__(self, "link_shifts", tuple(shifts))
+        # The last link's stages delay delivery, but no router follows.
+        object.__setattr__(self, "arrival_shift", shift - 1)
+        object.__setattr__(self, "_keys", keys)
 
     # -- geometry -----------------------------------------------------------
 
@@ -64,7 +92,7 @@ class Path:
         """Number of routers traversed."""
         return len(self.routers)
 
-    @cached_property
+    @property
     def out_ports(self) -> tuple[int, ...]:
         """Router output ports in traversal order — the header source route."""
         return tuple(l.src_port for l in self.links[1:])
@@ -74,30 +102,6 @@ class Path:
         return encode_path(self.out_ports, fmt)
 
     # -- slot arithmetic ----------------------------------------------------
-
-    @cached_property
-    def link_shifts(self) -> tuple[int, ...]:
-        """Slot shift of each link relative to the injection slot.
-
-        ``link_shifts[i]`` is the number of slots after injection at which
-        a flit occupies ``links[i]``.
-        """
-        shifts = [0]
-        for i in range(1, len(self.links)):
-            # +1 for the router between link i-1 and link i, plus any
-            # pipeline stages sitting on link i-1.
-            shifts.append(shifts[-1] + 1 + self.links[i - 1].pipeline_stages)
-        return tuple(shifts)
-
-    @cached_property
-    def arrival_shift(self) -> int:
-        """Slots from injection until the flit enters the destination NI.
-
-        The flit traverses the final link at ``link_shifts[-1]`` and any
-        pipeline stages on that link add further slots; delivery completes
-        at the end of that slot.
-        """
-        return self.link_shifts[-1] + self.links[-1].pipeline_stages
 
     @property
     def traversal_slots(self) -> int:
@@ -113,26 +117,10 @@ class Path:
 
     # -- misc ---------------------------------------------------------------
 
-    @cached_property
-    def _link_keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(l.key for l in self.links)
-
     def link_keys(self) -> tuple[tuple[str, str], ...]:
-        """Dictionary keys of all traversed links, in order (memoised:
-        every fault check, rebuild, fingerprint and route candidate
-        asks)."""
-        return self._link_keys
-
-    @cached_property
-    def link_key_set(self) -> frozenset[tuple[str, str]]:
-        """The traversed link keys as a set, for exclusion checks."""
-        return frozenset(self._link_keys)
-
-    @cached_property
-    def hops(self) -> tuple[tuple[tuple[str, str], int], ...]:
-        """``(link key, slot shift)`` per traversed link: what a placement
-        rotates and intersects, whatever the requirement."""
-        return tuple(zip(self._link_keys, self.link_shifts))
+        """Dictionary keys of all traversed links, in order: each is the
+        link's own :attr:`~repro.topology.graph.Link.key`."""
+        return self._keys
 
     def __len__(self) -> int:
         return len(self.links)
@@ -155,5 +143,7 @@ def make_path(topo: "Topology", source_ni: str,
     links = []
     for a, b in zip(nodes, nodes[1:]):
         links.append(topo.link(a, b))
+    # ``tuple`` of a tuple is that tuple: a cached route is shared by
+    # every path over it.
     return Path(source=source_ni, dest=dest_ni,
                 routers=tuple(routers), links=tuple(links))

@@ -91,7 +91,7 @@ class ChannelAllocation:
         # A list, not a generator expression: a generator per record
         # raised churn_warm's peak RSS by 0.45 MB (~1 %).
         links = []
-        for key, shift in self.path.hops:
+        for key, shift in zip(self.path.link_keys(), self.path.link_shifts):
             links.append((key, shifted_mask(injection, shift, size)))
         object.__setattr__(self, "link_occupancy", tuple(links))
         object.__setattr__(self, "fingerprint",
@@ -138,10 +138,6 @@ class RouteCandidate:
     path: Path
     n_slots: int
     max_gap: int | None
-    #: ``(link key, slot shift)`` per traversed link (``Path.hops``).
-    hops: tuple[tuple[tuple[str, str], int], ...]
-    #: Traversed link keys, for the degraded-mode exclusion check.
-    link_keys: frozenset[tuple[str, str]]
 
 
 def quote_routes(point, spec: ChannelSpec, paths,
@@ -177,8 +173,7 @@ def quote_routes(point, spec: ChannelSpec, paths,
             if failures is not None:
                 failures.append(f"{path!r}: {quote}")
             continue
-        yield RouteCandidate(path=path, n_slots=quote[0], max_gap=quote[1],
-                             hops=path.hops, link_keys=path.link_key_set)
+        yield RouteCandidate(path=path, n_slots=quote[0], max_gap=quote[1])
 
 
 class RouteQuotes:
@@ -266,7 +261,8 @@ def place(link_masks: dict[tuple[str, str], int], spec: ChannelSpec,
     full = (1 << size) - 1
     for cand in candidates:
         busy = 0
-        for key, shift in cand.hops:
+        path = cand.path
+        for key, shift in zip(path.link_keys(), path.link_shifts):
             busy |= rotate_mask(link_masks[key], shift, size)
             if busy == full:
                 break

@@ -151,7 +151,7 @@ class AdmissionController:
         excluded = allocation.excluded_links
         usable = candidates if not excluded else [
             cand for cand in candidates
-            if excluded.isdisjoint(cand.link_keys)]
+            if excluded.isdisjoint(cand.path.link_keys())]
         placed = place(allocation.link_masks, spec, usable,
                        choose_slots_fast, allocator.table_size)
         if placed is not None:

@@ -21,7 +21,7 @@ Conventions
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -60,11 +60,12 @@ class Link:
     src_port: int
     dst_port: int
     pipeline_stages: int = 0
+    #: Dictionary key ``(src, dst)`` identifying this link: one tuple
+    #: per link, shared by every path and record that names the link.
+    key: tuple[str, str] = field(init=False, compare=False, repr=False)
 
-    @property
-    def key(self) -> tuple[str, str]:
-        """Dictionary key ``(src, dst)`` identifying this link."""
-        return (self.src, self.dst)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (self.src, self.dst))
 
     def __repr__(self) -> str:
         stages = f" +{self.pipeline_stages}ps" if self.pipeline_stages else ""
@@ -108,7 +109,8 @@ class RouteGeometry:
     routes:
         ``k -> (src router, dst router) ->`` the first ``k`` routes of
         :func:`~repro.topology.routing.k_shortest_routes` on the whole
-        fabric, filled by whoever searches first.
+        fabric, as router-name tuples that every path over the route
+        shares, filled by whoever searches first.
     paths:
         ``(k, header hop budget) -> (src NI, dst NI) ->`` those routes as
         header-encodable :class:`~repro.core.path.Path` tuples.

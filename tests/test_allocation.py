@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import pickle
 import random
@@ -274,7 +275,7 @@ class TestIncrementalReconfiguration:
         alloc.commit(ChannelAllocation(ChannelSpec("a", "x", "y", 1 * MB),
                                        held, (0, 4), 8))
         path = allocator.shortest_candidates("ni0_0_0", "ni2_0_0")[0]
-        assert [shift for _, shift in path.hops] == [0, 1, 2, 3]
+        assert path.link_shifts == (0, 1, 2, 3)
 
         def snapshot():
             return (dict(alloc.link_masks), dict(alloc.channels),
@@ -531,7 +532,8 @@ class TestOnePlacementPath:
         allocator, allocation = ctrl.allocator, ctrl.allocation
         quotes = allocator.route_quotes(src, dst, spec)
         usable = [cand for cand in quotes
-                  if allocation.excluded_links.isdisjoint(cand.link_keys)]
+                  if allocation.excluded_links.isdisjoint(
+                      cand.path.link_keys())]
         placed = _placed(place(allocation.link_masks, spec, usable,
                                choose_slots_fast, self.SIZE))
         reference, _ = _reference_fit(
@@ -684,9 +686,7 @@ class TestRouteGeometryOnce:
                 except AllocationError:
                     continue
                 expected.append(RouteCandidate(
-                    path=path, n_slots=n, max_gap=gap,
-                    hops=tuple(zip(path.link_keys(), path.link_shifts)),
-                    link_keys=frozenset(path.link_keys())))
+                    path=path, n_slots=n, max_gap=gap))
             quotes = allocator.route_quotes(src, dst, spec)
             assert list(quotes) == expected  # dataclass ==: every field
             # Unreduced shifts (pipelined paths outrun the 8-slot table)
@@ -878,6 +878,85 @@ class TestRouteGeometryOnce:
         placed = rebuilt.allocate([spec], mapping).channel("c")
         assert placed.path.link_shifts == (0, 1, 4)
         AdmissionController(rebuilt)
+
+
+class TestSharedRouteFacts:
+    """A route's facts are derived once, when its :class:`Path` is built,
+    and shared: a path holds no per-instance memo, its link keys are the
+    links' own key tuples, and every NI pair over one router pair reads
+    the route's one router tuple."""
+
+    @staticmethod
+    def _staged(topo, rng):
+        """``topo`` with random pipeline stages on every link, router
+        and NI links alike."""
+        for key in list(topo.iter_link_keys()):
+            topo.set_pipeline_stages(*key, rng.randint(0, 3))
+        return topo
+
+    @staticmethod
+    def _all_paths(allocator):
+        nis = allocator.topology.nis
+        return [path for a in nis for b in nis if a != b
+                for path in allocator.shortest_candidates(a, b)]
+
+    def test_a_path_has_no_instance_dict(self):
+        path = make_path(mesh(2, 1), "ni0_0_0", ["r0_0", "r1_0"], "ni1_0_0")
+        assert not hasattr(path, "__dict__")
+
+    @settings(max_examples=25, deadline=None)
+    @given(topo=BUILDERS, seed=st.integers(0, 10_000))
+    def test_facts_follow_the_shift_rule_from_shared_keys(self, topo, seed):
+        """Shift rule (Sections III and V), recomputed in closed form: a
+        flit is on link ``i`` after the ``i`` routers before it and every
+        stage on links ``0 .. i-1``; it enters the destination NI after
+        all routers and every stage of the route."""
+        topo = self._staged(topo, random.Random(seed))
+        allocator = _allocator(topo)
+        by_router_pair = {}
+        for path in self._all_paths(allocator):
+            stages = [link.pipeline_stages for link in path.links]
+            shifts = tuple(i + sum(stages[:i])
+                           for i in range(len(path.links)))
+            assert path.link_shifts == shifts
+            assert path.arrival_shift == len(path.routers) + sum(stages)
+            assert path.traversal_slots == path.arrival_shift + 1
+            assert path.out_ports == tuple(
+                link.src_port for link in path.links[1:])
+            for i, key in enumerate(path.link_keys()):
+                assert key is topo.link(*key).key is path.links[i].key
+            pair = (path.routers[0], path.routers[-1])
+            routes = by_router_pair.setdefault(pair, {})
+            assert routes.setdefault(path.routers, path.routers) \
+                is path.routers
+
+    @pytest.mark.parametrize("round_trip", [
+        lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_round_trips_keep_every_fact(self, round_trip):
+        topo = self._staged(mesh(3, 2, nis_per_router=2), random.Random(5))
+        paths = self._all_paths(_allocator(topo))
+        copied_topo, copied_paths = round_trip((topo, paths))
+        assert copied_paths == paths
+        for before, after in zip(paths, copied_paths):
+            assert hash(after) == hash(before)
+            for fact in ("source", "dest", "routers", "links",
+                         "link_shifts", "arrival_shift",
+                         "out_ports", "traversal_slots"):
+                assert getattr(after, fact) == getattr(before, fact)
+            assert after.link_keys() == before.link_keys()
+            for key, link in zip(after.link_keys(), after.links):
+                assert key is link.key
+        assert sorted(copied_topo.iter_link_keys()) == \
+            sorted(topo.iter_link_keys())
+        for key in topo.iter_link_keys():
+            before, after = topo.link(*key), copied_topo.link(*key)
+            assert after == before and hash(after) == hash(before)
+            assert after.key == key
+        rebuilt = self._all_paths(_allocator(copied_topo))
+        assert rebuilt == paths
+        assert [p.link_shifts for p in rebuilt] == \
+            [p.link_shifts for p in paths]
 
 
 # -- admission pays only for what it places ------------------------------------

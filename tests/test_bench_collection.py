@@ -45,6 +45,7 @@ def test_mem_phases_probe_runs_on_the_pipeline():
     assert "pass" in rows and "simulation.backend.flit_run" in rows
     before, arrow, after, peak = rows["pass"][1:]
     assert arrow == "->" and float(peak) >= float(after) >= float(before)
+    assert "retained by the cold pass:" in proc.stdout
 
 
 def test_profile_pass_prints_the_top_rows():

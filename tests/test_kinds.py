@@ -12,7 +12,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 from typing import Callable
 
 import pytest
@@ -531,4 +535,41 @@ def test_refused_configuration_is_one_stderr_line(argv, message, capsys):
     assert captured.out == ""
     line, = captured.err.splitlines()
     assert line.startswith(message)
+
+
+#: Prints one line, waits until the test has closed its end of stdout
+#: (signalled by closing stdin), then runs the CLI into the dead pipe —
+#: so every byte ``main`` writes meets a reader that has gone, however
+#: the child's writes are buffered or scheduled.
+_CLOSED_PIPE_CHILD = """
+import sys
+from repro.__main__ import main
+print("first line", flush=True)
+sys.stdin.read()
+sys.exit(main(["campaign", "--demo", "--list"]))
+"""
+
+
+def test_output_into_a_closed_pipe_ends_without_a_traceback():
+    """``python -m repro campaign --demo --list | head -1``: the reader
+    leaves after one line, and the CLI ends quietly (exit 1, as the
+    Python documentation's SIGPIPE recipe exits) with nothing on
+    stderr — not a ``BrokenPipeError`` traceback, nor the "Exception
+    ignored" line of a failed flush at exit."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _CLOSED_PIPE_CHILD], env=env,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"first line\n"
+        proc.stdout.close()
+        proc.stdin.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1, stderr
+    finally:
+        proc.kill()
+        proc.wait()
+    assert "Traceback" not in stderr
+    assert stderr == ""
 

@@ -227,7 +227,8 @@ def ref_first_fit(link_masks, candidates, ref_choose, size):
     for cand in candidates:
         free = {slot for slot in range(size)
                 if not any(link_masks[key] >> ((slot + shift) % size) & 1
-                           for key, shift in cand.hops)}
+                           for key, shift in zip(cand.path.link_keys(),
+                                                 cand.path.link_shifts))}
         if len(free) < cand.n_slots:
             continue
         slots = ref_choose(free, cand.n_slots, size, cand.max_gap)
@@ -237,13 +238,14 @@ def ref_first_fit(link_masks, candidates, ref_choose, size):
 
 
 class _Route:
-    """What a placed record reads of a route: its hops and link keys."""
+    """What a placed record reads of a route: its link keys and shifts."""
 
     def __init__(self, hops):
-        self.hops = hops
+        self._keys = tuple(key for key, _ in hops)
+        self.link_shifts = tuple(shift for _, shift in hops)
 
     def link_keys(self):
-        return tuple(key for key, _ in self.hops)
+        return self._keys
 
 
 @st.composite
@@ -260,8 +262,7 @@ def placements(draw):
         candidates.append(RouteCandidate(
             path=_Route(hops),
             n_slots=draw(st.integers(1, size)),
-            max_gap=draw(st.none() | st.integers(1, size)),
-            hops=hops, link_keys=frozenset(keys)))
+            max_gap=draw(st.none() | st.integers(1, size))))
     return link_masks, candidates, size
 
 

@@ -191,6 +191,14 @@ def test_the_tree_passes():
           ("design/search.py", "def min_feasible_frequency(*args): pass"),
           ("core/reconfiguration.py", "def apply_fault(manager): pass"),
           ("baseline/arbitration.py", "class FixedPriorityArbiter: pass"))),
+    *((path, line, "a cached_property memo is back in core/path.py")
+      for path, line in (
+          ("core/path.py", "from functools import cached_property"),
+          ("core/path.py", "    @cached_property"))),
+    *((path, line, "Path.link_key_set is back")
+      for path, line in (
+          ("core/placement.py", "keys = path.link_key_set"),
+          ("service/admission.py", "    link_key_set = frozenset()"))),
     *((path, line, "a demo driver or a bespoke demo flow")
       for path, line in (
           ("service/controller.py", "def run_demo(): pass"),

@@ -3,9 +3,17 @@
 
     python3 tools/mem_phases.py WORKLOAD [--seed N] [--smoke]
 
-Cold pass, ``gc.freeze``, then one warm pass under ``tracemalloc`` (numpy's
-buffers included): live MB before -> after and the peak inside each phase
-span and its direct children.  ``benchmarks/e2e`` is only imported.
+Two tables, both under ``tracemalloc`` (numpy's buffers included):
+
+* per phase of one warm pass (after the cold pass and ``gc.freeze``):
+  live MB before -> after and the peak inside each phase span and its
+  direct children;
+* *retained by the cold pass* — the ``RETAINED_TOP`` allocation sites,
+  by source line, whose live memory grew across the cold pass: what the
+  caches a cold pass fills (routes, quotes, paths) keep for every later
+  pass, which the warm table cannot show.
+
+``benchmarks/e2e`` is only imported.
 """
 import argparse
 import gc
@@ -18,6 +26,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "benchmarks" / "e2e"), str(ROOT / "src")]
 import harness  # noqa: E402
 import workloads  # noqa: E402
+
+#: Sites the retained table lists.
+RETAINED_TOP = 12
 
 
 class MemTracer(harness.Tracer):
@@ -47,6 +58,27 @@ class MemTracer(harness.Tracer):
             row[3], row[4] = self.mark(), self.peaks.pop()
 
 
+def retained_table(before, after) -> list[str]:
+    """The ``RETAINED_TOP`` source lines whose live traced memory grew
+    most from snapshot ``before`` to ``after``, with the growth in MB and
+    blocks."""
+    own = (tracemalloc.Filter(False, tracemalloc.__file__),)
+    grown = [stat for stat in after.filter_traces(own).compare_to(
+        before.filter_traces(own), "lineno") if stat.size_diff > 0]
+    total = sum(stat.size_diff for stat in grown)
+    lines = [f"retained by the cold pass: {total / 1e6:.1f} MB over "
+             f"{len(grown)} lines that grew; top {RETAINED_TOP}",
+             f"{'site':<60}{'MB':>8}{'blocks':>10}"]
+    for stat in grown[:RETAINED_TOP]:
+        frame = stat.traceback[0]
+        name = Path(frame.filename)
+        if name.is_relative_to(ROOT):
+            name = name.relative_to(ROOT)
+        lines.append(f"{f'{name}:{frame.lineno}':<60}"
+                     f"{stat.size_diff / 1e6:>8.2f}{stat.count_diff:>10}")
+    return lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
@@ -55,8 +87,13 @@ if __name__ == "__main__":
     args = parser.parse_args()
     workload = workloads.WORKLOADS[args.workload](args.seed, args.smoke)
     workload.generate(harness.Tracer())
+    tracemalloc.start()
+    cold = tracemalloc.take_snapshot()
     harness.run_pass(workload, harness.Checks())
     gc.collect()
+    retained = retained_table(cold, tracemalloc.take_snapshot())
+    del cold
+    tracemalloc.stop()
     gc.freeze()
     tracer = MemTracer()
     tracemalloc.start()
@@ -67,3 +104,4 @@ if __name__ == "__main__":
         if depth <= 2:
             print(f"{'  ' * depth + name:<52}{before / 1e6:>12.1f} ->"
                   f"{after / 1e6:>9.1f}{peak / 1e6:>8.1f}")
+    print("\n".join(retained))

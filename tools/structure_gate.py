@@ -59,6 +59,11 @@ RULES = [
     (r"\bfirst_fit\b", SRC, None, NONE,
      "first_fit is back under src/repro (place returns the channel's "
      "record)"),
+    (r"\blink_key_set\b", SRC, None, NONE,
+     "Path.link_key_set is back (isdisjoint reads the path's key tuple)"),
+    (r"cached_property", ("src/repro/core/path.py",), None, NONE,
+     "a cached_property memo is back in core/path.py (a route's facts are "
+     "derived once, when the Path is built, from its links' own keys)"),
     (r"link_occupancy\(|\b_link_occupancy\b", SRC, None, NONE,
      "ChannelAllocation.link_occupancy is called or memoised again (an "
      "attribute derived once, at construction)"),
