@@ -44,8 +44,7 @@ from repro.core.exceptions import (AllocationError, ConfigurationError,
                                    TopologyError, require_finite_positive,
                                    require_whole)
 from repro.core.path import Path, make_path
-from repro.core.placement import (ChannelAllocation, RouteQuotes, place,
-                                   quote_routes)
+from repro.core.placement import ChannelAllocation, QuoteMemo, place
 from repro.core.requirements import latency_bound_ns
 from repro.core.slot_table import mask_to_slots, spread_slots
 from repro.core.words import WordFormat
@@ -57,13 +56,12 @@ from repro.topology.routing import (k_shortest_paths, k_shortest_routes,
 __all__ = ["Allocation", "AllocatorOptions", "SlotAllocator",
            "ChannelVerdict", "RebuildReport", "excluded_link_keys"]
 
-#: Most (endpoints, requirement) entries :meth:`SlotAllocator.
-#: route_quotes` keeps.  The key holds the raw float requirement and the
-#: cache outlives every service sharing the allocator, so jittered
-#: requirements would grow it without limit; the oldest-inserted entry
-#: goes first.  Comfortably above the Section VII working set
-#: (48 x 47 NI pairs x 4 QoS classes = 9 024 keys), which therefore
-#: never evicts.
+#: Most requirements :attr:`SlotAllocator.quote_memo` keeps a
+#: :class:`~repro.core.placement.QuoteMemo` for.  The key holds the raw
+#: float requirement and the memo outlives every service sharing the
+#: allocator, so jittered requirements would grow it without limit; the
+#: oldest-inserted requirement goes first.  Far above the Section VII
+#: working set (its 4 QoS classes), which therefore never evicts.
 QUOTE_CACHE_CAP = 16384
 
 #: k-shortest candidate routes considered per channel, by the offline
@@ -596,10 +594,9 @@ class Allocation:
         except TopologyError as exc:
             failures.append(str(exc))
         else:
-            placed = place(
-                rebuilt.link_masks, spec,
-                quote_routes(self, spec, paths, failures), spread_slots,
-                self.table_size, failures)
+            placed = place(rebuilt.link_masks, spec, paths,
+                           QuoteMemo(spec, self), spread_slots,
+                           self.table_size, failures)
         if placed is not None:
             new_ca, _ = placed
             try:
@@ -666,12 +663,11 @@ class SlotAllocator:
         # topology and header format — one search per router pair,
         # attached to its NIs once per NI pair — so they are kept with the
         # topology's geometry of this revision and every allocator built
-        # over it, at any operating point, finds them there.  Quotes
-        # additionally fix the requirement at this allocator's table size
-        # and frequency, making slot counts and gap constraints cacheable
-        # per (src, dst, throughput, latency) — one entry per endpoint
-        # pair and QoS class in the admission service, at most
-        # QUOTE_CACHE_CAP of them.
+        # over it, at any operating point, finds them there.  A quote
+        # depends on a route only through its traversal time, so quotes
+        # are kept per (throughput, latency) requirement at this
+        # allocator's operating point — one memo per QoS class in the
+        # admission service, at most QUOTE_CACHE_CAP of them.
         geometry = topology.geometry()
         self._kroute_cache: dict[tuple[str, str],
                                  tuple[tuple[str, ...], ...]] = \
@@ -679,8 +675,8 @@ class SlotAllocator:
         self._kpath_cache: dict[tuple[str, str], tuple[Path, ...]] = \
             geometry.paths.setdefault(
                 (PATH_CANDIDATES, self.fmt.max_hops), {})
-        self._quote_cache: dict[
-            tuple[str, str, float, float | None], RouteQuotes] = {}
+        #: (throughput, latency) -> that requirement's quotes
+        self.quote_memo: dict[tuple[float, float | None], QuoteMemo] = {}
         # All three are fault-agnostic: failed fabric lives on each
         # Allocation and is applied when candidates are consulted, so
         # repairs need no invalidation and sharing leaks no faults.
@@ -689,9 +685,9 @@ class SlotAllocator:
     def set_telemetry(self, telemetry) -> None:
         """(Re)bind the allocator's instrumentation hub.
 
-        Cache hit/miss counters are resolved once per bind, so cache
-        consultations on the admission hot path pay one cached
-        attribute call; the default Null hub makes those calls no-ops.
+        Cache hit/miss counters are resolved once per bind, so a lookup
+        of an NI pair's candidates pays one cached attribute call; the
+        default Null hub makes those calls no-ops.
         """
         from repro.telemetry.hub import coalesce
         tel = coalesce(telemetry)
@@ -700,12 +696,6 @@ class SlotAllocator:
                                           outcome="hit")
         self._tel_kpath_miss = tel.counter("allocator.kpath_cache",
                                            outcome="miss")
-        self._tel_quote_hit = tel.counter("allocator.quote_cache",
-                                          outcome="hit")
-        self._tel_quote_miss = tel.counter("allocator.quote_cache",
-                                           outcome="miss")
-        self._tel_quote_evict = tel.counter("allocator.quote_cache",
-                                            outcome="evict")
         self._tel_kshortest = tel.counter(
             "allocator.kshortest_expansions")
 
@@ -740,11 +730,11 @@ class SlotAllocator:
         (table size, frequency, word format), and that topology is still
         as the allocator found it.
 
-        Quotes rotate masks modulo the allocator's table size and name
-        links of its topology, with the slot shifts those links had when
-        the route was searched, and their slot counts meet the
-        requirement at the allocator's frequency and word format, so
-        they are only meaningful against such an allocation.
+        Cached routes name links of its topology, with the slot shifts
+        those links had when the route was searched, and quotes meet a
+        requirement at the allocator's table size, frequency and word
+        format, so both are only meaningful against such an
+        allocation.
         """
         for attr, what in (("table_size", "table size"),
                            ("frequency_hz", "frequency"),
@@ -783,15 +773,15 @@ class SlotAllocator:
         def tightness(spec: ChannelSpec) -> tuple[float, float, str]:
             # Hardest first: estimate slots on a shortest path, then the
             # latency requirement (tighter = smaller), then name.
-            cand = next(quote_routes(
-                self, spec, self._candidates(spec, mapping, excluded)[:1]),
-                None)
-            if cand is None:
+            quote = self.route_quotes(spec).quote(
+                self._candidates(spec, mapping, excluded)[0])
+            if isinstance(quote, str):
                 # Let _allocate_one produce the detailed error.
                 return (-float("inf"), 0.0, spec.name)
-            gap_rank = (float(cand.max_gap) if cand.max_gap is not None
+            n_slots, max_gap = quote
+            gap_rank = (float(max_gap) if max_gap is not None
                         else float("inf"))
-            return (-float(cand.n_slots), gap_rank, spec.name)
+            return (-float(n_slots), gap_rank, spec.name)
 
         return sorted(channels, key=tightness)
 
@@ -827,51 +817,25 @@ class SlotAllocator:
             self._tel_kpath_hit.inc()
         return cached
 
-    def cached_route_quotes(self, src_ni: str, dst_ni: str,
-                            spec: ChannelSpec) -> RouteQuotes | None:
-        """What :meth:`route_quotes` would return, if already held.
+    def route_quotes(self, spec: ChannelSpec) -> QuoteMemo:
+        """The :class:`~repro.core.placement.QuoteMemo` of ``spec``'s
+        (throughput, latency) requirement, made empty on first request.
 
-        The admission hot path asks this first, so a warm admit costs
-        one dictionary probe and the caller learns whether the allocator
-        already held the key; ``None`` means "call :meth:`route_quotes`".
+        Slot counts and gap constraints depend on neither occupancy nor
+        endpoints, so every channel of one requirement — on any NI
+        pair, in any service sharing this allocator — reads one memo,
+        and a route is quoted when a placement first reaches a route of
+        its traversal time.  At most :data:`QUOTE_CACHE_CAP`
+        requirements are kept, oldest-inserted evicted first.
         """
-        cached = self._quote_cache.get(
-            (src_ni, dst_ni, spec.throughput_bytes_per_s,
-             spec.max_latency_ns))
-        if cached is not None:
-            self._tel_quote_hit.inc()
-        return cached
-
-    def route_quotes(self, src_ni: str, dst_ni: str, spec: ChannelSpec
-                     ) -> RouteQuotes:
-        """Cached :class:`~repro.core.placement.RouteCandidate` per
-        candidate route, as a :class:`~repro.core.placement.RouteQuotes`
-        that quotes a route when a placement first
-        reaches it.
-
-        The slot count and latency-gap constraint of a requirement on a
-        path do not depend on current occupancy, so for admission churn
-        they are computed at most once per (endpoints, requirement) and
-        route, and replayed — by every service sharing this allocator.
-        Most placements stop at the first route, so most routes are
-        never quoted at all.  Candidates whose traversal alone breaks
-        the latency requirement are dropped; the result may be empty.
-        At most :data:`QUOTE_CACHE_CAP` entries are kept, oldest-inserted
-        evicted first.
-        """
-        cached = self.cached_route_quotes(src_ni, dst_ni, spec)
-        if cached is not None:
-            return cached
-        quotes = RouteQuotes(quote_routes(
-            self, spec, self.shortest_candidates(src_ni, dst_ni)))
-        cache = self._quote_cache
-        if len(cache) >= QUOTE_CACHE_CAP:
-            del cache[next(iter(cache))]
-            self._tel_quote_evict.inc()
-        cached = cache[(src_ni, dst_ni, spec.throughput_bytes_per_s,
-                        spec.max_latency_ns)] = quotes
-        self._tel_quote_miss.inc()
-        return cached
+        key = (spec.throughput_bytes_per_s, spec.max_latency_ns)
+        memo = self.quote_memo
+        quotes = memo.get(key)
+        if quotes is None:
+            if len(memo) >= QUOTE_CACHE_CAP:
+                del memo[next(iter(memo))]
+            quotes = memo[key] = QuoteMemo(spec, self)
+        return quotes
 
     def _candidates(self, spec: ChannelSpec, mapping: Mapping,
                     excluded: frozenset[tuple[str, str]],
@@ -922,10 +886,9 @@ class SlotAllocator:
         failures: list[str] = []
         paths = self._candidates(spec, mapping, allocation.excluded_links,
                                  allocation.link_masks)
-        placed = place(
-            allocation.link_masks, spec,
-            quote_routes(self, spec, paths, failures), spread_slots,
-            self.table_size, failures)
+        placed = place(allocation.link_masks, spec, paths,
+                       self.route_quotes(spec), spread_slots,
+                       self.table_size, failures)
         if placed is not None:
             return placed[0]
         detail = "; ".join(failures) if failures else "no candidate paths"

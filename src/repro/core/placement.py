@@ -5,8 +5,10 @@ Every placement — offline extension (:class:`~repro.core.allocation.
 SlotAllocator`), degraded-mode rerouting (:meth:`~repro.core.allocation.
 Allocation.rebuild_excluding`) and online admission (:class:`~repro.
 service.admission.AdmissionController`) — runs :func:`place` over
-:class:`RouteCandidate`\\ s built in one place (:func:`quote_routes`).
-Only the candidate routes and the slot chooser differ between them.
+candidate routes, reading each route's slot count and gap constraint
+from the requirement's :class:`QuoteMemo`, the one place a requirement
+becomes slot arithmetic.  Only the candidate routes and the slot
+chooser differ between them.
 
 The module sits below the allocation: it reads link occupancy as the
 ``link_masks`` dictionary and returns the finished
@@ -25,8 +27,7 @@ from repro.core.requirements import slots_for_channel
 from repro.core.slot_table import (rotate_mask, shifted_mask, slots_to_mask,
                                    worst_case_wait_slots)
 
-__all__ = ["ChannelAllocation", "RouteCandidate", "RouteQuotes",
-           "quote_routes", "place"]
+__all__ = ["ChannelAllocation", "QuoteMemo", "place"]
 
 
 @dataclass(frozen=True)
@@ -126,115 +127,66 @@ class ChannelAllocation:
         return rotations * len(self.slots) + bisect_left(self.slots, phase)
 
 
-@dataclass(frozen=True, slots=True)
-class RouteCandidate:
-    """One admissible route of a requirement, with its slot arithmetic.
+class QuoteMemo(dict):
+    """The quotes of one requirement at one operating point: a route's
+    ``traversal_slots`` maps to the ``(n_slots, max_gap)`` that
+    :func:`~repro.core.requirements.slots_for_channel` gives the
+    requirement on it, or to the refusal's ``AllocationError.reason``.
 
-    Nothing here depends on occupancy or on a particular allocation:
-    links are named by key, so one record serves every allocation
-    compatible with the allocator that quoted it.
+    The arithmetic reads a route only through its traversal time, and a
+    refusal's reason names no route, so every route of one traversal
+    time — whatever its endpoints — shares one entry, made the first
+    time :meth:`quote` meets that time.  Nothing here depends on
+    occupancy: one memo serves every allocation at the operating point
+    (``table_size``, ``frequency_hz``, ``fmt``) that ``point`` carries.
     """
 
-    path: Path
-    n_slots: int
-    max_gap: int | None
+    __slots__ = ("spec", "table_size", "frequency_hz", "fmt")
 
+    def __init__(self, spec: ChannelSpec, point) -> None:
+        super().__init__()
+        #: the first channel of the requirement; only its throughput and
+        #: latency are read
+        self.spec = spec
+        self.table_size = point.table_size
+        self.frequency_hz = point.frequency_hz
+        self.fmt = point.fmt
 
-def quote_routes(point, spec: ChannelSpec, paths,
-                 failures: list[str] | None = None):
-    """Lazily turn ``paths`` into the :class:`RouteCandidate` of ``spec``
-    on each — the one place a (path, requirement) pair becomes slot
-    arithmetic, at the operating point (``table_size``,
-    ``frequency_hz``, ``fmt``) that ``point`` carries.
-
-    The arithmetic reads a path only through its traversal time, and a
-    refusal's reason names no path, so it runs once per distinct
-    ``traversal_slots`` among the paths the consumer reaches.
-
-    A path whose traversal alone breaks the latency requirement yields
-    nothing; handed a ``failures`` list, its reason is appended the
-    moment the consumer reaches it, so :func:`place`'s own reasons
-    interleave in candidate order.
-    """
-    size = point.table_size
-    # traversal slots -> (n_slots, max_gap), or the refusal's reason
-    by_traversal: dict[int, tuple[int, int | None] | str] = {}
-    for path in paths:
-        traversal = path.traversal_slots
-        quote = by_traversal.get(traversal)
+    def quote(self, path: Path) -> tuple[int, int | None] | str:
+        """``(n_slots, max_gap)`` of the requirement on ``path``, or the
+        reason no slots on it can meet the requirement."""
+        quote = self.get(path.traversal_slots)
         if quote is None:
             try:
-                quote = slots_for_channel(spec, path, size,
-                                          point.frequency_hz, point.fmt)
+                quote = slots_for_channel(self.spec, path, self.table_size,
+                                          self.frequency_hz, self.fmt)
             except AllocationError as exc:
                 quote = exc.reason
-            by_traversal[traversal] = quote
-        if isinstance(quote, str):
-            if failures is not None:
-                failures.append(f"{path!r}: {quote}")
-            continue
-        yield RouteCandidate(path=path, n_slots=quote[0], max_gap=quote[1])
-
-
-class RouteQuotes:
-    """The :class:`RouteCandidate`\\ s of one (endpoints, requirement),
-    quoted only as far as a placement has read them.
-
-    Iterating yields them in candidate order, continuing
-    :func:`quote_routes` where the furthest earlier iteration stopped: a
-    route is quoted once however many admissions read the entry, and a
-    route no placement reaches is never quoted.  Truth is "some route
-    can meet the requirement".
-    """
-
-    __slots__ = ("_quotes", "_pending")
-
-    def __init__(self, pending) -> None:
-        self._quotes: list[RouteCandidate] = []
-        #: the :func:`quote_routes` generator, ``None`` once drained
-        self._pending = pending
-
-    def __iter__(self):
-        if self._pending is None:
-            return iter(self._quotes)
-        return self._continued()
-
-    def _continued(self):
-        quotes = self._quotes
-        index = 0
-        while True:
-            if index == len(quotes):
-                pending = self._pending
-                quote = None if pending is None else next(pending, None)
-                if quote is None:
-                    self._pending = None
-                    return
-                quotes.append(quote)
-            yield quotes[index]
-            index += 1
-
-    def __bool__(self) -> bool:
-        return next(iter(self), None) is not None
+            self[path.traversal_slots] = quote
+        return quote
 
 
 def place(link_masks: dict[tuple[str, str], int], spec: ChannelSpec,
-          candidates, choose, size: int, failures: list[str] | None = None
+          paths, quotes: QuoteMemo, choose, size: int,
+          failures: list[str] | None = None
           ) -> tuple[ChannelAllocation, int] | None:
-    """Place ``spec`` on the first candidate route that can carry it.
+    """Place ``spec`` on the first of ``paths`` that can carry it.
 
-    The only placement loop: per :class:`RouteCandidate`, every
-    traversed link's occupancy mask is rotated back by the link's slot
-    shift and ORed (the whole contention check is one OR per link), the
-    free popcount is held against the slot count, and ``choose`` —
+    The only placement loop: per route, the slot count and gap
+    constraint are read from ``quotes`` (the requirement's
+    :class:`QuoteMemo`), every traversed link's occupancy mask is
+    rotated back by the link's slot shift and ORed (the whole
+    contention check is one OR per link), the free popcount is held
+    against the slot count, and ``choose`` —
     :func:`~repro.core.slot_table.spread_slots` offline,
     :func:`~repro.core.slot_table.choose_slots_fast` online — picks
     slots under the gap constraint.  Returns the channel's
     :class:`ChannelAllocation` in a table of ``size`` slots and the
     width of its route's free intersection, or ``None``; nothing is
     committed.  Handed a ``failures`` list, it appends one reason per
-    rejected candidate — the text of ``AllocationError.reason`` and of
-    a ``dropped`` verdict.  ``choose`` reads the free intersection as
-    the mask itself.
+    rejected route, in route order — the text of
+    ``AllocationError.reason`` and of a ``dropped`` verdict.  ``choose``
+    reads the free intersection as the mask itself.
 
     The NI's link holds slots 0 and 4 and the router's output link,
     one slot downstream, holds slot 2, so injection slots 0, 1 and 4
@@ -251,33 +203,41 @@ def place(link_masks: dict[tuple[str, str], int], spec: ChannelSpec,
     >>> link_masks = {("ni0_0_0", "r0_0"): 0b10001,
     ...               ("r0_0", "ni0_0_1"): 0b00100}
     >>> spec = ChannelSpec("c", "a", "b", 1.0)
-    >>> quotes = quote_routes(point, spec, [path])
-    >>> ca, width = place(link_masks, spec, quotes, choose_slots_fast, 8)
+    >>> quotes = QuoteMemo(spec, point)
+    >>> ca, width = place(link_masks, spec, [path], quotes,
+    ...                   choose_slots_fast, 8)
     >>> ca.slots, width
     ((2,), 5)
     >>> ca.link_occupancy
     ((('ni0_0_0', 'r0_0'), 4), (('r0_0', 'ni0_0_1'), 8))
+    >>> quotes
+    {2: (1, None)}
     """
     full = (1 << size) - 1
-    for cand in candidates:
+    for path in paths:
+        quote = quotes.quote(path)
+        if isinstance(quote, str):
+            if failures is not None:
+                failures.append(f"{path!r}: {quote}")
+            continue
+        n_slots, max_gap = quote
         busy = 0
-        path = cand.path
         for key, shift in zip(path.link_keys(), path.link_shifts):
             busy |= rotate_mask(link_masks[key], shift, size)
             if busy == full:
                 break
         mask = full ^ busy
         width = mask.bit_count()
-        if width < cand.n_slots:
+        if width < n_slots:
             if failures is not None:
-                failures.append(f"{cand.path!r}: {width} free slots < "
-                                f"{cand.n_slots} needed")
+                failures.append(f"{path!r}: {width} free slots < "
+                                f"{n_slots} needed")
             continue
-        slots = choose(mask, cand.n_slots, size, max_gap=cand.max_gap)
+        slots = choose(mask, n_slots, size, max_gap=max_gap)
         if slots is None:
             if failures is not None:
-                failures.append(f"{cand.path!r}: free slots cannot "
-                                f"satisfy gap <= {cand.max_gap}")
+                failures.append(f"{path!r}: free slots cannot "
+                                f"satisfy gap <= {max_gap}")
             continue
-        return ChannelAllocation(spec, cand.path, slots, size), width
+        return ChannelAllocation(spec, path, slots, size), width
     return None

@@ -9,18 +9,16 @@ the *current* occupancy is precomputed and cached — by the allocator,
 once for every service that shares it, never per controller:
 
 * candidate routes come from the allocator's memoised k-shortest cache
-  (:meth:`~repro.core.allocation.SlotAllocator.shortest_candidates`);
-* per (source NI, destination NI, requirement) triple, the slot count
-  and latency-gap constraint of a candidate path are computed the first
-  time a placement reaches that path, and kept
-  (:class:`~repro.core.placement.RouteCandidate`, in the
-  :class:`~repro.core.placement.RouteQuotes` that
-  :meth:`~repro.core.allocation.SlotAllocator.route_quotes` caches),
-  together with the keys and slot shifts of the links the path
-  traverses.  Most admissions place on the first route, so the later
-  ones are usually never quoted; candidates of equal traversal time
-  share one computation.  The records name links, not tables, so a
-  fresh controller over a warm allocator starts warm;
+  (:meth:`~repro.core.allocation.SlotAllocator.shortest_candidates`),
+  each with the keys and slot shifts of the links it traverses;
+* per (throughput, latency) requirement, the slot count and
+  latency-gap constraint of a route of a given traversal time are
+  computed the first time a placement reaches such a route, and kept
+  (the requirement's :class:`~repro.core.placement.QuoteMemo` in
+  :attr:`~repro.core.allocation.SlotAllocator.quote_memo`), for every
+  NI pair at once.  Most admissions place on the first route, so the
+  later ones are usually never quoted.  Nothing cached names a table,
+  so a fresh controller over a warm allocator starts warm;
 * the per-admission work that remains is the placement loop every
   allocation shares (:func:`~repro.core.placement.place`: one
   mask lookup and one OR per link over integer occupancy bitmasks,
@@ -32,7 +30,7 @@ once for every service that shares it, never per controller:
 
 The controller checks once, at construction, that its allocation fits
 the allocator (same topology object, same table size, frequency and
-word format); that is what makes every key in a candidate record
+word format); that is what makes every key of a candidate route
 resolvable in the hot loop, and every quote valid at the allocation's
 operating point.
 
@@ -43,9 +41,9 @@ ReconfigurationManager`.
 
 Under fault injection the controller honours its allocation's failed
 fabric (:attr:`~repro.core.allocation.Allocation.excluded_links`):
-candidates whose route crosses it are skipped at admit time, at zero
+candidate routes that cross it are skipped at admit time, at zero
 cost to the healthy hot path (one emptiness check).  The allocator's
-candidate cache is fault-agnostic, so repairs need no invalidation.
+caches are fault-agnostic, so repairs need no invalidation.
 """
 
 from __future__ import annotations
@@ -92,8 +90,9 @@ class AdmissionController:
         self.rejects_failed_fabric = 0
         self.rejects_no_capacity = 0
         self.releases = 0
-        #: Admissions whose candidate records the allocator already held
-        #: / had to build (it may have been warmed by another service).
+        #: Admissions whose requirement's quote memo the allocator
+        #: already held / had to make (it may have been warmed by
+        #: another service).
         self.path_hits = 0
         self.path_misses = 0
         # Instruments are resolved once here (the cold path), which
@@ -134,7 +133,8 @@ class AdmissionController:
         deterministic (shortest first) order; the first route whose
         free-slot intersection can satisfy both the slot count and the
         gap constraint wins and is committed atomically.  A failed
-        admission commits nothing.
+        admission commits nothing, and only then is its reason worked
+        out.
         """
         allocation = self.allocation
         if spec.name in allocation.channels:
@@ -142,17 +142,18 @@ class AdmissionController:
                 f"session {spec.name!r} is already admitted",
                 channel=spec.name, reason="session already admitted")
         allocator = self.allocator
-        candidates = allocator.cached_route_quotes(src_ni, dst_ni, spec)
-        if candidates is None:
-            candidates = allocator.route_quotes(src_ni, dst_ni, spec)
+        quotes = allocator.quote_memo.get(
+            (spec.throughput_bytes_per_s, spec.max_latency_ns))
+        if quotes is None:
+            quotes = allocator.route_quotes(spec)
             self.path_misses += 1
         else:
             self.path_hits += 1
+        paths = allocator.shortest_candidates(src_ni, dst_ni)
         excluded = allocation.excluded_links
-        usable = candidates if not excluded else [
-            cand for cand in candidates
-            if excluded.isdisjoint(cand.path.link_keys())]
-        placed = place(allocation.link_masks, spec, usable,
+        usable = paths if not excluded else [
+            path for path in paths if excluded.isdisjoint(path.link_keys())]
+        placed = place(allocation.link_masks, spec, usable, quotes,
                        choose_slots_fast, allocator.table_size)
         if placed is not None:
             ca, width = placed
@@ -164,11 +165,14 @@ class AdmissionController:
         self.rejects += 1
         # Distinguish transient capacity exhaustion (retry later may
         # succeed) from requirements no route can ever meet, and from
-        # routes that exist but cross failed fabric.
-        if not candidates:
+        # routes that could meet them but cross failed fabric.
+        meeting = [path for path in paths
+                   if not isinstance(quotes.quote(path), str)]
+        if not meeting:
             reason = "no route can meet the requirements"
             self.rejects_no_route += 1
-        elif not usable:
+        elif excluded and not any(excluded.isdisjoint(path.link_keys())
+                                  for path in meeting):
             reason = "every candidate route crosses failed fabric"
             self.rejects_failed_fabric += 1
         else:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import itertools
 import pickle
 import random
 
@@ -17,8 +16,7 @@ from repro.core.analysis import analyse, channel_bounds
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.path import make_path
-from repro.core.placement import (ChannelAllocation, RouteCandidate,
-                                  RouteQuotes, place, quote_routes)
+from repro.core.placement import ChannelAllocation, QuoteMemo, place
 from repro.core.requirements import latency_bound_ns, slots_for_channel
 from repro.core.slot_table import (choose_slots_fast, shifted, slots_to_mask,
                                    spread_slots)
@@ -461,6 +459,21 @@ def _placed(fit):
     return None if fit is None else (fit[0].path, fit[0].slots)
 
 
+def _quoted(spec, path, size, fmt, frequency_hz=500e6):
+    """The quote of ``spec`` on ``path``, path by path with no sharing:
+    ``slots_for_channel``'s answer or its refusal's reason."""
+    try:
+        return slots_for_channel(spec, path, size, frequency_hz, fmt)
+    except AllocationError as exc:
+        return exc.reason
+
+
+def _meets(spec, path, point):
+    """Whether some slots on ``path`` could meet ``spec`` at ``point``."""
+    return not isinstance(_quoted(spec, path, point.table_size, point.fmt,
+                                  point.frequency_hz), str)
+
+
 def _reference_fit(allocation, spec, paths, choose):
     """The placement loop before ``admit`` and ``extend`` shared one,
     kept as their oracle: free injection slots are read off the link
@@ -530,25 +543,25 @@ class TestOnePlacementPath:
 
     def _check_admit(self, ctrl, spec, src, dst):
         allocator, allocation = ctrl.allocator, ctrl.allocation
-        quotes = allocator.route_quotes(src, dst, spec)
-        usable = [cand for cand in quotes
-                  if allocation.excluded_links.isdisjoint(
-                      cand.path.link_keys())]
+        paths = allocator.shortest_candidates(src, dst)
+        usable = [p for p in paths
+                  if allocation.excluded_links.isdisjoint(p.link_keys())]
         placed = _placed(place(allocation.link_masks, spec, usable,
+                               QuoteMemo(spec, allocator),
                                choose_slots_fast, self.SIZE))
-        reference, _ = _reference_fit(
-            allocation, spec,
-            [p for p in allocator.shortest_candidates(src, dst)
-             if allocation.excluded_links.isdisjoint(p.link_keys())],
-            choose_slots_fast)
+        reference, _ = _reference_fit(allocation, spec, usable,
+                                      choose_slots_fast)
+        meeting = [p for p in paths if _meets(spec, p, allocator)]
         try:
             ca = ctrl.admit(spec, src, dst)
         except AllocationError as exc:
             assert placed is None and reference is None
             assert exc.reason == (
-                "no route can meet the requirements" if not quotes
+                "no route can meet the requirements" if not meeting
                 else "every candidate route crosses failed fabric"
-                if not usable else "no candidate route has capacity")
+                if not any(allocation.excluded_links.isdisjoint(
+                    p.link_keys()) for p in meeting)
+                else "no candidate route has capacity")
         else:
             assert (ca.path, ca.slots) == placed == reference
             assert allocation.channels[spec.name] is ca
@@ -565,9 +578,8 @@ class TestOnePlacementPath:
             return
         reasons: list[str] = []
         placed = _placed(place(
-            allocation.link_masks, spec,
-            quote_routes(allocator, spec, paths, reasons), spread_slots,
-            self.SIZE, reasons))
+            allocation.link_masks, spec, paths, QuoteMemo(spec, allocator),
+            spread_slots, self.SIZE, reasons))
         reference, reference_reasons = _reference_fit(
             allocation, spec, paths, spread_slots)
         assert reasons == reference_reasons
@@ -678,20 +690,12 @@ class TestRouteGeometryOnce:
             spec = ChannelSpec(
                 f"c{index}", src, dst, rng.uniform(5, 400) * MB,
                 max_latency_ns=rng.choice((None, rng.uniform(15, 400))))
-            expected = []
-            for path in reference:
-                try:
-                    n, gap = slots_for_channel(spec, path, self.SIZE,
-                                               500e6, fmt)
-                except AllocationError:
-                    continue
-                expected.append(RouteCandidate(
-                    path=path, n_slots=n, max_gap=gap))
-            quotes = allocator.route_quotes(src, dst, spec)
-            assert list(quotes) == expected  # dataclass ==: every field
+            quotes = allocator.route_quotes(spec)
+            assert [quotes.quote(p) for p in paths] == [
+                _quoted(spec, p, self.SIZE, fmt) for p in reference]
             # Unreduced shifts (pipelined paths outrun the 8-slot table)
             # place exactly what a slot-by-slot walk places.
-            fit = place(allocation.link_masks, spec, quotes,
+            fit = place(allocation.link_masks, spec, paths, quotes,
                         choose_slots_fast, self.SIZE)
             walked, _ = _reference_fit(allocation, spec, reference,
                                        choose_slots_fast)
@@ -712,9 +716,10 @@ class TestRouteGeometryOnce:
         allocation.validate()
 
     def test_jittered_churn_searches_once_per_router_pair(self):
-        """Count guard: searches are bounded by router pairs while the
-        quote cache still misses by the thousand, and a second service
-        over the same allocator searches nothing."""
+        """Count guard: searches are bounded by router pairs and quote
+        memos by requirements, while the NI-pair paths assembled number
+        in the hundreds, and a second service over the same allocator
+        searches and quotes nothing."""
         topo = concentrated_mesh(4, 3, nis_per_router=4)
         rng = random.Random(19)
         classes = tuple(
@@ -744,7 +749,12 @@ class TestRouteGeometryOnce:
             return tel.value("allocator.kshortest_expansions")
 
         first = serve()
-        assert first.path_misses > 900
+        requirements = {(q.throughput_mb_s, q.max_latency_ns)
+                        for q in classes}
+        assert 0 < first.path_misses == len(allocator.quote_memo) \
+            <= len(requirements)
+        assert first.path_hits + first.path_misses \
+            == first.admits + first.rejects == 1000
         assembled = tel.value("allocator.kpath_cache", outcome="miss")
         assert 0 < searches() <= len(topo.routers) ** 2 < assembled
         before = searches()
@@ -785,10 +795,9 @@ class TestRouteGeometryOnce:
             assert second.shortest_candidates(*pair) is held[pair]
             assert second.shortest_candidates(*pair) == \
                 tuple(k_shortest_paths(topo, *pair, PATH_CANDIDATES))
-            ours, theirs = (a.route_quotes(*pair, spec)
-                            for a in (second, first))
-            assert [q.path for q in ours] == [q.path for q in theirs]
-            assert [q.n_slots for q in ours] != [q.n_slots for q in theirs]
+            ours, theirs = ([a.route_quotes(spec).quote(p)
+                             for p in held[pair]] for a in (second, first))
+            assert ours != theirs
         assert searched == []
         assert tel.value("allocator.kshortest_expansions") == expansions
         assert tel.value("allocator.kpath_cache",
@@ -971,44 +980,49 @@ def _outcome(check) -> str | None:
 
 
 class TestFastPathsHoldToTheirOracles:
-    """Lazy quotes against the eager record, and ``validate``'s mask pass
-    against the per-slot derivation that backs it."""
+    """The quote memo against the per-path arithmetic, and
+    ``validate``'s mask pass against the per-slot derivation that backs
+    it."""
 
     @settings(max_examples=60, deadline=None)
     @given(topo=BUILDERS, data=st.data())
-    def test_lazy_quotes_equal_the_eager_record(self, topo, data):
+    def test_the_memo_equals_the_per_path_arithmetic(self, topo, data):
+        """Every memo entry is what ``slots_for_channel`` gives on each
+        path that reads it, or that call's refusal reason; and paths of
+        equal traversal time get one answer from it — the fact a memo
+        keyed by traversal time, over every NI pair, rests on."""
         nis = sorted(topo.nis)
         assume(len(nis) >= 2)
+        rng = random.Random(data.draw(st.integers(0, 10_000)))
+        # Random stages on every link, router and NI links alike.
+        for key in sorted(topo.iter_link_keys()):
+            topo.set_pipeline_stages(*key, rng.randint(0, 3))
         size = data.draw(st.sampled_from((8, 16)))
         allocator = _allocator(topo, table_size=size)
-        src, dst = data.draw(st.lists(st.sampled_from(nis), min_size=2,
-                                      max_size=2, unique=True))
-        spec = ChannelSpec(
-            "c", src, dst,
-            # 5 000 MB/s exceeds every table: the empty result.
-            data.draw(st.sampled_from((0.0, 5.0, 60.0, 300.0, 5000.0))) * MB,
-            # Below 18 ns no path's traversal fits: empty again.
-            max_latency_ns=data.draw(st.one_of(st.none(),
-                                               st.floats(1.0, 300.0))))
-        paths = allocator.shortest_candidates(src, dst)
-        reasons: list[str] = []
-        eager = tuple(quote_routes(allocator, spec, paths, reasons))
-        # Per path, with no sharing between equal traversal times.
-        expected, expected_reasons = [], []
-        for path in paths:
-            try:
-                n, gap = slots_for_channel(spec, path, size, 500e6,
-                                           allocator.fmt)
-            except AllocationError as exc:
-                expected_reasons.append(f"{path!r}: {exc.reason}")
-            else:
-                expected.append((path, n, gap))
-        assert [(q.path, q.n_slots, q.max_gap) for q in eager] == expected
-        assert reasons == expected_reasons
-
-        fresh = RouteQuotes(quote_routes(allocator, spec, paths))
-        assert bool(fresh) == bool(eager)
-        assert list(zip(iter(fresh), iter(fresh))) == [(q, q) for q in eager]
+        fmt = allocator.fmt
+        pairs = [(a, b) for a in nis for b in nis if a != b]
+        paths = [path for pair in rng.sample(pairs, min(8, len(pairs)))
+                 for path in allocator.shortest_candidates(*pair)]
+        requirements = data.draw(st.lists(st.tuples(
+            # 5 000 MB/s exceeds every table: refused on every route.
+            st.sampled_from((0.0, 5.0, 60.0, 300.0, 5000.0)),
+            # Below about 18 ns no route's traversal fits: refused too.
+            st.one_of(st.none(), st.floats(1.0, 300.0))),
+            min_size=1, max_size=4))
+        for index, (rate, latency) in enumerate(requirements):
+            spec = ChannelSpec(f"c{index}", "a", "b", rate * MB,
+                               max_latency_ns=latency)
+            memo = allocator.route_quotes(spec)
+            by_traversal = {}
+            for path in paths:
+                expected = _quoted(spec, path, size, fmt)
+                assert memo.quote(path) == expected
+                assert by_traversal.setdefault(
+                    path.traversal_slots, expected) == expected
+            assert memo == by_traversal
+            # Another channel of the requirement reads the same memo.
+            assert allocator.route_quotes(ChannelSpec(
+                "other", "x", "y", rate * MB, max_latency_ns=latency)) is memo
 
         calls: list[int] = []
 
@@ -1016,21 +1030,13 @@ class TestFastPathsHoldToTheirOracles:
             calls.append(path.traversal_slots)
             return slots_for_channel(spec, path, *rest)
 
-        k = data.draw(st.integers(0, len(eager) + 1))
-        reached = (0 if k == 0 else len(paths) if k > len(eager)
-                   else paths.index(eager[k - 1].path) + 1)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("repro.core.placement.slots_for_channel",
                           counting)
-            quotes = allocator.route_quotes(src, dst, spec)
-            assert allocator.cached_route_quotes(src, dst, spec) is quotes
-            assert list(itertools.islice(quotes, k)) == list(eager[:k])
-            # Quoted as far as read, once per traversal time.
-            assert sorted(calls) == sorted(
-                {p.traversal_slots for p in paths[:reached]})
-            assert tuple(quotes) == eager  # continues from there
-            assert tuple(quotes) == eager  # the drained record
-            assert bool(quotes) == bool(eager)
+            fresh = QuoteMemo(spec, allocator)
+            for path in paths + paths:
+                fresh.quote(path)
+        # Once per traversal time, however many paths share it.
         assert sorted(calls) == sorted({p.traversal_slots for p in paths})
 
     @settings(max_examples=80, deadline=None)

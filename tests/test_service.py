@@ -15,13 +15,14 @@ from repro.campaign.spec import ScenarioSpec, TopologySpec
 from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.connection import ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
+from repro.core.requirements import slots_for_channel
 from repro.core.slot_table import (choose_slots_fast, mask_to_slots,
                                    max_consecutive_gap, rotate_mask, shifted,
                                    slots_to_mask)
 from repro.core.words import WordFormat
 from repro.service import (DEFAULT_CLASSES, AdmissionController, ChurnSpec,
                            ChurnWorkload, QosClass, SessionService)
-from repro.topology.builders import concentrated_mesh, mesh
+from repro.topology.builders import concentrated_mesh, mesh, ring
 from repro.topology.mapping import Mapping
 
 
@@ -315,19 +316,17 @@ class TestAdmissionController:
 
     def test_quote_cache_is_bounded_and_eviction_is_invisible(
             self, small_mesh, monkeypatch):
-        """3x the cap in distinct requirements: the cache stays at the
-        cap and every admission decision is what an uncapped run makes."""
+        """3x the cap in distinct requirements: the memo holds exactly
+        the cap — the newest requirements — and every admission decision
+        is what an uncapped run makes."""
         from repro.core import allocation as allocation_module
-        from repro.telemetry import Telemetry
         cap = 32
         classes = [QosClass(f"c{i}", throughput_mb_s=1.0 + i * 0.25)
                    for i in range(3 * cap)]
 
         def one_pass():
-            tel = Telemetry()
             allocator = SlotAllocator(small_mesh, table_size=16,
                                       frequency_hz=500e6)
-            allocator.set_telemetry(tel)
             ctrl = AdmissionController(allocator)
             out = []
             # Twice over, so the second round re-quotes evicted keys.
@@ -339,24 +338,113 @@ class TestAdmissionController:
                     ctrl.release(spec.name)
                 except AllocationError as exc:
                     out.append(exc.reason)
-            return out, allocator, tel
+            return out, allocator, ctrl
 
-        uncapped, allocator, tel = one_pass()
-        assert len(allocator._quote_cache) == 3 * cap
-        assert tel.value("allocator.quote_cache", outcome="evict") == 0
+        uncapped, allocator, ctrl = one_pass()
+        assert len(allocator.quote_memo) == 3 * cap
+        assert (ctrl.path_misses, ctrl.path_hits) == (3 * cap, 3 * cap)
         monkeypatch.setattr(allocation_module, "QUOTE_CACHE_CAP", cap)
-        capped, allocator, tel = one_pass()
-        assert len(allocator._quote_cache) == cap
-        assert tel.value("allocator.quote_cache", outcome="miss") \
-            == 6 * cap
-        assert tel.value("allocator.quote_cache", outcome="evict") \
-            == 5 * cap
+        capped, allocator, ctrl = one_pass()
+        assert list(allocator.quote_memo) == [
+            (qos.throughput_mb_s * 1e6, None) for qos in classes[-cap:]]
+        # Oldest-inserted first out: every second-round read misses.
+        assert (ctrl.path_misses, ctrl.path_hits) == (6 * cap, 0)
         assert capped == uncapped
 
-    def test_section7_working_set_fits_the_quote_cache(self):
+    def test_section7_working_set_fits_the_quote_cache(self, sec7_mesh):
+        """Section VII churn quotes per QoS class, whatever the NI pair:
+        its working set is 4 requirements, far below the cap."""
         from repro.core.allocation import QUOTE_CACHE_CAP
-        assert QUOTE_CACHE_CAP > 48 * 47 * len(DEFAULT_CLASSES)
+        service = SessionService(sec7_mesh, allocator=_allocator(sec7_mesh),
+                                 record_events=False)
+        events = ChurnWorkload(ChurnSpec(n_sessions=400), sec7_mesh,
+                               7).events()
+        assert service.run(events).invariant["ok"]
+        admission = service.admission
+        assert admission.path_misses == len(service.allocator.quote_memo) \
+            == len(DEFAULT_CLASSES) == 4
+        assert admission.path_hits == 400 - 4
+        assert QUOTE_CACHE_CAP > 1000 * len(DEFAULT_CLASSES)
 
+    # Admission's reasons, most fundamental first; the text reaches
+    # session reports and campaign records.
+    NO_ROUTE = "no route can meet the requirements"
+    FAILED_FABRIC = "every candidate route crosses failed fabric"
+    NO_CAPACITY = "no candidate route has capacity"
+    TALLY = {NO_ROUTE: "rejects_no_route",
+             FAILED_FABRIC: "rejects_failed_fabric",
+             NO_CAPACITY: "rejects_no_capacity"}
+
+    def _refused(self, ctrl, spec, src, dst, reason):
+        """Admit ``spec``, expect ``reason``, and check that exactly its
+        own tally and the reject total moved, by one, and nothing was
+        committed."""
+        tallies = ("rejects", *self.TALLY.values())
+        before = {attr: getattr(ctrl, attr) for attr in tallies}
+        held = dict(ctrl.allocation.link_masks)
+        with pytest.raises(AllocationError) as excinfo:
+            ctrl.admit(spec, src, dst)
+        assert excinfo.value.reason == reason
+        assert str(excinfo.value) == (
+            f"cannot admit session {spec.name!r} ({src} -> {dst}, "
+            f"{spec.throughput_bytes_per_s / 1e6:.3g} MB/s): {reason}")
+        assert {attr: getattr(ctrl, attr) - before[attr]
+                for attr in tallies} == {
+            attr: int(attr in ("rejects", self.TALLY[reason]))
+            for attr in tallies}
+        assert ctrl.allocation.link_masks == held
+
+    def _ring_pair(self):
+        """A four-router ring and its neighbour NIs: a one-hop route and
+        a three-hop one the other way round."""
+        topo = ring(4)
+        ctrl = self._controller(topo)
+        short, long = ctrl.allocator.shortest_candidates("ni0_0_0",
+                                                         "ni1_0_0")
+        assert (len(short.routers), len(long.routers)) == (2, 4)
+        return ctrl, short, long
+
+    def test_each_reject_reason_is_pinned(self):
+        ctrl, short, long = self._ring_pair()
+        ends = ("ni0_0_0", "ni1_0_0")
+        free = QosClass("free", throughput_mb_s=10.0)
+        # No route: no latency is met by any route, failed fabric or not.
+        now = QosClass("now", throughput_mb_s=1.0, max_latency_ns=0.5)
+        self._refused(ctrl, now.channel_spec("a", *ends), *ends,
+                      self.NO_ROUTE)
+        ctrl.allocation.set_failed(failed_links=[short.link_keys()[1]])
+        self._refused(ctrl, now.channel_spec("b", *ends), *ends,
+                      self.NO_ROUTE)
+        # No capacity: the long way round avoids the failure but is full.
+        fat = QosClass("fat", throughput_mb_s=700.0)
+        ctrl.admit(fat.channel_spec("c", *ends), *ends)
+        self._refused(ctrl, fat.channel_spec("d", *ends), *ends,
+                      self.NO_CAPACITY)
+        # Failed fabric: both ways round cross a failed link.
+        ctrl.allocation.set_failed(failed_links=[short.link_keys()[1],
+                                                 long.link_keys()[1]])
+        self._refused(ctrl, free.channel_spec("e", *ends), *ends,
+                      self.FAILED_FABRIC)
+        assert (ctrl.rejects_no_route, ctrl.rejects_no_capacity,
+                ctrl.rejects_failed_fabric, ctrl.rejects) == (2, 1, 1, 4)
+
+    def test_a_fault_free_route_that_misses_the_latency_is_failed_fabric(
+            self):
+        """Only the failed one-hop route can meet the latency, and the
+        fault-free three-hop one cannot: the routes that could carry the
+        session cross failed fabric, which is what the reason says."""
+        ctrl, short, long = self._ring_pair()
+        ends = ("ni0_0_0", "ni1_0_0")
+        fmt, f = ctrl.allocator.fmt, ctrl.allocator.frequency_hz
+        tight = QosClass("tight", throughput_mb_s=10.0, max_latency_ns=(
+            short.traversal_slots + 1.5) * fmt.flit_size / f * 1e9)
+        spec = tight.channel_spec("a", *ends)
+        slots_for_channel(spec, short, 16, f, fmt)
+        with pytest.raises(AllocationError) as infeasible:
+            slots_for_channel(spec, long, 16, f, fmt)
+        assert infeasible.value.reason == "latency below path traversal time"
+        ctrl.allocation.set_failed(failed_links=[short.link_keys()[1]])
+        self._refused(ctrl, spec, *ends, self.FAILED_FABRIC)
 
 def _allocator(topo, table_size=32):
     return SlotAllocator(topo, table_size=table_size, frequency_hz=500e6)

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.connection import ChannelSpec
-from repro.core.placement import RouteCandidate, place
+from repro.core.placement import QuoteMemo, place
 from repro.core.slot_table import (_nearest, choose_slots_fast,
                                    ideal_positions, max_consecutive_gap,
                                    shifted, slots_to_mask, spread_slots,
                                    worst_case_wait_slots)
+from repro.core.words import WordFormat
 
 
 class TestShift:
@@ -224,25 +227,27 @@ def ref_first_fit(link_masks, candidates, ref_choose, size):
     """:func:`place` read slot by slot: a candidate's free injection
     slots are those no hop holds once shifted, handed to ``ref_choose``
     as a set."""
-    for cand in candidates:
+    for route, n_slots, max_gap in candidates:
         free = {slot for slot in range(size)
                 if not any(link_masks[key] >> ((slot + shift) % size) & 1
-                           for key, shift in zip(cand.path.link_keys(),
-                                                 cand.path.link_shifts))}
-        if len(free) < cand.n_slots:
+                           for key, shift in zip(route.link_keys(),
+                                                 route.link_shifts))}
+        if len(free) < n_slots:
             continue
-        slots = ref_choose(free, cand.n_slots, size, cand.max_gap)
+        slots = ref_choose(free, n_slots, size, max_gap)
         if slots is not None:
-            return cand, slots, len(free)
+            return route, slots, len(free)
     return None
 
 
 class _Route:
-    """What a placed record reads of a route: its link keys and shifts."""
+    """What a placement reads of a route: its link keys and shifts, and
+    the traversal time its quote is kept under."""
 
-    def __init__(self, hops):
+    def __init__(self, hops, traversal_slots):
         self._keys = tuple(key for key, _ in hops)
         self.link_shifts = tuple(shift for _, shift in hops)
+        self.traversal_slots = traversal_slots
 
     def link_keys(self):
         return self._keys
@@ -255,14 +260,13 @@ def placements(draw):
     keys = [(f"a{i}", f"b{i}") for i in range(draw(st.integers(1, 4)))]
     link_masks = {key: draw(st.integers(0, (1 << size) - 1)) for key in keys}
     candidates = []
-    for _ in range(draw(st.integers(1, 4))):
+    for index in range(draw(st.integers(1, 4))):
         hops = tuple(draw(st.lists(
             st.tuples(st.sampled_from(keys), st.integers(0, 3 * size)),
             min_size=1, max_size=4)))
-        candidates.append(RouteCandidate(
-            path=_Route(hops),
-            n_slots=draw(st.integers(1, size)),
-            max_gap=draw(st.none() | st.integers(1, size))))
+        candidates.append((_Route(hops, index),
+                           draw(st.integers(1, size)),
+                           draw(st.none() | st.integers(1, size))))
     return link_masks, candidates, size
 
 
@@ -302,15 +306,20 @@ class TestOutwardWalk:
     def test_place_places_as_the_set_based_reference(self, placement):
         link_masks, candidates, size = placement
         spec = ChannelSpec("c", "a", "b", 1.0)
+        # Each route its own traversal time, quoted in advance.
+        quotes = QuoteMemo(spec, SimpleNamespace(
+            table_size=size, frequency_hz=500e6, fmt=WordFormat()))
+        quotes.update((route.traversal_slots, (n_slots, max_gap))
+                      for route, n_slots, max_gap in candidates)
+        routes = [route for route, _, _ in candidates]
         for choose, ref_choose in ((choose_slots_fast, ref_choose_slots_fast),
                                    (spread_slots, ref_spread_slots)):
-            placed = place(link_masks, spec, candidates, choose, size)
+            placed = place(link_masks, spec, routes, quotes, choose, size)
             reference = ref_first_fit(link_masks, candidates, ref_choose,
                                       size)
             assert (None if placed is None else
                     (placed[0].path, placed[0].slots, placed[1])) == \
-                (None if reference is None else
-                 (reference[0].path, reference[1], reference[2]))
+                reference
 
     @pytest.mark.parametrize("chooser", [spread_slots, choose_slots_fast])
     @pytest.mark.parametrize("mask, top", [

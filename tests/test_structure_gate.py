@@ -85,10 +85,16 @@ def test_the_tree_passes():
      "static lifetime table must be built in one place"),
     ("simulation/compiled.py", "from repro.simulation.flitsim import execute",
      "the two flit executors import from each other"),
-    ("service/admission.py", "Q = RouteCandidate(None, 1, None, (), ())",
-     "RouteCandidate( must be constructed once"),
+    ("core/placement.py", "class RouteQuotes: pass",
+     "a per-(NI pair, requirement) quote cache"),
+    ("core/allocation.py", "def cached_route_quotes(self): pass",
+     "a per-(NI pair, requirement) quote cache"),
+    ("core/allocation.py", "_quote_cache = {}",
+     "a per-(NI pair, requirement) quote cache"),
+    ("service/admission.py", "Q = RouteCandidate(None, 1, None)",
+     "a per-(NI pair, requirement) quote cache"),
     ("service/admission.py", "Q = tuple(quote_routes(None, None, ()))",
-     "quotes are materialised eagerly"),
+     "a per-(NI pair, requirement) quote cache"),
     ("core/placement.py", "N = slots_for_channel(None, None, 8, 1.0, None)",
      "slots_for_channel( must occur once in core/placement.py"),
     ("core/placement.py", "S = choose(mask_to_slots(0), 1, 8)",

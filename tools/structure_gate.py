@@ -46,11 +46,11 @@ RULES = [
      "work on the free-slot mask)"),
     (r"slots_for_channel\(", ("src/repro/core/placement.py",), None, ONCE,
      "slots_for_channel( must occur once in core/placement.py"),
-    (r"RouteCandidate\(", SRC, None, ONCE,
-     "RouteCandidate( must be constructed once under src/repro "
-     "(quote_routes)"),
-    (r"tuple\(quote_routes\(", SRC, None, NONE,
-     "quotes are materialised eagerly again (tuple(quote_routes(...)))"),
+    (r"\b(RouteQuotes|cached_route_quotes|_quote_cache|RouteCandidate|"
+     r"quote_routes)\b", SRC, None, NONE,
+     "a per-(NI pair, requirement) quote cache or its candidate records "
+     f"{_GONE} (a quote is per requirement and traversal time: "
+     "SlotAllocator.quote_memo)"),
     (r"\bshifted\(", ("src/repro/core/allocation.py",
                       "src/repro/core/placement.py"), None, NONE,
      "shifted( is called in core/allocation.py or core/placement.py: "
