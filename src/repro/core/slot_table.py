@@ -182,7 +182,9 @@ def spread_slots(free_mask: int, n: int, size: int,
 
     The heuristic anchors an equidistant template at each free slot, assigns
     every template position to the nearest remaining free slot, and keeps
-    the anchoring with the smallest maximum gap.  If ``max_gap`` is given
+    the first anchoring with the smallest maximum gap — so it stops at the
+    first whose largest gap is ``ceil(size / n)``, which no ``n`` slots
+    beat.  If ``max_gap`` is given
     and the best choice of ``n`` slots still exceeds it, additional free
     slots are inserted into the largest gaps until the constraint holds or
     free slots run out.
@@ -194,24 +196,30 @@ def spread_slots(free_mask: int, n: int, size: int,
     (0, 4, 8, 12)
     """
     n, size, offsets = _checked(free_mask, n, size)
-    if free_mask.bit_count() < n:
+    free = free_mask.bit_count()
+    if free < n:
         return None
     best = 0
     best_gap = size + 1
+    # n gaps sum to size, so no choice of n slots has a largest gap below
+    # this; the first anchoring that reaches it is the one kept.
     optimal = (size + n - 1) // n
-    anchors = mask_to_slots(free_mask)
     # Anchoring at every free slot is O(|free|^2 * n) in the worst case but
-    # tables are small (typically 8..64 slots); measured cost is negligible
-    # next to simulation.
-    if len(anchors) > 64:
-        anchors = anchors[::2]
-    for anchor in anchors:
-        chosen = _assign_near_ideal(free_mask, offsets, size, anchor)
+    # tables are small (typically 8..64 slots); above 64 free slots every
+    # second one anchors.
+    anchors = free_mask
+    while anchors:
+        low = anchors & -anchors
+        anchors ^= low
+        if free > 64:
+            anchors &= anchors - 1
+        chosen = _assign_near_ideal(free_mask, offsets, size,
+                                    low.bit_length() - 1)
         gap = _largest_gap(chosen, size)[1]
         if gap < best_gap:
             best, best_gap = chosen, gap
-            if max_gap is None and gap <= optimal:
-                break  # already optimal for n slots
+            if gap == optimal:
+                break
     if max_gap is not None and best_gap > max_gap:
         best = _fill_gaps(best, free_mask, size, max_gap)
         if best is None:

@@ -39,8 +39,9 @@ The compiled representation has three layers:
   :class:`~repro.simulation.monitors.DeliveryRecord` objects (or trace
   tuples) when a monitor, ``verify_timeline`` or a campaign serialiser
   actually asks.  Aggregates that do not need records — message counts,
-  latency populations, the use-case service-latency check — are computed
-  directly from the arrays.
+  latency populations, the use-case service-latency check — are slices
+  of columns the :class:`_Batch` derives for all its runs at once, on
+  the first read that needs each.
 
 Everything is exact integer arithmetic on the same quantities the
 per-flit path computes, so the materialised records are *equal* —
@@ -67,6 +68,7 @@ imports it (and with it numpy) on the first simulated run, never with
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -245,12 +247,99 @@ class _Batch:
     ``arrivals`` and the per-message solution beside them — ``k``
     service-start indices, ``actual`` flits injected before the
     incarnation's end, the ``completed`` mask and the ``last`` slot of
-    each message's final flit were it to complete — plus the run's slot
-    geometry."""
+    each message's final flit were it to complete — plus each segment's
+    ``starts`` slot and ``traversals`` (slots from injection to
+    delivery) and the run's slot geometry.
+
+    What every reader of a run shares is derived from those columns for
+    the whole batch at once, on the first read that needs it, and kept:
+    the readers of :class:`_IntervalRun` slice it.  A column derived
+    over the completed messages holds segment ``i``'s in
+    ``[cuts[i], cuts[i + 1])``.
+    """
 
     COLUMNS = ("k", "actual", "completed", "last")
-    __slots__ = COLUMNS + ("arrivals", "table_size", "flit_size",
-                           "period_ps", "bytes_per_word")
+    SOLVED = COLUMNS + ("arrivals", "starts", "traversals", "table_size",
+                        "flit_size", "period_ps", "bytes_per_word")
+
+    def __copy__(self) -> "_Batch":
+        """A copy of what was solved, none of what was derived: a copy is
+        made to have a column edited, and must derive from its own."""
+        fresh = _Batch()
+        vars(fresh).update((name, getattr(self, name))
+                           for name in self.SOLVED)
+        return fresh
+
+    @cached_property
+    def cuts(self) -> list[int]:
+        """Each segment's bounds into the completed messages."""
+        return _np.searchsorted(_np.flatnonzero(self.completed),
+                                self.arrivals.bounds).tolist()
+
+    @cached_property
+    def done_last(self):
+        """Final-flit slot of every completed message."""
+        return self.last[self.completed]
+
+    def _latency_cycles(self):
+        """Delivery less creation cycle of every completed message — its
+        end-to-end latency in cycles — as a fresh array."""
+        np = _np
+        done = self.completed
+        cycles = np.repeat(self.traversals - self.starts, np.diff(self.cuts))
+        cycles += self.last[done]
+        cycles *= self.flit_size
+        cycles -= self.arrivals.cycles[done]
+        return cycles
+
+    @cached_property
+    def latencies_ns(self):
+        """End-to-end latency of every completed message, in ns."""
+        cycles = self._latency_cycles()
+        cycles *= self.period_ps
+        return cycles / 1000.0
+
+    @cached_property
+    def service_ns(self):
+        """Service latency of every completed message, in ns: delivery
+        less the later of its creation and the previous message's
+        injection — the lesser of its end-to-end latency and the cycles
+        since that injection — the chain restarting at every segment."""
+        np = _np
+        cycles = self._latency_cycles()
+        last = self.last[self.completed]
+        since = np.repeat(self.traversals, np.diff(self.cuts))
+        since += last
+        since[1:] -= last[:-1]
+        del last
+        since *= self.flit_size
+        firsts = np.array(self.cuts[:-1], np.int64)
+        firsts = firsts[firsts < since.size]
+        since[firsts] = cycles[firsts]  # no previous message: end to end
+        np.minimum(cycles, since, out=cycles)
+        del since
+        cycles *= self.period_ps
+        return cycles / 1000.0
+
+    @cached_property
+    def unordered(self) -> frozenset[int]:
+        """Segments whose message ids do not ascend."""
+        np = _np
+        mids, bounds = self.arrivals.mids, self.arrivals.bounds
+        pairs = np.flatnonzero(mids[1:] <= mids[:-1])  # rows p, p + 1
+        segment = np.searchsorted(bounds, pairs, side="right") - 1
+        return frozenset(segment[pairs + 1 < bounds[segment + 1]].tolist())
+
+    @cached_property
+    def delivered_bytes(self) -> list[int]:
+        """Payload bytes each segment's completed messages carry."""
+        np = _np
+        words = self.arrivals.words[self.completed]
+        prefix = np.zeros(words.size + 1, np.int64)
+        np.cumsum(words, out=prefix[1:])
+        cuts = np.array(self.cuts, np.int64)
+        return ((prefix[cuts[1:]] - prefix[cuts[:-1]]) *
+                self.bytes_per_word).tolist()
 
 
 def _rows(name: str) -> property:
@@ -264,29 +353,36 @@ def _rows(name: str) -> property:
 class _IntervalRun:
     """Solved recurrence of one channel incarnation over ``[start, end)``.
 
-    A view of rows ``[lo, hi)`` of its :class:`_Batch`: every column
-    reads as the incarnation's own, and the slot geometry here expands
-    them lazily into absolute slots, records and trace tuples.
+    A view of rows ``[lo, hi)`` — segment ``segment`` — of its
+    :class:`_Batch`: every column reads as the incarnation's own, the
+    readers slice what the batch derived, and the slot geometry here
+    expands the rows lazily into absolute slots, records and trace
+    tuples.
     """
 
-    __slots__ = ("batch", "lo", "hi", "channel", "start", "slots", "base",
-                 "traversal_slots", "n_flits", "n_deliveries",
-                 "_last_slots")
+    __slots__ = ("batch", "lo", "hi", "segment", "channel", "start",
+                 "slots", "base", "traversal_slots", "n_flits",
+                 "n_deliveries")
 
     cycles, words, mids = (_rows(f"arrivals.{name}")
                            for name in Arrivals.COLUMNS)
     k, actual, completed, last = map(_rows, _Batch.COLUMNS)
 
-    def __init__(self, batch: _Batch, lo: int, hi: int):
+    def __init__(self, batch: _Batch, lo: int, hi: int, segment: int):
         self.batch = batch
         self.lo = lo
         self.hi = hi
-        self._last_slots = None
+        self.segment = segment
 
     @property
     def count(self) -> int:
         """Messages that arrived within the incarnation."""
         return self.hi - self.lo
+
+    def _done(self) -> slice:
+        """The run's bounds into the batch's completed-message columns."""
+        cuts = self.batch.cuts
+        return slice(cuts[self.segment], cuts[self.segment + 1])
 
     # -- lazy expansions -------------------------------------------------------
 
@@ -297,9 +393,7 @@ class _IntervalRun:
 
     def last_slots(self):
         """Absolute slot of the final flit of each completed message."""
-        if self._last_slots is None:
-            self._last_slots = self.last[self.completed]
-        return self._last_slots
+        return self.batch.done_last[self._done()]
 
     def trace_columns(self):
         """The trace as ``(message ids, injection slots, delivery
@@ -315,11 +409,7 @@ class _IntervalRun:
 
     def latencies_ns(self) -> list[float]:
         """Delivery latencies, identical floats to the record path."""
-        flit_size = self.batch.flit_size
-        delivered = (self.last_slots() + self.traversal_slots) * flit_size
-        created = self.start * flit_size + self.cycles[self.completed]
-        return (((delivered - created) * self.batch.period_ps) /
-                1000.0).tolist()
+        return self.batch.latencies_ns[self._done()].tolist()
 
     def append_records(self, sink) -> None:
         """Expand into per-flit records on a ``ChannelStats`` sink."""
@@ -363,35 +453,20 @@ class _IntervalRun:
     def first_injection_slot(self) -> int:
         """Absolute slot of the run's first flit.  ``k`` ascends strictly
         and a run exists only if it injected, so message 0 went first."""
-        return int(self._slots_of(self.base + self.k[0]))
+        rotations, index = divmod(self.base + int(self.batch.k[self.lo]),
+                                  len(self.slots))
+        return rotations * self.batch.table_size + self.slots[index]
 
     def delivered_bytes(self) -> int:
         """Payload bytes of the completed messages."""
-        return int(self.words[self.completed].sum()) * \
-            self.batch.bytes_per_word
+        return self.batch.delivered_bytes[self.segment]
 
     def service_latencies_ns(self) -> list[float] | None:
         """Vectorised service latencies, or ``None`` when the reference
         record walk is needed (non-monotone message ids)."""
-        np = _np
-        mids = self.mids
-        if mids.size > 1 and not bool((np.diff(mids) > 0).all()):
+        if self.segment in self.batch.unordered:
             return None
-        if not self.n_deliveries:
-            return []
-        period_ps = self.batch.period_ps
-        flit_size = self.batch.flit_size
-        last = self.last_slots()
-        injected_ps = last * flit_size * period_ps
-        delivered_ps = (last + self.traversal_slots) * flit_size * \
-            period_ps
-        created_ps = (self.start * flit_size +
-                      self.cycles[self.completed]) * period_ps
-        previous = np.empty_like(injected_ps)
-        previous[0] = -1
-        previous[1:] = injected_ps[:-1]
-        ready = np.maximum(created_ps, previous)
-        return ((delivered_ps - ready) / 1000.0).tolist()
+        return self.batch.service_ns[self._done()].tolist()
 
 
 def _solve(channels: Sequence[str], spans: Sequence[tuple],
@@ -440,8 +515,10 @@ def _solve(channels: Sequence[str], spans: Sequence[tuple],
     n_flits, n_deliveries = np.zeros((2, len(spans)), np.int64)
     # Blocks of whole segments, about _BLOCK events each, keep every
     # temporary below the size of one block however long the run.
-    cuts = np.unique(np.searchsorted(bounds, np.arange(0, size, _BLOCK),
-                                     side="right") - 1).tolist()
+    # ``searchsorted`` ascends, so the cuts dedupe in order (numpy 2's
+    # ``unique`` would import ``numpy.ma`` into every simulating process).
+    cuts = list(dict.fromkeys((np.searchsorted(
+        bounds, np.arange(0, size, _BLOCK), side="right") - 1).tolist()))
     for first, stop in zip(cuts, cuts[1:] + [len(spans)]):
         lo, hi = int(bounds[first]), int(bounds[stop])
         block = slice(lo, hi)
@@ -475,6 +552,9 @@ def _solve(channels: Sequence[str], spans: Sequence[tuple],
     batch.arrivals = arrivals
     batch.k, batch.actual, batch.completed, batch.last = \
         k, actual, completed, last
+    batch.starts = start
+    batch.traversals = np.array([alloc.path.traversal_slots
+                                 for _, _, alloc in spans], np.int64)
     batch.table_size, batch.flit_size = table_size, flit_size
     batch.period_ps = round(1e12 / config.frequency_hz)
     batch.bytes_per_word = fmt.bytes_per_word
@@ -483,7 +563,7 @@ def _solve(channels: Sequence[str], spans: Sequence[tuple],
     n_flits, n_deliveries = n_flits.tolist(), n_deliveries.tolist()
     runs = []
     for i in flown:
-        run = _IntervalRun(batch, lows[i], lows[i + 1])
+        run = _IntervalRun(batch, lows[i], lows[i + 1], i)
         run.channel = channels[i]
         run.start, _, alloc = spans[i]
         run.slots = alloc.slots
@@ -590,7 +670,7 @@ class CompiledStats(StatsCollector):
         return (sum(run.n_deliveries for run in runs),
                 sum(run.n_flits for run in runs),
                 sum(run.delivered_bytes() for run in runs),
-                [latency for run in runs for latency in run.latencies_ns()])
+                list(chain.from_iterable(run.latencies_ns() for run in runs)))
 
     def incarnation_observations(self, channel: str):
         """One entry per run — a run is one incarnation by construction;
@@ -611,8 +691,7 @@ class CompiledStats(StatsCollector):
         if runs is not None:
             solved = [run.service_latencies_ns() for run in runs]
             if None not in solved:
-                return [latency for population in solved
-                        for latency in population]
+                return list(chain.from_iterable(solved))
         return super().service_latencies_ns(channel)
 
     def composability_trace(self) -> "CompiledTraceRecorder":

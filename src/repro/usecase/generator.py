@@ -107,6 +107,11 @@ class Section7Instance:
                    for ch in self.use_case.channels)
 
 
+#: Where an IP sits: ``(its NI, the mesh position of that NI's router,
+#: the NI's injection load key, its ejection load key)``.
+_Site = tuple[str, tuple[int, int], str, str]
+
+
 def generate_section7(params: Section7Parameters | None = None
                       ) -> Section7Instance:
     """Generate the paper's 200-connection evaluation workload."""
@@ -119,16 +124,20 @@ def generate_section7(params: Section7Parameters | None = None
     ip_names = [f"ip{i:02d}" for i in range(params.n_ips)]
     app_ips = _partition_ips(ip_names, params.n_applications)
     mapping = _cluster_mapping(topo, app_ips, params)
-    # Endpoint picking compares router positions thousands of times; an
-    # IP never moves, so each one's position is resolved here, once.
-    ip_coords = {ip: router_coords(topo, topo.attached_router(
-        mapping.ni_of(ip))) for ip in ip_names}
+    # Endpoint picking compares NIs, router positions and NI loads
+    # thousands of times; an IP never moves, so each one's site is
+    # resolved here, once.
+    ip_sites: dict[str, _Site] = {}
+    for ip in ip_names:
+        ni = mapping.ni_of(ip)
+        ip_sites[ip] = (ni, router_coords(topo, topo.attached_router(ni)),
+                        f"ni>{ni}", f"ni<{ni}")
     channels_by_app: dict[str, list[ChannelSpec]] = {}
     ni_load: dict[str, float] = {}
     for app_index, ips in enumerate(app_ips):
         name = f"app{app_index}"
         channels_by_app[name] = _generate_app_channels(
-            name, ips, topo, mapping, params, fmt, rng, ni_load, ip_coords)
+            name, ips, topo, mapping, params, fmt, rng, ni_load, ip_sites)
     _relax_for_feasibility(channels_by_app, topo, mapping, params, fmt)
     applications = tuple(
         Application(name, tuple(channels))
@@ -174,14 +183,14 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
                            mapping: Mapping, params: Section7Parameters,
                            fmt: WordFormat, rng: random.Random,
                            ni_load: dict[str, float],
-                           ip_coords: dict[str, tuple[int, int]]
+                           ip_sites: dict[str, _Site]
                            ) -> list[ChannelSpec]:
     """Draw one application's connections within its IP set.
 
     ``ni_load`` tallies the estimated throughput slots on each NI's
     injection ("ni>" prefix) and ejection ("ni<" prefix) link across all
     applications, steering endpoint choice away from saturated NIs;
-    ``ip_coords`` holds the mesh position of the router hosting each IP.
+    ``ip_sites`` holds each IP's :data:`_Site`.
     """
     from repro.core.requirements import slots_for_throughput
 
@@ -192,12 +201,11 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
         slots = slots_for_throughput(
             throughput_mb * MB, params.table_size, params.frequency_hz,
             fmt)
-        src, dst = _pick_endpoints(ips, ip_coords, mapping, rng,
-                                   throughput_mb, params, ni_load, slots)
-        ni_load[f"ni>{mapping.ni_of(src)}"] = \
-            ni_load.get(f"ni>{mapping.ni_of(src)}", 0.0) + slots
-        ni_load[f"ni<{mapping.ni_of(dst)}"] = \
-            ni_load.get(f"ni<{mapping.ni_of(dst)}", 0.0) + slots
+        src, dst = _pick_endpoints(ips, ip_sites, rng, throughput_mb,
+                                   params, ni_load, slots)
+        inject, eject = ip_sites[src][2], ip_sites[dst][3]
+        ni_load[inject] = ni_load.get(inject, 0.0) + slots
+        ni_load[eject] = ni_load.get(eject, 0.0) + slots
         latency = _draw_latency(src, dst, topo, mapping, params, fmt, rng)
         channels.append(ChannelSpec(
             name=f"{app_name}_c{index:02d}",
@@ -208,8 +216,8 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
     return channels
 
 
-def _pick_endpoints(ips: list[str], ip_coords: dict[str, tuple[int, int]],
-                    mapping: Mapping, rng: random.Random, throughput_mb: float,
+def _pick_endpoints(ips: list[str], ip_sites: dict[str, _Site],
+                    rng: random.Random, throughput_mb: float,
                     params: Section7Parameters, ni_load: dict[str, float],
                     slots: int) -> tuple[str, str]:
     """Pick endpoints with bandwidth-aware locality and load steering.
@@ -241,22 +249,17 @@ def _pick_endpoints(ips: list[str], ip_coords: dict[str, tuple[int, int]],
     fallback: tuple[str, str] | None = None
     fallback_cost = float("inf")
 
-    def admissible_cost(src: str, dst: str) -> float:
-        inject = ni_load.get(f"ni>{mapping.ni_of(src)}", 0.0) + slots
-        eject = ni_load.get(f"ni<{mapping.ni_of(dst)}", 0.0) + slots
-        return max(inject, eject)
-
     # Escalating locality rings: prefer the flow's natural distance, but
     # rather place it further away than overload an NI link.
     for ring in (max_hops, max_hops + 2, 10_000):
         for _ in range(300):
             src, dst = rng.sample(ips, 2)
-            if mapping.ni_of(src) == mapping.ni_of(dst):
+            ni_a, (xa, ya), inject, _ = ip_sites[src]
+            ni_b, (xb, yb), _, eject = ip_sites[dst]
+            if ni_a == ni_b or abs(xa - xb) + abs(ya - yb) > ring:
                 continue
-            (xa, ya), (xb, yb) = ip_coords[src], ip_coords[dst]
-            if abs(xa - xb) + abs(ya - yb) > ring:
-                continue
-            cost = admissible_cost(src, dst)
+            cost = max(ni_load.get(inject, 0.0),
+                       ni_load.get(eject, 0.0)) + slots
             if cost <= budget:
                 return src, dst
             if cost < fallback_cost:

@@ -63,3 +63,25 @@ def test_profile_pass_prints_the_top_rows():
         assert "Ordered by: cumulative time" in proc.stdout
         assert "to 8 due to restriction <8>" in proc.stdout
         assert "(admit)" in proc.stdout
+
+
+def test_profile_pass_profiles_one_phase():
+    """``--phase SPAN`` profiles only inside the named phase span, and a
+    span the pass never opens is refused with the names it does open."""
+    tool = str(ROOT / "tools" / "profile_pass.py")
+    proc = subprocess.run(
+        [sys.executable, tool, "sec7_static", "--smoke", "--top", "40",
+         "--phase", "telemetry.monitor.static_conformance"],
+        capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[0].startswith(
+        "sec7_static seed=2009 phase telemetry.monitor.static_conformance "
+        "(1 spans) of the warm pass: ")
+    assert "(conformance_from_result)" in proc.stdout
+    assert "(run_be)" not in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, tool, "sec7_static", "--smoke", "--phase", "nope"],
+        capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 1
+    assert "the pass has no span 'nope'; its spans: " in proc.stderr
+    assert "telemetry.monitor.static_conformance" in proc.stderr

@@ -603,6 +603,54 @@ def _observations(stats, name):
                  stats.incarnation_observations(name)])
 
 
+def _readers(run):
+    """Every reader of a run, as comparable values; ``repr`` keeps the
+    float comparison bit-exact."""
+    return repr((run.latencies_ns(), run.service_latencies_ns(),
+                 [column.tolist() for column in run.trace_columns()],
+                 run.last_slots().tolist(), run.delivered_bytes(),
+                 run.first_injection_slot()))
+
+
+def _readers_per_run(run):
+    """:func:`_readers` as a run once computed each on its own rows —
+    the oracle for the readers that slice what the batch derived."""
+    batch, done = run.batch, run.completed
+    last = run.last[done]
+    delivered = (last + run.traversal_slots) * batch.flit_size
+    created = run.start * batch.flit_size + run.cycles[done]
+    latencies = (((delivered - created) * batch.period_ps) /
+                 1000.0).tolist()
+    if run.mids.size > 1 and not bool((np.diff(run.mids) > 0).all()):
+        service = None
+    else:
+        previous = np.empty_like(last)
+        previous[:1] = -1
+        previous[1:] = last[:-1] * batch.flit_size * batch.period_ps
+        ready = np.maximum(created * batch.period_ps, previous)
+        service = ((delivered * batch.period_ps - ready) / 1000.0).tolist()
+    rotations, index = np.divmod(run.base + run.k[0], len(run.slots))
+    return repr((latencies, service,
+                 [run.mids[done].tolist(), last.tolist(),
+                  delivered.tolist()],
+                 last.tolist(),
+                 int(run.words[done].sum()) * batch.bytes_per_word,
+                 int(rotations * batch.table_size +
+                     np.asarray(run.slots)[index])))
+
+
+def _edited_copies(run):
+    """Copies of ``run`` over edited copies of its batch: its last
+    completed message dropped, every message dropped, its ids
+    reversed."""
+    head = run.completed.copy()
+    head[head.nonzero()[0][-1:]] = False
+    return [_with_rows(copy.copy(run), "completed", head),
+            _with_rows(copy.copy(run), "completed",
+                       np.zeros(run.count, bool)),
+            _with_rows(copy.copy(run), "mids", run.mids[::-1])]
+
+
 class TestBatchKeepsItsOracle:
     @pytest.fixture(scope="class")
     def one(self):
@@ -653,6 +701,18 @@ class TestBatchKeepsItsOracle:
                 _observations(reference, name), name
             assert repr(stats.channel_aggregate(name)) == \
                 repr(reference.channel_aggregate(name)), name
+        # Every reader slices what the batch derived, and equals the
+        # per-run computation; so does an edited copy, which derives its
+        # own and leaves the batch it was copied from as it was.
+        runs = [run for name in names for run in stats._runs.get(name, ())]
+        for run in runs:
+            assert _readers(run) == _readers_per_run(run), run.channel
+        for run in runs:
+            before = _readers(run)
+            for edited in _edited_copies(run):
+                assert _readers(edited) == _readers_per_run(edited), \
+                    run.channel
+            assert _readers(run) == before, run.channel
         # Only a run with unordered message ids takes the record walk.
         assert set(stats.materialised) == {
             name for name, runs in stats._runs.items()
@@ -710,8 +770,9 @@ def _mutations(draw, recorder):
         mids[run.completed.nonzero()[0][which]] += 1000
         _with_rows(run, "mids", mids)
     elif kind == "slot":
-        run._last_slots = run.last_slots().copy()
-        run._last_slots[which] += 1
+        last = run.last.copy()
+        last[run.completed.nonzero()[0][which]] += 1
+        _with_rows(run, "last", last)
     elif kind == "traversal":
         run.traversal_slots += 1
     else:
@@ -723,7 +784,6 @@ def _mutations(draw, recorder):
             tail[positions[which]] = False
         other = _with_rows(copy.copy(run), "completed", tail)
         _with_rows(run, "completed", head)
-        run._last_slots = other._last_slots = None
         replacement = [part for part in (run, other)
                        if part.completed.any()]
     edited = CompiledTraceRecorder(dict(recorder._runs))

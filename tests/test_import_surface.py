@@ -2,9 +2,10 @@
 
 The control plane imports no graph library (``repro.topology`` owns its
 graph) and numpy arrives with the first simulated flit, not with the
-package.  Asserted on ``sys.modules`` in a fresh interpreter — exact, so
-a re-introduced top-level import fails here instead of moving every
-workload's ``setup_s`` by a tenth of a second unnoticed.
+package, and a simulating process never imports ``numpy.ma``.  Asserted
+on ``sys.modules`` in a fresh interpreter — exact, so a re-introduced
+top-level import fails here instead of moving every workload's
+``setup_s`` by a tenth of a second unnoticed.
 
 A campaign worker imports numpy with its first simulated flit; it must
 do so with its native thread pools pinned to one thread, or on a
@@ -38,6 +39,29 @@ def test_control_plane_imports_neither_networkx_nor_numpy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+SIMULATE_SCRIPT = """
+import sys
+from repro.experiments.section7 import section7_setup
+from repro.usecase.runner import run_be, run_gs
+_, config = section7_setup()
+run_gs(config, n_slots=200)
+run_be(config, frequency_hz=config.frequency_hz, n_ticks=100)
+print("numpy" in sys.modules, "numpy.ma" in sys.modules)
+"""
+
+
+def test_a_simulating_process_never_imports_numpy_ma():
+    """numpy 2's ``unique`` imports ``numpy.ma`` (about 20 ms and 1.3 MB)
+    just to ask whether a plain array is masked; one compiled flit run
+    and one best-effort run must not pay it."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", SIMULATE_SCRIPT], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 THREADS_SCRIPT = """

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.connection import ChannelSpec
 from repro.core.placement import QuoteMemo, place
-from repro.core.slot_table import (_nearest, choose_slots_fast,
-                                   ideal_positions, max_consecutive_gap,
-                                   shifted, slots_to_mask, spread_slots,
+import repro.core.slot_table as slot_table
+from repro.core.slot_table import (_assign_near_ideal, _fill_gaps,
+                                   _largest_gap, _nearest, choose_slots_fast,
+                                   ideal_positions, mask_to_slots,
+                                   max_consecutive_gap, shifted,
+                                   slots_to_mask, spread_slots,
                                    worst_case_wait_slots)
 from repro.core.words import WordFormat
 
@@ -359,3 +363,74 @@ class TestOutwardWalk:
         with pytest.raises(ConfigurationError,
                            match=f"{name} must be a whole number"):
             chooser(0b1011, n, size)
+
+
+# -- the chooser stops at its proven optimum -----------------------------------
+
+
+def full_anchor_scan(free_mask, n, size, max_gap=None):
+    """:func:`spread_slots` as it stood when it anchored at every free
+    slot (every second one above 64) whenever a ``max_gap`` applied, on
+    its own helpers: the oracle the early stop must equal."""
+    if free_mask.bit_count() < n:
+        return None
+    best, best_gap = 0, size + 1
+    optimal = (size + n - 1) // n
+    anchors = mask_to_slots(free_mask)
+    if len(anchors) > 64:
+        anchors = anchors[::2]
+    offsets = tuple(ideal_positions(n, size))
+    for anchor in anchors:
+        chosen = _assign_near_ideal(free_mask, offsets, size, anchor)
+        gap = _largest_gap(chosen, size)[1]
+        if gap < best_gap:
+            best, best_gap = chosen, gap
+            if max_gap is None and gap <= optimal:
+                break
+    if max_gap is not None and best_gap > max_gap:
+        best = _fill_gaps(best, free_mask, size, max_gap)
+        if best is None:
+            return None
+    return mask_to_slots(best)
+
+
+@st.composite
+def _choices(draw, above_64=False):
+    """A table size, a non-empty free mask in it, a slot count the mask
+    can hold and a ``max_gap`` or none; ``above_64``: more than 64 free
+    slots, so every second one anchors."""
+    if above_64:
+        size = draw(st.integers(65, 128))
+        held = draw(st.sets(st.integers(0, size - 1), max_size=size - 65))
+        mask = ((1 << size) - 1) & ~slots_to_mask(held, size)
+    else:
+        size = draw(st.integers(4, 64))
+        mask = draw(st.integers(1, (1 << size) - 1))
+    n = draw(st.integers(1, mask.bit_count()))
+    return mask, n, size, draw(st.none() | st.integers(1, size))
+
+
+class TestProvenOptimum:
+    @settings(max_examples=400)
+    @given(_choices())
+    def test_equals_the_full_anchor_scan(self, choice):
+        assert spread_slots(*choice) == full_anchor_scan(*choice)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_choices(above_64=True))
+    @example((((1 << 67) - 1) & ~(1 << 51), 37, 67, None)
+             ).via("a best anchoring that only every free slot reaches")
+    def test_equals_the_full_anchor_scan_above_64_free_slots(self, choice):
+        """Above 64 free slots both anchor at every second one."""
+        assert spread_slots(*choice) == full_anchor_scan(*choice)
+
+    def test_an_optimal_first_anchoring_is_the_only_one(self):
+        """16 free slots, 4 to choose under a ``max_gap`` of 4: anchored
+        at slot 0 the template's largest gap is already 16 / 4, so no
+        other anchoring is tried (the full scan tried all 16)."""
+        mask = slots_to_mask(range(16), 16)
+        with mock.patch.object(slot_table, "_assign_near_ideal",
+                               wraps=_assign_near_ideal) as assign:
+            chosen = spread_slots(mask, 4, 16, max_gap=4)
+        assert chosen == (0, 4, 8, 12) == full_anchor_scan(mask, 4, 16, 4)
+        assert assign.call_count == 1

@@ -157,6 +157,8 @@ def test_the_tree_passes():
      "per-incarnation compile or solve is back"),
     ("simulation/compiled.py", "T = cache.get(id(pattern))",
      "identity-keyed pattern cache"),
+    ("simulation/compiled.py", "cuts = _np.unique(cuts)",
+     "np.unique( is back under src/repro/simulation"),
     ("baseline/be_network.py", "cache[id(pattern)] = (pattern, table)",
      "identity-keyed pattern cache"),
     ("wrapper/asynchronous.py", "def f(initial_tokens=2): pass",

@@ -2,12 +2,16 @@
 """cProfile of one benchmark pass: the profile that motivates a change.
 
     python3 tools/profile_pass.py WORKLOAD [--cold] [--seed N] [--smoke]
-        [--top N]
+        [--top N] [--phase SPAN]
 
 Generates the workload's inputs, runs one unprofiled pass unless
 ``--cold`` (so the profiled pass is warm, like the timed ones), then
 profiles one pass with the collector parked, as the benchmark times it,
-and prints the top-N functions by cumulative time.  cProfile does not
+and prints the top-N functions by cumulative time.  ``--phase SPAN``
+profiles only inside the pass's phase spans called ``SPAN`` (the
+``*_s`` names of a traced run without the suffix, e.g.
+``telemetry.monitor.static_conformance``), so the profile behind a
+phase-level change can be re-run on that phase alone.  cProfile does not
 follow ``fork``: the CPU time and involuntary context switches of the
 worker processes the pass created and reaped (``RUSAGE_CHILDREN``) are
 printed beside the profile, so a cost paid in a worker (an import, an
@@ -22,12 +26,38 @@ import gc
 import pstats
 import resource
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "benchmarks" / "e2e"), str(ROOT / "src")]
 import harness  # noqa: E402
 import workloads  # noqa: E402
+
+
+class PhaseTracer(harness.Tracer):
+    """Spans as the benchmark records them, with ``profile`` enabled
+    inside every span called ``phase`` and nowhere else."""
+
+    def __init__(self, phase: str, profile: cProfile.Profile):
+        super().__init__()
+        self.phase = phase
+        self.profile = profile
+        self.entered = 0  # spans called ``phase`` opened so far
+
+    @contextmanager
+    def span(self, name: str):
+        if name != self.phase:
+            with super().span(name):
+                yield
+            return
+        self.entered += 1
+        self.profile.enable()
+        try:
+            with super().span(name):
+                yield
+        finally:
+            self.profile.disable()
 
 
 if __name__ == "__main__":
@@ -37,6 +67,7 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=2009)
     parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--phase", metavar="SPAN")
     args = parser.parse_args()
     workload = workloads.WORKLOADS[args.workload](args.seed, args.smoke)
     workload.generate(harness.Tracer())
@@ -47,15 +78,25 @@ if __name__ == "__main__":
     gc.collect()
     gc.disable()
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    tracer = PhaseTracer(args.phase, profile) if args.phase else None
     try:
-        profile.runcall(workload.one_pass, harness.Tracer(), checks)
+        if tracer is None:
+            profile.runcall(workload.one_pass, harness.Tracer(), checks)
+        else:
+            workload.one_pass(tracer, checks)
     finally:
         gc.enable()
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if checks.failures:
         sys.exit(f"profiled pass failed its checks: {checks.failures}")
+    if tracer is not None and not tracer.entered:
+        names = sorted({span[0] for span in tracer.spans})
+        sys.exit(f"the pass has no span {args.phase!r}; its spans: "
+                 f"{', '.join(names)}")
     stats = pstats.Stats(profile)
-    print(f"{args.workload} seed={args.seed} "
+    scope = f"phase {args.phase} ({tracer.entered} spans) of the " \
+        if tracer is not None else ""
+    print(f"{args.workload} seed={args.seed} {scope}"
           f"{'cold' if args.cold else 'warm'} pass: "
           f"{stats.total_tt:.3f} s profiled")
     child_cpu_s = (after.ru_utime + after.ru_stime

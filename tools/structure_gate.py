@@ -118,6 +118,10 @@ RULES = [
      "an identity-keyed pattern cache is back in the compiled executor or "
      "the best-effort baseline (restarts of one pattern object share one "
      "events() call inside compile_arrivals)"),
+    (r"np\.unique\(", ("src/repro/simulation",), None, NONE,
+     "np.unique( is back under src/repro/simulation (numpy 2's unique "
+     "imports numpy.ma, about 20 ms and 1.3 MB, into every simulating "
+     "process; dedupe an ascending array in order)"),
     (r"def agreement", SRC, _STATS, NONE,
      "trace agreement defined outside simulation/{monitors,compiled}.py"),
     (r"bench_recor[d]|--bench-recor[d]|BENCH_[a-z_0-9]+\.json|bench_chec[k]|"
