@@ -3,8 +3,8 @@
 Opt in with ``--tier2``.  Dimensions a churn-derived workload
 (180 expected-concurrent sessions, Little's law over a hot arrival
 profile) across a 24-candidate screening grid — 12 topologies x 2
-slot-table sizes — twice through the same
-:class:`~repro.design.explorer.DesignExplorer`:
+slot-table sizes — twice, each time as the space's scenarios run by
+:class:`~repro.campaign.runner.CampaignRunner`:
 
 * ``prune=True`` — the production path: every candidate first passes
   the analytical lower bounds (NI serialisation, aggregate capacity,
@@ -26,8 +26,9 @@ import time
 
 import pytest
 
+from repro.campaign import CampaignRunner, CampaignSpec
 from repro.campaign.spec import TopologySpec
-from repro.design import DesignExplorer, DesignSpace, workload_from_churn
+from repro.design import DesignSpace, pareto_front, workload_from_churn
 from repro.service.churn import ChurnSpec
 
 TARGET_SPEEDUP = 2.0
@@ -60,9 +61,13 @@ def _space(prune: bool) -> DesignSpace:
                        prune=prune)
 
 
-def _ok_points(report) -> dict[str, float]:
+def _ok_points(records) -> dict[str, float]:
     return {r["scenario"]: r["result"]["operating_frequency_mhz"]
-            for r in report.records if r["status"] == "ok"}
+            for r in records if r["status"] == "ok"}
+
+
+def _pruned(records) -> int:
+    return sum(1 for r in records if r["status"] == "pruned")
 
 
 def test_pruned_screening_speedup(tier2):
@@ -71,24 +76,25 @@ def test_pruned_screening_speedup(tier2):
         seed=2009, n_ips=32)
 
     def explore(prune: bool):
-        explorer = DesignExplorer(use_case=use_case, space=_space(prune),
-                                  workers=1)
+        spec = CampaignSpec(name="design",
+                            scenarios=_space(prune).scenarios(use_case),
+                            seeds=(1,))
         start = time.perf_counter()
-        report = explorer.explore()
-        return report, time.perf_counter() - start
+        records = CampaignRunner(spec, workers=1).run().records
+        return records, time.perf_counter() - start
 
     # Warm pass per mode, doubling as the soundness gate: pruning may
     # only skip provably infeasible work, never change the feasible set.
-    pruned_report, _ = explore(True)
-    full_report, _ = explore(False)
-    assert pruned_report.count("pruned") >= len(GRID_TOPOLOGIES)
-    assert full_report.count("pruned") == 0
-    pruned_ok = _ok_points(pruned_report)
-    full_ok = _ok_points(full_report)
+    pruned_records, _ = explore(True)
+    full_records, _ = explore(False)
+    assert _pruned(pruned_records) >= len(GRID_TOPOLOGIES)
+    assert _pruned(full_records) == 0
+    pruned_ok = _ok_points(pruned_records)
+    full_ok = _ok_points(full_records)
     assert set(pruned_ok) == set(full_ok) and pruned_ok
     for name, mhz in pruned_ok.items():
         assert abs(mhz - full_ok[name]) <= 50.0  # within the tolerance
-    assert pruned_report.front
+    assert pareto_front(pruned_records)
 
     pruned_s = min(explore(True)[1] for _ in range(3))
     full_s = min(explore(False)[1] for _ in range(3))

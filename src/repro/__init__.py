@@ -73,7 +73,6 @@ _EXPORTS: dict[str, str] = {
     "create_backend": "repro.simulation.backend",
     "CampaignSpec": "repro.campaign.spec",
     "CampaignRunner": "repro.campaign.runner",
-    "DesignExplorer": "repro.design.explorer",
     "DesignSpace": "repro.design.space",
     "DesignSpec": "repro.design.space",
     "FaultSpec": "repro.faults.model",

@@ -381,7 +381,7 @@ _DEMOS = {
                "repro.simulation.verify_timeline in Python"),
     "design": (_preset_flow, "exploration",
                "build custom problems with repro.design in Python "
-               "(DesignExplorer, DesignSpace, workload_from_churn)"),
+               "(DesignSpace.scenarios, CampaignRunner, pareto_front)"),
     "faults": (_preset_flow, "flow",
                "drive custom schedules with repro.faults in Python "
                "(FaultSpec, FaultSchedule, Allocation.rebuild_excluding)"),

@@ -433,19 +433,11 @@ def _serve_row(row: dict, record: dict, result: dict) -> None:
 # -- fairness ------------------------------------------------------------
 
 
-def _fairness_churn() -> ChurnSpec:
-    """The abusive-tenant adversary profile (``churn=None`` default):
-    508 sessions, enough to fill a 1 000-event stream cut at its end."""
-    from repro.service.fairness_demo import fairness_churn_spec
-    return fairness_churn_spec(508)
-
-
 def _fairness_check(scenario: ScenarioSpec) -> None:
     if scenario.churn is not None and not scenario.churn.tenants:
         raise ConfigurationError(
             "mode='fairness' scenarios need a tenant-tagged churn spec "
-            "(ChurnSpec(tenants=...)) or churn=None for the default "
-            "adversary profile")
+            "(ChurnSpec(tenants=...))")
 
 
 def _fairness_body(ctx: RunContext) -> dict[str, object]:
@@ -644,10 +636,10 @@ KINDS: dict[str, Kind] = {kind.name: kind for kind in (
     Kind("fairness",
          "compare the wfq control plane, the FCFS baseline and "
          "per-tenant solo references over one tenant-tagged churn "
-         "stream (`churn=None`: the abusive-tenant profile)",
+         "stream",
          header=("mode", "policy", "topology", "churn", "table_size"),
          body=_fairness_body, row=_fairness_row,
-         payload={"churn": _fairness_churn}, policies=("fcfs", "wfq"),
+         payload={"churn": None}, policies=("fcfs", "wfq"),
          open_tail=True, check=_fairness_check),
     Kind("synthetic",
          "execute a seed-deterministic SHA-256 hash chain "

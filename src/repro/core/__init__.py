@@ -29,13 +29,11 @@ _EXPORTS: dict[str, str] = {
     "Flit": "repro.core.flits",
     "FlitKind": "repro.core.flits",
     "FlitMeta": "repro.core.flits",
-    "Packet": "repro.core.flits",
     # slots / paths
     "shifted": "repro.core.slot_table",
     "worst_case_wait_slots": "repro.core.slot_table",
     "max_consecutive_gap": "repro.core.slot_table",
     "spread_slots": "repro.core.slot_table",
-    "ideal_positions": "repro.core.slot_table",
     "Path": "repro.core.path",
     "make_path": "repro.core.path",
     # specs

@@ -45,24 +45,11 @@ class Application:
                     f"{ch.application!r} but is listed under {self.name!r}")
 
     @property
-    def total_throughput_bytes_per_s(self) -> float:
-        """Aggregate required bandwidth of the application."""
-        return sum(ch.throughput_bytes_per_s for ch in self.channels)
-
-    @property
     def ips(self) -> tuple[str, ...]:
         """All IP ports referenced by this application, sorted."""
         names = {ch.src_ip for ch in self.channels}
         names |= {ch.dst_ip for ch in self.channels}
         return tuple(sorted(names))
-
-    def channel(self, name: str) -> ChannelSpec:
-        """Look up one channel by name."""
-        for ch in self.channels:
-            if ch.name == name:
-                return ch
-        raise ConfigurationError(
-            f"application {self.name!r} has no channel {name!r}")
 
 
 @dataclass(frozen=True)
@@ -106,10 +93,3 @@ class UseCase:
             names.update(app.ips)
         return tuple(sorted(names))
 
-    def application(self, name: str) -> Application:
-        """Look up one application by name."""
-        for app in self.applications:
-            if app.name == name:
-                return app
-        raise ConfigurationError(
-            f"use case {self.name!r} has no application {name!r}")

@@ -1,4 +1,4 @@
-"""Flit and packet datatypes shared by the hardware models.
+"""The flit datatype shared by the hardware models.
 
 A :class:`Flit` is the unit of both flow control and TDM arbitration: one
 flit occupies exactly one slot on each link it traverses.  Flits carry their
@@ -20,13 +20,13 @@ it exists so monitors can measure latency without modifying the data path.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.exceptions import ConfigurationError
 from repro.core.words import WordFormat
 
-__all__ = ["FlitKind", "FlitMeta", "Flit", "Packet"]
+__all__ = ["FlitKind", "FlitMeta", "Flit"]
 
 
 class FlitKind(enum.Enum):
@@ -107,53 +107,3 @@ class Flit:
     def is_empty(self) -> bool:
         """True for synchronisation-only tokens."""
         return self.kind is FlitKind.EMPTY
-
-    @property
-    def header_word(self) -> int:
-        """The header word (only meaningful when ``has_header`` is set)."""
-        return self.words[0]
-
-    def with_header_word(self, word: int) -> "Flit":
-        """Return a copy with word 0 replaced (used by the HPU path shift)."""
-        return replace(self, words=(word,) + self.words[1:])
-
-    def with_meta(self, meta: FlitMeta) -> "Flit":
-        """Return a copy carrying new simulation metadata."""
-        return replace(self, meta=meta)
-
-
-@dataclass(frozen=True)
-class Packet:
-    """An ordered sequence of flits terminated by an ``eop`` flit.
-
-    Packets are a software-visible convenience; on the wire only flits and
-    their sideband markers exist.  The constructor validates the framing
-    invariants that the NI packetiser guarantees.
-    """
-
-    flits: tuple[Flit, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not self.flits:
-            raise ConfigurationError("a packet needs at least one flit")
-        if not self.flits[0].has_header:
-            raise ConfigurationError("packet must start with a header flit")
-        if any(f.has_header for f in self.flits[1:]):
-            raise ConfigurationError("only the first flit may carry a header")
-        if not self.flits[-1].eop:
-            raise ConfigurationError("packet must end with an eop flit")
-        if any(f.eop for f in self.flits[:-1]):
-            raise ConfigurationError("eop may only be set on the final flit")
-
-    def __len__(self) -> int:
-        return len(self.flits)
-
-    @property
-    def header_word(self) -> int:
-        """Header word of the packet."""
-        return self.flits[0].header_word
-
-    @property
-    def payload_bytes(self) -> int:
-        """Total payload bytes across all flits (from metadata)."""
-        return sum(f.meta.payload_bytes for f in self.flits if f.meta)

@@ -88,11 +88,6 @@ class Path:
     # -- geometry -----------------------------------------------------------
 
     @property
-    def n_routers(self) -> int:
-        """Number of routers traversed."""
-        return len(self.routers)
-
-    @property
     def out_ports(self) -> tuple[int, ...]:
         """Router output ports in traversal order — the header source route."""
         return tuple(l.src_port for l in self.links[1:])
@@ -121,9 +116,6 @@ class Path:
         """Dictionary keys of all traversed links, in order: each is the
         link's own :attr:`~repro.topology.graph.Link.key`."""
         return self._keys
-
-    def __len__(self) -> int:
-        return len(self.links)
 
     def __repr__(self) -> str:
         hops = " -> ".join([self.source, *self.routers, self.dest])

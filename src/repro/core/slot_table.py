@@ -38,7 +38,6 @@ __all__ = [
     "worst_case_wait_slots",
     "max_consecutive_gap",
     "spread_slots",
-    "ideal_positions",
     "slots_to_mask",
     "mask_to_slots",
     "rotate_mask",
@@ -142,17 +141,6 @@ def worst_case_wait_slots(slots: Iterable[int], size: int) -> int:
     return max_consecutive_gap(slots, size)
 
 
-def ideal_positions(n: int, size: int) -> list[int]:
-    """Equidistant slot positions for ``n`` reservations in a table.
-
-    These are the targets of the spreading heuristic; they minimise the
-    maximum gap (and hence the worst-case NI wait) when all are free.
-    """
-    if n <= 0:
-        return []
-    return list(_template(n, size)[2])
-
-
 #: ``(n, size)`` -> :func:`_template`'s triple; cleared when it reaches
 #: ``_TEMPLATES_HELD`` entries.  A plain dict: under ``functools.lru_cache``
 #: the ``pipeline`` benchmark's peak RSS sat ~0.4 MB higher.
@@ -162,8 +150,9 @@ _TEMPLATES_HELD = 256
 
 def _template(n: int, size: int) -> tuple[int, int, tuple[int, ...]]:
     """``(n, size, offsets)`` with both counts whole and the offsets of
-    :func:`ideal_positions` — built once per distinct ``(n, size)``, so
-    the check stays off the per-placement path."""
+    ``n`` equidistant positions in the table (the spreading template) —
+    built once per distinct ``(n, size)``, so the check stays off the
+    per-placement path."""
     template = _TEMPLATES.get((n, size))
     if template is None:
         n = require_whole("slot count", n, 1)

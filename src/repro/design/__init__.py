@@ -4,8 +4,10 @@ The paper hand-picks its Section VII network; this subsystem *finds*
 such operating points.  Give it a workload — a
 :class:`~repro.core.application.UseCase` or a churn profile via
 :func:`~repro.design.space.workload_from_churn` — and a
-:class:`~repro.design.space.DesignSpace`, and the
-:class:`~repro.design.explorer.DesignExplorer` returns the
+:class:`~repro.design.space.DesignSpace`; run the space's
+:meth:`~repro.design.space.DesignSpace.scenarios` as one campaign
+(:class:`~repro.campaign.runner.CampaignRunner`) and
+:func:`~repro.design.explorer.pareto_front` of its records is the
 byte-deterministic Pareto front over silicon area, operating frequency
 and worst-case guarantee slack, using analytical lower-bound pruning,
 seeded mapping optimisation, floor-tightened feasibility bisection and
@@ -14,8 +16,7 @@ runs the ``design_demo`` campaign preset: the demo-scale Section VII
 workload over :func:`~repro.design.space.demo_space`.
 """
 
-from repro.design.explorer import (DesignExplorer, DesignReport,
-                                   evaluate_candidate, execute_design_run,
+from repro.design.explorer import (evaluate_candidate, execute_design_run,
                                    pareto_front)
 from repro.design.mapping_opt import MappingSearchResult, optimize_mapping
 from repro.design.prune import (PruneReport, frequency_lower_bound_hz,
@@ -33,6 +34,6 @@ __all__ = [
     "min_traversal_slots",
     "MappingSearchResult", "optimize_mapping",
     "min_feasible_configuration",
-    "DesignExplorer", "DesignReport", "pareto_front",
+    "pareto_front",
     "evaluate_candidate", "execute_design_run",
 ]

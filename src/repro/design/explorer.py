@@ -19,12 +19,7 @@ than reimplemented.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-
-from repro.campaign.runner import CampaignRunner
-from repro.campaign.spec import (CampaignSpec, RunSpec, TopologySpec,
-                                 derive_seed)
+from repro.campaign.spec import RunSpec, TopologySpec, derive_seed
 from repro.core.exceptions import (AllocationError, ConfigurationError,
                                    TopologyError)
 from repro.core.requirements import link_payload_bytes_per_s
@@ -33,15 +28,14 @@ from repro.design.mapping_opt import optimize_mapping
 from repro.design.prune import frequency_lower_bound_hz, prune_candidate
 from repro.design.search import (configuration_area,
                                  min_feasible_configuration)
-from repro.design.space import DesignSpace, DesignSpec, provisioned_use_case
+from repro.design.space import DesignSpec, provisioned_use_case
 from repro.synthesis.network import network_fmax_hz
 from repro.topology.graph import Topology
 from repro.topology.mapping import (Mapping, communication_clustered,
                                     hop_weighted_demand, round_robin,
                                     router_distances, traffic_balanced)
 
-__all__ = ["evaluate_candidate", "execute_design_run", "pareto_front",
-           "DesignReport", "DesignExplorer"]
+__all__ = ["evaluate_candidate", "execute_design_run", "pareto_front"]
 
 
 #: The one-shot mapping heuristics by strategy name.
@@ -264,74 +258,3 @@ def pareto_front(records: list[dict[str, object]]
                               r["result"]["operating_frequency_mhz"],
                               str(r["topology"]), r["table_size"]))
     return front
-
-
-@dataclass
-class DesignReport:
-    """Aggregated, byte-deterministic outcome of one exploration.
-
-    ``meta`` relays the campaign runner's wall-clock execution report
-    (stage timings, per-worker table, stragglers) and — like
-    :class:`~repro.campaign.runner.CampaignResult` — is excluded from
-    :meth:`to_json` so the determinism contract ignores it.
-    """
-
-    problem: str
-    base_seed: int
-    records: list[dict[str, object]] = field(default_factory=list)
-    meta: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def front(self) -> list[dict[str, object]]:
-        """The Pareto-optimal candidate records."""
-        return pareto_front(self.records)
-
-    @property
-    def n_candidates(self) -> int:
-        """Total candidates examined."""
-        return len(self.records)
-
-    def count(self, status: str) -> int:
-        """Candidates that finished with ``status``."""
-        return sum(1 for r in self.records if r.get("status") == status)
-
-    def min_area_point(self) -> dict[str, object] | None:
-        """The cheapest feasible dimensioning (first point of the front)."""
-        front = self.front
-        return front[0] if front else None
-
-    def to_json(self) -> str:
-        """Canonical JSON: sorted keys, records ordered by run id."""
-        return json.dumps(
-            {"problem": self.problem, "base_seed": self.base_seed,
-             "n_candidates": self.n_candidates,
-             "n_ok": self.count("ok"), "n_pruned": self.count("pruned"),
-             "n_infeasible": self.count("infeasible"),
-             "front": [r["run_id"] for r in self.front],
-             "records": self.records},
-            indent=2, sort_keys=True)
-
-
-class DesignExplorer:
-    """Fan a design space out over the campaign runner's process pool."""
-
-    def __init__(self, use_case, space: DesignSpace, *, workers: int = 1,
-                 name: str = "design"):
-        self.use_case = use_case
-        self.space = space
-        self.workers = workers
-        self.name = name
-
-    def campaign_spec(self) -> CampaignSpec:
-        """The space's scenarios for the workload, as one campaign."""
-        return CampaignSpec(name=self.name,
-                            scenarios=self.space.scenarios(self.use_case),
-                            seeds=(1,))
-
-    def explore(self) -> DesignReport:
-        """Evaluate every candidate and aggregate the Pareto report."""
-        spec = self.campaign_spec()
-        result = CampaignRunner(spec, workers=self.workers).run()
-        return DesignReport(problem=self.use_case.name,
-                            base_seed=spec.base_seed,
-                            records=result.records, meta=result.meta)

@@ -219,21 +219,6 @@ class _PlacementState:
                 total += self._channel_cost(ch)
         return total
 
-    def violations(self) -> int:
-        """Channels currently unplaceable: co-located or over their cap."""
-        count = 0
-        for ch in self.channels:
-            src_ni = self.assignment[ch.src_ip]
-            dst_ni = self.assignment[ch.dst_ip]
-            if src_ni == dst_ni:
-                count += 1
-                continue
-            cap = self.max_hops.get(ch.name)
-            if cap is not None and self.distances[
-                    self.router_of[src_ni]][self.router_of[dst_ni]] > cap:
-                count += 1
-        return count
-
     def total_cost(self) -> float:
         """Full scalar cost of the current assignment."""
         return sum(self._channel_cost(ch) for ch in self.channels) + \

@@ -100,9 +100,6 @@ class BisyncFifo:
 
     # -- introspection ---------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __repr__(self) -> str:
         return (f"BisyncFifo({self.name!r}, {len(self._entries)}/"
                 f"{self.capacity} words)")

@@ -130,22 +130,9 @@ class MesochronousLinkStage:
         self.reader = MesoReader(f"{name}.rd", self.fifo, fmt)
 
     @property
-    def inputs(self) -> list[WordWire]:
-        """Upstream-facing wire (writer side)."""
-        return self.writer.inputs
-
-    @inputs.setter
-    def inputs(self, wires: list[WordWire]) -> None:
-        self.writer.inputs = wires
-
-    @property
     def outputs(self) -> list[WordWire]:
         """Downstream-facing wire (reader side)."""
         return self.reader.outputs
-
-    def skew_ps(self) -> int:
-        """Writer-to-reader skew, bounded by half a period per Section V."""
-        return self.writer_clock.skew_to(self.reader_clock)
 
 
 def make_stage(engine: Engine, name: str, writer_clock: ClockDomain,

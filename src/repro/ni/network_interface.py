@@ -182,7 +182,7 @@ class NetworkInterface:
 
     def pending_words(self, channel: str) -> int:
         """Words waiting in a channel's TX queue."""
-        return self._tx_state(channel).packetizer.pending_words
+        return self._tx_state(channel).packetizer.queued_words
 
     def credits_of(self, channel: str) -> int | None:
         """Current credit counter of a TX channel."""

@@ -90,11 +90,6 @@ class Packetizer:
         self.queued_words += len(message.words)
 
     @property
-    def pending_words(self) -> int:
-        """Payload words waiting to be sent."""
-        return self.queued_words
-
-    @property
     def has_data(self) -> bool:
         """True when at least one message is queued."""
         return bool(self._messages)

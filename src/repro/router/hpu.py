@@ -60,6 +60,3 @@ class HeaderParsingUnit:
             self._current_port = None
         return port, phit
 
-    def reset(self) -> None:
-        """Return to the between-packets state."""
-        self._current_port = None

@@ -61,21 +61,6 @@ class SynchronousRouter:
 
     # -- geometry ---------------------------------------------------------
 
-    @property
-    def n_inputs(self) -> int:
-        """Number of input ports."""
-        return len(self.inputs)
-
-    @property
-    def n_outputs(self) -> int:
-        """Number of output ports."""
-        return len(self.outputs)
-
-    @property
-    def arity(self) -> int:
-        """Port count in the paper's sense (max of the two sides)."""
-        return max(self.n_inputs, self.n_outputs)
-
     # -- Clocked protocol ---------------------------------------------------
 
     def compute(self, cycle: int, time_ps: int) -> None:
@@ -98,22 +83,6 @@ class SynchronousRouter:
 
     # -- introspection ------------------------------------------------------
 
-    def occupancy(self) -> int:
-        """Valid words currently inside the pipeline (for tests)."""
-        count = sum(1 for p in self._stage1 if p.valid)
-        count += sum(1 for _, p in self._stage2 if p.valid)
-        return count
-
-    def reset(self) -> None:
-        """Flush all pipeline state (simulation reset)."""
-        n_in, n_out = self.n_inputs, self.n_outputs
-        self._stage1 = [IDLE] * n_in
-        self._stage2 = [(None, IDLE)] * n_in
-        self._next_stage1 = [IDLE] * n_in
-        self._next_outputs = [IDLE] * n_out
-        for hpu in self._hpus:
-            hpu.reset()
-
     def __repr__(self) -> str:
-        return (f"SynchronousRouter({self.name!r}, {self.n_inputs}x"
-                f"{self.n_outputs}, {self.fmt.data_width}-bit)")
+        return (f"SynchronousRouter({self.name!r}, {len(self.inputs)}x"
+                f"{len(self.outputs)}, {self.fmt.data_width}-bit)")

@@ -41,10 +41,10 @@ from repro.service.fairness import (FairnessSpec, PolicyEvent, TenantSpec,
                                     tenant_events)
 from repro.service.invariants import CompositionInvariantChecker
 from repro.service.metrics import ServiceMetrics, ServiceReport
-from repro.service.qos import DEFAULT_CLASSES, QosClass, class_by_name
+from repro.service.qos import DEFAULT_CLASSES, QosClass
 
 __all__ = [
-    "QosClass", "DEFAULT_CLASSES", "class_by_name",
+    "QosClass", "DEFAULT_CLASSES",
     "ChurnSpec", "ChurnWorkload", "SessionRequest", "SessionEvent",
     "TenantSpec", "FairnessSpec", "PolicyEvent", "WeightedFairScheduler",
     "abusive_tenant_mix", "shed_rank", "tenant_events",

@@ -75,9 +75,6 @@ class TenantSpec:
         Guaranteed floor: while the tenant has fewer admissions than
         this in the current throttle window, no policy layer may reject
         it (the allocator still can — physics beats policy).
-
-    >>> TenantSpec("acme", weight=2.0).label
-    'acme:w2'
     """
 
     name: str
@@ -100,11 +97,6 @@ class TenantSpec:
                 f"tenant {self.name!r} has duplicate app names")
         require_whole(f"tenant {self.name!r} floor_opens_per_window",
                       self.floor_opens_per_window, 0)
-
-    @property
-    def label(self) -> str:
-        """Compact identifier used in churn labels and reports."""
-        return f"{self.name}:w{self.weight:g}"
 
 
 @dataclass(frozen=True)
@@ -234,9 +226,9 @@ def shed_rank(qos: QosClass) -> int:
     bound under 200 ns) shed last — they are the sessions a human
     notices dropping.
 
-    >>> from repro.service.qos import DEFAULT_CLASSES, class_by_name
-    >>> [shed_rank(class_by_name(DEFAULT_CLASSES, n))
-    ...  for n in ("bulk", "video", "control", "voice")]
+    >>> from repro.service.qos import DEFAULT_CLASSES
+    >>> classes = {qos.name: qos for qos in DEFAULT_CLASSES}
+    >>> [shed_rank(classes[n]) for n in ("bulk", "video", "control", "voice")]
     [0, 1, 1, 2]
     """
     if qos.max_latency_ns is None:

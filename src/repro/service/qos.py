@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import ConfigurationError, require_finite_positive
 
-__all__ = ["QosClass", "DEFAULT_CLASSES", "class_by_name"]
+__all__ = ["QosClass", "DEFAULT_CLASSES"]
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,3 @@ DEFAULT_CLASSES: tuple[QosClass, ...] = (
     QosClass("bulk", throughput_mb_s=120.0, max_latency_ns=None,
              weight=2.0),
 )
-
-
-def class_by_name(classes: tuple[QosClass, ...], name: str) -> QosClass:
-    """Look up one class of a mix by name."""
-    for qos in classes:
-        if qos.name == name:
-            return qos
-    raise ConfigurationError(f"no QoS class named {name!r}")

@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Mapping
 
 from repro.clocking.domains import CLOCKING_MODES
@@ -111,6 +112,13 @@ class SimRequest:
                 f"of {self.timeline.horizon_slots} slots")
 
 
+def _rounded(summary: LatencySummary) -> dict[str, float]:
+    """A summary's five statistics at a record's fixed precision."""
+    return {"min": round(summary.minimum, 3),
+            "mean": round(summary.mean, 3), "p50": round(summary.p50, 3),
+            "p99": round(summary.p99, 3), "max": round(summary.maximum, 3)}
+
+
 @dataclass
 class SimResult:
     """Uniform result schema shared by every backend.
@@ -159,10 +167,6 @@ class SimResult:
         start = int(total_ps * warmup_fraction)
         return self.stats.channel(channel).throughput_bytes_per_s(
             start, total_ps)
-
-    def channel_latencies_ns(self, channel: str) -> list[float]:
-        """Raw end-to-end message latencies of one channel."""
-        return self.stats.channel_aggregate(channel)[3]
 
     def latency_summary(self) -> LatencySummary | None:
         """Latency order statistics over all channels."""
@@ -224,6 +228,12 @@ class SimResult:
         byte-stable across processes and platforms.
         """
         channels: dict[str, dict[str, object]] = {}
+        # Each channel's sample is sorted once; the overall summary
+        # sorts the concatenated runs, which Timsort merges (the same
+        # ascending sequence, so the same sum and mean, at under half
+        # the cost of sorting every latency afresh; heapq.merge is
+        # slower than either).
+        runs: list[list[float]] = []
         for name in self.stats.channels:
             messages, flits, delivered_bytes, latencies = \
                 self.stats.channel_aggregate(name)
@@ -233,24 +243,18 @@ class SimResult:
                 "delivered_bytes": delivered_bytes,
             }
             if messages:
-                s = LatencySummary.of(latencies)
-                entry["latency_ns"] = {
-                    "min": round(s.minimum, 3), "mean": round(s.mean, 3),
-                    "p50": round(s.p50, 3), "p99": round(s.p99, 3),
-                    "max": round(s.maximum, 3)}
+                runs.append(sorted(latencies))
+                entry["latency_ns"] = _rounded(
+                    LatencySummary.of_sorted(runs[-1]))
             channels[name] = entry
-        overall = self.latency_summary()
+        overall = sorted(chain.from_iterable(runs))
         return {
             "backend": self.backend,
             "simulated_slots": self.simulated_slots,
             "frequency_mhz": round(self.frequency_hz / 1e6, 3),
             "messages_delivered": self.stats.delivery_count(),
-            "latency_ns": None if overall is None else {
-                "min": round(overall.minimum, 3),
-                "mean": round(overall.mean, 3),
-                "p50": round(overall.p50, 3),
-                "p99": round(overall.p99, 3),
-                "max": round(overall.maximum, 3)},
+            "latency_ns": _rounded(LatencySummary.of_sorted(overall))
+            if overall else None,
             "channels": channels,
         }
 

@@ -621,11 +621,6 @@ class CompiledStats(StatsCollector):
         self._ensure(name)
         return super().channel(name)
 
-    def sink(self, name: str):
-        """Registered stats of one channel (see the base class)."""
-        self._ensure(name)
-        return super().sink(name)
-
     @property
     def channels(self) -> tuple[str, ...]:
         """All channels with at least one record, sorted."""

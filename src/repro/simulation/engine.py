@@ -170,11 +170,6 @@ class Engine:
 
     # -- introspection -----------------------------------------------------------
 
-    @property
-    def clocks(self) -> tuple[ClockDomain, ...]:
-        """All registered clock domains, sorted by name."""
-        return tuple(g.clock for _, g in sorted(self._groups.items()))
-
     def __repr__(self) -> str:
         n_comp = sum(len(g.components) for g in self._groups.values())
         return (f"Engine({len(self._groups)} domains, {n_comp} components, "

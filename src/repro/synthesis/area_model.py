@@ -72,11 +72,6 @@ class RouterAreaModel:
             raise ConfigurationError(
                 "router needs at least one input and one output")
 
-    @property
-    def arity(self) -> int:
-        """Port count in the paper's sense."""
-        return max(self.n_inputs, self.n_outputs)
-
     def gate_counts(self) -> GateCounts:
         """Walk the micro-architecture and count registers and gates."""
         width = self.fmt.data_width + SIDEBAND_BITS

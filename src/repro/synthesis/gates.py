@@ -10,7 +10,7 @@ same structural description prices out on any
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.exceptions import ConfigurationError
 from repro.synthesis.technology import Technology
@@ -26,8 +26,8 @@ MUX2_NAND_EQUIV = 1.75
 class GateCounts:
     """An accumulating structural bill of materials."""
 
-    flipflops: float = 0.0
-    nand2: float = 0.0
+    flipflops: float = field(default=0.0, init=False)
+    nand2: float = field(default=0.0, init=False)
 
     def add_registers(self, bits: float) -> "GateCounts":
         """Add a register bank of ``bits`` flip-flops."""
@@ -41,12 +41,6 @@ class GateCounts:
         if nand2_equiv < 0:
             raise ConfigurationError("gate count must be >= 0")
         self.nand2 += nand2_equiv
-        return self
-
-    def merge(self, other: "GateCounts") -> "GateCounts":
-        """Accumulate another bill of materials into this one."""
-        self.flipflops += other.flipflops
-        self.nand2 += other.nand2
         return self
 
     def area_um2(self, tech: Technology) -> float:

@@ -56,10 +56,10 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value that can move both ways (queue depth etc.).
+    """A point-in-time value (queue depth etc.).
 
     >>> g = Gauge("campaign.queue_depth")
-    >>> g.set(5); g.dec(); g.inc(3)
+    >>> g.set(5); g.set(7)
     >>> g.value
     7
     """
@@ -77,14 +77,6 @@ class Gauge:
     def set(self, value: float) -> None:
         """Replace the gauge's value."""
         self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        """Raise the gauge by ``amount``."""
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        """Lower the gauge by ``amount``."""
-        self.value -= amount
 
     def to_record(self) -> dict:
         """Canonical JSON-ready form (used by the JSONL exporter)."""
@@ -160,12 +152,6 @@ class NullGauge(Gauge):
 
     def set(self, value: float) -> None:
         """Discard the value."""
-
-    def inc(self, amount: float = 1) -> None:
-        """Discard the increment."""
-
-    def dec(self, amount: float = 1) -> None:
-        """Discard the decrement."""
 
 
 class NullHistogram(Histogram):

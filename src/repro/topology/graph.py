@@ -341,10 +341,6 @@ class Topology:
         return tuple(sorted(n for n in self._pred[router]
                             if self.kind(n) is NodeKind.NI))
 
-    def out_port(self, src: str, dst: str) -> int:
-        """Output-port index used by ``src`` to reach ``dst``."""
-        return self.link(src, dst).src_port
-
     def neighbor_on_port(self, router: str, out_port: int) -> str:
         """Inverse of :meth:`out_port`: which node hangs off a given port."""
         self._require_node(router)

@@ -49,20 +49,6 @@ class Mapping:
         except KeyError:
             raise ConfigurationError(f"IP {ip!r} is not mapped to any NI")
 
-    def ips_of(self, ni: str) -> tuple[str, ...]:
-        """All IPs hosted on ``ni``, sorted."""
-        return tuple(sorted(ip for ip, n in self.ip_to_ni.items() if n == ni))
-
-    @property
-    def ips(self) -> tuple[str, ...]:
-        """All mapped IPs, sorted."""
-        return tuple(sorted(self.ip_to_ni))
-
-    @property
-    def nis(self) -> tuple[str, ...]:
-        """All NIs that host at least one IP, sorted."""
-        return tuple(sorted(set(self.ip_to_ni.values())))
-
     def validate(self, topo: Topology) -> None:
         """Every target must be an NI of ``topo``."""
         ni_set = set(topo.nis)

@@ -25,7 +25,7 @@ from repro.core.configuration import configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.core.words import WordFormat
-from repro.design import (Candidate, DesignExplorer, DesignSpace,
+from repro.design import (Candidate, DesignSpace,
                           DesignSpec, evaluate_candidate,
                           frequency_lower_bound_hz,
                           min_feasible_configuration, optimize_mapping,
@@ -332,6 +332,18 @@ class TestParetoFront:
         assert len(pareto_front([a, b])) == 2
 
 
+def _run_space(use_case, space, *, workers: int = 1):
+    """A design space run the way every entry point runs one: its
+    scenarios as one campaign."""
+    spec = CampaignSpec(name="design", scenarios=space.scenarios(use_case),
+                        seeds=(1,))
+    return CampaignRunner(spec, workers=workers).run()
+
+
+def _count(records, status: str) -> int:
+    return sum(1 for r in records if r.get("status") == status)
+
+
 class TestExplorerAndDemo:
     def test_mini_exploration_deterministic(self):
         space = DesignSpace(
@@ -340,16 +352,15 @@ class TestExplorerAndDemo:
                         TopologySpec(kind="ring", cols=4,
                                      nis_per_router=2)),
             table_sizes=(16,), max_frequency_mhz=800.0)
-        explorer = DesignExplorer(_small_use_case(), space, workers=1)
-        first = explorer.explore()
-        second = explorer.explore()
+        first = _run_space(_small_use_case(), space)
+        second = _run_space(_small_use_case(), space)
         assert first.to_json() == second.to_json()
-        assert first.n_candidates == 2
-        assert first.front
+        assert len(first.records) == 2
+        assert pareto_front(first.records)
 
     def test_space_scenarios_is_the_one_expansion(self):
-        """What the explorer runs is the space's own expansion, and the
-        space's search interval is what every candidate is held to."""
+        """What a design campaign runs is the space's own expansion, and
+        the space's search interval is what every candidate is held to."""
         space = DesignSpace(
             topologies=(TopologySpec(kind="mesh", cols=2, rows=2),
                         TopologySpec(kind="ring", cols=4)),
@@ -358,9 +369,7 @@ class TestExplorerAndDemo:
             spare_capacity=0.25)
         use_case = _small_use_case()
         scenarios = space.scenarios(use_case)
-        spec = DesignExplorer(use_case, space, name="x").campaign_spec()
-        assert spec.scenarios == scenarios
-        assert spec.name == "x"
+        assert scenarios == space.scenarios(use_case)
         assert [s.name for s in scenarios] == \
             [c.label for c in space.candidates()]
         for scenario, candidate in zip(scenarios, space.candidates()):
@@ -373,17 +382,17 @@ class TestExplorerAndDemo:
                 tolerance_mhz=25.0, prune=False, spare_capacity=0.25)
 
     def test_demo_rediscovers_the_papers_point(self):
-        from repro.design import demo_space
-        report = DesignExplorer(section7_demo_use_case(), demo_space(),
-                                workers=2).explore()
-        chosen = report.min_area_point()
-        assert chosen is not None
+        from repro.campaign.presets import design_demo
+        result = CampaignRunner(design_demo(), workers=2).run()
+        front = pareto_front(result.records)
+        assert front
+        chosen = front[0]
         assert str(chosen["topology"]).startswith("mesh2x2")
         assert chosen["result"]["operating_frequency_mhz"] <= 500.0
-        assert report.count("ok") >= 5  # a real front, not a lone point
-        assert report.n_candidates == 18
+        assert _count(result.records, "ok") >= 5  # a real front
+        assert len(result.records) == 18
         # The report is canonical JSON end to end.
-        json.loads(report.to_json())
+        json.loads(result.to_json())
 
 
 class TestMinFeasibleConfiguration:

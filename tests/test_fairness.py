@@ -266,6 +266,8 @@ class TestFairnessScenarios:
         with pytest.raises(ConfigurationError):
             ScenarioSpec(name="x", mode="fairness",
                          churn=ChurnSpec())  # untenanted
+        with pytest.raises(ConfigurationError, match="need a spec in"):
+            ScenarioSpec(name="x", mode="fairness")  # no churn at all
         with pytest.raises(ConfigurationError):
             ScenarioSpec(name="x", mode="serve", policy="lifo")
         spec = ScenarioSpec(name="x", mode="fairness", churn=TENANTED)

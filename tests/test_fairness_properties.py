@@ -24,10 +24,10 @@ from repro.service import (ChurnSpec, ChurnWorkload, FairnessSpec,
                            SessionService, TenantSpec,
                            WeightedFairScheduler)
 from repro.service.churn import SessionRequest
-from repro.service.qos import DEFAULT_CLASSES, class_by_name
+from repro.service.qos import DEFAULT_CLASSES
 from repro.topology.builders import mesh
 
-VIDEO = class_by_name(DEFAULT_CLASSES, "video")
+VIDEO = next(qos for qos in DEFAULT_CLASSES if qos.name == "video")
 
 #: One accounting window for the whole drive: WFQ state never resets,
 #: so the properties constrain the full admission history.

@@ -451,9 +451,9 @@ class TestSharedAllocatorIsolation:
         # An application the dead router strands: the faulty manager
         # must refuse it, its neighbour must place it exactly as a
         # manager that never saw a fault does.
-        src = next(ip for ip in mapping.ips
+        src = next(ip for ip in sorted(mapping.ip_to_ni)
                    if mapping.ni_of(ip).startswith("ni1_1"))
-        dst = next(ip for ip in mapping.ips
+        dst = next(ip for ip in sorted(mapping.ip_to_ni)
                    if not mapping.ni_of(ip).startswith("ni1_1"))
         late = Application("late", (ChannelSpec(
             "late0", src, dst, 5 * MB, application="late"),))

@@ -1,12 +1,11 @@
-"""Tests for flit/packet datatypes and their framing invariants."""
+"""Tests for the flit datatype."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.exceptions import ConfigurationError
-from repro.core.flits import Flit, FlitKind, FlitMeta, Packet
-from repro.core.words import WordFormat
+from repro.core.flits import Flit, FlitKind
 
 
 class TestFlit:
@@ -25,69 +24,7 @@ class TestFlit:
         assert token.eop
         assert len(token.words) == fmt.flit_size
 
-    def test_header_word_accessor(self, fmt):
-        flit = Flit.data([0x123, 1], fmt, eop=True, has_header=True)
-        assert flit.header_word == 0x123
-
-    def test_with_header_word(self, fmt):
-        flit = Flit.data([0x123, 1], fmt, eop=False, has_header=True)
-        shifted = flit.with_header_word(0x456)
-        assert shifted.header_word == 0x456
-        assert shifted.words[1:] == flit.words[1:]
-        assert flit.header_word == 0x123  # original untouched
-
-    def test_with_meta(self, fmt):
-        flit = Flit.data([1], fmt, eop=True, has_header=True)
-        meta = FlitMeta(channel="c", sequence=3)
-        tagged = flit.with_meta(meta)
-        assert tagged.meta.channel == "c"
-        assert flit.meta is None
-
     def test_flit_is_immutable(self, fmt):
         flit = Flit.data([1], fmt, eop=True, has_header=True)
         with pytest.raises(AttributeError):
             flit.eop = False  # type: ignore[misc]
-
-
-class TestPacket:
-    def _flit(self, fmt, *, header=False, eop=False):
-        return Flit.data([1, 2], fmt, eop=eop, has_header=header)
-
-    def test_valid_packet(self, fmt):
-        packet = Packet((self._flit(fmt, header=True),
-                         self._flit(fmt, eop=True)))
-        assert len(packet) == 2
-
-    def test_must_start_with_header(self, fmt):
-        with pytest.raises(ConfigurationError):
-            Packet((self._flit(fmt), self._flit(fmt, eop=True)))
-
-    def test_must_end_with_eop(self, fmt):
-        with pytest.raises(ConfigurationError):
-            Packet((self._flit(fmt, header=True), self._flit(fmt)))
-
-    def test_no_mid_packet_header(self, fmt):
-        with pytest.raises(ConfigurationError):
-            Packet((self._flit(fmt, header=True),
-                    self._flit(fmt, header=True, eop=True)))
-
-    def test_no_mid_packet_eop(self, fmt):
-        with pytest.raises(ConfigurationError):
-            Packet((self._flit(fmt, header=True, eop=True),
-                    self._flit(fmt, eop=True)))
-
-    def test_empty_packet_rejected(self, fmt):
-        with pytest.raises(ConfigurationError):
-            Packet(())
-
-    def test_payload_bytes_sums_metadata(self, fmt):
-        flit_a = Flit.data([1, 2], fmt, eop=False, has_header=True,
-                           meta=FlitMeta(payload_bytes=4))
-        flit_b = Flit.data([3, 4, 5], fmt, eop=True, has_header=False,
-                           meta=FlitMeta(payload_bytes=12))
-        assert Packet((flit_a, flit_b)).payload_bytes == 16
-
-    def test_header_word_of_packet(self, fmt):
-        packet = Packet((Flit.data([0x77, 0], fmt, eop=True,
-                                   has_header=True),))
-        assert packet.header_word == 0x77

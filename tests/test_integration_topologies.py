@@ -110,7 +110,7 @@ class TestAlternativeTopologies:
                            frequency_hz=500e6, mapping=mapping)
         # On a 3x3 torus the wraparound makes this a 2-hop route,
         # against 4 hops on a mesh.
-        assert config.allocation.channel("c").path.n_routers <= 3
+        assert len(config.allocation.channel("c").path.routers) <= 3
 
     def test_concentrated_mesh_detailed_sync(self):
         """The paper's topology class runs end-to-end in the word-level

@@ -60,13 +60,13 @@ class TestMappingHeuristicProperties:
         topo, ips, _ = self._setup(family, seed)
         mapping = round_robin(ips, topo)
         mapping.validate(topo)
-        assert set(mapping.ips) == set(ips)
+        assert set(mapping.ip_to_ni) == set(ips)
 
     def test_traffic_balanced_validates(self, family, seed):
         topo, ips, channels = self._setup(family, seed)
         mapping = traffic_balanced(ips, channels, topo)
         mapping.validate(topo)
-        assert set(mapping.ips) == set(ips)
+        assert set(mapping.ip_to_ni) == set(ips)
 
     def test_traffic_balanced_never_worse_than_round_robin(
             self, family, seed):
@@ -97,7 +97,8 @@ class TestTrafficBalancedStructure:
         ips = [f"ip{i}" for i in range(6)]
         channels = _random_channels(rng, ips, 8)
         mapping = traffic_balanced(ips, channels, topo)
-        counts = [len(mapping.ips_of(ni)) for ni in topo.nis]
+        counts = [list(mapping.ip_to_ni.values()).count(ni)
+                  for ni in topo.nis]
         assert max(counts) - min(counts) <= 1
 
     def test_no_channels_still_validates(self):
@@ -106,7 +107,7 @@ class TestTrafficBalancedStructure:
         ips = [f"ip{i}" for i in range(8)]
         mapping = traffic_balanced(ips, [], topo)
         mapping.validate(topo)
-        assert set(mapping.ips) == set(ips)
+        assert set(mapping.ip_to_ni) == set(ips)
 
 
 @settings(max_examples=25, deadline=None)

@@ -170,4 +170,4 @@ class TestMesochronousStage:
         wclk = ClockDomain("w", period_ps=2000, phase_ps=100)
         rclk = ClockDomain("r", period_ps=2000, phase_ps=700)
         stage = MesochronousLinkStage("s", wclk, rclk, fmt)
-        assert stage.skew_ps() == 600
+        assert stage.writer_clock.skew_to(stage.reader_clock) == 600

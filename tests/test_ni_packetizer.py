@@ -30,7 +30,7 @@ class TestPacketizer:
         flit = pk.next_flit(credits=7, next_slot_is_ours=False)
         assert flit.has_header
         assert flit.eop
-        path, queue, credits = decode_header(flit.header_word, fmt)
+        path, queue, credits = decode_header(flit.words[0], fmt)
         assert path == 0b101
         assert queue == 3
         assert credits == 7
@@ -87,8 +87,8 @@ class TestPacketizer:
         pk = Packetizer("ch", 0b11, 5, fmt)
         flit = pk.credit_only_flit(credits=9)
         assert flit.eop and flit.has_header
-        assert header_credits(flit.header_word, fmt) == 9
-        assert header_queue(flit.header_word, fmt) == 5
+        assert header_credits(flit.words[0], fmt) == 9
+        assert header_queue(flit.words[0], fmt) == 5
         assert flit.meta.payload_bytes == 0
 
     def test_next_flit_without_data_raises(self, fmt):
@@ -96,12 +96,12 @@ class TestPacketizer:
         with pytest.raises(ConfigurationError):
             pk.next_flit(credits=0, next_slot_is_ours=False)
 
-    def test_pending_words_accounting(self, fmt):
+    def test_queued_words_accounting(self, fmt):
         pk = Packetizer("ch", 0, 0, fmt)
         pk.enqueue(_message(words=5))
-        assert pk.pending_words == 5
+        assert pk.queued_words == 5
         pk.next_flit(credits=0, next_slot_is_ours=False)
-        assert pk.pending_words == 3
+        assert pk.queued_words == 3
 
 
 class _Loopback:

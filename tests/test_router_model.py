@@ -52,12 +52,6 @@ class TestHPU:
         assert port is None
         assert not phit.valid
 
-    def test_reset(self, fmt):
-        hpu = HeaderParsingUnit(fmt)
-        hpu.process(_header_phit(fmt, [4]))
-        hpu.reset()
-        assert not hpu.busy
-
 
 class TestSwitch:
     def test_routes_distinct_outputs(self):
@@ -182,15 +176,7 @@ class TestSynchronousRouter:
         with pytest.raises(SimulationError):
             engine.run_until(10 * 2000)
 
-    def test_reset_flushes_pipeline(self, fmt):
-        router = SynchronousRouter("r", 2, 2, fmt)
-        router._stage1[0] = _header_phit(fmt, [0])
-        router.reset()
-        assert router.occupancy() == 0
-
     def test_bad_geometry_rejected(self, fmt):
         with pytest.raises(ConfigurationError):
             SynchronousRouter("r", 0, 2, fmt)
 
-    def test_arity(self, fmt):
-        assert SynchronousRouter("r", 3, 5, fmt).arity == 5

@@ -35,6 +35,7 @@ from repro.simulation.backend import (BestEffortBackend,
                                       create_backend)
 from repro.simulation.composability import compare_subsets
 from repro.simulation.cyclesim import DetailedNetwork
+from repro.simulation.monitors import LatencySummary
 from repro.simulation.traffic import (BernoulliMessages, ConstantBitRate,
                                       PeriodicBurst, Replay, Saturating,
                                       MessageEvent)
@@ -380,6 +381,22 @@ class TestSimulationBackendProtocol:
             assert "p99" in text and kind in text
             assert "p99" in repr(result)
 
+    @pytest.mark.parametrize("kind", ["flit", "cycle", "be"])
+    def test_record_latency_is_the_summary_of_every_latency(
+            self, mesh_config, kind):
+        """The record's overall summary, built from the channels'
+        sorted samples, is the summary of all latencies sorted afresh —
+        the mean bit for bit."""
+        result = create_backend(kind, mesh_config).run(SimRequest(
+            n_slots=300, traffic=_cbr_traffic(mesh_config)))
+        latencies = result.stats.all_latencies_ns()
+        expected = LatencySummary.of(latencies)
+        overall = result.to_record()["latency_ns"]
+        assert overall == {
+            "min": round(expected.minimum, 3),
+            "mean": round(expected.mean, 3), "p50": round(expected.p50, 3),
+            "p99": round(expected.p99, 3), "max": round(expected.maximum, 3)}
+
     def test_silent_channels_absent_from_stats(self, mesh_config):
         """Channels that recorded nothing stay out of stats/records."""
         traffic = _cbr_traffic(mesh_config)
@@ -388,7 +405,7 @@ class TestSimulationBackendProtocol:
             SimRequest(n_slots=300, traffic=subset))
         assert result.stats.channels == ("c0",)
         # Reading a silent channel is pure: it must not register it.
-        assert result.channel_latencies_ns("c1") == []
+        assert result.stats.channel_aggregate("c1")[3] == []
         assert result.stats.channels == ("c0",)
         assert sorted(result.to_record()["channels"]) == ["c0"]
 

@@ -14,7 +14,7 @@ from repro.core.placement import QuoteMemo, place
 import repro.core.slot_table as slot_table
 from repro.core.slot_table import (_assign_near_ideal, _fill_gaps,
                                    _largest_gap, _nearest, choose_slots_fast,
-                                   ideal_positions, mask_to_slots,
+                                   mask_to_slots,
                                    max_consecutive_gap, shifted,
                                    slots_to_mask, spread_slots,
                                    worst_case_wait_slots)
@@ -76,28 +76,22 @@ class TestGaps:
 
 
 class TestIdealPositions:
+    """On an empty table the spreading template is the choice itself."""
+
     def test_evenly_spread(self):
-        assert ideal_positions(4, 16) == [0, 4, 8, 12]
+        assert spread_slots(slots_to_mask(range(16), 16), 4, 16) == \
+            (0, 4, 8, 12)
 
     def test_rounding(self):
-        assert ideal_positions(3, 8) == [0, 3, 5]
-
-    def test_zero(self):
-        assert ideal_positions(0, 8) == []
-
-    def test_each_call_returns_its_own_list(self):
-        """The template is memoised per ``(n, size)``; a caller that
-        mutates what it got cannot change what the next one gets."""
-        ideal_positions(4, 16).append(99)
-        assert ideal_positions(4, 16) == [0, 4, 8, 12]
+        assert spread_slots(slots_to_mask(range(8), 8), 3, 8) == (0, 3, 5)
 
     @pytest.mark.parametrize("n, size, name", [
         (3, 0, "slot table size"), (2, 4.5, "slot table size"),
         (2.5, 8, "slot count"), (float("nan"), 8, "slot count")])
     def test_a_template_that_is_not_whole_is_refused(self, n, size, name):
-        """``ideal_positions(3, 0)`` used to raise ``ZeroDivisionError``."""
+        """A template of ``(3, 0)`` used to raise ``ZeroDivisionError``."""
         with pytest.raises(ConfigurationError, match=f"{name} must be "):
-            ideal_positions(n, size)
+            spread_slots(0, n, size)
 
 
 class TestSpreadSlots:
@@ -167,7 +161,7 @@ def ref_nearest(candidates, target, size):
 def ref_assign(free_sorted, n, size, anchor):
     remaining = set(free_sorted)
     chosen = []
-    for offset in ideal_positions(n, size):
+    for offset in slot_table._template(n, size)[2]:
         pick = ref_nearest(remaining, (anchor + offset) % size, size)
         if pick is None:
             return None
@@ -379,7 +373,7 @@ def full_anchor_scan(free_mask, n, size, max_gap=None):
     anchors = mask_to_slots(free_mask)
     if len(anchors) > 64:
         anchors = anchors[::2]
-    offsets = tuple(ideal_positions(n, size))
+    offsets = slot_table._template(n, size)[2]
     for anchor in anchors:
         chosen = _assign_near_ideal(free_mask, offsets, size, anchor)
         gap = _largest_gap(chosen, size)[1]

@@ -4,6 +4,8 @@
 tests, ``tools/unreferenced.py`` the census of definitions nothing
 references and parameters nothing passes; running them here means a
 deleted twin or option that grows back fails locally, not on the runner.
+``tools/code_lines.py``, the size figure CI prints beside them, refuses
+an argument it cannot count with its usage line.
 """
 
 from __future__ import annotations
@@ -387,3 +389,13 @@ def test_a_removed_parameter_cannot_come_back(tree_copy, path, old, new):
         target.write_text(source)
     assert proc.returncode == 1
     assert "is passed nowhere" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [["--help"], ["no/such/path"], []])
+def test_code_lines_refuses_bad_arguments_with_its_usage(args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), *args],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: code_lines.py")
+    assert "Traceback" not in proc.stderr

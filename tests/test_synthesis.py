@@ -43,7 +43,7 @@ class TestGates:
     def test_gate_counts_accumulate(self):
         counts = GateCounts()
         counts.add_registers(10).add_logic(100)
-        counts.merge(GateCounts(flipflops=5, nand2=50))
+        counts.add_registers(5).add_logic(50)
         area = counts.area_um2(TECH_90LP)
         assert area == pytest.approx(15 * 14.0 + 150 * 3.1)
 

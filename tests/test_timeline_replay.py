@@ -323,9 +323,9 @@ class TestRecorder:
         manager = ReconfigurationManager(allocator, mesh_config.mapping,
                                          recorder=recorder)
         use_case = mesh_config.use_case
-        manager.start_application(use_case.application("appX"), at_s=0.0)
-        manager.start_application(use_case.application("appY"),
-                                  at_s=0.010)
+        apps = {app.name: app for app in use_case.applications}
+        manager.start_application(apps["appX"], at_s=0.0)
+        manager.start_application(apps["appY"], at_s=0.010)
         manager.stop_application("appY", at_s=0.020)
         assert recorder.n_transitions == 3
         timeline = recorder.build(horizon_slots=800)

@@ -43,10 +43,10 @@ def code_lines(path: Path) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
+    root = Path(argv[1]) if len(argv) == 2 else None
+    if root is None or not root.exists():
         print("usage: code_lines.py <file-or-directory>", file=sys.stderr)
         return 2
-    root = Path(argv[1])
     files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
     print(sum(code_lines(path) for path in files))
     return 0
