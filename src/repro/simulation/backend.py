@@ -228,11 +228,11 @@ class SimResult:
         byte-stable across processes and platforms.
         """
         channels: dict[str, dict[str, object]] = {}
-        # Each channel's sample is sorted once; the overall summary
-        # sorts the concatenated runs, which Timsort merges (the same
-        # ascending sequence, so the same sum and mean, at under half
-        # the cost of sorting every latency afresh; heapq.merge is
-        # slower than either).
+        # ``channel_aggregate`` hands each channel's sample over sorted;
+        # the overall summary sorts the concatenated runs, which Timsort
+        # merges (the same ascending sequence, so the same sum and mean,
+        # at under half the cost of sorting every latency afresh;
+        # heapq.merge is slower than either).
         runs: list[list[float]] = []
         for name in self.stats.channels:
             messages, flits, delivered_bytes, latencies = \
@@ -243,7 +243,7 @@ class SimResult:
                 "delivered_bytes": delivered_bytes,
             }
             if messages:
-                runs.append(sorted(latencies))
+                runs.append(latencies)
                 entry["latency_ns"] = _rounded(
                     LatencySummary.of_sorted(runs[-1]))
             channels[name] = entry

@@ -407,9 +407,14 @@ class _IntervalRun:
         return list(zip(*(column.tolist()
                           for column in self.trace_columns())))
 
+    def latency_column(self):
+        """Delivery latencies as a view of the batch's column, identical
+        floats to the record path."""
+        return self.batch.latencies_ns[self._done()]
+
     def latencies_ns(self) -> list[float]:
-        """Delivery latencies, identical floats to the record path."""
-        return self.batch.latencies_ns[self._done()].tolist()
+        """Delivery latencies, in delivery order."""
+        return self.latency_column().tolist()
 
     def append_records(self, sink) -> None:
         """Expand into per-flit records on a ``ChannelStats`` sink."""
@@ -658,14 +663,17 @@ class CompiledStats(StatsCollector):
         return out
 
     def channel_aggregate(self, channel: str):
-        """One channel's totals and latencies, from the arrays."""
+        """One channel's totals and ascending latencies, from the
+        arrays: the runs' columns are sorted together before they become
+        floats."""
         runs = self._array_runs(channel)
         if runs is None:
             return super().channel_aggregate(channel)
         return (sum(run.n_deliveries for run in runs),
                 sum(run.n_flits for run in runs),
                 sum(run.delivered_bytes() for run in runs),
-                list(chain.from_iterable(run.latencies_ns() for run in runs)))
+                _np.sort(_np.concatenate(
+                    [run.latency_column() for run in runs])).tolist())
 
     def incarnation_observations(self, channel: str):
         """One entry per run — a run is one incarnation by construction;

@@ -327,13 +327,13 @@ class StatsCollector:
     def channel_aggregate(self, channel: str
                           ) -> tuple[int, int, int, list[float]]:
         """``(messages, flits, delivered bytes, end-to-end latencies in
-        delivery order)`` of one channel — what a canonical record and a
+        ascending order)`` of one channel — what a canonical record and a
         latency summary need of it.  This record walk is the reference;
         collectors backed by schedule arrays override it."""
         stats = self.channel(channel)
         return (len(stats.deliveries), len(stats.injections),
                 stats.delivered_bytes,
-                [d.latency_ns for d in stats.deliveries])
+                sorted(d.latency_ns for d in stats.deliveries))
 
     def service_latencies_ns(self, channel: str) -> list[float]:
         """Per-message network service latencies of one channel.

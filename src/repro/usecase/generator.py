@@ -77,6 +77,11 @@ class Section7Parameters:
                      "table_size"):
             require_whole(name, getattr(self, name), 1)
         require_finite_positive("frequency_hz", self.frequency_hz)
+        # Each application draws its endpoint pairs from its own IPs.
+        if self.n_ips < 2 * self.n_applications:
+            raise ConfigurationError(
+                f"{self.n_ips} IPs cannot give each of "
+                f"{self.n_applications} applications two")
         # Chained comparisons, which NaN fails.  An empty throughput
         # range would divide by its zero log-span.
         if not 0 < self.min_throughput_mb_s < MAX_THROUGHPUT_MB_S:
@@ -107,11 +112,6 @@ class Section7Instance:
                    for ch in self.use_case.channels)
 
 
-#: Where an IP sits: ``(its NI, the mesh position of that NI's router,
-#: the NI's injection load key, its ejection load key)``.
-_Site = tuple[str, tuple[int, int], str, str]
-
-
 def generate_section7(params: Section7Parameters | None = None
                       ) -> Section7Instance:
     """Generate the paper's 200-connection evaluation workload."""
@@ -124,20 +124,12 @@ def generate_section7(params: Section7Parameters | None = None
     ip_names = [f"ip{i:02d}" for i in range(params.n_ips)]
     app_ips = _partition_ips(ip_names, params.n_applications)
     mapping = _cluster_mapping(topo, app_ips, params)
-    # Endpoint picking compares NIs, router positions and NI loads
-    # thousands of times; an IP never moves, so each one's site is
-    # resolved here, once.
-    ip_sites: dict[str, _Site] = {}
-    for ip in ip_names:
-        ni = mapping.ni_of(ip)
-        ip_sites[ip] = (ni, router_coords(topo, topo.attached_router(ni)),
-                        f"ni>{ni}", f"ni<{ni}")
     channels_by_app: dict[str, list[ChannelSpec]] = {}
     ni_load: dict[str, float] = {}
     for app_index, ips in enumerate(app_ips):
         name = f"app{app_index}"
         channels_by_app[name] = _generate_app_channels(
-            name, ips, topo, mapping, params, fmt, rng, ni_load, ip_sites)
+            name, ips, topo, mapping, params, fmt, rng, ni_load)
     _relax_for_feasibility(channels_by_app, topo, mapping, params, fmt)
     applications = tuple(
         Application(name, tuple(channels))
@@ -182,18 +174,26 @@ def _cluster_mapping(topo: Topology, app_ips: list[list[str]],
 def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
                            mapping: Mapping, params: Section7Parameters,
                            fmt: WordFormat, rng: random.Random,
-                           ni_load: dict[str, float],
-                           ip_sites: dict[str, _Site]
+                           ni_load: dict[str, float]
                            ) -> list[ChannelSpec]:
     """Draw one application's connections within its IP set.
 
     ``ni_load`` tallies the estimated throughput slots on each NI's
     injection ("ni>" prefix) and ejection ("ni<" prefix) link across all
-    applications, steering endpoint choice away from saturated NIs;
-    ``ip_sites`` holds each IP's :data:`_Site`.
+    applications, steering endpoint choice away from saturated NIs.
     """
     from repro.core.requirements import slots_for_throughput
 
+    # Endpoint picking tries thousands of IP pairs; an IP never moves,
+    # so every pair's router distance (None where both share an NI) and
+    # every IP's NI load keys are resolved here, once.
+    nis = [mapping.ni_of(ip) for ip in ips]
+    coords = [router_coords(topo, topo.attached_router(ni)) for ni in nis]
+    hops = [[None if ni_a == ni_b else abs(xa - xb) + abs(ya - yb)
+             for ni_b, (xb, yb) in zip(nis, coords)]
+            for ni_a, (xa, ya) in zip(nis, coords)]
+    injects = [f"ni>{ni}" for ni in nis]
+    ejects = [f"ni<{ni}" for ni in nis]
     channels: list[ChannelSpec] = []
     for index in range(params.connections_per_application):
         throughput_mb = _log_uniform(rng, params.min_throughput_mb_s,
@@ -201,9 +201,9 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
         slots = slots_for_throughput(
             throughput_mb * MB, params.table_size, params.frequency_hz,
             fmt)
-        src, dst = _pick_endpoints(ips, ip_sites, rng, throughput_mb,
-                                   params, ni_load, slots)
-        inject, eject = ip_sites[src][2], ip_sites[dst][3]
+        a, b = _pick_endpoints(hops, injects, ejects, rng, throughput_mb,
+                               params, ni_load, slots)
+        src, dst, inject, eject = ips[a], ips[b], injects[a], ejects[b]
         ni_load[inject] = ni_load.get(inject, 0.0) + slots
         ni_load[eject] = ni_load.get(eject, 0.0) + slots
         latency = _draw_latency(src, dst, topo, mapping, params, fmt, rng)
@@ -216,11 +216,13 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
     return channels
 
 
-def _pick_endpoints(ips: list[str], ip_sites: dict[str, _Site],
-                    rng: random.Random, throughput_mb: float,
-                    params: Section7Parameters, ni_load: dict[str, float],
-                    slots: int) -> tuple[str, str]:
-    """Pick endpoints with bandwidth-aware locality and load steering.
+def _pick_endpoints(hops: list[list[int | None]], injects: list[str],
+                    ejects: list[str], rng: random.Random,
+                    throughput_mb: float, params: Section7Parameters,
+                    ni_load: dict[str, float], slots: int
+                    ) -> tuple[int, int]:
+    """Pick the indices of a source and a destination IP with
+    bandwidth-aware locality and load steering.
 
     Heavy flows (above ~65 % of the range, log scale) are placed between
     IPs of the same router; moderate flows within one hop; light flows
@@ -233,7 +235,9 @@ def _pick_endpoints(ips: list[str], ip_sites: dict[str, _Site],
     Candidates whose injection or ejection NI link would exceed a
     throughput budget (just over half the slot table, leaving headroom
     for latency-driven slots) are avoided; among admissible candidates
-    the first sampled wins, keeping the draw random.
+    the first sampled wins, keeping the draw random.  ``hops[a][b]`` is
+    the router distance from IP ``a`` to IP ``b`` (``None`` on a shared
+    NI); ``injects`` / ``ejects`` are each IP's ``ni_load`` keys.
     """
     span = (math.log(MAX_THROUGHPUT_MB_S) -
             math.log(params.min_throughput_mb_s))
@@ -246,24 +250,24 @@ def _pick_endpoints(ips: list[str], ip_sites: dict[str, _Site],
     else:
         max_hops = 10_000
     budget = 0.55 * params.table_size
-    fallback: tuple[str, str] | None = None
+    fallback: tuple[int, int] | None = None
     fallback_cost = float("inf")
+    n_ips = len(hops)
 
     # Escalating locality rings: prefer the flow's natural distance, but
     # rather place it further away than overload an NI link.
     for ring in (max_hops, max_hops + 2, 10_000):
         for _ in range(300):
-            src, dst = rng.sample(ips, 2)
-            ni_a, (xa, ya), inject, _ = ip_sites[src]
-            ni_b, (xb, yb), _, eject = ip_sites[dst]
-            if ni_a == ni_b or abs(xa - xb) + abs(ya - yb) > ring:
+            a, b = _sample_pair(rng, n_ips)
+            distance = hops[a][b]
+            if distance is None or distance > ring:
                 continue
-            cost = max(ni_load.get(inject, 0.0),
-                       ni_load.get(eject, 0.0)) + slots
+            cost = max(ni_load.get(injects[a], 0.0),
+                       ni_load.get(ejects[b], 0.0)) + slots
             if cost <= budget:
-                return src, dst
+                return a, b
             if cost < fallback_cost:
-                fallback, fallback_cost = (src, dst), cost
+                fallback, fallback_cost = (a, b), cost
         if ring >= 10_000:
             break
     if fallback is None:
@@ -271,6 +275,24 @@ def _pick_endpoints(ips: list[str], ip_sites: dict[str, _Site],
             "could not find endpoints on distinct NIs; the mapping is "
             "too concentrated")
     return fallback
+
+
+def _sample_pair(rng: random.Random, n: int) -> tuple[int, int]:
+    """Two distinct indices below ``n``, drawn exactly as
+    ``rng.sample(range(n), 2)`` draws them, from two random numbers.
+
+    CPython's ``sample`` takes a pair from a pool for ``n <= 21``: the
+    second draw is below ``n - 1``, and drawing the first's slot takes
+    the last element moved into it.  Above 21 it redraws a repeat.
+    """
+    first = rng.randrange(n)
+    if n <= 21:
+        second = rng.randrange(n - 1)
+        return first, (n - 1 if second == first else second)
+    second = rng.randrange(n)
+    while second == first:
+        second = rng.randrange(n)
+    return first, second
 
 
 def _log_uniform(rng: random.Random, low: float, high: float) -> float:
@@ -322,7 +344,9 @@ def _relax_for_feasibility(channels_by_app: dict[str, list[ChannelSpec]],
     ni_set = set(topo.nis)
 
     # A round moves one channel's latency and no channel's route: the XY
-    # paths are built once and only the victim's demand is recomputed.
+    # paths, each NI link's pressure and its holders are built once, and
+    # a round recomputes the victim's demand and moves its links'
+    # pressure by the difference (whole slots, so the sums stay exact).
     paths = [xy_path(topo, mapping.ni_of(spec.src_ip),
                      mapping.ni_of(spec.dst_ip)) for spec in all_channels]
 
@@ -332,15 +356,15 @@ def _relax_for_feasibility(channels_by_app: dict[str, list[ChannelSpec]],
                                  fmt)[0]
 
     demands = [demand(index) for index in range(len(all_channels))]
+    ni_keys = [[key for key in path.link_keys()
+                if key[0] in ni_set or key[1] in ni_set] for path in paths]
+    pressure: dict[tuple[str, str], float] = {}
+    holders: dict[tuple[str, str], list[int]] = {}
+    for index, keys in enumerate(ni_keys):
+        for key in keys:
+            pressure[key] = pressure.get(key, 0.0) + demands[index]
+            holders.setdefault(key, []).append(index)
     for _ in range(20 * len(all_channels)):
-        pressure: dict[tuple[str, str], float] = {}
-        holders: dict[tuple[str, str], list[int]] = {}
-        for index, path in enumerate(paths):
-            for key in path.link_keys():
-                if key[0] not in ni_set and key[1] not in ni_set:
-                    continue
-                pressure[key] = pressure.get(key, 0.0) + demands[index]
-                holders.setdefault(key, []).append(index)
         overloaded = [key for key, load in pressure.items()
                       if load > budget]
         if not overloaded:
@@ -377,7 +401,9 @@ def _relax_for_feasibility(channels_by_app: dict[str, list[ChannelSpec]],
             max_latency_ns=relaxed, application=spec.application,
             burst_bytes=spec.burst_bytes)
         all_channels[victim] = new_spec
-        demands[victim] = demand(victim)
+        previous, demands[victim] = demands[victim], demand(victim)
+        for key in ni_keys[victim]:
+            pressure[key] += demands[victim] - previous
         app_list = channels_by_app[spec.application]
         app_list[[c.name for c in app_list].index(spec.name)] = new_spec
     raise ConfigurationError(

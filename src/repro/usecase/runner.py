@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.configuration import NocConfiguration, configure
-from repro.core.exceptions import AllocationError, SimulationError
+from repro.core.exceptions import (AllocationError, SimulationError,
+                                   require_finite_positive, require_whole)
 from repro.simulation.backend import (BestEffortBackend, FlitLevelBackend,
                                       SimRequest, SimResult,
                                       SimulationBackend)
@@ -59,6 +60,8 @@ def configure_section7(instance: Section7Instance | None = None, *,
     (channel name and reason) so the bottleneck is diagnosable.
     """
     instance = instance or generate_section7()
+    if frequency_hz is None:
+        frequency_hz = instance.parameters.frequency_hz
     use_case = instance.use_case
     last_failure: AllocationError | None = None
     for _ in range(max_negotiations):
@@ -66,8 +69,7 @@ def configure_section7(instance: Section7Instance | None = None, *,
             config = configure(
                 instance.topology, use_case,
                 table_size=SECTION7_TABLE_SIZE,
-                frequency_hz=(frequency_hz or
-                              instance.parameters.frequency_hz),
+                frequency_hz=frequency_hz,
                 fmt=instance.fmt,
                 mapping=instance.mapping,
                 require_met=True)
@@ -131,6 +133,7 @@ def cbr_traffic(config: NocConfiguration, *,
     Offsets are staggered deterministically per channel so sources do
     not all burst in the same cycle (the stagger is stable across runs).
     """
+    require_finite_positive("rate_factor", rate_factor)
     patterns: dict[str, TrafficPattern] = {}
     for index, (name, ca) in enumerate(
             sorted(config.allocation.channels.items())):
@@ -153,9 +156,14 @@ def burst_traffic(config: NocConfiguration, *,
     the canonical Section VII workload: bursts expose exactly the
     difference the paper reports, since TDM isolation bounds each flit's
     network latency regardless of everyone else's bursts while the
-    best-effort network's tails grow with contention.
+    best-effort network's tails grow with contention.  ``frequency_hz``
+    ``None`` clocks the sources at the configuration's frequency.
     """
-    frequency = frequency_hz or config.frequency_hz
+    frequency = config.frequency_hz if frequency_hz is None \
+        else frequency_hz
+    require_finite_positive("frequency_hz", frequency)
+    require_finite_positive("rate_factor", rate_factor)
+    burst_messages = require_whole("burst_messages", burst_messages, 1)
     fmt = config.fmt
     patterns: dict[str, TrafficPattern] = {}
     for index, (name, ca) in enumerate(
@@ -230,9 +238,11 @@ def run_gs(config: NocConfiguration, *, n_slots: int = 4000,
     per-connection requirement and the analytical bound.
     ``backend`` substitutes any GS-capable backend for the default
     flit-level one (e.g. the cycle-accurate model for a slow ground-truth
-    pass).
+    pass).  ``traffic`` ``None`` offers :func:`burst_traffic`; any
+    mapping, an empty one included, is run as given.
     """
-    traffic = traffic or burst_traffic(config)
+    if traffic is None:
+        traffic = burst_traffic(config)
     backend = backend or FlitLevelBackend(config)
     result = backend.run(SimRequest(n_slots=n_slots, traffic=traffic))
     bounds = config.bounds()
@@ -281,9 +291,12 @@ def run_be(config: NocConfiguration, *, frequency_hz: float,
 
     Uses the same service-latency metric as :func:`run_gs` for a fair
     comparison: self-queueing behind the channel's own messages is
-    excluded, contention with other channels is in.
+    excluded, contention with other channels is in.  ``traffic``
+    ``None`` offers :func:`burst_traffic` at ``frequency_hz``; any
+    mapping, an empty one included, is run as given.
     """
-    traffic = traffic or burst_traffic(config, frequency_hz=frequency_hz)
+    if traffic is None:
+        traffic = burst_traffic(config, frequency_hz=frequency_hz)
     backend = BestEffortBackend(config, buffer_flits=2)
     result = backend.run(SimRequest(n_slots=n_ticks, traffic=traffic,
                                     frequency_hz=frequency_hz))

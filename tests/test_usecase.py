@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.exceptions import ConfigurationError
-from repro.usecase.generator import (Section7Parameters,
+from repro.usecase.generator import (Section7Parameters, _sample_pair,
                                      generate_section7)
 from repro.usecase.runner import (be_frequency_sweep, burst_traffic,
                                   cbr_traffic, configure_section7, run_be,
@@ -21,7 +26,45 @@ def section7_small():
     return configure_section7(instance)
 
 
+def _fingerprint(instance) -> str:
+    """sha256 of every channel's name, endpoints, throughput and latency
+    requirement, in order, plus the IP-to-NI mapping."""
+    digest = hashlib.sha256()
+    for spec in instance.use_case.channels:
+        digest.update(repr((spec.name, spec.src_ip, spec.dst_ip,
+                            spec.throughput_bytes_per_s,
+                            spec.max_latency_ns)).encode())
+    digest.update(repr(sorted(instance.mapping.ip_to_ni.items())).encode())
+    return digest.hexdigest()
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("params, expected", [
+        (Section7Parameters(),
+         "7cba9d121af48d0cf9b9b9f98c80e535"
+         "37352e953e3c74573452b900042048bd"),
+        # 25 IPs an application: random.sample's redraw branch (> 21).
+        (Section7Parameters(n_ips=100),
+         "65c66ba48c226220b9228b1762bad6c6"
+         "42758b17cf2b3100b6e13d8589d30cdd")])
+    def test_instance_is_pinned(self, params, expected):
+        """The generated instance, draw for draw, as random.sample drew
+        it: any change to the endpoint draws moves these digests."""
+        assert _fingerprint(generate_section7(params)) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    def test_pair_draw_is_random_sample(self, seed):
+        """Pair for pair and state for state, the two-number draw is
+        ``random.Random.sample(population, 2)`` on 2 to 64 items."""
+        ours, reference = random.Random(seed), random.Random(seed)
+        for n in range(2, 65):
+            population = list(range(n))
+            for _ in range(8):
+                assert list(_sample_pair(ours, n)) == \
+                    reference.sample(population, 2), n
+        assert ours.getstate() == reference.getstate()
+
     def test_paper_scale_defaults(self):
         params = Section7Parameters()
         assert params.n_connections == 200
@@ -69,6 +112,8 @@ class TestGenerator:
             Section7Parameters(min_latency_ns=0)
         with pytest.raises(ConfigurationError):
             Section7Parameters(n_applications=0)
+        with pytest.raises(ConfigurationError, match="IPs cannot give"):
+            Section7Parameters(n_ips=7)  # an application of one IP
 
     @pytest.mark.parametrize("field, value", [
         ("min_throughput_mb_s", float("nan")),
@@ -157,6 +202,37 @@ class TestRunners:
         assert "last failure on channel" in str(error)
         assert error.channel is not None
         assert error.reason
+
+    def test_empty_traffic_is_run_as_given(self, section7_small):
+        """No traffic offered is not the burst workload."""
+        _, config = section7_small
+        assert run_gs(config, n_slots=300, traffic={}).n_measured == 0
+        outcome = run_be(config, frequency_hz=500e6, n_ticks=300,
+                         traffic={})
+        assert outcome.n_measured == 0
+
+    @pytest.mark.parametrize("option, value", [
+        ("frequency_hz", 0.0), ("frequency_hz", -5e8),
+        ("frequency_hz", float("nan")), ("frequency_hz", float("inf")),
+        ("rate_factor", 0.0), ("rate_factor", -1.0),
+        ("rate_factor", float("inf")),
+        ("burst_messages", 0), ("burst_messages", 2.5)])
+    def test_bad_burst_option_refused(self, section7_small, option, value):
+        """A zero frequency is refused, not swapped for the default; a
+        zero rate factor is refused, not divided by."""
+        _, config = section7_small
+        with pytest.raises(ConfigurationError, match=option):
+            burst_traffic(config, **{option: value})
+
+    def test_bad_cbr_rate_factor_refused(self, section7_small):
+        _, config = section7_small
+        with pytest.raises(ConfigurationError, match="rate_factor"):
+            cbr_traffic(config, rate_factor=0.0)
+
+    def test_zero_frequency_not_the_default(self, section7_small):
+        instance, _ = section7_small
+        with pytest.raises(ConfigurationError, match="frequency_hz"):
+            configure_section7(instance, frequency_hz=0.0)
 
     def test_empty_sweep_rejected(self, section7_small):
         from repro.core.exceptions import SimulationError

@@ -467,11 +467,17 @@ def observations(stats, name, read=None):
 def assert_reads_equal_the_record_walks(compiled, scalar, names):
     """The array answers first (the walks below expand the channel),
     then the per-flit executor's records and the base-class walks over
-    the compiled run's own materialised records."""
+    the compiled run's own materialised records.  ``channel_aggregate``
+    hands latencies over ascending; ``all_latencies_ns`` keeps delivery
+    order, so it holds the order of the arrays to the records."""
     assert names
+    assert repr(compiled.stats.all_latencies_ns()) == \
+        repr(scalar.stats.all_latencies_ns())
     for name in names:
         seen = observations(compiled.stats, name)
-        totals = repr(compiled.stats.channel_aggregate(name))
+        aggregate = compiled.stats.channel_aggregate(name)
+        assert aggregate[3] == sorted(aggregate[3]), name
+        totals = repr(aggregate)
         assert seen == observations(scalar.stats, name), name
         assert totals == repr(scalar.stats.channel_aggregate(name)), name
         assert seen == observations(
