@@ -26,18 +26,28 @@ Dispatch design, for the curious:
   mid-message corrupts only its own channel, which the parent treats
   as a death and re-queues the worker's unfinished runs as an item of
   their shard;
-* workers intern the scenario library once at spawn; messages carry
+* the workers are one pool per process (:class:`_Pool`): forked by
+  the first parallel ``run()``, reused by every later one, grown to the
+  largest worker count asked for, and ended when the interpreter exits.
+  A worker found dead is replaced at the next ``run()``; a ``run()``
+  that leaves by an exception retires the workers it used, so none
+  carries that campaign's in-flight messages into the next;
+* each ``run()`` sends each of its workers its scenario library and
+  ``base_seed`` once, in one message pickled once; batch messages carry
   only ``(run_id, scenario_name, seed)`` triples, never re-pickled
   scenario objects.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import heapq
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
+import threading
 import time
 import traceback
 from collections import Counter, deque
@@ -90,9 +100,15 @@ _ONE_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 #: million-run campaigns; median comes from the full wall list).
 _TOP_WALLS = 128
 
+#: Whether this process has executed a run.  Its first run pays the
+#: imports and caches every later run reuses, so that envelope is marked
+#: as the process's warm-up; a worker clears the flag it inherited.
+_warmed_up = False
+
 
 def _envelope(run: RunSpec) -> dict[str, object]:
-    """Execute one run into its envelope: record, wall and CPU time, pid.
+    """Execute one run into its envelope: record, wall and CPU time, pid
+    and whether it was this process's first run (its warm-up).
 
     Top-level (picklable) so a worker process can execute it.  What
     the run does is its scenario kind's business
@@ -107,6 +123,7 @@ def _envelope(run: RunSpec) -> dict[str, object]:
     the report.  ``process_time`` counts every thread of the process, so
     a thread pool the run never asked for shows up as CPU above wall.
     """
+    global _warmed_up
     start = time.perf_counter()
     cpu_start = time.process_time()
     try:
@@ -115,10 +132,11 @@ def _envelope(run: RunSpec) -> dict[str, object]:
         raise
     except BaseException as exc:  # noqa: BLE001 — the envelope IS the handler
         record = crashed_record(run, exc, traceback.format_exc())
+    warmup, _warmed_up = not _warmed_up, True
     return {"record": record,
             "wall_s": time.perf_counter() - start,
             "cpu_s": time.process_time() - cpu_start,
-            "pid": os.getpid()}
+            "pid": os.getpid(), "warmup": warmup}
 
 
 @dataclass
@@ -260,10 +278,12 @@ class _Aggregate:
     Owns everything the runner accumulates per envelope: the optional
     record list, status counters, journal appends, heartbeat and
     telemetry emission, per-worker/straggler wall accounting and
-    per-shard progress.  The first envelope from each pid is that
-    process's warm-up (it paid the imports and caches every later run
+    per-shard progress.  An envelope marked ``warmup`` is its process's
+    first run ever (it paid the imports and caches every later run
     reuses): its wall is recorded as the pid's ``warmup_s`` and kept
-    out of the median and the straggler heap.  Every caller hands
+    out of the median and the straggler heap.  A pool worker warmed up
+    by an earlier campaign has ``warmup_s`` 0.0 here, and all its runs
+    count toward the median.  Every caller hands
     :meth:`add` the run's shard index.  Memory is O(shards + workers +
     heartbeats) plus one float per executed run (the wall list the
     median reads) — and the record list only in keep-records mode.
@@ -326,7 +346,9 @@ class _Aggregate:
             if entry is None:
                 entry = self.worker_table[pid] = {
                     "runs": 0, "wall_s": 0.0, "cpu_s": 0.0,
-                    "warmup_s": wall}
+                    "warmup_s": 0.0}
+            if envelope.get("warmup"):
+                entry["warmup_s"] = wall
             else:
                 self.walls.append(wall)
                 heapq.heappush(self._top, (wall, run_id, pid))
@@ -407,6 +429,63 @@ class _WorkerHandle:
         self.outstanding: dict[int, tuple[int, dict[str, RunSpec]]] = {}
         self.dead = False
 
+    def retire(self, *, wait_s: float) -> None:
+        """End the worker: close its pipe, so an idle worker reads EOF
+        and returns; after ``wait_s`` seconds terminate it; join it."""
+        self.dead = True
+        with suppress(OSError):
+            self.conn.close()
+        self.proc.join(timeout=wait_s)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
+
+
+class _Pool:
+    """The campaign workers of this process, shared by every parallel
+    :meth:`CampaignRunner.run`.
+
+    :meth:`take` forks workers on first need and reuses them afterwards:
+    the pool grows to the largest worker count any run asks for, and a
+    worker found dead is replaced.  ``lock`` serialises runs — one
+    campaign at a time owns the workers; a second caller waits.  The
+    workers are daemonic, and :meth:`stop` runs at interpreter exit,
+    before multiprocessing's own exit handler would terminate them, so
+    each returns from :func:`_worker_main` normally.
+    """
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.handles: list[_WorkerHandle] = []
+
+    def take(self, workers: int) -> list[_WorkerHandle]:
+        """The first ``workers`` workers, each alive and idle."""
+        for handle in self.handles:
+            if handle.dead or not handle.proc.is_alive():
+                handle.retire(wait_s=0.0)
+        self.handles = [h for h in self.handles if not h.dead]
+        while len(self.handles) < workers:
+            parent_conn, child_conn = multiprocessing.Pipe()
+            proc = multiprocessing.Process(
+                target=_worker_main,
+                args=(child_conn,
+                      [h.conn for h in self.handles] + [parent_conn]),
+                daemon=True)
+            proc.start()
+            child_conn.close()
+            self.handles.append(_WorkerHandle(proc, parent_conn))
+        return self.handles[:workers]
+
+    def stop(self) -> None:
+        """Retire every worker (at interpreter exit)."""
+        for handle in self.handles:
+            handle.retire(wait_s=5.0)
+        self.handles = []
+
+
+_POOL = _Pool()
+atexit.register(_POOL.stop)
+
 
 #: Completed envelopes a worker accumulates before flushing one result
 #: message to the parent — the return-path analogue of one shard per
@@ -417,23 +496,30 @@ class _WorkerHandle:
 _RESULT_FLUSH = 32
 
 
-def _worker_main(conn, parent_ends, scenarios, base_seed: int) -> None:
-    """Worker loop: pull one shard's runs, push batched result envelopes.
+def _worker_main(conn, parent_ends) -> None:
+    """Worker loop: take a campaign's scenario library, then pull one
+    shard's runs at a time and push batched result envelopes.
 
-    ``scenarios`` — the shared immutable scenario library — arrives
-    once at spawn (inherited by fork, pickled once under spawn), so a
-    run on the wire is just ``(run_id, scenario_name, seed)``.  Results flow
-    back in chunks of at most ``_RESULT_FLUSH`` runs, so neither
-    direction pays one pipe round-trip per microsecond-scale run.
+    A pool worker outlives the ``run()`` that forked it.  Each ``run()``
+    first sends it a ``("campaign", scenarios, base_seed)`` message —
+    the shared immutable scenario library, pickled once per run — so a
+    run on the wire is just ``(run_id, scenario_name, seed)``.  Results
+    flow back in chunks of at most ``_RESULT_FLUSH`` runs, so neither
+    direction pays one pipe round-trip per microsecond-scale run.  The
+    worker returns on EOF: the parent closed its end, or died.
 
     ``parent_ends`` are the parent-side pipe ends this process inherited
-    (its own and every earlier worker's).  They are closed first: while
-    any worker holds one open, a SIGKILLed parent never reads as EOF
-    and every worker blocks in ``recv`` forever.
+    (its own and every other live worker's).  They are closed first:
+    while any worker holds one open, a SIGKILLed parent never reads as
+    EOF and every worker blocks in ``recv`` forever.
 
     Before the first message the worker pins the native thread pools of
-    ``_ONE_THREAD_ENV`` to one thread, in its own environment only.
+    ``_ONE_THREAD_ENV`` to one thread, in its own environment only, and
+    clears the warm-up flag it inherited: its own first run is its
+    warm-up.
     """
+    global _warmed_up
+    _warmed_up = False
     os.environ.update(dict.fromkeys(_ONE_THREAD_ENV, "1"))
     for end in parent_ends:
         end.close()
@@ -443,8 +529,9 @@ def _worker_main(conn, parent_ends, scenarios, base_seed: int) -> None:
                 message = conn.recv()
             except (EOFError, OSError):
                 return
-            if message[0] == "stop":
-                return
+            if message[0] == "campaign":
+                _, scenarios, base_seed = message
+                continue
             _, batch_id, items = message
             results: list[tuple[str, dict[str, object]]] = []
             for run_id, scenario_name, seed in items:
@@ -473,10 +560,11 @@ class CampaignRunner:
     """Fan a campaign's run grid out over worker processes.
 
     ``workers=1`` executes in-process (handy under profilers and in
-    tests); ``workers>1`` spawns a worker pool fed one shard per
-    message.  All paths — serial, parallel, killed-then-resumed —
-    produce byte-identical canonical reports; scheduling only changes
-    wall-clock time.
+    tests); ``workers>1`` dispatches over the process's worker pool
+    (forked by the first such run, reused by every later one), one
+    shard per message.  All paths — serial, parallel,
+    killed-then-resumed — produce byte-identical canonical reports;
+    scheduling only changes wall-clock time.
 
     * ``workdir`` — checkpoint directory; completed runs journal into
       per-shard JSONL files and an atomic manifest pins the grid.
@@ -517,8 +605,9 @@ class CampaignRunner:
         self._live_pids: list[int] = []
 
     def worker_pids(self) -> list[int]:
-        """Pids of currently live worker processes (observability and
-        fault-injection tests; empty when running in-process)."""
+        """Pids of the live workers this runner's ``run()`` is using
+        (observability and fault-injection tests; empty when running
+        in-process and outside ``run()``)."""
         return list(self._live_pids)
 
     # -- execution -----------------------------------------------------
@@ -635,29 +724,21 @@ class CampaignRunner:
     def _run_parallel(self, queue: deque[tuple[int, list[RunSpec]]],
                       workers: int, aggregate: _Aggregate
                       ) -> dict[str, object]:
-        """Dispatch ``queue``'s shards over ``workers`` processes.
+        """Dispatch ``queue``'s shards over ``workers`` pool workers.
 
-        Each message carries one queue item — pending runs of one
+        Each worker first gets the campaign's scenario library.  Each
+        later message carries one queue item — pending runs of one
         shard, at most ``_MESSAGE_RUNS`` — with at most
         ``_PIPELINE_DEPTH`` messages in flight per worker.  A dead
         worker's unfinished runs go back on the queue as an item of
         their shard; if every worker dies, what is left stays in
-        ``queue`` for the caller's in-process loop.
+        ``queue`` for the caller's in-process loop.  Leaving by an
+        exception retires every worker this run used.
         """
-        scenarios = {s.name: s for s in self.spec.scenarios}
+        library = pickle.dumps(
+            ("campaign", {s.name: s for s in self.spec.scenarios},
+             self.spec.base_seed))
         handles: list[_WorkerHandle] = []
-        for _ in range(workers):
-            parent_conn, child_conn = multiprocessing.Pipe()
-            proc = multiprocessing.Process(
-                target=_worker_main,
-                args=(child_conn, [h.conn for h in handles] + [parent_conn],
-                      scenarios, self.spec.base_seed),
-                daemon=True)
-            proc.start()
-            child_conn.close()
-            handles.append(_WorkerHandle(proc, parent_conn))
-        self._live_pids = [h.proc.pid for h in handles
-                           if h.proc.pid is not None]
         n_batches = n_deaths = 0
 
         def reap(handle: _WorkerHandle) -> None:
@@ -673,8 +754,7 @@ class CampaignRunner:
                 if remaining:
                     queue.appendleft((shard_index, list(remaining.values())))
             handle.outstanding.clear()
-            self._live_pids = [h.proc.pid for h in handles
-                               if not h.dead and h.proc.pid is not None]
+            self._live_pids = [h.proc.pid for h in handles if not h.dead]
 
         def fill() -> None:
             """Top every live worker up to ``_PIPELINE_DEPTH`` messages,
@@ -688,7 +768,7 @@ class CampaignRunner:
                         continue
                     shard_index, pending = queue.popleft()
                     # The wire form of a run: workers rebuild it from
-                    # their interned scenario library.
+                    # the campaign's scenario library.
                     items = [(run.run_id, run.scenario.name, run.seed)
                              for run in pending]
                     try:
@@ -719,34 +799,36 @@ class CampaignRunner:
                 else:  # "batch_done"
                     del handle.outstanding[message[1]]
 
-        try:
-            fill()
-            while any(h.outstanding for h in handles):
-                live = [h for h in handles if not h.dead]
-                ready = multiprocessing.connection.wait(
-                    [h.conn for h in live], timeout=0.05)
-                for handle in live:
-                    if handle.conn in ready:
-                        drain(handle)
+        with _POOL.lock:
+            handles = _POOL.take(workers)
+            self._live_pids = [h.proc.pid for h in handles]
+            try:
                 for handle in handles:
-                    if (not handle.dead
-                            and not handle.proc.is_alive()):
-                        drain(handle)   # flush anything buffered
+                    try:
+                        handle.conn.send_bytes(library)
+                    except (BrokenPipeError, OSError):
                         reap(handle)
                 fill()
-        finally:
-            for handle in handles:
-                if not handle.dead:
-                    with suppress(OSError):  # incl. BrokenPipeError
-                        handle.conn.send(("stop",))
-            for handle in handles:
-                handle.proc.join(timeout=5.0)
-                if handle.proc.is_alive():
-                    handle.proc.terminate()
-                    handle.proc.join(timeout=5.0)
-                with suppress(OSError):
-                    handle.conn.close()
-            self._live_pids = []
+                while any(h.outstanding for h in handles):
+                    live = [h for h in handles if not h.dead]
+                    ready = multiprocessing.connection.wait(
+                        [h.conn for h in live], timeout=0.05)
+                    for handle in live:
+                        if handle.conn in ready:
+                            drain(handle)
+                    for handle in handles:
+                        if (not handle.dead
+                                and not handle.proc.is_alive()):
+                            drain(handle)   # flush anything buffered
+                            reap(handle)
+                    fill()
+            except BaseException:
+                # Its pipes may still hold this campaign's messages.
+                for handle in handles:
+                    handle.retire(wait_s=0.0)
+                raise
+            finally:
+                self._live_pids = []
         # "steals" is always 0; benchmarks/e2e/workloads.py is its only
         # reader.
         return {"steals": 0, "worker_deaths": n_deaths,

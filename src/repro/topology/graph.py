@@ -146,6 +146,10 @@ class Topology:
         self._next_in_port: dict[str, int] = {}
         self._revision = 0
         self._geometry: RouteGeometry | None = None
+        # sorted views of this revision, built on first read
+        self._routers: tuple[str, ...] | None = None
+        self._nis: tuple[str, ...] | None = None
+        self._links: tuple[Link, ...] | None = None
 
     # -- construction -------------------------------------------------------
 
@@ -216,6 +220,7 @@ class Topology:
     def _modified(self) -> None:
         self._revision += 1
         self._geometry = None
+        self._routers = self._nis = self._links = None
 
     def _take_out_port(self, node: str) -> int:
         if self.kind(node) is NodeKind.NI:
@@ -258,9 +263,10 @@ class Topology:
         return geometry
 
     def __getstate__(self) -> dict[str, object]:
-        # Derived, and holds read-only views that do not pickle: a copy
-        # rebuilds it on its first search.
-        return {**self.__dict__, "_geometry": None}
+        # Derived, and the geometry holds read-only views that do not
+        # pickle: a copy rebuilds them on its first read.
+        return {**self.__dict__, "_geometry": None, "_routers": None,
+                "_nis": None, "_links": None}
 
     def kind(self, name: str) -> NodeKind:
         """Node kind of ``name``."""
@@ -279,20 +285,29 @@ class Topology:
 
     @property
     def routers(self) -> tuple[str, ...]:
-        """All router names, sorted for determinism."""
-        return self._of_kind(NodeKind.ROUTER)
+        """All router names, sorted for determinism (sorted once per
+        revision)."""
+        if self._routers is None:
+            self._routers = self._of_kind(NodeKind.ROUTER)
+        return self._routers
 
     @property
     def nis(self) -> tuple[str, ...]:
-        """All NI names, sorted for determinism."""
-        return self._of_kind(NodeKind.NI)
+        """All NI names, sorted for determinism (sorted once per
+        revision)."""
+        if self._nis is None:
+            self._nis = self._of_kind(NodeKind.NI)
+        return self._nis
 
     @property
     def links(self) -> tuple[Link, ...]:
-        """All directed links, sorted by ``(src, dst)``."""
-        return tuple(sorted((link for out in self._succ.values()
-                             for link in out.values()),
-                            key=lambda l: l.key))
+        """All directed links, sorted by ``(src, dst)`` (sorted once per
+        revision)."""
+        if self._links is None:
+            self._links = tuple(sorted(
+                (link for out in self._succ.values()
+                 for link in out.values()), key=lambda l: l.key))
+        return self._links
 
     def link(self, src: str, dst: str) -> Link:
         """The link ``src -> dst``; raises :class:`TopologyError` if absent."""

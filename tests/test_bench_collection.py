@@ -65,6 +65,20 @@ def test_profile_pass_prints_the_top_rows():
         assert "(admit)" in proc.stdout
 
 
+def test_profile_pass_counts_the_pool_workers():
+    """The campaign pool outlives the profiled pass, so the kernel never
+    reaps its workers there: their CPU is read live, not left at 0."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "profile_pass.py"),
+         "campaign_grid", "--smoke", "--top", "5"],
+        capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    live, reaped = proc.stdout.splitlines()[1:3]
+    assert live.startswith("live pool workers during the pass (/proc, ")
+    assert float(live.split("profile): ")[1].split()[0]) > 0
+    assert reaped.startswith("workers the pass reaped (RUSAGE_CHILDREN, ")
+
+
 def test_profile_pass_profiles_one_phase():
     """``--phase SPAN`` profiles only inside the named phase span, and a
     span the pass never opens is refused with the names it does open."""

@@ -2,8 +2,9 @@
 
 The contract under test is byte-determinism against every scheduling
 accident the fabric is built to absorb: worker counts, shard order,
-SIGKILLed workers, a SIGKILLed parent resumed from its journals, a
-corrupted workdir, and runs that crash inside a worker.  Every path
+one pool of workers reused by every campaign of a process, SIGKILLed
+workers, a SIGKILLed parent resumed from its journals, a corrupted
+workdir, and runs that crash inside a worker.  Every path
 must reproduce the serial report byte for byte — or, for a workdir it
 cannot trust, refuse with a ``ConfigurationError``.
 """
@@ -26,15 +27,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import runner as runner_module
 from repro.campaign.fabric import (CampaignWorkdir, Shard,
                                    default_shard_size, iter_report_chunks,
                                    shard_campaign, spec_fingerprint)
 from repro.campaign.kinds import run_kind
-from repro.campaign.presets import demo_campaign, synthetic_campaign
+from repro.campaign.presets import (demo_campaign, design_campaign,
+                                    fault_campaign, synthetic_campaign)
 from repro.campaign.runner import CampaignResult, CampaignRunner
 from repro.campaign.spec import (CampaignSpec, ScenarioSpec, SyntheticSpec,
                                  derive_seed)
 from repro.core.exceptions import ConfigurationError
+from repro.telemetry import Telemetry
 
 
 def _grid(n_scenarios=6, seeds=(1, 2), work=20, fail_seeds=()):
@@ -562,6 +566,113 @@ class TestCrashResilience:
         assert 0 < resumed.meta["resume"]["n_resumed"] < 400
 
 
+def _pids(result: CampaignResult) -> set[int]:
+    return {int(pid) for pid in result.meta["worker_table"]}
+
+
+class TestWorkerPool:
+    """One pool of workers per process: every parallel ``run()`` reuses
+    it, and one campaign never changes another's records on it."""
+
+    def test_every_campaign_kind_reuses_the_same_workers(self):
+        pids = []
+        for spec in (demo_campaign(n_slots=200, seeds=(1,)),
+                     fault_campaign(n_sessions=20, n_slots=400,
+                                    seeds=(1,)),
+                     design_campaign(), _grid()):
+            serial = CampaignRunner(spec, workers=1).run().to_json()
+            result = CampaignRunner(spec, workers=2).run()
+            assert result.to_json() == serial, spec.name
+            assert result.meta["dispatch"]["worker_deaths"] == 0
+            pids.append(_pids(result))
+        assert len(pids[0]) == 2
+        assert all(seen == pids[0] for seen in pids)
+
+    def test_a_killed_idle_worker_is_replaced(self):
+        spec = _grid(n_scenarios=6, seeds=(1, 2, 3))
+        serial = CampaignRunner(spec, workers=1).run().to_json()
+        before = _pids(CampaignRunner(spec, workers=2).run())
+        victim, survivor = sorted(before)
+        os.kill(victim, signal.SIGKILL)
+        deadline = time.time() + 5.0
+        while time.time() < deadline and _is_running(victim):
+            time.sleep(0.01)
+        result = CampaignRunner(spec, workers=2).run()
+        assert result.to_json() == serial
+        assert result.meta["dispatch"]["worker_deaths"] == 0
+        after = _pids(result)
+        assert survivor in after and victim not in after
+        assert len(after) == 2
+
+    def test_an_exception_mid_dispatch_retires_the_workers(
+            self, tmp_path, monkeypatch):
+        spec = _grid(n_scenarios=6, seeds=(1, 2, 3))
+        serial = CampaignRunner(spec, workers=1).run().to_json()
+        used = _pids(CampaignRunner(spec, workers=2).run())
+        append = CampaignWorkdir.append
+        calls = []
+
+        def failing_append(self, shard_id, record):
+            calls.append(shard_id)
+            if len(calls) == 3:
+                raise OSError("journal write failed")
+            append(self, shard_id, record)
+
+        monkeypatch.setattr(CampaignWorkdir, "append", failing_append)
+        with pytest.raises(OSError, match="journal write failed"):
+            CampaignRunner(spec, workers=2, workdir=tmp_path / "wd").run()
+        monkeypatch.undo()
+        assert not [pid for pid in used if _is_running(pid)]
+        result = CampaignRunner(spec, workers=2).run()
+        assert result.to_json() == serial
+        fresh = _pids(result)
+        assert len(fresh) == 2 and not fresh & used
+
+    def test_concurrent_runs_take_turns(self):
+        # Three threads, three workers each, on a short switch interval:
+        # runs sharing the pool without its lock read each other's
+        # messages and never finish.
+        specs = [_grid(n_scenarios=5 + i, seeds=(i + 1, i + 2), work=2_000)
+                 for i in range(3)]
+        serial = [CampaignRunner(spec, workers=1).run().to_json()
+                  for spec in specs]
+        box: dict[int, str] = {}
+        threads = [threading.Thread(
+            target=lambda i=i: box.update(
+                {i: CampaignRunner(specs[i], workers=3).run().to_json()}),
+            daemon=True) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [box.get(i) for i in range(3)] == serial
+
+    def test_a_fresh_interpreter_leaves_no_worker_running(self):
+        script = (
+            "import json\n"
+            "from repro.campaign.presets import synthetic_campaign\n"
+            "from repro.campaign.runner import CampaignRunner\n"
+            "result = CampaignRunner(synthetic_campaign(), workers=2).run()\n"
+            "print(json.dumps(sorted(result.meta['worker_table'])))\n")
+        env = dict(os.environ)
+        root = Path(__file__).resolve().parent.parent
+        env["PYTHONPATH"] = str(root / "src")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        workers = [int(pid) for pid in json.loads(proc.stdout)]
+        assert len(workers) == 2
+        deadline = time.time() + 5.0
+        while time.time() < deadline and any(map(_is_running, workers)):
+            time.sleep(0.02)
+        assert not [pid for pid in workers if _is_running(pid)]
+
+
 class TestGracefulDegradation:
     def test_crashed_run_is_enveloped_not_poisoning(self, tmp_path):
         spec = _grid(n_scenarios=8, seeds=(1, 2, 3), fail_seeds=(2,))
@@ -629,7 +740,9 @@ class TestSummary:
 class TestWorkerTable:
     def test_warmups_are_reported_not_flagged(self):
         # A worker's first run pays its imports; it lands in that pid's
-        # warmup_s, never among the stragglers or in the median.
+        # warmup_s, never among the stragglers or in the median.  Start
+        # from a fresh pool: a worker's first run ever is its warm-up.
+        runner_module._POOL.stop()
         result = CampaignRunner(demo_campaign(), workers=2).run()
         meta = result.meta
         assert len(meta["heartbeats"]) == result.n_runs  # one per run
@@ -647,6 +760,23 @@ class TestWorkerTable:
                    meta["worker_table"].values()) == result.n_runs
         report = result.to_json()
         assert "warmup_s" not in report and "cpu_s" not in report
+
+    def test_a_warm_pool_counts_every_run(self):
+        # On a pool that already ran a campaign, no run is a warm-up:
+        # every warmup_s is 0 and the median is over every run.
+        spec = demo_campaign(n_slots=200, seeds=(1,))
+        first = CampaignRunner(spec, workers=2).run()
+        tel = Telemetry()
+        second = CampaignRunner(spec, workers=2, telemetry=tel).run()
+        assert set(second.meta["worker_table"]) == \
+            set(first.meta["worker_table"])
+        for entry in second.meta["worker_table"].values():
+            assert entry["warmup_s"] == 0.0
+        walls = sorted((span.end - span.start) / 1e3 for span in tel.spans
+                       if span.track.startswith("worker "))
+        assert len(walls) == second.n_runs
+        assert second.meta["median_run_wall_s"] == pytest.approx(
+            walls[len(walls) // 2], abs=2e-6)
 
     def test_serial_run_warms_up_once(self):
         result = CampaignRunner(_grid(n_scenarios=3), workers=1).run()

@@ -259,6 +259,52 @@ class TestRouterGraphMemo:
             assert clone.geometry().succ == topo.geometry().succ
 
 
+class TestSortedViews:
+    """``routers``, ``nis`` and ``links`` are sorted once per revision:
+    after every structural write each equals a fresh sort of the
+    store, and between writes a read returns the same tuple."""
+
+    @staticmethod
+    def fresh(topo: Topology):
+        nodes = [(name, topo.kind(name)) for name in topo._nodes]
+        return (tuple(sorted(n for n, k in nodes if k is NodeKind.ROUTER)),
+                tuple(sorted(n for n, k in nodes if k is NodeKind.NI)),
+                tuple(sorted((topo.link(src, dst)
+                              for src in topo._nodes
+                              for dst in topo.successors(src)),
+                             key=lambda link: link.key)))
+
+    def test_each_view_is_fresh_after_every_write(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        writes = (lambda: topo.add_router("a"),
+                  lambda: topo.add_ni("n"),
+                  lambda: topo.connect("a", "r0_0"),
+                  lambda: topo.connect("r0_0", "a"),
+                  lambda: topo.connect_bidir("n", "a"),
+                  lambda: topo.add_router("0first"),
+                  lambda: topo.set_pipeline_stages("a", "r0_0", 2))
+        for write in writes:
+            stale = (topo.routers, topo.nis, topo.links)
+            write()
+            views = (topo.routers, topo.nis, topo.links)
+            assert views == self.fresh(topo)
+            assert views != stale
+            assert (topo.routers, topo.nis, topo.links) == views
+        assert topo.routers is topo.routers
+        assert topo.links is topo.links
+        assert topo.link("a", "r0_0") in topo.links
+        assert topo.link("a", "r0_0").pipeline_stages == 2
+
+    def test_a_copy_drops_the_views(self):
+        topo = mesh(2, 2, nis_per_router=1)
+        topo.routers, topo.nis, topo.links
+        state = topo.__getstate__()
+        assert state["_routers"] is state["_nis"] is state["_links"] is None
+        clone = pickle.loads(pickle.dumps(topo))
+        clone.add_router("zz")
+        assert clone.routers[-1] == "zz" and "zz" not in topo.routers
+
+
 class TestUnknownEndpoints:
     """Every public entry refuses a name the topology does not hold with
     its own error, whatever container sits underneath."""

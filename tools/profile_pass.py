@@ -12,10 +12,14 @@ profiles only inside the pass's phase spans called ``SPAN`` (the
 ``*_s`` names of a traced run without the suffix, e.g.
 ``telemetry.monitor.static_conformance``), so the profile behind a
 phase-level change can be re-run on that phase alone.  cProfile does not
-follow ``fork``: the CPU time and involuntary context switches of the
-worker processes the pass created and reaped (``RUSAGE_CHILDREN``) are
-printed beside the profile, so a cost paid in a worker (an import, an
-oversubscribed thread pool) is not invisible.  cProfile inflates
+follow ``fork``, so the CPU time and involuntary context switches the
+pass cost in worker processes are printed beside the profile, and a
+cost paid in a worker (an import, an oversubscribed thread pool) is not
+invisible: the campaign pool's live workers are read from
+``/proc/<pid>/stat`` and ``/proc/<pid>/status`` before and after the
+pass (a pool outlives the pass, so the kernel's ``RUSAGE_CHILDREN``
+never counts it), and workers the pass created and reaped from
+``RUSAGE_CHILDREN``.  cProfile inflates
 Python calls against native work, so it names candidates; the benchmark
 (``benchmarks/e2e/run.py``), which this script only imports, measures
 them.
@@ -23,6 +27,8 @@ them.
 import argparse
 import cProfile
 import gc
+import multiprocessing
+import os
 import pstats
 import resource
 import sys
@@ -60,6 +66,27 @@ class PhaseTracer(harness.Tracer):
             self.profile.disable()
 
 
+def live_workers() -> dict[int, tuple[float, int]]:
+    """CPU seconds (user + system) and involuntary context switches so
+    far of each live worker process this process started (Linux
+    ``/proc``; empty elsewhere)."""
+    usage = {}
+    for child in multiprocessing.active_children():
+        try:
+            stat = Path(f"/proc/{child.pid}/stat").read_text()
+            status = Path(f"/proc/{child.pid}/status").read_text()
+        except OSError:
+            continue
+        # fields 14 and 15 (utime, stime), counted after "pid (comm)"
+        utime, stime = stat.rsplit(")", 1)[1].split()[11:13]
+        switches = next(int(line.split()[1])
+                        for line in status.splitlines()
+                        if line.startswith("nonvoluntary_ctxt_switches"))
+        usage[child.pid] = ((int(utime) + int(stime))
+                            / os.sysconf("SC_CLK_TCK"), switches)
+    return usage
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
@@ -78,6 +105,7 @@ if __name__ == "__main__":
     gc.collect()
     gc.disable()
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    live_before = live_workers()
     tracer = PhaseTracer(args.phase, profile) if args.phase else None
     try:
         if tracer is None:
@@ -86,6 +114,7 @@ if __name__ == "__main__":
             workload.one_pass(tracer, checks)
     finally:
         gc.enable()
+    live_after = live_workers()
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if checks.failures:
         sys.exit(f"profiled pass failed its checks: {checks.failures}")
@@ -99,10 +128,18 @@ if __name__ == "__main__":
     print(f"{args.workload} seed={args.seed} {scope}"
           f"{'cold' if args.cold else 'warm'} pass: "
           f"{stats.total_tt:.3f} s profiled")
-    child_cpu_s = (after.ru_utime + after.ru_stime
-                   - before.ru_utime - before.ru_stime)
-    print(f"worker processes of the pass (RUSAGE_CHILDREN, outside the "
-          f"profile): {child_cpu_s:.3f} s CPU (user + system), "
+    live_cpu_s = live_switches = 0
+    for pid, (cpu_s, switches) in live_after.items():
+        cpu_before, switches_before = live_before.get(pid, (0.0, 0))
+        live_cpu_s += cpu_s - cpu_before
+        live_switches += switches - switches_before
+    reaped_cpu_s = (after.ru_utime + after.ru_stime
+                    - before.ru_utime - before.ru_stime)
+    print(f"live pool workers during the pass (/proc, outside the "
+          f"profile): {live_cpu_s:.3f} s CPU (user + system), "
+          f"{live_switches} involuntary context switches")
+    print(f"workers the pass reaped (RUSAGE_CHILDREN, outside the "
+          f"profile): {reaped_cpu_s:.3f} s CPU (user + system), "
           f"{after.ru_nivcsw - before.ru_nivcsw} involuntary context "
           f"switches")
     stats.sort_stats("cumulative").print_stats(args.top)
