@@ -25,22 +25,26 @@ class RoundRobinArbiter:
     """
 
     def __init__(self, n_requesters: int):
-        if n_requesters < 1:
+        if isinstance(n_requesters, bool) or \
+                not isinstance(n_requesters, int) or n_requesters < 1:
             raise ConfigurationError(
-                f"arbiter needs >= 1 requester, got {n_requesters}")
+                f"arbiter needs a whole number >= 1 of requesters, got "
+                f"{n_requesters!r}")
         self.n = n_requesters
         self._pointer = 0
 
     def grant(self, requests: Sequence[int]) -> int | None:
         """Return the granted index, or ``None`` when nobody requests.
 
-        ``requests`` lists the requesting indices in ascending order.
+        ``requests`` lists the requesting indices in ascending order, so
+        its ends bound every index.
         """
         if not requests:
             return None
-        if requests[-1] >= self.n:
+        if requests[0] < 0 or requests[-1] >= self.n:
+            bad = requests[0] if requests[0] < 0 else requests[-1]
             raise ConfigurationError(
-                f"request index {requests[-1]} outside {self.n} requesters")
+                f"request index {bad} outside {self.n} requesters")
         pointer = self._pointer
         for index in requests:
             if index >= pointer:

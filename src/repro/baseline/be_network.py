@@ -29,17 +29,16 @@ waiting when the network is idle).
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+
+import numpy as np
 
 from repro.baseline.arbitration import RoundRobinArbiter
 from repro.core.configuration import NocConfiguration
 from repro.core.exceptions import ConfigurationError, SimulationError
-from repro.simulation.compiled import compile_arrivals
-from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
-                                       StatsCollector)
+from repro.simulation.compiled import (CompiledStats, compile_arrivals,
+                                       logged_stats)
 from repro.topology.graph import NodeKind, Topology
 
 __all__ = ["BePacket", "BeNetworkSimulator"]
@@ -50,33 +49,27 @@ class BePacket:
     """One wormhole packet in flight.
 
     A message larger than ``max_packet_flits`` is split into several
-    packets; only the final one (``is_final``) records the message's
-    delivery, with the whole message's payload.  ``sequence`` is shared
-    by every packet of one channel incarnation and numbers its
-    injections, so the count restarts with the channel.
+    packets; only the final one (``is_final``) logs the message's
+    delivery.  ``row`` is the message's row in the run's compiled
+    arrivals, which is what both logs record: the message id, creation
+    cycle and payload are read off the arrival columns afterwards.
     """
 
-    channel: str
-    message_id: int
-    created_cycle: int
     out_ports: tuple[int, ...]
     n_flits: int
-    payload_bytes: int
+    row: int
     is_final: bool
-    sequence: Iterator[int]
     hop: int = field(default=0, init=False)  # routing progress of the head
 
 
 class _Ni:
     """A source NI: one packet queue per channel it injects, name order."""
 
-    __slots__ = ("buffer", "queues", "injections", "arbiter", "pending",
-                 "active", "sent")
+    __slots__ = ("buffer", "queues", "arbiter", "pending", "active", "sent")
 
     def __init__(self, buffer: deque):
         self.buffer = buffer  # the router input queue this NI feeds
         self.queues: list[deque[BePacket]] = []
-        self.injections: list[list[InjectionRecord]] = []  # per queue
         self.arbiter: RoundRobinArbiter | None = None
         self.pending = 0  # released packets not yet wholly injected
         self.active: int | None = None  # packet in progress (no interleaving)
@@ -116,7 +109,7 @@ class BeNetworkSimulator:
         self._router_order: list[str] = list(self._topo.routers)
 
     def run(self, channel_intervals, patterns, n_ticks: int
-            ) -> StatsCollector:
+            ) -> CompiledStats:
         """Offer each channel's pattern over its ``(start, stop,
         allocation)`` intervals and run ``n_ticks`` flit cycles.
 
@@ -132,32 +125,27 @@ class BeNetworkSimulator:
         allocation)`` interval per allocated channel;
         :class:`~repro.simulation.backend.BestEffortBackend` builds
         either table from a vetted request.
+
+        The loop logs arrival rows and ticks, not records; the returned
+        collector answers every aggregate read from those columns and
+        builds records only for a caller that asks for them
+        (:func:`~repro.simulation.compiled.logged_stats`).
         """
-        fmt = self.fmt
-        flit_size = fmt.flit_size
-        per_flit, most = fmt.payload_words_per_flit, self.max_packet_flits
-        stats = StatsCollector()
+        flit_size = self.fmt.flit_size
         routers, ni_inputs = self._build_routers()
         nis: dict[str, _Ni] = {}
-        deliveries: dict[str, list[DeliveryRecord]] = {}
-        # Arrivals are bucketed by the tick that releases them, so a tick
-        # visits only what is due in it.  A channel's arrivals are
-        # released in event order: one never overtakes its predecessor.
-        # Every interval's arrival stream is one segment of a single
-        # batch compiled by the executor's compiler
+        # One lane (NI, queue, source route) per interval that offers
+        # traffic; its arrivals are one segment of a single batch
+        # compiled by the executor's compiler
         # (:func:`repro.simulation.compiled.compile_arrivals`).
-        due: list[list[tuple[_Ni, deque[BePacket], BePacket]]] = [
-            [] for _ in range(n_ticks)]
-        offered, streams = [], []
+        lanes, segments, ends, streams = [], [], [], []
         # Name order: each NI arbitrates its channels' queues in it.
         for name, intervals in sorted(channel_intervals.items()):
             source = intervals[0][2].path.source
             if source not in nis:
                 nis[source] = _Ni(ni_inputs[source])
-            ni, queue, sink = nis[source], deque(), stats.sink(name)
+            ni, queue = nis[source], deque()
             ni.queues.append(queue)
-            ni.injections.append(sink.injections)
-            deliveries[name] = sink.deliveries
             pattern = patterns.get(name)
             for start, stop, ca in intervals:
                 if ca.path.source != source:
@@ -169,54 +157,59 @@ class BeNetworkSimulator:
                 if pattern is None or end <= start:
                     continue
                 lifetime_cycles = (end - start) * flit_size
-                offered.append((name, ni, queue, start, end, ca))
+                lanes.append((ni, queue, ca.path.out_ports))
+                segments.append((name, start))
+                ends.append(end)
                 streams.append((pattern, lifetime_cycles, lifetime_cycles))
         arrivals = compile_arrivals(streams)
-        bounds = arrivals.bounds.tolist()
-        ready, cycles, words, mids = (column.tolist() for column in (
-            -(-arrivals.cycles // flit_size), arrivals.cycles,
-            arrivals.words, arrivals.mids))
-        channel = None
-        for (name, ni, queue, start, end, ca), lo, hi in zip(
-                offered, bounds, bounds[1:]):
-            if name != channel:
-                channel, release = name, 0
-            base_cycle = start * flit_size
-            out_ports, sequence = ca.path.out_ports, itertools.count()
-            for at in range(lo, hi):
-                tick = start + ready[at]
-                # An arrival mid-way through the last active slot only
-                # becomes injectable at the stop boundary itself — by
-                # then the session is gone (the flit-level simulator
-                # drops the same arrival with the schedule row).
-                if tick >= end:
-                    continue
-                if tick > release:
-                    release = tick
-                bucket = due[release]
-                mid, message_words = mids[at], words[at]
-                created = base_cycle + cycles[at]
-                # A message becomes packets of ``most`` flits; the last
-                # one's delivery reports the whole payload, matching the
-                # flit-level simulator's accounting.
-                flits = max(1, -(-message_words // per_flit))
-                while flits > most:
-                    bucket.append((ni, queue, BePacket(
-                        name, mid, created, out_ports, most, 0, False,
-                        sequence)))
-                    flits -= most
-                bucket.append((ni, queue, BePacket(
-                    name, mid, created, out_ports, flits,
-                    message_words * fmt.bytes_per_word, True, sequence)))
         for ni in nis.values():
             ni.arbiter = RoundRobinArbiter(len(ni.queues))
-        self._run_loop(n_ticks, due, routers,
-                       [nis[source] for source in sorted(nis)], deliveries)
-        stats.prune_empty()
-        return stats
+        injected: tuple[list[int], list[int]] = ([], [])
+        delivered: tuple[list[int], list[int]] = ([], [])
+        self._run_loop(n_ticks, self._releases(arrivals, segments, ends,
+                                               n_ticks),
+                       lanes, routers, [nis[source] for source in sorted(nis)],
+                       injected, delivered)
+        return logged_stats(arrivals, segments, injected, delivered,
+                            flit_size=flit_size,
+                            period_ps=round(1e12 / self.frequency_hz),
+                            bytes_per_word=self.fmt.bytes_per_word)
 
-    def _run_loop(self, n_ticks: int, due, routers, nis: list[_Ni],
-                  deliveries: dict[str, list[DeliveryRecord]]) -> None:
+    def _releases(self, arrivals, segments, ends, n_ticks: int):
+        """Which arrivals each tick releases: ``(edges, rows, lanes,
+        flits)``, the arrivals a tick releases being positions
+        ``edges[tick]:edges[tick + 1]`` of the three lists.
+
+        An arrival is ready at the first tick boundary at or after it;
+        one ready at or after its interval's end never becomes
+        injectable (by then the session is gone; the flit-level
+        simulator drops the same arrival with the schedule row).  A
+        channel's arrivals are released in event order, so one never
+        overtakes its predecessor: a release tick is the running
+        maximum of the ready ticks over the channel's arrivals.
+        """
+        flit_size = self.fmt.flit_size
+        lane = np.repeat(np.arange(len(ends)), np.diff(arrivals.bounds))
+        start = np.array([start for _, start in segments], np.int64)
+        ready = start[lane] - (-arrivals.cycles // flit_size)
+        kept = np.flatnonzero(ready < np.array(ends, np.int64)[lane])
+        lane = lane[kept]
+        codes: dict[str, int] = {}
+        # Every ready tick lies in [0, n_ticks): lifting each channel
+        # above the one before keeps one running maximum per channel.
+        lift = np.array([codes.setdefault(name, len(codes))
+                         for name, _ in segments], np.int64)[lane] * n_ticks
+        release = np.maximum.accumulate(ready[kept] + lift) - lift
+        order = np.argsort(release, kind="stable")
+        flits = np.maximum(-(-arrivals.words[kept] //
+                             self.fmt.payload_words_per_flit), 1)
+        return (np.searchsorted(release[order],
+                                np.arange(n_ticks + 1)).tolist(),
+                kept[order].tolist(), lane[order].tolist(),
+                flits[order].tolist())
+
+    def _run_loop(self, n_ticks: int, releases, lanes, routers,
+                  nis: list[_Ni], injected, delivered) -> None:
         """The tick loop: release what is due, then every router in
         topology order, then every NI in name order.
 
@@ -224,13 +217,25 @@ class BeNetworkSimulator:
         may move on from the tick after it arrived.  An NI with no
         released packet left to send is skipped outright: its grant
         would be idle, and an idle grant leaves the pointer in place.
+        A message becomes packets of ``max_packet_flits`` flits when it
+        is released.  The loop appends the arrival row and tick of each
+        packet's first flit to ``injected`` and of each message's final
+        flit to ``delivered``.
         """
         capacity = self.buffer_flits
-        flit_size = self.fmt.flit_size
-        period_ps = round(1e12 / self.frequency_hz)
+        most = self.max_packet_flits
+        edges, rows, lane_of, n_flits = releases
+        inject_row, inject_tick = (column.append for column in injected)
+        deliver_row, deliver_tick = (column.append for column in delivered)
         for tick in range(n_ticks):
-            for ni, queue, packet in due[tick]:
-                queue.append(packet)
+            for at in range(edges[tick], edges[tick + 1]):
+                ni, queue, out_ports = lanes[lane_of[at]]
+                row, flits = rows[at], n_flits[at]
+                while flits > most:
+                    queue.append(BePacket(out_ports, most, row, False))
+                    ni.pending += 1
+                    flits -= most
+                queue.append(BePacket(out_ports, flits, row, True))
                 ni.pending += 1
             for inputs, downstream, locks, arbiters in routers:
                 # One pass over the inputs records which output each
@@ -268,14 +273,8 @@ class BeNetworkSimulator:
                     if target is None:
                         packet, flit, _ = queue.popleft()
                         if packet.is_final and flit == packet.n_flits - 1:
-                            delivered = (tick + 1) * flit_size
-                            created = packet.created_cycle
-                            deliveries[packet.channel].append(
-                                DeliveryRecord(
-                                    packet.channel, packet.message_id,
-                                    created, created * period_ps, delivered,
-                                    delivered * period_ps,
-                                    packet.payload_bytes))
+                            deliver_row(packet.row)
+                            deliver_tick(tick)
                     elif len(target) < capacity:
                         packet, flit, _ = queue.popleft()
                         if not flit:
@@ -299,11 +298,8 @@ class BeNetworkSimulator:
                 packet, sent = queue[0], ni.sent
                 _enter(ni.buffer, (packet, sent, tick), capacity)
                 if not sent:
-                    cycle = tick * flit_size
-                    ni.injections[active].append(InjectionRecord(
-                        packet.channel, packet.message_id,
-                        next(packet.sequence), tick, cycle,
-                        cycle * period_ps))
+                    inject_row(packet.row)
+                    inject_tick(tick)
                 sent += 1
                 if sent == packet.n_flits:
                     queue.popleft()

@@ -47,6 +47,7 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pickle
+import sys
 import threading
 import time
 import traceback
@@ -102,13 +103,17 @@ _TOP_WALLS = 128
 
 #: Whether this process has executed a run.  Its first run pays the
 #: imports and caches every later run reuses, so that envelope is marked
-#: as the process's warm-up; a worker clears the flag it inherited.
+#: as the process's warm-up; a worker clears the flag it inherited.  So
+#: is any later run during which the process imported a module: numpy
+#: lands on a worker's first *simulated* run, which on a pool warmed by
+#: runs that simulate nothing is not its first run.
 _warmed_up = False
 
 
 def _envelope(run: RunSpec) -> dict[str, object]:
     """Execute one run into its envelope: record, wall and CPU time, pid
-    and whether it was this process's first run (its warm-up).
+    and whether it was a warm-up — this process's first run, or one
+    during which it imported a module.
 
     Top-level (picklable) so a worker process can execute it.  What
     the run does is its scenario kind's business
@@ -124,6 +129,7 @@ def _envelope(run: RunSpec) -> dict[str, object]:
     a thread pool the run never asked for shows up as CPU above wall.
     """
     global _warmed_up
+    modules = len(sys.modules)
     start = time.perf_counter()
     cpu_start = time.process_time()
     try:
@@ -132,7 +138,8 @@ def _envelope(run: RunSpec) -> dict[str, object]:
         raise
     except BaseException as exc:  # noqa: BLE001 — the envelope IS the handler
         record = crashed_record(run, exc, traceback.format_exc())
-    warmup, _warmed_up = not _warmed_up, True
+    warmup = not _warmed_up or len(sys.modules) > modules
+    _warmed_up = True
     return {"record": record,
             "wall_s": time.perf_counter() - start,
             "cpu_s": time.process_time() - cpu_start,
@@ -279,11 +286,12 @@ class _Aggregate:
     record list, status counters, journal appends, heartbeat and
     telemetry emission, per-worker/straggler wall accounting and
     per-shard progress.  An envelope marked ``warmup`` is its process's
-    first run ever (it paid the imports and caches every later run
-    reuses): its wall is recorded as the pid's ``warmup_s`` and kept
-    out of the median and the straggler heap.  A pool worker warmed up
-    by an earlier campaign has ``warmup_s`` 0.0 here, and all its runs
-    count toward the median.  Every caller hands
+    first run ever, or a run during which it imported a module (it paid
+    imports and caches later runs reuse): its wall is added to the pid's
+    ``warmup_s`` and kept out of the median and the straggler heap.  A
+    pool worker warmed up by an earlier campaign has ``warmup_s`` 0.0
+    here unless a run imported, and all its other runs count toward the
+    median.  Every caller hands
     :meth:`add` the run's shard index.  Memory is O(shards + workers +
     heartbeats) plus one float per executed run (the wall list the
     median reads) — and the record list only in keep-records mode.
@@ -348,7 +356,7 @@ class _Aggregate:
                     "runs": 0, "wall_s": 0.0, "cpu_s": 0.0,
                     "warmup_s": 0.0}
             if envelope.get("warmup"):
-                entry["warmup_s"] = wall
+                entry["warmup_s"] += wall
             else:
                 self.walls.append(wall)
                 heapq.heappush(self._top, (wall, run_id, pid))

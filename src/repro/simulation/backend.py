@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Mapping
 
 from repro.clocking.domains import CLOCKING_MODES
@@ -227,34 +226,19 @@ class SimResult:
         Floats are rounded to fixed precision so serialisation is
         byte-stable across processes and platforms.
         """
+        rows, overall = self.stats.latency_summaries()
         channels: dict[str, dict[str, object]] = {}
-        # ``channel_aggregate`` hands each channel's sample over sorted;
-        # the overall summary sorts the concatenated runs, which Timsort
-        # merges (the same ascending sequence, so the same sum and mean,
-        # at under half the cost of sorting every latency afresh;
-        # heapq.merge is slower than either).
-        runs: list[list[float]] = []
-        for name in self.stats.channels:
-            messages, flits, delivered_bytes, latencies = \
-                self.stats.channel_aggregate(name)
-            entry: dict[str, object] = {
-                "messages": messages,
-                "flits": flits,
-                "delivered_bytes": delivered_bytes,
-            }
+        for name, messages, flits, delivered_bytes, summary in rows:
+            channels[name] = {"messages": messages, "flits": flits,
+                              "delivered_bytes": delivered_bytes}
             if messages:
-                runs.append(latencies)
-                entry["latency_ns"] = _rounded(
-                    LatencySummary.of_sorted(runs[-1]))
-            channels[name] = entry
-        overall = sorted(chain.from_iterable(runs))
+                channels[name]["latency_ns"] = _rounded(summary)
         return {
             "backend": self.backend,
             "simulated_slots": self.simulated_slots,
             "frequency_mhz": round(self.frequency_hz / 1e6, 3),
             "messages_delivered": self.stats.delivery_count(),
-            "latency_ns": _rounded(LatencySummary.of_sorted(overall))
-            if overall else None,
+            "latency_ns": _rounded(overall) if overall.count else None,
             "channels": channels,
         }
 

@@ -76,8 +76,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as _np
 
 from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
-                                       ServiceObservation, StatsCollector,
-                                       TraceRecorder)
+                                       LatencySummary, ServiceObservation,
+                                       StatsCollector, TraceRecorder)
 from repro.simulation.traffic import (ConstantBitRate, PeriodicBurst,
                                       Saturating, TrafficPattern)
 
@@ -85,7 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.configuration import NocConfiguration
 
 __all__ = ["Arrivals", "compile_arrivals", "CompiledStats",
-           "CompiledTraceRecorder", "execute"]
+           "CompiledTraceRecorder", "execute", "logged_stats"]
 
 #: Events per block of :func:`_solve` (whole segments; a longer segment
 #: is a block of its own).
@@ -350,7 +350,22 @@ def _rows(name: str) -> property:
                     doc=f"The incarnation's rows of ``{name}``.")
 
 
-class _IntervalRun:
+class _Run:
+    """What both run kinds read the same way off their own columns."""
+
+    __slots__ = ()
+
+    def trace_events(self) -> list[tuple[int, int, int]]:
+        """``(message_id, injection_slot, delivery_cycle)`` tuples."""
+        return list(zip(*(column.tolist()
+                          for column in self.trace_columns())))
+
+    def latencies_ns(self) -> list[float]:
+        """Delivery latencies, in delivery order."""
+        return self.latency_column().tolist()
+
+
+class _IntervalRun(_Run):
     """Solved recurrence of one channel incarnation over ``[start, end)``.
 
     A view of rows ``[lo, hi)`` — segment ``segment`` — of its
@@ -402,19 +417,10 @@ class _IntervalRun:
         return (self.mids[self.completed], last,
                 (last + self.traversal_slots) * self.batch.flit_size)
 
-    def trace_events(self) -> list[tuple[int, int, int]]:
-        """``(message_id, injection_slot, delivery_cycle)`` tuples."""
-        return list(zip(*(column.tolist()
-                          for column in self.trace_columns())))
-
     def latency_column(self):
         """Delivery latencies as a view of the batch's column, identical
         floats to the record path."""
         return self.batch.latencies_ns[self._done()]
-
-    def latencies_ns(self) -> list[float]:
-        """Delivery latencies, in delivery order."""
-        return self.latency_column().tolist()
 
     def append_records(self, sink) -> None:
         """Expand into per-flit records on a ``ChannelStats`` sink."""
@@ -580,6 +586,219 @@ def _solve(channels: Sequence[str], spans: Sequence[tuple],
     return runs
 
 
+class _Log:
+    """A best-effort run's two logs as columns: the first flit of every
+    packet injected (``i_*``) and the final flit of every message
+    delivered (``d_*``), each grouped by run in run order and in event
+    order within a run, plus the word clock.
+
+    A run is a channel incarnation that injected.  Injections belong to
+    the incarnation whose arrival they carry; a delivery belongs to the
+    run the record walk (:meth:`~repro.simulation.monitors.ChannelStats.
+    incarnations`) puts it in.  What the readers of :class:`_LoggedRun`
+    share is derived here for every run at once, on the first read that
+    needs it, as :class:`_Batch` does for the TDM executor.
+    """
+
+    @cached_property
+    def latencies_ns(self):
+        """End-to-end latency of every delivery, in ns."""
+        return (self.d_delivered - self.d_created) * self.period_ps / 1000.0
+
+    @cached_property
+    def keys(self):
+        """Per injection and per delivery, an int that two of them share
+        exactly when their run and message id are equal."""
+        np = _np
+        ids = np.sort(np.concatenate([self.i_mid, self.d_mid]))
+        width = ids.size + 1
+        return (self.i_run * width + np.searchsorted(ids, self.i_mid),
+                self.d_run * width + np.searchsorted(ids, self.d_mid))
+
+    @cached_property
+    def injected_at(self):
+        """Per delivery, the slot its run last injected a packet of its
+        message id in, or -1 when it injected none."""
+        np = _np
+        injected, delivered = self.keys
+        if not delivered.size:
+            return delivered
+        order = np.argsort(injected, kind="stable")
+        keys = injected[order]
+        last = np.append(keys[1:] != keys[:-1], True)
+        keys, ticks = keys[last], self.i_tick[order][last]
+        at = np.minimum(np.searchsorted(keys, delivered), keys.size - 1)
+        return np.where(keys[at] == delivered, ticks[at], -1)
+
+    @cached_property
+    def service_ns(self):
+        """Service latency of every delivery, in ns, each run's in
+        message-id order: delivery less the later of its creation and
+        the injection of the message before it, the chain restarting at
+        every run and skipping a message its run never injected."""
+        np = _np
+        order = np.argsort(self.keys[1], kind="stable")
+        injected = self.injected_at[order]
+        created = self.d_created[order]
+        found = np.where(injected >= 0, np.arange(injected.size), -1)
+        np.maximum.accumulate(found, out=found)
+        previous = np.empty_like(found)
+        previous[:1] = -1
+        previous[1:] = found[:-1]
+        chained = previous >= np.repeat(self.d_lo, np.diff(self.d_lo +
+                                                           [found.size]))
+        ready = np.where(chained, np.maximum(
+            created, injected[previous] * self.flit_size), created)
+        return (self.d_delivered[order] - ready) * self.period_ps / 1000.0
+
+    @cached_property
+    def delivered_bytes(self) -> list[int]:
+        """Payload bytes each run's deliveries carry."""
+        np = _np
+        prefix = np.zeros(self.d_bytes.size + 1, np.int64)
+        np.cumsum(self.d_bytes, out=prefix[1:])
+        cuts = np.array(self.d_lo + [self.d_bytes.size], np.int64)
+        return (prefix[cuts[1:]] - prefix[cuts[:-1]]).tolist()
+
+
+class _LoggedRun(_Run):
+    """One best-effort run: injections ``[ilo, ihi)`` and deliveries
+    ``[dlo, dhi)`` of its :class:`_Log`, with the reads of
+    :class:`_IntervalRun`."""
+
+    __slots__ = ("log", "index", "channel", "ilo", "ihi", "dlo", "dhi",
+                 "n_flits", "n_deliveries")
+
+    def __init__(self, log: _Log, index: int, channel: str,
+                 injections: tuple[int, int], deliveries: tuple[int, int]):
+        self.log = log
+        self.index = index
+        self.channel = channel
+        self.ilo, self.ihi = injections
+        self.dlo, self.dhi = deliveries
+        self.n_flits = self.ihi - self.ilo
+        self.n_deliveries = self.dhi - self.dlo
+
+    def trace_columns(self):
+        """The trace as ``(message ids, injection slots, delivery
+        cycles)`` arrays, in delivery order."""
+        log, done = self.log, slice(self.dlo, self.dhi)
+        return log.d_mid[done], log.injected_at[done], log.d_delivered[done]
+
+    def latency_column(self):
+        """Delivery latencies as a view of the log's column."""
+        return self.log.latencies_ns[self.dlo:self.dhi]
+
+    def append_records(self, sink) -> None:
+        """Expand into records on a ``ChannelStats`` sink."""
+        log, channel = self.log, self.channel
+        flit_size, period_ps = log.flit_size, log.period_ps
+        injections = sink.injections
+        for sequence, (mid, slot) in enumerate(zip(
+                log.i_mid[self.ilo:self.ihi].tolist(),
+                log.i_tick[self.ilo:self.ihi].tolist())):
+            cycle = slot * flit_size
+            injections.append(InjectionRecord(
+                channel=channel, message_id=mid, sequence=sequence,
+                slot_index=slot, cycle=cycle, time_ps=cycle * period_ps))
+        done = slice(self.dlo, self.dhi)
+        deliveries = sink.deliveries
+        for mid, created, delivered, payload in zip(*(
+                column[done].tolist() for column in (
+                    log.d_mid, log.d_created, log.d_delivered,
+                    log.d_bytes))):
+            deliveries.append(DeliveryRecord(
+                channel=channel, message_id=mid, created_cycle=created,
+                created_time_ps=created * period_ps,
+                delivered_cycle=delivered,
+                delivered_time_ps=delivered * period_ps,
+                payload_bytes=payload))
+
+    def first_injection_slot(self) -> int:
+        """Slot of the run's first injection."""
+        return int(self.log.i_tick[self.ilo])
+
+    def delivered_bytes(self) -> int:
+        """Payload bytes of the run's deliveries."""
+        return self.log.delivered_bytes[self.index]
+
+    def service_latencies_ns(self) -> list[float]:
+        """Service latencies, in message-id order."""
+        return self.log.service_ns[self.dlo:self.dhi].tolist()
+
+
+def logged_stats(arrivals: Arrivals, segments: Sequence[tuple[str, int]],
+                 injected: tuple[list[int], list[int]],
+                 delivered: tuple[list[int], list[int]], *, flit_size: int,
+                 period_ps: int, bytes_per_word: int) -> "CompiledStats":
+    """The records of a best-effort run, as columns.
+
+    ``segments[i]`` is the ``(channel, start slot)`` of the incarnation
+    whose arrivals are segment ``i`` of ``arrivals``, channels in name
+    order and each channel's incarnations in time order.  ``injected``
+    holds the ``(arrival rows, slots)`` of every packet's first flit in
+    injection order, ``delivered`` those of every message's final flit
+    in delivery order.  A channel injects from one queue in order, so
+    one incarnation's injections all come before the next one's.
+    """
+    np = _np
+    codes: dict[str, int] = {}
+    channel_of = np.array([codes.setdefault(name, len(codes))
+                           for name, _ in segments], np.int64)
+    segment_of = np.repeat(np.arange(len(segments)),
+                           np.diff(arrivals.bounds))
+    rows, slots = (np.array(column, np.int64) for column in injected)
+    order = np.argsort(segment_of[rows], kind="stable")
+    rows, slots = rows[order], slots[order]
+    counts = np.bincount(segment_of[rows], minlength=len(segments))
+    flown = np.flatnonzero(counts)
+    counts = counts[flown]
+    log = _Log()
+    log.flit_size, log.period_ps = flit_size, period_ps
+    log.i_mid, log.i_tick = arrivals.mids[rows], slots
+    log.i_run = np.repeat(np.arange(flown.size), counts)
+    i_edges = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    rows, slots = (np.array(column, np.int64) for column in delivered)
+    order = np.argsort(channel_of[segment_of[rows]], kind="stable")
+    rows, slots = rows[order], slots[order]
+    owner = segment_of[rows]
+    log.d_mid = arrivals.mids[rows]
+    log.d_created = np.array([start for _, start in segments],
+                             np.int64)[owner] * flit_size + \
+        arrivals.cycles[rows]
+    log.d_delivered = (slots + 1) * flit_size
+    log.d_bytes = arrivals.words[rows] * bytes_per_word
+    ends = np.searchsorted(channel_of[owner],
+                           np.arange(1, len(codes) + 1)).tolist()
+    # The record walk closes a run's deliveries at the first one created
+    # after its last injection; a message is created before it injects,
+    # so a channel's last run takes what is left.  A channel without a
+    # run delivered nothing, so each run starts where the last ended.
+    last_cycle = (log.i_tick[np.array(i_edges[1:], np.int64) - 1] *
+                  flit_size).tolist()
+    run_channel = channel_of[flown].tolist()
+    d_lo: list[int] = []
+    stats = CompiledStats()
+    cut = 0
+    for index, segment in enumerate(flown.tolist()):
+        code = run_channel[index]
+        end = ends[code]
+        if run_channel[index + 1:index + 2] == [code]:
+            later = np.flatnonzero(log.d_created[cut:end] >
+                                   last_cycle[index])
+            if later.size:
+                end = cut + int(later[0])
+        d_lo.append(cut)
+        stats._add_run(_LoggedRun(
+            log, index, segments[segment][0],
+            (i_edges[index], i_edges[index + 1]), (cut, end)))
+        cut = end
+    log.d_lo = d_lo
+    log.d_run = np.repeat(np.arange(len(d_lo)),
+                          np.diff(d_lo + [log.d_mid.size]))
+    return stats
+
+
 class CompiledStats(StatsCollector):
     """Record log backed by interval arrays, materialised on demand.
 
@@ -662,6 +881,16 @@ class CompiledStats(StatsCollector):
                            for d in self._by_channel[name].deliveries)
         return out
 
+    @staticmethod
+    def _aggregate(runs) -> tuple:
+        """A channel's totals and its runs' latencies as one ascending
+        float64 column."""
+        return (sum(run.n_deliveries for run in runs),
+                sum(run.n_flits for run in runs),
+                sum(run.delivered_bytes() for run in runs),
+                _np.sort(_np.concatenate(
+                    [run.latency_column() for run in runs])))
+
     def channel_aggregate(self, channel: str):
         """One channel's totals and ascending latencies, from the
         arrays: the runs' columns are sorted together before they become
@@ -669,11 +898,23 @@ class CompiledStats(StatsCollector):
         runs = self._array_runs(channel)
         if runs is None:
             return super().channel_aggregate(channel)
-        return (sum(run.n_deliveries for run in runs),
-                sum(run.n_flits for run in runs),
-                sum(run.delivered_bytes() for run in runs),
-                _np.sort(_np.concatenate(
-                    [run.latency_column() for run in runs])).tolist())
+        *totals, column = self._aggregate(runs)
+        return (*totals, column.tolist())
+
+    def latency_summaries(self):
+        """Every channel's totals and latency summary, and the overall
+        one, summarised from sorted float64 columns: no channel's sample
+        becomes a list, and the overall sample is one ``np.sort``."""
+        rows, columns = [], []
+        for name in self.channels:
+            runs = self._array_runs(name)
+            *totals, column = super().channel_aggregate(name) \
+                if runs is None else self._aggregate(runs)
+            columns.append(_np.asarray(column, _np.float64))
+            rows.append((name, *totals, LatencySummary.of_sorted(
+                columns[-1])))
+        return rows, LatencySummary.of_sorted(
+            _np.sort(_np.concatenate(columns)) if columns else [])
 
     def incarnation_observations(self, channel: str):
         """One entry per run — a run is one incarnation by construction;

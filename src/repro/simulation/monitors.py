@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from repro.core.exceptions import SimulationError
@@ -130,12 +131,17 @@ class LatencySummary:
         return LatencySummary.of_sorted(sorted(latencies_ns))
 
     @staticmethod
-    def of_sorted(data: list[float]) -> "LatencySummary":
-        """Summarise a latency sample already sorted ascending.
+    def of_sorted(data) -> "LatencySummary":
+        """Summarise a latency sample already sorted ascending: a list of
+        floats or a contiguous float64 array, read through a
+        ``memoryview`` so the mean is the same ``sum`` over the same
+        Python floats either way.
 
         >>> LatencySummary.of_sorted([1.0, 2.0, 6.0]).mean
         3.0
         """
+        if not isinstance(data, list):
+            data = memoryview(data)
         if not data:
             return LatencySummary.empty()
 
@@ -334,6 +340,25 @@ class StatsCollector:
         return (len(stats.deliveries), len(stats.injections),
                 stats.delivered_bytes,
                 sorted(d.latency_ns for d in stats.deliveries))
+
+    def latency_summaries(self) -> tuple[
+            list[tuple[str, int, int, int, LatencySummary]],
+            LatencySummary]:
+        """Every channel's ``(name, messages, flits, delivered bytes,
+        latency summary)`` in name order, and the summary of every
+        latency — what a canonical record needs.  Each channel's sample
+        is sorted once; the overall one merges those sorted runs.  The
+        record walk is the reference; collectors backed by arrays
+        override it."""
+        rows, samples = [], []
+        for name in self.channels:
+            messages, flits, delivered_bytes, latencies = \
+                self.channel_aggregate(name)
+            samples.append(latencies)
+            rows.append((name, messages, flits, delivered_bytes,
+                         LatencySummary.of_sorted(latencies)))
+        return rows, LatencySummary.of_sorted(
+            sorted(chain.from_iterable(samples)))
 
     def service_latencies_ns(self, channel: str) -> list[float]:
         """Per-message network service latencies of one channel.

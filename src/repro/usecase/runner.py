@@ -293,8 +293,10 @@ def run_be(config: NocConfiguration, *, frequency_hz: float,
     comparison: self-queueing behind the channel's own messages is
     excluded, contention with other channels is in.  ``traffic``
     ``None`` offers :func:`burst_traffic` at ``frequency_hz``; any
-    mapping, an empty one included, is run as given.
+    mapping, an empty one included, is run as given.  ``n_ticks`` must
+    be a whole number >= 1.
     """
+    n_ticks = require_whole("n_ticks", n_ticks, 1)
     if traffic is None:
         traffic = burst_traffic(config, frequency_hz=frequency_hz)
     backend = BestEffortBackend(config, buffer_flits=2)
@@ -335,7 +337,9 @@ def be_frequency_sweep(config: NocConfiguration,
 
     Traffic is rebuilt per frequency from the byte rates, so the offered
     load in bytes per second is constant while the network speed varies.
+    ``n_ticks`` is refused as :func:`run_be` refuses it, before any run.
     """
+    n_ticks = require_whole("n_ticks", n_ticks, 1)
     if not frequencies_hz:
         raise SimulationError("frequency sweep needs at least one point")
     rows = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,12 +19,15 @@ from repro.core.exceptions import ConfigurationError, SimulationError
 from repro.core.timeline import ReconfigurationTimeline, TimelineEvent
 from repro.simulation.backend import (BestEffortBackend, FlitLevelBackend,
                                       SimRequest, create_backend)
+from repro.simulation.compiled import CompiledStats
+from repro.simulation.monitors import StatsCollector
 from repro.simulation.traffic import (ConstantBitRate, MessageEvent,
-                                      PeriodicBurst, Saturating,
+                                      PeriodicBurst, Replay, Saturating,
                                       TrafficPattern)
 from repro.topology.builders import (concentrated_mesh, mesh, ring,
                                      single_router)
 from repro.topology.mapping import Mapping
+from test_watchers import assert_reads_equal_the_record_walks
 
 
 class TestArbiters:
@@ -55,6 +59,19 @@ class TestArbiters:
     def test_index_outside_the_requesters_rejected(self):
         with pytest.raises(ConfigurationError, match="outside 2"):
             RoundRobinArbiter(2).grant([0, 2])
+
+    @pytest.mark.parametrize("n", [True, False, 2.5, 2.0, "2", None, 0,
+                                   -1])
+    def test_requester_count_must_be_a_whole_number(self, n):
+        with pytest.raises(ConfigurationError, match="whole number >= 1"):
+            RoundRobinArbiter(n)
+
+    @pytest.mark.parametrize("requests, bad", [([-1], -1), ([-2, 0], -2),
+                                               ([-1, 2], -1)])
+    def test_negative_index_rejected(self, requests, bad):
+        with pytest.raises(ConfigurationError,
+                           match=f"request index {bad} outside 2"):
+            RoundRobinArbiter(2).grant(requests)
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 9), data=st.data())
@@ -396,3 +413,65 @@ class TestLoopEqualsTheOracle:
         buffer.push(None)
         with pytest.raises(SimulationError, match="overflow"):
             buffer.push(None)
+
+
+# -- the logged columns against the record walks ----------------------------
+
+
+def _shuffled(horizon_cycles):
+    """Arrivals in cycle order whose message ids run backwards in blocks
+    of four, so neither the delivery order nor a run's injection order
+    is the id order."""
+    return Replay([MessageEvent(cycle, 7, 4 * (i // 4) + 3 - i % 4)
+                   for i, cycle in enumerate(range(5, horizon_cycles, 70))])
+
+
+class TestColumnsEqualTheRecordWalks:
+    @settings(max_examples=30, deadline=None)
+    @given(topo_name=st.sampled_from(sorted(BE_TOPOLOGIES)),
+           seed=st.integers(0, 40), buffer_flits=st.integers(1, 4),
+           max_packet_flits=st.integers(1, 4),
+           mix=st.sampled_from(sorted(MIXES)),
+           times=st.none() | st.lists(st.integers(1, 239), min_size=5,
+                                      max_size=5, unique=True).map(sorted))
+    @example("mesh", 11, 1, 4, "mixed", [30, 120, 140, 200, 230])
+    @example("ring", 0, 1, 1, "saturating", None)
+    @example("cmesh", 3, 4, 4, "bursty", [1, 2, 3, 4, 5])
+    def test_property(self, topo_name, seed, buffer_flits, max_packet_flits,
+                      mix, times):
+        """Static or restarted, with unsorted arrival cycles and with
+        message ids out of arrival order: every aggregate read of the
+        engine's logged columns equals the ``StatsCollector`` record walk
+        over the oracle's records, and none of them builds a record."""
+        config, _, traffic = _random_case(topo_name, seed, mix)
+        traffic[max(traffic)] = _shuffled(240 * config.fmt.flit_size)
+        options = {"buffer_flits": buffer_flits,
+                   "max_packet_flits": max_packet_flits}
+        if times is None:
+            intervals = {name: ((0, 240, ca),) for name, ca in
+                         sorted(config.allocation.channels.items())}
+        else:
+            intervals = _restarts(config, times, 240).channel_intervals()
+        engine, oracle = _both(config, options, intervals, traffic, 240)
+        assert isinstance(engine, CompiledStats)
+        assert type(oracle) is StatsCollector
+        names = oracle.channels
+        assert engine.channels == names
+        assert engine.delivery_count() == oracle.delivery_count()
+        for name in names:
+            assert repr(engine.service_latencies_ns(name)) == \
+                repr(oracle.service_latencies_ns(name)), name
+            seen, walked = (stats.service_observation(name)
+                            for stats in (engine, oracle))
+            assert repr((seen.count, seen.worst_ns, seen.mean_ns)) == \
+                repr((walked.count, walked.worst_ns, walked.mean_ns)), name
+        traces = engine.composability_trace(), oracle.composability_trace()
+        assert traces[0].channels() == traces[1].channels()
+        for name in traces[1].channels():
+            assert traces[0].trace(name) == traces[1].trace(name), name
+        assert repr(engine.latency_summaries()) == \
+            repr(oracle.latency_summaries())
+        assert engine.materialised == ()
+        assert_reads_equal_the_record_walks(
+            SimpleNamespace(stats=engine), SimpleNamespace(stats=oracle),
+            names)

@@ -40,12 +40,40 @@ def test_mem_phases_probe_runs_on_the_pipeline():
          "pipeline", "--smoke"],
         capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    traced = proc.stdout.split("retained by the cold pass:")[0]
     rows = {line.split()[0]: line.split() for line in
-            proc.stdout.splitlines()[1:]}
+            traced.splitlines()[1:]}
     assert "pass" in rows and "simulation.backend.flit_run" in rows
     before, arrow, after, peak = rows["pass"][1:]
     assert arrow == "->" and float(peak) >= float(after) >= float(before)
     assert "retained by the cold pass:" in proc.stdout
+
+
+def test_mem_phases_pins_the_benchmark_peak_to_a_span():
+    """The untraced table reads ``ru_maxrss`` — the benchmark's
+    ``peak_rss_mb`` — at every span exit of a cold and three warm
+    passes in a fresh interpreter: it only rises, so each span's row
+    ascends from pass to pass and each pass column ends at its pass."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "mem_phases.py"),
+         "sec7_static", "--smoke"],
+        capture_output=True, text=True, timeout=170)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    head, untraced = proc.stdout.split(
+        "ru_maxrss MB without tracemalloc (a fresh interpreter): ")
+    readings, header, *lines = untraced.splitlines()
+    imports, generate = (float(part.split()[1])
+                         for part in readings.split(", "))
+    assert header.split() == ["span", "cold", "warm1", "warm2", "warm3"]
+    rows = {line.split()[0]: [float(value) for value in line.split()[1:]]
+            for line in lines}
+    assert {"pass", "baseline.be_network.run",
+            "simulation.backend.gs_run"} <= set(rows)
+    for values in rows.values():
+        assert values == sorted(values) and values[0] >= generate
+    assert generate >= imports > 0
+    for index, column in enumerate(zip(*rows.values())):
+        assert max(column) == rows["pass"][index]
 
 
 def test_profile_pass_prints_the_top_rows():

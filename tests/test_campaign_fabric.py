@@ -737,6 +737,21 @@ class TestSummary:
         assert stream.summary().split("; stragglers")[0] == head
 
 
+_WARM_THEN_SIMULATE = """
+import json, sys
+from repro.campaign.presets import demo_campaign, synthetic_campaign
+from repro.campaign.runner import CampaignRunner
+warm = CampaignRunner(synthetic_campaign(), workers=2).run()
+result = CampaignRunner(demo_campaign(n_slots=200, seeds=(1,)),
+                        workers=2).run()
+meta = {key: result.meta[key]
+        for key in ("heartbeats", "stragglers", "worker_table")}
+meta["warm"] = sorted(warm.meta["worker_table"])
+meta["parent_numpy"] = "numpy" in sys.modules
+print(json.dumps(meta))
+"""
+
+
 class TestWorkerTable:
     def test_warmups_are_reported_not_flagged(self):
         # A worker's first run pays its imports; it lands in that pid's
@@ -760,6 +775,31 @@ class TestWorkerTable:
                    meta["worker_table"].values()) == result.n_runs
         report = result.to_json()
         assert "warmup_s" not in report and "cpu_s" not in report
+
+    def test_a_run_that_imports_is_a_warmup(self):
+        # Runs that simulate nothing warm a worker without numpy; its
+        # first simulated run then imports it.  That run is marked, its
+        # wall summed into warmup_s, and it is never a straggler.  A
+        # fresh interpreter, because a worker forked from this one
+        # inherits its numpy.
+        proc = subprocess.run(
+            [sys.executable, "-c", _WARM_THEN_SIMULATE],
+            cwd=Path(__file__).resolve().parents[1],
+            env={**os.environ, "PYTHONPATH": str(
+                Path(__file__).resolve().parents[1] / "src")},
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        meta = json.loads(proc.stdout)
+        assert not meta["parent_numpy"]
+        first_run: dict[int, str] = {}
+        for beat in meta["heartbeats"]:
+            first_run.setdefault(beat["pid"], beat["run_id"])
+        assert len(first_run) == 2
+        assert set(meta["warm"]) == {str(pid) for pid in first_run}
+        for straggler in meta["stragglers"]:
+            assert first_run[straggler["pid"]] != straggler["run_id"]
+        for entry in meta["worker_table"].values():
+            assert 0 < entry["warmup_s"] <= entry["wall_s"]
 
     def test_a_warm_pool_counts_every_run(self):
         # On a pool that already ran a campaign, no run is a warm-up:

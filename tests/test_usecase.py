@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.exceptions import ConfigurationError
+from repro.experiments.section7 import be_sweep_rows
 from repro.usecase.generator import (Section7Parameters, _sample_pair,
                                      generate_section7)
 from repro.usecase.runner import (be_frequency_sweep, burst_traffic,
@@ -223,6 +224,23 @@ class TestRunners:
         _, config = section7_small
         with pytest.raises(ConfigurationError, match=option):
             burst_traffic(config, **{option: value})
+
+    @pytest.mark.parametrize("n_ticks", [0, -5, 2.5, float("nan")])
+    @pytest.mark.parametrize("entry", ["run_be", "be_frequency_sweep",
+                                       "be_sweep_rows"])
+    def test_bad_tick_count_refused_under_its_name(self, section7_small,
+                                                   entry, n_ticks):
+        """The best-effort entry points name ``n_ticks``, the argument
+        the caller passed, not the request's ``n_slots``."""
+        _, config = section7_small
+        call = {"run_be": lambda: run_be(config, frequency_hz=5e8,
+                                         n_ticks=n_ticks),
+                "be_frequency_sweep": lambda: be_frequency_sweep(
+                    config, [5e8], n_ticks=n_ticks),
+                "be_sweep_rows": lambda: be_sweep_rows(
+                    config, frequencies_mhz=[500], n_ticks=n_ticks)}[entry]
+        with pytest.raises(ConfigurationError, match="^n_ticks must be"):
+            call()
 
     def test_bad_cbr_rate_factor_refused(self, section7_small):
         _, config = section7_small

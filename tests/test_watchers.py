@@ -544,6 +544,20 @@ class TestNothingMaterialised:
         assert stats.channel(name).deliveries
         assert stats.materialised == (name,)
 
+    def test_best_effort_pass(self, section7_config):
+        """``run_be``'s per-channel folds, the canonical record and the
+        digest of a Section VII best-effort run read the logged
+        columns; no channel becomes records until one is asked for."""
+        be = run_be(section7_config, frequency_hz=500e6, n_ticks=400)
+        be.result.to_record()
+        be.result.summary()
+        stats = be.result.stats
+        assert be.n_measured == 200
+        assert stats.materialised == ()
+        name = stats.channels[0]
+        assert stats.channel(name).deliveries
+        assert stats.materialised == (name,)
+
     def test_churn_replay_watchdog(self, fault_outcome):
         timeline = fault_outcome.timeline
         compiled = _replay(timeline)
