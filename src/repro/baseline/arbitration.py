@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import ConfigurationError, require_whole
 
 __all__ = ["RoundRobinArbiter"]
 
@@ -25,12 +25,15 @@ class RoundRobinArbiter:
     """
 
     def __init__(self, n_requesters: int):
-        if isinstance(n_requesters, bool) or \
-                not isinstance(n_requesters, int) or n_requesters < 1:
-            raise ConfigurationError(
-                f"arbiter needs a whole number >= 1 of requesters, got "
-                f"{n_requesters!r}")
-        self.n = n_requesters
+        refused = ConfigurationError(
+            f"arbiter needs a whole number >= 1 of requesters, got "
+            f"{n_requesters!r}")
+        if isinstance(n_requesters, float):  # a port count: not even 2.0
+            raise refused
+        try:
+            self.n = require_whole("n_requesters", n_requesters, 1)
+        except ConfigurationError:
+            raise refused from None
         self._pointer = 0
 
     def grant(self, requests: Sequence[int]) -> int | None:

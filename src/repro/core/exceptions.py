@@ -27,49 +27,62 @@ class ConfigurationError(ReproError):
 
 
 def require_finite_positive(name: str, value: float) -> None:
-    """Reject a numeric input that is zero, negative, NaN or infinite.
+    """Reject a numeric input that is zero, negative, NaN or infinite,
+    and anything that is not a number — ``True`` included.
 
     ``value <= 0`` alone lets ``nan`` and ``inf`` through, and those
     surface later as a NaN timestamp, a crashed worker or a multi-GiB
-    allocation.  Every public numeric boundary calls this instead.
+    allocation; a bool would run as 1.  Every public numeric boundary
+    calls this instead.
 
     >>> require_finite_positive("rate", 2.5)
-    >>> try:
-    ...     require_finite_positive("rate", float("nan"))
-    ... except ConfigurationError as exc:
-    ...     print(exc)
+    >>> for bad in (float("nan"), True, "5"):
+    ...     try:
+    ...         require_finite_positive("rate", bad)
+    ...     except ConfigurationError as exc:
+    ...         print(exc)
     rate must be a finite positive number, got nan
+    rate must be a finite positive number, got True
+    rate must be a finite positive number, got '5'
     """
-    if not (math.isfinite(value) and value > 0):
+    try:
+        valid = not isinstance(value, bool) and math.isfinite(value) and \
+            value > 0
+    except TypeError:  # not a number
+        valid = False
+    if not valid:
         raise ConfigurationError(
             f"{name} must be a finite positive number, got {value!r}")
 
 
 def require_whole(name: str, value, minimum: int) -> int:
-    """``value`` as an ``int``, refusing a fraction, NaN, an infinity or
-    anything below ``minimum``.
+    """``value`` as an ``int``, refusing a fraction, NaN, an infinity, a
+    bool, anything that is not a number or anything below ``minimum``.
 
     A count that arrives as ``2.5`` or ``nan`` otherwise surfaces far
     from the caller: as a ``TypeError`` from ``range``, an ``int64``
     executor disagreeing with a scalar one that kept the fraction, or a
-    comparison that NaN quietly passes.
+    comparison that NaN quietly passes; ``True`` would count as 1.
 
     >>> require_whole("period_cycles", 40.0, 1)
     40
-    >>> try:
-    ...     require_whole("period_cycles", 7.5, 1)
-    ... except ConfigurationError as exc:
-    ...     print(exc)
+    >>> for bad in (7.5, True, None):
+    ...     try:
+    ...         require_whole("period_cycles", bad, 1)
+    ...     except ConfigurationError as exc:
+    ...         print(exc)
     period_cycles must be a whole number >= 1, got 7.5
+    period_cycles must be a whole number >= 1, got True
+    period_cycles must be a whole number >= 1, got None
     """
     try:
-        whole = operator.index(value)
+        whole = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        if not (isinstance(value, float) and value.is_integer()):
-            raise ConfigurationError(
-                f"{name} must be a whole number >= {minimum}, "
-                f"got {value!r}") from None
-        whole = int(value)
+        whole = int(value) if isinstance(value, float) and \
+            value.is_integer() else None
+    if whole is None:
+        raise ConfigurationError(
+            f"{name} must be a whole number >= {minimum}, got {value!r}")
     if whole < minimum:
         raise ConfigurationError(f"{name} must be >= {minimum}, "
                                  f"got {value!r}")

@@ -193,7 +193,7 @@ def backend_rows() -> list[dict[str, object]]:
                                                ref_by_message[key]))
         rows.append({
             "backend": label,
-            "messages": len(result.stats.all_deliveries()),
+            "messages": result.stats.delivery_count(),
             "p50_ns": round(summary.p50, 1) if summary else "-",
             "p99_ns": round(summary.p99, 1) if summary else "-",
             "max_ns": round(summary.maximum, 1) if summary else "-",

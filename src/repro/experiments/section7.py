@@ -21,6 +21,7 @@ no experiment here constructs a simulator directly.
 from __future__ import annotations
 
 from repro.core.configuration import NocConfiguration
+from repro.core.exceptions import require_finite_positive
 from repro.simulation.composability import compare_subsets
 from repro.synthesis.area_model import aethereal_gsbe_router_area_um2
 from repro.synthesis.technology import (TECH_90LP, TECH_130,
@@ -73,8 +74,16 @@ def usecase_gs_rows(config: NocConfiguration, *, n_slots: int = 3000
 def be_sweep_rows(config: NocConfiguration, *,
                   frequencies_mhz: list[int] | None = None,
                   n_ticks: int = 3000) -> list[dict[str, object]]:
-    """Best-effort frequency sweep rows (the paper's >900 MHz scan)."""
-    frequencies = frequencies_mhz or DEFAULT_SWEEP_MHZ
+    """Best-effort frequency sweep rows (the paper's >900 MHz scan).
+
+    ``frequencies_mhz`` ``None`` sweeps :data:`DEFAULT_SWEEP_MHZ`; any
+    list is swept as given, and an empty one or a point that is not a
+    finite positive number is refused before any run.
+    """
+    frequencies = DEFAULT_SWEEP_MHZ if frequencies_mhz is None \
+        else frequencies_mhz
+    for mhz in frequencies:
+        require_finite_positive("frequencies_mhz", mhz)
     rows = []
     for sweep_row in be_frequency_sweep(
             config, [m * 1e6 for m in frequencies], n_ticks=n_ticks):

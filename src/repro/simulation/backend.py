@@ -455,14 +455,9 @@ class BestEffortBackend(SimulationBackend):
                  max_packet_flits: int = 4,
                  telemetry=None):
         super().__init__(config, telemetry=telemetry)
-        for name, value in (("buffer_flits", buffer_flits),
-                            ("max_packet_flits", max_packet_flits)):
-            if isinstance(value, bool) or not isinstance(value, int) or \
-                    value < 1:
-                raise ConfigurationError(
-                    f"{name} must be a positive int, got {value!r}")
-        self.buffer_flits = buffer_flits
-        self.max_packet_flits = max_packet_flits
+        self.buffer_flits = require_whole("buffer_flits", buffer_flits, 1)
+        self.max_packet_flits = require_whole("max_packet_flits",
+                                              max_packet_flits, 1)
 
     def run(self, request: SimRequest) -> SimResult:
         patterns = self._vet(request, units="ticks")

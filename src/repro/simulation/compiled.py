@@ -29,22 +29,23 @@ The compiled representation has three layers:
   cummax(pos - F)`` where ``F`` is the running flit count and ``pos``
   the first reserved slot index at or after the message's ready slot.
   The running maximum restarts at every segment boundary.
-* **lazy materialisation** — each incarnation that injected is an
+* **columns only** — each incarnation that injected is an
   :class:`_IntervalRun`, a ``[lo, hi)`` view of the batch columns.
-  :class:`CompiledStats` and :class:`CompiledTraceRecorder` are drop-in
-  :class:`~repro.simulation.monitors.StatsCollector` /
-  :class:`~repro.simulation.monitors.TraceRecorder` subclasses that hold
-  those views and only expand them into per-flit
+  :class:`CompiledStats` and :class:`CompiledTraceRecorder` answer the
+  reads of :class:`~repro.simulation.monitors.StatsCollector` /
+  :class:`~repro.simulation.monitors.TraceRecorder` from those views
+  alone.  Aggregates — message counts, latency populations, service
+  latencies in message-id order and their fold into one
+  :class:`~repro.simulation.monitors.ServiceObservation` per run — are
+  slices of columns the :class:`_Batch` derives for all its runs at
+  once, on the first read that needs each; per-flit
   :class:`~repro.simulation.monitors.InjectionRecord` /
-  :class:`~repro.simulation.monitors.DeliveryRecord` objects (or trace
-  tuples) when a monitor, ``verify_timeline`` or a campaign serialiser
-  actually asks.  Aggregates that do not need records — message counts,
-  latency populations, the use-case service-latency check — are slices
-  of columns the :class:`_Batch` derives for all its runs at once, on
-  the first read that needs each.
+  :class:`~repro.simulation.monitors.DeliveryRecord` objects and trace
+  tuples are built for the caller that asks for them, and never read
+  back.
 
 Everything is exact integer arithmetic on the same quantities the
-per-flit path computes, so the materialised records are *equal* —
+per-flit path computes, so the records it builds are *equal* —
 field for field — to the reference implementation's, which is the
 correctness oracle the property tests and both tier-2 benchmarks
 enforce.  The composability trace is one more read of the same arrays
@@ -75,9 +76,10 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as _np
 
-from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
-                                       LatencySummary, ServiceObservation,
-                                       StatsCollector, TraceRecorder)
+from repro.simulation.monitors import (ChannelStats, DeliveryRecord,
+                                       InjectionRecord, LatencySummary,
+                                       ServiceObservation, StatsCollector,
+                                       TraceRecorder)
 from repro.simulation.traffic import (ConstantBitRate, PeriodicBurst,
                                       Saturating, TrafficPattern)
 
@@ -242,7 +244,134 @@ def compile_arrivals(streams: Sequence[tuple[TrafficPattern, int, int]]
     return arrivals
 
 
-class _Batch:
+def _blocks(bounds):
+    """``(first, stop)`` of consecutive blocks of whole segments, about
+    :data:`_BLOCK` rows each, of segments ``bounds[i]:bounds[i + 1]``:
+    blocks keep every temporary below the size of one block however long
+    the run.  ``searchsorted`` ascends, so the cuts dedupe in order
+    (numpy 2's ``unique`` would import ``numpy.ma`` into every simulating
+    process)."""
+    firsts = list(dict.fromkeys((_np.searchsorted(
+        bounds, _np.arange(0, bounds[-1], _BLOCK), side="right") -
+        1).tolist()))
+    return zip(firsts, firsts[1:] + [len(bounds) - 1])
+
+
+def _blockwise(cuts, derive):
+    """One float64 column, run ``i``'s rows ``[cuts[i], cuts[i + 1])``,
+    filled block by block of whole runs by ``derive(first, stop)``."""
+    out = _np.empty(cuts[-1])
+    for first, stop in _blocks(cuts):
+        out[cuts[first]:cuts[stop]] = derive(first, stop)
+    return out
+
+
+def _column(parts):
+    """``parts`` end to end, as one array: the part itself when there is
+    only one, an empty array when there is none."""
+    if len(parts) == 1:
+        return parts[0]
+    return _np.concatenate(parts) if parts else _np.empty(0)
+
+
+def _id_order(mids, run):
+    """Rows in ``(run, message id)`` order, stably: ``run`` ascends, and
+    each run's ids are lifted above those of the runs before it."""
+    np = _np
+    if not mids.size:
+        return np.arange(0)
+    span = int(mids.max()) - int(mids.min()) + 1
+    if span * (int(run[-1]) + 1) >= 1 << 62:  # rank ids the lift overflows
+        mids = np.searchsorted(np.sort(mids), mids)
+        span = mids.size
+    return np.argsort(mids - mids.min() + run * span, kind="stable")
+
+
+def _service_ns(cuts, mids, created, injected, delivered, period_ps):
+    """Service latency of every delivery, in ns, each run's in message-id
+    order — run ``i`` holds rows ``[cuts[i], cuts[i + 1])`` and each row
+    its absolute creation, injection and delivery cycle: delivery less
+    the later of its creation and the injection of the delivery before
+    it, the chain restarting at every run and skipping a delivery whose
+    run never injected its id (``injected`` < 0).  The record walk
+    (:meth:`~repro.simulation.monitors.StatsCollector.
+    service_latencies_ns`) is the reference."""
+    np = _np
+    sizes = np.diff(cuts)
+    order = _id_order(mids, np.repeat(np.arange(sizes.size), sizes))
+    injected = injected[order]
+    found = np.where(injected >= 0, np.arange(order.size), -1)
+    np.maximum.accumulate(found, out=found)
+    previous = np.empty_like(found)
+    previous[:1] = -1
+    previous[1:] = found[:-1]
+    ready = created[order]
+    np.maximum(ready, injected[previous], out=ready,
+               where=previous >= np.repeat(cuts[:-1], sizes))
+    latency = delivered[order]
+    latency -= ready
+    latency *= period_ps
+    return latency / 1000.0
+
+
+def _run_sums(values, cuts) -> list[int]:
+    """The sum of each run's ``values`` (run ``i`` is rows ``[cuts[i],
+    cuts[i + 1])``)."""
+    prefix = _np.zeros(values.size + 1, _np.int64)
+    _np.cumsum(values, out=prefix[1:])
+    cuts = _np.asarray(cuts)
+    return (prefix[cuts[1:]] - prefix[cuts[:-1]]).tolist()
+
+
+def _observe(service, cuts) -> list[ServiceObservation]:
+    """One :class:`~repro.simulation.monitors.ServiceObservation` per
+    run of a service-latency column (run ``i`` is rows ``[cuts[i],
+    cuts[i + 1])``): every worst in one ``reduceat``, each mean the
+    builtin ``sum`` over the run's floats in order, as the record walk
+    sums them."""
+    view = memoryview(service)
+    spans = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    worst = iter(_np.maximum.reduceat(
+        service, [lo for lo, _ in spans]).tolist() if spans else ())
+    return [ServiceObservation(hi - lo, next(worst),
+                               sum(view[lo:hi]) / (hi - lo))
+            if hi > lo else ServiceObservation.of(())
+            for lo, hi in zip(cuts, cuts[1:])]
+
+
+class _Derived:
+    """What a :class:`_Batch` and a :class:`_Log` derive alike, for all
+    their runs at once, on the first read that needs it, and keep: run
+    ``i`` holds the per-delivery rows ``[cuts[i], cuts[i + 1])``, which
+    ``_done_rows(first, stop)`` returns for runs ``[first, stop)`` as
+    message ids and absolute creation, injection and delivery cycles.
+    Each column is derived block by block, so its temporaries stay the
+    size of a block."""
+
+    @cached_property
+    def latencies_ns(self):
+        """End-to-end latency of every delivery, in ns."""
+        def derive(first, stop):
+            _, created, _, delivered = self._done_rows(first, stop)
+            return (delivered - created) * self.period_ps / 1000.0
+        return _blockwise(self.cuts, derive)
+
+    @cached_property
+    def service_ns(self):
+        """Service latency of every delivery, in ns, each run's in
+        message-id order."""
+        cuts = self.cuts
+        return _blockwise(cuts, lambda first, stop: _service_ns(
+            [cut - cuts[first] for cut in cuts[first:stop + 1]],
+            *self._done_rows(first, stop), self.period_ps))
+
+    @cached_property
+    def observations(self) -> list[ServiceObservation]:
+        """The fold of each run's service latencies."""
+        return _observe(self.service_ns, self.cuts)
+
+
+class _Batch(_Derived):
     """One run solved, every incarnation's rows end to end: its
     ``arrivals`` and the per-message solution beside them — ``k``
     service-start indices, ``actual`` flits injected before the
@@ -259,16 +388,6 @@ class _Batch:
     """
 
     COLUMNS = ("k", "actual", "completed", "last")
-    SOLVED = COLUMNS + ("arrivals", "starts", "traversals", "table_size",
-                        "flit_size", "period_ps", "bytes_per_word")
-
-    def __copy__(self) -> "_Batch":
-        """A copy of what was solved, none of what was derived: a copy is
-        made to have a column edited, and must derive from its own."""
-        fresh = _Batch()
-        vars(fresh).update((name, getattr(self, name))
-                           for name in self.SOLVED)
-        return fresh
 
     @cached_property
     def cuts(self) -> list[int]:
@@ -281,65 +400,27 @@ class _Batch:
         """Final-flit slot of every completed message."""
         return self.last[self.completed]
 
-    def _latency_cycles(self):
-        """Delivery less creation cycle of every completed message — its
-        end-to-end latency in cycles — as a fresh array."""
+    def _done_rows(self, first: int, stop: int):
+        """Ids and absolute creation, final-flit injection and delivery
+        cycles of the completed messages of segments ``[first, stop)``."""
         np = _np
-        done = self.completed
-        cycles = np.repeat(self.traversals - self.starts, np.diff(self.cuts))
-        cycles += self.last[done]
-        cycles *= self.flit_size
-        cycles -= self.arrivals.cycles[done]
-        return cycles
-
-    @cached_property
-    def latencies_ns(self):
-        """End-to-end latency of every completed message, in ns."""
-        cycles = self._latency_cycles()
-        cycles *= self.period_ps
-        return cycles / 1000.0
-
-    @cached_property
-    def service_ns(self):
-        """Service latency of every completed message, in ns: delivery
-        less the later of its creation and the previous message's
-        injection — the lesser of its end-to-end latency and the cycles
-        since that injection — the chain restarting at every segment."""
-        np = _np
-        cycles = self._latency_cycles()
-        last = self.last[self.completed]
-        since = np.repeat(self.traversals, np.diff(self.cuts))
-        since += last
-        since[1:] -= last[:-1]
-        del last
-        since *= self.flit_size
-        firsts = np.array(self.cuts[:-1], np.int64)
-        firsts = firsts[firsts < since.size]
-        since[firsts] = cycles[firsts]  # no previous message: end to end
-        np.minimum(cycles, since, out=cycles)
-        del since
-        cycles *= self.period_ps
-        return cycles / 1000.0
-
-    @cached_property
-    def unordered(self) -> frozenset[int]:
-        """Segments whose message ids do not ascend."""
-        np = _np
-        mids, bounds = self.arrivals.mids, self.arrivals.bounds
-        pairs = np.flatnonzero(mids[1:] <= mids[:-1])  # rows p, p + 1
-        segment = np.searchsorted(bounds, pairs, side="right") - 1
-        return frozenset(segment[pairs + 1 < bounds[segment + 1]].tolist())
+        rows = slice(self.arrivals.bounds[first], self.arrivals.bounds[stop])
+        done = self.completed[rows]
+        sizes = np.diff(self.cuts[first:stop + 1])
+        flit_size = self.flit_size
+        created = np.repeat(self.starts[first:stop] * flit_size, sizes)
+        created += self.arrivals.cycles[rows][done]
+        injected = self.last[rows][done] * flit_size
+        delivered = np.repeat(self.traversals[first:stop] * flit_size,
+                              sizes)
+        delivered += injected
+        return self.arrivals.mids[rows][done], created, injected, delivered
 
     @cached_property
     def delivered_bytes(self) -> list[int]:
         """Payload bytes each segment's completed messages carry."""
-        np = _np
-        words = self.arrivals.words[self.completed]
-        prefix = np.zeros(words.size + 1, np.int64)
-        np.cumsum(words, out=prefix[1:])
-        cuts = np.array(self.cuts, np.int64)
-        return ((prefix[cuts[1:]] - prefix[cuts[:-1]]) *
-                self.bytes_per_word).tolist()
+        return _run_sums(self.arrivals.words[self.completed] *
+                         self.bytes_per_word, self.cuts)
 
 
 def _rows(name: str) -> property:
@@ -351,18 +432,28 @@ def _rows(name: str) -> property:
 
 
 class _Run:
-    """What both run kinds read the same way off their own columns."""
+    """What both run kinds read the same way: the rows ``done`` of the
+    per-delivery columns its ``source`` (a :class:`_Batch` or a
+    :class:`_Log`) derives, and entry ``index`` of the per-run ones."""
 
     __slots__ = ()
 
-    def trace_events(self) -> list[tuple[int, int, int]]:
-        """``(message_id, injection_slot, delivery_cycle)`` tuples."""
-        return list(zip(*(column.tolist()
-                          for column in self.trace_columns())))
+    def latency_column(self):
+        """Delivery latencies, in delivery order, as a view."""
+        return self.source.latencies_ns[self.done]
 
-    def latencies_ns(self) -> list[float]:
-        """Delivery latencies, in delivery order."""
-        return self.latency_column().tolist()
+    def service_column(self):
+        """Service latencies, in message-id order, as a view."""
+        return self.source.service_ns[self.done]
+
+    @property
+    def observation(self) -> ServiceObservation:
+        """The fold of the run's service latencies."""
+        return self.source.observations[self.index]
+
+    def delivered_bytes(self) -> int:
+        """Payload bytes of the run's deliveries."""
+        return self.source.delivered_bytes[self.index]
 
 
 class _IntervalRun(_Run):
@@ -371,17 +462,19 @@ class _IntervalRun(_Run):
     A view of rows ``[lo, hi)`` — segment ``segment`` — of its
     :class:`_Batch`: every column reads as the incarnation's own, the
     readers slice what the batch derived, and the slot geometry here
-    expands the rows lazily into absolute slots, records and trace
-    tuples.
+    expands the rows into absolute slots, records and trace tuples for
+    a caller that asks for them.
     """
 
     __slots__ = ("batch", "lo", "hi", "segment", "channel", "start",
                  "slots", "base", "traversal_slots", "n_flits",
-                 "n_deliveries")
+                 "n_deliveries", "first_slot")
 
     cycles, words, mids = (_rows(f"arrivals.{name}")
                            for name in Arrivals.COLUMNS)
     k, actual, completed, last = map(_rows, _Batch.COLUMNS)
+    source = property(attrgetter("batch"), doc="The run's batch.")
+    index = property(attrgetter("segment"), doc="The run's segment.")
 
     def __init__(self, batch: _Batch, lo: int, hi: int, segment: int):
         self.batch = batch
@@ -394,33 +487,18 @@ class _IntervalRun(_Run):
         """Messages that arrived within the incarnation."""
         return self.hi - self.lo
 
-    def _done(self) -> slice:
+    @property
+    def done(self) -> slice:
         """The run's bounds into the batch's completed-message columns."""
         cuts = self.batch.cuts
         return slice(cuts[self.segment], cuts[self.segment + 1])
 
-    # -- lazy expansions -------------------------------------------------------
-
-    def _slots_of(self, indices):
-        """Absolute slots of reserved-slot indices (vectorised)."""
-        q, j = _np.divmod(indices, len(self.slots))
-        return q * self.batch.table_size + _np.asarray(self.slots)[j]
-
-    def last_slots(self):
-        """Absolute slot of the final flit of each completed message."""
-        return self.batch.done_last[self._done()]
-
     def trace_columns(self):
         """The trace as ``(message ids, injection slots, delivery
         cycles)`` arrays, one entry per completed message."""
-        last = self.last_slots()
+        last = self.batch.done_last[self.done]
         return (self.mids[self.completed], last,
                 (last + self.traversal_slots) * self.batch.flit_size)
-
-    def latency_column(self):
-        """Delivery latencies as a view of the batch's column, identical
-        floats to the record path."""
-        return self.batch.latencies_ns[self._done()]
 
     def append_records(self, sink) -> None:
         """Expand into per-flit records on a ``ChannelStats`` sink."""
@@ -432,7 +510,10 @@ class _IntervalRun(_Run):
         message = np.repeat(np.arange(self.count), counts)
         first = np.cumsum(counts) - counts
         offsets = np.arange(self.n_flits) - np.repeat(first, counts)
-        slots = self._slots_of(self.base + self.k[message] + offsets)
+        rotations, index = np.divmod(self.base + self.k[message] + offsets,
+                                     len(self.slots))
+        slots = rotations * self.batch.table_size + \
+            np.asarray(self.slots)[index]
         cycles = slots * flit_size
         mids = self.mids[message]
         injections = sink.injections
@@ -444,8 +525,7 @@ class _IntervalRun(_Run):
                 slot_index=slot, cycle=cycle,
                 time_ps=cycle * period_ps))
             sequence += 1
-        last = self.last_slots()
-        delivered = (last + self.traversal_slots) * flit_size
+        _, _, delivered = self.trace_columns()
         mask = self.completed
         created = self.start * flit_size + self.cycles[mask]
         deliveries = sink.deliveries
@@ -460,24 +540,6 @@ class _IntervalRun(_Run):
                 delivered_cycle=delivered_cycle,
                 delivered_time_ps=delivered_cycle * period_ps,
                 payload_bytes=message_words * bytes_per_word))
-
-    def first_injection_slot(self) -> int:
-        """Absolute slot of the run's first flit.  ``k`` ascends strictly
-        and a run exists only if it injected, so message 0 went first."""
-        rotations, index = divmod(self.base + int(self.batch.k[self.lo]),
-                                  len(self.slots))
-        return rotations * self.batch.table_size + self.slots[index]
-
-    def delivered_bytes(self) -> int:
-        """Payload bytes of the completed messages."""
-        return self.batch.delivered_bytes[self.segment]
-
-    def service_latencies_ns(self) -> list[float] | None:
-        """Vectorised service latencies, or ``None`` when the reference
-        record walk is needed (non-monotone message ids)."""
-        if self.segment in self.batch.unordered:
-            return None
-        return self.batch.service_ns[self._done()].tolist()
 
 
 def _solve(channels: Sequence[str], spans: Sequence[tuple],
@@ -524,13 +586,7 @@ def _solve(channels: Sequence[str], spans: Sequence[tuple],
     k, actual, last = (np.empty(size, np.int64) for _ in range(3))
     completed = np.empty(size, bool)
     n_flits, n_deliveries = np.zeros((2, len(spans)), np.int64)
-    # Blocks of whole segments, about _BLOCK events each, keep every
-    # temporary below the size of one block however long the run.
-    # ``searchsorted`` ascends, so the cuts dedupe in order (numpy 2's
-    # ``unique`` would import ``numpy.ma`` into every simulating process).
-    cuts = list(dict.fromkeys((np.searchsorted(
-        bounds, np.arange(0, size, _BLOCK), side="right") - 1).tolist()))
-    for first, stop in zip(cuts, cuts[1:] + [len(spans)]):
+    for first, stop in _blocks(bounds):
         lo, hi = int(bounds[first]), int(bounds[stop])
         block = slice(lo, hi)
         segment = np.repeat(np.arange(first, stop), counts[first:stop])
@@ -569,11 +625,17 @@ def _solve(channels: Sequence[str], spans: Sequence[tuple],
     batch.table_size, batch.flit_size = table_size, flit_size
     batch.period_ps = round(1e12 / config.frequency_hz)
     batch.bytes_per_word = fmt.bytes_per_word
-    flown = np.flatnonzero(n_flits).tolist()
+    flown = np.flatnonzero(n_flits)
+    # ``k`` ascends strictly and a run exists only if it injected, so
+    # its message 0 went first.
+    rotations, index = np.divmod(base[flown] + k[bounds[flown]],
+                                 width[row[flown]])
+    first_slots = (rotations * table_size +
+                   flat[offset[row[flown]] + index]).tolist()
     lows, bases = bounds.tolist(), base.tolist()
     n_flits, n_deliveries = n_flits.tolist(), n_deliveries.tolist()
     runs = []
-    for i in flown:
+    for i, first_slot in zip(flown.tolist(), first_slots):
         run = _IntervalRun(batch, lows[i], lows[i + 1], i)
         run.channel = channels[i]
         run.start, _, alloc = spans[i]
@@ -582,11 +644,12 @@ def _solve(channels: Sequence[str], spans: Sequence[tuple],
         run.traversal_slots = alloc.path.traversal_slots
         run.n_flits = n_flits[i]
         run.n_deliveries = n_deliveries[i]
+        run.first_slot = first_slot
         runs.append(run)
     return runs
 
 
-class _Log:
+class _Log(_Derived):
     """A best-effort run's two logs as columns: the first flit of every
     packet injected (``i_*``) and the final flit of every message
     delivered (``d_*``), each grouped by run in run order and in event
@@ -601,26 +664,15 @@ class _Log:
     """
 
     @cached_property
-    def latencies_ns(self):
-        """End-to-end latency of every delivery, in ns."""
-        return (self.d_delivered - self.d_created) * self.period_ps / 1000.0
-
-    @cached_property
-    def keys(self):
-        """Per injection and per delivery, an int that two of them share
-        exactly when their run and message id are equal."""
-        np = _np
-        ids = np.sort(np.concatenate([self.i_mid, self.d_mid]))
-        width = ids.size + 1
-        return (self.i_run * width + np.searchsorted(ids, self.i_mid),
-                self.d_run * width + np.searchsorted(ids, self.d_mid))
-
-    @cached_property
     def injected_at(self):
         """Per delivery, the slot its run last injected a packet of its
         message id in, or -1 when it injected none."""
         np = _np
-        injected, delivered = self.keys
+        # Two rows share a key exactly when their run and id are equal.
+        ids = np.sort(np.concatenate([self.i_mid, self.d_mid]))
+        width = ids.size + 1
+        injected = self.i_run * width + np.searchsorted(ids, self.i_mid)
+        delivered = self.d_run * width + np.searchsorted(ids, self.d_mid)
         if not delivered.size:
             return delivered
         order = np.argsort(injected, kind="stable")
@@ -630,68 +682,49 @@ class _Log:
         at = np.minimum(np.searchsorted(keys, delivered), keys.size - 1)
         return np.where(keys[at] == delivered, ticks[at], -1)
 
-    @cached_property
-    def service_ns(self):
-        """Service latency of every delivery, in ns, each run's in
-        message-id order: delivery less the later of its creation and
-        the injection of the message before it, the chain restarting at
-        every run and skipping a message its run never injected."""
-        np = _np
-        order = np.argsort(self.keys[1], kind="stable")
-        injected = self.injected_at[order]
-        created = self.d_created[order]
-        found = np.where(injected >= 0, np.arange(injected.size), -1)
-        np.maximum.accumulate(found, out=found)
-        previous = np.empty_like(found)
-        previous[:1] = -1
-        previous[1:] = found[:-1]
-        chained = previous >= np.repeat(self.d_lo, np.diff(self.d_lo +
-                                                           [found.size]))
-        ready = np.where(chained, np.maximum(
-            created, injected[previous] * self.flit_size), created)
-        return (self.d_delivered[order] - ready) * self.period_ps / 1000.0
+    def _done_rows(self, first: int, stop: int):
+        """Ids and absolute creation, injection (negative when its run
+        injected none of the id) and delivery cycles of the deliveries of
+        runs ``[first, stop)``."""
+        rows = slice(self.cuts[first], self.cuts[stop])
+        return (self.d_mid[rows], self.d_created[rows],
+                self.injected_at[rows] * self.flit_size,
+                self.d_delivered[rows])
 
     @cached_property
     def delivered_bytes(self) -> list[int]:
         """Payload bytes each run's deliveries carry."""
-        np = _np
-        prefix = np.zeros(self.d_bytes.size + 1, np.int64)
-        np.cumsum(self.d_bytes, out=prefix[1:])
-        cuts = np.array(self.d_lo + [self.d_bytes.size], np.int64)
-        return (prefix[cuts[1:]] - prefix[cuts[:-1]]).tolist()
+        return _run_sums(self.d_bytes, self.cuts)
 
 
 class _LoggedRun(_Run):
     """One best-effort run: injections ``[ilo, ihi)`` and deliveries
-    ``[dlo, dhi)`` of its :class:`_Log`, with the reads of
+    ``done`` of its :class:`_Log`, with the reads of
     :class:`_IntervalRun`."""
 
-    __slots__ = ("log", "index", "channel", "ilo", "ihi", "dlo", "dhi",
-                 "n_flits", "n_deliveries")
+    __slots__ = ("source", "index", "channel", "ilo", "ihi", "done",
+                 "n_flits", "n_deliveries", "first_slot")
 
     def __init__(self, log: _Log, index: int, channel: str,
                  injections: tuple[int, int], deliveries: tuple[int, int]):
-        self.log = log
+        self.source = log
         self.index = index
         self.channel = channel
         self.ilo, self.ihi = injections
-        self.dlo, self.dhi = deliveries
+        self.done = slice(*deliveries)
         self.n_flits = self.ihi - self.ilo
-        self.n_deliveries = self.dhi - self.dlo
+        self.n_deliveries = deliveries[1] - deliveries[0]
+        self.first_slot = int(log.i_tick[self.ilo])
 
     def trace_columns(self):
         """The trace as ``(message ids, injection slots, delivery
         cycles)`` arrays, in delivery order."""
-        log, done = self.log, slice(self.dlo, self.dhi)
+        log, done = self.source, self.done
         return log.d_mid[done], log.injected_at[done], log.d_delivered[done]
-
-    def latency_column(self):
-        """Delivery latencies as a view of the log's column."""
-        return self.log.latencies_ns[self.dlo:self.dhi]
 
     def append_records(self, sink) -> None:
         """Expand into records on a ``ChannelStats`` sink."""
-        log, channel = self.log, self.channel
+        log, channel = self.source, self.channel
         flit_size, period_ps = log.flit_size, log.period_ps
         injections = sink.injections
         for sequence, (mid, slot) in enumerate(zip(
@@ -701,10 +734,9 @@ class _LoggedRun(_Run):
             injections.append(InjectionRecord(
                 channel=channel, message_id=mid, sequence=sequence,
                 slot_index=slot, cycle=cycle, time_ps=cycle * period_ps))
-        done = slice(self.dlo, self.dhi)
         deliveries = sink.deliveries
         for mid, created, delivered, payload in zip(*(
-                column[done].tolist() for column in (
+                column[self.done].tolist() for column in (
                     log.d_mid, log.d_created, log.d_delivered,
                     log.d_bytes))):
             deliveries.append(DeliveryRecord(
@@ -713,18 +745,6 @@ class _LoggedRun(_Run):
                 delivered_cycle=delivered,
                 delivered_time_ps=delivered * period_ps,
                 payload_bytes=payload))
-
-    def first_injection_slot(self) -> int:
-        """Slot of the run's first injection."""
-        return int(self.log.i_tick[self.ilo])
-
-    def delivered_bytes(self) -> int:
-        """Payload bytes of the run's deliveries."""
-        return self.log.delivered_bytes[self.index]
-
-    def service_latencies_ns(self) -> list[float]:
-        """Service latencies, in message-id order."""
-        return self.log.service_ns[self.dlo:self.dhi].tolist()
 
 
 def logged_stats(arrivals: Arrivals, segments: Sequence[tuple[str, int]],
@@ -793,112 +813,67 @@ def logged_stats(arrivals: Arrivals, segments: Sequence[tuple[str, int]],
             log, index, segments[segment][0],
             (i_edges[index], i_edges[index + 1]), (cut, end)))
         cut = end
-    log.d_lo = d_lo
-    log.d_run = np.repeat(np.arange(len(d_lo)),
-                          np.diff(d_lo + [log.d_mid.size]))
+    log.cuts = d_lo + [log.d_mid.size]  # each run's bounds, deliveries
+    log.d_run = np.repeat(np.arange(len(d_lo)), np.diff(log.cuts))
     return stats
 
 
-class CompiledStats(StatsCollector):
-    """Record log backed by interval arrays, materialised on demand.
+class CompiledStats:
+    """A run's record log as the columns of its runs.
 
-    Drop-in :class:`~repro.simulation.monitors.StatsCollector`: any
-    record access (``channel``, ``sink``, ``all_deliveries``) expands
-    the touched channel's arrays into the usual record objects, equal
-    field-for-field to the per-flit reference's.  Aggregate queries
-    (:meth:`delivery_count`, :meth:`all_latencies_ns`,
-    :meth:`channel_aggregate`, :meth:`service_latencies_ns`,
-    :meth:`incarnation_observations`) stay on the arrays;
-    :attr:`materialised` names the channels that left them.
+    It answers every read of :class:`~repro.simulation.monitors.
+    StatsCollector` from the columns.  Aggregates (:meth:`delivery_count`,
+    :meth:`all_latencies_ns`, :meth:`channel_aggregate`,
+    :meth:`latency_summaries`, :meth:`service_latencies_ns`,
+    :meth:`service_observation`, :meth:`incarnation_observations`) slice
+    what each run's batch or log derived; :meth:`channel` builds a
+    channel's records, equal field for field to the reference
+    executor's, for the caller that asks.  No read consults records of
+    its own: the columns are the only truth.
     """
 
     def __init__(self):
-        super().__init__()
-        self._runs: dict[str, list[_IntervalRun]] = {}
-        self._materialised: set[str] = set()
+        self._runs: dict[str, list] = {}
 
-    def _add_run(self, run: _IntervalRun) -> None:
+    def _add_run(self, run) -> None:
         self._runs.setdefault(run.channel, []).append(run)
-
-    def _ensure(self, name: str) -> None:
-        runs = self._runs.get(name)
-        if runs is None or name in self._materialised:
-            return
-        self._materialised.add(name)
-        sink = super().sink(name)
-        for run in runs:
-            run.append_records(sink)
-
-    @property
-    def materialised(self) -> tuple[str, ...]:
-        """Channels whose arrays were expanded into records, sorted."""
-        return tuple(sorted(self._materialised))
-
-    def _array_runs(self, name: str) -> list[_IntervalRun] | None:
-        """The channel's runs while they are all there is to it: once it
-        has a record sink (expanded, or appended to by hand) the records
-        are the truth and the reference walk answers."""
-        return None if name in self._by_channel else self._runs.get(name)
-
-    def channel(self, name: str):
-        """Stats of one channel, materialising its records first."""
-        self._ensure(name)
-        return super().channel(name)
 
     @property
     def channels(self) -> tuple[str, ...]:
         """All channels with at least one record, sorted."""
-        names = set(self._runs)
-        names.update(n for n, stats in self._by_channel.items()
-                     if stats.injections or stats.deliveries)
-        return tuple(sorted(names))
+        return tuple(sorted(self._runs))
 
-    def all_deliveries(self):
-        """Every delivery record across channels (stable order)."""
-        for name in tuple(self._runs):
-            self._ensure(name)
-        return super().all_deliveries()
+    def channel(self, name: str) -> ChannelStats:
+        """One channel's records, built from its runs for the caller."""
+        stats = ChannelStats(name)
+        for run in self._runs.get(name, ()):
+            run.append_records(stats)
+        return stats
 
     def delivery_count(self) -> int:
-        """Total messages delivered, without materialising records."""
-        total = sum(run.n_deliveries
-                    for runs in self._runs.values() for run in runs)
-        total += sum(len(stats.deliveries)
-                     for name, stats in self._by_channel.items()
-                     if name not in self._runs)
-        return total
+        """Total messages delivered."""
+        return sum(run.n_deliveries
+                   for runs in self._runs.values() for run in runs)
 
     def all_latencies_ns(self) -> list[float]:
-        """Every delivery latency, in :meth:`all_deliveries` order."""
-        out: list[float] = []
-        for name in self.channels:
-            runs = self._runs.get(name)
-            if runs is not None:
-                for run in runs:
-                    out.extend(run.latencies_ns())
-            else:
-                out.extend(d.latency_ns
-                           for d in self._by_channel[name].deliveries)
-        return out
+        """Every delivery latency, channels in name order, each in
+        delivery order."""
+        return _column([run.latency_column() for name in self.channels
+                        for run in self._runs[name]]).tolist()
 
-    @staticmethod
-    def _aggregate(runs) -> tuple:
+    def _aggregate(self, channel: str) -> tuple:
         """A channel's totals and its runs' latencies as one ascending
         float64 column."""
+        runs = self._runs.get(channel, ())
         return (sum(run.n_deliveries for run in runs),
                 sum(run.n_flits for run in runs),
                 sum(run.delivered_bytes() for run in runs),
-                _np.sort(_np.concatenate(
-                    [run.latency_column() for run in runs])))
+                _np.sort(_column([run.latency_column() for run in runs])))
 
     def channel_aggregate(self, channel: str):
-        """One channel's totals and ascending latencies, from the
-        arrays: the runs' columns are sorted together before they become
-        floats."""
-        runs = self._array_runs(channel)
-        if runs is None:
-            return super().channel_aggregate(channel)
-        *totals, column = self._aggregate(runs)
+        """One channel's totals and ascending latencies: the runs'
+        columns are sorted together before they become floats."""
+        *totals, column = self._aggregate(channel)
         return (*totals, column.tolist())
 
     def latency_summaries(self):
@@ -907,99 +882,66 @@ class CompiledStats(StatsCollector):
         becomes a list, and the overall sample is one ``np.sort``."""
         rows, columns = [], []
         for name in self.channels:
-            runs = self._array_runs(name)
-            *totals, column = super().channel_aggregate(name) \
-                if runs is None else self._aggregate(runs)
-            columns.append(_np.asarray(column, _np.float64))
-            rows.append((name, *totals, LatencySummary.of_sorted(
-                columns[-1])))
-        return rows, LatencySummary.of_sorted(
-            _np.sort(_np.concatenate(columns)) if columns else [])
-
-    def incarnation_observations(self, channel: str):
-        """One entry per run — a run is one incarnation by construction;
-        the record walk answers where a run cannot vectorise."""
-        runs = self._array_runs(channel)
-        if runs is not None:
-            solved = [run.service_latencies_ns() for run in runs]
-            if None not in solved:
-                return [(run.first_injection_slot(), run.delivered_bytes(),
-                         ServiceObservation(latencies))
-                        for run, latencies in zip(runs, solved)]
-        return super().incarnation_observations(channel)
+            *totals, column = self._aggregate(name)
+            columns.append(column)
+            rows.append((name, *totals, LatencySummary.of_sorted(column)))
+        return rows, LatencySummary.of_sorted(_np.sort(_column(columns)))
 
     def service_latencies_ns(self, channel: str) -> list[float]:
-        """Service latencies from the arrays, one incarnation per run;
-        the record walk answers where a run cannot vectorise."""
-        runs = self._runs.get(channel)
-        if runs is not None:
-            solved = [run.service_latencies_ns() for run in runs]
-            if None not in solved:
-                return list(chain.from_iterable(solved))
-        return super().service_latencies_ns(channel)
+        """Service latencies, one incarnation per run, in order."""
+        return _column([run.service_column()
+                        for run in self._runs.get(channel, ())]).tolist()
+
+    #: The one fold dispatch: a run's own fold when the channel ran once.
+    service_observation = StatsCollector.service_observation
+
+    def incarnation_observations(self, channel: str):
+        """``(first injection slot, delivered bytes, observation)`` of
+        each run — a run is one incarnation by construction."""
+        return [(run.first_slot, run.delivered_bytes(), run.observation)
+                for run in self._runs.get(channel, ())]
 
     def composability_trace(self) -> "CompiledTraceRecorder":
         """The trace as arrays: one run is one incarnation, so its
-        completed messages are its trace, and nothing materialises
-        until a tuple is asked for."""
+        completed messages are its trace."""
         return CompiledTraceRecorder({
-            name: delivered for name, runs in self._runs.items()
+            name: _RunEvents(delivered) for name, runs in self._runs.items()
             if (delivered := [run for run in runs if run.n_deliveries])})
 
 
-class CompiledTraceRecorder(TraceRecorder):
-    """Composability trace backed by interval arrays.
+class _RunEvents:
+    """A channel's trace events, read off its runs' columns each time
+    they are iterated."""
 
-    Traces materialise per channel on first access and are byte-equal
-    to the record walk's tuples.  :meth:`agreement` between two
-    compiled recorders never asks for them: it compares the same three
-    fields of every event, in order, on the arrays.
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: list):
+        self.runs = runs
+
+    def __iter__(self):
+        for run in self.runs:
+            yield from zip(*(column.tolist()
+                             for column in run.trace_columns()))
+
+
+class CompiledTraceRecorder(TraceRecorder):
+    """Composability trace over the columns of a run's runs.
+
+    Its events are :class:`_RunEvents`, so :meth:`trace` builds a
+    channel's tuples, byte-equal to the record walk's, for the caller.
+    :meth:`agreement` between two compiled recorders compares the same
+    three fields of every event, in order, on the arrays.
     """
 
-    def __init__(self, runs: dict[str, list[_IntervalRun]]):
-        super().__init__()
-        self._runs = runs
-        self._materialised: set[str] = set()
-
-    def _ensure(self, name: str) -> None:
-        runs = self._runs.get(name)
-        if runs is None or name in self._materialised:
-            return
-        self._materialised.add(name)
-        sink = self._events[name]
-        for run in runs:
-            sink.extend(run.trace_events())
-
-    def trace(self, channel: str) -> tuple[tuple[int, int, int], ...]:
-        """The immutable trace of one channel."""
-        self._ensure(channel)
-        return super().trace(channel)
-
-    def record(self, channel: str, *event: int) -> None:
-        """Append one event after the channel's array events."""
-        self._ensure(channel)
-        super().record(channel, *event)
-
-    def channels(self) -> tuple[str, ...]:
-        """Channels with at least one event, sorted."""
-        names = set(self._runs)
-        names.update(n for n, events in self._events.items() if events)
-        return tuple(sorted(names))
-
     def _columns(self, name: str):
-        """One channel's trace as three arrays while its runs are all
-        there is to it; ``None`` once it has an event list (expanded,
-        or appended to by hand) and the tuples are the truth."""
-        if name in self._events:
-            return None
-        columns = [run.trace_columns() for run in self._runs.get(name, ())]
-        if len(columns) == 1:
-            return columns[0]
-        if not columns:
-            return (_np.empty(0, _np.int64),) * 3
-        return tuple(_np.concatenate(parts) for parts in zip(*columns))
+        """One channel's trace as three arrays."""
+        events = self._events.get(name)
+        columns = [run.trace_columns() for run in events.runs] \
+            if events else []
+        return tuple(map(_column, zip(*columns))) if columns else \
+            (_np.empty(0, _np.int64),) * 3
 
-    def agreement(self, other: TraceRecorder, channels):
+    def agreement(self, other, channels):
         """``(identical, diverged)`` as the base class defines them;
         against another compiled recorder, decided on the arrays."""
         if not isinstance(other, CompiledTraceRecorder):
@@ -1007,11 +949,8 @@ class CompiledTraceRecorder(TraceRecorder):
         identical: list[str] = []
         diverged: list[str] = []
         for channel in channels:
-            mine, theirs = self._columns(channel), other._columns(channel)
-            if mine is None or theirs is None:
-                matched = self.trace(channel) == other.trace(channel)
-            else:
-                matched = all(map(_np.array_equal, mine, theirs))
+            matched = all(map(_np.array_equal, self._columns(channel),
+                              other._columns(channel)))
             (identical if matched else diverged).append(channel)
         return tuple(identical), tuple(diverged)
 

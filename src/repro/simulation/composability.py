@@ -32,8 +32,8 @@ one a result's record log reads out
 (:meth:`~repro.simulation.backend.SimResult.composability_trace`) — so
 they work unchanged over the compiled vectorised executor
 (:mod:`repro.simulation.compiled`): its recorder compares two runs on
-the interval arrays and materialises a channel's tuples only when one
-side holds tuples.
+the interval arrays and builds a channel's tuples only against a
+recorder of another kind.
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ from typing import Mapping
 
 from repro.core.placement import ChannelAllocation
 from repro.core.configuration import NocConfiguration
-from repro.simulation.monitors import (ChannelStats, DeliveryRecord,
-                                       InjectionRecord, StatsCollector)
+from repro.simulation.monitors import (DeliveryRecord, InjectionRecord,
+                                       StatsCollector)
 from repro.simulation.traffic import TrafficPattern
 
 __all__ = ["execute"]
@@ -75,17 +75,17 @@ def execute(config: NocConfiguration, lifetimes: Mapping[str, tuple],
             flits.setdefault(name, 0)
             if pattern is not None:
                 flits[name] += _run_incarnation(
-                    config, stats.sink(name), pattern, start,
+                    config, stats, name, pattern, start,
                     min(stop, n_slots), alloc, n_slots)
-    stats.prune_empty()
     if telemetry.enabled:
         telemetry.counter("executor.dispatch", path="per-flit").inc()
     return stats, {"flits_by_channel": flits, "executor": "per-flit"}
 
 
-def _run_incarnation(config: NocConfiguration, sink: ChannelStats,
-                     pattern: TrafficPattern, start: int, end: int,
-                     alloc: ChannelAllocation, n_slots: int) -> int:
+def _run_incarnation(config: NocConfiguration, stats: StatsCollector,
+                     channel: str, pattern: TrafficPattern, start: int,
+                     end: int, alloc: ChannelAllocation,
+                     n_slots: int) -> int:
     """Send one incarnation's flits over ``[start, end)``; returns how
     many it sent.
 
@@ -117,8 +117,8 @@ def _run_incarnation(config: NocConfiguration, sink: ChannelStats,
             # final flit may take it below zero.
             head[1] -= fmt.payload_words_per_flit
             cycle = now * flit_size
-            sink.injections.append(InjectionRecord(
-                channel=sink.channel, message_id=event.message_id,
+            stats.record_injection(InjectionRecord(
+                channel=channel, message_id=event.message_id,
                 sequence=sent, slot_index=now, cycle=cycle,
                 time_ps=cycle * period_ps))
             sent += 1
@@ -126,8 +126,8 @@ def _run_incarnation(config: NocConfiguration, sink: ChannelStats,
                 queue.popleft()
                 created = start * flit_size + event.cycle
                 delivered = (now + alloc.path.traversal_slots) * flit_size
-                sink.deliveries.append(DeliveryRecord(
-                    channel=sink.channel, message_id=event.message_id,
+                stats.record_delivery(DeliveryRecord(
+                    channel=channel, message_id=event.message_id,
                     created_cycle=created,
                     created_time_ps=created * period_ps,
                     delivered_cycle=delivered,

@@ -18,10 +18,9 @@ timing*, not merely similar averages).
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from repro.core.exceptions import SimulationError
 
@@ -228,6 +227,7 @@ class ChannelStats:
         return window_bytes * 1e12 / (measured_to_ps - measured_from_ps)
 
 
+@dataclass(frozen=True, slots=True)
 class ServiceObservation:
     """Count, worst and mean of a population of service latencies.
 
@@ -235,22 +235,31 @@ class ServiceObservation:
     experiment tables and the conformance monitor each hold ``worst_ns``
     against their own requirement or bound with their own tolerance.
     ``worst_ns`` and ``mean_ns`` are ``None`` when nothing was measured.
+    It keeps the folded values only, not the population.
 
-    >>> seen = ServiceObservation([30.0, 50.0, 40.0])
+    >>> seen = ServiceObservation.of([30.0, 50.0, 40.0])
     >>> seen.count, seen.worst_ns, seen.mean_ns
     (3, 50.0, 40.0)
-    >>> ServiceObservation([]).worst_ns is None
+    >>> ServiceObservation.of([]).worst_ns is None
     True
     """
 
-    __slots__ = ("latencies_ns", "count", "worst_ns", "mean_ns")
+    count: int
+    worst_ns: float | None
+    mean_ns: float | None
 
-    def __init__(self, latencies_ns: list[float]):
-        self.latencies_ns = latencies_ns
-        self.count = len(latencies_ns)
-        self.worst_ns = max(latencies_ns) if latencies_ns else None
-        self.mean_ns = (sum(latencies_ns) / self.count
-                        if latencies_ns else None)
+    @classmethod
+    def of(cls, latencies_ns) -> "ServiceObservation":
+        """Fold a sample: a list of floats, or a float64 ``memoryview``
+        whose floats ``sum`` adds in the same order."""
+        count = len(latencies_ns)
+        if not count:
+            return _NOTHING_OBSERVED
+        return cls(count, max(latencies_ns), sum(latencies_ns) / count)
+
+
+#: The fold of an empty population, shared by every reader of one.
+_NOTHING_OBSERVED = ServiceObservation(0, None, None)
 
 
 class StatsCollector:
@@ -283,26 +292,6 @@ class StatsCollector:
         """
         stats = self._by_channel.get(name)
         return stats if stats is not None else ChannelStats(name)
-
-    def sink(self, name: str) -> ChannelStats:
-        """The *registered* stats of one channel, for hot-path appends.
-
-        Unlike :meth:`channel` this inserts the channel, so simulators
-        can cache the record lists and append directly; pair with
-        :meth:`prune_empty` before handing the collector out.
-        """
-        return self._channel(name)
-
-    def prune_empty(self) -> None:
-        """Drop channels that never recorded anything.
-
-        Simulators that pre-register every channel for hot-path appends
-        call this before returning, so :attr:`channels` keeps its
-        contract: only channels with at least one record appear.
-        """
-        self._by_channel = {
-            name: stats for name, stats in self._by_channel.items()
-            if stats.injections or stats.deliveries}
 
     @property
     def channels(self) -> tuple[str, ...]:
@@ -404,20 +393,29 @@ class StatsCollector:
         (:meth:`ChannelStats.incarnations`).  This record walk is the
         reference; collectors backed by schedule arrays override it.
         """
-        trace = TraceRecorder()
+        events: dict[str, list[tuple[int, int, int]]] = {}
         for name in self.channels:
+            trace = []
             for incarnation in self.channel(name).incarnations():
                 last = {record.message_id: record.slot_index
                         for record in incarnation.injections}
-                for record in incarnation.deliveries:
-                    trace.record(name, record.message_id,
-                                 last.get(record.message_id, -1),
-                                 record.delivered_cycle)
-        return trace
+                trace.extend((record.message_id,
+                              last.get(record.message_id, -1),
+                              record.delivered_cycle)
+                             for record in incarnation.deliveries)
+            if trace:
+                events[name] = trace
+        return TraceRecorder(events)
 
     def service_observation(self, channel: str) -> ServiceObservation:
-        """The fold of :meth:`service_latencies_ns` over one channel."""
-        return ServiceObservation(self.service_latencies_ns(channel))
+        """The fold of :meth:`service_latencies_ns` over one channel: its
+        one incarnation's fold when it ran once, so the report and the
+        watchdog read one observation of it, else the fold of every
+        incarnation's population in order."""
+        incarnations = self.incarnation_observations(channel)
+        if len(incarnations) == 1:
+            return incarnations[0][2]
+        return ServiceObservation.of(self.service_latencies_ns(channel))
 
     def incarnation_observations(self, channel: str) -> list[
             tuple[int, int, ServiceObservation]]:
@@ -432,7 +430,7 @@ class StatsCollector:
             count = len(incarnation.deliveries)
             out.append((incarnation.injections[0].slot_index,
                         incarnation.delivered_bytes,
-                        ServiceObservation(
+                        ServiceObservation.of(
                             latencies[taken:taken + count])))
             taken += count
         return out
@@ -445,17 +443,12 @@ class TraceRecorder:
     injection_slot, delivery_cycle)`` triples.  Two runs are *composable-
     equal* for a channel set when their traces over those channels are
     identical — the strong, bit-level form of the paper's isolation claim.
+    A recorder is read, never written: ``events`` maps each channel with
+    at least one event to an iterable of its triples, in order.
     """
 
-    def __init__(self):
-        self._events: dict[str, list[tuple[int, int, int]]] = \
-            defaultdict(list)
-
-    def record(self, channel: str, message_id: int, injection_slot: int,
-               delivery_cycle: int) -> None:
-        """Append one flit/message event to a channel's trace."""
-        self._events[channel].append(
-            (message_id, injection_slot, delivery_cycle))
+    def __init__(self, events: Mapping[str, Iterable[tuple[int, int, int]]]):
+        self._events = events
 
     def trace(self, channel: str) -> tuple[tuple[int, int, int], ...]:
         """The immutable trace of one channel."""

@@ -362,7 +362,7 @@ def _judge_spans(name: str, spans, stats, spec: MonitorSpec, *,
         delivered_bytes, seen = next(
             ((delivered, seen) for first_slot, delivered, seen
              in incarnations if start <= first_slot < end),
-            (0, ServiceObservation([])))
+            (0, ServiceObservation.of(())))
         verdict = "within_bounds"
         if seen.count:
             verdict = spec.classify(seen.worst_ns, bounds.latency_ns)

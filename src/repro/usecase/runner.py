@@ -23,9 +23,10 @@ be substituted:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro.core.configuration import NocConfiguration, configure
-from repro.core.exceptions import (AllocationError, SimulationError,
+from repro.core.exceptions import (AllocationError, ConfigurationError,
                                    require_finite_positive, require_whole)
 from repro.simulation.backend import (BestEffortBackend, FlitLevelBackend,
                                       SimRequest, SimResult,
@@ -303,15 +304,19 @@ def run_be(config: NocConfiguration, *, frequency_hz: float,
     result = backend.run(SimRequest(n_slots=n_ticks, traffic=traffic,
                                     frequency_hz=frequency_hz))
     channels = config.allocation.channels
-    latencies: list[float] = []
+    count = 0
     worst_by_channel: dict[str, float] = {}
     for name in channels:
         observed = result.stats.service_observation(name)
         if observed.count:
-            latencies.extend(observed.latencies_ns)
+            count += observed.count
             worst_by_channel[name] = observed.worst_ns
     n_ok, worst, _ = fold_requirements(channels.values(), worst_by_channel)
-    mean = sum(latencies) / len(latencies) if latencies else 0.0
+    # One sum over every channel's latencies in order, as one population:
+    # the per-channel folds cannot give its bits.
+    mean = sum(chain.from_iterable(
+        result.stats.service_latencies_ns(name)
+        for name in worst_by_channel)) / count if count else 0.0
     return BeOutcome(frequency_hz=frequency_hz, result=result,
                      n_connections=len(channels),
                      n_measured=len(worst_by_channel), n_latency_ok=n_ok,
@@ -337,11 +342,15 @@ def be_frequency_sweep(config: NocConfiguration,
 
     Traffic is rebuilt per frequency from the byte rates, so the offered
     load in bytes per second is constant while the network speed varies.
-    ``n_ticks`` is refused as :func:`run_be` refuses it, before any run.
+    ``n_ticks`` is refused as :func:`run_be` refuses it, and an empty
+    sweep or a point that is not a finite positive frequency is refused,
+    all before any run.
     """
     n_ticks = require_whole("n_ticks", n_ticks, 1)
     if not frequencies_hz:
-        raise SimulationError("frequency sweep needs at least one point")
+        raise ConfigurationError("frequency sweep needs at least one point")
+    for frequency in frequencies_hz:
+        require_finite_positive("frequency_hz", frequency)
     rows = []
     for frequency in frequencies_hz:
         outcome = run_be(config, frequency_hz=frequency, n_ticks=n_ticks)

@@ -27,7 +27,7 @@ from repro.simulation.traffic import (ConstantBitRate, MessageEvent,
 from repro.topology.builders import (concentrated_mesh, mesh, ring,
                                      single_router)
 from repro.topology.mapping import Mapping
-from test_watchers import assert_reads_equal_the_record_walks
+from test_watchers import assert_reads_equal_the_record_walks, no_records
 
 
 class TestArbiters:
@@ -199,6 +199,19 @@ class TestBeNetwork:
     def test_bad_operating_point_refused_where_given(self, build):
         with pytest.raises(ConfigurationError):
             build(_two_router_config())
+
+    @pytest.mark.parametrize("option", ["buffer_flits", "max_packet_flits"])
+    @pytest.mark.parametrize("value", [True, "2", None, 2.5, 0])
+    def test_buffer_counts_go_through_the_helper(self, option, value):
+        """A bool, a string or ``None`` is refused naming the option, as
+        a fraction or zero is."""
+        with pytest.raises(ConfigurationError, match=f"^{option} must"):
+            BestEffortBackend(_two_router_config(), **{option: value})
+
+    def test_a_whole_float_count_is_stored_as_the_int(self):
+        backend = BestEffortBackend(_two_router_config(), buffer_flits=2.0)
+        assert backend.buffer_flits == 2
+        assert type(backend.buffer_flits) is int
 
     def test_zero_override_is_not_the_default(self):
         """An explicit frequency is used as given, never replaced by
@@ -456,22 +469,24 @@ class TestColumnsEqualTheRecordWalks:
         assert isinstance(engine, CompiledStats)
         assert type(oracle) is StatsCollector
         names = oracle.channels
-        assert engine.channels == names
-        assert engine.delivery_count() == oracle.delivery_count()
-        for name in names:
-            assert repr(engine.service_latencies_ns(name)) == \
-                repr(oracle.service_latencies_ns(name)), name
-            seen, walked = (stats.service_observation(name)
-                            for stats in (engine, oracle))
-            assert repr((seen.count, seen.worst_ns, seen.mean_ns)) == \
-                repr((walked.count, walked.worst_ns, walked.mean_ns)), name
-        traces = engine.composability_trace(), oracle.composability_trace()
-        assert traces[0].channels() == traces[1].channels()
-        for name in traces[1].channels():
-            assert traces[0].trace(name) == traces[1].trace(name), name
-        assert repr(engine.latency_summaries()) == \
-            repr(oracle.latency_summaries())
-        assert engine.materialised == ()
+        with no_records():
+            assert engine.channels == names
+            assert engine.delivery_count() == oracle.delivery_count()
+            for name in names:
+                assert repr(engine.service_latencies_ns(name)) == \
+                    repr(oracle.service_latencies_ns(name)), name
+                seen, walked = (stats.service_observation(name)
+                                for stats in (engine, oracle))
+                assert repr((seen.count, seen.worst_ns, seen.mean_ns)) == \
+                    repr((walked.count, walked.worst_ns,
+                          walked.mean_ns)), name
+            traces = (engine.composability_trace(),
+                      oracle.composability_trace())
+            assert traces[0].channels() == traces[1].channels()
+            for name in traces[1].channels():
+                assert traces[0].trace(name) == traces[1].trace(name), name
+            assert repr(engine.latency_summaries()) == \
+                repr(oracle.latency_summaries())
         assert_reads_equal_the_record_walks(
             SimpleNamespace(stats=engine), SimpleNamespace(stats=oracle),
             names)

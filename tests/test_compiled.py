@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flit_oracle import oracle_run
+from test_watchers import no_records
 from repro.campaign.spec import WorkloadSpec
 from repro.core.allocation import SlotAllocator
 from repro.core.configuration import configure
@@ -247,19 +248,15 @@ class TestServiceLatencies:
         compiled = _run(config, traffic, 800)
         scalar = _run(config, traffic, 800, oracle=True)
         assert _is_compiled(compiled)
-        answered = 0
-        for name in sorted(scalar.stats.channels):
-            runs = compiled.stats._runs[name]
-            if all(run.service_latencies_ns() is not None
-                   for run in runs):
-                answered += 1
+        names = sorted(scalar.stats.channels)
+        assert names
+        for name in names:
             walked = scalar.stats.service_latencies_ns(name)
-            assert compiled.stats.service_latencies_ns(name) == walked
-            # The reference walk over the materialised records agrees.
+            with no_records():
+                assert compiled.stats.service_latencies_ns(name) == walked
+            # The reference walk over the records the run builds agrees.
             assert StatsCollector.service_latencies_ns(
                 compiled.stats, name) == walked, name
-        # The vectorised answer must actually engage, not just defer.
-        assert answered > 0
 
 
 # -- arrivals end with their incarnation ------------------------------------------
@@ -381,6 +378,11 @@ def _arrivals_of(events):
     return arrivals
 
 
+def _events(run):
+    """A run's ``(message_id, injection_slot, delivery_cycle)`` tuples."""
+    return list(zip(*(column.tolist() for column in run.trace_columns())))
+
+
 def _records(run, name):
     sink = ChannelStats(name)
     if run is not None:
@@ -437,7 +439,7 @@ class TestTablesEndWithTheirIncarnation:
             assert not full.completed[count:].any()
             assert bounded.n_flits == full.n_flits
             assert bounded.n_deliveries == full.n_deliveries
-            assert bounded.trace_events() == full.trace_events()
+            assert _events(bounded) == _events(full)
         assert _records(bounded, one.name) == _records(full, one.name)
         # The per-flit oracle on a timeline built from the same draws.
         timeline = one.timeline(n_slots, [(start, end, slots)])
@@ -445,7 +447,7 @@ class TestTablesEndWithTheirIncarnation:
         channel = scalar.stats.channel(one.name)
         assert _records(bounded, one.name) == (channel.injections,
                                                channel.deliveries)
-        assert tuple(bounded.trace_events() if bounded else ()) == \
+        assert tuple(_events(bounded) if bounded else ()) == \
             scalar.composability_trace().trace(one.name)
         _assert_equivalent(one.run(timeline, pattern), scalar)
 
@@ -533,8 +535,11 @@ class TestTablesEndWithTheirIncarnation:
             backend.run = lambda request: traced(run(request))
             return backend
 
-        verdict = verify_timeline(timeline, replay_traffic(timeline),
-                                  backend_factory=backend_factory)
+        with no_records(), mock.patch.object(
+                CompiledTraceRecorder, "trace",
+                side_effect=AssertionError("a trace became tuples")):
+            verdict = verify_timeline(timeline, replay_traffic(timeline),
+                                      backend_factory=backend_factory)
         assert verdict.is_composable and verdict.survivors
         flit_size = timeline.fmt.flit_size
         longest = {name: max(stop - start for start, stop, _ in spans)
@@ -545,12 +550,9 @@ class TestTablesEndWithTheirIncarnation:
             for name, runs in result.stats._runs.items():
                 for run in runs:
                     assert (run.cycles < longest[name] * flit_size).all()
-            assert result.stats.materialised == ()
-        # The survivors were compared on the arrays.
+        # The survivors were compared on the arrays: no record and no
+        # trace tuple was built on the way.
         assert len(traces) == len(results) == 2
-        for trace in traces:
-            assert trace._materialised == set()
-            assert not trace._events
 
 
 # -- the batch keeps its oracle -----------------------------------------------
@@ -597,8 +599,7 @@ def _execute(executor, one, window, table, traffic):
 def _observations(stats, name):
     """``incarnation_observations`` as comparable values; ``repr`` keeps
     the float comparison bit-exact."""
-    return repr([(slot, delivered, seen.latencies_ns, seen.count,
-                  seen.worst_ns, seen.mean_ns)
+    return repr([(slot, delivered, seen.count, seen.worst_ns, seen.mean_ns)
                  for slot, delivered, seen in
                  stats.incarnation_observations(name)])
 
@@ -606,10 +607,10 @@ def _observations(stats, name):
 def _readers(run):
     """Every reader of a run, as comparable values; ``repr`` keeps the
     float comparison bit-exact."""
-    return repr((run.latencies_ns(), run.service_latencies_ns(),
+    return repr((run.latency_column().tolist(),
+                 run.service_column().tolist(),
                  [column.tolist() for column in run.trace_columns()],
-                 run.last_slots().tolist(), run.delivered_bytes(),
-                 run.first_injection_slot()))
+                 run.delivered_bytes(), run.first_slot))
 
 
 def _readers_per_run(run):
@@ -621,19 +622,17 @@ def _readers_per_run(run):
     created = run.start * batch.flit_size + run.cycles[done]
     latencies = (((delivered - created) * batch.period_ps) /
                  1000.0).tolist()
-    if run.mids.size > 1 and not bool((np.diff(run.mids) > 0).all()):
-        service = None
-    else:
-        previous = np.empty_like(last)
-        previous[:1] = -1
-        previous[1:] = last[:-1] * batch.flit_size * batch.period_ps
-        ready = np.maximum(created * batch.period_ps, previous)
-        service = ((delivered * batch.period_ps - ready) / 1000.0).tolist()
+    by_id = np.argsort(run.mids[done], kind="stable")  # the walk's order
+    previous = np.empty_like(last)
+    previous[:1] = -1
+    previous[1:] = last[by_id][:-1] * batch.flit_size * batch.period_ps
+    ready = np.maximum(created[by_id] * batch.period_ps, previous)
+    service = ((delivered[by_id] * batch.period_ps - ready) /
+               1000.0).tolist()
     rotations, index = np.divmod(run.base + run.k[0], len(run.slots))
     return repr((latencies, service,
                  [run.mids[done].tolist(), last.tolist(),
                   delivered.tolist()],
-                 last.tolist(),
                  int(run.words[done].sum()) * batch.bytes_per_word,
                  int(rotations * batch.table_size +
                      np.asarray(run.slots)[index])))
@@ -692,31 +691,30 @@ class TestBatchKeepsItsOracle:
         reference, reference_meta = _execute(flitsim_execute, one, window,
                                              table, traffic)
         assert meta["flits_by_channel"] == reference_meta["flits_by_channel"]
-        assert stats.delivery_count() == reference.delivery_count()
         names = sorted(table)
-        for name in names:
-            assert stats.service_latencies_ns(name) == \
-                reference.service_latencies_ns(name), name
-            assert _observations(stats, name) == \
-                _observations(reference, name), name
-            assert repr(stats.channel_aggregate(name)) == \
-                repr(reference.channel_aggregate(name)), name
-        # Every reader slices what the batch derived, and equals the
-        # per-run computation; so does an edited copy, which derives its
-        # own and leaves the batch it was copied from as it was.
-        runs = [run for name in names for run in stats._runs.get(name, ())]
-        for run in runs:
-            assert _readers(run) == _readers_per_run(run), run.channel
-        for run in runs:
-            before = _readers(run)
-            for edited in _edited_copies(run):
-                assert _readers(edited) == _readers_per_run(edited), \
-                    run.channel
-            assert _readers(run) == before, run.channel
-        # Only a run with unordered message ids takes the record walk.
-        assert set(stats.materialised) == {
-            name for name, runs in stats._runs.items()
-            if None in (run.service_latencies_ns() for run in runs)}
+        # No read builds a record, whatever the order of the ids.
+        with no_records():
+            assert stats.delivery_count() == reference.delivery_count()
+            for name in names:
+                assert stats.service_latencies_ns(name) == \
+                    reference.service_latencies_ns(name), name
+                assert _observations(stats, name) == \
+                    _observations(reference, name), name
+                assert repr(stats.channel_aggregate(name)) == \
+                    repr(reference.channel_aggregate(name)), name
+            # Every reader slices what the batch derived, and equals the
+            # per-run computation; so does an edited copy, which derives
+            # its own and leaves the batch it was copied from as it was.
+            runs = [run for name in names
+                    for run in stats._runs.get(name, ())]
+            for run in runs:
+                assert _readers(run) == _readers_per_run(run), run.channel
+            for run in runs:
+                before = _readers(run)
+                for edited in _edited_copies(run):
+                    assert _readers(edited) == _readers_per_run(edited), \
+                        run.channel
+                assert _readers(run) == before, run.channel
         trace = stats.composability_trace()
         reference_trace = reference.composability_trace()
         assert trace.channels() == reference_trace.channels()
@@ -733,17 +731,27 @@ class TestBatchKeepsItsOracle:
                         traffic)[0].composability_trace()
         theirs = _execute(compiled_execute, one, other_window, table,
                           traffic)[0].composability_trace()
-        on_arrays = ours.agreement(theirs, names + ["never-ran"])
-        assert not ours._events and not theirs._events
+        with mock.patch.object(CompiledTraceRecorder, "trace",
+                               side_effect=AssertionError("tuples built")):
+            on_arrays = ours.agreement(theirs, names + ["never-ran"])
         assert on_arrays == TraceRecorder.agreement(
-            _in_array_form(ours), _in_array_form(theirs),
-            names + ["never-ran"])
+            ours, theirs, names + ["never-ran"])
+
+
+#: What ``_solve`` sets on a batch; everything else is derived from it.
+_SOLVED = compiled_module._Batch.COLUMNS + (
+    "arrivals", "starts", "traversals", "table_size", "flit_size",
+    "period_ps", "bytes_per_word")
 
 
 def _with_rows(run, column, rows):
     """``run`` over a copy of its batch whose ``column`` reads ``rows``
-    in the run's place; other runs keep the batch they had."""
-    batch = holder = copy.copy(run.batch)
+    in the run's place; other runs keep the batch they had.  The copy
+    takes what was solved, none of what was derived, so it derives its
+    own columns from the edited one."""
+    batch = holder = compiled_module._Batch()
+    vars(batch).update((name, getattr(run.batch, name))
+                       for name in _SOLVED)
     if column in Arrivals.COLUMNS:
         holder = batch.arrivals = copy.copy(batch.arrivals)
     values = getattr(holder, column).copy()
@@ -755,9 +763,9 @@ def _with_rows(run, column, rows):
 
 def _mutations(draw, recorder):
     """``recorder`` with one drawn edit, still in array form."""
-    names = sorted(recorder._runs)
+    names = sorted(recorder._events)
     name = names[draw(st.integers(0, len(names) - 1))]
-    runs = recorder._runs[name]
+    runs = recorder._events[name].runs
     index = draw(st.integers(0, len(runs) - 1))
     run = copy.copy(runs[index])
     events = run.n_deliveries
@@ -786,17 +794,10 @@ def _mutations(draw, recorder):
         _with_rows(run, "completed", head)
         replacement = [part for part in (run, other)
                        if part.completed.any()]
-    edited = CompiledTraceRecorder(dict(recorder._runs))
-    edited._runs[name] = runs[:index] + replacement + runs[index + 1:]
-    return edited, name, kind
-
-
-def _in_array_form(recorder):
-    """A copy sharing the runs but holding no event list of its own, so
-    a test may materialise it and leave the fixture on its arrays."""
-    fresh = copy.copy(recorder)
-    fresh._events, fresh._materialised = type(recorder._events)(list), set()
-    return fresh
+    events = dict(recorder._events)
+    events[name] = compiled_module._RunEvents(
+        runs[:index] + replacement + runs[index + 1:])
+    return CompiledTraceRecorder(events), name, kind
 
 
 class TestAgreementOnArrays:
@@ -812,25 +813,14 @@ class TestAgreementOnArrays:
     def test_equals_the_tuple_walk_on_edited_recorders(self, recorder,
                                                        data):
         edited, name, kind = _mutations(data.draw, recorder)
-        channels = sorted(recorder._runs) + ["never-ran"]
-        on_arrays = recorder.agreement(edited, channels)
-        assert not edited._materialised and not edited._events
-        assert not recorder._materialised
-        pristine = _in_array_form(recorder)
-        assert on_arrays == TraceRecorder.agreement(pristine, edited,
+        channels = sorted(recorder._events) + ["never-ran"]
+        with mock.patch.object(CompiledTraceRecorder, "trace",
+                               side_effect=AssertionError("tuples built")):
+            on_arrays = recorder.agreement(edited, channels)
+        assert on_arrays == TraceRecorder.agreement(recorder, edited,
                                                     channels)
         diverged = () if kind == "split" else (name,)
         assert on_arrays[1] == diverged
-        # Once either side holds tuples, the tuples decide.
-        assert pristine.agreement(edited, channels) == on_arrays
-
-    def test_hand_appended_events_are_seen(self, recorder):
-        ours, theirs = _in_array_form(recorder), _in_array_form(recorder)
-        name = sorted(recorder._runs)[0]
-        assert ours.agreement(theirs, [name]) == ((name,), ())
-        theirs.record(name, 10 ** 6, 1, 2)
-        assert ours.agreement(theirs, [name]) == ((), (name,))
-        assert theirs.agreement(ours, [name]) == ((), (name,))
 
     def test_per_flit_recorder_takes_the_tuple_walk(self):
         config = _config(mesh(2, 2, nis_per_router=2), 3, n_channels=6)

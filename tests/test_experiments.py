@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablations import (fifo_depth_rows, ordering_rows,
-                                         pipeline_stage_rows,
+from repro.experiments.ablations import (backend_rows, fifo_depth_rows,
+                                         ordering_rows, pipeline_stage_rows,
                                          table_size_rows)
 from repro.experiments.area_comparison import (fifo_rows,
                                                headline_ratio_rows,
@@ -125,3 +125,18 @@ class TestAblationRows:
         # 3-router path: base 4 slots, +2 per added stage level
         # (two router-router links).
         assert slots == [4, 6, 8, 10]
+
+    def test_backend_rows_are_flit_synchronous(self):
+        """The flit-synchronous claim on all four backends: both
+        cycle-accurate clockings deliver what the flit model delivers,
+        on its schedule; the best-effort baseline runs the same
+        messages without it."""
+        rows = {row["backend"]: row for row in backend_rows()}
+        assert list(rows) == ["flit", "cycle/synchronous",
+                              "cycle/mesochronous", "be"]
+        delivered = rows["flit"]["messages"]
+        assert delivered > 0
+        for label in ("cycle/synchronous", "cycle/mesochronous"):
+            assert rows[label]["messages"] == delivered, label
+            assert rows[label]["max_deviation_cycles_vs_flit"] == 0, label
+        assert rows["be"]["messages"] == delivered

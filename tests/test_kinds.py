@@ -31,7 +31,8 @@ from repro.campaign.spec import CampaignSpec, SyntheticSpec, WorkloadSpec
 from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.application import Application, UseCase
 from repro.core.connection import MB, ChannelSpec
-from repro.core.exceptions import ConfigurationError
+from repro.core.exceptions import (ConfigurationError,
+                                   require_finite_positive, require_whole)
 from repro.core.timeline import (ReconfigurationTimeline, TimelineEvent,
                                  TimelineRecorder)
 from repro.core.words import WordFormat
@@ -284,6 +285,26 @@ class TestWholeSlotCounts:
 
         assert record(16.0) == record(16)
         assert record(16)["status"] == "ok"
+
+
+class TestBoundaryHelpersRefuseNonNumbers:
+    """``require_whole`` and ``require_finite_positive`` refuse a bool
+    and anything that is not a number with a ``ConfigurationError``
+    naming the parameter, as they refuse a fraction or a NaN."""
+
+    @pytest.mark.parametrize("value", [True, False, "5", None, [2]],
+                             ids=["true", "false", "string", "none", "list"])
+    def test_require_whole(self, value):
+        with pytest.raises(ConfigurationError,
+                           match="^period_cycles must be a whole number"):
+            require_whole("period_cycles", value, 0)
+
+    @pytest.mark.parametrize("value", [True, False, "5", None, [2.0]],
+                             ids=["true", "false", "string", "none", "list"])
+    def test_require_finite_positive(self, value):
+        with pytest.raises(ConfigurationError,
+                           match="^rate must be a finite positive number"):
+            require_finite_positive("rate", value)
 
 
 class TestWholeCountsAtConstruction:

@@ -66,6 +66,8 @@ def test_the_tree_passes():
      "deleted flit-executor option, trace sink"),
     ("simulation/compiled.py", "def _occupy(occupied): pass",
      "contention twin"),
+    ("simulation/compiled.py", "def materialised(self): pass",
+     "falls back to records or tuples of its own"),
     ("simulation/flitsim.py", "def _check_links(state): pass",
      "contention twin"),
     ("simulation/flitsim.py", 'META = {"stalled_slots_by_channel": {}}',

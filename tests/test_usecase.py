@@ -253,7 +253,50 @@ class TestRunners:
             configure_section7(instance, frequency_hz=0.0)
 
     def test_empty_sweep_rejected(self, section7_small):
-        from repro.core.exceptions import SimulationError
         _, config = section7_small
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError, match="at least one point"):
             be_frequency_sweep(config, [])
+
+
+class TestSweepRefusesBeforeAnyRun:
+    """A sweep checks every point before its first run: a bool, a
+    string, ``None`` or a NaN is a ``ConfigurationError`` naming the
+    argument, never a run at 1 Hz or a bare ``TypeError`` after the
+    good points have run."""
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """The frequencies the sweep ran ``run_be`` at."""
+        import repro.usecase.runner as runner
+        ran: list[float] = []
+        monkeypatch.setattr(runner, "run_be", lambda config, *,
+                            frequency_hz, n_ticks: ran.append(frequency_hz))
+        return ran
+
+    @pytest.mark.parametrize("points", [
+        [True], [500e6, True], ["5"], [None], [500e6, float("nan")],
+        [500e6, 0.0], [500e6, -1e8], [float("inf")]],
+        ids=["bool", "good-then-bool", "string", "none", "good-then-nan",
+             "good-then-zero", "good-then-negative", "inf"])
+    def test_frequency_sweep(self, section7_small, runs, points):
+        _, config = section7_small
+        with pytest.raises(ConfigurationError, match="^frequency_hz must"):
+            be_frequency_sweep(config, points, n_ticks=50)
+        assert runs == []
+
+    @pytest.mark.parametrize("points", [
+        [True], [500, "900"], [None], [500, float("nan")], [500, 0]],
+        ids=["bool", "good-then-string", "none", "good-then-nan",
+             "good-then-zero"])
+    def test_sweep_rows(self, section7_small, runs, points):
+        _, config = section7_small
+        with pytest.raises(ConfigurationError,
+                           match="^frequencies_mhz must"):
+            be_sweep_rows(config, frequencies_mhz=points, n_ticks=50)
+        assert runs == []
+
+    def test_an_empty_list_is_not_the_default(self, section7_small, runs):
+        _, config = section7_small
+        with pytest.raises(ConfigurationError, match="at least one point"):
+            be_sweep_rows(config, frequencies_mhz=[], n_ticks=50)
+        assert runs == []

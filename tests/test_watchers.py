@@ -18,9 +18,11 @@ Three kinds of check live here:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,9 +40,11 @@ from repro.experiments.section7 import section7_setup, usecase_gs_rows
 from repro.faults.demo import run_churn_with_faults
 from repro.faults.model import FaultSchedule, FaultSpec
 from repro.service.churn import ChurnSpec, ChurnWorkload
+import repro.simulation.compiled as compiled_module
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.composability import replay_traffic
-from repro.simulation.monitors import DeliveryRecord, StatsCollector
+from repro.simulation.monitors import (DeliveryRecord, ServiceObservation,
+                                       StatsCollector)
 from repro.simulation.traffic import MessageEvent, PeriodicBurst, Replay
 from repro.telemetry.monitor import (FabricRollup, MonitorSpec,
                                      conformance_from_result,
@@ -432,9 +436,16 @@ class TestOverDelivery:
         assert report.n_violated == 0
 
     def test_real_over_delivery_is_still_a_violation(self, mesh_config):
+        """A record log with one byte more than the reserved slots carry
+        reads ``violated``.  The compiled run's records are built for
+        the caller and never read back, so the extra record goes into
+        the per-flit oracle's log, which the watchdog reads the same
+        way."""
         config = mesh_config
-        result = FlitLevelBackend(config).run(SimRequest(
-            n_slots=400, traffic=burst_traffic(config)))
+        request = SimRequest(n_slots=400, traffic=burst_traffic(config))
+        result = FlitLevelBackend(config).run(request)
+        assert conformance_from_result(config, result).n_violated == 0
+        result = oracle_run(config, request)
         assert conformance_from_result(config, result).n_violated == 0
         ca = config.allocation.channels["c0"]
         capacity = ca.reserved_before(400) * \
@@ -455,40 +466,82 @@ class TestOverDelivery:
 # -- aggregate reads stay on the arrays ------------------------------------
 
 
+RUN_KINDS = (compiled_module._IntervalRun, compiled_module._LoggedRun)
+
+
+def _counted(method, log):
+    """``method`` of a run kind, logging the channel of each run it is
+    called on."""
+    def counted(run, *args):
+        log.append(run.channel)
+        return method(run, *args)
+    return counted
+
+
+@contextlib.contextmanager
+def no_records():
+    """Fails the block if it expands any run into records."""
+    expanded: list[str] = []
+    with contextlib.ExitStack() as stack:
+        for kind in RUN_KINDS:
+            stack.enter_context(mock.patch.object(
+                kind, "append_records",
+                _counted(kind.append_records, expanded)))
+        yield
+    assert expanded == [], f"records were built for {expanded}"
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The channels of the runs expanded into records while the test
+    runs, one entry per run."""
+    expanded: list[str] = []
+    for kind in RUN_KINDS:
+        monkeypatch.setattr(kind, "append_records",
+                            _counted(kind.append_records, expanded))
+    return expanded
+
+
 def observations(stats, name, read=None):
     """``incarnation_observations`` flattened to comparable values;
     ``repr`` keeps the float comparison bit-exact."""
     read = read or type(stats).incarnation_observations
-    return repr([(slot, delivered, seen.latencies_ns, seen.count,
-                  seen.worst_ns, seen.mean_ns)
+    return repr([(slot, delivered, seen.count, seen.worst_ns, seen.mean_ns)
                  for slot, delivered, seen in read(stats, name)])
 
 
 def assert_reads_equal_the_record_walks(compiled, scalar, names):
-    """The array answers first (the walks below expand the channel),
-    then the per-flit executor's records and the base-class walks over
-    the compiled run's own materialised records.  ``channel_aggregate``
-    hands latencies over ascending; ``all_latencies_ns`` keeps delivery
-    order, so it holds the order of the arrays to the records."""
+    """The array answers first, without a record built, then the
+    per-flit executor's records and the base-class walks over the
+    records the compiled run builds.  ``channel_aggregate`` hands
+    latencies over ascending; ``all_latencies_ns`` keeps delivery order,
+    so it holds the order of the arrays to the records."""
     assert names
-    assert repr(compiled.stats.all_latencies_ns()) == \
-        repr(scalar.stats.all_latencies_ns())
+    with no_records():
+        latencies = repr(compiled.stats.all_latencies_ns())
+        answers = {name: (observations(compiled.stats, name),
+                          compiled.stats.channel_aggregate(name),
+                          repr(compiled.stats.service_latencies_ns(name)))
+                   for name in names}
+    assert latencies == repr(scalar.stats.all_latencies_ns())
     for name in names:
-        seen = observations(compiled.stats, name)
-        aggregate = compiled.stats.channel_aggregate(name)
+        seen, aggregate, service = answers[name]
         assert aggregate[3] == sorted(aggregate[3]), name
         totals = repr(aggregate)
         assert seen == observations(scalar.stats, name), name
         assert totals == repr(scalar.stats.channel_aggregate(name)), name
+        assert service == repr(scalar.stats.service_latencies_ns(name))
         assert seen == observations(
             compiled.stats, name, StatsCollector.incarnation_observations)
         assert totals == repr(StatsCollector.channel_aggregate(
+            compiled.stats, name)), name
+        assert service == repr(StatsCollector.service_latencies_ns(
             compiled.stats, name)), name
 
 
 class TestAggregateReads:
 
-    def test_static_section7_run(self, section7_config):
+    def test_static_section7_run(self, section7_config, expansions):
         config = section7_config
         request = SimRequest(n_slots=1200, traffic=burst_traffic(config))
         compiled = FlitLevelBackend(config).run(request)
@@ -497,33 +550,44 @@ class TestAggregateReads:
         assert scalar.meta["executor"] == "per-flit"
         assert json.dumps(compiled.to_record(), sort_keys=True) == \
             json.dumps(scalar.to_record(), sort_keys=True)
-        assert compiled.stats.materialised == ()
+        assert expansions == []
         assert_reads_equal_the_record_walks(
             compiled, scalar, sorted(config.allocation.channels))
 
-    def test_relocated_timeline(self, fault_outcome):
+    def test_relocated_timeline(self, fault_outcome, expansions):
         timeline = fault_outcome.timeline
         compiled = _replay(timeline)
         scalar = _replay(timeline, oracle=True)
         relocated = TestRelocatedSurvivor().relocated(fault_outcome)
         assert all(len(compiled.stats.incarnation_observations(name)) > 1
                    for name in relocated)
-        assert compiled.stats.materialised == ()
+        assert expansions == []
         assert_reads_equal_the_record_walks(compiled, scalar, relocated)
 
-    def test_unordered_message_ids_fall_back_to_the_walk(self, mesh_config):
+    @pytest.mark.parametrize("ids", [
+        [4, 1, 7, 0, 9, 2], [2 ** 62, 1, -2 ** 62, 5, 9, 2]],
+        ids=["shuffled", "spanning-2**63"])
+    def test_unordered_message_ids_equal_the_oracle(self, mesh_config,
+                                                    expansions, ids):
+        """The walk sorts each incarnation's deliveries by message id;
+        so do the arrays, and no record is built to do it — ids whose
+        span would overflow the lifted sort key are ranked first."""
         config = mesh_config
         traffic = {"c0": Replay([MessageEvent(3 * i, 2, mid) for i, mid
-                                 in enumerate([4, 1, 7, 0, 9, 2])]),
+                                 in enumerate(ids)]),
                    "c1": PeriodicBurst(2, 2, 60)}
         request = SimRequest(n_slots=300, traffic=traffic)
         compiled = FlitLevelBackend(config).run(request)
         scalar = oracle_run(config, request)
-        compiled.stats.incarnation_observations("c1")
-        assert compiled.stats.materialised == ()
-        # The walk sorts by message id; the arrays cannot, and say so.
-        compiled.stats.incarnation_observations("c0")
-        assert compiled.stats.materialised == ("c0",)
+        for name in ("c0", "c1"):
+            seen = compiled.stats.incarnation_observations(name)
+            assert observations(compiled.stats, name) == \
+                observations(scalar.stats, name)
+            assert seen[0][2].count == len(
+                scalar.stats.channel(name).deliveries) > 0
+            assert compiled.stats.service_latencies_ns(name) == \
+                scalar.stats.service_latencies_ns(name)
+        assert expansions == []
         assert_reads_equal_the_record_walks(compiled, scalar,
                                             ["c0", "c1"])
 
@@ -532,19 +596,19 @@ class TestNothingMaterialised:
     """A consumer that quietly expands 200 000 records fails here, not
     in a benchmark."""
 
-    def test_static_pass(self, section7_config):
+    def test_static_pass(self, section7_config, expansions):
         config = section7_config
         gs = run_gs(config, n_slots=1200)
         conformance_from_result(config, gs.result)
         gs.result.to_record()
         gs.result.summary()
         stats = gs.result.stats
-        assert stats.materialised == ()
+        assert expansions == []
         name = stats.channels[0]
         assert stats.channel(name).deliveries
-        assert stats.materialised == (name,)
+        assert expansions == [name]
 
-    def test_best_effort_pass(self, section7_config):
+    def test_best_effort_pass(self, section7_config, expansions):
         """``run_be``'s per-channel folds, the canonical record and the
         digest of a Section VII best-effort run read the logged
         columns; no channel becomes records until one is asked for."""
@@ -553,14 +617,42 @@ class TestNothingMaterialised:
         be.result.summary()
         stats = be.result.stats
         assert be.n_measured == 200
-        assert stats.materialised == ()
+        assert expansions == []
         name = stats.channels[0]
         assert stats.channel(name).deliveries
-        assert stats.materialised == (name,)
+        assert expansions == [name]
 
-    def test_churn_replay_watchdog(self, fault_outcome):
+    def test_churn_replay_watchdog(self, fault_outcome, expansions):
         timeline = fault_outcome.timeline
         compiled = _replay(timeline)
         report = timeline_conformance(timeline, compiled)
         assert len(report.channels) > 50
-        assert compiled.stats.materialised == ()
+        assert expansions == []
+
+
+class TestObservedOnce:
+    """The report and the watchdog read one observation of each
+    channel."""
+
+    def test_section7_pass_folds_each_channel_once(
+            self, section7_config, expansions, monkeypatch):
+        folds = []
+        fold = ServiceObservation.__init__
+
+        def counted(observation, *args):
+            folds.append(args)
+            fold(observation, *args)
+
+        monkeypatch.setattr(ServiceObservation, "__init__", counted)
+        config = section7_config
+        gs = run_gs(config, n_slots=1200)
+        report = conformance_from_result(config, gs.result)
+        gs.result.to_record()
+        assert len(folds) == gs.n_measured == 200
+        assert expansions == []
+        # Both readers hold the same fold.
+        entries = {entry.channel: entry for entry in report.channels}
+        for name, worst in gs.worst_latency_ns.items():
+            assert entries[name].worst_latency_ns == worst
+            assert gs.result.stats.service_observation(name) is \
+                gs.result.stats.incarnation_observations(name)[0][2]

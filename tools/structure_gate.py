@@ -122,6 +122,10 @@ RULES = [
      "np.unique( is back under src/repro/simulation (numpy 2's unique "
      "imports numpy.ma, about 20 ms and 1.3 MB, into every simulating "
      "process; dedupe an ascending array in order)"),
+    (r"\b(_array_runs|unordered|materialised)\b",
+     ("src/repro/simulation",), None, NONE,
+     "a compiled read falls back to records or tuples of its own again "
+     "(a compiled run's columns are the only truth)"),
     (r"def agreement", SRC, _STATS, NONE,
      "trace agreement defined outside simulation/{monitors,compiled}.py"),
     (r"bench_recor[d]|--bench-recor[d]|BENCH_[a-z_0-9]+\.json|bench_chec[k]|"
