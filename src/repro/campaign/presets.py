@@ -80,13 +80,13 @@ def demo_campaign(*, n_slots: int = 600,
     return CampaignSpec(name="demo", scenarios=scenarios, seeds=seeds)
 
 
-def micro_campaign(*, n_slots: int = 400) -> CampaignSpec:
+def micro_campaign() -> CampaignSpec:
     """A 4-scenario micro-campaign for the tier-2 benchmark smoke check.
 
     One scenario per backend flavour (flit, cycle-synchronous,
-    cycle-mesochronous, best-effort) on one small mesh, one seed — the
-    cheapest campaign that still exercises every adapter and the
-    parallel pool.
+    cycle-mesochronous, best-effort) on one small mesh, 400 slots, one
+    seed — the cheapest campaign that still exercises every adapter and
+    the parallel pool.
     """
     # One pipeline stage per link so the mesochronous scenario is legal.
     topology = TopologySpec(kind="mesh", cols=2, rows=2, nis_per_router=1,
@@ -96,7 +96,7 @@ def micro_campaign(*, n_slots: int = 400) -> CampaignSpec:
         ScenarioSpec(name=name, topology=topology, workload=workload,
                      traffic=TrafficSpec(pattern="cbr"),
                      backend=backend, clocking=clocking,
-                     n_slots=n_slots, table_size=16)
+                     n_slots=400, table_size=16)
         for name, backend, clocking in (
             ("flit", "flit", "synchronous"),
             ("cycle-sync", "cycle", "synchronous"),

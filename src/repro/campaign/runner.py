@@ -72,6 +72,8 @@ __all__ = ["CampaignRunner", "CampaignResult"]
 #: amount).
 _STRAGGLER_RATIO = 3.0
 _STRAGGLER_FLOOR_S = 0.05
+#: The slowest stragglers :meth:`CampaignResult.summary` names.
+_STRAGGLERS_SHOWN = 3
 
 #: Messages kept in flight per worker so pipes never go idle between
 #: dispatches.
@@ -247,14 +249,14 @@ class CampaignResult:
         format_table`."""
         return [summary_row(record) for record in self.iter_records()]
 
-    def summary(self, *, top_k: int = 3) -> str:
+    def summary(self) -> str:
         """One-line digest: totals, per-status counts, stragglers.
 
         Unlike :meth:`to_json` this is allowed to read ``meta`` — it is
         an operator's glance, not a canonical artifact.  Crash and
         timeout statuses appear by name (``crashed=2``), and the
-        ``top_k`` slowest flagged stragglers ride along with their
-        wall-to-median ratio.
+        :data:`_STRAGGLERS_SHOWN` slowest flagged stragglers ride along
+        with their wall-to-median ratio.
         """
         counts = self._counts()
         line = (f"campaign[{self.campaign}]: {self.n_runs} runs, "
@@ -269,7 +271,7 @@ class CampaignResult:
                 key=lambda s: (-float(s.get("wall_s", 0.0)),
                                str(s.get("run_id", ""))))
             parts = []
-            for straggler in stragglers[:top_k]:
+            for straggler in stragglers[:_STRAGGLERS_SHOWN]:
                 wall = float(straggler.get("wall_s", 0.0))
                 median = float(straggler.get("median_s", 0.0))
                 ratio = wall / median if median > 0 else float("inf")

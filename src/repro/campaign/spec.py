@@ -31,8 +31,7 @@ from repro.faults.model import FaultSpec
 from repro.service.churn import ChurnSpec
 from repro.simulation.traffic import (BernoulliMessages, Saturating,
                                       TrafficPattern)
-from repro.topology.builders import (concentrated_mesh, line, mesh, ring,
-                                     single_router, torus)
+from repro.topology.builders import concentrated_mesh, mesh, ring, torus
 from repro.topology.graph import Topology
 from repro.topology.mapping import Mapping, round_robin
 
@@ -104,9 +103,11 @@ _TOPOLOGY_BUILDERS: dict[str, Callable[[TopologySpec], Topology]] = {
                              pipeline_stages=s.pipeline_stages),
     "ring": lambda s: ring(s.cols, nis_per_router=s.nis_per_router,
                            pipeline_stages=s.pipeline_stages),
-    "line": lambda s: line(s.cols, nis_per_router=s.nis_per_router,
-                           pipeline_stages=s.pipeline_stages),
-    "single": lambda s: single_router(s.nis_per_router),
+    "line": lambda s: mesh(s.cols, 1, nis_per_router=s.nis_per_router,
+                           pipeline_stages=s.pipeline_stages,
+                           name=f"line{s.cols}"),
+    "single": lambda s: mesh(1, 1, nis_per_router=s.nis_per_router,
+                             name="single"),
 }
 
 

@@ -35,22 +35,16 @@ def synchronous_domains(nodes: Iterable[str],
 
 
 def mesochronous_domains(nodes: Iterable[str], frequency_hz: float, *,
-                         max_skew_fraction: float = 0.5,
                          seed: int = 0) -> dict[str, ClockDomain]:
     """Equal-period clocks with bounded random phase offsets.
 
-    ``max_skew_fraction`` bounds each node's phase within
-    ``[0, max_skew_fraction * period]``, which in turn bounds the skew
-    between any pair of nodes by the same amount — satisfying the paper's
-    assumption that the skew between writing and reading clocks of a link
-    stage is at most half a clock cycle when the fraction is 0.5.
+    Each node's phase lies within ``[0, period / 2]``, which bounds the
+    skew between any pair of nodes by half a clock cycle — the paper's
+    assumption on the writing and reading clocks of a link stage.
     """
-    if not 0 <= max_skew_fraction <= 0.5:
-        raise ConfigurationError(
-            f"max_skew_fraction must be in [0, 0.5], got {max_skew_fraction}")
     period = period_ps_from_hz(frequency_hz)
     rng = random.Random(seed)
-    limit = int(period * max_skew_fraction)
+    limit = period // 2
     domains: dict[str, ClockDomain] = {}
     for node in sorted(set(nodes)):
         phase = rng.randint(0, limit) if limit > 0 else 0

@@ -287,9 +287,9 @@ class Allocation:
         and a slot two of the NI's channels both claim (which
         :meth:`commit` never lets happen).
 
-        >>> from repro.topology.builders import single_router
+        >>> from repro.topology.builders import mesh
         >>> from repro.core.path import make_path
-        >>> topo = single_router(2)
+        >>> topo = mesh(1, 1, nis_per_router=2)
         >>> allocation = Allocation(topo, 4, 500e6, WordFormat())
         >>> allocation.commit(ChannelAllocation(
         ...     ChannelSpec("c", "a", "b", 1.0),
@@ -320,9 +320,9 @@ class Allocation:
         none does): the one place a holder's name is read, off the
         channel records — a link mask names nobody.
 
-        >>> from repro.topology.builders import single_router
+        >>> from repro.topology.builders import mesh
         >>> from repro.core.path import make_path
-        >>> topo = single_router(2)
+        >>> topo = mesh(1, 1, nis_per_router=2)
         >>> ca = ChannelAllocation(
         ...     ChannelSpec("c", "a", "b", 1.0),
         ...     make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1"), (1,), 8)

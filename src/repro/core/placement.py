@@ -196,8 +196,9 @@ def place(link_masks: dict[tuple[str, str], int], spec: ChannelSpec,
     >>> from repro.core.path import make_path
     >>> from repro.core.slot_table import choose_slots_fast
     >>> from repro.core.words import WordFormat
-    >>> from repro.topology.builders import single_router
-    >>> path = make_path(single_router(2), "ni0_0_0", ["r0_0"], "ni0_0_1")
+    >>> from repro.topology.builders import mesh
+    >>> path = make_path(mesh(1, 1, nis_per_router=2), "ni0_0_0", ["r0_0"],
+    ...                  "ni0_0_1")
     >>> point = SimpleNamespace(table_size=8, frequency_hz=500e6,
     ...                         fmt=WordFormat())
     >>> link_masks = {("ni0_0_0", "r0_0"): 0b10001,

@@ -15,26 +15,23 @@ operation on a live :class:`~repro.core.allocation.Allocation`:
 * every transition returns a :class:`TransitionReport` proving that the
   reservations of all running applications are bit-identical before and
   after — the static counterpart of the simulator's trace-equality
-  composability check;
-* with a :class:`~repro.core.timeline.TimelineRecorder` attached, every
-  successful transition is also emitted onto a replayable
-  :class:`~repro.core.timeline.ReconfigurationTimeline`, so the exact
-  start/stop sequence can afterwards be *executed* by the flit-level
-  simulator and the trace-equality claim verified dynamically.
+  composability check.
+
+A :class:`~repro.core.timeline.TimelineRecorder` fed the same starts and
+stops builds the replayable
+:class:`~repro.core.timeline.ReconfigurationTimeline`, so the sequence
+can afterwards be *executed* by the flit-level simulator and the
+trace-equality claim verified dynamically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.core.allocation import Allocation, SlotAllocator
 from repro.core.application import Application
 from repro.core.exceptions import AllocationError, ConfigurationError
 from repro.topology.mapping import Mapping
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.core.timeline import TimelineRecorder
 
 __all__ = ["TransitionReport", "ReconfigurationManager"]
 
@@ -70,17 +67,13 @@ def _reservation_snapshot(allocation: Allocation,
 class ReconfigurationManager:
     """Live use-case transitions over one allocation."""
 
-    def __init__(self, allocator: SlotAllocator, mapping: Mapping, *,
-                 recorder: "TimelineRecorder | None" = None):
+    def __init__(self, allocator: SlotAllocator, mapping: Mapping):
         self.allocator = allocator
         self.mapping = mapping
         self.allocation = Allocation(
             allocator.topology, allocator.table_size,
             allocator.frequency_hz, allocator.fmt)
         self.history: list[TransitionReport] = []
-        #: Optional timeline sink; successful transitions are recorded
-        #: at the ``at_s`` timestamp the caller supplies.
-        self.recorder = recorder
 
     # -- queries --------------------------------------------------------------
 
@@ -95,8 +88,8 @@ class ReconfigurationManager:
 
     # -- transitions ------------------------------------------------------------
 
-    def start_application(self, application: Application, *,
-                          at_s: float = 0.0) -> TransitionReport:
+    def start_application(self, application: Application
+                          ) -> TransitionReport:
         """Allocate a new application without disturbing the others."""
         if self.is_running(application.name):
             raise ConfigurationError(
@@ -122,16 +115,10 @@ class ReconfigurationManager:
             running_before=running_before,
             running_after=self.running_applications)
         self.history.append(report)
-        if self.recorder is not None:
-            self.recorder.record_start(
-                at_s, application.name,
-                tuple(self.allocation.channels[spec.name]
-                      for spec in sorted(application.channels,
-                                         key=lambda s: s.name)))
         return report
 
-    def stop_application(self, application_name: str, *,
-                         at_s: float = 0.0) -> TransitionReport:
+    def stop_application(self, application_name: str
+                         ) -> TransitionReport:
         """Release one application's reservations; others keep theirs."""
         if not self.is_running(application_name):
             raise ConfigurationError(
@@ -148,8 +135,6 @@ class ReconfigurationManager:
             running_before=running_before,
             running_after=self.running_applications)
         self.history.append(report)
-        if self.recorder is not None:
-            self.recorder.record_stop(at_s, application_name)
         return report
 
     def switch(self, stop: str, start: Application

@@ -23,7 +23,7 @@ travel alongside each word in the models in :mod:`repro.router` and
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from repro.core.exceptions import HeaderFormatError, require_whole
 
@@ -50,14 +50,12 @@ class WordFormat:
     flit_size:
         Words per flit; one flit occupies one TDM slot.  Fixed at 3 in the
         paper and defaulted to 3 here, but parametrisable for ablations.
-    port_bits:
-        Bits used to encode a single router output port in the source route.
-        3 bits supports routers up to arity 8.
-    queue_bits:
-        Bits for the destination queue (connection) id within the receiving
-        NI.
-    credit_bits:
-        Bits for piggybacked end-to-end credits.
+
+    The header's field widths are the same in every format:
+    :attr:`port_bits` per router output port in the source route (3 bits
+    supports routers up to arity 8), :attr:`queue_bits` for the
+    destination queue (connection) id within the receiving NI and
+    :attr:`credit_bits` for piggybacked end-to-end credits.
 
     >>> fmt = WordFormat()          # the paper's 32-bit, 3-word format
     >>> fmt.payload_bytes_per_flit  # one word per flit is the header
@@ -68,17 +66,15 @@ class WordFormat:
 
     data_width: int = 32
     flit_size: int = 3
-    port_bits: int = 3
-    queue_bits: int = 4
-    credit_bits: int = 5
+    port_bits: ClassVar[int] = 3
+    queue_bits: ClassVar[int] = 4
+    credit_bits: ClassVar[int] = 5
 
     def __post_init__(self) -> None:
         if self.data_width < 8:
             raise HeaderFormatError(f"data_width must be >= 8, got {self.data_width}")
         if self.flit_size < 2:
             raise HeaderFormatError(f"flit_size must be >= 2, got {self.flit_size}")
-        if self.port_bits < 1 or self.queue_bits < 1 or self.credit_bits < 0:
-            raise HeaderFormatError("port/queue/credit field widths must be positive")
         if self.path_bits < self.port_bits:
             raise HeaderFormatError(
                 f"header has no room for a path: data_width={self.data_width}, "

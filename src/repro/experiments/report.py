@@ -31,16 +31,14 @@ def format_value(value: object) -> str:
 
 
 def format_table(rows: Sequence[Mapping[str, object]],
-                 columns: Sequence[str] | None = None,
                  title: str = "") -> str:
     """Render rows as a fixed-width table.
 
-    ``columns`` selects and orders the columns; by default the keys of
-    the first row are used in their insertion order.
+    The columns are the keys of the first row, in their insertion order.
     """
     if not rows:
         return f"{title}\n(no rows)" if title else "(no rows)"
-    cols = list(columns) if columns else list(rows[0].keys())
+    cols = list(rows[0].keys())
     rendered = [[format_value(row.get(col, "")) for col in cols]
                 for row in rows]
     widths = [max(len(col), *(len(r[i]) for r in rendered))

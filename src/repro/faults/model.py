@@ -39,31 +39,24 @@ class FaultSpec:
     Attributes
     ----------
     n_faults:
-        Failures to generate; with repairs on, the event stream has up
-        to twice as many events.
+        Failures to generate; every failure is repaired, so the event
+        stream has up to twice as many events.
     fault_rate_per_s:
         Poisson arrival rate of new failures.
     mean_repair_s:
-        Mean of the exponential repair time.  ``repair=False`` makes
-        every failure permanent (the repair events are simply not
-        generated).
+        Mean of the exponential repair time.
     router_fraction:
         Probability that a failure hits a whole router rather than a
         single link.
-    repair:
-        Whether failed resources come back.
 
     >>> FaultSpec(n_faults=2).label
     'faults2r20f0.25d0.05'
-    >>> FaultSpec(n_faults=2, repair=False).label
-    'faults2r20f0.25perm'
     """
 
     n_faults: int = 4
     fault_rate_per_s: float = 20.0
     mean_repair_s: float = 0.05
     router_fraction: float = 0.25
-    repair: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_faults",
@@ -79,13 +72,13 @@ class FaultSpec:
         """Compact identifier used in run ids and reports.
 
         Encodes every numeric axis a sweep might vary (fault count,
-        rate, router fraction, and the repair time or permanence), so
-        two adversaries are distinguishable in any report row.
+        rate, router fraction and repair time), so two adversaries are
+        distinguishable in any report row.
         """
         return (f"faults{self.n_faults}"
                 f"r{self.fault_rate_per_s:g}"
                 f"f{self.router_fraction:g}"
-                + (f"d{self.mean_repair_s:g}" if self.repair else "perm"))
+                f"d{self.mean_repair_s:g}")
 
 
 @dataclass(frozen=True)
@@ -173,12 +166,9 @@ class FaultSchedule:
                 break  # everything that can fail is already down
             down.add(target)
             events.append(FaultEvent(clock, "fail", kind, target))
-            if spec.repair:
-                repair_at = clock + rng.expovariate(1.0 /
-                                                    spec.mean_repair_s)
-                events.append(FaultEvent(repair_at, "repair", kind,
-                                         target))
-                pending.append((repair_at, target))
+            repair_at = clock + rng.expovariate(1.0 / spec.mean_repair_s)
+            events.append(FaultEvent(repair_at, "repair", kind, target))
+            pending.append((repair_at, target))
         events.sort(key=lambda e: (e.time_s, e.action != "repair",
                                    e.kind, e.target_label))
         return tuple(events)

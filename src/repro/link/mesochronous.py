@@ -105,26 +105,25 @@ class MesoReader:
 
 
 class MesochronousLinkStage:
-    """The assembled stage: writer + FIFO + reader."""
+    """The assembled stage: writer + the paper's 4-word FIFO + reader."""
 
     def __init__(self, name: str, writer_clock: ClockDomain,
-                 reader_clock: ClockDomain, fmt: WordFormat, *,
-                 fifo_words: int = DEFAULT_FIFO_WORDS):
+                 reader_clock: ClockDomain, fmt: WordFormat):
         if not writer_clock.is_mesochronous_with(reader_clock):
             raise ConfigurationError(
                 f"link stage {name!r}: mesochronous stages need equal "
                 f"periods ({writer_clock.period_ps} != "
                 f"{reader_clock.period_ps} ps); use the asynchronous "
                 "wrapper for plesiochronous clocks")
-        if fifo_words < fmt.flit_size + 1:
+        if DEFAULT_FIFO_WORDS < fmt.flit_size + 1:
             raise ConfigurationError(
-                f"link stage {name!r}: FIFO of {fifo_words} words cannot "
-                f"hold a {fmt.flit_size}-word flit plus slack")
+                f"link stage {name!r}: FIFO of {DEFAULT_FIFO_WORDS} words "
+                f"cannot hold a {fmt.flit_size}-word flit plus slack")
         self.name = name
         self.writer_clock = writer_clock
         self.reader_clock = reader_clock
         self.fifo = BisyncFifo(
-            f"{name}.fifo", fifo_words,
+            f"{name}.fifo", DEFAULT_FIFO_WORDS,
             FORWARD_DELAY_CYCLES * writer_clock.period_ps)
         self.writer = MesoWriter(f"{name}.wr", self.fifo)
         self.reader = MesoReader(f"{name}.rd", self.fifo, fmt)

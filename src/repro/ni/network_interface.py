@@ -180,14 +180,6 @@ class NetworkInterface:
         """Queue a message for transmission (called by traffic generators)."""
         self._tx_state(channel).packetizer.enqueue(message)
 
-    def pending_words(self, channel: str) -> int:
-        """Words waiting in a channel's TX queue."""
-        return self._tx_state(channel).packetizer.queued_words
-
-    def credits_of(self, channel: str) -> int | None:
-        """Current credit counter of a TX channel."""
-        return self._tx_state(channel).credits
-
     def _tx_state(self, channel: str) -> _TxState:
         try:
             return self._tx[channel]

@@ -36,11 +36,6 @@ class HeaderParsingUnit:
         self._current_port: int | None = None
         self.name = name
 
-    @property
-    def busy(self) -> bool:
-        """True while a packet is in flight through this input."""
-        return self._current_port is not None
-
     def process(self, phit: Phit) -> tuple[int | None, Phit]:
         """Route one word; see class docstring."""
         if not phit.valid:

@@ -65,21 +65,18 @@ _WIDTH_BUCKETS = (0, 1, 2, 4, 8, 16, 24, 32)
 class AdmissionController:
     """Incremental contention-free admission over one live allocation.
 
-    The allocation — supplied or fresh — must be compatible with
-    ``allocator``, and the allocator's topology as it was built on
-    (:meth:`~repro.core.allocation.SlotAllocator.check_compatible`);
-    a mismatch raises :class:`~repro.core.exceptions.ConfigurationError`
+    The allocation is fresh, at ``allocator``'s operating point; the
+    allocator's topology must still be as it was built on
+    (:meth:`~repro.core.allocation.SlotAllocator.check_compatible`),
+    else :class:`~repro.core.exceptions.ConfigurationError` is raised
     here instead of admitting wrong slots later.
     """
 
-    def __init__(self, allocator: SlotAllocator,
-                 allocation: Allocation | None = None, *,
-                 telemetry=None):
+    def __init__(self, allocator: SlotAllocator, *, telemetry=None):
         self.allocator = allocator
-        if allocation is None:
-            allocation = Allocation(
-                allocator.topology, allocator.table_size,
-                allocator.frequency_hz, allocator.fmt)
+        allocation = Allocation(
+            allocator.topology, allocator.table_size,
+            allocator.frequency_hz, allocator.fmt)
         allocator.check_compatible(allocation)
         self.allocation = allocation
         self.admits = 0

@@ -347,18 +347,13 @@ class WeightedFairScheduler:
     signal afterwards.  Unknown tenants self-register with default
     :class:`TenantSpec` parameters, so a tagged workload needs no
     up-front tenant roster.
-
-    ``record_decisions=True`` additionally logs every verdict with the
-    tenant's in-window admission count *at decision time* — the
-    observable the floor property tests audit.
     """
 
     #: Policy rejection reasons, in the order the layers apply.
     REASONS = ("throttle", "overload", "fairness")
 
     def __init__(self, tenants: tuple[TenantSpec, ...] = (), *,
-                 spec: FairnessSpec | None = None,
-                 record_decisions: bool = False):
+                 spec: FairnessSpec | None = None):
         self.spec = spec or FairnessSpec()
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
@@ -378,8 +373,6 @@ class WeightedFairScheduler:
             maxlen=self.spec.overload_window)
         self._reject_sum = 0
         self.stats: dict[str, dict[str, int]] = {}
-        self.decisions: list[tuple] | None = (
-            [] if record_decisions else None)
         for tenant in tenants:
             self._register(tenant)
 
@@ -476,11 +469,6 @@ class WeightedFairScheduler:
                            f"share of tenant {tenant}")
         if verdict is not None:
             stats[f"shed_{verdict[0]}"] += 1
-        if self.decisions is not None:
-            self.decisions.append(
-                (time_s, tenant, session.app, session.qos.name,
-                 verdict[0] if verdict else "pass",
-                 admitted_in_window))
         return verdict
 
     def on_admitted(self, time_s: float, session) -> None:

@@ -148,22 +148,12 @@ class SimResult:
 
     # -- derived views ---------------------------------------------------------
 
-    def channel_throughput_bytes_per_s(self, channel: str, *,
-                                       warmup_fraction: float = 0.1
-                                       ) -> float:
-        """Delivered payload rate of one channel after warm-up.
-
-        ``warmup_fraction`` is the share of the run skipped before
-        measuring, in ``[0, 1)``; anything else is refused (a negative
-        one would open the window before the run).
-        """
-        if not 0 <= warmup_fraction < 1:
-            raise ConfigurationError(
-                f"warmup_fraction must lie in [0, 1), got "
-                f"{warmup_fraction!r}")
+    def channel_throughput_bytes_per_s(self, channel: str) -> float:
+        """Delivered payload rate of one channel after the first tenth
+        of the run, the warm-up."""
         total_ps = int(self.simulated_slots * self.fmt.flit_size *
                        1e12 / self.frequency_hz)
-        start = int(total_ps * warmup_fraction)
+        start = int(total_ps * 0.1)
         return self.stats.channel(channel).throughput_bytes_per_s(
             start, total_ps)
 

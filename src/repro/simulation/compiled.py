@@ -274,17 +274,23 @@ def _column(parts):
     return _np.concatenate(parts) if parts else _np.empty(0)
 
 
-def _id_order(mids, run):
-    """Rows in ``(run, message id)`` order, stably: ``run`` ascends, and
-    each run's ids are lifted above those of the runs before it."""
+def _run_keys(mids, run):
+    """One integer key per row, equal exactly where ``(run, message id)``
+    is and ordered as that pair: each run's ids are lifted above those of
+    the runs before it."""
     np = _np
     if not mids.size:
-        return np.arange(0)
+        return mids
     span = int(mids.max()) - int(mids.min()) + 1
-    if span * (int(run[-1]) + 1) >= 1 << 62:  # rank ids the lift overflows
+    if span * (int(run.max()) + 1) >= 1 << 62:  # rank ids the lift overflows
         mids = np.searchsorted(np.sort(mids), mids)
         span = mids.size
-    return np.argsort(mids - mids.min() + run * span, kind="stable")
+    return mids - mids.min() + run * span
+
+
+def _id_order(mids, run):
+    """Rows in ``(run, message id)`` order, stably."""
+    return _np.argsort(_run_keys(mids, run), kind="stable")
 
 
 def _service_ns(cuts, mids, created, injected, delivered, period_ps):
@@ -668,13 +674,11 @@ class _Log(_Derived):
         """Per delivery, the slot its run last injected a packet of its
         message id in, or -1 when it injected none."""
         np = _np
-        # Two rows share a key exactly when their run and id are equal.
-        ids = np.sort(np.concatenate([self.i_mid, self.d_mid]))
-        width = ids.size + 1
-        injected = self.i_run * width + np.searchsorted(ids, self.i_mid)
-        delivered = self.d_run * width + np.searchsorted(ids, self.d_mid)
-        if not delivered.size:
-            return delivered
+        if not self.d_mid.size:
+            return self.d_mid
+        keys = _run_keys(np.concatenate([self.i_mid, self.d_mid]),
+                         np.concatenate([self.i_run, self.d_run]))
+        injected, delivered = np.split(keys, [self.i_mid.size])
         order = np.argsort(injected, kind="stable")
         keys = injected[order]
         last = np.append(keys[1:] != keys[:-1], True)
@@ -823,13 +827,12 @@ class CompiledStats:
 
     It answers every read of :class:`~repro.simulation.monitors.
     StatsCollector` from the columns.  Aggregates (:meth:`delivery_count`,
-    :meth:`all_latencies_ns`, :meth:`channel_aggregate`,
-    :meth:`latency_summaries`, :meth:`service_latencies_ns`,
-    :meth:`service_observation`, :meth:`incarnation_observations`) slice
-    what each run's batch or log derived; :meth:`channel` builds a
-    channel's records, equal field for field to the reference
-    executor's, for the caller that asks.  No read consults records of
-    its own: the columns are the only truth.
+    :meth:`all_latencies_ns`, :meth:`latency_summaries`,
+    :meth:`service_latencies_ns`, :meth:`service_observation`,
+    :meth:`incarnation_observations`) slice what each run's batch or log
+    derived; :meth:`channel` builds a channel's records, equal field for
+    field to the reference executor's, for the caller that asks.  No read
+    consults records of its own: the columns are the only truth.
     """
 
     def __init__(self):
@@ -869,12 +872,6 @@ class CompiledStats:
                 sum(run.n_flits for run in runs),
                 sum(run.delivered_bytes() for run in runs),
                 _np.sort(_column([run.latency_column() for run in runs])))
-
-    def channel_aggregate(self, channel: str):
-        """One channel's totals and ascending latencies: the runs'
-        columns are sorted together before they become floats."""
-        *totals, column = self._aggregate(channel)
-        return (*totals, column.tolist())
 
     def latency_summaries(self):
         """Every channel's totals and latency summary, and the overall

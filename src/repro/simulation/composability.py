@@ -39,10 +39,9 @@ recorder of another kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from repro.core.configuration import NocConfiguration
-from repro.core.exceptions import ConfigurationError
 from repro.core.timeline import (ReconfigurationTimeline,
                                  lifetime_boundaries, replay_configuration)
 from repro.simulation.backend import (FlitLevelBackend, SimRequest,
@@ -189,7 +188,6 @@ def replay_traffic(timeline: ReconfigurationTimeline
 
 def verify_timeline(timeline: ReconfigurationTimeline,
                     traffic: dict[str, TrafficPattern], *,
-                    survivors: Iterable[str] | None = None,
                     n_slots: int | None = None,
                     backend_factory: BackendFactory | None = None,
                     scenario: str = "churn-vs-solo",
@@ -199,10 +197,11 @@ def verify_timeline(timeline: ReconfigurationTimeline,
 
     The timeline is executed twice on the same backend: once in full
     (every recorded start/stop applied at its slot) and once restricted
-    to the ``survivors`` (default: every channel still running at the
-    horizon).  A TDM backend must produce bit-identical survivor traces;
-    the best-effort baseline (:class:`~repro.simulation.backend.
-    BestEffortBackend` via ``backend_factory``) demonstrably does not.
+    to the survivors: the channels still running when the simulated
+    window ends, even if the full timeline stops them later.  A TDM
+    backend must produce bit-identical survivor traces; the best-effort
+    baseline (:class:`~repro.simulation.backend.BestEffortBackend` via
+    ``backend_factory``) demonstrably does not.
 
     ``monitor`` (a :class:`~repro.telemetry.monitor.MonitorSpec`) adds
     the guarantee-conformance watchdog: the churn run's observed
@@ -215,15 +214,7 @@ def verify_timeline(timeline: ReconfigurationTimeline,
         replay_configuration(timeline))
     if n_slots is None:
         n_slots = timeline.horizon_slots
-    if survivors is None:
-        # Survivors of the *simulated window*: channels still running
-        # when the run ends, even if the full timeline stops them later.
-        survivors = timeline.survivors(until=n_slots)
-    survivors = tuple(sorted(survivors))
-    unknown = sorted(set(survivors) - set(timeline.channel_names))
-    if unknown:
-        raise ConfigurationError(
-            f"survivors name channels outside the timeline: {unknown}")
+    survivors = tuple(sorted(timeline.survivors(until=n_slots)))
     churn_result = backend.run(SimRequest(
         n_slots=n_slots, traffic=traffic, timeline=timeline))
     churn = churn_result.composability_trace()

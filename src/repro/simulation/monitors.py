@@ -319,17 +319,6 @@ class StatsCollector:
         """Every delivery latency, in :meth:`all_deliveries` order."""
         return [d.latency_ns for d in self.all_deliveries()]
 
-    def channel_aggregate(self, channel: str
-                          ) -> tuple[int, int, int, list[float]]:
-        """``(messages, flits, delivered bytes, end-to-end latencies in
-        ascending order)`` of one channel — what a canonical record and a
-        latency summary need of it.  This record walk is the reference;
-        collectors backed by schedule arrays override it."""
-        stats = self.channel(channel)
-        return (len(stats.deliveries), len(stats.injections),
-                stats.delivered_bytes,
-                sorted(d.latency_ns for d in stats.deliveries))
-
     def latency_summaries(self) -> tuple[
             list[tuple[str, int, int, int, LatencySummary]],
             LatencySummary]:
@@ -341,10 +330,11 @@ class StatsCollector:
         override it."""
         rows, samples = [], []
         for name in self.channels:
-            messages, flits, delivered_bytes, latencies = \
-                self.channel_aggregate(name)
+            stats = self.channel(name)
+            latencies = sorted(d.latency_ns for d in stats.deliveries)
             samples.append(latencies)
-            rows.append((name, messages, flits, delivered_bytes,
+            rows.append((name, len(stats.deliveries), len(stats.injections),
+                         stats.delivered_bytes,
                          LatencySummary.of_sorted(latencies)))
         return rows, LatencySummary.of_sorted(
             sorted(chain.from_iterable(samples)))
@@ -453,10 +443,6 @@ class TraceRecorder:
     def trace(self, channel: str) -> tuple[tuple[int, int, int], ...]:
         """The immutable trace of one channel."""
         return tuple(self._events.get(channel, ()))
-
-    def channels(self) -> tuple[str, ...]:
-        """Channels with at least one event, sorted."""
-        return tuple(sorted(self._events))
 
     def agreement(self, other: "TraceRecorder", channels: Iterable[str]
                   ) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -52,11 +52,6 @@ class TrafficPattern(ABC):
     def events(self, horizon_cycles: int) -> list[MessageEvent]:
         """All events with ``cycle < horizon_cycles``, in cycle order."""
 
-    def offered_bytes(self, horizon_cycles: int, fmt: WordFormat) -> int:
-        """Total payload offered before the horizon."""
-        return sum(e.words for e in self.events(horizon_cycles)) * \
-            fmt.bytes_per_word
-
 
 class ConstantBitRate(TrafficPattern):
     """Fixed-size messages at a fixed average interval.

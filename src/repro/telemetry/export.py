@@ -46,19 +46,13 @@ def to_jsonl(tel) -> str:
             wall_spans.append(span.to_record())
         else:
             lines.append(_dumps(span.to_record()))
-    wall_counters = []
-    for counter in getattr(tel, "counter_tracks", ()):
-        if counter.wall:
-            wall_counters.append(counter.to_record())
-        else:
-            lines.append(_dumps(counter.to_record()))
+    lines.extend(_dumps(counter.to_record())
+                 for counter in getattr(tel, "counter_tracks", ()))
     meta = {"kind": "meta", **tel.meta}
     if wall_metrics:
         meta["wall_metrics"] = wall_metrics
     if wall_spans:
         meta["wall_spans"] = wall_spans
-    if wall_counters:
-        meta["wall_counter_tracks"] = wall_counters
     lines.append(_dumps(meta))
     return "\n".join(lines) + "\n"
 
@@ -98,27 +92,10 @@ def chrome_trace(tel) -> dict:
             event.update(ph="i", s="t")
         events.append(event)
     for counter in getattr(tel, "counter_tracks", ()):
-        pid = 2 if counter.wall else 1
         scale = SPAN_UNITS[counter.unit]
         for ts, value in counter.points:
             events.append({"ph": "C", "name": counter.name,
-                           "cat": counter.track, "pid": pid, "tid": 0,
+                           "cat": counter.track, "pid": 1, "tid": 0,
                            "ts": round(ts * scale, 3),
                            "args": {counter.name: value}})
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def _doctest_roundtrip() -> bool:
-    """Smoke-check the two exporters agree on one tiny capture.
-
-    >>> _doctest_roundtrip()
-    True
-    """
-    from repro.telemetry.hub import Telemetry
-    tel = Telemetry("t")
-    tel.counter("hits", outcome="fast").inc(3)
-    tel.span("e0", 0, 4, track="epochs", unit="slot")
-    jsonl = to_jsonl(tel)
-    trace = chrome_trace(tel)
-    return ('"kind":"span"' in jsonl
-            and any(e.get("ph") == "X" for e in trace["traceEvents"]))

@@ -80,7 +80,7 @@ class Telemetry:
                                args))
 
     def counter_track(self, name: str, points, *, track: str = "counters",
-                      unit: str = "slot", wall: bool = False) -> None:
+                      unit: str = "slot") -> None:
         """Record one sampled value series as a Perfetto counter track.
 
         ``points`` is an iterable of ``(timestamp, value)`` samples in
@@ -94,7 +94,7 @@ class Telemetry:
         'util'
         """
         self.counter_tracks.append(
-            CounterTrack(name, track, unit, tuple(points), wall))
+            CounterTrack(name, track, unit, tuple(points)))
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -125,10 +125,10 @@ class Telemetry:
         Instrumented hot paths may accumulate raw observations in plain
         Python structures (integer tallies, pending lists) instead of
         calling instruments per event; the callback folds them into the
-        registry.  Every reader — :meth:`value`, :meth:`snapshot` and
-        the exporters — flushes first, so consumers never see a stale
-        registry while producers pay list-append prices.  Callbacks
-        must be delta-based (safe to invoke repeatedly).
+        registry.  Every reader — :meth:`value` and the exporters —
+        flushes first, so consumers never see a stale registry while
+        producers pay list-append prices.  Callbacks must be
+        delta-based (safe to invoke repeatedly).
         """
         self._flush_callbacks.append(callback)
 
@@ -148,11 +148,6 @@ class Telemetry:
             if metric is not None:
                 return metric.value
         return None
-
-    def snapshot(self) -> list[dict]:
-        """Every metric's canonical record, registry-sorted."""
-        self.flush()
-        return [m.to_record() for m in self.registry.metrics()]
 
     # -- exports -------------------------------------------------------
 
@@ -218,7 +213,7 @@ class NullTelemetry(Telemetry):
         """Discard the span."""
 
     def counter_track(self, name: str, points, *, track: str = "counters",
-                      unit: str = "slot", wall: bool = False) -> None:
+                      unit: str = "slot") -> None:
         """Discard the counter series."""
 
     def register_flush(self, callback) -> None:

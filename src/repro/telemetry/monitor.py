@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from repro.core.exceptions import ConfigurationError, require_whole
+from repro.core.exceptions import ConfigurationError
 from repro.core.timeline import static_lifetimes
 from repro.simulation.monitors import ServiceObservation
 
@@ -55,6 +55,9 @@ VERDICTS = ("within_bounds", "tight", "violated")
 #: guard, same spirit as
 #: :meth:`~repro.core.analysis.ChannelBounds.meets_latency`).
 EPS = 1e-9
+
+#: Rows the top-K tables show when the caller names no ``k``.
+TOP_K = 8
 
 
 @dataclass(frozen=True)
@@ -77,15 +80,12 @@ class MonitorSpec:
     """
 
     slack_fraction: float = 0.2
-    top_k: int = 8
 
     def __post_init__(self):
         if not 0.0 <= self.slack_fraction < 1.0:
             raise ConfigurationError(
                 f"slack_fraction must be in [0, 1), got "
                 f"{self.slack_fraction}")
-        object.__setattr__(self, "top_k",
-                           require_whole("top_k", self.top_k, 1))
 
     def classify(self, observed: float, bound: float) -> str:
         """Classify one observation against its quoted bound.
@@ -223,7 +223,7 @@ class ConformanceReport:
         """True when no channel violated its bound."""
         return self.n_violated == 0
 
-    def worst_channels(self, k: int = MonitorSpec.top_k
+    def worst_channels(self, k: int = TOP_K
                        ) -> tuple[ChannelConformance, ...]:
         """The ``k`` entries with the least latency headroom first.
 
@@ -302,7 +302,7 @@ class ConformanceReport:
                 head += f" (worst: {worst[0].channel})"
         return head
 
-    def summary_rows(self, k: int = MonitorSpec.top_k
+    def summary_rows(self, k: int = TOP_K
                      ) -> list[dict[str, object]]:
         """Top-K least-headroom table rows for ``format_table``."""
         rows = []
@@ -573,18 +573,17 @@ class FabricRollup:
             ((channels[name], 1) for name in sorted(channels)))
 
     @classmethod
-    def from_timeline(cls, timeline, *, n_slots: int | None = None
-                      ) -> "FabricRollup":
+    def from_timeline(cls, timeline) -> "FabricRollup":
         """Fold a churn timeline into time-weighted occupancy.
 
         Each channel lifetime contributes its slots weighted by the
-        fraction of the simulated window it was active; ``series`` is
+        fraction of the timeline's horizon it was active; ``series`` is
         the running sum of the reservations those lifetimes add at
         their start and drop at their stop — the mean link utilisation
         of the instantaneously-active channel set at slot 0 and at
-        every reconfiguration epoch boundary inside the window.
+        every reconfiguration epoch boundary inside the horizon.
         """
-        horizon, intervals = _window(timeline, n_slots)
+        horizon, intervals = _window(timeline, None)
         weighted = []
         steps = {0: 0}  # slot -> change in live link-slot reservations
         for spans in intervals.values():
@@ -607,20 +606,20 @@ class FabricRollup:
         return cls._weighted(timeline.table_size, len(intervals),
                              weighted, series)
 
-    def hotspots(self, k: int = MonitorSpec.top_k
+    def hotspots(self, k: int = TOP_K
                  ) -> tuple[tuple[str, float], ...]:
         """The ``k`` busiest links, most-occupied first (name-stable)."""
         return tuple(sorted(self.link_slots,
                             key=lambda item: (-item[1], item[0]))[:k])
 
-    def link_rows(self, k: int = MonitorSpec.top_k
+    def link_rows(self, k: int = TOP_K
                   ) -> list[dict[str, object]]:
         """Top-K link heatmap rows for ``format_table``."""
         return [{"link": name, "slots": slots,
                  "utilisation": f"{slots / self.table_size:.1%}"}
                 for name, slots in self.hotspots(k)]
 
-    def ni_rows(self, k: int = MonitorSpec.top_k
+    def ni_rows(self, k: int = TOP_K
                 ) -> list[dict[str, object]]:
         """Top-K NI slot-occupancy rows for ``format_table``."""
         busiest = sorted(self.ni_slots,
@@ -642,10 +641,6 @@ class FabricRollup:
                 {"slot": slot, "mean_utilisation": value}
                 for slot, value in self.series]
         return record
-
-    def to_json(self) -> str:
-        """Canonical serialisation: sorted keys, two-space indent."""
-        return json.dumps(self.to_record(), indent=2, sort_keys=True)
 
     def emit_counter_tracks(self, telemetry) -> None:
         """Counter tracks onto a hub's Perfetto/Chrome-trace export.

@@ -18,23 +18,17 @@ __all__ = ["run_profiled"]
 T = TypeVar("T")
 
 
-def run_profiled(func: Callable[[], T], *, stream=None) -> T:
+def run_profiled(func: Callable[[], T]) -> T:
     """Run ``func`` under :mod:`cProfile`, print top stats, return result.
 
-    Stats go to ``stream`` (default ``sys.stderr``, so profiling never
-    contaminates report stdout).
-
-    >>> result = run_profiled(lambda: sum(range(100)),
-    ...                       stream=io.StringIO())
-    >>> result
-    4950
+    Stats go to ``sys.stderr``, so profiling never contaminates report
+    stdout.
     """
     profiler = cProfile.Profile()
     result = profiler.runcall(func)
     buffer = io.StringIO()
     stats = pstats.Stats(profiler, stream=buffer)
     stats.sort_stats("cumulative").print_stats(25)
-    out = stream if stream is not None else sys.stderr
-    out.write("--- profile (top 25 by cumulative) ---\n")
-    out.write(buffer.getvalue())
+    sys.stderr.write("--- profile (top 25 by cumulative) ---\n")
+    sys.stderr.write(buffer.getvalue())
     return result

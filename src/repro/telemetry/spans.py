@@ -87,7 +87,6 @@ class CounterTrack:
     track: str
     unit: str
     points: tuple[tuple[float, float], ...]
-    wall: bool = False
 
     def __post_init__(self):
         if self.unit not in SPAN_UNITS:

@@ -14,10 +14,8 @@ _EXPORTS: dict[str, str] = {
     "NodeKind": "repro.topology.graph",
     "mesh": "repro.topology.builders",
     "concentrated_mesh": "repro.topology.builders",
-    "line": "repro.topology.builders",
     "ring": "repro.topology.builders",
     "torus": "repro.topology.builders",
-    "single_router": "repro.topology.builders",
     "custom": "repro.topology.builders",
     "router_coords": "repro.topology.builders",
     "Mapping": "repro.topology.mapping",

@@ -1,4 +1,4 @@
-"""Topology builders: mesh, concentrated mesh, ring, torus, line, custom.
+"""Topology builders: mesh, concentrated mesh, ring, torus, custom.
 
 All builders produce validated :class:`~repro.topology.graph.Topology`
 instances with deterministic names and port numbering:
@@ -23,8 +23,8 @@ from typing import Iterable, Sequence
 from repro.core.exceptions import TopologyError, require_whole
 from repro.topology.graph import Topology
 
-__all__ = ["mesh", "concentrated_mesh", "line", "ring", "torus",
-           "single_router", "custom", "router_coords"]
+__all__ = ["mesh", "concentrated_mesh", "ring", "torus", "custom",
+           "router_coords"]
 
 
 def _router_name(x: int, y: int) -> str:
@@ -94,13 +94,6 @@ def concentrated_mesh(cols: int, rows: int, *, nis_per_router: int = 4,
                 name=f"cmesh{cols}x{rows}x{nis_per_router}")
 
 
-def line(n: int, *, nis_per_router: int = 1,
-         pipeline_stages: int = 0) -> Topology:
-    """A 1D chain of ``n`` routers (a ``n x 1`` mesh)."""
-    return mesh(n, 1, nis_per_router=nis_per_router,
-                pipeline_stages=pipeline_stages, name=f"line{n}")
-
-
 def ring(n: int, *, nis_per_router: int = 1,
          pipeline_stages: int = 0) -> Topology:
     """A bidirectional ring of ``n`` routers."""
@@ -140,17 +133,6 @@ def torus(cols: int, rows: int, *, nis_per_router: int = 1,
                                _router_name(x, (y + 1) % rows),
                                pipeline_stages=pipeline_stages)
     _attach_nis(topo, nis_per_router)
-    topo.validate()
-    return topo
-
-
-def single_router(arity_nis: int = 2) -> Topology:
-    """One router with ``arity_nis`` NIs — the smallest useful network."""
-    if arity_nis < 1:
-        raise TopologyError("single_router needs at least one NI")
-    topo = Topology("single")
-    topo.add_router(_router_name(0, 0), x=0, y=0)
-    _attach_nis(topo, arity_nis)
     topo.validate()
     return topo
 

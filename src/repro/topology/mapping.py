@@ -215,21 +215,20 @@ def traffic_balanced(ips: Sequence[str], channels: Iterable[ChannelSpec],
 
 def communication_clustered(ips: Sequence[str],
                             channels: Iterable[ChannelSpec],
-                            topo: Topology, *,
-                            max_ips_per_ni: int | None = None) -> Mapping:
+                            topo: Topology) -> Mapping:
     """Co-locate communicating IPs on nearby routers.
 
     Channels are visited heaviest-first.  When one endpoint is already
     placed, the other is put on the free-est NI of the nearest router with
     spare capacity; when neither is placed, both are placed around the
-    globally least-loaded router.  ``max_ips_per_ni`` defaults to a uniform
+    globally least-loaded router.  Every NI takes at most the uniform
     capacity that fits all IPs.
     """
     nis = topo.nis
     if not nis:
         raise TopologyError("topology has no NIs to map onto")
     all_ips = sorted(ips)
-    capacity = max_ips_per_ni or -(-len(all_ips) // len(nis))  # ceil division
+    capacity = -(-len(all_ips) // len(nis))  # ceil division
     count: dict[str, int] = {ni: 0 for ni in nis}
     assignment: dict[str, str] = {}
     dist = router_distances(topo, directed=False)

@@ -49,14 +49,19 @@ LATENCY_FEASIBILITY_MARGIN = 1.35
 #: Share of an NI link's slot table the negotiated requirements may ask
 #: for before the tightest channel on it is relaxed.
 LINK_PRESSURE_BUDGET = 0.78
-#: Upper end of the drawn throughput range (MB/s), the paper's 500.
+#: The drawn throughput range (MB/s), the paper's 10 to 500.
+MIN_THROUGHPUT_MB_S = 10.0
 MAX_THROUGHPUT_MB_S = 500.0
+#: Lower end of the drawn latency range (ns), the paper's 35.
+MIN_LATENCY_NS = 35.0
 
 
 @dataclass(frozen=True)
 class Section7Parameters:
     """Knobs of the use-case generator (paper values as defaults; the
-    throughput range ends at :data:`MAX_THROUGHPUT_MB_S`)."""
+    throughput range is :data:`MIN_THROUGHPUT_MB_S` to
+    :data:`MAX_THROUGHPUT_MB_S`, the latency range starts at
+    :data:`MIN_LATENCY_NS`)."""
 
     seed: int = 2009
     cols: int = 4
@@ -65,8 +70,6 @@ class Section7Parameters:
     n_ips: int = 70
     n_applications: int = 4
     connections_per_application: int = 50
-    min_throughput_mb_s: float = 10.0
-    min_latency_ns: float = 35.0
     max_latency_ns: float = 500.0
     frequency_hz: float = 500e6
     table_size: int = 32
@@ -82,11 +85,8 @@ class Section7Parameters:
             raise ConfigurationError(
                 f"{self.n_ips} IPs cannot give each of "
                 f"{self.n_applications} applications two")
-        # Chained comparisons, which NaN fails.  An empty throughput
-        # range would divide by its zero log-span.
-        if not 0 < self.min_throughput_mb_s < MAX_THROUGHPUT_MB_S:
-            raise ConfigurationError("bad throughput range")
-        if not 0 < self.min_latency_ns <= self.max_latency_ns < math.inf:
+        # A chained comparison, which NaN fails.
+        if not MIN_LATENCY_NS <= self.max_latency_ns < math.inf:
             raise ConfigurationError("bad latency range")
 
     @property
@@ -196,7 +196,7 @@ def _generate_app_channels(app_name: str, ips: list[str], topo: Topology,
     ejects = [f"ni<{ni}" for ni in nis]
     channels: list[ChannelSpec] = []
     for index in range(params.connections_per_application):
-        throughput_mb = _log_uniform(rng, params.min_throughput_mb_s,
+        throughput_mb = _log_uniform(rng, MIN_THROUGHPUT_MB_S,
                                      MAX_THROUGHPUT_MB_S)
         slots = slots_for_throughput(
             throughput_mb * MB, params.table_size, params.frequency_hz,
@@ -240,9 +240,9 @@ def _pick_endpoints(hops: list[list[int | None]], injects: list[str],
     NI); ``injects`` / ``ejects`` are each IP's ``ni_load`` keys.
     """
     span = (math.log(MAX_THROUGHPUT_MB_S) -
-            math.log(params.min_throughput_mb_s))
+            math.log(MIN_THROUGHPUT_MB_S))
     position = (math.log(throughput_mb) -
-                math.log(params.min_throughput_mb_s)) / span
+                math.log(MIN_THROUGHPUT_MB_S)) / span
     if position > 0.65:
         max_hops = 0
     elif position > 0.35:
@@ -312,7 +312,7 @@ def _draw_latency(src: str, dst: str, topo: Topology, mapping: Mapping,
     floor_cycles = (path.traversal_slots + 1) * fmt.flit_size
     floor_ns = floor_cycles / params.frequency_hz * 1e9 * \
         LATENCY_FEASIBILITY_MARGIN
-    low = max(params.min_latency_ns, floor_ns)
+    low = max(MIN_LATENCY_NS, floor_ns)
     if low > params.max_latency_ns:
         low = params.max_latency_ns
     return rng.uniform(low, params.max_latency_ns)

@@ -123,9 +123,6 @@ class OutputPortInterface:
         self.unreserved_space += 1
         return self._tokens.popleft()
 
-    def __len__(self) -> int:
-        return len(self._tokens)
-
 
 @dataclass
 class _InFlight:
@@ -182,8 +179,3 @@ class TokenChannel:
                 progressed = True
             if not progressed:
                 return
-
-    @property
-    def in_flight(self) -> int:
-        """Tokens currently traversing the link."""
-        return len(self._in_flight)

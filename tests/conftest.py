@@ -8,7 +8,7 @@ from repro.core.application import Application, UseCase
 from repro.core.configuration import NocConfiguration, configure
 from repro.core.connection import MB, ChannelSpec
 from repro.core.words import WordFormat
-from repro.topology.builders import mesh, single_router
+from repro.topology.builders import mesh
 from repro.topology.mapping import Mapping
 
 
@@ -21,7 +21,7 @@ def fmt() -> WordFormat:
 @pytest.fixture
 def tiny_config() -> NocConfiguration:
     """One router, two NIs, one channel each way, 8-slot table."""
-    topo = single_router(2)
+    topo = mesh(1, 1, nis_per_router=2)
     channels = (
         ChannelSpec("a2b", "ipA", "ipB", 100 * MB, application="app"),
         ChannelSpec("b2a", "ipB", "ipA", 100 * MB, application="app"),

@@ -25,8 +25,7 @@ from repro.service import ChurnSpec, ChurnWorkload, SessionService
 from repro.service.admission import AdmissionController
 from repro.service.qos import DEFAULT_CLASSES, QosClass
 from repro.telemetry import Telemetry
-from repro.topology.builders import (concentrated_mesh, line, mesh, ring,
-                                     single_router, torus)
+from repro.topology.builders import concentrated_mesh, mesh, ring, torus
 from repro.topology.graph import Link
 from repro.topology.mapping import Mapping, round_robin
 from repro.topology.routing import k_shortest_paths, k_shortest_routes
@@ -39,7 +38,7 @@ def _allocator(topo, table_size=16, frequency_hz=500e6, **kw):
 
 class TestBasicAllocation:
     def test_single_channel(self):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         alloc = _allocator(topo).allocate(
             [ChannelSpec("c", "a", "b", 100 * MB)], mapping)
@@ -61,7 +60,7 @@ class TestBasicAllocation:
                                             ) == (link_slot, "c")
 
     def test_zero_throughput_still_gets_one_slot(self):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         alloc = _allocator(topo).allocate(
             [ChannelSpec("c", "a", "b", 0.0)], mapping)
@@ -70,14 +69,14 @@ class TestBasicAllocation:
     def test_throughput_slot_count(self):
         # 500 MHz, 32-bit, table 16: one slot guarantees
         # 8 B / (16*3 cycles) * 500 MHz = 83.3 MB/s.
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         alloc = _allocator(topo).allocate(
             [ChannelSpec("c", "a", "b", 200 * MB)], mapping)
         assert alloc.channel("c").n_slots == 3
 
     def test_latency_requirement_adds_slots(self):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         alloc = _allocator(topo).allocate(
             [ChannelSpec("c", "a", "b", 10 * MB, max_latency_ns=40.0)],
@@ -95,7 +94,7 @@ class TestBasicAllocation:
                 mapping)
 
     def test_capacity_exhaustion_raises(self):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         # Each channel needs > half the table; two cannot fit.
         channels = [ChannelSpec(f"c{i}", "a", "b", 700 * MB)
@@ -104,7 +103,7 @@ class TestBasicAllocation:
             _allocator(topo).allocate(channels, mapping)
 
     def test_error_carries_channel_name(self):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         channels = [ChannelSpec(f"c{i}", "a", "b", 700 * MB)
                     for i in range(2)]
@@ -123,7 +122,7 @@ class TestBasicAllocation:
     def test_infeasible_reason_text(self, spec, hog_slots, detail):
         """The three per-candidate failure kinds, pinned literally:
         ``reason`` reaches campaign records' ``error`` field."""
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         allocator = _allocator(topo)
         alloc = allocator.allocate([], mapping)
@@ -143,14 +142,14 @@ class TestBasicAllocation:
         assert exc.value.channel == "v"
 
     def test_duplicate_channel_names_rejected(self):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         channels = [ChannelSpec("c", "a", "b", 1 * MB)] * 2
         with pytest.raises(ConfigurationError):
             _allocator(topo).allocate(channels, mapping)
 
     def test_same_ni_endpoints_rejected(self):
-        topo = single_router(1)
+        topo = mesh(1, 1, nis_per_router=1)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_0"})
         with pytest.raises(ConfigurationError):
             _allocator(topo).allocate(
@@ -247,7 +246,7 @@ class TestIncrementalReconfiguration:
         alloc.validate()
 
     def test_commit_rolls_back_cleanly_on_conflict(self):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni0_0_1"})
         allocator = _allocator(topo, table_size=4)
         alloc = allocator.allocate(
@@ -439,7 +438,7 @@ class TestInjectionTable:
     def test_a_slot_two_channels_claim_is_refused(self):
         """``commit`` never lets it happen; a record written around it
         is refused, naming the NI."""
-        topo = single_router(3)
+        topo = mesh(1, 1, nis_per_router=3)
         allocation = Allocation(topo, 8, 500e6, WordFormat())
         for name, dest, slots in (("a", "ni0_0_1", (1, 5)),
                                   ("b", "ni0_0_2", (2, 5))):
@@ -643,7 +642,7 @@ BUILDERS = st.one_of(
     st.builds(lambda s: torus(3, 3, pipeline_stages=s), st.integers(0, 2)),
     # Up to nine routers in a row: the far pairs exceed the header's
     # seven hops and are filtered out.
-    st.builds(lambda n, k, s: line(n, nis_per_router=k, pipeline_stages=s),
+    st.builds(lambda n, k, s: mesh(n, 1, nis_per_router=k, pipeline_stages=s),
               st.integers(2, 9), st.integers(1, 2), st.integers(0, 2)),
 )
 
@@ -806,7 +805,7 @@ class TestRouteGeometryOnce:
     def test_hop_budgets_keep_their_own_candidates(self):
         """Paths are filtered by the header's hop budget, so two formats
         over one topology must not read each other's."""
-        topo = line(9, nis_per_router=1)
+        topo = mesh(9, 1, nis_per_router=1)
         narrow = _allocator(topo)
         wide = _allocator(topo, fmt=WordFormat(data_width=64))
         assert (narrow.fmt.max_hops, wide.fmt.max_hops) == (7, 18)

@@ -183,8 +183,7 @@ class TestPresets:
         assert modes == {"simulate", "serve", "replay", "faults"}
 
     def test_micro_campaign_runs_clean(self):
-        result = CampaignRunner(micro_campaign(n_slots=200),
-                                workers=1).run()
+        result = CampaignRunner(micro_campaign(), workers=1).run()
         assert result.n_runs == 4
         assert result.n_failed == 0
 

@@ -715,12 +715,15 @@ class TestSummary:
             meta={"stragglers": [
                 {"run_id": "a/s2", "wall_s": 4.0, "median_s": 0.5},
                 {"run_id": "b/s1", "wall_s": 9.0, "median_s": 0.5},
+                {"run_id": "c/s1", "wall_s": 5.0, "median_s": 0.5},
+                {"run_id": "d/s1", "wall_s": 6.0, "median_s": 0.5},
             ]})
-        line = result.summary(top_k=1)
+        line = result.summary()
         assert line.startswith("campaign[demo]: 3 runs, 1 failed")
         assert "crashed=1" in line and "ok=2" in line
-        # Only the slowest straggler survives top_k=1, ratio included.
+        # Only the three slowest stragglers are named, ratio included.
         assert "b/s1 9.00s (18.0x median)" in line
+        assert "d/s1 6.00s" in line and "c/s1 5.00s" in line
         assert "a/s2 4.00s" not in line
 
     def test_summary_matches_between_record_and_streaming_modes(self,

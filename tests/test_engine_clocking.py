@@ -83,10 +83,6 @@ class TestDomainFactories:
         for d in domains.values():
             assert abs(d.period_ps - nominal) <= nominal * 1000 / 1e6 + 1
 
-    def test_bad_skew_fraction(self):
-        with pytest.raises(ConfigurationError):
-            mesochronous_domains(["a"], 500e6, max_skew_fraction=0.7)
-
 
 class _Counter:
     """Test component: counts edges, checks two-phase ordering."""

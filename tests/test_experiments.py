@@ -38,11 +38,10 @@ class TestReportFormatting:
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([])
 
-    def test_format_table_column_selection(self):
-        rows = [{"a": 1, "b": 2, "c": 3}]
-        table = format_table(rows, columns=["c", "a"])
-        header = table.splitlines()[0]
-        assert "c" in header and "a" in header and "b" not in header
+    def test_format_table_columns_follow_the_first_row(self):
+        rows = [{"c": 3, "a": 1}, {"a": 2, "b": 5}]
+        header = format_table(rows).splitlines()[0]
+        assert header.split() == ["c", "|", "a"]
 
 
 class TestFigureRows:

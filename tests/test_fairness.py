@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from decision_log import record_decisions
 from repro.campaign.kinds import run_kind
 from repro.campaign.runner import CampaignRunner
 from repro.campaign.presets import fairness_campaign, preset_by_name
@@ -241,8 +242,8 @@ class TestFaultComposition:
         scheduler = WeightedFairScheduler(
             TENANTED.tenants,
             spec=FairnessSpec(pressure_threshold=0.0,
-                              tenant_opens_per_window=2),
-            record_decisions=True)
+                              tenant_opens_per_window=2))
+        decisions = record_decisions(scheduler)
         service = _service(topology, policy="wfq",
                            tenants=TENANTED.tenants)
         service._fairness = scheduler
@@ -250,7 +251,7 @@ class TestFaultComposition:
                                  schedule.events()))
         floor_of = {t.name: t.floor_opens_per_window
                     for t in TENANTED.tenants}
-        sheds = [d for d in scheduler.decisions if d[4] != "pass"]
+        sheds = [d for d in decisions if d[4] != "pass"]
         assert sheds, "hostile spec should shed something"
         for (_, tenant, _, _, _, admitted_in_window) in sheds:
             assert admitted_in_window >= floor_of[tenant]

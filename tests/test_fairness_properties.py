@@ -19,6 +19,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from decision_log import record_decisions
 from repro.core.allocation import SlotAllocator
 from repro.service import (ChurnSpec, ChurnWorkload, FairnessSpec,
                            SessionService, TenantSpec,
@@ -142,8 +143,8 @@ class TestGuaranteedFloor:
             tenant_opens_per_window=1, app_opens_per_window=1,
             min_overload_samples=1, overload_window=8,
             shed_thresholds=(0.01, 0.02, 0.03))
-        scheduler = WeightedFairScheduler(tenants, spec=spec,
-                                          record_decisions=True)
+        scheduler = WeightedFairScheduler(tenants, spec=spec)
+        decisions = record_decisions(scheduler)
         n_arrivals = data.draw(st.integers(1, 120), label="n_arrivals")
         for i in range(n_arrivals):
             tenant = tenants[data.draw(
@@ -161,7 +162,7 @@ class TestGuaranteedFloor:
                 else:
                     scheduler.on_admitted(time_s, request)
         floor_of = {t.name: t.floor_opens_per_window for t in tenants}
-        sheds = [d for d in scheduler.decisions if d[4] != "pass"]
+        sheds = [d for d in decisions if d[4] != "pass"]
         for (_, tenant, _, _, kind, admitted_in_window) in sheds:
             assert kind in WeightedFairScheduler.REASONS
             assert admitted_in_window >= floor_of[tenant], (

@@ -66,14 +66,6 @@ class TestFaultSchedule:
                 down.remove(event.target)
         assert not down  # default spec repairs everything
 
-    def test_no_repair_mode(self):
-        topo = mesh(2, 2, nis_per_router=1)
-        schedule = FaultSchedule(
-            FaultSpec(n_faults=3, repair=False), topo, 1)
-        assert all(e.action == "fail" for e in schedule.events())
-        assert len({e.target for e in schedule.events()}) == \
-            len(schedule.events())
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             FaultSpec(n_faults=0)
@@ -475,8 +467,9 @@ class TestSharedAllocatorIsolation:
                                   frequency_hz=500e6)
         events = ChurnWorkload(ChurnSpec(n_sessions=60), topology,
                                5).events()
-        faults = FaultSchedule(FaultSpec(n_faults=3, repair=False),
-                               topology, 9).events()
+        faults = [event for event in FaultSchedule(
+            FaultSpec(n_faults=3), topology, 9).events()
+            if event.action == "fail"]
         alone = SessionService(topology, allocator=allocator,
                                seed=1).run(events).to_json()
         faulty = SessionService(topology, allocator=allocator, seed=1)

@@ -112,7 +112,8 @@ class TestEndToEndFlowControl:
         network, result = _run(config, traffic, rx_capacity=64)
         producer = network.nis["ni0_0_0"]
         consumer = network.nis["ni1_0_0"]
-        credits_now = producer.credits_of("data")
+        tx = producer._tx["data"]
+        credits_now = tx.credits
         sent_words = sum(
             d.payload_bytes for d in
             result.stats.channel("data").deliveries) // \
@@ -126,7 +127,7 @@ class TestEndToEndFlowControl:
         assert credits_now <= 64
         assert 64 - credits_now <= pending + \
             config.fmt.max_credits + \
-            producer.pending_words("data") + \
+            tx.packetizer.queued_words + \
             config.fmt.payload_words_per_flit * 4
 
 

@@ -41,8 +41,7 @@ from repro.faults import FaultEvent, FaultSpec
 from repro.service import (ChurnSpec, FairnessSpec, TenantSpec,
                            abusive_tenant_mix)
 from repro.simulation.backend import SimRequest
-from repro.topology.builders import (concentrated_mesh, line, mesh, ring,
-                                     single_router, torus)
+from repro.topology.builders import concentrated_mesh, mesh, ring, torus
 from repro.usecase.generator import Section7Parameters
 
 #: One small value per payload field (tenant-tagged churn, so it fits
@@ -325,7 +324,6 @@ class TestWholeCountsAtConstruction:
         (partial(WordFormat, flit_size=math.nan), "flit_size"),
         (partial(WordFormat, flit_size=2.5), "flit_size"),
         (partial(WordFormat, data_width=31.5), "data_width"),
-        (partial(WordFormat, port_bits=2.5), "port_bits"),
         (partial(WorkloadSpec, n_channels=2.5), "n_channels"),
         (partial(WorkloadSpec, n_ips=math.nan), "n_ips"),
         (partial(SyntheticSpec, work=2.5), "synthetic work"),
@@ -343,12 +341,13 @@ class TestWholeCountsAtConstruction:
         (partial(ChannelSpec, "c", "a", "b", MB, burst_bytes=2.5),
          "channel 'c' burst_bytes"),
         (partial(torus, 3, math.nan), "rows"),
-        (partial(line, 2.5), "cols"),
-        (partial(single_router, 1.5), "nis_per_router"),
+        (partial(TopologySpec, kind="line", cols=2.5), "cols"),
+        (partial(TopologySpec, kind="single", nis_per_router=1.5),
+         "nis_per_router"),
     ], ids=["mesh-stages", "set-stages", "spec-nan-stages",
             "spec-fractional-stages", "mesh-cols", "ring-size",
             "cmesh-nis", "flit-nan", "flit-fractional", "data-width",
-            "port-bits", "workload-channels", "workload-ips",
+            "workload-channels", "workload-ips",
             "synthetic-work", "burst-messages", "section7-nan-frequency",
             "section7-cols", "section7-table", "tenant-floor",
             "tenant-nan-floor", "channel-nan-burst",

@@ -160,11 +160,13 @@ class TestMesochronousStage:
         with pytest.raises(ConfigurationError):
             MesochronousLinkStage("s", wclk, rclk, fmt)
 
-    def test_fifo_must_hold_a_flit(self, fmt):
+    def test_fifo_must_hold_a_flit(self):
+        """The 4-word FIFO holds a 3-word flit plus slack, not a 4-word
+        one."""
         wclk = ClockDomain("w", period_ps=2000)
         rclk = ClockDomain("r", period_ps=2000)
-        with pytest.raises(ConfigurationError):
-            MesochronousLinkStage("s", wclk, rclk, fmt, fifo_words=2)
+        with pytest.raises(ConfigurationError, match="4-word flit"):
+            MesochronousLinkStage("s", wclk, rclk, WordFormat(flit_size=4))
 
     def test_skew_reporting(self, fmt):
         wclk = ClockDomain("w", period_ps=2000, phase_ps=100)

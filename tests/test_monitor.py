@@ -21,8 +21,9 @@ from repro.campaign import campaign_conformance
 from repro.core.exceptions import ConfigurationError
 from repro.simulation.backend import FlitLevelBackend, SimRequest
 from repro.simulation.traffic import ConstantBitRate
-from repro.telemetry.monitor import (ConformanceReport, FabricRollup,
-                                     MonitorSpec, conformance_from_result,
+from repro.telemetry.monitor import (TOP_K, ConformanceReport,
+                                     FabricRollup, MonitorSpec,
+                                     conformance_from_result,
                                      quote_conformance)
 
 
@@ -60,18 +61,6 @@ class TestClassification:
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             MonitorSpec(slack_fraction=1.0)
-        with pytest.raises(ConfigurationError):
-            MonitorSpec(top_k=0)
-
-    @pytest.mark.parametrize("top_k", [2.5, float("nan"), None])
-    def test_top_k_that_is_not_a_count_is_refused(self, top_k):
-        """Refused where the spec is built, not as a slice in
-        ``worst_channels``."""
-        with pytest.raises(ConfigurationError, match="top_k"):
-            MonitorSpec(top_k=top_k)
-
-    def test_whole_float_top_k_is_an_int(self):
-        assert type(MonitorSpec(top_k=3.0).top_k) is int
 
     def test_worst_channels_orders_by_headroom(self):
         from repro.telemetry.monitor import ChannelConformance
@@ -223,6 +212,13 @@ class TestCampaignConformance:
 
 
 class TestFabricRollup:
+    def test_tables_default_to_top_k_rows(self, mesh_config):
+        rollup = FabricRollup.from_allocation(mesh_config.allocation)
+        assert rollup.hotspots() == rollup.hotspots(TOP_K)
+        assert rollup.link_rows() == rollup.link_rows(TOP_K)
+        assert rollup.ni_rows() == rollup.ni_rows(TOP_K)
+        assert len(rollup.link_rows(1)) == 1
+
 
     def test_from_allocation_heatmap(self, mesh_config):
         rollup = FabricRollup.from_allocation(mesh_config.allocation)
@@ -232,8 +228,9 @@ class TestFabricRollup:
         assert len(hot) == 2
         # Hotspots are sorted by occupancy, then name.
         assert hot[0][1] >= hot[1][1]
-        assert rollup.to_json() == FabricRollup.from_allocation(
-            mesh_config.allocation).to_json()
+        assert json.dumps(rollup.to_record(), sort_keys=True) == \
+            json.dumps(FabricRollup.from_allocation(
+                mesh_config.allocation).to_record(), sort_keys=True)
 
     def test_counter_tracks_reach_chrome_trace(self, mesh_config):
         from repro.telemetry import Telemetry

@@ -108,6 +108,39 @@ def test_a_paper_model_names_its_test(package):
         "allow line 1: pkg.mod:unused is a paper model that names no test"]
 
 
+@pytest.mark.parametrize("reason, refused", [
+    ("a seam", True),
+    ("tests/test_mod.py reads it", False),
+    ("ROADMAP item 3 will run it", False),
+], ids=["no-test-or-item", "test", "roadmap-item"])
+def test_a_test_lever_names_its_test_or_item(package, reason, refused):
+    problems = _report(package, REACHED,
+                       f"pkg.mod:unused  test-lever  # {reason}\n")
+    assert problems == ([
+        "allow line 1: pkg.mod:unused is a test lever that names no test "
+        "or ROADMAP item"] if refused else [])
+
+
+def test_the_tally_counts_allow_lines_by_class():
+    allow = ("# comment\n"
+             "pkg.mod:a  repr  # REPL view\n"
+             "pkg.mod:b  test-lever  # tests/test_mod.py\n"
+             "pkg.mod:c  repr  # REPL view\n")
+    assert reachability.tally(allow) == (
+        "allow lines: 0 oracle, 0 paper-model, 0 failure-path, "
+        "1 test-lever, 2 repr, 0 blind-spot")
+
+
+def test_the_traced_flags_reach_their_levers():
+    """``ChannelSpec.scaled`` and ``CounterTrack.to_record`` have no
+    allow line: ``design --spare-capacity`` and ``monitor --telemetry``
+    are traced and reach them."""
+    argvs = [" ".join(argv) for argv in reachability.entry_points()]
+    assert any("design --demo --spare-capacity" in argv for argv in argvs)
+    assert any("monitor --demo" in argv and "--telemetry" in argv
+               for argv in argvs)
+
+
 def test_a_stale_allow_line_is_refused(package):
     allow = ("pkg.mod:unused  repr  # REPL view\n"
              "pkg.mod:used  repr  # REPL view\n"

@@ -203,9 +203,9 @@ class TestReconfigurationInterleavings:
 class TestDataflow:
     def _server(self, slots=(0, 8), table=16):
         from repro.core.path import make_path
-        from repro.topology.builders import single_router
+        from repro.topology.builders import mesh
         from repro.core.placement import ChannelAllocation
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         path = make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1")
         ca = ChannelAllocation(
             spec=ChannelSpec("c", "a", "b", 50 * MB),

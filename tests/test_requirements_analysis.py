@@ -22,12 +22,12 @@ from repro.core.requirements import (latency_bound_ns,
                                      slots_for_throughput,
                                      table_rotation_s, throughput_of_slots)
 from repro.core.words import WordFormat
-from repro.topology.builders import mesh, single_router
+from repro.topology.builders import mesh
 
 
 @pytest.fixture
 def short_path():
-    topo = single_router(2)
+    topo = mesh(1, 1, nis_per_router=2)
     return make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1")
 
 
@@ -89,7 +89,7 @@ class TestRequirementArithmetic:
 
 class TestChannelBounds:
     def _alloc(self, fmt, slots, latency=None, throughput=50 * MB):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         path = make_path(topo, "ni0_0_0", ["r0_0"], "ni0_0_1")
         spec = ChannelSpec("c", "a", "b", throughput,
                            max_latency_ns=latency)

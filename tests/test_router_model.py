@@ -34,17 +34,21 @@ class TestHPU:
         port, _ = hpu.process(Phit(word=123, valid=True, eop=False,
                                    word_index=1))
         assert port == 4
-        assert hpu.busy
-        port, _ = hpu.process(Phit(word=456, valid=True, eop=True,
-                                   word_index=2))
+        # Still inside the packet: the word is payload, passed unshifted.
+        port, passed = hpu.process(Phit(word=456, valid=True, eop=True,
+                                        word_index=2))
         assert port == 4
-        assert not hpu.busy
+        assert passed.word == 456
+        # The packet ended: the next word is a header again.
+        port, _ = hpu.process(_header_phit(fmt, [2]))
+        assert port == 2
 
     def test_single_word_packet_resets_immediately(self, fmt):
         hpu = HeaderParsingUnit(fmt)
         port, _ = hpu.process(_header_phit(fmt, [3], eop=True))
         assert port == 3
-        assert not hpu.busy
+        port, _ = hpu.process(_header_phit(fmt, [6]))
+        assert port == 6
 
     def test_idle_words_pass_through(self, fmt):
         hpu = HeaderParsingUnit(fmt)

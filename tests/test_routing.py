@@ -226,8 +226,8 @@ class TestDistancesAndConnectivity:
         assert _items(router_distances(topo, directed=False)) == _items(dist)
         ips = [f"ip{i}" for i in range(len(topo.nis))]
         channels = [ChannelSpec("c", ips[0], ips[-1], 10 * MB)]
-        mapping = communication_clustered(ips, channels, topo,
-                                          max_ips_per_ni=1)
+        # One IP per NI: the uniform capacity is one.
+        mapping = communication_clustered(ips, channels, topo)
         first, second = (topo.attached_router(mapping.ni_of(ip))
                          for ip in (ips[0], ips[-1]))
         taken = mapping.ni_of(ips[0])

@@ -275,8 +275,7 @@ class TestAdmissionController:
             return out
         assert one_pass() == one_pass()
 
-    def test_incompatible_allocation_rejected_at_construction(
-            self, small_mesh):
+    def test_incompatible_allocation_is_refused(self, small_mesh):
         """A mismatched pair used to admit slots rotated at the wrong
         modulus, or fail with a KeyError deep in the hot loop."""
         allocator = SlotAllocator(small_mesh, table_size=16,
@@ -288,9 +287,8 @@ class TestAdmissionController:
         for other in (other_size, other_topology):
             foreign = AdmissionController(other).allocation
             with pytest.raises(ConfigurationError):
-                AdmissionController(allocator, foreign)
-        own = AdmissionController(allocator).allocation
-        assert AdmissionController(allocator, own).allocation is own
+                allocator.check_compatible(foreign)
+        allocator.check_compatible(AdmissionController(allocator).allocation)
 
     @pytest.mark.parametrize("frequency_hz, fmt, refused", [
         (125e6, WordFormat(), "allocation frequency 125000000.0 != "
@@ -307,7 +305,7 @@ class TestAdmissionController:
                                   frequency_hz=500e6)
         foreign = Allocation(small_mesh, 16, frequency_hz, fmt)
         with pytest.raises(ConfigurationError, match=refused):
-            AdmissionController(allocator, foreign)
+            allocator.check_compatible(foreign)
         mapping = Mapping({"a": "ni0_0_0", "b": "ni1_1_0"})
         with pytest.raises(ConfigurationError, match=refused):
             allocator.extend(foreign, [ChannelSpec(

@@ -277,6 +277,16 @@ def test_a_parameter_nothing_passes_is_flagged(tmp_path):
         "1 parameters with defaults, 1 passed nowhere, 0 allowed")
 
 
+def test_an_unnamed_tests_only_parameter_is_flagged(tmp_path):
+    proc = _census(_scratch(tmp_path, F, caller="f(0)\n", test="f(0, y=2)\n"))
+    assert proc.returncode == 1
+    assert "src/repro/core/mod.py:1: f(y) is passed only by tests and " \
+        "not named in the allow-list" in proc.stdout.splitlines()
+    assert proc.stdout.splitlines()[-1] == (
+        "1 parameters with defaults, 0 passed nowhere, 0 allowed; "
+        "noted: 1 passed only by tests")
+
+
 @pytest.mark.parametrize("source, caller", [
     (F, "f(0, y=2)\n"),
     (F, "f(0, 2)\n"),
@@ -332,8 +342,9 @@ def test_a_dataclass_state_field_is_not_a_parameter(tmp_path):
     assert proc.stdout.startswith("0 parameters with defaults")
 
 
-def test_a_tests_only_parameter_is_a_note(tmp_path):
-    proc = _census(_scratch(tmp_path, F, caller="f(0)\n", test="f(0, y=2)\n"))
+def test_a_named_tests_only_parameter_is_a_note(tmp_path):
+    proc = _census(_scratch(tmp_path, F, caller="f(0)\n", test="f(0, y=2)\n",
+                            allow="f(y)  # tests/test_mod.py drives it\n"))
     assert proc.returncode == 0, proc.stdout
     assert "note: src/repro/core/mod.py:1: f(y) is passed only by tests" \
         in proc.stdout
@@ -371,8 +382,8 @@ def tree_copy(tmp_path_factory) -> Path:
 
 
 @pytest.mark.parametrize("path, old, new", [
-    ("telemetry/profiling.py", "*, stream=None)",
-     "*, limit: int = 25, stream=None)"),
+    ("telemetry/profiling.py", "(func: Callable[[], T]) -> T:",
+     "(func: Callable[[], T], *, stream=None) -> T:"),
     ("core/timeline.py", "def build(self, *, horizon_slots: int)",
      "def build(self, *, horizon_slots: int, fill: float = 0.75)"),
     ("campaign/runner.py", "def run(self) -> CampaignResult:",

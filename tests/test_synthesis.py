@@ -92,9 +92,9 @@ class TestPaperAnchors:
         area = aethereal_gsbe_router_area_um2(5, fmt, tech=TECH_130)
         assert area / 1e6 == pytest.approx(0.13, rel=0.08)
 
-    def test_headline_ratios(self, fmt):
+    def test_headline_ratios(self):
         # "roughly 5x smaller area and 1.5x the frequency"
-        comparison = aelite_vs_aethereal(fmt)
+        comparison = aelite_vs_aethereal()
         assert 3.5 <= comparison.area_ratio <= 6.0
         assert 1.3 <= comparison.frequency_ratio <= 1.7
 

@@ -174,6 +174,16 @@ class TestExporters:
         # The whole thing must serialise (Perfetto loads JSON text).
         json.dumps(trace)
 
+    def test_both_exporters_carry_one_tiny_capture(self):
+        """A counter and one sim-time span: the JSONL holds the span's
+        line, the Chrome trace its complete event."""
+        tel = Telemetry("t")
+        tel.counter("hits", outcome="fast").inc(3)
+        tel.span("e0", 0, 4, track="epochs", unit="slot")
+        assert '"kind":"span"' in tel.to_jsonl()
+        assert any(event.get("ph") == "X"
+                   for event in chrome_trace(tel)["traceEvents"])
+
     def test_chrome_trace_thread_names_are_metadata(self):
         trace = chrome_trace(self._populated())
         names = {e["args"]["name"] for e in trace["traceEvents"]
@@ -192,15 +202,6 @@ class TestCounterTracks:
         assert len(tracks) == 1
         assert tracks[0]["name"] == "util"
         assert tracks[0]["points"] == [[0, 0.25], [64, 0.5]]
-
-    def test_wall_counter_track_quarantined_into_meta(self):
-        tel = Telemetry("t")
-        tel.counter_track("rss", [(0.0, 10.0)], unit="s", wall=True)
-        records = [json.loads(line)
-                   for line in tel.to_jsonl().splitlines()]
-        assert all(r["kind"] != "counter_track" for r in records[:-1])
-        meta = records[-1]
-        assert meta["wall_counter_tracks"][0]["name"] == "rss"
 
     def test_chrome_trace_renders_counter_events(self):
         tel = Telemetry("t")
@@ -333,8 +334,9 @@ class TestExecutorTelemetry:
         runs = [run for runs in on.stats._runs.values() for run in runs]
         assert tel.value("executor.interval_runs") == \
             stats["interval_runs"] == len(runs) > 0
-        batch, = [record for record in tel.snapshot()
-                  if record["name"] == "executor.interval_batch_messages"]
+        batch, = [record for record in map(json.loads,
+                                           tel.to_jsonl().splitlines())
+                  if record.get("name") == "executor.interval_batch_messages"]
         assert (batch["count"], batch["sum"]) == \
             (len(runs), sum(run.count for run in runs))
 
@@ -367,11 +369,9 @@ class TestEmptyLatencySummary:
 
 class TestProfiling:
     def test_run_profiled_returns_result_and_prints_stats(self, capsys):
-        import io
-
         from repro.telemetry import run_profiled
-        stream = io.StringIO()
-        result = run_profiled(lambda: sum(range(100)), stream=stream)
+        result = run_profiled(lambda: sum(range(100)))
         assert result == 4950
-        out = stream.getvalue()
-        assert "profile" in out and "cumulative" in out
+        captured = capsys.readouterr()
+        assert "profile" in captured.err and "cumulative" in captured.err
+        assert captured.out == ""

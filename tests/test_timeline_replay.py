@@ -313,20 +313,28 @@ class TestRecorder:
         with pytest.raises(ConfigurationError):
             recorder.record_stop(0.5, "b")
 
-    def test_manager_emits_timeline(self, mesh_config):
+    def test_manager_transitions_record_a_timeline(self, mesh_config):
         recorder = TimelineRecorder(
             mesh_config.topology, table_size=mesh_config.table_size,
             frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
         allocator = SlotAllocator(
             mesh_config.topology, table_size=mesh_config.table_size,
             frequency_hz=mesh_config.frequency_hz, fmt=mesh_config.fmt)
-        manager = ReconfigurationManager(allocator, mesh_config.mapping,
-                                         recorder=recorder)
+        manager = ReconfigurationManager(allocator, mesh_config.mapping)
         use_case = mesh_config.use_case
         apps = {app.name: app for app in use_case.applications}
-        manager.start_application(apps["appX"], at_s=0.0)
-        manager.start_application(apps["appY"], at_s=0.010)
-        manager.stop_application("appY", at_s=0.020)
+
+        def start(at_s, name):
+            manager.start_application(apps[name])
+            recorder.record_start(at_s, name, tuple(
+                manager.allocation.channels[spec.name]
+                for spec in sorted(apps[name].channels,
+                                   key=lambda spec: spec.name)))
+
+        start(0.0, "appX")
+        start(0.010, "appY")
+        manager.stop_application("appY")
+        recorder.record_stop(0.020, "appY")
         assert recorder.n_transitions == 3
         timeline = recorder.build(horizon_slots=800)
         assert timeline.survivors() == ("c0", "c1")
@@ -606,12 +614,6 @@ class TestDynamicComposability:
         assert be.survivors == ("sA",)
         assert be.diverged == ("sA",)
         assert not be.is_composable
-
-    def test_explicit_survivors_validated(self, mesh_config):
-        timeline = _mesh_timeline(mesh_config)
-        with pytest.raises(ConfigurationError):
-            verify_timeline(timeline, replay_traffic(timeline),
-                            survivors=("ghost",))
 
     def test_truncated_window_survivors_and_epochs(self, mesh_config):
         """n_slots < horizon: survivors and epoch count reflect the

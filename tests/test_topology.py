@@ -7,13 +7,14 @@ import pickle
 
 import pytest
 
+from repro.campaign.spec import TopologySpec
 from repro.core.allocation import SlotAllocator
 from repro.core.connection import MB, ChannelSpec
 from repro.core.exceptions import TopologyError
 from repro.core.path import make_path
 from repro.core.words import WordFormat
-from repro.topology.builders import (concentrated_mesh, custom, line, mesh,
-                                     ring, router_coords, single_router,
+from repro.topology.builders import (concentrated_mesh, custom, mesh,
+                                     ring, router_coords,
                                      torus)
 from repro.topology.graph import Link, NodeKind, Topology
 from repro.topology.mapping import (Mapping, communication_clustered,
@@ -368,8 +369,13 @@ class TestBuilders:
         # Interior router: 4 neighbours + 4 NIs = arity 8.
         assert topo.arity("r1_1") == 8
 
+    def test_single_router_family_needs_an_ni(self):
+        with pytest.raises(TopologyError, match="dangling side"):
+            TopologySpec(kind="single", nis_per_router=0).build()
+
     def test_line(self):
-        topo = line(4)
+        topo = TopologySpec(kind="line", cols=4, rows=3).build()
+        assert topo.name == "line4"
         assert len(topo.routers) == 4
         assert topo.has_link("r0_0", "r1_0")
         assert not topo.has_link("r0_0", "r2_0")
@@ -389,7 +395,8 @@ class TestBuilders:
         assert topo.has_link("r0_2", "r0_0")
 
     def test_single_router(self):
-        topo = single_router(3)
+        topo = TopologySpec(kind="single", nis_per_router=3).build()
+        assert topo.name == "single"
         assert len(topo.routers) == 1
         assert len(topo.nis) == 3
 
@@ -432,7 +439,7 @@ class TestRouting:
         assert lengths[0] == 5
 
     def test_same_router_path(self):
-        topo = single_router(2)
+        topo = mesh(1, 1, nis_per_router=2)
         paths = k_shortest_paths(topo, "ni0_0_0", "ni0_0_1", k=4)
         assert len(paths) == 1
         assert len(paths[0].routers) == 1
@@ -513,10 +520,10 @@ class TestMapping:
         assert max(counts) - min(counts) <= 1
 
     def test_clustered_respects_capacity(self):
+        """Eight IPs on four NIs: the uniform capacity is two."""
         topo = mesh(2, 2, nis_per_router=1)
         mapping = communication_clustered(
-            [f"ip{i}" for i in range(8)], self._channels(), topo,
-            max_ips_per_ni=2)
+            [f"ip{i}" for i in range(8)], self._channels(), topo)
         for ni in topo.nis:
             assert list(mapping.ip_to_ni.values()).count(ni) <= 2
 
@@ -527,7 +534,7 @@ class TestMapping:
             mapping.ni_of("missing")
 
     def test_mapping_validate_unknown_ni(self):
-        topo = single_router(1)
+        topo = mesh(1, 1, nis_per_router=1)
         mapping = Mapping({"a": "nowhere"})
         with pytest.raises(TopologyError):
             mapping.validate(topo)

@@ -22,12 +22,14 @@ import contextlib
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from be_oracle import BeOracle
 from flit_oracle import oracle_run
 from repro.campaign.spec import WorkloadSpec, derive_seed
 from repro.core.analysis import channel_bounds
@@ -41,7 +43,8 @@ from repro.faults.demo import run_churn_with_faults
 from repro.faults.model import FaultSchedule, FaultSpec
 from repro.service.churn import ChurnSpec, ChurnWorkload
 import repro.simulation.compiled as compiled_module
-from repro.simulation.backend import FlitLevelBackend, SimRequest
+from repro.simulation.backend import (BestEffortBackend, FlitLevelBackend,
+                                      SimRequest)
 from repro.simulation.composability import replay_traffic
 from repro.simulation.monitors import (DeliveryRecord, ServiceObservation,
                                        StatsCollector)
@@ -125,6 +128,12 @@ def ref_restricted_events(timeline, wanted):
                                         event.application))
     return tuple(sorted(events, key=lambda e: (
         e.slot, e.action != "stop", e.application)))
+
+
+def rollup_bytes(rollup) -> str:
+    """A rollup's canonical record as bytes, so floats compare by
+    their text."""
+    return json.dumps(rollup.to_record(), sort_keys=True)
 
 
 def ref_rollup(timeline, horizon):
@@ -260,9 +269,8 @@ class TestLifetimeTable:
         names = {f"c{index}" for index in wanted}
         assert timeline.restricted_to(names).events == \
             ref_restricted_events(timeline, names)
-        assert FabricRollup.from_timeline(
-            timeline, n_slots=until).to_json() == \
-            ref_rollup(timeline, until).to_json()
+        assert rollup_bytes(FabricRollup.from_timeline(timeline)) == \
+            rollup_bytes(ref_rollup(timeline, timeline.horizon_slots))
 
     def test_table_is_built_once(self, app_pool):
         timeline = toggled_timeline(
@@ -279,17 +287,15 @@ class TestLifetimeTable:
     def test_readers_refuse_a_window_outside_the_timeline(self, app_pool,
                                                           n_slots):
         """A fraction, NaN, an empty or negative window, or one past the
-        40-slot horizon: both readers refuse it, as a replay does,
-        instead of judging or weighting the channels over it."""
+        40-slot horizon: the watchdog refuses it, as a replay does,
+        instead of judging the channels over it."""
         timeline = toggled_timeline(app_pool, [(1.0, i) for i in range(4)],
                                     40)
         result = _replay(timeline)
         for read in (
                 lambda: timeline.check_replay(n_slots),
                 lambda: timeline_conformance(timeline, result,
-                                             n_slots=n_slots),
-                lambda: FabricRollup.from_timeline(timeline,
-                                                   n_slots=n_slots)):
+                                             n_slots=n_slots)):
             with pytest.raises(ConfigurationError, match="^n_slots must"):
                 read()
 
@@ -300,7 +306,8 @@ class TestLifetimeTable:
                    for _ in range(700)]
         timeline = toggled_timeline(app_pool, toggles, 40_000)
         assert timeline.n_epochs >= 500
-        expected = ref_rollup(timeline, timeline.horizon_slots).to_json()
+        expected = rollup_bytes(ref_rollup(timeline,
+                                           timeline.horizon_slots))
         reads = []
         monkeypatch.setattr(
             ChannelAllocation, "n_slots",
@@ -308,7 +315,7 @@ class TestLifetimeTable:
         rollup = FabricRollup.from_timeline(timeline)
         n_reads = len(reads)
         monkeypatch.undo()
-        assert rollup.to_json() == expected
+        assert rollup_bytes(rollup) == expected
         assert len(rollup.series) == timeline.n_epochs
         # Two reads per lifetime (its NI weight, its series step) —
         # never one per lifetime per boundary.
@@ -513,28 +520,27 @@ def observations(stats, name, read=None):
 def assert_reads_equal_the_record_walks(compiled, scalar, names):
     """The array answers first, without a record built, then the
     per-flit executor's records and the base-class walks over the
-    records the compiled run builds.  ``channel_aggregate`` hands
-    latencies over ascending; ``all_latencies_ns`` keeps delivery order,
-    so it holds the order of the arrays to the records."""
+    records the compiled run builds.  ``latency_summaries`` holds each
+    channel's totals and the summary of its sorted latencies;
+    ``all_latencies_ns`` keeps delivery order, so it holds the order of
+    the arrays to the records."""
     assert names
     with no_records():
         latencies = repr(compiled.stats.all_latencies_ns())
+        summaries = repr(compiled.stats.latency_summaries())
         answers = {name: (observations(compiled.stats, name),
-                          compiled.stats.channel_aggregate(name),
                           repr(compiled.stats.service_latencies_ns(name)))
                    for name in names}
     assert latencies == repr(scalar.stats.all_latencies_ns())
+    assert summaries == repr(scalar.stats.latency_summaries())
+    assert summaries == repr(StatsCollector.latency_summaries(
+        compiled.stats))
     for name in names:
-        seen, aggregate, service = answers[name]
-        assert aggregate[3] == sorted(aggregate[3]), name
-        totals = repr(aggregate)
+        seen, service = answers[name]
         assert seen == observations(scalar.stats, name), name
-        assert totals == repr(scalar.stats.channel_aggregate(name)), name
         assert service == repr(scalar.stats.service_latencies_ns(name))
         assert seen == observations(
             compiled.stats, name, StatsCollector.incarnation_observations)
-        assert totals == repr(StatsCollector.channel_aggregate(
-            compiled.stats, name)), name
         assert service == repr(StatsCollector.service_latencies_ns(
             compiled.stats, name)), name
 
@@ -564,21 +570,32 @@ class TestAggregateReads:
         assert expansions == []
         assert_reads_equal_the_record_walks(compiled, scalar, relocated)
 
-    @pytest.mark.parametrize("ids", [
-        [4, 1, 7, 0, 9, 2], [2 ** 62, 1, -2 ** 62, 5, 9, 2]],
-        ids=["shuffled", "spanning-2**63"])
+    @pytest.mark.parametrize("ids, kind", [
+        ([4, 1, 7, 0, 9, 2], "flit"),
+        ([2 ** 62, 1, -2 ** 62, 5, 9, 2], "flit"),
+        ([4, 1, 7, 0, 9, 2], "be"),
+        ([2 ** 62, 1, -2 ** 62, 5, 9, 2], "be")],
+        ids=["shuffled", "spanning-2**63", "shuffled-be",
+             "spanning-2**63-be"])
     def test_unordered_message_ids_equal_the_oracle(self, mesh_config,
-                                                    expansions, ids):
-        """The walk sorts each incarnation's deliveries by message id;
-        so do the arrays, and no record is built to do it — ids whose
-        span would overflow the lifted sort key are ranked first."""
+                                                    expansions, ids, kind):
+        """The walk sorts each incarnation's deliveries by message id,
+        and pairs each with the injection of its id; so do the arrays of
+        both engines, and no record is built to do it — ids whose span
+        would overflow the lifted ``(run, id)`` key are ranked first."""
         config = mesh_config
         traffic = {"c0": Replay([MessageEvent(3 * i, 2, mid) for i, mid
                                  in enumerate(ids)]),
                    "c1": PeriodicBurst(2, 2, 60)}
         request = SimRequest(n_slots=300, traffic=traffic)
-        compiled = FlitLevelBackend(config).run(request)
-        scalar = oracle_run(config, request)
+        if kind == "flit":
+            compiled = FlitLevelBackend(config).run(request)
+            scalar = oracle_run(config, request)
+        else:
+            compiled = BestEffortBackend(config).run(request)
+            scalar = SimpleNamespace(stats=BeOracle(config).run(
+                {name: ((0, 300, config.allocation.channels[name]),)
+                 for name in traffic}, traffic, 300))
         for name in ("c0", "c1"):
             seen = compiled.stats.incarnation_observations(name)
             assert observations(compiled.stats, name) == \
@@ -590,6 +607,12 @@ class TestAggregateReads:
         assert expansions == []
         assert_reads_equal_the_record_walks(compiled, scalar,
                                             ["c0", "c1"])
+        trace = compiled.stats.composability_trace()
+        for name in ("c0", "c1"):
+            assert trace.trace(name) == \
+                scalar.stats.composability_trace().trace(name), name
+            assert trace.trace(name) == StatsCollector.composability_trace(
+                compiled.stats).trace(name), name
 
 
 class TestNothingMaterialised:

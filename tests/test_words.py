@@ -21,10 +21,17 @@ class TestWordFormat:
         assert fmt.bytes_per_word == 4
 
     def test_max_hops_from_field_widths(self):
-        fmt = WordFormat(data_width=32, port_bits=3, queue_bits=4,
-                         credit_bits=5)
+        fmt = WordFormat(data_width=32)
+        assert (fmt.port_bits, fmt.queue_bits, fmt.credit_bits) == (3, 4, 5)
         assert fmt.path_bits == 23
         assert fmt.max_hops == 7
+
+    def test_header_field_widths_are_the_papers_in_every_format(self):
+        wide = WordFormat(data_width=64, flit_size=4)
+        assert (wide.port_bits, wide.queue_bits, wide.credit_bits) == \
+            (3, 4, 5)
+        with pytest.raises(TypeError):
+            WordFormat(port_bits=4)
 
     def test_wider_words_encode_longer_paths(self):
         fmt = WordFormat(data_width=64)
@@ -41,8 +48,11 @@ class TestWordFormat:
             WordFormat(data_width=4)
 
     def test_rejects_header_without_path_room(self):
-        with pytest.raises(HeaderFormatError):
-            WordFormat(data_width=8, queue_bits=4, credit_bits=4)
+        # 11 bits less the 4-bit queue id and 5 credit bits leave 2
+        # path bits, short of one 3-bit port; 12 leave room for one hop.
+        with pytest.raises(HeaderFormatError, match="no room for a path"):
+            WordFormat(data_width=11)
+        assert WordFormat(data_width=12).max_hops == 1
 
     def test_rejects_single_word_flits(self):
         with pytest.raises(HeaderFormatError):

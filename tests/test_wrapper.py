@@ -63,9 +63,10 @@ class TestPortInterfaces:
             opi.reserve()
             opi.deliver(Flit.empty(fmt))
         channel.service(0)
-        # Only 2 can be owned by the receiving side at once.
+        # Only 2 can be owned by the receiving side at once; the other
+        # two wait in the OPI, their space still taken.
         assert len(ipi) == 2
-        assert len(opi) == 2
+        assert opi.has_token and opi.unreserved_space == 2
         ipi.pop()
         channel.service(1)
         assert len(ipi) == 2
@@ -77,7 +78,9 @@ class TestPortInterfaces:
         opi.reserve()
         opi.deliver(Flit.empty(fmt))
         channel.service(0)
-        assert len(ipi) == 0 and channel.in_flight == 1
+        # The token left the OPI and has not reached the IPI: in flight.
+        assert not opi.has_token and opi.unreserved_space == 2
+        assert len(ipi) == 0 and channel.tokens_transferred == 0
         channel.service(99)
         assert len(ipi) == 0
         channel.service(100)

@@ -23,11 +23,13 @@ The allow-list has one function a line::
 
     repro.pkg.module:Class.method  <class>  # reason
 
-``<class>`` is one of :data:`CLASSES`; the reason is mandatory, and a
-``paper-model`` line names the test under ``tests/`` that holds it.  A
-line without a known class or a reason, a line naming a function that
-does not exist, and a line naming a function that was reached are
-errors too, so the list cannot outlive what it excuses.
+``<class>`` is one of :data:`CLASSES`; the reason is mandatory, a
+``paper-model`` line names the test under ``tests/`` that holds it, and
+a ``test-lever`` line names that test or the ``ROADMAP item`` that will
+run the lever.  A line without a known class or a reason, a line naming
+a function that does not exist, and a line naming a function that was
+reached are errors too, so the list cannot outlive what it excuses.  The
+report's last line tallies the allow lines by class.
 
     python3 tools/reachability.py
 
@@ -137,9 +139,11 @@ def entry_points() -> list[list[str]]:
          "--output", "fairness-demo.json"],
         [*repro, "replay", "--demo", "--events", "120", "--slots", "1200"],
         [*repro, "design", "--demo"],
+        [*repro, "design", "--demo", "--spare-capacity", "0.25"],
         [*repro, "faults", "--demo", "--events", "120", "--slots", "1200",
          "--monitor", "--monitor-output", "faults-conformance.json"],
-        [*repro, "monitor", "--demo", "--slots", "1500"],
+        [*repro, "monitor", "--demo", "--slots", "1500", "--telemetry",
+         "monitor-telemetry.jsonl"],
         [*repro, "--profile", "ablations"],
         [*repro, "campaign", "--demo"],
         [*repro, "campaign", "--demo", "--list"],
@@ -250,6 +254,10 @@ def report(package: Path, reached: set[tuple[str, int, str]],
             problems.append(f"{where} gives no reason")
         elif fields[1] == "paper-model" and "tests/" not in reason:
             problems.append(f"{where} is a paper model that names no test")
+        elif fields[1] == "test-lever" and "tests/" not in reason and \
+                "ROADMAP item" not in reason:
+            problems.append(f"{where} is a test lever that names no test "
+                            "or ROADMAP item")
         elif fields[0] not in names:
             problems.append(f"{where} names no function under {package.name}")
         elif names[fields[0]] in reached:
@@ -262,6 +270,17 @@ def report(package: Path, reached: set[tuple[str, int, str]],
     return problems
 
 
+def tally(allow_text: str) -> str:
+    """The allow lines per class, in :data:`CLASSES` order."""
+    counts = dict.fromkeys(CLASSES, 0)
+    for raw in allow_text.splitlines():
+        fields = raw.partition("#")[0].split()
+        if len(fields) == 2 and fields[1] in counts:
+            counts[fields[1]] += 1
+    return "allow lines: " + ", ".join(
+        f"{count} {name}" for name, count in counts.items())
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as traces:
         trace(Path(traces))
@@ -270,8 +289,8 @@ def main() -> int:
     for problem in problems:
         print(problem)
     total = len(functions(PACKAGE))
-    print(f"{total} functions under src/repro, "
-          f"{len(problems)} problems", file=sys.stderr)
+    print(f"{total} functions under src/repro, {len(problems)} problems; "
+          f"{tally(ALLOW.read_text())}", file=sys.stderr)
     return 1 if problems else 0
 
 

@@ -26,17 +26,19 @@ Two rules, one walk over ``src/``, ``benchmarks/``, ``examples/``,
 
 Rule 2 gates every package under ``src/repro``: a parameter nothing
 passes fails the run.  A parameter that only ``tests/`` pass is printed
-as a ``note:`` line and gates nothing.  The last line is the tally
-``N parameters with defaults, M passed nowhere, K allowed; noted: T
-passed only by tests``.
+as a ``note:`` line, and fails the run too unless the allow-list names
+it with the test or ROADMAP item that keeps it.  The last line is the
+tally ``N parameters with defaults, M passed nowhere, K allowed; noted:
+T passed only by tests``.
 
 ``tools/unreferenced_allow.txt`` is the allow-list of both rules, one
 entry a line: ``name  # reason`` keeps a definition, ``Name(param)  #
 reason`` (``Class(param)`` for a constructor or dataclass,
-``Class.method(param)`` for a method) keeps a parameter.  The reason is
-mandatory — it names the open ROADMAP item that will pass the parameter
-or the test it is the lever of — and an entry that no longer matches a
-finding is an error, so the list cannot outlive what it excuses.
+``Class.method(param)`` for a method) keeps a parameter, passed nowhere
+or only by tests.  The reason is mandatory — it names the open ROADMAP
+item that will pass the parameter or the test it is the lever of — and
+an entry that no longer matches a finding is an error, so the list
+cannot outlive what it excuses.
 """
 
 import ast
@@ -256,6 +258,9 @@ def main() -> int:
         if tests.passes(name, param, index, is_dataclass):
             n_tests += 1
             print(f"note: {at}: {label} is passed only by tests")
+            if not allowed.pop(label, 0):
+                problems.append(f"{at}: {label} is passed only by tests "
+                                "and not named in the allow-list")
         else:
             nowhere += 1
             if allowed.pop(label, 0):
